@@ -63,7 +63,7 @@ pub use perf::{
 };
 pub use schedule::FinalizationPlan;
 pub use train::{
-    ground_truth_images, BatchPlan, BatchReport, DensifySchedule, TrainConfig, Trainer,
+    ground_truth_images, BatchPlan, BatchReport, DensifySchedule, TrainConfig, Trainer, TrainerView,
 };
 // The resize-event vocabulary the trainers speak at densification
 // boundaries (planned in `gs_scene`, emitted through `BatchPlan::resize`).

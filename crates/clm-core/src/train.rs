@@ -18,7 +18,7 @@ use gs_core::camera::Camera;
 use gs_core::gaussian::{GaussianModel, NON_CRITICAL_FLOATS};
 use gs_core::visibility::VisibilitySet;
 use gs_core::PARAMS_PER_GAUSSIAN;
-use gs_optim::{AdamConfig, AdamWorkItem, GaussianAdam, GradientBuffer};
+use gs_optim::{AdamConfig, GaussianAdam, GradientBuffer, ParamRow};
 use gs_render::{
     l1_loss, parallel::parallel_map, psnr, render, render_backward, Image, RenderGradients,
     RenderOptions, DEFAULT_BAND_HEIGHT,
@@ -116,6 +116,18 @@ impl Default for TrainConfig {
     }
 }
 
+impl TrainConfig {
+    /// The band height renders actually use: the configured value, or the
+    /// renderer's default when the config holds the 0 sentinel.
+    pub fn resolved_band_height(&self) -> u32 {
+        if self.band_height == 0 {
+            DEFAULT_BAND_HEIGHT
+        } else {
+            self.band_height
+        }
+    }
+}
+
 /// What one training batch did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
@@ -186,6 +198,99 @@ impl BatchPlan {
     /// Gradient bytes stored to host memory after micro-batch `i`.
     pub fn store_bytes(&self, i: usize) -> u64 {
         (self.stored[i].len() * GRADIENT_BYTES) as u64
+    }
+}
+
+/// Everything of a [`Trainer`] a batch's render and gather lanes read —
+/// the model, its offloaded host store and the configuration — **without**
+/// the optimiser.  [`Trainer::lend_optimizer`] hands this out next to an
+/// exclusive borrow of the optimiser, so a threaded runtime can give the
+/// optimiser state to its CPU Adam lane for the batch while the other lanes
+/// keep sharing the rest.
+#[derive(Debug, Clone, Copy)]
+pub struct TrainerView<'a> {
+    model: &'a GaussianModel,
+    offloaded: &'a OffloadedModel,
+    config: &'a TrainConfig,
+}
+
+impl<'a> TrainerView<'a> {
+    /// The current model.
+    pub fn model(&self) -> &'a GaussianModel {
+        self.model
+    }
+
+    /// The attribute-wise offloaded parameter store.
+    pub fn offloaded(&self) -> &'a OffloadedModel {
+        self.offloaded
+    }
+
+    /// [`Trainer::render_microbatch`] on the shared view.
+    pub fn render_microbatch(
+        &self,
+        plan: &BatchPlan,
+        micro_idx: usize,
+        cameras: &[Camera],
+        targets: &[Image],
+        staging: &[[f32; NON_CRITICAL_FLOATS]],
+    ) -> (f32, RenderGradients) {
+        self.render_microbatch_with_threads(
+            plan,
+            micro_idx,
+            cameras,
+            targets,
+            staging,
+            self.config.compute_threads,
+        )
+    }
+
+    fn render_microbatch_with_threads(
+        &self,
+        plan: &BatchPlan,
+        micro_idx: usize,
+        cameras: &[Camera],
+        targets: &[Image],
+        staging: &[[f32; NON_CRITICAL_FLOATS]],
+        compute_threads: usize,
+    ) -> (f32, RenderGradients) {
+        let view_idx = plan.order[micro_idx];
+        let camera = &cameras[view_idx];
+        let target = &targets[view_idx];
+        let visible = match self.config.system {
+            // The plain baseline feeds every Gaussian through the
+            // kernels (fused culling); the others pre-cull.
+            SystemKind::Baseline => None,
+            _ => Some(plan.ordered_sets[micro_idx].indices().to_vec()),
+        };
+        if self.config.system == SystemKind::Clm {
+            // The staged host rows must match the parameters the renderer
+            // reads: a Gaussian is only updated after its last access, so
+            // even rows prefetched several micro-batches ago stay current.
+            assert_eq!(
+                staging.len(),
+                plan.fetched[micro_idx].len(),
+                "staging buffer does not match the fetch plan"
+            );
+            for (&idx, row) in plan.fetched[micro_idx].indices().iter().zip(staging) {
+                assert!(
+                    *row == self.model.non_critical_row(idx as usize),
+                    "staged row for gaussian {idx} went stale before its micro-batch ran"
+                );
+            }
+        }
+        let out = render(
+            self.model,
+            camera,
+            &RenderOptions {
+                background: self.config.background,
+                visible,
+                compute_threads,
+                band_height: self.config.resolved_band_height(),
+            },
+        );
+        let loss = l1_loss(&out.image, target);
+        let render_grads = render_backward(self.model, camera, &out.aux, &loss.d_image);
+        (loss.value, render_grads)
     }
 }
 
@@ -342,11 +447,7 @@ impl Trainer {
     /// The band height renders actually use: the configured value, or the
     /// renderer's default when the config holds the 0 sentinel.
     pub fn resolved_band_height(&self) -> u32 {
-        if self.config.band_height == 0 {
-            DEFAULT_BAND_HEIGHT
-        } else {
-            self.config.band_height
-        }
+        self.config.resolved_band_height()
     }
 
     /// The densification resize due **before** the next batch, if any.
@@ -600,66 +701,8 @@ impl Trainer {
         targets: &[Image],
         staging: &[[f32; NON_CRITICAL_FLOATS]],
     ) -> (f32, RenderGradients) {
-        self.render_microbatch_with_threads(
-            plan,
-            micro_idx,
-            cameras,
-            targets,
-            staging,
-            self.config.compute_threads,
-        )
-    }
-
-    /// [`render_microbatch`](Self::render_microbatch) with an explicit band
-    /// thread count, so the view-parallel batch path can keep each view
-    /// serial inside while the view level owns the workers.
-    fn render_microbatch_with_threads(
-        &self,
-        plan: &BatchPlan,
-        micro_idx: usize,
-        cameras: &[Camera],
-        targets: &[Image],
-        staging: &[[f32; NON_CRITICAL_FLOATS]],
-        compute_threads: usize,
-    ) -> (f32, RenderGradients) {
-        let view_idx = plan.order[micro_idx];
-        let camera = &cameras[view_idx];
-        let target = &targets[view_idx];
-        let visible = match self.config.system {
-            // The plain baseline feeds every Gaussian through the
-            // kernels (fused culling); the others pre-cull.
-            SystemKind::Baseline => None,
-            _ => Some(plan.ordered_sets[micro_idx].indices().to_vec()),
-        };
-        if self.config.system == SystemKind::Clm {
-            // The staged host rows must match the parameters the renderer
-            // reads: a Gaussian is only updated after its last access, so
-            // even rows prefetched several micro-batches ago stay current.
-            assert_eq!(
-                staging.len(),
-                plan.fetched[micro_idx].len(),
-                "staging buffer does not match the fetch plan"
-            );
-            for (&idx, row) in plan.fetched[micro_idx].indices().iter().zip(staging) {
-                assert!(
-                    *row == self.model.non_critical_row(idx as usize),
-                    "staged row for gaussian {idx} went stale before its micro-batch ran"
-                );
-            }
-        }
-        let out = render(
-            &self.model,
-            camera,
-            &RenderOptions {
-                background: self.config.background,
-                visible,
-                compute_threads,
-                band_height: self.resolved_band_height(),
-            },
-        );
-        let loss = l1_loss(&out.image, target);
-        let render_grads = render_backward(&self.model, camera, &out.aux, &loss.d_image);
-        (loss.value, render_grads)
+        self.view()
+            .render_microbatch(plan, micro_idx, cameras, targets, staging)
     }
 
     /// Applies the optimiser to every Gaussian finalised by micro-batch
@@ -672,23 +715,52 @@ impl Trainer {
         }
     }
 
-    /// Packs the CPU Adam work of one finalisation group into self-contained
-    /// [`AdamWorkItem`]s from a **shared** borrow, so a threaded runtime can
-    /// ship the expensive update math to a dedicated worker while the main
-    /// thread keeps rendering.
-    ///
-    /// The finalisation schedule guarantees the packed Gaussians are never
-    /// read again within the batch, so deferring the write-back
-    /// ([`apply_adam_results`](Self::apply_adam_results)) to batch end is
-    /// bit-identical to the synchronous [`apply_finalized`](Self::apply_finalized).
-    pub fn pack_adam_group(&self, grads: &GradientBuffer, indices: &[u32]) -> Vec<AdamWorkItem> {
-        self.optimizer.pack_subset(&self.model, grads, indices)
+    /// The shared, optimiser-free view of this trainer.
+    pub fn view(&self) -> TrainerView<'_> {
+        TrainerView {
+            model: &self.model,
+            offloaded: &self.offloaded,
+            config: &self.config,
+        }
     }
 
-    /// Merges computed Adam work items back into the model and optimiser
-    /// state (pure copies; the math already ran on the worker).
-    pub fn apply_adam_results(&mut self, items: &[AdamWorkItem]) {
-        self.optimizer.apply_packed(&mut self.model, items);
+    /// Lends the optimiser out for one batch: an exclusive borrow of the
+    /// optimiser for the runtime's CPU Adam lane, next to the shared
+    /// [`TrainerView`] the render and gather lanes keep using.  A split
+    /// borrow, so the optimiser never leaves the trainer — a batch that
+    /// unwinds mid-way leaves it in place with whatever groups it had
+    /// already stepped.
+    ///
+    /// The lane steps each finalisation group with
+    /// [`GaussianAdam::step_detached`] against `view.model()` — the
+    /// finalisation schedule guarantees a finalised Gaussian is never read
+    /// again within the batch, so deferring the parameter write-back
+    /// ([`apply_param_rows`](Self::apply_param_rows)) to batch end is
+    /// bit-identical to the synchronous
+    /// [`apply_finalized`](Self::apply_finalized).
+    pub fn lend_optimizer(&mut self) -> (TrainerView<'_>, &mut GaussianAdam) {
+        (
+            TrainerView {
+                model: &self.model,
+                offloaded: &self.offloaded,
+                config: &self.config,
+            },
+            &mut self.optimizer,
+        )
+    }
+
+    /// Writes the parameter rows a detached Adam step produced for
+    /// `indices` back into the model (pure copies; the math already ran on
+    /// the lane).
+    ///
+    /// # Panics
+    /// Panics if `rows` and `indices` differ in length or an index is out
+    /// of bounds of the model.
+    pub fn apply_param_rows(&mut self, indices: &[u32], rows: &[ParamRow]) {
+        assert_eq!(rows.len(), indices.len(), "one parameter row per index");
+        for (&idx, row) in indices.iter().zip(rows) {
+            self.model.set_param_row(idx as usize, row);
+        }
     }
 
     /// Records host rows gathered by an external (worker-thread) copy, so
@@ -987,9 +1059,9 @@ impl Trainer {
                 staged.push(buf);
             }
 
-            let trainer = &*self;
+            let view = self.view();
             let results: Vec<(f32, RenderGradients)> = parallel_map(wave, end - start, |offset| {
-                trainer.render_microbatch_with_threads(
+                view.render_microbatch_with_threads(
                     plan,
                     start + offset,
                     cameras,
@@ -1450,6 +1522,42 @@ mod tests {
         assert!(serial.resize_events() >= 1);
         assert_eq!(serial.resize_events(), sharded.resize_events());
         assert_eq!(serial.model(), sharded.model());
+    }
+
+    #[test]
+    fn lent_optimizer_stays_with_the_trainer_when_a_lane_panics() {
+        // The runtime's CPU Adam lane holds the optimiser through a split
+        // borrow.  A lane that dies mid-batch (here: after stepping one
+        // group) must leave the trainer with its full optimiser state —
+        // the groups stepped so far included, nothing swapped out.
+        let (dataset, targets, init) = tiny_setup();
+        let mut trainer = Trainer::new(init, config(SystemKind::Clm));
+        trainer.train_batch(&dataset.cameras[..4], &targets[..4]);
+        let len = trainer.optimizer().len();
+        let steps_before: Vec<u64> = (0..4).map(|i| trainer.optimizer().step_count(i)).collect();
+
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let (view, optimizer) = trainer.lend_optimizer();
+            std::thread::scope(|scope| {
+                scope.spawn(move || {
+                    let mut out = [[0.0f32; PARAMS_PER_GAUSSIAN]; 2];
+                    optimizer.step_detached(view.model(), &[0, 1], None, &mut out, 1, true);
+                    panic!("lane dies mid-batch");
+                });
+            });
+        }));
+        assert!(result.is_err(), "the scope must propagate the lane's panic");
+        assert_eq!(trainer.optimizer().len(), len);
+        let steps_after: Vec<u64> = (0..4).map(|i| trainer.optimizer().step_count(i)).collect();
+        assert_eq!(
+            steps_after,
+            [
+                steps_before[0] + 1,
+                steps_before[1] + 1,
+                steps_before[2],
+                steps_before[3]
+            ]
+        );
     }
 
     #[test]

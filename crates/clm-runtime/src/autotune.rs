@@ -197,9 +197,9 @@ pub struct TunedKnobs {
     pub compute_threads: usize,
     /// CPU Adam lane fan-out (`ThreadedConfig::adam_threads` overrides).
     pub adam_threads: usize,
-    /// Target rows per Adam chunk so one chunk's working set stays
-    /// L2-resident (`ThreadedConfig::adam_chunk_rows` overrides; the
-    /// chunked driver fans out only as far as this target requires).
+    /// Target rows per Adam shard so one shard's working set stays
+    /// L2-resident (`ThreadedConfig::adam_chunk_rows` overrides; the Adam
+    /// lane fans a group out only as far as this target requires).
     pub adam_chunk_rows: usize,
     /// Accumulation band height fitted to the L2 size at a reference image
     /// width (`RenderOptions`/`TrainConfig::band_height` override).  Part

@@ -77,6 +77,14 @@ pub struct ExecutionReport {
     /// Faults injected (and recovered from) while executing this batch.
     /// All-zero when no fault plan is installed.
     pub faults: FaultStats,
+    /// Gaussian rows whose final gradients were shipped to the CPU Adam
+    /// lane (threaded backend; 0 for backends that step the optimiser
+    /// inline).  One row per Gaussian the batch touched — `F_0` ships
+    /// nothing.
+    pub adam_rows_shipped: u64,
+    /// Bytes shipped to the CPU Adam lane: `adam_rows_shipped` flat
+    /// 59-float gradient rows.
+    pub adam_bytes_shipped: u64,
 }
 
 impl ExecutionReport {

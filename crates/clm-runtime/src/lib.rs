@@ -98,7 +98,7 @@ mod tests {
     };
     use sim_device::Lane;
 
-    fn tiny_setup() -> (Dataset, Vec<Image>, GaussianModel) {
+    pub(crate) fn tiny_setup() -> (Dataset, Vec<Image>, GaussianModel) {
         let dataset = generate_dataset(&SceneSpec::of(SceneKind::Bicycle), &DatasetConfig::tiny());
         let targets = clm_core::ground_truth_images(&dataset);
         let init = init_from_point_cloud(
@@ -440,9 +440,9 @@ mod tests {
                 "window {window} must stay within its buffer budget: {stats:?}"
             );
             assert!(stats.recycled >= 6, "window {window}: {stats:?}");
-            // The gather and packed-Adam paths stage straight from the
-            // lane-chunked layout into pool buffers — zero extra copies, so
-            // no acquire may allocate once the frontier is provisioned.
+            // Gathers stage straight from the host store into pool buffers
+            // — zero extra copies, so no acquire may allocate once the
+            // frontier is provisioned.
             assert_eq!(
                 stats.allocated, stats.high_water_buffers as u64,
                 "window {window} allocated beyond the frontier: {stats:?}"

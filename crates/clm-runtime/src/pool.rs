@@ -448,8 +448,8 @@ mod tests {
         );
         assert_eq!(pool.free_buffers(), 2 * per_lane);
         assert!(stats.high_water_bytes >= pool.owned_bytes());
-        // Zero extra copies: the packed Adam path stages straight from the
-        // lane-chunked layout into checked-out buffers, so the only fresh
+        // Zero extra copies: gathers stage straight into checked-out
+        // buffers, so the only fresh
         // allocations are the ones that first raised the high-water mark —
         // every later acquire must be served by recycling.
         assert_eq!(

@@ -802,6 +802,9 @@ impl ExecutionBackend for ShardedEngine {
             sim_makespan: Some(t.makespan()),
             resize: report.resize,
             faults: report.faults,
+            // The optimiser steps inline: nothing is shipped to a lane.
+            adam_rows_shipped: 0,
+            adam_bytes_shipped: 0,
             batch: report.batch,
         }
     }

@@ -10,24 +10,42 @@
 //!   prefetch window ahead of the micro-batch that consumes them — the
 //!   copies happen on the worker, straight from a shared borrow of the
 //!   offloaded store (zero intermediate clones);
-//! * the **CPU Adam lane** receives each finalisation group as packed
-//!   [`AdamWorkItem`]s the moment its gradients are final and runs the
-//!   update math (optionally chunked across further threads) while the
-//!   main thread keeps rendering;
+//! * the **CPU Adam lane** *holds the optimiser* for the batch
+//!   ([`Trainer::lend_optimizer`]): the moments and step counters never
+//!   leave it.  A finalisation group reaches the lane as its group id plus
+//!   the group's **final gradient rows** — all the lane cannot already see;
+//!   the indices come from the shared [`BatchPlan`],
+//!   the parameters from the shared model, and the untouched `F_0` group
+//!   ships nothing at all (its gradient is zero by construction).  The lane
+//!   runs [`GaussianAdam::step_detached`](gs_optim::GaussianAdam::step_detached)
+//!   — moments updated in place, optionally sharded across further threads
+//!   — and leaves only the new parameter rows behind, in the group's slice
+//!   of a buffer the coordinator writes back at batch end;
 //! * the **main thread** is the GPU-compute stand-in: it renders
 //!   micro-batches and accumulates gradients.
+//!
+//! Both lane buffers — one parameter row per Gaussian, and the batch's
+//! gradient rows — belong to the backend and are reused by every batch;
+//! they are sized by the model alone, so between densification boundaries
+//! (where they are re-provisioned like the staging pool) the lane allocates
+//! nothing.
 //!
 //! # Why this is bit-identical to the synchronous trainer
 //!
 //! The finalisation schedule guarantees a Gaussian finalised by micro-batch
-//! `i` is never touched by micro-batches `> i`, so deferring the Adam
-//! write-back to batch end cannot change anything any later micro-batch
-//! reads; and each packed Adam row is computed by exactly the same scalar
-//! kernel the synchronous path runs, on exactly the values the synchronous
-//! path would see.  Prefetched gathers are safe for the same reason the
-//! simulated engine's are: within a batch no parameter a later micro-batch
-//! fetches is updated before its last access
-//! (`Trainer::process_microbatch` asserts staged rows never go stale).
+//! `i` is never touched by micro-batches `> i`.  So (a) the gradient rows a
+//! group ships are the values the synchronous `apply_finalized` reads at
+//! the same point; (b) the model the lane reads a finalised Gaussian's
+//! parameters from still holds exactly what the synchronous path would
+//! update, because nothing is written back before batch end; (c) deferring
+//! that write-back cannot change anything a later micro-batch reads; and
+//! (d) the detached step stages the same values through the same
+//! `adam_update_lanes` kernel as the in-place step — each row's update is
+//! independent, so neither lane grouping nor the fan-out changes a bit.
+//! Prefetched gathers are safe for the same reason the simulated engine's
+//! are: within a batch no parameter a later micro-batch fetches is updated
+//! before its last access (`Trainer::process_microbatch` asserts staged
+//! rows never go stale).
 //!
 //! Bounded queues give the pipeline backpressure: a gather lane that runs
 //! ahead blocks on its completion queue (capped at the window's
@@ -39,10 +57,11 @@ use crate::backend::{ExecutionBackend, ExecutionReport, LaneBusy};
 use crate::pool::{PinnedBufferPool, PoolStats, StagingBuffer};
 use crate::prefetch::{PrefetchPolicy, PrefetchWindow, WindowSelector};
 use crate::workers::{spawn_lane, BusyTimer, SpanLog};
-use clm_core::{gather_rows_into, SystemKind, TrainConfig, Trainer};
+use clm_core::{gather_rows_into, BatchPlan, SystemKind, TrainConfig, Trainer};
 use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
-use gs_optim::{compute_packed_chunked, AdamWorkItem};
+use gs_core::PARAMS_PER_GAUSSIAN;
+use gs_optim::ParamRow;
 use gs_render::parallel::parallel_map;
 use gs_render::Image;
 use gs_scene::Dataset;
@@ -73,11 +92,11 @@ pub struct ThreadedConfig {
     /// by an order of magnitude.
     pub adam_threads: usize,
     /// Target rows per Adam chunk: groups smaller than
-    /// `adam_threads × adam_chunk_rows` fan out across fewer threads so one
-    /// chunk's working set stays cache-resident instead of splitting a tiny
-    /// group 64 ways (0 = no target, always fan out to `adam_threads`).
-    /// Pure scheduling — the chunked kernel is bit-identical for every
-    /// thread count.
+    /// `adam_threads × adam_chunk_rows` fan out across fewer threads, so a
+    /// small group is not split 64 ways into shards whose hand-off costs
+    /// more than their rows (0 = no target, always fan out to
+    /// `adam_threads`).  Pure scheduling — the detached step is
+    /// bit-identical for every thread count.
     pub adam_chunk_rows: usize,
     /// Capacity of the bounded request queues (≥ 1).  Capacity 1 gives the
     /// tightest backpressure; larger values let lanes run further ahead of
@@ -155,9 +174,19 @@ pub struct ThreadedBackend {
     /// thread-busy times.
     window_selector: WindowSelector,
     /// Installed fault-injection plan, if any.  Transients and straggles
-    /// re-execute *pure* work (gathers into scratch, Adam math on clones),
-    /// so recovery costs real thread time but never changes the numerics.
+    /// re-execute *pure* work (gathers into scratch, Adam math with the
+    /// commit suppressed), so recovery costs real thread time but never
+    /// changes the numerics.
     fault_plan: Option<FaultPlan>,
+    /// The CPU Adam lane's output: one parameter row per Gaussian, group
+    /// after group (`F_0` first) — where the lane leaves each group's new
+    /// parameters for the batch-end write-back.  Reused by every batch.
+    adam_params: Vec<ParamRow>,
+    /// The batch's final gradient rows, finalisation group after group —
+    /// the only thing shipped to the Adam lane.  Reused by every batch; its
+    /// capacity is the model's row count, the one bound on a batch's touched
+    /// rows that does not depend on the batch.
+    adam_grads: Vec<ParamRow>,
 }
 
 impl ThreadedBackend {
@@ -190,6 +219,8 @@ impl ThreadedBackend {
             pool: PinnedBufferPool::new(),
             window_selector,
             fault_plan: None,
+            adam_params: Vec::new(),
+            adam_grads: Vec::new(),
         }
     }
 
@@ -220,6 +251,8 @@ impl ThreadedBackend {
             pool: PinnedBufferPool::new(),
             window_selector,
             fault_plan: None,
+            adam_params: Vec::new(),
+            adam_grads: Vec::new(),
         }
     }
 
@@ -257,6 +290,13 @@ impl ThreadedBackend {
     /// budget seam used by the serving layer.
     pub fn set_staging_capacity(&mut self, limit: Option<usize>) {
         self.pool.set_capacity_limit(limit);
+    }
+
+    /// Rows of [`ParamRow`] capacity the CPU Adam lane's two recycled
+    /// buffers hold.  Constant between densification boundaries: the lane
+    /// allocates nothing in steady state.
+    pub fn adam_lane_buffer_rows(&self) -> usize {
+        self.adam_params.capacity() + self.adam_grads.capacity()
     }
 
     /// The adaptive-window state (tracked fetch/compute ratios), e.g. for
@@ -363,18 +403,41 @@ impl ThreadedBackend {
         let adam_timer = BusyTimer::new();
         let mut compute_seconds = 0.0f64;
         let mut total_loss = 0.0f32;
-        let mut adam_groups: Vec<Vec<AdamWorkItem>> = Vec::new();
 
-        // Disjoint field borrows: the workers share the trainer read-only
-        // for the batch; the gather worker owns the staging pool.
-        let trainer = &self.trainer;
+        // The Adam lane's buffers, carved into one slice per group: slot 0
+        // is F_0, slot i + 1 the group micro-batch i finalises.  The groups
+        // partition the model, so the parameter buffer is exactly one row
+        // per Gaussian; F_0 ships no gradients, so the gradient buffer
+        // holds the touched rows only.
+        let model_len = self.trainer.model().len();
+        if overlapped && (plan.resize.is_some() || self.adam_params.len() != model_len) {
+            // Re-provisioned at a densification boundary (and before the
+            // first batch), exact-sized like the staging pool.
+            self.adam_params = vec![[0.0; PARAMS_PER_GAUSSIAN]; model_len];
+            self.adam_grads = Vec::with_capacity(model_len);
+        }
+        let (adam_slots, touched_rows) = if overlapped {
+            (m + 1, plan.finalization.total_touched())
+        } else {
+            (0, 0)
+        };
+        self.adam_grads
+            .resize(touched_rows, [0.0; PARAMS_PER_GAUSSIAN]);
+        let group_len = |slot: usize| adam_group(&plan, slot).len();
+        let param_slices = split_by_lens(&mut self.adam_params, (0..adam_slots).map(group_len));
+        let mut grad_slices = split_by_lens(&mut self.adam_grads, (1..adam_slots).map(group_len));
+
+        // Disjoint borrows: the Adam lane holds the optimiser for the
+        // batch, every lane shares the rest of the trainer read-only, and
+        // the gather worker owns the staging pool.
+        let (trainer, optimizer) = self.trainer.lend_optimizer();
         let pool = &mut self.pool;
         let capacity = self.config.channel_capacity;
         let adam_threads = self.config.adam_threads;
         let adam_chunk_rows = self.config.adam_chunk_rows;
-        // Chunk-target cap: small groups fan out across fewer threads so
-        // each chunk keeps its cache-resident working-set size.  Identical
-        // numerics for any fan-out (the chunked kernel guarantees it).
+        // Chunk-target cap: small groups fan out across fewer threads.
+        // Identical numerics for any fan-out (the detached step guarantees
+        // it).
         let adam_fan_out = move |len: usize| {
             if adam_chunk_rows == 0 {
                 adam_threads
@@ -476,33 +539,38 @@ impl ThreadedBackend {
                 )
             });
 
-            // ---- CPU Adam lane (overlapped CLM only): computes packed
-            // finalisation groups off the main thread.
+            // ---- CPU Adam lane (overlapped CLM only): steps each group
+            // on the lent optimiser the moment its request arrives.  A
+            // request is the group's slot and its final gradient rows;
+            // nothing comes back — the new parameter rows wait in the
+            // group's slice of the lane's buffer until the batch ends.
             let adam = overlapped.then(|| {
                 let timer = &adam_timer;
-                let adam_config = trainer.optimizer().config().clone();
-                spawn_lane::<Vec<AdamWorkItem>, Vec<AdamWorkItem>, _>(
+                let model = trainer.model();
+                let mut param_slices = param_slices;
+                spawn_lane::<(usize, &[ParamRow]), (), _>(
                     scope,
                     capacity,
                     capacity,
-                    move |req_rx, resp_tx| {
-                        while let Ok(mut items) = req_rx.recv() {
+                    move |req_rx, _completions| {
+                        while let Ok((slot, grad_rows)) = req_rx.recv() {
+                            let indices = adam_group(plan_ref, slot);
+                            // F_0's gradient is zero by construction.
+                            let grad_rows = (slot != 0).then_some(grad_rows);
+                            let out = &mut *param_slices[slot];
+                            let fan_out = adam_fan_out(indices.len());
                             let span_start = spans.map(SpanLog::now);
                             timer.time(|| {
                                 if let Some(fp) = fault {
                                     if let Some(attempts) =
                                         fp.transient_attempts(OpKind::CpuAdamUpdate)
                                     {
-                                        // Failed attempts run the update math
-                                        // on clones — real work, discarded
-                                        // results — then back off.
+                                        // Failed attempts run the update
+                                        // math for real but commit nothing,
+                                        // then back off.
                                         for _ in 0..attempts {
-                                            let mut retry_items = items.clone();
-                                            let fan_out = adam_fan_out(retry_items.len());
-                                            compute_packed_chunked(
-                                                &adam_config,
-                                                &mut retry_items,
-                                                fan_out,
+                                            optimizer.step_detached(
+                                                model, indices, grad_rows, out, fan_out, false,
                                             );
                                         }
                                         std::thread::sleep(Duration::from_secs_f64(
@@ -510,8 +578,8 @@ impl ThreadedBackend {
                                         ));
                                     }
                                 }
-                                let fan_out = adam_fan_out(items.len());
-                                compute_packed_chunked(&adam_config, &mut items, fan_out)
+                                optimizer
+                                    .step_detached(model, indices, grad_rows, out, fan_out, true)
                             });
                             if let (Some(log), Some(s)) = (spans, span_start) {
                                 log.record(
@@ -520,12 +588,9 @@ impl ThreadedBackend {
                                     s,
                                     log.now(),
                                     0,
-                                    items.len() as u64,
+                                    indices.len() as u64,
                                     None,
                                 );
-                            }
-                            if resp_tx.send(items).is_err() {
-                                return;
                             }
                         }
                     },
@@ -534,23 +599,32 @@ impl ThreadedBackend {
 
             // Empty groups would be pure handoff overhead; skipping them
             // cannot change numerics (an empty subset step is a no-op).
-            // Packing runs on the coordinator but is optimiser-lane work,
-            // so it is charged to the Adam lane's busy time.
-            let send_group =
-                |adam: &crate::workers::WorkerLane<Vec<AdamWorkItem>, Vec<AdamWorkItem>>,
-                 indices: &[u32],
-                 grads: &gs_optim::GradientBuffer| {
-                    if !indices.is_empty() {
-                        let items = adam_timer.time(|| trainer.pack_adam_group(grads, indices));
-                        adam.requests.send(items).expect("adam lane alive");
+            // Packing the gradient rows runs on the coordinator but is
+            // optimiser-lane work, so it is charged to the Adam lane's busy
+            // time.
+            let adam_requests = adam.as_ref().map(|lane| &lane.requests);
+            let mut send_group = |slot: usize, grads: &gs_optim::GradientBuffer| {
+                let Some(requests) = adam_requests else {
+                    return;
+                };
+                let indices = adam_group(plan_ref, slot);
+                if indices.is_empty() {
+                    return;
+                }
+                let rows: &[ParamRow] = match slot.checked_sub(1) {
+                    None => &[],
+                    Some(group) => {
+                        let rows = std::mem::take(&mut grad_slices[group]);
+                        adam_timer.time(|| grads.read_rows_into(indices, rows));
+                        rows
                     }
                 };
+                requests.send((slot, rows)).expect("adam lane alive");
+            };
 
             // F_0: Gaussians the batch never touches are final from the
             // start; their update overlaps the whole pipeline.
-            if let Some(adam) = &adam {
-                send_group(adam, plan_ref.untouched.indices(), &grads);
-            }
+            send_group(0, &grads);
 
             let empty: StagingBuffer = Vec::new();
             let mut i = 0;
@@ -622,15 +696,7 @@ impl ThreadedBackend {
                         );
                     }
 
-                    if let Some(adam) = &adam {
-                        // Drain finished groups first so the lane's bounded
-                        // completion queue can never wedge the next send.
-                        while let Ok(items) = adam.completions.try_recv() {
-                            adam_groups.push(items);
-                        }
-                        let group = plan_ref.finalization.finalized_by(i + r);
-                        send_group(adam, group.indices(), &grads);
-                    }
+                    send_group(i + r + 1, &grads);
                 }
 
                 if let Some(lane) = &gather {
@@ -651,31 +717,35 @@ impl ThreadedBackend {
                     "every staged micro-batch must already be consumed"
                 );
             }
-            if let Some(lane) = adam {
-                drop(lane.requests);
-                while let Ok(items) = lane.completions.recv() {
-                    adam_groups.push(items);
-                }
-            }
+            // The scope joins the Adam lane once it has stepped every
+            // queued group.
+            drop(adam);
         });
 
-        // Deferred write-back of the worker-computed updates (disjoint
-        // groups — order does not matter, but arrival order is deterministic
-        // anyway) and the traffic accounting for the worker-side copies.
-        // The write-back is the Adam lane's tail, so it is charged there.
-        for items in &adam_groups {
+        // Deferred write-back of the lane-computed parameter rows, group by
+        // group (disjoint groups — order does not matter), and the traffic
+        // accounting for the worker-side copies.  The write-back is the
+        // Adam lane's tail, so it is charged there.
+        let mut offset = 0;
+        for slot in 0..adam_slots {
+            let indices = adam_group(&plan, slot);
+            let rows = &self.adam_params[offset..offset + indices.len()];
+            offset += indices.len();
+            if indices.is_empty() {
+                continue;
+            }
             let span_start = spans.map(SpanLog::now);
-            adam_timer.time(|| self.trainer.apply_adam_results(items));
+            adam_timer.time(|| self.trainer.apply_param_rows(indices, rows));
             if let (Some(log), Some(s)) = (spans, span_start) {
-                // Deferred write-back is the Adam lane's tail; `Other`
-                // keeps it out of the update-math histograms.
+                // `Other` keeps the write-back out of the update-math
+                // histograms.
                 log.record(
                     OpKind::Other,
                     Lane::CpuAdam,
                     s,
                     log.now(),
                     0,
-                    items.len() as u64,
+                    indices.len() as u64,
                     None,
                 );
             }
@@ -718,6 +788,8 @@ impl ThreadedBackend {
             sim_makespan: None,
             resize: plan.resize.as_ref().map(|e| e.report()),
             faults,
+            adam_rows_shipped: touched_rows as u64,
+            adam_bytes_shipped: (touched_rows * std::mem::size_of::<ParamRow>()) as u64,
         }
     }
 
@@ -726,6 +798,30 @@ impl ThreadedBackend {
     pub fn run_epoch(&mut self, dataset: &Dataset, targets: &[Image]) -> Vec<ExecutionReport> {
         ExecutionBackend::execute_epoch(self, dataset, targets)
     }
+}
+
+/// The Gaussians of Adam-lane group `slot`: slot 0 is `F_0` (untouched by
+/// the whole batch, final from the start), slot `i + 1` the group
+/// micro-batch `i` finalises.
+fn adam_group(plan: &BatchPlan, slot: usize) -> &[u32] {
+    match slot.checked_sub(1) {
+        None => plan.untouched.indices(),
+        Some(i) => plan.finalization.finalized_by(i).indices(),
+    }
+}
+
+/// Carves the front of `buf` into consecutive disjoint slices of the given
+/// lengths.
+///
+/// # Panics
+/// Panics if the lengths add up to more than `buf` holds.
+fn split_by_lens<T>(mut buf: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.map(|len| {
+        let (head, tail) = std::mem::take(&mut buf).split_at_mut(len);
+        buf = tail;
+        head
+    })
+    .collect()
 }
 
 /// Waits for one lane completion under the installed fault plan's timeout
@@ -775,5 +871,141 @@ impl ExecutionBackend for ThreadedBackend {
 
     fn execute_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> ExecutionReport {
         self.run_batch(cameras, targets)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::tiny_setup;
+    use clm_core::{DensifyConfig, DensifySchedule};
+    use sim_device::FaultSpec;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Asserts the backend's model and optimiser state equal the
+    /// synchronous trainer's.
+    fn assert_same_training_state(threaded: &ThreadedBackend, sync: &Trainer, label: &str) {
+        assert_eq!(threaded.trainer().model(), sync.model(), "{label}: model");
+        assert_eq!(
+            threaded.trainer().optimizer().export_rows(),
+            sync.optimizer().export_rows(),
+            "{label}: optimiser state"
+        );
+    }
+
+    #[test]
+    fn adam_lane_ships_only_touched_gradient_rows_and_allocates_nothing_in_steady_state() {
+        let (dataset, targets, init) = tiny_setup();
+        let rows = init.len();
+        let mut threaded =
+            ThreadedBackend::new(init, TrainConfig::default(), ThreadedConfig::default());
+        let mut capacity_after = Vec::new();
+        for batch in 0..8 {
+            // Rotate through the views so group sizes differ batch to batch.
+            let start = (batch * 4) % 12;
+            let report = threaded.run_batch(
+                &dataset.cameras[start..start + 4],
+                &targets[start..start + 4],
+            );
+            assert!(report.batch.touched > 0 && report.batch.touched < rows);
+            assert_eq!(report.adam_rows_shipped, report.batch.touched as u64);
+            assert_eq!(
+                report.adam_bytes_shipped,
+                (report.batch.touched * PARAMS_PER_GAUSSIAN * 4) as u64
+            );
+            capacity_after.push(threaded.adam_lane_buffer_rows());
+        }
+        // One parameter row per Gaussian plus room for at most as many
+        // gradient rows — fixed by the model, not by what a batch touched.
+        assert_eq!(capacity_after[1], 2 * rows);
+        assert_eq!(capacity_after[1], capacity_after[7]);
+    }
+
+    #[test]
+    fn adam_lane_retries_commit_nothing() {
+        // Every injectable op fails at least once: each Adam group is
+        // stepped with the commit suppressed before the attempt that counts,
+        // across a sharded fan-out.  Model and moments must still equal the
+        // fault-free synchronous trainer's.
+        let (dataset, targets, init) = tiny_setup();
+        let train = TrainConfig::default();
+        let mut sync = Trainer::new(init.clone(), train.clone());
+        let mut threaded = ThreadedBackend::new(
+            init,
+            train,
+            ThreadedConfig {
+                adam_threads: 3,
+                adam_chunk_rows: 16,
+                ..Default::default()
+            },
+        );
+        threaded.install_fault_plan(FaultPlan::new(
+            FaultSpec::new(0xADA4).with_transients(1.0, u64::MAX),
+        ));
+        for start in [0usize, 4, 8] {
+            let cams = &dataset.cameras[start..start + 4];
+            let tgts = &targets[start..start + 4];
+            let report = threaded.run_batch(cams, tgts);
+            assert_eq!(report.batch, sync.train_batch(cams, tgts));
+            // At least F_0 and the last group went through the Adam lane.
+            assert!(report.faults.retries >= 2, "{:?}", report.faults);
+            assert_eq!(report.faults.aborts, 0);
+        }
+        assert_same_training_state(&threaded, &sync, "after retried batches");
+    }
+
+    #[test]
+    fn densify_boundary_reprovisions_the_adam_lane_buffers() {
+        let (dataset, targets, init) = tiny_setup();
+        let train = TrainConfig {
+            densify: Some(DensifySchedule {
+                every_batches: 2,
+                config: DensifyConfig {
+                    grad_threshold: 1.0e-5,
+                    max_gaussians: init.len() + 40,
+                    ..Default::default()
+                },
+            }),
+            ..Default::default()
+        };
+        let mut sync = Trainer::new(init.clone(), train.clone());
+        let mut threaded = ThreadedBackend::new(init, train, ThreadedConfig::default());
+        let mut sizes = Vec::new();
+        for batch in 0..6 {
+            let start = (batch * 4) % 12;
+            let cams = &dataset.cameras[start..start + 4];
+            let tgts = &targets[start..start + 4];
+            let report = threaded.run_batch(cams, tgts);
+            assert_eq!(report.batch, sync.train_batch(cams, tgts));
+            let rows = threaded.trainer().model().len();
+            assert_eq!(
+                threaded.adam_lane_buffer_rows(),
+                2 * rows,
+                "batch {batch}: buffers follow the model across a boundary"
+            );
+            sizes.push(rows);
+        }
+        sizes.dedup();
+        assert!(sizes.len() > 1, "the run must cross a resizing boundary");
+        assert_same_training_state(&threaded, &sync, "after densifying batches");
+    }
+
+    #[test]
+    fn an_unwinding_batch_leaves_the_optimizer_with_the_trainer() {
+        let (dataset, targets, init) = tiny_setup();
+        let rows = init.len();
+        let mut threaded =
+            ThreadedBackend::new(init, TrainConfig::default(), ThreadedConfig::default());
+        threaded.run_batch(&dataset.cameras[..4], &targets[..4]);
+        // A target of the wrong size trips the loss assertion on the
+        // coordinator while both lanes are up and F_0 is already shipped.
+        let bad_targets = vec![Image::new(3, 3); 4];
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            threaded.run_batch(&dataset.cameras[..4], &bad_targets)
+        }));
+        assert!(result.is_err(), "the batch must unwind");
+        let optimizer = threaded.trainer().optimizer();
+        assert_eq!(optimizer.len(), rows, "full state, not a placeholder");
+        assert!((0..rows as u32).all(|i| optimizer.step_count(i) >= 1));
     }
 }

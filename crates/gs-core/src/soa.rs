@@ -103,6 +103,16 @@ impl SoaParams {
         &mut self.chunks[c]
     }
 
+    /// Every chunk, mutably — the seam that lets a caller shard the store
+    /// across threads with `split_at_mut` (chunk `c` holds rows
+    /// `c * LANE_WIDTH ..`) and address each shard through
+    /// [`gather_chunk_lane`] / [`scatter_chunk_lane`].  Callers must
+    /// preserve the zero-padding invariant for lanes past
+    /// [`len`](Self::len).
+    pub fn chunks_mut(&mut self) -> &mut [LaneBlock] {
+        &mut self.chunks
+    }
+
     /// Reads row `i` into `out`.
     ///
     /// # Panics
@@ -144,11 +154,7 @@ impl SoaParams {
     #[inline]
     pub fn gather_lane(&self, i: usize, lane: usize, block: &mut LaneBlock) {
         assert!(i < self.len, "row {i} out of bounds (len {})", self.len);
-        let (c, l) = (i / LANE_WIDTH, i % LANE_WIDTH);
-        let chunk = &self.chunks[c];
-        for k in 0..PARAMS_PER_GAUSSIAN {
-            block[k][lane] = chunk[k][l];
-        }
+        gather_chunk_lane(&self.chunks, i, lane, block);
     }
 
     /// Writes lane `lane` of a staging block back into row `i`: the scatter
@@ -156,11 +162,7 @@ impl SoaParams {
     #[inline]
     pub fn scatter_lane(&mut self, i: usize, lane: usize, block: &LaneBlock) {
         assert!(i < self.len, "row {i} out of bounds (len {})", self.len);
-        let (c, l) = (i / LANE_WIDTH, i % LANE_WIDTH);
-        let chunk = &mut self.chunks[c];
-        for k in 0..PARAMS_PER_GAUSSIAN {
-            chunk[k][l] = block[k][lane];
-        }
+        scatter_chunk_lane(&mut self.chunks, i, lane, block);
     }
 
     /// Appends a row.
@@ -264,6 +266,34 @@ impl SoaParams {
             self.read_row_into(i, &mut row);
             model.set_param_row(i, &row);
         }
+    }
+}
+
+/// [`SoaParams::gather_lane`] over a bare chunk slice: copies row `i` of
+/// `chunks` (row 0 = lane 0 of `chunks[0]`) into lane `lane` of `block`.
+///
+/// # Panics
+/// Panics if row `i` lies beyond the slice.
+#[inline]
+pub fn gather_chunk_lane(chunks: &[LaneBlock], i: usize, lane: usize, block: &mut LaneBlock) {
+    let chunk = &chunks[i / LANE_WIDTH];
+    let l = i % LANE_WIDTH;
+    for k in 0..PARAMS_PER_GAUSSIAN {
+        block[k][lane] = chunk[k][l];
+    }
+}
+
+/// [`SoaParams::scatter_lane`] over a bare chunk slice: writes lane `lane`
+/// of `block` into row `i` of `chunks`.
+///
+/// # Panics
+/// Panics if row `i` lies beyond the slice.
+#[inline]
+pub fn scatter_chunk_lane(chunks: &mut [LaneBlock], i: usize, lane: usize, block: &LaneBlock) {
+    let chunk = &mut chunks[i / LANE_WIDTH];
+    let l = i % LANE_WIDTH;
+    for k in 0..PARAMS_PER_GAUSSIAN {
+        chunk[k][l] = block[k][lane];
     }
 }
 

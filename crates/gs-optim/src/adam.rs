@@ -25,18 +25,31 @@
 //!   the expensive math while the main thread keeps rendering, and the
 //!   results are merged back with cheap copies;
 //! * [`compute_packed_chunked`] — the parallel-chunk path: the packed items
-//!   are split across the persistent compute pool so the CPU Adam lane
-//!   scales with cores.
+//!   are split across the persistent compute pool;
+//! * [`GaussianAdam::step_detached`] — the CPU Adam **lane's** path: a
+//!   worker thread that holds the optimiser for a batch reads parameters
+//!   from a shared `&GaussianModel`, takes the group's final gradient rows,
+//!   updates `m`/`v`/`steps` in place and hands back only the new parameter
+//!   rows for a deferred write-back.  Nothing the lane can already see is
+//!   copied, and the group fans out across the compute pool by sharding the
+//!   moment stores at chunk boundaries.
+//!
+//! The threaded runtime uses only the first and the last; the packed trio
+//! (`pack_subset`, `compute_packed*`, `apply_packed`, [`AdamWorkItem`])
+//! stays as library API for the kernel benchmarks and the autotuner's
+//! calibration, which time the lane kernel over self-contained rows.
 //!
 //! The flat 59-float [`param_row`](GaussianModel::param_row) layout remains
-//! the compatibility seam: work items, checkpoint exports
-//! ([`AdamRowState`]) and pinned-row staging are all row-shaped on the wire;
-//! only the resident moment state and the kernel's working set are
-//! lane-chunked.
+//! the compatibility seam: gradient/parameter rows on the lane's wire, work
+//! items, checkpoint exports ([`AdamRowState`]) and pinned-row staging are
+//! all row-shaped; only the resident moment state and the kernel's working
+//! set are lane-chunked.
 
 use crate::gradients::GradientBuffer;
 use gs_core::gaussian::{GaussianModel, SH_FLOATS};
-use gs_core::soa::{zero_lane_block, LaneBlock, SoaParams, LANE_WIDTH};
+use gs_core::soa::{
+    gather_chunk_lane, scatter_chunk_lane, zero_lane_block, LaneBlock, SoaParams, LANE_WIDTH,
+};
 use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_render::parallel_for_each;
 
@@ -116,6 +129,11 @@ impl AdamConfig {
         table
     }
 }
+
+/// One flat [`param_row`](GaussianModel::param_row)-layout row: the wire
+/// format of [`GaussianAdam::step_detached`] (gradient rows in, parameter
+/// rows out).
+pub type ParamRow = [f32; PARAMS_PER_GAUSSIAN];
 
 /// One Gaussian's exported Adam state — the checkpointable view of a moment
 /// row.  Flat [`param_row`](GaussianModel::param_row) layout, so export →
@@ -332,6 +350,148 @@ fn stage_grad_lane(grads: &GradientBuffer, index: u32, lane: usize, block: &mut 
     block[PARAMS_PER_GAUSSIAN - 1][lane] = g.d_opacity_logit;
 }
 
+/// What every shard of one [`GaussianAdam::step_detached`] call shares.
+struct DetachedKernel<'a> {
+    lr: [f32; PARAMS_PER_GAUSSIAN],
+    config: &'a AdamConfig,
+    model: &'a GaussianModel,
+    commit: bool,
+}
+
+/// One shard of a detached step: a run of the group's indices together with
+/// the slices of everything addressed by them.  `grads`/`out` are keyed by
+/// position in `indices`; `m`/`v`/`steps` are keyed by row and start at row
+/// `base` (a multiple of [`LANE_WIDTH`], so the moment slices start at a
+/// chunk boundary).
+struct DetachedShard<'a> {
+    base: usize,
+    indices: &'a [u32],
+    grads: Option<&'a [ParamRow]>,
+    out: &'a mut [ParamRow],
+    m: &'a mut [LaneBlock],
+    v: &'a mut [LaneBlock],
+    steps: &'a mut [u64],
+}
+
+impl<'a> DetachedShard<'a> {
+    /// Splits into the indices below `row` and the rest; `row` must be a
+    /// multiple of [`LANE_WIDTH`] inside the shard's chunks.
+    fn split_at_row(self, row: usize) -> (Self, Self) {
+        let cut = self.indices.partition_point(|&i| (i as usize) < row);
+        let rows = row - self.base;
+        let (indices, indices_tail) = self.indices.split_at(cut);
+        let (out, out_tail) = self.out.split_at_mut(cut);
+        let (m, m_tail) = self.m.split_at_mut(rows / LANE_WIDTH);
+        let (v, v_tail) = self.v.split_at_mut(rows / LANE_WIDTH);
+        // The last chunk's padding rows have no step counter.
+        let (steps, steps_tail) = self.steps.split_at_mut(rows.min(self.steps.len()));
+        let (grads, grads_tail) = match self.grads {
+            Some(g) => {
+                let (head, tail) = g.split_at(cut);
+                (Some(head), Some(tail))
+            }
+            None => (None, None),
+        };
+        (
+            DetachedShard {
+                base: self.base,
+                indices,
+                grads,
+                out,
+                m,
+                v,
+                steps,
+            },
+            DetachedShard {
+                base: row,
+                indices: indices_tail,
+                grads: grads_tail,
+                out: out_tail,
+                m: m_tail,
+                v: v_tail,
+                steps: steps_tail,
+            },
+        )
+    }
+}
+
+impl DetachedKernel<'_> {
+    /// The in-place driver's loop (`GaussianAdam::step_indices`) with the
+    /// model read-only: identical staging and kernel call, new parameters
+    /// to `out`, moments scattered home only when committing.
+    fn run(&self, shard: DetachedShard<'_>) {
+        let DetachedShard {
+            base,
+            indices,
+            grads,
+            out,
+            m: m_rows,
+            v: v_rows,
+            steps: step_rows,
+        } = shard;
+        let mut steps = [1u64; LANE_WIDTH];
+        let mut p = zero_lane_block();
+        // Stays all-zero when the group ships no gradients.
+        let mut g = zero_lane_block();
+        let mut m = zero_lane_block();
+        let mut v = zero_lane_block();
+        let groups = indices.chunks(LANE_WIDTH).zip(out.chunks_mut(LANE_WIDTH));
+        for (c, (group, out)) in groups.enumerate() {
+            for l in 0..LANE_WIDTH {
+                match group.get(l) {
+                    Some(&idx) => {
+                        let i = idx as usize;
+                        steps[l] = step_rows[i - base] + 1;
+                        self.model.param_lane_into(i, l, &mut p);
+                        gather_chunk_lane(m_rows, i - base, l, &mut m);
+                        gather_chunk_lane(v_rows, i - base, l, &mut v);
+                    }
+                    None => {
+                        // Re-zero lanes left over from the previous group.
+                        steps[l] = 1;
+                        for k in 0..PARAMS_PER_GAUSSIAN {
+                            p[k][l] = 0.0;
+                            g[k][l] = 0.0;
+                            m[k][l] = 0.0;
+                            v[k][l] = 0.0;
+                        }
+                    }
+                }
+            }
+            if let Some(rows) = grads {
+                let rows = &rows[c * LANE_WIDTH..][..group.len()];
+                for (l, row) in rows.iter().enumerate() {
+                    for k in 0..PARAMS_PER_GAUSSIAN {
+                        g[k][l] = row[k];
+                    }
+                }
+            }
+            adam_update_lanes(
+                &self.lr,
+                self.config.beta1,
+                self.config.beta2,
+                self.config.eps,
+                &steps,
+                &mut p,
+                &g,
+                &mut m,
+                &mut v,
+            );
+            for (l, (&idx, row)) in group.iter().zip(out).enumerate() {
+                for k in 0..PARAMS_PER_GAUSSIAN {
+                    row[k] = p[k][l];
+                }
+                if self.commit {
+                    let r = idx as usize - base;
+                    step_rows[r] = steps[l];
+                    scatter_chunk_lane(m_rows, r, l, &m);
+                    scatter_chunk_lane(v_rows, r, l, &v);
+                }
+            }
+        }
+    }
+}
+
 /// Adam optimiser whose state is shaped like a [`GaussianModel`], held in
 /// lane-chunked [`SoaParams`] stores so the kernel streams it SIMD-wise.
 ///
@@ -509,6 +669,96 @@ impl GaussianAdam {
                 self.v.scatter_lane(i, l, &v);
             }
         }
+    }
+
+    /// The **detached** step: [`step_subset`](Self::step_subset) for a
+    /// caller that owns the optimiser but only *shares* the model — the CPU
+    /// Adam lane of a threaded runtime, which holds the optimiser for the
+    /// batch while the render lane keeps reading the model.
+    ///
+    /// For each of `indices` (strictly increasing) the parameters are read
+    /// from `model`, the gradient from `grads[j]` (`None` = all-zero
+    /// gradients, the batch's untouched `F_0` group), the moments and step
+    /// counter from the optimiser; the moments and counters are updated **in
+    /// place**, and the new parameter row is written to `out[j]` instead of
+    /// the model.  The caller applies `out` to the model once nothing reads
+    /// the old values any more; until then repeated calls for *disjoint*
+    /// groups are independent.  Same staging order, same
+    /// [`adam_update_lanes`] call, same inputs as the in-place step, so
+    /// `out` and the optimiser state are bit-identical to what `step_subset`
+    /// would have left in a mutable model.
+    ///
+    /// `threads > 1` splits the group across the compute pool: the index
+    /// list is cut at [`LANE_WIDTH`]-aligned **row** boundaries, so each
+    /// shard owns whole chunks of the moment stores (`split_at_mut`, no
+    /// sharing) — pure scheduling, every row sees the same kernel.
+    ///
+    /// `commit = false` runs the same math and fills `out` but leaves the
+    /// moments and step counters as they were: the retry of a failed attempt
+    /// under fault injection.  Like every step, the call first grows the
+    /// state to the model's length with fresh zero rows.
+    ///
+    /// # Panics
+    /// Panics if `out` (or `grads`) and `indices` differ in length, or
+    /// `indices` is not strictly increasing and within the model.
+    pub fn step_detached(
+        &mut self,
+        model: &GaussianModel,
+        indices: &[u32],
+        grads: Option<&[ParamRow]>,
+        out: &mut [ParamRow],
+        threads: usize,
+        commit: bool,
+    ) {
+        assert_eq!(out.len(), indices.len(), "one output row per index");
+        if let Some(rows) = grads {
+            assert_eq!(rows.len(), indices.len(), "one gradient row per index");
+        }
+        assert!(
+            indices.windows(2).all(|w| w[0] < w[1]),
+            "detached step needs strictly increasing indices"
+        );
+        if let Some(&last) = indices.last() {
+            assert!(
+                (last as usize) < model.len(),
+                "gaussian index {last} out of bounds"
+            );
+        }
+        self.resize(model.len());
+
+        let kernel = DetachedKernel {
+            lr: self.config.lr_table(),
+            config: &self.config,
+            model,
+            commit,
+        };
+        let mut rest = DetachedShard {
+            base: 0,
+            indices,
+            grads,
+            out,
+            m: self.m.chunks_mut(),
+            v: self.v.chunks_mut(),
+            steps: &mut self.steps,
+        };
+        // A shard is at least one lane group: below that there is nothing
+        // to split.
+        let parts = threads.clamp(1, indices.len().div_ceil(LANE_WIDTH).max(1));
+        if parts == 1 {
+            kernel.run(rest);
+            return;
+        }
+        let per_shard = indices.len().div_ceil(parts);
+        let mut shards = Vec::with_capacity(parts);
+        while rest.indices.len() > per_shard {
+            // Cut behind the chunk holding the shard's last index.
+            let row = (rest.indices[per_shard - 1] as usize / LANE_WIDTH + 1) * LANE_WIDTH;
+            let (head, tail) = rest.split_at_row(row);
+            shards.push(head);
+            rest = tail;
+        }
+        shards.push(rest);
+        parallel_for_each(parts, shards, |shard| kernel.run(shard));
     }
 
     /// Packs the Adam work of `indices` into self-contained

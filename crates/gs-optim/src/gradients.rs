@@ -10,6 +10,7 @@
 use gs_core::gaussian::{GaussianModel, SH_FLOATS};
 use gs_core::math::Vec3;
 use gs_core::visibility::VisibilitySet;
+use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_render::{GaussianGradients, RenderGradients};
 
 /// Dense per-Gaussian gradient accumulator.
@@ -97,6 +98,30 @@ impl GradientBuffer {
             d_rotation: self.d_rotations[i],
             d_sh,
             d_opacity_logit: self.d_opacity_logits[i],
+        }
+    }
+
+    /// Packs the accumulated gradients of `indices` as flat
+    /// [`param_row`](GaussianModel::param_row)-layout rows — `out[j]` is the
+    /// gradient of `indices[j]` — straight from the accumulator's arrays.
+    /// This is what a finalisation group ships to the CPU Adam lane
+    /// ([`GaussianAdam::step_detached`](crate::GaussianAdam::step_detached)):
+    /// the rows are final, so the copy is the only thing the lane ever needs
+    /// from the buffer the coordinator keeps accumulating into.
+    ///
+    /// # Panics
+    /// Panics if `out` and `indices` differ in length or an index is out of
+    /// bounds.
+    pub fn read_rows_into(&self, indices: &[u32], out: &mut [[f32; PARAMS_PER_GAUSSIAN]]) {
+        assert_eq!(out.len(), indices.len(), "one output row per index");
+        for (&idx, row) in indices.iter().zip(out) {
+            let i = idx as usize;
+            assert!(i < self.len(), "gaussian index {i} out of bounds");
+            row[0..3].copy_from_slice(&self.d_positions[i].to_array());
+            row[3..6].copy_from_slice(&self.d_log_scales[i].to_array());
+            row[6..10].copy_from_slice(&self.d_rotations[i]);
+            row[10..10 + SH_FLOATS].copy_from_slice(&self.d_sh[i * SH_FLOATS..(i + 1) * SH_FLOATS]);
+            row[PARAMS_PER_GAUSSIAN - 1] = self.d_opacity_logits[i];
         }
     }
 
@@ -223,6 +248,33 @@ mod tests {
         buf.clear();
         assert_eq!(buf.touched_count(), 0);
         assert_eq!(buf.total_norm(), 0.0);
+    }
+
+    #[test]
+    fn read_rows_into_matches_the_row_view_in_param_layout() {
+        let mut buf = GradientBuffer::new(5);
+        let mut d_sh = [0.0f32; SH_FLOATS];
+        for (k, c) in d_sh.iter_mut().enumerate() {
+            *c = 0.5 - k as f32;
+        }
+        buf.add(
+            3,
+            &GaussianGradients {
+                d_position: Vec3::new(1.0, 2.0, 3.0),
+                d_log_scale: Vec3::new(-1.0, -2.0, -3.0),
+                d_rotation: [0.1, 0.2, 0.3, 0.4],
+                d_sh,
+                d_opacity_logit: 9.0,
+            },
+        );
+        let mut rows = [[7.0f32; PARAMS_PER_GAUSSIAN]; 2];
+        buf.read_rows_into(&[1, 3], &mut rows);
+        assert_eq!(rows[0], [0.0; PARAMS_PER_GAUSSIAN], "untouched row is zero");
+        assert_eq!(rows[1][0..3], [1.0, 2.0, 3.0]);
+        assert_eq!(rows[1][3..6], [-1.0, -2.0, -3.0]);
+        assert_eq!(rows[1][6..10], [0.1, 0.2, 0.3, 0.4]);
+        assert_eq!(rows[1][10..10 + SH_FLOATS], d_sh);
+        assert_eq!(rows[1][PARAMS_PER_GAUSSIAN - 1], 9.0);
     }
 
     #[test]

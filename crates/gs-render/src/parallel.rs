@@ -40,11 +40,13 @@
 //! reported completion and the shared job slot is cleared.  The borrow
 //! therefore never outlives the caller's frame.
 //!
-//! Regions are serialised through the pool's region lock.  If a *worker*
-//! thread itself enters a parallel region (nested parallelism), that inner
-//! region degrades to a plain serial loop on the worker — waiting for the
-//! region lock from inside a region would deadlock, and at band granularity
-//! nested splitting has nothing left to win.
+//! Regions are serialised through the pool's region lock.  If a thread that
+//! is already *inside* a region — a pool worker, or the calling thread while
+//! it participates in the region it opened — enters another parallel region
+//! (nested parallelism), that inner region degrades to a plain serial loop
+//! on that thread: waiting for the region lock from inside a region would
+//! deadlock (the caller holds it for the whole region), and at band
+//! granularity nested splitting has nothing left to win.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -100,9 +102,11 @@ pub fn resolve_compute_threads(requested: usize) -> usize {
 }
 
 thread_local! {
-    /// Set for the lifetime of every pool worker thread; nested parallel
-    /// regions detect it and fall back to serial execution.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// Set while this thread is inside a parallel region: for the lifetime
+    /// of every pool worker thread, and on a calling thread for as long as
+    /// it participates in the region it opened.  Nested parallel regions
+    /// detect it and fall back to serial execution.
+    static IN_REGION: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Lifetime-erased region job.  Only ever dereferenced between region start
@@ -195,8 +199,9 @@ impl ComputePool {
     /// unspecified order; see the module docs for why callers stay
     /// deterministic anyway.
     ///
-    /// `threads <= 1`, fewer than two jobs, or a call from inside a pool
-    /// worker (nested region) degenerates to a plain serial loop, so the
+    /// `threads <= 1`, fewer than two jobs, or a call from a thread that is
+    /// already inside a region (nested region — a pool worker, or a caller
+    /// running one of its own jobs) degenerates to a plain serial loop, so the
     /// serial path *is* the parallel path at width 1 — there is no separate
     /// code path to diverge from.
     pub fn for_each<J, F>(&self, threads: usize, jobs: Vec<J>, f: F)
@@ -205,7 +210,7 @@ impl ComputePool {
         F: Fn(J) + Sync,
     {
         let width = threads.max(1).min(jobs.len());
-        if width <= 1 || IN_WORKER.get() {
+        if width <= 1 || IN_REGION.get() {
             for job in jobs {
                 f(job);
             }
@@ -252,8 +257,14 @@ impl ComputePool {
             st.panicked = false;
             self.shared.work_cv.notify_all();
         }
-        // The calling thread is always a participant.
+        // The calling thread is always a participant.  It holds the region
+        // lock, so a job it drains that opens a region of its own must run
+        // that region serially instead of blocking on `inner` forever.
+        // `catch_unwind` ends the job's unwinding here, so the mark is
+        // restored on every path.
+        let was_in_region = IN_REGION.replace(true);
         let caller = catch_unwind(AssertUnwindSafe(job));
+        IN_REGION.set(was_in_region);
         let worker_panicked = {
             let mut st = self
                 .shared
@@ -301,7 +312,7 @@ impl Drop for ComputePool {
 /// Worker body: park until a region has participation slots left, run the
 /// region job once, report completion, repeat until shutdown.
 fn worker_loop(shared: Arc<PoolShared>) {
-    IN_WORKER.set(true);
+    IN_REGION.set(true);
     // Participate in any epoch newer than the last one seen; starting at 0
     // means a freshly spawned worker may join the region that spawned it.
     let mut seen = 0u64;
@@ -488,6 +499,56 @@ mod tests {
             });
         });
         assert_eq!(counter.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn caller_thread_nesting_degrades_to_serial() {
+        // The calling thread holds the region lock while it participates, so
+        // a nesting job *it* drains must run its inner region serially.  At
+        // width 2 the one worker is gated until the caller has nested, which
+        // forces the caller to win a nesting job at any core count; a pool
+        // that blocks on its own region lock instead never reports back, and
+        // the bounded wait turns that hang into a failure.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = ComputePool::new();
+            let caller = std::thread::current().id();
+            let caller_nested = (Mutex::new(false), Condvar::new());
+            let inner_jobs = AtomicUsize::new(0);
+            pool.for_each(2, vec![0usize, 1], |_| {
+                let (nested, cv) = &caller_nested;
+                if std::thread::current().id() == caller {
+                    pool.for_each(2, vec![0usize, 1], |_| {
+                        inner_jobs.fetch_add(1, Ordering::Relaxed);
+                    });
+                    *nested.lock().unwrap() = true;
+                    cv.notify_all();
+                } else {
+                    let mut open = nested.lock().unwrap();
+                    while !*open {
+                        open = cv.wait(open).unwrap();
+                    }
+                }
+            });
+            let _ = done_tx.send(inner_jobs.load(Ordering::Relaxed));
+        });
+        let inner = done_rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a region nested on the calling thread deadlocked on the region lock");
+        // The caller ran one or both outer jobs, two inner jobs each.
+        assert!(inner == 2 || inner == 4, "inner jobs run: {inner}");
+    }
+
+    #[test]
+    fn caller_is_not_left_marked_in_region_after_a_panicking_job() {
+        // The in-region mark is restored on unwind: after a region whose
+        // caller-side job panicked, the same thread still gets real regions.
+        let pool = ComputePool::new();
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.for_each(2, vec![0usize, 1], |_| panic!("every job panics"));
+        }));
+        assert!(result.is_err());
+        assert!(!IN_REGION.get(), "mark must be restored on unwind");
     }
 
     #[test]
