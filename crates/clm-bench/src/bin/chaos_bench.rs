@@ -4,8 +4,8 @@
 //! Replays one seeded densifying run through every execution backend under
 //! a seeded fault schedule (transient op failures, a straggling comm lane,
 //! staging-pool exhaustion), through a permanent 4 → 2 device loss on the
-//! sharded engine, and through the kill → `.clmckpt` → restore protocol on
-//! all three runtime backends.  Emits a single-line `clm_chaos_bench_v1`
+//! simulated engine, and through the kill → `.clmckpt` → restore protocol
+//! on the simulated engine at one and two devices and the threaded backend.  Emits a single-line `clm_chaos_bench_v1`
 //! JSON to stdout and to `BENCH_chaos.json`, writes the kill-boundary
 //! checkpoint to `CHAOS.clmckpt`, and exits non-zero if any leg diverged
 //! from the fault-free reference, any lane aborted instead of recovering,

@@ -16,8 +16,7 @@ use clm_core::{
     Trainer,
 };
 use clm_runtime::{
-    ExecutionBackend, PipelinedEngine, RuntimeConfig, ShardedEngine, ThreadedBackend,
-    ThreadedConfig,
+    ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
 };
 use clm_trace::Checkpoint;
 use gs_core::GaussianModel;
@@ -289,8 +288,8 @@ fn run_reference(w: &Workload) -> Reference {
     }
 }
 
-fn run_range<B: ExecutionBackend>(
-    backend: &mut B,
+fn run_range(
+    backend: &mut dyn ExecutionBackend,
     w: &Workload,
     from: usize,
     to: usize,
@@ -303,48 +302,70 @@ fn run_range<B: ExecutionBackend>(
     }
 }
 
-fn matches_reference<B: ExecutionBackend>(
-    backend: &B,
+fn matches_reference(
+    backend: &dyn ExecutionBackend,
     reports: &[BatchReport],
     reference: &Reference,
 ) -> bool {
     reports == reference.reports.as_slice() && backend.trainer().model() == &reference.final_model
 }
 
-/// Runs one faulted leg: `make` constructs the backend with the given plan
-/// already installed (each backend exposes its own `install_fault_plan`).
-fn faulted_leg<B, F>(name: &'static str, reference: &Reference, w: &Workload, make: F) -> ChaosLeg
-where
-    B: ExecutionBackend,
-    F: FnOnce(FaultPlan) -> B,
-{
-    let plan = FaultPlan::new(chaos_fault_spec());
-    let mut backend = make(plan.clone());
-    let mut reports = Vec::new();
-    run_range(&mut backend, w, 0, w.slices.len(), &mut reports);
-    ChaosLeg {
-        name,
-        bit_identical: matches_reference(&backend, &reports, reference),
-        stats: plan.stats(),
+/// The backend a leg runs on: the simulated engine at a device count, or
+/// the threaded backend.
+#[derive(Clone, Copy)]
+enum LegBackend {
+    Simulated(usize),
+    Threaded,
+}
+
+impl LegBackend {
+    /// Builds the backend around a fresh model, or around a trainer
+    /// restored from a checkpoint.
+    fn build(self, w: &Workload, restored: Option<Trainer>) -> Box<dyn ExecutionBackend> {
+        let trainer = restored.unwrap_or_else(|| Trainer::new(w.init.clone(), w.train.clone()));
+        match self {
+            LegBackend::Simulated(devices) => Box::new(
+                PipelinedEngine::with_trainer(trainer, runtime_config(devices))
+                    .partition_over(&w.dataset.cameras),
+            ),
+            LegBackend::Threaded => {
+                Box::new(ThreadedBackend::with_trainer(trainer, threaded_config()))
+            }
+        }
     }
 }
 
-fn kill_restore_leg<B, F, G>(
+/// Runs one full leg under `spec`'s fault schedule.
+fn faulted_leg(
+    name: &'static str,
+    reference: &Reference,
+    w: &Workload,
+    on: LegBackend,
+    spec: FaultSpec,
+) -> (ChaosLeg, Box<dyn ExecutionBackend>) {
+    let plan = FaultPlan::new(spec);
+    let mut backend = on.build(w, None);
+    backend.install_fault_plan(plan.clone());
+    let mut reports = Vec::new();
+    run_range(backend.as_mut(), w, 0, w.slices.len(), &mut reports);
+    let leg = ChaosLeg {
+        name,
+        bit_identical: matches_reference(backend.as_ref(), &reports, reference),
+        stats: plan.stats(),
+    };
+    (leg, backend)
+}
+
+fn kill_restore_leg(
     name: &'static str,
     reference: &Reference,
     w: &Workload,
     kill_at: usize,
-    make: F,
-    resume: G,
-) -> (ChaosLeg, Vec<u8>)
-where
-    B: ExecutionBackend,
-    F: FnOnce() -> B,
-    G: FnOnce(Trainer) -> B,
-{
-    let mut first = make();
+    on: LegBackend,
+) -> (ChaosLeg, Vec<u8>) {
+    let mut first = on.build(w, None);
     let mut reports = Vec::new();
-    run_range(&mut first, w, 0, kill_at, &mut reports);
+    run_range(first.as_mut(), w, 0, kill_at, &mut reports);
     let bytes = Checkpoint::capture(first.trainer(), None).encode();
     drop(first); // the "kill": only the checkpoint bytes survive
 
@@ -352,11 +373,11 @@ where
         .expect("checkpoint bytes round-trip")
         .restore(w.train.clone())
         .expect("checkpoint restores against the run's config");
-    let mut resumed = resume(restored);
-    run_range(&mut resumed, w, kill_at, w.slices.len(), &mut reports);
+    let mut resumed = on.build(w, Some(restored));
+    run_range(resumed.as_mut(), w, kill_at, w.slices.len(), &mut reports);
     let leg = ChaosLeg {
         name,
-        bit_identical: matches_reference(&resumed, &reports, reference),
+        bit_identical: matches_reference(resumed.as_ref(), &reports, reference),
         stats: FaultStats::default(),
     };
     (leg, bytes)
@@ -372,48 +393,26 @@ pub fn run_chaos_bench(scale: ChaosScale) -> ChaosBench {
     let mut legs = Vec::new();
 
     // Fault legs: transients + straggler + staging exhaustion per backend.
-    legs.push(faulted_leg("pipelined_faults", &reference, &w, |plan| {
-        let mut e = PipelinedEngine::new(w.init.clone(), w.train.clone(), runtime_config(1));
-        e.install_fault_plan(plan);
-        e
-    }));
-    legs.push(faulted_leg("threaded_faults", &reference, &w, |plan| {
-        let mut e = ThreadedBackend::new(w.init.clone(), w.train.clone(), threaded_config());
-        e.install_fault_plan(plan);
-        e
-    }));
-    legs.push(faulted_leg("sharded4_faults", &reference, &w, |plan| {
-        let mut e = ShardedEngine::new(
-            w.init.clone(),
-            w.train.clone(),
-            runtime_config(4),
-            &w.dataset.cameras,
-        );
-        e.install_fault_plan(plan);
-        e
-    }));
+    for (name, on) in [
+        ("pipelined_faults", LegBackend::Simulated(1)),
+        ("threaded_faults", LegBackend::Threaded),
+        ("sharded4_faults", LegBackend::Simulated(4)),
+    ] {
+        legs.push(faulted_leg(name, &reference, &w, on, chaos_fault_spec()).0);
+    }
 
     // Device loss: D=4 loses two devices at the second batch boundary and
-    // finishes on the survivors.
-    {
-        let plan = FaultPlan::new(FaultSpec::new(CHAOS_FAULT_SEED).with_device_loss(2, 2));
-        let mut sharded = ShardedEngine::new(
-            w.init.clone(),
-            w.train.clone(),
-            runtime_config(4),
-            &w.dataset.cameras,
-        );
-        sharded.install_fault_plan(plan.clone());
-        let mut reports = Vec::new();
-        run_range(&mut sharded, &w, 0, w.slices.len(), &mut reports);
-        let survived =
-            sharded.config().num_devices == 2 && sharded.partition().device_counts().len() == 2;
-        legs.push(ChaosLeg {
-            name: "sharded_device_loss_4to2",
-            bit_identical: survived && matches_reference(&sharded, &reports, &reference),
-            stats: plan.stats(),
-        });
-    }
+    // finishes on the survivors (the trainer mirrors the engine's device
+    // count, so the survivor count is visible through the trait).
+    let (mut leg, survivor) = faulted_leg(
+        "sharded_device_loss_4to2",
+        &reference,
+        &w,
+        LegBackend::Simulated(4),
+        FaultSpec::new(CHAOS_FAULT_SEED).with_device_loss(2, 2),
+    );
+    leg.bit_identical &= survivor.trainer().config().num_devices == 2;
+    legs.push(leg);
 
     // Kill → checkpoint → restore per backend.  The pipelined leg's bytes
     // become the published `.clmckpt` artefact.
@@ -422,35 +421,15 @@ pub fn run_chaos_bench(scale: ChaosScale) -> ChaosBench {
         &reference,
         &w,
         kill_at,
-        || PipelinedEngine::new(w.init.clone(), w.train.clone(), runtime_config(1)),
-        |t| PipelinedEngine::with_trainer(t, runtime_config(1)),
+        LegBackend::Simulated(1),
     );
     legs.push(leg);
-    let (leg, _) = kill_restore_leg(
-        "threaded_kill_restore",
-        &reference,
-        &w,
-        kill_at,
-        || ThreadedBackend::new(w.init.clone(), w.train.clone(), threaded_config()),
-        |t| ThreadedBackend::with_trainer(t, threaded_config()),
-    );
-    legs.push(leg);
-    let (leg, _) = kill_restore_leg(
-        "sharded2_kill_restore",
-        &reference,
-        &w,
-        kill_at,
-        || {
-            ShardedEngine::new(
-                w.init.clone(),
-                w.train.clone(),
-                runtime_config(2),
-                &w.dataset.cameras,
-            )
-        },
-        |t| ShardedEngine::with_trainer(t, runtime_config(2), &w.dataset.cameras),
-    );
-    legs.push(leg);
+    for (name, on) in [
+        ("threaded_kill_restore", LegBackend::Threaded),
+        ("sharded2_kill_restore", LegBackend::Simulated(2)),
+    ] {
+        legs.push(kill_restore_leg(name, &reference, &w, kill_at, on).0);
+    }
 
     ChaosBench {
         scale,

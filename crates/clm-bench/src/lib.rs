@@ -642,22 +642,45 @@ pub fn report_table7_hardware_utilization() -> String {
     )
 }
 
-/// Every experiment, as `(id, generator)` pairs, in paper order.
-pub fn all_reports() -> Vec<(&'static str, fn() -> String)> {
+/// Every experiment in paper order: `(id, table-form generator, one-line
+/// JSON summary generator)`.  The JSON form exists for the artefacts
+/// measured by executing the trainers on the runtime.
+pub fn all_reports() -> Vec<(&'static str, fn() -> String, Option<fn() -> String>)> {
+    type Gen = fn() -> String;
     vec![
-        ("table2", report_table2_memory_demand as fn() -> String),
-        ("figure5", report_figure5_sparsity_cdf),
-        ("figure8", report_figure8_max_model_size),
-        ("figure9", report_figure9_quality_scaling),
-        ("figure10", report_figure10_memory_breakdown),
-        ("figure11", report_figure11_throughput_vs_naive),
-        ("figure12", report_figure12_throughput_vs_baseline),
-        ("figure13", report_figure13_runtime_breakdown),
-        ("figure14", report_figure14_comm_volume),
-        ("table5", report_table5_ordering_strategies),
-        ("figure15", report_figure15_gpu_idle_cdf),
-        ("table6", report_table6_pinned_memory),
-        ("table7", report_table7_hardware_utilization),
+        ("table2", report_table2_memory_demand as Gen, None),
+        ("figure5", report_figure5_sparsity_cdf, None),
+        ("figure8", report_figure8_max_model_size, None),
+        ("figure9", report_figure9_quality_scaling, None),
+        ("figure10", report_figure10_memory_breakdown, None),
+        (
+            "figure11",
+            report_figure11_throughput_vs_naive,
+            Some(runtime_summary_figure11 as Gen),
+        ),
+        (
+            "figure12",
+            report_figure12_throughput_vs_baseline,
+            Some(runtime_summary_figure12),
+        ),
+        (
+            "figure13",
+            report_figure13_runtime_breakdown,
+            Some(runtime_summary_figure13),
+        ),
+        ("figure14", report_figure14_comm_volume, None),
+        ("table5", report_table5_ordering_strategies, None),
+        (
+            "figure15",
+            report_figure15_gpu_idle_cdf,
+            Some(runtime_summary_figure15),
+        ),
+        ("table6", report_table6_pinned_memory, None),
+        (
+            "table7",
+            report_table7_hardware_utilization,
+            Some(runtime_summary_table7),
+        ),
     ]
 }
 
@@ -681,7 +704,7 @@ mod tests {
 
     #[test]
     fn report_registry_is_complete() {
-        let ids: Vec<&str> = all_reports().iter().map(|(id, _)| *id).collect();
+        let ids: Vec<&str> = all_reports().iter().map(|(id, ..)| *id).collect();
         for expected in [
             "table2", "figure5", "figure8", "figure9", "figure10", "figure11", "figure12",
             "figure13", "figure14", "table5", "figure15", "table6", "table7",

@@ -19,12 +19,9 @@
 //! The workload is [`crate::wallclock`]'s scene (same seeds, same densify
 //! cadence), so traces line up with `BENCH_runtime.json` entries.
 
-use crate::wallclock::{bench_scene, detect_host_cores, WallclockScale};
+use crate::wallclock::{bench_scene, detect_host_cores, paper_scale_config, WallclockScale};
 use clm_core::{Trainer, GRADIENT_BYTES};
-use clm_runtime::{
-    PipelinedEngine, PrefetchPolicy, RuntimeConfig, ShardedEngine, ThreadedBackend, ThreadedConfig,
-    PEER_HOP_FACTOR,
-};
+use clm_runtime::{PipelinedEngine, ThreadedBackend, ThreadedConfig, PEER_HOP_FACTOR};
 use clm_trace::{CostParams, Trace, TraceMeta, TraceWriter};
 use gs_render::Image;
 use gs_scene::Dataset;
@@ -51,9 +48,10 @@ pub fn record_trace(backend: &str, scale: &WallclockScale) -> Result<Trace, Stri
     let mut writer = TraceWriter::new(trace_meta(backend, scale, model_len, devices));
     match backend {
         "synchronous" => record_synchronous(&mut writer, scale, &dataset, &targets, init),
-        "simulated" => record_simulated(&mut writer, scale, &dataset, &targets, init, model_len),
+        "simulated" | "sharded" => {
+            record_simulated(&mut writer, scale, &dataset, &targets, init, devices)
+        }
         "threaded" => record_threaded(&mut writer, scale, &dataset, &targets, init),
-        "sharded" => record_sharded(&mut writer, scale, &dataset, &targets, init, model_len),
         other => {
             return Err(format!(
                 "unknown backend {other:?} (expected one of {TRACE_BACKENDS:?})"
@@ -85,23 +83,6 @@ fn trace_meta(
             peer_hop_factor: PEER_HOP_FACTOR,
             gradient_bytes: GRADIENT_BYTES as u64,
         },
-    }
-}
-
-/// Paper-scale costing shared by the simulated and sharded recordings —
-/// identical to the wallclock benchmark's, so traces and
-/// `BENCH_runtime.json` describe the same schedules.
-fn runtime_config(scale: &WallclockScale, model_len: usize, devices: usize) -> RuntimeConfig {
-    RuntimeConfig {
-        device: DeviceProfile::rtx4090(),
-        prefetch_window: scale.prefetch_window,
-        policy: PrefetchPolicy::Fixed,
-        cost_scale: 45_200_000.0 / model_len as f64,
-        pixel_cost_scale: (1920.0 * 1080.0) / (scale.width as f64 * scale.height as f64),
-        compute_threads: 0,
-        band_height: 0,
-        num_devices: devices,
-        warm_start_ratio: None,
     }
 }
 
@@ -144,13 +125,11 @@ fn record_simulated(
     dataset: &Dataset,
     targets: &[Image],
     init: gs_core::gaussian::GaussianModel,
-    model_len: usize,
+    devices: usize,
 ) {
-    let mut engine = PipelinedEngine::new(
-        init,
-        crate::wallclock::train_config(scale),
-        runtime_config(scale, model_len, 1),
-    );
+    let config = paper_scale_config(scale, init.len(), devices);
+    let mut engine = PipelinedEngine::new(init, crate::wallclock::train_config(scale), config)
+        .partition_over(&dataset.cameras);
     for (epoch, b, lo, hi) in batch_ranges(scale, dataset.cameras.len()) {
         let report = engine.run_batch(&dataset.cameras[lo..hi], &targets[lo..hi]);
         writer.record_timeline(epoch, b, &report.timeline);
@@ -176,27 +155,6 @@ fn record_threaded(
         let (_report, timeline) =
             backend.run_batch_traced(&dataset.cameras[lo..hi], &targets[lo..hi]);
         writer.record_timeline(epoch, b, &timeline);
-    }
-}
-
-fn record_sharded(
-    writer: &mut TraceWriter,
-    scale: &WallclockScale,
-    dataset: &Dataset,
-    targets: &[Image],
-    init: gs_core::gaussian::GaussianModel,
-    model_len: usize,
-) {
-    let devices = scale.devices.max(1);
-    let mut engine = ShardedEngine::new(
-        init,
-        crate::wallclock::train_config(scale),
-        runtime_config(scale, model_len, devices),
-        &dataset.cameras,
-    );
-    for (epoch, b, lo, hi) in batch_ranges(scale, dataset.cameras.len()) {
-        let report = engine.run_batch(&dataset.cameras[lo..hi], &targets[lo..hi]);
-        writer.record_timeline(epoch, b, &report.timeline);
     }
 }
 
@@ -282,6 +240,36 @@ mod tests {
             let replayed_end = replay.timeline.ops().iter().map(|o| o.end.to_bits()).max();
             assert_eq!(recorded_end, replayed_end);
         }
+    }
+
+    /// What-if window replays of a real single-device recording through
+    /// the one rebuild path, against fingerprints captured from the
+    /// dedicated single-device rebuild (and the re-sharding rebuild) before
+    /// they were merged: at `devices = 1` every recorded duration survives
+    /// — resize ops and un-round real costs included — even with the cost
+    /// header wiped.
+    #[test]
+    fn window_replays_of_a_real_recording_match_the_pre_merge_rebuilds() {
+        use clm_trace::{replay_with_knobs, CostParams, ReplayKnobs};
+        let mut trace = record_trace("simulated", &WallclockScale::test()).unwrap();
+        assert_eq!(trace.meta.prefetch_window, 1);
+        let fingerprint = |trace: &Trace, window: usize, devices: usize| {
+            let knobs = ReplayKnobs {
+                window: Some(window),
+                devices: Some(devices),
+                ..Default::default()
+            };
+            replay_with_knobs(trace, &knobs)
+                .unwrap()
+                .iter()
+                .fold(0u64, |acc, r| acc.rotate_left(7) ^ r.timeline.fingerprint())
+        };
+        assert_eq!(fingerprint(&trace, 0, 2), 0x3d50_f7ba_3b5b_da6f);
+        assert_eq!(fingerprint(&trace, 2, 2), 0xeadb_b350_2e2e_e323);
+        trace.meta.cost = CostParams::default();
+        assert_eq!(fingerprint(&trace, 0, 1), 0x7368_006c_c1fd_4944);
+        assert_eq!(fingerprint(&trace, 2, 1), 0x001c_871f_a782_aac7);
+        assert_eq!(fingerprint(&trace, 3, 1), 0x12be_10e8_96ac_b29a);
     }
 
     /// Recording the same seeded workload twice yields byte-identical

@@ -6,13 +6,13 @@
 //! same scene from the same initial model with five execution strategies —
 //!
 //! 1. `synchronous` — `clm_core::Trainer::train_epoch`, every lane inline;
-//! 2. `simulated` — `clm_runtime::PipelinedEngine`, lanes inline plus
-//!    discrete-event costing (the numerics oracle);
+//! 2. `simulated` — `clm_runtime::PipelinedEngine` at one device, lanes
+//!    inline plus discrete-event costing;
 //! 3. `threaded` — `clm_runtime::ThreadedBackend`, gathers and CPU Adam on
 //!    real worker threads, render compute serial (`compute_threads = 1`);
 //! 4. `threaded_parallel` — the same backend with the banded render
 //!    compute fanned out over `compute_threads` workers;
-//! 5. `sharded` — `clm_runtime::ShardedEngine` with `WallclockScale::devices`
+//! 5. `sharded` — the same engine with `WallclockScale::devices`
 //!    per-device lane groups on the shared simulated timeline (per-device
 //!    lane-busy breakdown in the artefact);
 //!
@@ -32,8 +32,8 @@ use clm_core::{
     ground_truth_images, DensifyConfig, DensifySchedule, SystemKind, TrainConfig, Trainer,
 };
 use clm_runtime::{
-    ExecutionBackend, LaneBusy, PipelinedEngine, PrefetchPolicy, RuntimeConfig, ShardedEngine,
-    ThreadedBackend, ThreadedConfig,
+    ExecutionBackend, LaneBusy, PipelinedEngine, PrefetchPolicy, RuntimeConfig, ThreadedBackend,
+    ThreadedConfig,
 };
 use gs_core::gaussian::GaussianModel;
 use gs_render::Image;
@@ -176,9 +176,10 @@ pub struct BackendMeasurement {
     pub host_cores: usize,
     /// Prefetch window used on each batch (empty when not applicable).
     pub windows: Vec<usize>,
-    /// Per-device lane busy seconds summed over the run, indexed by device
-    /// (`sharded` entry only; empty otherwise).  `scheduling` is 0 per
-    /// device — the host scheduler is shared.
+    /// Per-device lane busy seconds summed over the run, indexed by device:
+    /// one entry per simulated device for the `simulated` (always one) and
+    /// `sharded` entries, empty for the measured backends.  `scheduling` is
+    /// 0 per device — the host scheduler is shared.
     pub device_lanes: Vec<LaneBusy>,
     /// Densification resize boundaries this backend crossed during the run.
     pub resize_events: u64,
@@ -334,7 +335,7 @@ pub struct WallclockBench {
     pub kernels: crate::kernels::KernelBench,
     /// Whether all five final models were bit-identical.
     pub numerics_match: bool,
-    /// The shard-count invariance gate: whether the sharded engine's final
+    /// The shard-count invariance gate: whether the `sharded` entry's final
     /// model equalled the synchronous trainer's bit for bit at this device
     /// count.
     pub sharded_bit_identical: bool,
@@ -563,6 +564,29 @@ pub(crate) fn train_config(scale: &WallclockScale) -> TrainConfig {
     }
 }
 
+/// Paper-scale costing of the simulated engine at `devices` lane groups:
+/// the bench scene priced as the paper's 45.2 M-Gaussian, 1080p workload, so
+/// the *simulated* metrics stay in the bandwidth-bound regime.  Shared with
+/// the trace recorder, so traces and `BENCH_runtime.json` describe the same
+/// schedules.
+pub(crate) fn paper_scale_config(
+    scale: &WallclockScale,
+    model_len: usize,
+    devices: usize,
+) -> RuntimeConfig {
+    RuntimeConfig {
+        device: DeviceProfile::rtx4090(),
+        prefetch_window: scale.prefetch_window,
+        policy: PrefetchPolicy::Fixed,
+        cost_scale: 45_200_000.0 / model_len as f64,
+        pixel_cost_scale: (1920.0 * 1080.0) / (scale.width as f64 * scale.height as f64),
+        compute_threads: 0,
+        band_height: 0,
+        num_devices: devices,
+        warm_start_ratio: None,
+    }
+}
+
 /// Runs the benchmark at the given scale.
 pub fn run_wallclock_bench(scale: WallclockScale) -> WallclockBench {
     let (dataset, targets, init) = bench_scene(&scale);
@@ -622,23 +646,12 @@ pub fn run_wallclock_bench(scale: WallclockScale) -> WallclockBench {
         post_resize_delta: sync_delta,
     };
 
-    // 2. Simulated (discrete-event) engine — paper-scale costing so its
-    // *simulated* metrics stay in the bandwidth-bound regime, though only
-    // its wall-clock time matters here.
+    // 2. Simulated (discrete-event) engine at one device — only its
+    // wall-clock time matters here.
     let mut simulated = PipelinedEngine::new(
         init.clone(),
         train_config(&scale),
-        RuntimeConfig {
-            device: DeviceProfile::rtx4090(),
-            prefetch_window: scale.prefetch_window,
-            policy: PrefetchPolicy::Fixed,
-            cost_scale: 45_200_000.0 / model_len as f64,
-            pixel_cost_scale: (1920.0 * 1080.0) / (scale.width as f64 * scale.height as f64),
-            compute_threads: 0,
-            band_height: 0,
-            num_devices: 1,
-            warm_start_ratio: None,
-        },
+        paper_scale_config(&scale, model_len, 1),
     );
     let (sim_reports, sim_wall) = timed_epochs(&mut simulated, &dataset, &targets, scale.epochs);
     // The simulated backend's lane times are simulated device seconds, so
@@ -694,28 +707,17 @@ pub fn run_wallclock_bench(scale: WallclockScale) -> WallclockBench {
         &par_reports,
     );
 
-    // 5. Sharded engine — the scene split across `devices` simulated
-    // per-device lane groups, paper-scale costing like the simulated
-    // backend.  Its final model vs the synchronous trainer's is the
-    // shard-count invariance gate CI's shard matrix runs at 1, 2 and 4
-    // devices.
+    // 5. The same simulated engine with the scene split across `devices`
+    // per-device lane groups.  Its final model vs the synchronous trainer's
+    // is the shard-count invariance gate CI's shard matrix runs at 1, 2 and
+    // 4 devices.
     let devices = scale.devices.max(1);
-    let mut sharded = ShardedEngine::new(
+    let mut sharded = PipelinedEngine::new(
         init,
         train_config(&scale),
-        RuntimeConfig {
-            device: DeviceProfile::rtx4090(),
-            prefetch_window: scale.prefetch_window,
-            policy: PrefetchPolicy::Fixed,
-            cost_scale: 45_200_000.0 / model_len as f64,
-            pixel_cost_scale: (1920.0 * 1080.0) / (scale.width as f64 * scale.height as f64),
-            compute_threads: 0,
-            band_height: 0,
-            num_devices: devices,
-            warm_start_ratio: None,
-        },
-        &dataset.cameras,
-    );
+        paper_scale_config(&scale, model_len, devices),
+    )
+    .partition_over(&dataset.cameras);
     let (shard_reports, shard_wall) = timed_epochs(&mut sharded, &dataset, &targets, scale.epochs);
     let shard_makespan: f64 = shard_reports.iter().filter_map(|r| r.sim_makespan).sum();
     let shard_measure = BackendMeasurement::from_reports(
@@ -890,7 +892,8 @@ mod tests {
         let summed: f64 = sharded.device_lanes.iter().map(|l| l.compute).sum();
         assert!((summed - sharded.compute_busy_s).abs() < 1e-9);
         assert!(json.contains("\"device_lanes\":[{\"device\":0,"));
-        // Single-device entries carry no per-device breakdown.
+        // One entry per simulated device; measured backends carry none.
+        assert_eq!(bench.backend("simulated").device_lanes.len(), 1);
         assert!(bench.backend("threaded").device_lanes.is_empty());
         // The test scale densifies every batch: all five backends cross the
         // same single boundary (2 batches -> resize before batch 2), and the

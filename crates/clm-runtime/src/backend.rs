@@ -1,14 +1,20 @@
 //! The execution-backend abstraction.
 //!
-//! Two backends drive the trainers through the same stepwise
+//! Three ways to run a batch drive the trainer through the same stepwise
 //! `plan → begin → stage/process/apply → finish` sequence and therefore
 //! produce identical numerics; they differ in what their schedules *are*:
 //!
+//! * [`clm_core::Trainer::train_batch`] — the **synchronous** reference:
+//!   every step back to back on the calling thread, no schedule at all.  It
+//!   is the numerics oracle and not an [`ExecutionBackend`].
 //! * [`PipelinedEngine`](crate::PipelinedEngine) — the **simulated**
-//!   backend: every lane executes inline on the calling thread while a
-//!   discrete-event [`Timeline`](sim_device::Timeline) models when each
-//!   operation would have run on the device.  It is the numerics oracle and
-//!   the source of the paper-scale schedule metrics (Figures 11–15).
+//!   backend, at any device count: every lane executes inline on the
+//!   calling thread while a discrete-event
+//!   [`Timeline`](sim_device::Timeline) models when each operation would
+//!   have run on each simulated device's lane group.  It is the source of
+//!   the paper-scale schedule metrics (Figures 11–15); its
+//!   [`backend_name`](ExecutionBackend::backend_name) is `"simulated"` at
+//!   one device and `"sharded"` above.
 //! * [`ThreadedBackend`](crate::ThreadedBackend) — the **threaded**
 //!   backend: the gather lane and the CPU Adam lane run on real worker
 //!   threads, so communication and optimiser work genuinely overlap the
@@ -18,12 +24,21 @@
 //! plus measured wall-clock time and per-lane busy seconds.  For the
 //! simulated backend the lane times are simulated device seconds; for the
 //! threaded backend they are measured thread busy times.
+//!
+//! Beyond executing batches the trait carries what every caller above the
+//! runtime needs from *any* backend, so the service, the chaos matrix and
+//! the trace recorder hold a `dyn ExecutionBackend` instead of matching on
+//! concrete types: the pinned staging pool's statistics and capacity cap
+//! (the per-tenant memory budget seam), fault-plan installation, and the
+//! adaptive prefetch-window state a checkpoint warm-starts from.
 
+use crate::pool::PoolStats;
+use crate::prefetch::WindowSelector;
 use clm_core::{BatchReport, DensifyReport, Trainer};
 use gs_core::camera::Camera;
 use gs_render::Image;
 use gs_scene::Dataset;
-use sim_device::FaultStats;
+use sim_device::{FaultPlan, FaultStats};
 
 /// Busy seconds of each pipeline lane over one batch.
 ///
@@ -62,12 +77,14 @@ pub struct ExecutionReport {
     /// Measured wall-clock seconds the batch took on the host.
     pub wall_seconds: f64,
     /// Per-lane busy seconds (see [`LaneBusy`] for units per backend).  For
-    /// the sharded backend these are summed across devices; the per-device
+    /// the simulated backend these are summed across devices; the per-device
     /// breakdown is in [`device_lanes`](Self::device_lanes).
     pub lanes: LaneBusy,
-    /// Per-device lane busy breakdown of a sharded batch, indexed by device
-    /// (simulated device seconds; `scheduling` is 0 per device because the
-    /// host scheduler is shared).  Empty for single-device backends.
+    /// Per-device lane busy breakdown, indexed by device: exactly one entry
+    /// per **simulated** device (so one entry at `num_devices = 1`), in
+    /// simulated device seconds with `scheduling` 0 per device because the
+    /// host scheduler is shared.  Empty for the threaded backend, whose
+    /// device stand-ins share the measured lanes.
     pub device_lanes: Vec<LaneBusy>,
     /// Simulated makespan in device seconds (simulated backend only).
     pub sim_makespan: Option<f64>,
@@ -110,9 +127,9 @@ impl ExecutionReport {
 
 /// A trainer execution strategy: how one batch's staged gathers, render
 /// compute and optimiser updates are laid out on the host.
-pub trait ExecutionBackend {
-    /// Short stable identifier (`"simulated"`, `"threaded"`, …) used in
-    /// benchmark output.
+pub trait ExecutionBackend: std::fmt::Debug {
+    /// Short stable identifier (`"simulated"`, `"sharded"`, `"threaded"`)
+    /// used in benchmark output and trace headers.
     fn backend_name(&self) -> &'static str;
 
     /// The wrapped trainer (model, config, counters).
@@ -143,4 +160,22 @@ pub trait ExecutionBackend {
     fn evaluate_psnr(&self, cameras: &[Camera], targets: &[Image]) -> f32 {
         self.trainer().evaluate_psnr(cameras, targets)
     }
+
+    /// Pinned staging-pool statistics accumulated so far.
+    fn pool_stats(&self) -> PoolStats;
+
+    /// Caps the pinned staging pool at `limit` simultaneously checked-out
+    /// buffers (`None` removes the cap) — the per-tenant pinned-memory
+    /// budget seam used by the serving layer.
+    fn set_staging_capacity(&mut self, limit: Option<usize>);
+
+    /// Installs a fault-injection plan that takes effect from the next
+    /// batch on.  Faults cost schedule (or wall-clock) time and are
+    /// recovered from; they never change the numerics.
+    fn install_fault_plan(&mut self, plan: FaultPlan);
+
+    /// The adaptive prefetch-window state (tracked fetch/compute ratios),
+    /// e.g. for a checkpoint's warm-start ratio or a
+    /// [`WarmStartCache`](crate::WarmStartCache).
+    fn window_selector(&self) -> &WindowSelector;
 }

@@ -1,34 +1,76 @@
-//! The pipelined execution engine.
+//! The simulated execution engine: one CLM schedule for any device count.
 //!
 //! [`PipelinedEngine`] runs a [`clm_core::Trainer`] as a discrete-event
 //! pipeline on [`sim_device::Timeline`], reproducing the execution structure
-//! of the paper's Figure 6: parameter gathers are prefetched on the
-//! `GpuComm` lane up to a configurable lookahead window ahead of the
-//! micro-batch that consumes them, forward/backward compute runs on
-//! `GpuCompute`, gradient stores retire on `GpuComm`, and early-finalised
-//! CPU Adam updates run on the `CpuAdam` lane as soon as their gradients
-//! reach host memory.  Staged rows live in a recycling
-//! [`PinnedBufferPool`].
+//! of the paper's Figure 6 once per simulated device: parameter gathers are
+//! prefetched on a communication lane up to a configurable lookahead window
+//! ahead of the micro-batch that consumes them, forward/backward compute
+//! runs on a compute lane, gradient stores retire on the communication
+//! lane, and early-finalised CPU Adam updates run on an Adam lane as soon
+//! as their gradients reach host memory.  Staged rows live in a recycling
+//! [`PinnedBufferPool`].  Each of the `RuntimeConfig::num_devices` devices
+//! has its own **lane group** ([`Lane::comm_of`], [`Lane::compute_of`],
+//! [`Lane::adam_of`]), all driven on one shared timeline, so cross-device
+//! overlap and the makespan come out of the same scheduler at every count.
+//!
+//! # Execution model (data-parallel micro-batches)
+//!
+//! * **Views**: micro-batch `i` of the planned batch runs on device
+//!   `i mod num_devices` — each device renders its own view subset, with
+//!   its own prefetch window over its local micro-batch sequence.
+//! * **Gaussians**: with more than one device a visibility-aware partition
+//!   ([`gs_scene::partition_by_footprint`], over the views handed to
+//!   [`PipelinedEngine::partition_over`]) assigns every Gaussian an owner
+//!   device by balancing projected-footprint load.  The owner's pinned host
+//!   pool holds the Gaussian's offloaded attributes and optimiser state:
+//!   gathers of rows owned by another device pay an extra peer hop
+//!   ([`PEER_HOP_FACTOR`]), and each finalisation group's CPU Adam update is
+//!   split across the owners' Adam lanes.
+//! * **Gradients**: before a finalisation group's Adam update, its
+//!   gradients are all-reduced across the devices in **fixed device order**
+//!   (a chain of [`OpKind::AllReduce`] ops on the comm lanes, device 0
+//!   first).
+//!
+//! With `num_devices = 1` all of that degenerates to the paper's
+//! single-device pipeline on the four classic lanes (device 0's lane group
+//! *is* `GpuCompute`/`GpuComm`/`CpuAdam`): one device owns every Gaussian,
+//! so the engine needs no partition views and runs no footprint sweep, no
+//! gather pays a peer hop, and the all-reduce chain is empty — an Adam
+//! update depends directly on its gradient store.
+//!
+//! # Why the trajectory is bit-identical for every device count
 //!
 //! The engine's numeric path is exactly the synchronous trainer's: it calls
 //! the same `plan_batch → begin_batch → stage/process/apply_finalized →
-//! finish_batch` sequence, so the training trajectory is identical by
-//! construction — only the *when* of each operation (and therefore the
-//! makespan, overlap and idle metrics) differs.  The non-offloading systems
-//! (`Baseline`, `EnhancedBaseline`) and `NaiveOffload` are also supported,
-//! producing the no-overlap schedules the figures compare against.
+//! finish_batch` sequence, and the reduction order is fixed by
+//! construction — losses, gradient accumulations and finalised Adam steps
+//! are replayed in the serial micro-batch order `0, 1, 2, …` regardless of
+//! which device computed them (round `r`'s per-device results join the
+//! shared gradient buffer as micro-batches `rD, rD+1, …`).  Renders are
+//! pure and read only their own micro-batch's visibility set, and a
+//! Gaussian finalised by micro-batch `i` is never in a later micro-batch's
+//! visibility or fetch set, so neither prefetched staging nor deferred
+//! reduction can observe a different value than the synchronous trainer's.
+//! Device count, window and faults therefore change *where* and *when* work
+//! is costed — never *what* is computed; `tests/sharded_runtime.rs` asserts
+//! the trajectory equality for device counts {1, 2, 4} across seeds, and
+//! CI's `shard-matrix` job gates on it.
+//!
+//! The no-overlap comparison systems (`Baseline`, `EnhancedBaseline`,
+//! `NaiveOffload`) are not sharded — they run their single-device schedules
+//! on device 0, mirroring how the paper's baselines are measured.
 
 use crate::backend::{ExecutionBackend, ExecutionReport, LaneBusy};
-use crate::pool::PinnedBufferPool;
+use crate::pool::{PinnedBufferPool, PoolStats, StagingBuffer};
 use crate::prefetch::{PrefetchPolicy, PrefetchWindow, WindowSelector};
 use crate::report::IterationReport;
-use clm_core::{BatchPlan, SystemKind, TrainConfig, Trainer};
+use clm_core::{BatchPlan, SystemKind, TrainConfig, Trainer, GRADIENT_BYTES};
 use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
 use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_optim::GradientBuffer;
 use gs_render::Image;
-use gs_scene::Dataset;
+use gs_scene::{partition_by_footprint, Dataset, GaussianPartition};
 use sim_device::{DeviceProfile, FaultPlan, Lane, OpId, OpKind, Timeline};
 
 /// Scheduling-lane cost per Gaussian-view of frustum culling (seconds).
@@ -41,6 +83,11 @@ const ORDER_COST_PER_PAIR: f64 = 1.0e-6;
 /// compacting/appending one Gaussian's attribute rows, optimiser state and
 /// pinned host row is a few hundred bytes of memcpy.
 pub(crate) const RESIZE_COST_PER_ROW: f64 = 1.0e-8;
+
+/// Cost multiplier for gathering a row whose owner is another device: the
+/// copy crosses from the owner's pinned pool through host memory before the
+/// fetching device's DMA engine sees it — one extra hop at PCIe cost.
+pub const PEER_HOP_FACTOR: f64 = 2.0;
 
 /// Configuration of the pipelined runtime.
 #[derive(Debug, Clone)]
@@ -70,10 +117,10 @@ pub struct RuntimeConfig {
     /// `TrainConfig::band_height`).  Part of the numeric contract — see
     /// `TrainConfig::band_height`.
     pub band_height: u32,
-    /// Simulated devices the scene is sharded across (1 = single device).
-    /// [`PipelinedEngine`] is the single-device engine and requires 1; the
-    /// multi-device lane groups live in
-    /// [`ShardedEngine`](crate::ShardedEngine), which accepts any count.
+    /// Simulated devices the scene is sharded across (1 = single device,
+    /// the paper's Figure 6 pipeline).  Above 1 the engine needs the views
+    /// to balance Gaussian ownership over —
+    /// [`PipelinedEngine::partition_over`].
     pub num_devices: usize,
     /// Warm start for the tracked prefetch fetch/compute ratio (e.g. a
     /// [`WarmStartCache`](crate::WarmStartCache) entry recorded by an
@@ -115,10 +162,8 @@ impl RuntimeConfig {
     }
 }
 
-/// The discrete-event costing rules shared by the single-device
-/// [`PipelinedEngine`] and the multi-device
-/// [`ShardedEngine`](crate::ShardedEngine): how Gaussian counts, bytes and
-/// pixels translate into simulated device seconds.
+/// The discrete-event costing rules of [`PipelinedEngine`]: how Gaussian
+/// counts, bytes and pixels translate into simulated device seconds.
 #[derive(Debug, Clone)]
 pub(crate) struct CostModel {
     pub device: DeviceProfile,
@@ -169,71 +214,67 @@ pub(crate) fn max_fetch_rows(plan: &BatchPlan) -> usize {
     plan.fetched.iter().map(|s| s.len()).max().unwrap_or(0)
 }
 
-/// A trainer executing as a discrete-event pipeline on the simulated device.
+/// A trainer executing as a discrete-event pipeline across
+/// `RuntimeConfig::num_devices` simulated devices (see the module docs for
+/// the execution model).
 #[derive(Debug)]
 pub struct PipelinedEngine {
     trainer: Trainer,
     config: RuntimeConfig,
+    /// Gaussian → device ownership.  Trivial (everything on device 0) at one
+    /// device and for the non-CLM comparison systems, which never consult
+    /// it.
+    partition: GaussianPartition,
+    /// The views the partitioner balances projected footprints over
+    /// ([`partition_over`](Self::partition_over)), kept so a densification
+    /// boundary or a device loss can re-run the partition.  Empty at one
+    /// device.
+    partition_cameras: Vec<Camera>,
     pool: PinnedBufferPool,
     /// Adaptive-window state fed by each batch's simulated fetch/compute
     /// times.
     window_selector: WindowSelector,
-    /// Installed fault-injection plan, if any.  Faults only ever inflate
-    /// simulated durations or inject staging denials — the numeric path is
-    /// untouched by construction.
+    /// Staged rows served from the fetching device's own shard so far.
+    local_rows: u64,
+    /// Staged rows that crossed shards (owner ≠ fetching device) so far.
+    cross_shard_rows: u64,
+    /// Installed fault-injection plan, if any.  Faults inflate simulated
+    /// durations, deny staging leases or drop devices at batch boundaries —
+    /// the numeric path is untouched by construction.
     fault_plan: Option<FaultPlan>,
 }
 
 impl PipelinedEngine {
-    /// Creates an engine around an initial model.
+    /// Creates an engine around an initial model.  With
+    /// `config.num_devices > 1`, follow up with
+    /// [`partition_over`](Self::partition_over) before the first batch.
     ///
     /// # Panics
-    /// Panics if `cost_scale` or `pixel_cost_scale` is not strictly
-    /// positive.
+    /// Panics under the config conditions of
+    /// [`with_trainer`](Self::with_trainer).
     pub fn new(initial_model: GaussianModel, train: TrainConfig, config: RuntimeConfig) -> Self {
-        assert!(config.cost_scale > 0.0, "cost_scale must be positive");
-        assert!(
-            config.pixel_cost_scale > 0.0,
-            "pixel_cost_scale must be positive"
-        );
-        assert!(
-            config.num_devices == 1,
-            "PipelinedEngine is single-device (num_devices must be exactly 1); \
-             use ShardedEngine for multi-device configs"
-        );
-        let mut train = train;
-        if config.compute_threads > 0 {
-            train.compute_threads = config.compute_threads;
-        }
-        if config.band_height > 0 {
-            train.band_height = config.band_height;
-        }
-        let window_selector = WindowSelector::warm_started(config.warm_start_ratio);
-        PipelinedEngine {
-            trainer: Trainer::new(initial_model, train),
-            config,
-            pool: PinnedBufferPool::new(),
-            window_selector,
-            fault_plan: None,
-        }
+        Self::with_trainer(Trainer::new(initial_model, train), config)
     }
 
     /// Creates an engine around an already-built trainer — the
     /// checkpoint-restore path: the trainer carries its restored model,
     /// optimiser moments and counters, and training continues from there.
+    /// The trainer adopts the runtime's `compute_threads` / `band_height`
+    /// overrides and its device count.
     ///
     /// # Panics
-    /// Panics under the same config conditions as [`new`](Self::new).
+    /// Panics if `config.num_devices` is 0 or exceeds the timeline's device
+    /// range, or if a cost scale is not strictly positive.
     pub fn with_trainer(mut trainer: Trainer, config: RuntimeConfig) -> Self {
+        assert!(config.num_devices >= 1, "num_devices must be at least 1");
+        assert!(
+            config.num_devices <= Lane::MAX_DEVICE + 1,
+            "num_devices must fit the timeline's device-lane range"
+        );
         assert!(config.cost_scale > 0.0, "cost_scale must be positive");
         assert!(
             config.pixel_cost_scale > 0.0,
             "pixel_cost_scale must be positive"
-        );
-        assert!(
-            config.num_devices == 1,
-            "PipelinedEngine is single-device (num_devices must be exactly 1); \
-             use ShardedEngine for multi-device configs"
         );
         if config.compute_threads > 0 {
             trainer.set_compute_threads(config.compute_threads);
@@ -241,20 +282,41 @@ impl PipelinedEngine {
         if config.band_height > 0 {
             trainer.set_band_height(config.band_height);
         }
+        // The trainer's config mirrors the engine's device count so reports
+        // and introspection agree; the engine drives the stepwise API
+        // itself, so this never re-shards the numeric path.
+        trainer.set_num_devices(config.num_devices);
         let window_selector = WindowSelector::warm_started(config.warm_start_ratio);
         PipelinedEngine {
+            partition: GaussianPartition::single_device(trainer.model().len()),
+            partition_cameras: Vec::new(),
             trainer,
             config,
             pool: PinnedBufferPool::new(),
             window_selector,
+            local_rows: 0,
+            cross_shard_rows: 0,
             fault_plan: None,
         }
     }
 
+    /// Supplies the views the visibility-aware partitioner balances the
+    /// Gaussians' projected footprints over (normally the training dataset's
+    /// cameras) and computes the ownership partition from the current
+    /// model.  Required before the first batch when `num_devices > 1`; at
+    /// one device the partition is trivial and no footprint sweep runs.
+    pub fn partition_over(mut self, cameras: &[Camera]) -> Self {
+        self.partition_cameras = cameras.to_vec();
+        self.repartition();
+        self
+    }
+
     /// Installs a fault-injection plan: from the next batch on, the
     /// timeline's ops are filtered through the plan's seeded schedule
-    /// (transient retries, straggler lanes) and staging-pool acquires may
-    /// be denied.  Simulated backoff is priced at the engine's cost scale.
+    /// (transient retries, straggler lanes), staging leases may be denied,
+    /// and a scheduled permanent device loss fires at its batch boundary
+    /// (see [`lose_devices`](Self::lose_devices)).  Simulated backoff is
+    /// priced at the engine's cost scale.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         plan.scale_backoff(self.config.cost_scale);
         self.fault_plan = Some(plan);
@@ -263,6 +325,27 @@ impl PipelinedEngine {
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
+    }
+
+    /// Permanently removes `lose` devices at the current batch boundary:
+    /// the engine's device count shrinks to the survivors and the Gaussian
+    /// ownership partition is recomputed over them.  Because the trajectory
+    /// is bit-identical at *every* device count, continuation on the
+    /// survivors equals a fault-free run at the surviving count — graceful
+    /// degradation, not divergence.
+    ///
+    /// # Panics
+    /// Panics if the loss would leave no survivors.
+    pub fn lose_devices(&mut self, lose: usize) {
+        let survivors = self.config.num_devices.saturating_sub(lose);
+        assert!(
+            survivors >= 1,
+            "device loss must leave at least one survivor (had {}, losing {lose})",
+            self.config.num_devices
+        );
+        self.config.num_devices = survivors;
+        self.trainer.set_num_devices(survivors);
+        self.repartition();
     }
 
     /// The wrapped trainer (model, config, counters).
@@ -275,8 +358,30 @@ impl PipelinedEngine {
         &self.config
     }
 
-    /// Pinned staging-pool statistics accumulated so far.
-    pub fn pool_stats(&self) -> crate::pool::PoolStats {
+    /// The Gaussian→device ownership partition in force.
+    pub fn partition(&self) -> &GaussianPartition {
+        &self.partition
+    }
+
+    /// Recomputes the ownership partition from the current model over the
+    /// [`partition_over`](Self::partition_over) views — run automatically
+    /// at every densification boundary so new Gaussians land on balanced
+    /// devices.  Pure scheduling: ownership never affects the numerics.
+    /// Only a multi-device CLM schedule consults ownership, so only that
+    /// case pays the footprint sweep (comparable to a render pass).
+    pub fn repartition(&mut self) {
+        let model = self.trainer.model();
+        self.partition =
+            if self.config.num_devices > 1 && self.trainer.config().system == SystemKind::Clm {
+                partition_by_footprint(model, &self.partition_cameras, self.config.num_devices)
+            } else {
+                GaussianPartition::single_device(model.len())
+            };
+    }
+
+    /// Pinned staging-pool statistics accumulated so far (one shared pool;
+    /// all device gather lanes draw from it).
+    pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
 
@@ -295,17 +400,29 @@ impl PipelinedEngine {
         &self.window_selector
     }
 
+    /// Staged rows served from the fetching device's own shard so far.
+    pub fn local_rows(&self) -> u64 {
+        self.local_rows
+    }
+
+    /// Staged rows whose owner was another device (each paid the
+    /// [`PEER_HOP_FACTOR`] on the gather lane) so far.
+    pub fn cross_shard_rows(&self) -> u64 {
+        self.cross_shard_rows
+    }
+
     /// Mean PSNR of the current model over a set of posed images (delegates
     /// to the trainer).
     pub fn evaluate_psnr(&self, cameras: &[Camera], targets: &[Image]) -> f32 {
         self.trainer.evaluate_psnr(cameras, targets)
     }
 
-    /// Executes one training batch as a pipelined schedule, returning the
-    /// numeric batch report together with the executed timeline.
+    /// Executes one training batch across the device lane groups, returning
+    /// the numeric batch report together with the executed timeline.
     ///
     /// # Panics
-    /// Panics if `cameras` and `targets` differ in length or are empty.
+    /// Panics if `cameras` and `targets` differ in length or are empty, or
+    /// if `num_devices > 1` and no partition views were supplied.
     pub fn run_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> IterationReport {
         assert_eq!(
             cameras.len(),
@@ -313,16 +430,36 @@ impl PipelinedEngine {
             "need one target image per camera"
         );
         assert!(!cameras.is_empty(), "batch must contain at least one view");
+        assert!(
+            self.config.num_devices == 1 || !self.partition_cameras.is_empty(),
+            "num_devices = {} needs an ownership partition: call \
+             partition_over(cameras) with the views to balance over before the first batch",
+            self.config.num_devices
+        );
 
-        // Densification boundary first: every lane of this engine is scoped
-        // to one batch, so between batches the pipeline is drained and the
-        // model may resize.  The plan is computed against the post-resize
-        // model; the resize itself is costed on the host scheduler lane and
-        // re-leases the pinned staging pool at the new row counts.
+        let fault_before = self.fault_plan.as_ref().map(|p| p.stats());
+        // Scheduled permanent device loss fires here, at the batch
+        // boundary: every lane is drained between batches, so the survivors
+        // repartition and continue without any in-flight state to migrate.
+        if let Some(lose) = self
+            .fault_plan
+            .as_ref()
+            .and_then(|p| p.device_loss_at(self.trainer.batches_trained() as u64))
+        {
+            self.lose_devices(lose);
+        }
+
+        // Densification boundary first: the per-device lane groups are all
+        // scoped to one batch, so between batches every lane is drained and
+        // the model may resize.  The plan is computed against the
+        // post-resize model; the boundary re-runs the ownership partition so
+        // new Gaussians land on balanced devices, re-leases the shared
+        // pinned pool at the new row counts and is costed on the host
+        // scheduler lane — all pure scheduling, so the trajectory stays
+        // bit-identical to the synchronous trainer's.
         let plan = self.trainer.resize_and_plan(cameras);
         let mut grads = GradientBuffer::for_model(self.trainer.model());
         let mut timeline = Timeline::new();
-        let fault_before = self.fault_plan.as_ref().map(|p| p.stats());
         if let Some(fp) = &self.fault_plan {
             timeline.install_fault_sink(fp.sink());
         }
@@ -333,7 +470,8 @@ impl PipelinedEngine {
 
         let mut sched_deps = Vec::new();
         if let Some(event) = plan.resize.as_ref() {
-            self.pool.reprovision(crate::engine::max_fetch_rows(&plan));
+            self.repartition();
+            self.pool.reprovision(max_fetch_rows(&plan));
             sched_deps.push(timeline.push_traced(
                 OpKind::Resize,
                 Lane::CpuScheduler,
@@ -355,7 +493,7 @@ impl PipelinedEngine {
         );
 
         let total_loss = match self.trainer.config().system {
-            SystemKind::Clm => self.run_clm_batch(
+            SystemKind::Clm => self.run_clm_pipeline(
                 &plan,
                 window,
                 cameras,
@@ -431,18 +569,255 @@ impl PipelinedEngine {
         reports
     }
 
-    /// Leases a staging buffer, honouring an installed fault plan's
-    /// pinned-pool exhaustion schedule: a denied lease stalls one backoff
-    /// interval on the host scheduler lane and then succeeds (the pool
-    /// recycles at the batch boundary), so exhaustion costs schedule time
-    /// but never changes what is staged.
-    fn acquire_staging(
+    /// The CLM pipeline (Figure 6, once per device): per-device windowed
+    /// gather prefetch, per-device compute, per-transition gradient stores,
+    /// fixed-order all-reduce, owner-sharded early-finalised CPU Adam.
+    #[allow(clippy::too_many_arguments)]
+    fn run_clm_pipeline(
         &mut self,
-        rows: usize,
+        plan: &BatchPlan,
+        window: usize,
+        cameras: &[Camera],
+        targets: &[Image],
+        grads: &mut GradientBuffer,
         timeline: &mut Timeline,
-    ) -> crate::pool::StagingBuffer {
+        sched: OpId,
+        cost: &CostModel,
+    ) -> f32 {
+        let devices = self.config.num_devices;
+        let m = plan.num_microbatches();
+        let overlapped = self.trainer.overlapped();
+        // Device d's local micro-batch sequence is d, d + D, d + 2D, …;
+        // each device gets its own prefetch window over that sequence.
+        let local_len = |d: usize| (m + devices - 1 - d) / devices;
+        let windows: Vec<PrefetchWindow> = (0..devices)
+            .map(|d| PrefetchWindow::new(window, local_len(d)))
+            .collect();
+
+        self.trainer.begin_batch(plan, grads);
+        if overlapped {
+            // F_0: Gaussians the batch never touches are final from the
+            // start; each owner device updates its shard immediately, and
+            // the update overlaps the whole pipeline.
+            for (dev, count) in self
+                .partition
+                .split_counts(plan.untouched.indices())
+                .iter()
+                .enumerate()
+            {
+                timeline.push_traced(
+                    OpKind::CpuAdamUpdate,
+                    Lane::adam_of(dev),
+                    cost.device
+                        .cpu_adam_time(cost.scaled_gaussians(*count) * PARAMS_PER_GAUSSIAN as u64),
+                    0,
+                    *count as u64,
+                    None,
+                    &[sched],
+                );
+            }
+        }
+
+        let mut gather_ops: Vec<Option<OpId>> = vec![None; m];
+        let mut backward_ops: Vec<Option<OpId>> = vec![None; m];
+        let mut staging_slots: Vec<Option<StagingBuffer>> = (0..m).map(|_| None).collect();
+        let mut last_store: Vec<Option<OpId>> = vec![None; devices];
+        let mut last_allreduce: Option<OpId> = None;
+
+        // Initial prefetch frontier, device-major: every device fills its
+        // own window before any compute is issued.
+        for dev in 0..devices {
+            for k in windows[dev].issuable_after(None) {
+                let i = k * devices + dev;
+                let (id, buf) =
+                    self.issue_gather(plan, i, &windows, &backward_ops, timeline, sched, cost);
+                gather_ops[i] = Some(id);
+                staging_slots[i] = Some(buf);
+            }
+        }
+
+        let mut total_loss = 0.0f32;
+        for i in 0..m {
+            let dev = i % devices;
+            let k = i / devices;
+            let buf = staging_slots[i]
+                .take()
+                .expect("prefetch schedule must have staged this micro-batch");
+
+            let pixels = cost.scaled_pixels(&targets[plan.order[i]]);
+            let rows = plan.ordered_sets[i].len() as u64;
+            let gaussians = cost.scaled_gaussians(plan.ordered_sets[i].len());
+            let fwd = timeline.push_traced(
+                OpKind::Forward,
+                Lane::compute_of(dev),
+                cost.device.forward_time(gaussians, pixels),
+                0,
+                rows,
+                Some(i as u32),
+                &[gather_ops[i].expect("gather issued before compute")],
+            );
+            let bwd = timeline.push_traced(
+                OpKind::Backward,
+                Lane::compute_of(dev),
+                cost.device.backward_time(gaussians, pixels),
+                0,
+                rows,
+                Some(i as u32),
+                &[fwd],
+            );
+            backward_ops[i] = Some(bwd);
+
+            total_loss += self
+                .trainer
+                .process_microbatch(plan, i, cameras, targets, &buf, grads);
+            self.pool.release(buf);
+
+            // Retire this micro-batch's finalised gradients to the device's
+            // host shard …
+            let group_rows = plan.finalization.finalized_by(i).len() as u64;
+            let store_bytes = cost.scaled_bytes(plan.store_bytes(i));
+            let store = timeline.push_traced(
+                OpKind::StoreGrads,
+                Lane::comm_of(dev),
+                cost.device.transfer_time(store_bytes),
+                store_bytes,
+                group_rows,
+                Some(i as u32),
+                &[bwd],
+            );
+            last_store[dev] = Some(store);
+
+            // … reduce the finalised group across devices in fixed order,
+            // then let each owner update its shard on its Adam lane while
+            // later micro-batches keep the compute lanes busy.
+            self.trainer.apply_finalized(plan, i, grads);
+            if overlapped {
+                let group = plan.finalization.finalized_by(i);
+                let adam_dep = push_allreduce(
+                    timeline,
+                    cost,
+                    devices,
+                    group.len(),
+                    Some(i as u32),
+                    &last_store,
+                    &mut last_allreduce,
+                    sched,
+                );
+                for (dev2, count) in self
+                    .partition
+                    .split_counts(group.indices())
+                    .iter()
+                    .enumerate()
+                {
+                    timeline.push_traced(
+                        OpKind::CpuAdamUpdate,
+                        Lane::adam_of(dev2),
+                        cost.device.cpu_adam_time(
+                            cost.scaled_gaussians(*count) * PARAMS_PER_GAUSSIAN as u64,
+                        ),
+                        0,
+                        *count as u64,
+                        Some(i as u32),
+                        &[adam_dep],
+                    );
+                }
+            }
+
+            // This completion frees the next prefetch slot on this device.
+            for k2 in windows[dev].issuable_after(Some(k)) {
+                let j = k2 * devices + dev;
+                let (id, buf) =
+                    self.issue_gather(plan, j, &windows, &backward_ops, timeline, sched, cost);
+                gather_ops[j] = Some(id);
+                staging_slots[j] = Some(buf);
+            }
+        }
+
+        if !overlapped {
+            // Batch-end dense Adam (no-overlap CLM semantics): all-reduce
+            // the whole gradient, then every owner updates its shard.
+            let adam_dep = push_allreduce(
+                timeline,
+                cost,
+                devices,
+                self.trainer.model().len(),
+                None,
+                &last_store,
+                &mut last_allreduce,
+                sched,
+            );
+            for (dev, count) in self.partition.device_counts().iter().enumerate() {
+                timeline.push_traced(
+                    OpKind::CpuAdamUpdate,
+                    Lane::adam_of(dev),
+                    cost.device
+                        .cpu_adam_time(cost.scaled_gaussians(*count) * PARAMS_PER_GAUSSIAN as u64),
+                    0,
+                    *count as u64,
+                    None,
+                    &[adam_dep],
+                );
+            }
+        }
+        total_loss
+    }
+
+    /// Issues the gather of micro-batch `i` on its device's comm lane,
+    /// honouring the prefetch window's compute dependency, and stages the
+    /// rows into a pooled buffer.  Rows owned by another device pay the
+    /// peer hop.
+    #[allow(clippy::too_many_arguments)]
+    fn issue_gather(
+        &mut self,
+        plan: &BatchPlan,
+        i: usize,
+        windows: &[PrefetchWindow],
+        backward_ops: &[Option<OpId>],
+        timeline: &mut Timeline,
+        sched: OpId,
+        cost: &CostModel,
+    ) -> (OpId, StagingBuffer) {
+        let devices = self.config.num_devices;
+        let dev = i % devices;
+        let k = i / devices;
+        let mut deps = vec![sched];
+        if let Some(k_dep) = windows[dev].gather_depends_on_compute_of(k) {
+            deps.push(
+                backward_ops[k_dep * devices + dev]
+                    .expect("window dependencies point at completed compute"),
+            );
+        }
+
+        // Split the fetch by ownership: local rows at full PCIe bandwidth,
+        // cross-shard rows with the extra peer hop.  The recorded bytes are
+        // the full fetch either way, so the timeline's communication volume
+        // keeps matching the batch accounting.
+        let indices = plan.fetched[i].indices();
+        let local = self.partition.split_counts(indices)[dev];
+        let remote = indices.len() - local;
+        self.local_rows += local as u64;
+        self.cross_shard_rows += remote as u64;
+        let local_bytes = cost.scaled_bytes((local * clm_core::NON_CRITICAL_BYTES) as u64);
+        let remote_bytes = cost.scaled_bytes((remote * clm_core::NON_CRITICAL_BYTES) as u64);
+        let duration = cost.device.transfer_time(local_bytes)
+            + PEER_HOP_FACTOR * cost.device.transfer_time(remote_bytes);
+        let bytes = cost.scaled_bytes(plan.fetch_bytes(i));
+        let id = timeline.push_traced(
+            OpKind::LoadParams,
+            Lane::comm_of(dev),
+            duration,
+            bytes,
+            indices.len() as u64,
+            Some(i as u32),
+            &deps,
+        );
+
         if let Some(fp) = &self.fault_plan {
             if fp.next_staging_acquire() {
+                // Denied lease: stall one backoff interval on the host
+                // scheduler, then succeed (the pool recycles at the batch
+                // boundary) — exhaustion costs schedule time, never staging
+                // content.
                 self.pool.note_denied();
                 timeline.push_traced(
                     OpKind::Other,
@@ -455,207 +830,17 @@ impl PipelinedEngine {
                 );
             }
         }
-        self.pool.acquire(rows)
-    }
-
-    /// The CLM pipeline: windowed gather prefetch on `GpuComm`, compute on
-    /// `GpuCompute`, per-transition gradient stores, and early-finalised CPU
-    /// Adam on `CpuAdam`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_clm_batch(
-        &mut self,
-        plan: &BatchPlan,
-        window: usize,
-        cameras: &[Camera],
-        targets: &[Image],
-        grads: &mut GradientBuffer,
-        timeline: &mut Timeline,
-        sched: OpId,
-        cost: &CostModel,
-    ) -> f32 {
-        let m = plan.num_microbatches();
-        let window = PrefetchWindow::new(window, m);
-        let overlapped = self.trainer.overlapped();
-
-        self.trainer.begin_batch(plan, grads);
-        if overlapped {
-            // F_0: Gaussians the batch never touches are finalised from the
-            // start; their CPU Adam update overlaps the whole pipeline.
-            timeline.push_traced(
-                OpKind::CpuAdamUpdate,
-                Lane::CpuAdam,
-                cost.device.cpu_adam_time(
-                    cost.scaled_gaussians(plan.untouched.len()) * PARAMS_PER_GAUSSIAN as u64,
-                ),
-                0,
-                plan.untouched.len() as u64,
-                None,
-                &[sched],
-            );
-        }
-
-        let mut gather_ops: Vec<OpId> = Vec::with_capacity(m);
-        let mut backward_ops: Vec<OpId> = Vec::with_capacity(m);
-        let mut staging_slots: Vec<Option<crate::pool::StagingBuffer>> =
-            (0..m).map(|_| None).collect();
-
-        // Issue the initial prefetch frontier.
-        for i in window.issuable_after(None) {
-            self.issue_gather(
-                plan,
-                i,
-                &window,
-                &backward_ops,
-                timeline,
-                sched,
-                &mut gather_ops,
-                cost,
-            );
-            let mut buf = self.acquire_staging(plan.fetched[i].len(), timeline);
-            self.trainer.stage_microbatch(plan, i, &mut buf);
-            staging_slots[i] = Some(buf);
-        }
-
-        let mut total_loss = 0.0f32;
-        let mut last_store = sched;
-        for i in 0..m {
-            let buf = staging_slots[i]
-                .take()
-                .expect("prefetch schedule must have staged this micro-batch");
-
-            let pixels = cost.scaled_pixels(&targets[plan.order[i]]);
-            let rows = plan.ordered_sets[i].len() as u64;
-            let gaussians = cost.scaled_gaussians(plan.ordered_sets[i].len());
-            let fwd = timeline.push_traced(
-                OpKind::Forward,
-                Lane::GpuCompute,
-                cost.device.forward_time(gaussians, pixels),
-                0,
-                rows,
-                Some(i as u32),
-                &[gather_ops[i]],
-            );
-            let bwd = timeline.push_traced(
-                OpKind::Backward,
-                Lane::GpuCompute,
-                cost.device.backward_time(gaussians, pixels),
-                0,
-                rows,
-                Some(i as u32),
-                &[fwd],
-            );
-            backward_ops.push(bwd);
-
-            total_loss += self
-                .trainer
-                .process_microbatch(plan, i, cameras, targets, &buf, grads);
-            self.pool.release(buf);
-
-            // Retire this micro-batch's finalised gradients to host memory …
-            let group_rows = plan.finalization.finalized_by(i).len() as u64;
-            let store_bytes = cost.scaled_bytes(plan.store_bytes(i));
-            let store = timeline.push_traced(
-                OpKind::StoreGrads,
-                Lane::GpuComm,
-                cost.device.transfer_time(store_bytes),
-                store_bytes,
-                group_rows,
-                Some(i as u32),
-                &[bwd],
-            );
-            last_store = store;
-
-            // … and update them on the CPU Adam thread while later
-            // micro-batches keep the GPU busy.
-            self.trainer.apply_finalized(plan, i, grads);
-            if overlapped {
-                let group = plan.finalization.finalized_by(i);
-                timeline.push_traced(
-                    OpKind::CpuAdamUpdate,
-                    Lane::CpuAdam,
-                    cost.device.cpu_adam_time(
-                        cost.scaled_gaussians(group.len()) * PARAMS_PER_GAUSSIAN as u64,
-                    ),
-                    0,
-                    group.len() as u64,
-                    Some(i as u32),
-                    &[store],
-                );
-            }
-
-            // This completion frees the next prefetch slot.
-            for j in window.issuable_after(Some(i)) {
-                self.issue_gather(
-                    plan,
-                    j,
-                    &window,
-                    &backward_ops,
-                    timeline,
-                    sched,
-                    &mut gather_ops,
-                    cost,
-                );
-                let mut buf = self.acquire_staging(plan.fetched[j].len(), timeline);
-                self.trainer.stage_microbatch(plan, j, &mut buf);
-                staging_slots[j] = Some(buf);
-            }
-        }
-
-        if !overlapped {
-            // Batch-end CPU Adam over the whole model (dense semantics).
-            let n = cost.scaled_gaussians(self.trainer.model().len());
-            timeline.push_traced(
-                OpKind::CpuAdamUpdate,
-                Lane::CpuAdam,
-                cost.device.cpu_adam_time(n * PARAMS_PER_GAUSSIAN as u64),
-                0,
-                self.trainer.model().len() as u64,
-                None,
-                &[last_store],
-            );
-        }
-        total_loss
-    }
-
-    /// Pushes the gather of micro-batch `i` on the communication lane,
-    /// honouring the prefetch window's compute dependency.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_gather(
-        &mut self,
-        plan: &BatchPlan,
-        i: usize,
-        window: &PrefetchWindow,
-        backward_ops: &[OpId],
-        timeline: &mut Timeline,
-        sched: OpId,
-        gather_ops: &mut Vec<OpId>,
-        cost: &CostModel,
-    ) {
-        debug_assert_eq!(gather_ops.len(), i, "gathers must be issued in order");
-        let mut deps = vec![sched];
-        if let Some(compute_of) = window.gather_depends_on_compute_of(i) {
-            deps.push(backward_ops[compute_of]);
-        }
-        let bytes = cost.scaled_bytes(plan.fetch_bytes(i));
-        let id = timeline.push_traced(
-            OpKind::LoadParams,
-            Lane::GpuComm,
-            cost.device.transfer_time(bytes),
-            bytes,
-            plan.fetched[i].len() as u64,
-            Some(i as u32),
-            &deps,
-        );
-        gather_ops.push(id);
+        let mut buf = self.pool.acquire(indices.len());
+        self.trainer.stage_microbatch(plan, i, &mut buf);
+        (id, buf)
     }
 }
 
 /// Naive (ZeRO-Offload-style) schedule: whole-model upload, serial
 /// compute, whole-gradient store, then one dense CPU Adam pass — no
-/// overlap anywhere.  Shared by the single-device engine and the sharded
-/// engine (which runs the no-overlap comparison systems on device 0).
+/// overlap anywhere, on device 0's lanes whatever the device count.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_naive_batch(
+fn run_naive_batch(
     trainer: &mut Trainer,
     cost: &CostModel,
     plan: &BatchPlan,
@@ -732,10 +917,10 @@ pub(crate) fn run_naive_batch(
 }
 
 /// GPU-only baselines: compute per micro-batch plus a fused GPU Adam
-/// step at batch end; no PCIe traffic at all.  Shared like
+/// step at batch end; no PCIe traffic at all.  Device 0 only, like
 /// [`run_naive_batch`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_gpu_only_batch(
+fn run_gpu_only_batch(
     trainer: &mut Trainer,
     cost: &CostModel,
     plan: &BatchPlan,
@@ -799,24 +984,88 @@ pub(crate) fn run_gpu_only_batch(
     total_loss
 }
 
+/// Pushes the fixed-device-order all-reduce chain for one finalisation
+/// group's gradients and returns the op the dependent Adam updates must
+/// wait for.  With one device there is nothing to exchange — the dependency
+/// is the device's latest gradient store.
+#[allow(clippy::too_many_arguments)]
+fn push_allreduce(
+    timeline: &mut Timeline,
+    cost: &CostModel,
+    devices: usize,
+    group_len: usize,
+    microbatch: Option<u32>,
+    last_store: &[Option<OpId>],
+    last_allreduce: &mut Option<OpId>,
+    sched: OpId,
+) -> OpId {
+    if devices == 1 {
+        return last_store[0].unwrap_or(sched);
+    }
+    // Ring all-reduce: every device sends and receives (D-1)/D of the
+    // group's gradient bytes.  The chain over devices 0 → D-1 makes the
+    // reduction order an explicit scheduling dependency — the determinism
+    // the bit-identity argument relies on.
+    let total_bytes = cost.scaled_bytes((group_len * GRADIENT_BYTES) as u64);
+    let per_device = (total_bytes as f64 * (devices - 1) as f64 / devices as f64).round() as u64;
+    let mut base_deps: Vec<OpId> = last_store.iter().flatten().copied().collect();
+    if base_deps.is_empty() {
+        base_deps.push(sched);
+    }
+    if let Some(prev) = *last_allreduce {
+        base_deps.push(prev);
+    }
+    let mut tail: Option<OpId> = None;
+    for dev in 0..devices {
+        let mut deps = base_deps.clone();
+        if let Some(t) = tail {
+            deps.push(t);
+        }
+        tail = Some(timeline.push_traced(
+            OpKind::AllReduce,
+            Lane::comm_of(dev),
+            cost.device.transfer_time(per_device),
+            per_device,
+            group_len as u64,
+            microbatch,
+            &deps,
+        ));
+    }
+    *last_allreduce = tail;
+    tail.expect("devices >= 2 pushed at least one op")
+}
+
 impl ExecutionBackend for PipelinedEngine {
     fn backend_name(&self) -> &'static str {
-        "simulated"
+        if self.config.num_devices == 1 {
+            "simulated"
+        } else {
+            "sharded"
+        }
     }
 
     fn trainer(&self) -> &Trainer {
         &self.trainer
     }
 
-    /// Executes the batch inline while costing it on the event timeline.
-    /// The report's wall-clock time is measured (all lanes ran on this
-    /// thread), while the per-lane busy times are the *simulated* device
-    /// seconds from the timeline.
+    /// Executes the batch inline while costing it on the shared event
+    /// timeline.  The report's wall-clock time is measured (all lanes ran on
+    /// this thread), while the lane busy times are *simulated* device
+    /// seconds summed across devices, with the per-device breakdown in
+    /// `device_lanes`.
     fn execute_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> ExecutionReport {
         let wall_start = std::time::Instant::now();
         let report = self.run_batch(cameras, targets);
         let wall_seconds = wall_start.elapsed().as_secs_f64();
         let t = &report.timeline;
+        let device_lanes: Vec<LaneBusy> = (0..self.config.num_devices)
+            .map(|dev| LaneBusy {
+                compute: t.busy_time(Lane::compute_of(dev)),
+                comm: t.busy_time(Lane::comm_of(dev)),
+                adam: t.busy_time(Lane::adam_of(dev)),
+                scheduling: 0.0,
+            })
+            .collect();
         ExecutionReport {
             views: report.views,
             prefetch_window: report.prefetch_window,
@@ -824,12 +1073,12 @@ impl ExecutionBackend for PipelinedEngine {
             band_height: report.band_height,
             wall_seconds,
             lanes: LaneBusy {
-                compute: t.busy_time(Lane::GpuCompute),
-                comm: t.busy_time(Lane::GpuComm),
-                adam: t.busy_time(Lane::CpuAdam),
+                compute: device_lanes.iter().map(|l| l.compute).sum(),
+                comm: device_lanes.iter().map(|l| l.comm).sum(),
+                adam: device_lanes.iter().map(|l| l.adam).sum(),
                 scheduling: t.busy_time(Lane::CpuScheduler),
             },
-            device_lanes: Vec::new(),
+            device_lanes,
             sim_makespan: Some(t.makespan()),
             resize: report.resize,
             faults: report.faults,
@@ -838,5 +1087,23 @@ impl ExecutionBackend for PipelinedEngine {
             adam_bytes_shipped: 0,
             batch: report.batch,
         }
+    }
+
+    // The inherent methods of the same names hold the definitions (callers
+    // with a concrete engine need no trait import).
+    fn pool_stats(&self) -> PoolStats {
+        PipelinedEngine::pool_stats(self)
+    }
+
+    fn set_staging_capacity(&mut self, limit: Option<usize>) {
+        PipelinedEngine::set_staging_capacity(self, limit);
+    }
+
+    fn install_fault_plan(&mut self, plan: FaultPlan) {
+        PipelinedEngine::install_fault_plan(self, plan);
+    }
+
+    fn window_selector(&self) -> &WindowSelector {
+        PipelinedEngine::window_selector(self)
     }
 }

@@ -16,18 +16,18 @@
 //!   buffering, ≥ batch size = unconstrained) and [`PrefetchPolicy`] — how
 //!   the window is chosen per batch (fixed, adapted to the last batch's
 //!   measured fetch/compute ratio, or to its EWMA-smoothed average);
-//! * [`PipelinedEngine`] / [`RuntimeConfig`] — the simulated backend;
+//! * [`PipelinedEngine`] / [`RuntimeConfig`] — the simulated backend, one
+//!   schedule for any `num_devices`: N per-device lane groups (gather /
+//!   compute / CPU Adam) on one shared timeline, data-parallel
+//!   micro-batches, `gs_scene`'s visibility-aware Gaussian partitioner and
+//!   a fixed-device-order gradient all-reduce above one device — the
+//!   trajectory is bit-identical to the 1-device trainer for any count;
 //! * [`ThreadedBackend`] / [`ThreadedConfig`] — the threaded backend: the
 //!   gather and CPU Adam lanes run on dedicated worker threads
 //!   ([`workers`]), so the overlap is real and wall-clock measurable;
-//! * [`ShardedEngine`] — the multi-GPU backend: N per-device lane groups
-//!   (gather / compute / CPU Adam) on one shared timeline, fed by
-//!   `gs_scene`'s visibility-aware Gaussian partitioner, with data-parallel
-//!   micro-batches and a fixed-device-order gradient all-reduce that keeps
-//!   the trajectory bit-identical to the 1-device trainer for any shard
-//!   count;
 //! * [`ExecutionBackend`] / [`ExecutionReport`] — the common abstraction
-//!   the benchmark harness drives both backends through;
+//!   the service, the benchmarks and the chaos matrix drive every backend
+//!   through;
 //! * [`IterationReport`] — per-iteration makespan, per-lane busy/idle time
 //!   and communication volume (Figures 11–15, Table 7);
 //! * [`autotune`] — host-topology probe + startup calibration that derives
@@ -72,17 +72,15 @@ pub mod engine;
 pub mod pool;
 pub mod prefetch;
 pub mod report;
-pub mod sharded;
 pub mod threaded;
 pub mod workers;
 
 pub use autotune::{derive_knobs, tuned, Autotune, Calibration, TunedKnobs};
 pub use backend::{ExecutionBackend, ExecutionReport, LaneBusy};
-pub use engine::{PipelinedEngine, RuntimeConfig};
+pub use engine::{PipelinedEngine, RuntimeConfig, PEER_HOP_FACTOR};
 pub use pool::{PinnedBufferPool, PoolStats, StagingBuffer};
 pub use prefetch::{PrefetchPolicy, PrefetchWindow, TuningRecord, WarmStartCache, WindowSelector};
 pub use report::{IterationReport, LaneReport};
-pub use sharded::{ShardedEngine, PEER_HOP_FACTOR};
 pub use threaded::{ThreadedBackend, ThreadedConfig};
 pub use workers::{spawn_lane, BusyTimer, RecordedSpan, SpanLog, SpanLogError, WorkerLane};
 
@@ -595,37 +593,172 @@ mod tests {
         assert_eq!(models[0], models[1], "backends agree on the numerics");
     }
 
+    /// One fingerprint per pinned D = 1 scenario: every batch's
+    /// [`Timeline::fingerprint`](sim_device::Timeline::fingerprint) folded
+    /// with the engine's final [`PoolStats`].
+    fn single_device_schedule_fingerprints() -> Vec<u64> {
+        use sim_device::{FaultPlan, FaultSpec};
+        let (dataset, targets, init) = tiny_setup();
+        let run = |window: usize, train: TrainConfig, faults: Option<FaultSpec>| {
+            let mut engine = PipelinedEngine::new(init.clone(), train, runtime_config(window));
+            if let Some(spec) = faults {
+                engine.install_fault_plan(FaultPlan::new(spec));
+            }
+            let mut fold = 0u64;
+            for range in [0..6, 4..10] {
+                let report = engine.run_batch(&dataset.cameras[range.clone()], &targets[range]);
+                fold = fold.rotate_left(7) ^ report.timeline.fingerprint();
+            }
+            let p = engine.pool_stats();
+            [
+                p.outstanding as u64,
+                p.high_water_buffers as u64,
+                p.high_water_bytes,
+                p.acquires,
+                p.recycled,
+                p.allocated,
+                p.reprovisions,
+                p.denied,
+            ]
+            .iter()
+            .fold(fold, |acc, v| acc.rotate_left(7) ^ v)
+        };
+        let mut out = Vec::new();
+        for window in [0usize, 2] {
+            out.push(run(window, TrainConfig::default(), None));
+            out.push(run(
+                window,
+                TrainConfig {
+                    overlapped_adam: false,
+                    ..Default::default()
+                },
+                None,
+            ));
+            out.push(run(
+                window,
+                TrainConfig {
+                    system: SystemKind::NaiveOffload,
+                    ..Default::default()
+                },
+                None,
+            ));
+        }
+        out.push(run(
+            2,
+            TrainConfig::default(),
+            Some(FaultSpec::new(0).with_staging_exhaustion(1, 2)),
+        ));
+        out
+    }
+
     #[test]
-    fn sharded_single_device_reproduces_the_pipelined_schedule_exactly() {
-        // num_devices = 1 must degenerate to the single-device engine in
-        // every observable way: numerics, makespan, per-lane busy times and
-        // pinned-pool behaviour.
+    fn single_device_schedule_matches_the_pre_merge_golden() {
+        // Captured at the last commit that still had a separate
+        // single-device engine, from that engine: op stream (kind, lane,
+        // duration and start bits, bytes, rows, micro-batch, deps) and pool
+        // accounting for windows {0, 2} x {overlapped CLM, non-overlapped
+        // CLM, NaiveOffload}, then window 2 under staging denials.  The
+        // merged engine must emit exactly that at D = 1, with no partition
+        // views supplied.
+        assert_eq!(
+            single_device_schedule_fingerprints(),
+            [
+                0x8e20_2260_f62a_da84,
+                0xd774_97d0_cad4_d5c6,
+                0xd77f_c7d6_be32_762a,
+                0x5fe6_eac9_3b1b_42de,
+                0x042a_9aa4_5580_81e5,
+                0xd77f_c7d6_be32_762a,
+                0x4bad_bf84_eccd_4f63,
+            ]
+        );
+    }
+
+    #[test]
+    fn one_device_needs_no_partition_views_and_owns_every_row() {
+        let (dataset, targets, init) = tiny_setup();
+        let rows = init.len();
+        let mut engine = PipelinedEngine::new(init, TrainConfig::default(), runtime_config(2));
+        let report = engine.execute_batch(&dataset.cameras[..6], &targets[..6]);
+        assert_eq!(engine.backend_name(), "simulated");
+        assert_eq!(report.device_lanes.len(), 1, "one entry per device");
+        assert_eq!(report.device_lanes[0].compute, report.lanes.compute);
+        assert_eq!(engine.partition().device_counts(), [rows]);
+        assert_eq!(engine.cross_shard_rows(), 0, "one device owns everything");
+        assert!(engine.local_rows() > 0);
+    }
+
+    #[test]
+    fn band_height_override_reaches_the_trainer_on_every_backend() {
+        // `band_height` is part of the numeric contract, so the runtime
+        // override must land identically at every device count, on the
+        // fresh-model and the restored-trainer path, and on the threaded
+        // backend — and equal a plain trainer configured with that height.
         let (dataset, targets, init) = tiny_setup();
         let cams = &dataset.cameras[..6];
         let tgts = &targets[..6];
         let train = TrainConfig::default();
-        let mut sharded = ShardedEngine::new(
+        let band = 4;
+        assert_ne!(train.band_height, band);
+        let mut oracle = Trainer::new(
+            init.clone(),
+            TrainConfig {
+                band_height: band,
+                ..train.clone()
+            },
+        );
+        let mut default_band = Trainer::new(init.clone(), train.clone());
+        for _ in 0..2 {
+            oracle.train_batch(cams, tgts);
+            default_band.train_batch(cams, tgts);
+        }
+        assert_ne!(
+            oracle.model(),
+            default_band.model(),
+            "the override must matter on this scene"
+        );
+
+        let mut backends: Vec<Box<dyn ExecutionBackend>> = Vec::new();
+        for devices in [1usize, 2] {
+            let config = RuntimeConfig {
+                band_height: band,
+                num_devices: devices,
+                ..runtime_config(2)
+            };
+            backends.push(Box::new(
+                PipelinedEngine::new(init.clone(), train.clone(), config.clone())
+                    .partition_over(&dataset.cameras),
+            ));
+            backends.push(Box::new(
+                PipelinedEngine::with_trainer(Trainer::new(init.clone(), train.clone()), config)
+                    .partition_over(&dataset.cameras),
+            ));
+        }
+        let threaded = ThreadedConfig {
+            band_height: band,
+            ..Default::default()
+        };
+        backends.push(Box::new(ThreadedBackend::new(
             init.clone(),
             train.clone(),
-            runtime_config(2),
-            &dataset.cameras,
-        );
-        let mut engine = PipelinedEngine::new(init, train, runtime_config(2));
-        for _ in 0..2 {
-            let s = sharded.run_batch(cams, tgts);
-            let p = engine.run_batch(cams, tgts);
-            assert_eq!(s.batch, p.batch);
-            assert!((s.makespan() - p.makespan()).abs() < 1e-15, "same schedule");
-            for lane in Lane::ALL {
-                assert!(
-                    (s.timeline.busy_time(lane) - p.timeline.busy_time(lane)).abs() < 1e-15,
-                    "{lane:?}"
-                );
+            threaded.clone(),
+        )));
+        backends.push(Box::new(ThreadedBackend::with_trainer(
+            Trainer::new(init.clone(), train),
+            threaded,
+        )));
+        for backend in &mut backends {
+            for _ in 0..2 {
+                let report = backend.execute_batch(cams, tgts);
+                assert_eq!(report.band_height, band, "{}", backend.backend_name());
             }
+            assert_eq!(
+                backend.trainer().model(),
+                oracle.model(),
+                "{}",
+                backend.backend_name()
+            );
         }
-        assert_eq!(sharded.trainer().model(), engine.trainer().model());
-        assert_eq!(sharded.pool_stats(), engine.pool_stats());
-        assert_eq!(sharded.cross_shard_rows(), 0, "one device owns everything");
     }
 
     #[test]
@@ -634,7 +767,7 @@ mod tests {
         let cams = &dataset.cameras[..6];
         let tgts = &targets[..6];
         let makespan_of = |devices: usize| {
-            let mut engine = ShardedEngine::new(
+            let mut engine = PipelinedEngine::new(
                 init.clone(),
                 TrainConfig::default(),
                 RuntimeConfig {
@@ -644,8 +777,8 @@ mod tests {
                     cost_scale: 1000.0,
                     ..runtime_config(2)
                 },
-                &dataset.cameras,
-            );
+            )
+            .partition_over(&dataset.cameras);
             engine.run_batch(cams, tgts).makespan()
         };
         let one = makespan_of(1);
@@ -827,28 +960,28 @@ mod tests {
         let tgts = &targets[..6];
         let train = TrainConfig::default();
         // Loses 2 of 4 devices at the boundary before batch 1.
-        let mut doomed = ShardedEngine::new(
+        let mut doomed = PipelinedEngine::new(
             init.clone(),
             train.clone(),
             RuntimeConfig {
                 num_devices: 4,
                 ..runtime_config(2)
             },
-            &dataset.cameras,
-        );
+        )
+        .partition_over(&dataset.cameras);
         doomed.install_fault_plan(FaultPlan::new(FaultSpec::new(0).with_device_loss(1, 2)));
         // The reference trains at the survivor count throughout — the
         // trajectory is device-count-invariant, so the post-loss run must
         // land on exactly this model.
-        let mut survivor = ShardedEngine::new(
+        let mut survivor = PipelinedEngine::new(
             init.clone(),
             train,
             RuntimeConfig {
                 num_devices: 2,
                 ..runtime_config(2)
             },
-            &dataset.cameras,
-        );
+        )
+        .partition_over(&dataset.cameras);
         let mut losses = 0;
         for _ in 0..3 {
             let d = doomed.run_batch(cams, tgts);
@@ -871,23 +1004,26 @@ mod tests {
     #[should_panic(expected = "at least one survivor")]
     fn losing_every_device_panics() {
         let (dataset, _, init) = tiny_setup();
-        let mut engine = ShardedEngine::new(
+        let mut engine = PipelinedEngine::new(
             init,
             TrainConfig::default(),
             RuntimeConfig {
                 num_devices: 2,
                 ..Default::default()
             },
-            &dataset.cameras,
-        );
+        )
+        .partition_over(&dataset.cameras);
         engine.lose_devices(2);
     }
 
     #[test]
-    #[should_panic(expected = "use ShardedEngine")]
-    fn pipelined_engine_rejects_multi_device_configs() {
-        let (_, _, init) = tiny_setup();
-        let _ = PipelinedEngine::new(
+    #[should_panic(expected = "call partition_over(cameras)")]
+    fn multi_device_engine_without_partition_views_refuses_to_run() {
+        // The same type constructs at any device count; what D > 1 needs on
+        // top is the ownership partition, and forgetting it is a clear
+        // panic at the first batch, not a silently unbalanced schedule.
+        let (dataset, targets, init) = tiny_setup();
+        let mut engine = PipelinedEngine::new(
             init,
             TrainConfig::default(),
             RuntimeConfig {
@@ -895,6 +1031,8 @@ mod tests {
                 ..Default::default()
             },
         );
+        assert_eq!(engine.backend_name(), "sharded");
+        engine.run_batch(&dataset.cameras[..4], &targets[..4]);
     }
 
     #[test]

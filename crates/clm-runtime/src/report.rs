@@ -78,7 +78,7 @@ impl IterationReport {
 
     /// The four **single-device** lanes in display order (device 0's
     /// compute/comm/Adam plus the shared scheduler).  A multi-device report
-    /// from the sharded engine has further `Device*` lanes on its timeline —
+    /// (`num_devices > 1`) has further `Device*` lanes on its timeline —
     /// use [`device_lane_group`](Self::device_lane_group) /
     /// [`all_device_lanes`](Self::all_device_lanes) to read them; this
     /// method alone under-counts a sharded schedule.

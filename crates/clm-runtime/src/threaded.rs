@@ -193,43 +193,21 @@ impl ThreadedBackend {
     /// Creates a threaded backend around an initial model.
     ///
     /// # Panics
-    /// Panics if `config.adam_threads`, `config.channel_capacity` or
-    /// `config.num_devices` is 0.
+    /// Panics under the config conditions of
+    /// [`with_trainer`](Self::with_trainer).
     pub fn new(initial_model: GaussianModel, train: TrainConfig, config: ThreadedConfig) -> Self {
-        assert!(config.adam_threads > 0, "adam_threads must be at least 1");
-        assert!(
-            config.channel_capacity > 0,
-            "channel_capacity must be at least 1"
-        );
-        assert!(config.num_devices > 0, "num_devices must be at least 1");
-        let mut train = train;
-        if config.compute_threads > 0 {
-            train.compute_threads = config.compute_threads;
-        }
-        if config.band_height > 0 {
-            train.band_height = config.band_height;
-        }
-        // Mirrored for introspection; the backend drives the stepwise API
-        // and shards the rounds itself.
-        train.num_devices = config.num_devices;
-        let window_selector = WindowSelector::warm_started(config.warm_start_ratio);
-        ThreadedBackend {
-            trainer: Trainer::new(initial_model, train),
-            config,
-            pool: PinnedBufferPool::new(),
-            window_selector,
-            fault_plan: None,
-            adam_params: Vec::new(),
-            adam_grads: Vec::new(),
-        }
+        Self::with_trainer(Trainer::new(initial_model, train), config)
     }
 
     /// Creates a threaded backend around an already-built trainer — the
     /// checkpoint-restore path: the trainer carries its restored model,
     /// optimiser moments and counters, and training continues from there.
+    /// The trainer adopts the backend's `compute_threads` / `band_height`
+    /// overrides and its device count.
     ///
     /// # Panics
-    /// Panics under the same config conditions as [`new`](Self::new).
+    /// Panics if `config.adam_threads`, `config.channel_capacity` or
+    /// `config.num_devices` is 0.
     pub fn with_trainer(mut trainer: Trainer, config: ThreadedConfig) -> Self {
         assert!(config.adam_threads > 0, "adam_threads must be at least 1");
         assert!(
@@ -243,6 +221,8 @@ impl ThreadedBackend {
         if config.band_height > 0 {
             trainer.set_band_height(config.band_height);
         }
+        // Mirrored for introspection; the backend drives the stepwise API
+        // and shards the rounds itself.
         trainer.set_num_devices(config.num_devices);
         let window_selector = WindowSelector::warm_started(config.warm_start_ratio);
         ThreadedBackend {
@@ -871,6 +851,24 @@ impl ExecutionBackend for ThreadedBackend {
 
     fn execute_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> ExecutionReport {
         self.run_batch(cameras, targets)
+    }
+
+    // The inherent methods of the same names hold the definitions (callers
+    // with a concrete backend need no trait import).
+    fn pool_stats(&self) -> PoolStats {
+        ThreadedBackend::pool_stats(self)
+    }
+
+    fn set_staging_capacity(&mut self, limit: Option<usize>) {
+        ThreadedBackend::set_staging_capacity(self, limit);
+    }
+
+    fn install_fault_plan(&mut self, plan: FaultPlan) {
+        ThreadedBackend::install_fault_plan(self, plan);
+    }
+
+    fn window_selector(&self) -> &WindowSelector {
+        ThreadedBackend::window_selector(self)
     }
 }
 

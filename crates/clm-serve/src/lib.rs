@@ -46,6 +46,5 @@ pub use service::{
     Admission, AdmitError, ClmServe, ServeConfig, ServeError, ServeStats, StepOutcome,
 };
 pub use session::{
-    Backend, BackendChoice, EvictedState, Session, SessionId, SessionState, SessionStats,
-    TenantSpec,
+    BackendChoice, EvictedState, Session, SessionId, SessionState, SessionStats, TenantSpec,
 };

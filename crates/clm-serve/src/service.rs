@@ -23,9 +23,7 @@
 use crate::metrics::LatencyHistogram;
 use crate::registry::{SceneEntry, SceneRegistry};
 use crate::scheduler::{DeficitScheduler, FairnessConfig};
-use crate::session::{
-    Backend, EvictedState, Session, SessionId, SessionState, SessionStats, TenantSpec,
-};
+use crate::session::{EvictedState, Session, SessionId, SessionState, SessionStats, TenantSpec};
 use clm_trace::Checkpoint;
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
@@ -536,12 +534,6 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-/// The allocated backend variant of a session, exposed for tests that
-/// inspect trainers directly.
-pub fn backend_of(session: &Session) -> Option<&Backend> {
-    session.backend.as_ref()
-}
 
 /// The evicted-state bytes of a session, exposed for tests that check the
 /// `.clmckpt` container directly.

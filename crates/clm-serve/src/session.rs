@@ -12,8 +12,7 @@ use crate::registry::SceneEntry;
 use clm_core::TrainConfig;
 use clm_runtime::pool::ROW_BYTES;
 use clm_runtime::{
-    ExecutionBackend, ExecutionReport, PipelinedEngine, PoolStats, RuntimeConfig, ThreadedBackend,
-    ThreadedConfig,
+    ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
 };
 use clm_trace::Checkpoint;
 use gs_scene::{init_from_point_cloud, InitConfig};
@@ -160,62 +159,6 @@ pub struct EvictedState {
     pub warm_start_ratio: Option<f64>,
 }
 
-/// An active session's execution backend.
-pub enum Backend {
-    /// Simulated discrete-event engine.
-    Simulated(PipelinedEngine),
-    /// Threaded wall-clock backend.
-    Threaded(ThreadedBackend),
-}
-
-impl Backend {
-    /// Executes one batch through the common backend trait.
-    pub fn execute_batch(
-        &mut self,
-        cameras: &[gs_core::camera::Camera],
-        targets: &[gs_render::Image],
-    ) -> ExecutionReport {
-        match self {
-            Backend::Simulated(e) => e.execute_batch(cameras, targets),
-            Backend::Threaded(e) => e.execute_batch(cameras, targets),
-        }
-    }
-
-    /// The wrapped trainer.
-    pub fn trainer(&self) -> &clm_core::Trainer {
-        match self {
-            Backend::Simulated(e) => e.trainer(),
-            Backend::Threaded(e) => e.trainer(),
-        }
-    }
-
-    /// Staging-pool statistics.
-    pub fn pool_stats(&self) -> PoolStats {
-        match self {
-            Backend::Simulated(e) => e.pool_stats(),
-            Backend::Threaded(e) => e.pool_stats(),
-        }
-    }
-
-    /// Ratio tracked by the adaptive-window selector, for checkpointing.
-    pub fn warm_start_ratio(&self) -> Option<f64> {
-        let selector = match self {
-            Backend::Simulated(e) => e.window_selector(),
-            Backend::Threaded(e) => e.window_selector(),
-        };
-        selector.smoothed_ratio().filter(|r| r.is_finite())
-    }
-}
-
-impl std::fmt::Debug for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backend::Simulated(_) => write!(f, "Backend::Simulated"),
-            Backend::Threaded(_) => write!(f, "Backend::Threaded"),
-        }
-    }
-}
-
 /// One tenant's training job inside the service.
 #[derive(Debug)]
 pub struct Session {
@@ -228,7 +171,7 @@ pub struct Session {
     /// Lifecycle state.
     pub state: SessionState,
     /// The backend, when [`SessionState::Active`].
-    pub backend: Option<Backend>,
+    pub backend: Option<Box<dyn ExecutionBackend>>,
     /// Checkpoint bytes, when [`SessionState::Evicted`] (or queued for
     /// resume).
     pub evicted: Option<EvictedState>,
@@ -277,52 +220,36 @@ impl Session {
     /// tenant's `TrainConfig` declares (`band_height: 0` below): it is part
     /// of the numeric contract, and a restored trainer must continue
     /// bit-identically to its pre-eviction trajectory.
-    pub fn build_backend(&self, restored: Option<clm_core::Trainer>) -> Backend {
+    pub fn build_backend(&self, restored: Option<clm_core::Trainer>) -> Box<dyn ExecutionBackend> {
         let warm = self.evicted.as_ref().and_then(|e| e.warm_start_ratio);
-        match self.spec.backend {
-            BackendChoice::Simulated => {
-                let config = RuntimeConfig {
+        let trainer = restored.unwrap_or_else(|| {
+            let init = init_from_point_cloud(&self.scene.dataset.ground_truth, &self.spec.init);
+            clm_core::Trainer::new(init, self.spec.train.clone())
+        });
+        let mut backend: Box<dyn ExecutionBackend> = match self.spec.backend {
+            BackendChoice::Simulated => Box::new(PipelinedEngine::with_trainer(
+                trainer,
+                RuntimeConfig {
                     prefetch_window: self.granted_window,
                     warm_start_ratio: warm,
                     cost_scale: self.spec.cost_scale,
                     pixel_cost_scale: self.spec.cost_scale,
                     band_height: 0,
                     ..RuntimeConfig::autotuned()
-                };
-                let mut engine = match restored {
-                    Some(trainer) => PipelinedEngine::with_trainer(trainer, config),
-                    None => {
-                        let init = init_from_point_cloud(
-                            &self.scene.dataset.ground_truth,
-                            &self.spec.init,
-                        );
-                        PipelinedEngine::new(init, self.spec.train.clone(), config)
-                    }
-                };
-                engine.set_staging_capacity(Some(self.max_staging_buffers));
-                Backend::Simulated(engine)
-            }
-            BackendChoice::Threaded => {
-                let config = ThreadedConfig {
+                },
+            )),
+            BackendChoice::Threaded => Box::new(ThreadedBackend::with_trainer(
+                trainer,
+                ThreadedConfig {
                     prefetch_window: self.granted_window,
                     warm_start_ratio: warm,
                     band_height: 0,
                     ..ThreadedConfig::autotuned()
-                };
-                let mut backend = match restored {
-                    Some(trainer) => ThreadedBackend::with_trainer(trainer, config),
-                    None => {
-                        let init = init_from_point_cloud(
-                            &self.scene.dataset.ground_truth,
-                            &self.spec.init,
-                        );
-                        ThreadedBackend::new(init, self.spec.train.clone(), config)
-                    }
-                };
-                backend.set_staging_capacity(Some(self.max_staging_buffers));
-                Backend::Threaded(backend)
-            }
-        }
+                },
+            )),
+        };
+        backend.set_staging_capacity(Some(self.max_staging_buffers));
+        backend
     }
 
     /// Captures the active backend into an [`EvictedState`].
@@ -331,7 +258,10 @@ impl Session {
     /// Panics if the session has no backend.
     pub fn capture(&self) -> EvictedState {
         let backend = self.backend.as_ref().expect("capture needs a backend");
-        let warm = backend.warm_start_ratio();
+        let warm = backend
+            .window_selector()
+            .smoothed_ratio()
+            .filter(|r| r.is_finite());
         EvictedState {
             checkpoint: Checkpoint::capture(backend.trainer(), warm).encode(),
             warm_start_ratio: warm,

@@ -14,7 +14,7 @@
 //! * **Knob replay** ([`replay_with_knobs`]): the CLM pipeline structure is
 //!   rebuilt from the per-micro-batch costs in the trace under altered
 //!   knobs — a different prefetch window, a different simulated device
-//!   count, or per-kind cost multipliers — mirroring the runtime engines'
+//!   count, or per-kind cost multipliers — mirroring the runtime engine's
 //!   op-emission order.  Replaying with the *recorded* knobs reproduces the
 //!   recorded schedule exactly; altered knobs answer "what if" questions
 //!   (how much overlap does window 0 lose? what does a 4-way shard buy?)
@@ -25,7 +25,7 @@
 //! times — so they support reporting but not replay; both entry points
 //! reject them with [`ReplayError::MeasuredTrace`].
 
-use crate::format::{Trace, TraceEvent};
+use crate::format::{CostParams, Trace, TraceEvent};
 use sim_device::{Lane, OpId, OpKind, Timeline};
 
 /// Why a trace could not be replayed.
@@ -212,7 +212,7 @@ pub fn verify_exact(trace: &Trace) -> Result<Vec<BatchReplay>, ReplayError> {
 /// Replays under altered knobs.  With no window/device override this is a
 /// structural replay (recorded dependency graph, scaled durations); with
 /// one, the CLM pipeline is rebuilt from per-micro-batch costs mirroring
-/// the engines' emission order.
+/// the engine's emission order.
 pub fn replay_with_knobs(
     trace: &Trace,
     knobs: &ReplayKnobs,
@@ -235,12 +235,8 @@ pub fn replay_with_knobs(
     let window = knobs.window.unwrap_or(trace.meta.prefetch_window as usize);
     let mut out = Vec::new();
     for (epoch, batch, events) in trace.batches() {
-        let parsed = ClmBatch::parse(events)?;
-        let timeline = if devices == 1 {
-            parsed.rebuild_single(window, &knobs.scale)
-        } else {
-            parsed.rebuild_sharded(window, devices, trace, &knobs.scale)
-        };
+        let timeline =
+            ClmBatch::parse(events)?.rebuild(window, devices, &trace.meta.cost, &knobs.scale);
         out.push(BatchReplay {
             epoch,
             batch,
@@ -410,149 +406,16 @@ impl ClmBatch {
         Ok(parsed)
     }
 
-    /// Mirrors `PipelinedEngine::run_clm_batch`'s emission order with the
-    /// recorded costs under prefetch window `w`.
-    fn rebuild_single(&self, w: usize, scale: &KindScale) -> Timeline {
-        let m = self.mbs.len();
-        let win = Window { w, m };
-        let mut t = Timeline::new();
-
-        let mut sched_deps = Vec::new();
-        if let Some(r) = &self.resize {
-            sched_deps.push(push_cost(
-                &mut t,
-                OpKind::Resize,
-                Lane::CpuScheduler,
-                r,
-                None,
-                &[],
-                scale,
-            ));
-        }
-        let sched = push_cost(
-            &mut t,
-            OpKind::Scheduling,
-            Lane::CpuScheduler,
-            &self.sched,
-            None,
-            &sched_deps,
-            scale,
-        );
-        if let Some(f0) = &self.f0_adam {
-            push_cost(
-                &mut t,
-                OpKind::CpuAdamUpdate,
-                Lane::CpuAdam,
-                f0,
-                None,
-                &[sched],
-                scale,
-            );
-        }
-
-        let mut gathers: Vec<Option<OpId>> = vec![None; m];
-        let mut backwards: Vec<Option<OpId>> = vec![None; m];
-        for i in win.initial() {
-            gathers[i] = Some(self.push_gather(&mut t, i, &win, &backwards, sched, scale));
-        }
-        let mut last_store = sched;
-        for i in 0..m {
-            let fwd = push_cost(
-                &mut t,
-                OpKind::Forward,
-                Lane::GpuCompute,
-                &self.mbs[i].forward,
-                Some(i as u32),
-                &[gathers[i].expect("gather issued before compute")],
-                scale,
-            );
-            let bwd = push_cost(
-                &mut t,
-                OpKind::Backward,
-                Lane::GpuCompute,
-                &self.mbs[i].backward,
-                Some(i as u32),
-                &[fwd],
-                scale,
-            );
-            backwards[i] = Some(bwd);
-            let store = push_cost(
-                &mut t,
-                OpKind::StoreGrads,
-                Lane::GpuComm,
-                &self.mbs[i].store,
-                Some(i as u32),
-                &[bwd],
-                scale,
-            );
-            last_store = store;
-            if let Some(adam) = &self.mbs[i].adam {
-                push_cost(
-                    &mut t,
-                    OpKind::CpuAdamUpdate,
-                    Lane::CpuAdam,
-                    adam,
-                    Some(i as u32),
-                    &[store],
-                    scale,
-                );
-            }
-            for j in win.after(i) {
-                gathers[j] = Some(self.push_gather(&mut t, j, &win, &backwards, sched, scale));
-            }
-        }
-        if let Some(dense) = &self.dense_adam {
-            push_cost(
-                &mut t,
-                OpKind::CpuAdamUpdate,
-                Lane::CpuAdam,
-                dense,
-                None,
-                &[last_store],
-                scale,
-            );
-        }
-        t
-    }
-
-    fn push_gather(
-        &self,
-        t: &mut Timeline,
-        i: usize,
-        win: &Window,
-        backwards: &[Option<OpId>],
-        sched: OpId,
-        scale: &KindScale,
-    ) -> OpId {
-        let mut deps = vec![sched];
-        if let Some(k) = win.compute_dep(i) {
-            deps.push(backwards[k].expect("window dependencies point at completed compute"));
-        }
-        push_cost(
-            t,
-            OpKind::LoadParams,
-            Lane::GpuComm,
-            &self.mbs[i].gather,
-            Some(i as u32),
-            &deps,
-            scale,
-        )
-    }
-
-    /// Mirrors `ShardedEngine::run_clm_sharded`'s emission order across
-    /// `devices` simulated lane groups.  Re-sharding a single-device
-    /// recording has no ownership partition to consult, so the rebuild
+    /// Mirrors the emission order of `clm_runtime::PipelinedEngine`'s CLM
+    /// pipeline across `devices` simulated lane groups under prefetch
+    /// window `w`.  At one device every op keeps its recorded cost, so the
+    /// rebuild needs no cost header and the recorded window reproduces the
+    /// recording exactly.  Re-sharding a single-device recording has no
+    /// ownership partition to consult, so above one device the rebuild
     /// approximates uniform sharding: `1/D` of every fetch is local, Adam
     /// groups split evenly across owners — the cost-model constants from
     /// the trace header price the peer hops and all-reduce chains.
-    fn rebuild_sharded(
-        &self,
-        w: usize,
-        devices: usize,
-        trace: &Trace,
-        scale: &KindScale,
-    ) -> Timeline {
-        let cost = &trace.meta.cost;
+    fn rebuild(&self, w: usize, devices: usize, cost: &CostParams, scale: &KindScale) -> Timeline {
         let m = self.mbs.len();
         let local_len = |d: usize| (m + devices - 1 - d) / devices;
         let wins: Vec<Window> = (0..devices)
@@ -582,18 +445,7 @@ impl ClmBatch {
             scale,
         );
         if let Some(f0) = &self.f0_adam {
-            for (dev, rows) in split_rows(f0.rows, devices).into_iter().enumerate() {
-                let dur = prorate(f0.dur, rows, f0.rows);
-                t.push_traced(
-                    OpKind::CpuAdamUpdate,
-                    Lane::adam_of(dev),
-                    scale.apply(OpKind::CpuAdamUpdate, dur),
-                    0,
-                    rows,
-                    None,
-                    &[sched],
-                );
-            }
+            push_owner_adam(&mut t, f0, devices, None, sched, scale);
         }
 
         let mut gathers: Vec<Option<OpId>> = vec![None; m];
@@ -601,7 +453,7 @@ impl ClmBatch {
         let mut last_store: Vec<Option<OpId>> = vec![None; devices];
         let mut last_allreduce: Option<OpId> = None;
 
-        let sharded_gather = |t: &mut Timeline, backwards: &[Option<OpId>], i: usize| -> OpId {
+        let push_gather = |t: &mut Timeline, backwards: &[Option<OpId>], i: usize| -> OpId {
             let dev = i % devices;
             let k = i / devices;
             let mut deps = vec![sched];
@@ -611,12 +463,20 @@ impl ClmBatch {
                         .expect("window dependencies point at completed compute"),
                 );
             }
-            // Uniform-ownership approximation: 1/D of the fetch is local.
             let g = &self.mbs[i].gather;
-            let local_bytes = g.bytes / devices as u64;
-            let remote_bytes = g.bytes - local_bytes;
-            let dur = cost.transfer_time(local_bytes)
-                + cost.peer_hop_factor * cost.transfer_time(remote_bytes);
+            let dur = if devices == 1 {
+                // Everything is local: keep the recorded duration — it may
+                // carry fault-injected retries, and the cost header may be
+                // unusable — rather than re-pricing it.
+                g.dur
+            } else {
+                // Uniform-ownership approximation: 1/D of the fetch is
+                // local.
+                let local_bytes = g.bytes / devices as u64;
+                let remote_bytes = g.bytes - local_bytes;
+                cost.transfer_time(local_bytes)
+                    + cost.peer_hop_factor * cost.transfer_time(remote_bytes)
+            };
             t.push_traced(
                 OpKind::LoadParams,
                 Lane::comm_of(dev),
@@ -631,7 +491,7 @@ impl ClmBatch {
         for dev in 0..devices {
             for k in wins[dev].initial() {
                 let i = k * devices + dev;
-                gathers[i] = Some(sharded_gather(&mut t, &backwards, i));
+                gathers[i] = Some(push_gather(&mut t, &backwards, i));
             }
         }
         for i in 0..m {
@@ -679,22 +539,11 @@ impl ClmBatch {
                     sched,
                     scale,
                 );
-                for (dev2, rows) in split_rows(adam.rows, devices).into_iter().enumerate() {
-                    let dur = prorate(adam.dur, rows, adam.rows);
-                    t.push_traced(
-                        OpKind::CpuAdamUpdate,
-                        Lane::adam_of(dev2),
-                        scale.apply(OpKind::CpuAdamUpdate, dur),
-                        0,
-                        rows,
-                        Some(i as u32),
-                        &[adam_dep],
-                    );
-                }
+                push_owner_adam(&mut t, adam, devices, Some(i as u32), adam_dep, scale);
             }
             for k2 in wins[dev].after(k) {
                 let j = k2 * devices + dev;
-                gathers[j] = Some(sharded_gather(&mut t, &backwards, j));
+                gathers[j] = Some(push_gather(&mut t, &backwards, j));
             }
         }
         if let Some(dense) = &self.dense_adam {
@@ -709,29 +558,18 @@ impl ClmBatch {
                 sched,
                 scale,
             );
-            for (dev, rows) in split_rows(dense.rows, devices).into_iter().enumerate() {
-                let dur = prorate(dense.dur, rows, dense.rows);
-                t.push_traced(
-                    OpKind::CpuAdamUpdate,
-                    Lane::adam_of(dev),
-                    scale.apply(OpKind::CpuAdamUpdate, dur),
-                    0,
-                    rows,
-                    None,
-                    &[adam_dep],
-                );
-            }
+            push_owner_adam(&mut t, dense, devices, None, adam_dep, scale);
         }
         t
     }
 }
 
-/// Mirrors the sharded engine's fixed-device-order all-reduce chain,
-/// priced by the trace header's cost model.
+/// Mirrors the engine's fixed-device-order all-reduce chain, priced by the
+/// trace header's cost model (empty at one device).
 #[allow(clippy::too_many_arguments)]
 fn push_allreduce(
     t: &mut Timeline,
-    cost: &crate::format::CostParams,
+    cost: &CostParams,
     devices: usize,
     group_rows: u64,
     microbatch: Option<u32>,
@@ -771,6 +609,37 @@ fn push_allreduce(
     }
     *last_allreduce = tail;
     tail.expect("devices >= 2 pushed at least one op")
+}
+
+/// Splits one recorded CPU Adam update evenly across the `devices` owners'
+/// Adam lanes, each share prorated by its rows.  A single owner keeps the
+/// recorded op as it is: prorating the whole (`dur * r / r`) is not
+/// bit-exact.
+fn push_owner_adam(
+    t: &mut Timeline,
+    adam: &OpCost,
+    devices: usize,
+    microbatch: Option<u32>,
+    dep: OpId,
+    scale: &KindScale,
+) {
+    if devices == 1 {
+        let kind = OpKind::CpuAdamUpdate;
+        push_cost(t, kind, Lane::CpuAdam, adam, microbatch, &[dep], scale);
+        return;
+    }
+    for (dev, rows) in split_rows(adam.rows, devices).into_iter().enumerate() {
+        let dur = prorate(adam.dur, rows, adam.rows);
+        t.push_traced(
+            OpKind::CpuAdamUpdate,
+            Lane::adam_of(dev),
+            scale.apply(OpKind::CpuAdamUpdate, dur),
+            0,
+            rows,
+            microbatch,
+            &[dep],
+        );
+    }
 }
 
 fn push_cost(
@@ -911,7 +780,7 @@ pub fn critical_path(timeline: &Timeline) -> CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{CostParams, TraceMeta, TraceWriter};
+    use crate::format::{TraceMeta, TraceWriter};
 
     fn meta(devices: u32, window: u32) -> TraceMeta {
         TraceMeta {
@@ -1061,6 +930,63 @@ mod tests {
         for (a, b) in rebuilt[0].timeline.ops().iter().zip(recorded.ops()) {
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn one_device_window_replay_needs_no_cost_header_and_matches_the_pre_merge_rebuild() {
+        // Fingerprints captured from the dedicated single-device rebuild
+        // before it was folded into the one `rebuild`: a what-if window at
+        // `devices = 1` keeps every recorded duration, so it must succeed
+        // with an unusable cost header and reproduce those schedules bit
+        // for bit — with and without per-kind scaling.
+        let mut trace = clm_trace();
+        trace.meta.cost = CostParams::default();
+        assert!(!trace.meta.cost.usable());
+        let fingerprint = |window: usize, devices: Option<usize>, scale: KindScale| {
+            let knobs = ReplayKnobs {
+                window: Some(window),
+                devices,
+                scale,
+            };
+            replay_with_knobs(&trace, &knobs).unwrap()[0]
+                .timeline
+                .fingerprint()
+        };
+        for devices in [None, Some(1)] {
+            let identity = KindScale::default();
+            assert_eq!(fingerprint(0, devices, identity), 0xf5bd_180e_16c5_86db);
+            assert_eq!(fingerprint(2, devices, identity), 0x09b2_e059_afcc_0655);
+            assert_eq!(
+                fingerprint(1, devices, identity),
+                clm_timeline().fingerprint(),
+                "the recorded window is the recording"
+            );
+        }
+        let scaled = KindScale {
+            comm: 0.5,
+            adam: 3.0,
+            ..Default::default()
+        };
+        assert_eq!(fingerprint(0, Some(1), scaled), 0xa8d5_9ba0_995e_f814);
+    }
+
+    #[test]
+    fn device_replay_is_unchanged_by_the_rebuild_merge() {
+        // Same fixture re-sharded, fingerprints captured before the merge.
+        let trace = clm_trace();
+        let fingerprint = |window: Option<usize>, devices: usize| {
+            let knobs = ReplayKnobs {
+                window,
+                devices: Some(devices),
+                ..Default::default()
+            };
+            replay_with_knobs(&trace, &knobs).unwrap()[0]
+                .timeline
+                .fingerprint()
+        };
+        assert_eq!(fingerprint(None, 2), 0x3471_84bc_1ab7_dd49);
+        assert_eq!(fingerprint(Some(0), 2), 0x2cf9_c542_a7fb_2b32);
+        assert_eq!(fingerprint(None, 3), 0xf7da_0a90_3601_e55d);
     }
 
     #[test]

@@ -133,6 +133,12 @@ impl GaussianPartition {
 
     /// Number of elements of `indices` owned by each device.
     pub fn split_counts(&self, indices: &[u32]) -> Vec<usize> {
+        if self.num_devices == 1 {
+            // One owner: the single-device schedule asks this for every
+            // Adam group of every batch and must not pay an owner lookup
+            // per row for the answer.
+            return vec![indices.len()];
+        }
         let mut out = vec![0usize; self.num_devices];
         for &g in indices {
             out[self.owner_of(g)] += 1;

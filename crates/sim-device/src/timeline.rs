@@ -52,8 +52,8 @@ impl Lane {
     pub const MAX_DEVICE: usize = u8::MAX as usize;
 
     /// The compute lane of simulated device `device`.  Device 0 maps to the
-    /// classic [`Lane::GpuCompute`], so a 1-device sharded schedule lands on
-    /// exactly the lanes the single-device engine uses.
+    /// classic [`Lane::GpuCompute`], so a 1-device schedule lands on exactly
+    /// the paper's four lanes.
     ///
     /// # Panics
     /// Panics if `device` exceeds [`Lane::MAX_DEVICE`].
@@ -453,6 +453,34 @@ impl Timeline {
     /// All scheduled operations in submission order.
     pub fn ops(&self) -> &[ScheduledOp] {
         &self.ops
+    }
+
+    /// FNV-1a fold of the whole op stream — kind, lane, the bit patterns of
+    /// `dur` and `start`, bytes, rows, micro-batch and dependency edges, in
+    /// submission order.  Two timelines with equal fingerprints executed the
+    /// same schedule; golden tests use it to pin a schedule across a
+    /// refactor without committing the op list itself.
+    pub fn fingerprint(&self) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |value: u64| {
+            for byte in value.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for op in &self.ops {
+            fold(u64::from(op.kind.code()));
+            fold(u64::from(op.lane.code()));
+            fold(op.dur.to_bits());
+            fold(op.start.to_bits());
+            fold(op.bytes);
+            fold(op.rows);
+            fold(op.microbatch.map_or(u64::MAX, u64::from));
+            fold(op.deps.len() as u64);
+            for dep in &op.deps {
+                fold(dep.0 as u64);
+            }
+        }
+        hash
     }
 
     /// End time of operation `id`.

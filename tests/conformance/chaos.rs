@@ -11,14 +11,14 @@
 //! 2. A run killed at a batch boundary, snapshotted to the `.clmckpt` byte
 //!    format, decoded and restored into a fresh engine finishes the
 //!    remaining batches bit-identically — through every backend.
-//! 3. A [`ShardedEngine`] that permanently loses devices (4 → 2) mid-run
-//!    drains at the boundary, repartitions onto the survivors and finishes
-//!    bit-identical to the fault-free run (which is itself device-count
-//!    invariant).
+//! 3. A multi-device [`PipelinedEngine`] that permanently loses devices
+//!    (4 → 2) mid-run drains at the boundary, repartitions onto the
+//!    survivors and finishes bit-identical to the fault-free run (which is
+//!    itself device-count invariant).
 
+use clm_repro::clm_core::Trainer;
 use clm_repro::clm_runtime::{
-    ExecutionBackend, PipelinedEngine, RuntimeConfig, ShardedEngine, ThreadedBackend,
-    ThreadedConfig,
+    ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
 };
 use clm_repro::clm_trace::Checkpoint;
 use clm_repro::sim_device::{FaultPlan, FaultSpec, Lane};
@@ -56,20 +56,6 @@ fn injected_faults_never_change_the_trajectory() {
     assert_densification_exercised(&reference);
 
     let plan = FaultPlan::new(chaos_spec());
-    let mut pipelined = PipelinedEngine::new(
-        scenario.init.clone(),
-        scenario.train.clone(),
-        runtime_config(1),
-    );
-    pipelined.install_fault_plan(plan.clone());
-    let t = run_backend(&mut pipelined, &scenario, EPOCHS);
-    assert_trajectories_match(&reference, &t, "pipelined+faults");
-    let stats = plan.stats();
-    assert!(stats.transients > 0, "plan injected nothing: {stats:?}");
-    assert!(stats.straggled_ops > 0, "straggler never fired: {stats:?}");
-    assert_eq!(stats.aborts, 0, "recovery must not abort: {stats:?}");
-
-    let plan = FaultPlan::new(chaos_spec());
     let mut threaded = ThreadedBackend::new(
         scenario.init.clone(),
         scenario.train.clone(),
@@ -84,25 +70,26 @@ fn injected_faults_never_change_the_trajectory() {
 
     for devices in conformance_devices() {
         let plan = FaultPlan::new(chaos_spec());
-        let mut sharded = ShardedEngine::new(
+        let mut engine = PipelinedEngine::new(
             scenario.init.clone(),
             scenario.train.clone(),
             runtime_config(devices),
-            &scenario.dataset.cameras,
-        );
-        sharded.install_fault_plan(plan.clone());
-        let t = run_backend(&mut sharded, &scenario, EPOCHS);
-        assert_trajectories_match(&reference, &t, &format!("sharded@{devices}+faults"));
+        )
+        .partition_over(&scenario.dataset.cameras);
+        engine.install_fault_plan(plan.clone());
+        let t = run_backend(&mut engine, &scenario, EPOCHS);
+        assert_trajectories_match(&reference, &t, &format!("simulated@{devices}+faults"));
         let stats = plan.stats();
         assert!(stats.transients > 0, "plan injected nothing: {stats:?}");
+        assert!(stats.straggled_ops > 0, "straggler never fired: {stats:?}");
         assert_eq!(stats.aborts, 0, "recovery must not abort: {stats:?}");
     }
 }
 
 /// Runs `backend` over `slices[from..to]` (one flattened multi-epoch batch
 /// sequence) and extends the trajectory capture in place.
-fn run_slice_range<B: ExecutionBackend>(
-    backend: &mut B,
+fn run_slice_range(
+    backend: &mut dyn ExecutionBackend,
     scenario: &Scenario,
     slices: &[std::ops::Range<usize>],
     from: usize,
@@ -144,106 +131,71 @@ fn kill_and_restore_from_checkpoint_is_bit_identical() {
         "the kill must leave batches to replay"
     );
 
-    // Pipelined: train to the kill point, snapshot through the full byte
-    // round-trip, restore into a fresh engine, finish.
-    let mut first = PipelinedEngine::new(
-        scenario.init.clone(),
-        scenario.train.clone(),
-        runtime_config(1),
-    );
-    let mut trajectory = Trajectory {
-        reports: Vec::new(),
-        model_sizes: Vec::new(),
-        resizes: Vec::new(),
-        final_model: clm_repro::gs_core::GaussianModel::new(),
+    // One protocol for every backend kind (the checkpoint is
+    // backend-agnostic trainer state): train to the kill point, snapshot
+    // through the full byte round-trip, restore into a fresh backend of the
+    // same kind — warm-start ratio included — and finish.
+    type Build<'a> = Box<dyn Fn(Trainer, Option<f64>) -> Box<dyn ExecutionBackend> + 'a>;
+    let simulated = |devices: usize| -> Build<'_> {
+        let cameras = &scenario.dataset.cameras;
+        Box::new(move |trainer, warm_start_ratio| {
+            let config = RuntimeConfig {
+                warm_start_ratio,
+                ..runtime_config(devices)
+            };
+            Box::new(PipelinedEngine::with_trainer(trainer, config).partition_over(cameras))
+        })
     };
-    run_slice_range(&mut first, &scenario, &slices, 0, kill_at, &mut trajectory);
-    let ratio = first.window_selector().smoothed_ratio();
-    let bytes = Checkpoint::capture(first.trainer(), ratio).encode();
-    drop(first); // the "kill": nothing survives but the checkpoint bytes
+    let threaded: Build<'_> = Box::new(|trainer, warm_start_ratio| {
+        let config = ThreadedConfig {
+            warm_start_ratio,
+            ..threaded_config()
+        };
+        Box::new(ThreadedBackend::with_trainer(trainer, config))
+    });
+    for (label, build) in [
+        ("simulated@1", simulated(1)),
+        ("threaded", threaded),
+        ("simulated@2", simulated(2)),
+    ] {
+        let fresh = Trainer::new(scenario.init.clone(), scenario.train.clone());
+        let mut first = build(fresh, None);
+        let mut trajectory = Trajectory {
+            reports: Vec::new(),
+            model_sizes: Vec::new(),
+            resizes: Vec::new(),
+            final_model: clm_repro::gs_core::GaussianModel::new(),
+        };
+        run_slice_range(
+            first.as_mut(),
+            &scenario,
+            &slices,
+            0,
+            kill_at,
+            &mut trajectory,
+        );
+        let ratio = first.window_selector().smoothed_ratio();
+        let bytes = Checkpoint::capture(first.trainer(), ratio).encode();
+        drop(first); // the "kill": nothing survives but the checkpoint bytes
 
-    let decoded = Checkpoint::decode(&bytes).expect("checkpoint bytes round-trip");
-    assert_eq!(decoded.batches_trained, kill_at as u64);
-    let trainer = decoded
-        .restore(scenario.train.clone())
-        .expect("checkpoint restores against the run's config");
-    let mut config = runtime_config(1);
-    config.warm_start_ratio = decoded.warm_start_ratio;
-    let mut resumed = PipelinedEngine::with_trainer(trainer, config);
-    run_slice_range(
-        &mut resumed,
-        &scenario,
-        &slices,
-        kill_at,
-        slices.len(),
-        &mut trajectory,
-    );
-    trajectory.final_model = resumed.trainer().model().clone();
-    assert_trajectories_match(&reference, &trajectory, "pipelined kill+restore");
-
-    // Threaded and sharded: same snapshot protocol, restored into their own
-    // backend kinds (the checkpoint is backend-agnostic trainer state).
-    let mut first = ThreadedBackend::new(
-        scenario.init.clone(),
-        scenario.train.clone(),
-        threaded_config(),
-    );
-    let mut trajectory = Trajectory {
-        reports: Vec::new(),
-        model_sizes: Vec::new(),
-        resizes: Vec::new(),
-        final_model: clm_repro::gs_core::GaussianModel::new(),
-    };
-    run_slice_range(&mut first, &scenario, &slices, 0, kill_at, &mut trajectory);
-    let bytes = Checkpoint::capture(first.trainer(), None).encode();
-    drop(first);
-    let trainer = Checkpoint::decode(&bytes)
-        .expect("checkpoint bytes round-trip")
-        .restore(scenario.train.clone())
-        .expect("checkpoint restores against the run's config");
-    let mut resumed = ThreadedBackend::with_trainer(trainer, threaded_config());
-    run_slice_range(
-        &mut resumed,
-        &scenario,
-        &slices,
-        kill_at,
-        slices.len(),
-        &mut trajectory,
-    );
-    trajectory.final_model = resumed.trainer().model().clone();
-    assert_trajectories_match(&reference, &trajectory, "threaded kill+restore");
-
-    let mut first = ShardedEngine::new(
-        scenario.init.clone(),
-        scenario.train.clone(),
-        runtime_config(2),
-        &scenario.dataset.cameras,
-    );
-    let mut trajectory = Trajectory {
-        reports: Vec::new(),
-        model_sizes: Vec::new(),
-        resizes: Vec::new(),
-        final_model: clm_repro::gs_core::GaussianModel::new(),
-    };
-    run_slice_range(&mut first, &scenario, &slices, 0, kill_at, &mut trajectory);
-    let bytes = Checkpoint::capture(first.trainer(), None).encode();
-    drop(first);
-    let trainer = Checkpoint::decode(&bytes)
-        .expect("checkpoint bytes round-trip")
-        .restore(scenario.train.clone())
-        .expect("checkpoint restores against the run's config");
-    let mut resumed =
-        ShardedEngine::with_trainer(trainer, runtime_config(2), &scenario.dataset.cameras);
-    run_slice_range(
-        &mut resumed,
-        &scenario,
-        &slices,
-        kill_at,
-        slices.len(),
-        &mut trajectory,
-    );
-    trajectory.final_model = resumed.trainer().model().clone();
-    assert_trajectories_match(&reference, &trajectory, "sharded kill+restore");
+        let decoded = Checkpoint::decode(&bytes).expect("checkpoint bytes round-trip");
+        assert_eq!(decoded.batches_trained, kill_at as u64, "{label}");
+        let warm = decoded.warm_start_ratio;
+        let trainer = decoded
+            .restore(scenario.train.clone())
+            .expect("checkpoint restores against the run's config");
+        let mut resumed = build(trainer, warm);
+        run_slice_range(
+            resumed.as_mut(),
+            &scenario,
+            &slices,
+            kill_at,
+            slices.len(),
+            &mut trajectory,
+        );
+        trajectory.final_model = resumed.trainer().model().clone();
+        assert_trajectories_match(&reference, &trajectory, &format!("{label} kill+restore"));
+    }
 }
 
 #[test]
@@ -257,12 +209,12 @@ fn device_loss_mid_run_finishes_bit_identically() {
     // (the trajectory is device-count invariant, so "same as D=2" and
     // "same as the reference" are the same gate).
     let plan = FaultPlan::new(FaultSpec::new(0xDEAD).with_device_loss(2, 2));
-    let mut sharded = ShardedEngine::new(
+    let mut sharded = PipelinedEngine::new(
         scenario.init.clone(),
         scenario.train.clone(),
         runtime_config(4),
-        &scenario.dataset.cameras,
-    );
+    )
+    .partition_over(&scenario.dataset.cameras);
     sharded.install_fault_plan(plan.clone());
     let t = run_backend(&mut sharded, &scenario, EPOCHS);
     assert_trajectories_match(&reference, &t, "sharded device-loss 4->2");

@@ -1,9 +1,8 @@
 //! Shared cross-backend conformance harness for densifying training runs.
 //!
-//! Every execution backend in this workspace — the synchronous
-//! `clm_core::Trainer`, the simulated `PipelinedEngine`, the
-//! `ThreadedBackend` and the multi-device `ShardedEngine` — claims the same
-//! contract: scheduling changes *when and where* work runs, never *what* is
+//! Every way of executing a batch in this workspace — the synchronous
+//! `clm_core::Trainer`, the simulated `PipelinedEngine` at any device count
+//! and the `ThreadedBackend` — claims the same contract: scheduling changes *when and where* work runs, never *what* is
 //! computed.  Mid-epoch densification is the hardest case of that contract,
 //! because the model, the optimiser state, the offloaded host store and the
 //! pinned staging pool all resize while training is under way.  This module
@@ -48,7 +47,7 @@ pub const INIT_GAUSSIANS: usize = 150;
 /// growth dynamics ever shift).
 pub const MAX_GAUSSIANS: usize = INIT_GAUSSIANS + 40;
 
-/// The device counts to run the sharded conformance legs at.
+/// The device counts to run the simulated engine's conformance legs at.
 pub fn conformance_devices() -> Vec<usize> {
     std::env::var("CONFORMANCE_DEVICES")
         .ok()
@@ -201,8 +200,8 @@ pub fn run_reference(scenario: &Scenario, epochs: usize) -> Trajectory {
 
 /// Replays the scenario through an execution backend, batch by batch (so the
 /// model size can be captured at every boundary).
-pub fn run_backend<B: ExecutionBackend>(
-    backend: &mut B,
+pub fn run_backend(
+    backend: &mut dyn ExecutionBackend,
     scenario: &Scenario,
     epochs: usize,
 ) -> Trajectory {

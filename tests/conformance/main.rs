@@ -1,13 +1,12 @@
 //! Cross-backend conformance suite for densification under the runtime.
 //!
 //! Replays one seeded densifying run — two resize boundaries, net growth
-//! and net prune both exercised — through all four trainers (`Trainer`,
-//! `PipelinedEngine`, `ThreadedBackend`, `ShardedEngine` at devices
-//! {1, 2, 4}) and asserts trajectory **bit-identity**, pinned-pool
-//! accounting and report invariants.  CI runs this as
-//! `cargo test --test conformance` in every leg of the shard matrix, with
-//! `CONFORMANCE_DEVICES` narrowing the sharded legs to the matrix's device
-//! count.
+//! and net prune both exercised — through every executor (`Trainer`,
+//! `ThreadedBackend`, `PipelinedEngine` at devices {1, 2, 4}) and asserts
+//! trajectory **bit-identity**, pinned-pool accounting and report
+//! invariants.  CI runs this as `cargo test --test conformance` in every
+//! leg of the shard matrix, with `CONFORMANCE_DEVICES` narrowing the
+//! simulated engine's legs to the matrix's device count.
 
 mod chaos;
 mod harness;
@@ -15,8 +14,8 @@ mod serve;
 
 use clm_repro::clm_core::SystemKind;
 use clm_repro::clm_runtime::{
-    ExecutionBackend, PipelinedEngine, PrefetchPolicy, RuntimeConfig, ShardedEngine,
-    ThreadedBackend, ThreadedConfig, WarmStartCache,
+    ExecutionBackend, PipelinedEngine, PrefetchPolicy, RuntimeConfig, ThreadedBackend,
+    ThreadedConfig, WarmStartCache,
 };
 use clm_repro::sim_device::{Lane, OpKind};
 use harness::*;
@@ -57,14 +56,6 @@ fn densifying_run_is_bit_identical_across_all_backends_and_device_counts() {
     let reference = run_reference(&scenario, EPOCHS);
     assert_densification_exercised(&reference);
 
-    let mut pipelined = PipelinedEngine::new(
-        scenario.init.clone(),
-        scenario.train.clone(),
-        runtime_config(1),
-    );
-    let t = run_backend(&mut pipelined, &scenario, EPOCHS);
-    assert_trajectories_match(&reference, &t, "pipelined");
-
     let mut threaded = ThreadedBackend::new(
         scenario.init.clone(),
         scenario.train.clone(),
@@ -73,20 +64,24 @@ fn densifying_run_is_bit_identical_across_all_backends_and_device_counts() {
     let t = run_backend(&mut threaded, &scenario, EPOCHS);
     assert_trajectories_match(&reference, &t, "threaded");
 
+    // One engine, every device count (1 is the paper's single-device
+    // pipeline and needs no partition views).
     for devices in conformance_devices() {
-        let mut sharded = ShardedEngine::new(
+        let mut engine = PipelinedEngine::new(
             scenario.init.clone(),
             scenario.train.clone(),
             runtime_config(devices),
-            &scenario.dataset.cameras,
         );
-        let t = run_backend(&mut sharded, &scenario, EPOCHS);
-        assert_trajectories_match(&reference, &t, &format!("sharded@{devices}"));
+        if devices > 1 {
+            engine = engine.partition_over(&scenario.dataset.cameras);
+        }
+        let t = run_backend(&mut engine, &scenario, EPOCHS);
+        assert_trajectories_match(&reference, &t, &format!("simulated@{devices}"));
         // The boundary repartition covered the resized population: every
         // Gaussian of the final model has exactly one owner.
-        assert_eq!(sharded.partition().len(), t.final_model.len());
+        assert_eq!(engine.partition().len(), t.final_model.len());
         assert_eq!(
-            sharded.partition().device_counts().iter().sum::<usize>(),
+            engine.partition().device_counts().iter().sum::<usize>(),
             t.final_model.len()
         );
     }

@@ -1,6 +1,6 @@
-//! Integration tests of multi-device sharded training: the `ShardedEngine`
-//! (and the threaded backend's device rounds, and the trainer's own
-//! `num_devices` waves) must reproduce the 1-device trainer's trajectory
+//! Integration tests of multi-device sharded training: the `PipelinedEngine`
+//! at `num_devices > 1` (and the threaded backend's device rounds, and the
+//! trainer's own `num_devices` waves) must reproduce the 1-device trainer's trajectory
 //! **bit-for-bit** for device counts {1, 2, 4} across seeds — the shard-count
 //! invariance CI's `shard-matrix` job gates at the benchmark level — while
 //! the visibility-aware partitioner keeps the per-device footprint load
@@ -8,7 +8,7 @@
 
 use clm_repro::clm_core::{ground_truth_images, SystemKind, TrainConfig, Trainer};
 use clm_repro::clm_runtime::{
-    ExecutionBackend, RuntimeConfig, ShardedEngine, ThreadedBackend, ThreadedConfig,
+    ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
 };
 use clm_repro::gs_scene::{
     generate_dataset, init_from_point_cloud, partition_by_footprint, DatasetConfig, InitConfig,
@@ -74,15 +74,15 @@ fn sharded_engine_is_bit_identical_across_device_counts_and_seeds() {
         }
 
         for devices in DEVICE_COUNTS {
-            let mut sharded = ShardedEngine::new(
+            let mut sharded = PipelinedEngine::new(
                 init.clone(),
                 train.clone(),
                 RuntimeConfig {
                     num_devices: devices,
                     ..Default::default()
                 },
-                &dataset.cameras,
-            );
+            )
+            .partition_over(&dataset.cameras);
             let mut reports = Vec::new();
             for _ in 0..2 {
                 reports.extend(sharded.run_epoch(&dataset, &targets));
@@ -186,7 +186,7 @@ fn partitioner_balances_projected_footprint_load() {
 fn sharded_schedule_uses_every_device_lane_group() {
     let (dataset, targets, init) = setup(11);
     let devices = 4;
-    let mut sharded = ShardedEngine::new(
+    let mut sharded = PipelinedEngine::new(
         init,
         TrainConfig {
             batch_size: 8,
@@ -196,8 +196,8 @@ fn sharded_schedule_uses_every_device_lane_group() {
             num_devices: devices,
             ..Default::default()
         },
-        &dataset.cameras,
-    );
+    )
+    .partition_over(&dataset.cameras);
     let report = sharded.execute_batch(&dataset.cameras[..8], &targets[..8]);
     assert_eq!(report.device_lanes.len(), devices);
     for (dev, lanes) in report.device_lanes.iter().enumerate() {
@@ -215,15 +215,15 @@ fn sharded_schedule_uses_every_device_lane_group() {
 #[test]
 fn sharded_allreduce_and_traffic_accounting_hold() {
     let (dataset, targets, init) = setup(42);
-    let mut sharded = ShardedEngine::new(
+    let mut sharded = PipelinedEngine::new(
         init,
         train_config(42),
         RuntimeConfig {
             num_devices: 2,
             ..Default::default()
         },
-        &dataset.cameras,
-    );
+    )
+    .partition_over(&dataset.cameras);
     let report = sharded.run_batch(&dataset.cameras[..4], &targets[..4]);
     // Parameter/gradient traffic on the timeline still matches the batch
     // accounting (the per-device split never invents or loses bytes)…
@@ -252,7 +252,7 @@ fn sharded_pool_high_water_scales_with_device_lanes() {
     // and everything is returned by batch end.
     let (dataset, targets, init) = setup(97);
     for (devices, window, expected) in [(1usize, 1usize, 2usize), (2, 1, 4), (4, 0, 4)] {
-        let mut sharded = ShardedEngine::new(
+        let mut sharded = PipelinedEngine::new(
             init.clone(),
             TrainConfig {
                 batch_size: 8,
@@ -263,8 +263,8 @@ fn sharded_pool_high_water_scales_with_device_lanes() {
                 prefetch_window: window,
                 ..Default::default()
             },
-            &dataset.cameras,
-        );
+        )
+        .partition_over(&dataset.cameras);
         sharded.run_batch(&dataset.cameras[..8], &targets[..8]);
         sharded.run_batch(&dataset.cameras[..8], &targets[..8]);
         let stats = sharded.pool_stats();
@@ -291,15 +291,15 @@ fn sharded_engine_runs_the_comparison_systems_on_device_zero() {
             system,
             ..train_config(11)
         };
-        let mut sharded = ShardedEngine::new(
+        let mut sharded = PipelinedEngine::new(
             init.clone(),
             train.clone(),
             RuntimeConfig {
                 num_devices: 2,
                 ..Default::default()
             },
-            &dataset.cameras,
-        );
+        )
+        .partition_over(&dataset.cameras);
         let mut sync = Trainer::new(init.clone(), train);
         let s = sharded.run_batch(&dataset.cameras[..4], &targets[..4]);
         let r = sync.train_batch(&dataset.cameras[..4], &targets[..4]);
@@ -328,7 +328,7 @@ fn sharded_engine_passes_the_densifying_conformance_run_at_every_device_count() 
     let reference = harness::run_reference(&scenario, harness::EPOCHS);
     harness::assert_densification_exercised(&reference);
     for devices in DEVICE_COUNTS {
-        let mut sharded = ShardedEngine::new(
+        let mut sharded = PipelinedEngine::new(
             scenario.init.clone(),
             scenario.train.clone(),
             RuntimeConfig {
@@ -336,8 +336,8 @@ fn sharded_engine_passes_the_densifying_conformance_run_at_every_device_count() 
                 num_devices: devices,
                 ..Default::default()
             },
-            &scenario.dataset.cameras,
-        );
+        )
+        .partition_over(&scenario.dataset.cameras);
         let trajectory = harness::run_backend(&mut sharded, &scenario, harness::EPOCHS);
         harness::assert_trajectories_match(&reference, &trajectory, &format!("sharded@{devices}"));
         // The post-resize partition stays total and balanced over the new
