@@ -133,6 +133,30 @@ fn trace_binaries_reject_corrupt_and_truncated_input() {
     );
     assert_clean_failure(&out, "trace_replay with a non-numeric --window");
 
+    // The largest window is a valid one: the "window ≥ batch" schedule
+    // (this overflowed the replay's own window arithmetic before it shared
+    // the emitter's saturating `PrefetchWindow`).
+    let out = run(
+        env!("CARGO_BIN_EXE_trace_replay"),
+        &[
+            trace_path.to_str().expect("utf-8 path"),
+            "--window",
+            &usize::MAX.to_string(),
+        ],
+        &dir,
+    );
+    assert!(
+        out.status.success(),
+        "trace_replay --window usize::MAX must succeed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let summary = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        summary.starts_with("{\"schema\":\"clm_trace_replay_v1\",\"mode\":\"knobs\""),
+        "{summary}"
+    );
+    assert!(summary.trim_end().ends_with('}'), "{summary}");
+
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -17,6 +17,14 @@
 //! This module evaluates those functions: it builds the event timeline a
 //! training batch would produce under each strategy and derives every
 //! quantity the figures report.
+//!
+//! The timeline's *shape* is not written here: [`simulate_batch`] hands
+//! [`sim_device::pipeline`] — the schedule emitter the simulated engine and
+//! the trace replay also use — a cost source pricing each op from
+//! [`MicrobatchStats`] and the [`DeviceProfile`].  The CLM schedule is
+//! therefore the engine's single-device pipeline at the double-buffering
+//! window (1): the load for micro-batch `i + 1` overlaps the compute of
+//! micro-batch `i`, the overlap the paper's throughput results rest on.
 
 use crate::cache::plan_batch;
 use crate::offload::{GRADIENT_BYTES, NON_CRITICAL_BYTES};
@@ -25,6 +33,7 @@ use crate::schedule::FinalizationPlan;
 use gs_core::visibility::VisibilitySet;
 use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_scene::Dataset;
+use sim_device::pipeline::{self, AdamGroup, ClmShape, CostSource, OpCost};
 use sim_device::{DeviceProfile, Lane, MemoryCategory, MemoryPool, OpKind, Timeline};
 
 /// The four systems compared throughout the evaluation.
@@ -401,9 +410,99 @@ impl BatchSimulation {
     }
 }
 
+/// The prefetch window the analytic CLM schedule runs at: double buffering
+/// (§5.3, Figure 6) — the load for micro-batch `i + 1` overlaps the compute
+/// of micro-batch `i` but does not run further ahead.  A constant of the
+/// modelled system, not a knob.
+const ANALYTIC_PREFETCH_WINDOW: usize = 1;
+
+/// The analytic model as the schedule emitter's cost source: prices every
+/// op from the per-micro-batch statistics and the device's rate model.
+struct AnalyticCosts<'a> {
+    system: SystemKind,
+    device: &'a DeviceProfile,
+    stats: &'a [MicrobatchStats],
+    pixels: u64,
+    n_gaussians: u64,
+}
+
+impl AnalyticCosts<'_> {
+    fn render(&self, i: usize, time: impl Fn(&DeviceProfile, u64, u64) -> f64) -> OpCost {
+        // The plain baseline's fused culling feeds every Gaussian through
+        // the kernels; the other systems (naive offloading included, §6.1)
+        // pre-cull to the working set.
+        let processed = if self.system == SystemKind::Baseline {
+            self.n_gaussians
+        } else {
+            self.stats[i].working_set
+        };
+        OpCost::compute(time(self.device, processed, self.pixels), processed)
+    }
+
+    fn cpu_adam(&self, rows: u64) -> OpCost {
+        let params = rows * PARAMS_PER_GAUSSIAN as u64;
+        OpCost::compute(self.device.cpu_adam_time(params), rows)
+    }
+}
+
+impl CostSource for AnalyticCosts<'_> {
+    /// The PCIe load of the cache misses plus the on-GPU copy of the cached
+    /// rows between the double buffers (an order of magnitude faster than
+    /// PCIe); the forward pass needs both, so both are the gather.
+    fn gather(&mut self, i: usize) -> OpCost {
+        let s = &self.stats[i];
+        let cached = s.working_set.saturating_sub(s.fetched);
+        let load = self
+            .device
+            .transfer(s.fetched * NON_CRITICAL_BYTES as u64, s.fetched);
+        let cache_copy = self
+            .device
+            .transfer_time(cached * NON_CRITICAL_BYTES as u64)
+            / 10.0;
+        OpCost {
+            dur: load.dur + cache_copy,
+            ..load
+        }
+    }
+
+    fn forward(&mut self, i: usize) -> OpCost {
+        self.render(i, DeviceProfile::forward_time)
+    }
+
+    fn backward(&mut self, i: usize) -> OpCost {
+        self.render(i, DeviceProfile::backward_time)
+    }
+
+    fn store(&mut self, i: usize) -> OpCost {
+        let stored = self.stats[i].grads_stored;
+        self.device.transfer(stored * GRADIENT_BYTES as u64, stored)
+    }
+
+    fn allreduce(&mut self, _group: AdamGroup) -> OpCost {
+        unreachable!("the analytic model is single-device")
+    }
+
+    fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
+        let rows = match group {
+            // The paper's CPU Adam is sparse: Gaussians no view of the
+            // batch touched have no gradient and are skipped, so `F_0`
+            // updates zero rows.  (The functional trainer steps them with a
+            // zero gradient to stay bit-identical with dense Adam, which is
+            // why the shared graph has the op at all.)
+            AdamGroup::Untouched => 0,
+            AdamGroup::FinalizedBy(i) => self.stats[i].finalized,
+            AdamGroup::Dense => self.n_gaussians,
+        };
+        vec![self.cpu_adam(rows)]
+    }
+}
+
 /// Simulates one training batch of `system` on `device` for a model of
 /// `n_gaussians`, using per-micro-batch statistics `stats` (one entry per
-/// image in the batch).
+/// image in the batch).  The op graph of every system comes from
+/// [`sim_device::pipeline`] — the same emitter the simulated engine runs —
+/// so the CLM arm is the engine's single-device schedule at the
+/// double-buffering window, priced analytically.
 ///
 /// # Panics
 /// Panics if `stats` is empty.
@@ -415,86 +514,29 @@ pub fn simulate_batch(
     stats: &[MicrobatchStats],
 ) -> BatchSimulation {
     assert!(!stats.is_empty(), "need at least one micro-batch");
-    let pixels = scene.pixels();
     let mut timeline = Timeline::new();
-    let params_per_gaussian = PARAMS_PER_GAUSSIAN as u64;
+    let mut costs = AnalyticCosts {
+        system,
+        device,
+        stats,
+        pixels: scene.pixels(),
+        n_gaussians,
+    };
+    let all_params = n_gaussians * PARAMS_PER_GAUSSIAN as u64;
 
     match system {
         SystemKind::Baseline | SystemKind::EnhancedBaseline => {
-            let mut prev = None;
-            for s in stats {
-                let processed = if system == SystemKind::Baseline {
-                    n_gaussians
-                } else {
-                    s.working_set
-                };
-                let deps: Vec<_> = prev.into_iter().collect();
-                let fwd = timeline.push(
-                    OpKind::Forward,
-                    Lane::GpuCompute,
-                    device.forward_time(processed, pixels),
-                    &deps,
-                );
-                let bwd = timeline.push(
-                    OpKind::Backward,
-                    Lane::GpuCompute,
-                    device.backward_time(processed, pixels),
-                    &[fwd],
-                );
-                prev = Some(bwd);
-            }
             // Fused GPU Adam over the whole model at the end of the batch.
-            let deps: Vec<_> = prev.into_iter().collect();
-            timeline.push(
-                OpKind::GpuAdamUpdate,
-                Lane::GpuCompute,
-                device.gpu_adam_time(n_gaussians * params_per_gaussian),
-                &deps,
-            );
+            let adam = OpCost::compute(device.gpu_adam_time(all_params), n_gaussians);
+            pipeline::emit_gpu_only(&mut timeline, &[], stats.len(), adam, &mut costs);
         }
         SystemKind::NaiveOffload => {
             // Figure 3: load ALL parameters, train the batch (one image at a
             // time with gradient accumulation), store ALL gradients, then
             // run CPU Adam over everything — strictly sequentially.
-            let all_param_bytes = n_gaussians * params_per_gaussian * 4;
-            let load = timeline.push_with_bytes(
-                OpKind::LoadParams,
-                Lane::GpuComm,
-                device.transfer_time(all_param_bytes),
-                all_param_bytes,
-                &[],
-            );
-            let mut prev = load;
-            for s in stats {
-                // Naive offloading also adopts pre-rendering frustum culling
-                // (§6.1), so compute scales with the working set.
-                let fwd = timeline.push(
-                    OpKind::Forward,
-                    Lane::GpuCompute,
-                    device.forward_time(s.working_set, pixels),
-                    &[prev],
-                );
-                let bwd = timeline.push(
-                    OpKind::Backward,
-                    Lane::GpuCompute,
-                    device.backward_time(s.working_set, pixels),
-                    &[fwd],
-                );
-                prev = bwd;
-            }
-            let store = timeline.push_with_bytes(
-                OpKind::StoreGrads,
-                Lane::GpuComm,
-                device.transfer_time(all_param_bytes),
-                all_param_bytes,
-                &[prev],
-            );
-            timeline.push(
-                OpKind::CpuAdamUpdate,
-                Lane::CpuAdam,
-                device.cpu_adam_time(n_gaussians * params_per_gaussian),
-                &[store],
-            );
+            let transfer = device.transfer(all_params * 4, n_gaussians);
+            let adam = costs.cpu_adam(n_gaussians);
+            pipeline::emit_naive(&mut timeline, &[], stats.len(), transfer, adam, &mut costs);
         }
         SystemKind::Clm => {
             // Frustum culling (on the GPU, over selection-critical
@@ -506,68 +548,13 @@ pub fn simulate_batch(
                 &[],
             );
             let tsp = timeline.push(OpKind::Scheduling, Lane::CpuScheduler, 1.0e-3, &[cull]);
-
-            let mut prev_bwd: Option<sim_device::OpId> = None;
-            let mut pending_store: Option<sim_device::OpId> = None;
-            for s in stats {
-                let load_bytes = s.fetched * NON_CRITICAL_BYTES as u64;
-                let mut load_deps = vec![tsp];
-                if let Some(b) = prev_bwd {
-                    // Double buffering: the load for micro-batch i+1 may
-                    // overlap the compute of micro-batch i but not run
-                    // further ahead.
-                    load_deps.push(b);
-                }
-                let load = timeline.push_with_bytes(
-                    OpKind::LoadParams,
-                    Lane::GpuComm,
-                    device.transfer_time(load_bytes),
-                    load_bytes,
-                    &load_deps,
-                );
-                let cached = s.working_set.saturating_sub(s.fetched);
-                let cache_copy = timeline.push(
-                    OpKind::CacheCopy,
-                    Lane::GpuComm,
-                    // On-GPU copies are an order of magnitude faster than PCIe.
-                    device.transfer_time(cached * NON_CRITICAL_BYTES as u64) / 10.0,
-                    &[load],
-                );
-                let mut fwd_deps = vec![load, cache_copy];
-                if let Some(b) = prev_bwd {
-                    fwd_deps.push(b);
-                }
-                let fwd = timeline.push(
-                    OpKind::Forward,
-                    Lane::GpuCompute,
-                    device.forward_time(s.working_set, pixels),
-                    &fwd_deps,
-                );
-                let bwd = timeline.push(
-                    OpKind::Backward,
-                    Lane::GpuCompute,
-                    device.backward_time(s.working_set, pixels),
-                    &[fwd],
-                );
-                let store_bytes = s.grads_stored * GRADIENT_BYTES as u64;
-                let store = timeline.push_with_bytes(
-                    OpKind::StoreGrads,
-                    Lane::GpuComm,
-                    device.transfer_time(store_bytes),
-                    store_bytes,
-                    &[bwd],
-                );
-                // Overlapped CPU Adam for the Gaussians finalised here.
-                timeline.push(
-                    OpKind::CpuAdamUpdate,
-                    Lane::CpuAdam,
-                    device.cpu_adam_time(s.finalized * params_per_gaussian),
-                    &[store],
-                );
-                prev_bwd = Some(bwd);
-                pending_store = Some(store);
-            }
-            let _ = pending_store;
+            let shape = ClmShape {
+                microbatches: stats.len(),
+                window: ANALYTIC_PREFETCH_WINDOW,
+                devices: 1,
+                overlapped: true,
+            };
+            pipeline::emit_clm(&mut timeline, &[tsp], &shape, &mut costs);
         }
     }
 
@@ -751,6 +738,30 @@ mod tests {
             // CLM also moves far fewer bytes.
             assert!(clm.bytes_loaded < naive.bytes_loaded / 4);
         }
+    }
+
+    #[test]
+    fn analytic_clm_prefetches_one_microbatch_ahead() {
+        // The overlap the paper is about: at the double-buffering window the
+        // load for micro-batch 2 waits for micro-batch 0's compute only, so
+        // it is under way while micro-batch 1 still computes.
+        let device = DeviceProfile::rtx4090();
+        let scene = SceneProfile::paper_reference(SceneKind::Rubble);
+        let n = max_trainable_gaussians(SystemKind::NaiveOffload, &device, &scene);
+        let stats = synthetic_microbatch_stats(&scene, n, true);
+        let clm = simulate_batch(SystemKind::Clm, &device, &scene, n, &stats);
+        let op = |kind: OpKind, microbatch: u32| {
+            clm.timeline
+                .ops()
+                .iter()
+                .find(|o| o.kind == kind && o.microbatch == Some(microbatch))
+                .expect("every micro-batch has the op")
+        };
+        assert!(op(OpKind::LoadParams, 2).start < op(OpKind::Backward, 1).end);
+        assert!(
+            op(OpKind::LoadParams, 2).start >= op(OpKind::Backward, 0).end,
+            "but no further ahead than one micro-batch"
+        );
     }
 
     #[test]

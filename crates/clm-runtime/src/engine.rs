@@ -31,6 +31,11 @@
 //!   (a chain of [`OpKind::AllReduce`] ops on the comm lanes, device 0
 //!   first).
 //!
+//! The op graph itself — which op on which lane, waiting for what, as a
+//! function of window and device count — is [`sim_device::pipeline`]'s; the
+//! engine is that emitter's cost source and executes the batch inside its
+//! hooks (see `BatchRun`).
+//!
 //! With `num_devices = 1` all of that degenerates to the paper's
 //! single-device pipeline on the four classic lanes (device 0's lane group
 //! *is* `GpuCompute`/`GpuComm`/`CpuAdam`): one device owns every Gaussian,
@@ -62,16 +67,18 @@
 
 use crate::backend::{ExecutionBackend, ExecutionReport, LaneBusy};
 use crate::pool::{PinnedBufferPool, PoolStats, StagingBuffer};
-use crate::prefetch::{PrefetchPolicy, PrefetchWindow, WindowSelector};
+use crate::prefetch::{PrefetchPolicy, WindowSelector};
 use crate::report::IterationReport;
 use clm_core::{BatchPlan, SystemKind, TrainConfig, Trainer, GRADIENT_BYTES};
 use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
+use gs_core::visibility::VisibilitySet;
 use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_optim::GradientBuffer;
 use gs_render::Image;
 use gs_scene::{partition_by_footprint, Dataset, GaussianPartition};
-use sim_device::{DeviceProfile, FaultPlan, Lane, OpId, OpKind, Timeline};
+use sim_device::pipeline::{self, AdamGroup, ClmShape, CostSource, OpCost};
+use sim_device::{DeviceProfile, FaultPlan, Lane, OpKind, Timeline};
 
 /// Scheduling-lane cost per Gaussian-view of frustum culling (seconds).
 const CULL_COST_PER_GAUSSIAN_VIEW: f64 = 2.0e-10;
@@ -196,6 +203,14 @@ impl CostModel {
         let n = self.scaled_gaussians(model_len) as f64;
         let m = plan.num_microbatches() as f64;
         n * m * CULL_COST_PER_GAUSSIAN_VIEW + m * m * ORDER_COST_PER_PAIR
+    }
+
+    /// An Adam update over `count` Gaussians at `rate`
+    /// ([`DeviceProfile::cpu_adam_time`] or the baselines' fused
+    /// [`DeviceProfile::gpu_adam_time`]).
+    pub fn adam(&self, count: usize, rate: impl Fn(&DeviceProfile, u64) -> f64) -> OpCost {
+        let params = self.scaled_gaussians(count) * PARAMS_PER_GAUSSIAN as u64;
+        OpCost::compute(rate(&self.device, params), count as u64)
     }
 
     /// Host seconds the boundary resize recorded in `plan` costs (0 when
@@ -492,42 +507,67 @@ impl PipelinedEngine {
             &sched_deps,
         );
 
-        let total_loss = match self.trainer.config().system {
-            SystemKind::Clm => self.run_clm_pipeline(
-                &plan,
-                window,
-                cameras,
-                targets,
-                &mut grads,
-                &mut timeline,
-                sched,
-                &cost,
-            ),
-            SystemKind::NaiveOffload => run_naive_batch(
-                &mut self.trainer,
-                &cost,
-                &plan,
-                cameras,
-                targets,
-                &mut grads,
-                &mut timeline,
-                sched,
-            ),
-            SystemKind::Baseline | SystemKind::EnhancedBaseline => run_gpu_only_batch(
-                &mut self.trainer,
-                &cost,
-                &plan,
-                cameras,
-                targets,
-                &mut grads,
-                &mut timeline,
-                sched,
-            ),
+        // One op graph per system, owned by `sim_device::pipeline`; the
+        // engine is its cost source and runs the batch inside the hooks.
+        let system = self.trainer.config().system;
+        let overlapped = self.trainer.overlapped();
+        let microbatches = plan.num_microbatches();
+        let model_len = self.trainer.model().len();
+        let mut run = BatchRun {
+            trainer: &mut self.trainer,
+            pool: &mut self.pool,
+            partition: &self.partition,
+            fault_plan: self.fault_plan.as_ref(),
+            cost: &cost,
+            plan: &plan,
+            cameras,
+            targets,
+            grads: &mut grads,
+            devices: self.config.num_devices,
+            staged: (0..microbatches).map(|_| None).collect(),
+            total_loss: 0.0,
+            local_rows: 0,
+            cross_shard_rows: 0,
         };
+        run.trainer.begin_batch(&plan, run.grads);
+        let after = [sched];
+        match system {
+            SystemKind::Clm => {
+                let shape = ClmShape {
+                    microbatches,
+                    window,
+                    devices: run.devices,
+                    overlapped,
+                };
+                pipeline::emit_clm(&mut timeline, &after, &shape, &mut run);
+            }
+            SystemKind::NaiveOffload => {
+                let bytes = model_len * PARAMS_PER_GAUSSIAN * gs_core::BYTES_PER_PARAM;
+                let transfer = cost
+                    .device
+                    .transfer(cost.scaled_bytes(bytes as u64), model_len as u64);
+                let adam = cost.adam(model_len, DeviceProfile::cpu_adam_time);
+                pipeline::emit_naive(
+                    &mut timeline,
+                    &after,
+                    microbatches,
+                    transfer,
+                    adam,
+                    &mut run,
+                );
+            }
+            SystemKind::Baseline | SystemKind::EnhancedBaseline => {
+                let adam = cost.adam(model_len, DeviceProfile::gpu_adam_time);
+                pipeline::emit_gpu_only(&mut timeline, &after, microbatches, adam, &mut run);
+            }
+        }
+        let total_loss = run.total_loss;
+        self.local_rows += run.local_rows;
+        self.cross_shard_rows += run.cross_shard_rows;
 
         // Feed the adaptive window policy with this batch's simulated
         // fetch/compute balance.
-        if self.trainer.config().system == SystemKind::Clm {
+        if system == SystemKind::Clm {
             self.window_selector.observe(
                 self.config.policy,
                 timeline.time_by_kind(OpKind::LoadParams),
@@ -568,251 +608,82 @@ impl PipelinedEngine {
         }
         reports
     }
+}
 
-    /// The CLM pipeline (Figure 6, once per device): per-device windowed
-    /// gather prefetch, per-device compute, per-transition gradient stores,
-    /// fixed-order all-reduce, owner-sharded early-finalised CPU Adam.
-    #[allow(clippy::too_many_arguments)]
-    fn run_clm_pipeline(
-        &mut self,
-        plan: &BatchPlan,
-        window: usize,
-        cameras: &[Camera],
-        targets: &[Image],
-        grads: &mut GradientBuffer,
-        timeline: &mut Timeline,
-        sched: OpId,
-        cost: &CostModel,
-    ) -> f32 {
-        let devices = self.config.num_devices;
-        let m = plan.num_microbatches();
-        let overlapped = self.trainer.overlapped();
-        // Device d's local micro-batch sequence is d, d + D, d + 2D, …;
-        // each device gets its own prefetch window over that sequence.
-        let local_len = |d: usize| (m + devices - 1 - d) / devices;
-        let windows: Vec<PrefetchWindow> = (0..devices)
-            .map(|d| PrefetchWindow::new(window, local_len(d)))
-            .collect();
+/// One batch of the engine as the emitter's cost source: prices every op
+/// from the [`BatchPlan`], the [`CostModel`] and the ownership partition —
+/// and *executes* the batch inside the hooks.  [`staged`](CostSource::staged)
+/// leases a pinned buffer and gathers into it, [`backward`](CostSource::backward)
+/// renders the micro-batch, releases the buffer and applies the finalised
+/// Adam group, so the numerics and the pool's `window + 1` high-water follow
+/// the emitter's schedule order rather than a loop of their own.
+struct BatchRun<'a> {
+    trainer: &'a mut Trainer,
+    pool: &'a mut PinnedBufferPool,
+    partition: &'a GaussianPartition,
+    fault_plan: Option<&'a FaultPlan>,
+    cost: &'a CostModel,
+    plan: &'a BatchPlan,
+    cameras: &'a [Camera],
+    targets: &'a [Image],
+    grads: &'a mut GradientBuffer,
+    devices: usize,
+    /// Gathered-but-unconsumed staging buffers, by micro-batch (CLM only).
+    staged: Vec<Option<StagingBuffer>>,
+    total_loss: f32,
+    local_rows: u64,
+    cross_shard_rows: u64,
+}
 
-        self.trainer.begin_batch(plan, grads);
-        if overlapped {
-            // F_0: Gaussians the batch never touches are final from the
-            // start; each owner device updates its shard immediately, and
-            // the update overlaps the whole pipeline.
-            for (dev, count) in self
-                .partition
-                .split_counts(plan.untouched.indices())
-                .iter()
-                .enumerate()
-            {
-                timeline.push_traced(
-                    OpKind::CpuAdamUpdate,
-                    Lane::adam_of(dev),
-                    cost.device
-                        .cpu_adam_time(cost.scaled_gaussians(*count) * PARAMS_PER_GAUSSIAN as u64),
-                    0,
-                    *count as u64,
-                    None,
-                    &[sched],
-                );
-            }
-        }
-
-        let mut gather_ops: Vec<Option<OpId>> = vec![None; m];
-        let mut backward_ops: Vec<Option<OpId>> = vec![None; m];
-        let mut staging_slots: Vec<Option<StagingBuffer>> = (0..m).map(|_| None).collect();
-        let mut last_store: Vec<Option<OpId>> = vec![None; devices];
-        let mut last_allreduce: Option<OpId> = None;
-
-        // Initial prefetch frontier, device-major: every device fills its
-        // own window before any compute is issued.
-        for dev in 0..devices {
-            for k in windows[dev].issuable_after(None) {
-                let i = k * devices + dev;
-                let (id, buf) =
-                    self.issue_gather(plan, i, &windows, &backward_ops, timeline, sched, cost);
-                gather_ops[i] = Some(id);
-                staging_slots[i] = Some(buf);
-            }
-        }
-
-        let mut total_loss = 0.0f32;
-        for i in 0..m {
-            let dev = i % devices;
-            let k = i / devices;
-            let buf = staging_slots[i]
-                .take()
-                .expect("prefetch schedule must have staged this micro-batch");
-
-            let pixels = cost.scaled_pixels(&targets[plan.order[i]]);
-            let rows = plan.ordered_sets[i].len() as u64;
-            let gaussians = cost.scaled_gaussians(plan.ordered_sets[i].len());
-            let fwd = timeline.push_traced(
-                OpKind::Forward,
-                Lane::compute_of(dev),
-                cost.device.forward_time(gaussians, pixels),
-                0,
-                rows,
-                Some(i as u32),
-                &[gather_ops[i].expect("gather issued before compute")],
-            );
-            let bwd = timeline.push_traced(
-                OpKind::Backward,
-                Lane::compute_of(dev),
-                cost.device.backward_time(gaussians, pixels),
-                0,
-                rows,
-                Some(i as u32),
-                &[fwd],
-            );
-            backward_ops[i] = Some(bwd);
-
-            total_loss += self
-                .trainer
-                .process_microbatch(plan, i, cameras, targets, &buf, grads);
-            self.pool.release(buf);
-
-            // Retire this micro-batch's finalised gradients to the device's
-            // host shard …
-            let group_rows = plan.finalization.finalized_by(i).len() as u64;
-            let store_bytes = cost.scaled_bytes(plan.store_bytes(i));
-            let store = timeline.push_traced(
-                OpKind::StoreGrads,
-                Lane::comm_of(dev),
-                cost.device.transfer_time(store_bytes),
-                store_bytes,
-                group_rows,
-                Some(i as u32),
-                &[bwd],
-            );
-            last_store[dev] = Some(store);
-
-            // … reduce the finalised group across devices in fixed order,
-            // then let each owner update its shard on its Adam lane while
-            // later micro-batches keep the compute lanes busy.
-            self.trainer.apply_finalized(plan, i, grads);
-            if overlapped {
-                let group = plan.finalization.finalized_by(i);
-                let adam_dep = push_allreduce(
-                    timeline,
-                    cost,
-                    devices,
-                    group.len(),
-                    Some(i as u32),
-                    &last_store,
-                    &mut last_allreduce,
-                    sched,
-                );
-                for (dev2, count) in self
-                    .partition
-                    .split_counts(group.indices())
-                    .iter()
-                    .enumerate()
-                {
-                    timeline.push_traced(
-                        OpKind::CpuAdamUpdate,
-                        Lane::adam_of(dev2),
-                        cost.device.cpu_adam_time(
-                            cost.scaled_gaussians(*count) * PARAMS_PER_GAUSSIAN as u64,
-                        ),
-                        0,
-                        *count as u64,
-                        Some(i as u32),
-                        &[adam_dep],
-                    );
-                }
-            }
-
-            // This completion frees the next prefetch slot on this device.
-            for k2 in windows[dev].issuable_after(Some(k)) {
-                let j = k2 * devices + dev;
-                let (id, buf) =
-                    self.issue_gather(plan, j, &windows, &backward_ops, timeline, sched, cost);
-                gather_ops[j] = Some(id);
-                staging_slots[j] = Some(buf);
-            }
-        }
-
-        if !overlapped {
-            // Batch-end dense Adam (no-overlap CLM semantics): all-reduce
-            // the whole gradient, then every owner updates its shard.
-            let adam_dep = push_allreduce(
-                timeline,
-                cost,
-                devices,
-                self.trainer.model().len(),
-                None,
-                &last_store,
-                &mut last_allreduce,
-                sched,
-            );
-            for (dev, count) in self.partition.device_counts().iter().enumerate() {
-                timeline.push_traced(
-                    OpKind::CpuAdamUpdate,
-                    Lane::adam_of(dev),
-                    cost.device
-                        .cpu_adam_time(cost.scaled_gaussians(*count) * PARAMS_PER_GAUSSIAN as u64),
-                    0,
-                    *count as u64,
-                    None,
-                    &[adam_dep],
-                );
-            }
-        }
-        total_loss
+impl BatchRun<'_> {
+    fn render_cost(&self, i: usize, time: impl Fn(&DeviceProfile, u64, u64) -> f64) -> OpCost {
+        // The plain baseline's fused culling feeds every Gaussian through
+        // the kernels; every other system pre-culls to the visibility set.
+        let count = if self.trainer.config().system == SystemKind::Baseline {
+            self.trainer.model().len()
+        } else {
+            self.plan.ordered_sets[i].len()
+        };
+        let pixels = self.cost.scaled_pixels(&self.targets[self.plan.order[i]]);
+        let gaussians = self.cost.scaled_gaussians(count);
+        OpCost::compute(time(&self.cost.device, gaussians, pixels), count as u64)
     }
 
-    /// Issues the gather of micro-batch `i` on its device's comm lane,
-    /// honouring the prefetch window's compute dependency, and stages the
-    /// rows into a pooled buffer.  Rows owned by another device pay the
-    /// peer hop.
-    #[allow(clippy::too_many_arguments)]
-    fn issue_gather(
-        &mut self,
-        plan: &BatchPlan,
-        i: usize,
-        windows: &[PrefetchWindow],
-        backward_ops: &[Option<OpId>],
-        timeline: &mut Timeline,
-        sched: OpId,
-        cost: &CostModel,
-    ) -> (OpId, StagingBuffer) {
-        let devices = self.config.num_devices;
-        let dev = i % devices;
-        let k = i / devices;
-        let mut deps = vec![sched];
-        if let Some(k_dep) = windows[dev].gather_depends_on_compute_of(k) {
-            deps.push(
-                backward_ops[k_dep * devices + dev]
-                    .expect("window dependencies point at completed compute"),
-            );
+    /// The Gaussians of `group`; `None` is the whole model.
+    fn group_set(&self, group: AdamGroup) -> Option<&VisibilitySet> {
+        match group {
+            AdamGroup::Untouched => Some(&self.plan.untouched),
+            AdamGroup::FinalizedBy(i) => Some(self.plan.finalization.finalized_by(i)),
+            AdamGroup::Dense => None,
         }
+    }
+}
 
+impl CostSource for BatchRun<'_> {
+    /// Rows owned by another device pay the peer hop.
+    fn gather(&mut self, i: usize) -> OpCost {
         // Split the fetch by ownership: local rows at full PCIe bandwidth,
         // cross-shard rows with the extra peer hop.  The recorded bytes are
         // the full fetch either way, so the timeline's communication volume
         // keeps matching the batch accounting.
-        let indices = plan.fetched[i].indices();
-        let local = self.partition.split_counts(indices)[dev];
+        let cost = self.cost;
+        let indices = self.plan.fetched[i].indices();
+        let local = self.partition.split_counts(indices)[i % self.devices];
         let remote = indices.len() - local;
         self.local_rows += local as u64;
         self.cross_shard_rows += remote as u64;
         let local_bytes = cost.scaled_bytes((local * clm_core::NON_CRITICAL_BYTES) as u64);
         let remote_bytes = cost.scaled_bytes((remote * clm_core::NON_CRITICAL_BYTES) as u64);
-        let duration = cost.device.transfer_time(local_bytes)
-            + PEER_HOP_FACTOR * cost.device.transfer_time(remote_bytes);
-        let bytes = cost.scaled_bytes(plan.fetch_bytes(i));
-        let id = timeline.push_traced(
-            OpKind::LoadParams,
-            Lane::comm_of(dev),
-            duration,
-            bytes,
-            indices.len() as u64,
-            Some(i as u32),
-            &deps,
-        );
+        OpCost {
+            dur: cost.device.transfer_time(local_bytes)
+                + PEER_HOP_FACTOR * cost.device.transfer_time(remote_bytes),
+            bytes: cost.scaled_bytes(self.plan.fetch_bytes(i)),
+            rows: indices.len() as u64,
+        }
+    }
 
-        if let Some(fp) = &self.fault_plan {
+    fn staged(&mut self, timeline: &mut Timeline, i: usize) {
+        if let Some(fp) = self.fault_plan {
             if fp.next_staging_acquire() {
                 // Denied lease: stall one backoff interval on the host
                 // scheduler, then succeed (the pool recycles at the batch
@@ -830,209 +701,67 @@ impl PipelinedEngine {
                 );
             }
         }
-        let mut buf = self.pool.acquire(indices.len());
-        self.trainer.stage_microbatch(plan, i, &mut buf);
-        (id, buf)
+        let mut buf = self.pool.acquire(self.plan.fetched[i].len());
+        self.trainer.stage_microbatch(self.plan, i, &mut buf);
+        self.staged[i] = Some(buf);
     }
-}
 
-/// Naive (ZeRO-Offload-style) schedule: whole-model upload, serial
-/// compute, whole-gradient store, then one dense CPU Adam pass — no
-/// overlap anywhere, on device 0's lanes whatever the device count.
-#[allow(clippy::too_many_arguments)]
-fn run_naive_batch(
-    trainer: &mut Trainer,
-    cost: &CostModel,
-    plan: &BatchPlan,
-    cameras: &[Camera],
-    targets: &[Image],
-    grads: &mut GradientBuffer,
-    timeline: &mut Timeline,
-    sched: OpId,
-) -> f32 {
-    let n = trainer.model().len();
-    let full_bytes = cost.scaled_bytes((n * PARAMS_PER_GAUSSIAN * gs_core::BYTES_PER_PARAM) as u64);
-    let upload = timeline.push_traced(
-        OpKind::LoadParams,
-        Lane::GpuComm,
-        cost.device.transfer_time(full_bytes),
-        full_bytes,
-        n as u64,
-        None,
-        &[sched],
-    );
+    fn forward(&mut self, i: usize) -> OpCost {
+        self.render_cost(i, DeviceProfile::forward_time)
+    }
 
-    trainer.begin_batch(plan, grads);
-    let mut total_loss = 0.0f32;
-    let mut staging = Vec::new();
-    let mut last_bwd = upload;
-    for i in 0..plan.num_microbatches() {
-        let pixels = cost.scaled_pixels(&targets[plan.order[i]]);
-        let rows = plan.ordered_sets[i].len() as u64;
-        let gaussians = cost.scaled_gaussians(plan.ordered_sets[i].len());
-        let fwd = timeline.push_traced(
-            OpKind::Forward,
-            Lane::GpuCompute,
-            cost.device.forward_time(gaussians, pixels),
-            0,
-            rows,
-            Some(i as u32),
-            &[upload],
+    fn backward(&mut self, i: usize) -> OpCost {
+        // Only CLM stages rows; the other systems render from the resident
+        // model.
+        let staged = (self.trainer.config().system == SystemKind::Clm).then(|| {
+            self.staged[i]
+                .take()
+                .expect("prefetch schedule must have staged this micro-batch")
+        });
+        self.total_loss += self.trainer.process_microbatch(
+            self.plan,
+            i,
+            self.cameras,
+            self.targets,
+            staged.as_deref().unwrap_or(&[]),
+            self.grads,
         );
-        let bwd = timeline.push_traced(
-            OpKind::Backward,
-            Lane::GpuCompute,
-            cost.device.backward_time(gaussians, pixels),
-            0,
-            rows,
-            Some(i as u32),
-            &[fwd],
-        );
-        last_bwd = bwd;
-        trainer.stage_microbatch(plan, i, &mut staging);
-        total_loss += trainer.process_microbatch(plan, i, cameras, targets, &staging, grads);
-        trainer.apply_finalized(plan, i, grads);
-    }
-
-    let store = timeline.push_traced(
-        OpKind::StoreGrads,
-        Lane::GpuComm,
-        cost.device.transfer_time(full_bytes),
-        full_bytes,
-        n as u64,
-        None,
-        &[last_bwd],
-    );
-    timeline.push_traced(
-        OpKind::CpuAdamUpdate,
-        Lane::CpuAdam,
-        cost.device
-            .cpu_adam_time(cost.scaled_gaussians(n) * PARAMS_PER_GAUSSIAN as u64),
-        0,
-        n as u64,
-        None,
-        &[store],
-    );
-    total_loss
-}
-
-/// GPU-only baselines: compute per micro-batch plus a fused GPU Adam
-/// step at batch end; no PCIe traffic at all.  Device 0 only, like
-/// [`run_naive_batch`].
-#[allow(clippy::too_many_arguments)]
-fn run_gpu_only_batch(
-    trainer: &mut Trainer,
-    cost: &CostModel,
-    plan: &BatchPlan,
-    cameras: &[Camera],
-    targets: &[Image],
-    grads: &mut GradientBuffer,
-    timeline: &mut Timeline,
-    sched: OpId,
-) -> f32 {
-    let n = trainer.model().len();
-    let fused_culling = trainer.config().system == SystemKind::Baseline;
-
-    trainer.begin_batch(plan, grads);
-    let mut total_loss = 0.0f32;
-    let mut staging = Vec::new();
-    let mut last_bwd = sched;
-    for i in 0..plan.num_microbatches() {
-        let pixels = cost.scaled_pixels(&targets[plan.order[i]]);
-        // The plain baseline feeds every Gaussian through the kernels;
-        // the enhanced baseline pre-culls.
-        let count = if fused_culling {
-            n
-        } else {
-            plan.ordered_sets[i].len()
-        };
-        let gaussians = cost.scaled_gaussians(count);
-        let fwd = timeline.push_traced(
-            OpKind::Forward,
-            Lane::GpuCompute,
-            cost.device.forward_time(gaussians, pixels),
-            0,
-            count as u64,
-            Some(i as u32),
-            &[sched],
-        );
-        let bwd = timeline.push_traced(
-            OpKind::Backward,
-            Lane::GpuCompute,
-            cost.device.backward_time(gaussians, pixels),
-            0,
-            count as u64,
-            Some(i as u32),
-            &[fwd],
-        );
-        last_bwd = bwd;
-        trainer.stage_microbatch(plan, i, &mut staging);
-        total_loss += trainer.process_microbatch(plan, i, cameras, targets, &staging, grads);
-        trainer.apply_finalized(plan, i, grads);
-    }
-
-    timeline.push_traced(
-        OpKind::GpuAdamUpdate,
-        Lane::GpuCompute,
-        cost.device
-            .gpu_adam_time(cost.scaled_gaussians(n) * PARAMS_PER_GAUSSIAN as u64),
-        0,
-        n as u64,
-        None,
-        &[last_bwd],
-    );
-    total_loss
-}
-
-/// Pushes the fixed-device-order all-reduce chain for one finalisation
-/// group's gradients and returns the op the dependent Adam updates must
-/// wait for.  With one device there is nothing to exchange — the dependency
-/// is the device's latest gradient store.
-#[allow(clippy::too_many_arguments)]
-fn push_allreduce(
-    timeline: &mut Timeline,
-    cost: &CostModel,
-    devices: usize,
-    group_len: usize,
-    microbatch: Option<u32>,
-    last_store: &[Option<OpId>],
-    last_allreduce: &mut Option<OpId>,
-    sched: OpId,
-) -> OpId {
-    if devices == 1 {
-        return last_store[0].unwrap_or(sched);
-    }
-    // Ring all-reduce: every device sends and receives (D-1)/D of the
-    // group's gradient bytes.  The chain over devices 0 → D-1 makes the
-    // reduction order an explicit scheduling dependency — the determinism
-    // the bit-identity argument relies on.
-    let total_bytes = cost.scaled_bytes((group_len * GRADIENT_BYTES) as u64);
-    let per_device = (total_bytes as f64 * (devices - 1) as f64 / devices as f64).round() as u64;
-    let mut base_deps: Vec<OpId> = last_store.iter().flatten().copied().collect();
-    if base_deps.is_empty() {
-        base_deps.push(sched);
-    }
-    if let Some(prev) = *last_allreduce {
-        base_deps.push(prev);
-    }
-    let mut tail: Option<OpId> = None;
-    for dev in 0..devices {
-        let mut deps = base_deps.clone();
-        if let Some(t) = tail {
-            deps.push(t);
+        if let Some(buf) = staged {
+            self.pool.release(buf);
         }
-        tail = Some(timeline.push_traced(
-            OpKind::AllReduce,
-            Lane::comm_of(dev),
-            cost.device.transfer_time(per_device),
-            per_device,
-            group_len as u64,
-            microbatch,
-            &deps,
-        ));
+        self.trainer.apply_finalized(self.plan, i, self.grads);
+        self.render_cost(i, DeviceProfile::backward_time)
     }
-    *last_allreduce = tail;
-    tail.expect("devices >= 2 pushed at least one op")
+
+    fn store(&mut self, i: usize) -> OpCost {
+        let bytes = self.cost.scaled_bytes(self.plan.store_bytes(i));
+        let rows = self.plan.finalization.finalized_by(i).len();
+        self.cost.device.transfer(bytes, rows as u64)
+    }
+
+    fn allreduce(&mut self, group: AdamGroup) -> OpCost {
+        // Ring all-reduce: every device sends and receives (D-1)/D of the
+        // group's gradient bytes.
+        let rows = self
+            .group_set(group)
+            .map_or(self.trainer.model().len(), VisibilitySet::len);
+        let total = self.cost.scaled_bytes((rows * GRADIENT_BYTES) as u64);
+        let devices = self.devices as f64;
+        let share = (total as f64 * (devices - 1.0) / devices).round() as u64;
+        self.cost.device.transfer(share, rows as u64)
+    }
+
+    fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
+        // Each owner device updates its shard of the group.
+        let counts = match self.group_set(group) {
+            Some(set) => self.partition.split_counts(set.indices()),
+            None => self.partition.device_counts().to_vec(),
+        };
+        counts
+            .into_iter()
+            .map(|n| self.cost.adam(n, DeviceProfile::cpu_adam_time))
+            .collect()
+    }
 }
 
 impl ExecutionBackend for PipelinedEngine {

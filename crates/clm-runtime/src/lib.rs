@@ -79,8 +79,9 @@ pub use autotune::{derive_knobs, tuned, Autotune, Calibration, TunedKnobs};
 pub use backend::{ExecutionBackend, ExecutionReport, LaneBusy};
 pub use engine::{PipelinedEngine, RuntimeConfig, PEER_HOP_FACTOR};
 pub use pool::{PinnedBufferPool, PoolStats, StagingBuffer};
-pub use prefetch::{PrefetchPolicy, PrefetchWindow, TuningRecord, WarmStartCache, WindowSelector};
+pub use prefetch::{PrefetchPolicy, TuningRecord, WarmStartCache, WindowSelector};
 pub use report::{IterationReport, LaneReport};
+pub use sim_device::PrefetchWindow;
 pub use threaded::{ThreadedBackend, ThreadedConfig};
 pub use workers::{spawn_lane, BusyTimer, RecordedSpan, SpanLog, SpanLogError, WorkerLane};
 
@@ -593,9 +594,39 @@ mod tests {
         assert_eq!(models[0], models[1], "backends agree on the numerics");
     }
 
-    /// One fingerprint per pinned D = 1 scenario: every batch's
-    /// [`Timeline::fingerprint`](sim_device::Timeline::fingerprint) folded
-    /// with the engine's final [`PoolStats`].
+    /// Two batches' [`Timeline::fingerprint`](sim_device::Timeline::fingerprint)
+    /// folded with the engine's final [`PoolStats`] — the recipe every
+    /// schedule golden below pins.  Returns the fold and how many of the
+    /// batches crossed a densification boundary.
+    fn schedule_fingerprint(
+        engine: &mut PipelinedEngine,
+        dataset: &Dataset,
+        targets: &[Image],
+    ) -> (u64, usize) {
+        let mut fold = 0u64;
+        let mut resizes = 0;
+        for range in [0..6, 4..10] {
+            let report = engine.run_batch(&dataset.cameras[range.clone()], &targets[range]);
+            fold = fold.rotate_left(7) ^ report.timeline.fingerprint();
+            resizes += usize::from(report.resize.is_some());
+        }
+        let p = engine.pool_stats();
+        let fold = [
+            p.outstanding as u64,
+            p.high_water_buffers as u64,
+            p.high_water_bytes,
+            p.acquires,
+            p.recycled,
+            p.allocated,
+            p.reprovisions,
+            p.denied,
+        ]
+        .iter()
+        .fold(fold, |acc, v| acc.rotate_left(7) ^ v);
+        (fold, resizes)
+    }
+
+    /// One fingerprint per pinned D = 1 scenario.
     fn single_device_schedule_fingerprints() -> Vec<u64> {
         use sim_device::{FaultPlan, FaultSpec};
         let (dataset, targets, init) = tiny_setup();
@@ -604,24 +635,7 @@ mod tests {
             if let Some(spec) = faults {
                 engine.install_fault_plan(FaultPlan::new(spec));
             }
-            let mut fold = 0u64;
-            for range in [0..6, 4..10] {
-                let report = engine.run_batch(&dataset.cameras[range.clone()], &targets[range]);
-                fold = fold.rotate_left(7) ^ report.timeline.fingerprint();
-            }
-            let p = engine.pool_stats();
-            [
-                p.outstanding as u64,
-                p.high_water_buffers as u64,
-                p.high_water_bytes,
-                p.acquires,
-                p.recycled,
-                p.allocated,
-                p.reprovisions,
-                p.denied,
-            ]
-            .iter()
-            .fold(fold, |acc, v| acc.rotate_left(7) ^ v)
+            schedule_fingerprint(&mut engine, &dataset, &targets).0
         };
         let mut out = Vec::new();
         for window in [0usize, 2] {
@@ -670,6 +684,84 @@ mod tests {
                 0x042a_9aa4_5580_81e5,
                 0xd77f_c7d6_be32_762a,
                 0x4bad_bf84_eccd_4f63,
+            ]
+        );
+    }
+
+    #[test]
+    fn sharded_baseline_densify_and_fault_schedules_match_the_pre_emitter_golden() {
+        // Captured at the last commit whose engine still wired the op graph
+        // itself (before `sim_device::pipeline`), same recipe as the D = 1
+        // golden above: the schedules the shared emitter must reproduce bit
+        // for bit beyond one device and beyond CLM.
+        use clm_core::{DensifyConfig, DensifySchedule};
+        use sim_device::{FaultPlan, FaultSpec};
+        let (dataset, targets, init) = tiny_setup();
+        let run = |devices: usize, train: TrainConfig, faults: Option<FaultSpec>| {
+            let config = RuntimeConfig {
+                num_devices: devices,
+                ..runtime_config(2)
+            };
+            let mut engine =
+                PipelinedEngine::new(init.clone(), train, config).partition_over(&dataset.cameras);
+            if let Some(spec) = faults {
+                engine.install_fault_plan(FaultPlan::new(spec));
+            }
+            schedule_fingerprint(&mut engine, &dataset, &targets)
+        };
+        let with_system = |system: SystemKind| TrainConfig {
+            system,
+            ..Default::default()
+        };
+        let non_overlapped = TrainConfig {
+            overlapped_adam: false,
+            ..Default::default()
+        };
+        let faults =
+            FaultSpec::new(11)
+                .with_transients(0.5, 16)
+                .with_straggler(Lane::GpuComm, 3.0, 4);
+        let mut fingerprints = Vec::new();
+        for devices in [2usize, 4] {
+            fingerprints.push(run(devices, TrainConfig::default(), None).0);
+            fingerprints.push(run(devices, non_overlapped.clone(), None).0);
+        }
+        fingerprints.push(run(1, with_system(SystemKind::Baseline), None).0);
+        fingerprints.push(run(1, with_system(SystemKind::EnhancedBaseline), None).0);
+        // The second batch sits behind a densification boundary: a `Resize`
+        // op heads its timeline, the pool is re-provisioned and (at D = 2)
+        // ownership is repartitioned.
+        let densifying = TrainConfig {
+            densify: Some(DensifySchedule {
+                every_batches: 1,
+                config: DensifyConfig {
+                    grad_threshold: 1.0e-5,
+                    ..Default::default()
+                },
+            }),
+            ..Default::default()
+        };
+        for devices in [1usize, 2] {
+            let (fingerprint, resizes) = run(devices, densifying.clone(), None);
+            assert_eq!(resizes, 1, "the second batch must cross a boundary");
+            fingerprints.push(fingerprint);
+        }
+        for devices in [1usize, 2] {
+            fingerprints.push(run(devices, TrainConfig::default(), Some(faults)).0);
+        }
+        assert_eq!(
+            fingerprints,
+            [
+                0x01be_90f2_e572_075b,
+                0x2fe7_a2e7_f093_68f2,
+                0x22de_e5d2_5f2a_e79a,
+                0xeca7_b651_3a0c_fd83,
+                0x860e_878f_056f_f9bf,
+                0xa2ce_8b0e_5869_1fa2,
+                0xee49_59dd_ee40_caf3,
+                0xa656_720f_3e15_0c26,
+                0x0ac7_5c75_c7dc_c153,
+                0xf69d_8e71_9452_7285,
             ]
         );
     }

@@ -1,20 +1,11 @@
-//! Prefetch scheduling over the ordered micro-batch stream.
+//! Choosing the prefetch window, batch by batch.
 //!
 //! CLM hides parameter gathers behind compute by issuing them ahead of the
 //! micro-batch that needs them (Figure 6).  How far ahead is the *lookahead
-//! window* `W`: while micro-batch `i` computes, the gathers for micro-batches
-//! `i+1 ..= i+W` may be in flight on the communication stream, which requires
-//! `W + 1` staging buffers (double buffering is `W = 1`).
-//!
-//! [`PrefetchWindow`] captures the resulting dependence structure as pure
-//! index arithmetic so the engine and the tests share one definition:
-//!
-//! * `W = 0` degenerates to the synchronous schedule — every gather waits
-//!   for the previous micro-batch's compute, so communication never
-//!   overlaps compute;
-//! * `W ≥ m − 1` (window at least the batch size) leaves every gather
-//!   unconstrained by compute; the communication lane's own serialisation is
-//!   the only limit.
+//! window* `W`; its index arithmetic ([`sim_device::PrefetchWindow`]) lives
+//! next to the schedule emitter in `sim_device::pipeline`.  This module holds
+//! what decides `W`: the per-batch [`PrefetchPolicy`], the [`WindowSelector`]
+//! state both backends feed, and the per-scene [`WarmStartCache`].
 
 /// How the runtime picks the prefetch lookahead window for each batch.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -387,137 +378,9 @@ fn sanitize(key: &str) -> String {
     key.replace(['\t', '\n', '\r'], " ")
 }
 
-/// Lookahead-window policy for one batch of `num_microbatches` gathers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchWindow {
-    window: usize,
-    num_microbatches: usize,
-}
-
-impl PrefetchWindow {
-    /// Creates the policy for a batch.
-    pub fn new(window: usize, num_microbatches: usize) -> Self {
-        PrefetchWindow {
-            window,
-            num_microbatches,
-        }
-    }
-
-    /// The configured lookahead.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Index of the micro-batch whose **compute must have finished** before
-    /// the gather of micro-batch `i` may start, or `None` if the gather is
-    /// unconstrained (it only waits for the communication lane itself).
-    ///
-    /// The gather for micro-batch `i` may overlap the compute of
-    /// micro-batches `i - window .. i`, so it must wait for micro-batch
-    /// `i - window - 1`.
-    pub fn gather_depends_on_compute_of(&self, i: usize) -> Option<usize> {
-        debug_assert!(i < self.num_microbatches);
-        i.checked_sub(self.window.saturating_add(1))
-    }
-
-    /// Number of staging buffers the schedule needs: one per micro-batch
-    /// that may be gathered but not yet consumed (`window + 1`, capped by
-    /// the batch size).
-    pub fn staging_buffers(&self) -> usize {
-        self.window
-            .saturating_add(1)
-            .min(self.num_microbatches.max(1))
-    }
-
-    /// Micro-batches whose gathers should be issued once micro-batch
-    /// `completed` has finished computing (`None` = batch start): the next
-    /// contiguous run of gathers the window admits.
-    ///
-    /// At batch start this is `0 ..= window`; after micro-batch `j`
-    /// completes it is `j + window + 1` alone — the slot its completion
-    /// freed.
-    pub fn issuable_after(&self, completed: Option<usize>) -> std::ops::Range<usize> {
-        match completed {
-            None => 0..self.window.saturating_add(1).min(self.num_microbatches),
-            Some(j) => {
-                let next = j.saturating_add(self.window).saturating_add(1);
-                next.min(self.num_microbatches)..next.saturating_add(1).min(self.num_microbatches)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn window_zero_is_synchronous() {
-        // Every gather after the first waits for the immediately preceding
-        // compute: no communication/compute overlap at all.
-        let w = PrefetchWindow::new(0, 5);
-        assert_eq!(w.gather_depends_on_compute_of(0), None);
-        for i in 1..5 {
-            assert_eq!(w.gather_depends_on_compute_of(i), Some(i - 1));
-        }
-        assert_eq!(w.staging_buffers(), 1);
-        assert_eq!(w.issuable_after(None), 0..1);
-        assert_eq!(w.issuable_after(Some(2)), 3..4);
-    }
-
-    #[test]
-    fn double_buffering_is_window_one() {
-        let w = PrefetchWindow::new(1, 6);
-        assert_eq!(w.gather_depends_on_compute_of(0), None);
-        assert_eq!(w.gather_depends_on_compute_of(1), None);
-        assert_eq!(w.gather_depends_on_compute_of(2), Some(0));
-        assert_eq!(w.gather_depends_on_compute_of(5), Some(3));
-        assert_eq!(w.staging_buffers(), 2);
-        assert_eq!(w.issuable_after(None), 0..2);
-        assert_eq!(w.issuable_after(Some(0)), 2..3);
-    }
-
-    #[test]
-    fn window_at_least_batch_size_never_blocks_on_compute() {
-        for window in [7, 8, 100, usize::MAX - 1] {
-            let w = PrefetchWindow::new(window, 8);
-            for i in 0..8 {
-                assert_eq!(
-                    w.gather_depends_on_compute_of(i),
-                    None,
-                    "window {window}, micro {i}"
-                );
-            }
-            assert_eq!(w.staging_buffers(), 8, "buffers capped by batch size");
-            assert_eq!(w.issuable_after(None), 0..8);
-            // Completions free no further slots: everything was issued at
-            // batch start.
-            assert_eq!(w.issuable_after(Some(0)), 8..8);
-        }
-    }
-
-    #[test]
-    fn issuable_ranges_cover_each_gather_exactly_once() {
-        for window in 0..6 {
-            for m in 1..7 {
-                let w = PrefetchWindow::new(window, m);
-                let mut issued = vec![0usize; m];
-                for i in w.issuable_after(None) {
-                    issued[i] += 1;
-                }
-                for j in 0..m {
-                    for i in w.issuable_after(Some(j)) {
-                        issued[i] += 1;
-                    }
-                }
-                assert_eq!(
-                    issued,
-                    vec![1; m],
-                    "window {window}, batch {m}: every gather issued exactly once"
-                );
-            }
-        }
-    }
 
     #[test]
     fn adaptive_policy_tracks_the_fetch_compute_ratio() {
@@ -817,13 +680,5 @@ mod tests {
         assert_eq!(loaded.tuning("host-x", "bicycle"), Some(sample_record()));
         assert!(WarmStartCache::load(&dir.join("missing.tsv")).is_empty());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn single_microbatch_batches_are_degenerate_but_valid() {
-        let w = PrefetchWindow::new(3, 1);
-        assert_eq!(w.gather_depends_on_compute_of(0), None);
-        assert_eq!(w.staging_buffers(), 1);
-        assert_eq!(w.issuable_after(None), 0..1);
     }
 }

@@ -55,7 +55,7 @@
 
 use crate::backend::{ExecutionBackend, ExecutionReport, LaneBusy};
 use crate::pool::{PinnedBufferPool, PoolStats, StagingBuffer};
-use crate::prefetch::{PrefetchPolicy, PrefetchWindow, WindowSelector};
+use crate::prefetch::{PrefetchPolicy, WindowSelector};
 use crate::workers::{spawn_lane, BusyTimer, SpanLog};
 use clm_core::{gather_rows_into, BatchPlan, SystemKind, TrainConfig, Trainer};
 use gs_core::camera::Camera;
@@ -65,7 +65,7 @@ use gs_optim::ParamRow;
 use gs_render::parallel::parallel_map;
 use gs_render::Image;
 use gs_scene::Dataset;
-use sim_device::{FaultPlan, Lane, OpKind, Timeline};
+use sim_device::{FaultPlan, Lane, OpKind, PrefetchWindow, Timeline};
 use std::sync::mpsc::RecvTimeoutError;
 use std::time::{Duration, Instant};
 

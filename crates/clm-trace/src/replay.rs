@@ -11,11 +11,12 @@
 //!   path — matches the recording *bit for bit*.  This is the invariant CI
 //!   exercises: a trace is a faithful, re-simulatable record, not a lossy
 //!   log.
-//! * **Knob replay** ([`replay_with_knobs`]): the CLM pipeline structure is
-//!   rebuilt from the per-micro-batch costs in the trace under altered
+//! * **Knob replay** ([`replay_with_knobs`]): the CLM pipeline is
+//!   re-emitted from the per-micro-batch costs in the trace under altered
 //!   knobs — a different prefetch window, a different simulated device
-//!   count, or per-kind cost multipliers — mirroring the runtime engine's
-//!   op-emission order.  Replaying with the *recorded* knobs reproduces the
+//!   count, or per-kind cost multipliers — through
+//!   [`sim_device::pipeline`], the same emitter the runtime engine recorded
+//!   it with.  Replaying with the *recorded* knobs reproduces the
 //!   recorded schedule exactly; altered knobs answer "what if" questions
 //!   (how much overlap does window 0 lose? what does a 4-way shard buy?)
 //!   without re-running training.
@@ -26,6 +27,7 @@
 //! reject them with [`ReplayError::MeasuredTrace`].
 
 use crate::format::{CostParams, Trace, TraceEvent};
+use sim_device::pipeline::{self, AdamGroup, ClmShape, CostSource, OpCost};
 use sim_device::{Lane, OpId, OpKind, Timeline};
 
 /// Why a trace could not be replayed.
@@ -143,34 +145,10 @@ pub struct ReplayKnobs {
 }
 
 /// Re-pushes every batch through a fresh timeline with recorded durations,
-/// lanes and dependencies — the bit-exact reconstruction.
+/// lanes and dependencies — the bit-exact reconstruction (the structural
+/// replay at the identity scale, which never touches a duration).
 pub fn replay_exact(trace: &Trace) -> Result<Vec<BatchReplay>, ReplayError> {
-    if !trace.has_deps() {
-        return Err(ReplayError::MeasuredTrace);
-    }
-    let mut out = Vec::new();
-    for (epoch, batch, events) in trace.batches() {
-        let mut timeline = Timeline::new();
-        let mut ids: Vec<OpId> = Vec::with_capacity(events.len());
-        for e in events {
-            let deps: Vec<OpId> = e.deps.iter().map(|&d| ids[d as usize]).collect();
-            ids.push(timeline.push_traced(
-                e.kind,
-                e.lane,
-                e.dur,
-                e.bytes,
-                e.rows,
-                e.microbatch,
-                &deps,
-            ));
-        }
-        out.push(BatchReplay {
-            epoch,
-            batch,
-            timeline,
-        });
-    }
-    Ok(out)
+    replay_scaled(trace, &KindScale::default())
 }
 
 /// Replays the trace exactly and checks, op for op, that every
@@ -211,8 +189,7 @@ pub fn verify_exact(trace: &Trace) -> Result<Vec<BatchReplay>, ReplayError> {
 
 /// Replays under altered knobs.  With no window/device override this is a
 /// structural replay (recorded dependency graph, scaled durations); with
-/// one, the CLM pipeline is rebuilt from per-micro-batch costs mirroring
-/// the engine's emission order.
+/// one, the CLM pipeline is re-emitted from per-micro-batch costs.
 pub fn replay_with_knobs(
     trace: &Trace,
     knobs: &ReplayKnobs,
@@ -276,21 +253,12 @@ fn replay_scaled(trace: &Trace, scale: &KindScale) -> Result<Vec<BatchReplay>, R
     Ok(out)
 }
 
-/// Recorded cost of one op (duration plus its accounting annotations).
-#[derive(Debug, Clone, Copy, Default)]
-struct OpCost {
-    dur: f64,
-    bytes: u64,
-    rows: u64,
-}
-
-impl OpCost {
-    fn of(e: &TraceEvent) -> OpCost {
-        OpCost {
-            dur: e.dur,
-            bytes: e.bytes,
-            rows: e.rows,
-        }
+/// The recorded cost of one op.
+fn cost_of(e: &TraceEvent) -> OpCost {
+    OpCost {
+        dur: e.dur,
+        bytes: e.bytes,
+        rows: e.rows,
     }
 }
 
@@ -309,6 +277,8 @@ struct MbCost {
 /// rebuild re-schedules.
 #[derive(Debug, Clone)]
 struct ClmBatch {
+    /// Early-finalised per-group CPU Adam vs. one dense pass at batch end.
+    overlapped: bool,
     resize: Option<OpCost>,
     sched: OpCost,
     /// F0 Adam over the batch-untouched set (overlapped CLM only).
@@ -338,6 +308,7 @@ impl ClmBatch {
             .any(|e| e.kind == OpKind::CpuAdamUpdate && e.microbatch.is_some());
 
         let mut parsed = ClmBatch {
+            overlapped,
             resize: None,
             sched: OpCost::default(),
             f0_adam: None,
@@ -348,18 +319,18 @@ impl ClmBatch {
         let mut seen = vec![[false; 5]; m];
         for e in events {
             match (e.kind, e.microbatch) {
-                (OpKind::Resize, None) => parsed.resize = Some(OpCost::of(e)),
+                (OpKind::Resize, None) => parsed.resize = Some(cost_of(e)),
                 (OpKind::Scheduling, None) => {
-                    parsed.sched = OpCost::of(e);
+                    parsed.sched = cost_of(e);
                     seen_sched = true;
                 }
                 (OpKind::CpuAdamUpdate, None) => {
                     // Overlapped batches front-load F0; non-overlapped ones
                     // end with the dense pass.
                     if overlapped {
-                        parsed.f0_adam = Some(OpCost::of(e));
+                        parsed.f0_adam = Some(cost_of(e));
                     } else {
-                        parsed.dense_adam = Some(OpCost::of(e));
+                        parsed.dense_adam = Some(cost_of(e));
                     }
                 }
                 (kind, Some(mb)) => {
@@ -371,7 +342,7 @@ impl ClmBatch {
                         OpKind::Backward => (&mut slot.backward, 2),
                         OpKind::StoreGrads => (&mut slot.store, 3),
                         OpKind::CpuAdamUpdate => {
-                            slot.adam = Some(OpCost::of(e));
+                            slot.adam = Some(cost_of(e));
                             seen[mb][4] = true;
                             continue;
                         }
@@ -384,7 +355,7 @@ impl ClmBatch {
                     if seen[mb][idx] {
                         return Err(ReplayError::BadStructure("duplicate per-micro-batch op"));
                     }
-                    *field = OpCost::of(e);
+                    *field = cost_of(e);
                     seen[mb][idx] = true;
                 }
                 _ => {
@@ -394,6 +365,16 @@ impl ClmBatch {
         }
         if !seen_sched {
             return Err(ReplayError::BadStructure("no scheduling op"));
+        }
+        let batch_adam = if overlapped {
+            parsed.f0_adam
+        } else {
+            parsed.dense_adam
+        };
+        if batch_adam.is_none() {
+            return Err(ReplayError::BadStructure(
+                "no batch-level CPU Adam op (F0 or dense)",
+            ));
         }
         for (mb, flags) in seen.iter().enumerate() {
             if !flags[..4].iter().all(|&s| s) || (overlapped && !flags[4]) {
@@ -406,260 +387,136 @@ impl ClmBatch {
         Ok(parsed)
     }
 
-    /// Mirrors the emission order of `clm_runtime::PipelinedEngine`'s CLM
-    /// pipeline across `devices` simulated lane groups under prefetch
-    /// window `w`.  At one device every op keeps its recorded cost, so the
-    /// rebuild needs no cost header and the recorded window reproduces the
-    /// recording exactly.  Re-sharding a single-device recording has no
-    /// ownership partition to consult, so above one device the rebuild
-    /// approximates uniform sharding: `1/D` of every fetch is local, Adam
-    /// groups split evenly across owners — the cost-model constants from
-    /// the trace header price the peer hops and all-reduce chains.
-    fn rebuild(&self, w: usize, devices: usize, cost: &CostParams, scale: &KindScale) -> Timeline {
-        let m = self.mbs.len();
-        let local_len = |d: usize| (m + devices - 1 - d) / devices;
-        let wins: Vec<Window> = (0..devices)
-            .map(|d| Window { w, m: local_len(d) })
-            .collect();
-        let mut t = Timeline::new();
-
-        let mut sched_deps = Vec::new();
-        if let Some(r) = &self.resize {
-            sched_deps.push(push_cost(
-                &mut t,
-                OpKind::Resize,
-                Lane::CpuScheduler,
-                r,
-                None,
-                &[],
-                scale,
-            ));
-        }
-        let sched = push_cost(
-            &mut t,
-            OpKind::Scheduling,
-            Lane::CpuScheduler,
-            &self.sched,
-            None,
-            &sched_deps,
+    /// Re-emits the batch through the shared schedule emitter
+    /// ([`sim_device::pipeline::emit_clm`] — the graph the engine recorded
+    /// it with) across `devices` simulated lane groups under prefetch
+    /// window `window`, priced by [`RecordedCosts`].
+    fn rebuild(
+        &self,
+        window: usize,
+        devices: usize,
+        cost: &CostParams,
+        scale: &KindScale,
+    ) -> Timeline {
+        let mut costs = RecordedCosts {
+            batch: self,
+            devices,
+            cost,
             scale,
-        );
-        if let Some(f0) = &self.f0_adam {
-            push_owner_adam(&mut t, f0, devices, None, sched, scale);
-        }
-
-        let mut gathers: Vec<Option<OpId>> = vec![None; m];
-        let mut backwards: Vec<Option<OpId>> = vec![None; m];
-        let mut last_store: Vec<Option<OpId>> = vec![None; devices];
-        let mut last_allreduce: Option<OpId> = None;
-
-        let push_gather = |t: &mut Timeline, backwards: &[Option<OpId>], i: usize| -> OpId {
-            let dev = i % devices;
-            let k = i / devices;
-            let mut deps = vec![sched];
-            if let Some(k_dep) = wins[dev].compute_dep(k) {
-                deps.push(
-                    backwards[k_dep * devices + dev]
-                        .expect("window dependencies point at completed compute"),
-                );
-            }
-            let g = &self.mbs[i].gather;
-            let dur = if devices == 1 {
-                // Everything is local: keep the recorded duration — it may
-                // carry fault-injected retries, and the cost header may be
-                // unusable — rather than re-pricing it.
-                g.dur
-            } else {
-                // Uniform-ownership approximation: 1/D of the fetch is
-                // local.
-                let local_bytes = g.bytes / devices as u64;
-                let remote_bytes = g.bytes - local_bytes;
-                cost.transfer_time(local_bytes)
-                    + cost.peer_hop_factor * cost.transfer_time(remote_bytes)
-            };
-            t.push_traced(
-                OpKind::LoadParams,
-                Lane::comm_of(dev),
-                scale.apply(OpKind::LoadParams, dur),
-                g.bytes,
-                g.rows,
-                Some(i as u32),
-                &deps,
-            )
         };
-
-        for dev in 0..devices {
-            for k in wins[dev].initial() {
-                let i = k * devices + dev;
-                gathers[i] = Some(push_gather(&mut t, &backwards, i));
-            }
-        }
-        for i in 0..m {
-            let dev = i % devices;
-            let k = i / devices;
-            let fwd = push_cost(
-                &mut t,
-                OpKind::Forward,
-                Lane::compute_of(dev),
-                &self.mbs[i].forward,
-                Some(i as u32),
-                &[gathers[i].expect("gather issued before compute")],
-                scale,
-            );
-            let bwd = push_cost(
-                &mut t,
-                OpKind::Backward,
-                Lane::compute_of(dev),
-                &self.mbs[i].backward,
-                Some(i as u32),
-                &[fwd],
-                scale,
-            );
-            backwards[i] = Some(bwd);
-            let store = push_cost(
-                &mut t,
-                OpKind::StoreGrads,
-                Lane::comm_of(dev),
-                &self.mbs[i].store,
-                Some(i as u32),
-                &[bwd],
-                scale,
-            );
-            last_store[dev] = Some(store);
-
-            if let Some(adam) = &self.mbs[i].adam {
-                let adam_dep = push_allreduce(
-                    &mut t,
-                    cost,
-                    devices,
-                    adam.rows,
-                    Some(i as u32),
-                    &last_store,
-                    &mut last_allreduce,
-                    sched,
-                    scale,
-                );
-                push_owner_adam(&mut t, adam, devices, Some(i as u32), adam_dep, scale);
-            }
-            for k2 in wins[dev].after(k) {
-                let j = k2 * devices + dev;
-                gathers[j] = Some(push_gather(&mut t, &backwards, j));
-            }
-        }
-        if let Some(dense) = &self.dense_adam {
-            let adam_dep = push_allreduce(
-                &mut t,
-                cost,
-                devices,
-                dense.rows,
-                None,
-                &last_store,
-                &mut last_allreduce,
-                sched,
-                scale,
-            );
-            push_owner_adam(&mut t, dense, devices, None, adam_dep, scale);
-        }
+        let mut t = Timeline::new();
+        let mut host_op = |kind: OpKind, recorded: OpCost, deps: &[OpId]| {
+            let c = costs.scaled(kind, recorded);
+            t.push_traced(kind, Lane::CpuScheduler, c.dur, c.bytes, c.rows, None, deps)
+        };
+        let resize: Vec<OpId> = self
+            .resize
+            .map(|r| host_op(OpKind::Resize, r, &[]))
+            .into_iter()
+            .collect();
+        let sched = host_op(OpKind::Scheduling, self.sched, &resize);
+        let shape = ClmShape {
+            microbatches: self.mbs.len(),
+            window,
+            devices,
+            overlapped: self.overlapped,
+        };
+        pipeline::emit_clm(&mut t, &[sched], &shape, &mut costs);
         t
     }
 }
 
-/// Mirrors the engine's fixed-device-order all-reduce chain, priced by the
-/// trace header's cost model (empty at one device).
-#[allow(clippy::too_many_arguments)]
-fn push_allreduce(
-    t: &mut Timeline,
-    cost: &CostParams,
+/// The recording as the emitter's cost source.  At one device every op
+/// keeps its recorded cost, so the rebuild needs no cost header and the
+/// recorded window reproduces the recording exactly.  Re-sharding a
+/// single-device recording has no ownership partition to consult, so above
+/// one device the costs approximate uniform sharding: `1/D` of every fetch
+/// is local, Adam groups split evenly across owners — the cost-model
+/// constants from the trace header price the peer hops and all-reduce
+/// chains.  [`KindScale`] applies per kind either way.
+struct RecordedCosts<'a> {
+    batch: &'a ClmBatch,
     devices: usize,
-    group_rows: u64,
-    microbatch: Option<u32>,
-    last_store: &[Option<OpId>],
-    last_allreduce: &mut Option<OpId>,
-    sched: OpId,
-    scale: &KindScale,
-) -> OpId {
-    if devices == 1 {
-        return last_store[0].unwrap_or(sched);
-    }
-    let total_bytes =
-        (group_rows as f64 * cost.gradient_bytes as f64 * cost.cost_scale).round() as u64;
-    let per_device = (total_bytes as f64 * (devices - 1) as f64 / devices as f64).round() as u64;
-    let mut base_deps: Vec<OpId> = last_store.iter().flatten().copied().collect();
-    if base_deps.is_empty() {
-        base_deps.push(sched);
-    }
-    if let Some(prev) = *last_allreduce {
-        base_deps.push(prev);
-    }
-    let mut tail: Option<OpId> = None;
-    for dev in 0..devices {
-        let mut deps = base_deps.clone();
-        if let Some(prev) = tail {
-            deps.push(prev);
+    cost: &'a CostParams,
+    scale: &'a KindScale,
+}
+
+impl RecordedCosts<'_> {
+    fn scaled(&self, kind: OpKind, cost: OpCost) -> OpCost {
+        OpCost {
+            dur: self.scale.apply(kind, cost.dur),
+            ..cost
         }
-        tail = Some(t.push_traced(
-            OpKind::AllReduce,
-            Lane::comm_of(dev),
-            scale.apply(OpKind::AllReduce, cost.transfer_time(per_device)),
-            per_device,
-            group_rows,
-            microbatch,
-            &deps,
-        ));
     }
-    *last_allreduce = tail;
-    tail.expect("devices >= 2 pushed at least one op")
-}
 
-/// Splits one recorded CPU Adam update evenly across the `devices` owners'
-/// Adam lanes, each share prorated by its rows.  A single owner keeps the
-/// recorded op as it is: prorating the whole (`dur * r / r`) is not
-/// bit-exact.
-fn push_owner_adam(
-    t: &mut Timeline,
-    adam: &OpCost,
-    devices: usize,
-    microbatch: Option<u32>,
-    dep: OpId,
-    scale: &KindScale,
-) {
-    if devices == 1 {
-        let kind = OpKind::CpuAdamUpdate;
-        push_cost(t, kind, Lane::CpuAdam, adam, microbatch, &[dep], scale);
-        return;
-    }
-    for (dev, rows) in split_rows(adam.rows, devices).into_iter().enumerate() {
-        let dur = prorate(adam.dur, rows, adam.rows);
-        t.push_traced(
-            OpKind::CpuAdamUpdate,
-            Lane::adam_of(dev),
-            scale.apply(OpKind::CpuAdamUpdate, dur),
-            0,
-            rows,
-            microbatch,
-            &[dep],
-        );
+    /// The recorded CPU Adam op of `group` ([`ClmBatch::parse`] checked it
+    /// is there).
+    fn recorded_adam(&self, group: AdamGroup) -> OpCost {
+        match group {
+            AdamGroup::Untouched => self.batch.f0_adam,
+            AdamGroup::FinalizedBy(i) => self.batch.mbs[i].adam,
+            AdamGroup::Dense => self.batch.dense_adam,
+        }
+        .expect("parse admits a batch only with every Adam op its schedule needs")
     }
 }
 
-fn push_cost(
-    t: &mut Timeline,
-    kind: OpKind,
-    lane: Lane,
-    cost: &OpCost,
-    microbatch: Option<u32>,
-    deps: &[OpId],
-    scale: &KindScale,
-) -> OpId {
-    t.push_traced(
-        kind,
-        lane,
-        scale.apply(kind, cost.dur),
-        cost.bytes,
-        cost.rows,
-        microbatch,
-        deps,
-    )
+impl CostSource for RecordedCosts<'_> {
+    fn gather(&mut self, i: usize) -> OpCost {
+        let g = self.batch.mbs[i].gather;
+        let dur = if self.devices == 1 {
+            // Everything is local: keep the recorded duration — it may
+            // carry fault-injected retries, and the cost header may be
+            // unusable — rather than re-pricing it.
+            g.dur
+        } else {
+            // Uniform-ownership approximation: 1/D of the fetch is local.
+            let local_bytes = g.bytes / self.devices as u64;
+            let remote_bytes = g.bytes - local_bytes;
+            self.cost.transfer_time(local_bytes)
+                + self.cost.peer_hop_factor * self.cost.transfer_time(remote_bytes)
+        };
+        self.scaled(OpKind::LoadParams, OpCost { dur, ..g })
+    }
+
+    fn forward(&mut self, i: usize) -> OpCost {
+        self.scaled(OpKind::Forward, self.batch.mbs[i].forward)
+    }
+
+    fn backward(&mut self, i: usize) -> OpCost {
+        self.scaled(OpKind::Backward, self.batch.mbs[i].backward)
+    }
+
+    fn store(&mut self, i: usize) -> OpCost {
+        self.scaled(OpKind::StoreGrads, self.batch.mbs[i].store)
+    }
+
+    fn allreduce(&mut self, group: AdamGroup) -> OpCost {
+        let rows = self.recorded_adam(group).rows;
+        let total_bytes =
+            (rows as f64 * self.cost.gradient_bytes as f64 * self.cost.cost_scale).round() as u64;
+        let devices = self.devices as f64;
+        let bytes = (total_bytes as f64 * (devices - 1.0) / devices).round() as u64;
+        let dur = self.cost.transfer_time(bytes);
+        self.scaled(OpKind::AllReduce, OpCost { dur, bytes, rows })
+    }
+
+    /// Splits the recorded update evenly across the owners' Adam lanes,
+    /// each share prorated by its rows.  A single owner keeps the recorded
+    /// op as it is: prorating the whole (`dur * r / r`) is not bit-exact.
+    fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
+        let adam = self.recorded_adam(group);
+        if self.devices == 1 {
+            return vec![self.scaled(OpKind::CpuAdamUpdate, adam)];
+        }
+        split_rows(adam.rows, self.devices)
+            .into_iter()
+            .map(|rows| {
+                let dur = prorate(adam.dur, rows, adam.rows);
+                self.scaled(OpKind::CpuAdamUpdate, OpCost::compute(dur, rows))
+            })
+            .collect()
+    }
 }
 
 /// `rows` split as evenly as possible across `devices` (remainder on the
@@ -676,31 +533,6 @@ fn prorate(dur: f64, part: u64, whole: u64) -> f64 {
         0.0
     } else {
         dur * part as f64 / whole as f64
-    }
-}
-
-/// The prefetch-window arithmetic of `clm_runtime::PrefetchWindow`,
-/// restated minimally so the trace crate does not depend on the runtime.
-#[derive(Debug, Clone, Copy)]
-struct Window {
-    w: usize,
-    m: usize,
-}
-
-impl Window {
-    /// Initial frontier: micro-batches gathered before any compute.
-    fn initial(&self) -> std::ops::Range<usize> {
-        0..(self.w + 1).min(self.m)
-    }
-
-    /// Slots freed by the completion of micro-batch `k`.
-    fn after(&self, k: usize) -> std::ops::Range<usize> {
-        (k + self.w + 1).min(self.m)..(k + self.w + 2).min(self.m)
-    }
-
-    /// The compute op gather `i` must wait for (none inside the frontier).
-    fn compute_dep(&self, i: usize) -> Option<usize> {
-        i.checked_sub(self.w + 1)
     }
 }
 

@@ -13,6 +13,9 @@
 //! * [`Timeline`] — a discrete-event scheduler over CUDA-stream-like lanes
 //!   with cross-lane dependencies, from which makespan, overlap,
 //!   utilisation and idle-rate statistics are derived;
+//! * [`pipeline`] — the one schedule emitter: the op graph of a training
+//!   batch under each of the four systems, as a function of prefetch window
+//!   and device count, priced through a [`CostSource`];
 //! * [`metrics`] — the Nsight-style utilisation numbers reported in the
 //!   paper's Table 7 and Figure 15;
 //! * [`HostTopology`] — the probe of the *real* host the simulation runs
@@ -26,13 +29,11 @@
 //!
 //! let profile = DeviceProfile::rtx4090();
 //! let mut timeline = Timeline::new();
+//! let sched = timeline.push(OpKind::Scheduling, Lane::CpuScheduler, 1.0e-3, &[]);
 //! let load = timeline.push_with_bytes(
-//!     OpKind::LoadParams, Lane::GpuComm, profile.transfer_time(1 << 20), 1 << 20, &[]);
-//! let fwd = timeline.push(
-//!     OpKind::Forward, Lane::GpuCompute, profile.forward_time(10_000, 256 * 256), &[load]);
-//! timeline.push(OpKind::Backward, Lane::GpuCompute,
-//!               profile.backward_time(10_000, 256 * 256), &[fwd]);
-//! assert!(timeline.makespan() > 0.0);
+//!     OpKind::LoadParams, Lane::GpuComm, profile.transfer_time(1 << 20), 1 << 20, &[sched]);
+//! assert_eq!(timeline.end_of(load), timeline.makespan());
+//! assert!(timeline.utilization(Lane::GpuComm) < 1.0);
 //! ```
 #![warn(missing_docs)]
 
@@ -41,6 +42,7 @@ pub mod fault;
 pub mod host;
 pub mod memory;
 pub mod metrics;
+pub mod pipeline;
 pub mod timeline;
 
 pub use device::{DeviceProfile, GIB};
@@ -52,5 +54,8 @@ pub use host::{CpuVendor, HostTopology};
 pub use memory::{AllocationId, MemoryCategory, MemoryPool, OutOfMemory};
 pub use metrics::{
     gpu_idle_rate_cdf, hardware_utilization, mean_gpu_utilization, HardwareUtilization,
+};
+pub use pipeline::{
+    emit_clm, emit_gpu_only, emit_naive, AdamGroup, ClmShape, CostSource, OpCost, PrefetchWindow,
 };
 pub use timeline::{empirical_cdf, Lane, OpId, OpKind, ScheduledOp, Timeline, TraceSink};

@@ -162,6 +162,62 @@ fn runtime_reports_cover_all_lanes_and_traffic() {
 mod harness;
 
 #[test]
+fn analytic_model_and_engine_emit_the_same_clm_graph() {
+    // One model, checked across crates: `clm_core::simulate_batch` and the
+    // engine both get the CLM op graph from `sim_device::pipeline`, so at
+    // the analytic model's window (1) and one device they must agree on
+    // every op's kind, lane, micro-batch and dependencies once their
+    // (different) scheduling preambles are set aside — durations differ by
+    // pricing only.
+    use clm_repro::clm_core::{microbatch_stats_from_sets, simulate_batch, SceneProfile};
+    use clm_repro::sim_device::{DeviceProfile, OpKind, Timeline};
+
+    /// (kind, lane, micro-batch, deps) of every op after the `preamble`
+    /// leading ops, dependencies counted from the end of the preamble.
+    fn graph(timeline: &Timeline, preamble: usize) -> Vec<(OpKind, Lane, Option<u32>, Vec<isize>)> {
+        timeline.ops()[preamble..]
+            .iter()
+            .map(|op| {
+                let deps = op
+                    .deps
+                    .iter()
+                    .map(|d| d.index() as isize - preamble as isize)
+                    .collect();
+                (op.kind, op.lane, op.microbatch, deps)
+            })
+            .collect()
+    }
+
+    let (dataset, targets, init) = setup();
+    let cams = &dataset.cameras[..6];
+    let mut engine = PipelinedEngine::new(
+        init,
+        TrainConfig::default(),
+        RuntimeConfig {
+            prefetch_window: 1,
+            ..Default::default()
+        },
+    );
+    let plan = engine.trainer().plan_batch(cams);
+    let n = engine.trainer().model().len() as u64;
+    let report = engine.run_batch(cams, &targets[..6]);
+
+    let analytic = simulate_batch(
+        SystemKind::Clm,
+        &DeviceProfile::rtx4090(),
+        &SceneProfile::paper_reference(SceneKind::Rubble),
+        n,
+        &microbatch_stats_from_sets(&plan.ordered_sets),
+    );
+
+    // The engine's preamble is its scheduling op; the analytic model's is
+    // GPU culling plus CPU ordering.
+    let engine_graph = graph(&report.timeline, 1);
+    assert_eq!(engine_graph, graph(&analytic.timeline, 2));
+    assert_eq!(engine_graph.len(), 1 + 6 * 5, "F0 Adam + five ops per view");
+}
+
+#[test]
 fn pipelined_engine_passes_the_densifying_conformance_run() {
     let scenario = harness::densifying_scenario();
     let reference = harness::run_reference(&scenario, harness::EPOCHS);
