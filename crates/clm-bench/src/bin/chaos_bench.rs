@@ -19,35 +19,30 @@
 //!   (default `CHAOS.clmckpt`).
 
 use clm_bench::chaos::{looks_like_chaos_json, run_chaos_bench, ChaosScale};
+use clm_bench::Args;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_chaos.json".to_string());
-    let ckpt_path = flag("--ckpt").unwrap_or_else(|| "CHAOS.clmckpt".to_string());
+    let args = Args::from_env();
+    let out_path = args.flag("--out").unwrap_or("BENCH_chaos.json");
+    let ckpt_path = args.flag("--ckpt").unwrap_or("CHAOS.clmckpt");
 
     let bench = run_chaos_bench(ChaosScale::smoke());
     let json = bench.to_json();
     println!("{json}");
 
-    if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
+    if let Err(e) = std::fs::write(out_path, format!("{json}\n")) {
         eprintln!("chaos_bench: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
-    if let Err(e) = std::fs::write(&ckpt_path, &bench.checkpoint) {
+    if let Err(e) = std::fs::write(ckpt_path, &bench.checkpoint) {
         eprintln!("chaos_bench: cannot write {ckpt_path}: {e}");
         return ExitCode::FAILURE;
     }
 
     // Gate 1: the artefact on disk must be a well-formed single-line JSON
     // object.
-    let written = match std::fs::read_to_string(&out_path) {
+    let written = match std::fs::read_to_string(out_path) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("chaos_bench: cannot re-read {out_path}: {e}");

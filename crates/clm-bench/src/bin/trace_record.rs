@@ -9,33 +9,27 @@
 //! * `--devices <n>` — simulated devices for the `sharded` backend.
 //! * `--out <path>` — output file (default `TRACE_<backend>.clmtrace`).
 
-use clm_bench::trace::{describe, record_trace, span_capture_note, TRACE_BACKENDS};
-use clm_bench::wallclock::WallclockScale;
+use clm_bench::trace::{describe, record_trace, span_capture_note, TraceScale, TRACE_BACKENDS};
+use clm_bench::Args;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let backend = flag("--backend").unwrap_or_else(|| "simulated".to_string());
-    if !TRACE_BACKENDS.contains(&backend.as_str()) {
+    let args = Args::from_env();
+    let backend = args.flag("--backend").unwrap_or("simulated");
+    if !TRACE_BACKENDS.contains(&backend) {
         eprintln!("trace_record: unknown backend {backend:?} (expected one of {TRACE_BACKENDS:?})");
         return ExitCode::FAILURE;
     }
-    let mut scale = match flag("--scale").as_deref() {
-        None | Some("smoke") => WallclockScale::smoke(),
-        Some("full") => WallclockScale::full(),
-        Some("test") => WallclockScale::test(),
+    let mut scale = match args.flag("--scale") {
+        None | Some("smoke") => TraceScale::smoke(),
+        Some("full") => TraceScale::full(),
+        Some("test") => TraceScale::test(),
         Some(other) => {
             eprintln!("trace_record: unknown scale {other:?} (expected smoke, full or test)");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(d) = flag("--devices") {
+    if let Some(d) = args.flag("--devices") {
         match d.parse::<usize>() {
             Ok(n) if n >= 1 => scale.devices = n,
             _ => {
@@ -44,9 +38,10 @@ fn main() -> ExitCode {
             }
         }
     }
-    let out_path = flag("--out").unwrap_or_else(|| format!("TRACE_{backend}.clmtrace"));
+    let default_out = format!("TRACE_{backend}.clmtrace");
+    let out_path = args.flag("--out").unwrap_or(&default_out);
 
-    let trace = match record_trace(&backend, &scale) {
+    let trace = match record_trace(backend, &scale) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("trace_record: {e}");
@@ -59,7 +54,7 @@ fn main() -> ExitCode {
         }
     }
     let bytes = trace.encode();
-    if let Err(e) = std::fs::write(&out_path, &bytes) {
+    if let Err(e) = std::fs::write(out_path, &bytes) {
         eprintln!("trace_record: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }

@@ -16,15 +16,16 @@
 //!
 //! Prints a single-line JSON summary either way.
 
+use clm_bench::Args;
 use clm_trace::{
     critical_path, replay_with_knobs, verify_exact, BatchReplay, KindScale, ReplayKnobs, Trace,
 };
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let path = match args.iter().find(|a| !a.starts_with("--")) {
-        Some(p) => p.clone(),
+    let args = Args::from_env();
+    let path = match args.positional() {
+        Some(p) => p,
         None => {
             eprintln!(
                 "usage: trace_replay <trace.clmtrace> [--window w] [--devices n] [--scale-* x]"
@@ -32,14 +33,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
     let parse_usize = |name: &str| -> Result<Option<usize>, String> {
-        match flag(name) {
+        match args.flag(name) {
             None => Ok(None),
             Some(v) => v
                 .parse::<usize>()
@@ -48,7 +43,7 @@ fn main() -> ExitCode {
         }
     };
     let parse_scale = |name: &str| -> Result<f64, String> {
-        match flag(name) {
+        match args.flag(name) {
             None => Ok(1.0),
             Some(v) => match v.parse::<f64>() {
                 Ok(x) if x > 0.0 && x.is_finite() => Ok(x),
@@ -76,7 +71,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let bytes = match std::fs::read(&path) {
+    let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("trace_replay: cannot read {path}: {e}");

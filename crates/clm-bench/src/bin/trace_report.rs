@@ -10,13 +10,14 @@
 //! * `--chrome <path>` — write a Chrome-trace JSON (load it in
 //!   `chrome://tracing` or Perfetto to see the lanes as tracks).
 
+use clm_bench::Args;
 use clm_trace::{chrome_trace_json, looks_like_report_json, Trace, TraceReport};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let path = match args.iter().find(|a| !a.starts_with("--")) {
-        Some(p) => p.clone(),
+    let args = Args::from_env();
+    let path = match args.positional() {
+        Some(p) => p,
         None => {
             eprintln!(
                 "usage: trace_report <trace.clmtrace> [--out report.json] [--chrome trace.json]"
@@ -24,14 +25,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-
-    let bytes = match std::fs::read(&path) {
+    let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("trace_report: cannot read {path}: {e}");
@@ -53,14 +47,14 @@ fn main() -> ExitCode {
     }
     println!("{json}");
 
-    if let Some(out) = flag("--out") {
-        if let Err(e) = std::fs::write(&out, format!("{json}\n")) {
+    if let Some(out) = args.flag("--out") {
+        if let Err(e) = std::fs::write(out, format!("{json}\n")) {
             eprintln!("trace_report: cannot write {out}: {e}");
             return ExitCode::FAILURE;
         }
     }
-    if let Some(chrome) = flag("--chrome") {
-        if let Err(e) = std::fs::write(&chrome, chrome_trace_json(&trace)) {
+    if let Some(chrome) = args.flag("--chrome") {
+        if let Err(e) = std::fs::write(chrome, chrome_trace_json(&trace)) {
             eprintln!("trace_report: cannot write {chrome}: {e}");
             return ExitCode::FAILURE;
         }

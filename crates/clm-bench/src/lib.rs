@@ -1,35 +1,30 @@
-//! Benchmark harness: regenerates every table and figure of the CLM paper's
-//! evaluation (§6) against the simulated device substrate and the synthetic
-//! evaluation scenes.
+//! Regenerates every table and figure of the CLM paper's evaluation (§6)
+//! against the simulated device substrate and the synthetic evaluation
+//! scenes, and hosts the op-trace and fault-recovery tooling.
 //!
 //! Each `report_*` function returns the rows/series of one paper artefact as
 //! a formatted text table; the binaries in `src/bin/` are thin wrappers that
-//! print them, and the Criterion benches in `benches/` measure the hot
-//! kernels the harness exercises.  Absolute numbers differ from the paper
-//! (the substrate is a calibrated simulator, not the authors' testbeds); the
-//! *shapes* — who wins, by roughly what factor, and where the crossovers
-//! fall — are the reproduction target, recorded in `EXPERIMENTS.md`.
+//! print them (`paper_figures`), record / replay / report op traces
+//! (`trace_*`) and run the chaos matrix (`chaos_bench`).  Absolute numbers
+//! differ from the paper (the substrate is a calibrated simulator, not the
+//! authors' testbeds); the *shapes* — who wins, by roughly what factor, and
+//! where the crossovers fall — are the reproduction target.
+//!
+//! Performance numbers do not come from this crate: the repo's one
+//! benchmark is `benchmarks/harness` (`BENCHMARK.json`).
 
+mod args;
 pub mod chaos;
-pub mod kernels;
 pub mod runtime_reports;
-pub mod serve;
 pub mod trace;
-pub mod wallclock;
 
+pub use args::Args;
 pub use chaos::{looks_like_chaos_json, run_chaos_bench, ChaosBench, ChaosScale};
-pub use kernels::{
-    looks_like_kernel_json, run_kernel_bench, KernelBench, KernelScale, KERNEL_NAMES,
-};
 pub use runtime_reports::{
     runtime_summary_figure11, runtime_summary_figure12, runtime_summary_figure13,
     runtime_summary_figure15, runtime_summary_table7,
 };
-pub use serve::{
-    looks_like_serve_json, parse_agent_report, run_serve_agent, AgentReport, ServeBench, ServeScale,
-};
-pub use trace::{record_trace, TRACE_BACKENDS};
-pub use wallclock::{run_wallclock_bench, WallclockBench, WallclockScale};
+pub use trace::{record_trace, TraceScale, TRACE_BACKENDS};
 
 use clm_core::{
     gpu_memory_required, ground_truth_images, max_trainable_gaussians, pinned_memory_required,

@@ -31,10 +31,10 @@ use sim_device::{
 /// Paper-scale Gaussian count the runtime schedules are costed at (the
 /// Rubble model size naive offloading maxes out at on the RTX 4090,
 /// Figure 10).
-const PAPER_SCALE_GAUSSIANS: f64 = 45_200_000.0;
+pub(crate) const PAPER_SCALE_GAUSSIANS: f64 = 45_200_000.0;
 
 /// Paper rendering resolution (1080p) the pixel costs are lifted to.
-const PAPER_SCALE_PIXELS: f64 = 1920.0 * 1080.0;
+pub(crate) const PAPER_SCALE_PIXELS: f64 = 1920.0 * 1080.0;
 
 /// Views per batch in the runtime summaries.
 const BATCH: usize = 8;
@@ -259,7 +259,7 @@ pub fn runtime_summary_figure13() -> String {
         } else {
             0.0
         },
-        crate::wallclock::detect_host_cores(),
+        sim_device::HostTopology::cached().effective_cores(),
         scaling,
     )
 }

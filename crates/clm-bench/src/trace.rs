@@ -1,6 +1,5 @@
-//! Op-trace recording harness: trains the wallclock benchmark's scene on a
-//! chosen execution backend and captures every operation into a
-//! [`clm_trace::Trace`].
+//! Op-trace recording harness: trains one seeded scene on a chosen execution
+//! backend and captures every operation into a [`clm_trace::Trace`].
 //!
 //! This is the producer end of the trace pipeline; the `trace_record`,
 //! `trace_replay` and `trace_report` binaries are thin wrappers.  Two kinds
@@ -16,19 +15,174 @@
 //!   dependency structure.  These feed the report/Chrome-trace pipeline but
 //!   refuse exact replay (there is no schedule to re-simulate).
 //!
-//! The workload is [`crate::wallclock`]'s scene (same seeds, same densify
-//! cadence), so traces line up with `BENCH_runtime.json` entries.
+//! The workload is a [`TraceScale`]: a fixed-seed Rubble scene that
+//! densifies mid-epoch, priced at paper scale on the simulated backends, so
+//! a recording is an exact function of `(backend, scale)`.
 
-use crate::wallclock::{bench_scene, detect_host_cores, paper_scale_config, WallclockScale};
-use clm_core::{Trainer, GRADIENT_BYTES};
-use clm_runtime::{PipelinedEngine, ThreadedBackend, ThreadedConfig, PEER_HOP_FACTOR};
+use crate::runtime_reports::{PAPER_SCALE_GAUSSIANS, PAPER_SCALE_PIXELS};
+use clm_core::{
+    ground_truth_images, DensifyConfig, DensifySchedule, SystemKind, TrainConfig, Trainer,
+    GRADIENT_BYTES,
+};
+use clm_runtime::{
+    PipelinedEngine, PrefetchPolicy, RuntimeConfig, ThreadedBackend, ThreadedConfig,
+    PEER_HOP_FACTOR,
+};
 use clm_trace::{CostParams, Trace, TraceMeta, TraceWriter};
+use gs_core::gaussian::GaussianModel;
 use gs_render::Image;
-use gs_scene::Dataset;
-use sim_device::{DeviceProfile, Timeline};
+use gs_scene::{
+    generate_dataset, init_from_point_cloud, Dataset, DatasetConfig, InitConfig, SceneKind,
+    SceneSpec,
+};
+use sim_device::{DeviceProfile, HostTopology, Timeline};
 
-/// Seed of the generated dataset (matches [`crate::wallclock`]).
+/// Seed of the generated dataset, recorded in every trace header.
 pub const DATASET_SEED: u64 = 29;
+
+/// Workload of one recorded run.
+#[derive(Debug, Clone)]
+pub struct TraceScale {
+    /// Label in the trace header's scene name (`"smoke"`, `"full"`, …).
+    pub label: &'static str,
+    /// Gaussians in the synthetic ground-truth scene.
+    pub scene_gaussians: usize,
+    /// Gaussians in the trained model.
+    pub model_gaussians: usize,
+    /// Number of posed views (each epoch trains all of them once).
+    pub views: usize,
+    /// Render resolution.
+    pub width: u32,
+    /// Render resolution.
+    pub height: u32,
+    /// Views per batch.
+    pub batch_size: usize,
+    /// Training epochs.
+    pub epochs: usize,
+    /// Prefetch lookahead window.
+    pub prefetch_window: usize,
+    /// Simulated devices for the `sharded` backend.
+    pub devices: usize,
+    /// Densify every this many batches (0 = fixed-size model), so recorded
+    /// schedules cross resize boundaries.
+    pub densify_every: usize,
+}
+
+impl TraceScale {
+    /// Tiny configuration for CI smoke runs (a few seconds on one core).
+    pub fn smoke() -> Self {
+        TraceScale {
+            label: "smoke",
+            scene_gaussians: 1_000,
+            model_gaussians: 420,
+            views: 16,
+            width: 80,
+            height: 64,
+            batch_size: 8,
+            epochs: 3,
+            prefetch_window: 2,
+            devices: 1,
+            densify_every: 2,
+        }
+    }
+
+    /// A longer run at a larger resolution.
+    pub fn full() -> Self {
+        TraceScale {
+            label: "full",
+            scene_gaussians: 1_600,
+            model_gaussians: 700,
+            views: 24,
+            width: 96,
+            height: 80,
+            batch_size: 8,
+            epochs: 4,
+            prefetch_window: 2,
+            devices: 1,
+            densify_every: 2,
+        }
+    }
+
+    /// Minimal configuration for unit tests.
+    pub fn test() -> Self {
+        TraceScale {
+            label: "test",
+            scene_gaussians: 200,
+            model_gaussians: 90,
+            views: 8,
+            width: 32,
+            height: 24,
+            batch_size: 4,
+            epochs: 1,
+            prefetch_window: 1,
+            devices: 2,
+            densify_every: 1,
+        }
+    }
+
+    /// The dataset, its ground-truth images and the initial model.
+    fn scene(&self) -> (Dataset, Vec<Image>, GaussianModel) {
+        let spec = SceneSpec::of(SceneKind::Rubble);
+        let dataset = generate_dataset(
+            &spec,
+            &DatasetConfig {
+                num_gaussians: self.scene_gaussians,
+                num_views: self.views,
+                width: self.width,
+                height: self.height,
+                seed: DATASET_SEED,
+            },
+        );
+        let targets = ground_truth_images(&dataset);
+        let init = init_from_point_cloud(
+            &dataset.ground_truth,
+            &InitConfig {
+                num_gaussians: self.model_gaussians,
+                initial_sigma: spec.extent * 0.03,
+                initial_opacity: 0.4,
+                seed: 3,
+                ..Default::default()
+            },
+        );
+        (dataset, targets, init)
+    }
+
+    fn train_config(&self) -> TrainConfig {
+        TrainConfig {
+            system: SystemKind::Clm,
+            batch_size: self.batch_size,
+            densify: (self.densify_every > 0).then(|| DensifySchedule {
+                every_batches: self.densify_every,
+                config: DensifyConfig {
+                    // Low gradient threshold so the model grows towards its
+                    // cap at the first boundary and the trace carries real
+                    // resize ops.
+                    grad_threshold: 1.0e-5,
+                    max_gaussians: self.model_gaussians + self.model_gaussians / 8,
+                    ..Default::default()
+                },
+            }),
+            ..Default::default()
+        }
+    }
+
+    /// Paper-scale costing of the simulated engine at `devices` lane groups:
+    /// the scene priced as the paper's 45.2 M-Gaussian, 1080p workload, so
+    /// recorded schedules stay in the bandwidth-bound regime.
+    fn runtime_config(&self, model_len: usize, devices: usize) -> RuntimeConfig {
+        RuntimeConfig {
+            device: DeviceProfile::rtx4090(),
+            prefetch_window: self.prefetch_window,
+            policy: PrefetchPolicy::Fixed,
+            cost_scale: PAPER_SCALE_GAUSSIANS / model_len as f64,
+            pixel_cost_scale: PAPER_SCALE_PIXELS / (self.width as f64 * self.height as f64),
+            compute_threads: 0,
+            band_height: 0,
+            num_devices: devices,
+            warm_start_ratio: None,
+        }
+    }
+}
 
 /// Backends the recorder knows how to trace, in documentation order.
 pub const TRACE_BACKENDS: [&str; 4] = ["synchronous", "simulated", "threaded", "sharded"];
@@ -37,8 +191,8 @@ pub const TRACE_BACKENDS: [&str; 4] = ["synchronous", "simulated", "threaded", "
 ///
 /// `backend` must be one of [`TRACE_BACKENDS`]; the sharded entry honours
 /// `scale.devices`, everything else runs single-device.
-pub fn record_trace(backend: &str, scale: &WallclockScale) -> Result<Trace, String> {
-    let (dataset, targets, init) = bench_scene(scale);
+pub fn record_trace(backend: &str, scale: &TraceScale) -> Result<Trace, String> {
+    let (dataset, targets, init) = scale.scene();
     let model_len = init.len();
     let devices = if backend == "sharded" {
         scale.devices.max(1)
@@ -63,12 +217,7 @@ pub fn record_trace(backend: &str, scale: &WallclockScale) -> Result<Trace, Stri
 
 /// The trace header for one recorded run: workload identity plus the
 /// cost-model constants device-count replays re-price communication with.
-fn trace_meta(
-    backend: &str,
-    scale: &WallclockScale,
-    model_len: usize,
-    devices: usize,
-) -> TraceMeta {
+fn trace_meta(backend: &str, scale: &TraceScale, model_len: usize, devices: usize) -> TraceMeta {
     let profile = DeviceProfile::rtx4090();
     TraceMeta {
         backend: backend.to_string(),
@@ -79,7 +228,7 @@ fn trace_meta(
         cost: CostParams {
             pcie_latency_s: profile.pcie_latency,
             pcie_bandwidth: profile.pcie_bandwidth,
-            cost_scale: 45_200_000.0 / model_len as f64,
+            cost_scale: PAPER_SCALE_GAUSSIANS / model_len as f64,
             peer_hop_factor: PEER_HOP_FACTOR,
             gradient_bytes: GRADIENT_BYTES as u64,
         },
@@ -88,7 +237,7 @@ fn trace_meta(
 
 /// Iterates the run's batches in the order every backend trains them:
 /// `(epoch, batch-within-epoch, view range)`.
-fn batch_ranges(scale: &WallclockScale, views: usize) -> Vec<(u64, u64, usize, usize)> {
+fn batch_ranges(scale: &TraceScale, views: usize) -> Vec<(u64, u64, usize, usize)> {
     let batch = scale.batch_size.max(1);
     let mut out = Vec::new();
     for epoch in 0..scale.epochs {
@@ -106,12 +255,12 @@ fn batch_ranges(scale: &WallclockScale, views: usize) -> Vec<(u64, u64, usize, u
 
 fn record_synchronous(
     writer: &mut TraceWriter,
-    scale: &WallclockScale,
+    scale: &TraceScale,
     dataset: &Dataset,
     targets: &[Image],
-    init: gs_core::gaussian::GaussianModel,
+    init: GaussianModel,
 ) {
-    let mut trainer = Trainer::new(init, crate::wallclock::train_config(scale));
+    let mut trainer = Trainer::new(init, scale.train_config());
     for (epoch, b, lo, hi) in batch_ranges(scale, dataset.cameras.len()) {
         let mut timeline = Timeline::new();
         trainer.train_batch_spanned(&dataset.cameras[lo..hi], &targets[lo..hi], &mut timeline);
@@ -121,15 +270,15 @@ fn record_synchronous(
 
 fn record_simulated(
     writer: &mut TraceWriter,
-    scale: &WallclockScale,
+    scale: &TraceScale,
     dataset: &Dataset,
     targets: &[Image],
-    init: gs_core::gaussian::GaussianModel,
+    init: GaussianModel,
     devices: usize,
 ) {
-    let config = paper_scale_config(scale, init.len(), devices);
-    let mut engine = PipelinedEngine::new(init, crate::wallclock::train_config(scale), config)
-        .partition_over(&dataset.cameras);
+    let config = scale.runtime_config(init.len(), devices);
+    let mut engine =
+        PipelinedEngine::new(init, scale.train_config(), config).partition_over(&dataset.cameras);
     for (epoch, b, lo, hi) in batch_ranges(scale, dataset.cameras.len()) {
         let report = engine.run_batch(&dataset.cameras[lo..hi], &targets[lo..hi]);
         writer.record_timeline(epoch, b, &report.timeline);
@@ -138,14 +287,14 @@ fn record_simulated(
 
 fn record_threaded(
     writer: &mut TraceWriter,
-    scale: &WallclockScale,
+    scale: &TraceScale,
     dataset: &Dataset,
     targets: &[Image],
-    init: gs_core::gaussian::GaussianModel,
+    init: GaussianModel,
 ) {
     let mut backend = ThreadedBackend::new(
         init,
-        crate::wallclock::train_config(scale),
+        scale.train_config(),
         ThreadedConfig {
             prefetch_window: scale.prefetch_window,
             ..Default::default()
@@ -179,7 +328,7 @@ pub fn describe(trace: &Trace) -> String {
 /// Host-cores note for measured-span traces: on a single core the spans
 /// time-slice, so overlap in the trace under-represents a multi-core run.
 pub fn span_capture_note() -> Option<String> {
-    let cores = detect_host_cores();
+    let cores = HostTopology::cached().effective_cores();
     (cores == 1).then(|| {
         format!(
             "warning: recorded on {cores} core — measured spans time-slice \
@@ -197,7 +346,7 @@ mod tests {
     /// and each trace is non-trivial (covers the whole run's batches).
     #[test]
     fn all_four_backends_record_and_round_trip() {
-        let scale = WallclockScale::test();
+        let scale = TraceScale::test();
         let expected_batches = batch_ranges(&scale, scale.views).len();
         for backend in TRACE_BACKENDS {
             let trace = record_trace(backend, &scale).unwrap();
@@ -231,7 +380,7 @@ mod tests {
     /// acceptance bar the CI trace-smoke job holds release builds to.
     #[test]
     fn unchanged_replay_is_bit_identical() {
-        let scale = WallclockScale::test();
+        let scale = TraceScale::test();
         let trace = record_trace("simulated", &scale).unwrap();
         let replays = verify_exact(&trace).unwrap();
         assert_eq!(replays.len(), trace.batches().len());
@@ -251,7 +400,7 @@ mod tests {
     #[test]
     fn window_replays_of_a_real_recording_match_the_pre_merge_rebuilds() {
         use clm_trace::{replay_with_knobs, CostParams, ReplayKnobs};
-        let mut trace = record_trace("simulated", &WallclockScale::test()).unwrap();
+        let mut trace = record_trace("simulated", &TraceScale::test()).unwrap();
         assert_eq!(trace.meta.prefetch_window, 1);
         let fingerprint = |trace: &Trace, window: usize, devices: usize| {
             let knobs = ReplayKnobs {
@@ -276,7 +425,7 @@ mod tests {
     /// traces: the pipeline is deterministic end to end.
     #[test]
     fn seeded_recordings_are_reproducible() {
-        let scale = WallclockScale::test();
+        let scale = TraceScale::test();
         let a = record_trace("simulated", &scale).unwrap();
         let b = record_trace("simulated", &scale).unwrap();
         assert_eq!(a.encode(), b.encode());
@@ -288,7 +437,7 @@ mod tests {
     /// The sharded recording schedules onto every device's lane group.
     #[test]
     fn sharded_recording_covers_every_device() {
-        let scale = WallclockScale::test();
+        let scale = TraceScale::test();
         let trace = record_trace("sharded", &scale).unwrap();
         assert_eq!(trace.meta.devices, scale.devices as u32);
         let max_device = trace
@@ -306,7 +455,7 @@ mod tests {
     /// never misread a future trace.
     #[test]
     fn recorded_trace_rejects_a_corrupted_schema_version() {
-        let scale = WallclockScale::test();
+        let scale = TraceScale::test();
         let mut bytes = record_trace("simulated", &scale).unwrap().encode();
         bytes[8..12].copy_from_slice(&(clm_trace::FORMAT_VERSION + 7).to_le_bytes());
         assert!(matches!(
@@ -317,6 +466,6 @@ mod tests {
 
     #[test]
     fn unknown_backend_is_refused() {
-        assert!(record_trace("quantum", &WallclockScale::test()).is_err());
+        assert!(record_trace("quantum", &TraceScale::test()).is_err());
     }
 }

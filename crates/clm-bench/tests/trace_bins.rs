@@ -41,6 +41,27 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// Records the test-scale simulated trace into `dir`.
+fn record_test_trace(dir: &std::path::Path) -> PathBuf {
+    let trace_path = dir.join("real.clmtrace");
+    let out = run(
+        env!("CARGO_BIN_EXE_trace_record"),
+        &[
+            "--scale",
+            "test",
+            "--out",
+            trace_path.to_str().expect("utf-8 path"),
+        ],
+        dir,
+    );
+    assert!(
+        out.status.success(),
+        "trace_record must succeed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    trace_path
+}
+
 #[test]
 fn trace_binaries_fail_cleanly_without_arguments() {
     let dir = scratch_dir("noargs");
@@ -79,22 +100,7 @@ fn trace_binaries_reject_corrupt_and_truncated_input() {
 
     // Record a real trace so the truncation test corrupts genuine bytes,
     // not a synthetic stand-in.
-    let trace_path = dir.join("real.clmtrace");
-    let out = run(
-        env!("CARGO_BIN_EXE_trace_record"),
-        &[
-            "--scale",
-            "test",
-            "--out",
-            trace_path.to_str().expect("utf-8 path"),
-        ],
-        &dir,
-    );
-    assert!(
-        out.status.success(),
-        "trace_record must succeed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let trace_path = record_test_trace(&dir);
     let bytes = std::fs::read(&trace_path).expect("recorded trace exists");
     assert!(bytes.len() > 64, "recorded trace is implausibly small");
 
@@ -156,6 +162,44 @@ fn trace_binaries_reject_corrupt_and_truncated_input() {
         "{summary}"
     );
     assert!(summary.trim_end().ends_with('}'), "{summary}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The trace path is the positional argument wherever it stands: a flag's
+/// value in front of it used to be taken for the path (`trace_replay
+/// --window 2 T` tried to read a file called `2`, `trace_report --out r.json
+/// T` decoded `r.json`).
+#[test]
+fn flags_may_precede_the_trace_path() {
+    let dir = scratch_dir("flag_order");
+    let trace_path = record_test_trace(&dir);
+    let trace = trace_path.to_str().expect("utf-8 path");
+    let stdout_of = |bin: &str, args: &[&str]| {
+        let out = run(bin, args, &dir);
+        assert!(
+            out.status.success(),
+            "{bin} {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+
+    let replay = env!("CARGO_BIN_EXE_trace_replay");
+    let path_first = stdout_of(replay, &[trace, "--window", "2"]);
+    assert!(path_first.contains("\"mode\":\"knobs\""), "{path_first}");
+    assert_eq!(stdout_of(replay, &["--window", "2", trace]), path_first);
+
+    let report = env!("CARGO_BIN_EXE_trace_report");
+    let path_first = stdout_of(report, &[trace, "--out", "after.json"]);
+    assert_eq!(
+        stdout_of(report, &["--out", "before.json", trace]),
+        path_first
+    );
+    for written in ["after.json", "before.json"] {
+        let json = std::fs::read_to_string(dir.join(written)).expect("--out file written");
+        assert_eq!(json, path_first, "{written}");
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

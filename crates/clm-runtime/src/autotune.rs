@@ -3,9 +3,8 @@
 //! Every knob that decides CLM's overlap quality used to be hand-set:
 //! `compute_threads`, `band_height`, the prefetch window seed and the Adam
 //! chunk size all shipped with constants tuned on whatever machine the
-//! committed baseline happened to run on (a 1-core container, as
-//! `BENCH_runtime.json`'s `host_cores: 1` records).  This module closes
-//! the loop in three stages, SimPoint-style — a few calibrated
+//! committed baseline happened to run on (a 1-core container).  This module
+//! closes the loop in three stages, SimPoint-style — a few calibrated
 //! micro-samples predict full-run behaviour:
 //!
 //! 1. **Probe** — [`sim_device::HostTopology`] detects vendor, core
@@ -305,8 +304,7 @@ pub struct Autotune {
 }
 
 impl Autotune {
-    /// Single-line JSON object — the `autotune` section of
-    /// `BENCH_runtime.json`.
+    /// Single-line JSON object: the calibration and the derived knobs.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"calibration\":{},\"knobs\":{}}}",
@@ -443,8 +441,24 @@ mod tests {
     #[test]
     fn tuned_is_cached_and_installs_the_render_default() {
         let first = tuned();
-        assert!(first.knobs.compute_threads >= 1);
-        assert!(first.knobs.sim_compute_scale > 0.0);
+        // On the real host every derived knob lands in its documented range;
+        // in particular a cgroup CPU quota caps the worker counts.
+        let k = &first.knobs;
+        let effective = first.topology.effective_cores();
+        assert!((1..=effective).contains(&k.compute_threads), "{k:?}");
+        assert!((1..=effective).contains(&k.adam_threads), "{k:?}");
+        assert!((256..=16_384).contains(&k.adam_chunk_rows), "{k:?}");
+        assert!(
+            k.band_height > 0 && k.band_height.is_multiple_of(TILE_SIZE),
+            "{k:?}"
+        );
+        assert!((1..=8).contains(&k.prefetch_window), "{k:?}");
+        assert!(k.sim_compute_scale > 0.0);
+        let fingerprint = first.topology.fingerprint();
+        assert!(
+            fingerprint.ends_with(&format!("-e{effective}")),
+            "{fingerprint}"
+        );
         let again = tuned();
         assert_eq!(first.knobs, again.knobs, "one calibration per process");
         // The render-side inherit sentinel resolves to the tuned width.

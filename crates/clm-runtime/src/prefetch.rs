@@ -186,10 +186,9 @@ pub struct TuningRecord {
 ///
 /// The cache persists as a versioned tab-separated text file
 /// ([`save_to_string`](Self::save_to_string) /
-/// [`load_from_str`](Self::load_from_str)); legacy headerless
-/// `scene\tratio` files load as ratio-only entries, and malformed lines are
-/// skipped rather than failing the load — a corrupt cache degrades to a
-/// cold start, never an error.
+/// [`load_from_str`](Self::load_from_str)); malformed lines are skipped
+/// rather than failing the load — a corrupt cache degrades to a cold start,
+/// never an error.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStartCache {
     ratios: std::collections::HashMap<String, f64>,
@@ -293,9 +292,8 @@ impl WarmStartCache {
         out
     }
 
-    /// Parses a cache from its text form.  Accepts the current `clmwarm v2`
-    /// format and legacy headerless `scene\tratio` files; lines that fail
-    /// to parse (truncated writes, corruption, future record kinds) are
+    /// Parses a cache from its `clmwarm v2` text form; lines that fail to
+    /// parse (truncated writes, corruption, unknown record kinds) are
     /// skipped, so the worst case is a partially warm — never broken —
     /// cache.
     pub fn load_from_str(text: &str) -> Self {
@@ -341,14 +339,6 @@ impl WarmStartCache {
                                 prefetch_window,
                             },
                         );
-                    }
-                }
-                // Legacy (pre-v2) files: bare `scene\tratio` lines.
-                [scene, value] => {
-                    if let Ok(r) = value.parse::<f64>() {
-                        if r.is_finite() && r >= 0.0 {
-                            cache.ratios.insert((*scene).to_string(), r);
-                        }
                     }
                 }
                 _ => {}
@@ -628,16 +618,13 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_and_legacy_cache_files_degrade_to_partial_warm_starts() {
-        // Legacy (pre-v2) headerless scene\tratio files still load.
-        let legacy = WarmStartCache::load_from_str("bicycle\t2.5\nrubble\t0.75\n");
-        assert_eq!(legacy.len(), 2);
-        assert_eq!(legacy.ratio("bicycle"), Some(2.5));
-
+    fn corrupt_cache_files_degrade_to_partial_warm_starts() {
         // Corruption — truncated records, junk, non-numeric fields, bad
-        // ratios — skips the bad lines and keeps the good ones.
+        // ratios, untagged two-field lines — skips the bad lines and keeps
+        // the good ones.
         let corrupt = "clmwarm v2\n\
                        ratio\tbicycle\t1.25\n\
+                       rubble\t0.75\n\
                        ratio\tgarden\tnot-a-number\n\
                        ratio\tnan-scene\tNaN\n\
                        tuned\thost-a\tbicycle\t2.0\t8\t4\t32\t3\n\
@@ -647,6 +634,7 @@ mod tests {
                        \n";
         let cache = WarmStartCache::load_from_str(corrupt);
         assert_eq!(cache.ratio("bicycle"), Some(1.25));
+        assert_eq!(cache.ratio("rubble"), None, "untagged line skipped");
         assert_eq!(cache.ratio("garden"), None, "unparseable ratio skipped");
         assert_eq!(cache.ratio("nan-scene"), None, "non-finite ratio refused");
         assert_eq!(

@@ -352,7 +352,12 @@ fn cancellation_and_churn() {
     assert_eq!(survivor.stats.batches, 3);
     assert_eq!(survivor.stats.evictions, 2);
     assert_eq!(survivor.stats.resumes, 2);
+    assert_eq!(survivor.stats.budget_violations, 0);
     assert_eq!(survivor.state, SessionState::Completed);
+    // The cancelled session ends cancelled, with the one batch it ran.
+    let cancelled = serve.session(doomed).unwrap();
+    assert_eq!(cancelled.state, SessionState::Cancelled);
+    assert_eq!(cancelled.stats.batches, 1);
     assert_eq!(serve.stats().cancelled, 1);
 }
 

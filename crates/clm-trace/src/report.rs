@@ -319,9 +319,8 @@ impl TraceReport {
     }
 }
 
-/// Cheap structural check for report JSON, mirroring the wallclock bench's
-/// `looks_like_bench_json`: CI validates artefact shape without a JSON
-/// parser in the dependency tree.
+/// Cheap structural check for report JSON: `trace_report` validates the
+/// artefact's shape without a JSON parser in the dependency tree.
 pub fn looks_like_report_json(s: &str) -> bool {
     let s = s.trim();
     s.starts_with('{')

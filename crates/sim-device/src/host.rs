@@ -200,8 +200,7 @@ impl HostTopology {
         )
     }
 
-    /// Single-line JSON object describing the topology — the `host_topo`
-    /// section of `BENCH_runtime.json`.
+    /// Single-line JSON object describing the topology.
     pub fn to_json(&self) -> String {
         let quota = match self.cpu_quota {
             Some(q) => format!("{q:.3}"),

@@ -81,6 +81,10 @@ fn threaded_backend_is_bit_identical_across_seeds_and_windows() {
                      synchronous trainer"
                 );
                 assert_eq!(t.prefetch_window, window);
+                assert!(
+                    t.device_lanes.is_empty(),
+                    "per-device lanes are a simulated-device breakdown"
+                );
             }
             assert_eq!(
                 threaded.trainer().model(),
