@@ -15,7 +15,7 @@ use crate::order::{order_batch, OrderingStrategy};
 use crate::perf::SystemKind;
 use crate::schedule::FinalizationPlan;
 use gs_core::camera::Camera;
-use gs_core::gaussian::{GaussianModel, NON_CRITICAL_FLOATS};
+use gs_core::gaussian::{GaussianModel, NON_CRITICAL_FLOATS, SH_FLOATS};
 use gs_core::visibility::VisibilitySet;
 use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_optim::{AdamConfig, GaussianAdam, GradientBuffer, ParamRow};
@@ -272,8 +272,10 @@ impl<'a> TrainerView<'a> {
                 "staging buffer does not match the fetch plan"
             );
             for (&idx, row) in plan.fetched[micro_idx].indices().iter().zip(staging) {
+                let i = idx as usize;
                 assert!(
-                    *row == self.model.non_critical_row(idx as usize),
+                    row[..SH_FLOATS] == *self.model.sh_of(i)
+                        && row[SH_FLOATS] == self.model.opacity_logits()[i],
                     "staged row for gaussian {idx} went stale before its micro-batch ran"
                 );
             }
@@ -311,6 +313,10 @@ pub struct Trainer {
     /// was applied, so a boundary fires exactly once even when
     /// [`pending_resize`](Self::pending_resize) is polled repeatedly.
     last_resize_batch: Option<usize>,
+    /// The gradient accumulator, kept across batches: all-zero between
+    /// batches, lent out by [`take_gradients`](Self::take_gradients).
+    /// Empty until the first batch that asks for it.
+    grads: GradientBuffer,
 }
 
 impl Trainer {
@@ -328,6 +334,7 @@ impl Trainer {
             grad_norm_accum,
             resize_events: 0,
             last_resize_batch: None,
+            grads: GradientBuffer::default(),
         }
     }
 
@@ -372,6 +379,7 @@ impl Trainer {
             grad_norm_accum,
             resize_events,
             last_resize_batch,
+            grads: GradientBuffer::default(),
         }
     }
 
@@ -543,10 +551,8 @@ impl Trainer {
 
         // 1. Frustum culling for every view.  For CLM this runs against the
         //    GPU-resident selection-critical attributes only.
-        let sets: Vec<VisibilitySet> = cameras
-            .iter()
-            .map(|cam| gs_core::cull_frustum(&self.model, cam))
-            .collect();
+        //    One pass over the model serves all views.
+        let sets: Vec<VisibilitySet> = gs_core::cull_batch(&self.model, cameras);
 
         // 2. Order the micro-batches.
         let order: Vec<usize> = match self.config.system {
@@ -634,11 +640,51 @@ impl Trainer {
     /// Opens a batch.  Under overlapped CPU Adam the Gaussians untouched by
     /// the whole batch (`F_0`) are updated immediately — their gradient is
     /// already final (zero).
+    /// `grads` is the batch's (still all-zero) accumulator; `F_0` needs none
+    /// of its rows, only that it matches the model.
     pub fn begin_batch(&mut self, plan: &BatchPlan, grads: &GradientBuffer) {
         if self.overlapped() {
+            assert_eq!(
+                self.model.len(),
+                grads.len(),
+                "gradient buffer size mismatch"
+            );
             self.optimizer
-                .step_subset(&mut self.model, grads, plan.untouched.indices());
+                .step_subset_zero_grad(&mut self.model, plan.untouched.indices());
         }
+    }
+
+    /// Lends out the trainer's gradient accumulator for one batch: sized
+    /// for the current (post-resize) model and all-zero — equal to a fresh
+    /// buffer for the model, without the per-batch allocation and zeroing.
+    /// Hand it back with
+    /// [`return_gradients`](Self::return_gradients) after
+    /// [`finish_batch`](Self::finish_batch); a batch that unwinds instead
+    /// simply makes the next call allocate afresh.
+    ///
+    /// The stepwise API does not require it — `begin_batch` …
+    /// `finish_batch` work on any caller-owned buffer.
+    pub fn take_gradients(&mut self) -> GradientBuffer {
+        let mut grads = std::mem::take(&mut self.grads);
+        // A no-op except on first use and after a densification boundary
+        // changed the model length; the buffer is all-zero at every batch
+        // boundary, so a plain resize keeps it so.
+        grads.resize(self.model.len());
+        grads
+    }
+
+    /// Takes the accumulator back at the end of `plan`'s batch and returns
+    /// it to all-zero by clearing the rows the batch touched — O(touched),
+    /// not O(model).
+    pub fn return_gradients(&mut self, mut grads: GradientBuffer, plan: &BatchPlan) {
+        grads.clear_indices(plan.touched_union.indices());
+        if grads.touched_count() != 0 {
+            // The plain baseline's fused culling renders every Gaussian, so
+            // a row outside the plan's (conservative) cull could in
+            // principle have received a gradient.
+            grads.clear();
+        }
+        self.grads = grads;
     }
 
     /// The selective-loading kernel for micro-batch `micro_idx`: gathers the
@@ -848,7 +894,7 @@ impl Trainer {
         if wave > 1 && plan.order.len() > 1 {
             return self.train_batch_waves(&plan, cameras, targets, wave);
         }
-        let mut grads = GradientBuffer::for_model(&self.model);
+        let mut grads = self.take_gradients();
         let mut staging = Vec::new();
         let mut total_loss = 0.0f32;
 
@@ -859,7 +905,9 @@ impl Trainer {
                 self.process_microbatch(&plan, micro_idx, cameras, targets, &staging, &mut grads);
             self.apply_finalized(&plan, micro_idx, &grads);
         }
-        self.finish_batch(&plan, &grads, total_loss)
+        let report = self.finish_batch(&plan, &grads, total_loss);
+        self.return_gradients(grads, &plan);
+        report
     }
 
     /// [`train_batch`](Self::train_batch) with measured wall-clock span
@@ -923,7 +971,7 @@ impl Trainer {
             None,
         );
 
-        let mut grads = GradientBuffer::for_model(&self.model);
+        let mut grads = self.take_gradients();
         let mut staging = Vec::new();
         let mut total_loss = 0.0f32;
 
@@ -1000,6 +1048,7 @@ impl Trainer {
                 None,
             );
         }
+        self.return_gradients(grads, &plan);
         report
     }
 
@@ -1043,7 +1092,7 @@ impl Trainer {
     ) -> BatchReport {
         let m = plan.num_microbatches();
         let wave = wave.max(1);
-        let mut grads = GradientBuffer::for_model(&self.model);
+        let mut grads = self.take_gradients();
         self.begin_batch(plan, &grads);
 
         let mut total_loss = 0.0f32;
@@ -1080,7 +1129,9 @@ impl Trainer {
             }
             start = end;
         }
-        self.finish_batch(plan, &grads, total_loss)
+        let report = self.finish_batch(plan, &grads, total_loss);
+        self.return_gradients(grads, plan);
+        report
     }
 
     /// Trains over the whole dataset once (views grouped into batches in

@@ -473,7 +473,7 @@ impl PipelinedEngine {
         // scheduler lane — all pure scheduling, so the trajectory stays
         // bit-identical to the synchronous trainer's.
         let plan = self.trainer.resize_and_plan(cameras);
-        let mut grads = GradientBuffer::for_model(self.trainer.model());
+        let mut grads = self.trainer.take_gradients();
         let mut timeline = Timeline::new();
         if let Some(fp) = &self.fault_plan {
             timeline.install_fault_sink(fp.sink());
@@ -576,6 +576,7 @@ impl PipelinedEngine {
         }
 
         let batch = self.trainer.finish_batch(&plan, &grads, total_loss);
+        self.trainer.return_gradients(grads, &plan);
         let faults = match (&self.fault_plan, fault_before) {
             (Some(p), Some(before)) => p.stats().since(&before),
             _ => Default::default(),

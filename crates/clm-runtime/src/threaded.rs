@@ -377,7 +377,7 @@ impl ThreadedBackend {
 
         let overlapped = self.trainer.overlapped();
         let is_clm = self.trainer.config().system == SystemKind::Clm;
-        let mut grads = gs_optim::GradientBuffer::for_model(self.trainer.model());
+        let mut grads = self.trainer.take_gradients();
 
         let gather_timer = BusyTimer::new();
         let adam_timer = BusyTimer::new();
@@ -736,6 +736,7 @@ impl ThreadedBackend {
         }
 
         let batch = self.trainer.finish_batch(&plan, &grads, total_loss);
+        self.trainer.return_gradients(grads, &plan);
         let wall_seconds = wall_start.elapsed().as_secs_f64();
 
         let comm = gather_timer.busy_seconds();

@@ -9,8 +9,9 @@
 //! data, and the result tells the loader exactly which non-critical rows to
 //! fetch from CPU memory.
 
-use crate::camera::Camera;
+use crate::camera::{Camera, Frustum};
 use crate::gaussian::GaussianModel;
+use crate::math::Vec3;
 use crate::visibility::VisibilitySet;
 
 /// Number of standard deviations used for the ellipsoid-frustum
@@ -70,6 +71,14 @@ pub fn cull_frustum(model: &GaussianModel, camera: &Camera) -> VisibilitySet {
     VisibilitySet::from_sorted(cull_frustum_indices(model, camera))
 }
 
+/// Radius of the bounding sphere the culling test puts around a Gaussian
+/// with the given log-scale.  The single-view and the batch cull share this
+/// one expression, which is what makes their sets identical.
+#[inline]
+fn cull_radius(log_scale: Vec3) -> f32 {
+    (CULL_SIGMA + CULL_SIGMA_SLACK) * log_scale.map(f32::exp).max_component()
+}
+
 /// Like [`cull_frustum`] but returns the raw sorted index vector.
 pub fn cull_frustum_indices(model: &GaussianModel, camera: &Camera) -> Vec<u32> {
     let frustum = camera.frustum_with_margin(CULL_FOV_MARGIN);
@@ -77,8 +86,7 @@ pub fn cull_frustum_indices(model: &GaussianModel, camera: &Camera) -> Vec<u32> 
     let scales = model.log_scales();
     let mut indices = Vec::new();
     for i in 0..model.len() {
-        let radius = (CULL_SIGMA + CULL_SIGMA_SLACK) * scales[i].map(f32::exp).max_component();
-        if frustum.intersects_sphere(positions[i], radius) {
+        if frustum.intersects_sphere(positions[i], cull_radius(scales[i])) {
             indices.push(i as u32);
         }
     }
@@ -98,9 +106,31 @@ pub fn sparsity(model: &GaussianModel, camera: &Camera) -> f64 {
     cull_stats(model, camera).sparsity()
 }
 
-/// Computes visibility sets for a whole batch of views.
+/// Computes visibility sets for a whole batch of views in **one pass** over
+/// the model: each row's bounding radius (three `exp`) is evaluated once and
+/// tested against every view's frustum.  `cull_batch(model, cameras)[k]`
+/// equals `cull_frustum(model, &cameras[k])` by construction — same radius
+/// expression, same frustum, same sphere test.
 pub fn cull_batch(model: &GaussianModel, cameras: &[Camera]) -> Vec<VisibilitySet> {
-    cameras.iter().map(|cam| cull_frustum(model, cam)).collect()
+    let frusta: Vec<Frustum> = cameras
+        .iter()
+        .map(|cam| cam.frustum_with_margin(CULL_FOV_MARGIN))
+        .collect();
+    let positions = model.positions();
+    let scales = model.log_scales();
+    let mut indices: Vec<Vec<u32>> = vec![Vec::new(); cameras.len()];
+    for i in 0..model.len() {
+        let radius = cull_radius(scales[i]);
+        for (frustum, visible) in frusta.iter().zip(&mut indices) {
+            if frustum.intersects_sphere(positions[i], radius) {
+                visible.push(i as u32);
+            }
+        }
+    }
+    indices
+        .into_iter()
+        .map(VisibilitySet::from_sorted)
+        .collect()
 }
 
 #[cfg(test)]
@@ -108,7 +138,6 @@ mod tests {
     use super::*;
     use crate::camera::CameraIntrinsics;
     use crate::gaussian::Gaussian;
-    use crate::math::Vec3;
 
     fn forward_camera() -> Camera {
         Camera::look_at(
@@ -254,11 +283,66 @@ mod tests {
         assert_ne!(batch[0], batch[2]);
     }
 
+    proptest::proptest! {
+        /// The fused pass must select exactly what B separate culls select —
+        /// for any batch size, any mix of scales and camera poses, and the
+        /// empty model.
+        #[test]
+        fn prop_cull_batch_equals_per_view_cull(
+            rows in proptest::collection::vec(
+                (
+                    (-30.0f32..30.0, -30.0f32..30.0, -30.0f32..30.0),
+                    (-5.0f32..1.5, -5.0f32..1.5, -5.0f32..1.5),
+                ),
+                0..120,
+            ),
+            views in proptest::collection::vec(
+                (
+                    (-20.0f32..20.0, -5.0f32..5.0, -20.0f32..20.0),
+                    (0.0f32..std::f32::consts::TAU, -0.3f32..0.3, 0.4f32..2.2),
+                    (0.05f32..1.0, 5.0f32..80.0, 16u32..96),
+                ),
+                7..8,
+            ),
+        ) {
+            let mut model = GaussianModel::new();
+            for ((x, y, z), (sx, sy, sz)) in rows {
+                let mut g = Gaussian::isotropic(Vec3::new(x, y, z), 0.1, [0.5; 3], 0.9);
+                g.log_scale = Vec3::new(sx, sy, sz);
+                model.push(g);
+            }
+            let cams: Vec<Camera> = views
+                .into_iter()
+                .map(|((ex, ey, ez), (yaw, pitch, fov), (near, far, size))| {
+                    let eye = Vec3::new(ex, ey, ez);
+                    Camera::look_at(
+                        eye,
+                        eye + Vec3::new(yaw.cos(), pitch, yaw.sin()),
+                        Vec3::Y,
+                        CameraIntrinsics::simple(size, size / 2 + 8, fov),
+                    )
+                    .with_clip(near, far)
+                })
+                .collect();
+            for batch in [1usize, 2, 4, 7] {
+                let fused = cull_batch(&model, &cams[..batch]);
+                proptest::prop_assert_eq!(fused.len(), batch);
+                for (cam, set) in cams.iter().zip(&fused) {
+                    proptest::prop_assert_eq!(set, &cull_frustum(&model, cam));
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_model_has_zero_sparsity() {
         let model = GaussianModel::new();
         let cam = forward_camera();
         assert_eq!(sparsity(&model, &cam), 0.0);
         assert!(cull_frustum(&model, &cam).is_empty());
+        assert_eq!(
+            cull_batch(&model, &[cam.clone(), cam]),
+            vec![VisibilitySet::new(); 2]
+        );
     }
 }

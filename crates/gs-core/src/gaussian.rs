@@ -137,11 +137,19 @@ impl Gaussian {
 
     /// 3D covariance matrix `Σ = R S Sᵀ Rᵀ`.
     pub fn covariance(&self) -> Mat3 {
-        let r = self.rotation.to_rotation_matrix();
-        let s = Mat3::from_diagonal(self.scale());
-        let rs = r * s;
-        rs * rs.transpose()
+        covariance(self.log_scale, self.rotation)
     }
+}
+
+/// 3D covariance matrix `Σ = R S Sᵀ Rᵀ` of a Gaussian with the given
+/// log-scale and (not necessarily normalised) rotation — the one expression
+/// behind [`Gaussian::covariance`], callable on attributes borrowed from a
+/// [`GaussianModel`] without assembling a [`Gaussian`].
+pub fn covariance(log_scale: Vec3, rotation: Quat) -> Mat3 {
+    let r = rotation.to_rotation_matrix();
+    let s = Mat3::from_diagonal(log_scale.map(f32::exp));
+    let rs = r * s;
+    rs * rs.transpose()
 }
 
 /// Structure-of-arrays container for all Gaussians of a scene.

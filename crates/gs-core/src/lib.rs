@@ -44,7 +44,7 @@ pub mod soa;
 pub mod visibility;
 
 pub use camera::{Camera, CameraExtrinsics, CameraIntrinsics, Frustum, Plane};
-pub use culling::{cull_frustum, cull_frustum_indices, sparsity, CullStats};
+pub use culling::{cull_batch, cull_frustum, cull_frustum_indices, sparsity, CullStats};
 pub use error::GsError;
 pub use gaussian::{
     AttributeKind, Gaussian, GaussianModel, NON_CRITICAL_FLOATS, PARAMS_PER_GAUSSIAN,

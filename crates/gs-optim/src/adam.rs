@@ -578,7 +578,7 @@ impl GaussianAdam {
         assert_eq!(model.len(), grads.len(), "gradient buffer size mismatch");
         self.resize(model.len());
         let indices: Vec<u32> = (0..model.len() as u32).collect();
-        self.step_indices(model, grads, &indices);
+        self.step_indices(model, Some(grads), &indices);
     }
 
     /// Applies one Adam step only to the Gaussians in `indices`
@@ -595,7 +595,20 @@ impl GaussianAdam {
     ) {
         assert_eq!(model.len(), grads.len(), "gradient buffer size mismatch");
         self.resize(model.len());
-        self.step_indices(model, grads, indices);
+        self.step_indices(model, Some(grads), indices);
+    }
+
+    /// [`step_subset`](Self::step_subset) for Gaussians whose gradient is
+    /// known to be all-zero — the batch's untouched `F_0` group, whose
+    /// moments still decay.  Bit-identical to `step_subset` over an all-zero
+    /// [`GradientBuffer`] (the kernel sees the same zero gradient block),
+    /// without staging one zero row per index.
+    ///
+    /// # Panics
+    /// Panics if an index is out of bounds.
+    pub fn step_subset_zero_grad(&mut self, model: &mut GaussianModel, indices: &[u32]) {
+        self.resize(model.len());
+        self.step_indices(model, None, indices);
     }
 
     /// Like [`step_subset`](Self::step_subset) but running the per-row
@@ -619,10 +632,18 @@ impl GaussianAdam {
     /// [`LANE_WIDTH`]) into parameter-major lane blocks, runs the shared
     /// lane kernel, and scatters the **active** lanes back.  Padding lanes
     /// stay zero through the kernel and are never written anywhere.
-    fn step_indices(&mut self, model: &mut GaussianModel, grads: &GradientBuffer, indices: &[u32]) {
+    /// `grads = None` is the all-zero gradient, as in
+    /// [`step_detached`](Self::step_detached).
+    fn step_indices(
+        &mut self,
+        model: &mut GaussianModel,
+        grads: Option<&GradientBuffer>,
+        indices: &[u32],
+    ) {
         let lr = self.config.lr_table();
         let mut steps = [1u64; LANE_WIDTH];
         let mut p = zero_lane_block();
+        // Stays all-zero when there are no gradients to stage.
         let mut g = zero_lane_block();
         let mut m = zero_lane_block();
         let mut v = zero_lane_block();
@@ -635,7 +656,9 @@ impl GaussianAdam {
                         self.steps[i] += 1;
                         steps[l] = self.steps[i];
                         model.param_lane_into(i, l, &mut p);
-                        stage_grad_lane(grads, idx, l, &mut g);
+                        if let Some(grads) = grads {
+                            stage_grad_lane(grads, idx, l, &mut g);
+                        }
                         self.m.gather_lane(i, l, &mut m);
                         self.v.gather_lane(i, l, &mut v);
                     }
@@ -961,6 +984,35 @@ mod tests {
         opt_b.step_dense(&mut model_b, &grads);
 
         assert_eq!(model_a, model_b);
+    }
+
+    #[test]
+    fn zero_grad_step_is_bit_identical_to_stepping_an_all_zero_buffer() {
+        // F_0 under overlapped CPU Adam: the rows' moments are live (they
+        // were trained in an earlier batch), the gradient is all-zero.  The
+        // index list ends in a partial lane block.
+        let n = 2 * LANE_WIDTH + 3;
+        let subset: Vec<u32> = (0..n as u32).filter(|i| i % 4 != 1).collect();
+        let run = |zero_grad_form: bool| {
+            let mut model = model_of(n);
+            let mut opt = GaussianAdam::new(n, AdamConfig::default());
+            opt.step_dense(&mut model, &varied_grads(n));
+            if zero_grad_form {
+                opt.step_subset_zero_grad(&mut model, &subset);
+            } else {
+                opt.step_subset(&mut model, &GradientBuffer::new(n), &subset);
+            }
+            (model, opt.export_rows())
+        };
+        let (model, rows) = run(true);
+        let (expected_model, expected_rows) = run(false);
+        assert_eq!(rows, expected_rows);
+        for i in 0..n {
+            let bits = |m: &GaussianModel| m.param_row(i).map(f32::to_bits);
+            assert_eq!(bits(&model), bits(&expected_model), "row {i}");
+        }
+        assert_eq!(rows[0].step, 2);
+        assert_eq!(rows[1].step, 1, "row 1 is not in the subset");
     }
 
     #[test]

@@ -14,7 +14,14 @@ use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_render::{GaussianGradients, RenderGradients};
 
 /// Dense per-Gaussian gradient accumulator.
-#[derive(Debug, Clone)]
+///
+/// An executor keeps **one** buffer for its lifetime instead of allocating
+/// and zeroing `236 B × N` every batch: a batch leaves exactly the rows it
+/// accumulated into non-zero, so [`clear_indices`](Self::clear_indices) over
+/// those rows returns the buffer to the state [`new`](Self::new) produces,
+/// and [`resize`](Self::resize) follows the model across densification
+/// boundaries.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GradientBuffer {
     d_positions: Vec<Vec3>,
     d_log_scales: Vec<Vec3>,
@@ -40,6 +47,24 @@ impl GradientBuffer {
     /// Creates a buffer sized for `model`.
     pub fn for_model(model: &GaussianModel) -> Self {
         Self::new(model.len())
+    }
+
+    /// Grows (with zero rows) or shrinks the buffer to cover `len`
+    /// Gaussians, keeping the rows below `len` as they are.  Growth reserves
+    /// exactly what is needed — the buffer tracks a model that grows at
+    /// densification boundaries, and amortised doubling would hold up to
+    /// twice its size.
+    pub fn resize(&mut self, len: usize) {
+        fn fit<T: Clone>(v: &mut Vec<T>, len: usize, zero: T) {
+            v.reserve_exact(len.saturating_sub(v.len()));
+            v.resize(len, zero);
+        }
+        fit(&mut self.d_positions, len, Vec3::ZERO);
+        fit(&mut self.d_log_scales, len, Vec3::ZERO);
+        fit(&mut self.d_rotations, len, [0.0; 4]);
+        fit(&mut self.d_sh, len * SH_FLOATS, 0.0);
+        fit(&mut self.d_opacity_logits, len, 0.0);
+        fit(&mut self.touched, len, false);
     }
 
     /// Number of Gaussians the buffer covers.
@@ -248,6 +273,67 @@ mod tests {
         buf.clear();
         assert_eq!(buf.touched_count(), 0);
         assert_eq!(buf.total_norm(), 0.0);
+    }
+
+    /// Every stored float of `buf` is `+0.0` down to the sign bit (`==`
+    /// alone would accept `-0.0`).
+    fn assert_all_bits_zero(buf: &GradientBuffer) {
+        let indices: Vec<u32> = (0..buf.len() as u32).collect();
+        let mut rows = vec![[1.0f32; PARAMS_PER_GAUSSIAN]; buf.len()];
+        buf.read_rows_into(&indices, &mut rows);
+        assert!(rows.iter().flatten().all(|v| v.to_bits() == 0));
+    }
+
+    #[test]
+    fn a_reused_buffer_equals_a_fresh_one_across_batches_and_resizes() {
+        let full = GaussianGradients {
+            d_position: Vec3::new(1.0, -2.0, 3.0),
+            d_log_scale: Vec3::new(-0.5, 0.25, -0.125),
+            d_rotation: [0.1, -0.2, 0.3, -0.4],
+            d_sh: [-0.75; SH_FLOATS],
+            d_opacity_logit: -9.0,
+        };
+        let mut buf = GradientBuffer::default();
+        assert_eq!(buf, GradientBuffer::new(0));
+        buf.resize(6);
+        assert_eq!(buf, GradientBuffer::new(6));
+
+        // One "batch": some rows accumulate twice, one cancels to zero but
+        // stays marked, most stay untouched.
+        let mut negated = full.clone();
+        negated.d_position = Vec3::new(-1.0, 2.0, -3.0);
+        for (i, g) in [
+            (4u32, &full),
+            (1, &full),
+            (4, &negated),
+            (5, &grad(0.0, 0.0)),
+        ] {
+            buf.add(i, g);
+        }
+        let touched = buf.touched_set();
+        assert_eq!(touched.indices(), &[1, 4, 5]);
+        buf.clear_indices(touched.indices());
+        assert_eq!(buf, GradientBuffer::new(6));
+        assert_all_bits_zero(&buf);
+
+        // Densification grows the model, a later prune shrinks it: the
+        // all-zero buffer follows and stays equal to a fresh one.
+        buf.resize(9);
+        assert_eq!(buf, GradientBuffer::new(9));
+        buf.add(8, &full);
+        buf.add(2, &full);
+        buf.clear_indices(&[2, 8]);
+        buf.resize(4);
+        assert_eq!(buf, GradientBuffer::new(4));
+        assert_all_bits_zero(&buf);
+
+        // `resize` itself never rewrites a surviving row.
+        buf.add(1, &full);
+        buf.resize(7);
+        buf.resize(2);
+        assert_eq!(buf.row(1), full);
+        assert_eq!(buf.touched_set().indices(), &[1]);
+        assert_ne!(buf, GradientBuffer::new(2));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use loss::{l1_loss, l2_loss, LossOutput};
 pub use parallel::{parallel_for_each, parallel_map};
 pub use projection::{
     project_gaussian, project_gaussian_backward, GaussianGradients, ProjectedGaussian,
-    ScreenGradients,
+    ProjectionSetup, ScreenGradients,
 };
 pub use rasterize::{
     render, render_backward, RenderAux, RenderGradients, RenderOptions, RenderOutput,

@@ -382,6 +382,12 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    if threads.min(count) <= 1 || IN_REGION.get() {
+        // The region would run serially on this thread anyway (see
+        // [`ComputePool::for_each`]): skip the slot vector and its two
+        // extra passes.
+        return (0..count).map(f).collect();
+    }
     let mut results: Vec<Option<R>> = (0..count).map(|_| None).collect();
     {
         let jobs: Vec<(usize, &mut Option<R>)> = results.iter_mut().enumerate().collect();

@@ -17,7 +17,7 @@
 //! colour and opacity back onto all 59 learnable parameters.
 
 use gs_core::camera::Camera;
-use gs_core::gaussian::{Gaussian, SH_FLOATS};
+use gs_core::gaussian::{covariance, Gaussian, GaussianModel, SH_FLOATS};
 use gs_core::math::{sigmoid, Mat3, Quat, Sym2, Vec2, Vec3};
 use gs_core::sh::{eval_sh_color, eval_sh_color_backward};
 
@@ -61,7 +61,7 @@ pub struct ProjectedGaussian {
 /// (the reference CUDA implementation applies the same 1.3× limit).
 pub const JACOBIAN_FOV_CLAMP: f32 = 1.3;
 
-/// Intermediate values saved by [`project_gaussian`] that the backward pass
+/// Intermediate values saved by the projection that the backward pass
 /// needs to avoid recomputation.
 #[derive(Debug, Clone)]
 pub struct ProjectionContext {
@@ -172,7 +172,142 @@ impl GaussianGradients {
     }
 }
 
-/// Projects Gaussian `g` (with global index `index`) into `camera`.
+/// Everything the projection derives from the camera alone, evaluated once
+/// per view instead of once per splat: the Jacobian field-of-view limits
+/// (two `atan` + two `tan`), the world-to-camera rotation with its
+/// transpose, and the camera centre.  Hoisting them is exact: each is a
+/// function of the camera only, so every splat of the view sees the same
+/// bits it would compute for itself.
+#[derive(Debug, Clone)]
+pub struct ProjectionSetup<'a> {
+    camera: &'a Camera,
+    lim_x: f32,
+    lim_y: f32,
+    w: Mat3,
+    wt: Mat3,
+    center: Vec3,
+}
+
+impl<'a> ProjectionSetup<'a> {
+    /// Builds the per-view set-up for `camera`.
+    pub fn new(camera: &'a Camera) -> Self {
+        let w = camera.extrinsics.rotation;
+        ProjectionSetup {
+            camera,
+            // Clamp limits for the point used by the Jacobian: slightly
+            // beyond the field of view, as the reference implementation
+            // does (it, too, takes tan(fov/2) once per view).
+            lim_x: JACOBIAN_FOV_CLAMP * (camera.intrinsics.fov_x() * 0.5).tan(),
+            lim_y: JACOBIAN_FOV_CLAMP * (camera.intrinsics.fov_y() * 0.5).tan(),
+            w,
+            wt: w.transpose(),
+            center: camera.center(),
+        }
+    }
+
+    /// Projects Gaussian `index` of `model` into the view, reading its
+    /// attributes in place (no 59-float [`Gaussian`] copy).
+    ///
+    /// Returns `None` when the Gaussian is behind the near plane, projects
+    /// to a degenerate covariance, or is effectively transparent — such
+    /// splats contribute nothing to the image.
+    ///
+    /// # Panics
+    /// Panics if `index` is outside the model.
+    pub fn project(
+        &self,
+        model: &GaussianModel,
+        index: u32,
+    ) -> Option<(ProjectedGaussian, ProjectionContext)> {
+        let i = index as usize;
+        self.project_attributes(
+            index,
+            model.positions()[i],
+            model.log_scales()[i],
+            model.rotations()[i],
+            model.opacity_logits()[i],
+            model.sh_of(i),
+        )
+    }
+
+    /// The one projection implementation, over borrowed attributes.
+    fn project_attributes(
+        &self,
+        index: u32,
+        position: Vec3,
+        log_scale: Vec3,
+        rotation: Quat,
+        opacity_logit: f32,
+        sh: &[f32],
+    ) -> Option<(ProjectedGaussian, ProjectionContext)> {
+        let camera = self.camera;
+        let p_cam = camera.world_to_camera(position);
+        if p_cam.z < camera.near || p_cam.z > camera.far {
+            return None;
+        }
+        let (mx, my) = camera.project_camera_space(p_cam)?;
+
+        let opacity = sigmoid(opacity_logit);
+        if opacity < MIN_ALPHA {
+            return None;
+        }
+
+        let cov3d = covariance(log_scale, rotation);
+        let v = self.w * cov3d * self.wt;
+
+        let (fx, fy) = (camera.intrinsics.fx, camera.intrinsics.fy);
+        let z = p_cam.z;
+        // Clamp the point used for the Jacobian so that off-frustum
+        // Gaussians close to the image plane do not produce a degenerate
+        // screen-space covariance.
+        let (lim_x, lim_y) = (self.lim_x, self.lim_y);
+        let ratio_x = p_cam.x / z;
+        let ratio_y = p_cam.y / z;
+        let clamped = (ratio_x.abs() > lim_x, ratio_y.abs() > lim_y);
+        let x = ratio_x.clamp(-lim_x, lim_x) * z;
+        let y = ratio_y.clamp(-lim_y, lim_y) * z;
+        let p_jacobian = Vec3::new(x, y, z);
+        // Jacobian of the perspective projection at the (clamped) point (2x3).
+        let j = [
+            [fx / z, 0.0, -fx * x / (z * z)],
+            [0.0, fy / z, -fy * y / (z * z)],
+        ];
+        let cov2d = project_cov(&j, &v);
+        let cov2d = Sym2::new(cov2d.a + COV2D_LOW_PASS, cov2d.b, cov2d.c + COV2D_LOW_PASS);
+        let conic = cov2d.inverse()?;
+        let radius = 3.0 * cov2d.max_eigenvalue().max(0.0).sqrt();
+        if radius <= 0.0 {
+            return None;
+        }
+
+        let view_dir = position - self.center;
+        let color = eval_sh_color(SH_DEGREE, sh, view_dir);
+
+        Some((
+            ProjectedGaussian {
+                index,
+                mean2d: Vec2::new(mx, my),
+                depth: z,
+                conic,
+                radius,
+                color,
+                opacity,
+            },
+            ProjectionContext {
+                p_cam,
+                p_jacobian,
+                clamped,
+                view_dir,
+                cov2d,
+                rot_world_to_cam: self.w,
+            },
+        ))
+    }
+}
+
+/// Projects Gaussian `g` (with global index `index`) into `camera`: the
+/// single-splat entry point to [`ProjectionSetup`]'s projection, for
+/// callers that hold a [`Gaussian`] rather than a model row.
 ///
 /// Returns `None` when the Gaussian is behind the near plane, projects to a
 /// degenerate covariance, or is effectively transparent — such splats
@@ -182,70 +317,14 @@ pub fn project_gaussian(
     index: u32,
     camera: &Camera,
 ) -> Option<(ProjectedGaussian, ProjectionContext)> {
-    let p_cam = camera.world_to_camera(g.position);
-    if p_cam.z < camera.near || p_cam.z > camera.far {
-        return None;
-    }
-    let (mx, my) = camera.project_camera_space(p_cam)?;
-
-    let opacity = sigmoid(g.opacity_logit);
-    if opacity < MIN_ALPHA {
-        return None;
-    }
-
-    let w = camera.extrinsics.rotation;
-    let cov3d = g.covariance();
-    let v = w * cov3d * w.transpose();
-
-    let (fx, fy) = (camera.intrinsics.fx, camera.intrinsics.fy);
-    let z = p_cam.z;
-    // Clamp the point used for the Jacobian to slightly beyond the field of
-    // view, as the reference implementation does, so that off-frustum
-    // Gaussians close to the image plane do not produce a degenerate
-    // screen-space covariance.
-    let lim_x = JACOBIAN_FOV_CLAMP * (camera.intrinsics.fov_x() * 0.5).tan();
-    let lim_y = JACOBIAN_FOV_CLAMP * (camera.intrinsics.fov_y() * 0.5).tan();
-    let ratio_x = p_cam.x / z;
-    let ratio_y = p_cam.y / z;
-    let clamped = (ratio_x.abs() > lim_x, ratio_y.abs() > lim_y);
-    let x = ratio_x.clamp(-lim_x, lim_x) * z;
-    let y = ratio_y.clamp(-lim_y, lim_y) * z;
-    let p_jacobian = Vec3::new(x, y, z);
-    // Jacobian of the perspective projection at the (clamped) point (2x3).
-    let j = [
-        [fx / z, 0.0, -fx * x / (z * z)],
-        [0.0, fy / z, -fy * y / (z * z)],
-    ];
-    let cov2d = project_cov(&j, &v);
-    let cov2d = Sym2::new(cov2d.a + COV2D_LOW_PASS, cov2d.b, cov2d.c + COV2D_LOW_PASS);
-    let conic = cov2d.inverse()?;
-    let radius = 3.0 * cov2d.max_eigenvalue().max(0.0).sqrt();
-    if radius <= 0.0 {
-        return None;
-    }
-
-    let view_dir = g.position - camera.center();
-    let color = eval_sh_color(SH_DEGREE, &g.sh, view_dir);
-
-    Some((
-        ProjectedGaussian {
-            index,
-            mean2d: Vec2::new(mx, my),
-            depth: z,
-            conic,
-            radius,
-            color,
-            opacity,
-        },
-        ProjectionContext {
-            p_cam,
-            p_jacobian,
-            clamped,
-            view_dir,
-            cov2d,
-            rot_world_to_cam: w,
-        },
-    ))
+    ProjectionSetup::new(camera).project_attributes(
+        index,
+        g.position,
+        g.log_scale,
+        g.rotation,
+        g.opacity_logit,
+        &g.sh,
+    )
 }
 
 /// Backward pass of [`project_gaussian`]: maps screen-space gradients back
@@ -669,6 +748,263 @@ mod tests {
                 finite_diff(&g, &cam, |g, e| g.sh[idx] += e, eps),
                 &format!("d_sh[{idx}]"),
             );
+        }
+    }
+
+    /// The projection exactly as it stood before the per-view set-up was
+    /// hoisted (every camera-only quantity re-evaluated per splat, the
+    /// attributes read from a [`Gaussian`] copy) — frozen here as the
+    /// bit-level oracle.  Do not "tidy" it: its whole value is that it does
+    /// not share code with the implementation.
+    fn reference_project_gaussian(
+        g: &Gaussian,
+        index: u32,
+        camera: &Camera,
+    ) -> Option<(ProjectedGaussian, ProjectionContext)> {
+        let p_cam = camera.world_to_camera(g.position);
+        if p_cam.z < camera.near || p_cam.z > camera.far {
+            return None;
+        }
+        let (mx, my) = camera.project_camera_space(p_cam)?;
+
+        let opacity = sigmoid(g.opacity_logit);
+        if opacity < MIN_ALPHA {
+            return None;
+        }
+
+        let w = camera.extrinsics.rotation;
+        let cov3d = g.covariance();
+        let v = w * cov3d * w.transpose();
+
+        let (fx, fy) = (camera.intrinsics.fx, camera.intrinsics.fy);
+        let z = p_cam.z;
+        // Clamp the point used for the Jacobian to slightly beyond the field of
+        // view, as the reference implementation does, so that off-frustum
+        // Gaussians close to the image plane do not produce a degenerate
+        // screen-space covariance.
+        let lim_x = JACOBIAN_FOV_CLAMP * (camera.intrinsics.fov_x() * 0.5).tan();
+        let lim_y = JACOBIAN_FOV_CLAMP * (camera.intrinsics.fov_y() * 0.5).tan();
+        let ratio_x = p_cam.x / z;
+        let ratio_y = p_cam.y / z;
+        let clamped = (ratio_x.abs() > lim_x, ratio_y.abs() > lim_y);
+        let x = ratio_x.clamp(-lim_x, lim_x) * z;
+        let y = ratio_y.clamp(-lim_y, lim_y) * z;
+        let p_jacobian = Vec3::new(x, y, z);
+        // Jacobian of the perspective projection at the (clamped) point (2x3).
+        let j = [
+            [fx / z, 0.0, -fx * x / (z * z)],
+            [0.0, fy / z, -fy * y / (z * z)],
+        ];
+        let cov2d = project_cov(&j, &v);
+        let cov2d = Sym2::new(cov2d.a + COV2D_LOW_PASS, cov2d.b, cov2d.c + COV2D_LOW_PASS);
+        let conic = cov2d.inverse()?;
+        let radius = 3.0 * cov2d.max_eigenvalue().max(0.0).sqrt();
+        if radius <= 0.0 {
+            return None;
+        }
+
+        let view_dir = g.position - camera.center();
+        let color = eval_sh_color(SH_DEGREE, &g.sh, view_dir);
+
+        Some((
+            ProjectedGaussian {
+                index,
+                mean2d: Vec2::new(mx, my),
+                depth: z,
+                conic,
+                radius,
+                color,
+                opacity,
+            },
+            ProjectionContext {
+                p_cam,
+                p_jacobian,
+                clamped,
+                view_dir,
+                cov2d,
+                rot_world_to_cam: w,
+            },
+        ))
+    }
+
+    /// Every output of a projection as raw bits, so two results can be
+    /// compared exactly (NaNs included).
+    fn bits(r: &Option<(ProjectedGaussian, ProjectionContext)>) -> Option<Vec<u32>> {
+        let (p, c) = r.as_ref()?;
+        let mut out = vec![p.index];
+        let mut f = |v: f32| out.push(v.to_bits());
+        for v in [p.mean2d.x, p.mean2d.y, p.depth, p.radius, p.opacity] {
+            f(v);
+        }
+        for v in [
+            p.conic.a, p.conic.b, p.conic.c, c.cov2d.a, c.cov2d.b, c.cov2d.c,
+        ] {
+            f(v);
+        }
+        p.color.iter().for_each(|v| f(*v));
+        for v in [c.p_cam, c.p_jacobian, c.view_dir] {
+            v.to_array().iter().for_each(|v| f(*v));
+        }
+        c.rot_world_to_cam.m.iter().flatten().for_each(|v| f(*v));
+        out.push(c.clamped.0 as u32);
+        out.push(c.clamped.1 as u32);
+        Some(out)
+    }
+
+    type Triple = (f32, f32, f32);
+
+    /// A camera somewhere around the origin with a random pose, aspect,
+    /// field of view and clip range.
+    fn arbitrary_camera((eye, aim, lens): (Triple, Triple, (f32, u32, u32))) -> Camera {
+        let eye = Vec3::new(eye.0, eye.1, eye.2);
+        let (yaw, pitch, near) = aim;
+        let (fov, width, height) = lens;
+        Camera::look_at(
+            eye,
+            eye + Vec3::new(yaw.sin(), pitch, yaw.cos()),
+            Vec3::Y,
+            CameraIntrinsics::simple(width, height, fov),
+        )
+        .with_clip(near, near + 18.0)
+    }
+
+    /// A Gaussian whose `kind` selects one of the projection's edge cases
+    /// (or none): overflowing or vanishing scales, an all-zero quaternion,
+    /// an opacity below [`MIN_ALPHA`].
+    fn arbitrary_gaussian(
+        kind: u32,
+        (position, log_scale, (qa, qb, logit)): (Triple, Triple, Triple),
+        sh_seed: f32,
+    ) -> Gaussian {
+        let mut g = Gaussian {
+            position: Vec3::new(position.0, position.1, position.2),
+            log_scale: Vec3::new(log_scale.0, log_scale.1, log_scale.2),
+            rotation: Quat {
+                w: qa,
+                x: qb,
+                y: qa * qb - 0.3,
+                z: 0.5 - qb,
+            },
+            opacity_logit: logit,
+            ..Default::default()
+        };
+        for (k, c) in g.sh.iter_mut().enumerate() {
+            *c = ((k as f32 + 1.0) * sh_seed).sin();
+        }
+        match kind {
+            0 => g.log_scale = Vec3::new(48.0, log_scale.1, 52.0),
+            1 => g.log_scale = Vec3::splat(-42.0),
+            2 => {
+                g.rotation = Quat {
+                    w: 0.0,
+                    x: 0.0,
+                    y: 0.0,
+                    z: 0.0,
+                }
+            }
+            3 => g.opacity_logit = -6.0 - logit.abs(),
+            _ => {}
+        }
+        g
+    }
+
+    /// Asserts that both entry points of the one implementation — the
+    /// model-row projection through a shared set-up and the single-splat
+    /// wrapper — return exactly what the frozen reference returns.
+    fn assert_matches_reference(
+        g: &Gaussian,
+        cam: &Camera,
+    ) -> Option<(ProjectedGaussian, ProjectionContext)> {
+        let mut model = GaussianModel::new();
+        model.push(Gaussian::default());
+        let index = model.push(g.clone()) as u32;
+        let expected = reference_project_gaussian(&model.get(index as usize), index, cam);
+        let via_setup = ProjectionSetup::new(cam).project(&model, index);
+        assert_eq!(
+            bits(&via_setup),
+            bits(&expected),
+            "set-up path: {g:?} {cam:?}"
+        );
+        let via_wrapper = project_gaussian(g, index, cam);
+        assert_eq!(
+            bits(&via_wrapper),
+            bits(&expected),
+            "wrapper: {g:?} {cam:?}"
+        );
+        expected
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_projection_is_bit_identical_to_the_reference(
+            camera in (
+                (-6.0f32..6.0, -3.0f32..3.0, -6.0f32..6.0),
+                (0.0f32..std::f32::consts::TAU, -0.4f32..0.4, 0.05f32..2.0),
+                (0.3f32..2.4, 8u32..120, 8u32..120),
+            ),
+            splats in proptest::collection::vec(
+                (
+                    0u32..10,
+                    (
+                        (-14.0f32..14.0, -8.0f32..8.0, -14.0f32..14.0),
+                        (-6.0f32..1.5, -6.0f32..1.5, -6.0f32..1.5),
+                        (-1.0f32..1.0, -1.0f32..1.0, -7.0f32..7.0),
+                    ),
+                    0.1f32..3.0,
+                ),
+                1..24,
+            ),
+        ) {
+            let cam = arbitrary_camera(camera);
+            for (kind, attributes, sh_seed) in splats {
+                assert_matches_reference(&arbitrary_gaussian(kind, attributes, sh_seed), &cam);
+            }
+        }
+    }
+
+    #[test]
+    fn reference_comparison_reaches_every_branch() {
+        // The property above is only as strong as the branches its inputs
+        // reach: sweep a fixed grid through the same comparison and count
+        // them.
+        let cam = test_camera(); // at the origin looking down +Z, clip 0.1–100
+        let (mut behind, mut beyond, mut transparent, mut degenerate) = (0, 0, 0, 0);
+        let (mut clamp_x, mut clamp_y, mut unclamped) = (0, 0, 0);
+        for kind in 0..6u32 {
+            for zi in 0..7 {
+                for xi in 0..7 {
+                    let z: f32 = [-3.0, 0.05, 0.4, 2.0, 9.0, 60.0, 140.0][zi];
+                    let x = (xi as f32 - 3.0) * 0.9 * z.max(0.5);
+                    let y = (((xi + zi) % 5) as f32 - 2.0) * 0.8 * z.max(0.5);
+                    let g = arbitrary_gaussian(
+                        kind,
+                        ((x, y, z), (-1.5, -2.5, -1.0), (0.9, 0.2, 1.2)),
+                        0.7 + kind as f32,
+                    );
+                    match assert_matches_reference(&g, &cam) {
+                        Some((_, ctx)) => {
+                            clamp_x += ctx.clamped.0 as usize;
+                            clamp_y += ctx.clamped.1 as usize;
+                            unclamped += (ctx.clamped == (false, false)) as usize;
+                        }
+                        None if z < cam.near => behind += 1,
+                        None if z > cam.far => beyond += 1,
+                        None if kind == 3 => transparent += 1,
+                        None => degenerate += 1,
+                    }
+                }
+            }
+        }
+        for (name, count) in [
+            ("behind near", behind),
+            ("beyond far", beyond),
+            ("below MIN_ALPHA", transparent),
+            ("degenerate covariance", degenerate),
+            ("x clamp", clamp_x),
+            ("y clamp", clamp_y),
+            ("no clamp", unclamped),
+        ] {
+            assert!(count > 0, "the sweep never reached the {name} branch");
         }
     }
 

@@ -53,8 +53,8 @@
 use crate::image::Image;
 use crate::parallel::{parallel_for_each, parallel_map, resolve_compute_threads};
 use crate::projection::{
-    project_gaussian, project_gaussian_backward, GaussianGradients, ProjectedGaussian,
-    ProjectionContext, ScreenGradients, MAX_ALPHA, MIN_ALPHA,
+    project_gaussian_backward, GaussianGradients, ProjectedGaussian, ProjectionContext,
+    ProjectionSetup, ScreenGradients, MAX_ALPHA, MIN_ALPHA,
 };
 use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
@@ -205,15 +205,27 @@ pub fn render(model: &GaussianModel, camera: &Camera, options: &RenderOptions) -
             &all_indices
         }
     };
+    let setup = ProjectionSetup::new(camera);
     let mut projected: Vec<ProjectedGaussian> = Vec::new();
     let mut contexts: Vec<ProjectionContext> = Vec::new();
-    let projections = parallel_map(compute_threads, candidates.len(), |k| {
-        let idx = candidates[k];
-        project_gaussian(&model.get(idx as usize), idx, camera)
-    });
-    for (p, ctx) in projections.into_iter().flatten() {
+    let mut keep = |(p, ctx)| {
         projected.push(p);
         contexts.push(ctx);
+    };
+    if compute_threads <= 1 {
+        // Width 1: survivors go straight to their final vectors, with no
+        // per-candidate `Option` staging in between.
+        candidates
+            .iter()
+            .filter_map(|&idx| setup.project(model, idx))
+            .for_each(&mut keep);
+    } else {
+        parallel_map(compute_threads, candidates.len(), |k| {
+            setup.project(model, candidates[k])
+        })
+        .into_iter()
+        .flatten()
+        .for_each(&mut keep);
     }
 
     // 2. Depth sort (front to back).

@@ -9,7 +9,7 @@
 //! behaviour discussed in Appendix A.3.
 
 use gs_core::gaussian::GaussianModel;
-use gs_core::math::Vec3;
+use gs_core::math::{sigmoid, Vec3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -226,9 +226,10 @@ pub fn plan_resize(
     let mut rng = StdRng::seed_from_u64(config.seed);
 
     // 1. Prune low-opacity Gaussians first.
-    let pruned: Vec<u32> = (0..model.len())
-        .filter(|&i| model.get(i).opacity() < config.prune_opacity)
-        .map(|i| i as u32)
+    let pruned: Vec<u32> = (0u32..)
+        .zip(model.opacity_logits())
+        .filter(|(_, &logit)| sigmoid(logit) < config.prune_opacity)
+        .map(|(i, _)| i)
         .collect();
     let survivors: Vec<u32> = (0..model.len() as u32)
         .filter(|i| pruned.binary_search(i).is_err())
