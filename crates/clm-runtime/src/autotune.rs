@@ -28,12 +28,12 @@
 
 use gs_core::NON_CRITICAL_FLOATS;
 use gs_core::PARAMS_PER_GAUSSIAN;
-use gs_optim::{compute_packed_chunked, AdamConfig, AdamWorkItem, WORK_ITEM_BYTES};
+use gs_optim::{compute_packed, AdamConfig, AdamWorkItem, WORK_ITEM_BYTES};
 use gs_render::{render, RenderOptions, DEFAULT_BAND_HEIGHT, TILE_SIZE};
 use gs_scene::{
     generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
 };
-use sim_device::{DeviceProfile, HostTopology};
+use sim_device::HostTopology;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -80,8 +80,9 @@ impl Calibration {
     pub fn run() -> Self {
         let started = Instant::now();
 
-        // 1. Adam lane kernel over packed work items, exactly the shape the
-        // CPU Adam lane feeds it.
+        // 1. Adam lane kernel over self-contained packed work items (the
+        // CPU Adam lane itself runs the same kernel through
+        // `step_detached`, against the live moment stores).
         let mut items: Vec<AdamWorkItem> = (0..CALIBRATION_ROWS)
             .map(|i| {
                 let mut item = AdamWorkItem {
@@ -104,7 +105,7 @@ impl Calibration {
             .collect();
         let config = AdamConfig::default();
         let adam_rows_per_s = timed_rows(CALIBRATION_ROWS as u64, || {
-            compute_packed_chunked(&config, &mut items, 1)
+            compute_packed(&config, &mut items)
         });
 
         // 2. One serial banded render — the rasteriser's forward band loop
@@ -157,15 +158,6 @@ impl Calibration {
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
         }
     }
-
-    /// Single-line JSON object for the benchmark artefacts.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"adam_rows_per_s\":{:.1},\"raster_rows_per_s\":{:.1},\
-             \"gather_rows_per_s\":{:.1},\"wall_ms\":{:.2}}}",
-            self.adam_rows_per_s, self.raster_rows_per_s, self.gather_rows_per_s, self.wall_ms,
-        )
-    }
 }
 
 /// Runs `body` repeatedly until the calibration budget elapses and returns
@@ -209,27 +201,6 @@ pub struct TunedKnobs {
     /// (`prefetch_window` configs override; adaptive policies refine it
     /// per batch).
     pub prefetch_window: usize,
-    /// Fitted ratio of the simulated RTX 4090 forward rate to this host's
-    /// measured rasteriser rate — the per-host `CostModel` correction
-    /// (`RuntimeConfig::cost_scale` stays authoritative; this is the
-    /// measured hint surfaced in the artefacts).
-    pub sim_compute_scale: f64,
-}
-
-impl TunedKnobs {
-    /// Single-line JSON object for the benchmark artefacts.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"compute_threads\":{},\"adam_threads\":{},\"adam_chunk_rows\":{},\
-             \"band_height\":{},\"prefetch_window\":{},\"sim_compute_scale\":{:.1}}}",
-            self.compute_threads,
-            self.adam_threads,
-            self.adam_chunk_rows,
-            self.band_height,
-            self.prefetch_window,
-            self.sim_compute_scale,
-        )
-    }
 }
 
 /// Reference image width (pixels) the band-height fit assumes; per-pixel
@@ -268,26 +239,12 @@ pub fn derive_knobs(topo: &HostTopology, cal: &Calibration) -> TunedKnobs {
     };
     let prefetch_window = (ratio.ceil() as usize).clamp(1, 8);
 
-    // CostModel fit: how many times the simulated device outruns this
-    // host's measured single-core rasteriser.
-    let device = DeviceProfile::rtx4090();
-    let ref_gaussians = 100_000u64;
-    let ref_pixels = 1920u64 * 1080;
-    let device_rows_per_s =
-        ref_gaussians as f64 / device.forward_time(ref_gaussians, ref_pixels).max(1e-12);
-    let sim_compute_scale = if cal.raster_rows_per_s > 0.0 {
-        device_rows_per_s / cal.raster_rows_per_s
-    } else {
-        1.0
-    };
-
     TunedKnobs {
         compute_threads: cores.min(64),
         adam_threads: cores.min(64),
         adam_chunk_rows,
         band_height,
         prefetch_window,
-        sim_compute_scale,
     }
 }
 
@@ -301,17 +258,6 @@ pub struct Autotune {
     pub calibration: Calibration,
     /// The derived knob defaults.
     pub knobs: TunedKnobs,
-}
-
-impl Autotune {
-    /// Single-line JSON object: the calibration and the derived knobs.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"calibration\":{},\"knobs\":{}}}",
-            self.calibration.to_json(),
-            self.knobs.to_json(),
-        )
-    }
 }
 
 /// Probes, calibrates and derives once per process; subsequent calls are
@@ -433,9 +379,6 @@ mod tests {
         assert!(cal.gather_rows_per_s > 0.0);
         // "~tens of ms" with generous slack for loaded CI runners.
         assert!(cal.wall_ms < 2_000.0, "calibration took {} ms", cal.wall_ms);
-        let json = cal.to_json();
-        assert!(json.contains("\"adam_rows_per_s\":"));
-        assert!(json.contains("\"wall_ms\":"));
     }
 
     #[test]
@@ -453,7 +396,6 @@ mod tests {
             "{k:?}"
         );
         assert!((1..=8).contains(&k.prefetch_window), "{k:?}");
-        assert!(k.sim_compute_scale > 0.0);
         let fingerprint = first.topology.fingerprint();
         assert!(
             fingerprint.ends_with(&format!("-e{effective}")),
@@ -466,9 +408,5 @@ mod tests {
             gs_render::parallel::default_compute_threads(),
             first.knobs.compute_threads
         );
-        let json = first.to_json();
-        assert!(json.contains("\"calibration\":{"), "{json}");
-        assert!(json.contains("\"knobs\":{"), "{json}");
-        assert!(!json.contains('\n'));
     }
 }

@@ -78,7 +78,7 @@ use gs_optim::GradientBuffer;
 use gs_render::Image;
 use gs_scene::{partition_by_footprint, Dataset, GaussianPartition};
 use sim_device::pipeline::{self, AdamGroup, ClmShape, CostSource, OpCost};
-use sim_device::{DeviceProfile, FaultPlan, Lane, OpKind, Timeline};
+use sim_device::{DeviceProfile, FaultPlan, Lane, OpId, OpKind, Timeline};
 
 /// Scheduling-lane cost per Gaussian-view of frustum culling (seconds).
 const CULL_COST_PER_GAUSSIAN_VIEW: f64 = 2.0e-10;
@@ -227,6 +227,54 @@ impl CostModel {
 /// staging pool must be able to lease after a resize.
 pub(crate) fn max_fetch_rows(plan: &BatchPlan) -> usize {
     plan.fetched.iter().map(|s| s.len()).max().unwrap_or(0)
+}
+
+/// Emits `system`'s op graph for one batch after the ops in `after` — the
+/// one place this crate picks an emitter, for the simulated engine and the
+/// threaded backend alike.  Only CLM reads more of `shape` than its
+/// micro-batch count.  The other systems end in whole-model ops no
+/// [`CostSource`] hook prices: `whole_model` is the cost model and model
+/// length they are priced from, or `None` for an executor that measures
+/// instead of pricing.
+pub(crate) fn emit_system(
+    timeline: &mut Timeline,
+    after: &[OpId],
+    system: SystemKind,
+    shape: &ClmShape,
+    whole_model: Option<(&CostModel, usize)>,
+    costs: &mut impl CostSource,
+) {
+    #[cfg(test)]
+    let costs = &mut pipeline::Recorded::new(costs);
+    let adam = |rate: fn(&DeviceProfile, u64) -> f64| {
+        whole_model.map_or_else(OpCost::default, |(cost, rows)| cost.adam(rows, rate))
+    };
+    match system {
+        SystemKind::Clm => pipeline::emit_clm(timeline, after, shape, costs),
+        SystemKind::NaiveOffload => {
+            let transfer = whole_model.map_or_else(OpCost::default, |(cost, rows)| {
+                let bytes = rows * PARAMS_PER_GAUSSIAN * gs_core::BYTES_PER_PARAM;
+                cost.device
+                    .transfer(cost.scaled_bytes(bytes as u64), rows as u64)
+            });
+            let adam = adam(DeviceProfile::cpu_adam_time);
+            pipeline::emit_naive(timeline, after, shape.microbatches, transfer, adam, costs);
+        }
+        SystemKind::Baseline | SystemKind::EnhancedBaseline => {
+            let adam = adam(DeviceProfile::gpu_adam_time);
+            pipeline::emit_gpu_only(timeline, after, shape.microbatches, adam, costs);
+        }
+    }
+    #[cfg(test)]
+    HOOK_LOG.with_borrow_mut(|log| log.append(&mut costs.calls));
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test seam: the hook order of every [`emit_system`] call this thread
+    /// has made since the log was last taken.
+    pub(crate) static HOOK_LOG: std::cell::RefCell<Vec<String>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// A trainer executing as a discrete-event pipeline across
@@ -530,37 +578,14 @@ impl PipelinedEngine {
             cross_shard_rows: 0,
         };
         run.trainer.begin_batch(&plan, run.grads);
-        let after = [sched];
-        match system {
-            SystemKind::Clm => {
-                let shape = ClmShape {
-                    microbatches,
-                    window,
-                    devices: run.devices,
-                    overlapped,
-                };
-                pipeline::emit_clm(&mut timeline, &after, &shape, &mut run);
-            }
-            SystemKind::NaiveOffload => {
-                let bytes = model_len * PARAMS_PER_GAUSSIAN * gs_core::BYTES_PER_PARAM;
-                let transfer = cost
-                    .device
-                    .transfer(cost.scaled_bytes(bytes as u64), model_len as u64);
-                let adam = cost.adam(model_len, DeviceProfile::cpu_adam_time);
-                pipeline::emit_naive(
-                    &mut timeline,
-                    &after,
-                    microbatches,
-                    transfer,
-                    adam,
-                    &mut run,
-                );
-            }
-            SystemKind::Baseline | SystemKind::EnhancedBaseline => {
-                let adam = cost.adam(model_len, DeviceProfile::gpu_adam_time);
-                pipeline::emit_gpu_only(&mut timeline, &after, microbatches, adam, &mut run);
-            }
-        }
+        let shape = ClmShape {
+            microbatches,
+            window,
+            devices: run.devices,
+            overlapped,
+        };
+        let priced = Some((&cost, model_len));
+        emit_system(&mut timeline, &[sched], system, &shape, priced, &mut run);
         let total_loss = run.total_loss;
         self.local_rows += run.local_rows;
         self.cross_shard_rows += run.cross_shard_rows;

@@ -1,34 +1,41 @@
 //! The threaded execution backend: real overlap on real threads.
 //!
-//! [`ThreadedBackend`] executes the same stepwise trainer sequence as the
-//! simulated [`PipelinedEngine`](crate::PipelinedEngine), but instead of
-//! costing the lanes on a discrete-event timeline it *runs* them on
-//! dedicated worker threads:
+//! [`ThreadedBackend`] is the fourth executor of [`sim_device::pipeline`]'s
+//! one schedule description, next to the simulated
+//! [`PipelinedEngine`](crate::PipelinedEngine), the trace what-if rebuild
+//! and the analytic model.  After planning it hands the emitter the same
+//! system and [`ClmShape`] the engine would and, as its [`CostSource`],
+//! does the real work inside the hooks: which gather is requested when,
+//! when a staging buffer goes back and which Adam group ships after which
+//! micro-batch are the emitter's decisions.  Where the engine costs the
+//! lanes on a discrete-event timeline, this backend *runs* them:
 //!
-//! * the **gather lane** (the GpuComm stream of Figure 6) copies pinned
-//!   host rows into recycled [`PinnedBufferPool`] staging buffers up to a
-//!   prefetch window ahead of the micro-batch that consumes them — the
-//!   copies happen on the worker, straight from a shared borrow of the
-//!   offloaded store (zero intermediate clones);
+//! * the **gather lane** (the GpuComm stream of Figure 6) stages the
+//!   micro-batch the coordinator asks for — pinned host rows copied
+//!   straight from a shared borrow of the offloaded store into a recycled
+//!   [`PinnedBufferPool`] buffer — and recycles the buffers handed back;
 //! * the **CPU Adam lane** *holds the optimiser* for the batch
 //!   ([`Trainer::lend_optimizer`]): the moments and step counters never
 //!   leave it.  A finalisation group reaches the lane as its group id plus
 //!   the group's **final gradient rows** — all the lane cannot already see;
-//!   the indices come from the shared [`BatchPlan`],
-//!   the parameters from the shared model, and the untouched `F_0` group
-//!   ships nothing at all (its gradient is zero by construction).  The lane
-//!   runs [`GaussianAdam::step_detached`](gs_optim::GaussianAdam::step_detached)
+//!   the indices come from the shared [`BatchPlan`], the parameters from
+//!   the shared model, and the untouched `F_0` group ships nothing at all
+//!   (its gradient is zero by construction).  The lane runs
+//!   [`GaussianAdam::step_detached`](gs_optim::GaussianAdam::step_detached)
 //!   — moments updated in place, optionally sharded across further threads
 //!   — and leaves only the new parameter rows behind, in the group's slice
 //!   of a buffer the coordinator writes back at batch end;
-//! * the **main thread** is the GPU-compute stand-in: it renders
-//!   micro-batches and accumulates gradients.
+//! * the **main thread** is the coordinator and the GPU-compute stand-in:
+//!   it renders micro-batches and accumulates gradients.
 //!
 //! Both lane buffers — one parameter row per Gaussian, and the batch's
-//! gradient rows — belong to the backend and are reused by every batch;
-//! they are sized by the model alone, so between densification boundaries
-//! (where they are re-provisioned like the staging pool) the lane allocates
-//! nothing.
+//! gradient rows — belong to the backend and are sized by the model alone,
+//! so between densification boundaries (where they are re-provisioned like
+//! the staging pool) the lane allocates nothing.  Every interval a thread
+//! times goes onto that thread's own [`LaneSpans`] list: the report's
+//! [`LaneBusy`] is the per-lane sum of the lists, and
+//! [`ThreadedBackend::run_batch_traced`] is the same lists on a
+//! [`Timeline`].
 //!
 //! # Why this is bit-identical to the synchronous trainer
 //!
@@ -47,26 +54,29 @@
 //! before its last access (`Trainer::process_microbatch` asserts staged
 //! rows never go stale).
 //!
-//! Bounded queues give the pipeline backpressure: a gather lane that runs
-//! ahead blocks on its completion queue (capped at the window's
-//! `staging_buffers()`, preserving the window+1 pinned-buffer high-water
-//! mark), and an Adam lane that falls behind blocks the coordinator only
-//! when its request queue is full.
+//! Bounded queues give the pipeline backpressure: a coordinator running
+//! ahead of a lane blocks on that lane's full request queue.  The gather
+//! lane's completion queue holds the emitter's whole staging-buffer budget
+//! ([`ClmShape::staging_buffers`]: `window + 1` per device, the pinned
+//! pool's high-water mark), so that lane never blocks on a reply while the
+//! coordinator is blocked on a request.
 
 use crate::backend::{ExecutionBackend, ExecutionReport, LaneBusy};
+use crate::engine::emit_system;
 use crate::pool::{PinnedBufferPool, PoolStats, StagingBuffer};
 use crate::prefetch::{PrefetchPolicy, WindowSelector};
-use crate::workers::{spawn_lane, BusyTimer, SpanLog};
-use clm_core::{gather_rows_into, BatchPlan, SystemKind, TrainConfig, Trainer};
+use crate::workers::{spawn_lane, LaneSpans, WorkerLane};
+use clm_core::{gather_rows_into, BatchPlan, SystemKind, TrainConfig, Trainer, TrainerView};
 use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
 use gs_core::PARAMS_PER_GAUSSIAN;
-use gs_optim::ParamRow;
+use gs_optim::{threads_for_chunk_rows, GradientBuffer, ParamRow};
 use gs_render::parallel::parallel_map;
 use gs_render::Image;
 use gs_scene::Dataset;
-use sim_device::{FaultPlan, Lane, OpKind, PrefetchWindow, Timeline};
-use std::sync::mpsc::RecvTimeoutError;
+use sim_device::pipeline::{AdamGroup, ClmShape, CostSource, OpCost};
+use sim_device::{FaultPlan, Lane, OpKind, Timeline};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
 
 /// How long the coordinator waits on a lane completion before counting a
@@ -87,9 +97,8 @@ pub struct ThreadedConfig {
     /// Threads the CPU Adam lane may chunk one group's update math across
     /// (1 = the lane's own worker thread does everything).  The default is
     /// the host's *effective* core count — cgroup CPU quotas included — not
-    /// the raw logical CPU count: on a quota-limited container the old
-    /// `available_parallelism`-based default oversubscribed the Adam lane
-    /// by an order of magnitude.
+    /// the raw logical CPU count, which oversubscribes the lane by an order
+    /// of magnitude on a quota-limited container.
     pub adam_threads: usize,
     /// Target rows per Adam chunk: groups smaller than
     /// `adam_threads × adam_chunk_rows` fan out across fewer threads, so a
@@ -116,8 +125,9 @@ pub struct ThreadedConfig {
     /// render concurrently — one thread per "device" — while losses,
     /// gradient accumulations and Adam hand-offs are replayed in the serial
     /// micro-batch order, so the numerics are bit-identical for every
-    /// device count.  A round holds `D` staged buffers at once, so the
-    /// effective prefetch window is floored at `D − 1`.
+    /// device count.  Each device gets its own prefetch window, exactly as
+    /// on the simulated engine: up to `D · (prefetch_window + 1)` staging
+    /// buffers are checked out at once.
     pub num_devices: usize,
     /// Warm start for the tracked prefetch fetch/compute ratio (e.g. a
     /// [`WarmStartCache`](crate::WarmStartCache) entry recorded by an
@@ -130,9 +140,6 @@ impl Default for ThreadedConfig {
         ThreadedConfig {
             prefetch_window: 2,
             policy: PrefetchPolicy::Fixed,
-            // Effective cores, not raw available_parallelism: a cgroup CPU
-            // quota (the common container case) caps how many Adam chunk
-            // threads can actually run.
             adam_threads: sim_device::HostTopology::cached().effective_cores(),
             adam_chunk_rows: 0,
             channel_capacity: 2,
@@ -209,12 +216,14 @@ impl ThreadedBackend {
     /// Panics if `config.adam_threads`, `config.channel_capacity` or
     /// `config.num_devices` is 0.
     pub fn with_trainer(mut trainer: Trainer, config: ThreadedConfig) -> Self {
-        assert!(config.adam_threads > 0, "adam_threads must be at least 1");
-        assert!(
-            config.channel_capacity > 0,
-            "channel_capacity must be at least 1"
+        let (threads, capacity, devices) = (
+            config.adam_threads,
+            config.channel_capacity,
+            config.num_devices,
         );
-        assert!(config.num_devices > 0, "num_devices must be at least 1");
+        assert!(threads > 0, "adam_threads must be at least 1");
+        assert!(capacity > 0, "channel_capacity must be at least 1");
+        assert!(devices > 0, "num_devices must be at least 1");
         if config.compute_threads > 0 {
             trainer.set_compute_threads(config.compute_threads);
         }
@@ -297,16 +306,13 @@ impl ThreadedBackend {
     /// # Panics
     /// Panics if `cameras` and `targets` differ in length or are empty.
     pub fn run_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> ExecutionReport {
-        self.run_batch_inner(cameras, targets, None)
+        self.run_batch_traced(cameras, targets).0
     }
 
-    /// [`run_batch`](Self::run_batch) with measured span capture: every
-    /// timed interval — on the worker threads and the coordinator alike —
-    /// is additionally recorded against its lane and laid out on the
-    /// returned measurement [`Timeline`], so the threaded backend's real
-    /// overlap feeds the same trace pipeline the simulated backends do.
-    /// Lane busy accounting in the report is untouched (it still comes
-    /// from the [`BusyTimer`]s).
+    /// [`run_batch`](Self::run_batch), also returning the batch's measured
+    /// spans — every interval the report's lane accounting is the sum of —
+    /// on a measurement [`Timeline`], so the threaded backend's real overlap
+    /// feeds the same trace pipeline the simulated backends do.
     ///
     /// # Panics
     /// Panics if `cameras` and `targets` differ in length or are empty.
@@ -315,23 +321,9 @@ impl ThreadedBackend {
         cameras: &[Camera],
         targets: &[Image],
     ) -> (ExecutionReport, Timeline) {
-        let log = SpanLog::new();
-        let report = self.run_batch_inner(cameras, targets, Some(&log));
-        (report, log.into_timeline())
-    }
-
-    fn run_batch_inner(
-        &mut self,
-        cameras: &[Camera],
-        targets: &[Image],
-        spans: Option<&SpanLog>,
-    ) -> ExecutionReport {
-        assert_eq!(
-            cameras.len(),
-            targets.len(),
-            "need one target image per camera"
-        );
-        assert!(!cameras.is_empty(), "batch must contain at least one view");
+        let views = cameras.len();
+        assert_eq!(views, targets.len(), "need one target image per camera");
+        assert!(views > 0, "batch must contain at least one view");
 
         let fault_before = self.fault_plan.as_ref().map(|p| p.stats());
         // Worker lanes and the coordinator all consult the same plan; the
@@ -339,57 +331,47 @@ impl ThreadedBackend {
         let fault_owned = self.fault_plan.clone();
         let fault = fault_owned.as_ref();
 
+        // One clock for the batch, one span list per thread.
         let wall_start = Instant::now();
+        let mut spans = LaneSpans::new(wall_start);
+        let mut gather_spans = LaneSpans::new(wall_start);
+        let mut adam_spans = LaneSpans::new(wall_start);
+
         // Densification boundary first: the worker lanes are scoped to one
         // batch (std::thread::scope below), so between batches nothing is in
         // flight and the model may resize; the lanes then spawn against the
-        // post-resize store.  Boundary work is scheduler-lane time.
-        let sched_start = spans.map(SpanLog::now);
+        // post-resize store.  Resize (when due) and planning both run on
+        // the host scheduler: one span for the whole boundary.
         let plan = self.trainer.resize_and_plan(cameras);
         if plan.resize.is_some() {
             self.pool.reprovision(crate::engine::max_fetch_rows(&plan));
         }
-        let scheduling_seconds = wall_start.elapsed().as_secs_f64();
-        if let (Some(log), Some(s)) = (spans, sched_start) {
-            // One span for the whole boundary: resize (when due) and
-            // planning both run on the host scheduler here.
-            log.record(
-                OpKind::Scheduling,
-                Lane::CpuScheduler,
-                s,
-                log.now(),
-                0,
-                self.trainer.model().len() as u64,
-                None,
-            );
-        }
+        let model_len = self.trainer.model().len();
+        let rows = model_len as u64;
+        spans.record(OpKind::Scheduling, Lane::CpuScheduler, None, 0, rows, 0.0);
 
-        let m = plan.num_microbatches();
-        let devices = self.config.num_devices;
-        // A D-device round holds D staged buffers at once, so the window
-        // (and with it the gather lane's completion-queue budget) is
-        // floored at D − 1; the round could not be staged otherwise.
+        let (m, config) = (plan.num_microbatches(), &self.config);
         let window = self
             .window_selector
-            .choose(self.config.policy, self.config.prefetch_window)
-            .max(devices.saturating_sub(1));
-        let pw = PrefetchWindow::new(window, m);
-
+            .choose(config.policy, config.prefetch_window);
+        let system = self.trainer.config().system;
         let overlapped = self.trainer.overlapped();
-        let is_clm = self.trainer.config().system == SystemKind::Clm;
+        let is_clm = system == SystemKind::Clm;
+        let shape = ClmShape {
+            microbatches: m,
+            window,
+            devices: config.num_devices,
+            overlapped,
+        };
         let mut grads = self.trainer.take_gradients();
 
-        let gather_timer = BusyTimer::new();
-        let adam_timer = BusyTimer::new();
-        let mut compute_seconds = 0.0f64;
-        let mut total_loss = 0.0f32;
-
-        // The Adam lane's buffers, carved into one slice per group: slot 0
-        // is F_0, slot i + 1 the group micro-batch i finalises.  The groups
-        // partition the model, so the parameter buffer is exactly one row
-        // per Gaussian; F_0 ships no gradients, so the gradient buffer
-        // holds the touched rows only.
-        let model_len = self.trainer.model().len();
+        // The Adam lane's buffers hold one slice per group, in slot order:
+        // slot 0 is F_0, slot i + 1 the group micro-batch i finalises.  The
+        // groups partition the model, so the parameter buffer is exactly
+        // one row per Gaussian; F_0 ships no gradients, so the gradient
+        // buffer holds the touched rows only.  Groups are packed, shipped
+        // and stepped in slot order, so each side carves its next slice off
+        // the front of what is left.
         if overlapped && (plan.resize.is_some() || self.adam_params.len() != model_len) {
             // Re-provisioned at a densification boundary (and before the
             // first batch), exact-sized like the staging pool.
@@ -403,309 +385,147 @@ impl ThreadedBackend {
         };
         self.adam_grads
             .resize(touched_rows, [0.0; PARAMS_PER_GAUSSIAN]);
-        let group_len = |slot: usize| adam_group(&plan, slot).len();
-        let param_slices = split_by_lens(&mut self.adam_params, (0..adam_slots).map(group_len));
-        let mut grad_slices = split_by_lens(&mut self.adam_grads, (1..adam_slots).map(group_len));
+        let mut params_left = &mut self.adam_params[..];
 
         // Disjoint borrows: the Adam lane holds the optimiser for the
         // batch, every lane shares the rest of the trainer read-only, and
         // the gather worker owns the staging pool.
         let (trainer, optimizer) = self.trainer.lend_optimizer();
-        let pool = &mut self.pool;
-        let capacity = self.config.channel_capacity;
-        let adam_threads = self.config.adam_threads;
-        let adam_chunk_rows = self.config.adam_chunk_rows;
-        // Chunk-target cap: small groups fan out across fewer threads.
-        // Identical numerics for any fan-out (the detached step guarantees
-        // it).
-        let adam_fan_out = move |len: usize| {
-            if adam_chunk_rows == 0 {
-                adam_threads
-            } else {
-                gs_optim::threads_for_chunk_rows(len, adam_chunk_rows, adam_threads)
+        let (pool, plan_ref) = (&mut self.pool, &plan);
+
+        // ---- Gather lane (CLM only): stage and reply, or recycle.
+        let host_rows = trainer.offloaded().non_critical_rows();
+        let gather_lane = |requests: Receiver<GatherRequest>, replies: SyncSender<_>| {
+            while let Ok(request) = requests.recv() {
+                let i = match request {
+                    GatherRequest::Stage(i) => i,
+                    GatherRequest::Release(i, buf) => {
+                        // Recycling the consumed buffer is comm-lane work
+                        // too (it is what a real pinned-pool free costs).
+                        let (mb, rows) = (Some(i as u32), buf.len() as u64);
+                        let release = || pool.release(buf);
+                        gather_spans.time(OpKind::Other, Lane::GpuComm, mb, 0, rows, release);
+                        continue;
+                    }
+                };
+                let indices = plan_ref.fetched[i].indices();
+                let stage = || {
+                    if let Some(fp) = fault.filter(|fp| fp.next_staging_acquire()) {
+                        // Denied lease: back off for real and retry — the
+                        // retry always succeeds (the pool recycles), so the
+                        // staged bytes are untouched.
+                        pool.note_denied();
+                        sleep_seconds(fp.retry().backoff_base);
+                    }
+                    let mut buf = pool.acquire(indices.len());
+                    gather_rows_into(host_rows, indices, &mut buf);
+                    if let Some(fp) = fault {
+                        // Failed attempts and straggles re-execute the pure
+                        // copy into scratch: real lane time, identical
+                        // staged bytes.
+                        let mut redo = 0usize;
+                        let mut backoff = 0.0f64;
+                        if let Some(attempts) = fp.transient_attempts(OpKind::LoadParams) {
+                            redo += attempts as usize;
+                            backoff += fp.retry().total_backoff(attempts);
+                        }
+                        if let Some(factor) = fp.straggle_factor(Lane::GpuComm) {
+                            redo += (factor.round() as usize).saturating_sub(1);
+                        }
+                        let mut scratch = Vec::new();
+                        for _ in 0..redo {
+                            gather_rows_into(host_rows, indices, &mut scratch);
+                        }
+                        if backoff > 0.0 {
+                            sleep_seconds(backoff);
+                        }
+                    }
+                    buf
+                };
+                let (mb, rows) = (Some(i as u32), indices.len() as u64);
+                let bytes = plan_ref.fetch_bytes(i);
+                let staged =
+                    gather_spans.time(OpKind::LoadParams, Lane::GpuComm, mb, bytes, rows, stage);
+                if replies.send((i, staged)).is_err() {
+                    return;
+                }
             }
         };
-        let plan_ref = &plan;
 
-        std::thread::scope(|scope| {
-            // ---- Gather lane (CLM only): stages prefetched rows into
-            // recycled pinned buffers.  Completion queue capacity equals the
-            // window's buffer budget, so at most window+1 staged buffers are
-            // ever in flight.
-            let gather = is_clm.then(|| {
-                let rows = trainer.offloaded().non_critical_rows();
-                let timer = &gather_timer;
-                spawn_lane::<(usize, StagingBuffer), (usize, StagingBuffer), _>(
-                    scope,
-                    capacity,
-                    pw.staging_buffers(),
-                    move |req_rx, resp_tx| {
-                        let stage = |i: usize, pool: &mut PinnedBufferPool| {
-                            let indices = plan_ref.fetched[i].indices();
-                            let span_start = spans.map(SpanLog::now);
-                            let buf = timer.time(|| {
-                                if let Some(fp) = fault {
-                                    if fp.next_staging_acquire() {
-                                        // Denied lease: back off for real and
-                                        // retry — the retry always succeeds
-                                        // (the pool recycles), so the staged
-                                        // bytes are untouched.
-                                        pool.note_denied();
-                                        std::thread::sleep(Duration::from_secs_f64(
-                                            fp.retry().backoff_base,
-                                        ));
-                                    }
-                                }
-                                let mut buf = pool.acquire(indices.len());
-                                gather_rows_into(rows, indices, &mut buf);
-                                if let Some(fp) = fault {
-                                    // Failed attempts and straggles re-execute
-                                    // the pure copy into scratch: real lane
-                                    // time, identical staged bytes.
-                                    let mut redo = 0usize;
-                                    let mut backoff = 0.0f64;
-                                    if let Some(attempts) =
-                                        fp.transient_attempts(OpKind::LoadParams)
-                                    {
-                                        redo += attempts as usize;
-                                        backoff += fp.retry().total_backoff(attempts);
-                                    }
-                                    if let Some(factor) = fp.straggle_factor(Lane::GpuComm) {
-                                        redo += (factor.round() as usize).saturating_sub(1);
-                                    }
-                                    let mut scratch = Vec::new();
-                                    for _ in 0..redo {
-                                        gather_rows_into(rows, indices, &mut scratch);
-                                    }
-                                    if backoff > 0.0 {
-                                        std::thread::sleep(Duration::from_secs_f64(backoff));
-                                    }
-                                }
-                                buf
-                            });
-                            if let (Some(log), Some(s)) = (spans, span_start) {
-                                log.record(
-                                    OpKind::LoadParams,
-                                    Lane::GpuComm,
-                                    s,
-                                    log.now(),
-                                    plan_ref.fetch_bytes(i),
-                                    indices.len() as u64,
-                                    Some(i as u32),
-                                );
-                            }
-                            // Blocking send = backpressure once the buffer
-                            // budget is staged but unconsumed.
-                            resp_tx.send((i, buf)).is_ok()
-                        };
-                        for i in pw.issuable_after(None) {
-                            if !stage(i, pool) {
-                                return;
-                            }
-                        }
-                        while let Ok((j, buf)) = req_rx.recv() {
-                            // Recycling the consumed buffer is comm-lane
-                            // work too (it is what a real pinned-pool free
-                            // costs), so it counts towards the lane's busy
-                            // time.
-                            timer.time(|| pool.release(buf));
-                            for i in pw.issuable_after(Some(j)) {
-                                if !stage(i, pool) {
-                                    return;
-                                }
-                            }
-                        }
-                    },
-                )
-            });
-
-            // ---- CPU Adam lane (overlapped CLM only): steps each group
-            // on the lent optimiser the moment its request arrives.  A
-            // request is the group's slot and its final gradient rows;
-            // nothing comes back — the new parameter rows wait in the
-            // group's slice of the lane's buffer until the batch ends.
-            let adam = overlapped.then(|| {
-                let timer = &adam_timer;
-                let model = trainer.model();
-                let mut param_slices = param_slices;
-                spawn_lane::<(usize, &[ParamRow]), (), _>(
-                    scope,
-                    capacity,
-                    capacity,
-                    move |req_rx, _completions| {
-                        while let Ok((slot, grad_rows)) = req_rx.recv() {
-                            let indices = adam_group(plan_ref, slot);
-                            // F_0's gradient is zero by construction.
-                            let grad_rows = (slot != 0).then_some(grad_rows);
-                            let out = &mut *param_slices[slot];
-                            let fan_out = adam_fan_out(indices.len());
-                            let span_start = spans.map(SpanLog::now);
-                            timer.time(|| {
-                                if let Some(fp) = fault {
-                                    if let Some(attempts) =
-                                        fp.transient_attempts(OpKind::CpuAdamUpdate)
-                                    {
-                                        // Failed attempts run the update
-                                        // math for real but commit nothing,
-                                        // then back off.
-                                        for _ in 0..attempts {
-                                            optimizer.step_detached(
-                                                model, indices, grad_rows, out, fan_out, false,
-                                            );
-                                        }
-                                        std::thread::sleep(Duration::from_secs_f64(
-                                            fp.retry().total_backoff(attempts),
-                                        ));
-                                    }
-                                }
-                                optimizer
-                                    .step_detached(model, indices, grad_rows, out, fan_out, true)
-                            });
-                            if let (Some(log), Some(s)) = (spans, span_start) {
-                                log.record(
-                                    OpKind::CpuAdamUpdate,
-                                    Lane::CpuAdam,
-                                    s,
-                                    log.now(),
-                                    0,
-                                    indices.len() as u64,
-                                    None,
-                                );
-                            }
-                        }
-                    },
-                )
-            });
-
-            // Empty groups would be pure handoff overhead; skipping them
-            // cannot change numerics (an empty subset step is a no-op).
-            // Packing the gradient rows runs on the coordinator but is
-            // optimiser-lane work, so it is charged to the Adam lane's busy
-            // time.
-            let adam_requests = adam.as_ref().map(|lane| &lane.requests);
-            let mut send_group = |slot: usize, grads: &gs_optim::GradientBuffer| {
-                let Some(requests) = adam_requests else {
-                    return;
-                };
+        // ---- CPU Adam lane (overlapped CLM only): a request is a group's
+        // slot and its final gradient rows; nothing comes back — the new
+        // parameter rows wait in the lane's buffer until the batch ends.
+        let model = trainer.model();
+        let adam_lane = |requests: Receiver<(usize, &[ParamRow])>, _: SyncSender<()>| {
+            while let Ok((slot, grad_rows)) = requests.recv() {
                 let indices = adam_group(plan_ref, slot);
-                if indices.is_empty() {
-                    return;
-                }
-                let rows: &[ParamRow] = match slot.checked_sub(1) {
-                    None => &[],
-                    Some(group) => {
-                        let rows = std::mem::take(&mut grad_slices[group]);
-                        adam_timer.time(|| grads.read_rows_into(indices, rows));
-                        rows
-                    }
+                // F_0's gradient is zero by construction.
+                let grad_rows = (slot != 0).then_some(grad_rows);
+                let out = carve(&mut params_left, indices.len());
+                // Chunk-target cap: small groups fan out across fewer
+                // threads.  Identical numerics for any fan-out (the
+                // detached step guarantees it).
+                let fan_out = match config.adam_chunk_rows {
+                    0 => config.adam_threads,
+                    target => threads_for_chunk_rows(indices.len(), target, config.adam_threads),
                 };
-                requests.send((slot, rows)).expect("adam lane alive");
+                let step = || {
+                    if let Some(fp) = fault {
+                        if let Some(attempts) = fp.transient_attempts(OpKind::CpuAdamUpdate) {
+                            // Failed attempts run the update math for real
+                            // but commit nothing, then back off.
+                            for _ in 0..attempts {
+                                optimizer
+                                    .step_detached(model, indices, grad_rows, out, fan_out, false);
+                            }
+                            sleep_seconds(fp.retry().total_backoff(attempts));
+                        }
+                    }
+                    optimizer.step_detached(model, indices, grad_rows, out, fan_out, true)
+                };
+                let (mb, rows) = (group_microbatch(slot), indices.len() as u64);
+                adam_spans.time(OpKind::CpuAdamUpdate, Lane::CpuAdam, mb, 0, rows, step);
+            }
+        };
+
+        let total_loss = std::thread::scope(|scope| {
+            // Replies get the emitter's whole buffer budget (module docs).
+            let capacity = config.channel_capacity;
+            let replies = shape.staging_buffers();
+            let mut run = LaneRun {
+                trainer,
+                plan: plan_ref,
+                cameras,
+                targets,
+                fault,
+                devices: shape.devices,
+                gather: is_clm.then(|| spawn_lane(scope, capacity, replies, gather_lane)),
+                adam: overlapped.then(|| spawn_lane(scope, capacity, capacity, adam_lane).requests),
+                grads_left: &mut self.adam_grads,
+                packed: &[],
+                staged: (0..m).map(|_| None).collect(),
+                rendered: (0..m).map(|_| None).collect(),
+                grads: &mut grads,
+                total_loss: 0.0,
+                spans: &mut spans,
             };
+            emit_system(&mut Timeline::new(), &[], system, &shape, None, &mut run);
 
-            // F_0: Gaussians the batch never touches are final from the
-            // start; their update overlaps the whole pipeline.
-            send_group(0, &grads);
-
-            let empty: StagingBuffer = Vec::new();
-            let mut i = 0;
-            while i < m {
-                // One round = one micro-batch per device (the tail round
-                // may be short).  devices = 1 degenerates to the serial
-                // micro-batch loop.
-                let round = (m - i).min(devices);
-                let staged: Vec<StagingBuffer> = match &gather {
-                    Some(lane) => (0..round)
-                        .map(|r| {
-                            let (j, buf) = recv_completion(&lane.completions, fault, "gather");
-                            debug_assert_eq!(j, i + r, "gathers complete in issue order");
-                            buf
-                        })
-                        .collect(),
-                    None => vec![empty.clone(); round],
-                };
-
-                // Render the round's views concurrently — one thread per
-                // "device".  Renders are pure (they read only their own
-                // micro-batch's visibility set), so parallelism here cannot
-                // change what is computed.
-                let span_start = spans.map(SpanLog::now);
-                let t = Instant::now();
-                let results: Vec<(f32, gs_render::RenderGradients)> = if round > 1 {
-                    parallel_map(round, round, |r| {
-                        trainer.render_microbatch(plan_ref, i + r, cameras, targets, &staged[r])
-                    })
-                } else {
-                    vec![trainer.render_microbatch(plan_ref, i, cameras, targets, &staged[0])]
-                };
-                compute_seconds += t.elapsed().as_secs_f64();
-                if let (Some(log), Some(s)) = (spans, span_start) {
-                    // One span per round: with D > 1 the round's renders run
-                    // concurrently and share the measured interval.
-                    let rows: u64 = (0..round)
-                        .map(|r| plan_ref.ordered_sets[i + r].len() as u64)
-                        .sum();
-                    log.record(
-                        OpKind::Forward,
-                        Lane::GpuCompute,
-                        s,
-                        log.now(),
-                        0,
-                        rows,
-                        Some(i as u32),
-                    );
-                }
-
-                // Fixed-order reduction: losses, gradient accumulations and
-                // Adam hand-offs replay in the serial micro-batch order, so
-                // every floating-point reduction matches the 1-device path.
-                for (r, (loss, render_grads)) in results.iter().enumerate() {
-                    total_loss += loss;
-                    let span_start = spans.map(SpanLog::now);
-                    let t = Instant::now();
-                    grads.accumulate_render(render_grads);
-                    compute_seconds += t.elapsed().as_secs_f64();
-                    if let (Some(log), Some(s)) = (spans, span_start) {
-                        log.record(
-                            OpKind::Backward,
-                            Lane::GpuCompute,
-                            s,
-                            log.now(),
-                            0,
-                            plan_ref.ordered_sets[i + r].len() as u64,
-                            Some((i + r) as u32),
-                        );
-                    }
-
-                    send_group(i + r + 1, &grads);
-                }
-
-                if let Some(lane) = &gather {
-                    // Return the round's buffers for recycling and unlock
-                    // the next prefetch slots.
-                    for (r, buf) in staged.into_iter().enumerate() {
-                        lane.requests.send((i + r, buf)).expect("gather lane alive");
-                    }
-                }
-                i += round;
-            }
-
-            // Shut the lanes down and drain what is still in flight.
-            if let Some(lane) = gather {
+            // Shut the lanes down and drain what is still in flight; the
+            // scope joins the Adam lane once it has stepped every queued
+            // group.
+            if let Some(lane) = run.gather {
                 drop(lane.requests);
-                assert!(
-                    lane.completions.recv().is_err(),
-                    "every staged micro-batch must already be consumed"
-                );
+                let drained = lane.completions.recv().is_err();
+                assert!(drained, "every staged micro-batch must already be consumed");
             }
-            // The scope joins the Adam lane once it has stepped every
-            // queued group.
-            drop(adam);
+            run.total_loss
         });
 
         // Deferred write-back of the lane-computed parameter rows, group by
-        // group (disjoint groups — order does not matter), and the traffic
-        // accounting for the worker-side copies.  The write-back is the
-        // Adam lane's tail, so it is charged there.
+        // group (disjoint groups — order does not matter).  It is the Adam
+        // lane's tail, so it is charged there; `Other` keeps it out of the
+        // update-math histograms.
         let mut offset = 0;
         for slot in 0..adam_slots {
             let indices = adam_group(&plan, slot);
@@ -714,21 +534,10 @@ impl ThreadedBackend {
             if indices.is_empty() {
                 continue;
             }
-            let span_start = spans.map(SpanLog::now);
-            adam_timer.time(|| self.trainer.apply_param_rows(indices, rows));
-            if let (Some(log), Some(s)) = (spans, span_start) {
-                // `Other` keeps the write-back out of the update-math
-                // histograms.
-                log.record(
-                    OpKind::Other,
-                    Lane::CpuAdam,
-                    s,
-                    log.now(),
-                    0,
-                    indices.len() as u64,
-                    None,
-                );
-            }
+            let (mb, count, trainer) =
+                (group_microbatch(slot), rows.len() as u64, &mut self.trainer);
+            let write_back = || trainer.apply_param_rows(indices, rows);
+            spans.time(OpKind::Other, Lane::CpuAdam, mb, 0, count, write_back);
         }
         if is_clm {
             let staged_rows: usize = plan.fetched.iter().map(|s| s.len()).sum();
@@ -739,45 +548,214 @@ impl ThreadedBackend {
         self.trainer.return_gradients(grads, &plan);
         let wall_seconds = wall_start.elapsed().as_secs_f64();
 
-        let comm = gather_timer.busy_seconds();
-        let adam_busy = adam_timer.busy_seconds();
+        // The report's lane accounting is the per-lane sum of the batch's
+        // spans — nothing is timed anywhere else.
+        let timeline = LaneSpans::merge([spans, gather_spans, adam_spans]);
+        let lanes = LaneBusy {
+            compute: timeline.busy_time(Lane::GpuCompute),
+            comm: timeline.busy_time(Lane::GpuComm),
+            adam: timeline.busy_time(Lane::CpuAdam),
+            scheduling: timeline.busy_time(Lane::CpuScheduler),
+        };
         if is_clm {
             self.window_selector
-                .observe(self.config.policy, comm, compute_seconds);
+                .observe(config.policy, lanes.comm, lanes.compute);
         }
 
         let faults = match (&self.fault_plan, fault_before) {
             (Some(p), Some(before)) => p.stats().since(&before),
             _ => Default::default(),
         };
-        ExecutionReport {
+        let report = ExecutionReport {
             batch,
-            views: cameras.len(),
+            views,
             prefetch_window: window,
             compute_threads: gs_render::parallel::resolve_compute_threads(
                 self.trainer.config().compute_threads,
             ),
             band_height: self.trainer.resolved_band_height(),
             wall_seconds,
-            lanes: LaneBusy {
-                compute: compute_seconds,
-                comm,
-                adam: adam_busy,
-                scheduling: scheduling_seconds,
-            },
+            lanes,
             device_lanes: Vec::new(),
             sim_makespan: None,
             resize: plan.resize.as_ref().map(|e| e.report()),
             faults,
             adam_rows_shipped: touched_rows as u64,
             adam_bytes_shipped: (touched_rows * std::mem::size_of::<ParamRow>()) as u64,
-        }
+        };
+        (report, timeline)
     }
 
     /// Trains over the whole dataset once (views grouped into batches in
     /// trajectory order), returning the per-batch reports.
     pub fn run_epoch(&mut self, dataset: &Dataset, targets: &[Image]) -> Vec<ExecutionReport> {
         ExecutionBackend::execute_epoch(self, dataset, targets)
+    }
+}
+
+/// What the coordinator asks of the gather lane.
+enum GatherRequest {
+    /// Stage this micro-batch's rows into a pool buffer and reply with it.
+    Stage(usize),
+    /// This micro-batch's compute has consumed its buffer: recycle it.
+    Release(usize, StagingBuffer),
+}
+
+/// One batch of the threaded backend as the emitter's cost source: the
+/// coordinator thread, doing the real work inside the hooks in emission
+/// order.  `staged` asks the gather lane for a micro-batch, `forward` waits
+/// for the buffer and renders, `backward` accumulates and hands the buffer
+/// back, `store` packs the finalised gradient rows (Figure 6's gradient
+/// store) and `adam` ships them to the Adam lane.  Every hook prices its op
+/// at nothing: the emitted timeline is scratch, what ran when is in the
+/// span lists.
+struct LaneRun<'a> {
+    trainer: TrainerView<'a>,
+    plan: &'a BatchPlan,
+    cameras: &'a [Camera],
+    targets: &'a [Image],
+    fault: Option<&'a FaultPlan>,
+    devices: usize,
+    /// The gather lane (CLM only).
+    gather: Option<WorkerLane<GatherRequest, (usize, StagingBuffer)>>,
+    /// The CPU Adam lane's request queue (overlapped CLM only).
+    adam: Option<SyncSender<(usize, &'a [ParamRow])>>,
+    /// The Adam-lane gradient buffer past the groups already packed.
+    grads_left: &'a mut [ParamRow],
+    /// The group `store` just packed, until `adam` ships it.
+    packed: &'a [ParamRow],
+    /// Staged buffers received and not yet handed back, by micro-batch.
+    staged: Vec<Option<StagingBuffer>>,
+    /// Rendered and not yet accumulated micro-batches of the current round.
+    rendered: Vec<Option<(f32, gs_render::RenderGradients)>>,
+    grads: &'a mut GradientBuffer,
+    total_loss: f32,
+    spans: &'a mut LaneSpans,
+}
+
+impl CostSource for LaneRun<'_> {
+    fn gather(&mut self, _i: usize) -> OpCost {
+        OpCost::default()
+    }
+
+    fn staged(&mut self, _timeline: &mut Timeline, i: usize) {
+        let lane = self.gather.as_ref().expect("only CLM emits gathers");
+        let request = GatherRequest::Stage(i);
+        lane.requests.send(request).expect("gather lane alive");
+    }
+
+    fn forward(&mut self, i: usize) -> OpCost {
+        if !i.is_multiple_of(self.devices) {
+            return OpCost::default();
+        }
+        // One round = one micro-batch per device (the tail round may be
+        // short); its views render concurrently — one thread per "device".
+        // Renders are pure (they read only their own micro-batch's
+        // visibility set), so parallelism here cannot change what is
+        // computed.  devices = 1 is the serial loop.
+        let plan = self.plan;
+        let round = i..(i + self.devices).min(plan.num_microbatches());
+        if let Some(lane) = &self.gather {
+            for j in round.clone() {
+                // Replies arrive in request order, which interleaves the
+                // devices: park what belongs to a later round.
+                while self.staged[j].is_none() {
+                    let (k, buf) = recv_completion(&lane.completions, self.fault, "gather");
+                    self.staged[k] = Some(buf);
+                }
+            }
+        }
+        let (trainer, cameras, targets, staged) =
+            (self.trainer, self.cameras, self.targets, &self.staged);
+        let render = |j: usize| {
+            let rows = staged[j].as_deref().unwrap_or(&[]);
+            trainer.render_microbatch(plan, j, cameras, targets, rows)
+        };
+        let render_round = || match round.len() {
+            1 => vec![render(i)],
+            views => parallel_map(views, views, |r| render(i + r)),
+        };
+        // One span per round: with D > 1 the round's renders share the
+        // measured interval.
+        let (mb, rows) = (
+            Some(i as u32),
+            round
+                .clone()
+                .map(|j| plan.ordered_sets[j].len() as u64)
+                .sum(),
+        );
+        let results = self
+            .spans
+            .time(OpKind::Forward, Lane::GpuCompute, mb, 0, rows, render_round);
+        for (j, result) in round.zip(results) {
+            self.rendered[j] = Some(result);
+        }
+        OpCost::default()
+    }
+
+    /// Fixed-order reduction: losses and gradient accumulations replay in
+    /// the serial micro-batch order, so every floating-point reduction
+    /// matches the 1-device path.
+    fn backward(&mut self, i: usize) -> OpCost {
+        let (loss, render_grads) = self.rendered[i]
+            .take()
+            .expect("the round's forward rendered this micro-batch");
+        self.total_loss += loss;
+        let (mb, rows) = (Some(i as u32), self.plan.ordered_sets[i].len() as u64);
+        let grads = &mut *self.grads;
+        let accumulate = || grads.accumulate_render(&render_grads);
+        self.spans
+            .time(OpKind::Backward, Lane::GpuCompute, mb, 0, rows, accumulate);
+        if let Some(lane) = &self.gather {
+            // Return the buffer for recycling; the emitter issues the
+            // prefetch slot this frees.
+            let buf = self.staged[i].take().expect("forward held this buffer");
+            let request = GatherRequest::Release(i, buf);
+            lane.requests.send(request).expect("gather lane alive");
+        }
+        OpCost::default()
+    }
+
+    /// Packing the group's final gradient rows runs on the coordinator but
+    /// is optimiser-lane work, so it is charged to the Adam lane.  Empty
+    /// groups would be pure hand-off overhead; skipping them cannot change
+    /// numerics (an empty subset step is a no-op).
+    fn store(&mut self, i: usize) -> OpCost {
+        let indices = self.plan.finalization.finalized_by(i).indices();
+        if self.adam.is_some() && !indices.is_empty() {
+            let rows = carve(&mut self.grads_left, indices.len());
+            let (mb, bytes, count) = (Some(i as u32), self.plan.store_bytes(i), rows.len() as u64);
+            let grads = &*self.grads;
+            let pack = || grads.read_rows_into(indices, rows);
+            self.spans
+                .time(OpKind::StoreGrads, Lane::CpuAdam, mb, bytes, count, pack);
+            self.packed = rows;
+        }
+        OpCost::default()
+    }
+
+    /// The device stand-ins share one gradient buffer, reduced by the
+    /// serial accumulation order: nothing to exchange.
+    fn allreduce(&mut self, _group: AdamGroup) -> OpCost {
+        OpCost::default()
+    }
+
+    fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
+        // F_0 — Gaussians the batch never touches — is final from the
+        // start and ships nothing; the dense step of a non-overlapped
+        // batch is `finish_batch`'s.
+        let slot = match group {
+            AdamGroup::Untouched => Some(0),
+            AdamGroup::FinalizedBy(i) => Some(i + 1),
+            AdamGroup::Dense => None,
+        };
+        if let (Some(requests), Some(slot)) = (&self.adam, slot) {
+            let rows = std::mem::take(&mut self.packed);
+            if !adam_group(self.plan, slot).is_empty() {
+                requests.send((slot, rows)).expect("adam lane alive");
+            }
+        }
+        vec![OpCost::default(); self.devices]
     }
 }
 
@@ -791,29 +769,30 @@ fn adam_group(plan: &BatchPlan, slot: usize) -> &[u32] {
     }
 }
 
-/// Carves the front of `buf` into consecutive disjoint slices of the given
-/// lengths.
+/// The micro-batch tag of Adam-lane group `slot`'s spans (`F_0` has none).
+fn group_microbatch(slot: usize) -> Option<u32> {
+    slot.checked_sub(1).map(|i| i as u32)
+}
+
+fn sleep_seconds(seconds: f64) {
+    std::thread::sleep(Duration::from_secs_f64(seconds));
+}
+
+/// Splits the first `len` elements off the front of `buf`.
 ///
 /// # Panics
-/// Panics if the lengths add up to more than `buf` holds.
-fn split_by_lens<T>(mut buf: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
-    lens.map(|len| {
-        let (head, tail) = std::mem::take(&mut buf).split_at_mut(len);
-        buf = tail;
-        head
-    })
-    .collect()
+/// Panics if `buf` holds fewer than `len`.
+fn carve<'a, T>(buf: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(buf).split_at_mut(len);
+    *buf = tail;
+    head
 }
 
 /// Waits for one lane completion under the installed fault plan's timeout
 /// policy: each real recv timeout is counted, and a lane that stays silent
 /// past the retry budget aborts the batch with a diagnostic instead of
 /// hanging it.  Without a plan this is a plain blocking wait.
-fn recv_completion<T>(
-    rx: &std::sync::mpsc::Receiver<T>,
-    fault: Option<&FaultPlan>,
-    lane: &str,
-) -> T {
+fn recv_completion<T>(rx: &Receiver<T>, fault: Option<&FaultPlan>, lane: &str) -> T {
     let Some(fp) = fault else {
         return rx
             .recv()
@@ -876,6 +855,7 @@ impl ExecutionBackend for ThreadedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::HOOK_LOG;
     use crate::tests::tiny_setup;
     use clm_core::{DensifyConfig, DensifySchedule};
     use sim_device::FaultSpec;
@@ -890,6 +870,49 @@ mod tests {
             sync.optimizer().export_rows(),
             "{label}: optimiser state"
         );
+    }
+
+    #[test]
+    fn threaded_backend_walks_the_engines_schedule() {
+        // Both backends hand the same system and shape to the same emitter,
+        // so their hooks must run in the same order — at one device the
+        // Figure 6 order for m = 6, window = 2, spelled out.
+        let (dataset, targets, init) = tiny_setup();
+        let (cams, tgts) = (&dataset.cameras[..6], &targets[..6]);
+        for devices in [1usize, 2] {
+            let mut engine = crate::PipelinedEngine::new(
+                init.clone(),
+                TrainConfig::default(),
+                crate::RuntimeConfig {
+                    prefetch_window: 2,
+                    num_devices: devices,
+                    ..Default::default()
+                },
+            )
+            .partition_over(&dataset.cameras);
+            let mut threaded = ThreadedBackend::new(
+                init.clone(),
+                TrainConfig::default(),
+                ThreadedConfig {
+                    prefetch_window: 2,
+                    num_devices: devices,
+                    ..Default::default()
+                },
+            );
+            HOOK_LOG.take();
+            engine.run_batch(cams, tgts);
+            let simulated = HOOK_LOG.take().join(" ");
+            threaded.run_batch(cams, tgts);
+            let executed = HOOK_LOG.take().join(" ");
+            assert_eq!(executed, simulated, "{devices} devices");
+            if devices == 1 {
+                assert_eq!(
+                    executed,
+                    "aU g0 s0 g1 s1 g2 s2 f0 b0 t0 a0 g3 s3 f1 b1 t1 a1 g4 s4 \
+                     f2 b2 t2 a2 g5 s5 f3 b3 t3 a3 f4 b4 t4 a4 f5 b5 t5 a5"
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,8 +24,6 @@
 //!   plain `memcpy`able rows, so a dedicated CPU Adam worker thread can run
 //!   the expensive math while the main thread keeps rendering, and the
 //!   results are merged back with cheap copies;
-//! * [`compute_packed_chunked`] — the parallel-chunk path: the packed items
-//!   are split across the persistent compute pool;
 //! * [`GaussianAdam::step_detached`] — the CPU Adam **lane's** path: a
 //!   worker thread that holds the optimiser for a batch reads parameters
 //!   from a shared `&GaussianModel`, takes the group's final gradient rows,
@@ -153,7 +151,7 @@ pub struct AdamRowState {
 /// estimates and the step counter (already incremented for this update).
 ///
 /// Produced by [`GaussianAdam::pack_subset`], transformed in place by
-/// [`compute_packed`] / [`compute_packed_chunked`], and merged back by
+/// [`compute_packed`], and merged back by
 /// [`GaussianAdam::apply_packed`].
 #[derive(Debug, Clone)]
 pub struct AdamWorkItem {
@@ -288,33 +286,18 @@ pub fn compute_packed(config: &AdamConfig, items: &mut [AdamWorkItem]) {
     compute_packed_lanes::<LANE_WIDTH>(config, items);
 }
 
-/// Runs the Adam kernel over the packed work items split across up to
-/// `threads` workers of the persistent compute pool.  Each item is
-/// independent, so the result is bit-identical to [`compute_packed`]
-/// regardless of the thread count or chunk boundaries.
-pub fn compute_packed_chunked(config: &AdamConfig, items: &mut [AdamWorkItem], threads: usize) {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads <= 1 {
-        compute_packed(config, items);
-        return;
-    }
-    let chunk = items.len().div_ceil(threads);
-    let slices: Vec<&mut [AdamWorkItem]> = items.chunks_mut(chunk).collect();
-    parallel_for_each(threads, slices, |slice| compute_packed(config, slice));
-}
-
 /// Bytes one packed [`AdamWorkItem`] occupies — the unit the autotuner's
 /// cache-aware chunk sizing reasons in.
 pub const WORK_ITEM_BYTES: usize = std::mem::size_of::<AdamWorkItem>();
 
-/// The worker count that keeps each [`compute_packed_chunked`] chunk at or
-/// under `target_chunk_rows` work items without exceeding `max_threads`:
+/// The worker count that keeps each Adam shard at or under
+/// `target_chunk_rows` rows without exceeding `max_threads`:
 /// small workloads stay on few threads (one cache-resident chunk does not
 /// benefit from being split), large workloads fan out until either every
 /// chunk fits the target or the thread budget is exhausted.
 ///
-/// Pure scheduling — [`compute_packed_chunked`] is bit-identical for every
-/// thread count, so callers may resize freely per batch.
+/// Pure scheduling — [`GaussianAdam::step_detached`] is bit-identical for
+/// every thread count, so callers may resize freely per batch.
 pub fn threads_for_chunk_rows(len: usize, target_chunk_rows: usize, max_threads: usize) -> usize {
     let target = target_chunk_rows.max(1);
     len.div_ceil(target).clamp(1, max_threads.max(1))
@@ -609,23 +592,6 @@ impl GaussianAdam {
     pub fn step_subset_zero_grad(&mut self, model: &mut GaussianModel, indices: &[u32]) {
         self.resize(model.len());
         self.step_indices(model, None, indices);
-    }
-
-    /// Like [`step_subset`](Self::step_subset) but running the per-row
-    /// kernels across up to `threads` pool worker threads (the
-    /// parallel-chunk CPU Adam path).  Bit-identical to the sequential step
-    /// for any thread count, since every row is independent.
-    pub fn step_subset_parallel(
-        &mut self,
-        model: &mut GaussianModel,
-        grads: &GradientBuffer,
-        indices: &[u32],
-        threads: usize,
-    ) {
-        assert_eq!(model.len(), grads.len(), "gradient buffer size mismatch");
-        let mut items = self.pack_subset(model, grads, indices);
-        compute_packed_chunked(&self.config, &mut items, threads);
-        self.apply_packed(model, &items);
     }
 
     /// The in-place driver: stages `indices` (in order, groups of
@@ -1045,24 +1011,6 @@ mod tests {
         opt_seq.step_subset(&mut model_seq, &grads, &indices);
         opt_packed.step_subset(&mut model_packed, &grads, &indices);
         assert_eq!(model_seq, model_packed);
-    }
-
-    #[test]
-    fn chunked_compute_is_identical_for_any_thread_count() {
-        let grads = varied_grads(17);
-        let indices: Vec<u32> = (0..17).collect();
-        let reference = {
-            let mut model = model_of(17);
-            let mut opt = GaussianAdam::new(17, AdamConfig::default());
-            opt.step_subset(&mut model, &grads, &indices);
-            model
-        };
-        for threads in [1usize, 2, 3, 8, 64] {
-            let mut model = model_of(17);
-            let mut opt = GaussianAdam::new(17, AdamConfig::default());
-            opt.step_subset_parallel(&mut model, &grads, &indices, threads);
-            assert_eq!(model, reference, "threads = {threads}");
-        }
     }
 
     #[test]

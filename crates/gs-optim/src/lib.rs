@@ -31,8 +31,7 @@ pub mod adam;
 pub mod gradients;
 
 pub use adam::{
-    adam_update_lanes, compute_packed, compute_packed_chunked, compute_packed_lanes,
-    threads_for_chunk_rows, AdamConfig, AdamRowState, AdamWorkItem, GaussianAdam, ParamRow,
-    WORK_ITEM_BYTES,
+    adam_update_lanes, compute_packed, compute_packed_lanes, threads_for_chunk_rows, AdamConfig,
+    AdamRowState, AdamWorkItem, GaussianAdam, ParamRow, WORK_ITEM_BYTES,
 };
 pub use gradients::GradientBuffer;

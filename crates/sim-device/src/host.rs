@@ -199,38 +199,6 @@ impl HostTopology {
             self.effective_cores(),
         )
     }
-
-    /// Single-line JSON object describing the topology.
-    pub fn to_json(&self) -> String {
-        let quota = match self.cpu_quota {
-            Some(q) => format!("{q:.3}"),
-            None => "null".to_string(),
-        };
-        // The model name is the only free-form probe string; strip the two
-        // characters that could break the hand-rolled JSON.
-        let model: String = self
-            .model_name
-            .chars()
-            .filter(|c| *c != '"' && *c != '\\')
-            .collect();
-        format!(
-            "{{\"vendor\":\"{}\",\"model\":\"{}\",\"physical_cores\":{},\
-             \"logical_cpus\":{},\"smt\":{},\"cache_line_bytes\":{},\
-             \"l2_bytes\":{},\"l3_bytes\":{},\"cpu_quota\":{},\
-             \"effective_cores\":{},\"fingerprint\":\"{}\"}}",
-            self.vendor,
-            model,
-            self.physical_cores,
-            self.logical_cpus,
-            self.smt,
-            self.cache_line_bytes,
-            self.l2_bytes,
-            self.l3_bytes,
-            quota,
-            self.effective_cores(),
-            self.fingerprint(),
-        )
-    }
 }
 
 /// Applies the parseable fields of a `/proc/cpuinfo` dump onto `topo`.
@@ -525,33 +493,5 @@ cpu cores\t: 2
         assert!(topo.l2_bytes > 0);
         let cached = HostTopology::cached();
         assert_eq!(cached, HostTopology::cached(), "stable across calls");
-    }
-
-    #[test]
-    fn json_section_is_single_line_and_complete() {
-        let mut topo = HostTopology::fallback();
-        topo.model_name = "Weird \"Quoted\" \\Model".to_string();
-        topo.cpu_quota = Some(2.5);
-        let json = topo.to_json();
-        assert!(!json.contains('\n'));
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for key in [
-            "\"vendor\":",
-            "\"model\":",
-            "\"physical_cores\":",
-            "\"logical_cpus\":",
-            "\"smt\":",
-            "\"cache_line_bytes\":",
-            "\"l2_bytes\":",
-            "\"l3_bytes\":",
-            "\"cpu_quota\":2.500",
-            "\"effective_cores\":",
-            "\"fingerprint\":",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        assert!(json.contains("Weird Quoted Model"), "{json}");
-        topo.cpu_quota = None;
-        assert!(topo.to_json().contains("\"cpu_quota\":null"));
     }
 }

@@ -102,6 +102,67 @@ pub trait CostSource {
     fn adam(&mut self, group: AdamGroup) -> Vec<OpCost>;
 }
 
+/// A [`CostSource`] that forwards to `inner` and records the order the hooks
+/// ran in, one token per call (`g`ather, `s`taged, `f`orward, `b`ackward,
+/// s`t`ore and the micro-batch; `r`/`a` and the group: `U`ntouched, `D`ense
+/// or the finalising micro-batch) — how a test asserts that two executors
+/// walk the same schedule.
+#[derive(Debug)]
+pub struct Recorded<'a, C> {
+    inner: &'a mut C,
+    /// The hook calls so far, in order.
+    pub calls: Vec<String>,
+}
+
+impl<'a, C> Recorded<'a, C> {
+    /// Wraps `inner` with an empty record.
+    pub fn new(inner: &'a mut C) -> Self {
+        Recorded {
+            inner,
+            calls: Vec::new(),
+        }
+    }
+
+    fn group(&mut self, what: char, group: AdamGroup) {
+        self.calls.push(match group {
+            AdamGroup::Untouched => format!("{what}U"),
+            AdamGroup::FinalizedBy(i) => format!("{what}{i}"),
+            AdamGroup::Dense => format!("{what}D"),
+        });
+    }
+}
+
+impl<C: CostSource> CostSource for Recorded<'_, C> {
+    fn gather(&mut self, i: usize) -> OpCost {
+        self.calls.push(format!("g{i}"));
+        self.inner.gather(i)
+    }
+    fn staged(&mut self, timeline: &mut Timeline, i: usize) {
+        self.calls.push(format!("s{i}"));
+        self.inner.staged(timeline, i);
+    }
+    fn forward(&mut self, i: usize) -> OpCost {
+        self.calls.push(format!("f{i}"));
+        self.inner.forward(i)
+    }
+    fn backward(&mut self, i: usize) -> OpCost {
+        self.calls.push(format!("b{i}"));
+        self.inner.backward(i)
+    }
+    fn store(&mut self, i: usize) -> OpCost {
+        self.calls.push(format!("t{i}"));
+        self.inner.store(i)
+    }
+    fn allreduce(&mut self, group: AdamGroup) -> OpCost {
+        self.group('r', group);
+        self.inner.allreduce(group)
+    }
+    fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
+        self.group('a', group);
+        self.inner.adam(group)
+    }
+}
+
 /// The parameters the CLM op graph is a function of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClmShape {
@@ -114,6 +175,27 @@ pub struct ClmShape {
     /// Early-finalised CPU Adam (per-group updates as gradients retire)
     /// instead of one dense update at batch end.
     pub overlapped: bool,
+}
+
+impl ClmShape {
+    /// Device `dev`'s prefetch window over its local micro-batch sequence
+    /// `dev, dev + D, dev + 2D, …`.
+    fn device_window(&self, dev: usize) -> PrefetchWindow {
+        let local = (self.microbatches + self.devices - 1 - dev) / self.devices;
+        PrefetchWindow::new(self.window, local)
+    }
+
+    /// Staging buffers the schedule holds gathered but unconsumed at its
+    /// fullest, over all devices (`window + 1` per device, capped by the
+    /// device's micro-batches): the pinned pool's high-water mark, and what
+    /// an executor sizes its gather completion queue by.
+    pub fn staging_buffers(&self) -> usize {
+        (0..self.devices)
+            .map(|dev| self.device_window(dev))
+            .filter(|w| w.num_microbatches > 0)
+            .map(|w| w.staging_buffers())
+            .sum()
+    }
 }
 
 /// Emits the CLM pipeline (Figure 6, once per device) after the ops in
@@ -133,11 +215,8 @@ pub fn emit_clm(
     let (m, devices) = (shape.microbatches, shape.devices);
     assert!(m >= 1, "a batch has at least one micro-batch");
     assert!(devices >= 1, "a schedule has at least one device");
-    // Device d's local micro-batch sequence is d, d + D, d + 2D, …; each
-    // device gets its own prefetch window over that sequence.
-    let windows: Vec<PrefetchWindow> = (0..devices)
-        .map(|d| PrefetchWindow::new(shape.window, (m + devices - 1 - d) / devices))
-        .collect();
+    // Each device gets its own prefetch window over its local sequence.
+    let windows: Vec<PrefetchWindow> = (0..devices).map(|d| shape.device_window(d)).collect();
     let mut emit = ClmEmitter {
         timeline,
         after,
@@ -464,67 +543,63 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Prices every op at its own distinct, index-derived duration and
-    /// records the order the hooks ran in.
+    /// Prices every op at its own distinct, index-derived duration.
     #[derive(Default)]
     struct Probe {
         devices: usize,
-        calls: Vec<String>,
     }
 
-    impl Probe {
-        fn cost(&mut self, what: &str, i: usize) -> OpCost {
-            self.calls.push(format!("{what}{i}"));
-            OpCost {
-                dur: 1.0 + i as f64,
-                bytes: 10 * (i as u64 + 1),
-                rows: i as u64 + 1,
-            }
+    fn cost(i: usize) -> OpCost {
+        OpCost {
+            dur: 1.0 + i as f64,
+            bytes: 10 * (i as u64 + 1),
+            rows: i as u64 + 1,
         }
     }
 
     impl CostSource for Probe {
         fn gather(&mut self, i: usize) -> OpCost {
-            self.cost("g", i)
+            cost(i)
         }
         fn staged(&mut self, timeline: &mut Timeline, i: usize) {
             let gather = timeline.ops().last().expect("the gather was pushed");
             assert_eq!(gather.kind, OpKind::LoadParams);
             assert_eq!(gather.microbatch, Some(i as u32));
-            self.calls.push(format!("s{i}"));
         }
         fn forward(&mut self, i: usize) -> OpCost {
-            self.cost("f", i)
+            cost(i)
         }
         fn backward(&mut self, i: usize) -> OpCost {
-            self.cost("b", i)
+            cost(i)
         }
         fn store(&mut self, i: usize) -> OpCost {
-            self.cost("t", i)
+            cost(i)
         }
         fn allreduce(&mut self, _group: AdamGroup) -> OpCost {
             assert!(self.devices > 1, "no all-reduce on one device");
-            self.cost("r", 0)
+            cost(0)
         }
         fn adam(&mut self, _group: AdamGroup) -> Vec<OpCost> {
-            (0..self.devices).map(|d| self.cost("a", d)).collect()
+            (0..self.devices).map(cost).collect()
         }
     }
 
-    fn emit(shape: &ClmShape) -> (Timeline, Probe) {
+    /// The graph `shape` emits after a scheduling preamble, and the order
+    /// the hooks ran in.
+    fn emit(shape: &ClmShape) -> (Timeline, String) {
         let mut t = Timeline::new();
         let sched = t.push(OpKind::Scheduling, Lane::CpuScheduler, 0.5, &[]);
         let mut probe = Probe {
             devices: shape.devices,
-            ..Default::default()
         };
-        emit_clm(&mut t, &[sched], shape, &mut probe);
-        (t, probe)
+        let mut recorded = Recorded::new(&mut probe);
+        emit_clm(&mut t, &[sched], shape, &mut recorded);
+        (t, recorded.calls.join(" "))
     }
 
     #[test]
     fn double_buffered_single_device_graph_is_figure_6() {
-        let (t, probe) = emit(&ClmShape {
+        let (t, calls) = emit(&ClmShape {
             microbatches: 3,
             window: 1,
             devices: 1,
@@ -563,8 +638,8 @@ mod tests {
         assert_eq!(dep_indices(8), [0, 5]);
         assert_eq!(dep_indices(7), [6], "Adam 0 waits for store 0");
         assert_eq!(
-            probe.calls.join(" "),
-            "a0 g0 s0 g1 s1 f0 b0 t0 a0 g2 s2 f1 b1 t1 a0 f2 b2 t2 a0"
+            calls,
+            "aU g0 s0 g1 s1 f0 b0 t0 a0 g2 s2 f1 b1 t1 a1 f2 b2 t2 a2"
         );
     }
 
@@ -636,7 +711,8 @@ mod tests {
             overlapped in 0u8..2,
         ) {
             let overlapped = overlapped == 1;
-            let (t, _) = emit(&ClmShape { microbatches: m, window, devices, overlapped });
+            let shape = ClmShape { microbatches: m, window, devices, overlapped };
+            let (t, _) = emit(&shape);
             let ops = t.ops();
 
             // Every micro-batch gets exactly one gather/forward/backward/store.
@@ -656,6 +732,7 @@ mod tests {
             // Gather i is pushed before forward i, and never more than
             // `window + 1` gathers are issued-but-unconsumed per device.
             let mut in_flight = vec![0usize; devices];
+            let mut fullest = 0usize;
             let mut gathered = vec![false; m];
             for op in ops {
                 let Some(i) = op.microbatch.map(|mb| mb as usize) else { continue };
@@ -664,6 +741,7 @@ mod tests {
                         gathered[i] = true;
                         in_flight[i % devices] += 1;
                         prop_assert!(in_flight[i % devices] <= window + 1);
+                        fullest = fullest.max(in_flight.iter().sum());
                         prop_assert_eq!(op.lane, Lane::comm_of(i % devices));
                     }
                     OpKind::Forward => {
@@ -674,6 +752,8 @@ mod tests {
                     _ => {}
                 }
             }
+
+            prop_assert_eq!(fullest, shape.staging_buffers());
 
             // D all-reduce ops per finalisation group above one device (one
             // group per micro-batch when overlapped, one dense group

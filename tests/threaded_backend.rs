@@ -6,10 +6,13 @@
 //! crates.
 
 use clm_repro::clm_core::{ground_truth_images, SystemKind, TrainConfig, Trainer};
-use clm_repro::clm_runtime::{PrefetchPolicy, ThreadedBackend, ThreadedConfig};
+use clm_repro::clm_runtime::{
+    PipelinedEngine, PrefetchPolicy, RuntimeConfig, ThreadedBackend, ThreadedConfig,
+};
 use clm_repro::gs_scene::{
     generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
 };
+use clm_repro::sim_device::Lane;
 
 fn setup(
     seed: u64,
@@ -175,6 +178,89 @@ fn threaded_adaptive_window_reports_choices_without_changing_numerics() {
         "first batch uses the configured seed window"
     );
     assert_eq!(adaptive.trainer().model(), sync.model());
+}
+
+#[test]
+fn threaded_staging_pool_accounting_equals_the_engines() {
+    // One schedule: the gather lane leases and recycles buffers in the
+    // order the emitter issues gathers and retires micro-batches, so the
+    // pool ends up exactly where the simulated engine's does — per-device
+    // windows included.
+    let (dataset, targets, init) = setup(5);
+    let train = TrainConfig {
+        system: SystemKind::Clm,
+        batch_size: 6,
+        ..Default::default()
+    };
+    for window in [0usize, 1, 2, usize::MAX] {
+        for devices in [1usize, 2, 4] {
+            let mut engine = PipelinedEngine::new(
+                init.clone(),
+                train.clone(),
+                RuntimeConfig {
+                    prefetch_window: window,
+                    num_devices: devices,
+                    ..Default::default()
+                },
+            )
+            .partition_over(&dataset.cameras);
+            let mut threaded = ThreadedBackend::new(
+                init.clone(),
+                train.clone(),
+                ThreadedConfig {
+                    prefetch_window: window,
+                    num_devices: devices,
+                    ..Default::default()
+                },
+            );
+            engine.run_epoch(&dataset, &targets);
+            threaded.run_epoch(&dataset, &targets);
+            let (e, t) = (engine.pool_stats(), threaded.pool_stats());
+            let label = format!("window {window}, {devices} devices: {t:?} vs {e:?}");
+            assert_eq!(t.outstanding, 0, "{label}");
+            assert_eq!(t.acquires, e.acquires, "{label}");
+            assert_eq!(t.allocated, e.allocated, "{label}");
+            assert_eq!(t.recycled, e.recycled, "{label}");
+            assert_eq!(t.high_water_buffers, e.high_water_buffers, "{label}");
+        }
+    }
+}
+
+#[test]
+fn a_traced_batch_adds_up_to_its_own_report() {
+    // Lane busy seconds are the per-lane sums of the traced timeline's
+    // spans and of nothing else — pool releases on the comm lane and
+    // gradient-row packing on the Adam lane included.
+    let (dataset, targets, init) = setup(3);
+    let train = TrainConfig {
+        system: SystemKind::Clm,
+        batch_size: 6,
+        ..Default::default()
+    };
+    for devices in [1usize, 2] {
+        let config = ThreadedConfig {
+            num_devices: devices,
+            ..Default::default()
+        };
+        let mut threaded = ThreadedBackend::new(init.clone(), train.clone(), config);
+        for batch in 0..2 {
+            let (report, timeline) =
+                threaded.run_batch_traced(&dataset.cameras[..6], &targets[..6]);
+            let lanes = [
+                (Lane::GpuCompute, report.lanes.compute),
+                (Lane::GpuComm, report.lanes.comm),
+                (Lane::CpuAdam, report.lanes.adam),
+                (Lane::CpuScheduler, report.lanes.scheduling),
+            ];
+            for (lane, busy) in lanes {
+                let spans = timeline.ops().iter().filter(|op| op.lane == lane);
+                let summed: f64 = spans.map(|op| op.end - op.start).sum();
+                assert!(busy > 0.0, "{lane:?} did timed work");
+                assert_eq!(summed, busy, "{devices} devices, batch {batch}, {lane:?}");
+            }
+            assert!(timeline.ops().iter().all(|op| op.deps.is_empty()));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
