@@ -244,8 +244,6 @@ pub(crate) fn emit_system(
     whole_model: Option<(&CostModel, usize)>,
     costs: &mut impl CostSource,
 ) {
-    #[cfg(test)]
-    let costs = &mut pipeline::Recorded::new(costs);
     let adam = |rate: fn(&DeviceProfile, u64) -> f64| {
         whole_model.map_or_else(OpCost::default, |(cost, rows)| cost.adam(rows, rate))
     };
@@ -265,16 +263,6 @@ pub(crate) fn emit_system(
             pipeline::emit_gpu_only(timeline, after, shape.microbatches, adam, costs);
         }
     }
-    #[cfg(test)]
-    HOOK_LOG.with_borrow_mut(|log| log.append(&mut costs.calls));
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Test seam: the hook order of every [`emit_system`] call this thread
-    /// has made since the log was last taken.
-    pub(crate) static HOOK_LOG: std::cell::RefCell<Vec<String>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// A trainer executing as a discrete-event pipeline across

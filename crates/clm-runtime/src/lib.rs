@@ -83,7 +83,7 @@ pub use prefetch::{PrefetchPolicy, TuningRecord, WarmStartCache, WindowSelector}
 pub use report::{IterationReport, LaneReport};
 pub use sim_device::PrefetchWindow;
 pub use threaded::{ThreadedBackend, ThreadedConfig};
-pub use workers::{spawn_lane, LaneSpans, WorkerLane};
+pub use workers::{spawn_lane, WorkerLane};
 
 #[cfg(test)]
 mod tests {
@@ -412,6 +412,40 @@ mod tests {
             let reference = sync.train_batch(cams, tgts);
             assert_eq!(report.batch, reference, "{system}");
             assert_eq!(threaded.trainer().model(), sync.model(), "{system}");
+        }
+    }
+
+    #[test]
+    fn threaded_pool_recycles_within_the_window_budget() {
+        let (dataset, targets, init) = tiny_setup();
+        let cams = &dataset.cameras[..6];
+        let tgts = &targets[..6];
+        for window in [0usize, 1, 2] {
+            let mut threaded = ThreadedBackend::new(
+                init.clone(),
+                TrainConfig::default(),
+                ThreadedConfig {
+                    prefetch_window: window,
+                    ..Default::default()
+                },
+            );
+            threaded.run_batch(cams, tgts);
+            threaded.run_batch(cams, tgts);
+            let stats = threaded.pool_stats();
+            assert_eq!(stats.outstanding, 0, "all buffers returned");
+            assert_eq!(stats.acquires, 12, "one gather per micro-batch");
+            assert!(
+                stats.high_water_buffers <= window + 1,
+                "window {window} must stay within its buffer budget: {stats:?}"
+            );
+            assert!(stats.recycled >= 6, "window {window}: {stats:?}");
+            // Gathers stage straight from the host store into pool buffers
+            // — zero extra copies, so no acquire may allocate once the
+            // frontier is provisioned.
+            assert_eq!(
+                stats.allocated, stats.high_water_buffers as u64,
+                "window {window} allocated beyond the frontier: {stats:?}"
+            );
         }
     }
 

@@ -32,7 +32,7 @@
 //! gradient rows — belong to the backend and are sized by the model alone,
 //! so between densification boundaries (where they are re-provisioned like
 //! the staging pool) the lane allocates nothing.  Every interval a thread
-//! times goes onto that thread's own [`LaneSpans`] list: the report's
+//! times goes onto that thread's own `LaneSpans` list: the report's
 //! [`LaneBusy`] is the per-lane sum of the lists, and
 //! [`ThreadedBackend::run_batch_traced`] is the same lists on a
 //! [`Timeline`].
@@ -855,7 +855,6 @@ impl ExecutionBackend for ThreadedBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::HOOK_LOG;
     use crate::tests::tiny_setup;
     use clm_core::{DensifyConfig, DensifySchedule};
     use sim_device::FaultSpec;
@@ -872,11 +871,36 @@ mod tests {
         );
     }
 
+    /// `kind micro-batch` of the ops `keep` selects, in list order (push
+    /// order for an emitted timeline, start order for a measured one).
+    fn order(timeline: &Timeline, keep: impl Fn(&sim_device::ScheduledOp) -> bool) -> String {
+        let ops = timeline.ops().iter().filter(|op| keep(op));
+        let mut tokens: Vec<String> = ops
+            .map(|op| {
+                let kind = match op.kind {
+                    OpKind::LoadParams => 'g',
+                    OpKind::Forward => 'f',
+                    OpKind::Backward => 'b',
+                    OpKind::StoreGrads => 't',
+                    OpKind::CpuAdamUpdate => 'a',
+                    _ => 'x',
+                };
+                op.microbatch
+                    .map_or(format!("{kind}U"), |i| format!("{kind}{i}"))
+            })
+            .collect();
+        // The engine's per-device Adam shares are one group.
+        tokens.dedup();
+        tokens.join(" ")
+    }
+
     #[test]
     fn threaded_backend_walks_the_engines_schedule() {
-        // Both backends hand the same system and shape to the same emitter,
-        // so their hooks must run in the same order — at one device the
-        // Figure 6 order for m = 6, window = 2, spelled out.
+        // One thread's spans never overlap, so in start order they are the
+        // hooks that thread served, in the order it served them: they must
+        // be the engine's ops of the same kinds in emission order.  At one
+        // device the gather lane's order is Figure 6's window rule for
+        // m = 6, window = 2, spelled out (x = the buffer handed back).
         let (dataset, targets, init) = tiny_setup();
         let (cams, tgts) = (&dataset.cameras[..6], &targets[..6]);
         for devices in [1usize, 2] {
@@ -899,18 +923,39 @@ mod tests {
                     ..Default::default()
                 },
             );
-            HOOK_LOG.take();
-            engine.run_batch(cams, tgts);
-            let simulated = HOOK_LOG.take().join(" ");
-            threaded.run_batch(cams, tgts);
-            let executed = HOOK_LOG.take().join(" ");
-            assert_eq!(executed, simulated, "{devices} devices");
+            let simulated = engine.run_batch(cams, tgts).timeline;
+            let (_, executed) = threaded.run_batch_traced(cams, tgts);
+
+            // Coordinator: one render per round, accumulation per
+            // micro-batch, packing per non-empty group.
+            let compute = |op: &sim_device::ScheduledOp| match op.kind {
+                OpKind::Forward => (op.microbatch.unwrap() as usize).is_multiple_of(devices),
+                OpKind::Backward => true,
+                OpKind::StoreGrads => op.rows > 0,
+                _ => false,
+            };
+            let coordinator = order(&executed, compute);
+            assert_eq!(coordinator, order(&simulated, compute), "{devices} devices");
+            // Gather lane: it stages on `staged(i)` and recycles on
+            // `backward(i)`, one queue for both.
+            let gather_lane = order(&executed, |op| op.lane == Lane::GpuComm);
+            let gathers_and_backwards = order(&simulated, |op| {
+                matches!(op.kind, OpKind::LoadParams | OpKind::Backward)
+            });
+            assert_eq!(
+                gather_lane,
+                gathers_and_backwards.replace('b', "x"),
+                "{devices} devices"
+            );
+            // Adam lane: F0 first, empty groups skipped.
+            let steps =
+                |op: &sim_device::ScheduledOp| op.kind == OpKind::CpuAdamUpdate && op.rows > 0;
+            let adam_lane = order(&executed, steps);
+            assert_eq!(adam_lane, order(&simulated, steps), "{devices} devices");
             if devices == 1 {
-                assert_eq!(
-                    executed,
-                    "aU g0 s0 g1 s1 g2 s2 f0 b0 t0 a0 g3 s3 f1 b1 t1 a1 g4 s4 \
-                     f2 b2 t2 a2 g5 s5 f3 b3 t3 a3 f4 b4 t4 a4 f5 b5 t5 a5"
-                );
+                assert_eq!(gather_lane, "g0 g1 g2 x0 g3 x1 g4 x2 g5 x3 x4 x5");
+                assert!(coordinator.starts_with("f0 b0 t0 f1 b1 "), "{coordinator}");
+                assert!(adam_lane.starts_with("aU a0 "), "{adam_lane}");
             }
         }
     }

@@ -12,10 +12,10 @@
 //!   single-producer/single-consumer; the bounds are what give the pipeline
 //!   backpressure: a lane that runs ahead of its consumer blocks on `send`
 //!   instead of buffering unboundedly, exactly like a full CUDA stream.
-//! * [`LaneSpans`] — the one measurement: every interval a thread times is
-//!   a measured span on that thread's own list, which the thread borrows
-//!   exclusively for the batch — no lock, no atomics — and the coordinator
-//!   gets back when the scope joins it.  [`LaneSpans::merge`] lays the
+//! * `LaneSpans` (crate-private) — the one measurement: every interval a
+//!   thread times is a measured span on that thread's own list, which the
+//!   thread borrows exclusively for the batch — no lock, no atomics — and
+//!   the coordinator gets back when the scope joins it.  `merge` lays the
 //!   batch's lists on one [`Timeline`]; a lane's busy time is that
 //!   timeline's, so a recording always adds up to its own report.
 //!
@@ -35,7 +35,7 @@ use std::time::Instant;
 /// order it timed them, on the clock every list of the batch shares
 /// (seconds since the batch's `origin`).
 #[derive(Debug)]
-pub struct LaneSpans {
+pub(crate) struct LaneSpans {
     origin: Instant,
     spans: Timeline,
 }

@@ -21,7 +21,10 @@ pub struct LaneStat {
     pub ops: usize,
     /// Total busy seconds across all batches.
     pub busy_s: f64,
-    /// `busy_s` over the summed batch makespans, in `[0, 1]`.
+    /// `busy_s` over the summed batch makespans — in `[0, 1]` for a lane
+    /// whose spans never overlap (every scheduled lane, and a measured
+    /// lane one thread timed); a threaded recording's Adam lane is charged
+    /// by the worker and the coordinator concurrently and can exceed 1.
     pub utilization: f64,
 }
 

@@ -102,67 +102,6 @@ pub trait CostSource {
     fn adam(&mut self, group: AdamGroup) -> Vec<OpCost>;
 }
 
-/// A [`CostSource`] that forwards to `inner` and records the order the hooks
-/// ran in, one token per call (`g`ather, `s`taged, `f`orward, `b`ackward,
-/// s`t`ore and the micro-batch; `r`/`a` and the group: `U`ntouched, `D`ense
-/// or the finalising micro-batch) — how a test asserts that two executors
-/// walk the same schedule.
-#[derive(Debug)]
-pub struct Recorded<'a, C> {
-    inner: &'a mut C,
-    /// The hook calls so far, in order.
-    pub calls: Vec<String>,
-}
-
-impl<'a, C> Recorded<'a, C> {
-    /// Wraps `inner` with an empty record.
-    pub fn new(inner: &'a mut C) -> Self {
-        Recorded {
-            inner,
-            calls: Vec::new(),
-        }
-    }
-
-    fn group(&mut self, what: char, group: AdamGroup) {
-        self.calls.push(match group {
-            AdamGroup::Untouched => format!("{what}U"),
-            AdamGroup::FinalizedBy(i) => format!("{what}{i}"),
-            AdamGroup::Dense => format!("{what}D"),
-        });
-    }
-}
-
-impl<C: CostSource> CostSource for Recorded<'_, C> {
-    fn gather(&mut self, i: usize) -> OpCost {
-        self.calls.push(format!("g{i}"));
-        self.inner.gather(i)
-    }
-    fn staged(&mut self, timeline: &mut Timeline, i: usize) {
-        self.calls.push(format!("s{i}"));
-        self.inner.staged(timeline, i);
-    }
-    fn forward(&mut self, i: usize) -> OpCost {
-        self.calls.push(format!("f{i}"));
-        self.inner.forward(i)
-    }
-    fn backward(&mut self, i: usize) -> OpCost {
-        self.calls.push(format!("b{i}"));
-        self.inner.backward(i)
-    }
-    fn store(&mut self, i: usize) -> OpCost {
-        self.calls.push(format!("t{i}"));
-        self.inner.store(i)
-    }
-    fn allreduce(&mut self, group: AdamGroup) -> OpCost {
-        self.group('r', group);
-        self.inner.allreduce(group)
-    }
-    fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
-        self.group('a', group);
-        self.inner.adam(group)
-    }
-}
-
 /// The parameters the CLM op graph is a function of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClmShape {
@@ -543,63 +482,67 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Prices every op at its own distinct, index-derived duration.
+    /// Prices every op at its own distinct, index-derived duration and
+    /// records the order the hooks ran in.
     #[derive(Default)]
     struct Probe {
         devices: usize,
+        calls: Vec<String>,
     }
 
-    fn cost(i: usize) -> OpCost {
-        OpCost {
-            dur: 1.0 + i as f64,
-            bytes: 10 * (i as u64 + 1),
-            rows: i as u64 + 1,
+    impl Probe {
+        fn cost(&mut self, what: &str, i: usize) -> OpCost {
+            self.calls.push(format!("{what}{i}"));
+            OpCost {
+                dur: 1.0 + i as f64,
+                bytes: 10 * (i as u64 + 1),
+                rows: i as u64 + 1,
+            }
         }
     }
 
     impl CostSource for Probe {
         fn gather(&mut self, i: usize) -> OpCost {
-            cost(i)
+            self.cost("g", i)
         }
         fn staged(&mut self, timeline: &mut Timeline, i: usize) {
             let gather = timeline.ops().last().expect("the gather was pushed");
             assert_eq!(gather.kind, OpKind::LoadParams);
             assert_eq!(gather.microbatch, Some(i as u32));
+            self.calls.push(format!("s{i}"));
         }
         fn forward(&mut self, i: usize) -> OpCost {
-            cost(i)
+            self.cost("f", i)
         }
         fn backward(&mut self, i: usize) -> OpCost {
-            cost(i)
+            self.cost("b", i)
         }
         fn store(&mut self, i: usize) -> OpCost {
-            cost(i)
+            self.cost("t", i)
         }
         fn allreduce(&mut self, _group: AdamGroup) -> OpCost {
             assert!(self.devices > 1, "no all-reduce on one device");
-            cost(0)
+            self.cost("r", 0)
         }
         fn adam(&mut self, _group: AdamGroup) -> Vec<OpCost> {
-            (0..self.devices).map(cost).collect()
+            (0..self.devices).map(|d| self.cost("a", d)).collect()
         }
     }
 
-    /// The graph `shape` emits after a scheduling preamble, and the order
-    /// the hooks ran in.
-    fn emit(shape: &ClmShape) -> (Timeline, String) {
+    fn emit(shape: &ClmShape) -> (Timeline, Probe) {
         let mut t = Timeline::new();
         let sched = t.push(OpKind::Scheduling, Lane::CpuScheduler, 0.5, &[]);
         let mut probe = Probe {
             devices: shape.devices,
+            ..Default::default()
         };
-        let mut recorded = Recorded::new(&mut probe);
-        emit_clm(&mut t, &[sched], shape, &mut recorded);
-        (t, recorded.calls.join(" "))
+        emit_clm(&mut t, &[sched], shape, &mut probe);
+        (t, probe)
     }
 
     #[test]
     fn double_buffered_single_device_graph_is_figure_6() {
-        let (t, calls) = emit(&ClmShape {
+        let (t, probe) = emit(&ClmShape {
             microbatches: 3,
             window: 1,
             devices: 1,
@@ -638,8 +581,8 @@ mod tests {
         assert_eq!(dep_indices(8), [0, 5]);
         assert_eq!(dep_indices(7), [6], "Adam 0 waits for store 0");
         assert_eq!(
-            calls,
-            "aU g0 s0 g1 s1 f0 b0 t0 a0 g2 s2 f1 b1 t1 a1 f2 b2 t2 a2"
+            probe.calls.join(" "),
+            "a0 g0 s0 g1 s1 f0 b0 t0 a0 g2 s2 f1 b1 t1 a0 f2 b2 t2 a0"
         );
     }
 
