@@ -25,8 +25,7 @@ use clm_core::{
     GRADIENT_BYTES,
 };
 use clm_runtime::{
-    PipelinedEngine, PrefetchPolicy, RuntimeConfig, ThreadedBackend, ThreadedConfig,
-    PEER_HOP_FACTOR,
+    PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig, PEER_HOP_FACTOR,
 };
 use clm_trace::{CostParams, Trace, TraceMeta, TraceWriter};
 use gs_core::gaussian::GaussianModel;
@@ -173,13 +172,12 @@ impl TraceScale {
         RuntimeConfig {
             device: DeviceProfile::rtx4090(),
             prefetch_window: self.prefetch_window,
-            policy: PrefetchPolicy::Fixed,
             cost_scale: PAPER_SCALE_GAUSSIANS / model_len as f64,
             pixel_cost_scale: PAPER_SCALE_PIXELS / (self.width as f64 * self.height as f64),
             compute_threads: 0,
             band_height: 0,
             num_devices: devices,
-            warm_start_ratio: None,
+            ..Default::default()
         }
     }
 }

@@ -5,12 +5,14 @@
 //! GPU memory so frustum culling never needs the host, and the
 //! **non-critical** attributes (SH + opacity — 49 floats) that live in
 //! pinned CPU memory and are gathered on demand by the *selective loading
-//! kernel*.  [`OffloadedModel`] is that store: it owns both halves, performs
-//! the gather/scatter the kernel would do, and accounts for every byte that
-//! crosses the (simulated) PCIe link.
+//! kernel*.  [`OffloadedModel`] is the pinned half of that store: it performs
+//! the gather/scatter the kernel would do and accounts for every byte that
+//! crosses the (simulated) PCIe link.  The selection-critical half is not
+//! copied anywhere — culling and rendering read the trainer's
+//! [`GaussianModel`] arrays directly — so the store only accounts for its
+//! size ([`OffloadedModel::gpu_resident_bytes`]).
 
 use gs_core::gaussian::{GaussianModel, NON_CRITICAL_FLOATS, SELECTION_CRITICAL_FLOATS};
-use gs_core::math::{Quat, Vec3};
 use gs_core::BYTES_PER_PARAM;
 use gs_scene::{remove_rows_in_place, ResizeEvent};
 
@@ -24,13 +26,10 @@ pub const SELECTION_CRITICAL_BYTES: usize = SELECTION_CRITICAL_FLOATS * BYTES_PE
 /// Bytes of gradients per Gaussian sent back to the CPU (all 59 parameters).
 pub const GRADIENT_BYTES: usize = 59 * BYTES_PER_PARAM;
 
-/// A Gaussian model stored attribute-wise across the two memory spaces.
+/// The pinned-host half of a Gaussian model stored attribute-wise across the
+/// two memory spaces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OffloadedModel {
-    /// Selection-critical attributes, GPU resident (never swapped out).
-    positions: Vec<Vec3>,
-    log_scales: Vec<Vec3>,
-    rotations: Vec<Quat>,
     /// Non-critical attributes in pinned host memory, one padded row per
     /// Gaussian so a fetch is a single contiguous read (§5.2).
     non_critical: Vec<[f32; NON_CRITICAL_FLOATS]>,
@@ -47,57 +46,20 @@ impl OffloadedModel {
             .map(|i| model.non_critical_row(i))
             .collect();
         OffloadedModel {
-            positions: model.positions().to_vec(),
-            log_scales: model.log_scales().to_vec(),
-            rotations: model.rotations().to_vec(),
             non_critical,
             bytes_gathered: 0,
             bytes_scattered: 0,
         }
     }
 
-    /// Reassembles a dense [`GaussianModel`] (used by checkpointing and by
-    /// equivalence tests).
-    pub fn to_model(&self) -> GaussianModel {
-        let mut model = GaussianModel::with_capacity(self.len());
-        for i in 0..self.len() {
-            let mut g = gs_core::Gaussian {
-                position: self.positions[i],
-                log_scale: self.log_scales[i],
-                rotation: self.rotations[i],
-                sh: [0.0; gs_core::gaussian::SH_FLOATS],
-                opacity_logit: 0.0,
-            };
-            g.sh.copy_from_slice(&self.non_critical[i][..gs_core::gaussian::SH_FLOATS]);
-            g.opacity_logit = self.non_critical[i][gs_core::gaussian::SH_FLOATS];
-            model.push(g);
-        }
-        model
-    }
-
     /// Number of Gaussians.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.non_critical.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
-    }
-
-    /// GPU-resident selection-critical positions (used by frustum culling).
-    pub fn positions(&self) -> &[Vec3] {
-        &self.positions
-    }
-
-    /// GPU-resident log-scales.
-    pub fn log_scales(&self) -> &[Vec3] {
-        &self.log_scales
-    }
-
-    /// GPU-resident rotations.
-    pub fn rotations(&self) -> &[Quat] {
-        &self.rotations
+        self.non_critical.is_empty()
     }
 
     /// Bytes of GPU-resident parameter data (10 floats per Gaussian).
@@ -186,25 +148,6 @@ impl OffloadedModel {
         self.bytes_scattered += (indices.len() * NON_CRITICAL_BYTES) as u64;
     }
 
-    /// Overwrites the GPU-resident selection-critical attributes of one
-    /// Gaussian (applied after its optimiser update).
-    ///
-    /// # Panics
-    /// Panics if `index` is out of bounds.
-    pub fn update_selection_critical(
-        &mut self,
-        index: u32,
-        position: Vec3,
-        log_scale: Vec3,
-        rotation: Quat,
-    ) {
-        let i = index as usize;
-        assert!(i < self.len(), "gaussian index {i} out of bounds");
-        self.positions[i] = position;
-        self.log_scales[i] = log_scale;
-        self.rotations[i] = rotation;
-    }
-
     /// Resizes the store in place for a densification boundary: pruned rows
     /// are compacted out order-preserving, split-shrunk survivors are
     /// re-copied from the model, and the appended rows are read from the
@@ -229,23 +172,14 @@ impl OffloadedModel {
             event.new_len(),
             "model does not match the applied resize"
         );
-        remove_rows_in_place(&mut self.positions, &event.pruned);
-        remove_rows_in_place(&mut self.log_scales, &event.pruned);
-        remove_rows_in_place(&mut self.rotations, &event.pruned);
         remove_rows_in_place(&mut self.non_critical, &event.pruned);
         // Splits rewrite their (surviving) source row in place.
         for source in event.split_sources() {
             let i = source as usize;
-            self.positions[i] = model.positions()[i];
-            self.log_scales[i] = model.log_scales()[i];
-            self.rotations[i] = model.rotations()[i];
             self.non_critical[i] = model.non_critical_row(i);
         }
         // Appended rows come from the model's tail, in append order.
         for i in self.len()..model.len() {
-            self.positions.push(model.positions()[i]);
-            self.log_scales.push(model.log_scales()[i]);
-            self.rotations.push(model.rotations()[i]);
             self.non_critical.push(model.non_critical_row(i));
         }
         debug_assert_eq!(self.len(), model.len());
@@ -254,19 +188,13 @@ impl OffloadedModel {
     /// Synchronises the whole store from a dense model (at every batch end,
     /// and after densification changes the model size).
     ///
-    /// Runs in place: the existing attribute buffers are resized and
-    /// overwritten rather than reallocated, so the per-batch re-sync of the
-    /// training loop causes no allocation churn once the store has reached
-    /// its working size.
+    /// Runs in place: the existing row buffer is resized and overwritten
+    /// rather than reallocated, so the per-batch re-sync of the training
+    /// loop causes no allocation churn once the store has reached its
+    /// working size.
     pub fn sync_from_model(&mut self, model: &GaussianModel) {
-        let n = model.len();
-        self.positions.resize(n, Vec3::ZERO);
-        self.positions.copy_from_slice(model.positions());
-        self.log_scales.resize(n, Vec3::ZERO);
-        self.log_scales.copy_from_slice(model.log_scales());
-        self.rotations.resize(n, Quat::IDENTITY);
-        self.rotations.copy_from_slice(model.rotations());
-        self.non_critical.resize(n, [0.0; NON_CRITICAL_FLOATS]);
+        self.non_critical
+            .resize(model.len(), [0.0; NON_CRITICAL_FLOATS]);
         for (i, row) in self.non_critical.iter_mut().enumerate() {
             *row = model.non_critical_row(i);
         }
@@ -298,6 +226,7 @@ pub fn gather_rows_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gs_core::math::Vec3;
     use gs_core::Gaussian;
 
     fn test_model(n: usize) -> GaussianModel {
@@ -316,17 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn split_and_reassemble_round_trips() {
-        let model = test_model(7);
-        let offloaded = OffloadedModel::from_model(&model);
-        assert_eq!(offloaded.len(), 7);
-        assert_eq!(offloaded.to_model(), model);
-    }
-
-    #[test]
     fn byte_accounting_matches_paper_fractions() {
         let model = test_model(100);
         let offloaded = OffloadedModel::from_model(&model);
+        assert_eq!(offloaded.len(), 100);
         // Selection-critical attributes are < 20% of a Gaussian's footprint.
         let total = offloaded.gpu_resident_bytes() + offloaded.pinned_bytes();
         assert_eq!(total, 100 * 59 * 4);
@@ -359,21 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn update_selection_critical_changes_gpu_copy() {
-        let model = test_model(3);
-        let mut offloaded = OffloadedModel::from_model(&model);
-        offloaded.update_selection_critical(
-            2,
-            Vec3::new(9.0, 9.0, 9.0),
-            Vec3::ZERO,
-            Quat::IDENTITY,
-        );
-        assert_eq!(offloaded.positions()[2], Vec3::new(9.0, 9.0, 9.0));
-        // Non-critical data untouched.
-        assert_eq!(offloaded.to_model().sh_of(2), model.sh_of(2));
-    }
-
-    #[test]
     #[should_panic(expected = "out of bounds")]
     fn gather_out_of_bounds_panics() {
         let mut offloaded = OffloadedModel::from_model(&test_model(2));
@@ -394,12 +301,12 @@ mod tests {
     #[test]
     fn sync_from_model_is_in_place_and_exact() {
         let mut offloaded = OffloadedModel::from_model(&test_model(8));
-        let positions_ptr = offloaded.positions().as_ptr();
+        let rows_ptr = offloaded.non_critical_rows().as_ptr();
         let shrunk = test_model(5);
         offloaded.sync_from_model(&shrunk);
         // Same backing allocation (capacity 8 covers 5 rows), same contents
         // as a fresh split.
-        assert_eq!(offloaded.positions().as_ptr(), positions_ptr);
+        assert_eq!(offloaded.non_critical_rows().as_ptr(), rows_ptr);
         assert_eq!(offloaded, {
             let mut fresh = OffloadedModel::from_model(&shrunk);
             fresh.bytes_gathered = offloaded.bytes_gathered;

@@ -549,9 +549,10 @@ impl Trainer {
     pub fn plan_batch(&self, cameras: &[Camera]) -> BatchPlan {
         assert!(!cameras.is_empty(), "batch must contain at least one view");
 
-        // 1. Frustum culling for every view.  For CLM this runs against the
-        //    GPU-resident selection-critical attributes only.
-        //    One pass over the model serves all views.
+        // 1. Frustum culling for every view, reading only the model's
+        //    selection-critical arrays (position/scale/rotation — the
+        //    attributes CLM keeps device-resident).  One pass over the
+        //    model serves all views.
         let sets: Vec<VisibilitySet> = gs_core::cull_batch(&self.model, cameras);
 
         // 2. Order the micro-batches.

@@ -1,7 +1,7 @@
 //! Hardware-aware autotuning of the execution knobs.
 //!
 //! Every knob that decides CLM's overlap quality used to be hand-set:
-//! `compute_threads`, `band_height`, the prefetch window seed and the Adam
+//! `compute_threads`, `band_height`, the prefetch window and the Adam
 //! chunk size all shipped with constants tuned on whatever machine the
 //! committed baseline happened to run on (a 1-core container).  This module
 //! closes the loop in three stages, SimPoint-style — a few calibrated
@@ -20,7 +20,7 @@
 //! The process-wide [`tuned`] result is computed once, cached, and also
 //! installed as `gs_render`'s default compute width so the documented
 //! `compute_threads = 0` "inherit" sentinel resolves to the tuned value
-//! everywhere.  None of this touches numerics: thread counts, window seeds
+//! everywhere.  None of this touches numerics: thread counts, windows
 //! and chunk sizes are pure scheduling, and the tuned `band_height` (which
 //! *is* part of the numeric contract) is a pure function of the host, so
 //! every backend in one process tunes to the same value and stays
@@ -197,9 +197,8 @@ pub struct TunedKnobs {
     /// of the numeric contract, so it is a pure function of the host — all
     /// backends in one process tune to the same value.
     pub band_height: u32,
-    /// Prefetch window seed from the measured fetch/compute ratio
-    /// (`prefetch_window` configs override; adaptive policies refine it
-    /// per batch).
+    /// Prefetch window from the measured fetch/compute ratio
+    /// (`prefetch_window` configs override).
     pub prefetch_window: usize,
     /// Fitted ratio of the simulated RTX 4090 forward rate to this host's
     /// measured rasteriser rate — the per-host `CostModel` correction
@@ -233,10 +232,9 @@ pub fn derive_knobs(topo: &HostTopology, cal: &Calibration) -> TunedKnobs {
     let tiles = (fit / TILE_SIZE as u64).clamp(1, 4) as u32;
     let band_height = (tiles * TILE_SIZE).max(DEFAULT_BAND_HEIGHT);
 
-    // Window seed: the measured per-row fetch/compute ratio.  A micro-batch
+    // Window: the measured per-row fetch/compute ratio.  A micro-batch
     // gathers roughly as many rows as it rasterises splats, so the ratio of
-    // the two calibrated rates estimates fetch_time / compute_time — the
-    // same quantity the adaptive policies track at run time.
+    // the two calibrated rates estimates fetch_time / compute_time.
     let ratio = if cal.gather_rows_per_s > 0.0 {
         cal.raster_rows_per_s / cal.gather_rows_per_s
     } else {

@@ -29,11 +29,9 @@
 //! runtime needs from *any* backend, so the service, the chaos matrix and
 //! the trace recorder hold a `dyn ExecutionBackend` instead of matching on
 //! concrete types: the pinned staging pool's statistics and capacity cap
-//! (the per-tenant memory budget seam), fault-plan installation, and the
-//! adaptive prefetch-window state a checkpoint warm-starts from.
+//! (the per-tenant memory budget seam) and fault-plan installation.
 
 use crate::pool::PoolStats;
-use crate::prefetch::WindowSelector;
 use clm_core::{BatchReport, DensifyReport, Trainer};
 use gs_core::camera::Camera;
 use gs_render::Image;
@@ -64,8 +62,8 @@ pub struct ExecutionReport {
     pub batch: BatchReport,
     /// Number of views trained by the batch.
     pub views: usize,
-    /// Prefetch lookahead window the backend chose for this batch (fixed or
-    /// adaptive).
+    /// Prefetch lookahead window the batch ran with (the configured
+    /// `prefetch_window`).
     pub prefetch_window: usize,
     /// Banded-render worker count the batch actually ran with — the
     /// resolved value, never the `0` "inherit/autotune" sentinel a config
@@ -173,9 +171,4 @@ pub trait ExecutionBackend: std::fmt::Debug {
     /// batch on.  Faults cost schedule (or wall-clock) time and are
     /// recovered from; they never change the numerics.
     fn install_fault_plan(&mut self, plan: FaultPlan);
-
-    /// The adaptive prefetch-window state (tracked fetch/compute ratios),
-    /// e.g. for a checkpoint's warm-start ratio or a
-    /// [`WarmStartCache`](crate::WarmStartCache).
-    fn window_selector(&self) -> &WindowSelector;
 }

@@ -67,7 +67,6 @@
 
 use crate::backend::{ExecutionBackend, ExecutionReport, LaneBusy};
 use crate::pool::{PinnedBufferPool, PoolStats, StagingBuffer};
-use crate::prefetch::{PrefetchPolicy, WindowSelector};
 use crate::report::IterationReport;
 use clm_core::{BatchPlan, SystemKind, TrainConfig, Trainer, GRADIENT_BYTES};
 use gs_core::camera::Camera;
@@ -96,6 +95,19 @@ pub(crate) const RESIZE_COST_PER_ROW: f64 = 1.0e-8;
 /// fetching device's DMA engine sees it — one extra hop at PCIe cost.
 pub const PEER_HOP_FACTOR: f64 = 2.0;
 
+/// How the prefetch window is chosen: it is the configured
+/// `prefetch_window`, always (the paper's fixed double buffering, §5.3).
+///
+/// Placeholder with one inhabitant: the frozen benchmark harness spells
+/// `policy: PrefetchPolicy::Fixed` in exhaustive config literals.  Leaves
+/// with ROADMAP item 4(a).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PrefetchPolicy {
+    /// Always use the configured `prefetch_window`.
+    #[default]
+    Fixed,
+}
+
 /// Configuration of the pipelined runtime.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -103,10 +115,9 @@ pub struct RuntimeConfig {
     pub device: DeviceProfile,
     /// Prefetch lookahead window: how many micro-batches ahead of the one
     /// currently computing may be gathered (0 = synchronous, 1 = double
-    /// buffering).  Under [`PrefetchPolicy::Adaptive`] this seeds the first
-    /// batch only.
+    /// buffering).
     pub prefetch_window: usize,
-    /// Fixed vs. adaptive per-batch window selection.
+    /// Placeholder — see [`PrefetchPolicy`].
     pub policy: PrefetchPolicy,
     /// Multiplier applied to Gaussian counts and transferred bytes when
     /// costing timeline operations.  Numerics are unaffected; this lets
@@ -129,12 +140,10 @@ pub struct RuntimeConfig {
     /// to balance Gaussian ownership over —
     /// [`PipelinedEngine::partition_over`].
     pub num_devices: usize,
-    /// Warm start for the tracked prefetch fetch/compute ratio (e.g. a
-    /// [`WarmStartCache`](crate::WarmStartCache) entry recorded by an
-    /// earlier run on the same scene).  `None` cold-starts as before; under
-    /// an adaptive/EWMA policy a warm-started engine picks an adapted
-    /// window on its first batch.
-    pub warm_start_ratio: Option<f64>,
+    /// Placeholder, always `None` (the payload type is uninhabited): the
+    /// frozen benchmark harness spells `warm_start_ratio: None` in
+    /// exhaustive config literals.  Leaves with ROADMAP item 4(a).
+    pub warm_start_ratio: Option<std::convert::Infallible>,
 }
 
 impl Default for RuntimeConfig {
@@ -156,7 +165,7 @@ impl Default for RuntimeConfig {
 impl RuntimeConfig {
     /// A config whose scheduling knobs come from the startup autotuner
     /// ([`crate::autotune::tuned`]): quota-aware compute width, the
-    /// calibrated prefetch-window seed and the host-derived band height.
+    /// calibrated prefetch window and the host-derived band height.
     /// Set any field afterwards to override a derived value.
     pub fn autotuned() -> Self {
         let knobs = crate::autotune::tuned().knobs;
@@ -282,9 +291,6 @@ pub struct PipelinedEngine {
     /// device.
     partition_cameras: Vec<Camera>,
     pool: PinnedBufferPool,
-    /// Adaptive-window state fed by each batch's simulated fetch/compute
-    /// times.
-    window_selector: WindowSelector,
     /// Staged rows served from the fetching device's own shard so far.
     local_rows: u64,
     /// Staged rows that crossed shards (owner ≠ fetching device) so far.
@@ -337,14 +343,12 @@ impl PipelinedEngine {
         // and introspection agree; the engine drives the stepwise API
         // itself, so this never re-shards the numeric path.
         trainer.set_num_devices(config.num_devices);
-        let window_selector = WindowSelector::warm_started(config.warm_start_ratio);
         PipelinedEngine {
             partition: GaussianPartition::single_device(trainer.model().len()),
             partition_cameras: Vec::new(),
             trainer,
             config,
             pool: PinnedBufferPool::new(),
-            window_selector,
             local_rows: 0,
             cross_shard_rows: 0,
             fault_plan: None,
@@ -445,12 +449,6 @@ impl PipelinedEngine {
         self.pool.set_capacity_limit(limit);
     }
 
-    /// The adaptive-window state (tracked fetch/compute ratios), e.g. for
-    /// recording into a [`WarmStartCache`](crate::WarmStartCache).
-    pub fn window_selector(&self) -> &WindowSelector {
-        &self.window_selector
-    }
-
     /// Staged rows served from the fetching device's own shard so far.
     pub fn local_rows(&self) -> u64 {
         self.local_rows
@@ -515,9 +513,7 @@ impl PipelinedEngine {
             timeline.install_fault_sink(fp.sink());
         }
         let cost = CostModel::from_runtime(&self.config);
-        let window = self
-            .window_selector
-            .choose(self.config.policy, self.config.prefetch_window);
+        let window = self.config.prefetch_window;
 
         let mut sched_deps = Vec::new();
         if let Some(event) = plan.resize.as_ref() {
@@ -577,16 +573,6 @@ impl PipelinedEngine {
         let total_loss = run.total_loss;
         self.local_rows += run.local_rows;
         self.cross_shard_rows += run.cross_shard_rows;
-
-        // Feed the adaptive window policy with this batch's simulated
-        // fetch/compute balance.
-        if system == SystemKind::Clm {
-            self.window_selector.observe(
-                self.config.policy,
-                timeline.time_by_kind(OpKind::LoadParams),
-                timeline.time_by_kind(OpKind::Forward) + timeline.time_by_kind(OpKind::Backward),
-            );
-        }
 
         let batch = self.trainer.finish_batch(&plan, &grads, total_loss);
         self.trainer.return_gradients(grads, &plan);
@@ -844,9 +830,5 @@ impl ExecutionBackend for PipelinedEngine {
 
     fn install_fault_plan(&mut self, plan: FaultPlan) {
         PipelinedEngine::install_fault_plan(self, plan);
-    }
-
-    fn window_selector(&self) -> &WindowSelector {
-        PipelinedEngine::window_selector(self)
     }
 }

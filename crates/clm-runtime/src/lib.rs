@@ -12,10 +12,9 @@
 //!
 //! * [`PinnedBufferPool`] — recycling pinned host staging buffers with
 //!   high-water accounting (one buffer per prefetch slot);
-//! * [`PrefetchWindow`] — the lookahead policy (0 = synchronous, 1 = double
-//!   buffering, ≥ batch size = unconstrained) and [`PrefetchPolicy`] — how
-//!   the window is chosen per batch (fixed, adapted to the last batch's
-//!   measured fetch/compute ratio, or to its EWMA-smoothed average);
+//! * [`PrefetchWindow`] — the lookahead window (0 = synchronous, 1 = double
+//!   buffering, ≥ batch size = unconstrained), fixed per run by the
+//!   config's `prefetch_window`;
 //! * [`PipelinedEngine`] / [`RuntimeConfig`] — the simulated backend, one
 //!   schedule for any `num_devices`: N per-device lane groups (gather /
 //!   compute / CPU Adam) on one shared timeline, data-parallel
@@ -70,16 +69,14 @@ pub mod autotune;
 pub mod backend;
 pub mod engine;
 pub mod pool;
-pub mod prefetch;
 pub mod report;
 pub mod threaded;
 pub mod workers;
 
 pub use autotune::{derive_knobs, tuned, Autotune, Calibration, TunedKnobs};
 pub use backend::{ExecutionBackend, ExecutionReport, LaneBusy};
-pub use engine::{PipelinedEngine, RuntimeConfig, PEER_HOP_FACTOR};
+pub use engine::{PipelinedEngine, PrefetchPolicy, RuntimeConfig, PEER_HOP_FACTOR};
 pub use pool::{PinnedBufferPool, PoolStats, StagingBuffer};
-pub use prefetch::{PrefetchPolicy, TuningRecord, WarmStartCache, WindowSelector};
 pub use report::{IterationReport, LaneReport};
 pub use sim_device::PrefetchWindow;
 pub use threaded::{ThreadedBackend, ThreadedConfig};
@@ -138,7 +135,7 @@ mod tests {
     #[test]
     fn autotuned_run_matches_the_serial_oracle() {
         // The autotuning acceptance gate: a fresh run that adopts every
-        // derived knob (thread counts, Adam chunk size, window seed, band
+        // derived knob (thread counts, Adam chunk size, window, band
         // height) still trains bit-identically to the synchronous trainer.
         // All tuned knobs are pure scheduling except `band_height`, which
         // is part of the numeric contract — the oracle shares it through
@@ -450,38 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_changes_window_not_numerics() {
-        let (dataset, targets, init) = tiny_setup();
-        let cams = &dataset.cameras[..6];
-        let tgts = &targets[..6];
-        let mut fixed =
-            PipelinedEngine::new(init.clone(), TrainConfig::default(), runtime_config(2));
-        let mut adaptive = PipelinedEngine::new(
-            init.clone(),
-            TrainConfig::default(),
-            RuntimeConfig {
-                prefetch_window: 2,
-                policy: PrefetchPolicy::Adaptive { min: 1, max: 8 },
-                // Paper-scale costing puts the schedule in the
-                // bandwidth-bound regime, where the adaptive policy should
-                // pick a non-trivial window.
-                cost_scale: 1000.0,
-                ..Default::default()
-            },
-        );
-        let mut windows = Vec::new();
-        for _ in 0..3 {
-            let f = fixed.run_batch(cams, tgts);
-            let a = adaptive.run_batch(cams, tgts);
-            assert_eq!(f.batch, a.batch, "adaptive window must not change numerics");
-            assert!(a.prefetch_window >= 1 && a.prefetch_window <= 8);
-            windows.push(a.prefetch_window);
-        }
-        assert_eq!(windows[0], 2, "first batch uses the configured seed window");
-        assert_eq!(fixed.trainer().model(), adaptive.trainer().model());
-    }
-
-    #[test]
     fn parallel_compute_threads_keep_backends_bit_identical() {
         // The banded compute lane is pure scheduling in every backend: the
         // threaded backend at 4 band threads and the simulated engine at 3
@@ -525,36 +490,6 @@ mod tests {
         }
         assert_eq!(serial.trainer().model(), parallel.trainer().model());
         assert_eq!(serial.trainer().model(), sim_parallel.trainer().model());
-    }
-
-    #[test]
-    fn ewma_policy_changes_window_not_numerics() {
-        let (dataset, targets, init) = tiny_setup();
-        let cams = &dataset.cameras[..6];
-        let tgts = &targets[..6];
-        let mut fixed =
-            PipelinedEngine::new(init.clone(), TrainConfig::default(), runtime_config(2));
-        let mut ewma = PipelinedEngine::new(
-            init.clone(),
-            TrainConfig::default(),
-            RuntimeConfig {
-                prefetch_window: 2,
-                policy: PrefetchPolicy::Ewma {
-                    alpha: 0.3,
-                    min: 1,
-                    max: 8,
-                },
-                cost_scale: 1000.0,
-                ..Default::default()
-            },
-        );
-        for _ in 0..3 {
-            let f = fixed.run_batch(cams, tgts);
-            let e = ewma.run_batch(cams, tgts);
-            assert_eq!(f.batch, e.batch, "EWMA window must not change numerics");
-            assert!(e.prefetch_window >= 1 && e.prefetch_window <= 8);
-        }
-        assert_eq!(fixed.trainer().model(), ewma.trainer().model());
     }
 
     #[test]
@@ -906,52 +841,6 @@ mod tests {
             assert_eq!(b.prefetch_window, 2);
         }
         assert_eq!(serial.trainer().model(), sharded.trainer().model());
-    }
-
-    #[test]
-    fn warm_started_ewma_adapts_on_the_first_batch() {
-        // The per-scene warm start closes PR 3's leftover: a run seeded
-        // with a previously recorded fetch/compute ratio must not fall
-        // back to the configured seed window on its first batch.
-        let (dataset, targets, init) = tiny_setup();
-        let cams = &dataset.cameras[..6];
-        let tgts = &targets[..6];
-        let config = |warm: Option<f64>| RuntimeConfig {
-            prefetch_window: 2,
-            policy: PrefetchPolicy::Ewma {
-                alpha: 0.3,
-                min: 1,
-                max: 8,
-            },
-            cost_scale: 1000.0,
-            warm_start_ratio: warm,
-            ..Default::default()
-        };
-        let mut cold = PipelinedEngine::new(init.clone(), TrainConfig::default(), config(None));
-        let first_cold = cold.run_batch(cams, tgts);
-        assert_eq!(first_cold.prefetch_window, 2, "cold start uses the seed");
-
-        // Record the trained ratio per scene and warm-start a fresh engine.
-        let mut cache = WarmStartCache::new();
-        assert!(cache.record("bicycle-tiny", cold.window_selector()));
-        let mut warm = PipelinedEngine::new(
-            init.clone(),
-            TrainConfig::default(),
-            config(cache.ratio("bicycle-tiny")),
-        );
-        let first_warm = warm.run_batch(cams, tgts);
-        let expected = PrefetchPolicy::Ewma {
-            alpha: 0.3,
-            min: 1,
-            max: 8,
-        }
-        .choose_window(2, cache.ratio("bicycle-tiny"));
-        assert_eq!(
-            first_warm.prefetch_window, expected,
-            "warm start adapts the first batch"
-        );
-        // Warm starts are pure scheduling.
-        assert_eq!(first_cold.batch, first_warm.batch);
     }
 
     #[test]

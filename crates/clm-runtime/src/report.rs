@@ -32,9 +32,8 @@ pub struct IterationReport {
     pub timeline: Timeline,
     /// Number of views trained by the batch.
     pub views: usize,
-    /// Prefetch lookahead window the engine chose for this batch (the
-    /// configured window under `PrefetchPolicy::Fixed`, the measured-ratio
-    /// choice under `PrefetchPolicy::Adaptive`).
+    /// Prefetch lookahead window the batch ran with (the configured
+    /// `prefetch_window`).
     pub prefetch_window: usize,
     /// Banded-render worker count the batch ran with (resolved — never the
     /// `0` "inherit/autotune" sentinel).

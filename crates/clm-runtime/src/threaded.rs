@@ -62,9 +62,8 @@
 //! coordinator is blocked on a request.
 
 use crate::backend::{ExecutionBackend, ExecutionReport, LaneBusy};
-use crate::engine::emit_system;
+use crate::engine::{emit_system, PrefetchPolicy};
 use crate::pool::{PinnedBufferPool, PoolStats, StagingBuffer};
-use crate::prefetch::{PrefetchPolicy, WindowSelector};
 use crate::workers::{spawn_lane, LaneSpans, WorkerLane};
 use clm_core::{gather_rows_into, BatchPlan, SystemKind, TrainConfig, Trainer, TrainerView};
 use gs_core::camera::Camera;
@@ -89,10 +88,9 @@ const LANE_RECV_TIMEOUT: Duration = Duration::from_secs(2);
 #[derive(Debug, Clone)]
 pub struct ThreadedConfig {
     /// Prefetch lookahead window (0 = synchronous gathers, 1 = double
-    /// buffering).  Under [`PrefetchPolicy::Adaptive`] this seeds the first
-    /// batch.
+    /// buffering).
     pub prefetch_window: usize,
-    /// Fixed vs. adaptive window selection.
+    /// Placeholder — see [`PrefetchPolicy`].
     pub policy: PrefetchPolicy,
     /// Threads the CPU Adam lane may chunk one group's update math across
     /// (1 = the lane's own worker thread does everything).  The default is
@@ -129,10 +127,8 @@ pub struct ThreadedConfig {
     /// on the simulated engine: up to `D · (prefetch_window + 1)` staging
     /// buffers are checked out at once.
     pub num_devices: usize,
-    /// Warm start for the tracked prefetch fetch/compute ratio (e.g. a
-    /// [`WarmStartCache`](crate::WarmStartCache) entry recorded by an
-    /// earlier run on the same scene); `None` cold-starts as before.
-    pub warm_start_ratio: Option<f64>,
+    /// Placeholder, always `None` — see `RuntimeConfig::warm_start_ratio`.
+    pub warm_start_ratio: Option<std::convert::Infallible>,
 }
 
 impl Default for ThreadedConfig {
@@ -154,7 +150,7 @@ impl Default for ThreadedConfig {
 impl ThreadedConfig {
     /// A config whose scheduling knobs come from the startup autotuner
     /// ([`crate::autotune::tuned`]): quota-aware thread counts, an
-    /// L2-fitted Adam chunk target, the calibrated prefetch-window seed and
+    /// L2-fitted Adam chunk target, the calibrated prefetch window and
     /// the host-derived band height.  Set any field afterwards to override
     /// a derived value.
     pub fn autotuned() -> Self {
@@ -177,9 +173,6 @@ pub struct ThreadedBackend {
     trainer: Trainer,
     config: ThreadedConfig,
     pool: PinnedBufferPool,
-    /// Adaptive-window state fed by each batch's measured fetch/compute
-    /// thread-busy times.
-    window_selector: WindowSelector,
     /// Installed fault-injection plan, if any.  Transients and straggles
     /// re-execute *pure* work (gathers into scratch, Adam math with the
     /// commit suppressed), so recovery costs real thread time but never
@@ -233,12 +226,10 @@ impl ThreadedBackend {
         // Mirrored for introspection; the backend drives the stepwise API
         // and shards the rounds itself.
         trainer.set_num_devices(config.num_devices);
-        let window_selector = WindowSelector::warm_started(config.warm_start_ratio);
         ThreadedBackend {
             trainer,
             config,
             pool: PinnedBufferPool::new(),
-            window_selector,
             fault_plan: None,
             adam_params: Vec::new(),
             adam_grads: Vec::new(),
@@ -286,12 +277,6 @@ impl ThreadedBackend {
     /// allocates nothing in steady state.
     pub fn adam_lane_buffer_rows(&self) -> usize {
         self.adam_params.capacity() + self.adam_grads.capacity()
-    }
-
-    /// The adaptive-window state (tracked fetch/compute ratios), e.g. for
-    /// recording into a [`WarmStartCache`](crate::WarmStartCache).
-    pub fn window_selector(&self) -> &WindowSelector {
-        &self.window_selector
     }
 
     /// Mean PSNR of the current model over a set of posed images (delegates
@@ -351,9 +336,7 @@ impl ThreadedBackend {
         spans.record(OpKind::Scheduling, Lane::CpuScheduler, None, 0, rows, 0.0);
 
         let (m, config) = (plan.num_microbatches(), &self.config);
-        let window = self
-            .window_selector
-            .choose(config.policy, config.prefetch_window);
+        let window = config.prefetch_window;
         let system = self.trainer.config().system;
         let overlapped = self.trainer.overlapped();
         let is_clm = system == SystemKind::Clm;
@@ -557,11 +540,6 @@ impl ThreadedBackend {
             adam: timeline.busy_time(Lane::CpuAdam),
             scheduling: timeline.busy_time(Lane::CpuScheduler),
         };
-        if is_clm {
-            self.window_selector
-                .observe(config.policy, lanes.comm, lanes.compute);
-        }
-
         let faults = match (&self.fault_plan, fault_before) {
             (Some(p), Some(before)) => p.stats().since(&before),
             _ => Default::default(),
@@ -845,10 +823,6 @@ impl ExecutionBackend for ThreadedBackend {
 
     fn install_fault_plan(&mut self, plan: FaultPlan) {
         ThreadedBackend::install_fault_plan(self, plan);
-    }
-
-    fn window_selector(&self) -> &WindowSelector {
-        ThreadedBackend::window_selector(self)
     }
 }
 

@@ -3,7 +3,7 @@
 //! A session moves through `Queued → Active → (Evicted ⇄ Active) →
 //! Completed | Cancelled`.  While active it owns an execution backend
 //! (simulated or threaded) built over the registry's shared scene data;
-//! while evicted only its `.clmckpt` bytes and warm-start ratio survive,
+//! while evicted only its `.clmckpt` bytes survive,
 //! so a resumed session continues **bit-identically** — the same invariant
 //! the chaos suite proves for kill/restore, applied as a capacity policy.
 
@@ -148,15 +148,11 @@ pub struct SessionStats {
     pub wall_latency: LatencyHistogram,
 }
 
-/// The state an evicted session keeps: its encoded checkpoint and the
-/// adaptive-window ratio to warm-start the resumed backend with.
+/// The state an evicted session keeps: its encoded checkpoint.
 #[derive(Debug, Clone)]
 pub struct EvictedState {
     /// Encoded `.clmckpt` container bytes.
     pub checkpoint: Vec<u8>,
-    /// Warm-start ratio captured from the evicted backend's window
-    /// selector, if it had observed one.
-    pub warm_start_ratio: Option<f64>,
 }
 
 /// One tenant's training job inside the service.
@@ -210,8 +206,7 @@ impl Session {
     }
 
     /// Builds the session's backend from scratch (fresh model) or from a
-    /// restored trainer, applying the granted window, the budget cap and
-    /// the warm-start ratio.
+    /// restored trainer, applying the granted window and the budget cap.
     ///
     /// Both backends adopt the host's autotuned *scheduling* knobs (lane
     /// fan-outs, Adam chunk size) as their base configuration.  The
@@ -221,7 +216,6 @@ impl Session {
     /// of the numeric contract, and a restored trainer must continue
     /// bit-identically to its pre-eviction trajectory.
     pub fn build_backend(&self, restored: Option<clm_core::Trainer>) -> Box<dyn ExecutionBackend> {
-        let warm = self.evicted.as_ref().and_then(|e| e.warm_start_ratio);
         let trainer = restored.unwrap_or_else(|| {
             let init = init_from_point_cloud(&self.scene.dataset.ground_truth, &self.spec.init);
             clm_core::Trainer::new(init, self.spec.train.clone())
@@ -231,7 +225,6 @@ impl Session {
                 trainer,
                 RuntimeConfig {
                     prefetch_window: self.granted_window,
-                    warm_start_ratio: warm,
                     cost_scale: self.spec.cost_scale,
                     pixel_cost_scale: self.spec.cost_scale,
                     band_height: 0,
@@ -242,7 +235,6 @@ impl Session {
                 trainer,
                 ThreadedConfig {
                     prefetch_window: self.granted_window,
-                    warm_start_ratio: warm,
                     band_height: 0,
                     ..ThreadedConfig::autotuned()
                 },
@@ -258,13 +250,8 @@ impl Session {
     /// Panics if the session has no backend.
     pub fn capture(&self) -> EvictedState {
         let backend = self.backend.as_ref().expect("capture needs a backend");
-        let warm = backend
-            .window_selector()
-            .smoothed_ratio()
-            .filter(|r| r.is_finite());
         EvictedState {
-            checkpoint: Checkpoint::capture(backend.trainer(), warm).encode(),
-            warm_start_ratio: warm,
+            checkpoint: Checkpoint::capture(backend.trainer(), None).encode(),
         }
     }
 }

@@ -12,7 +12,7 @@
 //!   batches_trained    varint   the RNG/batch cursor
 //!   resize_events      varint
 //!   last_resize_batch  varint   0 = none, else value + 1
-//!   warm flag          1 byte   0/1; if 1: warm-start window ratio, f64 LE
+//!   warm flag          1 byte   0/1; if 1: an f64 LE follows (legacy, unread)
 //!   bytes_gathered     varint   offloaded-store traffic counters
 //!   bytes_scattered    varint
 //!   n                  varint   model length
@@ -27,10 +27,9 @@
 //! the offloaded host store back to the model, and the only cursors live
 //! training state needs are `batches_trained` (all plan/densify seeds
 //! derive from it) and the resize boundary marker.  Snapshotting those plus
-//! the model rows, the full Adam moment state and the warm-start window
-//! ratio therefore makes restore + replay of the remaining batches
-//! bit-identical to the uninterrupted run — the invariant the conformance
-//! suite's chaos leg asserts per backend.
+//! the model rows and the full Adam moment state therefore makes restore +
+//! replay of the remaining batches bit-identical to the uninterrupted run —
+//! the invariant the conformance suite's chaos leg asserts per backend.
 
 use crate::format::{fnv1a, TraceError};
 use crate::varint;
@@ -111,8 +110,10 @@ pub struct Checkpoint {
     pub resize_events: u64,
     /// `batches_trained` value of the last applied resize, if any.
     pub last_resize_batch: Option<u64>,
-    /// Warm-start ratio of the adaptive prefetch-window selector, if the
-    /// run had observed one.
+    /// Legacy field of the v1 layout: the fetch/compute ratio a since-
+    /// deleted window policy tracked.  Nothing reads it and every current
+    /// caller writes `None`; it stays so files that carry it still decode
+    /// without a format-version bump.
     pub warm_start_ratio: Option<f64>,
     /// Cumulative CPU→GPU gather traffic of the offloaded store.
     pub bytes_gathered: u64,
@@ -129,8 +130,7 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Captures the trainer's state at the current batch boundary.
-    /// `warm_start_ratio` carries the engine's adaptive prefetch-window
-    /// observation, when it has one.
+    /// `warm_start_ratio` is the legacy field of that name; pass `None`.
     pub fn capture(trainer: &Trainer, warm_start_ratio: Option<f64>) -> Self {
         Checkpoint {
             seed: trainer.config().seed,

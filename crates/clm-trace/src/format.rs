@@ -24,7 +24,7 @@
 //! per-batch, so dependency indices reset at every batch boundary.
 
 use crate::varint;
-use sim_device::{Lane, OpKind, ScheduledOp, Timeline, TraceSink};
+use sim_device::{Lane, OpKind, Timeline};
 
 /// File magic of a `.clmtrace`.
 pub const MAGIC: [u8; 8] = *b"CLMTRACE";
@@ -375,7 +375,7 @@ impl Trace {
 }
 
 /// Collects scheduled ops into a [`Trace`], one batch-scoped timeline at a
-/// time; the [`TraceSink`] implementation every backend records through.
+/// time; every backend records through it.
 #[derive(Debug)]
 pub struct TraceWriter {
     meta: TraceMeta,
@@ -391,9 +391,22 @@ impl TraceWriter {
         }
     }
 
-    /// Flushes every op of a batch-scoped timeline into the trace.
+    /// Appends every op of a batch-scoped timeline, in submission order, to
+    /// the trace, attributed to `(epoch, batch)`.
     pub fn record_timeline(&mut self, epoch: u64, batch: u64, timeline: &Timeline) {
-        timeline.flush_trace(epoch, batch, self);
+        self.events
+            .extend(timeline.ops().iter().map(|op| TraceEvent {
+                epoch,
+                batch,
+                lane: op.lane,
+                kind: op.kind,
+                microbatch: op.microbatch,
+                rows: op.rows,
+                bytes: op.bytes,
+                start: op.start,
+                dur: op.dur,
+                deps: op.deps.iter().map(|d| d.index() as u32).collect(),
+            }));
     }
 
     /// Events recorded so far.
@@ -412,23 +425,6 @@ impl TraceWriter {
             meta: self.meta,
             events: self.events,
         }
-    }
-}
-
-impl TraceSink for TraceWriter {
-    fn record_op(&mut self, epoch: u64, batch: u64, op: &ScheduledOp) {
-        self.events.push(TraceEvent {
-            epoch,
-            batch,
-            lane: op.lane,
-            kind: op.kind,
-            microbatch: op.microbatch,
-            rows: op.rows,
-            bytes: op.bytes,
-            start: op.start,
-            dur: op.dur,
-            deps: op.deps.iter().map(|d| d.index() as u32).collect(),
-        });
     }
 }
 

@@ -9,8 +9,8 @@
 //!   run metadata and the cost-model constants, followed by
 //!   delta/varint-encoded events whose f64 times are stored as exact bit
 //!   patterns (replay determinism forbids quantisation).  [`TraceWriter`]
-//!   implements [`sim_device::TraceSink`], so recording is a one-line hook
-//!   on any backend.
+//!   copies a batch's [`sim_device::Timeline`] ops, so recording is one
+//!   call per batch on any backend.
 //! * [`replay`] — reconstructs schedules offline.  Exact replay re-pushes
 //!   the recorded graph and reproduces every start/end, per-lane busy
 //!   total and the critical path bit for bit; knob replay rebuilds the CLM
@@ -21,7 +21,7 @@
 //!   exports Chrome-trace JSON for Perfetto.
 //! * [`mod@checkpoint`] — the `.clmckpt` container: a versioned, checksummed
 //!   batch-boundary snapshot of training state (model rows, full Adam
-//!   moments, offload counters, warm-start ratio and the batch cursor)
+//!   moments, offload counters and the batch cursor)
 //!   whose restore continues training bit-identically to the uninterrupted
 //!   run.
 //!

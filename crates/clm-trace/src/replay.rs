@@ -376,9 +376,8 @@ impl ClmBatch {
                 "no batch-level CPU Adam op (F0 or dense)",
             ));
         }
-        for (mb, flags) in seen.iter().enumerate() {
+        for flags in &seen {
             if !flags[..4].iter().all(|&s| s) || (overlapped && !flags[4]) {
-                let _ = mb;
                 return Err(ReplayError::BadStructure(
                     "micro-batch missing gather/forward/backward/store ops",
                 ));

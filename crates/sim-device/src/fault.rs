@@ -26,9 +26,8 @@
 //! final model bit-identical to the fault-free one.
 //!
 //! Faults reach the scheduler through the [`FaultSink`] hook on
-//! [`Timeline`](crate::Timeline) — the same pattern the trace recorder uses
-//! ([`TraceSink`](crate::TraceSink)) — so the runtime crates stay free of
-//! any fault-model dependency.  [`FaultPlan`] is the shared handle backends
+//! [`Timeline`](crate::Timeline), so the runtime crates stay free of any
+//! fault-model dependency.  [`FaultPlan`] is the shared handle backends
 //! install: cheaply cloneable, lockable from worker threads, and readable
 //! after the run for [`FaultStats`] accounting.
 
@@ -259,8 +258,7 @@ impl OpFault {
 
 /// Receiver consulted for every op submitted to a
 /// [`Timeline`](crate::Timeline) with a fault sink installed — the
-/// injection hook mirroring
-/// [`TraceSink`](crate::TraceSink) on the capture side.
+/// injection hook.
 pub trait FaultSink: Send + std::fmt::Debug {
     /// Decides the fault for one simulated op about to be scheduled.
     fn on_op(&mut self, kind: OpKind, lane: Lane, dur: f64) -> OpFault;

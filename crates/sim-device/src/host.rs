@@ -2,7 +2,7 @@
 //! autotuning.
 //!
 //! Every execution knob that decides CLM's overlap quality
-//! (`compute_threads`, `band_height`, the prefetch window seed, the Adam
+//! (`compute_threads`, `band_height`, the prefetch window, the Adam
 //! chunk size) depends on what the *host* actually offers: how many cores
 //! the scheduler may really use (which is **not**
 //! `available_parallelism()` inside a cgroup-throttled container), how big

@@ -58,4 +58,4 @@ pub use metrics::{
 pub use pipeline::{
     emit_clm, emit_gpu_only, emit_naive, AdamGroup, ClmShape, CostSource, OpCost, PrefetchWindow,
 };
-pub use timeline::{empirical_cdf, Lane, OpId, OpKind, ScheduledOp, Timeline, TraceSink};
+pub use timeline::{empirical_cdf, Lane, OpId, OpKind, ScheduledOp, Timeline};

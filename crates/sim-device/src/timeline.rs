@@ -273,16 +273,6 @@ impl ScheduledOp {
     }
 }
 
-/// Receiver for scheduled operations flushed out of a [`Timeline`]; the
-/// hook through which trace recorders capture every op the runtime
-/// schedules without the runtime depending on any trace format.
-pub trait TraceSink {
-    /// Records one scheduled op attributed to `(epoch, batch)`.  Ops of one
-    /// batch arrive in submission order, which is also the order their
-    /// within-batch [`OpId`] indices count.
-    fn record_op(&mut self, epoch: u64, batch: u64, op: &ScheduledOp);
-}
-
 /// An as-early-as-possible scheduler over serialising lanes with
 /// cross-lane dependencies.
 #[derive(Debug, Clone, Default)]
@@ -442,15 +432,8 @@ impl Timeline {
         id
     }
 
-    /// Flushes every scheduled op, in submission order, into `sink`
-    /// attributed to `(epoch, batch)`.
-    pub fn flush_trace(&self, epoch: u64, batch: u64, sink: &mut dyn TraceSink) {
-        for op in &self.ops {
-            sink.record_op(epoch, batch, op);
-        }
-    }
-
-    /// All scheduled operations in submission order.
+    /// All scheduled operations in submission order, which is also the
+    /// order their [`OpId`] indices count.
     pub fn ops(&self) -> &[ScheduledOp] {
         &self.ops
     }
@@ -842,25 +825,6 @@ mod tests {
     fn inverted_span_panics() {
         let mut t = Timeline::new();
         t.push_span(OpKind::Other, Lane::GpuCompute, 2.0, 1.0, 0, 0, None);
-    }
-
-    #[test]
-    fn flush_trace_replays_ops_in_submission_order() {
-        struct Collect(Vec<(u64, u64, usize, OpKind)>);
-        impl TraceSink for Collect {
-            fn record_op(&mut self, epoch: u64, batch: u64, op: &ScheduledOp) {
-                self.0.push((epoch, batch, op.id.index(), op.kind));
-            }
-        }
-        let mut t = Timeline::new();
-        let a = t.push(OpKind::LoadParams, Lane::GpuComm, 1.0, &[]);
-        t.push(OpKind::Forward, Lane::GpuCompute, 1.0, &[a]);
-        let mut sink = Collect(Vec::new());
-        t.flush_trace(3, 7, &mut sink);
-        assert_eq!(
-            sink.0,
-            vec![(3, 7, 0, OpKind::LoadParams), (3, 7, 1, OpKind::Forward)]
-        );
     }
 
     #[test]

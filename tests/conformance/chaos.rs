@@ -134,32 +134,27 @@ fn kill_and_restore_from_checkpoint_is_bit_identical() {
     // One protocol for every backend kind (the checkpoint is
     // backend-agnostic trainer state): train to the kill point, snapshot
     // through the full byte round-trip, restore into a fresh backend of the
-    // same kind — warm-start ratio included — and finish.
-    type Build<'a> = Box<dyn Fn(Trainer, Option<f64>) -> Box<dyn ExecutionBackend> + 'a>;
+    // same kind and finish.  The last row writes the snapshot with the
+    // legacy warm-start flag set, which no current writer does: such a file
+    // must decode, restore and train on to the same bits as one without.
+    type Build<'a> = Box<dyn Fn(Trainer) -> Box<dyn ExecutionBackend> + 'a>;
     let simulated = |devices: usize| -> Build<'_> {
         let cameras = &scenario.dataset.cameras;
-        Box::new(move |trainer, warm_start_ratio| {
-            let config = RuntimeConfig {
-                warm_start_ratio,
-                ..runtime_config(devices)
-            };
-            Box::new(PipelinedEngine::with_trainer(trainer, config).partition_over(cameras))
+        Box::new(move |trainer| {
+            let engine = PipelinedEngine::with_trainer(trainer, runtime_config(devices));
+            Box::new(engine.partition_over(cameras))
         })
     };
-    let threaded: Build<'_> = Box::new(|trainer, warm_start_ratio| {
-        let config = ThreadedConfig {
-            warm_start_ratio,
-            ..threaded_config()
-        };
-        Box::new(ThreadedBackend::with_trainer(trainer, config))
-    });
-    for (label, build) in [
-        ("simulated@1", simulated(1)),
-        ("threaded", threaded),
-        ("simulated@2", simulated(2)),
+    let threaded: Build<'_> =
+        Box::new(|trainer| Box::new(ThreadedBackend::with_trainer(trainer, threaded_config())));
+    for (label, build, legacy_ratio) in [
+        ("simulated@1", simulated(1), None),
+        ("threaded", threaded, None),
+        ("simulated@2", simulated(2), None),
+        ("simulated@1 legacy warm flag", simulated(1), Some(0.125)),
     ] {
         let fresh = Trainer::new(scenario.init.clone(), scenario.train.clone());
-        let mut first = build(fresh, None);
+        let mut first = build(fresh);
         let mut trajectory = Trajectory {
             reports: Vec::new(),
             model_sizes: Vec::new(),
@@ -174,17 +169,16 @@ fn kill_and_restore_from_checkpoint_is_bit_identical() {
             kill_at,
             &mut trajectory,
         );
-        let ratio = first.window_selector().smoothed_ratio();
-        let bytes = Checkpoint::capture(first.trainer(), ratio).encode();
+        let bytes = Checkpoint::capture(first.trainer(), legacy_ratio).encode();
         drop(first); // the "kill": nothing survives but the checkpoint bytes
 
         let decoded = Checkpoint::decode(&bytes).expect("checkpoint bytes round-trip");
         assert_eq!(decoded.batches_trained, kill_at as u64, "{label}");
-        let warm = decoded.warm_start_ratio;
+        assert_eq!(decoded.warm_start_ratio, legacy_ratio, "{label}");
         let trainer = decoded
             .restore(scenario.train.clone())
             .expect("checkpoint restores against the run's config");
-        let mut resumed = build(trainer, warm);
+        let mut resumed = build(trainer);
         run_slice_range(
             resumed.as_mut(),
             &scenario,

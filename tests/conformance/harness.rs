@@ -18,8 +18,8 @@
 #![allow(dead_code)]
 
 use clm_repro::clm_core::{
-    ground_truth_images, BatchReport, DensifyConfig, DensifyReport, DensifySchedule, SystemKind,
-    TrainConfig, Trainer,
+    ground_truth_images, BatchReport, DensifyConfig, DensifyReport, DensifySchedule,
+    OffloadedModel, SystemKind, TrainConfig, Trainer,
 };
 use clm_repro::clm_runtime::ExecutionBackend;
 use clm_repro::gs_core::GaussianModel;
@@ -173,6 +173,19 @@ pub fn batch_slices(num_views: usize, batch_size: usize) -> Vec<std::ops::Range<
     slices
 }
 
+/// Asserts the pinned host store holds exactly the model's non-critical
+/// rows — what a fresh split would — at a batch boundary.  The stale-row
+/// assert in the render path compares staged rows against the model, so it
+/// is only as strong as this invariant across resizes and batch-end syncs.
+fn assert_host_store_current(trainer: &Trainer) {
+    assert!(
+        trainer.offloaded().non_critical_rows()
+            == OffloadedModel::from_model(trainer.model()).non_critical_rows(),
+        "host store diverged from the model after batch {}",
+        trainer.batches_trained()
+    );
+}
+
 /// Replays the scenario through the synchronous reference trainer.
 pub fn run_reference(scenario: &Scenario, epochs: usize) -> Trajectory {
     let mut trainer = Trainer::new(scenario.init.clone(), scenario.train.clone());
@@ -192,6 +205,7 @@ pub fn run_reference(scenario: &Scenario, epochs: usize) -> Trajectory {
             trajectory.resizes.push(resize);
             trajectory.reports.push(report);
             trajectory.model_sizes.push(trainer.model().len());
+            assert_host_store_current(&trainer);
         }
     }
     trajectory.final_model = trainer.model().clone();
@@ -220,6 +234,7 @@ pub fn run_backend(
             trajectory.resizes.push(report.resize);
             trajectory.reports.push(report.batch);
             trajectory.model_sizes.push(backend.trainer().model().len());
+            assert_host_store_current(backend.trainer());
         }
     }
     trajectory.final_model = backend.trainer().model().clone();

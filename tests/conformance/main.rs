@@ -14,8 +14,7 @@ mod serve;
 
 use clm_repro::clm_core::SystemKind;
 use clm_repro::clm_runtime::{
-    ExecutionBackend, PipelinedEngine, PrefetchPolicy, RuntimeConfig, ThreadedBackend,
-    ThreadedConfig, WarmStartCache,
+    ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
 };
 use clm_repro::sim_device::{Lane, OpKind};
 use harness::*;
@@ -163,61 +162,6 @@ fn report_invariants_hold_across_resizes() {
         }
     }
     assert_eq!(engine.trainer().resize_events(), 2);
-}
-
-#[test]
-fn warm_start_ratio_survives_a_mid_epoch_resize() {
-    // The EWMA prefetch state is scheduling state, not model state: a
-    // densification boundary must not reset the tracked fetch/compute ratio
-    // back to the seed window, and the trained ratio must still round-trip
-    // through the WarmStartCache.
-    let scenario = densifying_scenario();
-    let config = RuntimeConfig {
-        prefetch_window: 2,
-        policy: PrefetchPolicy::Ewma {
-            alpha: 0.3,
-            min: 1,
-            max: 8,
-        },
-        // Paper-scale costing keeps the run in the bandwidth-bound regime
-        // where the adaptive window is non-trivial.
-        cost_scale: 1000.0,
-        ..Default::default()
-    };
-    let mut engine = PipelinedEngine::new(scenario.init.clone(), scenario.train.clone(), config);
-
-    let slices = batch_slices(scenario.dataset.cameras.len(), scenario.train.batch_size);
-    let mut ratio_before_boundary = None;
-    let mut boundary_window = None;
-    for _ in 0..EPOCHS {
-        for range in &slices {
-            let tracked = engine.window_selector().smoothed_ratio();
-            let report = engine.run_batch(
-                &scenario.dataset.cameras[range.clone()],
-                &scenario.targets[range.clone()],
-            );
-            if report.resize.is_some() && ratio_before_boundary.is_none() {
-                ratio_before_boundary = tracked;
-                boundary_window = Some(report.prefetch_window);
-            }
-        }
-    }
-    let ratio = ratio_before_boundary
-        .expect("the run crosses a boundary after at least one observed batch");
-    // The boundary batch chose its window from the ratio tracked *before*
-    // the resize — the selector survived, it did not reset to the seed.
-    let expected = PrefetchPolicy::Ewma {
-        alpha: 0.3,
-        min: 1,
-        max: 8,
-    }
-    .choose_window(2, Some(ratio));
-    assert_eq!(boundary_window, Some(expected));
-    // And the post-run smoothed ratio still records into the per-scene
-    // cache for future warm starts.
-    let mut cache = WarmStartCache::new();
-    assert!(cache.record("conformance-rubble", engine.window_selector()));
-    assert!(cache.ratio("conformance-rubble").is_some());
 }
 
 #[test]

@@ -6,9 +6,7 @@
 //! crates.
 
 use clm_repro::clm_core::{ground_truth_images, SystemKind, TrainConfig, Trainer};
-use clm_repro::clm_runtime::{
-    PipelinedEngine, PrefetchPolicy, RuntimeConfig, ThreadedBackend, ThreadedConfig,
-};
+use clm_repro::clm_runtime::{PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig};
 use clm_repro::gs_scene::{
     generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
 };
@@ -122,7 +120,6 @@ fn threaded_backend_survives_single_slot_backpressure() {
         train,
         ThreadedConfig {
             prefetch_window: 4,
-            policy: PrefetchPolicy::Fixed,
             adam_threads: 1,
             channel_capacity: 1,
             compute_threads: 0,
@@ -143,41 +140,6 @@ fn threaded_backend_survives_single_slot_backpressure() {
         stats.high_water_buffers <= 5,
         "window 4 must stay within its 5-buffer budget: {stats:?}"
     );
-}
-
-#[test]
-fn threaded_adaptive_window_reports_choices_without_changing_numerics() {
-    let (dataset, targets, init) = setup(23);
-    let train = TrainConfig {
-        system: SystemKind::Clm,
-        batch_size: 4,
-        ..Default::default()
-    };
-    let mut sync = Trainer::new(init.clone(), train.clone());
-    let mut adaptive = ThreadedBackend::new(
-        init,
-        train,
-        ThreadedConfig {
-            prefetch_window: 2,
-            policy: PrefetchPolicy::Adaptive { min: 1, max: 4 },
-            ..Default::default()
-        },
-    );
-    let reference = sync.train_epoch(&dataset, &targets);
-    let reports = adaptive.run_epoch(&dataset, &targets);
-    for (r, t) in reference.iter().zip(&reports) {
-        assert_eq!(r, &t.batch, "adaptive window must not change numerics");
-        assert!(
-            (1..=4).contains(&t.prefetch_window),
-            "chosen window {} out of the adaptive range",
-            t.prefetch_window
-        );
-    }
-    assert_eq!(
-        reports[0].prefetch_window, 2,
-        "first batch uses the configured seed window"
-    );
-    assert_eq!(adaptive.trainer().model(), sync.model());
 }
 
 #[test]
