@@ -12,6 +12,7 @@
 //!
 //! Performance numbers do not come from this crate: the repo's one
 //! benchmark is `benchmarks/harness` (`BENCHMARK.json`).
+#![forbid(unsafe_code)]
 
 mod args;
 pub mod chaos;

@@ -42,6 +42,7 @@
 //! let baseline = max_trainable_gaussians(SystemKind::Baseline, &device, &scene);
 //! assert!(clm > 3 * baseline);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod offload;
@@ -59,7 +60,7 @@ pub use order::{order_batch, ordered_fetch_bytes, OrderingStrategy};
 pub use perf::{
     check_memory_fit, gpu_memory_required, max_trainable_gaussians, microbatch_stats_from_sets,
     pinned_memory_required, simulate_batch, synthetic_microbatch_stats, BatchSimulation,
-    MemoryEstimate, MicrobatchStats, SceneProfile, SystemKind,
+    MemoryEstimate, MicrobatchStats, OutOfMemory, SceneProfile, SystemKind,
 };
 pub use schedule::FinalizationPlan;
 pub use train::{

@@ -34,7 +34,7 @@ use gs_core::visibility::VisibilitySet;
 use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_scene::Dataset;
 use sim_device::pipeline::{self, AdamGroup, ClmShape, CostSource, OpCost};
-use sim_device::{DeviceProfile, Lane, MemoryCategory, MemoryPool, OpKind, Timeline};
+use sim_device::{DeviceProfile, Lane, OpKind, Timeline};
 
 /// The four systems compared throughout the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -590,22 +590,46 @@ pub fn simulate_batch(
     }
 }
 
-/// Tracks the peak GPU memory a simulated run would need and reports it
-/// through a [`MemoryPool`], returning the pool for inspection or the OOM
-/// error if the estimate exceeds capacity.
+/// Error returned by [`check_memory_fit`] when a system's estimated GPU
+/// footprint exceeds what the device can hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfMemory {
+    /// Bytes the system needs ([`MemoryEstimate::total`]).
+    pub requested: u64,
+    /// Bytes the device can hold ([`DeviceProfile::usable_gpu_memory`]).
+    pub available: u64,
+}
+
+impl std::fmt::Display for OutOfMemory {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "GPU out of memory: {} bytes required, {} usable",
+            self.requested, self.available
+        )
+    }
+}
+
+impl std::error::Error for OutOfMemory {}
+
+/// Checks that the peak GPU memory a simulated run would need fits the
+/// device, returning the estimate for inspection or the OOM error if it
+/// exceeds the usable capacity.
 pub fn check_memory_fit(
     system: SystemKind,
     device: &DeviceProfile,
     scene: &SceneProfile,
     n_gaussians: u64,
-) -> Result<MemoryPool, sim_device::OutOfMemory> {
+) -> Result<MemoryEstimate, OutOfMemory> {
     let estimate = gpu_memory_required(system, n_gaussians, scene);
-    let mut pool = MemoryPool::new(format!("{} GPU", device.name), device.usable_gpu_memory());
-    pool.allocate(MemoryCategory::ModelState, estimate.model_state)?;
-    pool.allocate(MemoryCategory::Activation, estimate.activation)?;
-    pool.allocate(MemoryCategory::TransferBuffer, estimate.buffers)?;
-    pool.allocate(MemoryCategory::Other, estimate.other)?;
-    Ok(pool)
+    let (requested, available) = (estimate.total(), device.usable_gpu_memory());
+    if requested > available {
+        return Err(OutOfMemory {
+            requested,
+            available,
+        });
+    }
+    Ok(estimate)
 }
 
 #[cfg(test)]
@@ -714,7 +738,10 @@ mod tests {
         let scene = bigcity_profile();
         let n_ok = max_trainable_gaussians(SystemKind::Clm, &device, &scene);
         assert!(check_memory_fit(SystemKind::Clm, &device, &scene, n_ok).is_ok());
-        assert!(check_memory_fit(SystemKind::Clm, &device, &scene, n_ok * 2).is_err());
+        let oom = check_memory_fit(SystemKind::Clm, &device, &scene, n_ok * 2).unwrap_err();
+        assert!(oom.requested > oom.available);
+        fn assert_traits<T: std::error::Error + Send + Sync + 'static>() {}
+        assert_traits::<OutOfMemory>();
     }
 
     #[test]

@@ -24,6 +24,8 @@ use gs_render::{
     RenderOptions, DEFAULT_BAND_HEIGHT,
 };
 use gs_scene::{Dataset, DensifyConfig, DensifyReport, ResizeEvent};
+use sim_device::{Lane, OpKind, Timeline};
+use std::time::Instant;
 
 /// When and how a training run densifies its model.
 ///
@@ -319,6 +321,31 @@ pub struct Trainer {
     grads: GradientBuffer,
 }
 
+/// Optional measured-span capture for the serial reference loop.  The
+/// loop's phases run back to back, so each recorded span lasts from the end
+/// of the previous one (the batch start for the first) to now, in
+/// batch-relative seconds; without a timeline no clock is read.
+struct SpanRecorder<'a> {
+    sink: Option<(Instant, &'a mut Timeline)>,
+    mark: f64,
+}
+
+impl<'a> SpanRecorder<'a> {
+    fn new(sink: Option<&'a mut Timeline>) -> Self {
+        let sink = sink.map(|timeline| (Instant::now(), timeline));
+        SpanRecorder { sink, mark: 0.0 }
+    }
+
+    /// Records the phase that just ended.
+    fn lap(&mut self, kind: OpKind, lane: Lane, bytes: u64, rows: u64, microbatch: Option<u32>) {
+        if let Some((t0, timeline)) = &mut self.sink {
+            let now = t0.elapsed().as_secs_f64();
+            timeline.push_span(kind, lane, self.mark, now, bytes, rows, microbatch);
+            self.mark = now;
+        }
+    }
+}
+
 impl Trainer {
     /// Creates a trainer around an initial model.
     pub fn new(initial_model: GaussianModel, config: TrainConfig) -> Self {
@@ -524,12 +551,26 @@ impl Trainer {
     /// # Panics
     /// Panics if `cameras` is empty.
     pub fn resize_and_plan(&mut self, cameras: &[Camera]) -> BatchPlan {
+        self.resize_and_plan_spanned(cameras, &mut SpanRecorder::new(None))
+    }
+
+    /// [`resize_and_plan`](Self::resize_and_plan), with the resize and the
+    /// planning each recorded as a scheduler-lane span.
+    fn resize_and_plan_spanned(
+        &mut self,
+        cameras: &[Camera],
+        spans: &mut SpanRecorder<'_>,
+    ) -> BatchPlan {
         let resize = self.pending_resize();
         if let Some(event) = &resize {
             self.apply_resize(event);
+            let rows = event.rows_changed() as u64;
+            spans.lap(OpKind::Resize, Lane::CpuScheduler, 0, rows, None);
         }
         let mut plan = self.plan_batch(cameras);
         plan.resize = resize;
+        let rows = self.model.len() as u64;
+        spans.lap(OpKind::Scheduling, Lane::CpuScheduler, 0, rows, None);
         plan
     }
 
@@ -873,42 +914,7 @@ impl Trainer {
     /// # Panics
     /// Panics if `cameras` and `targets` differ in length or are empty.
     pub fn train_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> BatchReport {
-        assert_eq!(
-            cameras.len(),
-            targets.len(),
-            "need one target image per camera"
-        );
-        assert!(!cameras.is_empty(), "batch must contain at least one view");
-
-        // Densification boundary first (if one is due), then plan against
-        // the resized model — the same lifecycle every runtime backend runs.
-        let plan = self.resize_and_plan(cameras);
-        // One micro-batch per simulated device and round under sharding;
-        // one per band worker under view parallelism.
-        let wave = if self.config.num_devices > 1 {
-            self.config.num_devices
-        } else if self.config.view_parallel && self.config.compute_threads > 1 {
-            self.config.compute_threads
-        } else {
-            1
-        };
-        if wave > 1 && plan.order.len() > 1 {
-            return self.train_batch_waves(&plan, cameras, targets, wave);
-        }
-        let mut grads = self.take_gradients();
-        let mut staging = Vec::new();
-        let mut total_loss = 0.0f32;
-
-        self.begin_batch(&plan, &grads);
-        for micro_idx in 0..plan.num_microbatches() {
-            self.stage_microbatch(&plan, micro_idx, &mut staging);
-            total_loss +=
-                self.process_microbatch(&plan, micro_idx, cameras, targets, &staging, &mut grads);
-            self.apply_finalized(&plan, micro_idx, &grads);
-        }
-        let report = self.finish_batch(&plan, &grads, total_loss);
-        self.return_gradients(grads, &plan);
-        report
+        self.train_batch_recorded(cameras, targets, SpanRecorder::new(None))
     }
 
     /// [`train_batch`](Self::train_batch) with measured wall-clock span
@@ -930,10 +936,19 @@ impl Trainer {
         &mut self,
         cameras: &[Camera],
         targets: &[Image],
-        timeline: &mut sim_device::Timeline,
+        timeline: &mut Timeline,
     ) -> BatchReport {
-        use sim_device::{Lane, OpKind};
-        use std::time::Instant;
+        self.train_batch_recorded(cameras, targets, SpanRecorder::new(Some(timeline)))
+    }
+
+    /// The one serial reference loop behind [`train_batch`](Self::train_batch)
+    /// and [`train_batch_spanned`](Self::train_batch_spanned).
+    fn train_batch_recorded(
+        &mut self,
+        cameras: &[Camera],
+        targets: &[Image],
+        mut spans: SpanRecorder<'_>,
+    ) -> BatchReport {
         assert_eq!(
             cameras.len(),
             targets.len(),
@@ -941,113 +956,59 @@ impl Trainer {
         );
         assert!(!cameras.is_empty(), "batch must contain at least one view");
 
-        let t0 = Instant::now();
-        let clock = || t0.elapsed().as_secs_f64();
-
-        let resize = self.pending_resize();
-        if let Some(event) = &resize {
-            let s = clock();
-            let rows = event.rows_changed() as u64;
-            self.apply_resize(event);
-            timeline.push_span(
-                OpKind::Resize,
-                Lane::CpuScheduler,
-                s,
-                clock(),
-                0,
-                rows,
-                None,
-            );
+        // Densification boundary first (if one is due), then plan against
+        // the resized model — the same lifecycle every runtime backend runs.
+        let plan = self.resize_and_plan_spanned(cameras, &mut spans);
+        // One micro-batch per simulated device and round under sharding;
+        // one per band worker under view parallelism.
+        let wave = if self.config.num_devices > 1 {
+            self.config.num_devices
+        } else if self.config.view_parallel && self.config.compute_threads > 1 {
+            self.config.compute_threads
+        } else {
+            1
+        };
+        if spans.sink.is_none() && wave > 1 && plan.order.len() > 1 {
+            return self.train_batch_waves(&plan, cameras, targets, wave);
         }
-        let s = clock();
-        let mut plan = self.plan_batch(cameras);
-        plan.resize = resize;
-        timeline.push_span(
-            OpKind::Scheduling,
-            Lane::CpuScheduler,
-            s,
-            clock(),
-            0,
-            self.model.len() as u64,
-            None,
-        );
-
         let mut grads = self.take_gradients();
         let mut staging = Vec::new();
         let mut total_loss = 0.0f32;
+        let overlapped = self.overlapped();
 
-        if self.overlapped() {
-            let s = clock();
+        self.begin_batch(&plan, &grads);
+        if overlapped {
             let rows = plan.untouched.len() as u64;
-            self.begin_batch(&plan, &grads);
-            timeline.push_span(
-                OpKind::CpuAdamUpdate,
-                Lane::CpuAdam,
-                s,
-                clock(),
-                0,
-                rows,
-                None,
-            );
-        } else {
-            self.begin_batch(&plan, &grads);
+            spans.lap(OpKind::CpuAdamUpdate, Lane::CpuAdam, 0, rows, None);
         }
         for micro_idx in 0..plan.num_microbatches() {
             let mb = Some(micro_idx as u32);
-            let s = clock();
             self.stage_microbatch(&plan, micro_idx, &mut staging);
-            timeline.push_span(
-                OpKind::LoadParams,
-                Lane::GpuComm,
-                s,
-                clock(),
-                plan.fetch_bytes(micro_idx),
-                plan.fetched[micro_idx].len() as u64,
-                mb,
-            );
+            let fetched = plan.fetched[micro_idx].len() as u64;
+            let bytes = plan.fetch_bytes(micro_idx);
+            spans.lap(OpKind::LoadParams, Lane::GpuComm, bytes, fetched, mb);
             let rows = plan.ordered_sets[micro_idx].len() as u64;
-            let s = clock();
             let (loss, render_grads) =
                 self.render_microbatch(&plan, micro_idx, cameras, targets, &staging);
-            timeline.push_span(OpKind::Forward, Lane::GpuCompute, s, clock(), 0, rows, mb);
+            spans.lap(OpKind::Forward, Lane::GpuCompute, 0, rows, mb);
             total_loss += loss;
-            let s = clock();
             grads.accumulate_render(&render_grads);
-            timeline.push_span(OpKind::Backward, Lane::GpuCompute, s, clock(), 0, rows, mb);
-            if self.overlapped() {
-                let s = clock();
+            spans.lap(OpKind::Backward, Lane::GpuCompute, 0, rows, mb);
+            self.apply_finalized(&plan, micro_idx, &grads);
+            if overlapped {
                 let rows = plan.finalization.finalized_by(micro_idx).len() as u64;
-                self.apply_finalized(&plan, micro_idx, &grads);
-                timeline.push_span(
-                    OpKind::CpuAdamUpdate,
-                    Lane::CpuAdam,
-                    s,
-                    clock(),
-                    0,
-                    rows,
-                    mb,
-                );
+                spans.lap(OpKind::CpuAdamUpdate, Lane::CpuAdam, 0, rows, mb);
             }
         }
-        let s = clock();
-        let overlapped = self.overlapped();
         let rows = self.model.len() as u64;
         let report = self.finish_batch(&plan, &grads, total_loss);
         if overlapped {
             // Batch close is store re-sync and accounting: host-side work.
-            timeline.push_span(OpKind::Other, Lane::CpuScheduler, s, clock(), 0, 0, None);
+            spans.lap(OpKind::Other, Lane::CpuScheduler, 0, 0, None);
         } else {
             // The dense optimiser step dominates the close for
             // non-overlapped strategies.
-            timeline.push_span(
-                OpKind::CpuAdamUpdate,
-                Lane::CpuAdam,
-                s,
-                clock(),
-                0,
-                rows,
-                None,
-            );
+            spans.lap(OpKind::CpuAdamUpdate, Lane::CpuAdam, 0, rows, None);
         }
         self.return_gradients(grads, &plan);
         report

@@ -510,7 +510,7 @@ impl PipelinedEngine {
         let mut grads = self.trainer.take_gradients();
         let mut timeline = Timeline::new();
         if let Some(fp) = &self.fault_plan {
-            timeline.install_fault_sink(fp.sink());
+            timeline.install_fault_plan(fp.clone());
         }
         let cost = CostModel::from_runtime(&self.config);
         let window = self.config.prefetch_window;

@@ -64,6 +64,7 @@
 //! assert!(report.makespan() > 0.0);
 //! assert!(report.lane(Lane::GpuCompute).busy > 0.0);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod autotune;
 pub mod backend;
@@ -449,8 +450,9 @@ mod tests {
     #[test]
     fn parallel_compute_threads_keep_backends_bit_identical() {
         // The banded compute lane is pure scheduling in every backend: the
-        // threaded backend at 4 band threads and the simulated engine at 3
-        // must match the serial threaded backend bit for bit.
+        // threaded backend at 4 band threads, the simulated engine at 3 and
+        // the threaded backend with every lane at width 2 must match the
+        // serial threaded backend bit for bit.
         let (dataset, targets, init) = tiny_setup();
         let cams = &dataset.cameras[..6];
         let tgts = &targets[..6];
@@ -472,6 +474,20 @@ mod tests {
                 ..Default::default()
             },
         );
+        // Every lane wide at once: two device rounds rendering in one
+        // region while the Adam lane fans each group out in another.
+        let mut all_wide = ThreadedBackend::new(
+            init.clone(),
+            train.clone(),
+            ThreadedConfig {
+                prefetch_window: 2,
+                adam_threads: 2,
+                adam_chunk_rows: 0,
+                compute_threads: 2,
+                num_devices: 2,
+                ..Default::default()
+            },
+        );
         let mut sim_parallel = PipelinedEngine::new(
             init,
             train,
@@ -485,11 +501,14 @@ mod tests {
             let a = serial.run_batch(cams, tgts);
             let b = parallel.run_batch(cams, tgts);
             let c = sim_parallel.run_batch(cams, tgts);
+            let d = all_wide.run_batch(cams, tgts);
             assert_eq!(a.batch, b.batch);
             assert_eq!(a.batch, c.batch);
+            assert_eq!(a.batch, d.batch);
         }
         assert_eq!(serial.trainer().model(), parallel.trainer().model());
         assert_eq!(serial.trainer().model(), sim_parallel.trainer().model());
+        assert_eq!(serial.trainer().model(), all_wide.trainer().model());
     }
 
     #[test]

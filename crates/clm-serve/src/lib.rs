@@ -28,6 +28,7 @@
 //! fairness and starvation tests built on it — deterministic with the
 //! simulated backend.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod metrics;

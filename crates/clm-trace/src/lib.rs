@@ -27,6 +27,7 @@
 //!
 //! The `clm-bench` binaries `trace_record`, `trace_replay` and
 //! `trace_report` drive these modules from the command line.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

@@ -32,6 +32,7 @@
 //! let visible = cull_frustum(&model, &camera);
 //! assert_eq!(visible.indices(), &[0]);
 //! ```
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod camera;

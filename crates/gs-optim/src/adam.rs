@@ -29,8 +29,8 @@
 //!   from a shared `&GaussianModel`, takes the group's final gradient rows,
 //!   updates `m`/`v`/`steps` in place and hands back only the new parameter
 //!   rows for a deferred write-back.  Nothing the lane can already see is
-//!   copied, and the group fans out across the compute pool by sharding the
-//!   moment stores at chunk boundaries.
+//!   copied, and the group fans out across one scoped parallel region by
+//!   sharding the moment stores at chunk boundaries.
 //!
 //! The threaded runtime uses only the first and the last; the packed trio
 //! (`pack_subset`, `compute_packed*`, `apply_packed`, [`AdamWorkItem`])
@@ -677,8 +677,9 @@ impl GaussianAdam {
     /// `out` and the optimiser state are bit-identical to what `step_subset`
     /// would have left in a mutable model.
     ///
-    /// `threads > 1` splits the group across the compute pool: the index
-    /// list is cut at [`LANE_WIDTH`]-aligned **row** boundaries, so each
+    /// `threads > 1` splits the group across one scoped parallel region
+    /// (`gs_render::parallel_for_each`): the index list is cut at
+    /// [`LANE_WIDTH`]-aligned **row** boundaries, so each
     /// shard owns whole chunks of the moment stores (`split_at_mut`, no
     /// sharing) — pure scheduling, every row sees the same kernel.
     ///

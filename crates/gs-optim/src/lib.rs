@@ -26,6 +26,7 @@
 //! assert_eq!(optim.step_count(2), 1);
 //! assert_eq!(optim.step_count(0), 0);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod adam;
 pub mod gradients;

@@ -33,6 +33,7 @@
 //! let grads = render_backward(&model, &camera, &out.aux, &loss.d_image);
 //! assert!(grads.is_empty());
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod image;
 pub mod loss;

@@ -14,7 +14,7 @@
 //! ([`RenderOptions::band_height`] rows each).  Band geometry depends only
 //! on the image size and the configured band height — **never** on the
 //! thread count — and the bands are the unit of work handed to the scoped
-//! compute pool ([`crate::parallel`]):
+//! parallel regions of [`crate::parallel`]:
 //!
 //! * **forward**: each band composites its own pixels into a disjoint slice
 //!   of the output image.  Every pixel is a pure function of the projected
@@ -45,7 +45,7 @@
 //! zero lane yields `power = -0.0 → alpha = 0.0 → skipped`.
 //!
 //! The prologue (projection, tile binning, SoA staging) is also
-//! band/tile-parallel on the same pool.  Projection preserves candidate
+//! band/tile-parallel in the same way.  Projection preserves candidate
 //! order via an index-ordered map; binning assigns each *tile row* to one
 //! job that scans the depth-sorted splats in slot order, reproducing the
 //! serial per-tile list order exactly.
@@ -275,7 +275,7 @@ pub fn render(model: &GaussianModel, camera: &Camera, options: &RenderOptions) -
 
     // 5. Per-pixel front-to-back compositing, one job per horizontal band.
     //    Each band owns a disjoint slice of the image and the pixel-state
-    //    buffer, so the pool can run bands in any order on any thread.
+    //    buffer, so the bands can run in any order on any thread.
     let band_height = options.band_height.max(1);
     let mut image = Image::new(width, height);
     let mut pixel_states = vec![PixelState::default(); (width * height) as usize];

@@ -22,6 +22,7 @@
 //! let rho = dataset.sparsity_profile();
 //! assert_eq!(rho.len(), dataset.num_views());
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod densify;
 pub mod generate;

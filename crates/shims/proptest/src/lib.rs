@@ -12,6 +12,7 @@
 //! * each property runs a fixed number of random cases
 //!   ([`DEFAULT_CASES`]) from a per-test deterministic seed, so runs are
 //!   reproducible without a persistence file.
+#![forbid(unsafe_code)]
 
 use rand::rngs::StdRng;
 use rand::Rng;

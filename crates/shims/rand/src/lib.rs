@@ -7,6 +7,7 @@
 //! streams are deterministic for a given seed (everything in the repo seeds
 //! explicitly), which is all the callers rely on; statistical quality beyond
 //! "uncorrelated enough for synthetic scenes and tests" is a non-goal.
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

@@ -25,10 +25,10 @@
 //! what lets the conformance suite assert that a faulted run converges to a
 //! final model bit-identical to the fault-free one.
 //!
-//! Faults reach the scheduler through the [`FaultSink`] hook on
-//! [`Timeline`](crate::Timeline), so the runtime crates stay free of any
-//! fault-model dependency.  [`FaultPlan`] is the shared handle backends
-//! install: cheaply cloneable, lockable from worker threads, and readable
+//! Faults reach the scheduler through the [`FaultPlan`] a backend installs
+//! on its [`Timeline`](crate::Timeline)s
+//! ([`install_fault_plan`](crate::Timeline::install_fault_plan)): the shared
+//! handle is cheaply cloneable, lockable from worker threads, and readable
 //! after the run for [`FaultStats`] accounting.
 
 use crate::timeline::{Lane, OpKind};
@@ -256,20 +256,6 @@ impl OpFault {
     }
 }
 
-/// Receiver consulted for every op submitted to a
-/// [`Timeline`](crate::Timeline) with a fault sink installed — the
-/// injection hook.
-pub trait FaultSink: Send + std::fmt::Debug {
-    /// Decides the fault for one simulated op about to be scheduled.
-    fn on_op(&mut self, kind: OpKind, lane: Lane, dur: f64) -> OpFault;
-
-    /// Observes one *measured* span (threaded/synchronous backends).
-    /// Measured intervals cannot be re-timed after the fact, so this is
-    /// accounting-only; real injection for those backends happens inside
-    /// the worker lanes.
-    fn on_span(&mut self, _kind: OpKind, _lane: Lane) {}
-}
-
 /// Op kinds a transient failure may strike: the paper pipeline's gathers,
 /// all-reduce steps and CPU Adam chunks.
 fn transient_injectable(kind: OpKind) -> bool {
@@ -354,20 +340,6 @@ impl FaultState {
     }
 }
 
-impl FaultSink for FaultState {
-    fn on_op(&mut self, kind: OpKind, lane: Lane, dur: f64) -> OpFault {
-        if let Some(factor) = self.draw_straggle(lane, dur) {
-            return OpFault::Straggle { factor };
-        }
-        if dur > 0.0 {
-            if let Some((attempts, backoff)) = self.draw_transient(kind) {
-                return OpFault::Transient { attempts, backoff };
-            }
-        }
-        OpFault::None
-    }
-}
-
 /// The shared handle to one run's fault schedule.
 ///
 /// Cloning is cheap (an `Arc` bump): the engine keeps one handle for
@@ -389,9 +361,23 @@ impl FaultPlan {
         self.0.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// The plan as a [`Timeline`](crate::Timeline) fault sink.
-    pub fn sink(&self) -> Arc<Mutex<dyn FaultSink>> {
-        self.0.clone()
+    /// Decides the fault for one simulated op about to be scheduled — what
+    /// a [`Timeline`](crate::Timeline) with this plan installed asks for
+    /// every op submitted to it.  Measured spans cannot be re-timed after
+    /// the fact; real injection for those backends happens inside the
+    /// worker lanes ([`transient_attempts`](Self::transient_attempts),
+    /// [`straggle_factor`](Self::straggle_factor)).
+    pub fn on_op(&self, kind: OpKind, lane: Lane, dur: f64) -> OpFault {
+        let mut st = self.state();
+        if let Some(factor) = st.draw_straggle(lane, dur) {
+            return OpFault::Straggle { factor };
+        }
+        if dur > 0.0 {
+            if let Some((attempts, backoff)) = st.draw_transient(kind) {
+                return OpFault::Transient { attempts, backoff };
+            }
+        }
+        OpFault::None
     }
 
     /// Snapshot of the fault counters so far.
@@ -502,18 +488,8 @@ mod tests {
         let mut faults_a = Vec::new();
         let mut faults_b = Vec::new();
         for _ in 0..200 {
-            faults_a.push(
-                a.sink()
-                    .lock()
-                    .unwrap()
-                    .on_op(OpKind::LoadParams, Lane::GpuComm, 1.0),
-            );
-            faults_b.push(
-                b.sink()
-                    .lock()
-                    .unwrap()
-                    .on_op(OpKind::LoadParams, Lane::GpuComm, 1.0),
-            );
+            faults_a.push(a.on_op(OpKind::LoadParams, Lane::GpuComm, 1.0));
+            faults_b.push(b.on_op(OpKind::LoadParams, Lane::GpuComm, 1.0));
         }
         assert_eq!(faults_a, faults_b);
         assert_eq!(a.stats(), b.stats());
@@ -523,25 +499,22 @@ mod tests {
     #[test]
     fn transients_only_strike_injectable_kinds_and_respect_the_cap() {
         let plan = FaultPlan::new(FaultSpec::new(7).with_transients(1.0, 3));
-        let sink = plan.sink();
-        let mut sink = sink.lock().unwrap();
         // Forward/Backward are never injectable.
         assert_eq!(
-            sink.on_op(OpKind::Forward, Lane::GpuCompute, 1.0),
+            plan.on_op(OpKind::Forward, Lane::GpuCompute, 1.0),
             OpFault::None
         );
         for _ in 0..3 {
             assert!(matches!(
-                sink.on_op(OpKind::LoadParams, Lane::GpuComm, 1.0),
+                plan.on_op(OpKind::LoadParams, Lane::GpuComm, 1.0),
                 OpFault::Transient { .. }
             ));
         }
         // Cap reached: rate 1.0 no longer fires.
         assert_eq!(
-            sink.on_op(OpKind::LoadParams, Lane::GpuComm, 1.0),
+            plan.on_op(OpKind::LoadParams, Lane::GpuComm, 1.0),
             OpFault::None
         );
-        drop(sink);
         let stats = plan.stats();
         assert_eq!(stats.transients, 3);
         assert!(stats.retries >= 3);
@@ -551,27 +524,24 @@ mod tests {
     #[test]
     fn straggler_slows_exactly_k_ops_on_its_lane() {
         let plan = FaultPlan::new(FaultSpec::new(1).with_straggler(Lane::CpuAdam, 3.0, 2));
-        let sink = plan.sink();
-        let mut sink = sink.lock().unwrap();
         // Wrong lane: untouched.
         assert_eq!(
-            sink.on_op(OpKind::CpuAdamUpdate, Lane::GpuCompute, 1.0),
+            plan.on_op(OpKind::CpuAdamUpdate, Lane::GpuCompute, 1.0),
             OpFault::None
         );
         assert_eq!(
-            sink.on_op(OpKind::CpuAdamUpdate, Lane::CpuAdam, 2.0),
+            plan.on_op(OpKind::CpuAdamUpdate, Lane::CpuAdam, 2.0),
             OpFault::Straggle { factor: 3.0 }
         );
         assert_eq!(
-            sink.on_op(OpKind::CpuAdamUpdate, Lane::CpuAdam, 1.0),
+            plan.on_op(OpKind::CpuAdamUpdate, Lane::CpuAdam, 1.0),
             OpFault::Straggle { factor: 3.0 }
         );
         // Budget spent.
         assert_eq!(
-            sink.on_op(OpKind::CpuAdamUpdate, Lane::CpuAdam, 1.0),
+            plan.on_op(OpKind::CpuAdamUpdate, Lane::CpuAdam, 1.0),
             OpFault::None
         );
-        drop(sink);
         let stats = plan.stats();
         assert_eq!(stats.straggled_ops, 2);
         assert_eq!(stats.straggle_seconds, 2.0 * 2.0 + 1.0 * 2.0);
@@ -601,7 +571,7 @@ mod tests {
             },
         ));
         let mut faulted = Timeline::new();
-        faulted.install_fault_sink(plan.sink());
+        faulted.install_fault_plan(plan.clone());
         let mut clean = Timeline::new();
         for t in [&mut faulted, &mut clean] {
             t.push(OpKind::LoadParams, Lane::GpuComm, 1.0, &[]);

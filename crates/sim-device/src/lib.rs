@@ -8,8 +8,6 @@
 //! * [`DeviceProfile`] — capacities and rates of the two paper testbeds
 //!   (RTX 4090 / PCIe 4.0 and RTX 2080 Ti / PCIe 3.0) and an analytic cost
 //!   model for rendering, transfers and Adam updates;
-//! * [`MemoryPool`] — GPU and pinned-host memory accounting with
-//!   per-category breakdowns and out-of-memory errors;
 //! * [`Timeline`] — a discrete-event scheduler over CUDA-stream-like lanes
 //!   with cross-lane dependencies, from which makespan, overlap,
 //!   utilisation and idle-rate statistics are derived;
@@ -35,23 +33,22 @@
 //! assert_eq!(timeline.end_of(load), timeline.makespan());
 //! assert!(timeline.utilization(Lane::GpuComm) < 1.0);
 //! ```
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod device;
 pub mod fault;
 pub mod host;
-pub mod memory;
 pub mod metrics;
 pub mod pipeline;
 pub mod timeline;
 
 pub use device::{DeviceProfile, GIB};
 pub use fault::{
-    DeviceLossSpec, ExhaustionSpec, FaultPlan, FaultSink, FaultSpec, FaultStats, OpFault,
-    RetryPolicy, StragglerSpec,
+    DeviceLossSpec, ExhaustionSpec, FaultPlan, FaultSpec, FaultStats, OpFault, RetryPolicy,
+    StragglerSpec,
 };
 pub use host::{CpuVendor, HostTopology};
-pub use memory::{AllocationId, MemoryCategory, MemoryPool, OutOfMemory};
 pub use metrics::{
     gpu_idle_rate_cdf, hardware_utilization, mean_gpu_utilization, HardwareUtilization,
 };

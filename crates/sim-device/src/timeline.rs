@@ -10,9 +10,8 @@
 //! per-lane busy time, idle-rate CDFs (Figure 15) and utilisation metrics
 //! (Table 7).
 
-use crate::fault::FaultSink;
+use crate::fault::FaultPlan;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 /// An execution resource that serialises the operations submitted to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -279,7 +278,7 @@ impl ScheduledOp {
 pub struct Timeline {
     ops: Vec<ScheduledOp>,
     lane_available: HashMap<Lane, f64>,
-    fault: Option<Arc<Mutex<dyn FaultSink>>>,
+    fault: Option<FaultPlan>,
 }
 
 impl Timeline {
@@ -288,12 +287,12 @@ impl Timeline {
         Self::default()
     }
 
-    /// Installs a fault sink: every subsequently submitted op is offered to
+    /// Installs a fault plan: every subsequently submitted op is offered to
     /// it and any injected fault is priced into the op's duration before
-    /// scheduling (see [`crate::fault`]).  Measured spans are reported to
-    /// the sink for accounting but never re-timed.
-    pub fn install_fault_sink(&mut self, sink: Arc<Mutex<dyn FaultSink>>) {
-        self.fault = Some(sink);
+    /// scheduling (see [`crate::fault`]).  Measured spans are never
+    /// re-timed.
+    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
+        self.fault = Some(plan);
     }
 
     /// Submits an operation of `kind` to `lane` lasting `duration` seconds,
@@ -344,15 +343,7 @@ impl Timeline {
             "duration must be non-negative, got {duration}"
         );
         let duration = match &self.fault {
-            Some(sink) => {
-                // A poisoned sink still holds valid counters (see
-                // FaultPlan::state); recover rather than cascade the panic.
-                let fault = sink
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .on_op(kind, lane, duration);
-                fault.apply(duration)
-            }
+            Some(plan) => plan.on_op(kind, lane, duration).apply(duration),
             None => duration,
         };
         let lane_ready = *self.lane_available.get(&lane).unwrap_or(&0.0);
@@ -409,11 +400,6 @@ impl Timeline {
             end >= start,
             "span must not end before it starts ({end} < {start})"
         );
-        if let Some(sink) = &self.fault {
-            sink.lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .on_span(kind, lane);
-        }
         let id = OpId(self.ops.len());
         self.ops.push(ScheduledOp {
             id,

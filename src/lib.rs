@@ -17,6 +17,7 @@
 //! * [`clm_serve`] — the multi-tenant training service: scene registry,
 //!   per-session jobs, fairness scheduling, admission control and
 //!   checkpoint-based evict/resume.
+#![forbid(unsafe_code)]
 
 pub use clm_core;
 pub use clm_runtime;
