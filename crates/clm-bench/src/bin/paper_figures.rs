@@ -6,7 +6,7 @@
 //!
 //! `paper_figures --json <id>` instead prints the one-line JSON summary of
 //! an artefact measured by executing the trainers on the runtime
-//! (`figure11`, `figure12`, `figure13`, `figure15`, `table7`) and exits
+//! (`figure11`, `figure12`, `figure13`, `figure14`, `figure15`, `table7`) and exits
 //! non-zero for any other id — the form CI's figure smoke step consumes.
 fn main() {
     let requested: Vec<String> = std::env::args().skip(1).collect();

@@ -23,7 +23,7 @@ pub use args::Args;
 pub use chaos::{looks_like_chaos_json, run_chaos_bench, ChaosBench, ChaosScale};
 pub use runtime_reports::{
     runtime_summary_figure11, runtime_summary_figure12, runtime_summary_figure13,
-    runtime_summary_figure15, runtime_summary_table7,
+    runtime_summary_figure14, runtime_summary_figure15, runtime_summary_table7,
 };
 pub use trace::{record_trace, TraceScale, TRACE_BACKENDS};
 
@@ -664,7 +664,11 @@ pub fn all_reports() -> Vec<(&'static str, fn() -> String, Option<fn() -> String
             report_figure13_runtime_breakdown,
             Some(runtime_summary_figure13),
         ),
-        ("figure14", report_figure14_comm_volume, None),
+        (
+            "figure14",
+            report_figure14_comm_volume,
+            Some(runtime_summary_figure14),
+        ),
         ("table5", report_table5_ordering_strategies, None),
         (
             "figure15",

@@ -411,12 +411,21 @@ mod tests {
                 .iter()
                 .fold(0u64, |acc, r| acc.rotate_left(7) ^ r.timeline.fingerprint())
         };
-        assert_eq!(fingerprint(&trace, 0, 2), 0x3d50_f7ba_3b5b_da6f);
-        assert_eq!(fingerprint(&trace, 2, 2), 0xeadb_b350_2e2e_e323);
+        let resharded = [fingerprint(&trace, 0, 2), fingerprint(&trace, 2, 2)];
         trace.meta.cost = CostParams::default();
-        assert_eq!(fingerprint(&trace, 0, 1), 0x7368_006c_c1fd_4944);
-        assert_eq!(fingerprint(&trace, 2, 1), 0x001c_871f_a782_aac7);
-        assert_eq!(fingerprint(&trace, 3, 1), 0x12be_10e8_96ac_b29a);
+        let single = [0, 2, 3].map(|window| fingerprint(&trace, window, 1));
+        // Re-pinned once since, with the engine's schedule goldens: the
+        // recording's `StoreGrads` ops carry only the rows that received
+        // gradient (old and new values in CHANGES.md).
+        assert_eq!(resharded, [0x3816_2a0c_cec7_321b, 0xbc02_59cf_c98a_c090]);
+        assert_eq!(
+            single,
+            [
+                0x1406_c528_d9a8_0ca4,
+                0x14f0_3d00_803b_3972,
+                0xf58d_523f_66cc_0b04
+            ]
+        );
     }
 
     /// Recording the same seeded workload twice yields byte-identical

@@ -57,7 +57,10 @@ impl CachePlan {
         (self.cached.len() * NON_CRITICAL_BYTES) as u64
     }
 
-    /// Bytes of gradients stored to host memory for this transition.
+    /// Bytes of gradients stored to host memory for this transition if
+    /// every retiring row carries one — the dense bound the analytic
+    /// paper-scale model prices.  An executed batch sends only the rows
+    /// that received gradient (`BatchPlan::store_gradients`).
     pub fn store_bytes(&self) -> u64 {
         (self.grads_to_store.len() * GRADIENT_BYTES) as u64
     }
@@ -114,7 +117,8 @@ pub fn batch_fetch_bytes_no_cache(sets: &[VisibilitySet]) -> u64 {
         .sum()
 }
 
-/// Total GPU→CPU gradient bytes for an ordered batch with caching.
+/// Total GPU→CPU gradient bytes for an ordered batch with caching — the
+/// dense bound, see [`CachePlan::store_bytes`].
 pub fn batch_store_bytes(sets: &[VisibilitySet]) -> u64 {
     plan_batch(sets).iter().map(CachePlan::store_bytes).sum()
 }

@@ -23,8 +23,10 @@ pub const NON_CRITICAL_BYTES: usize = NON_CRITICAL_FLOATS * BYTES_PER_PARAM;
 /// Bytes of selection-critical attributes per Gaussian (GPU resident).
 pub const SELECTION_CRITICAL_BYTES: usize = SELECTION_CRITICAL_FLOATS * BYTES_PER_PARAM;
 
-/// Bytes of gradients per Gaussian sent back to the CPU (all 59 parameters).
-pub const GRADIENT_BYTES: usize = 59 * BYTES_PER_PARAM;
+/// Bytes of one Gaussian's gradient row sent back to the CPU (all 59
+/// parameters; a sparse store adds the row's index —
+/// [`gs_optim::StorePayload`]).
+pub const GRADIENT_BYTES: usize = gs_optim::GRADIENT_ROW_BYTES;
 
 /// The pinned-host half of a Gaussian model stored attribute-wise across the
 /// two memory spaces.

@@ -10,7 +10,7 @@
 //! how much data crosses the simulated PCIe link and how much GPU memory
 //! they need, which is exactly the paper's claim.
 
-use crate::offload::{OffloadedModel, GRADIENT_BYTES, NON_CRITICAL_BYTES};
+use crate::offload::{OffloadedModel, NON_CRITICAL_BYTES};
 use crate::order::{order_batch, OrderingStrategy};
 use crate::perf::SystemKind;
 use crate::schedule::FinalizationPlan;
@@ -18,7 +18,7 @@ use gs_core::camera::Camera;
 use gs_core::gaussian::{GaussianModel, NON_CRITICAL_FLOATS, SH_FLOATS};
 use gs_core::visibility::VisibilitySet;
 use gs_core::PARAMS_PER_GAUSSIAN;
-use gs_optim::{AdamConfig, GaussianAdam, GradientBuffer, ParamRow};
+use gs_optim::{AdamConfig, GaussianAdam, GradientBuffer, ParamRow, StorePayload};
 use gs_render::{
     l1_loss, parallel::parallel_map, psnr, render, render_backward, Image, RenderGradients,
     RenderOptions, DEFAULT_BAND_HEIGHT,
@@ -135,11 +135,17 @@ impl TrainConfig {
 pub struct BatchReport {
     /// Mean L1 loss over the batch's images.
     pub loss: f32,
-    /// Number of distinct Gaussians touched by the batch.
+    /// Number of distinct Gaussians touched by the batch (in some view's
+    /// frustum).
     pub touched: usize,
+    /// Number of distinct Gaussians that received gradient — the touched
+    /// ones the renderer actually reached.
+    pub received: usize,
     /// Parameter bytes moved CPU→GPU by this batch (0 for GPU-only systems).
     pub bytes_loaded: u64,
-    /// Gradient bytes moved GPU→CPU by this batch.
+    /// Gradient bytes moved GPU→CPU by this batch: what the batch's stores
+    /// actually sent ([`BatchPlan::store_gradients`]), or the whole gradient
+    /// for naive offloading.
     pub bytes_stored: u64,
     /// The micro-batch processing order used.
     pub order: Vec<usize>,
@@ -167,9 +173,11 @@ pub struct BatchPlan {
     /// `i` must fetch from pinned host memory (empty for non-offloading
     /// systems).
     pub fetched: Vec<VisibilitySet>,
-    /// `stored[i]` = Gaussians whose gradients are stored to host memory
-    /// after micro-batch `i` completes (the last entry includes the batch's
-    /// flush; empty for non-offloading systems).
+    /// `stored[i]` = Gaussians that retire from the device after
+    /// micro-batch `i` completes (the last entry includes the batch's
+    /// flush; empty for non-offloading systems).  The store carries the
+    /// gradients of those that received any
+    /// ([`store_gradients`](Self::store_gradients)).
     pub stored: Vec<VisibilitySet>,
     /// Gaussians untouched by the whole batch (the `F_0` group, updatable
     /// immediately under overlapped CPU Adam).
@@ -178,8 +186,6 @@ pub struct BatchPlan {
     pub touched_union: VisibilitySet,
     /// Parameter bytes moved CPU→GPU by the batch.
     pub bytes_loaded: u64,
-    /// Gradient bytes moved GPU→CPU by the batch.
-    pub bytes_stored: u64,
     /// The densification resize applied at this batch's boundary, if one was
     /// due (filled by [`Trainer::resize_and_plan`]; the plan's culling and
     /// fetch sets are always computed against the **post-resize** model).
@@ -197,9 +203,14 @@ impl BatchPlan {
         (self.fetched[i].len() * NON_CRITICAL_BYTES) as u64
     }
 
-    /// Gradient bytes stored to host memory after micro-batch `i`.
-    pub fn store_bytes(&self, i: usize) -> u64 {
-        (self.stored[i].len() * GRADIENT_BYTES) as u64
+    /// The gradient store retiring micro-batch `i`: sends the gradients of
+    /// the rows of `stored[i]` that received any since they were last
+    /// stored ([`GradientBuffer::store`]).  Every executor calls this once
+    /// per micro-batch at the same point — after micro-batch `i`'s
+    /// gradients are accumulated, before micro-batch `i + 1`'s — so they
+    /// all send the same payloads.
+    pub fn store_gradients(&self, i: usize, grads: &mut GradientBuffer) -> StorePayload {
+        grads.store(self.stored[i].indices())
     }
 }
 
@@ -644,25 +655,17 @@ impl Trainer {
         let all: VisibilitySet = (0..self.model.len() as u32).collect();
         let untouched = all.difference(&touched_union);
 
-        // 5. Data-movement accounting for this batch.  For CLM the totals
-        //    are just the per-micro-batch fetch/store sets summed; the
-        //    other strategies move nothing or the whole model.
-        let (bytes_loaded, bytes_stored) = match self.config.system {
-            SystemKind::Baseline | SystemKind::EnhancedBaseline => (0, 0),
-            SystemKind::NaiveOffload => {
-                let all = self.model.len() as u64 * PARAMS_PER_GAUSSIAN as u64 * 4;
-                (all, all)
-            }
-            SystemKind::Clm => (
-                fetched
-                    .iter()
-                    .map(|s| (s.len() * NON_CRITICAL_BYTES) as u64)
-                    .sum(),
-                stored
-                    .iter()
-                    .map(|s| (s.len() * GRADIENT_BYTES) as u64)
-                    .sum(),
-            ),
+        // 5. Parameter traffic of this batch.  For CLM it is the
+        //    per-micro-batch fetch sets summed; the other strategies move
+        //    nothing or the whole model.  (What the gradient stores move is
+        //    only known once the renderer has run: `finish_batch`.)
+        let bytes_loaded = match self.config.system {
+            SystemKind::Baseline | SystemKind::EnhancedBaseline => 0,
+            SystemKind::NaiveOffload => self.whole_model_bytes(),
+            SystemKind::Clm => fetched
+                .iter()
+                .map(|s| (s.len() * NON_CRITICAL_BYTES) as u64)
+                .sum(),
         };
 
         BatchPlan {
@@ -674,25 +677,25 @@ impl Trainer {
             untouched,
             touched_union,
             bytes_loaded,
-            bytes_stored,
             resize: None,
         }
+    }
+
+    /// Bytes of every parameter (or gradient) of the model: what naive
+    /// offloading moves each way per batch.
+    fn whole_model_bytes(&self) -> u64 {
+        (self.model.len() * PARAMS_PER_GAUSSIAN * gs_core::BYTES_PER_PARAM) as u64
     }
 
     /// Opens a batch.  Under overlapped CPU Adam the Gaussians untouched by
     /// the whole batch (`F_0`) are updated immediately — their gradient is
     /// already final (zero).
-    /// `grads` is the batch's (still all-zero) accumulator; `F_0` needs none
-    /// of its rows, only that it matches the model.
+    /// `grads` is the batch's (still all-zero) accumulator: no row has
+    /// received gradient yet, so `F_0` steps with the zero gradient.
     pub fn begin_batch(&mut self, plan: &BatchPlan, grads: &GradientBuffer) {
         if self.overlapped() {
-            assert_eq!(
-                self.model.len(),
-                grads.len(),
-                "gradient buffer size mismatch"
-            );
             self.optimizer
-                .step_subset_zero_grad(&mut self.model, plan.untouched.indices());
+                .step_subset(&mut self.model, grads, plan.untouched.indices());
         }
     }
 
@@ -715,17 +718,11 @@ impl Trainer {
         grads
     }
 
-    /// Takes the accumulator back at the end of `plan`'s batch and returns
-    /// it to all-zero by clearing the rows the batch touched — O(touched),
-    /// not O(model).
-    pub fn return_gradients(&mut self, mut grads: GradientBuffer, plan: &BatchPlan) {
-        grads.clear_indices(plan.touched_union.indices());
-        if grads.touched_count() != 0 {
-            // The plain baseline's fused culling renders every Gaussian, so
-            // a row outside the plan's (conservative) cull could in
-            // principle have received a gradient.
-            grads.clear();
-        }
+    /// Takes the accumulator back at the end of a batch and returns it to
+    /// all-zero by clearing the rows that received gradient — O(receivers),
+    /// not O(touched) or O(model).
+    pub fn return_gradients(&mut self, mut grads: GradientBuffer) {
+        grads.clear();
         self.grads = grads;
     }
 
@@ -877,13 +874,15 @@ impl Trainer {
         self.offloaded.sync_from_model(&self.model);
 
         // Feed the densification criterion: accumulate each touched
-        // Gaussian's positional-gradient norm.  The gradients are identical
-        // across backends (they all share this buffer's accumulation order),
-        // so the next boundary's plan is too.
+        // Gaussian's positional-gradient norm (a row that received no
+        // gradient adds nothing).  The gradients are identical across
+        // backends (they all share this buffer's accumulation order), so the
+        // next boundary's plan is too.
         if self.config.densify.is_some() {
             debug_assert_eq!(self.grad_norm_accum.len(), grads.len());
-            for idx in plan.touched_union.indices() {
-                self.grad_norm_accum[*idx as usize] += grads.row(*idx).d_position.length();
+            let touched = plan.touched_union.indices().iter();
+            for &idx in touched.filter(|&&idx| grads.is_touched(idx)) {
+                self.grad_norm_accum[idx as usize] += grads.row(idx).d_position.length();
             }
         }
         self.batches_trained += 1;
@@ -891,8 +890,13 @@ impl Trainer {
         BatchReport {
             loss: total_loss / plan.num_microbatches() as f32,
             touched: plan.touched_union.len(),
+            received: grads.touched_count(),
             bytes_loaded: plan.bytes_loaded,
-            bytes_stored: plan.bytes_stored,
+            bytes_stored: match self.config.system {
+                SystemKind::Baseline | SystemKind::EnhancedBaseline => 0,
+                SystemKind::NaiveOffload => self.whole_model_bytes(),
+                SystemKind::Clm => grads.stored_bytes(),
+            },
             order: plan.order.clone(),
         }
     }
@@ -923,10 +927,10 @@ impl Trainer {
     /// (batch-relative seconds), so the synchronous trainer can feed the
     /// same trace pipeline the scheduled backends do.  Span attribution
     /// mirrors the runtime engines' lanes: resize and planning on the
-    /// scheduler lane, staging gathers on the communication lane, the
-    /// render (forward + backward kernels) as a `Forward` span and the
-    /// gradient accumulation as a `Backward` span on the compute lane, and
-    /// optimiser work on the CPU Adam lane.  Always runs the serial loop —
+    /// scheduler lane, staging gathers and gradient stores on the
+    /// communication lane, the render (forward + backward kernels) as a
+    /// `Forward` span and the gradient accumulation as a `Backward` span on
+    /// the compute lane, and optimiser work on the CPU Adam lane.  Always runs the serial loop —
     /// wave parallelism is bit-identical numerically, but its phases
     /// overlap and would not map one-to-one onto spans.
     ///
@@ -994,6 +998,13 @@ impl Trainer {
             total_loss += loss;
             grads.accumulate_render(&render_grads);
             spans.lap(OpKind::Backward, Lane::GpuCompute, 0, rows, mb);
+            // Only CLM retires gradients per micro-batch (`stored` is empty
+            // for the other systems).
+            let store = plan.store_gradients(micro_idx, &mut grads);
+            if self.config.system == SystemKind::Clm {
+                let (bytes, rows) = (store.bytes, store.rows);
+                spans.lap(OpKind::StoreGrads, Lane::GpuComm, bytes, rows, mb);
+            }
             self.apply_finalized(&plan, micro_idx, &grads);
             if overlapped {
                 let rows = plan.finalization.finalized_by(micro_idx).len() as u64;
@@ -1010,7 +1021,7 @@ impl Trainer {
             // non-overlapped strategies.
             spans.lap(OpKind::CpuAdamUpdate, Lane::CpuAdam, 0, rows, None);
         }
-        self.return_gradients(grads, &plan);
+        self.return_gradients(grads);
         report
     }
 
@@ -1082,17 +1093,19 @@ impl Trainer {
                 )
             });
 
-            // Replay the serial order: accumulate micro-batch i, then apply
-            // its finalisation group, exactly as the sequential loop would.
+            // Replay the serial order: accumulate micro-batch i, retire its
+            // gradients, then apply its finalisation group, exactly as the
+            // sequential loop would.
             for (offset, (loss, render_grads)) in results.iter().enumerate() {
                 total_loss += loss;
                 grads.accumulate_render(render_grads);
+                plan.store_gradients(start + offset, &mut grads);
                 self.apply_finalized(plan, start + offset, &grads);
             }
             start = end;
         }
         let report = self.finish_batch(plan, &grads, total_loss);
-        self.return_gradients(grads, plan);
+        self.return_gradients(grads);
         report
     }
 
@@ -1156,6 +1169,7 @@ pub fn ground_truth_images(dataset: &Dataset) -> Vec<Image> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::offload::GRADIENT_BYTES;
     use gs_scene::{
         generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
     };
@@ -1538,6 +1552,62 @@ mod tests {
     }
 
     #[test]
+    fn a_re_evicted_then_refetched_row_ships_once_per_residency() {
+        // Row 7 is visible to micro-batches 0 and 2 but not 1, so the cache
+        // evicts it after 0 and again (with the flush) after 2; row 3 stays
+        // resident throughout; row 9 is visible to 0 only and never
+        // receives gradient.
+        let sets: Vec<VisibilitySet> = [vec![3u32, 7, 9], vec![3], vec![3, 7]]
+            .into_iter()
+            .map(|rows| rows.into_iter().collect())
+            .collect();
+        let cache = crate::cache::plan_batch(&sets);
+        let plan = BatchPlan {
+            order: vec![0, 1, 2],
+            finalization: FinalizationPlan::new(&sets),
+            fetched: cache[..3].iter().map(|p| p.fetched.clone()).collect(),
+            stored: cache[1..]
+                .iter()
+                .map(|p| p.grads_to_store.clone())
+                .collect(),
+            untouched: VisibilitySet::new(),
+            touched_union: [3u32, 7, 9].into_iter().collect(),
+            ordered_sets: sets,
+            bytes_loaded: 0,
+            resize: None,
+        };
+        assert_eq!(plan.stored[0].indices(), &[7, 9]);
+        assert_eq!(plan.stored[2].indices(), &[3, 7]);
+
+        let grad = |x: f32| gs_render::GaussianGradients {
+            d_opacity_logit: x,
+            ..Default::default()
+        };
+        let mut grads = GradientBuffer::new(10);
+        let sparse = gs_optim::SPARSE_GRADIENT_ROW_BYTES as u64;
+        // Micro-batch 0 reaches rows 3 and 7; its store retires {7, 9} and
+        // sends row 7 alone (9 has nothing, 3 stays on the device).
+        grads.add(3, &grad(1.0));
+        grads.add(7, &grad(2.0));
+        let sent = plan.store_gradients(0, &mut grads);
+        assert_eq!((sent.rows, sent.bytes), (1, sparse));
+        // Micro-batch 1 reaches row 3; nothing retires.
+        grads.add(3, &grad(0.5));
+        assert_eq!(plan.store_gradients(1, &mut grads), StorePayload::default());
+        // Micro-batch 2 reaches row 7 again; the flush sends rows 3 and 7 —
+        // row 7 for the second time, carrying its second residency, and
+        // both as the dense block (2 of 2 rows: no indices needed).
+        grads.add(7, &grad(4.0));
+        let sent = plan.store_gradients(2, &mut grads);
+        assert_eq!((sent.rows, sent.bytes), (2, 2 * GRADIENT_BYTES as u64));
+        assert_eq!(grads.stored_bytes(), sparse + 2 * GRADIENT_BYTES as u64);
+        // Nothing is left unsent, and the host-side sums are complete.
+        assert_eq!(plan.store_gradients(2, &mut grads).rows, 0);
+        assert_eq!(grads.row(7).d_opacity_logit, 6.0);
+        assert_eq!(grads.row(3).d_opacity_logit, 1.5);
+    }
+
+    #[test]
     fn lent_optimizer_stays_with_the_trainer_when_a_lane_panics() {
         // The runtime's CPU Adam lane holds the optimiser through a split
         // borrow.  A lane that dies mid-batch (here: after stepping one
@@ -1554,7 +1624,7 @@ mod tests {
             std::thread::scope(|scope| {
                 scope.spawn(move || {
                     let mut out = [[0.0f32; PARAMS_PER_GAUSSIAN]; 2];
-                    optimizer.step_detached(view.model(), &[0, 1], None, &mut out, 1, true);
+                    optimizer.step_detached(view.model(), &[0, 1], &[], &mut out, 1, true);
                     panic!("lane dies mid-batch");
                 });
             });

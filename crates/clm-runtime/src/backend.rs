@@ -94,11 +94,12 @@ pub struct ExecutionReport {
     pub faults: FaultStats,
     /// Gaussian rows whose final gradients were shipped to the CPU Adam
     /// lane (threaded backend; 0 for backends that step the optimiser
-    /// inline).  One row per Gaussian the batch touched — `F_0` ships
-    /// nothing.
+    /// inline).  One row per Gaussian that **received** gradient
+    /// (`batch.received`) — a touched Gaussian the renderer never reached
+    /// ships nothing, and neither does `F_0`.
     pub adam_rows_shipped: u64,
     /// Bytes shipped to the CPU Adam lane: `adam_rows_shipped` flat
-    /// 59-float gradient rows.
+    /// 59-float gradient rows, each with its `u32` index.
     pub adam_bytes_shipped: u64,
 }
 

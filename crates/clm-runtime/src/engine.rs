@@ -68,12 +68,12 @@
 use crate::backend::{ExecutionBackend, ExecutionReport, LaneBusy};
 use crate::pool::{PinnedBufferPool, PoolStats, StagingBuffer};
 use crate::report::IterationReport;
-use clm_core::{BatchPlan, SystemKind, TrainConfig, Trainer, GRADIENT_BYTES};
+use clm_core::{BatchPlan, SystemKind, TrainConfig, Trainer};
 use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
 use gs_core::visibility::VisibilitySet;
 use gs_core::PARAMS_PER_GAUSSIAN;
-use gs_optim::GradientBuffer;
+use gs_optim::{GradientBuffer, StorePayload};
 use gs_render::Image;
 use gs_scene::{partition_by_footprint, Dataset, GaussianPartition};
 use sim_device::pipeline::{self, AdamGroup, ClmShape, CostSource, OpCost};
@@ -575,7 +575,7 @@ impl PipelinedEngine {
         self.cross_shard_rows += run.cross_shard_rows;
 
         let batch = self.trainer.finish_batch(&plan, &grads, total_loss);
-        self.trainer.return_gradients(grads, &plan);
+        self.trainer.return_gradients(grads);
         let faults = match (&self.fault_plan, fault_before) {
             (Some(p), Some(before)) => p.stats().since(&before),
             _ => Default::default(),
@@ -733,22 +733,26 @@ impl CostSource for BatchRun<'_> {
         self.render_cost(i, DeviceProfile::backward_time)
     }
 
+    /// Runs right after `backward(i)` accumulated micro-batch `i`'s
+    /// gradients: the op carries what the store actually sends.
     fn store(&mut self, i: usize) -> OpCost {
-        let bytes = self.cost.scaled_bytes(self.plan.store_bytes(i));
-        let rows = self.plan.finalization.finalized_by(i).len();
-        self.cost.device.transfer(bytes, rows as u64)
+        let sent = self.plan.store_gradients(i, self.grads);
+        let bytes = self.cost.scaled_bytes(sent.bytes);
+        self.cost.device.transfer(bytes, sent.rows)
     }
 
     fn allreduce(&mut self, group: AdamGroup) -> OpCost {
         // Ring all-reduce: every device sends and receives (D-1)/D of the
-        // group's gradient bytes.
-        let rows = self
-            .group_set(group)
-            .map_or(self.trainer.model().len(), VisibilitySet::len);
-        let total = self.cost.scaled_bytes((rows * GRADIENT_BYTES) as u64);
+        // group's gradient bytes — like a store, only the rows that
+        // received gradient travel.
+        let reduced = match self.group_set(group) {
+            Some(set) => StorePayload::new(set.len(), self.grads.count_received(set.indices())),
+            None => StorePayload::new(self.trainer.model().len(), self.grads.touched_count()),
+        };
+        let total = self.cost.scaled_bytes(reduced.bytes);
         let devices = self.devices as f64;
         let share = (total as f64 * (devices - 1.0) / devices).round() as u64;
-        self.cost.device.transfer(share, rows as u64)
+        self.cost.device.transfer(share, reduced.rows)
     }
 
     fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {

@@ -628,16 +628,23 @@ mod tests {
         // CLM, NaiveOffload}, then window 2 under staging denials.  The
         // merged engine must emit exactly that at D = 1, with no partition
         // views supplied.
+        //
+        // The CLM rows were re-pinned once since, when gradient stores
+        // started to carry only the rows that received gradient (the
+        // fingerprint folds each `StoreGrads` op's bytes, rows and
+        // duration): captured at the parent (equal to the old pins), then at
+        // the change, both recorded in CHANGES.md.  The NaiveOffload rows
+        // (a whole-gradient store) did not move.
         assert_eq!(
             single_device_schedule_fingerprints(),
             [
-                0x8e20_2260_f62a_da84,
-                0xd774_97d0_cad4_d5c6,
+                0x3bc5_5b4b_ca50_50a8,
+                0x50df_792f_bdc3_8f23,
                 0xd77f_c7d6_be32_762a,
-                0x5fe6_eac9_3b1b_42de,
-                0x042a_9aa4_5580_81e5,
+                0xf866_c126_bd89_5e33,
+                0xbf0c_4016_aacd_f13b,
                 0xd77f_c7d6_be32_762a,
-                0x4bad_bf84_eccd_4f63,
+                0x87b0_5a90_1b1e_8b32,
             ]
         );
     }
@@ -647,7 +654,10 @@ mod tests {
         // Captured at the last commit whose engine still wired the op graph
         // itself (before `sim_device::pipeline`), same recipe as the D = 1
         // golden above: the schedules the shared emitter must reproduce bit
-        // for bit beyond one device and beyond CLM.
+        // for bit beyond one device and beyond CLM.  Re-pinned with it: the
+        // CLM rows moved with the sparse gradient stores (and, above one
+        // device, the all-reduce of received rows only); the Baseline and
+        // EnhancedBaseline rows did not.
         use clm_core::{DensifyConfig, DensifySchedule};
         use sim_device::{FaultPlan, FaultSpec};
         let (dataset, targets, init) = tiny_setup();
@@ -706,16 +716,16 @@ mod tests {
         assert_eq!(
             fingerprints,
             [
-                0x01be_90f2_e572_075b,
-                0x2fe7_a2e7_f093_68f2,
-                0x22de_e5d2_5f2a_e79a,
-                0xeca7_b651_3a0c_fd83,
+                0x27a3_68c4_54b1_8d55,
+                0xb359_c67f_6ff5_1bd8,
+                0x8fee_2aa6_d0a8_2981,
+                0x36cf_d1ab_9fd8_1898,
                 0x860e_878f_056f_f9bf,
                 0xa2ce_8b0e_5869_1fa2,
-                0xee49_59dd_ee40_caf3,
-                0xa656_720f_3e15_0c26,
-                0x0ac7_5c75_c7dc_c153,
-                0xf69d_8e71_9452_7285,
+                0x1659_8612_e11c_c6ac,
+                0x03e9_1f0d_7407_5f06,
+                0x2cc0_010c_bf93_211d,
+                0xff10_f527_63df_65b3,
             ]
         );
     }

@@ -138,6 +138,7 @@ mod tests {
         IterationReport {
             batch: BatchReport {
                 loss: 0.5,
+                received: 0,
                 touched: 10,
                 bytes_loaded: 100,
                 bytes_stored: 40,
@@ -177,6 +178,7 @@ mod tests {
         let r = IterationReport {
             batch: BatchReport {
                 loss: 0.1,
+                received: 0,
                 touched: 1,
                 bytes_loaded: 10,
                 bytes_stored: 0,

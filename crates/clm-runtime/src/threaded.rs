@@ -17,10 +17,12 @@
 //! * the **CPU Adam lane** *holds the optimiser* for the batch
 //!   ([`Trainer::lend_optimizer`]): the moments and step counters never
 //!   leave it.  A finalisation group reaches the lane as its group id plus
-//!   the group's **final gradient rows** — all the lane cannot already see;
-//!   the indices come from the shared [`BatchPlan`], the parameters from
-//!   the shared model, and the untouched `F_0` group ships nothing at all
-//!   (its gradient is zero by construction).  The lane runs
+//!   the **final gradient rows of the Gaussians that received gradient**,
+//!   each with its index — all the lane cannot already see; the group's
+//!   indices come from the shared [`BatchPlan`], the parameters from the
+//!   shared model, a row the renderer never reached is all-zero and is not
+//!   shipped, and the untouched `F_0` group ships nothing at all.  The
+//!   lane runs
 //!   [`GaussianAdam::step_detached`](gs_optim::GaussianAdam::step_detached)
 //!   — moments updated in place, optionally sharded across further threads
 //!   — and leaves only the new parameter rows behind, in the group's slice
@@ -28,10 +30,11 @@
 //! * the **main thread** is the coordinator and the GPU-compute stand-in:
 //!   it renders micro-batches and accumulates gradients.
 //!
-//! Both lane buffers — one parameter row per Gaussian, and the batch's
-//! gradient rows — belong to the backend and are sized by the model alone,
-//! so between densification boundaries (where they are re-provisioned like
-//! the staging pool) the lane allocates nothing.  Every interval a thread
+//! Both lane buffers belong to the backend and are reused by every batch:
+//! one parameter row per Gaussian (sized by the model, re-provisioned at a
+//! densification boundary like the staging pool), and one gradient-row
+//! list per finalisation group that grows to what its group ever shipped —
+//! so once warm the lane allocates nothing.  Every interval a thread
 //! times goes onto that thread's own `LaneSpans` list: the report's
 //! [`LaneBusy`] is the per-lane sum of the lists, and
 //! [`ThreadedBackend::run_batch_traced`] is the same lists on a
@@ -42,7 +45,8 @@
 //! The finalisation schedule guarantees a Gaussian finalised by micro-batch
 //! `i` is never touched by micro-batches `> i`.  So (a) the gradient rows a
 //! group ships are the values the synchronous `apply_finalized` reads at
-//! the same point; (b) the model the lane reads a finalised Gaussian's
+//! the same point, and the rows it does not ship are the all-zero rows both
+//! paths stage a zero lane for; (b) the model the lane reads a finalised Gaussian's
 //! parameters from still holds exactly what the synchronous path would
 //! update, because nothing is written back before batch end; (c) deferring
 //! that write-back cannot change anything a later micro-batch reads; and
@@ -70,6 +74,9 @@ use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
 use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_optim::{threads_for_chunk_rows, GradientBuffer, ParamRow};
+
+/// One shipped gradient row: the Gaussian's index and its final gradient.
+type GradRow = (u32, ParamRow);
 use gs_render::parallel::parallel_map;
 use gs_render::Image;
 use gs_scene::Dataset;
@@ -182,11 +189,11 @@ pub struct ThreadedBackend {
     /// after group (`F_0` first) — where the lane leaves each group's new
     /// parameters for the batch-end write-back.  Reused by every batch.
     adam_params: Vec<ParamRow>,
-    /// The batch's final gradient rows, finalisation group after group —
-    /// the only thing shipped to the Adam lane.  Reused by every batch; its
-    /// capacity is the model's row count, the one bound on a batch's touched
-    /// rows that does not depend on the batch.
-    adam_grads: Vec<ParamRow>,
+    /// The final gradient rows shipped to the Adam lane, one list per
+    /// finalisation group: the group's Gaussians that received gradient.
+    /// Reused by every batch; each list's capacity is the most its group
+    /// ever shipped, not a bound on what a batch could touch.
+    adam_grads: Vec<Vec<GradRow>>,
 }
 
 impl ThreadedBackend {
@@ -272,11 +279,12 @@ impl ThreadedBackend {
         self.pool.set_capacity_limit(limit);
     }
 
-    /// Rows of [`ParamRow`] capacity the CPU Adam lane's two recycled
-    /// buffers hold.  Constant between densification boundaries: the lane
-    /// allocates nothing in steady state.
-    pub fn adam_lane_buffer_rows(&self) -> usize {
-        self.adam_params.capacity() + self.adam_grads.capacity()
+    /// Rows of capacity the CPU Adam lane's recycled buffers hold:
+    /// `(parameter rows, gradient rows)`.  The first is the model's row
+    /// count; the second follows what the batches actually shipped.
+    pub fn adam_lane_buffer_rows(&self) -> (usize, usize) {
+        let grads = self.adam_grads.iter().map(Vec::capacity).sum();
+        (self.adam_params.capacity(), grads)
     }
 
     /// Mean PSNR of the current model over a set of posed images (delegates
@@ -348,26 +356,20 @@ impl ThreadedBackend {
         };
         let mut grads = self.trainer.take_gradients();
 
-        // The Adam lane's buffers hold one slice per group, in slot order:
-        // slot 0 is F_0, slot i + 1 the group micro-batch i finalises.  The
-        // groups partition the model, so the parameter buffer is exactly
-        // one row per Gaussian; F_0 ships no gradients, so the gradient
-        // buffer holds the touched rows only.  Groups are packed, shipped
-        // and stepped in slot order, so each side carves its next slice off
-        // the front of what is left.
+        // The Adam lane's parameter buffer holds one slice per group, in
+        // slot order: slot 0 is F_0, slot i + 1 the group micro-batch i
+        // finalises.  The groups partition the model, so it is exactly one
+        // row per Gaussian.  Groups are shipped and stepped in slot order,
+        // so the lane carves its next slice off the front of what is left.
+        // F_0 ships no gradients; group i's received rows go into list i.
         if overlapped && (plan.resize.is_some() || self.adam_params.len() != model_len) {
             // Re-provisioned at a densification boundary (and before the
             // first batch), exact-sized like the staging pool.
             self.adam_params = vec![[0.0; PARAMS_PER_GAUSSIAN]; model_len];
-            self.adam_grads = Vec::with_capacity(model_len);
         }
-        let (adam_slots, touched_rows) = if overlapped {
-            (m + 1, plan.finalization.total_touched())
-        } else {
-            (0, 0)
-        };
+        let adam_slots = if overlapped { m + 1 } else { 0 };
         self.adam_grads
-            .resize(touched_rows, [0.0; PARAMS_PER_GAUSSIAN]);
+            .resize_with(adam_slots.saturating_sub(1), Vec::new);
         let mut params_left = &mut self.adam_params[..];
 
         // Disjoint borrows: the Adam lane holds the optimiser for the
@@ -436,14 +438,13 @@ impl ThreadedBackend {
         };
 
         // ---- CPU Adam lane (overlapped CLM only): a request is a group's
-        // slot and its final gradient rows; nothing comes back — the new
-        // parameter rows wait in the lane's buffer until the batch ends.
+        // slot and the final gradient rows of its Gaussians that received
+        // gradient (none for F_0); nothing comes back — the new parameter
+        // rows wait in the lane's buffer until the batch ends.
         let model = trainer.model();
-        let adam_lane = |requests: Receiver<(usize, &[ParamRow])>, _: SyncSender<()>| {
+        let adam_lane = |requests: Receiver<(usize, &[GradRow])>, _: SyncSender<()>| {
             while let Ok((slot, grad_rows)) = requests.recv() {
                 let indices = adam_group(plan_ref, slot);
-                // F_0's gradient is zero by construction.
-                let grad_rows = (slot != 0).then_some(grad_rows);
                 let out = carve(&mut params_left, indices.len());
                 // Chunk-target cap: small groups fan out across fewer
                 // threads.  Identical numerics for any fan-out (the
@@ -471,7 +472,7 @@ impl ThreadedBackend {
             }
         };
 
-        let total_loss = std::thread::scope(|scope| {
+        let (total_loss, shipped_rows) = std::thread::scope(|scope| {
             // Replies get the emitter's whole buffer budget (module docs).
             let capacity = config.channel_capacity;
             let replies = shape.staging_buffers();
@@ -486,6 +487,7 @@ impl ThreadedBackend {
                 adam: overlapped.then(|| spawn_lane(scope, capacity, capacity, adam_lane).requests),
                 grads_left: &mut self.adam_grads,
                 packed: &[],
+                shipped_rows: 0,
                 staged: (0..m).map(|_| None).collect(),
                 rendered: (0..m).map(|_| None).collect(),
                 grads: &mut grads,
@@ -502,7 +504,7 @@ impl ThreadedBackend {
                 let drained = lane.completions.recv().is_err();
                 assert!(drained, "every staged micro-batch must already be consumed");
             }
-            run.total_loss
+            (run.total_loss, run.shipped_rows)
         });
 
         // Deferred write-back of the lane-computed parameter rows, group by
@@ -528,7 +530,7 @@ impl ThreadedBackend {
         }
 
         let batch = self.trainer.finish_batch(&plan, &grads, total_loss);
-        self.trainer.return_gradients(grads, &plan);
+        self.trainer.return_gradients(grads);
         let wall_seconds = wall_start.elapsed().as_secs_f64();
 
         // The report's lane accounting is the per-lane sum of the batch's
@@ -558,8 +560,8 @@ impl ThreadedBackend {
             sim_makespan: None,
             resize: plan.resize.as_ref().map(|e| e.report()),
             faults,
-            adam_rows_shipped: touched_rows as u64,
-            adam_bytes_shipped: (touched_rows * std::mem::size_of::<ParamRow>()) as u64,
+            adam_rows_shipped: shipped_rows,
+            adam_bytes_shipped: shipped_rows * std::mem::size_of::<GradRow>() as u64,
         };
         (report, timeline)
     }
@@ -583,8 +585,9 @@ enum GatherRequest {
 /// coordinator thread, doing the real work inside the hooks in emission
 /// order.  `staged` asks the gather lane for a micro-batch, `forward` waits
 /// for the buffer and renders, `backward` accumulates and hands the buffer
-/// back, `store` packs the finalised gradient rows (Figure 6's gradient
-/// store) and `adam` ships them to the Adam lane.  Every hook prices its op
+/// back, `store` retires the micro-batch's gradients (Figure 6's gradient
+/// store) and packs the finalised group's rows, and `adam` ships them to
+/// the Adam lane.  Every hook prices its op
 /// at nothing: the emitted timeline is scratch, what ran when is in the
 /// span lists.
 struct LaneRun<'a> {
@@ -597,11 +600,13 @@ struct LaneRun<'a> {
     /// The gather lane (CLM only).
     gather: Option<WorkerLane<GatherRequest, (usize, StagingBuffer)>>,
     /// The CPU Adam lane's request queue (overlapped CLM only).
-    adam: Option<SyncSender<(usize, &'a [ParamRow])>>,
-    /// The Adam-lane gradient buffer past the groups already packed.
-    grads_left: &'a mut [ParamRow],
+    adam: Option<SyncSender<(usize, &'a [GradRow])>>,
+    /// The Adam-lane gradient lists of the groups not packed yet.
+    grads_left: &'a mut [Vec<GradRow>],
     /// The group `store` just packed, until `adam` ships it.
-    packed: &'a [ParamRow],
+    packed: &'a [GradRow],
+    /// Gradient rows packed for the Adam lane so far.
+    shipped_rows: u64,
     /// Staged buffers received and not yet handed back, by micro-batch.
     staged: Vec<Option<StagingBuffer>>,
     /// Rendered and not yet accumulated micro-batches of the current round.
@@ -694,21 +699,38 @@ impl CostSource for LaneRun<'_> {
         OpCost::default()
     }
 
-    /// Packing the group's final gradient rows runs on the coordinator but
-    /// is optimiser-lane work, so it is charged to the Adam lane.  Empty
-    /// groups would be pure hand-off overhead; skipping them cannot change
-    /// numerics (an empty subset step is a no-op).
+    /// The span carries what the store sends — the same payload every
+    /// executor accounts at this point.  Its physical half is packing the
+    /// finalised group's received gradient rows for the Adam lane (every
+    /// one of them retires with this store); that runs on the coordinator
+    /// but is optimiser-lane work, so the span is charged to the Adam lane.
     fn store(&mut self, i: usize) -> OpCost {
+        let sent = self.plan.store_gradients(i, self.grads);
         let indices = self.plan.finalization.finalized_by(i).indices();
-        if self.adam.is_some() && !indices.is_empty() {
-            let rows = carve(&mut self.grads_left, indices.len());
-            let (mb, bytes, count) = (Some(i as u32), self.plan.store_bytes(i), rows.len() as u64);
-            let grads = &*self.grads;
-            let pack = || grads.read_rows_into(indices, rows);
-            self.spans
-                .time(OpKind::StoreGrads, Lane::CpuAdam, mb, bytes, count, pack);
-            self.packed = rows;
-        }
+        // Without an Adam lane (non-overlapped CLM) nothing is packed.
+        let list = match self.adam {
+            Some(_) => Some(&mut carve(&mut self.grads_left, 1)[0]),
+            None => None,
+        };
+        let grads = &*self.grads;
+        let pack = || match list {
+            Some(list) => {
+                list.clear();
+                grads.pack_received_into(indices, list);
+                &list[..]
+            }
+            None => &[],
+        };
+        let mb = Some(i as u32);
+        self.packed = self.spans.time(
+            OpKind::StoreGrads,
+            Lane::CpuAdam,
+            mb,
+            sent.bytes,
+            sent.rows,
+            pack,
+        );
+        self.shipped_rows += self.packed.len() as u64;
         OpCost::default()
     }
 
@@ -935,12 +957,12 @@ mod tests {
     }
 
     #[test]
-    fn adam_lane_ships_only_touched_gradient_rows_and_allocates_nothing_in_steady_state() {
+    fn adam_lane_ships_only_received_gradient_rows_in_buffers_sized_by_them() {
         let (dataset, targets, init) = tiny_setup();
         let rows = init.len();
         let mut threaded =
             ThreadedBackend::new(init, TrainConfig::default(), ThreadedConfig::default());
-        let mut capacity_after = Vec::new();
+        let mut most_shipped = 0;
         for batch in 0..8 {
             // Rotate through the views so group sizes differ batch to batch.
             let start = (batch * 4) % 12;
@@ -949,17 +971,23 @@ mod tests {
                 &targets[start..start + 4],
             );
             assert!(report.batch.touched > 0 && report.batch.touched < rows);
-            assert_eq!(report.adam_rows_shipped, report.batch.touched as u64);
+            // Every Gaussian that received gradient is finalised by exactly
+            // one micro-batch and ships then; the rest of the frustum-touched
+            // rows ship nothing.
+            assert!(report.batch.received > 0 && report.batch.received <= report.batch.touched);
+            assert_eq!(report.adam_rows_shipped, report.batch.received as u64);
             assert_eq!(
                 report.adam_bytes_shipped,
-                (report.batch.touched * PARAMS_PER_GAUSSIAN * 4) as u64
+                (report.batch.received * (PARAMS_PER_GAUSSIAN * 4 + 4)) as u64
             );
-            capacity_after.push(threaded.adam_lane_buffer_rows());
+            most_shipped = most_shipped.max(report.batch.received);
+            // One parameter row per Gaussian — fixed by the model — and
+            // gradient lists that follow what was shipped (a list at most
+            // doubles when it grows), not what a batch could touch.
+            let (param_rows, grad_rows) = threaded.adam_lane_buffer_rows();
+            assert_eq!(param_rows, rows);
+            assert!(grad_rows <= 4 * (2 * most_shipped).max(4), "{grad_rows}");
         }
-        // One parameter row per Gaussian plus room for at most as many
-        // gradient rows — fixed by the model, not by what a batch touched.
-        assert_eq!(capacity_after[1], 2 * rows);
-        assert_eq!(capacity_after[1], capacity_after[7]);
     }
 
     #[test]
@@ -1020,9 +1048,9 @@ mod tests {
             assert_eq!(report.batch, sync.train_batch(cams, tgts));
             let rows = threaded.trainer().model().len();
             assert_eq!(
-                threaded.adam_lane_buffer_rows(),
-                2 * rows,
-                "batch {batch}: buffers follow the model across a boundary"
+                threaded.adam_lane_buffer_rows().0,
+                rows,
+                "batch {batch}: the parameter buffer follows the model across a boundary"
             );
             sizes.push(rows);
         }

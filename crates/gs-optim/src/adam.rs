@@ -26,9 +26,10 @@
 //!   results are merged back with cheap copies;
 //! * [`GaussianAdam::step_detached`] — the CPU Adam **lane's** path: a
 //!   worker thread that holds the optimiser for a batch reads parameters
-//!   from a shared `&GaussianModel`, takes the group's final gradient rows,
-//!   updates `m`/`v`/`steps` in place and hands back only the new parameter
-//!   rows for a deferred write-back.  Nothing the lane can already see is
+//!   from a shared `&GaussianModel`, takes the final gradient rows of the
+//!   group's Gaussians that **received** gradient, updates `m`/`v`/`steps`
+//!   in place and hands back only the new parameter rows for a deferred
+//!   write-back.  Nothing the lane can already see is
 //!   copied, and the group fans out across one scoped parallel region by
 //!   sharding the moment stores at chunk boundaries.
 //!
@@ -333,6 +334,15 @@ fn stage_grad_lane(grads: &GradientBuffer, index: u32, lane: usize, block: &mut 
     block[PARAMS_PER_GAUSSIAN - 1][lane] = g.d_opacity_logit;
 }
 
+/// Re-zeroes gradient lane `lane` of a block — what a Gaussian that
+/// received no gradient stages (its accumulator row is `+0.0` in every
+/// slot).
+fn zero_grad_lane(lane: usize, block: &mut LaneBlock) {
+    for row in block.iter_mut() {
+        row[lane] = 0.0;
+    }
+}
+
 /// What every shard of one [`GaussianAdam::step_detached`] call shares.
 struct DetachedKernel<'a> {
     lr: [f32; PARAMS_PER_GAUSSIAN],
@@ -342,14 +352,15 @@ struct DetachedKernel<'a> {
 }
 
 /// One shard of a detached step: a run of the group's indices together with
-/// the slices of everything addressed by them.  `grads`/`out` are keyed by
-/// position in `indices`; `m`/`v`/`steps` are keyed by row and start at row
+/// the slices of everything addressed by them.  `out` is keyed by position
+/// in `indices`; `grads` is the sorted sparse list of the shard's rows that
+/// received gradient; `m`/`v`/`steps` are keyed by row and start at row
 /// `base` (a multiple of [`LANE_WIDTH`], so the moment slices start at a
 /// chunk boundary).
 struct DetachedShard<'a> {
     base: usize,
     indices: &'a [u32],
-    grads: Option<&'a [ParamRow]>,
+    grads: &'a [(u32, ParamRow)],
     out: &'a mut [ParamRow],
     m: &'a mut [LaneBlock],
     v: &'a mut [LaneBlock],
@@ -368,13 +379,8 @@ impl<'a> DetachedShard<'a> {
         let (v, v_tail) = self.v.split_at_mut(rows / LANE_WIDTH);
         // The last chunk's padding rows have no step counter.
         let (steps, steps_tail) = self.steps.split_at_mut(rows.min(self.steps.len()));
-        let (grads, grads_tail) = match self.grads {
-            Some(g) => {
-                let (head, tail) = g.split_at(cut);
-                (Some(head), Some(tail))
-            }
-            None => (None, None),
-        };
+        let grads_cut = self.grads.partition_point(|&(i, _)| (i as usize) < row);
+        let (grads, grads_tail) = self.grads.split_at(grads_cut);
         (
             DetachedShard {
                 base: self.base,
@@ -414,40 +420,46 @@ impl DetachedKernel<'_> {
         } = shard;
         let mut steps = [1u64; LANE_WIDTH];
         let mut p = zero_lane_block();
-        // Stays all-zero when the group ships no gradients.
+        // A lane holds a gradient only while a row that received one sits
+        // in it; `staged[l]` says lane `l` has to be re-zeroed before a row
+        // without one (or padding) can use it.
         let mut g = zero_lane_block();
+        let mut staged = [false; LANE_WIDTH];
+        let mut received = grads.iter().peekable();
         let mut m = zero_lane_block();
         let mut v = zero_lane_block();
-        let groups = indices.chunks(LANE_WIDTH).zip(out.chunks_mut(LANE_WIDTH));
-        for (c, (group, out)) in groups.enumerate() {
+        for (group, out) in indices.chunks(LANE_WIDTH).zip(out.chunks_mut(LANE_WIDTH)) {
             for l in 0..LANE_WIDTH {
-                match group.get(l) {
+                let row = match group.get(l) {
                     Some(&idx) => {
                         let i = idx as usize;
                         steps[l] = step_rows[i - base] + 1;
                         self.model.param_lane_into(i, l, &mut p);
                         gather_chunk_lane(m_rows, i - base, l, &mut m);
                         gather_chunk_lane(v_rows, i - base, l, &mut v);
+                        received.next_if(|&&(row, _)| row == idx)
                     }
                     None => {
                         // Re-zero lanes left over from the previous group.
                         steps[l] = 1;
                         for k in 0..PARAMS_PER_GAUSSIAN {
                             p[k][l] = 0.0;
-                            g[k][l] = 0.0;
                             m[k][l] = 0.0;
                             v[k][l] = 0.0;
                         }
+                        None
                     }
-                }
-            }
-            if let Some(rows) = grads {
-                let rows = &rows[c * LANE_WIDTH..][..group.len()];
-                for (l, row) in rows.iter().enumerate() {
-                    for k in 0..PARAMS_PER_GAUSSIAN {
-                        g[k][l] = row[k];
+                };
+                match row {
+                    Some((_, row)) => {
+                        for k in 0..PARAMS_PER_GAUSSIAN {
+                            g[k][l] = row[k];
+                        }
                     }
+                    None if staged[l] => zero_grad_lane(l, &mut g),
+                    None => {}
                 }
+                staged[l] = row.is_some();
             }
             adam_update_lanes(
                 &self.lr,
@@ -472,6 +484,10 @@ impl DetachedKernel<'_> {
                 }
             }
         }
+        assert!(
+            received.next().is_none(),
+            "gradient rows must be a strictly increasing subset of the indices"
+        );
     }
 }
 
@@ -561,11 +577,15 @@ impl GaussianAdam {
         assert_eq!(model.len(), grads.len(), "gradient buffer size mismatch");
         self.resize(model.len());
         let indices: Vec<u32> = (0..model.len() as u32).collect();
-        self.step_indices(model, Some(grads), &indices);
+        self.step_indices(model, grads, &indices);
     }
 
     /// Applies one Adam step only to the Gaussians in `indices`
     /// (the sparse "CPU Adam" path, §5.4).  Other Gaussians are untouched.
+    /// A Gaussian of `indices` that received no gradient steps with the
+    /// all-zero gradient its accumulator row holds (its moments still
+    /// decay) — the batch's untouched `F_0` group is the case where none
+    /// did.
     ///
     /// # Panics
     /// Panics if an index is out of bounds or the gradient buffer does not
@@ -578,39 +598,23 @@ impl GaussianAdam {
     ) {
         assert_eq!(model.len(), grads.len(), "gradient buffer size mismatch");
         self.resize(model.len());
-        self.step_indices(model, Some(grads), indices);
-    }
-
-    /// [`step_subset`](Self::step_subset) for Gaussians whose gradient is
-    /// known to be all-zero — the batch's untouched `F_0` group, whose
-    /// moments still decay.  Bit-identical to `step_subset` over an all-zero
-    /// [`GradientBuffer`] (the kernel sees the same zero gradient block),
-    /// without staging one zero row per index.
-    ///
-    /// # Panics
-    /// Panics if an index is out of bounds.
-    pub fn step_subset_zero_grad(&mut self, model: &mut GaussianModel, indices: &[u32]) {
-        self.resize(model.len());
-        self.step_indices(model, None, indices);
+        self.step_indices(model, grads, indices);
     }
 
     /// The in-place driver: stages `indices` (in order, groups of
     /// [`LANE_WIDTH`]) into parameter-major lane blocks, runs the shared
     /// lane kernel, and scatters the **active** lanes back.  Padding lanes
-    /// stay zero through the kernel and are never written anywhere.
-    /// `grads = None` is the all-zero gradient, as in
+    /// stay zero through the kernel and are never written anywhere.  Only a
+    /// row that received gradient has its accumulator row staged; every
+    /// other lane is the zero gradient, as in
     /// [`step_detached`](Self::step_detached).
-    fn step_indices(
-        &mut self,
-        model: &mut GaussianModel,
-        grads: Option<&GradientBuffer>,
-        indices: &[u32],
-    ) {
+    fn step_indices(&mut self, model: &mut GaussianModel, grads: &GradientBuffer, indices: &[u32]) {
         let lr = self.config.lr_table();
         let mut steps = [1u64; LANE_WIDTH];
         let mut p = zero_lane_block();
-        // Stays all-zero when there are no gradients to stage.
+        // See `DetachedKernel::run`.
         let mut g = zero_lane_block();
+        let mut staged = [false; LANE_WIDTH];
         let mut m = zero_lane_block();
         let mut v = zero_lane_block();
         for group in indices.chunks(LANE_WIDTH) {
@@ -622,9 +626,6 @@ impl GaussianAdam {
                         self.steps[i] += 1;
                         steps[l] = self.steps[i];
                         model.param_lane_into(i, l, &mut p);
-                        if let Some(grads) = grads {
-                            stage_grad_lane(grads, idx, l, &mut g);
-                        }
                         self.m.gather_lane(i, l, &mut m);
                         self.v.gather_lane(i, l, &mut v);
                     }
@@ -633,12 +634,18 @@ impl GaussianAdam {
                         steps[l] = 1;
                         for k in 0..PARAMS_PER_GAUSSIAN {
                             p[k][l] = 0.0;
-                            g[k][l] = 0.0;
                             m[k][l] = 0.0;
                             v[k][l] = 0.0;
                         }
                     }
                 }
+                let received = group.get(l).filter(|&&idx| grads.is_touched(idx));
+                match received {
+                    Some(&idx) => stage_grad_lane(grads, idx, l, &mut g),
+                    None if staged[l] => zero_grad_lane(l, &mut g),
+                    None => {}
+                }
+                staged[l] = received.is_some();
             }
             adam_update_lanes(
                 &lr,
@@ -666,11 +673,13 @@ impl GaussianAdam {
     /// batch while the render lane keeps reading the model.
     ///
     /// For each of `indices` (strictly increasing) the parameters are read
-    /// from `model`, the gradient from `grads[j]` (`None` = all-zero
-    /// gradients, the batch's untouched `F_0` group), the moments and step
-    /// counter from the optimiser; the moments and counters are updated **in
-    /// place**, and the new parameter row is written to `out[j]` instead of
-    /// the model.  The caller applies `out` to the model once nothing reads
+    /// from `model`, the moments and step counter from the optimiser, and
+    /// the gradient from `grads` — the sorted `(index, row)` list of the
+    /// group's Gaussians that received gradient; a Gaussian without an
+    /// entry steps with the all-zero gradient (the batch's untouched `F_0`
+    /// group ships an empty list).  The moments and counters are updated
+    /// **in place**, and the new parameter row is written to `out[j]`
+    /// instead of the model.  The caller applies `out` to the model once nothing reads
     /// the old values any more; until then repeated calls for *disjoint*
     /// groups are independent.  Same staging order, same
     /// [`adam_update_lanes`] call, same inputs as the in-place step, so
@@ -689,21 +698,19 @@ impl GaussianAdam {
     /// state to the model's length with fresh zero rows.
     ///
     /// # Panics
-    /// Panics if `out` (or `grads`) and `indices` differ in length, or
-    /// `indices` is not strictly increasing and within the model.
+    /// Panics if `out` and `indices` differ in length, `indices` is not
+    /// strictly increasing and within the model, or `grads` is not a
+    /// strictly increasing subset of `indices`.
     pub fn step_detached(
         &mut self,
         model: &GaussianModel,
         indices: &[u32],
-        grads: Option<&[ParamRow]>,
+        grads: &[(u32, ParamRow)],
         out: &mut [ParamRow],
         threads: usize,
         commit: bool,
     ) {
         assert_eq!(out.len(), indices.len(), "one output row per index");
-        if let Some(rows) = grads {
-            assert_eq!(rows.len(), indices.len(), "one gradient row per index");
-        }
         assert!(
             indices.windows(2).all(|w| w[0] < w[1]),
             "detached step needs strictly increasing indices"
@@ -954,20 +961,25 @@ mod tests {
     }
 
     #[test]
-    fn zero_grad_step_is_bit_identical_to_stepping_an_all_zero_buffer() {
+    fn rows_without_receipt_step_with_the_zero_gradient() {
         // F_0 under overlapped CPU Adam: the rows' moments are live (they
-        // were trained in an earlier batch), the gradient is all-zero.  The
-        // index list ends in a partial lane block.
+        // were trained in an earlier batch), no row received gradient.  The
+        // in-place step stages no accumulator row at all; the packed path
+        // copies every listed row's (+0.0) gradient.  The index list ends in
+        // a partial lane block.
         let n = 2 * LANE_WIDTH + 3;
         let subset: Vec<u32> = (0..n as u32).filter(|i| i % 4 != 1).collect();
-        let run = |zero_grad_form: bool| {
+        let zeros = GradientBuffer::new(n);
+        let run = |in_place: bool| {
             let mut model = model_of(n);
             let mut opt = GaussianAdam::new(n, AdamConfig::default());
             opt.step_dense(&mut model, &varied_grads(n));
-            if zero_grad_form {
-                opt.step_subset_zero_grad(&mut model, &subset);
+            if in_place {
+                opt.step_subset(&mut model, &zeros, &subset);
             } else {
-                opt.step_subset(&mut model, &GradientBuffer::new(n), &subset);
+                let mut items = opt.pack_subset(&model, &zeros, &subset);
+                compute_packed(opt.config(), &mut items);
+                opt.apply_packed(&mut model, &items);
             }
             (model, opt.export_rows())
         };

@@ -3,24 +3,63 @@
 //! CLM processes a batch as a sequence of single-image micro-batches and
 //! accumulates their gradients before the optimiser step (§4.2).  The
 //! [`GradientBuffer`] is the CPU-side accumulator: dense storage shaped like
-//! the model plus a record of which Gaussians were actually touched, so that
-//! sparse (subset) Adam and the finalisation analysis of overlapped CPU Adam
-//! can work directly from it.
+//! the model plus a record of which Gaussians actually **received**
+//! gradient, so that sparse (subset) Adam, the finalisation analysis of
+//! overlapped CPU Adam and the gradient stores can work directly from it.
+//!
+//! Receipt is the fact everything downstream keys on.  A frustum-visible
+//! Gaussian the renderer never reached (occluded, sub-threshold alpha)
+//! holds `+0.0` in every slot, so nothing needs to carry its row: a
+//! gradient store ([`GradientBuffer::store`]) ships only the retiring rows
+//! that received gradient since they were last stored, and the optimiser
+//! stages a zero lane for every row without receipt.
 
 use gs_core::gaussian::{GaussianModel, SH_FLOATS};
 use gs_core::math::Vec3;
 use gs_core::visibility::VisibilitySet;
-use gs_core::PARAMS_PER_GAUSSIAN;
+use gs_core::{BYTES_PER_PARAM, PARAMS_PER_GAUSSIAN};
 use gs_render::{GaussianGradients, RenderGradients};
+
+/// Bytes of one dense gradient row (all 59 parameters).
+pub const GRADIENT_ROW_BYTES: usize = PARAMS_PER_GAUSSIAN * BYTES_PER_PARAM;
+
+/// Bytes of one gradient row in a sparse store: the row plus its `u32`
+/// Gaussian index.
+pub const SPARSE_GRADIENT_ROW_BYTES: usize = GRADIENT_ROW_BYTES + std::mem::size_of::<u32>();
+
+/// What one gradient store moves device→host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StorePayload {
+    /// Gradient rows sent: the retiring rows that received gradient since
+    /// they were last stored.
+    pub rows: u64,
+    /// Bytes on the wire.
+    pub bytes: u64,
+}
+
+impl StorePayload {
+    /// The payload of a store retiring `rows_retiring` rows of which
+    /// `rows_sent` carry gradient: the cheaper of the dense block (every
+    /// retiring row, no indices) and the sparse list (only the rows sent,
+    /// each with its index) — so a fully-dense store never gets dearer.
+    pub fn new(rows_retiring: usize, rows_sent: usize) -> Self {
+        let dense = rows_retiring * GRADIENT_ROW_BYTES;
+        let sparse = rows_sent * SPARSE_GRADIENT_ROW_BYTES;
+        StorePayload {
+            rows: rows_sent as u64,
+            bytes: dense.min(sparse) as u64,
+        }
+    }
+}
 
 /// Dense per-Gaussian gradient accumulator.
 ///
 /// An executor keeps **one** buffer for its lifetime instead of allocating
-/// and zeroing `236 B × N` every batch: a batch leaves exactly the rows it
-/// accumulated into non-zero, so [`clear_indices`](Self::clear_indices) over
-/// those rows returns the buffer to the state [`new`](Self::new) produces,
-/// and [`resize`](Self::resize) follows the model across densification
-/// boundaries.
+/// and zeroing `236 B × N` every batch: a batch leaves exactly the rows that
+/// received gradient non-zero, so [`clear`](Self::clear)
+/// returns the buffer to the state [`new`](Self::new) produces in
+/// O(receivers), and [`resize`](Self::resize) follows the model across
+/// densification boundaries.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GradientBuffer {
     d_positions: Vec<Vec3>,
@@ -28,7 +67,14 @@ pub struct GradientBuffer {
     d_rotations: Vec<[f32; 4]>,
     d_sh: Vec<f32>,
     d_opacity_logits: Vec<f32>,
+    /// Per row: received gradient since the row was last cleared.
     touched: Vec<bool>,
+    /// Per row: received gradient since the row was last stored.
+    unsent: Vec<bool>,
+    /// The rows with `touched` set, in first-touch order.
+    received: Vec<u32>,
+    /// Bytes every [`store`](Self::store) since the last full clear moved.
+    stored_bytes: u64,
 }
 
 impl GradientBuffer {
@@ -41,6 +87,9 @@ impl GradientBuffer {
             d_sh: vec![0.0; len * SH_FLOATS],
             d_opacity_logits: vec![0.0; len],
             touched: vec![false; len],
+            unsent: vec![false; len],
+            received: Vec::new(),
+            stored_bytes: 0,
         }
     }
 
@@ -65,6 +114,8 @@ impl GradientBuffer {
         fit(&mut self.d_sh, len * SH_FLOATS, 0.0);
         fit(&mut self.d_opacity_logits, len, 0.0);
         fit(&mut self.touched, len, false);
+        fit(&mut self.unsent, len, false);
+        self.received.retain(|&i| (i as usize) < len);
     }
 
     /// Number of Gaussians the buffer covers.
@@ -98,7 +149,11 @@ impl GradientBuffer {
             self.d_sh[off + k] += grad.d_sh[k];
         }
         self.d_opacity_logits[i] += grad.d_opacity_logit;
-        self.touched[i] = true;
+        if !self.touched[i] {
+            self.touched[i] = true;
+            self.received.push(index);
+        }
+        self.unsent[i] = true;
     }
 
     /// Accumulates every entry of a renderer gradient result.
@@ -126,27 +181,30 @@ impl GradientBuffer {
         }
     }
 
-    /// Packs the accumulated gradients of `indices` as flat
-    /// [`param_row`](GaussianModel::param_row)-layout rows — `out[j]` is the
-    /// gradient of `indices[j]` — straight from the accumulator's arrays.
-    /// This is what a finalisation group ships to the CPU Adam lane
+    /// Appends the accumulated gradients of the Gaussians of `indices` that
+    /// **received** gradient to `out`, as `(index, row)` pairs in `indices`
+    /// order with the row in flat
+    /// [`param_row`](GaussianModel::param_row) layout, straight from the
+    /// accumulator's arrays.  This is what a finalisation group ships to the
+    /// CPU Adam lane
     /// ([`GaussianAdam::step_detached`](crate::GaussianAdam::step_detached)):
     /// the rows are final, so the copy is the only thing the lane ever needs
-    /// from the buffer the coordinator keeps accumulating into.
-    ///
-    /// # Panics
-    /// Panics if `out` and `indices` differ in length or an index is out of
-    /// bounds.
-    pub fn read_rows_into(&self, indices: &[u32], out: &mut [[f32; PARAMS_PER_GAUSSIAN]]) {
-        assert_eq!(out.len(), indices.len(), "one output row per index");
-        for (&idx, row) in indices.iter().zip(out) {
+    /// from the buffer the coordinator keeps accumulating into, and a row
+    /// without receipt is all `+0.0` — the lane stages that itself.
+    pub fn pack_received_into(
+        &self,
+        indices: &[u32],
+        out: &mut Vec<(u32, [f32; PARAMS_PER_GAUSSIAN])>,
+    ) {
+        for &idx in indices.iter().filter(|&&idx| self.is_touched(idx)) {
             let i = idx as usize;
-            assert!(i < self.len(), "gaussian index {i} out of bounds");
+            let mut row = [0.0; PARAMS_PER_GAUSSIAN];
             row[0..3].copy_from_slice(&self.d_positions[i].to_array());
             row[3..6].copy_from_slice(&self.d_log_scales[i].to_array());
             row[6..10].copy_from_slice(&self.d_rotations[i]);
             row[10..10 + SH_FLOATS].copy_from_slice(&self.d_sh[i * SH_FLOATS..(i + 1) * SH_FLOATS]);
             row[PARAMS_PER_GAUSSIAN - 1] = self.d_opacity_logits[i];
+            out.push((idx, row));
         }
     }
 
@@ -157,54 +215,72 @@ impl GradientBuffer {
 
     /// The set of Gaussians that received gradients.
     pub fn touched_set(&self) -> VisibilitySet {
-        VisibilitySet::from_sorted(
-            self.touched
-                .iter()
-                .enumerate()
-                .filter(|(_, &t)| t)
-                .map(|(i, _)| i as u32)
-                .collect(),
-        )
+        let mut rows = self.received.clone();
+        rows.sort_unstable();
+        VisibilitySet::from_sorted(rows)
     }
 
-    /// Number of touched Gaussians.
+    /// Number of Gaussians that received gradients.
     pub fn touched_count(&self) -> usize {
-        self.touched.iter().filter(|&&t| t).count()
+        self.received.len()
     }
 
-    /// Resets every gradient to zero (keeps the allocation).
-    pub fn clear(&mut self) {
-        self.d_positions.fill(Vec3::ZERO);
-        self.d_log_scales.fill(Vec3::ZERO);
-        self.d_rotations.fill([0.0; 4]);
-        self.d_sh.fill(0.0);
-        self.d_opacity_logits.fill(0.0);
-        self.touched.fill(false);
+    /// How many of `indices` received gradient.
+    pub fn count_received(&self, indices: &[u32]) -> usize {
+        indices.iter().filter(|&&i| self.is_touched(i)).count()
     }
 
-    /// Resets only the Gaussians in `indices` (used after CLM finalises and
-    /// applies their updates early).
-    pub fn clear_indices(&mut self, indices: &[u32]) {
-        for &idx in indices {
-            let i = idx as usize;
-            if i >= self.len() {
-                continue;
+    /// Stores the gradients of the rows `retiring` from the device to the
+    /// host: the payload is the retiring rows that received gradient since
+    /// they were last stored (a row evicted, re-fetched and evicted again
+    /// ships once per residency, each time with what it accumulated while
+    /// resident), priced by [`StorePayload::new`].  Clears those rows'
+    /// unsent marks; the accumulated values stay, as the host-side sum.
+    ///
+    /// This is the **one** place a retirement set becomes a store payload:
+    /// every executor calls it once per micro-batch, after the micro-batch's
+    /// gradients are accumulated and before the next one's.
+    pub fn store(&mut self, retiring: &[u32]) -> StorePayload {
+        let mut sent = 0;
+        for &idx in retiring {
+            if let Some(unsent) = self.unsent.get_mut(idx as usize) {
+                sent += usize::from(std::mem::take(unsent));
             }
+        }
+        let payload = StorePayload::new(retiring.len(), sent);
+        self.stored_bytes += payload.bytes;
+        payload
+    }
+
+    /// Bytes every [`store`](Self::store) moved since the buffer was last
+    /// all-zero.
+    pub fn stored_bytes(&self) -> u64 {
+        self.stored_bytes
+    }
+
+    /// Resets every gradient to zero (keeps the allocation) — O(receivers),
+    /// not O(model).
+    pub fn clear(&mut self) {
+        for idx in std::mem::take(&mut self.received) {
+            let i = idx as usize;
             self.d_positions[i] = Vec3::ZERO;
             self.d_log_scales[i] = Vec3::ZERO;
             self.d_rotations[i] = [0.0; 4];
             self.d_sh[i * SH_FLOATS..(i + 1) * SH_FLOATS].fill(0.0);
             self.d_opacity_logits[i] = 0.0;
             self.touched[i] = false;
+            self.unsent[i] = false;
         }
+        self.stored_bytes = 0;
     }
 
     /// Sum of the L2 norms of every touched Gaussian's gradient (a cheap
     /// global magnitude measure used in tests and densification heuristics).
     pub fn total_norm(&self) -> f32 {
-        (0..self.len() as u32)
-            .filter(|&i| self.is_touched(i))
-            .map(|i| self.row(i).norm().powi(2))
+        self.touched_set()
+            .indices()
+            .iter()
+            .map(|&i| self.row(i).norm().powi(2))
             .sum::<f32>()
             .sqrt()
     }
@@ -259,29 +335,31 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_clear_indices() {
+    fn clear_resets_exactly_the_receivers() {
         let mut buf = GradientBuffer::new(4);
-        for i in 0..4 {
+        for i in [0, 2] {
             buf.add(i, &grad(1.0, 1.0));
         }
-        buf.clear_indices(&[1, 3, 9]);
-        assert!(buf.is_touched(0));
-        assert!(!buf.is_touched(1));
-        assert!(buf.is_touched(2));
-        assert!(!buf.is_touched(3));
-        assert_eq!(buf.row(1).d_position, Vec3::ZERO);
+        assert!(buf.is_touched(2) && !buf.is_touched(1));
         buf.clear();
+        assert_eq!(buf.row(2).d_position, Vec3::ZERO);
         assert_eq!(buf.touched_count(), 0);
         assert_eq!(buf.total_norm(), 0.0);
+        assert_eq!(buf, GradientBuffer::new(4));
     }
 
     /// Every stored float of `buf` is `+0.0` down to the sign bit (`==`
     /// alone would accept `-0.0`).
     fn assert_all_bits_zero(buf: &GradientBuffer) {
-        let indices: Vec<u32> = (0..buf.len() as u32).collect();
-        let mut rows = vec![[1.0f32; PARAMS_PER_GAUSSIAN]; buf.len()];
-        buf.read_rows_into(&indices, &mut rows);
-        assert!(rows.iter().flatten().all(|v| v.to_bits() == 0));
+        let floats = buf
+            .d_positions
+            .iter()
+            .chain(&buf.d_log_scales)
+            .flat_map(|v| v.to_array())
+            .chain(buf.d_rotations.iter().flatten().copied())
+            .chain(buf.d_sh.iter().copied())
+            .chain(buf.d_opacity_logits.iter().copied());
+        assert!(floats.map(f32::to_bits).all(|bits| bits == 0));
     }
 
     #[test]
@@ -312,7 +390,7 @@ mod tests {
         }
         let touched = buf.touched_set();
         assert_eq!(touched.indices(), &[1, 4, 5]);
-        buf.clear_indices(touched.indices());
+        buf.clear();
         assert_eq!(buf, GradientBuffer::new(6));
         assert_all_bits_zero(&buf);
 
@@ -322,7 +400,7 @@ mod tests {
         assert_eq!(buf, GradientBuffer::new(9));
         buf.add(8, &full);
         buf.add(2, &full);
-        buf.clear_indices(&[2, 8]);
+        buf.clear();
         buf.resize(4);
         assert_eq!(buf, GradientBuffer::new(4));
         assert_all_bits_zero(&buf);
@@ -337,7 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn read_rows_into_matches_the_row_view_in_param_layout() {
+    fn pack_received_into_ships_only_received_rows_in_param_layout() {
         let mut buf = GradientBuffer::new(5);
         let mut d_sh = [0.0f32; SH_FLOATS];
         for (k, c) in d_sh.iter_mut().enumerate() {
@@ -353,14 +431,55 @@ mod tests {
                 d_opacity_logit: 9.0,
             },
         );
-        let mut rows = [[7.0f32; PARAMS_PER_GAUSSIAN]; 2];
-        buf.read_rows_into(&[1, 3], &mut rows);
-        assert_eq!(rows[0], [0.0; PARAMS_PER_GAUSSIAN], "untouched row is zero");
-        assert_eq!(rows[1][0..3], [1.0, 2.0, 3.0]);
-        assert_eq!(rows[1][3..6], [-1.0, -2.0, -3.0]);
-        assert_eq!(rows[1][6..10], [0.1, 0.2, 0.3, 0.4]);
-        assert_eq!(rows[1][10..10 + SH_FLOATS], d_sh);
-        assert_eq!(rows[1][PARAMS_PER_GAUSSIAN - 1], 9.0);
+        buf.add(4, &grad(0.0, 0.0));
+        let mut rows = vec![(9u32, [7.0f32; PARAMS_PER_GAUSSIAN])];
+        buf.pack_received_into(&[1, 3, 4], &mut rows);
+        assert_eq!(rows.len(), 3, "appends; row 1 never received gradient");
+        let (index, row) = rows[1];
+        assert_eq!(index, 3);
+        assert_eq!(row[0..3], [1.0, 2.0, 3.0]);
+        assert_eq!(row[3..6], [-1.0, -2.0, -3.0]);
+        assert_eq!(row[6..10], [0.1, 0.2, 0.3, 0.4]);
+        assert_eq!(row[10..10 + SH_FLOATS], d_sh);
+        assert_eq!(row[PARAMS_PER_GAUSSIAN - 1], 9.0);
+        // Receipt, not value, decides: an all-zero gradient still ships.
+        assert_eq!(rows[2], (4, [0.0; PARAMS_PER_GAUSSIAN]));
+        assert_eq!(buf.count_received(&[0, 1, 3, 4]), 2);
+    }
+
+    #[test]
+    fn a_store_ships_each_row_once_per_residency() {
+        let mut buf = GradientBuffer::new(8);
+        for i in [1u32, 2, 5] {
+            buf.add(i, &grad(1.0, 0.0));
+        }
+        // Rows 1..=4 retire; 1 and 2 carry gradient, 3 and 4 never received.
+        let first = buf.store(&[1, 2, 3, 4]);
+        assert_eq!(first, StorePayload::new(4, 2));
+        assert_eq!(first.bytes, 2 * SPARSE_GRADIENT_ROW_BYTES as u64);
+        // Retiring again without new gradient sends nothing — no duplicate.
+        assert_eq!(buf.store(&[1, 2]), StorePayload::default());
+        // Row 2 is re-fetched, receives gradient again and retires with row
+        // 5, which has been resident all along.
+        buf.add(2, &grad(0.5, 0.0));
+        let second = buf.store(&[2, 5, 6]);
+        assert_eq!(second.rows, 2);
+        assert_eq!(buf.row(2).d_position.x, 1.5, "the host-side sum stays");
+        assert_eq!(buf.stored_bytes(), first.bytes + second.bytes);
+        assert_eq!(buf.touched_count(), 3, "stores never forget receipt");
+        buf.clear();
+        assert_eq!(buf, GradientBuffer::new(8));
+    }
+
+    #[test]
+    fn a_store_payload_is_never_dearer_than_the_dense_block() {
+        // Sparse rows carry a 4-byte index each, so a (nearly) dense store
+        // falls back to the index-free block.
+        assert_eq!(StorePayload::new(10, 0).bytes, 0);
+        assert_eq!(StorePayload::new(10, 1).bytes, 240);
+        assert_eq!(StorePayload::new(60, 59).bytes, 59 * 240);
+        assert_eq!(StorePayload::new(60, 60).bytes, 60 * 236);
+        assert_eq!(StorePayload::new(10, 10).rows, 10);
     }
 
     #[test]

@@ -67,6 +67,12 @@ pub const TILE_SIZE: u32 = 16;
 /// Transmittance below which compositing terminates early.
 pub const TRANSMITTANCE_EPS: f32 = 1e-4;
 
+/// Gaussian exponents below this floor yield an alpha under [`MIN_ALPHA`]
+/// whatever the splat's opacity (at most 1), so the lane kernels skip the
+/// `exp`: `ln(MIN_ALPHA) = −5.54126…`, less a 1e-3 margin that dwarfs
+/// `expf`'s ≤ 1 ulp error and the rounding of `opacity · exp(power)`.
+const ALPHA_POWER_FLOOR: f32 = -5.5423;
+
 /// Default height of the horizontal accumulation bands (one tile row).
 pub const DEFAULT_BAND_HEIGHT: u32 = TILE_SIZE;
 
@@ -443,18 +449,15 @@ impl TileSoa {
         self.lane_powers(base, cx, cy, &mut powers);
         let op: &[f32; LANES] = self.opacity[base..base + LANES].try_into().unwrap();
         for l in 0..LANES {
-            alphas[l] = if powers[l] > 0.0 {
-                0.0
-            } else {
-                (op[l] * powers[l].exp()).min(MAX_ALPHA)
-            };
+            alphas[l] = lane_alpha(op[l], powers[l]).0;
         }
     }
 
     /// Like [`lane_alphas`](Self::lane_alphas) but also exports the raw
     /// Gaussian factor `exp(power)` per lane, which the backward pass chains
-    /// through the opacity gradient.  One `exp` per lane serves both — the
-    /// scalar backward path used to evaluate it twice.
+    /// through the opacity gradient (and reads only for lanes it does not
+    /// skip).  One `exp` per lane serves both — the scalar backward path
+    /// used to evaluate it twice.
     #[inline]
     fn lane_alphas_gauss(
         &self,
@@ -468,14 +471,27 @@ impl TileSoa {
         self.lane_powers(base, cx, cy, &mut powers);
         let op: &[f32; LANES] = self.opacity[base..base + LANES].try_into().unwrap();
         for l in 0..LANES {
-            let e = powers[l].exp();
-            gauss[l] = e;
-            alphas[l] = if powers[l] > 0.0 {
-                0.0
-            } else {
-                (op[l] * e).min(MAX_ALPHA)
-            };
+            (alphas[l], gauss[l]) = lane_alpha(op[l], powers[l]);
         }
+    }
+}
+
+/// One lane of the alpha kernel: `(alpha, exp(power))` of a splat of the
+/// given opacity (at most 1) whose Gaussian exponent at the pixel is
+/// `power`.  An alpha under [`MIN_ALPHA`] means "skipped"; both consumers
+/// test that before they read anything else, so the lanes that cannot reach
+/// it — a positive exponent, or one below [`ALPHA_POWER_FLOOR`] — are `(0,
+/// 0)` without an `exp`.  (A NaN exponent is neither and takes the
+/// evaluating arm, as it always has.)
+#[inline]
+// Not `!(FLOOR..=0.0).contains(&power)`: that would skip a NaN.
+#[allow(clippy::manual_range_contains)]
+fn lane_alpha(opacity: f32, power: f32) -> (f32, f32) {
+    if power > 0.0 || power < ALPHA_POWER_FLOOR {
+        (0.0, 0.0)
+    } else {
+        let e = power.exp();
+        ((opacity * e).min(MAX_ALPHA), e)
     }
 }
 
@@ -828,6 +844,90 @@ mod tests {
     use gs_core::camera::CameraIntrinsics;
     use gs_core::gaussian::Gaussian;
     use gs_core::math::Vec3;
+    use proptest::prelude::*;
+
+    /// The lane expression before the exponent floor: what `lane_alpha`
+    /// must be indistinguishable from to both of its consumers.
+    fn scalar_alpha(opacity: f32, power: f32) -> (f32, f32) {
+        let e = power.exp();
+        let alpha = if power > 0.0 {
+            0.0
+        } else {
+            (opacity * e).min(MAX_ALPHA)
+        };
+        (alpha, e)
+    }
+
+    /// The consumers `continue` on `alpha < MIN_ALPHA` before reading
+    /// anything: a skipped lane may hold any values, a kept one must match
+    /// bit for bit (NaN alphas are kept — `NaN < x` is false).
+    fn assert_lane_matches_scalar(opacity: f32, power: f32) {
+        let (alpha, gauss) = lane_alpha(opacity, power);
+        let (ref_alpha, ref_gauss) = scalar_alpha(opacity, power);
+        let skipped = ref_alpha < MIN_ALPHA;
+        assert_eq!(
+            alpha < MIN_ALPHA,
+            skipped,
+            "opacity {opacity}, power {power}"
+        );
+        if !skipped {
+            assert_eq!(alpha.to_bits(), ref_alpha.to_bits(), "{opacity}, {power}");
+            assert_eq!(gauss.to_bits(), ref_gauss.to_bits(), "{opacity}, {power}");
+        }
+    }
+
+    #[test]
+    fn the_exponent_floor_sits_just_below_the_alpha_threshold() {
+        // Below it even a fully opaque splat is skipped, with room for
+        // `expf`'s error; and it is not so low that it misses the lanes it
+        // is there for.
+        assert!(ALPHA_POWER_FLOOR.exp() < MIN_ALPHA * (1.0 - 5.0e-4));
+        assert!(ALPHA_POWER_FLOOR > MIN_ALPHA.ln() - 2.0e-3);
+        let ulp = |x: f32, by: i32| f32::from_bits((x.to_bits() as i32 + by) as u32);
+        let edge_powers = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            1.0e-30,
+            3.0,
+            0.0,
+            -0.0,
+            ALPHA_POWER_FLOOR,
+            // Negative floats: one ulp up in bits is one ulp further down.
+            ulp(ALPHA_POWER_FLOOR, 1),
+            ulp(ALPHA_POWER_FLOOR, -1),
+            MIN_ALPHA.ln(),
+            ulp(MIN_ALPHA.ln(), 1),
+            ulp(MIN_ALPHA.ln(), -1),
+            -100.0,
+        ];
+        for power in edge_powers {
+            for opacity in [0.0, MIN_ALPHA, 0.5, 0.999_999_94, 1.0] {
+                assert_lane_matches_scalar(opacity, power);
+            }
+        }
+        // A NaN exponent was never skipped (`NaN.min(MAX_ALPHA)`), and is
+        // not now.
+        assert_eq!(lane_alpha(0.5, f32::NAN).0, MAX_ALPHA);
+        // At the floor the lane still evaluates; one ulp below it does not.
+        assert!(lane_alpha(1.0, ALPHA_POWER_FLOOR).1 > 0.0);
+        assert_eq!(lane_alpha(1.0, ulp(ALPHA_POWER_FLOOR, 1)), (0.0, 0.0));
+    }
+
+    proptest! {
+        #[test]
+        fn lane_alpha_matches_the_scalar_expression_across_the_floor(
+            opacity in 0.0f32..=1.0,
+            power in -12.0f32..2.0,
+            near_floor in -0.01f32..0.01,
+            near_threshold in -0.01f32..0.01,
+        ) {
+            assert_lane_matches_scalar(opacity, power);
+            assert_lane_matches_scalar(opacity, ALPHA_POWER_FLOOR + near_floor);
+            assert_lane_matches_scalar(1.0, MIN_ALPHA.ln() + near_threshold);
+        }
+    }
 
     fn camera(px: u32) -> Camera {
         Camera::look_at(

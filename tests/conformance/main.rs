@@ -12,12 +12,16 @@ mod chaos;
 mod harness;
 mod serve;
 
-use clm_repro::clm_core::SystemKind;
+use clm_repro::clm_core::{SystemKind, Trainer, GRADIENT_BYTES};
 use clm_repro::clm_runtime::{
     ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
 };
-use clm_repro::sim_device::{Lane, OpKind};
+use clm_repro::gs_core::camera::Camera;
+use clm_repro::gs_optim::GradientBuffer;
+use clm_repro::gs_render::Image;
+use clm_repro::sim_device::{Lane, OpKind, Timeline};
 use harness::*;
+use std::collections::BTreeSet;
 
 fn runtime_config(devices: usize) -> RuntimeConfig {
     RuntimeConfig {
@@ -162,6 +166,125 @@ fn report_invariants_hold_across_resizes() {
         }
     }
     assert_eq!(engine.trainer().resize_events(), 2);
+}
+
+/// `(micro-batch, rows sent, bytes)` of a timeline's gradient stores.
+fn gradient_stores(timeline: &Timeline) -> Vec<(u32, u64, u64)> {
+    let mut stores: Vec<_> = timeline
+        .ops()
+        .iter()
+        .filter(|op| op.kind == OpKind::StoreGrads)
+        .map(|op| {
+            (
+                op.microbatch.expect("per-micro-batch op"),
+                op.rows,
+                op.bytes,
+            )
+        })
+        .collect();
+    stores.sort_unstable();
+    stores
+}
+
+/// Trains one batch through the stepwise API and recounts what its stores
+/// must send from first principles — each micro-batch's `RenderGradients`
+/// (who received gradient) and the cache plan (who retires when) — without
+/// going near the gradient buffer's own bookkeeping.  Returns the expected
+/// [`gradient_stores`] and how many distinct Gaussians received gradient.
+fn recount_stores(
+    trainer: &mut Trainer,
+    cameras: &[Camera],
+    targets: &[Image],
+) -> (Vec<(u32, u64, u64)>, usize) {
+    let plan = trainer.resize_and_plan(cameras);
+    let mut grads = GradientBuffer::for_model(trainer.model());
+    let (mut staging, mut total_loss) = (Vec::new(), 0.0);
+    let (mut unsent, mut received) = (BTreeSet::new(), BTreeSet::new());
+    let mut expected = Vec::new();
+    trainer.begin_batch(&plan, &grads);
+    for i in 0..plan.num_microbatches() {
+        trainer.stage_microbatch(&plan, i, &mut staging);
+        let (loss, render_grads) = trainer.render_microbatch(&plan, i, cameras, targets, &staging);
+        total_loss += loss;
+        for (index, _) in render_grads.iter() {
+            unsent.insert(*index);
+            received.insert(*index);
+        }
+        // A retiring row ships iff it received gradient while resident.
+        let retiring = plan.stored[i].indices();
+        let sent = retiring.iter().filter(|&row| unsent.remove(row)).count();
+        let bytes = (retiring.len() * GRADIENT_BYTES).min(sent * (GRADIENT_BYTES + 4));
+        expected.push((i as u32, sent as u64, bytes as u64));
+        grads.accumulate_render(&render_grads);
+        trainer.apply_finalized(&plan, i, &grads);
+    }
+    assert!(unsent.is_empty(), "the flush retires every resident row");
+    trainer.finish_batch(&plan, &grads, total_loss);
+    (expected, received.len())
+}
+
+#[test]
+fn every_executor_sends_the_recounted_store_payloads() {
+    // What a store carries is decided by who received gradient, which only
+    // the executed batch knows — so every executor has to reach the same
+    // payloads on its own: the synchronous loop, the simulated engine at
+    // every device count and the threaded backend must record the same
+    // per-micro-batch `StoreGrads` rows and bytes, report their sum as
+    // `bytes_stored`, and all of it must equal the independent recount.
+    let scenario = densifying_scenario();
+    let (init, train) = (&scenario.init, &scenario.train);
+    let mut recount = Trainer::new(init.clone(), train.clone());
+    let mut synchronous = Trainer::new(init.clone(), train.clone());
+    let mut threaded = ThreadedBackend::new(init.clone(), train.clone(), threaded_config());
+    let mut engines: Vec<PipelinedEngine> = conformance_devices()
+        .into_iter()
+        .map(|devices| {
+            PipelinedEngine::new(init.clone(), train.clone(), runtime_config(devices))
+                .partition_over(&scenario.dataset.cameras)
+        })
+        .collect();
+    let (mut sparse_stores, mut silent_rows) = (0, 0);
+    for _ in 0..EPOCHS {
+        for range in batch_slices(scenario.dataset.cameras.len(), train.batch_size) {
+            let cameras = &scenario.dataset.cameras[range.clone()];
+            let targets = &scenario.targets[range];
+            let (expected, received) = recount_stores(&mut recount, cameras, targets);
+            let bytes_stored: u64 = expected.iter().map(|(_, _, bytes)| bytes).sum();
+
+            let mut timeline = Timeline::new();
+            let batch = synchronous.train_batch_spanned(cameras, targets, &mut timeline);
+            assert_eq!(gradient_stores(&timeline), expected, "synchronous");
+            assert_eq!(batch.bytes_stored, bytes_stored, "synchronous");
+            assert_eq!(batch.received, received, "synchronous");
+
+            let (report, timeline) = threaded.run_batch_traced(cameras, targets);
+            assert_eq!(gradient_stores(&timeline), expected, "threaded");
+            assert_eq!(report.batch, batch, "threaded");
+            // Each receiver is finalised once and ships to the Adam lane then.
+            assert_eq!(report.adam_rows_shipped, received as u64, "threaded");
+
+            for engine in &mut engines {
+                let label = format!("simulated@{}", engine.config().num_devices);
+                let report = engine.run_batch(cameras, targets);
+                assert_eq!(gradient_stores(&report.timeline), expected, "{label}");
+                assert_eq!(report.batch, batch, "{label}");
+                assert_eq!(report.comm_bytes_d2h(), bytes_stored, "{label}");
+            }
+
+            sparse_stores += expected
+                .iter()
+                .filter(|(_, rows, bytes)| *bytes == rows * (GRADIENT_BYTES as u64 + 4))
+                .count();
+            silent_rows += batch.touched - received;
+        }
+    }
+    assert_eq!(synchronous.model(), recount.model());
+    // Vacuous otherwise: some frustum-touched rows must go without gradient,
+    // and some store must take the sparse form.
+    assert!(
+        silent_rows > 0 && sparse_stores > 0,
+        "{silent_rows}, {sparse_stores}"
+    );
 }
 
 #[test]
