@@ -414,16 +414,17 @@ mod tests {
         let resharded = [fingerprint(&trace, 0, 2), fingerprint(&trace, 2, 2)];
         trace.meta.cost = CostParams::default();
         let single = [0, 2, 3].map(|window| fingerprint(&trace, window, 1));
-        // Re-pinned once since, with the engine's schedule goldens: the
+        // Re-pinned twice since, with the engine's schedule goldens: the
         // recording's `StoreGrads` ops carry only the rows that received
-        // gradient (old and new values in CHANGES.md).
-        assert_eq!(resharded, [0x3816_2a0c_cec7_321b, 0xbc02_59cf_c98a_c090]);
+        // gradient, then its fetches, stores and Adam groups follow the
+        // reached sets (old and new values in CHANGES.md).
+        assert_eq!(resharded, [0xa04d_477c_5246_1a5e, 0xf776_29dc_db5a_4c54]);
         assert_eq!(
             single,
             [
-                0x1406_c528_d9a8_0ca4,
-                0x14f0_3d00_803b_3972,
-                0xf58d_523f_66cc_0b04
+                0xd090_0c21_521a_887c,
+                0xcef4_059a_aa28_c438,
+                0x9735_154d_2cfb_0219
             ]
         );
     }

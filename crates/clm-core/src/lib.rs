@@ -5,8 +5,9 @@
 //! needs on the GPU:
 //!
 //! * [`offload`] — attribute-wise offload: selection-critical attributes
-//!   (position/scale/rotation) stay GPU-resident for frustum culling, the
-//!   rest lives in pinned host memory and is gathered on demand (§4.1, §5.2);
+//!   (position/scale/rotation, and opacity for the renderer's coverage pass)
+//!   stay GPU-resident, the SH coefficients live in pinned host memory and
+//!   are gathered on demand for the rows some pixel reaches (§4.1, §5.2);
 //! * [`cache`] — precise Gaussian caching between consecutive micro-batches
 //!   (§4.2.1);
 //! * [`order`] / [`tsp`] — pipeline order optimisation: micro-batches are

@@ -1,16 +1,27 @@
 //! Attribute-wise offloaded parameter store (§4.1, §5.2).
 //!
 //! CLM splits every Gaussian's 59 parameters into the **selection-critical**
-//! attributes (position, scale, rotation — 10 floats) that stay resident in
-//! GPU memory so frustum culling never needs the host, and the
-//! **non-critical** attributes (SH + opacity — 49 floats) that live in
-//! pinned CPU memory and are gathered on demand by the *selective loading
-//! kernel*.  [`OffloadedModel`] is the pinned half of that store: it performs
-//! the gather/scatter the kernel would do and accounts for every byte that
-//! crosses the (simulated) PCIe link.  The selection-critical half is not
-//! copied anywhere — culling and rendering read the trainer's
+//! attributes (position, scale, rotation, opacity — 11 floats) that stay
+//! resident in GPU memory, and the **non-critical** attributes (the 48 SH
+//! floats) that live in pinned CPU memory and are gathered on demand by the
+//! *selective loading kernel*.  [`OffloadedModel`] is the pinned half of that
+//! store: it performs the gather/scatter the kernel would do and accounts for
+//! every byte that crosses the (simulated) PCIe link.  The selection-critical
+//! half is not copied anywhere — culling and rendering read the trainer's
 //! [`GaussianModel`] arrays directly — so the store only accounts for its
 //! size ([`OffloadedModel::gpu_resident_bytes`]).
+//!
+//! # What a fetch carries
+//!
+//! Everything that decides *which* rows a view needs runs on resident data,
+//! before any fetch: frustum culling reads the geometry, and the renderer's
+//! coverage pass (`gs_render::coverage`, run at plan time) projects the
+//! frustum set S_i, depth-sorts it and walks every pixel's compositing
+//! order, which needs the geometry and the opacity.  Its output, the
+//! *reached* set R_i ⊆ S_i (the splats some pixel's walk reaches — about
+//! 250 of a view's ≈ 12.8 k frustum rows on `offload_bound`), is what the
+//! cache plan fetches, so a fetch carries only the SH rows of reached
+//! Gaussians: colour is needed only where a pixel composites it.
 
 use gs_core::gaussian::{GaussianModel, NON_CRITICAL_FLOATS, SELECTION_CRITICAL_FLOATS};
 use gs_core::BYTES_PER_PARAM;
@@ -64,7 +75,8 @@ impl OffloadedModel {
         self.non_critical.is_empty()
     }
 
-    /// Bytes of GPU-resident parameter data (10 floats per Gaussian).
+    /// Bytes of GPU-resident parameter data
+    /// ([`SELECTION_CRITICAL_FLOATS`] per Gaussian).
     pub fn gpu_resident_bytes(&self) -> u64 {
         (self.len() * SELECTION_CRITICAL_BYTES) as u64
     }
@@ -255,8 +267,8 @@ mod tests {
         let total = offloaded.gpu_resident_bytes() + offloaded.pinned_bytes();
         assert_eq!(total, 100 * 59 * 4);
         assert!((offloaded.gpu_resident_bytes() as f64) / (total as f64) < 0.20);
-        assert_eq!(offloaded.gpu_resident_bytes(), 100 * 40);
-        assert_eq!(offloaded.pinned_bytes(), 100 * 196);
+        assert_eq!(offloaded.gpu_resident_bytes(), 100 * 44);
+        assert_eq!(offloaded.pinned_bytes(), 100 * 192);
     }
 
     #[test]

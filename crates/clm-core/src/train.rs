@@ -15,13 +15,13 @@ use crate::order::{order_batch, OrderingStrategy};
 use crate::perf::SystemKind;
 use crate::schedule::FinalizationPlan;
 use gs_core::camera::Camera;
-use gs_core::gaussian::{GaussianModel, NON_CRITICAL_FLOATS, SH_FLOATS};
+use gs_core::gaussian::{GaussianModel, NON_CRITICAL_FLOATS};
 use gs_core::visibility::VisibilitySet;
 use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_optim::{AdamConfig, GaussianAdam, GradientBuffer, ParamRow, StorePayload};
 use gs_render::{
-    l1_loss, parallel::parallel_map, psnr, render, render_backward, Image, RenderGradients,
-    RenderOptions, DEFAULT_BAND_HEIGHT,
+    l1_loss, parallel::parallel_map, psnr, render, shade, shade_backward, Coverage, Image,
+    RenderGradients, RenderOptions, DEFAULT_BAND_HEIGHT,
 };
 use gs_scene::{Dataset, DensifyConfig, DensifyReport, ResizeEvent};
 use sim_device::{Lane, OpKind, Timeline};
@@ -135,11 +135,11 @@ impl TrainConfig {
 pub struct BatchReport {
     /// Mean L1 loss over the batch's images.
     pub loss: f32,
-    /// Number of distinct Gaussians touched by the batch (in some view's
-    /// frustum).
+    /// Number of distinct Gaussians touched by the batch: reached by some
+    /// view's compositing walk (`|∪ R_i|`, [`BatchPlan::touched_union`]).
     pub touched: usize,
-    /// Number of distinct Gaussians that received gradient — the touched
-    /// ones the renderer actually reached.
+    /// Number of distinct Gaussians that received a non-zero gradient (of
+    /// the touched ones; a reached row almost always does).
     pub received: usize,
     /// Parameter bytes moved CPU→GPU by this batch (0 for GPU-only systems).
     pub bytes_loaded: u64,
@@ -152,8 +152,20 @@ pub struct BatchReport {
 }
 
 /// Everything a trainer decides **before** executing a batch: micro-batch
-/// processing order, per-micro-batch fetch/store sets, finalisation groups
-/// and the batch's PCIe traffic.
+/// processing order, every view's coverage, per-micro-batch fetch/store
+/// sets, finalisation groups and the batch's PCIe traffic.
+///
+/// Two families of sets describe a micro-batch.  The **frustum set** `S_i`
+/// ([`ordered_sets`](Self::ordered_sets)) is what culling keeps: the
+/// ordering tour, the visibility fraction and the simulated forward/backward
+/// pricing are defined on it.  The **reached set** `R_i ⊆ S_i`
+/// (`coverage[i].reached()`) is what the view's compositing walk reaches
+/// ([`gs_render::coverage`], run here at plan time on resident attributes
+/// only): the only rows whose colour the image depends on and the only ones
+/// that can receive gradient.  Everything that moves or updates rows — the
+/// fetch and store sets, the finalisation groups, `touched_union` and `F_0`
+/// — is built from the reached sets, so a fetch carries the SH rows of
+/// reached Gaussians only.
 ///
 /// The plan is what lets the synchronous [`Trainer`] and the pipelined
 /// runtime (`clm-runtime`) share one numeric execution path: both drive the
@@ -165,13 +177,18 @@ pub struct BatchReport {
 pub struct BatchPlan {
     /// Processing order: `order[i]` is the view index of micro-batch `i`.
     pub order: Vec<usize>,
-    /// Visibility sets in processing order.
+    /// Frustum sets `S_i` in processing order.
     pub ordered_sets: Vec<VisibilitySet>,
-    /// Finalisation groups for overlapped CPU Adam.
+    /// `coverage[i]` = micro-batch `i`'s coverage: what its view's
+    /// compositing walk reaches, computed against the model the batch
+    /// starts from.  [`Trainer::render_microbatch`] shades from it.
+    pub coverage: Vec<Coverage>,
+    /// Finalisation groups for overlapped CPU Adam (over the reached sets:
+    /// a row's last access is the last micro-batch that reaches it).
     pub finalization: FinalizationPlan,
     /// `fetched[i]` = Gaussians whose non-critical attributes micro-batch
-    /// `i` must fetch from pinned host memory (empty for non-offloading
-    /// systems).
+    /// `i` must fetch from pinned host memory: `R_i` less what the previous
+    /// micro-batch left on the device (empty for non-offloading systems).
     pub fetched: Vec<VisibilitySet>,
     /// `stored[i]` = Gaussians that retire from the device after
     /// micro-batch `i` completes (the last entry includes the batch's
@@ -179,10 +196,11 @@ pub struct BatchPlan {
     /// gradients of those that received any
     /// ([`store_gradients`](Self::store_gradients)).
     pub stored: Vec<VisibilitySet>,
-    /// Gaussians untouched by the whole batch (the `F_0` group, updatable
-    /// immediately under overlapped CPU Adam).
+    /// Gaussians no micro-batch reaches (the `F_0` group, updatable
+    /// immediately under overlapped CPU Adam — frustum-visible rows no
+    /// pixel reaches included: nothing reads them within the batch).
     pub untouched: VisibilitySet,
-    /// Union of every micro-batch's visibility set.
+    /// Union of every micro-batch's reached set.
     pub touched_union: VisibilitySet,
     /// Parameter bytes moved CPU→GPU by the batch.
     pub bytes_loaded: u64,
@@ -247,34 +265,9 @@ impl<'a> TrainerView<'a> {
         targets: &[Image],
         staging: &[[f32; NON_CRITICAL_FLOATS]],
     ) -> (f32, RenderGradients) {
-        self.render_microbatch_with_threads(
-            plan,
-            micro_idx,
-            cameras,
-            targets,
-            staging,
-            self.config.compute_threads,
-        )
-    }
-
-    fn render_microbatch_with_threads(
-        &self,
-        plan: &BatchPlan,
-        micro_idx: usize,
-        cameras: &[Camera],
-        targets: &[Image],
-        staging: &[[f32; NON_CRITICAL_FLOATS]],
-        compute_threads: usize,
-    ) -> (f32, RenderGradients) {
         let view_idx = plan.order[micro_idx];
         let camera = &cameras[view_idx];
         let target = &targets[view_idx];
-        let visible = match self.config.system {
-            // The plain baseline feeds every Gaussian through the
-            // kernels (fused culling); the others pre-cull.
-            SystemKind::Baseline => None,
-            _ => Some(plan.ordered_sets[micro_idx].indices().to_vec()),
-        };
         if self.config.system == SystemKind::Clm {
             // The staged host rows must match the parameters the renderer
             // reads: a Gaussian is only updated after its last access, so
@@ -285,26 +278,19 @@ impl<'a> TrainerView<'a> {
                 "staging buffer does not match the fetch plan"
             );
             for (&idx, row) in plan.fetched[micro_idx].indices().iter().zip(staging) {
-                let i = idx as usize;
                 assert!(
-                    row[..SH_FLOATS] == *self.model.sh_of(i)
-                        && row[SH_FLOATS] == self.model.opacity_logits()[i],
+                    row[..] == *self.model.sh_of(idx as usize),
                     "staged row for gaussian {idx} went stale before its micro-batch ran"
                 );
             }
         }
-        let out = render(
-            self.model,
-            camera,
-            &RenderOptions {
-                background: self.config.background,
-                visible,
-                compute_threads,
-                band_height: self.config.resolved_band_height(),
-            },
-        );
-        let loss = l1_loss(&out.image, target);
-        let render_grads = render_backward(self.model, camera, &out.aux, &loss.d_image);
+        // Shade from the plan's coverage: only the reached rows are read,
+        // and none of them has been updated yet (a row is finalised after
+        // the last micro-batch that reaches it).
+        let coverage = &plan.coverage[micro_idx];
+        let (image, shading) = shade(self.model, coverage, self.config.background);
+        let loss = l1_loss(&image, target);
+        let render_grads = shade_backward(self.model, camera, coverage, &shading, &loss.d_image);
         (loss.value, render_grads)
     }
 }
@@ -591,10 +577,10 @@ impl Trainer {
         self.config.system == SystemKind::Clm && self.config.overlapped_adam
     }
 
-    /// Plans one batch: frustum culling, micro-batch ordering, finalisation
-    /// analysis and data-movement accounting.  Pure with respect to the
-    /// model parameters; the plan for batch `k` depends on the ordering seed
-    /// and [`batches_trained`](Self::batches_trained).
+    /// Plans one batch: frustum culling, micro-batch ordering, every view's
+    /// coverage, finalisation analysis and data-movement accounting.  Pure
+    /// with respect to the model parameters; the plan for batch `k` depends
+    /// on the ordering seed and [`batches_trained`](Self::batches_trained).
     ///
     /// # Panics
     /// Panics if `cameras` is empty.
@@ -602,9 +588,8 @@ impl Trainer {
         assert!(!cameras.is_empty(), "batch must contain at least one view");
 
         // 1. Frustum culling for every view, reading only the model's
-        //    selection-critical arrays (position/scale/rotation — the
-        //    attributes CLM keeps device-resident).  One pass over the
-        //    model serves all views.
+        //    geometry arrays (position/scale/rotation, device-resident
+        //    with the opacity).  One pass over the model serves all views.
         let sets: Vec<VisibilitySet> = gs_core::cull_batch(&self.model, cameras);
 
         // 2. Order the micro-batches.
@@ -620,9 +605,14 @@ impl Trainer {
         let ordered_sets: Vec<VisibilitySet> = order.iter().map(|&i| sets[i].clone()).collect();
         let m = ordered_sets.len();
 
-        // 3. Per-micro-batch fetch/store sets (CLM only; the other systems
-        //    either keep everything resident or move the whole model, which
-        //    the traffic accounting below handles wholesale).
+        // 3. Every view's coverage, on resident attributes only (geometry
+        //    and opacity): the reached sets R_i ⊆ S_i.
+        let coverage = self.plan_coverage(cameras, &order, &ordered_sets);
+        let reached: Vec<VisibilitySet> = coverage.iter().map(|c| c.reached().clone()).collect();
+        // 4. Per-micro-batch fetch/store sets over the reached sets (CLM
+        //    only; the other systems either keep everything resident or
+        //    move the whole model, which the traffic accounting below
+        //    handles wholesale).
         let empty = VisibilitySet::new();
         let (fetched, stored) = if self.config.system == SystemKind::Clm {
             if self.config.gaussian_caching {
@@ -630,7 +620,7 @@ impl Trainer {
                 // fetches micro-batch `i`'s missing rows, and plan `i + 1`
                 // (including the final flush) stores the gradients that
                 // retire once micro-batch `i` has run.
-                let plans = crate::cache::plan_batch(&ordered_sets);
+                let plans = crate::cache::plan_batch(&reached);
                 let fetched = plans[..m].iter().map(|p| p.fetched.clone()).collect();
                 let stored = plans[1..]
                     .iter()
@@ -640,22 +630,22 @@ impl Trainer {
             } else {
                 // Without caching every micro-batch reloads its whole
                 // working set and retires all of its gradients.
-                (ordered_sets.clone(), ordered_sets.clone())
+                (reached.clone(), reached.clone())
             }
         } else {
             (vec![empty.clone(); m], vec![empty.clone(); m])
         };
 
-        // 4. Finalisation plan for overlapped CPU Adam (CLM only).
-        let finalization = FinalizationPlan::new(&ordered_sets);
+        // 5. Finalisation plan for overlapped CPU Adam (CLM only).
+        let finalization = FinalizationPlan::new(&reached);
         let mut touched_union = VisibilitySet::new();
-        for s in &ordered_sets {
+        for s in &reached {
             touched_union = touched_union.union(s);
         }
         let all: VisibilitySet = (0..self.model.len() as u32).collect();
         let untouched = all.difference(&touched_union);
 
-        // 5. Parameter traffic of this batch.  For CLM it is the
+        // 6. Parameter traffic of this batch.  For CLM it is the
         //    per-micro-batch fetch sets summed; the other strategies move
         //    nothing or the whole model.  (What the gradient stores move is
         //    only known once the renderer has run: `finish_batch`.)
@@ -671,6 +661,7 @@ impl Trainer {
         BatchPlan {
             order,
             ordered_sets,
+            coverage,
             finalization,
             fetched,
             stored,
@@ -678,6 +669,39 @@ impl Trainer {
             touched_union,
             bytes_loaded,
             resize: None,
+        }
+    }
+
+    /// Every micro-batch's [`Coverage`] in processing order: the plain
+    /// baseline's over the whole model (fused culling), the others' over
+    /// the frustum set.  View-parallel configurations cover the views
+    /// concurrently, one thread each; pure scheduling either way.
+    fn plan_coverage(
+        &self,
+        cameras: &[Camera],
+        order: &[usize],
+        ordered_sets: &[VisibilitySet],
+    ) -> Vec<Coverage> {
+        let config = &self.config;
+        let cover = |i: usize, compute_threads: usize| {
+            let visible = match config.system {
+                SystemKind::Baseline => None,
+                _ => Some(ordered_sets[i].indices().to_vec()),
+            };
+            let options = RenderOptions {
+                background: config.background,
+                visible,
+                compute_threads,
+                band_height: config.resolved_band_height(),
+            };
+            gs_render::coverage(&self.model, &cameras[order[i]], &options)
+        };
+        if config.view_parallel && config.compute_threads > 1 {
+            parallel_map(config.compute_threads, order.len(), |i| cover(i, 1))
+        } else {
+            (0..order.len())
+                .map(|i| cover(i, config.compute_threads))
+                .collect()
         }
     }
 
@@ -1034,7 +1058,7 @@ impl Trainer {
     /// Bit-identical to the serial path by the same finalisation argument
     /// the pipelined backends rely on:
     ///
-    /// * renders read only their own micro-batch's visibility set, and a
+    /// * renders read only their own micro-batch's reached set, and a
     ///   Gaussian finalised by micro-batch `i` is never in a later set, so
     ///   rendering every view against the wave-start parameters sees
     ///   exactly the values the serial path's interleaved renders see;
@@ -1051,11 +1075,11 @@ impl Trainer {
     /// machinery exists to provide.  Applying a wave's finalisation groups
     /// before the next wave renders is safe for the same reason the serial
     /// interleaving is: finalised Gaussians are never in any later
-    /// micro-batch's visibility or fetch set.
+    /// micro-batch's reached or fetch set.
     ///
     /// Each view renders with one band thread (the wave level owns the
-    /// workers); band count vs. view count never changes the numerics, only
-    /// the schedule.
+    /// workers: a region opened inside it runs serially); band count vs.
+    /// view count never changes the numerics, only the schedule.
     fn train_batch_waves(
         &mut self,
         plan: &BatchPlan,
@@ -1083,14 +1107,7 @@ impl Trainer {
 
             let view = self.view();
             let results: Vec<(f32, RenderGradients)> = parallel_map(wave, end - start, |offset| {
-                view.render_microbatch_with_threads(
-                    plan,
-                    start + offset,
-                    cameras,
-                    targets,
-                    &staged[offset],
-                    1,
-                )
+                view.render_microbatch(plan, start + offset, cameras, targets, &staged[offset])
             });
 
             // Replay the serial order: accumulate micro-batch i, retire its
@@ -1170,9 +1187,11 @@ pub fn ground_truth_images(dataset: &Dataset) -> Vec<Image> {
 mod tests {
     use super::*;
     use crate::offload::GRADIENT_BYTES;
+    use gs_core::gaussian::SH_FLOATS;
     use gs_scene::{
         generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
     };
+    use proptest::prelude::*;
 
     fn tiny_setup() -> (Dataset, Vec<Image>, GaussianModel) {
         let dataset = generate_dataset(&SceneSpec::of(SceneKind::Bicycle), &DatasetConfig::tiny());
@@ -1564,6 +1583,7 @@ mod tests {
         let cache = crate::cache::plan_batch(&sets);
         let plan = BatchPlan {
             order: vec![0, 1, 2],
+            coverage: Vec::new(),
             finalization: FinalizationPlan::new(&sets),
             fetched: cache[..3].iter().map(|p| p.fetched.clone()).collect(),
             stored: cache[1..]
@@ -1641,6 +1661,115 @@ mod tests {
                 steps_before[3]
             ]
         );
+    }
+
+    #[test]
+    fn shading_from_the_plan_reads_only_the_reached_rows() {
+        // The fetch skip is exact: micro-batch i's render reads the SH of
+        // its reached set R_i and of no other row.  Poison every other row's
+        // SH with NaN in a clone of the model — image, loss and gradients
+        // of shading micro-batch i from the plan's coverage stay bit for bit
+        // what the real model gives.
+        let (dataset, targets, init) = tiny_setup();
+        let cams = &dataset.cameras[..4];
+        let tgts = &targets[..4];
+        let mut trainer = Trainer::new(init, config(SystemKind::Clm));
+        trainer.train_batch(cams, tgts);
+        let plan = trainer.plan_batch(cams);
+        let mut staging = Vec::new();
+        let mut skipped = 0;
+        for i in 0..plan.num_microbatches() {
+            let reached = plan.coverage[i].reached();
+            assert!(reached.len() <= plan.ordered_sets[i].len());
+            assert_eq!(reached.difference(&plan.ordered_sets[i]).len(), 0);
+            skipped += plan.ordered_sets[i].len() - reached.len();
+            let mut poisoned = trainer.model().clone();
+            for row in (0..poisoned.len() as u32).filter(|&row| !reached.contains(row)) {
+                let start = row as usize * SH_FLOATS;
+                poisoned.sh_mut()[start..start + SH_FLOATS].fill(f32::NAN);
+            }
+            let coverage = &plan.coverage[i];
+            let background = trainer.config().background;
+            let (image, _) = gs_render::shade(trainer.model(), coverage, background);
+            let (poisoned_image, _) = gs_render::shade(&poisoned, coverage, background);
+            assert_eq!(poisoned_image, image, "micro-batch {i}: image");
+
+            trainer.stage_microbatch(&plan, i, &mut staging);
+            let (loss, grads) = trainer.render_microbatch(&plan, i, cams, tgts, &staging);
+            let victim = Trainer::new(poisoned, config(SystemKind::Clm));
+            let (poisoned_loss, poisoned_grads) =
+                victim.render_microbatch(&plan, i, cams, tgts, &staging);
+            assert_eq!(
+                poisoned_loss.to_bits(),
+                loss.to_bits(),
+                "micro-batch {i}: loss"
+            );
+            assert_eq!(poisoned_grads, grads, "micro-batch {i}: gradients");
+            assert!(!grads.is_empty());
+        }
+        assert!(
+            skipped > 0,
+            "every frustum row was reached: the test is vacuous"
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn prop_reached_sets_plan_like_frustum_sets(
+            seed in 0u64..1_000_000,
+            views in 2usize..6,
+            gaussians in 40usize..220,
+        ) {
+            // The reached sets R_i ⊆ S_i of real coverages drive the same
+            // algebra the frustum sets did: the finalisation groups
+            // partition the reached union by last access, the cache plans
+            // partition every transition, each fetch is the reached rows
+            // the device does not hold yet, every reached row's gradient
+            // reaches host memory, and F_0 is everything else.
+            let dataset = gs_scene::generate_dataset(
+                &SceneSpec::of(SceneKind::Rubble),
+                &DatasetConfig {
+                    num_gaussians: gaussians,
+                    num_views: views,
+                    width: 24,
+                    height: 18,
+                    seed,
+                },
+            );
+            let trainer = Trainer::new(dataset.ground_truth.clone(), config(SystemKind::Clm));
+            let plan = trainer.plan_batch(&dataset.cameras);
+            let reached: Vec<VisibilitySet> =
+                plan.coverage.iter().map(|c| c.reached().clone()).collect();
+            let mut union = VisibilitySet::new();
+            for (r, s) in reached.iter().zip(&plan.ordered_sets) {
+                prop_assert_eq!(r.difference(s).len(), 0);
+                union = union.union(r);
+            }
+            prop_assert_eq!(&plan.touched_union, &union);
+            prop_assert_eq!(plan.untouched.len() + union.len(), trainer.model().len());
+            prop_assert_eq!(plan.untouched.intersection_len(&union), 0);
+
+            let groups = plan.finalization.groups();
+            prop_assert_eq!(plan.finalization.total_touched(), union.len());
+            for (i, group) in groups.iter().enumerate() {
+                prop_assert_eq!(group.intersection_len(&reached[i]), group.len());
+                for later in &reached[i + 1..] {
+                    prop_assert_eq!(group.intersection_len(later), 0);
+                }
+            }
+
+            let cache = crate::cache::plan_batch(&reached);
+            let mut prev = VisibilitySet::new();
+            let mut stored = VisibilitySet::new();
+            for i in 0..views {
+                prop_assert!(cache[i].is_consistent_with(&prev, &reached[i]));
+                prop_assert_eq!(&plan.fetched[i], &reached[i].difference(&prev));
+                prop_assert_eq!(&plan.stored[i], &cache[i + 1].grads_to_store);
+                stored = stored.union(&plan.stored[i]);
+                prev = reached[i].clone();
+            }
+            prop_assert_eq!(&stored, &union);
+        }
     }
 
     #[test]

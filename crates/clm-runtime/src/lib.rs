@@ -629,22 +629,25 @@ mod tests {
         // merged engine must emit exactly that at D = 1, with no partition
         // views supplied.
         //
-        // The CLM rows were re-pinned once since, when gradient stores
-        // started to carry only the rows that received gradient (the
-        // fingerprint folds each `StoreGrads` op's bytes, rows and
-        // duration): captured at the parent (equal to the old pins), then at
-        // the change, both recorded in CHANGES.md.  The NaiveOffload rows
-        // (a whole-gradient store) did not move.
+        // The CLM rows were re-pinned twice since, each time captured at the
+        // parent (equal to the old pins), then at the change, both recorded
+        // in CHANGES.md: when gradient stores started to carry only the rows
+        // that received gradient (the fingerprint folds each `StoreGrads`
+        // op's bytes, rows and duration), and when fetches, stores and Adam
+        // groups moved from the frustum sets to the reached sets (fewer,
+        // 192-byte `LoadParams` rows; smaller staging buffers in the pool
+        // accounting).  The NaiveOffload rows (whole-model transfers) did not
+        // move either time.
         assert_eq!(
             single_device_schedule_fingerprints(),
             [
-                0x3bc5_5b4b_ca50_50a8,
-                0x50df_792f_bdc3_8f23,
+                0x37fe_5b69_64c8_42dd,
+                0xac0f_70d1_b01e_bab3,
                 0xd77f_c7d6_be32_762a,
-                0xf866_c126_bd89_5e33,
-                0xbf0c_4016_aacd_f13b,
+                0x922e_5890_9ee2_7b58,
+                0x1ac4_fa31_ba24_a13a,
                 0xd77f_c7d6_be32_762a,
-                0x87b0_5a90_1b1e_8b32,
+                0xebed_7a14_a63f_bf63,
             ]
         );
     }
@@ -654,10 +657,11 @@ mod tests {
         // Captured at the last commit whose engine still wired the op graph
         // itself (before `sim_device::pipeline`), same recipe as the D = 1
         // golden above: the schedules the shared emitter must reproduce bit
-        // for bit beyond one device and beyond CLM.  Re-pinned with it: the
-        // CLM rows moved with the sparse gradient stores (and, above one
-        // device, the all-reduce of received rows only); the Baseline and
-        // EnhancedBaseline rows did not.
+        // for bit beyond one device and beyond CLM.  Re-pinned with it,
+        // twice: the CLM rows moved with the sparse gradient stores (and,
+        // above one device, the all-reduce of received rows only), then with
+        // the reached-set fetches, stores and Adam groups; the Baseline and
+        // EnhancedBaseline rows moved neither time.
         use clm_core::{DensifyConfig, DensifySchedule};
         use sim_device::{FaultPlan, FaultSpec};
         let (dataset, targets, init) = tiny_setup();
@@ -716,16 +720,16 @@ mod tests {
         assert_eq!(
             fingerprints,
             [
-                0x27a3_68c4_54b1_8d55,
-                0xb359_c67f_6ff5_1bd8,
-                0x8fee_2aa6_d0a8_2981,
-                0x36cf_d1ab_9fd8_1898,
+                0x7ef6_4b2b_4ffd_1e43,
+                0x302c_b773_bc05_f0a2,
+                0xe76d_8cd4_7e61_d1ca,
+                0xe0a2_7804_e409_5e1a,
                 0x860e_878f_056f_f9bf,
                 0xa2ce_8b0e_5869_1fa2,
-                0x1659_8612_e11c_c6ac,
-                0x03e9_1f0d_7407_5f06,
-                0x2cc0_010c_bf93_211d,
-                0xff10_f527_63df_65b3,
+                0x67e5_adac_da9b_4d57,
+                0x7816_90d6_d22a_4891,
+                0x138e_cf79_1081_371d,
+                0xbfd1_0129_f85b_d6f7,
             ]
         );
     }

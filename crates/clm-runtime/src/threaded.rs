@@ -634,7 +634,7 @@ impl CostSource for LaneRun<'_> {
         // One round = one micro-batch per device (the tail round may be
         // short); its views render concurrently — one thread per "device".
         // Renders are pure (they read only their own micro-batch's
-        // visibility set), so parallelism here cannot change what is
+        // reached set), so parallelism here cannot change what is
         // computed.  devices = 1 is the serial loop.
         let plan = self.plan;
         let round = i..(i + self.devices).min(plan.num_microbatches());
@@ -972,8 +972,8 @@ mod tests {
             );
             assert!(report.batch.touched > 0 && report.batch.touched < rows);
             // Every Gaussian that received gradient is finalised by exactly
-            // one micro-batch and ships then; the rest of the frustum-touched
-            // rows ship nothing.
+            // one micro-batch and ships then; the rest of the touched
+            // (reached) rows ship nothing.
             assert!(report.batch.received > 0 && report.batch.received <= report.batch.touched);
             assert_eq!(report.adam_rows_shipped, report.batch.received as u64);
             assert_eq!(

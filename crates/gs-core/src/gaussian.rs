@@ -11,19 +11,23 @@
 //! | opacity (logit)                | 1      |
 //!
 //! CLM partitions these into **selection-critical** attributes (position,
-//! scale, rotation — needed for frustum culling, 10 floats) which stay
-//! resident in GPU memory, and **non-critical** attributes (SH + opacity,
-//! 49 floats) which are offloaded to CPU memory.  This module defines that
-//! split and a structure-of-arrays container for the whole model.
+//! scale, rotation, opacity — 11 floats) which stay resident in GPU memory,
+//! and **non-critical** attributes (the 48 SH floats) which are offloaded to
+//! CPU memory.  Frustum culling needs the geometry; the renderer's coverage
+//! pass (which splats some pixel's compositing walk reaches) needs opacity
+//! too, so only colour is fetched — and only for the splats a pixel reaches.
+//! This module defines that split and a structure-of-arrays container for
+//! the whole model.
 
 use crate::math::{sigmoid, Mat3, Quat, Vec3};
 use crate::sh::NUM_SH_COEFFS;
 
 /// Total learnable floats per Gaussian (59).
 pub const PARAMS_PER_GAUSSIAN: usize = 59;
-/// Floats needed by frustum culling: position (3) + scale (3) + rotation (4).
-pub const SELECTION_CRITICAL_FLOATS: usize = 10;
-/// Floats offloadable to CPU memory: SH (48) + opacity (1).
+/// Floats kept device-resident: what frustum culling reads — position (3) +
+/// scale (3) + rotation (4) — plus the opacity (1) the coverage pass reads.
+pub const SELECTION_CRITICAL_FLOATS: usize = 11;
+/// Floats offloadable to CPU memory: the SH coefficients (48).
 pub const NON_CRITICAL_FLOATS: usize = PARAMS_PER_GAUSSIAN - SELECTION_CRITICAL_FLOATS;
 /// SH coefficients per colour channel (degree 3).
 pub const SH_COEFFS_PER_CHANNEL: usize = NUM_SH_COEFFS;
@@ -43,7 +47,8 @@ pub enum AttributeKind {
     Covariance,
     /// Spherical-harmonics colour coefficients (48 floats). Non-critical.
     SphericalHarmonics,
-    /// Opacity logit (1 float). Non-critical.
+    /// Opacity logit (1 float). Selection-critical: the coverage pass reads
+    /// it for every frustum-visible Gaussian.
     Opacity,
 }
 
@@ -66,10 +71,11 @@ impl AttributeKind {
         }
     }
 
-    /// Whether the attribute is needed by frustum culling and therefore kept
-    /// resident in GPU memory by CLM.
+    /// Whether the attribute is needed before the fetch — by frustum culling
+    /// or by the coverage pass — and therefore kept resident in GPU memory
+    /// by CLM.
     pub fn is_selection_critical(self) -> bool {
-        matches!(self, AttributeKind::Position | AttributeKind::Covariance)
+        !matches!(self, AttributeKind::SphericalHarmonics)
     }
 }
 
@@ -368,32 +374,31 @@ impl GaussianModel {
         Some((min, max))
     }
 
-    /// Packs the selection-critical attributes of Gaussian `i` into 10
-    /// floats (`position ‖ log_scale ‖ rotation`), the layout CLM keeps
-    /// resident on the GPU.
+    /// Packs the selection-critical attributes of Gaussian `i` into 11
+    /// floats (`position ‖ log_scale ‖ rotation ‖ opacity`), the layout CLM
+    /// keeps resident on the GPU.
     pub fn selection_critical_row(&self, i: usize) -> [f32; SELECTION_CRITICAL_FLOATS] {
         let p = self.positions[i];
         let s = self.log_scales[i];
         let q = self.rotations[i];
-        [p.x, p.y, p.z, s.x, s.y, s.z, q.w, q.x, q.y, q.z]
+        let o = self.opacity_logits[i];
+        [p.x, p.y, p.z, s.x, s.y, s.z, q.w, q.x, q.y, q.z, o]
     }
 
-    /// Packs the non-critical attributes of Gaussian `i` into 49 floats
-    /// (`sh ‖ opacity`), the layout CLM offloads to pinned CPU memory.
+    /// Packs the non-critical attributes of Gaussian `i` — its 48 SH
+    /// coefficients — into the row CLM offloads to pinned CPU memory.
     pub fn non_critical_row(&self, i: usize) -> [f32; NON_CRITICAL_FLOATS] {
         let mut row = [0.0f32; NON_CRITICAL_FLOATS];
-        row[..SH_FLOATS].copy_from_slice(self.sh_of(i));
-        row[SH_FLOATS] = self.opacity_logits[i];
+        row.copy_from_slice(self.sh_of(i));
         row
     }
 
-    /// Writes a 49-float non-critical row back into Gaussian `i`.
+    /// Writes a non-critical (SH) row back into Gaussian `i`.
     ///
     /// # Panics
     /// Panics if `i >= len()`.
     pub fn set_non_critical_row(&mut self, i: usize, row: &[f32; NON_CRITICAL_FLOATS]) {
-        self.sh[i * SH_FLOATS..(i + 1) * SH_FLOATS].copy_from_slice(&row[..SH_FLOATS]);
-        self.opacity_logits[i] = row[SH_FLOATS];
+        self.sh[i * SH_FLOATS..(i + 1) * SH_FLOATS].copy_from_slice(row);
     }
 
     /// Packs **all 59** learnable parameters of Gaussian `i` into one flat
@@ -479,8 +484,9 @@ mod tests {
             .sum();
         assert_eq!(critical, SELECTION_CRITICAL_FLOATS);
         assert_eq!(PARAMS_PER_GAUSSIAN - critical, NON_CRITICAL_FLOATS);
+        assert_eq!(NON_CRITICAL_FLOATS, SH_FLOATS);
         // The paper notes selection-critical attributes are < 20% of a
-        // Gaussian's footprint (10 / 59).
+        // Gaussian's footprint (11 / 59 with opacity resident too).
         assert!((critical as f64) / (PARAMS_PER_GAUSSIAN as f64) < 0.20);
     }
 
@@ -559,7 +565,8 @@ mod tests {
         assert_eq!(critical.len() + non_critical.len(), PARAMS_PER_GAUSSIAN);
         assert_eq!(critical[0], 1.0);
         assert_eq!(critical[1], -2.0);
-        assert_eq!(non_critical[SH_FLOATS], model.opacity_logits()[0]);
+        assert_eq!(critical[10], model.opacity_logits()[0]);
+        assert_eq!(&non_critical[..], model.sh_of(0));
     }
 
     #[test]
@@ -586,16 +593,13 @@ mod tests {
         model.push(Gaussian::default());
 
         let row = model.param_row(0);
-        // Layout: position ‖ log_scale ‖ rotation ‖ sh ‖ opacity, matching
-        // the selection-critical/non-critical split end to end.
-        assert_eq!(
-            &row[..SELECTION_CRITICAL_FLOATS],
-            &model.selection_critical_row(0)[..]
-        );
-        assert_eq!(
-            &row[SELECTION_CRITICAL_FLOATS..],
-            &model.non_critical_row(0)[..]
-        );
+        // Layout: position ‖ log_scale ‖ rotation ‖ sh ‖ opacity — the
+        // geometry of the selection-critical row, the non-critical (SH) row,
+        // then the selection-critical opacity.
+        let critical = model.selection_critical_row(0);
+        assert_eq!(&row[..10], &critical[..10]);
+        assert_eq!(&row[10..10 + SH_FLOATS], &model.non_critical_row(0)[..]);
+        assert_eq!(row[PARAMS_PER_GAUSSIAN - 1], critical[10]);
 
         model.set_param_row(1, &row);
         assert_eq!(model.get(1), model.get(0));

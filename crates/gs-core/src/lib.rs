@@ -8,10 +8,10 @@
 //! touches.
 //!
 //! The split between *selection-critical* attributes (position, scale,
-//! rotation — the 10 floats frustum culling needs) and *non-critical*
-//! attributes (spherical harmonics and opacity — the remaining 49 floats) is
-//! defined here because it is the foundation of CLM's attribute-wise
-//! offloading strategy.
+//! rotation and opacity — the 11 floats frustum culling and the renderer's
+//! coverage pass need) and *non-critical* attributes (the 48 spherical
+//! harmonics floats) is defined here because it is the foundation of CLM's
+//! attribute-wise offloading strategy.
 //!
 //! # Example
 //!

@@ -13,6 +13,13 @@
 //! 3. run [`rasterize::render_backward`] to obtain per-Gaussian gradients;
 //! 4. hand the gradients to an optimiser (see the `gs-optim` crate).
 //!
+//! A render is two phases, and CLM runs them apart: [`rasterize::coverage`]
+//! decides from geometry and opacity alone which splats every pixel's
+//! compositing walk reaches, and [`rasterize::shade`] colours and
+//! composites only those (with [`rasterize::shade_backward`] as its
+//! backward) — so a planner knows, before fetching any colour, which SH
+//! rows a view needs.
+//!
 //! # Example
 //!
 //! ```
@@ -49,6 +56,6 @@ pub use projection::{
     ProjectionSetup, ScreenGradients,
 };
 pub use rasterize::{
-    render, render_backward, RenderAux, RenderGradients, RenderOptions, RenderOutput,
-    DEFAULT_BAND_HEIGHT, TILE_SIZE,
+    coverage, render, render_backward, shade, shade_backward, Coverage, RenderAux, RenderGradients,
+    RenderOptions, RenderOutput, Shading, DEFAULT_BAND_HEIGHT, TILE_SIZE,
 };

@@ -10,8 +10,12 @@
 //! 4. project it with the local affine (Jacobian) approximation,
 //!    `Σ' = J W Σ Wᵀ Jᵀ`, add a small low-pass term, and invert to obtain
 //!    the *conic*;
-//! 5. evaluate the view-dependent colour from the SH coefficients and the
-//!    opacity from its logit.
+//! 5. evaluate the opacity from its logit.
+//!
+//! Projection is geometry only: the view-dependent colour is evaluated from
+//! the SH coefficients later, by [`crate::rasterize::shade`], and only for
+//! the splats some pixel's compositing walk reaches — the SH rows are what
+//! CLM offloads, so nothing before the shade reads them.
 //!
 //! The backward path maps gradients with respect to the 2D mean, conic,
 //! colour and opacity back onto all 59 learnable parameters.
@@ -48,8 +52,6 @@ pub struct ProjectedGaussian {
     pub conic: Sym2,
     /// Screen-space radius in pixels (3σ of the largest eigenvalue).
     pub radius: f32,
-    /// View-dependent RGB colour.
-    pub color: [f32; 3],
     /// Effective opacity in `[0, 1]`.
     pub opacity: f32,
 }
@@ -75,6 +77,14 @@ pub struct ProjectionContext {
     view_dir: Vec3,
     cov2d: Sym2,
     rot_world_to_cam: Mat3,
+}
+
+impl ProjectionContext {
+    /// The splat's view-dependent colour: its SH coefficients `sh` evaluated
+    /// along the view direction the projection saved.
+    pub fn color(&self, sh: &[f32]) -> [f32; 3] {
+        eval_sh_color(SH_DEGREE, sh, self.view_dir)
+    }
 }
 
 /// Gradients of the loss with respect to one projected (screen-space)
@@ -226,7 +236,6 @@ impl<'a> ProjectionSetup<'a> {
             model.log_scales()[i],
             model.rotations()[i],
             model.opacity_logits()[i],
-            model.sh_of(i),
         )
     }
 
@@ -238,7 +247,6 @@ impl<'a> ProjectionSetup<'a> {
         log_scale: Vec3,
         rotation: Quat,
         opacity_logit: f32,
-        sh: &[f32],
     ) -> Option<(ProjectedGaussian, ProjectionContext)> {
         let camera = self.camera;
         let p_cam = camera.world_to_camera(position);
@@ -280,9 +288,6 @@ impl<'a> ProjectionSetup<'a> {
             return None;
         }
 
-        let view_dir = position - self.center;
-        let color = eval_sh_color(SH_DEGREE, sh, view_dir);
-
         Some((
             ProjectedGaussian {
                 index,
@@ -290,14 +295,13 @@ impl<'a> ProjectionSetup<'a> {
                 depth: z,
                 conic,
                 radius,
-                color,
                 opacity,
             },
             ProjectionContext {
                 p_cam,
                 p_jacobian,
                 clamped,
-                view_dir,
+                view_dir: position - self.center,
                 cov2d,
                 rot_world_to_cam: self.w,
             },
@@ -323,7 +327,6 @@ pub fn project_gaussian(
         g.log_scale,
         g.rotation,
         g.opacity_logit,
-        &g.sh,
     )
 }
 
@@ -624,11 +627,12 @@ mod tests {
     /// Scalar objective used for finite-difference checks: a fixed linear
     /// functional of all projected outputs.
     fn objective(g: &Gaussian, cam: &Camera) -> f32 {
-        let (p, _) = project_gaussian(g, 0, cam).expect("projects");
+        let (p, ctx) = project_gaussian(g, 0, cam).expect("projects");
+        let color = ctx.color(&g.sh);
         0.7 * p.mean2d.x - 0.4 * p.mean2d.y + 1.3 * p.conic.a + 0.8 * p.conic.b - 0.6 * p.conic.c
-            + 2.0 * p.color[0]
-            - 1.0 * p.color[1]
-            + 0.5 * p.color[2]
+            + 2.0 * color[0]
+            - 1.0 * color[1]
+            + 0.5 * color[2]
             + 1.7 * p.opacity
     }
 
@@ -755,7 +759,9 @@ mod tests {
     /// hoisted (every camera-only quantity re-evaluated per splat, the
     /// attributes read from a [`Gaussian`] copy) — frozen here as the
     /// bit-level oracle.  Do not "tidy" it: its whole value is that it does
-    /// not share code with the implementation.
+    /// not share code with the implementation.  (Its SH colour went with the
+    /// projection's when colour moved to the shade; the `view_dir` it was
+    /// evaluated along is still compared.)
     fn reference_project_gaussian(
         g: &Gaussian,
         index: u32,
@@ -804,7 +810,6 @@ mod tests {
         }
 
         let view_dir = g.position - camera.center();
-        let color = eval_sh_color(SH_DEGREE, &g.sh, view_dir);
 
         Some((
             ProjectedGaussian {
@@ -813,7 +818,6 @@ mod tests {
                 depth: z,
                 conic,
                 radius,
-                color,
                 opacity,
             },
             ProjectionContext {
@@ -841,7 +845,6 @@ mod tests {
         ] {
             f(v);
         }
-        p.color.iter().for_each(|v| f(*v));
         for v in [c.p_cam, c.p_jacobian, c.view_dir] {
             v.to_array().iter().for_each(|v| f(*v));
         }

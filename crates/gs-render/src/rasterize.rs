@@ -1,48 +1,73 @@
-//! Tile-based alpha-compositing rasteriser (forward and backward).
+//! Tile-based alpha-compositing rasteriser, split into **coverage** and
+//! **shade**.
 //!
-//! The forward pass mirrors the reference 3DGS renderer: projected splats
+//! The forward pass mirrors the reference 3DGS renderer — projected splats
 //! are depth-sorted, binned into 16×16 pixel tiles, and composited
 //! front-to-back per pixel with early termination once transmittance drops
-//! below a threshold.  The backward pass walks each pixel's splat list in
-//! reverse, reconstructing per-splat alpha to produce gradients with respect
-//! to the screen-space quantities, which are then chained through
-//! [`crate::projection`] back to the Gaussian parameters.
+//! below a threshold — but runs as two phases:
+//!
+//! * [`coverage`] is everything that decides *which* splats a pixel sees:
+//!   geometry-only projection (no SH evaluation), the depth sort, tile
+//!   binning and the front-to-back alpha walk.  Per pixel it records, in
+//!   walk order, `(slot, exp(power))` for every entry with alpha ≥
+//!   [`MIN_ALPHA`] — including the entry whose alpha trips
+//!   [`TRANSMITTANCE_EPS`], which the backward pass processes too; the
+//!   alpha itself is recomputed from the splat's opacity, bit for bit,
+//!   wherever it is needed.  The union of those slots is the view's
+//!   **reached** set ([`Coverage::reached`]).  Coverage reads positions,
+//!   scales, rotations and opacities — the attributes CLM keeps
+//!   device-resident — and never the SH coefficients.
+//! * [`shade`] evaluates the SH colour of the reached splats only and
+//!   composites every pixel from its records.
+//! * [`shade_backward`] walks each pixel's records in reverse to produce
+//!   gradients with respect to the screen-space quantities, which are then
+//!   chained through [`crate::projection`] back to the Gaussian parameters —
+//!   no alpha or `exp` is evaluated twice.
+//!
+//! [`render`] is coverage followed by shade and [`render_backward`] is the
+//! shade's backward; CLM's planner runs the two phases apart so that a
+//! micro-batch fetches the SH rows of its reached splats only.  Removing a
+//! splat no pixel reaches changes no composite, and the depth sort is stable
+//! under a total order, so rendering the reached set alone is bit-identical
+//! to rendering every candidate.
 //!
 //! # Banded parallelism, deterministic by construction
 //!
-//! Both passes are organised around fixed-size **horizontal pixel bands**
+//! Every pass is organised around fixed-size **horizontal pixel bands**
 //! ([`RenderOptions::band_height`] rows each).  Band geometry depends only
 //! on the image size and the configured band height — **never** on the
 //! thread count — and the bands are the unit of work handed to the scoped
 //! parallel regions of [`crate::parallel`]:
 //!
-//! * **forward**: each band composites its own pixels into a disjoint slice
-//!   of the output image.  Every pixel is a pure function of the projected
-//!   splats, so the image is bit-identical for any `compute_threads`.
+//! * **coverage and shade**: each band walks and composites its own pixels
+//!   into its own record list and a disjoint slice of the output image.
+//!   Every pixel is a pure function of the projected splats, so records and
+//!   image are bit-identical for any `compute_threads`.
 //! * **backward**: each band accumulates its pixels' contributions into its
 //!   own sparse screen-space gradient accumulator; the per-band accumulators
 //!   are then merged **in fixed band order** on the calling thread.  The
 //!   floating-point accumulation order is therefore a function of the band
-//!   geometry alone, and the gradients are bit-identical for any thread
-//!   count.  (The per-slot chain through [`crate::projection`] is pure, so
-//!   it parallelises over slots with no ordering concern at all.)
+//!   geometry alone (and of the pixel order inside a band, which every pass
+//!   shares), and the gradients are bit-identical for any thread count.
+//!   (The per-slot chain through [`crate::projection`] is pure, so it
+//!   parallelises over slots with no ordering concern at all.)
 //!
 //! `compute_threads = 1` runs exactly the same banded code path, so "the
 //! serial path" and "the parallel path at width 1" are one and the same.
 //!
 //! # Lane-staged tiles (SoA inner loops)
 //!
-//! After binning, each tile's splats are staged into a `TileSoa` (private): one
-//! `f32` array per screen-space attribute (means, conic, opacity, colour),
-//! zero-padded to a multiple of [`LANES`].  The per-pixel alpha evaluation
-//! then runs over fixed-width lane blocks (`TileSoa::lane_alphas`) whose
-//! inner loops the autovectoriser lowers to SIMD — only `exp` stays a
-//! scalar libm call per lane.  This changes *scheduling only*: every lane
-//! evaluates exactly the expressions the scalar `splat_alpha` evaluated
-//! (`power > 0 → skip` becomes the sentinel alpha `0.0 < MIN_ALPHA`), and
-//! the compositing walk over the results is unchanged, so images and
-//! gradients stay bit-identical.  Zero padding is inert by construction: a
-//! zero lane yields `power = -0.0 → alpha = 0.0 → skipped`.
+//! After binning, each tile's splats are staged into a `TileSoa` (private):
+//! one `f32` array per screen-space attribute the alpha walk reads (means,
+//! conic, opacity, and the opacity's exponent floor), padded to a multiple
+//! of [`LANES`].  The per-pixel alpha evaluation then runs over fixed-width
+//! lane blocks (`TileSoa::lane_alphas`) whose exponent loop the
+//! autovectoriser lowers to SIMD — only `exp` stays a scalar libm call per
+//! lane, and it is skipped for every lane whose exponent is positive or
+//! below the splat's floor `ln(MIN_ALPHA / opacity)` less a margin (such a
+//! lane's alpha is under [`MIN_ALPHA`] whatever `expf` returns), and for a
+//! whole block when every lane is.  Padding is inert by construction: a
+//! padded lane has opacity 0 and floor `+inf`.
 //!
 //! The prologue (projection, tile binning, SoA staging) is also
 //! band/tile-parallel in the same way.  Projection preserves candidate
@@ -60,6 +85,7 @@ use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
 use gs_core::math::Sym2;
 use gs_core::soa::LANE_WIDTH as LANES;
+use gs_core::visibility::VisibilitySet;
 
 /// Tile edge length in pixels.
 pub const TILE_SIZE: u32 = 16;
@@ -67,11 +93,10 @@ pub const TILE_SIZE: u32 = 16;
 /// Transmittance below which compositing terminates early.
 pub const TRANSMITTANCE_EPS: f32 = 1e-4;
 
-/// Gaussian exponents below this floor yield an alpha under [`MIN_ALPHA`]
-/// whatever the splat's opacity (at most 1), so the lane kernels skip the
-/// `exp`: `ln(MIN_ALPHA) = −5.54126…`, less a 1e-3 margin that dwarfs
-/// `expf`'s ≤ 1 ulp error and the rounding of `opacity · exp(power)`.
-const ALPHA_POWER_FLOOR: f32 = -5.5423;
+/// How far below `ln(MIN_ALPHA / opacity)` a splat's exponent floor sits
+/// ([`alpha_power_floor`]): a margin that dwarfs `expf`'s ≤ 1 ulp error and
+/// the rounding of the floor itself and of `opacity · exp(power)`.
+const ALPHA_FLOOR_MARGIN: f32 = 1.0e-3;
 
 /// Default height of the horizontal accumulation bands (one tile row).
 pub const DEFAULT_BAND_HEIGHT: u32 = TILE_SIZE;
@@ -113,59 +138,102 @@ impl Default for RenderOptions {
     }
 }
 
-/// Per-pixel state saved by the forward pass for the backward pass.
-#[derive(Debug, Clone, Copy, Default)]
-struct PixelState {
-    /// Transmittance remaining after compositing.
-    final_t: f32,
-    /// Number of tile-list entries examined before termination (exclusive
-    /// upper bound for the backward traversal).
-    last_index: u32,
+/// One entry of a pixel's compositing walk: a splat the pixel reached.  Its
+/// alpha (at least [`MIN_ALPHA`], or NaN) is not stored: [`clamped_alpha`]
+/// of the splat's opacity and `gauss` is the walk's value bit for bit.
+#[derive(Debug, Clone, Copy)]
+struct Contribution {
+    /// The splat's depth-order slot in [`Coverage`]'s splats.
+    slot: u32,
+    /// Its Gaussian factor `exp(power)` at the pixel.
+    gauss: f32,
+}
+
+/// The walk records of one horizontal band, pixel by pixel in the order
+/// [`for_each_band_pixel`] visits them.
+#[derive(Debug, Clone, Default)]
+struct BandCoverage {
+    /// Per pixel: one past its last entry of `records`.
+    ends: Vec<u32>,
+    /// Per pixel: the transmittance left when its walk ended.
+    final_t: Vec<f32>,
+    records: Vec<Contribution>,
+}
+
+/// What one view's compositing walk reached: the splats some pixel
+/// composites, and per pixel the walk that reaches them.  Produced by
+/// [`coverage`], consumed — any number of times — by [`shade`] and
+/// [`shade_backward`].
+#[derive(Debug, Clone)]
+pub struct Coverage {
+    /// Every candidate that survived projection, depth-sorted (a record's
+    /// slot indexes these).
+    splats: Vec<ProjectedGaussian>,
+    /// The reached splats' slots, ascending, and their projection contexts.
+    reached_slots: Vec<u32>,
+    contexts: Vec<ProjectionContext>,
+    /// The reached splats' Gaussian indices, sorted.
+    reached: VisibilitySet,
+    bands: Vec<BandCoverage>,
+    width: u32,
+    height: u32,
+    /// The walk's band geometry and resolved compute width; shade and
+    /// backward reuse both.
+    band_height: u32,
+    compute_threads: usize,
+}
+
+impl Coverage {
+    /// The Gaussians some pixel's compositing walk reaches (sorted) — the
+    /// only candidates whose colour the image depends on and the only ones
+    /// that can receive gradient.
+    pub fn reached(&self) -> &VisibilitySet {
+        &self.reached
+    }
+
+    /// Number of candidates that survived projection.
+    pub fn projected_count(&self) -> usize {
+        self.splats.len()
+    }
+}
+
+/// What [`shade`] saves for [`shade_backward`]: the reached splats' colours.
+#[derive(Debug, Clone)]
+pub struct Shading {
+    /// Per slot: its view-dependent colour (zero for an unreached slot —
+    /// no record reads it).
+    colors: Vec<[f32; 3]>,
+    background: [f32; 3],
 }
 
 /// Saved forward-pass state required by [`render_backward`].
 #[derive(Debug, Clone)]
 pub struct RenderAux {
-    projected: Vec<ProjectedGaussian>,
-    contexts: Vec<ProjectionContext>,
-    tile_lists: Vec<Vec<u32>>,
-    /// Lane-staged copies of each tile's splat attributes, built once in the
-    /// forward prologue and reused by the backward pass.
-    tile_soas: Vec<TileSoa>,
-    pixel_states: Vec<PixelState>,
-    tiles_x: u32,
-    width: u32,
-    height: u32,
-    background: [f32; 3],
-    /// Band geometry the forward pass used; the backward pass reuses it so
-    /// both passes share one accumulation grouping.
-    band_height: u32,
-    /// Thread-count hint carried over from the forward options (scheduling
-    /// only — never affects the gradients).
-    compute_threads: usize,
+    coverage: Coverage,
+    shading: Shading,
 }
 
 impl RenderAux {
     /// Number of splats that survived projection.
     pub fn projected_count(&self) -> usize {
-        self.projected.len()
+        self.coverage.projected_count()
     }
 
-    /// The projected splats (depth-sorted).
-    pub fn projected(&self) -> &[ProjectedGaussian] {
-        &self.projected
+    /// The forward pass's coverage.
+    pub fn coverage(&self) -> &Coverage {
+        &self.coverage
     }
 
     /// Band geometry the forward pass used (part of the numeric contract;
     /// the backward pass reuses it).
     pub fn band_height(&self) -> u32 {
-        self.band_height
+        self.coverage.band_height
     }
 
     /// The compute width the forward pass actually ran with — the resolved
     /// value, never the `compute_threads = 0` "inherit" sentinel.
     pub fn compute_threads(&self) -> usize {
-        self.compute_threads
+        self.coverage.compute_threads
     }
 }
 
@@ -178,7 +246,7 @@ pub struct RenderOutput {
     pub aux: RenderAux,
 }
 
-/// Renders `model` from `camera`.
+/// Renders `model` from `camera`: [`coverage`], then [`shade`].
 ///
 /// `options.visible` restricts rasterisation to the given Gaussian indices;
 /// this is how CLM (and the enhanced baseline) skip out-of-frustum Gaussians
@@ -187,6 +255,22 @@ pub struct RenderOutput {
 /// # Panics
 /// Panics if `options.visible` contains an index outside the model.
 pub fn render(model: &GaussianModel, camera: &Camera, options: &RenderOptions) -> RenderOutput {
+    let coverage = coverage(model, camera, options);
+    let (image, shading) = shade(model, &coverage, options.background);
+    RenderOutput {
+        image,
+        aux: RenderAux { coverage, shading },
+    }
+}
+
+/// The coverage phase of a render: projects the candidates
+/// (`options.visible`, or the whole model) without colour, depth-sorts and
+/// bins them, and walks every pixel front to back, recording the entries it
+/// composites.  Reads no SH coefficient and ignores `options.background`.
+///
+/// # Panics
+/// Panics if `options.visible` contains an index outside the model.
+pub fn coverage(model: &GaussianModel, camera: &Camera, options: &RenderOptions) -> Coverage {
     let width = camera.intrinsics.width;
     let height = camera.intrinsics.height;
     let compute_threads = resolve_compute_threads(options.compute_threads);
@@ -234,21 +318,12 @@ pub fn render(model: &GaussianModel, camera: &Camera, options: &RenderOptions) -
         .for_each(&mut keep);
     }
 
-    // 2. Depth sort (front to back).
-    let mut order: Vec<u32> = (0..projected.len() as u32).collect();
-    order.sort_by(|&a, &b| {
-        projected[a as usize]
-            .depth
-            .partial_cmp(&projected[b as usize].depth)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let projected: Vec<ProjectedGaussian> = order
+    // 2. Depth sort (front to back).  The contexts stay in candidate order
+    //    until step 6 keeps the reached splats' (through `order`).
+    let order = depth_order(&projected);
+    let sorted: Vec<ProjectedGaussian> = order
         .iter()
         .map(|&i| projected[i as usize].clone())
-        .collect();
-    let contexts: Vec<ProjectionContext> = order
-        .iter()
-        .map(|&i| contexts[i as usize].clone())
         .collect();
 
     // 3. Bin splats into tiles (kept in depth order by construction).  One
@@ -264,69 +339,81 @@ pub fn render(model: &GaussianModel, camera: &Camera, options: &RenderOptions) -
             .enumerate()
             .map(|(ty, row)| (ty as u32, row))
             .collect();
-        let projected = &projected;
+        let sorted = &sorted;
         parallel_for_each(compute_threads.min(tiles_y as usize), jobs, |(ty, row)| {
-            bin_tile_row(projected, width, height, ty, row);
+            bin_tile_row(sorted, width, height, ty, row);
         });
     }
 
     // 4. Stage each tile's splats into lane-padded SoA arrays (pure copies;
     //    one independent job per tile).
     let tile_soas: Vec<TileSoa> = {
-        let (projected, tile_lists) = (&projected, &tile_lists);
+        let (sorted, tile_lists) = (&sorted, &tile_lists);
         parallel_map(compute_threads, tile_lists.len(), |t| {
-            TileSoa::build(&tile_lists[t], projected)
+            TileSoa::build(&tile_lists[t], sorted)
         })
     };
 
-    // 5. Per-pixel front-to-back compositing, one job per horizontal band.
-    //    Each band owns a disjoint slice of the image and the pixel-state
-    //    buffer, so the bands can run in any order on any thread.
+    // 5. Per-pixel front-to-back walk, one job per horizontal band; each
+    //    band owns its records.
     let band_height = options.band_height.max(1);
-    let mut image = Image::new(width, height);
-    let mut pixel_states = vec![PixelState::default(); (width * height) as usize];
-    {
-        let band_pixels = (band_height * width) as usize;
-        let jobs: Vec<(u32, &mut [[f32; 3]], &mut [PixelState])> = image
-            .pixels_mut()
-            .chunks_mut(band_pixels)
-            .zip(pixel_states.chunks_mut(band_pixels))
-            .enumerate()
-            .map(|(b, (img, states))| (b as u32 * band_height, img, states))
-            .collect();
-        let tile_soas = &tile_soas;
-        let background = options.background;
-        parallel_for_each(compute_threads, jobs, |(y0, img_band, state_band)| {
-            composite_band(
-                tile_soas,
-                tiles_x,
-                width,
-                height,
-                band_height,
-                background,
-                y0,
-                img_band,
-                state_band,
-            );
-        });
-    }
-
-    RenderOutput {
-        image,
-        aux: RenderAux {
-            projected,
-            contexts,
-            tile_lists,
-            tile_soas,
-            pixel_states,
-            tiles_x,
-            width,
-            height,
-            background: options.background,
-            band_height,
+    let bands: Vec<BandCoverage> = {
+        let (tile_soas, tile_lists) = (&tile_soas, &tile_lists);
+        parallel_map(
             compute_threads,
-        },
+            height.div_ceil(band_height) as usize,
+            |b| {
+                let geometry = (width, height, band_height, b as u32 * band_height);
+                cover_band(tile_soas, tile_lists, geometry)
+            },
+        )
+    };
+
+    // 6. The reached slots, and the projection contexts of those only.
+    let mut is_reached = vec![false; sorted.len()];
+    for record in bands.iter().flat_map(|band| &band.records) {
+        is_reached[record.slot as usize] = true;
     }
+    let reached_slots: Vec<u32> = (0..sorted.len() as u32)
+        .filter(|&slot| is_reached[slot as usize])
+        .collect();
+    let contexts = reached_slots
+        .iter()
+        .map(|&slot| contexts[order[slot as usize] as usize].clone())
+        .collect();
+    let reached = VisibilitySet::from_unsorted(
+        reached_slots
+            .iter()
+            .map(|&slot| sorted[slot as usize].index)
+            .collect(),
+    );
+
+    Coverage {
+        splats: sorted,
+        reached_slots,
+        contexts,
+        reached,
+        bands,
+        width,
+        height,
+        band_height,
+        compute_threads,
+    }
+}
+
+/// The front-to-back order of `projected`: indices sorted by depth under
+/// [`f32::total_cmp`] — a total order even with a NaN depth (which sorts
+/// after every finite one), where `partial_cmp` would not be.  The sort is
+/// stable, so equal depths keep candidate order and any subset of the
+/// candidates sorts to the same relative order.
+fn depth_order(projected: &[ProjectedGaussian]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..projected.len() as u32).collect();
+    order.sort_by(|&a, &b| {
+        projected[a as usize]
+            .depth
+            .total_cmp(&projected[b as usize].depth)
+    });
+    order
 }
 
 /// Bins every splat that overlaps tile row `ty` into that row's lists,
@@ -363,15 +450,40 @@ fn bin_tile_row(
     }
 }
 
+/// Visits the pixels of the band starting at row `y0` as `(tile, px, py)`
+/// in the one order every pass shares: tile by tile along each tile row the
+/// band covers, row-major inside a tile.  The backward pass accumulates in
+/// this order, so it is part of the numeric contract.
+fn for_each_band_pixel(
+    (width, height, band_height, y0): (u32, u32, u32, u32),
+    mut visit: impl FnMut(usize, u32, u32),
+) {
+    let tiles_x = width.div_ceil(TILE_SIZE);
+    let y_end = (y0 + band_height).min(height);
+    for ty in y0 / TILE_SIZE..=(y_end - 1) / TILE_SIZE {
+        let py_start = (ty * TILE_SIZE).max(y0);
+        let py_end = ((ty + 1) * TILE_SIZE).min(y_end);
+        for tx in 0..tiles_x {
+            let tile = (ty * tiles_x + tx) as usize;
+            let x_end = ((tx + 1) * TILE_SIZE).min(width);
+            for py in py_start..py_end {
+                for px in tx * TILE_SIZE..x_end {
+                    visit(tile, px, py);
+                }
+            }
+        }
+    }
+}
+
 /// One tile's splats in structure-of-arrays form: one `f32` array per
-/// screen-space attribute, **zero-padded** to a multiple of [`LANES`] so the
-/// lane kernels always process full fixed-width blocks.  Entry `pos`
-/// corresponds to `tile_lists[tile][pos]`.
+/// screen-space attribute the alpha walk reads, **zero-padded** to a
+/// multiple of [`LANES`] so the lane kernel always processes full
+/// fixed-width blocks.  Entry `pos` corresponds to `tile_lists[tile][pos]`.
 ///
-/// Zero padding is inert through the alpha kernel: a zero lane gives
-/// `power = -0.5 * 0 = -0.0` (not `> 0`), `alpha = 0 * exp(-0) = 0`, and
-/// `0 < MIN_ALPHA` means the compositing walk skips it — the same sentinel
-/// used for "splat does not cover this pixel".
+/// Padding is inert through the alpha kernel: a padded lane has opacity 0
+/// and exponent floor `+inf`, so it is `(0, 0)` without an `exp`, and
+/// `0 < MIN_ALPHA` means the walk skips it — the same sentinel used for
+/// "splat does not cover this pixel".
 #[derive(Debug, Clone, Default)]
 struct TileSoa {
     /// Real (unpadded) entry count — equals the tile list's length.
@@ -382,9 +494,9 @@ struct TileSoa {
     conic_b: Vec<f32>,
     conic_c: Vec<f32>,
     opacity: Vec<f32>,
-    color_r: Vec<f32>,
-    color_g: Vec<f32>,
-    color_b: Vec<f32>,
+    /// Per entry: [`alpha_power_floor`] of its opacity (`+inf` in the
+    /// padding, whose opacity is zero).
+    floor: Vec<f32>,
 }
 
 impl TileSoa {
@@ -401,9 +513,7 @@ impl TileSoa {
             conic_b: vec![0.0; padded],
             conic_c: vec![0.0; padded],
             opacity: vec![0.0; padded],
-            color_r: vec![0.0; padded],
-            color_g: vec![0.0; padded],
-            color_b: vec![0.0; padded],
+            floor: vec![f32::INFINITY; padded],
         };
         for (pos, &slot) in list.iter().enumerate() {
             let p = &projected[slot as usize];
@@ -413,154 +523,213 @@ impl TileSoa {
             soa.conic_b[pos] = p.conic.b;
             soa.conic_c[pos] = p.conic.c;
             soa.opacity[pos] = p.opacity;
-            soa.color_r[pos] = p.color[0];
-            soa.color_g[pos] = p.color[1];
-            soa.color_b[pos] = p.color[2];
+            soa.floor[pos] = alpha_power_floor(p.opacity);
         }
         soa
     }
 
-    /// Evaluates the Gaussian exponent for the [`LANES`] splats starting at
-    /// `base` against the pixel centre `(cx, cy)` — elementwise identical to
-    /// the scalar path: `power = -0.5 * conic.quadratic_form(dx, dy)` with
-    /// `dx = cx - mean_x`.  The fixed-width loop over array slices is the
-    /// SIMD-friendly shape (pure mul/add; no branches, no calls).
+    /// Evaluates the alpha and the Gaussian factor `exp(power)` of the
+    /// [`LANES`] splats starting at `base` at pixel centre `(cx, cy)`, with
+    /// `power = -0.5 * conic.quadratic_form(dx, dy)` and `dx = cx - mean_x`.
+    /// The exponents come from a branch-free loop over array slices (the
+    /// SIMD-friendly shape; keep it apart from the `exp` calls, which stop
+    /// it vectorising); `alphas[l] < MIN_ALPHA` encodes "skipped" (outside
+    /// the effective footprint or transparent).  Returns `false`, leaving
+    /// both arrays untouched, when every lane is skipped by its exponent
+    /// alone — the common case, since most of a tile's splats miss a given
+    /// pixel.
     #[inline]
-    fn lane_powers(&self, base: usize, cx: f32, cy: f32, powers: &mut [f32; LANES]) {
-        let mx: &[f32; LANES] = self.mean_x[base..base + LANES].try_into().unwrap();
-        let my: &[f32; LANES] = self.mean_y[base..base + LANES].try_into().unwrap();
-        let ca: &[f32; LANES] = self.conic_a[base..base + LANES].try_into().unwrap();
-        let cb: &[f32; LANES] = self.conic_b[base..base + LANES].try_into().unwrap();
-        let cc: &[f32; LANES] = self.conic_c[base..base + LANES].try_into().unwrap();
-        for l in 0..LANES {
-            let dx = cx - mx[l];
-            let dy = cy - my[l];
-            powers[l] = -0.5 * (ca[l] * dx * dx + 2.0 * cb[l] * dx * dy + cc[l] * dy * dy);
-        }
-    }
-
-    /// Evaluates the alpha of the [`LANES`] splats starting at `base` at
-    /// pixel centre `(cx, cy)`.  `alphas[l] = 0.0` encodes "skipped"
-    /// (outside the effective footprint or below [`MIN_ALPHA`]), exactly the
-    /// cases where the scalar path returned `None`.
-    #[inline]
-    fn lane_alphas(&self, base: usize, cx: f32, cy: f32, alphas: &mut [f32; LANES]) {
-        let mut powers = [0.0f32; LANES];
-        self.lane_powers(base, cx, cy, &mut powers);
-        let op: &[f32; LANES] = self.opacity[base..base + LANES].try_into().unwrap();
-        for l in 0..LANES {
-            alphas[l] = lane_alpha(op[l], powers[l]).0;
-        }
-    }
-
-    /// Like [`lane_alphas`](Self::lane_alphas) but also exports the raw
-    /// Gaussian factor `exp(power)` per lane, which the backward pass chains
-    /// through the opacity gradient (and reads only for lanes it does not
-    /// skip).  One `exp` per lane serves both — the scalar backward path
-    /// used to evaluate it twice.
-    #[inline]
-    fn lane_alphas_gauss(
+    fn lane_alphas(
         &self,
         base: usize,
         cx: f32,
         cy: f32,
         alphas: &mut [f32; LANES],
         gauss: &mut [f32; LANES],
-    ) {
+    ) -> bool {
+        let mx: &[f32; LANES] = self.mean_x[base..base + LANES].try_into().unwrap();
+        let my: &[f32; LANES] = self.mean_y[base..base + LANES].try_into().unwrap();
+        let ca: &[f32; LANES] = self.conic_a[base..base + LANES].try_into().unwrap();
+        let cb: &[f32; LANES] = self.conic_b[base..base + LANES].try_into().unwrap();
+        let cc: &[f32; LANES] = self.conic_c[base..base + LANES].try_into().unwrap();
         let mut powers = [0.0f32; LANES];
-        self.lane_powers(base, cx, cy, &mut powers);
+        for l in 0..LANES {
+            let dx = cx - mx[l];
+            let dy = cy - my[l];
+            powers[l] = -0.5 * (ca[l] * dx * dx + 2.0 * cb[l] * dx * dy + cc[l] * dy * dy);
+        }
+        let floor: &[f32; LANES] = self.floor[base..base + LANES].try_into().unwrap();
+        if (0..LANES).all(|l| skips_exp(powers[l], floor[l])) {
+            return false;
+        }
         let op: &[f32; LANES] = self.opacity[base..base + LANES].try_into().unwrap();
         for l in 0..LANES {
-            (alphas[l], gauss[l]) = lane_alpha(op[l], powers[l]);
+            (alphas[l], gauss[l]) = lane_alpha(op[l], floor[l], powers[l]);
         }
+        true
     }
+}
+
+/// The Gaussian exponent below which a splat of this opacity (at most 1)
+/// has an alpha under [`MIN_ALPHA`]: `ln(MIN_ALPHA / opacity)` less
+/// [`ALPHA_FLOOR_MARGIN`] — `+inf` for a zero opacity, NaN (skipping
+/// nothing) for a NaN one.
+fn alpha_power_floor(opacity: f32) -> f32 {
+    (MIN_ALPHA / opacity).ln() - ALPHA_FLOOR_MARGIN
+}
+
+/// Whether a Gaussian exponent puts the alpha under [`MIN_ALPHA`] before
+/// any `exp`: a positive exponent, or one below the splat's `floor`
+/// ([`alpha_power_floor`]).  A NaN exponent is neither and takes the
+/// evaluating arm, as it always has.
+#[inline]
+// Not `!(floor..=0.0).contains(&power)`: that would skip a NaN.
+#[allow(clippy::manual_range_contains)]
+fn skips_exp(power: f32, floor: f32) -> bool {
+    power > 0.0 || power < floor
 }
 
 /// One lane of the alpha kernel: `(alpha, exp(power))` of a splat of the
-/// given opacity (at most 1) whose Gaussian exponent at the pixel is
-/// `power`.  An alpha under [`MIN_ALPHA`] means "skipped"; both consumers
-/// test that before they read anything else, so the lanes that cannot reach
-/// it — a positive exponent, or one below [`ALPHA_POWER_FLOOR`] — are `(0,
-/// 0)` without an `exp`.  (A NaN exponent is neither and takes the
-/// evaluating arm, as it always has.)
+/// given opacity (at most 1) and exponent floor whose Gaussian exponent at
+/// the pixel is `power`.  An alpha under [`MIN_ALPHA`] means "skipped", and
+/// the walk tests that before it reads anything else, so the lanes
+/// [`skips_exp`] names are `(0, 0)` without an `exp`.
 #[inline]
-// Not `!(FLOOR..=0.0).contains(&power)`: that would skip a NaN.
-#[allow(clippy::manual_range_contains)]
-fn lane_alpha(opacity: f32, power: f32) -> (f32, f32) {
-    if power > 0.0 || power < ALPHA_POWER_FLOOR {
+fn lane_alpha(opacity: f32, floor: f32, power: f32) -> (f32, f32) {
+    if skips_exp(power, floor) {
         (0.0, 0.0)
     } else {
         let e = power.exp();
-        ((opacity * e).min(MAX_ALPHA), e)
+        (clamped_alpha(opacity, e), e)
     }
 }
 
-/// Composites every pixel of the band starting at row `y0` into the band's
-/// slice of the image/state buffers.  Pure per pixel: identical output
-/// regardless of which thread runs it.
+/// A splat's alpha at a pixel from its opacity and Gaussian factor: the one
+/// expression the walk evaluates and shade and backward re-evaluate from a
+/// [`Contribution`].
+#[inline]
+fn clamped_alpha(opacity: f32, gauss: f32) -> f32 {
+    (opacity * gauss).min(MAX_ALPHA)
+}
+
+/// Walks every pixel of one band front to back and records what it
+/// composites.  Pure per pixel: identical output regardless of which thread
+/// runs it.
 ///
-/// The splat walk processes each tile list in [`LANES`]-wide blocks: alphas
-/// for a block are evaluated by the lane kernel, then composited serially in
-/// list order with the same early-termination rule as before — termination
-/// mid-block wastes at most `LANES - 1` lane evaluations.
-#[allow(clippy::too_many_arguments)]
-fn composite_band(
+/// The walk processes each tile list in [`LANES`]-wide blocks: alphas for
+/// a block are evaluated by the lane kernel, then walked serially in list
+/// order — termination mid-block wastes at most `LANES - 1` lane
+/// evaluations.
+fn cover_band(
     tile_soas: &[TileSoa],
-    tiles_x: u32,
-    width: u32,
-    height: u32,
-    band_height: u32,
-    background: [f32; 3],
-    y0: u32,
-    img_band: &mut [[f32; 3]],
-    state_band: &mut [PixelState],
-) {
-    let mut alphas = [0.0f32; LANES];
-    let y_end = (y0 + band_height).min(height);
-    for ty in y0 / TILE_SIZE..=(y_end - 1) / TILE_SIZE {
-        let py_start = (ty * TILE_SIZE).max(y0);
-        let py_end = ((ty + 1) * TILE_SIZE).min(y_end);
-        for tx in 0..tiles_x {
-            let soa = &tile_soas[(ty * tiles_x + tx) as usize];
-            let x_end = ((tx + 1) * TILE_SIZE).min(width);
-            for py in py_start..py_end {
-                let cy = py as f32 + 0.5;
-                for px in tx * TILE_SIZE..x_end {
-                    let cx = px as f32 + 0.5;
-                    let mut t = 1.0f32;
-                    let mut color = [0.0f32; 3];
-                    let mut last_index = 0u32;
-                    'blocks: for base in (0..soa.len).step_by(LANES) {
-                        soa.lane_alphas(base, cx, cy, &mut alphas);
-                        for pos in base..(base + LANES).min(soa.len) {
-                            let alpha = alphas[pos - base];
-                            last_index = pos as u32 + 1;
-                            if alpha < MIN_ALPHA {
-                                continue;
-                            }
-                            let next_t = t * (1.0 - alpha);
-                            if next_t < TRANSMITTANCE_EPS {
-                                break 'blocks;
-                            }
-                            color[0] += soa.color_r[pos] * alpha * t;
-                            color[1] += soa.color_g[pos] * alpha * t;
-                            color[2] += soa.color_b[pos] * alpha * t;
-                            t = next_t;
-                        }
-                    }
-                    for c in 0..3 {
-                        color[c] += t * background[c];
-                    }
-                    let idx = ((py - y0) * width + px) as usize;
-                    img_band[idx] = color;
-                    state_band[idx] = PixelState {
-                        final_t: t,
-                        last_index,
-                    };
+    tile_lists: &[Vec<u32>],
+    geometry: (u32, u32, u32, u32),
+) -> BandCoverage {
+    let mut band = BandCoverage::default();
+    let (mut alphas, mut gauss) = ([0.0f32; LANES], [0.0f32; LANES]);
+    for_each_band_pixel(geometry, |tile, px, py| {
+        let (soa, list) = (&tile_soas[tile], &tile_lists[tile]);
+        let (cx, cy) = (px as f32 + 0.5, py as f32 + 0.5);
+        let mut t = 1.0f32;
+        'blocks: for base in (0..soa.len).step_by(LANES) {
+            if !soa.lane_alphas(base, cx, cy, &mut alphas, &mut gauss) {
+                continue;
+            }
+            for pos in base..(base + LANES).min(soa.len) {
+                let alpha = alphas[pos - base];
+                if alpha < MIN_ALPHA {
+                    continue;
                 }
+                band.records.push(Contribution {
+                    slot: list[pos],
+                    gauss: gauss[pos - base],
+                });
+                let next_t = t * (1.0 - alpha);
+                if next_t < TRANSMITTANCE_EPS {
+                    break 'blocks;
+                }
+                t = next_t;
             }
         }
+        band.ends.push(band.records.len() as u32);
+        band.final_t.push(t);
+    });
+    band
+}
+
+/// The shade phase of a render: evaluates the view-dependent colour of
+/// every reached splat of `coverage` from `model`'s SH coefficients — and
+/// of no other — and composites each pixel from its records over
+/// `background`.  Band-parallel at the coverage's compute width.
+pub fn shade(model: &GaussianModel, coverage: &Coverage, background: [f32; 3]) -> (Image, Shading) {
+    let splats = &coverage.splats;
+    let mut colors = vec![[0.0f32; 3]; splats.len()];
+    for (&slot, ctx) in coverage.reached_slots.iter().zip(&coverage.contexts) {
+        let index = splats[slot as usize].index as usize;
+        colors[slot as usize] = ctx.color(model.sh_of(index));
     }
+    let Coverage {
+        width,
+        height,
+        band_height,
+        ..
+    } = *coverage;
+    let mut image = Image::new(width, height);
+    {
+        let band_pixels = (band_height * width) as usize;
+        let jobs: Vec<(u32, &mut [[f32; 3]], &BandCoverage)> = image
+            .pixels_mut()
+            .chunks_mut(band_pixels)
+            .zip(&coverage.bands)
+            .enumerate()
+            .map(|(b, (img, band))| (b as u32 * band_height, img, band))
+            .collect();
+        let colors = &colors;
+        parallel_for_each(coverage.compute_threads, jobs, |(y0, img_band, band)| {
+            let geometry = (width, height, band_height, y0);
+            composite_band(band, splats, colors, background, geometry, img_band);
+        });
+    }
+    (image, Shading { colors, background })
+}
+
+/// Composites every pixel of one band from its records into the band's
+/// slice of the image, terminating at the same entry the walk did.
+fn composite_band(
+    band: &BandCoverage,
+    splats: &[ProjectedGaussian],
+    colors: &[[f32; 3]],
+    background: [f32; 3],
+    geometry: (u32, u32, u32, u32),
+    img_band: &mut [[f32; 3]],
+) {
+    let (width, y0) = (geometry.0, geometry.3);
+    let mut pixel = 0;
+    let mut start = 0;
+    for_each_band_pixel(geometry, |_, px, py| {
+        let end = band.ends[pixel] as usize;
+        pixel += 1;
+        let mut t = 1.0f32;
+        let mut color = [0.0f32; 3];
+        for r in &band.records[start..end] {
+            let slot = r.slot as usize;
+            let alpha = clamped_alpha(splats[slot].opacity, r.gauss);
+            let next_t = t * (1.0 - alpha);
+            if next_t < TRANSMITTANCE_EPS {
+                break;
+            }
+            let c = &colors[slot];
+            color[0] += c[0] * alpha * t;
+            color[1] += c[1] * alpha * t;
+            color[2] += c[2] * alpha * t;
+            t = next_t;
+        }
+        start = end;
+        for c in 0..3 {
+            color[c] += t * background[c];
+        }
+        img_band[((py - y0) * width + px) as usize] = color;
+    });
 }
 
 /// Gradients produced by [`render_backward`]: one entry per Gaussian that
@@ -600,15 +769,10 @@ impl RenderGradients {
     }
 }
 
-/// Backward pass: given the gradient of the loss with respect to every
-/// pixel (`d_image`, row-major, one `[f32; 3]` per pixel), computes the
-/// gradient with respect to every contributing Gaussian's parameters.
-///
-/// Runs band-parallel on up to `aux`'s `compute_threads` workers: each band
-/// accumulates its pixels' screen-space gradients independently, the
-/// per-band sparse accumulators are merged in fixed band order, and the
-/// per-splat chain through [`crate::projection`] fans out over slots.  The
-/// result is bit-identical for every thread count (see the module docs).
+/// Backward pass of [`render`]: given the gradient of the loss with respect
+/// to every pixel (`d_image`, row-major, one `[f32; 3]` per pixel), computes
+/// the gradient with respect to every contributing Gaussian's parameters.
+/// It is [`shade_backward`] over the forward's coverage and shading.
 ///
 /// # Panics
 /// Panics if `d_image.len()` does not match the rendered resolution.
@@ -618,27 +782,46 @@ pub fn render_backward(
     aux: &RenderAux,
     d_image: &[[f32; 3]],
 ) -> RenderGradients {
+    shade_backward(model, camera, &aux.coverage, &aux.shading, d_image)
+}
+
+/// Backward pass of [`shade`]: walks every pixel's records in reverse.
+///
+/// Runs band-parallel on up to the coverage's `compute_threads` workers:
+/// each band accumulates its pixels' screen-space gradients independently,
+/// the per-band sparse accumulators are merged in fixed band order, and the
+/// per-splat chain through [`crate::projection`] fans out over slots.  The
+/// result is bit-identical for every thread count (see the module docs).
+/// Reads only the reached splats' rows of `model`.
+///
+/// # Panics
+/// Panics if `d_image.len()` does not match the rendered resolution.
+pub fn shade_backward(
+    model: &GaussianModel,
+    camera: &Camera,
+    coverage: &Coverage,
+    shading: &Shading,
+    d_image: &[[f32; 3]],
+) -> RenderGradients {
     assert_eq!(
         d_image.len(),
-        (aux.width * aux.height) as usize,
+        (coverage.width * coverage.height) as usize,
         "d_image size must match the rendered resolution"
     );
-
-    let band_height = aux.band_height.max(1);
-    let threads = aux.compute_threads.max(1);
-    let bands = aux.height.div_ceil(band_height) as usize;
+    let threads = coverage.compute_threads.max(1);
 
     // 1. Per-band sparse screen-space accumulators, computed independently.
-    let partials: Vec<Vec<(u32, ScreenGradients)>> = parallel_map(threads, bands, |b| {
-        backward_band(aux, d_image, b as u32 * band_height)
-    });
+    let partials: Vec<Vec<(u32, ScreenGradients)>> =
+        parallel_map(threads, coverage.bands.len(), |b| {
+            backward_band(coverage, shading, d_image, b)
+        });
 
     // 2. Merge in fixed band order.  This is the only order-sensitive
     //    floating-point reduction in the pass, and it runs on the calling
     //    thread over the index-ordered partials, so the accumulation order
     //    depends only on the band geometry.
     let mut screen_grads: Vec<ScreenGradients> =
-        vec![ScreenGradients::default(); aux.projected.len()];
+        vec![ScreenGradients::default(); coverage.splats.len()];
     for band in &partials {
         for (slot, g) in band {
             screen_grads[*slot as usize].accumulate(g);
@@ -647,16 +830,19 @@ pub fn render_backward(
 
     // 3. Chain screen-space gradients back to the 59 Gaussian parameters —
     //    pure per slot, so it parallelises freely; the output vector is
-    //    keyed by slot order either way.
-    let contributing: Vec<u32> = (0..screen_grads.len() as u32)
-        .filter(|&slot| !screen_grads[slot as usize].is_zero())
+    //    keyed by slot order either way.  Only a reached slot can hold a
+    //    gradient; `k` indexes its context.
+    let contributing: Vec<(usize, usize)> = (coverage.reached_slots.iter().enumerate())
+        .map(|(k, &slot)| (k, slot as usize))
+        .filter(|&(_, slot)| !screen_grads[slot].is_zero())
         .collect();
-    let entries: Vec<(u32, GaussianGradients)> = parallel_map(threads, contributing.len(), |k| {
-        let slot = contributing[k] as usize;
-        let p = &aux.projected[slot];
-        let g = model.get(p.index as usize);
-        let grads = project_gaussian_backward(&g, camera, &aux.contexts[slot], &screen_grads[slot]);
-        (p.index, grads)
+    let entries: Vec<(u32, GaussianGradients)> = parallel_map(threads, contributing.len(), |j| {
+        let (k, slot) = contributing[j];
+        let index = coverage.splats[slot].index;
+        let g = model.get(index as usize);
+        let context = &coverage.contexts[k];
+        let grads = project_gaussian_backward(&g, camera, context, &screen_grads[slot]);
+        (index, grads)
     });
 
     let mut entries = entries;
@@ -673,156 +859,122 @@ pub fn render_backward(
     RenderGradients { entries: merged }
 }
 
-/// Reusable per-worker scratch for [`backward_band`].
-#[derive(Default)]
-struct BandScratch {
-    /// Dense per-slot accumulator.  Invariant: all entries are zero between
-    /// bands — each band resets exactly the slots it touched — so reuse
-    /// costs O(touched) instead of re-zeroing O(projected) once per band.
-    dense: Vec<ScreenGradients>,
-    /// Per-pixel lane-kernel outputs for positions `0..last_index` (padded
-    /// to whole blocks), overwritten for every pixel.
-    alphas: Vec<f32>,
-    gauss: Vec<f32>,
-}
-
 std::thread_local! {
-    /// Per-worker scratch for [`backward_band`], reused across every band
-    /// the worker drains (and across calls, on the calling thread).
-    static BAND_SCRATCH: std::cell::RefCell<BandScratch> =
-        std::cell::RefCell::new(BandScratch::default());
+    /// Per-worker dense accumulator for [`backward_band`], reused across
+    /// every band the worker drains (and across calls, on the calling
+    /// thread).  Invariant: all entries are zero between bands — each band
+    /// resets exactly the slots it touched — so reuse costs O(touched)
+    /// instead of re-zeroing O(projected) once per band.
+    static BAND_SCRATCH: std::cell::RefCell<Vec<ScreenGradients>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Accumulates the screen-space gradients of every pixel in the band
-/// starting at row `y0`, returning them as a sparse, slot-ordered list.
-/// Pure: depends only on `aux`, `d_image` and the band geometry — the
-/// thread-local scratch is an allocation cache, never carried state.
-fn backward_band(aux: &RenderAux, d_image: &[[f32; 3]], y0: u32) -> Vec<(u32, ScreenGradients)> {
+/// Accumulates the screen-space gradients of every pixel of band `b`,
+/// returning them as a sparse, slot-ordered list.  Pure: depends only on
+/// its inputs and the band geometry — the thread-local scratch is an
+/// allocation cache, never carried state.
+fn backward_band(
+    coverage: &Coverage,
+    shading: &Shading,
+    d_image: &[[f32; 3]],
+    b: usize,
+) -> Vec<(u32, ScreenGradients)> {
     BAND_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        if scratch.dense.len() < aux.projected.len() {
-            scratch
-                .dense
-                .resize(aux.projected.len(), ScreenGradients::default());
+        let mut dense = cell.borrow_mut();
+        if dense.len() < coverage.splats.len() {
+            dense.resize(coverage.splats.len(), ScreenGradients::default());
         }
-        backward_band_with_scratch(aux, d_image, y0, &mut scratch)
+        backward_band_with_scratch(coverage, shading, d_image, b, &mut dense)
     })
 }
 
-/// The body of [`backward_band`] over a caller-provided scratch whose dense
-/// accumulator's first `aux.projected.len()` entries are all zero; restores
-/// that invariant before returning.
+/// The body of [`backward_band`] over a caller-provided dense accumulator
+/// whose first `coverage.splats.len()` entries are all zero; restores that
+/// invariant before returning.
 fn backward_band_with_scratch(
-    aux: &RenderAux,
+    coverage: &Coverage,
+    shading: &Shading,
     d_image: &[[f32; 3]],
-    y0: u32,
-    scratch: &mut BandScratch,
+    b: usize,
+    dense: &mut [ScreenGradients],
 ) -> Vec<(u32, ScreenGradients)> {
-    let BandScratch {
-        dense,
-        alphas,
-        gauss,
-    } = scratch;
+    let band = &coverage.bands[b];
+    let width = coverage.width;
+    let background = shading.background;
+    let geometry = (
+        width,
+        coverage.height,
+        coverage.band_height,
+        b as u32 * coverage.band_height,
+    );
     // Slots this band wrote to, pushed on first touch (a touched entry that
     // cancels back to exact zero may be pushed again — dedup below).
     let mut touched: Vec<u32> = Vec::new();
-    let y_end = (y0 + aux.band_height.max(1)).min(aux.height);
-    for ty in y0 / TILE_SIZE..=(y_end - 1) / TILE_SIZE {
-        let py_start = (ty * TILE_SIZE).max(y0);
-        let py_end = ((ty + 1) * TILE_SIZE).min(y_end);
-        for tx in 0..aux.tiles_x {
-            let tile = (ty * aux.tiles_x + tx) as usize;
-            let list = &aux.tile_lists[tile];
-            if list.is_empty() {
-                continue;
-            }
-            let soa = &aux.tile_soas[tile];
-            let x_end = ((tx + 1) * TILE_SIZE).min(aux.width);
-            for py in py_start..py_end {
-                let cy = py as f32 + 0.5;
-                for px in tx * TILE_SIZE..x_end {
-                    let state = aux.pixel_states[(py * aux.width + px) as usize];
-                    let d_pix = d_image[(py * aux.width + px) as usize];
-                    if d_pix == [0.0; 3] || state.last_index == 0 {
-                        continue;
-                    }
-                    let cx = px as f32 + 0.5;
-                    // Evaluate alpha and the Gaussian factor for every
-                    // position the forward pass examined, one lane block at
-                    // a time.  One `exp` per position serves the whole
-                    // reverse walk (the scalar path paid two).
-                    let last = state.last_index as usize;
-                    let padded = last.next_multiple_of(LANES);
-                    alphas.resize(padded, 0.0);
-                    gauss.resize(padded, 0.0);
-                    for base in (0..last).step_by(LANES) {
-                        soa.lane_alphas_gauss(
-                            base,
-                            cx,
-                            cy,
-                            (&mut alphas[base..base + LANES]).try_into().unwrap(),
-                            (&mut gauss[base..base + LANES]).try_into().unwrap(),
-                        );
-                    }
-                    let mut t = state.final_t;
-                    // Accumulated contribution *behind* the splat currently
-                    // being processed (starts as background).
-                    let mut behind = [
-                        aux.background[0] * state.final_t,
-                        aux.background[1] * state.final_t,
-                        aux.background[2] * state.final_t,
-                    ];
-                    for pos in (0..last).rev() {
-                        let alpha = alphas[pos];
-                        if alpha < MIN_ALPHA {
-                            continue;
-                        }
-                        let slot = list[pos] as usize;
-                        // Transmittance in front of this splat.
-                        t /= 1.0 - alpha;
-                        if dense[slot].is_zero() {
-                            touched.push(slot as u32);
-                        }
-                        let g = &mut dense[slot];
-                        let color = [soa.color_r[pos], soa.color_g[pos], soa.color_b[pos]];
-
-                        // Colour gradient.
-                        for c in 0..3 {
-                            g.d_color[c] += alpha * t * d_pix[c];
-                        }
-                        // Alpha gradient.
-                        let mut d_alpha = 0.0;
-                        for c in 0..3 {
-                            let dc_dalpha = color[c] * t - behind[c] / (1.0 - alpha);
-                            d_alpha += d_pix[c] * dc_dalpha;
-                        }
-                        // Update the "behind" accumulator for the next splat
-                        // (the one in front of this one).
-                        for c in 0..3 {
-                            behind[c] += color[c] * alpha * t;
-                        }
-
-                        // Chain through alpha = min(0.99, opacity * exp(power)).
-                        let (dx, dy) = (cx - soa.mean_x[pos], cy - soa.mean_y[pos]);
-                        let gauss_pos = gauss[pos];
-                        if soa.opacity[pos] * gauss_pos >= MAX_ALPHA {
-                            continue; // clamped: no gradient through opacity/geometry
-                        }
-                        g.d_opacity += gauss_pos * d_alpha;
-                        let d_power = d_alpha * alpha;
-                        g.d_conic = Sym2::new(
-                            g.d_conic.a - 0.5 * dx * dx * d_power,
-                            g.d_conic.b - dx * dy * d_power,
-                            g.d_conic.c - 0.5 * dy * dy * d_power,
-                        );
-                        let (ca, cb, cc) = (soa.conic_a[pos], soa.conic_b[pos], soa.conic_c[pos]);
-                        g.d_mean2d.x += (ca * dx + cb * dy) * d_power;
-                        g.d_mean2d.y += (cb * dx + cc * dy) * d_power;
-                    }
-                }
-            }
+    let mut pixel = 0;
+    let mut start = 0;
+    for_each_band_pixel(geometry, |_, px, py| {
+        let (end, final_t) = (band.ends[pixel] as usize, band.final_t[pixel]);
+        let records = &band.records[start..end];
+        pixel += 1;
+        start = end;
+        let d_pix = d_image[(py * width + px) as usize];
+        if d_pix == [0.0; 3] || records.is_empty() {
+            return;
         }
-    }
+        let (cx, cy) = (px as f32 + 0.5, py as f32 + 0.5);
+        let mut t = final_t;
+        // Accumulated contribution *behind* the splat currently being
+        // processed (starts as background).
+        let mut behind = [
+            background[0] * final_t,
+            background[1] * final_t,
+            background[2] * final_t,
+        ];
+        for r in records.iter().rev() {
+            let slot = r.slot as usize;
+            let p = &coverage.splats[slot];
+            let alpha = clamped_alpha(p.opacity, r.gauss);
+            // Transmittance in front of this splat.
+            t /= 1.0 - alpha;
+            if dense[slot].is_zero() {
+                touched.push(r.slot);
+            }
+            let g = &mut dense[slot];
+            let color = shading.colors[slot];
+
+            // Colour gradient.
+            for c in 0..3 {
+                g.d_color[c] += alpha * t * d_pix[c];
+            }
+            // Alpha gradient.
+            let mut d_alpha = 0.0;
+            for c in 0..3 {
+                let dc_dalpha = color[c] * t - behind[c] / (1.0 - alpha);
+                d_alpha += d_pix[c] * dc_dalpha;
+            }
+            // Update the "behind" accumulator for the next splat (the one
+            // in front of this one).
+            for c in 0..3 {
+                behind[c] += color[c] * alpha * t;
+            }
+
+            // Chain through alpha = min(0.99, opacity * exp(power)).
+            let (dx, dy) = (cx - p.mean2d.x, cy - p.mean2d.y);
+            if p.opacity * r.gauss >= MAX_ALPHA {
+                continue; // clamped: no gradient through opacity/geometry
+            }
+            g.d_opacity += r.gauss * d_alpha;
+            let d_power = d_alpha * alpha;
+            g.d_conic = Sym2::new(
+                g.d_conic.a - 0.5 * dx * dx * d_power,
+                g.d_conic.b - dx * dy * d_power,
+                g.d_conic.c - 0.5 * dy * dy * d_power,
+            );
+            let (ca, cb, cc) = (p.conic.a, p.conic.b, p.conic.c);
+            g.d_mean2d.x += (ca * dx + cb * dy) * d_power;
+            g.d_mean2d.y += (cb * dx + cc * dy) * d_power;
+        }
+    });
     // Compress the touched slots to a sparse, slot-ordered list (so the
     // merge step visits contributing splats in a fixed order) while
     // resetting exactly those scratch entries for the next band.
@@ -862,7 +1014,7 @@ mod tests {
     /// anything: a skipped lane may hold any values, a kept one must match
     /// bit for bit (NaN alphas are kept — `NaN < x` is false).
     fn assert_lane_matches_scalar(opacity: f32, power: f32) {
-        let (alpha, gauss) = lane_alpha(opacity, power);
+        let (alpha, gauss) = lane_alpha(opacity, alpha_power_floor(opacity), power);
         let (ref_alpha, ref_gauss) = scalar_alpha(opacity, power);
         let skipped = ref_alpha < MIN_ALPHA;
         assert_eq!(
@@ -876,43 +1028,74 @@ mod tests {
         }
     }
 
+    /// Opacities at the edges of `[0, 1]` and in between.
+    const EDGE_OPACITIES: [f32; 9] = [
+        0.0,
+        1.0e-40,
+        MIN_ALPHA,
+        0.004,
+        0.1,
+        0.3,
+        0.5,
+        0.999_999_94,
+        1.0,
+    ];
+
     #[test]
     fn the_exponent_floor_sits_just_below_the_alpha_threshold() {
-        // Below it even a fully opaque splat is skipped, with room for
-        // `expf`'s error; and it is not so low that it misses the lanes it
-        // is there for.
-        assert!(ALPHA_POWER_FLOOR.exp() < MIN_ALPHA * (1.0 - 5.0e-4));
-        assert!(ALPHA_POWER_FLOOR > MIN_ALPHA.ln() - 2.0e-3);
         let ulp = |x: f32, by: i32| f32::from_bits((x.to_bits() as i32 + by) as u32);
-        let edge_powers = [
-            f32::NAN,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::MIN_POSITIVE,
-            1.0e-30,
-            3.0,
-            0.0,
-            -0.0,
-            ALPHA_POWER_FLOOR,
-            // Negative floats: one ulp up in bits is one ulp further down.
-            ulp(ALPHA_POWER_FLOOR, 1),
-            ulp(ALPHA_POWER_FLOOR, -1),
-            MIN_ALPHA.ln(),
-            ulp(MIN_ALPHA.ln(), 1),
-            ulp(MIN_ALPHA.ln(), -1),
-            -100.0,
-        ];
-        for power in edge_powers {
-            for opacity in [0.0, MIN_ALPHA, 0.5, 0.999_999_94, 1.0] {
-                assert_lane_matches_scalar(opacity, power);
+        for opacity in EDGE_OPACITIES {
+            let floor = alpha_power_floor(opacity);
+            let threshold = (MIN_ALPHA / opacity).ln();
+            if opacity > 0.0 {
+                // Below it the splat is skipped, with room for `expf`'s
+                // error; and it is not so low that it misses the lanes it
+                // is there for.
+                assert!(
+                    opacity * floor.exp() < MIN_ALPHA * (1.0 - 5.0e-4),
+                    "{opacity}"
+                );
+                assert!(floor > threshold - 2.0e-3, "{opacity}");
+            } else {
+                assert_eq!(floor, f32::INFINITY, "{opacity}");
+            }
+            let edge_powers = [
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::MIN_POSITIVE,
+                1.0e-30,
+                3.0,
+                0.0,
+                -0.0,
+                floor,
+                // Negative floats: one ulp up in bits is one ulp further
+                // down.
+                ulp(floor, 1),
+                ulp(floor, -1),
+                threshold,
+                ulp(threshold, 1),
+                ulp(threshold, -1),
+                -100.0,
+            ];
+            for power in edge_powers {
+                for other in EDGE_OPACITIES {
+                    assert_lane_matches_scalar(other, power);
+                }
             }
         }
         // A NaN exponent was never skipped (`NaN.min(MAX_ALPHA)`), and is
-        // not now.
-        assert_eq!(lane_alpha(0.5, f32::NAN).0, MAX_ALPHA);
+        // not now; nor does a NaN opacity skip anything.
+        assert_eq!(
+            lane_alpha(0.5, alpha_power_floor(0.5), f32::NAN).0,
+            MAX_ALPHA
+        );
+        assert!(alpha_power_floor(f32::NAN).is_nan());
+        assert!(lane_alpha(f32::NAN, f32::NAN, -100.0).1 > 0.0);
         // At the floor the lane still evaluates; one ulp below it does not.
-        assert!(lane_alpha(1.0, ALPHA_POWER_FLOOR).1 > 0.0);
-        assert_eq!(lane_alpha(1.0, ulp(ALPHA_POWER_FLOOR, 1)), (0.0, 0.0));
+        let floor = alpha_power_floor(1.0);
+        assert!(lane_alpha(1.0, floor, floor).1 > 0.0);
+        assert_eq!(lane_alpha(1.0, floor, ulp(floor, 1)), (0.0, 0.0));
     }
 
     proptest! {
@@ -924,8 +1107,8 @@ mod tests {
             near_threshold in -0.01f32..0.01,
         ) {
             assert_lane_matches_scalar(opacity, power);
-            assert_lane_matches_scalar(opacity, ALPHA_POWER_FLOOR + near_floor);
-            assert_lane_matches_scalar(1.0, MIN_ALPHA.ln() + near_threshold);
+            assert_lane_matches_scalar(opacity, alpha_power_floor(opacity) + near_floor);
+            assert_lane_matches_scalar(opacity, (MIN_ALPHA / opacity).ln() + near_threshold);
         }
     }
 
@@ -1262,5 +1445,184 @@ mod tests {
         let grads = render_backward(&model, &cam, &out.aux, &d_image);
         assert!(grads.get(0).is_some());
         assert!(grads.get(1).is_none());
+    }
+
+    #[test]
+    fn depth_order_is_total_with_a_nan_depth() {
+        // `partial_cmp(..).unwrap_or(Equal)` is not a total order once a
+        // depth is NaN (and `sort_by` may panic on that); `total_cmp` is,
+        // sorts the NaN behind every finite depth and leaves the finite
+        // order — ties in candidate order — as it was.
+        let splat = |depth: f32| ProjectedGaussian {
+            index: 0,
+            mean2d: gs_core::math::Vec2::new(0.0, 0.0),
+            depth,
+            conic: Sym2::new(1.0, 0.0, 1.0),
+            radius: 1.0,
+            opacity: 0.5,
+        };
+        let depths = [3.0, f32::NAN, 1.0, 2.0, 1.0, 0.5, f32::NAN, 2.0];
+        let projected: Vec<ProjectedGaussian> = depths.iter().map(|&d| splat(d)).collect();
+        assert_eq!(depth_order(&projected), [5, 2, 4, 3, 7, 0, 1, 6]);
+        // Many NaNs among many finite depths: no panic, finite ones sorted.
+        let projected: Vec<ProjectedGaussian> = (0..2000)
+            .map(|k| {
+                splat(if k % 7 == 0 {
+                    f32::NAN
+                } else {
+                    ((k * 37) % 101) as f32
+                })
+            })
+            .collect();
+        let order = depth_order(&projected);
+        let finite: Vec<f32> = order
+            .iter()
+            .map(|&i| projected[i as usize].depth)
+            .take_while(|d| !d.is_nan())
+            .collect();
+        assert_eq!(finite.len(), 2000 - 2000usize.div_ceil(7));
+        assert!(finite.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// A random small scene in front of `camera(px)`: clustered splats so
+    /// that pixels saturate and walks terminate, a few wide and a few
+    /// near-opaque ones (alpha clamped at [`MAX_ALPHA`]), and a corner left
+    /// empty so some tiles have no splat at all.
+    fn random_scene(splats: &[((f32, f32, f32), (f32, f32, f32), (f32, f32))]) -> GaussianModel {
+        splats
+            .iter()
+            .map(|&((x, y, z), (sigma, r, g), (opacity, spin))| {
+                let mut gaussian =
+                    Gaussian::isotropic(Vec3::new(x, y, z), sigma, [r, g, 1.0 - r], opacity);
+                gaussian.log_scale.x += spin;
+                gaussian.rotation =
+                    gs_core::math::Quat::from_axis_angle(Vec3::new(spin, 1.0, 0.3), spin);
+                for (k, c) in gaussian.sh.iter_mut().enumerate().skip(3) {
+                    *c = 0.05 * ((k as f32) * spin + r).sin();
+                }
+                gaussian
+            })
+            .collect()
+    }
+
+    /// What a render's backward yields for a fixed, sign-varied loss
+    /// gradient.
+    fn gradients_of(model: &GaussianModel, cam: &Camera, out: &RenderOutput) -> RenderGradients {
+        let d_image: Vec<[f32; 3]> = (0..out.image.pixel_count())
+            .map(|k| [0.7 - (k % 5) as f32 * 0.3, 0.2, -0.4 + (k % 3) as f32 * 0.5])
+            .collect();
+        render_backward(model, cam, &out.aux, &d_image)
+    }
+
+    proptest! {
+        #[test]
+        fn rendering_the_reached_set_equals_rendering_every_candidate(
+            splats in proptest::collection::vec(
+                (
+                    (-1.2f32..0.6, -1.2f32..0.6, 2.5f32..6.0),
+                    (0.02f32..0.6, 0.0f32..1.0, 0.0f32..1.0),
+                    (0.05f32..0.9995, -0.8f32..0.8),
+                ),
+                1..60,
+            ),
+            px in 8u32..40,
+            band_height in 3u32..20,
+        ) {
+            // Exactness of the fetch skip at the renderer: dropping every
+            // candidate no pixel's walk reaches changes no record, so image,
+            // gradients and the reached set itself are bit-identical — at
+            // every thread count.  And shading reads the reached splats'
+            // colours only: poisoning every other SH row changes nothing.
+            let model = random_scene(&splats);
+            let cam = camera(px);
+            let options = |threads: usize, visible: Option<Vec<u32>>| RenderOptions {
+                background: [0.1, 0.2, 0.3],
+                visible,
+                compute_threads: threads,
+                band_height,
+            };
+            let full = render(&model, &cam, &options(1, None));
+            let full_grads = gradients_of(&model, &cam, &full);
+            let reached = full.aux.coverage().reached().clone();
+            prop_assert!(reached.len() <= full.aux.projected_count());
+            prop_assert!(full_grads.iter().all(|(i, _)| reached.contains(*i)));
+
+            let mut poisoned = model.clone();
+            for i in (0..model.len() as u32).filter(|&i| !reached.contains(i)) {
+                poisoned.sh_mut()[i as usize * gs_core::SH_FLOATS..][..gs_core::SH_FLOATS]
+                    .fill(f32::NAN);
+            }
+            for threads in [1usize, 2, 3] {
+                let subset = render(&model, &cam, &options(threads, Some(reached.indices().to_vec())));
+                prop_assert_eq!(&subset.image, &full.image);
+                prop_assert_eq!(subset.aux.coverage().reached(), &reached);
+                prop_assert_eq!(gradients_of(&model, &cam, &subset), full_grads.clone());
+
+                let cover = coverage(&poisoned, &cam, &options(threads, None));
+                let (image, shading) = shade(&poisoned, &cover, [0.1, 0.2, 0.3]);
+                prop_assert_eq!(&image, &full.image);
+                let d_image = vec![[0.5f32, -0.25, 1.0]; image.pixel_count()];
+                prop_assert_eq!(
+                    shade_backward(&poisoned, &cam, &cover, &shading, &d_image),
+                    render_backward(&model, &cam, &full.aux, &d_image)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_random_scenes_reach_the_walks_edge_cases() {
+        // The property above is only as strong as the walks its scenes
+        // produce: a fixed dense scene must terminate some walk, clamp some
+        // splat at MAX_ALPHA, leave some tile empty and leave some projected
+        // candidate unreached.
+        let splats: Vec<_> = (0..40)
+            .map(|k| {
+                let f = k as f32;
+                let (x, y) = (-0.9 + (f * 0.37) % 1.2, -0.9 + (f * 0.53) % 1.2);
+                if k % 4 == 0 {
+                    // Near, wide and nearly opaque: clamped around its centre.
+                    ((x, y, 2.5), (0.4, 0.9, 0.1), (0.9995, 0.0))
+                } else {
+                    (
+                        (x, y, 3.0 + (f * 0.71) % 3.0),
+                        (0.05 + (f * 0.13) % 0.5, (f * 0.31) % 1.0, (f * 0.17) % 1.0),
+                        (0.3 + (f * 0.07) % 0.6, 0.1),
+                    )
+                }
+            })
+            .chain(
+                // Three opaque layers over the image centre, and a splat
+                // behind them that no walk reaches.
+                [2.6, 2.7, 2.8, 5.0].map(|z| ((0.0, 0.0, z), (0.3, 0.5, 0.5), (0.9995, 0.0))),
+            )
+            .collect();
+        let model = random_scene(&splats);
+        let cam = camera(32);
+        let out = render(&model, &cam, &RenderOptions::default());
+        let cover = out.aux.coverage();
+        let records = || cover.bands.iter().flat_map(|b| b.records.iter());
+        let terminated = cover
+            .bands
+            .iter()
+            .flat_map(|b| &b.final_t)
+            .filter(|&&t| t < 1e-3)
+            .count();
+        let clamped = records()
+            .filter(|r| cover.splats[r.slot as usize].opacity * r.gauss >= MAX_ALPHA)
+            .count();
+        let empty_pixels = cover
+            .bands
+            .iter()
+            .flat_map(|b| b.ends.windows(2).map(|w| w[1] - w[0]))
+            .filter(|&n| n == 0)
+            .count();
+        assert!(terminated > 0, "no walk terminated");
+        assert!(clamped > 0, "no splat clamped at MAX_ALPHA");
+        assert!(empty_pixels > 0, "no pixel without a record");
+        assert!(
+            cover.reached().len() < cover.projected_count(),
+            "nothing unreached"
+        );
     }
 }

@@ -12,13 +12,14 @@ mod chaos;
 mod harness;
 mod serve;
 
-use clm_repro::clm_core::{SystemKind, Trainer, GRADIENT_BYTES};
+use clm_repro::clm_core::{cache, SystemKind, Trainer, GRADIENT_BYTES, NON_CRITICAL_BYTES};
 use clm_repro::clm_runtime::{
     ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
 };
 use clm_repro::gs_core::camera::Camera;
+use clm_repro::gs_core::{cull_frustum, VisibilitySet};
 use clm_repro::gs_optim::GradientBuffer;
-use clm_repro::gs_render::Image;
+use clm_repro::gs_render::{render, Image, RenderOptions};
 use clm_repro::sim_device::{Lane, OpKind, Timeline};
 use harness::*;
 use std::collections::BTreeSet;
@@ -168,12 +169,12 @@ fn report_invariants_hold_across_resizes() {
     assert_eq!(engine.trainer().resize_events(), 2);
 }
 
-/// `(micro-batch, rows sent, bytes)` of a timeline's gradient stores.
-fn gradient_stores(timeline: &Timeline) -> Vec<(u32, u64, u64)> {
-    let mut stores: Vec<_> = timeline
+/// `(micro-batch, rows, bytes)` of a timeline's ops of one kind.
+fn payloads(timeline: &Timeline, kind: OpKind) -> Vec<(u32, u64, u64)> {
+    let mut ops: Vec<_> = timeline
         .ops()
         .iter()
-        .filter(|op| op.kind == OpKind::StoreGrads)
+        .filter(|op| op.kind == kind)
         .map(|op| {
             (
                 op.microbatch.expect("per-micro-batch op"),
@@ -182,21 +183,73 @@ fn gradient_stores(timeline: &Timeline) -> Vec<(u32, u64, u64)> {
             )
         })
         .collect();
-    stores.sort_unstable();
-    stores
+    ops.sort_unstable();
+    ops
 }
 
-/// Trains one batch through the stepwise API and recounts what its stores
-/// must send from first principles — each micro-batch's `RenderGradients`
-/// (who received gradient) and the cache plan (who retires when) — without
-/// going near the gradient buffer's own bookkeeping.  Returns the expected
-/// [`gradient_stores`] and how many distinct Gaussians received gradient.
-fn recount_stores(
-    trainer: &mut Trainer,
-    cameras: &[Camera],
-    targets: &[Image],
-) -> (Vec<(u32, u64, u64)>, usize) {
+/// `(micro-batch, rows sent, bytes)` of a timeline's gradient stores.
+fn gradient_stores(timeline: &Timeline) -> Vec<(u32, u64, u64)> {
+    payloads(timeline, OpKind::StoreGrads)
+}
+
+/// `(micro-batch, rows fetched, bytes)` of a timeline's parameter loads.
+fn parameter_loads(timeline: &Timeline) -> Vec<(u32, u64, u64)> {
+    payloads(timeline, OpKind::LoadParams)
+}
+
+/// What one batch must move, recounted from first principles by
+/// [`recount`].
+struct Recount {
+    /// The expected [`gradient_stores`].
+    stores: Vec<(u32, u64, u64)>,
+    /// The expected [`parameter_loads`].
+    loads: Vec<(u32, u64, u64)>,
+    /// Distinct Gaussians that received gradient.
+    received: usize,
+    /// Distinct Gaussians in some view's frustum.
+    frustum: usize,
+}
+
+/// Trains one batch through the stepwise API and recounts what it must move
+/// from first principles, without going near the plan's fetch sets or the
+/// gradient buffer's own bookkeeping: the loads from each view's reached set
+/// (a render of its frustum set against the batch-start model) through
+/// `cache::plan_batch`, the stores from each micro-batch's `RenderGradients`
+/// (who received gradient) and the cache plan (who retires when).
+fn recount(trainer: &mut Trainer, cameras: &[Camera], targets: &[Image]) -> Recount {
     let plan = trainer.resize_and_plan(cameras);
+    let frustum_sets: Vec<VisibilitySet> = plan
+        .order
+        .iter()
+        .map(|&view| cull_frustum(trainer.model(), &cameras[view]))
+        .collect();
+    let reached: Vec<VisibilitySet> = plan
+        .order
+        .iter()
+        .zip(&frustum_sets)
+        .map(|(&view, set)| {
+            let options = RenderOptions {
+                visible: Some(set.indices().to_vec()),
+                band_height: trainer.resolved_band_height(),
+                ..RenderOptions::default()
+            };
+            let out = render(trainer.model(), &cameras[view], &options);
+            out.aux.coverage().reached().clone()
+        })
+        .collect();
+    let loads = cache::plan_batch(&reached)
+        .iter()
+        .take(reached.len())
+        .enumerate()
+        .map(|(i, p)| {
+            let rows = p.fetched.len();
+            (i as u32, rows as u64, (rows * NON_CRITICAL_BYTES) as u64)
+        })
+        .collect();
+    let frustum = frustum_sets
+        .iter()
+        .fold(VisibilitySet::new(), |union, set| union.union(set))
+        .len();
     let mut grads = GradientBuffer::for_model(trainer.model());
     let (mut staging, mut total_loss) = (Vec::new(), 0.0);
     let (mut unsent, mut received) = (BTreeSet::new(), BTreeSet::new());
@@ -220,7 +273,12 @@ fn recount_stores(
     }
     assert!(unsent.is_empty(), "the flush retires every resident row");
     trainer.finish_batch(&plan, &grads, total_loss);
-    (expected, received.len())
+    Recount {
+        stores: expected,
+        loads,
+        received: received.len(),
+        frustum,
+    }
 }
 
 #[test]
@@ -233,22 +291,21 @@ fn every_executor_sends_the_recounted_store_payloads() {
     // `bytes_stored`, and all of it must equal the independent recount.
     let scenario = densifying_scenario();
     let (init, train) = (&scenario.init, &scenario.train);
-    let mut recount = Trainer::new(init.clone(), train.clone());
+    let mut recounter = Trainer::new(init.clone(), train.clone());
     let mut synchronous = Trainer::new(init.clone(), train.clone());
     let mut threaded = ThreadedBackend::new(init.clone(), train.clone(), threaded_config());
-    let mut engines: Vec<PipelinedEngine> = conformance_devices()
-        .into_iter()
-        .map(|devices| {
-            PipelinedEngine::new(init.clone(), train.clone(), runtime_config(devices))
-                .partition_over(&scenario.dataset.cameras)
-        })
-        .collect();
-    let (mut sparse_stores, mut silent_rows) = (0, 0);
+    let mut engines = conformance_engines(&scenario);
+    let (mut rows_stored, mut silent_rows) = (0, 0);
     for _ in 0..EPOCHS {
         for range in batch_slices(scenario.dataset.cameras.len(), train.batch_size) {
             let cameras = &scenario.dataset.cameras[range.clone()];
             let targets = &scenario.targets[range];
-            let (expected, received) = recount_stores(&mut recount, cameras, targets);
+            let Recount {
+                stores: expected,
+                received,
+                frustum,
+                ..
+            } = recount(&mut recounter, cameras, targets);
             let bytes_stored: u64 = expected.iter().map(|(_, _, bytes)| bytes).sum();
 
             let mut timeline = Timeline::new();
@@ -271,19 +328,86 @@ fn every_executor_sends_the_recounted_store_payloads() {
                 assert_eq!(report.comm_bytes_d2h(), bytes_stored, "{label}");
             }
 
-            sparse_stores += expected
-                .iter()
-                .filter(|(_, rows, bytes)| *bytes == rows * (GRADIENT_BYTES as u64 + 4))
-                .count();
-            silent_rows += batch.touched - received;
+            rows_stored += expected.iter().map(|(_, rows, _)| rows).sum::<u64>();
+            silent_rows += frustum - received;
         }
     }
-    assert_eq!(synchronous.model(), recount.model());
-    // Vacuous otherwise: some frustum-touched rows must go without gradient,
-    // and some store must take the sparse form.
+    assert_eq!(synchronous.model(), recounter.model());
+    // Vacuous otherwise: some frustum rows must go without gradient and
+    // some store must carry rows.  Stores retire reached rows only, and
+    // almost every reached row receives gradient, so here they take the
+    // dense form of `min(dense, sparse)`; the sparse arm's pricing is pinned
+    // by `StorePayload`'s unit tests.
     assert!(
-        silent_rows > 0 && sparse_stores > 0,
-        "{silent_rows}, {sparse_stores}"
+        silent_rows > 0 && rows_stored > 0,
+        "{silent_rows}, {rows_stored}"
+    );
+}
+
+/// One simulated engine per conformance device count, partitioned over the
+/// scenario's views.
+fn conformance_engines(scenario: &Scenario) -> Vec<PipelinedEngine> {
+    conformance_devices()
+        .into_iter()
+        .map(|devices| {
+            let (init, train) = (scenario.init.clone(), scenario.train.clone());
+            PipelinedEngine::new(init, train, runtime_config(devices))
+                .partition_over(&scenario.dataset.cameras)
+        })
+        .collect()
+}
+
+#[test]
+fn every_executor_loads_the_recounted_reached_rows() {
+    // A fetch carries the SH rows of the Gaussians its view's compositing
+    // walk reaches, less what the previous micro-batch left on the device:
+    // every executor must record those `LoadParams` rows and bytes per
+    // micro-batch and report their sum as `bytes_loaded`, and all of it must
+    // equal the recount from each view's reached set and the cache planner.
+    let scenario = densifying_scenario();
+    let (init, train) = (&scenario.init, &scenario.train);
+    let mut recounter = Trainer::new(init.clone(), train.clone());
+    let mut synchronous = Trainer::new(init.clone(), train.clone());
+    let mut threaded = ThreadedBackend::new(init.clone(), train.clone(), threaded_config());
+    let mut engines = conformance_engines(&scenario);
+    let (mut frustum_rows, mut fetched_rows) = (0, 0);
+    for _ in 0..EPOCHS {
+        for range in batch_slices(scenario.dataset.cameras.len(), train.batch_size) {
+            let cameras = &scenario.dataset.cameras[range.clone()];
+            let targets = &scenario.targets[range];
+            let Recount { loads, frustum, .. } = recount(&mut recounter, cameras, targets);
+            let bytes_loaded: u64 = loads.iter().map(|(_, _, bytes)| bytes).sum();
+
+            let mut timeline = Timeline::new();
+            let batch = synchronous.train_batch_spanned(cameras, targets, &mut timeline);
+            assert_eq!(parameter_loads(&timeline), loads, "synchronous");
+            assert_eq!(batch.bytes_loaded, bytes_loaded, "synchronous");
+
+            let (report, timeline) = threaded.run_batch_traced(cameras, targets);
+            assert_eq!(parameter_loads(&timeline), loads, "threaded");
+            assert_eq!(report.batch.bytes_loaded, bytes_loaded, "threaded");
+
+            for engine in &mut engines {
+                let label = format!("simulated@{}", engine.config().num_devices);
+                let report = engine.run_batch(cameras, targets);
+                assert_eq!(parameter_loads(&report.timeline), loads, "{label}");
+                assert_eq!(report.batch.bytes_loaded, bytes_loaded, "{label}");
+                assert_eq!(report.comm_bytes_h2d(), bytes_loaded, "{label}");
+            }
+            frustum_rows += frustum;
+            fetched_rows += loads
+                .iter()
+                .map(|(_, rows, _)| *rows as usize)
+                .sum::<usize>();
+        }
+    }
+    assert_eq!(synchronous.model(), recounter.model());
+    // Vacuous otherwise: the fetch must skip frustum rows no pixel reaches
+    // (fetching every frustum row moves each row of a batch's frustum union
+    // at least once).
+    assert!(
+        fetched_rows > 0 && fetched_rows < frustum_rows,
+        "{fetched_rows} rows fetched of {frustum_rows} frustum rows"
     );
 }
 
