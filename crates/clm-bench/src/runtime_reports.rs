@@ -266,51 +266,25 @@ pub fn runtime_summary_figure13() -> String {
 
 /// Figure 14 (runtime): communication volume per batch of the executed
 /// schedules, both directions.  The table form prices CLM's fetches
-/// analytically (host→device only); this runs the batches, so the
-/// device→host side is what the gradient stores actually sent — the
-/// retiring rows that received gradient — next to the dense bound (every
-/// retiring row) and the share of retiring rows that travelled.
+/// analytically (host→device only); this runs the batches, so both sides
+/// are what the executed fetches and gradient stores moved.
 pub fn runtime_summary_figure14() -> String {
     let (dataset, targets, init) = runtime_scene();
     let naive = run_system(&dataset, &targets, &init, SystemKind::NaiveOffload, 2);
-    let mut engine = paper_scale_engine(init, SystemKind::Clm, 2);
-    let (mut rows_retiring, mut rows_sent) = (0u64, 0u64);
-    let mut clm = Vec::new();
-    for (cameras, targets) in dataset.cameras.chunks(BATCH).zip(targets.chunks(BATCH)) {
-        // The model does not densify, so this is the plan the batch runs.
-        let plan = engine.trainer().plan_batch(cameras);
-        rows_retiring += plan.stored.iter().map(|s| s.len() as u64).sum::<u64>();
-        let report = engine.run_batch(cameras, targets);
-        let stores = report.timeline.ops().iter();
-        rows_sent += stores
-            .filter(|op| op.kind == OpKind::StoreGrads)
-            .map(|op| op.rows)
-            .sum::<u64>();
-        clm.push(report);
-    }
+    let clm = run_system(&dataset, &targets, &init, SystemKind::Clm, 2);
     let gb_per_batch = |reports: &[IterationReport], bytes: fn(&IterationReport) -> u64| {
         reports.iter().map(bytes).sum::<u64>() as f64 / reports.len() as f64 / 1.0e9
     };
-    let dense_bound =
-        rows_retiring as f64 * clm_core::GRADIENT_BYTES as f64 * engine.config().cost_scale
-            / clm.len() as f64
-            / 1.0e9;
     format!(
         "{{\"bench\":\"figure14_comm_volume\",\"scene\":\"rubble-synthetic\",\
          \"device\":\"RTX 4090\",\"paper_scale_gaussians\":{},\
          \"naive_h2d_gb_per_batch\":{:.3},\"naive_d2h_gb_per_batch\":{:.3},\
-         \"clm_h2d_gb_per_batch\":{:.3},\"clm_d2h_gb_per_batch\":{:.3},\
-         \"clm_d2h_dense_bound_gb_per_batch\":{:.3},\
-         \"rows_retiring\":{},\"rows_sent\":{},\"rows_sent_frac\":{:.3}}}",
+         \"clm_h2d_gb_per_batch\":{:.3},\"clm_d2h_gb_per_batch\":{:.3}}}",
         PAPER_SCALE_GAUSSIANS as u64,
         gb_per_batch(&naive, IterationReport::comm_bytes_h2d),
         gb_per_batch(&naive, IterationReport::comm_bytes_d2h),
         gb_per_batch(&clm, IterationReport::comm_bytes_h2d),
         gb_per_batch(&clm, IterationReport::comm_bytes_d2h),
-        dense_bound,
-        rows_retiring,
-        rows_sent,
-        rows_sent as f64 / rows_retiring.max(1) as f64,
     )
 }
 
@@ -451,20 +425,16 @@ mod tests {
     }
 
     #[test]
-    fn figure14_summary_reports_both_directions_and_the_sent_share() {
+    fn figure14_summary_reports_both_directions() {
         let s = runtime_summary_figure14();
         assert_single_json_line(&s);
         let field = |name: &str| -> f64 {
             let rest = &s[s.find(&format!("\"{name}\":")).expect(name) + name.len() + 3..];
             rest[..rest.find([',', '}']).unwrap()].parse().unwrap()
         };
-        // Only rows that received gradient travel: never more than retire,
-        // never more bytes than the dense block — and far less than naive
-        // offloading's whole gradient.
-        assert!(field("rows_sent") > 0.0 && field("rows_sent") <= field("rows_retiring"));
+        // CLM moves far less than naive offloading's whole model each way.
         let d2h = field("clm_d2h_gb_per_batch");
-        assert!(d2h > 0.0 && d2h <= field("clm_d2h_dense_bound_gb_per_batch"));
-        assert!(d2h < field("naive_d2h_gb_per_batch"));
+        assert!(d2h > 0.0 && d2h < field("naive_d2h_gb_per_batch"));
         assert!(field("clm_h2d_gb_per_batch") < field("naive_h2d_gb_per_batch"));
     }
 

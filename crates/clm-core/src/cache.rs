@@ -57,10 +57,8 @@ impl CachePlan {
         (self.cached.len() * NON_CRITICAL_BYTES) as u64
     }
 
-    /// Bytes of gradients stored to host memory for this transition if
-    /// every retiring row carries one — the dense bound the analytic
-    /// paper-scale model prices.  An executed batch sends only the rows
-    /// that received gradient (`BatchPlan::store_gradients`).
+    /// Bytes of gradients stored to host memory for this transition: one
+    /// dense row per retiring Gaussian (`BatchPlan::store_bytes`).
     pub fn store_bytes(&self) -> u64 {
         (self.grads_to_store.len() * GRADIENT_BYTES) as u64
     }

@@ -35,8 +35,7 @@ pub const NON_CRITICAL_BYTES: usize = NON_CRITICAL_FLOATS * BYTES_PER_PARAM;
 pub const SELECTION_CRITICAL_BYTES: usize = SELECTION_CRITICAL_FLOATS * BYTES_PER_PARAM;
 
 /// Bytes of one Gaussian's gradient row sent back to the CPU (all 59
-/// parameters; a sparse store adds the row's index —
-/// [`gs_optim::StorePayload`]).
+/// parameters).
 pub const GRADIENT_BYTES: usize = gs_optim::GRADIENT_ROW_BYTES;
 
 /// The pinned-host half of a Gaussian model stored attribute-wise across the

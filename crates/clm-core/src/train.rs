@@ -10,7 +10,7 @@
 //! how much data crosses the simulated PCIe link and how much GPU memory
 //! they need, which is exactly the paper's claim.
 
-use crate::offload::{OffloadedModel, NON_CRITICAL_BYTES};
+use crate::offload::{OffloadedModel, GRADIENT_BYTES, NON_CRITICAL_BYTES};
 use crate::order::{order_batch, OrderingStrategy};
 use crate::perf::SystemKind;
 use crate::schedule::FinalizationPlan;
@@ -18,7 +18,7 @@ use gs_core::camera::Camera;
 use gs_core::gaussian::{GaussianModel, NON_CRITICAL_FLOATS};
 use gs_core::visibility::VisibilitySet;
 use gs_core::PARAMS_PER_GAUSSIAN;
-use gs_optim::{AdamConfig, GaussianAdam, GradientBuffer, ParamRow, StorePayload};
+use gs_optim::{AdamConfig, GaussianAdam, GradientBuffer, ParamRow};
 use gs_render::{
     l1_loss, parallel::parallel_map, psnr, render, shade, shade_backward, Coverage, Image,
     RenderGradients, RenderOptions, DEFAULT_BAND_HEIGHT,
@@ -143,9 +143,9 @@ pub struct BatchReport {
     pub received: usize,
     /// Parameter bytes moved CPU→GPU by this batch (0 for GPU-only systems).
     pub bytes_loaded: u64,
-    /// Gradient bytes moved GPU→CPU by this batch: what the batch's stores
-    /// actually sent ([`BatchPlan::store_gradients`]), or the whole gradient
-    /// for naive offloading.
+    /// Gradient bytes moved GPU→CPU by this batch: the stores' retiring rows
+    /// ([`BatchPlan::store_bytes`]) summed, or the whole gradient for naive
+    /// offloading.
     pub bytes_stored: u64,
     /// The micro-batch processing order used.
     pub order: Vec<usize>,
@@ -182,6 +182,15 @@ pub struct BatchPlan {
     /// `coverage[i]` = micro-batch `i`'s coverage: what its view's
     /// compositing walk reaches, computed against the model the batch
     /// starts from.  [`Trainer::render_microbatch`] shades from it.
+    ///
+    /// Every view's coverage stays alive for the whole batch, so the plan
+    /// holds `batch_size × pixels × walk depth` records of 8 B each, plus
+    /// every projected splat: ≈ 2.5 MB per view (≈ 110 records per pixel
+    /// at 48×32) and ≈ 10 MB per batch on `offload_bound`, ≈ 11 MB per view
+    /// and ≈ 43 MB per batch at 112×84 (`render_bound`, the largest view
+    /// the repo trains on).  That is ≈ 1.2 kB per pixel per view: at the
+    /// paper's resolutions storing the records stops being viable, and a
+    /// render would recompute its view's walk instead.
     pub coverage: Vec<Coverage>,
     /// Finalisation groups for overlapped CPU Adam (over the reached sets:
     /// a row's last access is the last micro-batch that reaches it).
@@ -192,9 +201,8 @@ pub struct BatchPlan {
     pub fetched: Vec<VisibilitySet>,
     /// `stored[i]` = Gaussians that retire from the device after
     /// micro-batch `i` completes (the last entry includes the batch's
-    /// flush; empty for non-offloading systems).  The store carries the
-    /// gradients of those that received any
-    /// ([`store_gradients`](Self::store_gradients)).
+    /// flush; empty for non-offloading systems).  The store carries their
+    /// gradient rows ([`store_bytes`](Self::store_bytes)).
     pub stored: Vec<VisibilitySet>,
     /// Gaussians no micro-batch reaches (the `F_0` group, updatable
     /// immediately under overlapped CPU Adam — frustum-visible rows no
@@ -221,14 +229,13 @@ impl BatchPlan {
         (self.fetched[i].len() * NON_CRITICAL_BYTES) as u64
     }
 
-    /// The gradient store retiring micro-batch `i`: sends the gradients of
-    /// the rows of `stored[i]` that received any since they were last
-    /// stored ([`GradientBuffer::store`]).  Every executor calls this once
-    /// per micro-batch at the same point — after micro-batch `i`'s
-    /// gradients are accumulated, before micro-batch `i + 1`'s — so they
-    /// all send the same payloads.
-    pub fn store_gradients(&self, i: usize, grads: &mut GradientBuffer) -> StorePayload {
-        grads.store(self.stored[i].indices())
+    /// Gradient bytes the store retiring micro-batch `i` moves over PCIe:
+    /// every row of `stored[i]`, dense.  The rows are reached rows, and a
+    /// reached row receives gradient unless every pixel it reaches has zero
+    /// loss gradient, so a sparse (indexed) list of the received rows would
+    /// never be cheaper on any benchmark workload.
+    pub fn store_bytes(&self, i: usize) -> u64 {
+        (self.stored[i].len() * GRADIENT_BYTES) as u64
     }
 }
 
@@ -919,7 +926,9 @@ impl Trainer {
             bytes_stored: match self.config.system {
                 SystemKind::Baseline | SystemKind::EnhancedBaseline => 0,
                 SystemKind::NaiveOffload => self.whole_model_bytes(),
-                SystemKind::Clm => grads.stored_bytes(),
+                SystemKind::Clm => (0..plan.num_microbatches())
+                    .map(|i| plan.store_bytes(i))
+                    .sum(),
             },
             order: plan.order.clone(),
         }
@@ -1022,12 +1031,10 @@ impl Trainer {
             total_loss += loss;
             grads.accumulate_render(&render_grads);
             spans.lap(OpKind::Backward, Lane::GpuCompute, 0, rows, mb);
-            // Only CLM retires gradients per micro-batch (`stored` is empty
-            // for the other systems).
-            let store = plan.store_gradients(micro_idx, &mut grads);
+            // Only CLM retires gradients per micro-batch.
             if self.config.system == SystemKind::Clm {
-                let (bytes, rows) = (store.bytes, store.rows);
-                spans.lap(OpKind::StoreGrads, Lane::GpuComm, bytes, rows, mb);
+                let (bytes, rows) = (plan.store_bytes(micro_idx), plan.stored[micro_idx].len());
+                spans.lap(OpKind::StoreGrads, Lane::GpuComm, bytes, rows as u64, mb);
             }
             self.apply_finalized(&plan, micro_idx, &grads);
             if overlapped {
@@ -1110,13 +1117,11 @@ impl Trainer {
                 view.render_microbatch(plan, start + offset, cameras, targets, &staged[offset])
             });
 
-            // Replay the serial order: accumulate micro-batch i, retire its
-            // gradients, then apply its finalisation group, exactly as the
-            // sequential loop would.
+            // Replay the serial order: accumulate micro-batch i, then apply
+            // its finalisation group, exactly as the sequential loop would.
             for (offset, (loss, render_grads)) in results.iter().enumerate() {
                 total_loss += loss;
                 grads.accumulate_render(render_grads);
-                plan.store_gradients(start + offset, &mut grads);
                 self.apply_finalized(plan, start + offset, &grads);
             }
             start = end;
@@ -1186,7 +1191,6 @@ pub fn ground_truth_images(dataset: &Dataset) -> Vec<Image> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::offload::GRADIENT_BYTES;
     use gs_core::gaussian::SH_FLOATS;
     use gs_scene::{
         generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
@@ -1568,63 +1572,6 @@ mod tests {
         assert!(serial.resize_events() >= 1);
         assert_eq!(serial.resize_events(), sharded.resize_events());
         assert_eq!(serial.model(), sharded.model());
-    }
-
-    #[test]
-    fn a_re_evicted_then_refetched_row_ships_once_per_residency() {
-        // Row 7 is visible to micro-batches 0 and 2 but not 1, so the cache
-        // evicts it after 0 and again (with the flush) after 2; row 3 stays
-        // resident throughout; row 9 is visible to 0 only and never
-        // receives gradient.
-        let sets: Vec<VisibilitySet> = [vec![3u32, 7, 9], vec![3], vec![3, 7]]
-            .into_iter()
-            .map(|rows| rows.into_iter().collect())
-            .collect();
-        let cache = crate::cache::plan_batch(&sets);
-        let plan = BatchPlan {
-            order: vec![0, 1, 2],
-            coverage: Vec::new(),
-            finalization: FinalizationPlan::new(&sets),
-            fetched: cache[..3].iter().map(|p| p.fetched.clone()).collect(),
-            stored: cache[1..]
-                .iter()
-                .map(|p| p.grads_to_store.clone())
-                .collect(),
-            untouched: VisibilitySet::new(),
-            touched_union: [3u32, 7, 9].into_iter().collect(),
-            ordered_sets: sets,
-            bytes_loaded: 0,
-            resize: None,
-        };
-        assert_eq!(plan.stored[0].indices(), &[7, 9]);
-        assert_eq!(plan.stored[2].indices(), &[3, 7]);
-
-        let grad = |x: f32| gs_render::GaussianGradients {
-            d_opacity_logit: x,
-            ..Default::default()
-        };
-        let mut grads = GradientBuffer::new(10);
-        let sparse = gs_optim::SPARSE_GRADIENT_ROW_BYTES as u64;
-        // Micro-batch 0 reaches rows 3 and 7; its store retires {7, 9} and
-        // sends row 7 alone (9 has nothing, 3 stays on the device).
-        grads.add(3, &grad(1.0));
-        grads.add(7, &grad(2.0));
-        let sent = plan.store_gradients(0, &mut grads);
-        assert_eq!((sent.rows, sent.bytes), (1, sparse));
-        // Micro-batch 1 reaches row 3; nothing retires.
-        grads.add(3, &grad(0.5));
-        assert_eq!(plan.store_gradients(1, &mut grads), StorePayload::default());
-        // Micro-batch 2 reaches row 7 again; the flush sends rows 3 and 7 —
-        // row 7 for the second time, carrying its second residency, and
-        // both as the dense block (2 of 2 rows: no indices needed).
-        grads.add(7, &grad(4.0));
-        let sent = plan.store_gradients(2, &mut grads);
-        assert_eq!((sent.rows, sent.bytes), (2, 2 * GRADIENT_BYTES as u64));
-        assert_eq!(grads.stored_bytes(), sparse + 2 * GRADIENT_BYTES as u64);
-        // Nothing is left unsent, and the host-side sums are complete.
-        assert_eq!(plan.store_gradients(2, &mut grads).rows, 0);
-        assert_eq!(grads.row(7).d_opacity_logit, 6.0);
-        assert_eq!(grads.row(3).d_opacity_logit, 1.5);
     }
 
     #[test]

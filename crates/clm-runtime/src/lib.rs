@@ -636,8 +636,9 @@ mod tests {
         // op's bytes, rows and duration), and when fetches, stores and Adam
         // groups moved from the frustum sets to the reached sets (fewer,
         // 192-byte `LoadParams` rows; smaller staging buffers in the pool
-        // accounting).  The NaiveOffload rows (whole-model transfers) did not
-        // move either time.
+        // accounting; stores dense again, as every retiring reached row
+        // received gradient here).  The NaiveOffload rows (whole-model
+        // transfers) did not move either time.
         assert_eq!(
             single_device_schedule_fingerprints(),
             [
@@ -660,7 +661,9 @@ mod tests {
         // for bit beyond one device and beyond CLM.  Re-pinned with it,
         // twice: the CLM rows moved with the sparse gradient stores (and,
         // above one device, the all-reduce of received rows only), then with
-        // the reached-set fetches, stores and Adam groups; the Baseline and
+        // the reached-set fetches, stores and Adam groups — when stores and
+        // the all-reduce went back to dense rows, which also moved the
+        // non-overlapped rows' whole-model all-reduce; the Baseline and
         // EnhancedBaseline rows moved neither time.
         use clm_core::{DensifyConfig, DensifySchedule};
         use sim_device::{FaultPlan, FaultSpec};
@@ -721,9 +724,9 @@ mod tests {
             fingerprints,
             [
                 0x7ef6_4b2b_4ffd_1e43,
-                0x302c_b773_bc05_f0a2,
+                0x8a17_7e41_2320_7b96,
                 0xe76d_8cd4_7e61_d1ca,
-                0xe0a2_7804_e409_5e1a,
+                0x28ca_ad4c_e262_78a0,
                 0x860e_878f_056f_f9bf,
                 0xa2ce_8b0e_5869_1fa2,
                 0x67e5_adac_da9b_4d57,

@@ -705,7 +705,7 @@ impl CostSource for LaneRun<'_> {
     /// one of them retires with this store); that runs on the coordinator
     /// but is optimiser-lane work, so the span is charged to the Adam lane.
     fn store(&mut self, i: usize) -> OpCost {
-        let sent = self.plan.store_gradients(i, self.grads);
+        let (bytes, rows) = (self.plan.store_bytes(i), self.plan.stored[i].len() as u64);
         let indices = self.plan.finalization.finalized_by(i).indices();
         // Without an Adam lane (non-overlapped CLM) nothing is packed.
         let list = match self.adam {
@@ -722,14 +722,9 @@ impl CostSource for LaneRun<'_> {
             None => &[],
         };
         let mb = Some(i as u32);
-        self.packed = self.spans.time(
-            OpKind::StoreGrads,
-            Lane::CpuAdam,
-            mb,
-            sent.bytes,
-            sent.rows,
-            pack,
-        );
+        self.packed = self
+            .spans
+            .time(OpKind::StoreGrads, Lane::CpuAdam, mb, bytes, rows, pack);
         self.shipped_rows += self.packed.len() as u64;
         OpCost::default()
     }

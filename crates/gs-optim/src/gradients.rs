@@ -4,15 +4,14 @@
 //! accumulates their gradients before the optimiser step (§4.2).  The
 //! [`GradientBuffer`] is the CPU-side accumulator: dense storage shaped like
 //! the model plus a record of which Gaussians actually **received**
-//! gradient, so that sparse (subset) Adam, the finalisation analysis of
-//! overlapped CPU Adam and the gradient stores can work directly from it.
+//! gradient, so that sparse (subset) Adam and the finalisation analysis of
+//! overlapped CPU Adam can work directly from it.
 //!
-//! Receipt is the fact everything downstream keys on.  A frustum-visible
-//! Gaussian the renderer never reached (occluded, sub-threshold alpha)
-//! holds `+0.0` in every slot, so nothing needs to carry its row: a
-//! gradient store ([`GradientBuffer::store`]) ships only the retiring rows
-//! that received gradient since they were last stored, and the optimiser
-//! stages a zero lane for every row without receipt.
+//! A Gaussian without receipt holds `+0.0` in every slot, so the optimiser
+//! lane is shipped the received rows only and stages a zero lane for the
+//! rest.  (Gradient stores need no receipt: they retire reached rows only,
+//! and a reached row receives gradient unless every pixel it reaches has
+//! zero loss gradient.)
 
 use gs_core::gaussian::{GaussianModel, SH_FLOATS};
 use gs_core::math::Vec3;
@@ -22,35 +21,6 @@ use gs_render::{GaussianGradients, RenderGradients};
 
 /// Bytes of one dense gradient row (all 59 parameters).
 pub const GRADIENT_ROW_BYTES: usize = PARAMS_PER_GAUSSIAN * BYTES_PER_PARAM;
-
-/// Bytes of one gradient row in a sparse store: the row plus its `u32`
-/// Gaussian index.
-pub const SPARSE_GRADIENT_ROW_BYTES: usize = GRADIENT_ROW_BYTES + std::mem::size_of::<u32>();
-
-/// What one gradient store moves device→host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StorePayload {
-    /// Gradient rows sent: the retiring rows that received gradient since
-    /// they were last stored.
-    pub rows: u64,
-    /// Bytes on the wire.
-    pub bytes: u64,
-}
-
-impl StorePayload {
-    /// The payload of a store retiring `rows_retiring` rows of which
-    /// `rows_sent` carry gradient: the cheaper of the dense block (every
-    /// retiring row, no indices) and the sparse list (only the rows sent,
-    /// each with its index) — so a fully-dense store never gets dearer.
-    pub fn new(rows_retiring: usize, rows_sent: usize) -> Self {
-        let dense = rows_retiring * GRADIENT_ROW_BYTES;
-        let sparse = rows_sent * SPARSE_GRADIENT_ROW_BYTES;
-        StorePayload {
-            rows: rows_sent as u64,
-            bytes: dense.min(sparse) as u64,
-        }
-    }
-}
 
 /// Dense per-Gaussian gradient accumulator.
 ///
@@ -69,12 +39,8 @@ pub struct GradientBuffer {
     d_opacity_logits: Vec<f32>,
     /// Per row: received gradient since the row was last cleared.
     touched: Vec<bool>,
-    /// Per row: received gradient since the row was last stored.
-    unsent: Vec<bool>,
     /// The rows with `touched` set, in first-touch order.
     received: Vec<u32>,
-    /// Bytes every [`store`](Self::store) since the last full clear moved.
-    stored_bytes: u64,
 }
 
 impl GradientBuffer {
@@ -87,9 +53,7 @@ impl GradientBuffer {
             d_sh: vec![0.0; len * SH_FLOATS],
             d_opacity_logits: vec![0.0; len],
             touched: vec![false; len],
-            unsent: vec![false; len],
             received: Vec::new(),
-            stored_bytes: 0,
         }
     }
 
@@ -114,7 +78,6 @@ impl GradientBuffer {
         fit(&mut self.d_sh, len * SH_FLOATS, 0.0);
         fit(&mut self.d_opacity_logits, len, 0.0);
         fit(&mut self.touched, len, false);
-        fit(&mut self.unsent, len, false);
         self.received.retain(|&i| (i as usize) < len);
     }
 
@@ -153,7 +116,6 @@ impl GradientBuffer {
             self.touched[i] = true;
             self.received.push(index);
         }
-        self.unsent[i] = true;
     }
 
     /// Accumulates every entry of a renderer gradient result.
@@ -225,39 +187,6 @@ impl GradientBuffer {
         self.received.len()
     }
 
-    /// How many of `indices` received gradient.
-    pub fn count_received(&self, indices: &[u32]) -> usize {
-        indices.iter().filter(|&&i| self.is_touched(i)).count()
-    }
-
-    /// Stores the gradients of the rows `retiring` from the device to the
-    /// host: the payload is the retiring rows that received gradient since
-    /// they were last stored (a row evicted, re-fetched and evicted again
-    /// ships once per residency, each time with what it accumulated while
-    /// resident), priced by [`StorePayload::new`].  Clears those rows'
-    /// unsent marks; the accumulated values stay, as the host-side sum.
-    ///
-    /// This is the **one** place a retirement set becomes a store payload:
-    /// every executor calls it once per micro-batch, after the micro-batch's
-    /// gradients are accumulated and before the next one's.
-    pub fn store(&mut self, retiring: &[u32]) -> StorePayload {
-        let mut sent = 0;
-        for &idx in retiring {
-            if let Some(unsent) = self.unsent.get_mut(idx as usize) {
-                sent += usize::from(std::mem::take(unsent));
-            }
-        }
-        let payload = StorePayload::new(retiring.len(), sent);
-        self.stored_bytes += payload.bytes;
-        payload
-    }
-
-    /// Bytes every [`store`](Self::store) moved since the buffer was last
-    /// all-zero.
-    pub fn stored_bytes(&self) -> u64 {
-        self.stored_bytes
-    }
-
     /// Resets every gradient to zero (keeps the allocation) — O(receivers),
     /// not O(model).
     pub fn clear(&mut self) {
@@ -269,9 +198,7 @@ impl GradientBuffer {
             self.d_sh[i * SH_FLOATS..(i + 1) * SH_FLOATS].fill(0.0);
             self.d_opacity_logits[i] = 0.0;
             self.touched[i] = false;
-            self.unsent[i] = false;
         }
-        self.stored_bytes = 0;
     }
 
     /// Sum of the L2 norms of every touched Gaussian's gradient (a cheap
@@ -444,42 +371,6 @@ mod tests {
         assert_eq!(row[PARAMS_PER_GAUSSIAN - 1], 9.0);
         // Receipt, not value, decides: an all-zero gradient still ships.
         assert_eq!(rows[2], (4, [0.0; PARAMS_PER_GAUSSIAN]));
-        assert_eq!(buf.count_received(&[0, 1, 3, 4]), 2);
-    }
-
-    #[test]
-    fn a_store_ships_each_row_once_per_residency() {
-        let mut buf = GradientBuffer::new(8);
-        for i in [1u32, 2, 5] {
-            buf.add(i, &grad(1.0, 0.0));
-        }
-        // Rows 1..=4 retire; 1 and 2 carry gradient, 3 and 4 never received.
-        let first = buf.store(&[1, 2, 3, 4]);
-        assert_eq!(first, StorePayload::new(4, 2));
-        assert_eq!(first.bytes, 2 * SPARSE_GRADIENT_ROW_BYTES as u64);
-        // Retiring again without new gradient sends nothing — no duplicate.
-        assert_eq!(buf.store(&[1, 2]), StorePayload::default());
-        // Row 2 is re-fetched, receives gradient again and retires with row
-        // 5, which has been resident all along.
-        buf.add(2, &grad(0.5, 0.0));
-        let second = buf.store(&[2, 5, 6]);
-        assert_eq!(second.rows, 2);
-        assert_eq!(buf.row(2).d_position.x, 1.5, "the host-side sum stays");
-        assert_eq!(buf.stored_bytes(), first.bytes + second.bytes);
-        assert_eq!(buf.touched_count(), 3, "stores never forget receipt");
-        buf.clear();
-        assert_eq!(buf, GradientBuffer::new(8));
-    }
-
-    #[test]
-    fn a_store_payload_is_never_dearer_than_the_dense_block() {
-        // Sparse rows carry a 4-byte index each, so a (nearly) dense store
-        // falls back to the index-free block.
-        assert_eq!(StorePayload::new(10, 0).bytes, 0);
-        assert_eq!(StorePayload::new(10, 1).bytes, 240);
-        assert_eq!(StorePayload::new(60, 59).bytes, 59 * 240);
-        assert_eq!(StorePayload::new(60, 60).bytes, 60 * 236);
-        assert_eq!(StorePayload::new(10, 10).rows, 10);
     }
 
     #[test]

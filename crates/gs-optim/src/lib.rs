@@ -35,4 +35,4 @@ pub use adam::{
     adam_update_lanes, compute_packed, compute_packed_lanes, threads_for_chunk_rows, AdamConfig,
     AdamRowState, AdamWorkItem, GaussianAdam, ParamRow, WORK_ITEM_BYTES,
 };
-pub use gradients::{GradientBuffer, StorePayload, GRADIENT_ROW_BYTES, SPARSE_GRADIENT_ROW_BYTES};
+pub use gradients::{GradientBuffer, GRADIENT_ROW_BYTES};

@@ -402,8 +402,9 @@ pub fn coverage(model: &GaussianModel, camera: &Camera, options: &RenderOptions)
 }
 
 /// The front-to-back order of `projected`: indices sorted by depth under
-/// [`f32::total_cmp`] — a total order even with a NaN depth (which sorts
-/// after every finite one), where `partial_cmp` would not be.  The sort is
+/// [`f32::total_cmp`] — a total order even with a NaN depth (a positive
+/// NaN sorts after every finite depth, a negative one before), where
+/// `partial_cmp` would not be.  The sort is
 /// stable, so equal depths keep candidate order and any subset of the
 /// candidates sorts to the same relative order.
 fn depth_order(projected: &[ProjectedGaussian]) -> Vec<u32> {
@@ -1451,8 +1452,9 @@ mod tests {
     fn depth_order_is_total_with_a_nan_depth() {
         // `partial_cmp(..).unwrap_or(Equal)` is not a total order once a
         // depth is NaN (and `sort_by` may panic on that); `total_cmp` is,
-        // sorts the NaN behind every finite depth and leaves the finite
-        // order — ties in candidate order — as it was.
+        // sorts a positive NaN behind every finite depth and a negative one
+        // in front, and leaves the finite order — ties in candidate order —
+        // as it was.
         let splat = |depth: f32| ProjectedGaussian {
             index: 0,
             mean2d: gs_core::math::Vec2::new(0.0, 0.0),
@@ -1461,9 +1463,9 @@ mod tests {
             radius: 1.0,
             opacity: 0.5,
         };
-        let depths = [3.0, f32::NAN, 1.0, 2.0, 1.0, 0.5, f32::NAN, 2.0];
+        let depths = [3.0, f32::NAN, 1.0, 2.0, 1.0, 0.5, f32::NAN, 2.0, -f32::NAN];
         let projected: Vec<ProjectedGaussian> = depths.iter().map(|&d| splat(d)).collect();
-        assert_eq!(depth_order(&projected), [5, 2, 4, 3, 7, 0, 1, 6]);
+        assert_eq!(depth_order(&projected), [8, 5, 2, 4, 3, 7, 0, 1, 6]);
         // Many NaNs among many finite depths: no panic, finite ones sorted.
         let projected: Vec<ProjectedGaussian> = (0..2000)
             .map(|k| {

@@ -211,11 +211,11 @@ struct Recount {
 }
 
 /// Trains one batch through the stepwise API and recounts what it must move
-/// from first principles, without going near the plan's fetch sets or the
-/// gradient buffer's own bookkeeping: the loads from each view's reached set
-/// (a render of its frustum set against the batch-start model) through
-/// `cache::plan_batch`, the stores from each micro-batch's `RenderGradients`
-/// (who received gradient) and the cache plan (who retires when).
+/// from first principles, without going near the plan's fetch and store
+/// sets or the gradient buffer's own bookkeeping: the loads and stores from
+/// each view's reached set (a render of its frustum set against the
+/// batch-start model) through `cache::plan_batch`, the receivers from each
+/// micro-batch's `RenderGradients`.
 fn recount(trainer: &mut Trainer, cameras: &[Camera], targets: &[Image]) -> Recount {
     let plan = trainer.resize_and_plan(cameras);
     let frustum_sets: Vec<VisibilitySet> = plan
@@ -237,14 +237,17 @@ fn recount(trainer: &mut Trainer, cameras: &[Camera], targets: &[Image]) -> Reco
             out.aux.coverage().reached().clone()
         })
         .collect();
-    let loads = cache::plan_batch(&reached)
-        .iter()
-        .take(reached.len())
-        .enumerate()
-        .map(|(i, p)| {
-            let rows = p.fetched.len();
-            (i as u32, rows as u64, (rows * NON_CRITICAL_BYTES) as u64)
-        })
+    // Plan `i` fetches micro-batch `i`'s missing rows; plan `i + 1` (the
+    // last one is the flush) retires what micro-batch `i` leaves behind.
+    let transitions = cache::plan_batch(&reached);
+    let payload = |i: usize, rows: usize, row_bytes: usize| {
+        (i as u32, rows as u64, (rows * row_bytes) as u64)
+    };
+    let loads = (0..reached.len())
+        .map(|i| payload(i, transitions[i].fetched.len(), NON_CRITICAL_BYTES))
+        .collect();
+    let stores = (0..reached.len())
+        .map(|i| payload(i, transitions[i + 1].grads_to_store.len(), GRADIENT_BYTES))
         .collect();
     let frustum = frustum_sets
         .iter()
@@ -252,29 +255,19 @@ fn recount(trainer: &mut Trainer, cameras: &[Camera], targets: &[Image]) -> Reco
         .len();
     let mut grads = GradientBuffer::for_model(trainer.model());
     let (mut staging, mut total_loss) = (Vec::new(), 0.0);
-    let (mut unsent, mut received) = (BTreeSet::new(), BTreeSet::new());
-    let mut expected = Vec::new();
+    let mut received = BTreeSet::new();
     trainer.begin_batch(&plan, &grads);
     for i in 0..plan.num_microbatches() {
         trainer.stage_microbatch(&plan, i, &mut staging);
         let (loss, render_grads) = trainer.render_microbatch(&plan, i, cameras, targets, &staging);
         total_loss += loss;
-        for (index, _) in render_grads.iter() {
-            unsent.insert(*index);
-            received.insert(*index);
-        }
-        // A retiring row ships iff it received gradient while resident.
-        let retiring = plan.stored[i].indices();
-        let sent = retiring.iter().filter(|&row| unsent.remove(row)).count();
-        let bytes = (retiring.len() * GRADIENT_BYTES).min(sent * (GRADIENT_BYTES + 4));
-        expected.push((i as u32, sent as u64, bytes as u64));
+        received.extend(render_grads.iter().map(|(index, _)| *index));
         grads.accumulate_render(&render_grads);
         trainer.apply_finalized(&plan, i, &grads);
     }
-    assert!(unsent.is_empty(), "the flush retires every resident row");
     trainer.finish_batch(&plan, &grads, total_loss);
     Recount {
-        stores: expected,
+        stores,
         loads,
         received: received.len(),
         frustum,
@@ -283,19 +276,19 @@ fn recount(trainer: &mut Trainer, cameras: &[Camera], targets: &[Image]) -> Reco
 
 #[test]
 fn every_executor_sends_the_recounted_store_payloads() {
-    // What a store carries is decided by who received gradient, which only
-    // the executed batch knows — so every executor has to reach the same
-    // payloads on its own: the synchronous loop, the simulated engine at
+    // A store carries the dense gradient rows of the reached Gaussians that
+    // retire from the device: the synchronous loop, the simulated engine at
     // every device count and the threaded backend must record the same
     // per-micro-batch `StoreGrads` rows and bytes, report their sum as
-    // `bytes_stored`, and all of it must equal the independent recount.
+    // `bytes_stored` and the same receivers, and all of it must equal the
+    // independent recount.
     let scenario = densifying_scenario();
     let (init, train) = (&scenario.init, &scenario.train);
     let mut recounter = Trainer::new(init.clone(), train.clone());
     let mut synchronous = Trainer::new(init.clone(), train.clone());
     let mut threaded = ThreadedBackend::new(init.clone(), train.clone(), threaded_config());
     let mut engines = conformance_engines(&scenario);
-    let (mut rows_stored, mut silent_rows) = (0, 0);
+    let (mut frustum_rows, mut stored_rows) = (0, 0);
     for _ in 0..EPOCHS {
         for range in batch_slices(scenario.dataset.cameras.len(), train.batch_size) {
             let cameras = &scenario.dataset.cameras[range.clone()];
@@ -328,19 +321,20 @@ fn every_executor_sends_the_recounted_store_payloads() {
                 assert_eq!(report.comm_bytes_d2h(), bytes_stored, "{label}");
             }
 
-            rows_stored += expected.iter().map(|(_, rows, _)| rows).sum::<u64>();
-            silent_rows += frustum - received;
+            frustum_rows += frustum;
+            stored_rows += expected
+                .iter()
+                .map(|(_, rows, _)| *rows as usize)
+                .sum::<usize>();
         }
     }
     assert_eq!(synchronous.model(), recounter.model());
-    // Vacuous otherwise: some frustum rows must go without gradient and
-    // some store must carry rows.  Stores retire reached rows only, and
-    // almost every reached row receives gradient, so here they take the
-    // dense form of `min(dense, sparse)`; the sparse arm's pricing is pinned
-    // by `StorePayload`'s unit tests.
+    // Vacuous otherwise: the stores must skip frustum rows no pixel reaches
+    // (retiring every frustum row stores each row of a batch's frustum
+    // union at least once).
     assert!(
-        silent_rows > 0 && rows_stored > 0,
-        "{silent_rows}, {rows_stored}"
+        stored_rows > 0 && stored_rows < frustum_rows,
+        "{stored_rows} rows stored of {frustum_rows} frustum rows"
     );
 }
 
