@@ -195,6 +195,31 @@ impl Coverage {
     pub fn projected_count(&self) -> usize {
         self.splats.len()
     }
+
+    /// Pixels whose walk ran out of candidates with its transmittance still
+    /// at or above [`TRANSMITTANCE_EPS`] (zero when every walk terminated).
+    pub fn open_pixels(&self) -> usize {
+        let mut open = 0;
+        for band in &self.bands {
+            let mut start = 0;
+            for &end in &band.ends {
+                let mut t = 1.0f32;
+                let mut terminated = false;
+                for r in &band.records[start..end as usize] {
+                    let alpha = clamped_alpha(self.splats[r.slot as usize].opacity, r.gauss);
+                    let next_t = t * (1.0 - alpha);
+                    if next_t < TRANSMITTANCE_EPS {
+                        terminated = true;
+                        break;
+                    }
+                    t = next_t;
+                }
+                open += usize::from(!terminated);
+                start = end as usize;
+            }
+        }
+        open
+    }
 }
 
 /// What [`shade`] saves for [`shade_backward`]: the reached splats' colours.
