@@ -185,10 +185,12 @@ pub struct BatchPlan {
     ///
     /// Every view's coverage stays alive for the whole batch, so the plan
     /// holds `batch_size × pixels × walk depth` records of 8 B each, plus
-    /// every projected splat: ≈ 2.5 MB per view (≈ 110 records per pixel
-    /// at 48×32) and ≈ 10 MB per batch on `offload_bound`, ≈ 11 MB per view
-    /// and ≈ 43 MB per batch at 112×84 (`render_bound`, the largest view
-    /// the repo trains on).  That is ≈ 1.2 kB per pixel per view: at the
+    /// the splats each view projected — only the depth slabs its walks
+    /// needed (≈ 1 k of ≈ 13 k frustum rows per view on `offload_bound`,
+    /// 36 B each).  Measured: ≈ 1.3 MB per view (≈ 104 records per pixel
+    /// at 48×32) and ≈ 5 MB per batch on `offload_bound`; ≈ 6.7 MB per view
+    /// and ≈ 27 MB per batch at 112×84 (`render_bound`, the largest view
+    /// the repo trains on).  That is ≈ 0.8 kB per pixel per view: at the
     /// paper's resolutions storing the records stops being viable, and a
     /// render would recompute its view's walk instead.
     pub coverage: Vec<Coverage>,

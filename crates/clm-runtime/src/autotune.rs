@@ -26,8 +26,7 @@
 //! every backend in one process tunes to the same value and stays
 //! bit-comparable.
 
-use gs_core::NON_CRITICAL_FLOATS;
-use gs_core::PARAMS_PER_GAUSSIAN;
+use gs_core::{Camera, GaussianModel, NON_CRITICAL_FLOATS, PARAMS_PER_GAUSSIAN};
 use gs_optim::{compute_packed, AdamConfig, AdamWorkItem, WORK_ITEM_BYTES};
 use gs_render::{render, RenderOptions, DEFAULT_BAND_HEIGHT, TILE_SIZE};
 use gs_scene::{
@@ -62,7 +61,7 @@ pub struct Calibration {
     /// 59-parameter update).
     pub adam_rows_per_s: f64,
     /// Banded rasteriser forward throughput (rows/s; one row = one
-    /// depth-sorted splat that survived projection).
+    /// candidate Gaussian of the render).
     pub raster_rows_per_s: f64,
     /// Staged-row gather (pinned-buffer memcpy) throughput (rows/s; one
     /// row = one Gaussian's non-critical floats).
@@ -110,31 +109,13 @@ impl Calibration {
 
         // 2. One serial banded render — the rasteriser's forward band loop
         // over a synthetic scene sized like the kernel bench's smoke tier.
-        let dataset = generate_dataset(
-            &SceneSpec::of(SceneKind::Bicycle),
-            &DatasetConfig {
-                num_gaussians: CALIBRATION_GAUSSIANS,
-                num_views: 1,
-                width: CALIBRATION_WIDTH,
-                height: CALIBRATION_HEIGHT,
-                seed: 17,
-            },
-        );
-        let model = init_from_point_cloud(
-            &dataset.ground_truth,
-            &InitConfig {
-                num_gaussians: CALIBRATION_GAUSSIANS,
-                ..Default::default()
-            },
-        );
-        let camera = &dataset.cameras[0];
+        let (model, camera) = calibration_scene();
         let options = RenderOptions {
             compute_threads: 1,
             ..Default::default()
         };
-        let splats = render(&model, camera, &options).aux.projected_count() as u64;
-        let raster_rows_per_s = timed_rows(splats.max(1), || {
-            std::hint::black_box(render(&model, camera, &options));
+        let raster_rows_per_s = timed_rows(raster_rows(&model), || {
+            std::hint::black_box(render(&model, &camera, &options));
         });
 
         // 3. Staged-row gather: the pinned-buffer copy pattern of the
@@ -158,6 +139,37 @@ impl Calibration {
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
         }
     }
+}
+
+/// The model and view the raster calibration renders.
+fn calibration_scene() -> (GaussianModel, Camera) {
+    let dataset = generate_dataset(
+        &SceneSpec::of(SceneKind::Bicycle),
+        &DatasetConfig {
+            num_gaussians: CALIBRATION_GAUSSIANS,
+            num_views: 1,
+            width: CALIBRATION_WIDTH,
+            height: CALIBRATION_HEIGHT,
+            seed: 17,
+        },
+    );
+    let model = init_from_point_cloud(
+        &dataset.ground_truth,
+        &InitConfig {
+            num_gaussians: CALIBRATION_GAUSSIANS,
+            ..Default::default()
+        },
+    );
+    let camera = dataset.cameras.into_iter().next().expect("one view");
+    (model, camera)
+}
+
+/// Rows one calibration render processes: every Gaussian of the model is a
+/// candidate.  Not the render's projected count, which stops at the depth
+/// slab where the last pixel's walk ended and so moves with the scene's
+/// opacity rather than with the host.
+fn raster_rows(model: &GaussianModel) -> u64 {
+    model.len() as u64
 }
 
 /// Runs `body` repeatedly until the calibration budget elapses and returns
@@ -386,6 +398,19 @@ mod tests {
         cal.gather_rows_per_s = 0.0;
         let degenerate = derive_knobs(&mock_topology(4, 4, 512 * 1024, None), &cal);
         assert_eq!(degenerate.prefetch_window, 1);
+    }
+
+    #[test]
+    fn raster_calibration_counts_candidates_not_the_projected_prefix() {
+        // The calibrated rate is per candidate Gaussian, fixed by the scene.
+        // The render's projected count is smaller: only the survivors of
+        // projection, and only up to the depth slab where the walks ended.
+        let (model, camera) = calibration_scene();
+        assert_eq!(raster_rows(&model), CALIBRATION_GAUSSIANS as u64);
+        let projected = render(&model, &camera, &RenderOptions::default())
+            .aux
+            .projected_count();
+        assert!((projected as u64) < raster_rows(&model));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::camera::{Camera, Frustum};
 use crate::gaussian::GaussianModel;
 use crate::math::Vec3;
+use crate::soa::LANE_WIDTH;
 use crate::visibility::VisibilitySet;
 
 /// Number of standard deviations used for the ellipsoid-frustum
@@ -51,7 +52,8 @@ impl CullStats {
     }
 }
 
-/// Computes the set of in-frustum Gaussians for `camera`.
+/// Computes the set of in-frustum Gaussians for `camera`: [`cull_batch`] of
+/// the one view.
 ///
 /// A Gaussian is kept when a sphere of radius `3σ_max` around its centre
 /// intersects the view frustum.  Bounding the anisotropic ellipsoid by a
@@ -72,8 +74,7 @@ pub fn cull_frustum(model: &GaussianModel, camera: &Camera) -> VisibilitySet {
 }
 
 /// Radius of the bounding sphere the culling test puts around a Gaussian
-/// with the given log-scale.  The single-view and the batch cull share this
-/// one expression, which is what makes their sets identical.
+/// with the given log-scale.
 #[inline]
 fn cull_radius(log_scale: Vec3) -> f32 {
     (CULL_SIGMA + CULL_SIGMA_SLACK) * log_scale.map(f32::exp).max_component()
@@ -81,16 +82,8 @@ fn cull_radius(log_scale: Vec3) -> f32 {
 
 /// Like [`cull_frustum`] but returns the raw sorted index vector.
 pub fn cull_frustum_indices(model: &GaussianModel, camera: &Camera) -> Vec<u32> {
-    let frustum = camera.frustum_with_margin(CULL_FOV_MARGIN);
-    let positions = model.positions();
-    let scales = model.log_scales();
-    let mut indices = Vec::new();
-    for i in 0..model.len() {
-        if frustum.intersects_sphere(positions[i], cull_radius(scales[i])) {
-            indices.push(i as u32);
-        }
-    }
-    indices
+    let mut views = cull_rows(model, std::slice::from_ref(camera));
+    views.pop().expect("one view in, one index list out")
 }
 
 /// Computes [`CullStats`] (total vs. in-frustum counts) for one view.
@@ -107,30 +100,120 @@ pub fn sparsity(model: &GaussianModel, camera: &Camera) -> f64 {
 }
 
 /// Computes visibility sets for a whole batch of views in **one pass** over
-/// the model: each row's bounding radius (three `exp`) is evaluated once and
-/// tested against every view's frustum.  `cull_batch(model, cameras)[k]`
-/// equals `cull_frustum(model, &cameras[k])` by construction — same radius
-/// expression, same frustum, same sphere test.
+/// the model.  `cull_batch(model, cameras)[k]` holds exactly the rows whose
+/// bounding sphere intersects view `k`'s widened frustum by
+/// [`Frustum::intersects_sphere`].
 pub fn cull_batch(model: &GaussianModel, cameras: &[Camera]) -> Vec<VisibilitySet> {
+    cull_rows(model, cameras)
+        .into_iter()
+        .map(VisibilitySet::from_sorted)
+        .collect()
+}
+
+/// An upper bound on [`cull_radius`] of every row whose log-scales are at
+/// most `max_log_scale`, with no `exp`: with `t = L·log₂e = k + f`
+/// (`k = ⌊t⌋`), `2^k·(1 + f) ≥ 2^t = e^L` because `2^f` is convex, and the
+/// factor 1.01 covers the rounding of `t`, of `f` and of `expf` itself
+/// (any `expf` within 1 % of `e^x`).  `+inf` once `e^L` may overflow, and
+/// `2^-126·…` below that range, still above `e^L`.  `f32::max` skipped a NaN
+/// log-scale as [`cull_radius`] skips its NaN `exp`.
+#[inline]
+fn cull_radius_bound(max_log_scale: f32) -> f32 {
+    let t = max_log_scale * std::f32::consts::LOG2_E;
+    if t.is_nan() || t >= 127.0 {
+        return f32::INFINITY;
+    }
+    let t = t.max(-126.0);
+    let k = t as i32 - i32::from(t < (t as i32) as f32);
+    let f = t - k as f32;
+    f32::from_bits(((k + 127) as u32) << 23) * (1.0 + f) * ((CULL_SIGMA + CULL_SIGMA_SLACK) * 1.01)
+}
+
+/// The one culling kernel, over [`LANE_WIDTH`]-row blocks.  It decides
+/// [`Frustum::intersects_sphere`]'s verdict — every plane's
+/// [`Plane::signed_distance`] `>= -radius` — without its short-circuit, and
+/// evaluates a row's radius (three `exp`) only where nothing cheaper
+/// decides:
+///
+/// * every frustum computes, branch-free over the block, each row's six
+///   distances (the scalar test's expression, in its order), their minimum
+///   and whether one is NaN;
+/// * a NaN distance fails the scalar test whatever the radius;
+/// * if every distance is `>= 0`, the test holds for any radius `>= 0`, and
+///   the radius is either that or NaN — NaN exactly when all three
+///   log-scales are (`max` skips a NaN `exp` otherwise);
+/// * otherwise the test holds iff the smallest distance is `>= -radius`:
+///   false where the block's [`cull_radius_bound`] is already below the
+///   negated minimum, and else decided by the row's radius, evaluated once
+///   for whichever frustum needs it first.
+///
+/// So each verdict is the scalar test's bit for bit (NaN and infinite
+/// positions and log-scales included), and only rows near some frustum's
+/// boundary pay for an `exp`.  The lanes past a short last block are never
+/// reported.
+///
+/// [`Plane::signed_distance`]: crate::camera::Plane::signed_distance
+fn cull_rows(model: &GaussianModel, cameras: &[Camera]) -> Vec<Vec<u32>> {
     let frusta: Vec<Frustum> = cameras
         .iter()
         .map(|cam| cam.frustum_with_margin(CULL_FOV_MARGIN))
         .collect();
-    let positions = model.positions();
-    let scales = model.log_scales();
     let mut indices: Vec<Vec<u32>> = vec![Vec::new(); cameras.len()];
-    for i in 0..model.len() {
-        let radius = cull_radius(scales[i]);
+    let blocks = (model.positions().chunks(LANE_WIDTH)).zip(model.log_scales().chunks(LANE_WIDTH));
+    for (block, (positions, scales)) in blocks.enumerate() {
+        let mut x = [0.0f32; LANE_WIDTH];
+        let mut y = [0.0f32; LANE_WIDTH];
+        let mut z = [0.0f32; LANE_WIDTH];
+        let mut nan_radius = [false; LANE_WIDTH];
+        let mut max_log_scale = f32::NEG_INFINITY;
+        for (r, (p, s)) in positions.iter().zip(scales).enumerate() {
+            (x[r], y[r], z[r]) = (p.x, p.y, p.z);
+            nan_radius[r] = s.x.is_nan() && s.y.is_nan() && s.z.is_nan();
+            max_log_scale = max_log_scale.max(s.max_component());
+        }
+        let neg_bound = -cull_radius_bound(max_log_scale);
+        let rows = (1u32 << positions.len()) - 1;
+        // Exact negated radii, evaluated the first time a frustum needs one.
+        let mut neg_radius: [Option<f32>; LANE_WIDTH] = [None; LANE_WIDTH];
+        let base = (block * LANE_WIDTH) as u32;
         for (frustum, visible) in frusta.iter().zip(&mut indices) {
-            if frustum.intersects_sphere(positions[i], radius) {
-                visible.push(i as u32);
+            let mut min_dist = [f32::INFINITY; LANE_WIDTH];
+            let mut nan = [false; LANE_WIDTH];
+            for plane in frustum.planes() {
+                let (n, d) = (plane.normal, plane.d);
+                for r in 0..LANE_WIDTH {
+                    let dist = n.x * x[r] + n.y * y[r] + n.z * z[r] + d;
+                    nan[r] |= dist.is_nan();
+                    // Any minimum will do once NaN is flagged apart.
+                    min_dist[r] = if dist < min_dist[r] {
+                        dist
+                    } else {
+                        min_dist[r]
+                    };
+                }
+            }
+            // Bit `r` of each mask is row `r`'s verdict, or its need of one.
+            let (mut inside, mut undecided) = (0u32, 0u32);
+            for r in 0..LANE_WIDTH {
+                let outside = min_dist[r] < 0.0;
+                inside |= u32::from(!nan[r] & !outside & !nan_radius[r]) << r;
+                undecided |= u32::from(!nan[r] & outside & (min_dist[r] >= neg_bound)) << r;
+            }
+            let mut undecided = undecided & rows;
+            while undecided != 0 {
+                let r = undecided.trailing_zeros() as usize;
+                undecided &= undecided - 1;
+                let neg_radius = *neg_radius[r].get_or_insert_with(|| -cull_radius(scales[r]));
+                inside |= u32::from(min_dist[r] >= neg_radius) << r;
+            }
+            let mut inside = inside & rows;
+            while inside != 0 {
+                visible.push(base + inside.trailing_zeros());
+                inside &= inside - 1;
             }
         }
     }
     indices
-        .into_iter()
-        .map(VisibilitySet::from_sorted)
-        .collect()
 }
 
 #[cfg(test)]
@@ -138,6 +221,19 @@ mod tests {
     use super::*;
     use crate::camera::CameraIntrinsics;
     use crate::gaussian::Gaussian;
+
+    /// The scalar oracle the lane-blocked kernel must reproduce: one row at
+    /// a time, [`Frustum::intersects_sphere`] with its short-circuit.
+    fn scalar_cull(model: &GaussianModel, camera: &Camera) -> VisibilitySet {
+        let frustum = camera.frustum_with_margin(CULL_FOV_MARGIN);
+        let (positions, scales) = (model.positions(), model.log_scales());
+        (0..model.len() as u32)
+            .filter(|&i| {
+                let i = i as usize;
+                frustum.intersects_sphere(positions[i], cull_radius(scales[i]))
+            })
+            .collect()
+    }
 
     fn forward_camera() -> Camera {
         Camera::look_at(
@@ -252,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn cull_batch_matches_per_view_culling() {
+    fn cull_batch_matches_the_scalar_oracle_per_view() {
         let mut model = GaussianModel::new();
         for i in 0..50 {
             let angle = i as f32 * 0.3;
@@ -277,18 +373,166 @@ mod tests {
         let batch = cull_batch(&model, &cams);
         assert_eq!(batch.len(), 4);
         for (cam, set) in cams.iter().zip(&batch) {
+            assert_eq!(set, &scalar_cull(&model, cam));
             assert_eq!(set, &cull_frustum(&model, cam));
         }
         // Different viewing directions see different subsets.
         assert_ne!(batch[0], batch[2]);
     }
 
+    #[test]
+    fn blocked_cull_matches_the_oracle_on_non_finite_rows_and_short_blocks() {
+        // Rows with NaN or infinite coordinates and log-scales, in models
+        // whose length is every residue mod 8: a NaN distance or radius
+        // fails the test in both kernels, and the padded lanes of a short
+        // last block are never reported.
+        let nan = f32::NAN;
+        let rows = [
+            (Vec3::new(0.0, 0.0, 10.0), Vec3::new(-2.0, -2.0, -2.0)),
+            (Vec3::new(nan, 0.0, 10.0), Vec3::new(-2.0, -2.0, -2.0)),
+            (Vec3::new(0.0, 0.0, 10.0), Vec3::new(nan, nan, nan)),
+            (Vec3::new(0.0, 0.0, 10.0), Vec3::new(nan, -2.0, nan)),
+            (
+                Vec3::new(40.0, 0.0, 10.0),
+                Vec3::new(f32::INFINITY, -2.0, -2.0),
+            ),
+            (
+                Vec3::new(0.0, 0.0, -500.0),
+                Vec3::new(-2.0, f32::INFINITY, -2.0),
+            ),
+            (
+                Vec3::new(f32::INFINITY, 0.0, 10.0),
+                Vec3::new(-2.0, -2.0, -2.0),
+            ),
+            (
+                Vec3::new(f32::INFINITY, 0.0, 10.0),
+                Vec3::new(f32::INFINITY, 0.0, 0.0),
+            ),
+            (
+                Vec3::new(7.0, 0.0, 10.0),
+                Vec3::new(0.0, f32::NEG_INFINITY, 0.0),
+            ),
+            (
+                Vec3::new(0.0, 0.0, 10.0),
+                Vec3::new(f32::NEG_INFINITY, f32::NEG_INFINITY, f32::NEG_INFINITY),
+            ),
+            (Vec3::new(0.0, 0.0, 200.0), Vec3::new(-2.0, -2.0, -2.0)),
+        ];
+        let cams = [
+            forward_camera(),
+            Camera::look_at(
+                Vec3::new(3.0, 1.0, 0.0),
+                Vec3::new(4.0, 1.0, 9.0),
+                Vec3::Y,
+                CameraIntrinsics::simple(40, 24, 1.2),
+            ),
+        ];
+        let mut model = GaussianModel::new();
+        for len in 0..=27 {
+            let fused = cull_batch(&model, &cams);
+            for (cam, set) in cams.iter().zip(&fused) {
+                assert_eq!(set, &scalar_cull(&model, cam), "model length {len}");
+                assert!(set.iter().all(|i| (i as usize) < model.len()));
+            }
+            let (position, log_scale) = rows[len % rows.len()];
+            let mut g = Gaussian::isotropic(position, 0.1, [0.5; 3], 0.9);
+            g.log_scale = log_scale;
+            model.push(g);
+        }
+        // Row by row, in the forward view: kept, NaN position, all-NaN
+        // log-scale, NaN beside a finite log-scale (`max` skips it), infinite
+        // radius off to the side, and behind the camera, infinite position,
+        // with infinite radius, a zero and an all-zero scale, beyond far.
+        let first = cull_batch(&model, &cams[..1]).remove(0);
+        assert_eq!(&first.indices()[..6], &[0, 3, 4, 5, 8, 9]);
+    }
+
+    #[test]
+    fn the_radius_bound_is_never_below_the_radius() {
+        // Across and past the whole range `exp` covers, with the other two
+        // log-scales equal, smaller or NaN: the bound never undercuts the
+        // radius the scalar test uses, and stays within 10 % of it wherever
+        // both are finite, normal and not clamped.
+        let mut maxima: Vec<f32> = (-24_000..24_000).map(|k| k as f32 * 0.0097).collect();
+        maxima.extend([
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            88.72,
+            88.73,
+            -87.33,
+            -103.3,
+            -0.0,
+            1.0e-30,
+        ]);
+        for l in maxima {
+            for other in [l, l - 3.0, f32::NAN] {
+                let log_scale = Vec3::new(other, l, other);
+                let radius = cull_radius(log_scale);
+                let bound = cull_radius_bound(log_scale.max_component());
+                assert!(
+                    radius.is_nan() || bound >= radius,
+                    "{l}: {bound} < {radius}"
+                );
+                if radius > 1.0e-30 && bound.is_finite() {
+                    assert!(bound <= radius * 1.1, "{l}: bound {bound}, radius {radius}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_cull_matches_the_oracle_at_the_plane_boundaries() {
+        // Rows whose bounding sphere touches a frustum plane to the ulp:
+        // stepping one coordinate an ulp at a time across the point where
+        // the scalar verdict flips, every verdict must still match — which a
+        // reassociated distance would not.
+        // A pose with no axis-aligned plane, so every distance sums three
+        // non-zero products.
+        let cam = Camera::look_at(
+            Vec3::new(0.7, -0.4, 0.2),
+            Vec3::new(3.1, 1.9, 8.3),
+            Vec3::new(0.2, 1.0, 0.1),
+            CameraIntrinsics::simple(64, 48, 1.1),
+        )
+        .with_clip(0.1, 100.0);
+        let frustum = cam.frustum_with_margin(CULL_FOV_MARGIN);
+        let log_scale = Vec3::new(-1.0, -1.5, -2.0);
+        let radius = cull_radius(log_scale);
+        let step = |x: f32, ulps: i32| f32::from_bits((x.to_bits() as i32 + ulps) as u32);
+        let mut model = GaussianModel::new();
+        for plane in frustum.planes() {
+            for base in [
+                Vec3::new(3.3, 2.2, 9.0),
+                Vec3::new(1.2, 0.4, 4.0),
+                Vec3::new(17.0, 12.5, 50.0),
+            ] {
+                let touching = base - plane.normal * (plane.signed_distance(base) + radius);
+                for axis in 0..3 {
+                    for ulps in -24..24 {
+                        let mut p = [touching.x, touching.y, touching.z];
+                        p[axis] = step(p[axis], ulps);
+                        let mut g =
+                            Gaussian::isotropic(Vec3::new(p[0], p[1], p[2]), 0.1, [0.5; 3], 0.9);
+                        g.log_scale = log_scale;
+                        model.push(g);
+                    }
+                }
+            }
+        }
+        let oracle = scalar_cull(&model, &cam);
+        assert!(oracle.len() > model.len() / 10 && oracle.len() < model.len() * 9 / 10);
+        assert_eq!(cull_batch(&model, &[cam]).remove(0), oracle);
+    }
+
     proptest::proptest! {
-        /// The fused pass must select exactly what B separate culls select —
-        /// for any batch size, any mix of scales and camera poses, and the
-        /// empty model.
+        /// The blocked batch pass must select exactly what the scalar oracle
+        /// selects per view — for any batch size, any mix of scales and
+        /// camera poses, and the empty model.
         #[test]
-        fn prop_cull_batch_equals_per_view_cull(
+        fn prop_cull_batch_equals_the_scalar_oracle(
             rows in proptest::collection::vec(
                 (
                     (-30.0f32..30.0, -30.0f32..30.0, -30.0f32..30.0),
@@ -328,7 +572,7 @@ mod tests {
                 let fused = cull_batch(&model, &cams[..batch]);
                 proptest::prop_assert_eq!(fused.len(), batch);
                 for (cam, set) in cams.iter().zip(&fused) {
-                    proptest::prop_assert_eq!(set, &cull_frustum(&model, cam));
+                    proptest::prop_assert_eq!(set, &scalar_cull(&model, cam));
                 }
             }
         }

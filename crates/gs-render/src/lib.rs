@@ -18,7 +18,9 @@
 //! compositing walk reaches, and [`rasterize::shade`] colours and
 //! composites only those (with [`rasterize::shade_backward`] as its
 //! backward) — so a planner knows, before fetching any colour, which SH
-//! rows a view needs.
+//! rows a view needs.  Coverage works through the candidates nearest first
+//! and stops once every pixel's walk has ended, so its cost follows what the
+//! pixels reach, not how many candidates lie behind them.
 //!
 //! # Example
 //!

@@ -8,15 +8,15 @@
 //!
 //! * [`coverage`] is everything that decides *which* splats a pixel sees:
 //!   geometry-only projection (no SH evaluation), the depth sort, tile
-//!   binning and the front-to-back alpha walk.  Per pixel it records, in
-//!   walk order, `(slot, exp(power))` for every entry with alpha ≥
-//!   [`MIN_ALPHA`] — including the entry whose alpha trips
-//!   [`TRANSMITTANCE_EPS`], which the backward pass processes too; the
-//!   alpha itself is recomputed from the splat's opacity, bit for bit,
-//!   wherever it is needed.  The union of those slots is the view's
-//!   **reached** set ([`Coverage::reached`]).  Coverage reads positions,
-//!   scales, rotations and opacities — the attributes CLM keeps
-//!   device-resident — and never the SH coefficients.
+//!   binning and the front-to-back alpha walk, run in depth slabs until
+//!   every walk has ended (below).  Per pixel it records, in walk order,
+//!   `(slot, exp(power))` for every entry with alpha ≥ [`MIN_ALPHA`] —
+//!   including the entry whose alpha trips [`TRANSMITTANCE_EPS`], which the
+//!   backward pass processes too; the alpha itself is recomputed from the
+//!   splat's opacity, bit for bit, wherever it is needed.  The union of
+//!   those slots is the view's **reached** set ([`Coverage::reached`]).
+//!   Coverage reads positions, scales, rotations and opacities — the
+//!   attributes CLM keeps device-resident — and never the SH coefficients.
 //! * [`shade`] evaluates the SH colour of the reached splats only and
 //!   composites every pixel from its records.
 //! * [`shade_backward`] walks each pixel's records in reverse to produce
@@ -30,6 +30,51 @@
 //! splat no pixel reaches changes no composite, and the depth sort is stable
 //! under a total order, so rendering the reached set alone is bit-identical
 //! to rendering every candidate.
+//!
+//! # Depth slabs: plan only what the pixels reach
+//!
+//! A view's candidates are mostly hidden: where the scene is dense, every
+//! pixel's walk ends within the nearest few percent of them.  So coverage
+//! does not project, sort and bin every candidate.  It keys each candidate
+//! by the projection's own depth, `camera.world_to_camera(p).z`, dropping
+//! those the projection's near/far test would drop (a NaN depth is kept,
+//! as there).  Then, slab by slab — the nearest `FIRST_SLAB` keys, then
+//! twice as many, and so on — it selects the slab's keys
+//! (`select_nth_unstable`), sorts only those, projects them, appends the
+//! survivors to the lists of the tiles that still have an open pixel and
+//! stages them, and walks each open pixel on from where it stopped, at the
+//! transmittance it had.  It stops once no pixel is open or the candidates
+//! run out.  No walk is ever repeated.  Before the last slab a walk stops in
+//! front of a lane block the slab only partly filled; that block is
+//! evaluated, whole, when a later slab fills it or the candidates end.
+//!
+//! Each slab appends its records to every band in a part of their own, so a
+//! pixel's walk is its parts read in slab order — nothing is copied
+//! together.  This is exact by construction: each pixel's records and final
+//! transmittance, the reached set, and so every shade and backward output
+//! are byte for byte those of one slab holding every candidate, at any
+//! thread count and band height:
+//!
+//! 1. *The slots are a prefix of the full depth order.*  A key is the
+//!    depth's [`f32::total_cmp`] order with the candidate position as the
+//!    tie-break, so keys are distinct, and the sorted slabs, concatenated,
+//!    are the stable depth sort of the candidates inside the clip range.
+//!    Projection then drops some of them; a stable order of a filtered list
+//!    equals the filtered stable order, so the survivors, slab after slab,
+//!    are a prefix of the depth-sorted survivors of all candidates.
+//! 2. *Each pixel sees the same list.*  Binning appends slots in slot order,
+//!    so a tile's list is a prefix of its list over every candidate — for
+//!    every tile a pixel still walks, since a tile with an open pixel had
+//!    one in every earlier slab too.
+//! 3. *Each pixel walks it the same way.*  It evaluates the same lane blocks
+//!    of that list, in order (each whole, as above; a lane's alpha depends
+//!    on its own splat only), from the same transmittance, and stops at the
+//!    same entry.  A walk that never terminates reaches the end of the
+//!    candidates either way.  So [`Coverage::lane_blocks`] equals the one
+//!    slab's count too.
+//!
+//! The coverage's splats simply end at its last slab
+//! ([`Coverage::projected_count`]): every walk ended before the next one.
 //!
 //! # Banded parallelism, deterministic by construction
 //!
@@ -69,11 +114,11 @@
 //! whole block when every lane is.  Padding is inert by construction: a
 //! padded lane has opacity 0 and floor `+inf`.
 //!
-//! The prologue (projection, tile binning, SoA staging) is also
-//! band/tile-parallel in the same way.  Projection preserves candidate
-//! order via an index-ordered map; binning assigns each *tile row* to one
-//! job that scans the depth-sorted splats in slot order, reproducing the
-//! serial per-tile list order exactly.
+//! Each slab's prologue (projection, tile binning, SoA staging) is also
+//! parallel in the same way.  Projection keeps slab order via an
+//! index-ordered map; binning assigns each *tile row* to one job that scans
+//! the slab's splats in slot order, reproducing the serial per-tile list
+//! order exactly.
 
 use crate::image::Image;
 use crate::parallel::{parallel_for_each, parallel_map, resolve_compute_threads};
@@ -151,13 +196,24 @@ struct Contribution {
 
 /// The walk records of one horizontal band, pixel by pixel in the order
 /// [`for_each_band_pixel`] visits them.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct BandCoverage {
-    /// Per pixel: one past its last entry of `records`.
-    ends: Vec<u32>,
     /// Per pixel: the transmittance left when its walk ended.
     final_t: Vec<f32>,
-    records: Vec<Contribution>,
+    /// What each slab that walked a pixel of the band recorded, in slab
+    /// order.
+    slabs: Vec<SlabRecords>,
+}
+
+impl BandCoverage {
+    /// The records of the band's pixel `pixel`, in walk order: one slice
+    /// per slab.
+    fn records(&self, pixel: usize) -> impl DoubleEndedIterator<Item = &[Contribution]> {
+        self.slabs.iter().map(move |slab| {
+            let start = if pixel == 0 { 0 } else { slab.ends[pixel - 1] };
+            &slab.records[start as usize..slab.ends[pixel] as usize]
+        })
+    }
 }
 
 /// What one view's compositing walk reached: the splats some pixel
@@ -166,8 +222,8 @@ struct BandCoverage {
 /// [`shade_backward`].
 #[derive(Debug, Clone)]
 pub struct Coverage {
-    /// Every candidate that survived projection, depth-sorted (a record's
-    /// slot indexes these).
+    /// The projected splats in depth order, through the last slab the walk
+    /// needed (a record's slot indexes these).
     splats: Vec<ProjectedGaussian>,
     /// The reached splats' slots, ascending, and their projection contexts.
     reached_slots: Vec<u32>,
@@ -181,6 +237,8 @@ pub struct Coverage {
     /// backward reuse both.
     band_height: u32,
     compute_threads: usize,
+    open_pixels: usize,
+    lane_blocks: u64,
 }
 
 impl Coverage {
@@ -191,7 +249,9 @@ impl Coverage {
         &self.reached
     }
 
-    /// Number of candidates that survived projection.
+    /// Number of splats projected: the candidates that survive projection,
+    /// in depth order, through the slab in which the last walk ended —
+    /// every survivor only when some walk runs out of candidates.
     pub fn projected_count(&self) -> usize {
         self.splats.len()
     }
@@ -199,26 +259,14 @@ impl Coverage {
     /// Pixels whose walk ran out of candidates with its transmittance still
     /// at or above [`TRANSMITTANCE_EPS`] (zero when every walk terminated).
     pub fn open_pixels(&self) -> usize {
-        let mut open = 0;
-        for band in &self.bands {
-            let mut start = 0;
-            for &end in &band.ends {
-                let mut t = 1.0f32;
-                let mut terminated = false;
-                for r in &band.records[start..end as usize] {
-                    let alpha = clamped_alpha(self.splats[r.slot as usize].opacity, r.gauss);
-                    let next_t = t * (1.0 - alpha);
-                    if next_t < TRANSMITTANCE_EPS {
-                        terminated = true;
-                        break;
-                    }
-                    t = next_t;
-                }
-                open += usize::from(!terminated);
-                start = end as usize;
-            }
-        }
-        open
+        self.open_pixels
+    }
+
+    /// Lane blocks the walk evaluated ([`LANES`] tile entries at one pixel
+    /// each): its work count.  Exactly what one walk over every candidate at
+    /// once evaluates (see the module docs).
+    pub fn lane_blocks(&self) -> u64 {
+        self.lane_blocks
     }
 }
 
@@ -239,7 +287,7 @@ pub struct RenderAux {
 }
 
 impl RenderAux {
-    /// Number of splats that survived projection.
+    /// [`Coverage::projected_count`] of the forward pass.
     pub fn projected_count(&self) -> usize {
         self.coverage.projected_count()
     }
@@ -288,21 +336,39 @@ pub fn render(model: &GaussianModel, camera: &Camera, options: &RenderOptions) -
     }
 }
 
-/// The coverage phase of a render: projects the candidates
-/// (`options.visible`, or the whole model) without colour, depth-sorts and
-/// bins them, and walks every pixel front to back, recording the entries it
-/// composites.  Reads no SH coefficient and ignores `options.background`.
+/// Candidates in the first depth slab of [`coverage`]; every later slab is
+/// twice the one before.  Where the scene is dense every walk typically
+/// ends inside the nearest thousand candidates, and a view with fewer
+/// candidates than this takes them all in one slab.
+const FIRST_SLAB: usize = 1024;
+
+/// The coverage phase of a render: keys the candidates (`options.visible`,
+/// or the whole model) by depth and then, one depth slab at a time, projects
+/// them without colour, bins and stages them, and walks every pixel that is
+/// still open on front to back, recording the entries it composites — until
+/// no pixel is open or the candidates run out.  Reads no SH coefficient and
+/// ignores `options.background`.
 ///
 /// # Panics
 /// Panics if `options.visible` contains an index outside the model.
 pub fn coverage(model: &GaussianModel, camera: &Camera, options: &RenderOptions) -> Coverage {
+    coverage_in_slabs(model, camera, options, FIRST_SLAB)
+}
+
+/// [`coverage`] with a first slab of `first_slab` candidates (at least one);
+/// `usize::MAX` covers every candidate in one slab.
+fn coverage_in_slabs(
+    model: &GaussianModel,
+    camera: &Camera,
+    options: &RenderOptions,
+    first_slab: usize,
+) -> Coverage {
     let width = camera.intrinsics.width;
     let height = camera.intrinsics.height;
     let compute_threads = resolve_compute_threads(options.compute_threads);
 
-    // 1. Project candidate Gaussians in parallel.  Indices are validated
-    //    up front (deterministic panics), then an index-ordered map keeps
-    //    the surviving splats in candidate order — exactly the serial order.
+    // 1. Validate the candidates up front (deterministic panics) and key
+    //    each by its depth, dropping those outside the clip range.
     let all_indices: Vec<u32>;
     let candidates: &[u32] = match &options.visible {
         Some(indices) => {
@@ -320,101 +386,129 @@ pub fn coverage(model: &GaussianModel, camera: &Camera, options: &RenderOptions)
             &all_indices
         }
     };
-    let setup = ProjectionSetup::new(camera);
-    let mut projected: Vec<ProjectedGaussian> = Vec::new();
-    let mut contexts: Vec<ProjectionContext> = Vec::new();
-    let mut keep = |(p, ctx)| {
-        projected.push(p);
-        contexts.push(ctx);
-    };
-    if compute_threads <= 1 {
-        // Width 1: survivors go straight to their final vectors, with no
-        // per-candidate `Option` staging in between.
-        candidates
-            .iter()
-            .filter_map(|&idx| setup.project(model, idx))
-            .for_each(&mut keep);
-    } else {
-        parallel_map(compute_threads, candidates.len(), |k| {
-            setup.project(model, candidates[k])
-        })
-        .into_iter()
-        .flatten()
-        .for_each(&mut keep);
-    }
+    let mut keys = depth_keys(model, camera, candidates);
 
-    // 2. Depth sort (front to back).  The contexts stay in candidate order
-    //    until step 6 keeps the reached splats' (through `order`).
-    let order = depth_order(&projected);
-    let sorted: Vec<ProjectedGaussian> = order
-        .iter()
-        .map(|&i| projected[i as usize].clone())
-        .collect();
-
-    // 3. Bin splats into tiles (kept in depth order by construction).  One
-    //    job per tile row: each job owns that row's lists and scans the
-    //    splats in slot order, so every list is filled in exactly the order
-    //    a serial pass over the splats would produce.
-    let tiles_x = width.div_ceil(TILE_SIZE);
-    let tiles_y = height.div_ceil(TILE_SIZE);
-    let mut tile_lists: Vec<Vec<u32>> = vec![Vec::new(); (tiles_x * tiles_y) as usize];
-    {
-        let jobs: Vec<(u32, &mut [Vec<u32>])> = tile_lists
-            .chunks_mut(tiles_x as usize)
-            .enumerate()
-            .map(|(ty, row)| (ty as u32, row))
-            .collect();
-        let sorted = &sorted;
-        parallel_for_each(compute_threads.min(tiles_y as usize), jobs, |(ty, row)| {
-            bin_tile_row(sorted, width, height, ty, row);
-        });
-    }
-
-    // 4. Stage each tile's splats into lane-padded SoA arrays (pure copies;
-    //    one independent job per tile).
-    let tile_soas: Vec<TileSoa> = {
-        let (sorted, tile_lists) = (&sorted, &tile_lists);
-        parallel_map(compute_threads, tile_lists.len(), |t| {
-            TileSoa::build(&tile_lists[t], sorted)
-        })
-    };
-
-    // 5. Per-pixel front-to-back walk, one job per horizontal band; each
-    //    band owns its records.
+    // 2. The walk state: every pixel open at full transmittance, and per
+    //    tile its list of depth-ordered slots and their staged SoA, both
+    //    grown slab by slab.
     let band_height = options.band_height.max(1);
-    let bands: Vec<BandCoverage> = {
-        let (tile_soas, tile_lists) = (&tile_soas, &tile_lists);
-        parallel_map(
-            compute_threads,
-            height.div_ceil(band_height) as usize,
-            |b| {
-                let geometry = (width, height, band_height, b as u32 * band_height);
-                cover_band(tile_soas, tile_lists, geometry)
-            },
-        )
-    };
+    let mut bands: Vec<BandWalk> = (0..height.div_ceil(band_height))
+        .map(|b| BandWalk::new((width, height, band_height, b * band_height)))
+        .collect();
+    let (tiles_x, tiles_y) = (width.div_ceil(TILE_SIZE), height.div_ceil(TILE_SIZE));
+    let tile_count = (tiles_x * tiles_y) as usize;
+    let mut tile_lists: Vec<Vec<u32>> = vec![Vec::new(); tile_count];
+    let mut tile_soas: Vec<TileSoa> = vec![TileSoa::default(); tile_count];
+    let mut tile_open = vec![true; tile_count];
+    let setup = ProjectionSetup::new(camera);
+    let mut splats: Vec<ProjectedGaussian> = Vec::new();
+    let mut contexts: Vec<ProjectionContext> = Vec::new();
 
-    // 6. The reached slots, and the projection contexts of those only.
-    let mut is_reached = vec![false; sorted.len()];
-    for record in bands.iter().flat_map(|band| &band.records) {
+    let mut rest: &mut [u64] = &mut keys;
+    let mut slab_len = first_slab.max(1);
+    loop {
+        // 3. The next slab: the `slab_len` nearest keys left, sorted.
+        let take = slab_len.min(rest.len());
+        if take < rest.len() {
+            rest.select_nth_unstable(take - 1);
+        }
+        let (slab, tail) = std::mem::take(&mut rest).split_at_mut(take);
+        slab.sort_unstable();
+        rest = tail;
+        let last = rest.is_empty();
+
+        // 4. Project the slab in key order; the survivors take the next
+        //    slots.
+        let first_slot = splats.len();
+        let project = |key: u64| setup.project(model, candidates[key as u32 as usize]);
+        let mut keep = |(p, ctx)| {
+            splats.push(p);
+            contexts.push(ctx);
+        };
+        if compute_threads <= 1 {
+            // Width 1: survivors go straight to their final vectors, with no
+            // per-candidate `Option` staging in between.
+            slab.iter()
+                .filter_map(|&key| project(key))
+                .for_each(&mut keep);
+        } else {
+            parallel_map(compute_threads, slab.len(), |k| project(slab[k]))
+                .into_iter()
+                .flatten()
+                .for_each(&mut keep);
+        }
+
+        // 5. Append the new slots to the lists of the tiles that still have
+        //    an open pixel — one job per tile row, scanning them in slot
+        //    order — and stage what each list gained.
+        {
+            let new = &splats[first_slot..];
+            let jobs: Vec<(u32, &mut [Vec<u32>], &[bool])> = tile_lists
+                .chunks_mut(tiles_x as usize)
+                .zip(tile_open.chunks(tiles_x as usize))
+                .enumerate()
+                .map(|(ty, (row, open))| (ty as u32, row, open))
+                .collect();
+            parallel_for_each(
+                compute_threads.min(tiles_y as usize),
+                jobs,
+                |(ty, row, open)| bin_tile_row(new, first_slot, (width, height), ty, row, open),
+            );
+            let jobs: Vec<(&mut TileSoa, &Vec<u32>)> = tile_soas
+                .iter_mut()
+                .zip(&tile_lists)
+                .filter(|(soa, list)| soa.len < list.len())
+                .collect();
+            let splats = &splats;
+            parallel_for_each(compute_threads, jobs, |(soa, list)| {
+                soa.extend(list, splats)
+            });
+        }
+
+        // 6. Walk every open pixel on from where it stopped, one job per
+        //    band with an open pixel.
+        {
+            let jobs: Vec<&mut BandWalk> = bands.iter_mut().filter(|b| b.open > 0).collect();
+            let (tile_soas, tile_lists) = (&tile_soas, &tile_lists);
+            parallel_for_each(compute_threads, jobs, |band| {
+                band.walk(tile_soas, tile_lists, last)
+            });
+        }
+        if last || bands.iter().all(|b| b.open == 0) {
+            break;
+        }
+        tile_open.fill(false);
+        for band in &bands {
+            for pixel in band.pixels.iter().filter(|p| p.open) {
+                tile_open[pixel.tile as usize] = true;
+            }
+        }
+        slab_len = slab_len.saturating_mul(2);
+    }
+
+    // 7. The reached slots, and the projection contexts of those only.
+    let open_pixels = bands.iter().map(|b| b.open).sum();
+    let lane_blocks = bands.iter().map(|b| b.lane_blocks).sum();
+    let bands: Vec<BandCoverage> = bands.into_iter().map(BandWalk::finish).collect();
+    let mut is_reached = vec![false; splats.len()];
+    for record in (bands.iter().flat_map(|band| &band.slabs)).flat_map(|slab| &slab.records) {
         is_reached[record.slot as usize] = true;
     }
-    let reached_slots: Vec<u32> = (0..sorted.len() as u32)
-        .filter(|&slot| is_reached[slot as usize])
-        .collect();
-    let contexts = reached_slots
-        .iter()
-        .map(|&slot| contexts[order[slot as usize] as usize].clone())
-        .collect();
+    let (reached_slots, contexts): (Vec<u32>, Vec<ProjectionContext>) = contexts
+        .into_iter()
+        .enumerate()
+        .filter(|&(slot, _)| is_reached[slot])
+        .map(|(slot, ctx)| (slot as u32, ctx))
+        .unzip();
     let reached = VisibilitySet::from_unsorted(
         reached_slots
             .iter()
-            .map(|&slot| sorted[slot as usize].index)
+            .map(|&slot| splats[slot as usize].index)
             .collect(),
     );
 
     Coverage {
-        splats: sorted,
+        splats,
         reached_slots,
         contexts,
         reached,
@@ -423,37 +517,59 @@ pub fn coverage(model: &GaussianModel, camera: &Camera, options: &RenderOptions)
         height,
         band_height,
         compute_threads,
+        open_pixels,
+        lane_blocks,
     }
 }
 
-/// The front-to-back order of `projected`: indices sorted by depth under
-/// [`f32::total_cmp`] — a total order even with a NaN depth (a positive
-/// NaN sorts after every finite depth, a negative one before), where
-/// `partial_cmp` would not be.  The sort is
-/// stable, so equal depths keep candidate order and any subset of the
-/// candidates sorts to the same relative order.
-fn depth_order(projected: &[ProjectedGaussian]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..projected.len() as u32).collect();
-    order.sort_by(|&a, &b| {
-        projected[a as usize]
-            .depth
-            .total_cmp(&projected[b as usize].depth)
-    });
-    order
+/// Every candidate inside the camera's clip range as a sort key: its depth
+/// `camera.world_to_camera(p).z` — the projection's own value, bit for bit
+/// — in the high half, mapped to the order [`f32::total_cmp`] gives it, and
+/// its position in `candidates` in the low half.  A NaN depth passes the
+/// clip test here as it does in the projection.  The keys are distinct, so
+/// sorting them is the stable depth sort of the candidates, and a total
+/// order even with a NaN depth (a positive NaN sorts behind every finite
+/// depth, a negative one in front).
+///
+/// # Panics
+/// Panics if there are more than `u32::MAX` candidates.
+fn depth_keys(model: &GaussianModel, camera: &Camera, candidates: &[u32]) -> Vec<u64> {
+    assert!(
+        u32::try_from(candidates.len()).is_ok(),
+        "too many candidates"
+    );
+    let positions = model.positions();
+    candidates
+        .iter()
+        .enumerate()
+        .filter_map(|(k, &idx)| {
+            let z = camera.world_to_camera(positions[idx as usize]).z;
+            let clipped = z < camera.near || z > camera.far;
+            (!clipped).then_some((total_order_bits(z) as u64) << 32 | k as u64)
+        })
+        .collect()
 }
 
-/// Bins every splat that overlaps tile row `ty` into that row's lists,
-/// replicating the serial binning expressions (including the offscreen skip)
-/// exactly.  Scanning the splats in slot order fills each list in the same
-/// order a serial pass over all tiles would.
+/// `x`'s bits as an unsigned integer ordered as [`f32::total_cmp`] orders
+/// `x`: the standard library's own signed mapping, offset by `2^31`.
+fn total_order_bits(x: f32) -> u32 {
+    let bits = x.to_bits() as i32;
+    (bits ^ (((bits >> 31) as u32) >> 1) as i32) as u32 ^ 0x8000_0000
+}
+
+/// Appends the slots of `new` (the splats from slot `first_slot` on) that
+/// overlap tile row `ty` to that row's lists of the tiles marked `open`,
+/// with the serial binning expressions (including the offscreen skip).
+/// Scanning in slot order keeps every list in slot order.
 fn bin_tile_row(
-    projected: &[ProjectedGaussian],
-    width: u32,
-    height: u32,
+    new: &[ProjectedGaussian],
+    first_slot: usize,
+    (width, height): (u32, u32),
     ty: u32,
     row: &mut [Vec<u32>],
+    open: &[bool],
 ) {
-    for (slot, p) in projected.iter().enumerate() {
+    for (k, p) in new.iter().enumerate() {
         let min_x = ((p.mean2d.x - p.radius).floor().max(0.0)) as u32;
         let max_x = ((p.mean2d.x + p.radius).ceil().min(width as f32 - 1.0)) as u32;
         let min_y = ((p.mean2d.y - p.radius).floor().max(0.0)) as u32;
@@ -468,10 +584,11 @@ fn bin_tile_row(
         if ty < min_y / TILE_SIZE || ty > max_y / TILE_SIZE {
             continue;
         }
-        let t_min_x = min_x / TILE_SIZE;
-        let t_max_x = max_x / TILE_SIZE;
-        for tx in t_min_x..=t_max_x {
-            row[tx as usize].push(slot as u32);
+        let slot = (first_slot + k) as u32;
+        for tx in min_x / TILE_SIZE..=max_x / TILE_SIZE {
+            if open[tx as usize] {
+                row[tx as usize].push(slot);
+            }
         }
     }
 }
@@ -501,6 +618,128 @@ fn for_each_band_pixel(
     }
 }
 
+/// Where one pixel's front-to-back walk stands between slabs.
+#[derive(Debug)]
+struct PixelWalk {
+    tile: u32,
+    /// The pixel centre.
+    cx: f32,
+    cy: f32,
+    /// Transmittance in front of the next entry — once the walk has ended,
+    /// in front of the entry that ended it.
+    t: f32,
+    /// Start of the next lane block of the tile list to walk.
+    next: usize,
+    open: bool,
+}
+
+/// What one slab's walk recorded for each pixel of a band.
+#[derive(Debug, Clone, Default)]
+struct SlabRecords {
+    /// Per pixel: one past its last entry of `records`.
+    ends: Vec<u32>,
+    records: Vec<Contribution>,
+}
+
+/// One band's pixels across the slabs of a [`coverage`].
+#[derive(Debug)]
+struct BandWalk {
+    pixels: Vec<PixelWalk>,
+    /// Pixels whose walk has not ended.
+    open: usize,
+    /// One entry per slab in which the band had an open pixel.
+    slabs: Vec<SlabRecords>,
+    lane_blocks: u64,
+}
+
+impl BandWalk {
+    /// Every pixel of the band `geometry` describes, open at transmittance 1.
+    fn new(geometry: (u32, u32, u32, u32)) -> Self {
+        let mut pixels = Vec::new();
+        for_each_band_pixel(geometry, |tile, px, py| {
+            pixels.push(PixelWalk {
+                tile: tile as u32,
+                cx: px as f32 + 0.5,
+                cy: py as f32 + 0.5,
+                t: 1.0,
+                next: 0,
+                open: true,
+            })
+        });
+        BandWalk {
+            open: pixels.len(),
+            pixels,
+            slabs: Vec::new(),
+            lane_blocks: 0,
+        }
+    }
+
+    /// Walks every open pixel on through its tile's list and records what it
+    /// composites.  Pure per pixel: identical output regardless of which
+    /// thread runs it.
+    ///
+    /// The walk processes each tile list in [`LANES`]-wide blocks: alphas
+    /// for a block are evaluated by the lane kernel, then walked serially in
+    /// list order — termination mid-block wastes at most `LANES - 1` lane
+    /// evaluations.  Before the `last` slab a walk stops in front of a
+    /// partly filled block, which a later slab may still fill, so each block
+    /// a pixel evaluates is the one a walk over every candidate evaluates.
+    fn walk(&mut self, tile_soas: &[TileSoa], tile_lists: &[Vec<u32>], last: bool) {
+        let mut slab = SlabRecords::default();
+        let (mut alphas, mut gauss) = ([0.0f32; LANES], [0.0f32; LANES]);
+        let mut lane_blocks = 0;
+        for pixel in &mut self.pixels {
+            if pixel.open {
+                let tile = pixel.tile as usize;
+                let (soa, list) = (&tile_soas[tile], &tile_lists[tile]);
+                let walkable = if last {
+                    soa.len
+                } else {
+                    soa.len - soa.len % LANES
+                };
+                let (cx, cy) = (pixel.cx, pixel.cy);
+                let mut t = pixel.t;
+                let mut base = pixel.next;
+                'blocks: while base < walkable {
+                    lane_blocks += 1;
+                    if soa.lane_alphas(base, cx, cy, &mut alphas, &mut gauss) {
+                        for pos in base..(base + LANES).min(soa.len) {
+                            let alpha = alphas[pos - base];
+                            if alpha < MIN_ALPHA {
+                                continue;
+                            }
+                            slab.records.push(Contribution {
+                                slot: list[pos],
+                                gauss: gauss[pos - base],
+                            });
+                            let next_t = t * (1.0 - alpha);
+                            if next_t < TRANSMITTANCE_EPS {
+                                pixel.open = false;
+                                self.open -= 1;
+                                break 'blocks;
+                            }
+                            t = next_t;
+                        }
+                    }
+                    base += LANES;
+                }
+                (pixel.t, pixel.next) = (t, base);
+            }
+            slab.ends.push(slab.records.len() as u32);
+        }
+        self.lane_blocks += lane_blocks;
+        self.slabs.push(slab);
+    }
+
+    /// The band's records and final transmittances.
+    fn finish(self) -> BandCoverage {
+        BandCoverage {
+            final_t: self.pixels.iter().map(|p| p.t).collect(),
+            slabs: self.slabs,
+        }
+    }
+}
+
 /// One tile's splats in structure-of-arrays form: one `f32` array per
 /// screen-space attribute the alpha walk reads, **zero-padded** to a
 /// multiple of [`LANES`] so the lane kernel always processes full
@@ -526,32 +765,32 @@ struct TileSoa {
 }
 
 impl TileSoa {
-    /// Stages the splats of one tile list (pure copies of the projected
-    /// attributes, in list order).
-    fn build(list: &[u32], projected: &[ProjectedGaussian]) -> TileSoa {
-        let len = list.len();
-        let padded = len.next_multiple_of(LANES);
-        let mut soa = TileSoa {
-            len,
-            mean_x: vec![0.0; padded],
-            mean_y: vec![0.0; padded],
-            conic_a: vec![0.0; padded],
-            conic_b: vec![0.0; padded],
-            conic_c: vec![0.0; padded],
-            opacity: vec![0.0; padded],
-            floor: vec![f32::INFINITY; padded],
-        };
-        for (pos, &slot) in list.iter().enumerate() {
-            let p = &projected[slot as usize];
-            soa.mean_x[pos] = p.mean2d.x;
-            soa.mean_y[pos] = p.mean2d.y;
-            soa.conic_a[pos] = p.conic.a;
-            soa.conic_b[pos] = p.conic.b;
-            soa.conic_c[pos] = p.conic.c;
-            soa.opacity[pos] = p.opacity;
-            soa.floor[pos] = alpha_power_floor(p.opacity);
+    /// Stages the entries of the tile's `list` from [`len`](Self::len) on
+    /// (pure copies of the projected attributes, in list order) and re-pads.
+    fn extend(&mut self, list: &[u32], projected: &[ProjectedGaussian]) {
+        let padded = list.len().next_multiple_of(LANES);
+        for array in [
+            &mut self.mean_x,
+            &mut self.mean_y,
+            &mut self.conic_a,
+            &mut self.conic_b,
+            &mut self.conic_c,
+            &mut self.opacity,
+        ] {
+            array.resize(padded, 0.0);
         }
-        soa
+        self.floor.resize(padded, f32::INFINITY);
+        for (pos, &slot) in list.iter().enumerate().skip(self.len) {
+            let p = &projected[slot as usize];
+            self.mean_x[pos] = p.mean2d.x;
+            self.mean_y[pos] = p.mean2d.y;
+            self.conic_a[pos] = p.conic.a;
+            self.conic_b[pos] = p.conic.b;
+            self.conic_c[pos] = p.conic.c;
+            self.opacity[pos] = p.opacity;
+            self.floor[pos] = alpha_power_floor(p.opacity);
+        }
+        self.len = list.len();
     }
 
     /// Evaluates the alpha and the Gaussian factor `exp(power)` of the
@@ -638,51 +877,6 @@ fn clamped_alpha(opacity: f32, gauss: f32) -> f32 {
     (opacity * gauss).min(MAX_ALPHA)
 }
 
-/// Walks every pixel of one band front to back and records what it
-/// composites.  Pure per pixel: identical output regardless of which thread
-/// runs it.
-///
-/// The walk processes each tile list in [`LANES`]-wide blocks: alphas for
-/// a block are evaluated by the lane kernel, then walked serially in list
-/// order — termination mid-block wastes at most `LANES - 1` lane
-/// evaluations.
-fn cover_band(
-    tile_soas: &[TileSoa],
-    tile_lists: &[Vec<u32>],
-    geometry: (u32, u32, u32, u32),
-) -> BandCoverage {
-    let mut band = BandCoverage::default();
-    let (mut alphas, mut gauss) = ([0.0f32; LANES], [0.0f32; LANES]);
-    for_each_band_pixel(geometry, |tile, px, py| {
-        let (soa, list) = (&tile_soas[tile], &tile_lists[tile]);
-        let (cx, cy) = (px as f32 + 0.5, py as f32 + 0.5);
-        let mut t = 1.0f32;
-        'blocks: for base in (0..soa.len).step_by(LANES) {
-            if !soa.lane_alphas(base, cx, cy, &mut alphas, &mut gauss) {
-                continue;
-            }
-            for pos in base..(base + LANES).min(soa.len) {
-                let alpha = alphas[pos - base];
-                if alpha < MIN_ALPHA {
-                    continue;
-                }
-                band.records.push(Contribution {
-                    slot: list[pos],
-                    gauss: gauss[pos - base],
-                });
-                let next_t = t * (1.0 - alpha);
-                if next_t < TRANSMITTANCE_EPS {
-                    break 'blocks;
-                }
-                t = next_t;
-            }
-        }
-        band.ends.push(band.records.len() as u32);
-        band.final_t.push(t);
-    });
-    band
-}
-
 /// The shade phase of a render: evaluates the view-dependent colour of
 /// every reached splat of `coverage` from `model`'s SH coefficients — and
 /// of no other — and composites each pixel from its records over
@@ -731,13 +925,10 @@ fn composite_band(
 ) {
     let (width, y0) = (geometry.0, geometry.3);
     let mut pixel = 0;
-    let mut start = 0;
     for_each_band_pixel(geometry, |_, px, py| {
-        let end = band.ends[pixel] as usize;
-        pixel += 1;
         let mut t = 1.0f32;
         let mut color = [0.0f32; 3];
-        for r in &band.records[start..end] {
+        for r in band.records(pixel).flatten() {
             let slot = r.slot as usize;
             let alpha = clamped_alpha(splats[slot].opacity, r.gauss);
             let next_t = t * (1.0 - alpha);
@@ -750,7 +941,7 @@ fn composite_band(
             color[2] += c[2] * alpha * t;
             t = next_t;
         }
-        start = end;
+        pixel += 1;
         for c in 0..3 {
             color[c] += t * background[c];
         }
@@ -937,14 +1128,11 @@ fn backward_band_with_scratch(
     // cancels back to exact zero may be pushed again — dedup below).
     let mut touched: Vec<u32> = Vec::new();
     let mut pixel = 0;
-    let mut start = 0;
     for_each_band_pixel(geometry, |_, px, py| {
-        let (end, final_t) = (band.ends[pixel] as usize, band.final_t[pixel]);
-        let records = &band.records[start..end];
+        let (records, final_t) = (band.records(pixel), band.final_t[pixel]);
         pixel += 1;
-        start = end;
         let d_pix = d_image[(py * width + px) as usize];
-        if d_pix == [0.0; 3] || records.is_empty() {
+        if d_pix == [0.0; 3] {
             return;
         }
         let (cx, cy) = (px as f32 + 0.5, py as f32 + 0.5);
@@ -956,7 +1144,7 @@ fn backward_band_with_scratch(
             background[1] * final_t,
             background[2] * final_t,
         ];
-        for r in records.iter().rev() {
+        for r in records.rev().flat_map(|slab| slab.iter().rev()) {
             let slot = r.slot as usize;
             let p = &coverage.splats[slot];
             let alpha = clamped_alpha(p.opacity, r.gauss);
@@ -1474,41 +1662,77 @@ mod tests {
     }
 
     #[test]
-    fn depth_order_is_total_with_a_nan_depth() {
-        // `partial_cmp(..).unwrap_or(Equal)` is not a total order once a
-        // depth is NaN (and `sort_by` may panic on that); `total_cmp` is,
-        // sorts a positive NaN behind every finite depth and a negative one
-        // in front, and leaves the finite order — ties in candidate order —
-        // as it was.
-        let splat = |depth: f32| ProjectedGaussian {
-            index: 0,
-            mean2d: gs_core::math::Vec2::new(0.0, 0.0),
-            depth,
-            conic: Sym2::new(1.0, 0.0, 1.0),
-            radius: 1.0,
-            opacity: 0.5,
-        };
-        let depths = [3.0, f32::NAN, 1.0, 2.0, 1.0, 0.5, f32::NAN, 2.0, -f32::NAN];
-        let projected: Vec<ProjectedGaussian> = depths.iter().map(|&d| splat(d)).collect();
-        assert_eq!(depth_order(&projected), [8, 5, 2, 4, 3, 7, 0, 1, 6]);
-        // Many NaNs among many finite depths: no panic, finite ones sorted.
-        let projected: Vec<ProjectedGaussian> = (0..2000)
-            .map(|k| {
-                splat(if k % 7 == 0 {
-                    f32::NAN
-                } else {
-                    ((k * 37) % 101) as f32
-                })
+    fn depth_keys_sort_as_the_stable_total_cmp_depth_sort() {
+        // The key's high half orders every pair of edge depths as
+        // `total_cmp` does: a positive NaN behind everything, a negative one
+        // in front, -0 before +0.
+        let edges = [
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1.0e-45,
+            -1.0e-45,
+            1.0,
+            -1.0,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for a in edges {
+            for b in edges {
+                let (ka, kb) = (total_order_bits(a), total_order_bits(b));
+                assert_eq!(ka.cmp(&kb), a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
+        // Sorted keys list the candidates inside the clip range (a NaN depth
+        // included, both clip planes inclusive) in the stable `total_cmp`
+        // order of their depths: equal depths in candidate order.
+        let cam = camera(16);
+        let depths = [
+            3.0,
+            f32::NAN,
+            1.0,
+            2.0,
+            1.0,
+            0.5,
+            f32::NAN,
+            2.0,
+            -f32::NAN,
+            0.05,
+            150.0,
+            100.0,
+            0.1,
+            f32::INFINITY,
+        ];
+        let depths: Vec<f32> = (0..2000)
+            .map(|k| match k % 7 {
+                0 => depths[(k / 7) % depths.len()],
+                _ => ((k * 37) % 101) as f32,
             })
             .collect();
-        let order = depth_order(&projected);
-        let finite: Vec<f32> = order
+        let model: GaussianModel = depths
             .iter()
-            .map(|&i| projected[i as usize].depth)
-            .take_while(|d| !d.is_nan())
+            .map(|&z| Gaussian::isotropic(Vec3::new(0.0, 0.0, z), 0.5, [0.5; 3], 0.5))
             .collect();
-        assert_eq!(finite.len(), 2000 - 2000usize.div_ceil(7));
-        assert!(finite.windows(2).all(|w| w[0] <= w[1]));
+        let candidates: Vec<u32> = (0..model.len() as u32).rev().collect();
+        let mut keys = depth_keys(&model, &cam, &candidates);
+        keys.sort_unstable();
+        let z = |k: usize| {
+            cam.world_to_camera(model.positions()[candidates[k] as usize])
+                .z
+        };
+        let mut expected: Vec<usize> = (0..candidates.len())
+            .filter(|&k| !(z(k) < cam.near || z(k) > cam.far))
+            .collect();
+        expected.sort_by(|&a, &b| z(a).total_cmp(&z(b)));
+        let sorted: Vec<usize> = keys.iter().map(|&key| key as u32 as usize).collect();
+        assert_eq!(sorted, expected);
+        assert!(sorted.len() < candidates.len(), "nothing clipped");
+        assert!(sorted.iter().any(|&k| z(k).is_nan()), "no NaN depth kept");
     }
 
     /// A random small scene in front of `camera(px)`: clustered splats so
@@ -1628,7 +1852,7 @@ mod tests {
         let cam = camera(32);
         let out = render(&model, &cam, &RenderOptions::default());
         let cover = out.aux.coverage();
-        let records = || cover.bands.iter().flat_map(|b| b.records.iter());
+        let records = || (cover.bands.iter().flat_map(|b| &b.slabs)).flat_map(|s| &s.records);
         let terminated = cover
             .bands
             .iter()
@@ -1638,11 +1862,9 @@ mod tests {
         let clamped = records()
             .filter(|r| cover.splats[r.slot as usize].opacity * r.gauss >= MAX_ALPHA)
             .count();
-        let empty_pixels = cover
-            .bands
-            .iter()
-            .flat_map(|b| b.ends.windows(2).map(|w| w[1] - w[0]))
-            .filter(|&n| n == 0)
+        let empty_pixels = (cover.bands.iter())
+            .flat_map(|b| (0..b.final_t.len()).map(|p| b.records(p).all(|r| r.is_empty())))
+            .filter(|&empty| empty)
             .count();
         assert!(terminated > 0, "no walk terminated");
         assert!(clamped > 0, "no splat clamped at MAX_ALPHA");
@@ -1651,5 +1873,198 @@ mod tests {
             cover.reached().len() < cover.projected_count(),
             "nothing unreached"
         );
+    }
+
+    /// A projected splat's fields as bits.
+    fn splat_bits(p: &ProjectedGaussian) -> [u32; 9] {
+        let f = [
+            p.mean2d.x, p.mean2d.y, p.depth, p.conic.a, p.conic.b, p.conic.c, p.radius, p.opacity,
+        ];
+        std::array::from_fn(|k| if k == 0 { p.index } else { f[k - 1].to_bits() })
+    }
+
+    /// Every pixel's final transmittance and walk records, band by band, as
+    /// bits.
+    fn walk_bits(c: &Coverage) -> Vec<(u32, Vec<(u32, u32)>)> {
+        (c.bands.iter())
+            .flat_map(|b| {
+                (0..b.final_t.len()).map(|p| {
+                    let records = b.records(p).flatten();
+                    let records = records.map(|r| (r.slot, r.gauss.to_bits())).collect();
+                    (b.final_t[p].to_bits(), records)
+                })
+            })
+            .collect()
+    }
+
+    /// Asserts that `slabs` is byte-identical to `oracle`, the same
+    /// coverage in one slab of every candidate: each pixel's records and
+    /// final transmittance, the reached set, both counters, a prefix of the
+    /// oracle's splats (all of them when a walk ran out of candidates), and
+    /// the image and gradients shaded from it.
+    fn assert_same_coverage(
+        model: &GaussianModel,
+        cam: &Camera,
+        slabs: &Coverage,
+        oracle: &Coverage,
+    ) {
+        assert_eq!(walk_bits(slabs), walk_bits(oracle));
+        assert_eq!(slabs.reached(), oracle.reached());
+        assert_eq!(slabs.reached_slots, oracle.reached_slots);
+        assert_eq!(slabs.open_pixels(), oracle.open_pixels());
+        assert_eq!(slabs.lane_blocks(), oracle.lane_blocks());
+        let prefix = slabs.projected_count();
+        assert!(prefix <= oracle.projected_count());
+        if oracle.open_pixels() > 0 {
+            assert_eq!(prefix, oracle.projected_count());
+        }
+        let bits = |splats: &[ProjectedGaussian]| splats.iter().map(splat_bits).collect::<Vec<_>>();
+        assert_eq!(bits(&slabs.splats), bits(&oracle.splats[..prefix]));
+
+        let background = [0.1, 0.2, 0.3];
+        let (image, shading) = shade(model, slabs, background);
+        let (oracle_image, oracle_shading) = shade(model, oracle, background);
+        let image_bits = |image: &Image| {
+            (image.pixels().iter())
+                .map(|p| p.map(f32::to_bits))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(image_bits(&image), image_bits(&oracle_image));
+        let d_image: Vec<[f32; 3]> = (0..image.pixel_count())
+            .map(|k| [0.7 - (k % 5) as f32 * 0.3, 0.2, -0.4 + (k % 3) as f32 * 0.5])
+            .collect();
+        assert_eq!(
+            format!(
+                "{:?}",
+                shade_backward(model, cam, slabs, &shading, &d_image)
+            ),
+            format!(
+                "{:?}",
+                shade_backward(model, cam, oracle, &oracle_shading, &d_image)
+            )
+        );
+    }
+
+    /// `random_scene` plus rows the depth keys must order or drop exactly:
+    /// a NaN depth, ±inf depths, depths before the near and beyond the far
+    /// plane (`camera` clips at 0.1 and 100), and exact copies of earlier
+    /// rows (equal-depth ties).
+    fn scene_with_edge_depths(
+        splats: &[((f32, f32, f32), (f32, f32, f32), (f32, f32))],
+        edges: &[(u32, usize)],
+    ) -> GaussianModel {
+        let mut model = random_scene(splats);
+        for &(kind, row) in edges {
+            let mut g = model.get(row % splats.len());
+            match kind {
+                0 => g.position.z = f32::NAN,
+                1 => g.position.z = f32::INFINITY,
+                2 => g.position.z = f32::NEG_INFINITY,
+                3 => g.position.z = 0.05,
+                4 => g.position.z = 150.0,
+                _ => {}
+            }
+            model.push(g);
+        }
+        model
+    }
+
+    proptest! {
+        #[test]
+        fn slabs_are_byte_identical_to_one_slab_of_everything(
+            splats in proptest::collection::vec(
+                (
+                    (-1.2f32..0.6, -1.2f32..0.6, 2.5f32..6.0),
+                    (0.02f32..0.6, 0.0f32..1.0, 0.0f32..1.0),
+                    (0.05f32..0.9995, -0.8f32..0.8),
+                ),
+                1..60,
+            ),
+            edges in proptest::collection::vec((0u32..8, 0usize..60), 0..8),
+            view in (8u32..40, 3u32..20, 0u32..3),
+        ) {
+            // The slab schedule changes what is projected, never what any
+            // pixel's walk sees: for every first-slab size, thread count and
+            // band height, the walk, its counters and everything shaded from
+            // it equal one slab of every candidate.
+            let (px, band_height, visible) = view;
+            let model = scene_with_edge_depths(&splats, &edges);
+            let cam = camera(px);
+            let n = model.len() as u32;
+            let visible = match visible {
+                0 => None,
+                1 => Some((0..n).rev().collect()),
+                _ => Some((0..n).chain((0..n).step_by(3)).collect()),
+            };
+            let options = |threads: usize| RenderOptions {
+                background: [0.0; 3],
+                visible: visible.clone(),
+                compute_threads: threads,
+                band_height,
+            };
+            let oracle = coverage_in_slabs(&model, &cam, &options(1), usize::MAX);
+            for threads in [1usize, 2, 3] {
+                for first_slab in [1usize, 3, 8, 21] {
+                    let slabs = coverage_in_slabs(&model, &cam, &options(threads), first_slab);
+                    assert_same_coverage(&model, &cam, &slabs, &oracle);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slabs_match_one_slab_whether_no_some_or_every_walk_terminates() {
+        let cam = camera(32);
+        let pixels = 32 * 32;
+        // Faint splats: no walk terminates, so the slabs run through every
+        // candidate.
+        let faint: Vec<_> = (0..30)
+            .map(|k| {
+                let f = k as f32;
+                let (x, y) = (-0.8 + (f * 0.37) % 1.6, -0.8 + (f * 0.53) % 1.6);
+                ((x, y, 3.0 + (f * 0.71) % 3.0), (0.3, 0.4, 0.6), (0.05, 0.2))
+            })
+            .collect();
+        // An opaque centre: the walks under it terminate, the others do not.
+        let centre: Vec<_> = faint
+            .iter()
+            .copied()
+            .chain([2.6, 2.7, 2.8, 2.9].map(|z| ((0.0, 0.0, z), (0.2, 0.5, 0.5), (0.9995, 0.0))))
+            .collect();
+        // Opaque layers over the whole view in front of everything else:
+        // every walk terminates within the first slabs.
+        let wall: Vec<_> = centre
+            .iter()
+            .copied()
+            .chain((0..6).map(|k| {
+                (
+                    (0.0, 0.0, 2.0 + 0.01 * k as f32),
+                    (3.0, 0.2, 0.7),
+                    (0.9995, 0.0),
+                )
+            }))
+            .collect();
+        for (splats, open) in [
+            (&faint, pixels..=pixels),
+            (&centre, 1..=pixels - 1),
+            (&wall, 0..=0),
+        ] {
+            let model = random_scene(splats);
+            let oracle = coverage_in_slabs(&model, &cam, &RenderOptions::default(), usize::MAX);
+            assert!(
+                open.contains(&oracle.open_pixels()),
+                "{} open",
+                oracle.open_pixels()
+            );
+            for first_slab in [1usize, 2, 5, 16] {
+                let slabs = coverage_in_slabs(&model, &cam, &RenderOptions::default(), first_slab);
+                assert_same_coverage(&model, &cam, &slabs, &oracle);
+                if oracle.open_pixels() == 0 && first_slab == 2 {
+                    // More than one slab ran, and the walks ended early.
+                    let projected = slabs.projected_count();
+                    assert!(first_slab < projected && projected < oracle.projected_count());
+                }
+            }
+        }
     }
 }
