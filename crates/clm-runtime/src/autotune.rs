@@ -9,13 +9,18 @@
 //!
 //! 1. **Probe** — [`sim_device::HostTopology`] detects vendor, core
 //!    topology, cache sizes and the cgroup CPU quota;
-//! 2. **Calibrate** — [`Calibration::run`] micro-benches the AoSoA Adam
-//!    lane kernel, one rasteriser band pass and a staged-row gather for a
-//!    few milliseconds each at startup, fitting per-host throughput the
-//!    static [`CostModel`](crate::engine) cannot know;
+//! 2. **Calibrate** — [`Calibration::run`] micro-benches one rasteriser
+//!    band pass and a staged-row gather for a few milliseconds each at
+//!    startup, fitting per-host throughput the static
+//!    [`CostModel`](crate::engine) cannot know;
 //! 3. **Derive** — [`derive_knobs`] turns topology + calibration into
 //!    [`TunedKnobs`], every field of which the existing config knobs
 //!    override (`0`/`None` = autotune, anything else wins).
+//!
+//! The CPU Adam lane is not calibrated: no knob depends on its rate.  Its
+//! fan-out is the effective core count, and its rows per shard follow from
+//! the L2 size alone — the row kernel streams [`WORK_ITEM_BYTES`]-sized
+//! rows (parameters, gradient and both moments) one after another.
 //!
 //! The process-wide [`tuned`] result is computed once, cached, and also
 //! installed as `gs_render`'s default compute width so the documented
@@ -26,8 +31,8 @@
 //! every backend in one process tunes to the same value and stays
 //! bit-comparable.
 
-use gs_core::{Camera, GaussianModel, NON_CRITICAL_FLOATS, PARAMS_PER_GAUSSIAN};
-use gs_optim::{compute_packed, AdamConfig, AdamWorkItem, WORK_ITEM_BYTES};
+use gs_core::{Camera, GaussianModel, NON_CRITICAL_FLOATS};
+use gs_optim::WORK_ITEM_BYTES;
 use gs_render::{render, RenderOptions, DEFAULT_BAND_HEIGHT, TILE_SIZE};
 use gs_scene::{
     generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
@@ -37,11 +42,11 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Gaussians in the calibration model (small enough that the whole pass
-/// stays in the tens of milliseconds, large enough to exercise the lane
-/// kernels past their ramp-up).
+/// stays in the tens of milliseconds, large enough to exercise the
+/// rasteriser past its ramp-up).
 const CALIBRATION_GAUSSIANS: usize = 512;
 
-/// Rows in the Adam and gather calibration workloads.
+/// Rows in the gather calibration workload.
 const CALIBRATION_ROWS: usize = 4096;
 
 /// Render resolution of the calibration band pass.
@@ -49,17 +54,14 @@ const CALIBRATION_WIDTH: u32 = 96;
 /// Render resolution of the calibration band pass.
 const CALIBRATION_HEIGHT: u32 = 64;
 
-/// Minimum timed duration of each micro-bench (seconds).  Three benches at
+/// Minimum timed duration of each micro-bench (seconds).  Two benches at
 /// ~4 ms each keeps the whole calibration pass in the tens of
 /// milliseconds.
 const CALIBRATION_BUDGET_S: f64 = 0.004;
 
-/// Measured per-host throughput of the three calibrated hot paths.
+/// Measured per-host throughput of the two calibrated hot paths.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
-    /// AoSoA Adam lane kernel throughput (rows/s; one row = one Gaussian's
-    /// 59-parameter update).
-    pub adam_rows_per_s: f64,
     /// Banded rasteriser forward throughput (rows/s; one row = one
     /// candidate Gaussian of the render).
     pub raster_rows_per_s: f64,
@@ -71,7 +73,7 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// Runs the three micro-benches (~tens of milliseconds total).
+    /// Runs the two micro-benches (~tens of milliseconds total).
     ///
     /// Everything is serial (`compute_threads = 1`): the calibration
     /// measures single-core kernel throughput, and the autotuner scales by
@@ -79,35 +81,7 @@ impl Calibration {
     pub fn run() -> Self {
         let started = Instant::now();
 
-        // 1. Adam lane kernel over self-contained packed work items (the
-        // CPU Adam lane itself runs the same kernel through
-        // `step_detached`, against the live moment stores).
-        let mut items: Vec<AdamWorkItem> = (0..CALIBRATION_ROWS)
-            .map(|i| {
-                let mut item = AdamWorkItem {
-                    index: i as u32,
-                    step: 1 + (i % 5) as u64,
-                    params: [0.0; PARAMS_PER_GAUSSIAN],
-                    grad: [0.0; PARAMS_PER_GAUSSIAN],
-                    m: [0.0; PARAMS_PER_GAUSSIAN],
-                    v: [0.0; PARAMS_PER_GAUSSIAN],
-                };
-                for k in 0..PARAMS_PER_GAUSSIAN {
-                    let x = (i * PARAMS_PER_GAUSSIAN + k) as f32;
-                    item.params[k] = 1.0e-2 * (x * 0.11 - 3.0);
-                    item.grad[k] = 1.0e-3 * (x * 0.37 - 11.0);
-                    item.m[k] = 1.0e-4 * x;
-                    item.v[k] = 1.0e-6 * x;
-                }
-                item
-            })
-            .collect();
-        let config = AdamConfig::default();
-        let adam_rows_per_s = timed_rows(CALIBRATION_ROWS as u64, || {
-            compute_packed(&config, &mut items)
-        });
-
-        // 2. One serial banded render — the rasteriser's forward band loop
+        // 1. One serial banded render — the rasteriser's forward band loop
         // over a synthetic scene sized like the kernel bench's smoke tier.
         let (model, camera) = calibration_scene();
         let options = RenderOptions {
@@ -118,7 +92,7 @@ impl Calibration {
             std::hint::black_box(render(&model, &camera, &options));
         });
 
-        // 3. Staged-row gather: the pinned-buffer copy pattern of the
+        // 2. Staged-row gather: the pinned-buffer copy pattern of the
         // communication lane (indexed rows, not a straight memcpy).
         let store: Vec<[f32; NON_CRITICAL_FLOATS]> = (0..CALIBRATION_ROWS)
             .map(|i| [i as f32 * 0.5; NON_CRITICAL_FLOATS])
@@ -133,7 +107,6 @@ impl Calibration {
         });
 
         Calibration {
-            adam_rows_per_s,
             raster_rows_per_s,
             gather_rows_per_s,
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
@@ -323,7 +296,6 @@ mod tests {
 
     fn mock_calibration() -> Calibration {
         Calibration {
-            adam_rows_per_s: 2.0e6,
             raster_rows_per_s: 9.0e4,
             gather_rows_per_s: 5.0e7,
             wall_ms: 12.0,
@@ -416,7 +388,6 @@ mod tests {
     #[test]
     fn calibration_runs_fast_and_measures_every_path() {
         let cal = Calibration::run();
-        assert!(cal.adam_rows_per_s > 0.0);
         assert!(cal.raster_rows_per_s > 0.0);
         assert!(cal.gather_rows_per_s > 0.0);
         // "~tens of ms" with generous slack for loaded CI runners.

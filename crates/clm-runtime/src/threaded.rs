@@ -46,13 +46,13 @@
 //! `i` is never touched by micro-batches `> i`.  So (a) the gradient rows a
 //! group ships are the values the synchronous `apply_finalized` reads at
 //! the same point, and the rows it does not ship are the all-zero rows both
-//! paths stage a zero lane for; (b) the model the lane reads a finalised Gaussian's
+//! paths step with a zero row instead; (b) the model the lane reads a finalised Gaussian's
 //! parameters from still holds exactly what the synchronous path would
 //! update, because nothing is written back before batch end; (c) deferring
 //! that write-back cannot change anything a later micro-batch reads; and
-//! (d) the detached step stages the same values through the same
-//! `adam_update_lanes` kernel as the in-place step — each row's update is
-//! independent, so neither lane grouping nor the fan-out changes a bit.
+//! (d) the detached step feeds the same rows, in the same order, through
+//! the same `adam_update_row` kernel as the in-place step — each row's
+//! update is independent, so the fan-out changes no bit.
 //! Prefetched gathers are safe for the same reason the simulated engine's
 //! are: within a batch no parameter a later micro-batch fetches is updated
 //! before its last access (`Trainer::process_microbatch` asserts staged

@@ -12,8 +12,8 @@
 use crate::camera::{Camera, Frustum};
 use crate::gaussian::GaussianModel;
 use crate::math::Vec3;
-use crate::soa::LANE_WIDTH;
 use crate::visibility::VisibilitySet;
+use crate::LANE_WIDTH;
 
 /// Number of standard deviations used for the ellipsoid-frustum
 /// intersection test, matching standard 3DGS practice (§4.1).

@@ -41,7 +41,6 @@ pub mod error;
 pub mod gaussian;
 pub mod math;
 pub mod sh;
-pub mod soa;
 pub mod visibility;
 
 pub use camera::{Camera, CameraExtrinsics, CameraIntrinsics, Frustum, Plane};
@@ -51,8 +50,13 @@ pub use gaussian::{
     AttributeKind, Gaussian, GaussianModel, NON_CRITICAL_FLOATS, PARAMS_PER_GAUSSIAN,
     SELECTION_CRITICAL_FLOATS, SH_COEFFS_PER_CHANNEL, SH_FLOATS, TRAINING_STATE_COPIES,
 };
-pub use soa::{zero_lane_block, LaneBlock, SoaParams, LANE_WIDTH};
 pub use visibility::VisibilitySet;
+
+/// Rows per lane block of the fixed-width kernels: the batch cull and the
+/// rasteriser's alpha walk.  Fixed at 8 rather than derived from the host
+/// SIMD width, so every machine runs the same kernel shape; 8 `f32` lanes
+/// are one AVX2 register or two NEON/SSE registers.
+pub const LANE_WIDTH: usize = 8;
 
 /// Bytes occupied by one `f32` parameter.
 pub const BYTES_PER_PARAM: usize = 4;

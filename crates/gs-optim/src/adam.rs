@@ -6,49 +6,55 @@
 //! to the overlapped-CPU-Adam optimisation (§4.2.2) — is able to update any
 //! *subset* of Gaussians as soon as their gradients are final.
 //!
-//! Every update path funnels through **one lane kernel**
-//! ([`adam_update_lanes`]) that processes a fixed-width group of Gaussians
-//! parameter-major (`block[param][lane]`): the inner loop touches
-//! [`LANE_WIDTH`] consecutive `f32`s of the same parameter, which the
-//! autovectoriser lowers to SIMD mul/div/sqrt.  The moment state itself
-//! lives in a lane-chunked [`SoaParams`] store, so the dense path streams
-//! whole chunks with no transposition at all.  The three drivers are
-//! bit-identical by construction — each Gaussian's update is elementwise
-//! independent, so grouping rows into lanes is pure scheduling:
+//! Every update path funnels through **one row kernel**
+//! ([`adam_update_row`]): the textbook Kingma & Ba update of one Gaussian,
+//! looped over its 59 parameters in the flat
+//! [`param_row`](GaussianModel::param_row) layout.  That layout is the
+//! optimiser's everywhere — the resident moments (`m`, `v`: one
+//! [`ParamRow`] per Gaussian), gradient and parameter rows on the CPU Adam
+//! lane's wire, work items and checkpoint exports ([`AdamRowState`]) — so
+//! a driver hands the kernel the rows it already holds, with no staging.
+//! The three drivers:
 //!
 //! * [`GaussianAdam::step_dense`] / [`GaussianAdam::step_subset`] — the
-//!   in-place path the synchronous trainer uses: indices are staged into
-//!   lane blocks in order, updated, and scattered back;
+//!   in-place path the synchronous trainer uses: each index's parameter
+//!   row is read from the model, updated against its moment rows in place,
+//!   and written back;
 //! * [`GaussianAdam::pack_subset`] → [`compute_packed`] →
 //!   [`GaussianAdam::apply_packed`] — the shippable path: work items are
-//!   plain `memcpy`able rows, so a dedicated CPU Adam worker thread can run
-//!   the expensive math while the main thread keeps rendering, and the
-//!   results are merged back with cheap copies;
+//!   plain `memcpy`able rows a worker thread can update while the main
+//!   thread keeps rendering, merged back with copies;
 //! * [`GaussianAdam::step_detached`] — the CPU Adam **lane's** path: a
-//!   worker thread that holds the optimiser for a batch reads parameters
-//!   from a shared `&GaussianModel`, takes the final gradient rows of the
-//!   group's Gaussians that **received** gradient, updates `m`/`v`/`steps`
-//!   in place and hands back only the new parameter rows for a deferred
-//!   write-back.  Nothing the lane can already see is
-//!   copied, and the group fans out across one scoped parallel region by
-//!   sharding the moment stores at chunk boundaries.
+//!   worker thread that holds the optimiser for a batch reads each
+//!   parameter row from a shared `&GaussianModel` straight into its output
+//!   slot, takes the final gradient rows of the group's Gaussians that
+//!   **received** gradient, updates `m`/`v`/`steps` in place and hands back
+//!   only the new parameter rows for a deferred write-back.  The group fans
+//!   out across one scoped parallel region by splitting the moment rows at
+//!   any row boundary.
 //!
 //! The threaded runtime uses only the first and the last; the packed trio
-//! (`pack_subset`, `compute_packed*`, `apply_packed`, [`AdamWorkItem`])
-//! stays as library API for the kernel benchmarks and the autotuner's
-//! calibration, which time the lane kernel over self-contained rows.
+//! stays as library API for the kernel benchmarks.
 //!
-//! The flat 59-float [`param_row`](GaussianModel::param_row) layout remains
-//! the compatibility seam: gradient/parameter rows on the lane's wire, work
-//! items, checkpoint exports ([`AdamRowState`]) and pinned-row staging are
-//! all row-shaped; only the resident moment state and the kernel's working
-//! set are lane-chunked.
+//! Each driver computes the bias corrections `(1 − β1^t, 1 − β2^t)` once
+//! per run of consecutive rows with the same step count `t` — one run for
+//! the whole untouched group `F_0` of a model that has not densified.
+//!
+//! # Why every driver produces the same bits
+//!
+//! * Each kernel call performs, per element, the same operations on the
+//!   same operands in the same order as the scalar reference: Rust neither
+//!   contracts `a * b + c` into a fused multiply-add nor reassociates
+//!   floating-point expressions, so vectorising across a row's columns
+//!   cannot change a bit, and the update has no cross-column term.
+//! * `1 − β^t` is a pure function of `(β, t)`: reusing it for the next row
+//!   of the same step count is computing it again.
+//! * A row that received no gradient steps with the all-`+0.0` row, which
+//!   is exactly what its accumulator row holds; a retry (`commit = false`)
+//!   steps copies of the same moment rows.  No driver pads anything.
 
 use crate::gradients::GradientBuffer;
 use gs_core::gaussian::{GaussianModel, SH_FLOATS};
-use gs_core::soa::{
-    gather_chunk_lane, scatter_chunk_lane, zero_lane_block, LaneBlock, SoaParams, LANE_WIDTH,
-};
 use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_render::parallel_for_each;
 
@@ -117,7 +123,7 @@ impl AdamConfig {
     }
 
     /// The per-parameter learning rates as one flat table in
-    /// [`param_row`](GaussianModel::param_row) layout — the form the lane
+    /// [`param_row`](GaussianModel::param_row) layout — the form the row
     /// kernel consumes (a plain indexed load instead of a branch per
     /// element).
     pub fn lr_table(&self) -> [f32; PARAMS_PER_GAUSSIAN] {
@@ -127,12 +133,24 @@ impl AdamConfig {
         }
         table
     }
+
+    /// The bias corrections `(1 − β1^t, 1 − β2^t)` of step count `step`.
+    #[inline]
+    fn bias_corrections(&self, step: u64) -> (f32, f32) {
+        let t = step as f32;
+        (1.0 - self.beta1.powf(t), 1.0 - self.beta2.powf(t))
+    }
 }
 
-/// One flat [`param_row`](GaussianModel::param_row)-layout row: the wire
-/// format of [`GaussianAdam::step_detached`] (gradient rows in, parameter
-/// rows out).
+/// One flat [`param_row`](GaussianModel::param_row)-layout row: the layout
+/// of the moments, of work items and of
+/// [`GaussianAdam::step_detached`]'s wire (gradient rows in, parameter rows
+/// out).
 pub type ParamRow = [f32; PARAMS_PER_GAUSSIAN];
+
+/// `+0.0` in every slot: fresh moments, and the gradient a row that
+/// received none steps with (what its accumulator row holds).
+const ZERO_ROW: ParamRow = [0.0; PARAMS_PER_GAUSSIAN];
 
 /// One Gaussian's exported Adam state — the checkpointable view of a moment
 /// row.  Flat [`param_row`](GaussianModel::param_row) layout, so export →
@@ -170,121 +188,63 @@ pub struct AdamWorkItem {
     pub v: [f32; PARAMS_PER_GAUSSIAN],
 }
 
-impl AdamWorkItem {
-    /// An all-zero work item at step 1 — the padding-lane value: every Adam
-    /// expression over it yields exactly zero (step 1 keeps the bias
-    /// corrections non-zero), so padded lanes can run through the full
-    /// kernel without affecting anything.
-    fn zeroed() -> Self {
-        AdamWorkItem {
-            index: 0,
-            step: 1,
-            params: [0.0; PARAMS_PER_GAUSSIAN],
-            grad: [0.0; PARAMS_PER_GAUSSIAN],
-            m: [0.0; PARAMS_PER_GAUSSIAN],
-            v: [0.0; PARAMS_PER_GAUSSIAN],
-        }
-    }
-}
-
-/// The Adam update of one lane group: `L` Gaussians, parameter-major.
-/// **Every** optimiser path in this crate runs exactly this function, which
-/// is what makes the sequential, packed and chunked drivers bit-identical.
+/// The Adam update of one Gaussian: its parameter row `p`, gradient row `g`
+/// and moment rows `m`, `v`, all in
+/// [`param_row`](GaussianModel::param_row) layout.  **Every** optimiser path
+/// in this crate runs exactly this function, which is what makes the
+/// in-place, packed and detached drivers bit-identical.
 ///
-/// The per-element math is the textbook Kingma & Ba update with
-/// per-attribute learning rates (`lr`, indexed in
-/// [`param_row`](GaussianModel::param_row) layout) and a **per-lane** step
-/// counter (Gaussians age independently under sparse updates, so each lane
-/// carries its own bias correction).  The inner loop walks `L` consecutive
-/// floats of one parameter — a fixed-width block the autovectoriser lowers
-/// to SIMD mul/div/sqrt; swapping it for `std::simd` later is mechanical.
-///
-/// Padding lanes must be staged as zeros **with step ≥ 1** (the private
-/// `AdamWorkItem::zeroed` value); a zero lane stays exactly zero.
+/// The per-element math is the textbook Kingma & Ba update
+/// (<https://arxiv.org/abs/1412.6980>) with per-attribute learning rates
+/// (`lr`, see [`AdamConfig::lr_table`]).  Gaussians age independently under
+/// sparse updates, so the caller passes the row's own bias corrections
+/// `bias1 = 1 − β1^t`, `bias2 = 1 − β2^t` for its step count `t`.  The loop
+/// walks the row's contiguous columns, which the autovectoriser lowers to
+/// SIMD mul/div/sqrt without changing a bit (see the module docs).
 #[inline]
-pub fn adam_update_lanes<const L: usize>(
-    lr: &[f32; PARAMS_PER_GAUSSIAN],
+pub fn adam_update_row(
+    lr: &ParamRow,
     beta1: f32,
     beta2: f32,
     eps: f32,
-    steps: &[u64; L],
-    params: &mut [[f32; L]; PARAMS_PER_GAUSSIAN],
-    grads: &[[f32; L]; PARAMS_PER_GAUSSIAN],
-    m: &mut [[f32; L]; PARAMS_PER_GAUSSIAN],
-    v: &mut [[f32; L]; PARAMS_PER_GAUSSIAN],
+    bias1: f32,
+    bias2: f32,
+    p: &mut ParamRow,
+    g: &ParamRow,
+    m: &mut ParamRow,
+    v: &mut ParamRow,
 ) {
-    // Bias corrections are per lane (powf stays a scalar libm call), hoisted
-    // out of the parameter loop so the hot inner loop is pure mul/div/sqrt.
-    let mut bias1 = [0.0f32; L];
-    let mut bias2 = [0.0f32; L];
-    for l in 0..L {
-        let t = steps[l] as f32;
-        bias1[l] = 1.0 - beta1.powf(t);
-        bias2[l] = 1.0 - beta2.powf(t);
-    }
     for k in 0..PARAMS_PER_GAUSSIAN {
-        let lr_k = lr[k];
-        let (pk, gk) = (&mut params[k], &grads[k]);
-        let (mk, vk) = (&mut m[k], &mut v[k]);
-        for l in 0..L {
-            let g = gk[l];
-            mk[l] = beta1 * mk[l] + (1.0 - beta1) * g;
-            vk[l] = beta2 * vk[l] + (1.0 - beta2) * g * g;
-            let m_hat = mk[l] / bias1[l];
-            let v_hat = vk[l] / bias2[l];
-            pk[l] -= lr_k * m_hat / (v_hat.sqrt() + eps);
-        }
-    }
-}
-
-/// Runs the lane kernel over packed work items in groups of `L`
-/// (single-threaded), staging each group through a parameter-major block.
-/// Exposed with a const lane count so tests can sweep `L ∈ {1, 2, 4, 8}`
-/// against the scalar reference; production paths use
-/// [`compute_packed`] (`L =` [`LANE_WIDTH`]).
-pub fn compute_packed_lanes<const L: usize>(config: &AdamConfig, items: &mut [AdamWorkItem]) {
-    let lr = config.lr_table();
-    let pad = AdamWorkItem::zeroed();
-    let mut steps = [1u64; L];
-    let mut p = [[0.0f32; L]; PARAMS_PER_GAUSSIAN];
-    let mut g = [[0.0f32; L]; PARAMS_PER_GAUSSIAN];
-    let mut m = [[0.0f32; L]; PARAMS_PER_GAUSSIAN];
-    let mut v = [[0.0f32; L]; PARAMS_PER_GAUSSIAN];
-    for group in items.chunks_mut(L) {
-        for l in 0..L {
-            let item = group.get(l).unwrap_or(&pad);
-            steps[l] = item.step;
-            for k in 0..PARAMS_PER_GAUSSIAN {
-                p[k][l] = item.params[k];
-                g[k][l] = item.grad[k];
-                m[k][l] = item.m[k];
-                v[k][l] = item.v[k];
-            }
-        }
-        adam_update_lanes(
-            &lr,
-            config.beta1,
-            config.beta2,
-            config.eps,
-            &steps,
-            &mut p,
-            &g,
-            &mut m,
-            &mut v,
-        );
-        for (l, item) in group.iter_mut().enumerate() {
-            for k in 0..PARAMS_PER_GAUSSIAN {
-                item.params[k] = p[k][l];
-                item.m[k] = m[k][l];
-                item.v[k] = v[k][l];
-            }
-        }
+        let g = g[k];
+        m[k] = beta1 * m[k] + (1.0 - beta1) * g;
+        v[k] = beta2 * v[k] + (1.0 - beta2) * g * g;
+        let m_hat = m[k] / bias1;
+        let v_hat = v[k] / bias2;
+        p[k] -= lr[k] * m_hat / (v_hat.sqrt() + eps);
     }
 }
 
 /// Runs the Adam kernel over every packed work item (single-threaded).
 pub fn compute_packed(config: &AdamConfig, items: &mut [AdamWorkItem]) {
-    compute_packed_lanes::<LANE_WIDTH>(config, items);
+    let lr = config.lr_table();
+    let (mut run, mut bias) = (0, config.bias_corrections(0));
+    for item in items {
+        if item.step != run {
+            (run, bias) = (item.step, config.bias_corrections(item.step));
+        }
+        adam_update_row(
+            &lr,
+            config.beta1,
+            config.beta2,
+            config.eps,
+            bias.0,
+            bias.1,
+            &mut item.params,
+            &item.grad,
+            &mut item.m,
+            &mut item.v,
+        );
+    }
 }
 
 /// Bytes one packed [`AdamWorkItem`] occupies — the unit the autotuner's
@@ -304,48 +264,9 @@ pub fn threads_for_chunk_rows(len: usize, target_chunk_rows: usize, max_threads:
     len.div_ceil(target).clamp(1, max_threads.max(1))
 }
 
-/// Writes a [`GradientBuffer`] row into a flat
-/// [`param_row`](GaussianModel::param_row)-layout buffer.
-fn flat_grad_into(grads: &GradientBuffer, index: u32, row: &mut [f32; PARAMS_PER_GAUSSIAN]) {
-    let g = grads.row(index);
-    row[0..3].copy_from_slice(&g.d_position.to_array());
-    row[3..6].copy_from_slice(&g.d_log_scale.to_array());
-    row[6..10].copy_from_slice(&g.d_rotation);
-    row[10..10 + SH_FLOATS].copy_from_slice(&g.d_sh);
-    row[PARAMS_PER_GAUSSIAN - 1] = g.d_opacity_logit;
-}
-
-/// Stages a [`GradientBuffer`] row into lane `lane` of a parameter-major
-/// block — the transposed twin of [`flat_grad_into`], same values.
-fn stage_grad_lane(grads: &GradientBuffer, index: u32, lane: usize, block: &mut LaneBlock) {
-    let g = grads.row(index);
-    let dp = g.d_position.to_array();
-    let ds = g.d_log_scale.to_array();
-    for k in 0..3 {
-        block[k][lane] = dp[k];
-        block[3 + k][lane] = ds[k];
-    }
-    for k in 0..4 {
-        block[6 + k][lane] = g.d_rotation[k];
-    }
-    for k in 0..SH_FLOATS {
-        block[10 + k][lane] = g.d_sh[k];
-    }
-    block[PARAMS_PER_GAUSSIAN - 1][lane] = g.d_opacity_logit;
-}
-
-/// Re-zeroes gradient lane `lane` of a block — what a Gaussian that
-/// received no gradient stages (its accumulator row is `+0.0` in every
-/// slot).
-fn zero_grad_lane(lane: usize, block: &mut LaneBlock) {
-    for row in block.iter_mut() {
-        row[lane] = 0.0;
-    }
-}
-
 /// What every shard of one [`GaussianAdam::step_detached`] call shares.
 struct DetachedKernel<'a> {
-    lr: [f32; PARAMS_PER_GAUSSIAN],
+    lr: ParamRow,
     config: &'a AdamConfig,
     model: &'a GaussianModel,
     commit: bool,
@@ -355,30 +276,28 @@ struct DetachedKernel<'a> {
 /// the slices of everything addressed by them.  `out` is keyed by position
 /// in `indices`; `grads` is the sorted sparse list of the shard's rows that
 /// received gradient; `m`/`v`/`steps` are keyed by row and start at row
-/// `base` (a multiple of [`LANE_WIDTH`], so the moment slices start at a
-/// chunk boundary).
+/// `base`.
 struct DetachedShard<'a> {
     base: usize,
     indices: &'a [u32],
     grads: &'a [(u32, ParamRow)],
     out: &'a mut [ParamRow],
-    m: &'a mut [LaneBlock],
-    v: &'a mut [LaneBlock],
+    m: &'a mut [ParamRow],
+    v: &'a mut [ParamRow],
     steps: &'a mut [u64],
 }
 
 impl<'a> DetachedShard<'a> {
-    /// Splits into the indices below `row` and the rest; `row` must be a
-    /// multiple of [`LANE_WIDTH`] inside the shard's chunks.
+    /// Splits into the indices below `row` and the rest; `row` must lie
+    /// inside the shard's rows.
     fn split_at_row(self, row: usize) -> (Self, Self) {
         let cut = self.indices.partition_point(|&i| (i as usize) < row);
         let rows = row - self.base;
         let (indices, indices_tail) = self.indices.split_at(cut);
         let (out, out_tail) = self.out.split_at_mut(cut);
-        let (m, m_tail) = self.m.split_at_mut(rows / LANE_WIDTH);
-        let (v, v_tail) = self.v.split_at_mut(rows / LANE_WIDTH);
-        // The last chunk's padding rows have no step counter.
-        let (steps, steps_tail) = self.steps.split_at_mut(rows.min(self.steps.len()));
+        let (m, m_tail) = self.m.split_at_mut(rows);
+        let (v, v_tail) = self.v.split_at_mut(rows);
+        let (steps, steps_tail) = self.steps.split_at_mut(rows);
         let grads_cut = self.grads.partition_point(|&(i, _)| (i as usize) < row);
         let (grads, grads_tail) = self.grads.split_at(grads_cut);
         (
@@ -406,83 +325,52 @@ impl<'a> DetachedShard<'a> {
 
 impl DetachedKernel<'_> {
     /// The in-place driver's loop (`GaussianAdam::step_indices`) with the
-    /// model read-only: identical staging and kernel call, new parameters
-    /// to `out`, moments scattered home only when committing.
+    /// model read-only: each parameter row is read into its `out` slot and
+    /// updated there; the moments and the step counter are updated in place
+    /// when committing, and copies of them otherwise.
     fn run(&self, shard: DetachedShard<'_>) {
         let DetachedShard {
             base,
             indices,
             grads,
             out,
-            m: m_rows,
-            v: v_rows,
-            steps: step_rows,
+            m,
+            v,
+            steps,
         } = shard;
-        let mut steps = [1u64; LANE_WIDTH];
-        let mut p = zero_lane_block();
-        // A lane holds a gradient only while a row that received one sits
-        // in it; `staged[l]` says lane `l` has to be re-zeroed before a row
-        // without one (or padding) can use it.
-        let mut g = zero_lane_block();
-        let mut staged = [false; LANE_WIDTH];
+        let config = self.config;
         let mut received = grads.iter().peekable();
-        let mut m = zero_lane_block();
-        let mut v = zero_lane_block();
-        for (group, out) in indices.chunks(LANE_WIDTH).zip(out.chunks_mut(LANE_WIDTH)) {
-            for l in 0..LANE_WIDTH {
-                let row = match group.get(l) {
-                    Some(&idx) => {
-                        let i = idx as usize;
-                        steps[l] = step_rows[i - base] + 1;
-                        self.model.param_lane_into(i, l, &mut p);
-                        gather_chunk_lane(m_rows, i - base, l, &mut m);
-                        gather_chunk_lane(v_rows, i - base, l, &mut v);
-                        received.next_if(|&&(row, _)| row == idx)
-                    }
-                    None => {
-                        // Re-zero lanes left over from the previous group.
-                        steps[l] = 1;
-                        for k in 0..PARAMS_PER_GAUSSIAN {
-                            p[k][l] = 0.0;
-                            m[k][l] = 0.0;
-                            v[k][l] = 0.0;
-                        }
-                        None
-                    }
-                };
-                match row {
-                    Some((_, row)) => {
-                        for k in 0..PARAMS_PER_GAUSSIAN {
-                            g[k][l] = row[k];
-                        }
-                    }
-                    None if staged[l] => zero_grad_lane(l, &mut g),
-                    None => {}
-                }
-                staged[l] = row.is_some();
+        let (mut run, mut bias) = (0, config.bias_corrections(0));
+        for (&idx, p) in indices.iter().zip(out) {
+            let r = idx as usize - base;
+            let step = steps[r] + 1;
+            if step != run {
+                (run, bias) = (step, config.bias_corrections(step));
             }
-            adam_update_lanes(
+            self.model.read_param_row_into(idx as usize, p);
+            let g = received
+                .next_if(|&&(row, _)| row == idx)
+                .map_or(&ZERO_ROW, |(_, row)| row);
+            let (mut m_copy, mut v_copy);
+            let (m, v) = if self.commit {
+                steps[r] = step;
+                (&mut m[r], &mut v[r])
+            } else {
+                (m_copy, v_copy) = (m[r], v[r]);
+                (&mut m_copy, &mut v_copy)
+            };
+            adam_update_row(
                 &self.lr,
-                self.config.beta1,
-                self.config.beta2,
-                self.config.eps,
-                &steps,
-                &mut p,
-                &g,
-                &mut m,
-                &mut v,
+                config.beta1,
+                config.beta2,
+                config.eps,
+                bias.0,
+                bias.1,
+                p,
+                g,
+                m,
+                v,
             );
-            for (l, (&idx, row)) in group.iter().zip(out).enumerate() {
-                for k in 0..PARAMS_PER_GAUSSIAN {
-                    row[k] = p[k][l];
-                }
-                if self.commit {
-                    let r = idx as usize - base;
-                    step_rows[r] = steps[l];
-                    scatter_chunk_lane(m_rows, r, l, &m);
-                    scatter_chunk_lane(v_rows, r, l, &v);
-                }
-            }
         }
         assert!(
             received.next().is_none(),
@@ -491,16 +379,17 @@ impl DetachedKernel<'_> {
     }
 }
 
-/// Adam optimiser whose state is shaped like a [`GaussianModel`], held in
-/// lane-chunked [`SoaParams`] stores so the kernel streams it SIMD-wise.
+/// Adam optimiser whose state is shaped like a [`GaussianModel`]: one
+/// first- and one second-moment [`ParamRow`] and one step counter per
+/// Gaussian.
 ///
 /// The state grows lazily: Gaussians created by densification get fresh
 /// moments the first time they are updated.
 #[derive(Debug, Clone)]
 pub struct GaussianAdam {
     config: AdamConfig,
-    m: SoaParams,
-    v: SoaParams,
+    m: Vec<ParamRow>,
+    v: Vec<ParamRow>,
     steps: Vec<u64>,
 }
 
@@ -509,8 +398,8 @@ impl GaussianAdam {
     pub fn new(len: usize, config: AdamConfig) -> Self {
         GaussianAdam {
             config,
-            m: SoaParams::zeros(len),
-            v: SoaParams::zeros(len),
+            m: vec![ZERO_ROW; len],
+            v: vec![ZERO_ROW; len],
             steps: vec![0; len],
         }
     }
@@ -538,8 +427,8 @@ impl GaussianAdam {
 
     /// Ensures state exists for `len` Gaussians (used after densification).
     pub fn resize(&mut self, len: usize) {
-        self.m.resize(len);
-        self.v.resize(len);
+        self.m.resize(len, ZERO_ROW);
+        self.v.resize(len, ZERO_ROW);
         self.steps.resize(len, 0);
     }
 
@@ -562,10 +451,9 @@ impl GaussianAdam {
                 assert!(i < remove.len(), "pruned index {i} out of bounds");
                 remove[i] = true;
             }
-            let mut flags = remove.iter();
-            self.steps.retain(|_| !*flags.next().unwrap());
-            self.m.apply_resize(pruned, self.steps.len());
-            self.v.apply_resize(pruned, self.steps.len());
+            retain_unflagged(&mut self.m, &remove);
+            retain_unflagged(&mut self.v, &remove);
+            retain_unflagged(&mut self.steps, &remove);
         }
         self.resize(new_len);
     }
@@ -601,69 +489,43 @@ impl GaussianAdam {
         self.step_indices(model, grads, indices);
     }
 
-    /// The in-place driver: stages `indices` (in order, groups of
-    /// [`LANE_WIDTH`]) into parameter-major lane blocks, runs the shared
-    /// lane kernel, and scatters the **active** lanes back.  Padding lanes
-    /// stay zero through the kernel and are never written anywhere.  Only a
-    /// row that received gradient has its accumulator row staged; every
-    /// other lane is the zero gradient, as in
+    /// The in-place driver: for each of `indices`, in order, reads the
+    /// parameter row from the model, updates it against the moment rows in
+    /// place and writes it back.  Only a row that received gradient has its
+    /// accumulator row read; every other row steps with [`ZERO_ROW`], as in
     /// [`step_detached`](Self::step_detached).
     fn step_indices(&mut self, model: &mut GaussianModel, grads: &GradientBuffer, indices: &[u32]) {
         let lr = self.config.lr_table();
-        let mut steps = [1u64; LANE_WIDTH];
-        let mut p = zero_lane_block();
-        // See `DetachedKernel::run`.
-        let mut g = zero_lane_block();
-        let mut staged = [false; LANE_WIDTH];
-        let mut m = zero_lane_block();
-        let mut v = zero_lane_block();
-        for group in indices.chunks(LANE_WIDTH) {
-            for l in 0..LANE_WIDTH {
-                match group.get(l) {
-                    Some(&idx) => {
-                        let i = idx as usize;
-                        assert!(i < model.len(), "gaussian index {i} out of bounds");
-                        self.steps[i] += 1;
-                        steps[l] = self.steps[i];
-                        model.param_lane_into(i, l, &mut p);
-                        self.m.gather_lane(i, l, &mut m);
-                        self.v.gather_lane(i, l, &mut v);
-                    }
-                    None => {
-                        // Re-zero lanes left over from the previous group.
-                        steps[l] = 1;
-                        for k in 0..PARAMS_PER_GAUSSIAN {
-                            p[k][l] = 0.0;
-                            m[k][l] = 0.0;
-                            v[k][l] = 0.0;
-                        }
-                    }
-                }
-                let received = group.get(l).filter(|&&idx| grads.is_touched(idx));
-                match received {
-                    Some(&idx) => stage_grad_lane(grads, idx, l, &mut g),
-                    None if staged[l] => zero_grad_lane(l, &mut g),
-                    None => {}
-                }
-                staged[l] = received.is_some();
+        let (mut run, mut bias) = (0, self.config.bias_corrections(0));
+        let (mut p, mut g) = (ZERO_ROW, ZERO_ROW);
+        for &idx in indices {
+            let i = idx as usize;
+            assert!(i < model.len(), "gaussian index {i} out of bounds");
+            self.steps[i] += 1;
+            let step = self.steps[i];
+            if step != run {
+                (run, bias) = (step, self.config.bias_corrections(step));
             }
-            adam_update_lanes(
+            model.read_param_row_into(i, &mut p);
+            let g = if grads.is_touched(idx) {
+                grads.read_row_into(idx, &mut g);
+                &g
+            } else {
+                &ZERO_ROW
+            };
+            adam_update_row(
                 &lr,
                 self.config.beta1,
                 self.config.beta2,
                 self.config.eps,
-                &steps,
+                bias.0,
+                bias.1,
                 &mut p,
-                &g,
-                &mut m,
-                &mut v,
+                g,
+                &mut self.m[i],
+                &mut self.v[i],
             );
-            for (l, &idx) in group.iter().enumerate() {
-                let i = idx as usize;
-                model.set_param_lane(i, l, &p);
-                self.m.scatter_lane(i, l, &m);
-                self.v.scatter_lane(i, l, &v);
-            }
+            model.set_param_row(i, &p);
         }
     }
 
@@ -681,16 +543,16 @@ impl GaussianAdam {
     /// **in place**, and the new parameter row is written to `out[j]`
     /// instead of the model.  The caller applies `out` to the model once nothing reads
     /// the old values any more; until then repeated calls for *disjoint*
-    /// groups are independent.  Same staging order, same
-    /// [`adam_update_lanes`] call, same inputs as the in-place step, so
-    /// `out` and the optimiser state are bit-identical to what `step_subset`
-    /// would have left in a mutable model.
+    /// groups are independent.  Same row order, same [`adam_update_row`]
+    /// call, same inputs as the in-place step, so `out` and the optimiser
+    /// state are bit-identical to what `step_subset` would have left in a
+    /// mutable model.
     ///
     /// `threads > 1` splits the group across one scoped parallel region
-    /// (`gs_render::parallel_for_each`): the index list is cut at
-    /// [`LANE_WIDTH`]-aligned **row** boundaries, so each
-    /// shard owns whole chunks of the moment stores (`split_at_mut`, no
-    /// sharing) — pure scheduling, every row sees the same kernel.
+    /// (`gs_render::parallel_for_each`): the index list is cut into equal
+    /// runs and the moment rows behind each run's last index, so each shard
+    /// owns its rows (`split_at_mut`, no sharing) — pure scheduling, every
+    /// row sees the same kernel.
     ///
     /// `commit = false` runs the same math and fills `out` but leaves the
     /// moments and step counters as they were: the retry of a failed attempt
@@ -734,13 +596,11 @@ impl GaussianAdam {
             indices,
             grads,
             out,
-            m: self.m.chunks_mut(),
-            v: self.v.chunks_mut(),
+            m: &mut self.m,
+            v: &mut self.v,
             steps: &mut self.steps,
         };
-        // A shard is at least one lane group: below that there is nothing
-        // to split.
-        let parts = threads.clamp(1, indices.len().div_ceil(LANE_WIDTH).max(1));
+        let parts = threads.clamp(1, indices.len().max(1));
         if parts == 1 {
             kernel.run(rest);
             return;
@@ -748,8 +608,8 @@ impl GaussianAdam {
         let per_shard = indices.len().div_ceil(parts);
         let mut shards = Vec::with_capacity(parts);
         while rest.indices.len() > per_shard {
-            // Cut behind the chunk holding the shard's last index.
-            let row = (rest.indices[per_shard - 1] as usize / LANE_WIDTH + 1) * LANE_WIDTH;
+            // Cut right behind the shard's last index.
+            let row = rest.indices[per_shard - 1] as usize + 1;
             let (head, tail) = rest.split_at_row(row);
             shards.push(head);
             rest = tail;
@@ -760,9 +620,8 @@ impl GaussianAdam {
 
     /// Packs the Adam work of `indices` into self-contained
     /// [`AdamWorkItem`]s without touching the model or the optimiser state —
-    /// each field is staged **directly** into the item (model row, gradient
-    /// row, lane-chunked moments), with no intermediate row
-    /// materialisation.  Gaussians beyond the current state length get
+    /// each field is copied **directly** into the item (model row, gradient
+    /// row, moment rows).  Gaussians beyond the current state length get
     /// fresh (zero) moments, exactly as the in-place path would create them.
     ///
     /// # Panics
@@ -783,17 +642,17 @@ impl GaussianAdam {
                 let mut item = AdamWorkItem {
                     index: idx,
                     step: 1,
-                    params: [0.0; PARAMS_PER_GAUSSIAN],
-                    grad: [0.0; PARAMS_PER_GAUSSIAN],
-                    m: [0.0; PARAMS_PER_GAUSSIAN],
-                    v: [0.0; PARAMS_PER_GAUSSIAN],
+                    params: ZERO_ROW,
+                    grad: ZERO_ROW,
+                    m: ZERO_ROW,
+                    v: ZERO_ROW,
                 };
                 model.read_param_row_into(i, &mut item.params);
-                flat_grad_into(grads, idx, &mut item.grad);
+                grads.read_row_into(idx, &mut item.grad);
                 if i < self.steps.len() {
                     item.step = self.steps[i] + 1;
-                    self.m.read_row_into(i, &mut item.m);
-                    self.v.read_row_into(i, &mut item.v);
+                    item.m = self.m[i];
+                    item.v = self.v[i];
                 }
                 item
             })
@@ -811,8 +670,8 @@ impl GaussianAdam {
             let i = item.index as usize;
             assert!(i < model.len(), "gaussian index {i} out of bounds");
             model.set_param_row(i, &item.params);
-            self.m.set_row(i, &item.m);
-            self.v.set_row(i, &item.v);
+            self.m[i] = item.m;
+            self.v[i] = item.v;
             self.steps[i] = item.step;
         }
     }
@@ -822,29 +681,30 @@ impl GaussianAdam {
         self.steps.get(index as usize).copied().unwrap_or(0)
     }
 
-    /// Exports every moment row for checkpointing (pure copies through the
-    /// row-layout seam).
+    /// Exports every moment row for checkpointing (pure copies).
     pub fn export_rows(&self) -> Vec<AdamRowState> {
-        (0..self.steps.len())
-            .map(|i| AdamRowState {
-                m: self.m.row(i),
-                v: self.v.row(i),
-                step: self.steps[i],
-            })
+        (self.m.iter().zip(&self.v).zip(&self.steps))
+            .map(|((&m, &v), &step)| AdamRowState { m, v, step })
             .collect()
     }
 
     /// Rebuilds an optimiser from exported rows; the inverse of
     /// [`export_rows`](Self::export_rows).
     pub fn from_rows(config: AdamConfig, rows: Vec<AdamRowState>) -> Self {
-        let mut adam = GaussianAdam::new(rows.len(), config);
-        for (i, r) in rows.into_iter().enumerate() {
-            adam.m.set_row(i, &r.m);
-            adam.v.set_row(i, &r.v);
-            adam.steps[i] = r.step;
+        GaussianAdam {
+            config,
+            m: rows.iter().map(|r| r.m).collect(),
+            v: rows.iter().map(|r| r.v).collect(),
+            steps: rows.iter().map(|r| r.step).collect(),
         }
-        adam
     }
+}
+
+/// Drops the elements of `rows` whose `remove` flag is set, keeping the
+/// order of the rest.
+fn retain_unflagged<T>(rows: &mut Vec<T>, remove: &[bool]) {
+    let mut flags = remove.iter();
+    rows.retain(|_| !*flags.next().unwrap());
 }
 
 #[cfg(test)]
@@ -945,7 +805,6 @@ mod tests {
         // Updating {0,1} and then {2,3} with the same gradient buffer must
         // give exactly the same result as one dense step over all four —
         // this is the invariant overlapped CPU Adam relies on (§4.2.2).
-        // With lane grouping this also exercises partial lane blocks.
         let grads = varied_grads(4);
 
         let mut model_a = model_of(4);
@@ -965,9 +824,8 @@ mod tests {
         // F_0 under overlapped CPU Adam: the rows' moments are live (they
         // were trained in an earlier batch), no row received gradient.  The
         // in-place step stages no accumulator row at all; the packed path
-        // copies every listed row's (+0.0) gradient.  The index list ends in
-        // a partial lane block.
-        let n = 2 * LANE_WIDTH + 3;
+        // copies every listed row's (+0.0) gradient.
+        let n = 19;
         let subset: Vec<u32> = (0..n as u32).filter(|i| i % 4 != 1).collect();
         let zeros = GradientBuffer::new(n);
         let run = |in_place: bool| {

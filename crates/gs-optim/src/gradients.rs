@@ -8,8 +8,8 @@
 //! overlapped CPU Adam can work directly from it.
 //!
 //! A Gaussian without receipt holds `+0.0` in every slot, so the optimiser
-//! lane is shipped the received rows only and stages a zero lane for the
-//! rest.  (Gradient stores need no receipt: they retire reached rows only,
+//! lane is shipped the received rows only and steps the rest with a zero
+//! row.  (Gradient stores need no receipt: they retire reached rows only,
 //! and a reached row receives gradient unless every pixel it reaches has
 //! zero loss gradient.)
 
@@ -152,22 +152,33 @@ impl GradientBuffer {
     /// ([`GaussianAdam::step_detached`](crate::GaussianAdam::step_detached)):
     /// the rows are final, so the copy is the only thing the lane ever needs
     /// from the buffer the coordinator keeps accumulating into, and a row
-    /// without receipt is all `+0.0` — the lane stages that itself.
+    /// without receipt is all `+0.0` — the lane steps it with its own zero
+    /// row.
     pub fn pack_received_into(
         &self,
         indices: &[u32],
         out: &mut Vec<(u32, [f32; PARAMS_PER_GAUSSIAN])>,
     ) {
         for &idx in indices.iter().filter(|&&idx| self.is_touched(idx)) {
-            let i = idx as usize;
             let mut row = [0.0; PARAMS_PER_GAUSSIAN];
-            row[0..3].copy_from_slice(&self.d_positions[i].to_array());
-            row[3..6].copy_from_slice(&self.d_log_scales[i].to_array());
-            row[6..10].copy_from_slice(&self.d_rotations[i]);
-            row[10..10 + SH_FLOATS].copy_from_slice(&self.d_sh[i * SH_FLOATS..(i + 1) * SH_FLOATS]);
-            row[PARAMS_PER_GAUSSIAN - 1] = self.d_opacity_logits[i];
+            self.read_row_into(idx, &mut row);
             out.push((idx, row));
         }
+    }
+
+    /// Writes the accumulated gradient of Gaussian `index` into `row`, in
+    /// flat [`param_row`](GaussianModel::param_row) layout.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of bounds.
+    #[inline]
+    pub(crate) fn read_row_into(&self, index: u32, row: &mut [f32; PARAMS_PER_GAUSSIAN]) {
+        let i = index as usize;
+        row[0..3].copy_from_slice(&self.d_positions[i].to_array());
+        row[3..6].copy_from_slice(&self.d_log_scales[i].to_array());
+        row[6..10].copy_from_slice(&self.d_rotations[i]);
+        row[10..10 + SH_FLOATS].copy_from_slice(&self.d_sh[i * SH_FLOATS..(i + 1) * SH_FLOATS]);
+        row[PARAMS_PER_GAUSSIAN - 1] = self.d_opacity_logits[i];
     }
 
     /// Whether Gaussian `index` has received any gradient.

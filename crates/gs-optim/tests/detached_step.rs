@@ -4,8 +4,8 @@
 //! `GaussianAdam::step_detached` is what the threaded runtime's CPU Adam
 //! lane runs; `step_subset` is what the synchronous trainer runs.  Both
 //! stage a gradient only for the rows that **received** one — the lane gets
-//! a sparse `(index, row)` list, the in-place step asks the buffer — and a
-//! zero lane for every other row.  The runtime's bit-identity contract
+//! a sparse `(index, row)` list, the in-place step asks the buffer — and
+//! the zero row for every other row.  The runtime's bit-identity contract
 //! needs the two to agree **bit for bit** — parameters, both moments and
 //! the step counters — with each other and with a step that stages every
 //! row's accumulator row whether it received gradient or not, for every
@@ -17,7 +17,7 @@
 use gs_core::camera::{Camera, CameraIntrinsics};
 use gs_core::gaussian::{Gaussian, GaussianModel};
 use gs_core::math::Vec3;
-use gs_core::{LANE_WIDTH, PARAMS_PER_GAUSSIAN};
+use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_optim::{
     compute_packed, threads_for_chunk_rows, AdamConfig, GaussianAdam, GradientBuffer, ParamRow,
 };
@@ -177,18 +177,17 @@ fn a_group_without_receipt_matches_staging_a_zero_buffer() {
 }
 
 #[test]
-fn a_lane_that_held_a_gradient_is_rezeroed_for_the_next_row() {
-    // Lane l of group c holds a received row, lane l of group c + 1 a row
-    // without receipt: the second must not step with the first's gradient.
-    let n = 4 * LANE_WIDTH;
+fn a_row_without_receipt_never_steps_with_the_previous_rows_gradient() {
+    // Runs of 8 rows with receipt alternate with runs of mostly rows
+    // without: each of the latter must step with the zero row, not with
+    // the gradient of the row before it.
+    let n = 32;
     let mut model = model_of(n);
     let opt = aged(&mut model, &varied_grads(n));
-    let grads = masked_grads(n, |i| {
-        (i / LANE_WIDTH).is_multiple_of(2) || i.is_multiple_of(3)
-    });
+    let grads = masked_grads(n, |i| (i / 8).is_multiple_of(2) || i.is_multiple_of(3));
     let indices: Vec<u32> = (0..n as u32).collect();
     for threads in [1usize, 2] {
-        let label = format!("alternating groups, threads {threads}");
+        let label = format!("alternating runs, threads {threads}");
         check_against_dense_staged(&model, &opt, &grads, &indices, threads, &label);
     }
 }
@@ -213,15 +212,8 @@ fn ragged_group_lengths_match() {
     let mut model = model_of(40);
     let grads = varied_grads(40);
     let opt = aged(&mut model, &grads);
-    for len in [
-        1usize,
-        LANE_WIDTH - 1,
-        LANE_WIDTH + 1,
-        13,
-        2 * LANE_WIDTH + 3,
-    ] {
-        assert_ne!(len % LANE_WIDTH, 0);
-        // Stride 2 so a group's rows straddle chunk boundaries unevenly.
+    for len in [1usize, 7, 9, 13, 19] {
+        // Stride 2: every other row of the optimiser state is skipped.
         let indices: Vec<u32> = (0..len as u32).map(|j| 1 + 2 * j).collect();
         check_against_dense_staged(&model, &opt, &grads, &indices, 1, &format!("len {len}"));
     }
@@ -265,6 +257,28 @@ fn commit_suppressed_retry_leaves_the_state_untouched() {
     let mut clean = opt.clone();
     clean.step_subset(&mut model.clone(), &grads, &indices);
     assert_same_state(&retried, &clean, "retry then commit");
+}
+
+#[test]
+fn shards_cut_at_any_row_match_the_in_place_step() {
+    // A shard ends right behind its last index, wherever that row is: 13
+    // contiguous rows at 3 threads cut at rows 5 and 10, and the strided
+    // and offset groups cut between rows no block width divides.
+    let mut model = model_of(29);
+    let grads = masked_grads(29, |i| i % 4 != 2);
+    let opt = aged(&mut model, &varied_grads(29));
+    let groups: [Vec<u32>; 4] = [
+        (0..13).collect(),
+        (3..29).collect(),
+        (1..29).step_by(3).collect(),
+        (0..29).filter(|i| i % 5 != 1).collect(),
+    ];
+    for (g, indices) in groups.iter().enumerate() {
+        for threads in 1usize..=5 {
+            let label = format!("group {g}, threads {threads}");
+            check_against_dense_staged(&model, &opt, &grads, indices, threads, &label);
+        }
+    }
 }
 
 #[test]
@@ -314,8 +328,8 @@ proptest! {
     #[test]
     fn sparse_steps_equal_the_dense_staged_step_for_any_receipt_mask(
         n in 1usize..90,
-        // Receipt: a per-row coin, thinned by a per-lane-group and a
-        // per-third coin so whole lane groups and whole shards go empty.
+        // Receipt: a per-row coin, thinned by a per-8-rows and a per-third
+        // coin so whole runs of rows and whole shards go empty.
         seed in 0u64..u64::MAX,
         density in 0u32..5,
         group_stride in 1usize..4,
@@ -325,7 +339,7 @@ proptest! {
         let hash = |x: usize| (x as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
         let receives = |i: usize| {
             hash(i) % 4 < u64::from(density)
-                && hash(1000 + i / LANE_WIDTH) % 3 != 0
+                && hash(1000 + i / 8) % 3 != 0
                 && hash(2000 + 3 * i / n) % 3 != 0
         };
         let mut model = model_of(n);

@@ -129,8 +129,8 @@ use crate::projection::{
 use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
 use gs_core::math::Sym2;
-use gs_core::soa::LANE_WIDTH as LANES;
 use gs_core::visibility::VisibilitySet;
+use gs_core::LANE_WIDTH as LANES;
 
 /// Tile edge length in pixels.
 pub const TILE_SIZE: u32 = 16;
