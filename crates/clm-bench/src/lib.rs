@@ -64,21 +64,6 @@ pub fn scene_dataset(kind: SceneKind) -> gs_scene::Dataset {
     generate_dataset(&SceneSpec::of(kind), &profile_dataset_config())
 }
 
-/// Measures the [`SceneProfile`] of one paper scene under an ordering
-/// strategy, substituting the paper's full resolution and batch size.
-pub fn measured_profile(kind: SceneKind, ordering: OrderingStrategy) -> SceneProfile {
-    let dataset = scene_dataset(kind);
-    SceneProfile::measure(&dataset, ordering, 7)
-}
-
-/// Measures all five scene profiles.
-pub fn all_profiles(ordering: OrderingStrategy) -> Vec<(SceneKind, SceneProfile)> {
-    SceneKind::ALL
-        .iter()
-        .map(|&k| (k, measured_profile(k, ordering)))
-        .collect()
-}
-
 /// The paper-reference scene profiles (sparsity and locality taken from the
 /// paper's own reported numbers) used for paper-scale analytic experiments.
 pub fn paper_profiles() -> Vec<(SceneKind, SceneProfile)> {

@@ -3,11 +3,11 @@
 //! The throughput and idle-CDF artefacts (Figures 11, 12, 15, Table 7) are
 //! exactly the ones that depend on *execution structure* — overlap, prefetch
 //! and early finalisation — so they are produced by actually running the
-//! trainers through `clm_runtime::PipelinedEngine` rather than by the
-//! closed-form batch simulation.  Real reduced-scale scenes provide the
-//! working sets; the engine's `cost_scale` lifts the timeline costing to
-//! paper-scale Gaussian counts and resolution so the schedules sit in the
-//! same bandwidth-bound regime as the paper's testbeds.
+//! trainers through the simulated `clm_runtime::ExecutionBackend` rather
+//! than by the closed-form batch simulation.  Real reduced-scale scenes
+//! provide the working sets; the engine's `cost_scale` lifts the timeline
+//! costing to paper-scale Gaussian counts and resolution so the schedules
+//! sit in the same bandwidth-bound regime as the paper's testbeds.
 //!
 //! Following the bench-harness idiom, every summary is a **single-line JSON
 //! object** suitable for collection from stdout by an external harness.
@@ -15,7 +15,7 @@
 use crate::cdf_quantile;
 use clm_core::{ground_truth_images, SystemKind, TrainConfig};
 use clm_runtime::{
-    ExecutionBackend, IterationReport, PipelinedEngine, RuntimeConfig, ThreadedBackend,
+    ExecutionBackend, ExecutionReport, PipelinedEngine, RuntimeConfig, ThreadedBackend,
     ThreadedConfig,
 };
 use gs_core::gaussian::GaussianModel;
@@ -84,22 +84,22 @@ fn paper_scale_engine(init: GaussianModel, system: SystemKind, window: usize) ->
     )
 }
 
-/// Runs one epoch (two batches) and returns the per-iteration reports.
+/// Runs one epoch (two batches) and returns the per-batch reports.
 fn run_system(
     dataset: &Dataset,
     targets: &[Image],
     init: &GaussianModel,
     system: SystemKind,
     window: usize,
-) -> Vec<IterationReport> {
+) -> Vec<ExecutionReport> {
     let mut engine = paper_scale_engine(init.clone(), system, window);
-    engine.run_epoch(dataset, targets)
+    engine.execute_epoch(dataset, targets)
 }
 
-/// Images per simulated second over a set of iteration reports.
-fn throughput(reports: &[IterationReport]) -> f64 {
+/// Images per simulated second over a set of batch reports.
+fn throughput(reports: &[ExecutionReport]) -> f64 {
     let views: usize = reports.iter().map(|r| r.views).sum();
-    let time: f64 = reports.iter().map(IterationReport::makespan).sum();
+    let time: f64 = reports.iter().map(ExecutionReport::makespan).sum();
     if time <= 0.0 {
         0.0
     } else {
@@ -161,7 +161,7 @@ pub fn runtime_summary_figure12() -> String {
 }
 
 /// Figure 13 (runtime): per-lane runtime decomposition of CLM vs naive
-/// offloading, derived from **executed** [`IterationReport`] timelines
+/// offloading, derived from **executed** [`ExecutionReport`] timelines
 /// (paper-scale costing) rather than the closed-form batch simulation, plus
 /// a measured serial-vs-parallel compute-lane scaling section from the
 /// threaded backend: wall-clock compute-lane busy seconds at 1, 2 and 4
@@ -195,7 +195,7 @@ pub fn runtime_summary_figure13() -> String {
             .iter()
             .map(|r| r.timeline.busy_time(Lane::CpuScheduler))
             .sum();
-        let makespan: f64 = reports.iter().map(IterationReport::makespan).sum();
+        let makespan: f64 = reports.iter().map(ExecutionReport::makespan).sum();
         (comm, compute, adam, sched, makespan)
     };
     let (n_comm, n_compute, n_adam, n_sched, n_total) = breakdown(SystemKind::NaiveOffload);
@@ -272,7 +272,7 @@ pub fn runtime_summary_figure14() -> String {
     let (dataset, targets, init) = runtime_scene();
     let naive = run_system(&dataset, &targets, &init, SystemKind::NaiveOffload, 2);
     let clm = run_system(&dataset, &targets, &init, SystemKind::Clm, 2);
-    let gb_per_batch = |reports: &[IterationReport], bytes: fn(&IterationReport) -> u64| {
+    let gb_per_batch = |reports: &[ExecutionReport], bytes: fn(&ExecutionReport) -> u64| {
         reports.iter().map(bytes).sum::<u64>() as f64 / reports.len() as f64 / 1.0e9
     };
     format!(
@@ -281,10 +281,10 @@ pub fn runtime_summary_figure14() -> String {
          \"naive_h2d_gb_per_batch\":{:.3},\"naive_d2h_gb_per_batch\":{:.3},\
          \"clm_h2d_gb_per_batch\":{:.3},\"clm_d2h_gb_per_batch\":{:.3}}}",
         PAPER_SCALE_GAUSSIANS as u64,
-        gb_per_batch(&naive, IterationReport::comm_bytes_h2d),
-        gb_per_batch(&naive, IterationReport::comm_bytes_d2h),
-        gb_per_batch(&clm, IterationReport::comm_bytes_h2d),
-        gb_per_batch(&clm, IterationReport::comm_bytes_d2h),
+        gb_per_batch(&naive, ExecutionReport::comm_bytes_h2d),
+        gb_per_batch(&naive, ExecutionReport::comm_bytes_d2h),
+        gb_per_batch(&clm, ExecutionReport::comm_bytes_h2d),
+        gb_per_batch(&clm, ExecutionReport::comm_bytes_d2h),
     )
 }
 
@@ -292,13 +292,13 @@ pub fn runtime_summary_figure14() -> String {
 /// schedule, the no-overlap (window 0) schedule and naive offloading.
 pub fn runtime_summary_figure15() -> String {
     let (dataset, targets, init) = runtime_scene();
-    let stats = |reports: Vec<IterationReport>| -> (f64, f64, f64, f64) {
+    let stats = |reports: Vec<ExecutionReport>| -> (f64, f64, f64, f64) {
         // Use the first iteration's timeline for the CDF (they are
         // structurally identical across iterations) and the mean idle
         // fraction across iterations for the headline number.
         let idle: f64 = reports
             .iter()
-            .map(IterationReport::gpu_idle_fraction)
+            .map(ExecutionReport::gpu_idle_fraction)
             .sum::<f64>()
             / reports.len() as f64;
         let timeline = &reports[0].timeline;

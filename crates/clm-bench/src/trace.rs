@@ -2,18 +2,23 @@
 //! backend and captures every operation into a [`clm_trace::Trace`].
 //!
 //! This is the producer end of the trace pipeline; the `trace_record`,
-//! `trace_replay` and `trace_report` binaries are thin wrappers.  Two kinds
-//! of trace come out depending on the backend:
+//! `trace_replay` and `trace_report` binaries are thin wrappers.  Every
+//! [`ExecutionBackend`] is recorded the same way: each batch's
+//! [`ExecutionReport::timeline`](clm_runtime::ExecutionReport::timeline) is
+//! flushed into the trace.  Two kinds of trace come out depending on what
+//! that timeline is:
 //!
-//! * **Simulated schedules** (`simulated`, `sharded`) — flushed straight
-//!   from the discrete-event [`Timeline`] each batch executes on, complete
-//!   with dependency edges and exact scheduled durations.  These replay
-//!   deterministically offline (`clm_trace::verify_exact`) and support
-//!   what-if knob replays (prefetch window, device count, cost scaling).
-//! * **Measured spans** (`synchronous`, `threaded`) — wall-clock intervals
-//!   bracketing the real phases (gathers, render, CPU Adam), with no
-//!   dependency structure.  These feed the report/Chrome-trace pipeline but
-//!   refuse exact replay (there is no schedule to re-simulate).
+//! * **Simulated schedules** (`simulated`, `sharded`) — the discrete-event
+//!   schedule each batch was costed on, complete with dependency edges and
+//!   exact scheduled durations.  These replay deterministically offline
+//!   (`clm_trace::verify_exact`) and support what-if knob replays (prefetch
+//!   window, device count, cost scaling).
+//! * **Measured spans** (`threaded`, and the `synchronous` trainer, which
+//!   is the numerics oracle rather than a backend and records its own
+//!   spans) — wall-clock intervals bracketing the real phases (gathers,
+//!   render, CPU Adam), with no dependency structure.  These feed the
+//!   report/Chrome-trace pipeline but refuse exact replay (there is no
+//!   schedule to re-simulate).
 //!
 //! The workload is a [`TraceScale`]: a fixed-seed Rubble scene that
 //! densifies mid-epoch, priced at paper scale on the simulated backends, so
@@ -25,7 +30,8 @@ use clm_core::{
     GRADIENT_BYTES,
 };
 use clm_runtime::{
-    PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig, PEER_HOP_FACTOR,
+    ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
+    PEER_HOP_FACTOR,
 };
 use clm_trace::{CostParams, Trace, TraceMeta, TraceWriter};
 use gs_core::gaussian::GaussianModel;
@@ -198,12 +204,23 @@ pub fn record_trace(backend: &str, scale: &TraceScale) -> Result<Trace, String> 
         1
     };
     let mut writer = TraceWriter::new(trace_meta(backend, scale, model_len, devices));
+    let train = scale.train_config();
     match backend {
         "synchronous" => record_synchronous(&mut writer, scale, &dataset, &targets, init),
         "simulated" | "sharded" => {
-            record_simulated(&mut writer, scale, &dataset, &targets, init, devices)
+            let config = scale.runtime_config(model_len, devices);
+            let mut engine =
+                PipelinedEngine::new(init, train, config).partition_over(&dataset.cameras);
+            record_backend(&mut writer, scale, &dataset, &targets, &mut engine);
         }
-        "threaded" => record_threaded(&mut writer, scale, &dataset, &targets, init),
+        "threaded" => {
+            let config = ThreadedConfig {
+                prefetch_window: scale.prefetch_window,
+                ..Default::default()
+            };
+            let mut threaded = ThreadedBackend::new(init, train, config);
+            record_backend(&mut writer, scale, &dataset, &targets, &mut threaded);
+        }
         other => {
             return Err(format!(
                 "unknown backend {other:?} (expected one of {TRACE_BACKENDS:?})"
@@ -266,42 +283,16 @@ fn record_synchronous(
     }
 }
 
-fn record_simulated(
+fn record_backend(
     writer: &mut TraceWriter,
     scale: &TraceScale,
     dataset: &Dataset,
     targets: &[Image],
-    init: GaussianModel,
-    devices: usize,
+    backend: &mut dyn ExecutionBackend,
 ) {
-    let config = scale.runtime_config(init.len(), devices);
-    let mut engine =
-        PipelinedEngine::new(init, scale.train_config(), config).partition_over(&dataset.cameras);
     for (epoch, b, lo, hi) in batch_ranges(scale, dataset.cameras.len()) {
-        let report = engine.run_batch(&dataset.cameras[lo..hi], &targets[lo..hi]);
+        let report = backend.execute_batch(&dataset.cameras[lo..hi], &targets[lo..hi]);
         writer.record_timeline(epoch, b, &report.timeline);
-    }
-}
-
-fn record_threaded(
-    writer: &mut TraceWriter,
-    scale: &TraceScale,
-    dataset: &Dataset,
-    targets: &[Image],
-    init: GaussianModel,
-) {
-    let mut backend = ThreadedBackend::new(
-        init,
-        scale.train_config(),
-        ThreadedConfig {
-            prefetch_window: scale.prefetch_window,
-            ..Default::default()
-        },
-    );
-    for (epoch, b, lo, hi) in batch_ranges(scale, dataset.cameras.len()) {
-        let (_report, timeline) =
-            backend.run_batch_traced(&dataset.cameras[lo..hi], &targets[lo..hi]);
-        writer.record_timeline(epoch, b, &timeline);
     }
 }
 

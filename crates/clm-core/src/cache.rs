@@ -52,11 +52,6 @@ impl CachePlan {
         (self.fetched.len() * NON_CRITICAL_BYTES) as u64
     }
 
-    /// Bytes of parameters that caching avoided transferring.
-    pub fn saved_fetch_bytes(&self) -> u64 {
-        (self.cached.len() * NON_CRITICAL_BYTES) as u64
-    }
-
     /// Bytes of gradients stored to host memory for this transition: one
     /// dense row per retiring Gaussian (`BatchPlan::store_bytes`).
     pub fn store_bytes(&self) -> u64 {

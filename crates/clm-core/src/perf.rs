@@ -421,14 +421,6 @@ pub struct BatchSimulation {
     pub scheduling_time: f64,
 }
 
-impl BatchSimulation {
-    /// Total communication volume per batch (the Figure 14 metric is the
-    /// CPU→GPU direction only; this helper reports both).
-    pub fn total_comm_bytes(&self) -> u64 {
-        self.bytes_loaded + self.bytes_stored
-    }
-}
-
 /// The prefetch window the analytic CLM schedule runs at: double buffering
 /// (§5.3, Figure 6) — the load for micro-batch `i + 1` overlaps the compute
 /// of micro-batch `i` but does not run further ahead.  A constant of the

@@ -20,10 +20,12 @@
 //!   threads, so communication and optimiser work genuinely overlap the
 //!   render compute and the speedup is measurable in wall-clock time.
 //!
-//! [`ExecutionReport`] is the common currency: the numeric batch outcome
-//! plus measured wall-clock time and per-lane busy seconds.  For the
-//! simulated backend the lane times are simulated device seconds; for the
-//! threaded backend they are measured thread busy times.
+//! [`ExecutionReport`] is the one report every backend returns: the numeric
+//! batch outcome, the measured wall-clock time and the batch's
+//! [`Timeline`](sim_device::Timeline), with the per-lane busy seconds,
+//! makespan and traffic read off it.  For the simulated backend the
+//! timeline is the costed schedule in simulated device seconds; for the
+//! threaded backend it is the measured spans of its threads.
 //!
 //! Beyond executing batches the trait carries what every caller above the
 //! runtime needs from *any* backend, so the service, the chaos matrix and
@@ -32,97 +34,12 @@
 //! (the per-tenant memory budget seam) and fault-plan installation.
 
 use crate::pool::PoolStats;
-use clm_core::{BatchReport, DensifyReport, Trainer};
+use crate::report::ExecutionReport;
+use clm_core::Trainer;
 use gs_core::camera::Camera;
 use gs_render::Image;
 use gs_scene::Dataset;
-use sim_device::{FaultPlan, FaultStats};
-
-/// Busy seconds of each pipeline lane over one batch.
-///
-/// Simulated device seconds for the simulated backend, measured thread busy
-/// seconds for the threaded backend.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LaneBusy {
-    /// Forward/backward render compute (the would-be GPU lane).
-    pub compute: f64,
-    /// Parameter gathers / gradient stores (the communication lane).
-    pub comm: f64,
-    /// CPU Adam updates.
-    pub adam: f64,
-    /// Planning: frustum culling, ordering, finalisation analysis.
-    pub scheduling: f64,
-}
-
-/// What one executed batch did, numerically and in time.
-#[derive(Debug, Clone)]
-pub struct ExecutionReport {
-    /// The numeric batch outcome (identical across backends by
-    /// construction).
-    pub batch: BatchReport,
-    /// Number of views trained by the batch.
-    pub views: usize,
-    /// Prefetch lookahead window the batch ran with (the configured
-    /// `prefetch_window`).
-    pub prefetch_window: usize,
-    /// Banded-render worker count the batch actually ran with — the
-    /// resolved value, never the `0` "inherit/autotune" sentinel a config
-    /// may carry.
-    pub compute_threads: usize,
-    /// Accumulation band height the batch rendered with (resolved, part of
-    /// the numeric contract).
-    pub band_height: u32,
-    /// Measured wall-clock seconds the batch took on the host.
-    pub wall_seconds: f64,
-    /// Per-lane busy seconds (see [`LaneBusy`] for units per backend).  For
-    /// the simulated backend these are summed across devices; the per-device
-    /// breakdown is in [`device_lanes`](Self::device_lanes).
-    pub lanes: LaneBusy,
-    /// Per-device lane busy breakdown, indexed by device: exactly one entry
-    /// per **simulated** device (so one entry at `num_devices = 1`), in
-    /// simulated device seconds with `scheduling` 0 per device because the
-    /// host scheduler is shared.  Empty for the threaded backend, whose
-    /// device stand-ins share the measured lanes.
-    pub device_lanes: Vec<LaneBusy>,
-    /// Simulated makespan in device seconds (simulated backend only).
-    pub sim_makespan: Option<f64>,
-    /// The densification resize applied at this batch's boundary, if one
-    /// was due (`None` for the fixed-size batches in between).
-    pub resize: Option<DensifyReport>,
-    /// Faults injected (and recovered from) while executing this batch.
-    /// All-zero when no fault plan is installed.
-    pub faults: FaultStats,
-    /// Gaussian rows whose final gradients were shipped to the CPU Adam
-    /// lane (threaded backend; 0 for backends that step the optimiser
-    /// inline).  One row per Gaussian that **received** gradient
-    /// (`batch.received`) — a touched Gaussian the renderer never reached
-    /// ships nothing, and neither does `F_0`.
-    pub adam_rows_shipped: u64,
-    /// Bytes shipped to the CPU Adam lane: `adam_rows_shipped` flat
-    /// 59-float gradient rows, each with its `u32` index.
-    pub adam_bytes_shipped: u64,
-}
-
-impl ExecutionReport {
-    /// Wall-clock training throughput in images per second.
-    pub fn throughput(&self) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            0.0
-        } else {
-            self.views as f64 / self.wall_seconds
-        }
-    }
-
-    /// Busy fraction of the wall clock for a lane time (0 when the batch
-    /// took no measurable time).
-    pub fn busy_fraction(&self, lane_seconds: f64) -> f64 {
-        if self.wall_seconds <= 0.0 {
-            0.0
-        } else {
-            (lane_seconds / self.wall_seconds).max(0.0)
-        }
-    }
-}
+use sim_device::FaultPlan;
 
 /// A trainer execution strategy: how one batch's staged gathers, render
 /// compute and optimiser updates are laid out on the host.

@@ -65,9 +65,9 @@
 //! `NaiveOffload`) are not sharded — they run their single-device schedules
 //! on device 0, mirroring how the paper's baselines are measured.
 
-use crate::backend::{ExecutionBackend, ExecutionReport, LaneBusy};
+use crate::backend::ExecutionBackend;
 use crate::pool::{PinnedBufferPool, PoolStats, StagingBuffer};
-use crate::report::IterationReport;
+use crate::report::{ExecutionReport, LaneBusy};
 use clm_core::{BatchPlan, SystemKind, TrainConfig, Trainer, GRADIENT_BYTES};
 use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
@@ -75,7 +75,7 @@ use gs_core::visibility::VisibilitySet;
 use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_optim::GradientBuffer;
 use gs_render::Image;
-use gs_scene::{partition_by_footprint, Dataset, GaussianPartition};
+use gs_scene::{partition_by_footprint, GaussianPartition};
 use sim_device::pipeline::{self, AdamGroup, ClmShape, CostSource, OpCost};
 use sim_device::{DeviceProfile, FaultPlan, Lane, OpId, OpKind, Timeline};
 
@@ -466,13 +466,16 @@ impl PipelinedEngine {
         self.trainer.evaluate_psnr(cameras, targets)
     }
 
-    /// Executes one training batch across the device lane groups, returning
-    /// the numeric batch report together with the executed timeline.
+    /// Executes one training batch inline while costing it across the
+    /// device lane groups.  The report's timeline is the costed schedule, so
+    /// its lane busy times are simulated device seconds; its wall-clock time
+    /// is measured (every lane ran on this thread).
     ///
     /// # Panics
     /// Panics if `cameras` and `targets` differ in length or are empty, or
     /// if `num_devices > 1` and no partition views were supplied.
-    pub fn run_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> IterationReport {
+    pub fn run_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> ExecutionReport {
+        let wall_start = std::time::Instant::now();
         assert_eq!(
             cameras.len(),
             targets.len(),
@@ -580,33 +583,24 @@ impl PipelinedEngine {
             (Some(p), Some(before)) => p.stats().since(&before),
             _ => Default::default(),
         };
-        IterationReport {
+        ExecutionReport {
             batch,
-            timeline,
             views: cameras.len(),
             prefetch_window: window,
             compute_threads: gs_render::parallel::resolve_compute_threads(
                 self.trainer.config().compute_threads,
             ),
             band_height: self.trainer.resolved_band_height(),
+            lanes: LaneBusy::of(&timeline, self.config.num_devices),
+            sim_makespan: Some(timeline.makespan()),
+            timeline,
             resize: plan.resize.as_ref().map(|e| e.report()),
             faults,
+            // The optimiser steps inline: nothing is shipped to a lane.
+            adam_rows_shipped: 0,
+            adam_bytes_shipped: 0,
+            wall_seconds: wall_start.elapsed().as_secs_f64(),
         }
-    }
-
-    /// Trains over the whole dataset once (views grouped into batches in
-    /// trajectory order), returning the per-iteration reports.
-    pub fn run_epoch(&mut self, dataset: &Dataset, targets: &[Image]) -> Vec<IterationReport> {
-        assert_eq!(dataset.cameras.len(), targets.len());
-        let batch = self.trainer.config().batch_size.max(1);
-        let mut reports = Vec::new();
-        let mut start = 0;
-        while start < dataset.cameras.len() {
-            let end = (start + batch).min(dataset.cameras.len());
-            reports.push(self.run_batch(&dataset.cameras[start..end], &targets[start..end]));
-            start = end;
-        }
-        reports
     }
 }
 
@@ -777,45 +771,8 @@ impl ExecutionBackend for PipelinedEngine {
         &self.trainer
     }
 
-    /// Executes the batch inline while costing it on the shared event
-    /// timeline.  The report's wall-clock time is measured (all lanes ran on
-    /// this thread), while the lane busy times are *simulated* device
-    /// seconds summed across devices, with the per-device breakdown in
-    /// `device_lanes`.
     fn execute_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> ExecutionReport {
-        let wall_start = std::time::Instant::now();
-        let report = self.run_batch(cameras, targets);
-        let wall_seconds = wall_start.elapsed().as_secs_f64();
-        let t = &report.timeline;
-        let device_lanes: Vec<LaneBusy> = (0..self.config.num_devices)
-            .map(|dev| LaneBusy {
-                compute: t.busy_time(Lane::compute_of(dev)),
-                comm: t.busy_time(Lane::comm_of(dev)),
-                adam: t.busy_time(Lane::adam_of(dev)),
-                scheduling: 0.0,
-            })
-            .collect();
-        ExecutionReport {
-            views: report.views,
-            prefetch_window: report.prefetch_window,
-            compute_threads: report.compute_threads,
-            band_height: report.band_height,
-            wall_seconds,
-            lanes: LaneBusy {
-                compute: device_lanes.iter().map(|l| l.compute).sum(),
-                comm: device_lanes.iter().map(|l| l.comm).sum(),
-                adam: device_lanes.iter().map(|l| l.adam).sum(),
-                scheduling: t.busy_time(Lane::CpuScheduler),
-            },
-            device_lanes,
-            sim_makespan: Some(t.makespan()),
-            resize: report.resize,
-            faults: report.faults,
-            // The optimiser steps inline: nothing is shipped to a lane.
-            adam_rows_shipped: 0,
-            adam_bytes_shipped: 0,
-            batch: report.batch,
-        }
+        self.run_batch(cameras, targets)
     }
 
     // The inherent methods of the same names hold the definitions (callers

@@ -392,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn two_device_lanes_contending_share_one_high_water_budget() {
+    fn two_device_lane_groups_contending_share_one_high_water_budget() {
         // Regression guard for the sharded gather path: two device lane
         // groups draw staging buffers from one shared pool.  Two real
         // threads each hold `per_lane` buffers simultaneously (a barrier

@@ -1,15 +1,50 @@
-//! Per-iteration execution reports of the pipelined runtime.
+//! The batch report every execution backend returns.
 //!
-//! Each [`IterationReport`] pairs the numeric outcome of one training batch
+//! An [`ExecutionReport`] pairs the numeric outcome of one training batch
 //! (loss, traffic, order — identical to the synchronous trainer's
-//! [`BatchReport`]) with the discrete-event schedule it executed on: the
+//! [`BatchReport`]) with the schedule it ran on: the batch's [`Timeline`].
+//! For the simulated engine that is the costed discrete-event schedule; for
+//! the threaded backend it is the measured spans of its threads.  The
 //! makespan, per-lane busy/idle time and communication volume the paper's
-//! Figures 11–15 and Table 7 are derived from.
+//! Figures 11–15 and Table 7 are derived from are read off it.
 
 use clm_core::{BatchReport, DensifyReport};
 use sim_device::{FaultStats, Lane, OpKind, Timeline};
 
-/// Busy/idle accounting of one lane over one iteration.
+/// Busy seconds of each pipeline lane over one batch.
+///
+/// Simulated device seconds for the simulated backend, measured thread busy
+/// seconds for the threaded backend.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct LaneBusy {
+    /// Forward/backward render compute (the would-be GPU lane).
+    pub compute: f64,
+    /// Parameter gathers / gradient stores (the communication lane).
+    pub comm: f64,
+    /// CPU Adam updates.
+    pub adam: f64,
+    /// Planning: frustum culling, ordering, finalisation analysis.
+    pub scheduling: f64,
+}
+
+impl LaneBusy {
+    /// The per-lane busy sums of `timeline`: compute, comm and Adam summed
+    /// over the lane groups of `devices` devices in device order, scheduling
+    /// from the shared [`Lane::CpuScheduler`].
+    pub(crate) fn of(timeline: &Timeline, devices: usize) -> Self {
+        let sum = |lane: fn(usize) -> Lane| -> f64 {
+            (0..devices).map(|d| timeline.busy_time(lane(d))).sum()
+        };
+        LaneBusy {
+            compute: sum(Lane::compute_of),
+            comm: sum(Lane::comm_of),
+            adam: sum(Lane::adam_of),
+            scheduling: timeline.busy_time(Lane::CpuScheduler),
+        }
+    }
+}
+
+/// Busy/idle accounting of one lane over one batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneReport {
     /// The lane.
@@ -22,47 +57,57 @@ pub struct LaneReport {
     pub utilization: f64,
 }
 
-/// What one pipelined training iteration (batch) did, numerically and on
-/// the event timeline.
+/// What one executed batch did, numerically and in time.
 #[derive(Debug, Clone)]
-pub struct IterationReport {
-    /// The numeric batch outcome (identical to the synchronous trainer's).
+pub struct ExecutionReport {
+    /// The numeric batch outcome (identical across backends by
+    /// construction).
     pub batch: BatchReport,
-    /// The executed schedule.
+    /// The schedule the batch ran on: costed ops for the simulated backend,
+    /// measured spans for the threaded backend.
     pub timeline: Timeline,
     /// Number of views trained by the batch.
     pub views: usize,
     /// Prefetch lookahead window the batch ran with (the configured
     /// `prefetch_window`).
     pub prefetch_window: usize,
-    /// Banded-render worker count the batch ran with (resolved — never the
-    /// `0` "inherit/autotune" sentinel).
+    /// Banded-render worker count the batch actually ran with — the
+    /// resolved value, never the `0` "inherit/autotune" sentinel a config
+    /// may carry.
     pub compute_threads: usize,
     /// Accumulation band height the batch rendered with (resolved, part of
     /// the numeric contract).
     pub band_height: u32,
+    /// Measured wall-clock seconds the batch took on the host.
+    pub wall_seconds: f64,
+    /// Per-lane busy seconds of [`timeline`](Self::timeline): compute, comm
+    /// and Adam summed over the device lane groups in device order (per
+    /// device, see [`device_lane_group`](Self::device_lane_group)).
+    pub lanes: LaneBusy,
+    /// Simulated makespan in device seconds (simulated backend only).
+    pub sim_makespan: Option<f64>,
     /// The densification resize applied at this batch's boundary, if one
     /// was due (`None` for the fixed-size batches in between).
     pub resize: Option<DensifyReport>,
     /// Faults injected (and recovered from) while executing this batch.
     /// All-zero when no fault plan is installed.
     pub faults: FaultStats,
+    /// Gaussian rows whose final gradients were shipped to the CPU Adam
+    /// lane (threaded backend; 0 for backends that step the optimiser
+    /// inline).  One row per Gaussian that **received** gradient
+    /// (`batch.received`) — a touched Gaussian the renderer never reached
+    /// ships nothing, and neither does `F_0`.
+    pub adam_rows_shipped: u64,
+    /// Bytes shipped to the CPU Adam lane: `adam_rows_shipped` flat
+    /// 59-float gradient rows, each with its `u32` index.
+    pub adam_bytes_shipped: u64,
 }
 
-impl IterationReport {
-    /// Completion time of the iteration in simulated seconds.
+impl ExecutionReport {
+    /// Completion time of the batch's timeline (simulated device seconds,
+    /// or measured seconds for the threaded backend).
     pub fn makespan(&self) -> f64 {
         self.timeline.makespan()
-    }
-
-    /// Training throughput in images per simulated second.
-    pub fn throughput(&self) -> f64 {
-        let makespan = self.makespan();
-        if makespan <= 0.0 {
-            0.0
-        } else {
-            self.views as f64 / makespan
-        }
     }
 
     /// Busy/idle accounting of one lane.
@@ -75,16 +120,6 @@ impl IterationReport {
         }
     }
 
-    /// The four **single-device** lanes in display order (device 0's
-    /// compute/comm/Adam plus the shared scheduler).  A multi-device report
-    /// (`num_devices > 1`) has further `Device*` lanes on its timeline —
-    /// use [`device_lane_group`](Self::device_lane_group) /
-    /// [`all_device_lanes`](Self::all_device_lanes) to read them; this
-    /// method alone under-counts a sharded schedule.
-    pub fn lanes(&self) -> Vec<LaneReport> {
-        Lane::ALL.iter().map(|&l| self.lane(l)).collect()
-    }
-
     /// Busy/idle accounting of one device's lane group (compute, comm, CPU
     /// Adam — in that order).  Device 0 maps to the classic GPU lanes.
     pub fn device_lane_group(&self, device: usize) -> [LaneReport; 3] {
@@ -93,13 +128,6 @@ impl IterationReport {
             self.lane(Lane::comm_of(device)),
             self.lane(Lane::adam_of(device)),
         ]
-    }
-
-    /// Lane groups of every device in a sharded schedule, in device order.
-    pub fn all_device_lanes(&self, num_devices: usize) -> Vec<[LaneReport; 3]> {
-        (0..num_devices)
-            .map(|d| self.device_lane_group(d))
-            .collect()
     }
 
     /// Fraction of the makespan the GPU compute lane sat idle — the paper's
@@ -115,12 +143,12 @@ impl IterationReport {
         self.timeline.idle_fraction(Lane::compute_of(device))
     }
 
-    /// CPU→GPU bytes moved on the costed timeline.
+    /// CPU→GPU bytes moved on the timeline.
     pub fn comm_bytes_h2d(&self) -> u64 {
         self.timeline.bytes_by_kind(OpKind::LoadParams)
     }
 
-    /// GPU→CPU bytes moved on the costed timeline.
+    /// GPU→CPU bytes moved on the timeline.
     pub fn comm_bytes_d2h(&self) -> u64 {
         self.timeline.bytes_by_kind(OpKind::StoreGrads)
     }
@@ -130,80 +158,58 @@ impl IterationReport {
 mod tests {
     use super::*;
 
-    fn demo_report() -> IterationReport {
+    #[test]
+    fn accessors_read_the_timeline_per_lane_and_per_device() {
         let mut t = Timeline::new();
         let load = t.push_with_bytes(OpKind::LoadParams, Lane::GpuComm, 1.0, 100, &[]);
         let fwd = t.push(OpKind::Forward, Lane::GpuCompute, 2.0, &[load]);
         t.push_with_bytes(OpKind::StoreGrads, Lane::GpuComm, 1.0, 40, &[fwd]);
-        IterationReport {
+        t.push(OpKind::Forward, Lane::compute_of(1), 3.0, &[]);
+        t.push_with_bytes(OpKind::LoadParams, Lane::comm_of(1), 1.0, 10, &[]);
+        let r = ExecutionReport {
             batch: BatchReport {
                 loss: 0.5,
                 received: 0,
                 touched: 10,
-                bytes_loaded: 100,
+                bytes_loaded: 110,
                 bytes_stored: 40,
                 order: vec![0, 1],
             },
+            lanes: LaneBusy::of(&t, 2),
             timeline: t,
             views: 2,
             prefetch_window: 1,
             compute_threads: 1,
             band_height: 16,
+            wall_seconds: 0.0,
+            sim_makespan: None,
             resize: None,
             faults: FaultStats::default(),
-        }
-    }
-
-    #[test]
-    fn throughput_and_lane_accounting() {
-        let r = demo_report();
+            adam_rows_shipped: 0,
+            adam_bytes_shipped: 0,
+        };
         assert_eq!(r.makespan(), 4.0);
-        assert!((r.throughput() - 0.5).abs() < 1e-12);
         let compute = r.lane(Lane::GpuCompute);
-        assert_eq!(compute.busy, 2.0);
-        assert_eq!(compute.idle, 2.0);
+        assert_eq!((compute.busy, compute.idle), (2.0, 2.0));
         assert!((compute.utilization - 0.5).abs() < 1e-12);
         assert!((r.gpu_idle_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(r.comm_bytes_h2d(), 100);
+        assert_eq!(r.comm_bytes_h2d(), 110);
         assert_eq!(r.comm_bytes_d2h(), 40);
-        assert_eq!(r.lanes().len(), 4);
-    }
-
-    #[test]
-    fn device_lane_helpers_cover_sharded_timelines() {
-        let mut t = Timeline::new();
-        t.push(OpKind::Forward, Lane::compute_of(0), 1.0, &[]);
-        t.push(OpKind::Forward, Lane::compute_of(1), 2.0, &[]);
-        t.push_with_bytes(OpKind::LoadParams, Lane::comm_of(1), 1.0, 10, &[]);
-        let r = IterationReport {
-            batch: BatchReport {
-                loss: 0.1,
-                received: 0,
-                touched: 1,
-                bytes_loaded: 10,
-                bytes_stored: 0,
-                order: vec![0, 1],
-            },
-            timeline: t,
-            views: 2,
-            prefetch_window: 0,
-            compute_threads: 1,
-            band_height: 16,
-            resize: None,
-            faults: FaultStats::default(),
-        };
-        // Device 0's group is the classic lanes; device 1's lanes are only
-        // visible through the device-aware helpers.
-        let groups = r.all_device_lanes(2);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[0][0].busy, 1.0);
-        assert_eq!(groups[1][0].busy, 2.0);
-        assert_eq!(groups[1][1].busy, 1.0);
-        assert_eq!(groups[0][0].lane, Lane::GpuCompute);
-        assert_eq!(groups[1][0].lane, Lane::DeviceCompute(1));
-        // lanes() alone sees only device 0's compute busy time.
-        let classic: f64 = r.lanes().iter().map(|l| l.busy).sum();
-        assert_eq!(classic, 1.0);
+        // Device 1's lanes are only visible through the device-aware
+        // accessors, and the lane sums cover both devices.
+        let group = r.device_lane_group(1);
+        assert_eq!(group[0].lane, Lane::DeviceCompute(1));
+        assert_eq!(
+            (group[0].busy, group[1].busy, group[2].busy),
+            (3.0, 1.0, 0.0)
+        );
         assert!(r.device_idle_fraction(1) < r.device_idle_fraction(0));
+        let expected = LaneBusy {
+            compute: 5.0,
+            comm: 3.0,
+            adam: 0.0,
+            scheduling: 0.0,
+        };
+        assert_eq!(r.lanes, expected);
     }
 }

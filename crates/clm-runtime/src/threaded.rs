@@ -35,10 +35,9 @@
 //! densification boundary like the staging pool), and one gradient-row
 //! list per finalisation group that grows to what its group ever shipped —
 //! so once warm the lane allocates nothing.  Every interval a thread
-//! times goes onto that thread's own `LaneSpans` list: the report's
-//! [`LaneBusy`] is the per-lane sum of the lists, and
-//! [`ThreadedBackend::run_batch_traced`] is the same lists on a
-//! [`Timeline`].
+//! times goes onto that thread's own `LaneSpans` list, and the lists,
+//! merged onto one measured [`Timeline`], are the report's timeline: its
+//! per-lane busy seconds are the sums of those spans.
 //!
 //! # Why this is bit-identical to the synchronous trainer
 //!
@@ -65,9 +64,10 @@
 //! pool's high-water mark), so that lane never blocks on a reply while the
 //! coordinator is blocked on a request.
 
-use crate::backend::{ExecutionBackend, ExecutionReport, LaneBusy};
+use crate::backend::ExecutionBackend;
 use crate::engine::{emit_system, PrefetchPolicy};
 use crate::pool::{PinnedBufferPool, PoolStats, StagingBuffer};
+use crate::report::{ExecutionReport, LaneBusy};
 use crate::workers::{spawn_lane, LaneSpans, WorkerLane};
 use clm_core::{gather_rows_into, BatchPlan, SystemKind, TrainConfig, Trainer, TrainerView};
 use gs_core::camera::Camera;
@@ -79,7 +79,6 @@ use gs_optim::{threads_for_chunk_rows, GradientBuffer, ParamRow};
 type GradRow = (u32, ParamRow);
 use gs_render::parallel::parallel_map;
 use gs_render::Image;
-use gs_scene::Dataset;
 use sim_device::pipeline::{AdamGroup, ClmShape, CostSource, OpCost};
 use sim_device::{FaultPlan, Lane, OpKind, Timeline};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
@@ -293,27 +292,14 @@ impl ThreadedBackend {
         self.trainer.evaluate_psnr(cameras, targets)
     }
 
-    /// Executes one training batch with threaded lanes, returning the
-    /// numeric batch report plus measured wall-clock lane accounting.
+    /// Executes one training batch with threaded lanes.  The report's
+    /// timeline is the batch's measured spans — every interval a lane
+    /// thread timed — so the threaded backend's real overlap feeds the same
+    /// trace pipeline the simulated backends do.
     ///
     /// # Panics
     /// Panics if `cameras` and `targets` differ in length or are empty.
     pub fn run_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> ExecutionReport {
-        self.run_batch_traced(cameras, targets).0
-    }
-
-    /// [`run_batch`](Self::run_batch), also returning the batch's measured
-    /// spans — every interval the report's lane accounting is the sum of —
-    /// on a measurement [`Timeline`], so the threaded backend's real overlap
-    /// feeds the same trace pipeline the simulated backends do.
-    ///
-    /// # Panics
-    /// Panics if `cameras` and `targets` differ in length or are empty.
-    pub fn run_batch_traced(
-        &mut self,
-        cameras: &[Camera],
-        targets: &[Image],
-    ) -> (ExecutionReport, Timeline) {
         let views = cameras.len();
         assert_eq!(views, targets.len(), "need one target image per camera");
         assert!(views > 0, "batch must contain at least one view");
@@ -536,18 +522,14 @@ impl ThreadedBackend {
         // The report's lane accounting is the per-lane sum of the batch's
         // spans — nothing is timed anywhere else.
         let timeline = LaneSpans::merge([spans, gather_spans, adam_spans]);
-        let lanes = LaneBusy {
-            compute: timeline.busy_time(Lane::GpuCompute),
-            comm: timeline.busy_time(Lane::GpuComm),
-            adam: timeline.busy_time(Lane::CpuAdam),
-            scheduling: timeline.busy_time(Lane::CpuScheduler),
-        };
         let faults = match (&self.fault_plan, fault_before) {
             (Some(p), Some(before)) => p.stats().since(&before),
             _ => Default::default(),
         };
-        let report = ExecutionReport {
+        ExecutionReport {
             batch,
+            lanes: LaneBusy::of(&timeline, shape.devices),
+            timeline,
             views,
             prefetch_window: window,
             compute_threads: gs_render::parallel::resolve_compute_threads(
@@ -555,21 +537,12 @@ impl ThreadedBackend {
             ),
             band_height: self.trainer.resolved_band_height(),
             wall_seconds,
-            lanes,
-            device_lanes: Vec::new(),
             sim_makespan: None,
             resize: plan.resize.as_ref().map(|e| e.report()),
             faults,
             adam_rows_shipped: shipped_rows,
             adam_bytes_shipped: shipped_rows * std::mem::size_of::<GradRow>() as u64,
-        };
-        (report, timeline)
-    }
-
-    /// Trains over the whole dataset once (views grouped into batches in
-    /// trajectory order), returning the per-batch reports.
-    pub fn run_epoch(&mut self, dataset: &Dataset, targets: &[Image]) -> Vec<ExecutionReport> {
-        ExecutionBackend::execute_epoch(self, dataset, targets)
+        }
     }
 }
 
@@ -915,7 +888,7 @@ mod tests {
                 },
             );
             let simulated = engine.run_batch(cams, tgts).timeline;
-            let (_, executed) = threaded.run_batch_traced(cams, tgts);
+            let executed = threaded.run_batch(cams, tgts).timeline;
 
             // Coordinator: one render per round, accumulation per
             // micro-batch, packing per non-empty group.

@@ -20,13 +20,11 @@
 //! `capacity_limit` backstop, and audits the pool's high-water mark after
 //! every batch.
 
-use crate::metrics::LatencyHistogram;
-use crate::registry::{SceneEntry, SceneRegistry};
+use crate::registry::SceneRegistry;
 use crate::scheduler::{DeficitScheduler, FairnessConfig};
-use crate::session::{EvictedState, Session, SessionId, SessionState, SessionStats, TenantSpec};
+use crate::session::{Session, SessionId, SessionState, SessionStats, TenantSpec};
 use clm_trace::Checkpoint;
 use std::collections::{BTreeMap, VecDeque};
-use std::time::Instant;
 
 /// Service-level configuration.
 #[derive(Debug, Clone)]
@@ -157,7 +155,6 @@ pub struct ClmServe {
     virtual_now: f64,
     next_id: u64,
     stats: ServeStats,
-    epoch: Instant,
 }
 
 impl ClmServe {
@@ -172,13 +169,7 @@ impl ClmServe {
             virtual_now: 0.0,
             next_id: 0,
             stats: ServeStats::default(),
-            epoch: Instant::now(),
         }
-    }
-
-    /// The scene registry (for registering additional scenes live).
-    pub fn registry_mut(&mut self) -> &mut SceneRegistry {
-        &mut self.registry
     }
 
     /// The scene registry.
@@ -328,9 +319,7 @@ impl ClmServe {
             .backend
             .as_mut()
             .expect("active session has backend");
-        let wall_start = Instant::now();
         let report = backend.execute_batch(cameras, targets);
-        let wall = wall_start.elapsed().as_secs_f64();
         let cost = report.sim_makespan.unwrap_or(report.wall_seconds).max(0.0);
 
         self.virtual_now += cost;
@@ -341,7 +330,7 @@ impl ClmServe {
             .stats
             .latency
             .record(self.virtual_now - session.ready_at);
-        session.stats.wall_latency.record(wall);
+        session.stats.wall_latency.record(report.wall_seconds);
         session.ready_at = self.virtual_now;
         if session.max_staging_buffers != usize::MAX {
             let stats = session.backend.as_ref().expect("still active").pool_stats();
@@ -483,27 +472,6 @@ impl ClmServe {
             self.sessions.insert(id, session);
         }
     }
-
-    /// Wall-clock seconds since the service instance was created.
-    pub fn uptime(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-
-    /// A latency histogram merging every session's virtual-timeline
-    /// distribution.
-    pub fn merged_latency(&self) -> LatencyHistogram {
-        let mut h = LatencyHistogram::new();
-        for s in self.sessions.values() {
-            h.merge(&s.stats.latency);
-        }
-        h
-    }
-
-    /// Convenience accessor used by tests: the shared scene entry of a
-    /// session.
-    pub fn scene_of(&self, id: SessionId) -> Option<&SceneEntry> {
-        self.sessions.get(&id).map(|s| &*s.scene)
-    }
 }
 
 /// Errors from lifecycle operations on existing sessions.
@@ -534,9 +502,3 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
-
-/// The evicted-state bytes of a session, exposed for tests that check the
-/// `.clmckpt` container directly.
-pub fn evicted_of(session: &Session) -> Option<&EvictedState> {
-    session.evicted.as_ref()
-}

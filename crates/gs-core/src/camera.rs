@@ -187,11 +187,6 @@ impl Frustum {
     /// Number of planes.
     pub const PLANE_COUNT: usize = 6;
 
-    /// Builds the frustum of `camera` in world space.
-    pub fn from_camera(camera: &Camera) -> Self {
-        camera.frustum()
-    }
-
     /// Creates a frustum from explicit planes.
     pub fn from_planes(planes: [Plane; 6]) -> Self {
         Frustum { planes }

@@ -323,11 +323,6 @@ impl GaussianModel {
         &self.rotations
     }
 
-    /// Mutable rotation quaternions.
-    pub fn rotations_mut(&mut self) -> &mut [Quat] {
-        &mut self.rotations
-    }
-
     /// Flat SH coefficient storage (`len() × 48` floats).
     pub fn sh(&self) -> &[f32] {
         &self.sh

@@ -103,11 +103,6 @@ impl Vec3 {
         }
     }
 
-    /// Component-wise product.
-    pub fn mul_elem(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x * rhs.x, self.y * rhs.y, self.z * rhs.z)
-    }
-
     /// Component-wise maximum.
     pub fn max_elem(self, rhs: Vec3) -> Vec3 {
         Vec3::new(self.x.max(rhs.x), self.y.max(rhs.y), self.z.max(rhs.z))
@@ -296,13 +291,6 @@ impl Mat3 {
     pub fn from_rows(r0: Vec3, r1: Vec3, r2: Vec3) -> Mat3 {
         Mat3 {
             m: [r0.to_array(), r1.to_array(), r2.to_array()],
-        }
-    }
-
-    /// Builds a matrix from three columns.
-    pub fn from_cols(c0: Vec3, c1: Vec3, c2: Vec3) -> Mat3 {
-        Mat3 {
-            m: [[c0.x, c1.x, c2.x], [c0.y, c1.y, c2.y], [c0.z, c1.z, c2.z]],
         }
     }
 

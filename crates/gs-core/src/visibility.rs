@@ -64,11 +64,6 @@ impl VisibilitySet {
         &self.indices
     }
 
-    /// Consumes the set, returning the sorted index vector.
-    pub fn into_indices(self) -> Vec<u32> {
-        self.indices
-    }
-
     /// Whether the set contains `index`.
     pub fn contains(&self, index: u32) -> bool {
         self.indices.binary_search(&index).is_ok()

@@ -604,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn device_lanes_serialise_independently_per_device() {
+    fn device_lane_groups_serialise_independently_per_device() {
         // Two devices computing concurrently must overlap; the same device's
         // lane still serialises.
         let mut t = Timeline::new();

@@ -6,7 +6,7 @@
 //! Run with `cargo run --release --example pipelined_runtime`.
 
 use clm_repro::clm_core::{ground_truth_images, TrainConfig};
-use clm_repro::clm_runtime::{PipelinedEngine, RuntimeConfig};
+use clm_repro::clm_runtime::{ExecutionBackend, PipelinedEngine, RuntimeConfig};
 use clm_repro::gs_scene::{
     generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
 };
@@ -49,7 +49,7 @@ fn main() {
                 ..Default::default()
             },
         );
-        let reports = engine.run_epoch(&dataset, &targets);
+        let reports = engine.execute_epoch(&dataset, &targets);
         let makespan: f64 = reports.iter().map(|r| r.makespan()).sum();
         let idle: f64 =
             reports.iter().map(|r| r.gpu_idle_fraction()).sum::<f64>() / reports.len() as f64;

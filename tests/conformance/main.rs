@@ -169,6 +169,48 @@ fn report_invariants_hold_across_resizes() {
     assert_eq!(engine.trainer().resize_events(), 2);
 }
 
+#[test]
+fn every_backend_reports_the_lane_sums_of_its_own_timeline() {
+    // Every backend returns one report whose `lanes` are read off its own
+    // timeline: compute, comm and Adam summed over the device lane groups,
+    // scheduling from the shared scheduler lane.  The device lane groups
+    // must cover every device the batch ran on, and nothing may run outside
+    // them.
+    let scenario = densifying_scenario();
+    let (init, train) = (&scenario.init, &scenario.train);
+    let threaded = ThreadedBackend::new(init.clone(), train.clone(), threaded_config());
+    let mut backends: Vec<(Box<dyn ExecutionBackend>, usize)> = vec![(Box::new(threaded), 1)];
+    for devices in [1, 2] {
+        let engine = PipelinedEngine::new(init.clone(), train.clone(), runtime_config(devices))
+            .partition_over(&scenario.dataset.cameras);
+        backends.push((Box::new(engine), devices));
+    }
+    for (backend, devices) in &mut backends {
+        let label = format!("{}@{devices}", backend.backend_name());
+        for r in backend.execute_epoch(&scenario.dataset, &scenario.targets) {
+            let groups: Vec<_> = (0..*devices).map(|d| r.device_lane_group(d)).collect();
+            let summed = |k: usize| -> f64 { groups.iter().map(|g| g[k].busy).sum() };
+            assert_eq!(r.lanes.compute, summed(0), "{label}");
+            assert_eq!(r.lanes.comm, summed(1), "{label}");
+            assert_eq!(r.lanes.adam, summed(2), "{label}");
+            assert_eq!(
+                r.lanes.scheduling,
+                r.lane(Lane::CpuScheduler).busy,
+                "{label}"
+            );
+            for (d, group) in groups.iter().enumerate() {
+                assert!(group[0].busy > 0.0, "{label}: device {d} computed nothing");
+            }
+            let outside = r
+                .timeline
+                .ops()
+                .iter()
+                .filter(|op| op.lane.device().is_some_and(|d| d >= *devices));
+            assert_eq!(outside.count(), 0, "{label}: ops beyond the device groups");
+        }
+    }
+}
+
 /// `(micro-batch, rows, bytes)` of a timeline's ops of one kind.
 fn payloads(timeline: &Timeline, kind: OpKind) -> Vec<(u32, u64, u64)> {
     let mut ops: Vec<_> = timeline
@@ -307,8 +349,8 @@ fn every_executor_sends_the_recounted_store_payloads() {
             assert_eq!(batch.bytes_stored, bytes_stored, "synchronous");
             assert_eq!(batch.received, received, "synchronous");
 
-            let (report, timeline) = threaded.run_batch_traced(cameras, targets);
-            assert_eq!(gradient_stores(&timeline), expected, "threaded");
+            let report = threaded.run_batch(cameras, targets);
+            assert_eq!(gradient_stores(&report.timeline), expected, "threaded");
             assert_eq!(report.batch, batch, "threaded");
             // Each receiver is finalised once and ships to the Adam lane then.
             assert_eq!(report.adam_rows_shipped, received as u64, "threaded");
@@ -377,8 +419,8 @@ fn every_executor_loads_the_recounted_reached_rows() {
             assert_eq!(parameter_loads(&timeline), loads, "synchronous");
             assert_eq!(batch.bytes_loaded, bytes_loaded, "synchronous");
 
-            let (report, timeline) = threaded.run_batch_traced(cameras, targets);
-            assert_eq!(parameter_loads(&timeline), loads, "threaded");
+            let report = threaded.run_batch(cameras, targets);
+            assert_eq!(parameter_loads(&report.timeline), loads, "threaded");
             assert_eq!(report.batch.bytes_loaded, bytes_loaded, "threaded");
 
             for engine in &mut engines {

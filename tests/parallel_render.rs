@@ -5,7 +5,7 @@
 //! the trainers and execution backends without perturbing a single bit.
 
 use clm_repro::clm_core::{ground_truth_images, SystemKind, TrainConfig, Trainer};
-use clm_repro::clm_runtime::{ThreadedBackend, ThreadedConfig};
+use clm_repro::clm_runtime::{ExecutionBackend, ThreadedBackend, ThreadedConfig};
 use clm_repro::gs_render::{l1_loss, render, render_backward, RenderOptions};
 use clm_repro::gs_scene::{
     generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
@@ -187,7 +187,7 @@ fn training_trajectories_bit_identical_across_compute_threads() {
                 },
             );
             let thr_losses: Vec<f32> = threaded
-                .run_epoch(&dataset, &targets)
+                .execute_epoch(&dataset, &targets)
                 .into_iter()
                 .map(|r| r.batch.loss)
                 .collect();

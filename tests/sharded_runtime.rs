@@ -85,7 +85,7 @@ fn sharded_engine_is_bit_identical_across_device_counts_and_seeds() {
             .partition_over(&dataset.cameras);
             let mut reports = Vec::new();
             for _ in 0..2 {
-                reports.extend(sharded.run_epoch(&dataset, &targets));
+                reports.extend(sharded.execute_epoch(&dataset, &targets));
             }
             assert_eq!(reference.len(), reports.len());
             for (r, s) in reference.iter().zip(&reports) {
@@ -125,7 +125,7 @@ fn threaded_device_rounds_are_bit_identical_across_device_counts() {
                     ..Default::default()
                 },
             );
-            let reports = threaded.run_epoch(&dataset, &targets);
+            let reports = threaded.execute_epoch(&dataset, &targets);
             for (r, t) in reference.iter().zip(&reports) {
                 assert_eq!(r, &t.batch, "seed {seed}, {devices} devices");
             }
@@ -199,14 +199,16 @@ fn sharded_schedule_uses_every_device_lane_group() {
     )
     .partition_over(&dataset.cameras);
     let report = sharded.execute_batch(&dataset.cameras[..8], &targets[..8]);
-    assert_eq!(report.device_lanes.len(), devices);
-    for (dev, lanes) in report.device_lanes.iter().enumerate() {
-        assert!(lanes.compute > 0.0, "device {dev} compute lane idle");
-        assert!(lanes.comm > 0.0, "device {dev} comm lane idle");
-        assert!(lanes.adam > 0.0, "device {dev} adam lane idle");
+    for dev in 0..devices {
+        let [compute, comm, adam] = report.device_lane_group(dev);
+        assert!(compute.busy > 0.0, "device {dev} compute lane idle");
+        assert!(comm.busy > 0.0, "device {dev} comm lane idle");
+        assert!(adam.busy > 0.0, "device {dev} adam lane idle");
     }
     // The summed lanes are exactly the per-device breakdown.
-    let total: f64 = report.device_lanes.iter().map(|l| l.compute).sum();
+    let total: f64 = (0..devices)
+        .map(|dev| report.device_lane_group(dev)[0].busy)
+        .sum();
     assert!((report.lanes.compute - total).abs() < 1e-12);
     assert!(report.sim_makespan.is_some());
     assert_eq!(report.views, 8);
@@ -245,7 +247,7 @@ fn sharded_allreduce_and_traffic_accounting_hold() {
 }
 
 #[test]
-fn sharded_pool_high_water_scales_with_device_lanes() {
+fn sharded_pool_high_water_scales_with_device_lane_groups() {
     // Each device lane group keeps its own prefetch frontier in the shared
     // pinned pool: with D devices and window W the high-water mark is
     // D × (W + 1) buffers (capped by each device's local sequence length),

@@ -6,7 +6,9 @@
 //! crates.
 
 use clm_repro::clm_core::{ground_truth_images, SystemKind, TrainConfig, Trainer};
-use clm_repro::clm_runtime::{PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig};
+use clm_repro::clm_runtime::{
+    ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
+};
 use clm_repro::gs_scene::{
     generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
 };
@@ -72,7 +74,7 @@ fn threaded_backend_is_bit_identical_across_seeds_and_windows() {
             );
             let mut reports = Vec::new();
             for _ in 0..2 {
-                reports.extend(threaded.run_epoch(&dataset, &targets));
+                reports.extend(threaded.execute_epoch(&dataset, &targets));
             }
             assert_eq!(reference.len(), reports.len());
             for (r, t) in reference.iter().zip(&reports) {
@@ -83,8 +85,8 @@ fn threaded_backend_is_bit_identical_across_seeds_and_windows() {
                 );
                 assert_eq!(t.prefetch_window, window);
                 assert!(
-                    t.device_lanes.is_empty(),
-                    "per-device lanes are a simulated-device breakdown"
+                    t.sim_makespan.is_none(),
+                    "the threaded backend measures; it has no simulated makespan"
                 );
             }
             assert_eq!(
@@ -128,7 +130,7 @@ fn threaded_backend_survives_single_slot_backpressure() {
     );
     for _ in 0..2 {
         let reference = sync.train_epoch(&dataset, &targets);
-        let reports = stressed.run_epoch(&dataset, &targets);
+        let reports = stressed.execute_epoch(&dataset, &targets);
         for (r, t) in reference.iter().zip(&reports) {
             assert_eq!(r, &t.batch, "backpressure must not change numerics");
         }
@@ -175,8 +177,8 @@ fn threaded_staging_pool_accounting_equals_the_engines() {
                     ..Default::default()
                 },
             );
-            engine.run_epoch(&dataset, &targets);
-            threaded.run_epoch(&dataset, &targets);
+            engine.execute_epoch(&dataset, &targets);
+            threaded.execute_epoch(&dataset, &targets);
             let (e, t) = (engine.pool_stats(), threaded.pool_stats());
             let label = format!("window {window}, {devices} devices: {t:?} vs {e:?}");
             assert_eq!(t.outstanding, 0, "{label}");
@@ -206,8 +208,8 @@ fn a_traced_batch_adds_up_to_its_own_report() {
         };
         let mut threaded = ThreadedBackend::new(init.clone(), train.clone(), config);
         for batch in 0..2 {
-            let (report, timeline) =
-                threaded.run_batch_traced(&dataset.cameras[..6], &targets[..6]);
+            let report = threaded.run_batch(&dataset.cameras[..6], &targets[..6]);
+            let timeline = &report.timeline;
             let lanes = [
                 (Lane::GpuCompute, report.lanes.compute),
                 (Lane::GpuComm, report.lanes.comm),
