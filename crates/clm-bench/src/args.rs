@@ -1,4 +1,4 @@
-//! The command-line shape the trace and chaos binaries share: `--flag value`
+//! The command-line shape the trace binaries share: `--flag value`
 //! pairs (every flag takes a value) in any order around at most one
 //! positional argument.
 

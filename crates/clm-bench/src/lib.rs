@@ -1,26 +1,26 @@
 //! Regenerates every table and figure of the CLM paper's evaluation (§6)
 //! against the simulated device substrate and the synthetic evaluation
-//! scenes, and hosts the op-trace and fault-recovery tooling.
+//! scenes, and hosts the op-trace tooling.
 //!
 //! Each `report_*` function returns the rows/series of one paper artefact as
 //! a formatted text table; the binaries in `src/bin/` are thin wrappers that
-//! print them (`paper_figures`), record / replay / report op traces
-//! (`trace_*`) and run the chaos matrix (`chaos_bench`).  Absolute numbers
-//! differ from the paper (the substrate is a calibrated simulator, not the
-//! authors' testbeds); the *shapes* — who wins, by roughly what factor, and
-//! where the crossovers fall — are the reproduction target.
+//! print them (`paper_figures`) and record / replay / report op traces
+//! (`trace_*`).  Absolute numbers differ from the paper (the substrate is a
+//! calibrated simulator, not the authors' testbeds); the *shapes* — who
+//! wins, by roughly what factor, and where the crossovers fall — are the
+//! reproduction target.
 //!
 //! Performance numbers do not come from this crate: the repo's one
-//! benchmark is `benchmarks/harness` (`BENCHMARK.json`).
+//! benchmark is `benchmarks/harness` (`BENCHMARK.json`).  Neither does the
+//! fault-recovery gate: that is the conformance suite's chaos leg
+//! (`cargo test --test conformance chaos`).
 #![forbid(unsafe_code)]
 
 mod args;
-pub mod chaos;
 pub mod runtime_reports;
 pub mod trace;
 
 pub use args::Args;
-pub use chaos::{looks_like_chaos_json, run_chaos_bench, ChaosBench, ChaosScale};
 pub use runtime_reports::{
     runtime_summary_figure11, runtime_summary_figure12, runtime_summary_figure13,
     runtime_summary_figure14, runtime_summary_figure15, runtime_summary_table7,

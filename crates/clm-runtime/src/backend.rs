@@ -28,9 +28,9 @@
 //! threaded backend it is the measured spans of its threads.
 //!
 //! Beyond executing batches the trait carries what every caller above the
-//! runtime needs from *any* backend, so the service, the chaos matrix and
-//! the trace recorder hold a `dyn ExecutionBackend` instead of matching on
-//! concrete types: the pinned staging pool's statistics and capacity cap
+//! runtime needs from *any* backend, so the service, the conformance suite
+//! and the trace recorder hold a `dyn ExecutionBackend` instead of matching
+//! on concrete types: the pinned staging pool's statistics and capacity cap
 //! (the per-tenant memory budget seam) and fault-plan installation.
 
 use crate::pool::PoolStats;

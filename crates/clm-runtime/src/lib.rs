@@ -25,8 +25,8 @@
 //!   gather and CPU Adam lanes run on dedicated worker threads
 //!   ([`workers`]), so the overlap is real and wall-clock measurable;
 //! * [`ExecutionBackend`] — the common abstraction the service, the
-//!   benchmarks, the trace recorder and the chaos matrix drive every
-//!   backend through;
+//!   benchmarks, the trace recorder and the conformance suite's chaos leg
+//!   drive every backend through;
 //! * [`ExecutionReport`] — the one batch report every backend returns: the
 //!   numeric outcome plus the batch's timeline (costed or measured), from
 //!   which makespan, per-lane busy/idle time and communication volume are

@@ -1,14 +1,13 @@
 //! Mergeable latency histograms with fixed geometric buckets.
 //!
-//! The serving layer measures per-session batch latency; the process-based
-//! bench harness merges histograms emitted by independent agent processes
-//! into one percentile report.  Merging across processes is only exact when
-//! every process buckets against the **same fixed boundaries**, so the
-//! bucket geometry here is a compile-time constant, never data-dependent:
-//! bucket `i` covers `[BASE·2^(i/4), BASE·2^((i+1)/4))` seconds — four
-//! buckets per octave from 0.1 µs up past 10⁴ s, which keeps the
-//! worst-case quantile error under ≈ 19 % while the exact `min`/`max`/`sum`
-//! ride alongside for the tails.
+//! The serving layer measures per-session batch latency.  Merging
+//! histograms is only exact when every one buckets against the **same
+//! fixed boundaries**, so the bucket geometry here is a compile-time
+//! constant, never data-dependent: bucket `i` covers
+//! `[BASE·2^(i/4), BASE·2^((i+1)/4))` seconds — four buckets per octave
+//! from 0.1 µs up past 10⁴ s, which keeps the worst-case quantile error
+//! under ≈ 19 % while the exact `min`/`max`/`sum` ride alongside for the
+//! tails.
 
 /// Number of fixed buckets (≈ 40 octaves at 4 buckets per octave).
 pub const HISTOGRAM_BUCKETS: usize = 160;
@@ -20,7 +19,7 @@ pub const HISTOGRAM_BASE_SECONDS: f64 = 1e-7;
 pub const BUCKETS_PER_OCTAVE: f64 = 4.0;
 
 /// A latency histogram over the fixed geometric bucket grid, mergeable
-/// across sessions and across processes.
+/// across sessions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
@@ -147,66 +146,6 @@ impl LatencyHistogram {
         }
         self.max
     }
-
-    /// Sparse `(bucket, count)` pairs for every non-empty bucket, ascending.
-    pub fn sparse_buckets(&self) -> Vec<(usize, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-            .collect()
-    }
-
-    /// Rebuilds a histogram from the summary fields and sparse buckets of a
-    /// serialised one (the harness-side merge path).  Returns `None` when
-    /// the parts are inconsistent: a bucket index out of range or bucket
-    /// counts that do not sum to `count`.
-    pub fn from_sparse(
-        count: u64,
-        sum: f64,
-        min: f64,
-        max: f64,
-        buckets: &[(usize, u64)],
-    ) -> Option<Self> {
-        let mut h = LatencyHistogram::new();
-        let mut total = 0u64;
-        for &(i, c) in buckets {
-            if i >= HISTOGRAM_BUCKETS {
-                return None;
-            }
-            h.counts[i] += c;
-            total += c;
-        }
-        if total != count {
-            return None;
-        }
-        h.count = count;
-        h.sum = sum;
-        h.min = if count == 0 { f64::INFINITY } else { min };
-        h.max = max;
-        Some(h)
-    }
-
-    /// Single-line JSON fragment (`{"count":…,"sum_s":…,…,"buckets":[[i,c],…]}`)
-    /// used by the agent binaries.
-    pub fn to_json(&self) -> String {
-        let buckets: Vec<String> = self
-            .sparse_buckets()
-            .iter()
-            .map(|(i, c)| format!("[{i},{c}]"))
-            .collect();
-        // `{}` on f64 prints the shortest representation that round-trips
-        // exactly, so a parsed histogram compares equal to the original.
-        format!(
-            "{{\"count\":{},\"sum_s\":{},\"min_s\":{},\"max_s\":{},\"buckets\":[{}]}}",
-            self.count,
-            self.sum,
-            self.min(),
-            self.max,
-            buckets.join(",")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -269,28 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_round_trip_preserves_the_histogram() {
-        let mut h = LatencyHistogram::new();
-        for &s in &[1e-5, 1e-5, 0.3, 2.0, 2.1] {
-            h.record(s);
-        }
-        let rebuilt = LatencyHistogram::from_sparse(
-            h.count(),
-            h.sum(),
-            h.min(),
-            h.max(),
-            &h.sparse_buckets(),
-        )
-        .expect("consistent parts");
-        assert_eq!(rebuilt, h);
-        // Inconsistent parts are refused.
-        assert!(LatencyHistogram::from_sparse(3, 0.0, 0.0, 0.0, &[(0, 2)]).is_none());
-        assert!(
-            LatencyHistogram::from_sparse(1, 0.0, 0.0, 0.0, &[(HISTOGRAM_BUCKETS, 1)]).is_none()
-        );
-    }
-
-    #[test]
     fn empty_histogram_is_all_zeros() {
         let h = LatencyHistogram::new();
         assert_eq!(h.count(), 0);
@@ -298,6 +215,5 @@ mod tests {
         assert_eq!(h.max(), 0.0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.5), 0.0);
-        assert!(h.sparse_buckets().is_empty());
     }
 }

@@ -397,27 +397,24 @@ impl ClmServe {
 
     /// Resumes an evicted session into a free active slot, restoring its
     /// trainer from the `.clmckpt` bytes (bit-identical to the state at
-    /// eviction) and re-entering it into the scheduler ring.
+    /// eviction) and re-entering it into the scheduler ring.  A failed
+    /// restore leaves the session evicted, its bytes untouched.
     pub fn resume(&mut self, id: SessionId) -> Result<(), ServeError> {
-        {
-            let session = self
-                .sessions
-                .get(&id)
-                .ok_or(ServeError::NoSuchSession(id))?;
-            if session.state != SessionState::Evicted {
-                return Err(ServeError::NotEvicted(id, session.state));
-            }
-        }
+        let session = self
+            .sessions
+            .get(&id)
+            .ok_or(ServeError::NoSuchSession(id))?;
+        let evicted = match (session.state, &session.evicted) {
+            (SessionState::Evicted, Some(evicted)) => evicted,
+            (state, _) => return Err(ServeError::NotEvicted(id, state)),
+        };
         if self.active_ids().len() >= self.config.max_active {
             return Err(ServeError::NoFreeSlot);
         }
-        let mut session = self.sessions.remove(&id).expect("checked above");
-        let evicted = session.evicted.as_ref().expect("evicted session has state");
-        let ckpt = Checkpoint::decode(&evicted.checkpoint)
+        let trainer = Checkpoint::decode(&evicted.checkpoint)
+            .and_then(|ckpt| ckpt.restore(session.spec.train.clone()))
             .map_err(|e| ServeError::RestoreFailed(id, format!("{e:?}")))?;
-        let trainer = ckpt
-            .restore(session.spec.train.clone())
-            .map_err(|e| ServeError::RestoreFailed(id, format!("{e:?}")))?;
+        let mut session = self.sessions.remove(&id).expect("looked up above");
         self.activate(&mut session, Some(trainer));
         session.evicted = None;
         session.stats.resumes += 1;
@@ -502,3 +499,58 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clm_core::TrainConfig;
+    use gs_scene::{DatasetConfig, InitConfig, SceneKind};
+
+    #[test]
+    fn a_failed_resume_leaves_the_session_evicted_with_its_bytes() {
+        let mut registry = SceneRegistry::new();
+        let scene = DatasetConfig {
+            num_gaussians: 60,
+            num_views: 3,
+            width: 16,
+            height: 12,
+            seed: 3,
+        };
+        registry.register("scene", SceneKind::Bicycle, scene);
+        let mut serve = ClmServe::new(registry, ServeConfig::default());
+        let train = TrainConfig {
+            batch_size: 3,
+            seed: 3,
+            ..Default::default()
+        };
+        let init = InitConfig {
+            num_gaussians: 40,
+            seed: 4,
+            ..Default::default()
+        };
+        let mut spec = TenantSpec::new("tenant", "scene", train, init);
+        spec.target_batches = 2;
+        let id = serve.admit(spec).unwrap().id();
+        serve.step();
+        serve.evict(id).unwrap();
+
+        // One flipped payload byte fails the container's checksum.
+        let evicted = serve.sessions.get_mut(&id).unwrap().evicted.as_mut();
+        let checkpoint = &mut evicted.unwrap().checkpoint;
+        *checkpoint.last_mut().unwrap() ^= 1;
+        let corrupted = checkpoint.clone();
+        let resumes = serve.stats().resumes;
+
+        let err = serve.resume(id).unwrap_err();
+        assert!(
+            matches!(err, ServeError::RestoreFailed(s, _) if s == id),
+            "{err}"
+        );
+        let session = serve
+            .session(id)
+            .expect("a failed resume keeps the session");
+        assert_eq!(session.state, SessionState::Evicted);
+        assert_eq!(session.evicted.as_ref().unwrap().checkpoint, corrupted);
+        assert_eq!(serve.stats().resumes, resumes);
+    }
+}

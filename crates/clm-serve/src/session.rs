@@ -5,7 +5,8 @@
 //! (simulated or threaded) built over the registry's shared scene data;
 //! while evicted only its `.clmckpt` bytes survive,
 //! so a resumed session continues **bit-identically** — the same invariant
-//! the chaos suite proves for kill/restore, applied as a capacity policy.
+//! the conformance chaos leg proves for kill/restore, applied as a capacity
+//! policy.
 
 use crate::metrics::LatencyHistogram;
 use crate::registry::SceneEntry;

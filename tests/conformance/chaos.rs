@@ -1,13 +1,14 @@
-//! Chaos leg of the cross-backend conformance suite.
+//! Chaos leg of the cross-backend conformance suite, and the repo's one
+//! fault-recovery gate.
 //!
 //! The fault-injection contract mirrors the scheduling contract the rest of
 //! the suite enforces: faults (and the retries, backoff and repartitioning
 //! that recover from them) change *when and where* work runs, never *what*
 //! is computed.  Three gates, all on the seeded densifying scenario:
 //!
-//! 1. A seeded [`FaultPlan`] of transient op failures plus a straggling lane,
-//!    replayed through every backend, leaves the trajectory bit-identical to
-//!    the fault-free reference.
+//! 1. A seeded [`FaultPlan`] of transient op failures, a straggling lane and
+//!    a burst of staging-pool denials, replayed through every backend,
+//!    leaves the trajectory bit-identical to the fault-free reference.
 //! 2. A run killed at a batch boundary, snapshotted to the `.clmckpt` byte
 //!    format, decoded and restored into a fresh engine finishes the
 //!    remaining batches bit-identically — through every backend.
@@ -15,13 +16,19 @@
 //!    (4 → 2) mid-run drains at the boundary, repartitions onto the
 //!    survivors and finishes bit-identical to the fault-free run (which is
 //!    itself device-count invariant).
+//!
+//! Bit-identity within one build would not catch a change that moves every
+//! leg together, so the fault counters of gate 1 and the snapshot of gate 2
+//! are also pinned across commits ([`FAULT_GOLDEN`], [`CHECKPOINT_BYTES`],
+//! [`CHECKPOINT_FNV1A`]): both are functions of the scenario and the leg
+//! only.  A change meant to move them re-pins them in a commit of its own.
 
 use clm_repro::clm_core::Trainer;
 use clm_repro::clm_runtime::{
     ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
 };
 use clm_repro::clm_trace::Checkpoint;
-use clm_repro::sim_device::{FaultPlan, FaultSpec, Lane};
+use clm_repro::sim_device::{FaultPlan, FaultSpec, FaultStats, Lane};
 
 use crate::harness::*;
 
@@ -40,13 +47,81 @@ fn threaded_config() -> ThreadedConfig {
     }
 }
 
-/// The seeded chaos schedule the matrix runs: a high transient rate on the
-/// injectable op kinds plus a straggling communication lane.  Dialled up far
-/// beyond anything realistic so every backend demonstrably recovers.
+/// The seeded chaos schedule the matrix runs: a transient failure on half
+/// of the injectable ops, a straggling communication lane and two denied
+/// staging-pool acquisitions.  Dialled up far beyond anything realistic so
+/// every backend demonstrably recovers.
 fn chaos_spec() -> FaultSpec {
     FaultSpec::new(0xC4A05)
-        .with_transients(0.5, 32)
-        .with_straggler(Lane::GpuComm, 3.0, 6)
+        .with_transients(0.5, 48)
+        .with_straggler(Lane::GpuComm, 3.0, 8)
+        .with_staging_exhaustion(2, 2)
+}
+
+/// What [`chaos_spec`] injects on each fault leg, counter for counter.  A
+/// simulated row applies only when `CONFORMANCE_DEVICES` selects its device
+/// count.  The threaded backend straggles real spans, which carry no
+/// pre-known duration, so it accounts no straggle seconds.
+const FAULT_GOLDEN: [(&str, FaultStats); 4] = [
+    (
+        "simulated@1",
+        injected(17, 39, 0x3f802de00d1b7176, 0x3f25030c9be50e66),
+    ),
+    ("threaded", injected(22, 47, 0x3f82d77318fc5047, 0x0)),
+    (
+        "simulated@2",
+        injected(35, 74, 0x3f8ce075f6fd21fe, 0x3f27a292a058e0fa),
+    ),
+    (
+        "simulated@4",
+        injected(48, 103, 0x3f94467381d7dbf3, 0x3f2ce604f92e6aa5),
+    ),
+];
+
+/// One [`FAULT_GOLDEN`] row: every leg straggles 8 ops, is denied 2
+/// acquisitions and recovers without a timeout or an abort.  The seconds
+/// are given as bits.
+const fn injected(transients: u64, retries: u64, backoff: u64, straggle: u64) -> FaultStats {
+    FaultStats {
+        transients,
+        retries,
+        backoff_seconds: f64::from_bits(backoff),
+        straggled_ops: 8,
+        straggle_seconds: f64::from_bits(straggle),
+        exhaustion_denials: 2,
+        device_losses: 0,
+        timeouts: 0,
+        aborts: 0,
+    }
+}
+
+/// Asserts one fault leg recovered and, where [`FAULT_GOLDEN`] has its row,
+/// injected exactly the pinned faults.
+fn assert_faults(leg: &str, stats: FaultStats) {
+    assert!(stats.transients > 0, "{leg}: {stats:?}");
+    assert!(stats.straggled_ops > 0, "{leg}: {stats:?}");
+    assert_eq!(stats.exhaustion_denials, 2, "{leg}: {stats:?}");
+    assert_eq!(stats.aborts, 0, "{leg}: {stats:?}");
+    let Some((_, golden)) = FAULT_GOLDEN.iter().find(|(name, _)| *name == leg) else {
+        return;
+    };
+    assert_eq!(stats, *golden, "{leg}: fault counters moved");
+    // `==` would let -0.0 stand for +0.0; the seconds are pinned as bits.
+    let bits = |s: &FaultStats| (s.backoff_seconds.to_bits(), s.straggle_seconds.to_bits());
+    assert_eq!(bits(&stats), bits(golden), "{leg}: fault seconds moved");
+}
+
+/// Length of the `.clmckpt` snapshot the kill/restore legs take.
+const CHECKPOINT_BYTES: usize = 31_402;
+
+/// FNV-1a 64 of that snapshot: the trainer state is backend-agnostic, so
+/// every backend writes the same bytes.
+const CHECKPOINT_FNV1A: u64 = 0xf51ee40c0f8a2159;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
 }
 
 #[test]
@@ -64,9 +139,7 @@ fn injected_faults_never_change_the_trajectory() {
     threaded.install_fault_plan(plan.clone());
     let t = run_backend(&mut threaded, &scenario, EPOCHS);
     assert_trajectories_match(&reference, &t, "threaded+faults");
-    let stats = plan.stats();
-    assert!(stats.transients > 0, "plan injected nothing: {stats:?}");
-    assert_eq!(stats.aborts, 0, "recovery must not abort: {stats:?}");
+    assert_faults("threaded", plan.stats());
 
     for devices in conformance_devices() {
         let plan = FaultPlan::new(chaos_spec());
@@ -78,11 +151,9 @@ fn injected_faults_never_change_the_trajectory() {
         .partition_over(&scenario.dataset.cameras);
         engine.install_fault_plan(plan.clone());
         let t = run_backend(&mut engine, &scenario, EPOCHS);
-        assert_trajectories_match(&reference, &t, &format!("simulated@{devices}+faults"));
-        let stats = plan.stats();
-        assert!(stats.transients > 0, "plan injected nothing: {stats:?}");
-        assert!(stats.straggled_ops > 0, "straggler never fired: {stats:?}");
-        assert_eq!(stats.aborts, 0, "recovery must not abort: {stats:?}");
+        let leg = format!("simulated@{devices}");
+        assert_trajectories_match(&reference, &t, &format!("{leg}+faults"));
+        assert_faults(&leg, plan.stats());
     }
 }
 
@@ -171,6 +242,10 @@ fn kill_and_restore_from_checkpoint_is_bit_identical() {
         );
         let bytes = Checkpoint::capture(first.trainer(), legacy_ratio).encode();
         drop(first); // the "kill": nothing survives but the checkpoint bytes
+        if legacy_ratio.is_none() {
+            assert_eq!(bytes.len(), CHECKPOINT_BYTES, "{label}");
+            assert_eq!(fnv1a(&bytes), CHECKPOINT_FNV1A, "{label}");
+        }
 
         let decoded = Checkpoint::decode(&bytes).expect("checkpoint bytes round-trip");
         assert_eq!(decoded.batches_trained, kill_at as u64, "{label}");

@@ -2,11 +2,11 @@
 //! resume must be bit-identical to an uninterrupted run, under contention
 //! and across a densification boundary.
 //!
-//! The chaos suite proves kill/restore bit-identity for a single backend;
-//! this leg proves the same invariant when the *service* drives the
-//! checkpoint as a capacity policy — with a second tenant competing for the
-//! timeline, the fairness scheduler interleaving batches, and the session's
-//! granted window and staging budget re-applied on resume.
+//! The chaos leg proves kill/restore bit-identity per backend; this leg
+//! proves the same invariant when the *service* drives the checkpoint as a
+//! capacity policy — with a second tenant competing for the timeline, the
+//! fairness scheduler interleaving batches, and the session's granted
+//! window and staging budget re-applied on resume.
 
 use clm_repro::clm_core::{DensifyConfig, DensifySchedule, SystemKind, TrainConfig};
 use clm_repro::clm_serve::{
