@@ -6,8 +6,9 @@
 //!
 //! * [`offload`] — attribute-wise offload: selection-critical attributes
 //!   (position/scale/rotation, and opacity for the renderer's coverage pass)
-//!   stay GPU-resident, the SH coefficients live in pinned host memory and
-//!   are gathered on demand for the rows some pixel reaches (§4.1, §5.2);
+//!   stay GPU-resident, the SH coefficients live in pinned host memory —
+//!   the model's SH column, their one owner — and are gathered on demand
+//!   for the rows some pixel reaches (§4.1, §5.2);
 //! * [`cache`] — precise Gaussian caching between consecutive micro-batches
 //!   (§4.2.1);
 //! * [`order`] / [`tsp`] — pipeline order optimisation: micro-batches are
@@ -55,7 +56,8 @@ pub mod tsp;
 
 pub use cache::{batch_fetch_bytes, batch_fetch_bytes_no_cache, batch_store_bytes, CachePlan};
 pub use offload::{
-    gather_rows_into, OffloadedModel, GRADIENT_BYTES, NON_CRITICAL_BYTES, SELECTION_CRITICAL_BYTES,
+    gather_rows_into, OffloadAccounting, OffloadedModel, GRADIENT_BYTES, NON_CRITICAL_BYTES,
+    SELECTION_CRITICAL_BYTES,
 };
 pub use order::{order_batch, ordered_fetch_bytes, OrderingStrategy};
 pub use perf::{

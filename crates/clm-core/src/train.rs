@@ -10,7 +10,7 @@
 //! how much data crosses the simulated PCIe link and how much GPU memory
 //! they need, which is exactly the paper's claim.
 
-use crate::offload::{OffloadedModel, GRADIENT_BYTES, NON_CRITICAL_BYTES};
+use crate::offload::{gather_rows_into, OffloadAccounting, GRADIENT_BYTES, NON_CRITICAL_BYTES};
 use crate::order::{order_batch, OrderingStrategy};
 use crate::perf::SystemKind;
 use crate::schedule::FinalizationPlan;
@@ -18,7 +18,7 @@ use gs_core::camera::Camera;
 use gs_core::gaussian::{GaussianModel, NON_CRITICAL_FLOATS};
 use gs_core::visibility::VisibilitySet;
 use gs_core::PARAMS_PER_GAUSSIAN;
-use gs_optim::{AdamConfig, GaussianAdam, GradientBuffer, ParamRow};
+use gs_optim::{AdamConfig, GaussianAdam, GradientBuffer};
 use gs_render::{
     l1_loss, parallel::parallel_map, psnr, render, shade, shade_backward, Coverage, Image,
     RenderGradients, RenderOptions, DEFAULT_BAND_HEIGHT,
@@ -242,15 +242,14 @@ impl BatchPlan {
 }
 
 /// Everything of a [`Trainer`] a batch's render and gather lanes read —
-/// the model, its offloaded host store and the configuration — **without**
-/// the optimiser.  [`Trainer::lend_optimizer`] hands this out next to an
-/// exclusive borrow of the optimiser, so a threaded runtime can give the
-/// optimiser state to its CPU Adam lane for the batch while the other lanes
-/// keep sharing the rest.
+/// the model (whose SH column is the pinned host store) and the
+/// configuration — **without** the optimiser.  [`Trainer::lend_optimizer`]
+/// hands this out next to an exclusive borrow of the optimiser, so a
+/// threaded runtime can give the optimiser state to its CPU Adam lane for
+/// the batch while the other lanes keep sharing the rest.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainerView<'a> {
     model: &'a GaussianModel,
-    offloaded: &'a OffloadedModel,
     config: &'a TrainConfig,
 }
 
@@ -258,11 +257,6 @@ impl<'a> TrainerView<'a> {
     /// The current model.
     pub fn model(&self) -> &'a GaussianModel {
         self.model
-    }
-
-    /// The attribute-wise offloaded parameter store.
-    pub fn offloaded(&self) -> &'a OffloadedModel {
-        self.offloaded
     }
 
     /// [`Trainer::render_microbatch`] on the shared view.
@@ -281,6 +275,9 @@ impl<'a> TrainerView<'a> {
             // The staged host rows must match the parameters the renderer
             // reads: a Gaussian is only updated after its last access, so
             // even rows prefetched several micro-batches ago stay current.
+            // (A real check where staging runs ahead of `apply_finalized`,
+            // as on the simulated engine; the serial loop stages each
+            // micro-batch from the model right before rendering it.)
             assert_eq!(
                 staging.len(),
                 plan.fetched[micro_idx].len(),
@@ -308,7 +305,6 @@ impl<'a> TrainerView<'a> {
 #[derive(Debug)]
 pub struct Trainer {
     model: GaussianModel,
-    offloaded: OffloadedModel,
     optimizer: GaussianAdam,
     config: TrainConfig,
     batches_trained: usize,
@@ -325,6 +321,10 @@ pub struct Trainer {
     /// batches, lent out by [`take_gradients`](Self::take_gradients).
     /// Empty until the first batch that asks for it.
     grads: GradientBuffer,
+    /// Cumulative bytes gathered from (scattered to) pinned host memory —
+    /// the offload's traffic counters ([`offloaded`](Self::offloaded)).
+    bytes_gathered: u64,
+    bytes_scattered: u64,
 }
 
 /// Optional measured-span capture for the serial reference loop.  The
@@ -355,12 +355,10 @@ impl<'a> SpanRecorder<'a> {
 impl Trainer {
     /// Creates a trainer around an initial model.
     pub fn new(initial_model: GaussianModel, config: TrainConfig) -> Self {
-        let offloaded = OffloadedModel::from_model(&initial_model);
         let optimizer = GaussianAdam::new(initial_model.len(), config.adam.clone());
         let grad_norm_accum = vec![0.0; initial_model.len()];
         Trainer {
             model: initial_model,
-            offloaded,
             optimizer,
             config,
             batches_trained: 0,
@@ -368,14 +366,15 @@ impl Trainer {
             resize_events: 0,
             last_resize_batch: None,
             grads: GradientBuffer::default(),
+            bytes_gathered: 0,
+            bytes_scattered: 0,
         }
     }
 
     /// Rebuilds a trainer from checkpointed state so training continues
-    /// bit-identically to the uninterrupted run.  The offloaded host store
-    /// is reassembled from the model (batch boundaries keep the two in
-    /// sync, so the boundary snapshot loses nothing) with its traffic
-    /// counters restored to `bytes_gathered` / `bytes_scattered`.
+    /// bit-identically to the uninterrupted run.  The model's SH column is
+    /// the pinned host store, so the model carries it; the offload's traffic
+    /// counters are restored to `bytes_gathered` / `bytes_scattered`.
     ///
     /// # Panics
     /// Panics if the accumulator length does not match the model or the
@@ -401,11 +400,8 @@ impl Trainer {
             optimizer.len() <= model.len(),
             "optimiser holds more rows than the model"
         );
-        let mut offloaded = OffloadedModel::from_model(&model);
-        offloaded.restore_traffic_counters(bytes_gathered, bytes_scattered);
         Trainer {
             model,
-            offloaded,
             optimizer,
             config,
             batches_trained,
@@ -413,6 +409,8 @@ impl Trainer {
             resize_events,
             last_resize_batch,
             grads: GradientBuffer::default(),
+            bytes_gathered,
+            bytes_scattered,
         }
     }
 
@@ -421,10 +419,14 @@ impl Trainer {
         &self.model
     }
 
-    /// The attribute-wise offloaded parameter store (CLM's view of the
-    /// model).
-    pub fn offloaded(&self) -> &OffloadedModel {
-        &self.offloaded
+    /// The byte accounting of CLM's attribute-wise offload of the current
+    /// model: resident and pinned bytes, and the traffic so far.
+    pub fn offloaded(&self) -> OffloadAccounting {
+        OffloadAccounting {
+            rows: self.model.len(),
+            bytes_gathered: self.bytes_gathered,
+            bytes_scattered: self.bytes_scattered,
+        }
     }
 
     /// The optimiser (moment estimates and per-Gaussian step counts).
@@ -522,9 +524,9 @@ impl Trainer {
     /// Applies a planned resize at a batch boundary: the model rows
     /// clone/split/prune in the event's deterministic order, the optimiser
     /// state compacts (survivors keep their moments, appended rows start
-    /// fresh), the offloaded host store resizes in place without re-cloning
-    /// survivors, and the gradient-norm accumulator resets for the next
-    /// densification interval.
+    /// fresh), and the gradient-norm accumulator resets for the next
+    /// densification interval.  The pinned host store is the model's SH
+    /// column, so it resizes with the model.
     ///
     /// Runtimes must drain their in-flight lanes before calling this —
     /// every backend in this workspace scopes its lanes to one batch, so a
@@ -535,7 +537,6 @@ impl Trainer {
     pub fn apply_resize(&mut self, event: &ResizeEvent) -> DensifyReport {
         let report = gs_scene::apply_resize(&mut self.model, event);
         self.optimizer.apply_resize(&event.pruned, self.model.len());
-        self.offloaded.apply_resize(event, &self.model);
         // Fresh interval: norms restart from zero for survivors too (the
         // reference implementation resets its accumulators at each
         // densification), keeping the next boundary's plan independent of
@@ -651,8 +652,7 @@ impl Trainer {
         for s in &reached {
             touched_union = touched_union.union(s);
         }
-        let all: VisibilitySet = (0..self.model.len() as u32).collect();
-        let untouched = all.difference(&touched_union);
+        let untouched = touched_union.complement(self.model.len());
 
         // 6. Parameter traffic of this batch.  For CLM it is the
         //    per-micro-batch fetch sets summed; the other strategies move
@@ -760,8 +760,9 @@ impl Trainer {
     }
 
     /// The selective-loading kernel for micro-batch `micro_idx`: gathers the
-    /// rows `plan.fetched[micro_idx]` from pinned host memory into
-    /// `staging` (reusing its allocation), counting the transferred bytes.
+    /// rows `plan.fetched[micro_idx]` from pinned host memory — the model's
+    /// SH column — into `staging` (reusing its allocation), counting the
+    /// transferred bytes.
     ///
     /// A pipelined runtime may run this ahead of the micro-batch's compute:
     /// within a batch no Adam update can touch a Gaussian before its last
@@ -774,8 +775,9 @@ impl Trainer {
         staging: &mut Vec<[f32; NON_CRITICAL_FLOATS]>,
     ) {
         if self.config.system == SystemKind::Clm {
-            self.offloaded
-                .gather_non_critical_into(plan.fetched[micro_idx].indices(), staging);
+            let indices = plan.fetched[micro_idx].indices();
+            gather_rows_into(self.model.sh_rows(), indices, staging);
+            self.note_gathered_rows(indices.len());
         } else {
             staging.clear();
         }
@@ -837,7 +839,6 @@ impl Trainer {
     pub fn view(&self) -> TrainerView<'_> {
         TrainerView {
             model: &self.model,
-            offloaded: &self.offloaded,
             config: &self.config,
         }
     }
@@ -850,46 +851,48 @@ impl Trainer {
     /// already stepped.
     ///
     /// The lane steps each finalisation group with
-    /// [`GaussianAdam::step_detached`] against `view.model()` — the
-    /// finalisation schedule guarantees a finalised Gaussian is never read
-    /// again within the batch, so deferring the parameter write-back
-    /// ([`apply_param_rows`](Self::apply_param_rows)) to batch end is
-    /// bit-identical to the synchronous
+    /// [`GaussianAdam::step_detached`] from `view.model()` into a back model
+    /// the runtime owns, and the runtime swaps that in at batch end
+    /// ([`swap_model`](Self::swap_model)).  The finalisation schedule
+    /// guarantees a finalised Gaussian is never read again within the batch,
+    /// and `F_0` and the groups together write every row exactly once, so
+    /// the swap is bit-identical to the synchronous
     /// [`apply_finalized`](Self::apply_finalized).
     pub fn lend_optimizer(&mut self) -> (TrainerView<'_>, &mut GaussianAdam) {
         (
             TrainerView {
                 model: &self.model,
-                offloaded: &self.offloaded,
                 config: &self.config,
             },
             &mut self.optimizer,
         )
     }
 
-    /// Writes the parameter rows a detached Adam step produced for
-    /// `indices` back into the model (pure copies; the math already ran on
-    /// the lane).
+    /// Swaps the model with `back`, a model of the same length whose every
+    /// row a detached Adam step has written this batch: the new parameters
+    /// take effect, and `back` keeps the old ones as the next batch's
+    /// buffer.  O(1) — no row is copied.
     ///
     /// # Panics
-    /// Panics if `rows` and `indices` differ in length or an index is out
-    /// of bounds of the model.
-    pub fn apply_param_rows(&mut self, indices: &[u32], rows: &[ParamRow]) {
-        assert_eq!(rows.len(), indices.len(), "one parameter row per index");
-        for (&idx, row) in indices.iter().zip(rows) {
-            self.model.set_param_row(idx as usize, row);
-        }
+    /// Panics if the two models differ in length.
+    pub fn swap_model(&mut self, back: &mut GaussianModel) {
+        assert_eq!(
+            back.len(),
+            self.model.len(),
+            "the back model must have the model's rows"
+        );
+        std::mem::swap(&mut self.model, back);
     }
 
     /// Records host rows gathered by an external (worker-thread) copy, so
-    /// the offloaded store's traffic counters stay consistent with the
-    /// in-line gather path.
+    /// the offload's traffic counters stay consistent with the in-line
+    /// gather path.
     pub fn note_gathered_rows(&mut self, rows: usize) {
-        self.offloaded.note_gathered_rows(rows);
+        self.bytes_gathered += (rows * NON_CRITICAL_BYTES) as u64;
     }
 
     /// Closes a batch: runs the batch-end optimiser step for strategies
-    /// without overlap, re-synchronises the offloaded store and returns the
+    /// without overlap, feeds the densification criterion and returns the
     /// batch report.
     pub fn finish_batch(
         &mut self,
@@ -902,9 +905,6 @@ impl Trainer {
             // have identical dense semantics.
             self.optimizer.step_dense(&mut self.model, grads);
         }
-
-        // Keep the offloaded store coherent with the updated model.
-        self.offloaded.sync_from_model(&self.model);
 
         // Feed the densification criterion: accumulate each touched
         // Gaussian's positional-gradient norm (a row that received no
@@ -1047,7 +1047,7 @@ impl Trainer {
         let rows = self.model.len() as u64;
         let report = self.finish_batch(&plan, &grads, total_loss);
         if overlapped {
-            // Batch close is store re-sync and accounting: host-side work.
+            // Batch close is accounting: host-side work.
             spans.lap(OpKind::Other, Lane::CpuScheduler, 0, 0, None);
         } else {
             // The dense optimiser step dominates the close for
@@ -1495,7 +1495,6 @@ mod tests {
         assert_ne!(trainer.model().len(), before, "model resized mid-run");
         // Aligned state followed the resize.
         assert_eq!(trainer.optimizer().len(), trainer.model().len());
-        assert_eq!(trainer.offloaded().len(), trainer.model().len());
         assert_eq!(trainer.grad_norm_accum().len(), trainer.model().len());
     }
 
@@ -1592,8 +1591,8 @@ mod tests {
             let (view, optimizer) = trainer.lend_optimizer();
             std::thread::scope(|scope| {
                 scope.spawn(move || {
-                    let mut out = [[0.0f32; PARAMS_PER_GAUSSIAN]; 2];
-                    optimizer.step_detached(view.model(), &[0, 1], &[], &mut out, 1, true);
+                    let mut back = view.model().clone();
+                    optimizer.step_detached(view.model(), &[0, 1], &[], &mut back, 1, true);
                     panic!("lane dies mid-batch");
                 });
             });

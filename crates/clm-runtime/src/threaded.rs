@@ -12,8 +12,9 @@
 //!
 //! * the **gather lane** (the GpuComm stream of Figure 6) stages the
 //!   micro-batch the coordinator asks for — pinned host rows copied
-//!   straight from a shared borrow of the offloaded store into a recycled
-//!   [`PinnedBufferPool`] buffer — and recycles the buffers handed back;
+//!   straight from a shared borrow of the model's SH column, the one pinned
+//!   host store, into a recycled [`PinnedBufferPool`] buffer — and recycles
+//!   the buffers handed back;
 //! * the **CPU Adam lane** *holds the optimiser* for the batch
 //!   ([`Trainer::lend_optimizer`]): the moments and step counters never
 //!   leave it.  A finalisation group reaches the lane as its group id plus
@@ -25,19 +26,24 @@
 //!   lane runs
 //!   [`GaussianAdam::step_detached`](gs_optim::GaussianAdam::step_detached)
 //!   — moments updated in place, optionally sharded across further threads
-//!   — and leaves only the new parameter rows behind, in the group's slice
-//!   of a buffer the coordinator writes back at batch end;
+//!   — and writes each new parameter row to its own row of the **back
+//!   model**, a second model of the same length that the coordinator swaps
+//!   in at batch end;
 //! * the **main thread** is the coordinator and the GPU-compute stand-in:
 //!   it renders micro-batches and accumulates gradients.
 //!
-//! Both lane buffers belong to the backend and are reused by every batch:
-//! one parameter row per Gaussian (sized by the model, re-provisioned at a
-//! densification boundary like the staging pool), and one gradient-row
-//! list per finalisation group that grows to what its group ever shipped —
-//! so once warm the lane allocates nothing.  Every interval a thread
-//! times goes onto that thread's own `LaneSpans` list, and the lists,
-//! merged onto one measured [`Timeline`], are the report's timeline: its
-//! per-lane busy seconds are the sums of those spans.
+//! The model is double-buffered: `F_0` and the finalisation groups
+//! partition the model, so one batch writes every back-model row exactly
+//! once, and the swap (`Trainer::swap_model`) leaves the old model behind as
+//! the next batch's back model — two model allocations alternate, and no
+//! row is copied to publish a batch.  The back model is re-provisioned
+//! (`clone_from`) only when a densification boundary changes the model's
+//! length.  The gradient rows travel in one list per finalisation group
+//! that grows to what its group ever shipped — so once warm the lane
+//! allocates nothing.  Every interval a thread times goes onto that
+//! thread's own `LaneSpans` list, and the lists, merged onto one measured
+//! [`Timeline`], are the report's timeline: its per-lane busy seconds are
+//! the sums of those spans.
 //!
 //! # Why this is bit-identical to the synchronous trainer
 //!
@@ -47,8 +53,8 @@
 //! the same point, and the rows it does not ship are the all-zero rows both
 //! paths step with a zero row instead; (b) the model the lane reads a finalised Gaussian's
 //! parameters from still holds exactly what the synchronous path would
-//! update, because nothing is written back before batch end; (c) deferring
-//! that write-back cannot change anything a later micro-batch reads; and
+//! update, because the new rows go to the back model until batch end; (c)
+//! deferring the swap cannot change anything a later micro-batch reads; and
 //! (d) the detached step feeds the same rows, in the same order, through
 //! the same `adam_update_row` kernel as the in-place step — each row's
 //! update is independent, so the fan-out changes no bit.
@@ -72,7 +78,6 @@ use crate::workers::{spawn_lane, LaneSpans, WorkerLane};
 use clm_core::{gather_rows_into, BatchPlan, SystemKind, TrainConfig, Trainer, TrainerView};
 use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
-use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_optim::{threads_for_chunk_rows, GradientBuffer, ParamRow};
 
 /// One shipped gradient row: the Gaussian's index and its final gradient.
@@ -184,10 +189,10 @@ pub struct ThreadedBackend {
     /// commit suppressed), so recovery costs real thread time but never
     /// changes the numerics.
     fault_plan: Option<FaultPlan>,
-    /// The CPU Adam lane's output: one parameter row per Gaussian, group
-    /// after group (`F_0` first) — where the lane leaves each group's new
-    /// parameters for the batch-end write-back.  Reused by every batch.
-    adam_params: Vec<ParamRow>,
+    /// The back model the CPU Adam lane writes each group's new parameter
+    /// rows into, swapped with the trainer's model at batch end (overlapped
+    /// CLM only).  After the swap it holds the previous batch's model.
+    back: GaussianModel,
     /// The final gradient rows shipped to the Adam lane, one list per
     /// finalisation group: the group's Gaussians that received gradient.
     /// Reused by every batch; each list's capacity is the most its group
@@ -237,7 +242,7 @@ impl ThreadedBackend {
             config,
             pool: PinnedBufferPool::new(),
             fault_plan: None,
-            adam_params: Vec::new(),
+            back: GaussianModel::new(),
             adam_grads: Vec::new(),
         }
     }
@@ -278,12 +283,12 @@ impl ThreadedBackend {
         self.pool.set_capacity_limit(limit);
     }
 
-    /// Rows of capacity the CPU Adam lane's recycled buffers hold:
-    /// `(parameter rows, gradient rows)`.  The first is the model's row
-    /// count; the second follows what the batches actually shipped.
+    /// Rows the CPU Adam lane's recycled buffers hold: `(back-model rows,
+    /// gradient-row capacity)`.  The first is the model's row count; the
+    /// second follows what the batches actually shipped.
     pub fn adam_lane_buffer_rows(&self) -> (usize, usize) {
         let grads = self.adam_grads.iter().map(Vec::capacity).sum();
-        (self.adam_params.capacity(), grads)
+        (self.back.len(), grads)
     }
 
     /// Mean PSNR of the current model over a set of posed images (delegates
@@ -342,21 +347,26 @@ impl ThreadedBackend {
         };
         let mut grads = self.trainer.take_gradients();
 
-        // The Adam lane's parameter buffer holds one slice per group, in
-        // slot order: slot 0 is F_0, slot i + 1 the group micro-batch i
-        // finalises.  The groups partition the model, so it is exactly one
-        // row per Gaussian.  Groups are shipped and stepped in slot order,
-        // so the lane carves its next slice off the front of what is left.
-        // F_0 ships no gradients; group i's received rows go into list i.
-        if overlapped && (plan.resize.is_some() || self.adam_params.len() != model_len) {
-            // Re-provisioned at a densification boundary (and before the
-            // first batch), exact-sized like the staging pool.
-            self.adam_params = vec![[0.0; PARAMS_PER_GAUSSIAN]; model_len];
+        // The Adam lane steps one group per slot, in slot order: slot 0 is
+        // F_0, slot i + 1 the group micro-batch i finalises.  Together they
+        // partition the model, so the batch writes every back-model row
+        // exactly once.  F_0 ships no gradients; group i's received rows
+        // go into list i.
+        if overlapped {
+            let stepped: usize = (0..=m).map(|slot| adam_group(&plan, slot).len()).sum();
+            assert_eq!(
+                stepped, model_len,
+                "the Adam groups must partition the model"
+            );
+            if self.back.len() != model_len {
+                // Before the first batch and at a densification boundary
+                // that changed the length: any rows of that length will
+                // do, the batch overwrites them all.
+                self.back.clone_from(self.trainer.model());
+            }
         }
-        let adam_slots = if overlapped { m + 1 } else { 0 };
         self.adam_grads
-            .resize_with(adam_slots.saturating_sub(1), Vec::new);
-        let mut params_left = &mut self.adam_params[..];
+            .resize_with(if overlapped { m } else { 0 }, Vec::new);
 
         // Disjoint borrows: the Adam lane holds the optimiser for the
         // batch, every lane shares the rest of the trainer read-only, and
@@ -365,7 +375,7 @@ impl ThreadedBackend {
         let (pool, plan_ref) = (&mut self.pool, &plan);
 
         // ---- Gather lane (CLM only): stage and reply, or recycle.
-        let host_rows = trainer.offloaded().non_critical_rows();
+        let host_rows = trainer.model().sh_rows();
         let gather_lane = |requests: Receiver<GatherRequest>, replies: SyncSender<_>| {
             while let Ok(request) = requests.recv() {
                 let i = match request {
@@ -426,12 +436,11 @@ impl ThreadedBackend {
         // ---- CPU Adam lane (overlapped CLM only): a request is a group's
         // slot and the final gradient rows of its Gaussians that received
         // gradient (none for F_0); nothing comes back — the new parameter
-        // rows wait in the lane's buffer until the batch ends.
-        let model = trainer.model();
+        // rows wait in the back model until the batch ends.
+        let (model, back) = (trainer.model(), &mut self.back);
         let adam_lane = |requests: Receiver<(usize, &[GradRow])>, _: SyncSender<()>| {
             while let Ok((slot, grad_rows)) = requests.recv() {
                 let indices = adam_group(plan_ref, slot);
-                let out = carve(&mut params_left, indices.len());
                 // Chunk-target cap: small groups fan out across fewer
                 // threads.  Identical numerics for any fan-out (the
                 // detached step guarantees it).
@@ -446,12 +455,12 @@ impl ThreadedBackend {
                             // but commit nothing, then back off.
                             for _ in 0..attempts {
                                 optimizer
-                                    .step_detached(model, indices, grad_rows, out, fan_out, false);
+                                    .step_detached(model, indices, grad_rows, back, fan_out, false);
                             }
                             sleep_seconds(fp.retry().total_backoff(attempts));
                         }
                     }
-                    optimizer.step_detached(model, indices, grad_rows, out, fan_out, true)
+                    optimizer.step_detached(model, indices, grad_rows, back, fan_out, true)
                 };
                 let (mb, rows) = (group_microbatch(slot), indices.len() as u64);
                 adam_spans.time(OpKind::CpuAdamUpdate, Lane::CpuAdam, mb, 0, rows, step);
@@ -493,22 +502,13 @@ impl ThreadedBackend {
             (run.total_loss, run.shipped_rows)
         });
 
-        // Deferred write-back of the lane-computed parameter rows, group by
-        // group (disjoint groups — order does not matter).  It is the Adam
+        // Publish the lane's rows: swap the back model in.  It is the Adam
         // lane's tail, so it is charged there; `Other` keeps it out of the
         // update-math histograms.
-        let mut offset = 0;
-        for slot in 0..adam_slots {
-            let indices = adam_group(&plan, slot);
-            let rows = &self.adam_params[offset..offset + indices.len()];
-            offset += indices.len();
-            if indices.is_empty() {
-                continue;
-            }
-            let (mb, count, trainer) =
-                (group_microbatch(slot), rows.len() as u64, &mut self.trainer);
-            let write_back = || trainer.apply_param_rows(indices, rows);
-            spans.time(OpKind::Other, Lane::CpuAdam, mb, 0, count, write_back);
+        if overlapped {
+            let (trainer, back) = (&mut self.trainer, &mut self.back);
+            let swap = || trainer.swap_model(back);
+            spans.time(OpKind::Other, Lane::CpuAdam, None, 0, rows, swap);
         }
         if is_clm {
             let staged_rows: usize = plan.fetched.iter().map(|s| s.len()).sum();
@@ -821,6 +821,7 @@ mod tests {
     use super::*;
     use crate::tests::tiny_setup;
     use clm_core::{DensifyConfig, DensifySchedule};
+    use gs_core::PARAMS_PER_GAUSSIAN;
     use sim_device::FaultSpec;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -1028,6 +1029,27 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_batch_swaps_the_two_models_and_allocates_none() {
+        let (dataset, targets, init) = tiny_setup();
+        let mut threaded =
+            ThreadedBackend::new(init, TrainConfig::default(), ThreadedConfig::default());
+        let mut models = Vec::new();
+        for batch in 0..6 {
+            let start = (batch * 4) % 12;
+            let cams = &dataset.cameras[start..start + 4];
+            threaded.run_batch(cams, &targets[start..start + 4]);
+            let at = |m: &GaussianModel| (m.positions().as_ptr(), m.sh_rows().as_ptr());
+            models.push((at(threaded.trainer().model()), at(&threaded.back)));
+        }
+        // The first batch provisions the back model; from then on each batch
+        // swaps the same two allocations.
+        for (batch, pair) in models.windows(2).enumerate() {
+            let (front, back) = pair[0];
+            assert_eq!(pair[1], (back, front), "batch {}", batch + 1);
+        }
+    }
+
+    #[test]
     fn an_unwinding_batch_leaves_the_optimizer_with_the_trainer() {
         let (dataset, targets, init) = tiny_setup();
         let rows = init.len();
@@ -1044,5 +1066,25 @@ mod tests {
         let optimizer = threaded.trainer().optimizer();
         assert_eq!(optimizer.len(), rows, "full state, not a placeholder");
         assert!((0..rows as u32).all(|i| optimizer.step_count(i) >= 1));
+
+        // The half-written back model leaks into nothing: the next batch
+        // equals a synchronous trainer started from the state the unwind
+        // left (the model untouched, the optimiser with F_0 stepped).
+        let t = threaded.trainer();
+        let mut sync = Trainer::from_checkpoint(
+            t.model().clone(),
+            t.optimizer().clone(),
+            t.config().clone(),
+            t.batches_trained(),
+            t.grad_norm_accum().to_vec(),
+            t.resize_events(),
+            t.last_resize_batch(),
+            0,
+            0,
+        );
+        let (cams, tgts) = (&dataset.cameras[4..8], &targets[4..8]);
+        let report = threaded.run_batch(cams, tgts);
+        assert_eq!(report.batch, sync.train_batch(cams, tgts));
+        assert_same_training_state(&threaded, &sync, "the batch after an unwound one");
     }
 }

@@ -13,7 +13,7 @@
 //!   resize_events      varint
 //!   last_resize_batch  varint   0 = none, else value + 1
 //!   warm flag          1 byte   0/1; if 1: an f64 LE follows (legacy, unread)
-//!   bytes_gathered     varint   offloaded-store traffic counters
+//!   bytes_gathered     varint   offload traffic counters
 //!   bytes_scattered    varint
 //!   n                  varint   model length
 //!   model rows         n × 59 f32 LE (param_row layout)
@@ -23,8 +23,9 @@
 //! ```
 //!
 //! Why a batch boundary: every backend drains its lanes there (the same
-//! property densification relies on), `Trainer::finish_batch` has synced
-//! the offloaded host store back to the model, and the only cursors live
+//! property densification relies on), the threaded backend has swapped its
+//! back model in, the pinned host store is the model's SH column (so the
+//! model rows carry it), and the only cursors live
 //! training state needs are `batches_trained` (all plan/densify seeds
 //! derive from it) and the resize boundary marker.  Snapshotting those plus
 //! the model rows and the full Adam moment state therefore makes restore +
@@ -115,7 +116,7 @@ pub struct Checkpoint {
     /// caller writes `None`; it stays so files that carry it still decode
     /// without a format-version bump.
     pub warm_start_ratio: Option<f64>,
-    /// Cumulative CPU→GPU gather traffic of the offloaded store.
+    /// Cumulative CPU→GPU gather traffic of the offload.
     pub bytes_gathered: u64,
     /// Cumulative GPU→CPU scatter traffic.
     pub bytes_scattered: u64,

@@ -341,6 +341,27 @@ impl GaussianModel {
         &self.sh[i * SH_FLOATS..(i + 1) * SH_FLOATS]
     }
 
+    /// The SH column as one 48-float row per Gaussian: CLM's pinned host
+    /// store of non-critical attributes (§4.1, §5.2).  There is no second
+    /// copy: the selective loading kernel gathers from these rows, and CPU
+    /// Adam's updates land in them.
+    pub fn sh_rows(&self) -> &[[f32; SH_FLOATS]] {
+        self.sh.as_chunks::<SH_FLOATS>().0
+    }
+
+    /// A mutable view of every row, for writers that split the rows between
+    /// threads ([`ModelRowsMut::split_at_row`]).
+    pub fn rows_mut(&mut self) -> ModelRowsMut<'_> {
+        ModelRowsMut {
+            base: 0,
+            positions: &mut self.positions,
+            log_scales: &mut self.log_scales,
+            rotations: &mut self.rotations,
+            sh: self.sh.as_chunks_mut::<SH_FLOATS>().0,
+            opacity_logits: &mut self.opacity_logits,
+        }
+    }
+
     /// Opacity logits of all Gaussians.
     pub fn opacity_logits(&self) -> &[f32] {
         &self.opacity_logits
@@ -378,22 +399,6 @@ impl GaussianModel {
         let q = self.rotations[i];
         let o = self.opacity_logits[i];
         [p.x, p.y, p.z, s.x, s.y, s.z, q.w, q.x, q.y, q.z, o]
-    }
-
-    /// Packs the non-critical attributes of Gaussian `i` — its 48 SH
-    /// coefficients — into the row CLM offloads to pinned CPU memory.
-    pub fn non_critical_row(&self, i: usize) -> [f32; NON_CRITICAL_FLOATS] {
-        let mut row = [0.0f32; NON_CRITICAL_FLOATS];
-        row.copy_from_slice(self.sh_of(i));
-        row
-    }
-
-    /// Writes a non-critical (SH) row back into Gaussian `i`.
-    ///
-    /// # Panics
-    /// Panics if `i >= len()`.
-    pub fn set_non_critical_row(&mut self, i: usize, row: &[f32; NON_CRITICAL_FLOATS]) {
-        self.sh[i * SH_FLOATS..(i + 1) * SH_FLOATS].copy_from_slice(row);
     }
 
     /// Packs **all 59** learnable parameters of Gaussian `i` into one flat
@@ -434,11 +439,68 @@ impl GaussianModel {
     /// # Panics
     /// Panics if `i >= len()`.
     pub fn set_param_row(&mut self, i: usize, row: &[f32; PARAMS_PER_GAUSSIAN]) {
-        self.positions[i] = Vec3::new(row[0], row[1], row[2]);
-        self.log_scales[i] = Vec3::new(row[3], row[4], row[5]);
-        self.rotations[i] = Quat::from([row[6], row[7], row[8], row[9]]);
-        self.sh[i * SH_FLOATS..(i + 1) * SH_FLOATS].copy_from_slice(&row[10..10 + SH_FLOATS]);
-        self.opacity_logits[i] = row[PARAMS_PER_GAUSSIAN - 1];
+        self.rows_mut().set_param_row(i, row);
+    }
+}
+
+/// A mutable view of the rows `base..` of a [`GaussianModel`]
+/// ([`GaussianModel::rows_mut`]), addressed by the model's own row indices.
+/// Splitting it hands disjoint row ranges to different threads, so each can
+/// write its rows in place.
+#[derive(Debug)]
+pub struct ModelRowsMut<'a> {
+    base: usize,
+    positions: &'a mut [Vec3],
+    log_scales: &'a mut [Vec3],
+    rotations: &'a mut [Quat],
+    sh: &'a mut [[f32; SH_FLOATS]],
+    opacity_logits: &'a mut [f32],
+}
+
+impl ModelRowsMut<'_> {
+    /// Splits into the rows below `row` and the rest.
+    ///
+    /// # Panics
+    /// Panics if `row` lies outside the view's rows.
+    pub fn split_at_row(self, row: usize) -> (Self, Self) {
+        let cut = row - self.base;
+        let (positions, positions_tail) = self.positions.split_at_mut(cut);
+        let (log_scales, log_scales_tail) = self.log_scales.split_at_mut(cut);
+        let (rotations, rotations_tail) = self.rotations.split_at_mut(cut);
+        let (sh, sh_tail) = self.sh.split_at_mut(cut);
+        let (opacity_logits, opacity_tail) = self.opacity_logits.split_at_mut(cut);
+        (
+            ModelRowsMut {
+                base: self.base,
+                positions,
+                log_scales,
+                rotations,
+                sh,
+                opacity_logits,
+            },
+            ModelRowsMut {
+                base: row,
+                positions: positions_tail,
+                log_scales: log_scales_tail,
+                rotations: rotations_tail,
+                sh: sh_tail,
+                opacity_logits: opacity_tail,
+            },
+        )
+    }
+
+    /// [`GaussianModel::set_param_row`] on model row `i`.
+    ///
+    /// # Panics
+    /// Panics if row `i` lies outside the view.
+    #[inline]
+    pub fn set_param_row(&mut self, i: usize, row: &[f32; PARAMS_PER_GAUSSIAN]) {
+        let r = i - self.base;
+        self.positions[r] = Vec3::new(row[0], row[1], row[2]);
+        self.log_scales[r] = Vec3::new(row[3], row[4], row[5]);
+        self.rotations[r] = Quat::from([row[6], row[7], row[8], row[9]]);
+        self.sh[r].copy_from_slice(&row[10..10 + SH_FLOATS]);
+        self.opacity_logits[r] = row[PARAMS_PER_GAUSSIAN - 1];
     }
 }
 
@@ -556,24 +618,47 @@ mod tests {
         }
         model.push(g);
         let critical = model.selection_critical_row(0);
-        let non_critical = model.non_critical_row(0);
+        let non_critical = model.sh_rows()[0];
         assert_eq!(critical.len() + non_critical.len(), PARAMS_PER_GAUSSIAN);
         assert_eq!(critical[0], 1.0);
         assert_eq!(critical[1], -2.0);
         assert_eq!(critical[10], model.opacity_logits()[0]);
-        assert_eq!(&non_critical[..], model.sh_of(0));
     }
 
     #[test]
-    fn non_critical_row_round_trip() {
-        let mut model = GaussianModel::new();
-        model.push(Gaussian::default());
-        let mut row = [0.0f32; NON_CRITICAL_FLOATS];
-        for (i, v) in row.iter_mut().enumerate() {
-            *v = i as f32;
+    fn sh_rows_are_every_rows_sh() {
+        let model: GaussianModel = (0..7)
+            .map(|i| Gaussian::isotropic(Vec3::ZERO, 0.1, [0.1 * i as f32, 0.5, 0.2], 0.5))
+            .collect();
+        assert_eq!(model.sh_rows().len(), model.len());
+        for (i, row) in model.sh_rows().iter().enumerate() {
+            assert_eq!(&row[..], model.sh_of(i), "row {i}");
         }
-        model.set_non_critical_row(0, &row);
-        assert_eq!(model.non_critical_row(0), row);
+        assert!(GaussianModel::new().sh_rows().is_empty());
+    }
+
+    #[test]
+    fn split_views_write_like_the_model() {
+        // Every cut of a 9-row model, each row written through whichever
+        // half of the split view holds it.
+        let row_of = |i: usize| -> [f32; PARAMS_PER_GAUSSIAN] {
+            std::array::from_fn(|k| (100 * i + k) as f32 * 0.25 - 3.0)
+        };
+        let fresh = || -> GaussianModel { (0..9).map(|_| Gaussian::default()).collect() };
+        let mut expected = fresh();
+        for i in 0..9 {
+            expected.set_param_row(i, &row_of(i));
+            assert_eq!(expected.param_row(i), row_of(i));
+        }
+        for cut in 0..=9 {
+            let mut model = fresh();
+            let (mut head, mut tail) = model.rows_mut().split_at_row(cut);
+            for i in 0..9 {
+                let half = if i < cut { &mut head } else { &mut tail };
+                half.set_param_row(i, &row_of(i));
+            }
+            assert_eq!(model, expected, "cut at row {cut}");
+        }
     }
 
     #[test]
@@ -593,7 +678,7 @@ mod tests {
         // then the selection-critical opacity.
         let critical = model.selection_critical_row(0);
         assert_eq!(&row[..10], &critical[..10]);
-        assert_eq!(&row[10..10 + SH_FLOATS], &model.non_critical_row(0)[..]);
+        assert_eq!(&row[10..10 + SH_FLOATS], &model.sh_rows()[0][..]);
         assert_eq!(row[PARAMS_PER_GAUSSIAN - 1], critical[10]);
 
         model.set_param_row(1, &row);

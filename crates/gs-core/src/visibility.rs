@@ -123,6 +123,19 @@ impl VisibilitySet {
         VisibilitySet { indices: out }
     }
 
+    /// The indices below `total` that are **not** in the set — `(0..total)
+    /// \ self` in one pass, without building the range.
+    pub fn complement(&self, total: usize) -> VisibilitySet {
+        let mut out = Vec::with_capacity(total.saturating_sub(self.len()));
+        let mut next = 0;
+        for &i in self.indices.iter().take_while(|&&i| (i as usize) < total) {
+            out.extend(next..i);
+            next = i + 1;
+        }
+        out.extend(next..total as u32);
+        VisibilitySet { indices: out }
+    }
+
     /// Union of the two sets.
     pub fn union(&self, other: &VisibilitySet) -> VisibilitySet {
         let mut out = Vec::with_capacity(self.len() + other.len());
@@ -299,6 +312,10 @@ mod tests {
                             ba.difference(&bb).copied().collect::<BTreeSet<_>>());
             prop_assert_eq!(to_btree(&sa.union(&sb)),
                             ba.union(&bb).copied().collect::<BTreeSet<_>>());
+            for total in [0u32, 1, 150, 200, 250] {
+                let range: VisibilitySet = (0..total).collect();
+                prop_assert_eq!(sa.complement(total as usize), range.difference(&sa));
+            }
         }
 
         #[test]

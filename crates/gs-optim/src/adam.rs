@@ -11,27 +11,27 @@
 //! looped over its 59 parameters in the flat
 //! [`param_row`](GaussianModel::param_row) layout.  That layout is the
 //! optimiser's everywhere — the resident moments (`m`, `v`: one
-//! [`ParamRow`] per Gaussian), gradient and parameter rows on the CPU Adam
-//! lane's wire, work items and checkpoint exports ([`AdamRowState`]) — so
+//! [`ParamRow`] per Gaussian), gradient rows on the CPU Adam lane's wire,
+//! work items and checkpoint exports ([`AdamRowState`]) — so
 //! a driver hands the kernel the rows it already holds, with no staging.
 //! The three drivers:
 //!
 //! * [`GaussianAdam::step_dense`] / [`GaussianAdam::step_subset`] — the
 //!   in-place path the synchronous trainer uses: each index's parameter
 //!   row is read from the model, updated against its moment rows in place,
-//!   and written back;
+//!   and stored to the same model row;
 //! * [`GaussianAdam::pack_subset`] → [`compute_packed`] →
 //!   [`GaussianAdam::apply_packed`] — the shippable path: work items are
 //!   plain `memcpy`able rows a worker thread can update while the main
 //!   thread keeps rendering, merged back with copies;
 //! * [`GaussianAdam::step_detached`] — the CPU Adam **lane's** path: a
 //!   worker thread that holds the optimiser for a batch reads each
-//!   parameter row from a shared `&GaussianModel` straight into its output
-//!   slot, takes the final gradient rows of the group's Gaussians that
-//!   **received** gradient, updates `m`/`v`/`steps` in place and hands back
-//!   only the new parameter rows for a deferred write-back.  The group fans
-//!   out across one scoped parallel region by splitting the moment rows at
-//!   any row boundary.
+//!   parameter row from a shared `&GaussianModel`, takes the final gradient
+//!   rows of the group's Gaussians that **received** gradient, updates
+//!   `m`/`v`/`steps` in place and writes the new parameter row to the same
+//!   row of a back model, which the runtime swaps in at batch end.  The
+//!   group fans out across one scoped parallel region by splitting the
+//!   back-model and moment rows at any row boundary.
 //!
 //! The threaded runtime uses only the first and the last; the packed trio
 //! stays as library API for the kernel benchmarks.
@@ -54,7 +54,7 @@
 //!   steps copies of the same moment rows.  No driver pads anything.
 
 use crate::gradients::GradientBuffer;
-use gs_core::gaussian::{GaussianModel, SH_FLOATS};
+use gs_core::gaussian::{GaussianModel, ModelRowsMut, SH_FLOATS};
 use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_render::parallel_for_each;
 
@@ -143,9 +143,8 @@ impl AdamConfig {
 }
 
 /// One flat [`param_row`](GaussianModel::param_row)-layout row: the layout
-/// of the moments, of work items and of
-/// [`GaussianAdam::step_detached`]'s wire (gradient rows in, parameter rows
-/// out).
+/// of the moments, of work items and of the gradient rows
+/// [`GaussianAdam::step_detached`] is shipped.
 pub type ParamRow = [f32; PARAMS_PER_GAUSSIAN];
 
 /// `+0.0` in every slot: fresh moments, and the gradient a row that
@@ -273,15 +272,14 @@ struct DetachedKernel<'a> {
 }
 
 /// One shard of a detached step: a run of the group's indices together with
-/// the slices of everything addressed by them.  `out` is keyed by position
-/// in `indices`; `grads` is the sorted sparse list of the shard's rows that
-/// received gradient; `m`/`v`/`steps` are keyed by row and start at row
-/// `base`.
+/// the rows they address.  `grads` is the sorted sparse list of the shard's
+/// rows that received gradient; `back`, `m`, `v` and `steps` hold the rows
+/// from `base` up to the next shard's.
 struct DetachedShard<'a> {
     base: usize,
     indices: &'a [u32],
     grads: &'a [(u32, ParamRow)],
-    out: &'a mut [ParamRow],
+    back: ModelRowsMut<'a>,
     m: &'a mut [ParamRow],
     v: &'a mut [ParamRow],
     steps: &'a mut [u64],
@@ -294,7 +292,7 @@ impl<'a> DetachedShard<'a> {
         let cut = self.indices.partition_point(|&i| (i as usize) < row);
         let rows = row - self.base;
         let (indices, indices_tail) = self.indices.split_at(cut);
-        let (out, out_tail) = self.out.split_at_mut(cut);
+        let (back, back_tail) = self.back.split_at_row(row);
         let (m, m_tail) = self.m.split_at_mut(rows);
         let (v, v_tail) = self.v.split_at_mut(rows);
         let (steps, steps_tail) = self.steps.split_at_mut(rows);
@@ -305,7 +303,7 @@ impl<'a> DetachedShard<'a> {
                 base: self.base,
                 indices,
                 grads,
-                out,
+                back,
                 m,
                 v,
                 steps,
@@ -314,7 +312,7 @@ impl<'a> DetachedShard<'a> {
                 base: row,
                 indices: indices_tail,
                 grads: grads_tail,
-                out: out_tail,
+                back: back_tail,
                 m: m_tail,
                 v: v_tail,
                 steps: steps_tail,
@@ -325,15 +323,16 @@ impl<'a> DetachedShard<'a> {
 
 impl DetachedKernel<'_> {
     /// The in-place driver's loop (`GaussianAdam::step_indices`) with the
-    /// model read-only: each parameter row is read into its `out` slot and
-    /// updated there; the moments and the step counter are updated in place
-    /// when committing, and copies of them otherwise.
+    /// model read-only: each parameter row is read from the model, updated
+    /// and written to the same row of the back model; the moments and the
+    /// step counter are updated in place when committing, and copies of
+    /// them otherwise.
     fn run(&self, shard: DetachedShard<'_>) {
         let DetachedShard {
             base,
             indices,
             grads,
-            out,
+            mut back,
             m,
             v,
             steps,
@@ -341,13 +340,14 @@ impl DetachedKernel<'_> {
         let config = self.config;
         let mut received = grads.iter().peekable();
         let (mut run, mut bias) = (0, config.bias_corrections(0));
-        for (&idx, p) in indices.iter().zip(out) {
+        let mut p = ZERO_ROW;
+        for &idx in indices {
             let r = idx as usize - base;
             let step = steps[r] + 1;
             if step != run {
                 (run, bias) = (step, config.bias_corrections(step));
             }
-            self.model.read_param_row_into(idx as usize, p);
+            self.model.read_param_row_into(idx as usize, &mut p);
             let g = received
                 .next_if(|&&(row, _)| row == idx)
                 .map_or(&ZERO_ROW, |(_, row)| row);
@@ -366,11 +366,12 @@ impl DetachedKernel<'_> {
                 config.eps,
                 bias.0,
                 bias.1,
-                p,
+                &mut p,
                 g,
                 m,
                 v,
             );
+            back.set_param_row(idx as usize, &p);
         }
         assert!(
             received.next().is_none(),
@@ -540,27 +541,30 @@ impl GaussianAdam {
     /// group's Gaussians that received gradient; a Gaussian without an
     /// entry steps with the all-zero gradient (the batch's untouched `F_0`
     /// group ships an empty list).  The moments and counters are updated
-    /// **in place**, and the new parameter row is written to `out[j]`
-    /// instead of the model.  The caller applies `out` to the model once nothing reads
-    /// the old values any more; until then repeated calls for *disjoint*
-    /// groups are independent.  Same row order, same [`adam_update_row`]
-    /// call, same inputs as the in-place step, so `out` and the optimiser
-    /// state are bit-identical to what `step_subset` would have left in a
-    /// mutable model.
+    /// **in place**, and the new parameter row is written to the same row
+    /// of `back`, a second model of the same length; no other row of `back`
+    /// is touched.  The caller swaps `back` in once nothing reads the old
+    /// values any more; until then repeated calls for *disjoint* groups are
+    /// independent.  Same row order, same [`adam_update_row`] call, same
+    /// inputs as the in-place step, so `back`'s rows and the optimiser state
+    /// are bit-identical to what `step_subset` would have left in a mutable
+    /// model.
     ///
     /// `threads > 1` splits the group across one scoped parallel region
     /// (`gs_render::parallel_for_each`): the index list is cut into equal
-    /// runs and the moment rows behind each run's last index, so each shard
-    /// owns its rows (`split_at_mut`, no sharing) — pure scheduling, every
-    /// row sees the same kernel.
+    /// runs, and the back-model and moment rows behind each run's last
+    /// index, so each shard owns its rows (`split_at_mut`, no sharing) —
+    /// pure scheduling, every row sees the same kernel.
     ///
-    /// `commit = false` runs the same math and fills `out` but leaves the
-    /// moments and step counters as they were: the retry of a failed attempt
-    /// under fault injection.  Like every step, the call first grows the
-    /// state to the model's length with fresh zero rows.
+    /// `commit = false` runs the same math and writes the same rows to
+    /// `back` but leaves the moments and step counters as they were: the
+    /// retry of a failed attempt under fault injection, whose rows the
+    /// committed attempt then overwrites with the same values.  Like every
+    /// step, the call first grows the state to the model's length with
+    /// fresh zero rows.
     ///
     /// # Panics
-    /// Panics if `out` and `indices` differ in length, `indices` is not
+    /// Panics if `back` and `model` differ in length, `indices` is not
     /// strictly increasing and within the model, or `grads` is not a
     /// strictly increasing subset of `indices`.
     pub fn step_detached(
@@ -568,11 +572,15 @@ impl GaussianAdam {
         model: &GaussianModel,
         indices: &[u32],
         grads: &[(u32, ParamRow)],
-        out: &mut [ParamRow],
+        back: &mut GaussianModel,
         threads: usize,
         commit: bool,
     ) {
-        assert_eq!(out.len(), indices.len(), "one output row per index");
+        assert_eq!(
+            back.len(),
+            model.len(),
+            "the back model has the model's rows"
+        );
         assert!(
             indices.windows(2).all(|w| w[0] < w[1]),
             "detached step needs strictly increasing indices"
@@ -595,7 +603,7 @@ impl GaussianAdam {
             base: 0,
             indices,
             grads,
-            out,
+            back: back.rows_mut(),
             m: &mut self.m,
             v: &mut self.v,
             steps: &mut self.steps,

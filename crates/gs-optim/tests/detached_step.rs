@@ -11,8 +11,10 @@
 //! row's accumulator row whether it received gradient or not, for every
 //! group shape and receipt mask the lane meets.  That dense-staged
 //! reference is the packed trio (`pack_subset` copies each listed row's
-//! gradient unconditionally).  Raw `f32` bits are compared, so a
-//! `-0.0`/`+0.0` or NaN discrepancy cannot hide behind `==`.
+//! gradient unconditionally).  The detached step writes into a poisoned
+//! back model, which must end with the reference's rows at the group's
+//! indices and its poison everywhere else.  Raw `f32` bits are compared, so
+//! a `-0.0`/`+0.0` or NaN discrepancy cannot hide behind `==`.
 
 use gs_core::camera::{Camera, CameraIntrinsics};
 use gs_core::gaussian::{Gaussian, GaussianModel};
@@ -120,10 +122,41 @@ fn assert_same_params(a: &GaussianModel, b: &GaussianModel, label: &str) {
     }
 }
 
+/// What every float of a [`poisoned`] back model holds: a NaN no step
+/// produces, so a row the detached step did not write is recognisable.
+const POISON: f32 = f32::from_bits(0x7fc0_0bad);
+
+/// A back model of `n` rows, every float [`POISON`].
+fn poisoned(n: usize) -> GaussianModel {
+    let mut back = model_of(n);
+    for i in 0..n {
+        back.set_param_row(i, &[POISON; PARAMS_PER_GAUSSIAN]);
+    }
+    back
+}
+
+/// Asserts `back` holds `expected`'s rows at `indices` and is still
+/// [`poisoned`] everywhere else, bit for bit.
+fn assert_back_rows(back: &GaussianModel, expected: &GaussianModel, indices: &[u32], label: &str) {
+    assert_eq!(back.len(), expected.len(), "{label}: back model length");
+    for i in 0..back.len() {
+        let want = match indices.binary_search(&(i as u32)) {
+            Ok(_) => expected.param_row(i),
+            Err(_) => [POISON; PARAMS_PER_GAUSSIAN],
+        };
+        assert_eq!(
+            bits(&back.param_row(i)),
+            bits(&want),
+            "{label}: back row {i}"
+        );
+    }
+}
+
 /// Steps `indices` three ways from clones of the same state — the
 /// dense-staged packed reference, the in-place `step_subset` and the
-/// detached step (shipping only the received rows, writing the returned
-/// rows back) — and checks model and optimiser agree bit for bit.
+/// detached step (shipping only the received rows, writing into a back
+/// model) — and checks parameters and optimiser agree bit for bit, and that
+/// the detached step wrote the back model's rows at `indices` and no other.
 fn check_against_dense_staged(
     model: &GaussianModel,
     opt: &GaussianAdam,
@@ -142,15 +175,12 @@ fn check_against_dense_staged(
     assert_same_params(&model_sub, &model_ref, &format!("{label}: in place"));
     assert_same_state(&opt_sub, &opt_ref, &format!("{label}: in place"));
 
-    let (mut model_det, mut opt_det) = (model.clone(), opt.clone());
+    let (model_det, mut opt_det) = (model.clone(), opt.clone());
     let grad_rows = received_rows(grads, indices);
-    let mut out: Vec<ParamRow> = vec![[f32::NAN; PARAMS_PER_GAUSSIAN]; indices.len()];
-    opt_det.step_detached(&model_det, indices, &grad_rows, &mut out, threads, true);
+    let mut back = poisoned(model.len());
+    opt_det.step_detached(&model_det, indices, &grad_rows, &mut back, threads, true);
     assert_eq!(model_det, *model, "{label}: the shared model is read-only");
-    for (&idx, row) in indices.iter().zip(&out) {
-        model_det.set_param_row(idx as usize, row);
-    }
-    assert_same_params(&model_det, &model_ref, &format!("{label}: detached"));
+    assert_back_rows(&back, &model_ref, indices, &format!("{label}: detached"));
     assert_same_state(&opt_det, &opt_ref, &format!("{label}: detached"));
 }
 
@@ -242,21 +272,25 @@ fn commit_suppressed_retry_leaves_the_state_untouched() {
     let grad_rows = received_rows(&grads, &indices);
 
     let mut retried = opt.clone();
-    let mut attempt: Vec<ParamRow> = vec![[0.0; PARAMS_PER_GAUSSIAN]; indices.len()];
+    let mut back = poisoned(model.len());
     for threads in [1usize, 2] {
-        retried.step_detached(&model, &indices, &grad_rows, &mut attempt, threads, false);
+        retried.step_detached(&model, &indices, &grad_rows, &mut back, threads, false);
         assert_same_state(&retried, &opt, "after a suppressed attempt");
     }
-    // The attempt ran the real math: the committed run returns the same rows.
-    let mut committed: Vec<ParamRow> = vec![[0.0; PARAMS_PER_GAUSSIAN]; indices.len()];
-    retried.step_detached(&model, &indices, &grad_rows, &mut committed, 1, true);
-    for (a, c) in attempt.iter().zip(&committed) {
-        assert_eq!(bits(a), bits(c));
-    }
-    // …and the retried optimiser ends where one that never failed does.
+    // The attempt ran the real math: its rows are the committed step's…
+    let mut stepped = model.clone();
     let mut clean = opt.clone();
-    clean.step_subset(&mut model.clone(), &grads, &indices);
-    assert_same_state(&retried, &clean, "retry then commit");
+    clean.step_subset(&mut stepped, &grads, &indices);
+    assert_back_rows(&back, &stepped, &indices, "suppressed attempts");
+    // …and committing on top leaves the back rows and moments a committed
+    // step alone leaves.
+    retried.step_detached(&model, &indices, &grad_rows, &mut back, 1, true);
+    let mut alone = opt.clone();
+    let mut alone_back = poisoned(model.len());
+    alone.step_detached(&model, &indices, &grad_rows, &mut alone_back, 1, true);
+    assert_back_rows(&back, &alone_back, &indices, "retry then commit");
+    assert_same_state(&retried, &alone, "retry then commit");
+    assert_same_state(&retried, &clean, "retry then commit vs in place");
 }
 
 #[test]
@@ -274,7 +308,7 @@ fn shards_cut_at_any_row_match_the_in_place_step() {
         (0..29).filter(|i| i % 5 != 1).collect(),
     ];
     for (g, indices) in groups.iter().enumerate() {
-        for threads in 1usize..=5 {
+        for threads in [1usize, 2, 3, 4, 5, 8] {
             let label = format!("group {g}, threads {threads}");
             check_against_dense_staged(&model, &opt, &grads, indices, threads, &label);
         }
@@ -310,8 +344,7 @@ fn fan_out_is_pure_scheduling() {
 fn unsorted_indices_are_rejected() {
     let model = model_of(8);
     let mut opt = GaussianAdam::new(8, AdamConfig::default());
-    let mut out = vec![[0.0f32; PARAMS_PER_GAUSSIAN]; 2];
-    opt.step_detached(&model, &[4, 2], &[], &mut out, 1, true);
+    opt.step_detached(&model, &[4, 2], &[], &mut model.clone(), 1, true);
 }
 
 #[test]
@@ -319,9 +352,16 @@ fn unsorted_indices_are_rejected() {
 fn gradient_rows_outside_the_group_are_rejected() {
     let model = model_of(8);
     let mut opt = GaussianAdam::new(8, AdamConfig::default());
-    let mut out = vec![[0.0f32; PARAMS_PER_GAUSSIAN]; 2];
     let stray = [(3u32, [0.0f32; PARAMS_PER_GAUSSIAN])];
-    opt.step_detached(&model, &[2, 4], &stray, &mut out, 1, true);
+    opt.step_detached(&model, &[2, 4], &stray, &mut model.clone(), 1, true);
+}
+
+#[test]
+#[should_panic(expected = "the back model has the model's rows")]
+fn a_back_model_of_another_length_is_rejected() {
+    let model = model_of(8);
+    let mut opt = GaussianAdam::new(8, AdamConfig::default());
+    opt.step_detached(&model, &[2, 4], &[], &mut model_of(7), 1, true);
 }
 
 proptest! {
@@ -350,19 +390,17 @@ proptest! {
         if commit == 1 {
             check_against_dense_staged(&model, &opt, &grads, &indices, threads, &label);
         } else {
-            // A suppressed attempt returns the committed rows and leaves
-            // the state alone.
+            // A suppressed attempt writes the committed rows and leaves the
+            // state alone.
             let mut reference = opt.clone();
             let mut stepped = model.clone();
             reference.step_subset(&mut stepped, &grads, &indices);
             let mut attempt = opt.clone();
-            let mut out: Vec<ParamRow> = vec![[f32::NAN; PARAMS_PER_GAUSSIAN]; indices.len()];
+            let mut back = poisoned(n);
             let rows = received_rows(&grads, &indices);
-            attempt.step_detached(&model, &indices, &rows, &mut out, threads, false);
+            attempt.step_detached(&model, &indices, &rows, &mut back, threads, false);
             assert_same_state(&attempt, &opt, &label);
-            for (&idx, row) in indices.iter().zip(&out) {
-                prop_assert_eq!(bits(row), bits(&stepped.param_row(idx as usize)), "{}", label);
-            }
+            assert_back_rows(&back, &stepped, &indices, &label);
         }
     }
 }

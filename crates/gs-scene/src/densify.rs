@@ -100,10 +100,11 @@ impl ResizeAction {
 /// boundary: [`plan_resize`] computes it **without touching the model**, so
 /// every execution backend (synchronous, pipelined, threaded, sharded) can
 /// drain its in-flight lanes, apply the identical row edits via
-/// [`apply_resize`], and resize its aligned per-row state (optimiser
-/// moments, offloaded attribute rows, gradient-norm accumulators) through
-/// [`remap_rows`](Self::remap_rows) — keeping the training trajectory
-/// bit-identical across backends.
+/// [`apply_resize`], and resize its aligned per-row state (the optimiser
+/// moments) by the same rule — pruned rows removed order-preserving, one
+/// row appended per action; stores that reset at a boundary, like the
+/// gradient-norm accumulator, re-zero instead — keeping the training
+/// trajectory bit-identical across backends.
 ///
 /// Ordering is canonical by construction: `pruned` is ascending, actions are
 /// emitted in ascending source order, and each action appends exactly one
@@ -171,36 +172,6 @@ impl ResizeEvent {
             pruned: self.pruned.len(),
         }
     }
-
-    /// Remaps a per-row state vector aligned with the **pre-resize** model:
-    /// pruned rows are removed order-preserving, and one `default` row is
-    /// appended per densification action — the renumbering an aligned store
-    /// must follow when it keeps survivor values across a resize.  (The
-    /// optimiser applies the same rule internally via
-    /// [`remove_rows_in_place`]; stores that *reset* at a boundary, like
-    /// the trainer's gradient-norm accumulator, just re-zero instead.)
-    ///
-    /// # Panics
-    /// Panics if `rows` does not match the planned `old_len`.
-    pub fn remap_rows<T: Clone>(&self, rows: &mut Vec<T>, default: T) {
-        assert_eq!(rows.len(), self.old_len, "rows not aligned with the plan");
-        remove_rows_in_place(rows, &self.pruned);
-        rows.resize(self.new_len(), default);
-    }
-}
-
-/// Removes the rows at the given sorted indices from `rows` in place,
-/// preserving the relative order of the survivors.
-pub fn remove_rows_in_place<T>(rows: &mut Vec<T>, pruned: &[u32]) {
-    if pruned.is_empty() {
-        return;
-    }
-    let mut remove = vec![false; rows.len()];
-    for &i in pruned {
-        remove[i as usize] = true;
-    }
-    let mut flags = remove.iter();
-    rows.retain(|_| !*flags.next().unwrap());
 }
 
 /// Plans one densify-and-prune pass over `model` without mutating it.
@@ -498,22 +469,6 @@ mod tests {
         );
         assert_eq!(report.net_growth(), event.net_growth());
         assert_eq!(event.new_len(), model.len());
-    }
-
-    #[test]
-    fn remap_rows_follows_the_model_renumbering() {
-        let (model, norms) = mixed_model();
-        let config = DensifyConfig::default();
-        let event = plan_resize(&model, &norms, &config);
-        // State vector tagged with each row's pre-resize index.
-        let mut state: Vec<i64> = (0..model.len() as i64).collect();
-        event.remap_rows(&mut state, -1);
-        assert_eq!(state.len(), event.new_len());
-        let survivors: Vec<i64> = (0..model.len() as i64)
-            .filter(|i| !event.pruned.contains(&(*i as u32)))
-            .collect();
-        assert_eq!(&state[..survivors.len()], &survivors[..]);
-        assert!(state[survivors.len()..].iter().all(|&s| s == -1));
     }
 
     #[test]

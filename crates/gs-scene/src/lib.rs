@@ -31,8 +31,8 @@ pub mod partition;
 pub mod spec;
 
 pub use densify::{
-    apply_resize, densify_and_prune, plan_resize, remove_rows_in_place, DensifyConfig,
-    DensifyReport, ResizeAction, ResizeEvent,
+    apply_resize, densify_and_prune, plan_resize, DensifyConfig, DensifyReport, ResizeAction,
+    ResizeEvent,
 };
 pub use generate::{generate_dataset, Dataset, DatasetConfig};
 pub use init::{init_from_point_cloud, init_random, InitConfig};

@@ -163,8 +163,8 @@ pub enum OpKind {
     /// schedule.
     AllReduce,
     /// Mid-training model resize at a densification boundary: host-side row
-    /// compaction/append of the offloaded store, optimiser state and pinned
-    /// staging buffers while every lane is drained.
+    /// compaction/append of the model (SH store included), optimiser state
+    /// and pinned staging buffers while every lane is drained.
     Resize,
     /// Adam update executed on the CPU thread.
     CpuAdamUpdate,

@@ -3,7 +3,7 @@
 //! must agree with what the renderer actually touches.
 
 use clm_repro::clm_core::{
-    microbatch_stats_from_sets, CachePlan, FinalizationPlan, OffloadedModel,
+    gather_rows_into, microbatch_stats_from_sets, CachePlan, FinalizationPlan, NON_CRITICAL_BYTES,
 };
 use clm_repro::gs_core::{cull_frustum, VisibilitySet};
 use clm_repro::gs_render::{l1_loss, render, render_backward, Image, RenderOptions};
@@ -69,7 +69,7 @@ fn rendering_from_the_culled_set_matches_full_rendering() {
 fn offloaded_store_serves_exactly_the_working_set() {
     let ds = dataset();
     let model = &ds.ground_truth;
-    let mut store = OffloadedModel::from_model(model);
+    let (mut rows, mut gathered) = (Vec::new(), 0u64);
     let sets: Vec<VisibilitySet> = ds
         .cameras
         .iter()
@@ -81,15 +81,18 @@ fn offloaded_store_serves_exactly_the_working_set() {
     for set in &sets {
         let plan = CachePlan::new(&prev, set);
         assert!(plan.is_consistent_with(&prev, set));
-        // Gather only what the plan says must come over PCIe and verify the
-        // rows match the dense model exactly.
-        let rows = store.gather_non_critical(plan.fetched.indices());
+        // Gather only what the plan says must come over PCIe from the
+        // pinned store — the model's SH column — and verify the rows match
+        // the dense model exactly.
+        gather_rows_into(model.sh_rows(), plan.fetched.indices(), &mut rows);
+        assert_eq!(rows.len(), plan.fetched.len());
         for (row, &idx) in rows.iter().zip(plan.fetched.indices()) {
-            assert_eq!(*row, model.non_critical_row(idx as usize));
+            assert_eq!(&row[..], model.sh_of(idx as usize));
         }
+        gathered += (rows.len() * NON_CRITICAL_BYTES) as u64;
         prev = set.clone();
     }
-    // Traffic counters reflect exactly the fetched Gaussians.
+    // The gathered bytes are exactly the plans' fetch bytes.
     let plans: Vec<CachePlan> = {
         let mut prev = VisibilitySet::new();
         let mut out = Vec::new();
@@ -100,7 +103,7 @@ fn offloaded_store_serves_exactly_the_working_set() {
         out
     };
     let expected: u64 = plans.iter().map(|p| p.fetch_bytes()).sum();
-    assert_eq!(store.bytes_gathered(), expected);
+    assert_eq!(gathered, expected);
 }
 
 #[test]
