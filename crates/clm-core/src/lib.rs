@@ -61,13 +61,15 @@ pub use offload::{
 };
 pub use order::{order_batch, ordered_fetch_bytes, OrderingStrategy};
 pub use perf::{
-    check_memory_fit, gpu_memory_required, max_trainable_gaussians, microbatch_stats_from_sets,
-    pinned_memory_required, simulate_batch, synthetic_microbatch_stats, BatchSimulation,
-    MemoryEstimate, MicrobatchStats, OutOfMemory, SceneProfile, SystemKind,
+    check_memory_fit, emit_system, gpu_memory_required, max_trainable_gaussians,
+    microbatch_stats_from_sets, pinned_memory_required, simulate_batch, synthetic_microbatch_stats,
+    BatchSimulation, MemoryEstimate, MicrobatchStats, OutOfMemory, SceneProfile, SystemKind,
+    WholeModelCosts,
 };
 pub use schedule::FinalizationPlan;
 pub use train::{
-    ground_truth_images, BatchPlan, BatchReport, DensifySchedule, TrainConfig, Trainer, TrainerView,
+    ground_truth_images, BatchPlan, BatchReport, DensifySchedule, SerialRun, StagingBuffer,
+    StagingSource, TrainConfig, Trainer, TrainerView,
 };
 // The resize-event vocabulary the trainers speak at densification
 // boundaries (planned in `gs_scene`, emitted through `BatchPlan::resize`).

@@ -51,7 +51,7 @@ use gs_core::{
 };
 use gs_scene::Dataset;
 use sim_device::pipeline::{self, AdamGroup, ClmShape, CostSource, OpCost};
-use sim_device::{DeviceProfile, Lane, OpKind, Timeline};
+use sim_device::{DeviceProfile, Lane, OpId, OpKind, Timeline};
 
 /// The four systems compared throughout the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -421,6 +421,46 @@ pub struct BatchSimulation {
     pub scheduling_time: f64,
 }
 
+/// The whole-model ops the comparison systems' schedules end in, which no
+/// [`CostSource`] hook prices.  An executor that measures instead of
+/// pricing passes the default (all zero).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct WholeModelCosts {
+    /// Naive offloading's upload of every parameter; its store of every
+    /// gradient moves the same bytes (Figure 3).
+    pub transfer: OpCost,
+    /// Naive offloading's dense CPU Adam step over the whole model.
+    pub cpu_adam: OpCost,
+    /// The GPU-only baselines' fused GPU Adam step over the whole model.
+    pub gpu_adam: OpCost,
+}
+
+/// Emits `system`'s op graph for one batch after the ops in `after` — the
+/// one place an emitter is picked, for every executor: the synchronous
+/// trainer, the simulated engine, the threaded backend and
+/// [`simulate_batch`].  Only CLM reads more of `shape` than its micro-batch
+/// count; the other systems end in the whole-model ops `whole` prices.
+pub fn emit_system(
+    timeline: &mut Timeline,
+    after: &[OpId],
+    system: SystemKind,
+    shape: &ClmShape,
+    whole: &WholeModelCosts,
+    costs: &mut impl CostSource,
+) {
+    let microbatches = shape.microbatches;
+    match system {
+        SystemKind::Clm => pipeline::emit_clm(timeline, after, shape, costs),
+        SystemKind::NaiveOffload => {
+            let (transfer, adam) = (whole.transfer, whole.cpu_adam);
+            pipeline::emit_naive(timeline, after, microbatches, transfer, adam, costs);
+        }
+        SystemKind::Baseline | SystemKind::EnhancedBaseline => {
+            pipeline::emit_gpu_only(timeline, after, microbatches, whole.gpu_adam, costs);
+        }
+    }
+}
+
 /// The prefetch window the analytic CLM schedule runs at: double buffering
 /// (§5.3, Figure 6) — the load for micro-batch `i + 1` overlaps the compute
 /// of micro-batch `i` but does not run further ahead.  A constant of the
@@ -534,40 +574,30 @@ pub fn simulate_batch(
         n_gaussians,
     };
     let all_params = n_gaussians * PARAMS_PER_GAUSSIAN as u64;
-
-    match system {
-        SystemKind::Baseline | SystemKind::EnhancedBaseline => {
-            // Fused GPU Adam over the whole model at the end of the batch.
-            let adam = OpCost::compute(device.gpu_adam_time(all_params), n_gaussians);
-            pipeline::emit_gpu_only(&mut timeline, &[], stats.len(), adam, &mut costs);
-        }
-        SystemKind::NaiveOffload => {
-            // Figure 3: load ALL parameters, train the batch (one image at a
-            // time with gradient accumulation), store ALL gradients, then
-            // run CPU Adam over everything — strictly sequentially.
-            let transfer = device.transfer(all_params * 4, n_gaussians);
-            let adam = costs.cpu_adam(n_gaussians);
-            pipeline::emit_naive(&mut timeline, &[], stats.len(), transfer, adam, &mut costs);
-        }
-        SystemKind::Clm => {
-            // Frustum culling (on the GPU, over selection-critical
-            // attributes) plus TSP ordering (on the CPU) before the batch.
-            let cull = timeline.push(
-                OpKind::Scheduling,
-                Lane::GpuCompute,
-                device.forward_time(n_gaussians, 0) * 0.05,
-                &[],
-            );
-            let tsp = timeline.push(OpKind::Scheduling, Lane::CpuScheduler, 1.0e-3, &[cull]);
-            let shape = ClmShape {
-                microbatches: stats.len(),
-                window: ANALYTIC_PREFETCH_WINDOW,
-                devices: 1,
-                overlapped: true,
-            };
-            pipeline::emit_clm(&mut timeline, &[tsp], &shape, &mut costs);
-        }
+    // Frustum culling (on the GPU, over selection-critical attributes) plus
+    // TSP ordering (on the CPU) before a CLM batch.
+    let mut after = Vec::new();
+    if system == SystemKind::Clm {
+        let cull = timeline.push(
+            OpKind::Scheduling,
+            Lane::GpuCompute,
+            device.forward_time(n_gaussians, 0) * 0.05,
+            &[],
+        );
+        after.push(timeline.push(OpKind::Scheduling, Lane::CpuScheduler, 1.0e-3, &[cull]));
     }
+    let shape = ClmShape {
+        microbatches: stats.len(),
+        window: ANALYTIC_PREFETCH_WINDOW,
+        devices: 1,
+        overlapped: true,
+    };
+    let whole = WholeModelCosts {
+        transfer: device.transfer(all_params * 4, n_gaussians),
+        cpu_adam: costs.cpu_adam(n_gaussians),
+        gpu_adam: OpCost::compute(device.gpu_adam_time(all_params), n_gaussians),
+    };
+    emit_system(&mut timeline, &after, system, &shape, &whole, &mut costs);
 
     let makespan = timeline.makespan();
     let last_store_end = timeline

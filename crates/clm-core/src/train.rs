@@ -12,7 +12,7 @@
 
 use crate::offload::{gather_rows_into, OffloadAccounting, GRADIENT_BYTES, NON_CRITICAL_BYTES};
 use crate::order::{order_batch, OrderingStrategy};
-use crate::perf::SystemKind;
+use crate::perf::{emit_system, SystemKind, WholeModelCosts};
 use crate::schedule::FinalizationPlan;
 use gs_core::camera::Camera;
 use gs_core::gaussian::{GaussianModel, NON_CRITICAL_FLOATS};
@@ -20,11 +20,12 @@ use gs_core::visibility::VisibilitySet;
 use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_optim::{AdamConfig, GaussianAdam, GradientBuffer};
 use gs_render::{
-    l1_loss, parallel::parallel_map, psnr, render, shade, shade_backward, Coverage, Image,
-    RenderGradients, RenderOptions, DEFAULT_BAND_HEIGHT,
+    l1_loss, psnr, render, shade, shade_backward, Coverage, Image, RenderGradients, RenderOptions,
+    DEFAULT_BAND_HEIGHT,
 };
 use gs_scene::{Dataset, DensifyConfig, DensifyReport, ResizeEvent};
-use sim_device::{Lane, OpKind, Timeline};
+use sim_device::pipeline::{AdamGroup, ClmShape, CostSource, OpCost};
+use sim_device::{Lane, LaneSpans, OpKind, Timeline};
 use std::time::Instant;
 
 /// When and how a training run densifies its model.
@@ -74,19 +75,18 @@ pub struct TrainConfig {
     /// runs compared bit-for-bit must use the same value on every backend.
     /// Autotuners derive it purely from host properties, never per run.
     pub band_height: u32,
-    /// Second parallelism level: render the batch's views concurrently
-    /// (each view serial inside) instead of band-parallel within one view.
-    /// Views are independent until gradient accumulation, which
-    /// [`Trainer::train_batch`] replays in the exact serial order, so this
-    /// is bit-identical too.  Only takes effect when `compute_threads > 1`.
+    /// Placeholder, never read by the trainer: the frozen benchmark harness
+    /// spells `view_parallel` in exhaustive config literals.  Leaves with
+    /// ROADMAP item 5(a).
     pub view_parallel: bool,
     /// Data-parallel device count the batch's micro-batches are sharded
     /// across (1 = single device).  Micro-batch `i` runs on device `i mod
-    /// num_devices`; the batch is processed in rounds of one micro-batch per
-    /// device, with losses, gradient accumulations and finalised Adam steps
-    /// replayed in the serial micro-batch order — the fixed-order reduction
-    /// that keeps the trajectory bit-identical to the 1-device trainer for
-    /// every shard count.  Pure scheduling, like `compute_threads`.
+    /// num_devices`, each device with its own prefetch window (so up to one
+    /// staged micro-batch per device); losses, gradient accumulations and
+    /// finalised Adam steps run in the serial micro-batch order — the
+    /// fixed-order reduction that keeps the trajectory bit-identical to the
+    /// 1-device trainer for every shard count.  Pure scheduling, like
+    /// `compute_threads`.
     pub num_devices: usize,
     /// Mid-training densification cadence (`None` = fixed-size model, the
     /// previous behaviour).  Resizes happen at batch boundaries, planned
@@ -168,11 +168,10 @@ pub struct BatchReport {
 /// reached Gaussians only.
 ///
 /// The plan is what lets the synchronous [`Trainer`] and the pipelined
-/// runtime (`clm-runtime`) share one numeric execution path: both drive the
-/// same [`Trainer::stage_microbatch`] / [`Trainer::process_microbatch`] /
-/// [`Trainer::apply_finalized`] sequence over the same plan, so their
-/// training trajectories are identical by construction — the runtime merely
-/// interleaves the calls with discrete-event bookkeeping.
+/// runtime (`clm-runtime`) share one numeric execution path: both run a
+/// [`SerialRun`] over the same plan through the one emitter
+/// ([`emit_system`]), so their training trajectories are identical by
+/// construction — the runtime merely prices the ops it walks.
 #[derive(Debug, Clone)]
 pub struct BatchPlan {
     /// Processing order: `order[i]` is the view index of micro-batch `i`.
@@ -239,6 +238,15 @@ impl BatchPlan {
     pub fn store_bytes(&self, i: usize) -> u64 {
         (self.stored[i].len() * GRADIENT_BYTES) as u64
     }
+
+    /// The Gaussians Adam group `group` updates; `None` is the whole model.
+    pub fn adam_group(&self, group: AdamGroup) -> Option<&VisibilitySet> {
+        match group {
+            AdamGroup::Untouched => Some(&self.untouched),
+            AdamGroup::FinalizedBy(i) => Some(self.finalization.finalized_by(i)),
+            AdamGroup::Dense => None,
+        }
+    }
 }
 
 /// Everything of a [`Trainer`] a batch's render and gather lanes read —
@@ -275,9 +283,9 @@ impl<'a> TrainerView<'a> {
             // The staged host rows must match the parameters the renderer
             // reads: a Gaussian is only updated after its last access, so
             // even rows prefetched several micro-batches ago stay current.
-            // (A real check where staging runs ahead of `apply_finalized`,
-            // as on the simulated engine; the serial loop stages each
-            // micro-batch from the model right before rendering it.)
+            // (A live check wherever staging runs ahead of
+            // `apply_finalized`: at a prefetch window above 0 and at more
+            // than one device.)
             assert_eq!(
                 staging.len(),
                 plan.fetched[micro_idx].len(),
@@ -325,31 +333,6 @@ pub struct Trainer {
     /// the offload's traffic counters ([`offloaded`](Self::offloaded)).
     bytes_gathered: u64,
     bytes_scattered: u64,
-}
-
-/// Optional measured-span capture for the serial reference loop.  The
-/// loop's phases run back to back, so each recorded span lasts from the end
-/// of the previous one (the batch start for the first) to now, in
-/// batch-relative seconds; without a timeline no clock is read.
-struct SpanRecorder<'a> {
-    sink: Option<(Instant, &'a mut Timeline)>,
-    mark: f64,
-}
-
-impl<'a> SpanRecorder<'a> {
-    fn new(sink: Option<&'a mut Timeline>) -> Self {
-        let sink = sink.map(|timeline| (Instant::now(), timeline));
-        SpanRecorder { sink, mark: 0.0 }
-    }
-
-    /// Records the phase that just ended.
-    fn lap(&mut self, kind: OpKind, lane: Lane, bytes: u64, rows: u64, microbatch: Option<u32>) {
-        if let Some((t0, timeline)) = &mut self.sink {
-            let now = t0.elapsed().as_secs_f64();
-            timeline.push_span(kind, lane, self.mark, now, bytes, rows, microbatch);
-            self.mark = now;
-        }
-    }
 }
 
 impl Trainer {
@@ -558,26 +541,12 @@ impl Trainer {
     /// # Panics
     /// Panics if `cameras` is empty.
     pub fn resize_and_plan(&mut self, cameras: &[Camera]) -> BatchPlan {
-        self.resize_and_plan_spanned(cameras, &mut SpanRecorder::new(None))
-    }
-
-    /// [`resize_and_plan`](Self::resize_and_plan), with the resize and the
-    /// planning each recorded as a scheduler-lane span.
-    fn resize_and_plan_spanned(
-        &mut self,
-        cameras: &[Camera],
-        spans: &mut SpanRecorder<'_>,
-    ) -> BatchPlan {
         let resize = self.pending_resize();
         if let Some(event) = &resize {
             self.apply_resize(event);
-            let rows = event.rows_changed() as u64;
-            spans.lap(OpKind::Resize, Lane::CpuScheduler, 0, rows, None);
         }
         let mut plan = self.plan_batch(cameras);
         plan.resize = resize;
-        let rows = self.model.len() as u64;
-        spans.lap(OpKind::Scheduling, Lane::CpuScheduler, 0, rows, None);
         plan
     }
 
@@ -616,8 +585,24 @@ impl Trainer {
         let m = ordered_sets.len();
 
         // 3. Every view's coverage, on resident attributes only (geometry
-        //    and opacity): the reached sets R_i ⊆ S_i.
-        let coverage = self.plan_coverage(cameras, &order, &ordered_sets);
+        //    and opacity): the reached sets R_i ⊆ S_i.  The plain baseline
+        //    covers the whole model (fused culling), the others the frustum
+        //    set.
+        let coverage: Vec<Coverage> = order
+            .iter()
+            .zip(&ordered_sets)
+            .map(|(&view, set)| {
+                let culled = self.config.system != SystemKind::Baseline;
+                let visible = culled.then(|| set.indices().to_vec());
+                let options = RenderOptions {
+                    background: self.config.background,
+                    visible,
+                    compute_threads: self.config.compute_threads,
+                    band_height: self.config.resolved_band_height(),
+                };
+                gs_render::coverage(&self.model, &cameras[view], &options)
+            })
+            .collect();
         let reached: Vec<VisibilitySet> = coverage.iter().map(|c| c.reached().clone()).collect();
         // 4. Per-micro-batch fetch/store sets over the reached sets (CLM
         //    only; the other systems either keep everything resident or
@@ -681,39 +666,6 @@ impl Trainer {
         }
     }
 
-    /// Every micro-batch's [`Coverage`] in processing order: the plain
-    /// baseline's over the whole model (fused culling), the others' over
-    /// the frustum set.  View-parallel configurations cover the views
-    /// concurrently, one thread each; pure scheduling either way.
-    fn plan_coverage(
-        &self,
-        cameras: &[Camera],
-        order: &[usize],
-        ordered_sets: &[VisibilitySet],
-    ) -> Vec<Coverage> {
-        let config = &self.config;
-        let cover = |i: usize, compute_threads: usize| {
-            let visible = match config.system {
-                SystemKind::Baseline => None,
-                _ => Some(ordered_sets[i].indices().to_vec()),
-            };
-            let options = RenderOptions {
-                background: config.background,
-                visible,
-                compute_threads,
-                band_height: config.resolved_band_height(),
-            };
-            gs_render::coverage(&self.model, &cameras[order[i]], &options)
-        };
-        if config.view_parallel && config.compute_threads > 1 {
-            parallel_map(config.compute_threads, order.len(), |i| cover(i, 1))
-        } else {
-            (0..order.len())
-                .map(|i| cover(i, config.compute_threads))
-                .collect()
-        }
-    }
-
     /// Bytes of every parameter (or gradient) of the model: what naive
     /// offloading moves each way per batch.
     fn whole_model_bytes(&self) -> u64 {
@@ -767,7 +719,7 @@ impl Trainer {
     /// A pipelined runtime may run this ahead of the micro-batch's compute:
     /// within a batch no Adam update can touch a Gaussian before its last
     /// access, so prefetched rows never go stale
-    /// ([`process_microbatch`](Self::process_microbatch) asserts this).
+    /// ([`render_microbatch`](Self::render_microbatch) asserts this).
     pub fn stage_microbatch(
         &mut self,
         plan: &BatchPlan,
@@ -783,36 +735,19 @@ impl Trainer {
         }
     }
 
-    /// Executes micro-batch `micro_idx`: renders its view, accumulates the
-    /// loss gradient into `grads`, and returns the view's L1 loss.
+    /// Renders micro-batch `micro_idx`'s view (band-parallel on
+    /// `self.config.compute_threads` workers) and returns its L1 loss plus
+    /// the raw render gradients **without** touching the shared gradient
+    /// buffer.  Pure with respect to the trainer, so independent
+    /// micro-batches may run concurrently; the caller must still accumulate
+    /// the returned gradients in the serial micro-batch order to stay
+    /// bit-identical.
     ///
     /// # Panics
-    /// Panics if a staged host row disagrees with the model the renderer
-    /// sees — that would mean a prefetch raced with an optimiser update,
-    /// which the finalisation schedule is supposed to make impossible.
-    pub fn process_microbatch(
-        &self,
-        plan: &BatchPlan,
-        micro_idx: usize,
-        cameras: &[Camera],
-        targets: &[Image],
-        staging: &[[f32; NON_CRITICAL_FLOATS]],
-        grads: &mut GradientBuffer,
-    ) -> f32 {
-        let (loss, render_grads) =
-            self.render_microbatch(plan, micro_idx, cameras, targets, staging);
-        grads.accumulate_render(&render_grads);
-        loss
-    }
-
-    /// The compute half of [`process_microbatch`](Self::process_microbatch):
-    /// renders micro-batch
-    /// `micro_idx`'s view (band-parallel on `self.config.compute_threads`
-    /// workers) and returns its L1 loss plus the raw render gradients
-    /// **without** touching the shared gradient buffer.  Pure with respect
-    /// to the trainer, so independent micro-batches may run concurrently;
-    /// the caller must still accumulate the returned gradients in the
-    /// serial micro-batch order to stay bit-identical.
+    /// Panics (CLM only) if a staged host row disagrees with the model the
+    /// renderer sees — that would mean a prefetch raced with an optimiser
+    /// update, which the finalisation schedule is supposed to make
+    /// impossible.
     pub fn render_microbatch(
         &self,
         plan: &BatchPlan,
@@ -938,36 +873,33 @@ impl Trainer {
 
     /// Trains one batch of posed images.
     ///
-    /// This is the synchronous reference path: plan, then stage → process →
-    /// finalise each micro-batch back-to-back.  The pipelined runtime in
-    /// `clm-runtime` drives exactly the same calls interleaved with
-    /// discrete-event scheduling, which is why the two are numerically
-    /// identical.
-    ///
-    /// With `view_parallel` enabled (and `compute_threads > 1`) the views
-    /// render concurrently instead, and with `num_devices > 1` the batch is
-    /// sharded across data-parallel device rounds — both through the wave
-    /// path (`train_batch_waves`), which is bit-identical to the serial
-    /// path for any wave size.
+    /// This is the synchronous reference path, in three steps:
+    /// [`resize_and_plan`](Self::resize_and_plan), the one emitter
+    /// ([`emit_system`]) walking a [`SerialRun`] through the batch's op graph
+    /// at prefetch window 0 on `num_devices` device lane groups, and
+    /// [`finish_batch`](Self::finish_batch).  At one device the emission
+    /// order is the serial order — `F_0`, then per micro-batch stage →
+    /// render → accumulate → store → finalise; above one device every
+    /// device stages its next micro-batch as soon as its previous one ran,
+    /// ahead of the other devices' compute.
+    /// The simulated engine in `clm-runtime` walks the same `SerialRun` at
+    /// its own window and prices the ops, which is why the two are
+    /// numerically identical.
     ///
     /// # Panics
     /// Panics if `cameras` and `targets` differ in length or are empty.
     pub fn train_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> BatchReport {
-        self.train_batch_recorded(cameras, targets, SpanRecorder::new(None))
+        self.walk_batch(cameras, targets, None)
     }
 
     /// [`train_batch`](Self::train_batch) with measured wall-clock span
-    /// capture: every phase of the **serial** reference path is timed on
-    /// the host clock and pushed onto `timeline` as a measured span
-    /// (batch-relative seconds), so the synchronous trainer can feed the
-    /// same trace pipeline the scheduled backends do.  Span attribution
-    /// mirrors the runtime engines' lanes: resize and planning on the
-    /// scheduler lane, staging gathers and gradient stores on the
-    /// communication lane, the render (forward + backward kernels) as a
-    /// `Forward` span and the gradient accumulation as a `Backward` span on
-    /// the compute lane, and optimiser work on the CPU Adam lane.  Always runs the serial loop —
-    /// wave parallelism is bit-identical numerically, but its phases
-    /// overlap and would not map one-to-one onto spans.
+    /// capture, laid onto `timeline` in batch-relative seconds, so the
+    /// synchronous trainer feeds the same trace pipeline the scheduled
+    /// backends do.  It is the same walk with every hook timed: each span is
+    /// tagged with the op the hook prices — kind, lane, micro-batch, bytes
+    /// and rows.  Resize and planning are one scheduler-lane span; the batch
+    /// close is another, on the CPU Adam lane when it runs the dense
+    /// optimiser step and as host-side `Other` work otherwise.
     ///
     /// # Panics
     /// Panics if `cameras` and `targets` differ in length or are empty.
@@ -977,158 +909,69 @@ impl Trainer {
         targets: &[Image],
         timeline: &mut Timeline,
     ) -> BatchReport {
-        self.train_batch_recorded(cameras, targets, SpanRecorder::new(Some(timeline)))
+        let mut spans = LaneSpans::new(Instant::now());
+        let report = self.walk_batch(cameras, targets, Some(&mut spans));
+        LaneSpans::merge_onto([spans], timeline);
+        report
     }
 
-    /// The one serial reference loop behind [`train_batch`](Self::train_batch)
-    /// and [`train_batch_spanned`](Self::train_batch_spanned).
-    fn train_batch_recorded(
+    /// The one walk behind [`train_batch`](Self::train_batch) and
+    /// [`train_batch_spanned`](Self::train_batch_spanned).
+    fn walk_batch(
         &mut self,
         cameras: &[Camera],
         targets: &[Image],
-        mut spans: SpanRecorder<'_>,
+        mut spans: Option<&mut LaneSpans>,
     ) -> BatchReport {
         assert_eq!(
             cameras.len(),
             targets.len(),
             "need one target image per camera"
         );
-        assert!(!cameras.is_empty(), "batch must contain at least one view");
-
-        // Densification boundary first (if one is due), then plan against
-        // the resized model — the same lifecycle every runtime backend runs.
-        let plan = self.resize_and_plan_spanned(cameras, &mut spans);
-        // One micro-batch per simulated device and round under sharding;
-        // one per band worker under view parallelism.
-        let wave = if self.config.num_devices > 1 {
-            self.config.num_devices
-        } else if self.config.view_parallel && self.config.compute_threads > 1 {
-            self.config.compute_threads
-        } else {
-            1
-        };
-        if spans.sink.is_none() && wave > 1 && plan.order.len() > 1 {
-            return self.train_batch_waves(&plan, cameras, targets, wave);
-        }
-        let mut grads = self.take_gradients();
-        let mut staging = Vec::new();
-        let mut total_loss = 0.0f32;
-        let overlapped = self.overlapped();
-
-        self.begin_batch(&plan, &grads);
-        if overlapped {
-            let rows = plan.untouched.len() as u64;
-            spans.lap(OpKind::CpuAdamUpdate, Lane::CpuAdam, 0, rows, None);
-        }
-        for micro_idx in 0..plan.num_microbatches() {
-            let mb = Some(micro_idx as u32);
-            self.stage_microbatch(&plan, micro_idx, &mut staging);
-            let fetched = plan.fetched[micro_idx].len() as u64;
-            let bytes = plan.fetch_bytes(micro_idx);
-            spans.lap(OpKind::LoadParams, Lane::GpuComm, bytes, fetched, mb);
-            let rows = plan.ordered_sets[micro_idx].len() as u64;
-            let (loss, render_grads) =
-                self.render_microbatch(&plan, micro_idx, cameras, targets, &staging);
-            spans.lap(OpKind::Forward, Lane::GpuCompute, 0, rows, mb);
-            total_loss += loss;
-            grads.accumulate_render(&render_grads);
-            spans.lap(OpKind::Backward, Lane::GpuCompute, 0, rows, mb);
-            // Only CLM retires gradients per micro-batch.
-            if self.config.system == SystemKind::Clm {
-                let (bytes, rows) = (plan.store_bytes(micro_idx), plan.stored[micro_idx].len());
-                spans.lap(OpKind::StoreGrads, Lane::GpuComm, bytes, rows as u64, mb);
-            }
-            self.apply_finalized(&plan, micro_idx, &grads);
-            if overlapped {
-                let rows = plan.finalization.finalized_by(micro_idx).len() as u64;
-                spans.lap(OpKind::CpuAdamUpdate, Lane::CpuAdam, 0, rows, mb);
-            }
-        }
+        let plan = self.resize_and_plan(cameras);
         let rows = self.model.len() as u64;
-        let report = self.finish_batch(&plan, &grads, total_loss);
-        if overlapped {
-            // Batch close is accounting: host-side work.
-            spans.lap(OpKind::Other, Lane::CpuScheduler, 0, 0, None);
-        } else {
-            // The dense optimiser step dominates the close for
-            // non-overlapped strategies.
-            spans.lap(OpKind::CpuAdamUpdate, Lane::CpuAdam, 0, rows, None);
+        if let Some(spans) = spans.as_deref_mut() {
+            spans.record(OpKind::Scheduling, Lane::CpuScheduler, None, 0, rows, 0.0);
         }
-        self.return_gradients(grads);
-        report
-    }
-
-    /// Executes one planned batch in **waves of `wave` views** rendered
-    /// concurrently — the second parallelism level above the banded
-    /// per-view kernels (`wave = compute_threads` under `view_parallel`)
-    /// and the data-parallel device rounds of a sharded run (`wave =
-    /// num_devices`, micro-batch `i` on device `i mod num_devices`).
-    ///
-    /// Bit-identical to the serial path by the same finalisation argument
-    /// the pipelined backends rely on:
-    ///
-    /// * renders read only their own micro-batch's reached set, and a
-    ///   Gaussian finalised by micro-batch `i` is never in a later set, so
-    ///   rendering every view against the wave-start parameters sees
-    ///   exactly the values the serial path's interleaved renders see;
-    /// * losses, gradient accumulations and `apply_finalized` steps are
-    ///   then **replayed in the serial micro-batch order**, so every
-    ///   floating-point reduction happens in the same order as the serial
-    ///   path.  For a sharded run this is the fixed-device-order
-    ///   all-reduce: round `r`'s per-device gradients join the shared
-    ///   buffer as micro-batches `rD, rD+1, …` regardless of which device
-    ///   finished first.
-    ///
-    /// At most `wave` staging buffers are ever live — the wave level must
-    /// not quietly abandon the bounded-staging-memory property the prefetch
-    /// machinery exists to provide.  Applying a wave's finalisation groups
-    /// before the next wave renders is safe for the same reason the serial
-    /// interleaving is: finalised Gaussians are never in any later
-    /// micro-batch's reached or fetch set.
-    ///
-    /// Each view renders with one band thread (the wave level owns the
-    /// workers: a region opened inside it runs serially); band count vs.
-    /// view count never changes the numerics, only the schedule.
-    fn train_batch_waves(
-        &mut self,
-        plan: &BatchPlan,
-        cameras: &[Camera],
-        targets: &[Image],
-        wave: usize,
-    ) -> BatchReport {
-        let m = plan.num_microbatches();
-        let wave = wave.max(1);
+        let (system, overlapped) = (self.config.system, self.overlapped());
+        let shape = ClmShape {
+            microbatches: plan.num_microbatches(),
+            window: 0,
+            devices: self.config.num_devices,
+            overlapped,
+        };
         let mut grads = self.take_gradients();
-        self.begin_batch(plan, &grads);
-
-        let mut total_loss = 0.0f32;
-        let mut start = 0;
-        while start < m {
-            let end = (start + wave).min(m);
-            // Stage this wave's micro-batches (same gathers, same traffic
-            // accounting, same staleness assertions as the serial path).
-            let mut staged: Vec<Vec<[f32; NON_CRITICAL_FLOATS]>> = Vec::with_capacity(end - start);
-            for micro_idx in start..end {
-                let mut buf = Vec::new();
-                self.stage_microbatch(plan, micro_idx, &mut buf);
-                staged.push(buf);
+        let mut free = Vec::new();
+        let mut run = SerialRun::new(self, &plan, cameras, targets, &mut grads, &mut free);
+        let (mut scratch, whole) = (Timeline::new(), WholeModelCosts::default());
+        match spans.as_deref_mut() {
+            Some(spans) => {
+                // Only CLM spreads its ops over the device lane groups.
+                let devices = if system == SystemKind::Clm {
+                    shape.devices
+                } else {
+                    1
+                };
+                let gather = (0.0, OpCost::default());
+                let mut timed = TimedHooks {
+                    inner: &mut run,
+                    spans,
+                    devices,
+                    gather,
+                };
+                emit_system(&mut scratch, &[], system, &shape, &whole, &mut timed);
             }
-
-            let view = self.view();
-            let results: Vec<(f32, RenderGradients)> = parallel_map(wave, end - start, |offset| {
-                view.render_microbatch(plan, start + offset, cameras, targets, &staged[offset])
-            });
-
-            // Replay the serial order: accumulate micro-batch i, then apply
-            // its finalisation group, exactly as the sequential loop would.
-            for (offset, (loss, render_grads)) in results.iter().enumerate() {
-                total_loss += loss;
-                grads.accumulate_render(render_grads);
-                self.apply_finalized(plan, start + offset, &grads);
-            }
-            start = end;
+            None => emit_system(&mut scratch, &[], system, &shape, &whole, &mut run),
         }
-        let report = self.finish_batch(plan, &grads, total_loss);
+        let total_loss = run.total_loss();
+        let mut finish = || self.finish_batch(&plan, &grads, total_loss);
+        let report = match spans {
+            Some(spans) if overlapped => {
+                spans.time(OpKind::Other, Lane::CpuScheduler, None, 0, 0, finish)
+            }
+            Some(spans) => spans.time(OpKind::CpuAdamUpdate, Lane::CpuAdam, None, 0, rows, finish),
+            None => finish(),
+        };
         self.return_gradients(grads);
         report
     }
@@ -1166,6 +1009,250 @@ impl Trainer {
             total += psnr(&out.image, target).min(60.0);
         }
         total / cameras.len() as f32
+    }
+}
+
+/// A staging buffer: one micro-batch's gathered SH rows.
+pub type StagingBuffer = Vec<[f32; NON_CRITICAL_FLOATS]>;
+
+/// Where a [`SerialRun`]'s staging buffers come from and go back to.
+pub trait StagingSource {
+    /// A buffer with room for `rows` staged rows.
+    fn acquire(&mut self, rows: usize) -> StagingBuffer;
+
+    /// Takes back a buffer whose micro-batch has run.
+    fn release(&mut self, buf: StagingBuffer);
+}
+
+/// The synchronous trainer's staging: a free list of recycled vectors.
+impl StagingSource for Vec<StagingBuffer> {
+    fn acquire(&mut self, _rows: usize) -> StagingBuffer {
+        self.pop().unwrap_or_default()
+    }
+
+    fn release(&mut self, buf: StagingBuffer) {
+        self.push(buf);
+    }
+}
+
+/// One batch's real work as the emitter's cost source — the one executor of
+/// the functional hooks, shared by the synchronous trainer and the
+/// simulated engine.  [`emit_system`] calls the hooks in emission order and
+/// each does its part of the batch:
+///
+/// * `staged(i)` gathers micro-batch `i`'s rows into a staging buffer;
+/// * `forward(i)` renders micro-batch `i`, keeping its loss and gradients in
+///   the micro-batch's slot;
+/// * `backward(i)` accumulates them and hands the staging buffer back;
+/// * `adam(Untouched)` opens the batch ([`Trainer::begin_batch`]: `F_0`) and
+///   `adam(FinalizedBy(i))` steps micro-batch `i`'s finalisation group;
+///   `adam(Dense)` does nothing — the dense step is
+///   [`Trainer::finish_batch`]'s.
+///
+/// Every hook returns the plan's unscaled bytes and rows at zero duration
+/// (`adam` one share per device, the whole group as device 0's), so an
+/// executor that prices ops wraps the run and sets the durations.
+pub struct SerialRun<'a, S> {
+    trainer: &'a mut Trainer,
+    plan: &'a BatchPlan,
+    cameras: &'a [Camera],
+    targets: &'a [Image],
+    grads: &'a mut GradientBuffer,
+    staging: &'a mut S,
+    /// Staged and not yet consumed buffers, by micro-batch (CLM only).
+    staged: Vec<Option<StagingBuffer>>,
+    /// Rendered and not yet accumulated micro-batches.
+    rendered: Vec<Option<(f32, RenderGradients)>>,
+    total_loss: f32,
+}
+
+impl<'a, S: StagingSource> SerialRun<'a, S> {
+    /// A run of `plan` on `trainer` at its configured device count,
+    /// accumulating into `grads` (all-zero) and staging through `staging`.
+    pub fn new(
+        trainer: &'a mut Trainer,
+        plan: &'a BatchPlan,
+        cameras: &'a [Camera],
+        targets: &'a [Image],
+        grads: &'a mut GradientBuffer,
+        staging: &'a mut S,
+    ) -> Self {
+        let m = plan.num_microbatches();
+        SerialRun {
+            trainer,
+            plan,
+            cameras,
+            targets,
+            grads,
+            staging,
+            staged: (0..m).map(|_| None).collect(),
+            rendered: (0..m).map(|_| None).collect(),
+            total_loss: 0.0,
+        }
+    }
+
+    /// The staging source.
+    pub fn staging(&mut self) -> &mut S {
+        self.staging
+    }
+
+    /// The summed loss of the micro-batches accumulated so far.
+    pub fn total_loss(&self) -> f32 {
+        self.total_loss
+    }
+
+    fn compute(&self, i: usize) -> OpCost {
+        OpCost::compute(0.0, self.plan.ordered_sets[i].len() as u64)
+    }
+}
+
+impl<S: StagingSource> CostSource for SerialRun<'_, S> {
+    fn gather(&mut self, i: usize) -> OpCost {
+        let rows = self.plan.fetched[i].len() as u64;
+        OpCost {
+            dur: 0.0,
+            bytes: self.plan.fetch_bytes(i),
+            rows,
+        }
+    }
+
+    fn staged(&mut self, _timeline: &mut Timeline, i: usize) {
+        let mut buf = self.staging.acquire(self.plan.fetched[i].len());
+        self.trainer.stage_microbatch(self.plan, i, &mut buf);
+        self.staged[i] = Some(buf);
+    }
+
+    fn forward(&mut self, i: usize) -> OpCost {
+        // Only CLM stages rows; the other systems render from the resident
+        // model.
+        let staged = self.staged[i].as_deref().unwrap_or(&[]);
+        let (plan, cameras, targets) = (self.plan, self.cameras, self.targets);
+        let rendered = self
+            .trainer
+            .render_microbatch(plan, i, cameras, targets, staged);
+        self.rendered[i] = Some(rendered);
+        self.compute(i)
+    }
+
+    fn backward(&mut self, i: usize) -> OpCost {
+        let (loss, render_grads) = self.rendered[i]
+            .take()
+            .expect("forward rendered this micro-batch");
+        self.total_loss += loss;
+        self.grads.accumulate_render(&render_grads);
+        if let Some(buf) = self.staged[i].take() {
+            self.staging.release(buf);
+        }
+        self.compute(i)
+    }
+
+    fn store(&mut self, i: usize) -> OpCost {
+        let rows = self.plan.stored[i].len() as u64;
+        OpCost {
+            dur: 0.0,
+            bytes: self.plan.store_bytes(i),
+            rows,
+        }
+    }
+
+    /// One gradient buffer serves every device, reduced in the serial
+    /// accumulation order: nothing to exchange.
+    fn allreduce(&mut self, _group: AdamGroup) -> OpCost {
+        OpCost::default()
+    }
+
+    fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
+        let (plan, grads) = (self.plan, &*self.grads);
+        match group {
+            AdamGroup::Untouched => self.trainer.begin_batch(plan, grads),
+            AdamGroup::FinalizedBy(i) => self.trainer.apply_finalized(plan, i, grads),
+            AdamGroup::Dense => {}
+        }
+        let whole = self.trainer.model.len();
+        let rows = plan.adam_group(group).map_or(whole, VisibilitySet::len);
+        let mut shares = vec![OpCost::default(); self.trainer.config.num_devices];
+        shares[0] = OpCost::compute(0.0, rows as u64);
+        shares
+    }
+}
+
+/// A cost source whose every hook is timed as one measured span, tagged
+/// with the op the hook prices: kind, lane, micro-batch, bytes and rows.  A
+/// gather's span covers its staging.
+struct TimedHooks<'a, C> {
+    inner: &'a mut C,
+    spans: &'a mut LaneSpans,
+    /// Device lane groups the emitted graph spreads over.
+    devices: usize,
+    /// Start and price of the gather being staged.
+    gather: (f64, OpCost),
+}
+
+impl<C: CostSource> TimedHooks<'_, C> {
+    /// Records the span from `start` to now of `kind`'s op tagged with
+    /// micro-batch `mb`.  Per-micro-batch ops run on their micro-batch's
+    /// device; an all-reduce chain starts on device 0, and the whole Adam
+    /// group is device 0's share.
+    fn record(&mut self, kind: OpKind, mb: Option<u32>, cost: OpCost, start: f64) {
+        let dev = match (kind, mb) {
+            (OpKind::AllReduce | OpKind::CpuAdamUpdate, _) | (_, None) => 0,
+            (_, Some(i)) => i as usize % self.devices,
+        };
+        let lane = match kind {
+            OpKind::Forward | OpKind::Backward => Lane::compute_of(dev),
+            OpKind::CpuAdamUpdate => Lane::adam_of(dev),
+            _ => Lane::comm_of(dev),
+        };
+        self.spans
+            .record(kind, lane, mb, cost.bytes, cost.rows, start);
+    }
+
+    fn timed(&mut self, kind: OpKind, i: usize, hook: impl FnOnce(&mut C) -> OpCost) -> OpCost {
+        let start = self.spans.now();
+        let cost = hook(&mut *self.inner);
+        self.record(kind, Some(i as u32), cost, start);
+        cost
+    }
+}
+
+impl<C: CostSource> CostSource for TimedHooks<'_, C> {
+    fn gather(&mut self, i: usize) -> OpCost {
+        self.gather = (self.spans.now(), self.inner.gather(i));
+        self.gather.1
+    }
+
+    fn staged(&mut self, timeline: &mut Timeline, i: usize) {
+        self.inner.staged(timeline, i);
+        let (start, cost) = self.gather;
+        self.record(OpKind::LoadParams, Some(i as u32), cost, start);
+    }
+
+    fn forward(&mut self, i: usize) -> OpCost {
+        self.timed(OpKind::Forward, i, |c| c.forward(i))
+    }
+
+    fn backward(&mut self, i: usize) -> OpCost {
+        self.timed(OpKind::Backward, i, |c| c.backward(i))
+    }
+
+    fn store(&mut self, i: usize) -> OpCost {
+        self.timed(OpKind::StoreGrads, i, |c| c.store(i))
+    }
+
+    fn allreduce(&mut self, group: AdamGroup) -> OpCost {
+        let start = self.spans.now();
+        let cost = self.inner.allreduce(group);
+        self.record(OpKind::AllReduce, group.microbatch(), cost, start);
+        cost
+    }
+
+    fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
+        let start = self.spans.now();
+        let shares = self.inner.adam(group);
+        let rows = shares.iter().map(|share| share.rows).sum();
+        let cost = OpCost::compute(0.0, rows);
+        self.record(OpKind::CpuAdamUpdate, group.microbatch(), cost, start);
+        shares
     }
 }
 
@@ -1378,9 +1465,8 @@ mod tests {
 
     #[test]
     fn parallel_compute_never_changes_training() {
-        // Both parallelism levels — banded within a view and view-parallel
-        // within a batch — are pure scheduling: batch reports and final
-        // parameters must equal the serial trainer's bit for bit.
+        // Banded rendering within a view is pure scheduling: batch reports
+        // and final parameters must equal the serial trainer's bit for bit.
         let (dataset, targets, init) = tiny_setup();
         let cams = &dataset.cameras[..6];
         let tgts = &targets[..6];
@@ -1391,56 +1477,16 @@ mod tests {
         };
         let mut serial = Trainer::new(init.clone(), base.clone());
         let mut banded = Trainer::new(
-            init.clone(),
-            TrainConfig {
-                compute_threads: 4,
-                ..base.clone()
-            },
-        );
-        let mut view_parallel = Trainer::new(
             init,
             TrainConfig {
-                compute_threads: 3,
-                view_parallel: true,
+                compute_threads: 4,
                 ..base
             },
         );
         let r_serial = serial.train_batch(cams, tgts);
         let r_banded = banded.train_batch(cams, tgts);
-        let r_views = view_parallel.train_batch(cams, tgts);
         assert_eq!(r_serial, r_banded);
-        assert_eq!(r_serial, r_views);
         assert_eq!(serial.model(), banded.model());
-        assert_eq!(serial.model(), view_parallel.model());
-    }
-
-    #[test]
-    fn sharded_device_rounds_never_change_training() {
-        // Data-parallel sharding is the third pure-scheduling axis: micro-
-        // batches processed in rounds of `num_devices` with the fixed-order
-        // reduction must match the 1-device trainer bit for bit.
-        let (dataset, targets, init) = tiny_setup();
-        let cams = &dataset.cameras[..6];
-        let tgts = &targets[..6];
-        let base = TrainConfig {
-            system: SystemKind::Clm,
-            batch_size: 6,
-            ..Default::default()
-        };
-        let mut serial = Trainer::new(init.clone(), base.clone());
-        let r_serial = serial.train_batch(cams, tgts);
-        for devices in [2usize, 3, 4, 8] {
-            let mut sharded = Trainer::new(
-                init.clone(),
-                TrainConfig {
-                    num_devices: devices,
-                    ..base.clone()
-                },
-            );
-            let r_sharded = sharded.train_batch(cams, tgts);
-            assert_eq!(r_serial, r_sharded, "{devices} devices");
-            assert_eq!(serial.model(), sharded.model(), "{devices} devices");
-        }
     }
 
     #[test]
@@ -1544,35 +1590,6 @@ mod tests {
         assert_eq!(clm.resize_events(), enhanced.resize_events());
         assert!(clm.resize_events() >= 1, "run must actually densify");
         assert_eq!(clm.model(), enhanced.model());
-    }
-
-    #[test]
-    fn densifying_waves_match_the_serial_trainer() {
-        // The pure-scheduling axes (waves, devices) must stay bit-identical
-        // when the model resizes mid-run.
-        let (dataset, targets, init) = tiny_setup();
-        let cams = &dataset.cameras[..6];
-        let tgts = &targets[..6];
-        let base = TrainConfig {
-            batch_size: 6,
-            ..densify_config(1)
-        };
-        let mut serial = Trainer::new(init.clone(), base.clone());
-        let mut sharded = Trainer::new(
-            init,
-            TrainConfig {
-                num_devices: 3,
-                ..base
-            },
-        );
-        for _ in 0..3 {
-            let a = serial.train_batch(cams, tgts);
-            let b = sharded.train_batch(cams, tgts);
-            assert_eq!(a, b);
-        }
-        assert!(serial.resize_events() >= 1);
-        assert_eq!(serial.resize_events(), sharded.resize_events());
-        assert_eq!(serial.model(), sharded.model());
     }
 
     #[test]
@@ -1718,6 +1735,23 @@ mod tests {
             }
             prop_assert_eq!(&stored, &union);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "went stale")]
+    fn a_staged_row_that_went_stale_trips_the_render() {
+        // The walk stages ahead of `apply_finalized` at any window above 0
+        // and at more than one device; the render is what catches a staged
+        // row that no longer matches the model.
+        let (dataset, targets, init) = tiny_setup();
+        let (cams, tgts) = (&dataset.cameras[..4], &targets[..4]);
+        let mut trainer = Trainer::new(init, config(SystemKind::Clm));
+        let plan = trainer.plan_batch(cams);
+        let mut staging = Vec::new();
+        trainer.stage_microbatch(&plan, 0, &mut staging);
+        assert!(!staging.is_empty(), "micro-batch 0 fetches nothing");
+        staging[0][0] += 1.0;
+        let _ = trainer.render_microbatch(&plan, 0, cams, tgts, &staging);
     }
 
     #[test]

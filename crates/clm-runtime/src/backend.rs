@@ -1,15 +1,17 @@
 //! The execution-backend abstraction.
 //!
-//! Three ways to run a batch drive the trainer through the same stepwise
-//! `plan → begin → stage/process/apply → finish` sequence and therefore
-//! produce identical numerics; they differ in what their schedules *are*:
+//! Three ways to run a batch walk the op graph [`clm_core::emit_system`]
+//! emits, doing the trainer's stepwise calls inside its hooks, and
+//! therefore produce identical numerics; they differ in what their
+//! schedules *are*:
 //!
-//! * [`clm_core::Trainer::train_batch`] — the **synchronous** reference:
-//!   every step back to back on the calling thread, no schedule at all.  It
-//!   is the numerics oracle and not an [`ExecutionBackend`].
+//! * [`clm_core::Trainer::train_batch`] — the **synchronous** reference: a
+//!   [`clm_core::SerialRun`] at prefetch window 0, every step on the
+//!   calling thread.  It is the numerics oracle and not (yet) an
+//!   [`ExecutionBackend`].
 //! * [`PipelinedEngine`](crate::PipelinedEngine) — the **simulated**
-//!   backend, at any device count: every lane executes inline on the
-//!   calling thread while a discrete-event
+//!   backend, at any device count: the same `SerialRun` at the configured
+//!   window, executing inline on the calling thread while a discrete-event
 //!   [`Timeline`](sim_device::Timeline) models when each operation would
 //!   have run on each simulated device's lane group.  It is the source of
 //!   the paper-scale schedule metrics (Figures 11–15); its

@@ -32,9 +32,10 @@
 //!   first).
 //!
 //! The op graph itself — which op on which lane, waiting for what, as a
-//! function of window and device count — is [`sim_device::pipeline`]'s; the
-//! engine is that emitter's cost source and executes the batch inside its
-//! hooks (see `BatchRun`).
+//! function of window and device count — is [`sim_device::pipeline`]'s,
+//! picked per system by [`clm_core::emit_system`]; the engine is that
+//! emitter's cost source, and the trainer's [`SerialRun`] executes the
+//! batch inside its hooks (see `BatchRun`).
 //!
 //! With `num_devices = 1` all of that degenerates to the paper's
 //! single-device pipeline on the four classic lanes (device 0's lane group
@@ -45,39 +46,36 @@
 //!
 //! # Why the trajectory is bit-identical for every device count
 //!
-//! The engine's numeric path is exactly the synchronous trainer's: it calls
-//! the same `plan_batch → begin_batch → stage/process/apply_finalized →
-//! finish_batch` sequence, and the reduction order is fixed by
-//! construction — losses, gradient accumulations and finalised Adam steps
-//! are replayed in the serial micro-batch order `0, 1, 2, …` regardless of
-//! which device computed them (round `r`'s per-device results join the
-//! shared gradient buffer as micro-batches `rD, rD+1, …`).  Renders are
-//! pure and read only their own micro-batch's visibility set, and a
-//! Gaussian finalised by micro-batch `i` is never in a later micro-batch's
-//! visibility or fetch set, so neither prefetched staging nor deferred
-//! reduction can observe a different value than the synchronous trainer's.
-//! Device count, window and faults therefore change *where* and *when* work
-//! is costed — never *what* is computed; `tests/sharded_runtime.rs` asserts
-//! the trajectory equality for device counts {1, 2, 4} across seeds, and
-//! CI's `shard-matrix` job gates on it.
+//! The engine's numeric path is the synchronous trainer's: both walk a
+//! [`SerialRun`] through the emitted graph, so losses, gradient
+//! accumulations and finalised Adam steps run in the serial micro-batch
+//! order whichever device computed them.  Window and device count only move
+//! *gathers* earlier, and a Gaussian finalised by micro-batch `i` is never
+//! in a later micro-batch's fetch set (`render_microbatch` asserts staged
+//! rows never go stale).  Device count, window and faults therefore change
+//! *where* and *when* work is costed — never *what* is computed;
+//! `tests/sharded_runtime.rs` asserts the trajectory equality for device
+//! counts {1, 2, 4} across seeds.
 //!
 //! The no-overlap comparison systems (`Baseline`, `EnhancedBaseline`,
 //! `NaiveOffload`) are not sharded — they run their single-device schedules
 //! on device 0, mirroring how the paper's baselines are measured.
 
 use crate::backend::ExecutionBackend;
-use crate::pool::{PinnedBufferPool, PoolStats, StagingBuffer};
+use crate::pool::{PinnedBufferPool, PoolStats};
 use crate::report::{ExecutionReport, LaneBusy};
-use clm_core::{BatchPlan, SystemKind, TrainConfig, Trainer, GRADIENT_BYTES};
+use clm_core::{
+    emit_system, BatchPlan, SerialRun, SystemKind, TrainConfig, Trainer, WholeModelCosts,
+    GRADIENT_BYTES,
+};
 use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
 use gs_core::visibility::VisibilitySet;
 use gs_core::PARAMS_PER_GAUSSIAN;
-use gs_optim::GradientBuffer;
 use gs_render::Image;
 use gs_scene::{partition_by_footprint, GaussianPartition};
-use sim_device::pipeline::{self, AdamGroup, ClmShape, CostSource, OpCost};
-use sim_device::{DeviceProfile, FaultPlan, Lane, OpId, OpKind, Timeline};
+use sim_device::pipeline::{AdamGroup, ClmShape, CostSource, OpCost};
+use sim_device::{DeviceProfile, FaultPlan, Lane, OpKind, Timeline};
 
 /// Scheduling-lane cost per Gaussian-view of frustum culling (seconds).
 const CULL_COST_PER_GAUSSIAN_VIEW: f64 = 2.0e-10;
@@ -222,6 +220,19 @@ impl CostModel {
         OpCost::compute(rate(&self.device, params), count as u64)
     }
 
+    /// The whole-model ops of the comparison systems' schedules over a
+    /// model of `rows` Gaussians.
+    pub fn whole_model(&self, rows: usize) -> WholeModelCosts {
+        let bytes = rows * PARAMS_PER_GAUSSIAN * gs_core::BYTES_PER_PARAM;
+        WholeModelCosts {
+            transfer: self
+                .device
+                .transfer(self.scaled_bytes(bytes as u64), rows as u64),
+            cpu_adam: self.adam(rows, DeviceProfile::cpu_adam_time),
+            gpu_adam: self.adam(rows, DeviceProfile::gpu_adam_time),
+        }
+    }
+
     /// Host seconds the boundary resize recorded in `plan` costs (0 when
     /// the plan has none).
     pub fn resize_time(&self, plan: &BatchPlan) -> f64 {
@@ -236,42 +247,6 @@ impl CostModel {
 /// staging pool must be able to lease after a resize.
 pub(crate) fn max_fetch_rows(plan: &BatchPlan) -> usize {
     plan.fetched.iter().map(|s| s.len()).max().unwrap_or(0)
-}
-
-/// Emits `system`'s op graph for one batch after the ops in `after` — the
-/// one place this crate picks an emitter, for the simulated engine and the
-/// threaded backend alike.  Only CLM reads more of `shape` than its
-/// micro-batch count.  The other systems end in whole-model ops no
-/// [`CostSource`] hook prices: `whole_model` is the cost model and model
-/// length they are priced from, or `None` for an executor that measures
-/// instead of pricing.
-pub(crate) fn emit_system(
-    timeline: &mut Timeline,
-    after: &[OpId],
-    system: SystemKind,
-    shape: &ClmShape,
-    whole_model: Option<(&CostModel, usize)>,
-    costs: &mut impl CostSource,
-) {
-    let adam = |rate: fn(&DeviceProfile, u64) -> f64| {
-        whole_model.map_or_else(OpCost::default, |(cost, rows)| cost.adam(rows, rate))
-    };
-    match system {
-        SystemKind::Clm => pipeline::emit_clm(timeline, after, shape, costs),
-        SystemKind::NaiveOffload => {
-            let transfer = whole_model.map_or_else(OpCost::default, |(cost, rows)| {
-                let bytes = rows * PARAMS_PER_GAUSSIAN * gs_core::BYTES_PER_PARAM;
-                cost.device
-                    .transfer(cost.scaled_bytes(bytes as u64), rows as u64)
-            });
-            let adam = adam(DeviceProfile::cpu_adam_time);
-            pipeline::emit_naive(timeline, after, shape.microbatches, transfer, adam, costs);
-        }
-        SystemKind::Baseline | SystemKind::EnhancedBaseline => {
-            let adam = adam(DeviceProfile::gpu_adam_time);
-            pipeline::emit_gpu_only(timeline, after, shape.microbatches, adam, costs);
-        }
-    }
 }
 
 /// A trainer executing as a discrete-event pipeline across
@@ -542,38 +517,40 @@ impl PipelinedEngine {
             &sched_deps,
         );
 
-        // One op graph per system, owned by `sim_device::pipeline`; the
-        // engine is its cost source and runs the batch inside the hooks.
+        // One op graph per system, picked by `clm_core::emit_system`; the
+        // engine walks the trainer's `SerialRun` through it and prices each
+        // op.
         let system = self.trainer.config().system;
-        let overlapped = self.trainer.overlapped();
-        let microbatches = plan.num_microbatches();
+        let shape = ClmShape {
+            microbatches: plan.num_microbatches(),
+            window,
+            devices: self.config.num_devices,
+            overlapped: self.trainer.overlapped(),
+        };
         let model_len = self.trainer.model().len();
+        let whole = cost.whole_model(model_len);
         let mut run = BatchRun {
-            trainer: &mut self.trainer,
-            pool: &mut self.pool,
+            run: SerialRun::new(
+                &mut self.trainer,
+                &plan,
+                cameras,
+                targets,
+                &mut grads,
+                &mut self.pool,
+            ),
             partition: &self.partition,
             fault_plan: self.fault_plan.as_ref(),
             cost: &cost,
             plan: &plan,
-            cameras,
             targets,
-            grads: &mut grads,
-            devices: self.config.num_devices,
-            staged: (0..microbatches).map(|_| None).collect(),
-            total_loss: 0.0,
+            baseline: system == SystemKind::Baseline,
+            model_len,
+            devices: shape.devices,
             local_rows: 0,
             cross_shard_rows: 0,
         };
-        run.trainer.begin_batch(&plan, run.grads);
-        let shape = ClmShape {
-            microbatches,
-            window,
-            devices: run.devices,
-            overlapped,
-        };
-        let priced = Some((&cost, model_len));
-        emit_system(&mut timeline, &[sched], system, &shape, priced, &mut run);
-        let total_loss = run.total_loss;
+        emit_system(&mut timeline, &[sched], system, &shape, &whole, &mut run);
+        let total_loss = run.run.total_loss();
         self.local_rows += run.local_rows;
         self.cross_shard_rows += run.cross_shard_rows;
 
@@ -604,52 +581,37 @@ impl PipelinedEngine {
     }
 }
 
-/// One batch of the engine as the emitter's cost source: prices every op
-/// from the [`BatchPlan`], the [`CostModel`] and the ownership partition —
-/// and *executes* the batch inside the hooks.  [`staged`](CostSource::staged)
-/// leases a pinned buffer and gathers into it, [`backward`](CostSource::backward)
-/// renders the micro-batch, releases the buffer and applies the finalised
-/// Adam group, so the numerics and the pool's `window + 1` high-water follow
-/// the emitter's schedule order rather than a loop of their own.
+/// One batch of the engine as the emitter's cost source: the trainer's
+/// [`SerialRun`] does the batch's work inside the hooks — so the numerics
+/// and the pinned pool's `window + 1` high-water follow the emitter's
+/// schedule order — and this wrapper prices every op from the
+/// [`BatchPlan`], the [`CostModel`] and the ownership partition.
 struct BatchRun<'a> {
-    trainer: &'a mut Trainer,
-    pool: &'a mut PinnedBufferPool,
+    run: SerialRun<'a, PinnedBufferPool>,
     partition: &'a GaussianPartition,
     fault_plan: Option<&'a FaultPlan>,
     cost: &'a CostModel,
     plan: &'a BatchPlan,
-    cameras: &'a [Camera],
     targets: &'a [Image],
-    grads: &'a mut GradientBuffer,
+    /// The plain baseline's fused culling feeds every Gaussian through the
+    /// kernels; every other system pre-culls to the visibility set.
+    baseline: bool,
+    model_len: usize,
     devices: usize,
-    /// Gathered-but-unconsumed staging buffers, by micro-batch (CLM only).
-    staged: Vec<Option<StagingBuffer>>,
-    total_loss: f32,
     local_rows: u64,
     cross_shard_rows: u64,
 }
 
 impl BatchRun<'_> {
     fn render_cost(&self, i: usize, time: impl Fn(&DeviceProfile, u64, u64) -> f64) -> OpCost {
-        // The plain baseline's fused culling feeds every Gaussian through
-        // the kernels; every other system pre-culls to the visibility set.
-        let count = if self.trainer.config().system == SystemKind::Baseline {
-            self.trainer.model().len()
+        let count = if self.baseline {
+            self.model_len
         } else {
             self.plan.ordered_sets[i].len()
         };
         let pixels = self.cost.scaled_pixels(&self.targets[self.plan.order[i]]);
         let gaussians = self.cost.scaled_gaussians(count);
         OpCost::compute(time(&self.cost.device, gaussians, pixels), count as u64)
-    }
-
-    /// The Gaussians of `group`; `None` is the whole model.
-    fn group_set(&self, group: AdamGroup) -> Option<&VisibilitySet> {
-        match group {
-            AdamGroup::Untouched => Some(&self.plan.untouched),
-            AdamGroup::FinalizedBy(i) => Some(self.plan.finalization.finalized_by(i)),
-            AdamGroup::Dense => None,
-        }
     }
 }
 
@@ -683,7 +645,7 @@ impl CostSource for BatchRun<'_> {
                 // scheduler, then succeed (the pool recycles at the batch
                 // boundary) — exhaustion costs schedule time, never staging
                 // content.
-                self.pool.note_denied();
+                self.run.staging().note_denied();
                 timeline.push_traced(
                     OpKind::Other,
                     Lane::CpuScheduler,
@@ -695,35 +657,16 @@ impl CostSource for BatchRun<'_> {
                 );
             }
         }
-        let mut buf = self.pool.acquire(self.plan.fetched[i].len());
-        self.trainer.stage_microbatch(self.plan, i, &mut buf);
-        self.staged[i] = Some(buf);
+        self.run.staged(timeline, i);
     }
 
     fn forward(&mut self, i: usize) -> OpCost {
+        self.run.forward(i);
         self.render_cost(i, DeviceProfile::forward_time)
     }
 
     fn backward(&mut self, i: usize) -> OpCost {
-        // Only CLM stages rows; the other systems render from the resident
-        // model.
-        let staged = (self.trainer.config().system == SystemKind::Clm).then(|| {
-            self.staged[i]
-                .take()
-                .expect("prefetch schedule must have staged this micro-batch")
-        });
-        self.total_loss += self.trainer.process_microbatch(
-            self.plan,
-            i,
-            self.cameras,
-            self.targets,
-            staged.as_deref().unwrap_or(&[]),
-            self.grads,
-        );
-        if let Some(buf) = staged {
-            self.pool.release(buf);
-        }
-        self.trainer.apply_finalized(self.plan, i, self.grads);
+        self.run.backward(i);
         self.render_cost(i, DeviceProfile::backward_time)
     }
 
@@ -737,8 +680,9 @@ impl CostSource for BatchRun<'_> {
         // Ring all-reduce: every device sends and receives (D-1)/D of the
         // group's gradient bytes.
         let rows = self
-            .group_set(group)
-            .map_or(self.trainer.model().len(), VisibilitySet::len);
+            .plan
+            .adam_group(group)
+            .map_or(self.model_len, VisibilitySet::len);
         let total = self.cost.scaled_bytes((rows * GRADIENT_BYTES) as u64);
         let devices = self.devices as f64;
         let share = (total as f64 * (devices - 1.0) / devices).round() as u64;
@@ -746,8 +690,9 @@ impl CostSource for BatchRun<'_> {
     }
 
     fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
+        self.run.adam(group);
         // Each owner device updates its shard of the group.
-        let counts = match self.group_set(group) {
+        let counts = match self.plan.adam_group(group) {
             Some(set) => self.partition.split_counts(set.indices()),
             None => self.partition.device_counts().to_vec(),
         };

@@ -16,8 +16,7 @@ use gs_core::gaussian::NON_CRITICAL_FLOATS;
 /// Bytes of one staged row (the non-critical attributes of one Gaussian).
 pub const ROW_BYTES: usize = NON_CRITICAL_FLOATS * 4;
 
-/// A staging buffer of gathered non-critical rows.
-pub type StagingBuffer = Vec<[f32; NON_CRITICAL_FLOATS]>;
+pub use clm_core::StagingBuffer;
 
 /// Usage statistics of a [`PinnedBufferPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -192,6 +191,18 @@ impl PinnedBufferPool {
     /// Number of buffers currently available for recycling.
     pub fn free_buffers(&self) -> usize {
         self.free.len()
+    }
+}
+
+/// The simulated engine's staging: every buffer a walk stages through is
+/// leased from (and returned to) the pool, so its accounting sees them all.
+impl clm_core::StagingSource for PinnedBufferPool {
+    fn acquire(&mut self, rows: usize) -> StagingBuffer {
+        PinnedBufferPool::acquire(self, rows)
+    }
+
+    fn release(&mut self, buf: StagingBuffer) {
+        PinnedBufferPool::release(self, buf);
     }
 }
 

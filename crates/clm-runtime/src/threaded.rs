@@ -1,10 +1,11 @@
 //! The threaded execution backend: real overlap on real threads.
 //!
-//! [`ThreadedBackend`] is the fourth executor of [`sim_device::pipeline`]'s
-//! one schedule description, next to the simulated
-//! [`PipelinedEngine`](crate::PipelinedEngine), the trace what-if rebuild
-//! and the analytic model.  After planning it hands the emitter the same
-//! system and [`ClmShape`] the engine would and, as its [`CostSource`],
+//! [`ThreadedBackend`] is an executor of [`sim_device::pipeline`]'s one
+//! schedule description, next to the synchronous trainer and the simulated
+//! [`PipelinedEngine`](crate::PipelinedEngine) (both walking
+//! [`clm_core::SerialRun`]), the trace what-if rebuild and the analytic
+//! model.  After planning it hands [`emit_system`] the same system and
+//! [`ClmShape`] the engine would and, as its [`CostSource`],
 //! does the real work inside the hooks: which gather is requested when,
 //! when a staging buffer goes back and which Adam group ships after which
 //! micro-batch are the emitter's decisions.  Where the engine costs the
@@ -41,7 +42,7 @@
 //! length.  The gradient rows travel in one list per finalisation group
 //! that grows to what its group ever shipped — so once warm the lane
 //! allocates nothing.  Every interval a thread times goes onto that
-//! thread's own `LaneSpans` list, and the lists, merged onto one measured
+//! thread's own [`LaneSpans`] list, and the lists, merged onto one measured
 //! [`Timeline`], are the report's timeline: its per-lane busy seconds are
 //! the sums of those spans.
 //!
@@ -60,7 +61,7 @@
 //! update is independent, so the fan-out changes no bit.
 //! Prefetched gathers are safe for the same reason the simulated engine's
 //! are: within a batch no parameter a later micro-batch fetches is updated
-//! before its last access (`Trainer::process_microbatch` asserts staged
+//! before its last access (`TrainerView::render_microbatch` asserts staged
 //! rows never go stale).
 //!
 //! Bounded queues give the pipeline backpressure: a coordinator running
@@ -71,11 +72,14 @@
 //! coordinator is blocked on a request.
 
 use crate::backend::ExecutionBackend;
-use crate::engine::{emit_system, PrefetchPolicy};
+use crate::engine::PrefetchPolicy;
 use crate::pool::{PinnedBufferPool, PoolStats, StagingBuffer};
 use crate::report::{ExecutionReport, LaneBusy};
-use crate::workers::{spawn_lane, LaneSpans, WorkerLane};
-use clm_core::{gather_rows_into, BatchPlan, SystemKind, TrainConfig, Trainer, TrainerView};
+use crate::workers::{spawn_lane, WorkerLane};
+use clm_core::{
+    emit_system, gather_rows_into, BatchPlan, SystemKind, TrainConfig, Trainer, TrainerView,
+    WholeModelCosts,
+};
 use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
 use gs_optim::{threads_for_chunk_rows, GradientBuffer, ParamRow};
@@ -85,7 +89,7 @@ type GradRow = (u32, ParamRow);
 use gs_render::parallel::parallel_map;
 use gs_render::Image;
 use sim_device::pipeline::{AdamGroup, ClmShape, CostSource, OpCost};
-use sim_device::{FaultPlan, Lane, OpKind, Timeline};
+use sim_device::{FaultPlan, Lane, LaneSpans, OpKind, Timeline};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
 
@@ -347,13 +351,12 @@ impl ThreadedBackend {
         };
         let mut grads = self.trainer.take_gradients();
 
-        // The Adam lane steps one group per slot, in slot order: slot 0 is
-        // F_0, slot i + 1 the group micro-batch i finalises.  Together they
-        // partition the model, so the batch writes every back-model row
-        // exactly once.  F_0 ships no gradients; group i's received rows
-        // go into list i.
+        // The Adam lane steps F_0, then the group each micro-batch
+        // finalises.  Together they partition the model, so the batch writes
+        // every back-model row exactly once.  F_0 ships no gradients; group
+        // i's received rows go into list i.
         if overlapped {
-            let stepped: usize = (0..=m).map(|slot| adam_group(&plan, slot).len()).sum();
+            let stepped = plan.untouched.len() + plan.finalization.total_touched();
             assert_eq!(
                 stepped, model_len,
                 "the Adam groups must partition the model"
@@ -433,14 +436,17 @@ impl ThreadedBackend {
             }
         };
 
-        // ---- CPU Adam lane (overlapped CLM only): a request is a group's
-        // slot and the final gradient rows of its Gaussians that received
+        // ---- CPU Adam lane (overlapped CLM only): a request is a group
+        // and the final gradient rows of its Gaussians that received
         // gradient (none for F_0); nothing comes back — the new parameter
         // rows wait in the back model until the batch ends.
         let (model, back) = (trainer.model(), &mut self.back);
-        let adam_lane = |requests: Receiver<(usize, &[GradRow])>, _: SyncSender<()>| {
-            while let Ok((slot, grad_rows)) = requests.recv() {
-                let indices = adam_group(plan_ref, slot);
+        let adam_lane = |requests: Receiver<(AdamGroup, &[GradRow])>, _: SyncSender<()>| {
+            while let Ok((group, grad_rows)) = requests.recv() {
+                let indices = plan_ref
+                    .adam_group(group)
+                    .expect("the lane steps F_0 and finalised groups only")
+                    .indices();
                 // Chunk-target cap: small groups fan out across fewer
                 // threads.  Identical numerics for any fan-out (the
                 // detached step guarantees it).
@@ -462,7 +468,7 @@ impl ThreadedBackend {
                     }
                     optimizer.step_detached(model, indices, grad_rows, back, fan_out, true)
                 };
-                let (mb, rows) = (group_microbatch(slot), indices.len() as u64);
+                let (mb, rows) = (group.microbatch(), indices.len() as u64);
                 adam_spans.time(OpKind::CpuAdamUpdate, Lane::CpuAdam, mb, 0, rows, step);
             }
         };
@@ -489,7 +495,8 @@ impl ThreadedBackend {
                 total_loss: 0.0,
                 spans: &mut spans,
             };
-            emit_system(&mut Timeline::new(), &[], system, &shape, None, &mut run);
+            let whole = WholeModelCosts::default();
+            emit_system(&mut Timeline::new(), &[], system, &shape, &whole, &mut run);
 
             // Shut the lanes down and drain what is still in flight; the
             // scope joins the Adam lane once it has stepped every queued
@@ -521,7 +528,8 @@ impl ThreadedBackend {
 
         // The report's lane accounting is the per-lane sum of the batch's
         // spans — nothing is timed anywhere else.
-        let timeline = LaneSpans::merge([spans, gather_spans, adam_spans]);
+        let mut timeline = Timeline::new();
+        LaneSpans::merge_onto([spans, gather_spans, adam_spans], &mut timeline);
         let faults = match (&self.fault_plan, fault_before) {
             (Some(p), Some(before)) => p.stats().since(&before),
             _ => Default::default(),
@@ -573,7 +581,7 @@ struct LaneRun<'a> {
     /// The gather lane (CLM only).
     gather: Option<WorkerLane<GatherRequest, (usize, StagingBuffer)>>,
     /// The CPU Adam lane's request queue (overlapped CLM only).
-    adam: Option<SyncSender<(usize, &'a [GradRow])>>,
+    adam: Option<SyncSender<(AdamGroup, &'a [GradRow])>>,
     /// The Adam-lane gradient lists of the groups not packed yet.
     grads_left: &'a mut [Vec<GradRow>],
     /// The group `store` just packed, until `adam` ships it.
@@ -712,34 +720,14 @@ impl CostSource for LaneRun<'_> {
         // F_0 — Gaussians the batch never touches — is final from the
         // start and ships nothing; the dense step of a non-overlapped
         // batch is `finish_batch`'s.
-        let slot = match group {
-            AdamGroup::Untouched => Some(0),
-            AdamGroup::FinalizedBy(i) => Some(i + 1),
-            AdamGroup::Dense => None,
-        };
-        if let (Some(requests), Some(slot)) = (&self.adam, slot) {
+        if let (Some(requests), Some(set)) = (&self.adam, self.plan.adam_group(group)) {
             let rows = std::mem::take(&mut self.packed);
-            if !adam_group(self.plan, slot).is_empty() {
-                requests.send((slot, rows)).expect("adam lane alive");
+            if !set.is_empty() {
+                requests.send((group, rows)).expect("adam lane alive");
             }
         }
         vec![OpCost::default(); self.devices]
     }
-}
-
-/// The Gaussians of Adam-lane group `slot`: slot 0 is `F_0` (untouched by
-/// the whole batch, final from the start), slot `i + 1` the group
-/// micro-batch `i` finalises.
-fn adam_group(plan: &BatchPlan, slot: usize) -> &[u32] {
-    match slot.checked_sub(1) {
-        None => plan.untouched.indices(),
-        Some(i) => plan.finalization.finalized_by(i).indices(),
-    }
-}
-
-/// The micro-batch tag of Adam-lane group `slot`'s spans (`F_0` has none).
-fn group_microbatch(slot: usize) -> Option<u32> {
-    slot.checked_sub(1).map(|i| i as u32)
 }
 
 fn sleep_seconds(seconds: f64) {

@@ -12,12 +12,10 @@
 //!   single-producer/single-consumer; the bounds are what give the pipeline
 //!   backpressure: a lane that runs ahead of its consumer blocks on `send`
 //!   instead of buffering unboundedly, exactly like a full CUDA stream.
-//! * `LaneSpans` (crate-private) — the one measurement: every interval a
-//!   thread times is a measured span on that thread's own list, which the
-//!   thread borrows exclusively for the batch — no lock, no atomics — and
-//!   the coordinator gets back when the scope joins it.  `merge` lays the
-//!   batch's lists on one [`Timeline`]; a lane's busy time is that
-//!   timeline's, so a recording always adds up to its own report.
+//!
+//! Every interval a lane thread times goes onto that thread's own
+//! [`sim_device::LaneSpans`] list, which the coordinator gets back when the
+//! scope joins it.
 //!
 //! Scoped threads (rather than long-lived ones) are deliberate: a worker
 //! borrows the pinned host store, the staging pool and its span list
@@ -26,81 +24,8 @@
 //! CPU (5 000 batches of scope + two lanes + four channels + join; about
 //! 120 µs unpinned on two), at most 0.2 % of the shortest benchmark batch.
 
-use sim_device::{Lane, OpKind, Timeline};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::Scope;
-use std::time::Instant;
-
-/// The intervals one thread timed during a batch: measured spans in the
-/// order it timed them, on the clock every list of the batch shares
-/// (seconds since the batch's `origin`).
-#[derive(Debug)]
-pub(crate) struct LaneSpans {
-    origin: Instant,
-    spans: Timeline,
-}
-
-impl LaneSpans {
-    /// An empty list on the clock that started at `origin`.
-    pub fn new(origin: Instant) -> Self {
-        LaneSpans {
-            origin,
-            spans: Timeline::new(),
-        }
-    }
-
-    /// Records the interval from `start` (seconds on the batch clock) to
-    /// this moment.
-    pub fn record(
-        &mut self,
-        kind: OpKind,
-        lane: Lane,
-        microbatch: Option<u32>,
-        bytes: u64,
-        rows: u64,
-        start: f64,
-    ) {
-        let end = self.origin.elapsed().as_secs_f64();
-        self.spans
-            .push_span(kind, lane, start, end, bytes, rows, microbatch);
-    }
-
-    /// Runs `f`, recording its wall-clock interval.
-    pub fn time<T>(
-        &mut self,
-        kind: OpKind,
-        lane: Lane,
-        microbatch: Option<u32>,
-        bytes: u64,
-        rows: u64,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        let start = self.origin.elapsed().as_secs_f64();
-        let out = f();
-        self.record(kind, lane, microbatch, bytes, rows, start);
-        out
-    }
-
-    /// Lays one batch's lists out on a single measurement [`Timeline`],
-    /// sorted by start time; measured spans carry no dependency edges.
-    pub fn merge<const N: usize>(lists: [LaneSpans; N]) -> Timeline {
-        let mut spans: Vec<_> = lists.iter().flat_map(|l| l.spans.ops()).collect();
-        spans.sort_by(|a, b| a.start.total_cmp(&b.start).then(a.end.total_cmp(&b.end)));
-        let mut timeline = Timeline::new();
-        for s in spans {
-            timeline.push_span(
-                s.kind,
-                s.lane,
-                s.start,
-                s.end,
-                s.bytes,
-                s.rows,
-                s.microbatch,
-            );
-        }
-        timeline
-    }
-}
 
 /// The coordinator's two ends of one worker lane: a bounded request queue
 /// into the worker and a bounded completion queue back out.
@@ -144,7 +69,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_device::{Lane, LaneSpans, OpKind, Timeline};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Instant;
 
     #[test]
     fn lane_round_trips_work_in_order() {
@@ -200,38 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn lists_from_several_threads_merge_onto_one_sorted_timeline() {
-        let origin = Instant::now();
-        let mut main = LaneSpans::new(origin);
-        let mut comm = LaneSpans::new(origin);
-        let mut adam = LaneSpans::new(origin);
-        std::thread::scope(|scope| {
-            let (comm, adam) = (&mut comm, &mut adam);
-            scope.spawn(move || {
-                comm.time(OpKind::LoadParams, Lane::GpuComm, Some(0), 128, 4, || {
-                    std::hint::black_box((0..1000).sum::<u64>())
-                });
-            });
-            scope.spawn(move || {
-                adam.time(OpKind::CpuAdamUpdate, Lane::CpuAdam, None, 0, 8, || {
-                    std::hint::black_box((0..1000).sum::<u64>())
-                });
-            });
-        });
-        main.record(OpKind::Scheduling, Lane::CpuScheduler, None, 0, 2, 0.0);
-        let timeline = LaneSpans::merge([adam, comm, main]);
-        let ops = timeline.ops();
-        assert_eq!(ops.len(), 3);
-        // Sorted by measured start: the span opened at the origin comes
-        // first no matter where its list stood in the merge.
-        assert_eq!(ops[0].kind, OpKind::Scheduling);
-        assert!(ops.windows(2).all(|w| w[0].start <= w[1].start));
-        let load = ops.iter().find(|o| o.kind == OpKind::LoadParams).unwrap();
-        assert_eq!((load.bytes, load.rows, load.microbatch), (128, 4, Some(0)));
-        assert!(load.deps.is_empty(), "measured spans carry no edges");
-    }
-
-    #[test]
     fn a_lane_that_panics_mid_batch_still_yields_the_spans_it_recorded() {
         let mut spans = LaneSpans::new(Instant::now());
         let batch = catch_unwind(AssertUnwindSafe(|| {
@@ -248,7 +143,8 @@ mod tests {
         }));
         assert!(batch.is_err(), "the scope re-raises the lane's panic");
         // No lock to poison: what the lane had timed before dying is intact.
-        let salvaged = LaneSpans::merge([spans]);
+        let mut salvaged = Timeline::new();
+        LaneSpans::merge_onto([spans], &mut salvaged);
         assert_eq!(salvaged.ops().len(), 1);
         assert_eq!(salvaged.ops()[0].kind, OpKind::Forward);
     }

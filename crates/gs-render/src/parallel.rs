@@ -11,7 +11,7 @@
 //! scope's own propagation, and independent callers (the render lane, the
 //! CPU Adam lane, concurrent device rounds, tenants) open regions that run
 //! side by side.  The rasterise bands, the projection/binning prologue, the
-//! chunked Adam driver and the view-parallel waves all go through the two
+//! chunked Adam driver and the threaded device rounds all go through the two
 //! functions below.
 //!
 //! # Determinism contract
@@ -37,8 +37,8 @@
 //! A thread that is already inside a region — a scoped worker, or the
 //! calling thread while it drains the region it opened — runs any region it
 //! opens as a plain serial loop.  The width a caller asks for is then the
-//! number of threads its region uses in total: a view-parallel wave of
-//! banded renders spawns `width - 1` threads, not `width` per view, and at
+//! number of threads its region uses in total: a device round of banded
+//! renders spawns `width - 1` threads, not `width` per view, and at
 //! band granularity nested splitting has nothing left to win.
 
 use std::cell::Cell;

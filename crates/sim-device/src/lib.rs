@@ -10,7 +10,8 @@
 //!   model for rendering, transfers and Adam updates;
 //! * [`Timeline`] — a discrete-event scheduler over CUDA-stream-like lanes
 //!   with cross-lane dependencies, from which makespan, overlap,
-//!   utilisation and idle-rate statistics are derived;
+//!   utilisation and idle-rate statistics are derived; [`LaneSpans`] is the
+//!   one recorder of measured wall-clock spans onto it;
 //! * [`pipeline`] — the one schedule emitter: the op graph of a training
 //!   batch under each of the four systems, as a function of prefetch window
 //!   and device count, priced through a [`CostSource`];
@@ -55,4 +56,4 @@ pub use metrics::{
 pub use pipeline::{
     emit_clm, emit_gpu_only, emit_naive, AdamGroup, ClmShape, CostSource, OpCost, PrefetchWindow,
 };
-pub use timeline::{empirical_cdf, Lane, OpId, OpKind, ScheduledOp, Timeline};
+pub use timeline::{empirical_cdf, Lane, LaneSpans, OpId, OpKind, ScheduledOp, Timeline};

@@ -62,7 +62,7 @@ pub enum AdamGroup {
 
 impl AdamGroup {
     /// The micro-batch tag the group's ops carry.
-    fn microbatch(self) -> Option<u32> {
+    pub fn microbatch(self) -> Option<u32> {
         match self {
             AdamGroup::FinalizedBy(i) => Some(i as u32),
             AdamGroup::Untouched | AdamGroup::Dense => None,

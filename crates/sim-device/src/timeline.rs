@@ -12,6 +12,7 @@
 
 use crate::fault::FaultPlan;
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// An execution resource that serialises the operations submitted to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -566,6 +567,85 @@ impl Timeline {
     }
 }
 
+/// The one span recorder: the intervals one thread timed during a batch, as
+/// measured spans in the order it timed them, on the clock every list of the
+/// batch shares (seconds since the batch's `origin`).
+///
+/// A thread borrows its own list exclusively for the batch — no lock, no
+/// atomics — and [`merge_onto`](Self::merge_onto) lays the batch's lists on one
+/// [`Timeline`], so a lane's busy time is that timeline's and a recording
+/// always adds up to its own report.
+#[derive(Debug)]
+pub struct LaneSpans {
+    origin: Instant,
+    spans: Timeline,
+}
+
+impl LaneSpans {
+    /// An empty list on the clock that started at `origin`.
+    pub fn new(origin: Instant) -> Self {
+        LaneSpans {
+            origin,
+            spans: Timeline::new(),
+        }
+    }
+
+    /// This moment on the batch clock, in seconds.
+    pub fn now(&self) -> f64 {
+        self.origin.elapsed().as_secs_f64()
+    }
+
+    /// Records the interval from `start` (seconds on the batch clock) to
+    /// this moment.
+    pub fn record(
+        &mut self,
+        kind: OpKind,
+        lane: Lane,
+        microbatch: Option<u32>,
+        bytes: u64,
+        rows: u64,
+        start: f64,
+    ) {
+        let end = self.now();
+        self.spans
+            .push_span(kind, lane, start, end, bytes, rows, microbatch);
+    }
+
+    /// Runs `f`, recording its wall-clock interval.
+    pub fn time<T>(
+        &mut self,
+        kind: OpKind,
+        lane: Lane,
+        microbatch: Option<u32>,
+        bytes: u64,
+        rows: u64,
+        f: impl FnOnce() -> T,
+    ) -> T {
+        let start = self.now();
+        let out = f();
+        self.record(kind, lane, microbatch, bytes, rows, start);
+        out
+    }
+
+    /// Lays one batch's lists out on `timeline` after its ops, sorted by
+    /// start time; measured spans carry no dependency edges.
+    pub fn merge_onto<const N: usize>(lists: [LaneSpans; N], timeline: &mut Timeline) {
+        let mut spans: Vec<_> = lists.iter().flat_map(|l| l.spans.ops()).collect();
+        spans.sort_by(|a, b| a.start.total_cmp(&b.start).then(a.end.total_cmp(&b.end)));
+        for s in spans {
+            timeline.push_span(
+                s.kind,
+                s.lane,
+                s.start,
+                s.end,
+                s.bytes,
+                s.rows,
+                s.microbatch,
+            );
+        }
+    }
+}
+
 /// Empirical CDF of a sample set: returns `(value, cumulative_fraction)`
 /// pairs sorted by value.  Useful for reproducing the paper's CDF figures
 /// (sparsity in Figure 5, GPU idle rate in Figure 15).
@@ -586,6 +666,39 @@ pub fn empirical_cdf(samples: &[f64]) -> Vec<(f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lists_from_several_threads_merge_onto_one_sorted_timeline() {
+        let origin = Instant::now();
+        let mut main = LaneSpans::new(origin);
+        let mut comm = LaneSpans::new(origin);
+        let mut adam = LaneSpans::new(origin);
+        std::thread::scope(|scope| {
+            let (comm, adam) = (&mut comm, &mut adam);
+            scope.spawn(move || {
+                comm.time(OpKind::LoadParams, Lane::GpuComm, Some(0), 128, 4, || {
+                    std::hint::black_box((0..1000).sum::<u64>())
+                });
+            });
+            scope.spawn(move || {
+                adam.time(OpKind::CpuAdamUpdate, Lane::CpuAdam, None, 0, 8, || {
+                    std::hint::black_box((0..1000).sum::<u64>())
+                });
+            });
+        });
+        main.record(OpKind::Scheduling, Lane::CpuScheduler, None, 0, 2, 0.0);
+        let mut timeline = Timeline::new();
+        LaneSpans::merge_onto([adam, comm, main], &mut timeline);
+        let ops = timeline.ops();
+        assert_eq!(ops.len(), 3);
+        // Sorted by measured start: the span opened at the origin comes
+        // first no matter where its list stood in the merge.
+        assert_eq!(ops[0].kind, OpKind::Scheduling);
+        assert!(ops.windows(2).all(|w| w[0].start <= w[1].start));
+        let load = ops.iter().find(|o| o.kind == OpKind::LoadParams).unwrap();
+        assert_eq!((load.bytes, load.rows, load.microbatch), (128, 4, Some(0)));
+        assert!(load.deps.is_empty(), "measured spans carry no edges");
+    }
 
     #[test]
     fn device_lane_mapping_reuses_classic_lanes_for_device_zero() {

@@ -85,26 +85,7 @@ pub fn densifying_scenario() -> Scenario {
 /// The acceptance scenario at an explicit densify cadence (per-backend
 /// hooks use cadence 1 so a single epoch still crosses two boundaries).
 pub fn scenario_with_cadence(every_batches: usize) -> Scenario {
-    let dataset = generate_dataset(
-        &SceneSpec::of(SceneKind::Rubble),
-        &DatasetConfig {
-            num_gaussians: 400,
-            num_views: 12,
-            width: 40,
-            height: 30,
-            seed: SEED,
-        },
-    );
-    let targets = ground_truth_images(&dataset);
-    let init = init_from_point_cloud(
-        &dataset.ground_truth,
-        &InitConfig {
-            num_gaussians: INIT_GAUSSIANS,
-            initial_opacity: 0.3,
-            seed: SEED + 1,
-            ..Default::default()
-        },
-    );
+    let (dataset, targets, init) = rubble_scene(SEED);
     let train = TrainConfig {
         system: SystemKind::Clm,
         batch_size: 4,
@@ -127,6 +108,33 @@ pub fn scenario_with_cadence(every_batches: usize) -> Scenario {
         init,
         train,
     }
+}
+
+/// The Rubble-like scene the suites train: 12 views of 40×30 and an
+/// initial model of [`INIT_GAUSSIANS`] splats at opacity 0.3, drawn from
+/// `seed`.
+pub fn rubble_scene(seed: u64) -> (Dataset, Vec<Image>, GaussianModel) {
+    let dataset = generate_dataset(
+        &SceneSpec::of(SceneKind::Rubble),
+        &DatasetConfig {
+            num_gaussians: 400,
+            num_views: 12,
+            width: 40,
+            height: 30,
+            seed,
+        },
+    );
+    let targets = ground_truth_images(&dataset);
+    let init = init_from_point_cloud(
+        &dataset.ground_truth,
+        &InitConfig {
+            num_gaussians: INIT_GAUSSIANS,
+            initial_opacity: 0.3,
+            seed: seed + 1,
+            ..Default::default()
+        },
+    );
+    (dataset, targets, init)
 }
 
 /// Densification criterion: accumulated positional-gradient norm above which

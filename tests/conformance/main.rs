@@ -12,7 +12,9 @@ mod chaos;
 mod harness;
 mod serve;
 
-use clm_repro::clm_core::{cache, SystemKind, Trainer, GRADIENT_BYTES, NON_CRITICAL_BYTES};
+use clm_repro::clm_core::{
+    cache, SystemKind, TrainConfig, Trainer, GRADIENT_BYTES, NON_CRITICAL_BYTES,
+};
 use clm_repro::clm_runtime::{
     ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
 };
@@ -445,6 +447,62 @@ fn every_executor_loads_the_recounted_reached_rows() {
         fetched_rows > 0 && fetched_rows < frustum_rows,
         "{fetched_rows} rows fetched of {frustum_rows} frustum rows"
     );
+}
+
+/// The `(kind, micro-batch)` sequence of a timeline's hook ops, in list
+/// order (push order when emitted, start order when measured).  Resize,
+/// scheduling, all-reduce and `Other` ops are no hooks' work; an Adam group
+/// counts once however many device shares it is split into.
+fn hook_sequence(timeline: &Timeline) -> Vec<(OpKind, Option<u32>)> {
+    use OpKind::{AllReduce, Other, Resize, Scheduling};
+    let mut sequence: Vec<_> = timeline
+        .ops()
+        .iter()
+        .filter(|op| !matches!(op.kind, Resize | Scheduling | AllReduce | Other))
+        .map(|op| (op.kind, op.microbatch))
+        .collect();
+    sequence.dedup();
+    sequence
+}
+
+#[test]
+fn every_executor_walks_one_op_sequence() {
+    // The synchronous trainer and the simulated engine walk the same
+    // emitted graph: at window 0 the trainer's hook-timed spans and the
+    // engine's costed ops are the same `(kind, micro-batch)` sequence, batch
+    // by batch and across a resize boundary, at one device and two — and
+    // the two device counts train the same model.
+    let scenario = densifying_scenario();
+    let mut models = Vec::new();
+    for devices in [1, 2] {
+        let train = TrainConfig {
+            num_devices: devices,
+            ..scenario.train.clone()
+        };
+        let mut synchronous = Trainer::new(scenario.init.clone(), train.clone());
+        let config = RuntimeConfig {
+            prefetch_window: 0,
+            num_devices: devices,
+            ..Default::default()
+        };
+        let mut engine = PipelinedEngine::new(scenario.init.clone(), train, config)
+            .partition_over(&scenario.dataset.cameras);
+        for range in batch_slices(scenario.dataset.cameras.len(), scenario.train.batch_size) {
+            let cameras = &scenario.dataset.cameras[range.clone()];
+            let targets = &scenario.targets[range];
+            let mut timeline = Timeline::new();
+            let batch = synchronous.train_batch_spanned(cameras, targets, &mut timeline);
+            let report = engine.run_batch(cameras, targets);
+            assert_eq!(report.batch, batch, "{devices} devices");
+            let walked = hook_sequence(&timeline);
+            assert_eq!(walked, hook_sequence(&report.timeline), "{devices} devices");
+            assert!(walked.len() > 5 * cameras.len(), "{walked:?}");
+        }
+        assert_eq!(synchronous.resize_events(), 1, "{devices} devices");
+        assert_eq!(synchronous.model(), engine.trainer().model());
+        models.push(engine.trainer().model().clone());
+    }
+    assert_eq!(models[0], models[1]);
 }
 
 #[test]

@@ -112,8 +112,8 @@ fn band_geometry_is_thread_count_independent_by_construction() {
 fn training_trajectories_bit_identical_across_compute_threads() {
     // End-to-end across clm-core and the gs-* crates: the full training
     // loop (losses, PSNR, final parameters) must not move by one bit when
-    // the compute lane fans out — banded, view-parallel, or both via the
-    // threaded backend.
+    // the compute lane fans out — banded, on its own or inside the threaded
+    // backend.
     for seed in SEEDS {
         let dataset = generate_dataset(
             &SceneSpec::of(SceneKind::Rubble),
@@ -134,21 +134,20 @@ fn training_trajectories_bit_identical_across_compute_threads() {
                 ..Default::default()
             },
         );
-        let train = |compute_threads: usize, view_parallel: bool| TrainConfig {
+        let train = |compute_threads: usize| TrainConfig {
             system: SystemKind::Clm,
             batch_size: 4,
             seed,
             compute_threads,
-            view_parallel,
             ..Default::default()
         };
 
-        let mut reference = Trainer::new(init.clone(), train(1, false));
+        let mut reference = Trainer::new(init.clone(), train(1));
         let ref_reports = reference.train_epoch(&dataset, &targets);
         let ref_psnr = reference.evaluate_psnr(&dataset.cameras, &targets);
 
         for threads in THREADS {
-            let mut banded = Trainer::new(init.clone(), train(threads, false));
+            let mut banded = Trainer::new(init.clone(), train(threads));
             assert_eq!(
                 banded.train_epoch(&dataset, &targets),
                 ref_reports,
@@ -165,21 +164,9 @@ fn training_trajectories_bit_identical_across_compute_threads() {
                 "seed {seed}, threads {threads}: banded PSNR"
             );
 
-            let mut views = Trainer::new(init.clone(), train(threads, true));
-            assert_eq!(
-                views.train_epoch(&dataset, &targets),
-                ref_reports,
-                "seed {seed}, threads {threads}: view-parallel reports"
-            );
-            assert_eq!(
-                views.model(),
-                reference.model(),
-                "seed {seed}, threads {threads}: view-parallel model"
-            );
-
             let mut threaded = ThreadedBackend::new(
                 init.clone(),
-                train(1, false),
+                train(1),
                 ThreadedConfig {
                     prefetch_window: 2,
                     compute_threads: threads,

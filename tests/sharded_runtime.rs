@@ -1,52 +1,20 @@
 //! Integration tests of multi-device sharded training: the `PipelinedEngine`
 //! at `num_devices > 1` (and the threaded backend's device rounds, and the
-//! trainer's own `num_devices` waves) must reproduce the 1-device trainer's trajectory
+//! trainer's own walk at `num_devices`) must reproduce the 1-device trainer's trajectory
 //! **bit-for-bit** for device counts {1, 2, 4} across seeds — the shard-count
 //! invariance CI's `shard-matrix` job gates at the benchmark level — while
 //! the visibility-aware partitioner keeps the per-device footprint load
 //! balanced and the per-device lane groups actually share the work.
 
-use clm_repro::clm_core::{ground_truth_images, SystemKind, TrainConfig, Trainer};
+use clm_repro::clm_core::{SystemKind, TrainConfig, Trainer};
 use clm_repro::clm_runtime::{
     ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
 };
-use clm_repro::gs_scene::{
-    generate_dataset, init_from_point_cloud, partition_by_footprint, DatasetConfig, InitConfig,
-    SceneKind, SceneSpec,
-};
+use clm_repro::gs_scene::partition_by_footprint;
 use clm_repro::sim_device::{Lane, OpKind};
 
 const DEVICE_COUNTS: [usize; 3] = [1, 2, 4];
 const SEEDS: [u64; 3] = [11, 42, 97];
-
-fn setup(
-    seed: u64,
-) -> (
-    clm_repro::gs_scene::Dataset,
-    Vec<clm_repro::gs_render::Image>,
-    clm_repro::gs_core::GaussianModel,
-) {
-    let dataset = generate_dataset(
-        &SceneSpec::of(SceneKind::Rubble),
-        &DatasetConfig {
-            num_gaussians: 400,
-            num_views: 12,
-            width: 40,
-            height: 30,
-            seed,
-        },
-    );
-    let targets = ground_truth_images(&dataset);
-    let init = init_from_point_cloud(
-        &dataset.ground_truth,
-        &InitConfig {
-            num_gaussians: 150,
-            seed: seed + 1,
-            ..Default::default()
-        },
-    );
-    (dataset, targets, init)
-}
 
 fn train_config(seed: u64) -> TrainConfig {
     TrainConfig {
@@ -64,7 +32,7 @@ fn sharded_engine_is_bit_identical_across_device_counts_and_seeds() {
     // synchronous 1-device trainer's exactly, for 3 seeds × device counts
     // {1, 2, 4}.
     for seed in SEEDS {
-        let (dataset, targets, init) = setup(seed);
+        let (dataset, targets, init) = harness::rubble_scene(seed);
         let train = train_config(seed);
 
         let mut sync = Trainer::new(init.clone(), train.clone());
@@ -112,7 +80,7 @@ fn sharded_engine_is_bit_identical_across_device_counts_and_seeds() {
 #[test]
 fn threaded_device_rounds_are_bit_identical_across_device_counts() {
     for seed in [11u64, 42] {
-        let (dataset, targets, init) = setup(seed);
+        let (dataset, targets, init) = harness::rubble_scene(seed);
         let train = train_config(seed);
         let mut sync = Trainer::new(init.clone(), train.clone());
         let reference = sync.train_epoch(&dataset, &targets);
@@ -140,10 +108,11 @@ fn threaded_device_rounds_are_bit_identical_across_device_counts() {
 
 #[test]
 fn trainer_num_devices_waves_are_bit_identical() {
-    let (dataset, targets, init) = setup(7);
+    let (dataset, targets, init) = harness::rubble_scene(7);
     let mut serial = Trainer::new(init.clone(), train_config(7));
     let reference = serial.train_epoch(&dataset, &targets);
-    for devices in [2usize, 4] {
+    // 8 devices leave half of them without a micro-batch.
+    for devices in [2usize, 3, 4, 8] {
         let mut sharded = Trainer::new(
             init.clone(),
             TrainConfig {
@@ -162,7 +131,7 @@ fn partitioner_balances_projected_footprint_load() {
     // The partition the sharded engine runs on must spread the
     // projected-footprint load: max/min device load bounded, no empty
     // devices, every Gaussian owned exactly once.
-    let (dataset, _, init) = setup(42);
+    let (dataset, _, init) = harness::rubble_scene(42);
     for devices in [2usize, 4] {
         let partition = partition_by_footprint(&init, &dataset.cameras, devices);
         assert_eq!(partition.num_devices(), devices);
@@ -184,7 +153,7 @@ fn partitioner_balances_projected_footprint_load() {
 
 #[test]
 fn sharded_schedule_uses_every_device_lane_group() {
-    let (dataset, targets, init) = setup(11);
+    let (dataset, targets, init) = harness::rubble_scene(11);
     let devices = 4;
     let mut sharded = PipelinedEngine::new(
         init,
@@ -216,7 +185,7 @@ fn sharded_schedule_uses_every_device_lane_group() {
 
 #[test]
 fn sharded_allreduce_and_traffic_accounting_hold() {
-    let (dataset, targets, init) = setup(42);
+    let (dataset, targets, init) = harness::rubble_scene(42);
     let mut sharded = PipelinedEngine::new(
         init,
         train_config(42),
@@ -252,7 +221,7 @@ fn sharded_pool_high_water_scales_with_device_lane_groups() {
     // pinned pool: with D devices and window W the high-water mark is
     // D × (W + 1) buffers (capped by each device's local sequence length),
     // and everything is returned by batch end.
-    let (dataset, targets, init) = setup(97);
+    let (dataset, targets, init) = harness::rubble_scene(97);
     for (devices, window, expected) in [(1usize, 1usize, 2usize), (2, 1, 4), (4, 0, 4)] {
         let mut sharded = PipelinedEngine::new(
             init.clone(),
@@ -287,7 +256,7 @@ fn sharded_engine_runs_the_comparison_systems_on_device_zero() {
     // The no-overlap comparison systems are not sharded; they must still
     // execute (and match the synchronous trainer) under a multi-device
     // config, landing on device 0's classic lanes.
-    let (dataset, targets, init) = setup(11);
+    let (dataset, targets, init) = harness::rubble_scene(11);
     for system in [SystemKind::NaiveOffload, SystemKind::EnhancedBaseline] {
         let train = TrainConfig {
             system,

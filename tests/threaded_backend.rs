@@ -5,43 +5,11 @@
 //! end-to-end across `clm-runtime`, `clm-core`, `gs-optim` and the gs-*
 //! crates.
 
-use clm_repro::clm_core::{ground_truth_images, SystemKind, TrainConfig, Trainer};
+use clm_repro::clm_core::{SystemKind, TrainConfig, Trainer};
 use clm_repro::clm_runtime::{
     ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
 };
-use clm_repro::gs_scene::{
-    generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
-};
 use clm_repro::sim_device::Lane;
-
-fn setup(
-    seed: u64,
-) -> (
-    clm_repro::gs_scene::Dataset,
-    Vec<clm_repro::gs_render::Image>,
-    clm_repro::gs_core::GaussianModel,
-) {
-    let dataset = generate_dataset(
-        &SceneSpec::of(SceneKind::Rubble),
-        &DatasetConfig {
-            num_gaussians: 400,
-            num_views: 12,
-            width: 40,
-            height: 30,
-            seed,
-        },
-    );
-    let targets = ground_truth_images(&dataset);
-    let init = init_from_point_cloud(
-        &dataset.ground_truth,
-        &InitConfig {
-            num_gaussians: 150,
-            seed: seed + 1,
-            ..Default::default()
-        },
-    );
-    (dataset, targets, init)
-}
 
 #[test]
 fn threaded_backend_is_bit_identical_across_seeds_and_windows() {
@@ -49,7 +17,7 @@ fn threaded_backend_is_bit_identical_across_seeds_and_windows() {
     // parameters and the evaluated PSNR must equal the synchronous
     // trainer's exactly, for 3 dataset seeds × prefetch windows {0, 1, 2}.
     for seed in [11u64, 42, 97] {
-        let (dataset, targets, init) = setup(seed);
+        let (dataset, targets, init) = harness::rubble_scene(seed);
         let train = TrainConfig {
             system: SystemKind::Clm,
             batch_size: 4,
@@ -110,7 +78,7 @@ fn threaded_backend_survives_single_slot_backpressure() {
     // and the workers exercises a full queue; the run must neither deadlock
     // nor change numerics, and the staging pool must stay within the
     // window's buffer budget.
-    let (dataset, targets, init) = setup(7);
+    let (dataset, targets, init) = harness::rubble_scene(7);
     let train = TrainConfig {
         system: SystemKind::Clm,
         batch_size: 6,
@@ -150,7 +118,7 @@ fn threaded_staging_pool_accounting_equals_the_engines() {
     // order the emitter issues gathers and retires micro-batches, so the
     // pool ends up exactly where the simulated engine's does — per-device
     // windows included.
-    let (dataset, targets, init) = setup(5);
+    let (dataset, targets, init) = harness::rubble_scene(5);
     let train = TrainConfig {
         system: SystemKind::Clm,
         batch_size: 6,
@@ -195,7 +163,7 @@ fn a_traced_batch_adds_up_to_its_own_report() {
     // Lane busy seconds are the per-lane sums of the traced timeline's
     // spans and of nothing else — pool releases on the comm lane and
     // gradient-row packing on the Adam lane included.
-    let (dataset, targets, init) = setup(3);
+    let (dataset, targets, init) = harness::rubble_scene(3);
     let train = TrainConfig {
         system: SystemKind::Clm,
         batch_size: 6,
