@@ -149,6 +149,11 @@ pub struct BatchReport {
     pub bytes_stored: u64,
     /// The micro-batch processing order used.
     pub order: Vec<usize>,
+    /// Rows the optimiser skipped as cold: no gradient received and both
+    /// moment rows all `+0.0` bitwise, so their step is the identity and
+    /// only their step counters advanced (`gs_optim::adam`, "Cold rows cost
+    /// nothing").
+    pub adam_rows_skipped: usize,
 }
 
 /// Everything a trainer decides **before** executing a batch: micro-batch
@@ -545,6 +550,8 @@ impl Trainer {
         if let Some(event) = &resize {
             self.apply_resize(event);
         }
+        // A batch that unwound before `finish_batch` left its skip count.
+        self.optimizer.take_rows_skipped();
         let mut plan = self.plan_batch(cameras);
         plan.resize = resize;
         plan
@@ -676,7 +683,11 @@ impl Trainer {
     /// the whole batch (`F_0`) are updated immediately — their gradient is
     /// already final (zero).
     /// `grads` is the batch's (still all-zero) accumulator: no row has
-    /// received gradient yet, so `F_0` steps with the zero gradient.
+    /// received gradient yet, so `F_0` steps with the zero gradient — except
+    /// its cold rows (moments all `+0.0` bitwise, every Gaussian no batch
+    /// has reached yet), whose step is the identity: the optimiser only
+    /// advances their step counters and counts them
+    /// ([`BatchReport::adam_rows_skipped`]).
     pub fn begin_batch(&mut self, plan: &BatchPlan, grads: &GradientBuffer) {
         if self.overlapped() {
             self.optimizer
@@ -790,9 +801,10 @@ impl Trainer {
     /// the runtime owns, and the runtime swaps that in at batch end
     /// ([`swap_model`](Self::swap_model)).  The finalisation schedule
     /// guarantees a finalised Gaussian is never read again within the batch,
-    /// and `F_0` and the groups together write every row exactly once, so
-    /// the swap is bit-identical to the synchronous
-    /// [`apply_finalized`](Self::apply_finalized).
+    /// and `F_0` and the groups together write every row that is not cold
+    /// (a cold row's step is the identity, so the runtime keeps its back row
+    /// equal to the model's), so the swap is bit-identical to the
+    /// synchronous [`apply_finalized`](Self::apply_finalized).
     pub fn lend_optimizer(&mut self) -> (TrainerView<'_>, &mut GaussianAdam) {
         (
             TrainerView {
@@ -868,6 +880,7 @@ impl Trainer {
                     .sum(),
             },
             order: plan.order.clone(),
+            adam_rows_skipped: self.optimizer.take_rows_skipped(),
         }
     }
 

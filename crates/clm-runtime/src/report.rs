@@ -174,6 +174,7 @@ mod tests {
                 bytes_loaded: 110,
                 bytes_stored: 40,
                 order: vec![0, 1],
+                adam_rows_skipped: 0,
             },
             lanes: LaneBusy::of(&t, 2),
             timeline: t,

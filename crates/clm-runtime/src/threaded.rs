@@ -33,13 +33,24 @@
 //! * the **main thread** is the coordinator and the GPU-compute stand-in:
 //!   it renders micro-batches and accumulates gradients.
 //!
-//! The model is double-buffered: `F_0` and the finalisation groups
-//! partition the model, so one batch writes every back-model row exactly
-//! once, and the swap (`Trainer::swap_model`) leaves the old model behind as
-//! the next batch's back model — two model allocations alternate, and no
-//! row is copied to publish a batch.  The back model is re-provisioned
-//! (`clone_from`) only when a densification boundary changes the model's
-//! length.  The gradient rows travel in one list per finalisation group
+//! The model is double-buffered: the lane writes every row it steps to the
+//! back model, and the swap (`Trainer::swap_model`) leaves the old model
+//! behind as the next batch's back model — two model allocations
+//! alternate, and no row is copied to publish a batch.  The lane skips
+//! *cold* rows (no gradient, moments all `+0.0` bitwise: their step is the
+//! identity, see `gs_optim::adam`), so a batch does not write every back
+//! row.  The swap stays exact by one invariant: **every row whose moments
+//! are `+0.0` holds the same bits in the front and the back model.**
+//! `F_0` and the finalisation groups partition the model, so every row
+//! that is not cold is stepped and written.  A stepped row whose moments
+//! come out `+0.0` had an identity update, so its back row equals its
+//! front row; a skipped row leaves both alone; the swap exchanges two
+//! models that agree on those rows; and a batch that unwinds before its
+//! swap has only written rows by the same rules.  The back model is
+//! re-provisioned (`clone_from`) before the first batch and after every
+//! applied densification boundary: a resize renumbers rows and appends
+//! fresh cold ones, even when it keeps the length.  The gradient rows
+//! travel in one list per finalisation group
 //! that grows to what its group ever shipped — so once warm the lane
 //! allocates nothing.  Every interval a thread times goes onto that
 //! thread's own [`LaneSpans`] list, and the lists, merged onto one measured
@@ -353,18 +364,18 @@ impl ThreadedBackend {
 
         // The Adam lane steps F_0, then the group each micro-batch
         // finalises.  Together they partition the model, so the batch writes
-        // every back-model row exactly once.  F_0 ships no gradients; group
-        // i's received rows go into list i.
+        // every back-model row that is not cold.  F_0 ships no gradients;
+        // group i's received rows go into list i.
         if overlapped {
             let stepped = plan.untouched.len() + plan.finalization.total_touched();
             assert_eq!(
                 stepped, model_len,
                 "the Adam groups must partition the model"
             );
-            if self.back.len() != model_len {
-                // Before the first batch and at a densification boundary
-                // that changed the length: any rows of that length will
-                // do, the batch overwrites them all.
+            if plan.resize.is_some() || self.back.len() != model_len {
+                // Before the first batch and after every resize (which
+                // renumbers rows): a copy of the model agrees with it on
+                // every cold row, as the module docs' invariant needs.
                 self.back.clone_from(self.trainer.model());
             }
         }
@@ -824,6 +835,26 @@ mod tests {
         );
     }
 
+    /// Asserts the back model's invariant (module docs): every row whose
+    /// moments are all `+0.0` bitwise — rows past the optimiser's state
+    /// included — holds the same bits in the front and the back model.
+    /// Returns how many rows that covered.
+    fn assert_cold_rows_agree(threaded: &ThreadedBackend, label: &str) -> usize {
+        let (front, back) = (threaded.trainer().model(), &threaded.back);
+        assert_eq!(front.len(), back.len(), "{label}: back model length");
+        let state = threaded.trainer().optimizer().export_rows();
+        let zero = |row: &ParamRow| row.iter().all(|x| x.to_bits() == 0);
+        let cold =
+            (0..front.len()).filter(|&i| state.get(i).is_none_or(|r| zero(&r.m) && zero(&r.v)));
+        let mut checked = 0;
+        for i in cold {
+            let bits = |model: &GaussianModel| model.param_row(i).map(f32::to_bits);
+            assert_eq!(bits(front), bits(back), "{label}: cold row {i}");
+            checked += 1;
+        }
+        checked
+    }
+
     /// `kind micro-batch` of the ops `keep` selects, in list order (push
     /// order for an emitted timeline, start order for a measured one).
     fn order(timeline: &Timeline, keep: impl Fn(&sim_device::ScheduledOp) -> bool) -> String {
@@ -980,6 +1011,12 @@ mod tests {
         assert_same_training_state(&threaded, &sync, "after retried batches");
     }
 
+    /// A densifying run capped at its initial size: the splats whose
+    /// opacity sits below the prune threshold go, and high-gradient ones
+    /// split into as many appended rows as were pruned.  Rows are renumbered
+    /// and fresh cold rows appended without a change of length, so the back
+    /// model must be re-provisioned at every boundary, not only when the
+    /// length changed.
     #[test]
     fn densify_boundary_reprovisions_the_adam_lane_buffers() {
         let (dataset, targets, init) = tiny_setup();
@@ -988,7 +1025,8 @@ mod tests {
                 every_batches: 2,
                 config: DensifyConfig {
                     grad_threshold: 1.0e-5,
-                    max_gaussians: init.len() + 40,
+                    prune_opacity: 0.32,
+                    max_gaussians: init.len(),
                     ..Default::default()
                 },
             }),
@@ -996,8 +1034,8 @@ mod tests {
         };
         let mut sync = Trainer::new(init.clone(), train.clone());
         let mut threaded = ThreadedBackend::new(init, train, ThreadedConfig::default());
-        let mut sizes = Vec::new();
-        for batch in 0..6 {
+        let (mut resizes, mut cold_rows) = (Vec::new(), 0);
+        for batch in 0..8 {
             let start = (batch * 4) % 12;
             let cams = &dataset.cameras[start..start + 4];
             let tgts = &targets[start..start + 4];
@@ -1009,10 +1047,15 @@ mod tests {
                 rows,
                 "batch {batch}: the parameter buffer follows the model across a boundary"
             );
-            sizes.push(rows);
+            cold_rows += assert_cold_rows_agree(&threaded, &format!("batch {batch}"));
+            resizes.extend(report.resize);
         }
-        sizes.dedup();
-        assert!(sizes.len() > 1, "the run must cross a resizing boundary");
+        assert!(resizes.len() >= 2, "the run must cross two boundaries");
+        assert!(
+            resizes.iter().any(|r| r.net_growth() == 0 && r.pruned > 0),
+            "a boundary must renumber rows at an unchanged length: {resizes:?}"
+        );
+        assert!(cold_rows > 0, "the run must leave cold rows to check");
         assert_same_training_state(&threaded, &sync, "after densifying batches");
     }
 
@@ -1054,6 +1097,7 @@ mod tests {
         let optimizer = threaded.trainer().optimizer();
         assert_eq!(optimizer.len(), rows, "full state, not a placeholder");
         assert!((0..rows as u32).all(|i| optimizer.step_count(i) >= 1));
+        assert!(assert_cold_rows_agree(&threaded, "after the unwind") > 0);
 
         // The half-written back model leaks into nothing: the next batch
         // equals a synchronous trainer started from the state the unwind
@@ -1074,5 +1118,6 @@ mod tests {
         let report = threaded.run_batch(cams, tgts);
         assert_eq!(report.batch, sync.train_batch(cams, tgts));
         assert_same_training_state(&threaded, &sync, "the batch after an unwound one");
+        assert_cold_rows_agree(&threaded, "the batch after an unwound one");
     }
 }

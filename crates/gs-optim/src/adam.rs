@@ -52,6 +52,40 @@
 //! * A row that received no gradient steps with the all-`+0.0` row, which
 //!   is exactly what its accumulator row holds; a retry (`commit = false`)
 //!   steps copies of the same moment rows.  No driver pads anything.
+//! * A cold row is skipped only where its step is the identity (below), so
+//!   skipping it leaves the bits a step would have written.
+//!
+//! # Cold rows cost nothing
+//!
+//! A row is **cold** when it received no gradient and every column of its
+//! moments `m` and `v` holds the bits `0x0000_0000` (`+0.0`).  The in-place
+//! and the detached driver skip a cold row: its step counter still advances
+//! (later bias corrections depend on it), and its parameter and moment rows
+//! are neither read nor written.  On a model trained from scratch most of
+//! `F_0` is cold — every Gaussian no view has reached yet.  The test is on
+//! the bits: a `-0.0` moment comes out of a step as `+0.0`, so a value test
+//! (`== 0.0`) would skip a row whose bits change.  `m` is tested first, so
+//! a row with a live first moment costs one OR over its 59 columns.
+//!
+//! Stepping a cold row is the identity.  With `g = +0` and `m = v = +0`:
+//!
+//! * `m′ = β1·(+0) + (1 − β1)·(+0) = +0` and `v′ = +0`, for `β1, β2` in
+//!   `[0, 1)`;
+//! * `m̂ = +0 / bias1 = +0` and `v̂ = +0`, for `bias1, bias2 > 0`;
+//! * the update `lr·(+0) / (√(+0) + ε)` is `+0` for `ε > 0` and a finite
+//!   `lr` with its sign bit clear;
+//! * `p − (+0)` is `p`, bit for bit, for `±0`, `±inf`, every finite value
+//!   and a quiet NaN.  (A signalling NaN, which no arithmetic produces,
+//!   would come out of a step quietened.)
+//!
+//! A driver skips only under those preconditions and steps every row
+//! otherwise.  The hyper-parameter half is checked once per call; the bias
+//! corrections, which come from the platform's `powf`, once per run of
+//! equal step counts, where the driver computes them.  `β` in `[0, 1)`
+//! makes every bias correction positive, so whether a configuration skips
+//! does not depend on a row's age — the threaded runtime's back model
+//! relies on that.  [`AdamConfig::default`] passes.  Each optimiser counts
+//! the rows it skipped ([`GaussianAdam::take_rows_skipped`]).
 
 use crate::gradients::GradientBuffer;
 use gs_core::gaussian::{GaussianModel, ModelRowsMut, SH_FLOATS};
@@ -140,6 +174,25 @@ impl AdamConfig {
         let t = step as f32;
         (1.0 - self.beta1.powf(t), 1.0 - self.beta2.powf(t))
     }
+
+    /// The hyper-parameter half of the cold-row preconditions (module docs,
+    /// "Cold rows cost nothing"): `ε > 0`, `β1` and `β2` in `[0, 1)`, and
+    /// every learning rate of `lr` (this config's
+    /// [`lr_table`](Self::lr_table)) finite with its sign bit clear.
+    fn skips_cold_rows(&self, lr: &ParamRow) -> bool {
+        let beta = |b: f32| (0.0..1.0).contains(&b);
+        self.eps > 0.0
+            && beta(self.beta1)
+            && beta(self.beta2)
+            && lr.iter().all(|lr| lr.is_finite() && lr.is_sign_positive())
+    }
+}
+
+/// The per-run half of the cold-row preconditions: both bias corrections
+/// positive.
+#[inline]
+fn bias_is_positive((bias1, bias2): (f32, f32)) -> bool {
+    bias1 > 0.0 && bias2 > 0.0
 }
 
 /// One flat [`param_row`](GaussianModel::param_row)-layout row: the layout
@@ -150,6 +203,13 @@ pub type ParamRow = [f32; PARAMS_PER_GAUSSIAN];
 /// `+0.0` in every slot: fresh moments, and the gradient a row that
 /// received none steps with (what its accumulator row holds).
 const ZERO_ROW: ParamRow = [0.0; PARAMS_PER_GAUSSIAN];
+
+/// Whether every column of `row` holds the bits of `+0.0` — one OR over
+/// the column bits, so `-0.0` does not pass.
+#[inline]
+fn is_cold(row: &ParamRow) -> bool {
+    row.iter().fold(0, |bits, x| bits | x.to_bits()) == 0
+}
 
 /// One Gaussian's exported Adam state — the checkpointable view of a moment
 /// row.  Flat [`param_row`](GaussianModel::param_row) layout, so export →
@@ -267,6 +327,8 @@ pub fn threads_for_chunk_rows(len: usize, target_chunk_rows: usize, max_threads:
 struct DetachedKernel<'a> {
     lr: ParamRow,
     config: &'a AdamConfig,
+    /// [`AdamConfig::skips_cold_rows`] of `config`.
+    skips_cold_rows: bool,
     model: &'a GaussianModel,
     commit: bool,
 }
@@ -326,8 +388,9 @@ impl DetachedKernel<'_> {
     /// model read-only: each parameter row is read from the model, updated
     /// and written to the same row of the back model; the moments and the
     /// step counter are updated in place when committing, and copies of
-    /// them otherwise.
-    fn run(&self, shard: DetachedShard<'_>) {
+    /// them otherwise.  A cold row is skipped — its back row is not
+    /// written — and counted: the count is returned.
+    fn run(&self, shard: DetachedShard<'_>) -> usize {
         let DetachedShard {
             base,
             indices,
@@ -339,21 +402,27 @@ impl DetachedKernel<'_> {
         } = shard;
         let config = self.config;
         let mut received = grads.iter().peekable();
-        let (mut run, mut bias) = (0, config.bias_corrections(0));
-        let mut p = ZERO_ROW;
+        let (mut run, mut bias, mut skip) = (0, config.bias_corrections(0), false);
+        let (mut p, mut skipped) = (ZERO_ROW, 0);
         for &idx in indices {
             let r = idx as usize - base;
             let step = steps[r] + 1;
             if step != run {
                 (run, bias) = (step, config.bias_corrections(step));
+                skip = self.skips_cold_rows && bias_is_positive(bias);
+            }
+            if self.commit {
+                steps[r] = step;
+            }
+            let g = received.next_if(|&&(row, _)| row == idx);
+            if g.is_none() && skip && is_cold(&m[r]) && is_cold(&v[r]) {
+                skipped += 1;
+                continue;
             }
             self.model.read_param_row_into(idx as usize, &mut p);
-            let g = received
-                .next_if(|&&(row, _)| row == idx)
-                .map_or(&ZERO_ROW, |(_, row)| row);
+            let g = g.map_or(&ZERO_ROW, |(_, row)| row);
             let (mut m_copy, mut v_copy);
             let (m, v) = if self.commit {
-                steps[r] = step;
                 (&mut m[r], &mut v[r])
             } else {
                 (m_copy, v_copy) = (m[r], v[r]);
@@ -377,6 +446,7 @@ impl DetachedKernel<'_> {
             received.next().is_none(),
             "gradient rows must be a strictly increasing subset of the indices"
         );
+        skipped
     }
 }
 
@@ -392,6 +462,9 @@ pub struct GaussianAdam {
     m: Vec<ParamRow>,
     v: Vec<ParamRow>,
     steps: Vec<u64>,
+    /// Cold rows skipped since the last
+    /// [`take_rows_skipped`](Self::take_rows_skipped).
+    rows_skipped: usize,
 }
 
 impl GaussianAdam {
@@ -402,6 +475,7 @@ impl GaussianAdam {
             m: vec![ZERO_ROW; len],
             v: vec![ZERO_ROW; len],
             steps: vec![0; len],
+            rows_skipped: 0,
         }
     }
 
@@ -474,7 +548,8 @@ impl GaussianAdam {
     /// A Gaussian of `indices` that received no gradient steps with the
     /// all-zero gradient its accumulator row holds (its moments still
     /// decay) — the batch's untouched `F_0` group is the case where none
-    /// did.
+    /// did.  A cold one is skipped: only its step counter advances (module
+    /// docs).
     ///
     /// # Panics
     /// Panics if an index is out of bounds or the gradient buffer does not
@@ -494,10 +569,12 @@ impl GaussianAdam {
     /// parameter row from the model, updates it against the moment rows in
     /// place and writes it back.  Only a row that received gradient has its
     /// accumulator row read; every other row steps with [`ZERO_ROW`], as in
-    /// [`step_detached`](Self::step_detached).
+    /// [`step_detached`](Self::step_detached) — or, if it is cold, only
+    /// advances its step counter (module docs).
     fn step_indices(&mut self, model: &mut GaussianModel, grads: &GradientBuffer, indices: &[u32]) {
         let lr = self.config.lr_table();
-        let (mut run, mut bias) = (0, self.config.bias_corrections(0));
+        let skips_cold_rows = self.config.skips_cold_rows(&lr);
+        let (mut run, mut bias, mut skip) = (0, self.config.bias_corrections(0), false);
         let (mut p, mut g) = (ZERO_ROW, ZERO_ROW);
         for &idx in indices {
             let i = idx as usize;
@@ -506,9 +583,15 @@ impl GaussianAdam {
             let step = self.steps[i];
             if step != run {
                 (run, bias) = (step, self.config.bias_corrections(step));
+                skip = skips_cold_rows && bias_is_positive(bias);
+            }
+            let received = grads.is_touched(idx);
+            if !received && skip && is_cold(&self.m[i]) && is_cold(&self.v[i]) {
+                self.rows_skipped += 1;
+                continue;
             }
             model.read_param_row_into(i, &mut p);
-            let g = if grads.is_touched(idx) {
+            let g = if received {
                 grads.read_row_into(idx, &mut g);
                 &g
             } else {
@@ -543,7 +626,10 @@ impl GaussianAdam {
     /// group ships an empty list).  The moments and counters are updated
     /// **in place**, and the new parameter row is written to the same row
     /// of `back`, a second model of the same length; no other row of `back`
-    /// is touched.  The caller swaps `back` in once nothing reads the old
+    /// is touched.  A cold row (module docs) is skipped like in the
+    /// in-place step: its counter advances and its row of `back` is **not**
+    /// written, so the caller keeps `back`'s cold rows equal to the
+    /// model's.  The caller swaps `back` in once nothing reads the old
     /// values any more; until then repeated calls for *disjoint* groups are
     /// independent.  Same row order, same [`adam_update_row`] call, same
     /// inputs as the in-place step, so `back`'s rows and the optimiser state
@@ -557,9 +643,9 @@ impl GaussianAdam {
     /// pure scheduling, every row sees the same kernel.
     ///
     /// `commit = false` runs the same math and writes the same rows to
-    /// `back` but leaves the moments and step counters as they were: the
-    /// retry of a failed attempt under fault injection, whose rows the
-    /// committed attempt then overwrites with the same values.  Like every
+    /// `back` but leaves the moments, step counters and skip count as they
+    /// were: the retry of a failed attempt under fault injection, whose rows
+    /// the committed attempt then overwrites with the same values.  Like every
     /// step, the call first grows the state to the model's length with
     /// fresh zero rows.
     ///
@@ -593,8 +679,10 @@ impl GaussianAdam {
         }
         self.resize(model.len());
 
+        let lr = self.config.lr_table();
         let kernel = DetachedKernel {
-            lr: self.config.lr_table(),
+            skips_cold_rows: self.config.skips_cold_rows(&lr),
+            lr,
             config: &self.config,
             model,
             commit,
@@ -609,21 +697,35 @@ impl GaussianAdam {
             steps: &mut self.steps,
         };
         let parts = threads.clamp(1, indices.len().max(1));
-        if parts == 1 {
-            kernel.run(rest);
-            return;
+        let skipped = if parts == 1 {
+            kernel.run(rest)
+        } else {
+            let per_shard = indices.len().div_ceil(parts);
+            let mut shards = Vec::with_capacity(parts);
+            while rest.indices.len() > per_shard {
+                // Cut right behind the shard's last index.
+                let row = rest.indices[per_shard - 1] as usize + 1;
+                let (head, tail) = rest.split_at_row(row);
+                shards.push(head);
+                rest = tail;
+            }
+            shards.push(rest);
+            let mut skipped = vec![0; shards.len()];
+            let jobs: Vec<_> = shards.into_iter().zip(&mut skipped).collect();
+            parallel_for_each(parts, jobs, |(shard, skipped)| *skipped = kernel.run(shard));
+            skipped.iter().sum()
+        };
+        if commit {
+            self.rows_skipped += skipped;
         }
-        let per_shard = indices.len().div_ceil(parts);
-        let mut shards = Vec::with_capacity(parts);
-        while rest.indices.len() > per_shard {
-            // Cut right behind the shard's last index.
-            let row = rest.indices[per_shard - 1] as usize + 1;
-            let (head, tail) = rest.split_at_row(row);
-            shards.push(head);
-            rest = tail;
-        }
-        shards.push(rest);
-        parallel_for_each(parts, shards, |shard| kernel.run(shard));
+    }
+
+    /// The number of cold rows (module docs) the in-place steps and the
+    /// committed detached steps skipped since the last call; the count
+    /// restarts at zero.  `Trainer::finish_batch` drains it into the batch
+    /// report.
+    pub fn take_rows_skipped(&mut self) -> usize {
+        std::mem::take(&mut self.rows_skipped)
     }
 
     /// Packs the Adam work of `indices` into self-contained
@@ -704,6 +806,7 @@ impl GaussianAdam {
             m: rows.iter().map(|r| r.m).collect(),
             v: rows.iter().map(|r| r.v).collect(),
             steps: rows.iter().map(|r| r.step).collect(),
+            rows_skipped: 0,
         }
     }
 }

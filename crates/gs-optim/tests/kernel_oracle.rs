@@ -13,6 +13,13 @@
 //! appended by densification (step 0) between aged rows — so the drivers'
 //! reuse of the bias corrections across a run of equal step counts is
 //! exercised at every run boundary.
+//!
+//! The drivers skip *cold* rows — no gradient, moments all `+0.0` bitwise —
+//! because stepping one is the identity.  The cold-row properties feed rows
+//! that are cold or one column short of it (`-0.0`, a subnormal or a
+//! normal value in `m` or `v`), with and without a received gradient, over
+//! `±0`, `±inf` and NaN parameters, and configurations that break each
+//! precondition of the skip.
 
 use gs_core::gaussian::{Gaussian, GaussianModel, SH_FLOATS};
 use gs_core::math::Vec3;
@@ -121,6 +128,12 @@ const GRAD_SPECIALS: [f32; 7] = [
 ];
 /// Moment values: `-0.0` and subnormals on both sides of zero.
 const MOMENT_SPECIALS: [f32; 4] = [0.0, -0.0, 1.0e-40, -1.0e-40];
+/// What the one warm column of an otherwise cold moment row holds: `-0.0`,
+/// which a value test (`== 0.0`) would take for cold, subnormals on both
+/// sides of zero and a normal value.
+const WARM_SPECIALS: [f32; 4] = [-0.0, 1.0e-40, -1.0e-40, 0.25];
+/// Parameter values an identity step must hand back bit for bit.
+const PARAM_SPECIALS: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
 
 fn assert_bits(label: &str, actual: &ParamRow, expected: &ParamRow) {
     for k in 0..PARAMS_PER_GAUSSIAN {
@@ -145,6 +158,203 @@ fn gradients_of(g: &ParamRow) -> GaussianGradients {
         d_sh,
         d_opacity_logit: g[PARAMS_PER_GAUSSIAN - 1],
     }
+}
+
+/// A model whose row `i` is `params[i]`.
+fn model_with_rows(params: &[ParamRow]) -> GaussianModel {
+    let mut model: GaussianModel = (0..params.len())
+        .map(|i| Gaussian::isotropic(Vec3::new(i as f32, 0.0, 5.0), 0.3, [0.5; 3], 0.7))
+        .collect();
+    for (i, row) in params.iter().enumerate() {
+        model.set_param_row(i, row);
+    }
+    model
+}
+
+/// Whether every column of `row` holds the bits of `+0.0`.
+fn all_positive_zero(row: &ParamRow) -> bool {
+    row.iter().all(|x| x.to_bits() == 0)
+}
+
+/// One row of a cold-row case: parameters, optimiser state and the gradient
+/// it received, if any.
+struct Row {
+    params: ParamRow,
+    state: AdamRowState,
+    grad: Option<ParamRow>,
+}
+
+impl Row {
+    /// Cold: no gradient and every moment bit zero.
+    fn is_cold(&self) -> bool {
+        self.grad.is_none() && all_positive_zero(&self.state.m) && all_positive_zero(&self.state.v)
+    }
+}
+
+impl Values {
+    /// A cold row, or one whose `m` or `v` has one warm column; a third of
+    /// the rows receive a gradient (half of those the all-`+0.0` one).
+    fn cold_row(&mut self) -> Row {
+        let (mut m, mut v) = ([0.0; PARAMS_PER_GAUSSIAN], [0.0; PARAMS_PER_GAUSSIAN]);
+        let column = self.next() as usize % PARAMS_PER_GAUSSIAN;
+        let warm = WARM_SPECIALS[self.next() as usize % WARM_SPECIALS.len()];
+        match self.next() % 3 {
+            0 => {}
+            1 => m[column] = warm,
+            _ => v[column] = warm,
+        }
+        let step = [0, 1, 1_000_000][self.next() as usize % 3];
+        let grad = match self.next() % 6 {
+            0 => Some(self.row(&GRAD_SPECIALS, false)),
+            1 => Some([0.0; PARAMS_PER_GAUSSIAN]),
+            _ => None,
+        };
+        Row {
+            params: self.row(&PARAM_SPECIALS, false),
+            state: AdamRowState { m, v, step },
+            grad,
+        }
+    }
+}
+
+/// Steps every row of `rows` through `step_subset` and through
+/// `step_detached` — committed, and as a suppressed retry — and checks
+/// parameters, moments, step counters and the skip count against the
+/// textbook update, bit for bit.  The detached step's back model holds the
+/// model's rows at the cold rows and poison everywhere else: the caller's
+/// side of the skip.  `skips` says whether `config` lets the drivers skip.
+fn check_cold_rows(config: &AdamConfig, rows: &[Row], threads: usize, skips: bool) {
+    let n = rows.len();
+    let params: Vec<ParamRow> = rows.iter().map(|r| r.params).collect();
+    let state: Vec<AdamRowState> = rows.iter().map(|r| r.state.clone()).collect();
+    let mut grads = GradientBuffer::new(n);
+    for (i, row) in rows.iter().enumerate() {
+        if let Some(g) = &row.grad {
+            grads.add(i as u32, &gradients_of(g));
+        }
+    }
+    let expected: Vec<(ParamRow, AdamRowState)> = rows
+        .iter()
+        .map(|row| {
+            let (mut p, mut m, mut v) = (row.params, row.state.m, row.state.v);
+            let step = row.state.step + 1;
+            // Accumulated onto the buffer's +0.0.
+            let g = row
+                .grad
+                .map_or([0.0; PARAMS_PER_GAUSSIAN], |g| g.map(|x| 0.0 + x));
+            for k in 0..PARAMS_PER_GAUSSIAN {
+                textbook_step(config, k, step, &mut p[k], g[k], &mut m[k], &mut v[k]);
+            }
+            (p, AdamRowState { m, v, step })
+        })
+        .collect();
+    let cold = rows.iter().filter(|r| r.is_cold()).count();
+    let skipped = if skips { cold } else { 0 };
+    let check_state = |label: &str, after: &[AdamRowState], want: &[AdamRowState]| {
+        for (i, (after, want)) in after.iter().zip(want).enumerate() {
+            assert_eq!(after.step, want.step, "{label}: row {i} step");
+            assert_bits(&format!("{label}: row {i} m"), &after.m, &want.m);
+            assert_bits(&format!("{label}: row {i} v"), &after.v, &want.v);
+        }
+    };
+    let want: Vec<AdamRowState> = expected.iter().map(|(_, s)| s.clone()).collect();
+    let indices: Vec<u32> = (0..n as u32).collect();
+
+    let mut model = model_with_rows(&params);
+    let mut opt = GaussianAdam::from_rows(config.clone(), state.clone());
+    opt.step_subset(&mut model, &grads, &indices);
+    for (i, (p, _)) in expected.iter().enumerate() {
+        assert_bits(&format!("in place: row {i} params"), &model.param_row(i), p);
+    }
+    check_state("in place", &opt.export_rows(), &want);
+    assert_eq!(opt.take_rows_skipped(), skipped, "in place: rows skipped");
+
+    let model = model_with_rows(&params);
+    let mut grad_rows = Vec::new();
+    grads.pack_received_into(&indices, &mut grad_rows);
+    for commit in [false, true] {
+        let label = format!("detached, commit {commit}, threads {threads}");
+        let mut back = model.clone();
+        for (i, _) in rows.iter().enumerate().filter(|(_, r)| !r.is_cold()) {
+            back.set_param_row(i, &[f32::from_bits(0x7fc0_0bad); PARAMS_PER_GAUSSIAN]);
+        }
+        let mut opt = GaussianAdam::from_rows(config.clone(), state.clone());
+        opt.step_detached(&model, &indices, &grad_rows, &mut back, threads, commit);
+        for (i, (p, _)) in expected.iter().enumerate() {
+            assert_bits(&format!("{label}: row {i} params"), &back.param_row(i), p);
+        }
+        let (want, skipped) = if commit {
+            (&want, skipped)
+        } else {
+            (&state, 0)
+        };
+        check_state(&label, &opt.export_rows(), want);
+        assert_eq!(opt.take_rows_skipped(), skipped, "{label}: rows skipped");
+    }
+}
+
+#[test]
+fn a_failed_precondition_steps_cold_rows_as_the_textbook_does() {
+    // Each configuration breaks one precondition of the skip, so stepping a
+    // cold row is no longer the identity — a NaN update, or `-0.0`
+    // parameters turned into `+0.0` — and every driver must step it.
+    // `β1 = −2` breaks only at even step counts, where `bias1 < 0`.
+    let base = AdamConfig::default();
+    let failing = [
+        AdamConfig {
+            eps: 0.0,
+            ..base.clone()
+        },
+        AdamConfig {
+            eps: f32::NAN,
+            ..base.clone()
+        },
+        AdamConfig {
+            lr_sh: -1.0e-3,
+            ..base.clone()
+        },
+        AdamConfig {
+            lr_opacity: -0.0,
+            ..base.clone()
+        },
+        AdamConfig {
+            lr_position: f32::INFINITY,
+            ..base.clone()
+        },
+        AdamConfig {
+            beta1: 1.0,
+            ..base.clone()
+        },
+        AdamConfig {
+            beta1: -2.0,
+            ..base.clone()
+        },
+        AdamConfig {
+            beta2: f32::NAN,
+            ..base.clone()
+        },
+    ];
+    let rows = |step: u64| -> Vec<Row> {
+        [[-0.0; PARAMS_PER_GAUSSIAN], [0.5; PARAMS_PER_GAUSSIAN]]
+            .into_iter()
+            .map(|params| Row {
+                params,
+                state: AdamRowState {
+                    m: [0.0; PARAMS_PER_GAUSSIAN],
+                    v: [0.0; PARAMS_PER_GAUSSIAN],
+                    step,
+                },
+                grad: None,
+            })
+            .collect()
+    };
+    for config in &failing {
+        for step in [0, 1, 1_000_000] {
+            check_cold_rows(config, &rows(step), 1, false);
+        }
+    }
+    // The same rows under the default configuration are skipped.
+    check_cold_rows(&base, &rows(1), 1, true);
 }
 
 proptest! {
@@ -216,12 +426,8 @@ proptest! {
                 }
             })
             .collect();
-        let mut model: GaussianModel = (0..n)
-            .map(|i| Gaussian::isotropic(Vec3::new(i as f32, 0.0, 5.0), 0.3, [0.5; 3], 0.7))
-            .collect();
-        for i in 0..n {
-            model.set_param_row(i, &values.row(&[0.0, -0.0], false));
-        }
+        let params: Vec<ParamRow> = (0..n).map(|_| values.row(&[0.0, -0.0], false)).collect();
+        let mut model = model_with_rows(&params);
         // Some rows receive gradient (accumulated onto the buffer's +0.0),
         // the rest step with the zero row.
         let mut grads = GradientBuffer::new(n);
@@ -261,5 +467,18 @@ proptest! {
             assert_bits(&format!("row {i} m"), &after[i].m, &m);
             assert_bits(&format!("row {i} v"), &after[i].v, &v);
         }
+    }
+
+    #[test]
+    fn cold_rows_match_the_textbook_update(
+        seed in 0u64..u64::MAX,
+        n in 1usize..24,
+        uniform_lr in 0u8..2,
+        threads in 1usize..4,
+    ) {
+        let config = if uniform_lr == 1 { AdamConfig::uniform(1e-2) } else { AdamConfig::default() };
+        let mut values = Values(seed);
+        let rows: Vec<Row> = (0..n).map(|_| values.cold_row()).collect();
+        check_cold_rows(&config, &rows, threads, true);
     }
 }

@@ -252,6 +252,9 @@ struct Recount {
     received: usize,
     /// Distinct Gaussians in some view's frustum.
     frustum: usize,
+    /// Rows the optimiser must skip as cold: no gradient received and every
+    /// moment bit zero at batch start.
+    cold: usize,
 }
 
 /// Trains one batch through the stepwise API and recounts what it must move
@@ -259,9 +262,20 @@ struct Recount {
 /// sets or the gradient buffer's own bookkeeping: the loads and stores from
 /// each view's reached set (a render of its frustum set against the
 /// batch-start model) through `cache::plan_batch`, the receivers from each
-/// micro-batch's `RenderGradients`.
+/// micro-batch's `RenderGradients`, and the cold rows from the optimiser's
+/// exported state at batch start and those receivers.
 fn recount(trainer: &mut Trainer, cameras: &[Camera], targets: &[Image]) -> Recount {
     let plan = trainer.resize_and_plan(cameras);
+    let state = trainer.optimizer().export_rows();
+    let zero = |row: &[f32]| row.iter().all(|x| x.to_bits() == 0);
+    // Rows past the optimiser's state start from fresh (+0.0) moments.
+    let cold_at_start: Vec<u32> = (0..trainer.model().len() as u32)
+        .filter(|&i| {
+            state
+                .get(i as usize)
+                .is_none_or(|r| zero(&r.m) && zero(&r.v))
+        })
+        .collect();
     let frustum_sets: Vec<VisibilitySet> = plan
         .order
         .iter()
@@ -310,11 +324,16 @@ fn recount(trainer: &mut Trainer, cameras: &[Camera], targets: &[Image]) -> Reco
         trainer.apply_finalized(&plan, i, &grads);
     }
     trainer.finish_batch(&plan, &grads, total_loss);
+    let cold = cold_at_start
+        .iter()
+        .filter(|i| !received.contains(i))
+        .count();
     Recount {
         stores,
         loads,
         received: received.len(),
         frustum,
+        cold,
     }
 }
 
@@ -324,15 +343,15 @@ fn every_executor_sends_the_recounted_store_payloads() {
     // retire from the device: the synchronous loop, the simulated engine at
     // every device count and the threaded backend must record the same
     // per-micro-batch `StoreGrads` rows and bytes, report their sum as
-    // `bytes_stored` and the same receivers, and all of it must equal the
-    // independent recount.
+    // `bytes_stored`, the same receivers and the same count of cold rows the
+    // optimiser skipped, and all of it must equal the independent recount.
     let scenario = densifying_scenario();
     let (init, train) = (&scenario.init, &scenario.train);
     let mut recounter = Trainer::new(init.clone(), train.clone());
     let mut synchronous = Trainer::new(init.clone(), train.clone());
     let mut threaded = ThreadedBackend::new(init.clone(), train.clone(), threaded_config());
     let mut engines = conformance_engines(&scenario);
-    let (mut frustum_rows, mut stored_rows) = (0, 0);
+    let (mut frustum_rows, mut stored_rows, mut skipped_rows) = (0, 0, 0);
     for _ in 0..EPOCHS {
         for range in batch_slices(scenario.dataset.cameras.len(), train.batch_size) {
             let cameras = &scenario.dataset.cameras[range.clone()];
@@ -341,6 +360,7 @@ fn every_executor_sends_the_recounted_store_payloads() {
                 stores: expected,
                 received,
                 frustum,
+                cold,
                 ..
             } = recount(&mut recounter, cameras, targets);
             let bytes_stored: u64 = expected.iter().map(|(_, _, bytes)| bytes).sum();
@@ -350,6 +370,9 @@ fn every_executor_sends_the_recounted_store_payloads() {
             assert_eq!(gradient_stores(&timeline), expected, "synchronous");
             assert_eq!(batch.bytes_stored, bytes_stored, "synchronous");
             assert_eq!(batch.received, received, "synchronous");
+            // The threaded and simulated reports equal this one whole.
+            assert_eq!(batch.adam_rows_skipped, cold, "synchronous");
+            skipped_rows += cold;
 
             let report = threaded.run_batch(cameras, targets);
             assert_eq!(gradient_stores(&report.timeline), expected, "threaded");
@@ -380,6 +403,7 @@ fn every_executor_sends_the_recounted_store_payloads() {
         stored_rows > 0 && stored_rows < frustum_rows,
         "{stored_rows} rows stored of {frustum_rows} frustum rows"
     );
+    assert!(skipped_rows > 0, "no batch skipped a cold row");
 }
 
 /// One simulated engine per conformance device count, partitioned over the
