@@ -65,8 +65,20 @@ fn runtime_scene() -> (Dataset, Vec<Image>, GaussianModel) {
     (dataset, targets, init)
 }
 
+/// The engine config pricing a `width`×`height` scene of `model_len`
+/// Gaussians as the paper's 45.2 M-Gaussian, 1080p workload on the RTX
+/// 4090, so its schedules sit in the bandwidth-bound regime.
+pub(crate) fn paper_scale_config(model_len: usize, width: u32, height: u32) -> RuntimeConfig {
+    RuntimeConfig {
+        device: DeviceProfile::rtx4090(),
+        cost_scale: PAPER_SCALE_GAUSSIANS / model_len as f64,
+        pixel_cost_scale: PAPER_SCALE_PIXELS / (width as f64 * height as f64),
+        ..Default::default()
+    }
+}
+
 fn paper_scale_engine(init: GaussianModel, system: SystemKind, window: usize) -> PipelinedEngine {
-    let cost_scale = PAPER_SCALE_GAUSSIANS / init.len() as f64;
+    let config = paper_scale_config(init.len(), 48, 36);
     PipelinedEngine::new(
         init,
         TrainConfig {
@@ -75,11 +87,8 @@ fn paper_scale_engine(init: GaussianModel, system: SystemKind, window: usize) ->
             ..Default::default()
         },
         RuntimeConfig {
-            device: DeviceProfile::rtx4090(),
             prefetch_window: window,
-            cost_scale,
-            pixel_cost_scale: PAPER_SCALE_PIXELS / (48.0 * 36.0),
-            ..Default::default()
+            ..config
         },
     )
 }

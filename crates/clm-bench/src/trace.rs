@@ -24,14 +24,12 @@
 //! densifies mid-epoch, priced at paper scale on the simulated backends, so
 //! a recording is an exact function of `(backend, scale)`.
 
-use crate::runtime_reports::{PAPER_SCALE_GAUSSIANS, PAPER_SCALE_PIXELS};
+use crate::runtime_reports::paper_scale_config;
 use clm_core::{
     ground_truth_images, DensifyConfig, DensifySchedule, SystemKind, TrainConfig, Trainer,
-    GRADIENT_BYTES,
 };
 use clm_runtime::{
     ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
-    PEER_HOP_FACTOR,
 };
 use clm_trace::{CostParams, Trace, TraceMeta, TraceWriter};
 use gs_core::gaussian::GaussianModel;
@@ -40,7 +38,7 @@ use gs_scene::{
     generate_dataset, init_from_point_cloud, Dataset, DatasetConfig, InitConfig, SceneKind,
     SceneSpec,
 };
-use sim_device::{DeviceProfile, HostTopology, Timeline};
+use sim_device::{HostTopology, Timeline};
 
 /// Seed of the generated dataset, recorded in every trace header.
 pub const DATASET_SEED: u64 = 29;
@@ -171,19 +169,12 @@ impl TraceScale {
         }
     }
 
-    /// Paper-scale costing of the simulated engine at `devices` lane groups:
-    /// the scene priced as the paper's 45.2 M-Gaussian, 1080p workload, so
-    /// recorded schedules stay in the bandwidth-bound regime.
+    /// Paper-scale costing of the simulated engine at `devices` lane groups.
     fn runtime_config(&self, model_len: usize, devices: usize) -> RuntimeConfig {
         RuntimeConfig {
-            device: DeviceProfile::rtx4090(),
             prefetch_window: self.prefetch_window,
-            cost_scale: PAPER_SCALE_GAUSSIANS / model_len as f64,
-            pixel_cost_scale: PAPER_SCALE_PIXELS / (self.width as f64 * self.height as f64),
-            compute_threads: 0,
-            band_height: 0,
             num_devices: devices,
-            ..Default::default()
+            ..paper_scale_config(model_len, self.width, self.height)
         }
     }
 }
@@ -197,18 +188,19 @@ pub const TRACE_BACKENDS: [&str; 4] = ["synchronous", "simulated", "threaded", "
 /// `scale.devices`, everything else runs single-device.
 pub fn record_trace(backend: &str, scale: &TraceScale) -> Result<Trace, String> {
     let (dataset, targets, init) = scale.scene();
-    let model_len = init.len();
     let devices = if backend == "sharded" {
         scale.devices.max(1)
     } else {
         1
     };
-    let mut writer = TraceWriter::new(trace_meta(backend, scale, model_len, devices));
+    // The engine's config, whose price list the header records whichever
+    // backend runs.
+    let config = scale.runtime_config(init.len(), devices);
+    let mut writer = TraceWriter::new(trace_meta(backend, scale, &config));
     let train = scale.train_config();
     match backend {
         "synchronous" => record_synchronous(&mut writer, scale, &dataset, &targets, init),
         "simulated" | "sharded" => {
-            let config = scale.runtime_config(model_len, devices);
             let mut engine =
                 PipelinedEngine::new(init, train, config).partition_over(&dataset.cameras);
             record_backend(&mut writer, scale, &dataset, &targets, &mut engine);
@@ -231,22 +223,16 @@ pub fn record_trace(backend: &str, scale: &TraceScale) -> Result<Trace, String> 
 }
 
 /// The trace header for one recorded run: workload identity plus the
-/// cost-model constants device-count replays re-price communication with.
-fn trace_meta(backend: &str, scale: &TraceScale, model_len: usize, devices: usize) -> TraceMeta {
-    let profile = DeviceProfile::rtx4090();
+/// transfer half of the engine's price list, which device-count replays
+/// re-price communication with.
+fn trace_meta(backend: &str, scale: &TraceScale, config: &RuntimeConfig) -> TraceMeta {
     TraceMeta {
         backend: backend.to_string(),
         scene: format!("rubble-{}", scale.label),
-        devices: devices as u32,
+        devices: config.num_devices as u32,
         prefetch_window: scale.prefetch_window as u32,
         seed: DATASET_SEED,
-        cost: CostParams {
-            pcie_latency_s: profile.pcie_latency,
-            pcie_bandwidth: profile.pcie_bandwidth,
-            cost_scale: PAPER_SCALE_GAUSSIANS / model_len as f64,
-            peer_hop_factor: PEER_HOP_FACTOR,
-            gradient_bytes: GRADIENT_BYTES as u64,
-        },
+        cost: CostParams::from(&config.price_list()),
     }
 }
 

@@ -19,6 +19,8 @@
 //! * [`perf`] — the analytic performance/memory model that reproduces the
 //!   paper-scale experiments (max model size, throughput, communication
 //!   volume, memory breakdowns, utilisation) against the simulated device;
+//! * [`price`] — the one price list every virtual clock reads: the
+//!   simulated engine, the analytic model and the trace replay;
 //! * [`train`] — functional trainers that run real (reduced-scale) 3DGS
 //!   training under CLM, naive offloading and the two GPU-only baselines,
 //!   and demonstrate that the strategies are numerically equivalent.
@@ -50,6 +52,7 @@ pub mod cache;
 pub mod offload;
 pub mod order;
 pub mod perf;
+pub mod price;
 pub mod schedule;
 pub mod train;
 pub mod tsp;
@@ -66,6 +69,7 @@ pub use perf::{
     BatchSimulation, MemoryEstimate, MicrobatchStats, OutOfMemory, SceneProfile, SystemKind,
     WholeModelCosts,
 };
+pub use price::{BatchCounts, MicrobatchCounts, PriceList, PEER_HOP_FACTOR};
 pub use schedule::FinalizationPlan;
 pub use train::{
     ground_truth_images, BatchPlan, BatchReport, DensifySchedule, SerialRun, StagingBuffer,

@@ -20,8 +20,8 @@
 //!
 //! The timeline's *shape* is not written here: [`simulate_batch`] hands
 //! [`sim_device::pipeline`] — the schedule emitter the simulated engine and
-//! the trace replay also use — a cost source pricing each op from
-//! [`MicrobatchStats`] and the [`DeviceProfile`].  The CLM schedule is
+//! the trace replay also use — the counts of [`MicrobatchStats`] priced by
+//! the one price list ([`crate::price`]) at scale 1.  The CLM schedule is
 //! therefore the engine's single-device pipeline at the double-buffering
 //! window (1): the load for micro-batch `i + 1` overlaps the compute of
 //! micro-batch `i`, the overlap the paper's throughput results rest on.
@@ -44,13 +44,14 @@
 use crate::cache::plan_batch;
 use crate::offload::{GRADIENT_BYTES, NON_CRITICAL_BYTES};
 use crate::order::{order_batch, OrderingStrategy};
+use crate::price::{BatchCounts, MicrobatchCounts, PriceList};
 use crate::schedule::FinalizationPlan;
 use gs_core::visibility::VisibilitySet;
 use gs_core::{
     BYTES_PER_PARAM, PARAMS_PER_GAUSSIAN, SELECTION_CRITICAL_FLOATS, TRAINING_STATE_COPIES,
 };
 use gs_scene::Dataset;
-use sim_device::pipeline::{self, AdamGroup, ClmShape, CostSource, OpCost};
+use sim_device::pipeline::{self, ClmShape, CostSource, OpCost};
 use sim_device::{DeviceProfile, Lane, OpId, OpKind, Timeline};
 
 /// The four systems compared throughout the evaluation.
@@ -467,87 +468,6 @@ pub fn emit_system(
 /// modelled system, not a knob.
 const ANALYTIC_PREFETCH_WINDOW: usize = 1;
 
-/// The analytic model as the schedule emitter's cost source: prices every
-/// op from the per-micro-batch statistics and the device's rate model.
-struct AnalyticCosts<'a> {
-    system: SystemKind,
-    device: &'a DeviceProfile,
-    stats: &'a [MicrobatchStats],
-    pixels: u64,
-    n_gaussians: u64,
-}
-
-impl AnalyticCosts<'_> {
-    fn render(&self, i: usize, time: impl Fn(&DeviceProfile, u64, u64) -> f64) -> OpCost {
-        // The plain baseline's fused culling feeds every Gaussian through
-        // the kernels; the other systems (naive offloading included, §6.1)
-        // pre-cull to the working set.
-        let processed = if self.system == SystemKind::Baseline {
-            self.n_gaussians
-        } else {
-            self.stats[i].working_set
-        };
-        OpCost::compute(time(self.device, processed, self.pixels), processed)
-    }
-
-    fn cpu_adam(&self, rows: u64) -> OpCost {
-        let params = rows * PARAMS_PER_GAUSSIAN as u64;
-        OpCost::compute(self.device.cpu_adam_time(params), rows)
-    }
-}
-
-impl CostSource for AnalyticCosts<'_> {
-    /// The PCIe load of the cache misses plus the on-GPU copy of the cached
-    /// rows between the double buffers (an order of magnitude faster than
-    /// PCIe); the forward pass needs both, so both are the gather.
-    fn gather(&mut self, i: usize) -> OpCost {
-        let s = &self.stats[i];
-        let cached = s.working_set.saturating_sub(s.fetched);
-        let load = self
-            .device
-            .transfer(s.fetched * NON_CRITICAL_BYTES as u64, s.fetched);
-        let cache_copy = self
-            .device
-            .transfer_time(cached * NON_CRITICAL_BYTES as u64)
-            / 10.0;
-        OpCost {
-            dur: load.dur + cache_copy,
-            ..load
-        }
-    }
-
-    fn forward(&mut self, i: usize) -> OpCost {
-        self.render(i, DeviceProfile::forward_time)
-    }
-
-    fn backward(&mut self, i: usize) -> OpCost {
-        self.render(i, DeviceProfile::backward_time)
-    }
-
-    fn store(&mut self, i: usize) -> OpCost {
-        let stored = self.stats[i].grads_stored;
-        self.device.transfer(stored * GRADIENT_BYTES as u64, stored)
-    }
-
-    fn allreduce(&mut self, _group: AdamGroup) -> OpCost {
-        unreachable!("the analytic model is single-device")
-    }
-
-    fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
-        let rows = match group {
-            // The paper's CPU Adam is sparse: Gaussians no view of the
-            // batch touched have no gradient and are skipped, so `F_0`
-            // updates zero rows.  (The functional trainer steps them with a
-            // zero gradient to stay bit-identical with dense Adam, which is
-            // why the shared graph has the op at all.)
-            AdamGroup::Untouched => 0,
-            AdamGroup::FinalizedBy(i) => self.stats[i].finalized,
-            AdamGroup::Dense => self.n_gaussians,
-        };
-        vec![self.cpu_adam(rows)]
-    }
-}
-
 /// Simulates one training batch of `system` on `device` for a model of
 /// `n_gaussians`, using per-micro-batch statistics `stats` (one entry per
 /// image in the batch).  The op graph of every system comes from
@@ -565,26 +485,15 @@ pub fn simulate_batch(
     stats: &[MicrobatchStats],
 ) -> BatchSimulation {
     assert!(!stats.is_empty(), "need at least one micro-batch");
+    let price = PriceList::new(device.clone(), 1.0, 1.0);
     let mut timeline = Timeline::new();
-    let mut costs = AnalyticCosts {
-        system,
-        device,
-        stats,
-        pixels: scene.pixels(),
-        n_gaussians,
-    };
-    let all_params = n_gaussians * PARAMS_PER_GAUSSIAN as u64;
     // Frustum culling (on the GPU, over selection-critical attributes) plus
     // TSP ordering (on the CPU) before a CLM batch.
     let mut after = Vec::new();
     if system == SystemKind::Clm {
-        let cull = timeline.push(
-            OpKind::Scheduling,
-            Lane::GpuCompute,
-            device.forward_time(n_gaussians, 0) * 0.05,
-            &[],
-        );
-        after.push(timeline.push(OpKind::Scheduling, Lane::CpuScheduler, 1.0e-3, &[cull]));
+        let (cull, order) = price.gpu_planning(n_gaussians);
+        let cull = timeline.push(OpKind::Scheduling, Lane::GpuCompute, cull, &[]);
+        after.push(timeline.push(OpKind::Scheduling, Lane::CpuScheduler, order, &[cull]));
     }
     let shape = ClmShape {
         microbatches: stats.len(),
@@ -592,11 +501,32 @@ pub fn simulate_batch(
         devices: 1,
         overlapped: true,
     };
-    let whole = WholeModelCosts {
-        transfer: device.transfer(all_params * 4, n_gaussians),
-        cpu_adam: costs.cpu_adam(n_gaussians),
-        gpu_adam: OpCost::compute(device.gpu_adam_time(all_params), n_gaussians),
+    // One device owns every row.  A gather loads the cache misses and copies
+    // the cached rows between the double buffers (the forward pass needs
+    // both).  The plain baseline's fused culling renders every Gaussian, the
+    // other systems (naive offloading included, §6.1) their working set.
+    // `F₀` updates zero rows: the paper's CPU Adam is sparse and skips rows
+    // without gradient (the functional trainer steps them, which is why the
+    // shared graph has the op).
+    let baseline = (system == SystemKind::Baseline).then_some(n_gaussians);
+    let count = |s: &MicrobatchStats| MicrobatchCounts {
+        rendered: baseline.unwrap_or(s.working_set),
+        pixels: scene.pixels(),
+        local: s.fetched,
+        remote: 0,
+        copied: s.working_set.saturating_sub(s.fetched),
+        stored: s.grads_stored,
+        finalized: vec![s.finalized],
     };
+    let microbatches = stats.iter().map(count).collect();
+    let (untouched, model) = (vec![0], vec![n_gaussians]);
+    let mut costs = BatchCounts {
+        price: &price,
+        microbatches,
+        untouched,
+        model,
+    };
+    let whole = price.whole_model(n_gaussians);
     emit_system(&mut timeline, &after, system, &shape, &whole, &mut costs);
 
     let makespan = timeline.makespan();
@@ -888,6 +818,27 @@ mod tests {
             &synthetic_microbatch_stats(&scene, n, false),
         );
         assert!(cached.bytes_loaded < uncached.bytes_loaded);
+    }
+
+    #[test]
+    fn analytic_schedules_match_the_pinned_fingerprint() {
+        // Every system × both testbeds × cached/uncached, on two paper
+        // scenes at a model size past the baselines' capacity: the whole
+        // priced timeline (durations, starts, bytes, rows, deps) is pinned.
+        let mut fold = 0u64;
+        for device in [DeviceProfile::rtx4090(), DeviceProfile::rtx2080ti()] {
+            for kind in [SceneKind::Bicycle, SceneKind::BigCity] {
+                let scene = SceneProfile::paper_reference(kind);
+                for with_cache in [true, false] {
+                    let stats = synthetic_microbatch_stats(&scene, 40_000_000, with_cache);
+                    for system in SystemKind::ALL {
+                        let sim = simulate_batch(system, &device, &scene, 40_000_000, &stats);
+                        fold = fold.rotate_left(7) ^ sim.timeline.fingerprint();
+                    }
+                }
+            }
+        }
+        assert_eq!(fold, 0xbf7c_828e_aa47_644c);
     }
 
     #[test]

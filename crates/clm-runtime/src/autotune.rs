@@ -12,7 +12,7 @@
 //! 2. **Calibrate** — [`Calibration::run`] micro-benches one rasteriser
 //!    band pass and a staged-row gather for a few milliseconds each at
 //!    startup, fitting per-host throughput the static
-//!    [`CostModel`](crate::engine) cannot know;
+//!    [`PriceList`](clm_core::PriceList) cannot know;
 //! 3. **Derive** — [`derive_knobs`] turns topology + calibration into
 //!    [`TunedKnobs`], every field of which the existing config knobs
 //!    override (`0`/`None` = autotune, anything else wins).
@@ -37,7 +37,7 @@ use gs_render::{render, RenderOptions, DEFAULT_BAND_HEIGHT, TILE_SIZE};
 use gs_scene::{
     generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
 };
-use sim_device::{DeviceProfile, HostTopology};
+use sim_device::HostTopology;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -185,11 +185,6 @@ pub struct TunedKnobs {
     /// Prefetch window from the measured fetch/compute ratio
     /// (`prefetch_window` configs override).
     pub prefetch_window: usize,
-    /// Fitted ratio of the simulated RTX 4090 forward rate to this host's
-    /// measured rasteriser rate — the per-host `CostModel` correction
-    /// (`RuntimeConfig::cost_scale` stays authoritative; this is the
-    /// measured hint).
-    pub sim_compute_scale: f64,
 }
 
 /// Reference image width (pixels) the band-height fit assumes; per-pixel
@@ -227,26 +222,12 @@ pub fn derive_knobs(topo: &HostTopology, cal: &Calibration) -> TunedKnobs {
     };
     let prefetch_window = (ratio.ceil() as usize).clamp(1, 8);
 
-    // CostModel fit: how many times the simulated device outruns this
-    // host's measured single-core rasteriser.
-    let device = DeviceProfile::rtx4090();
-    let ref_gaussians = 100_000u64;
-    let ref_pixels = 1920u64 * 1080;
-    let device_rows_per_s =
-        ref_gaussians as f64 / device.forward_time(ref_gaussians, ref_pixels).max(1e-12);
-    let sim_compute_scale = if cal.raster_rows_per_s > 0.0 {
-        device_rows_per_s / cal.raster_rows_per_s
-    } else {
-        1.0
-    };
-
     TunedKnobs {
         compute_threads: cores.min(64),
         adam_threads: cores.min(64),
         adam_chunk_rows,
         band_height,
         prefetch_window,
-        sim_compute_scale,
     }
 }
 
@@ -409,7 +390,6 @@ mod tests {
             "{k:?}"
         );
         assert!((1..=8).contains(&k.prefetch_window), "{k:?}");
-        assert!(k.sim_compute_scale > 0.0);
         let fingerprint = first.topology.fingerprint();
         assert!(
             fingerprint.ends_with(&format!("-e{effective}")),

@@ -24,8 +24,8 @@
 //!   device by balancing projected-footprint load.  The owner's pinned host
 //!   pool holds the Gaussian's offloaded attributes and optimiser state:
 //!   gathers of rows owned by another device pay an extra peer hop
-//!   ([`PEER_HOP_FACTOR`]), and each finalisation group's CPU Adam update is
-//!   split across the owners' Adam lanes.
+//!   ([`clm_core::PEER_HOP_FACTOR`]), and each finalisation group's CPU
+//!   Adam update is split across the owners' Adam lanes.
 //! * **Gradients**: before a finalisation group's Adam update, its
 //!   gradients are all-reduced across the devices in **fixed device order**
 //!   (a chain of [`OpKind::AllReduce`] ops on the comm lanes, device 0
@@ -65,33 +65,16 @@ use crate::backend::ExecutionBackend;
 use crate::pool::{PinnedBufferPool, PoolStats};
 use crate::report::{ExecutionReport, LaneBusy};
 use clm_core::{
-    emit_system, BatchPlan, SerialRun, SystemKind, TrainConfig, Trainer, WholeModelCosts,
-    GRADIENT_BYTES,
+    emit_system, BatchCounts, BatchPlan, MicrobatchCounts, PriceList, SerialRun, SystemKind,
+    TrainConfig, Trainer,
 };
 use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
 use gs_core::visibility::VisibilitySet;
-use gs_core::PARAMS_PER_GAUSSIAN;
 use gs_render::Image;
 use gs_scene::{partition_by_footprint, GaussianPartition};
 use sim_device::pipeline::{AdamGroup, ClmShape, CostSource, OpCost};
-use sim_device::{DeviceProfile, FaultPlan, Lane, OpKind, Timeline};
-
-/// Scheduling-lane cost per Gaussian-view of frustum culling (seconds).
-const CULL_COST_PER_GAUSSIAN_VIEW: f64 = 2.0e-10;
-
-/// Scheduling-lane cost per micro-batch pair of ordering/TSP work (seconds).
-const ORDER_COST_PER_PAIR: f64 = 1.0e-6;
-
-/// Host-side cost per changed row of a densification resize (seconds):
-/// compacting/appending one Gaussian's attribute rows, optimiser state and
-/// pinned host row is a few hundred bytes of memcpy.
-pub(crate) const RESIZE_COST_PER_ROW: f64 = 1.0e-8;
-
-/// Cost multiplier for gathering a row whose owner is another device: the
-/// copy crosses from the owner's pinned pool through host memory before the
-/// fetching device's DMA engine sees it — one extra hop at PCIe cost.
-pub const PEER_HOP_FACTOR: f64 = 2.0;
+use sim_device::{DeviceProfile, FaultPlan, Lane, OpId, OpKind, Timeline};
 
 /// How the prefetch window is chosen: it is the configured
 /// `prefetch_window`, always (the paper's fixed double buffering, §5.3).
@@ -174,72 +157,10 @@ impl RuntimeConfig {
             ..Default::default()
         }
     }
-}
 
-/// The discrete-event costing rules of [`PipelinedEngine`]: how Gaussian
-/// counts, bytes and pixels translate into simulated device seconds.
-#[derive(Debug, Clone)]
-pub(crate) struct CostModel {
-    pub device: DeviceProfile,
-    pub cost_scale: f64,
-    pub pixel_cost_scale: f64,
-}
-
-impl CostModel {
-    pub fn from_runtime(config: &RuntimeConfig) -> Self {
-        CostModel {
-            device: config.device.clone(),
-            cost_scale: config.cost_scale,
-            pixel_cost_scale: config.pixel_cost_scale,
-        }
-    }
-
-    pub fn scaled_bytes(&self, bytes: u64) -> u64 {
-        (bytes as f64 * self.cost_scale).round() as u64
-    }
-
-    pub fn scaled_gaussians(&self, count: usize) -> u64 {
-        (count as f64 * self.cost_scale).round() as u64
-    }
-
-    pub fn scaled_pixels(&self, image: &Image) -> u64 {
-        (image.pixel_count() as f64 * self.pixel_cost_scale).round() as u64
-    }
-
-    pub fn scheduling_time(&self, model_len: usize, plan: &BatchPlan) -> f64 {
-        let n = self.scaled_gaussians(model_len) as f64;
-        let m = plan.num_microbatches() as f64;
-        n * m * CULL_COST_PER_GAUSSIAN_VIEW + m * m * ORDER_COST_PER_PAIR
-    }
-
-    /// An Adam update over `count` Gaussians at `rate`
-    /// ([`DeviceProfile::cpu_adam_time`] or the baselines' fused
-    /// [`DeviceProfile::gpu_adam_time`]).
-    pub fn adam(&self, count: usize, rate: impl Fn(&DeviceProfile, u64) -> f64) -> OpCost {
-        let params = self.scaled_gaussians(count) * PARAMS_PER_GAUSSIAN as u64;
-        OpCost::compute(rate(&self.device, params), count as u64)
-    }
-
-    /// The whole-model ops of the comparison systems' schedules over a
-    /// model of `rows` Gaussians.
-    pub fn whole_model(&self, rows: usize) -> WholeModelCosts {
-        let bytes = rows * PARAMS_PER_GAUSSIAN * gs_core::BYTES_PER_PARAM;
-        WholeModelCosts {
-            transfer: self
-                .device
-                .transfer(self.scaled_bytes(bytes as u64), rows as u64),
-            cpu_adam: self.adam(rows, DeviceProfile::cpu_adam_time),
-            gpu_adam: self.adam(rows, DeviceProfile::gpu_adam_time),
-        }
-    }
-
-    /// Host seconds the boundary resize recorded in `plan` costs (0 when
-    /// the plan has none).
-    pub fn resize_time(&self, plan: &BatchPlan) -> f64 {
-        plan.resize
-            .as_ref()
-            .map(|e| self.scaled_gaussians(e.rows_changed()) as f64 * RESIZE_COST_PER_ROW)
-            .unwrap_or(0.0)
+    /// The price list the engine costs its schedule with.
+    pub fn price_list(&self) -> PriceList {
+        PriceList::new(self.device.clone(), self.cost_scale, self.pixel_cost_scale)
     }
 }
 
@@ -430,7 +351,7 @@ impl PipelinedEngine {
     }
 
     /// Staged rows whose owner was another device (each paid the
-    /// [`PEER_HOP_FACTOR`] on the gather lane) so far.
+    /// [`clm_core::PEER_HOP_FACTOR`] on the gather lane) so far.
     pub fn cross_shard_rows(&self) -> u64 {
         self.cross_shard_rows
     }
@@ -490,36 +411,23 @@ impl PipelinedEngine {
         if let Some(fp) = &self.fault_plan {
             timeline.install_fault_plan(fp.clone());
         }
-        let cost = CostModel::from_runtime(&self.config);
+        let price = self.config.price_list();
         let window = self.config.prefetch_window;
 
         let mut sched_deps = Vec::new();
         if let Some(event) = plan.resize.as_ref() {
             self.repartition();
             self.pool.reprovision(max_fetch_rows(&plan));
-            sched_deps.push(timeline.push_traced(
-                OpKind::Resize,
-                Lane::CpuScheduler,
-                cost.resize_time(&plan),
-                0,
-                event.rows_changed() as u64,
-                None,
-                &[],
-            ));
+            let cost = price.resize(event.rows_changed() as u64);
+            sched_deps.push(push_host_op(&mut timeline, OpKind::Resize, cost, &[]));
         }
-        let sched = timeline.push_traced(
-            OpKind::Scheduling,
-            Lane::CpuScheduler,
-            cost.scheduling_time(self.trainer.model().len(), &plan),
-            0,
-            self.trainer.model().len() as u64,
-            None,
-            &sched_deps,
-        );
+        let model_len = self.trainer.model().len() as u64;
+        let cost = price.host_planning(model_len, plan.num_microbatches());
+        let sched = push_host_op(&mut timeline, OpKind::Scheduling, cost, &sched_deps);
 
         // One op graph per system, picked by `clm_core::emit_system`; the
         // engine walks the trainer's `SerialRun` through it and prices each
-        // op.
+        // op from the batch's counts.
         let system = self.trainer.config().system;
         let shape = ClmShape {
             microbatches: plan.num_microbatches(),
@@ -527,8 +435,13 @@ impl PipelinedEngine {
             devices: self.config.num_devices,
             overlapped: self.trainer.overlapped(),
         };
-        let model_len = self.trainer.model().len();
-        let whole = cost.whole_model(model_len);
+        let whole = price.whole_model(model_len);
+        let baseline = (system == SystemKind::Baseline).then_some(model_len);
+        let costs = batch_counts(&price, &plan, &self.partition, targets, baseline);
+        for mb in &costs.microbatches {
+            self.local_rows += mb.local;
+            self.cross_shard_rows += mb.remote;
+        }
         let mut run = BatchRun {
             run: SerialRun::new(
                 &mut self.trainer,
@@ -538,21 +451,11 @@ impl PipelinedEngine {
                 &mut grads,
                 &mut self.pool,
             ),
-            partition: &self.partition,
+            costs,
             fault_plan: self.fault_plan.as_ref(),
-            cost: &cost,
-            plan: &plan,
-            targets,
-            baseline: system == SystemKind::Baseline,
-            model_len,
-            devices: shape.devices,
-            local_rows: 0,
-            cross_shard_rows: 0,
         };
         emit_system(&mut timeline, &[sched], system, &shape, &whole, &mut run);
         let total_loss = run.run.total_loss();
-        self.local_rows += run.local_rows;
-        self.cross_shard_rows += run.cross_shard_rows;
 
         let batch = self.trainer.finish_batch(&plan, &grads, total_loss);
         self.trainer.return_gradients(grads);
@@ -581,61 +484,64 @@ impl PipelinedEngine {
     }
 }
 
-/// One batch of the engine as the emitter's cost source: the trainer's
-/// [`SerialRun`] does the batch's work inside the hooks — so the numerics
-/// and the pinned pool's `window + 1` high-water follow the emitter's
-/// schedule order — and this wrapper prices every op from the
-/// [`BatchPlan`], the [`CostModel`] and the ownership partition.
-struct BatchRun<'a> {
-    run: SerialRun<'a, PinnedBufferPool>,
-    partition: &'a GaussianPartition,
-    fault_plan: Option<&'a FaultPlan>,
-    cost: &'a CostModel,
-    plan: &'a BatchPlan,
-    targets: &'a [Image],
-    /// The plain baseline's fused culling feeds every Gaussian through the
-    /// kernels; every other system pre-culls to the visibility set.
-    baseline: bool,
-    model_len: usize,
-    devices: usize,
-    local_rows: u64,
-    cross_shard_rows: u64,
+/// Pushes a host-scheduler op priced at `cost`.
+fn push_host_op(timeline: &mut Timeline, kind: OpKind, cost: OpCost, deps: &[OpId]) -> OpId {
+    let (dur, rows) = (cost.dur, cost.rows);
+    timeline.push_traced(kind, Lane::CpuScheduler, dur, 0, rows, None, deps)
 }
 
-impl BatchRun<'_> {
-    fn render_cost(&self, i: usize, time: impl Fn(&DeviceProfile, u64, u64) -> f64) -> OpCost {
-        let count = if self.baseline {
-            self.model_len
-        } else {
-            self.plan.ordered_sets[i].len()
-        };
-        let pixels = self.cost.scaled_pixels(&self.targets[self.plan.order[i]]);
-        let gaussians = self.cost.scaled_gaussians(count);
-        OpCost::compute(time(&self.cost.device, gaussians, pixels), count as u64)
+/// The engine's counts of one batch: micro-batch `i` runs on device
+/// `i mod D` of the partition's `D` and renders its frustum set (the plain
+/// baseline's fused culling: the whole model, `baseline`), a fetched row is
+/// local when that device owns it, no row is copied between buffers, and
+/// each Adam group splits across its owners.
+fn batch_counts<'a>(
+    price: &'a PriceList,
+    plan: &BatchPlan,
+    partition: &GaussianPartition,
+    targets: &[Image],
+    baseline: Option<u64>,
+) -> BatchCounts<'a> {
+    let owners = |set: &VisibilitySet| -> Vec<u64> {
+        let counts = partition.split_counts(set.indices());
+        counts.into_iter().map(|n| n as u64).collect()
+    };
+    let count = |i: usize| {
+        let local = owners(&plan.fetched[i])[i % partition.num_devices()];
+        MicrobatchCounts {
+            rendered: baseline.unwrap_or(plan.ordered_sets[i].len() as u64),
+            pixels: targets[plan.order[i]].pixel_count() as u64,
+            local,
+            remote: plan.fetched[i].len() as u64 - local,
+            copied: 0,
+            stored: plan.stored[i].len() as u64,
+            finalized: owners(plan.finalization.finalized_by(i)),
+        }
+    };
+    let microbatches = (0..plan.num_microbatches()).map(count).collect();
+    let untouched = owners(&plan.untouched);
+    let model = partition.device_counts().iter().map(|&n| n as u64);
+    BatchCounts {
+        price,
+        microbatches,
+        untouched,
+        model: model.collect(),
     }
 }
 
+/// One batch of the engine as the emitter's cost source: the trainer's
+/// [`SerialRun`] does the batch's work inside the hooks — so the numerics
+/// and the pinned pool's `window + 1` high-water follow the emitter's
+/// schedule order — and the batch's [`BatchCounts`] price every op.
+struct BatchRun<'a> {
+    run: SerialRun<'a, PinnedBufferPool>,
+    costs: BatchCounts<'a>,
+    fault_plan: Option<&'a FaultPlan>,
+}
+
 impl CostSource for BatchRun<'_> {
-    /// Rows owned by another device pay the peer hop.
     fn gather(&mut self, i: usize) -> OpCost {
-        // Split the fetch by ownership: local rows at full PCIe bandwidth,
-        // cross-shard rows with the extra peer hop.  The recorded bytes are
-        // the full fetch either way, so the timeline's communication volume
-        // keeps matching the batch accounting.
-        let cost = self.cost;
-        let indices = self.plan.fetched[i].indices();
-        let local = self.partition.split_counts(indices)[i % self.devices];
-        let remote = indices.len() - local;
-        self.local_rows += local as u64;
-        self.cross_shard_rows += remote as u64;
-        let local_bytes = cost.scaled_bytes((local * clm_core::NON_CRITICAL_BYTES) as u64);
-        let remote_bytes = cost.scaled_bytes((remote * clm_core::NON_CRITICAL_BYTES) as u64);
-        OpCost {
-            dur: cost.device.transfer_time(local_bytes)
-                + PEER_HOP_FACTOR * cost.device.transfer_time(remote_bytes),
-            bytes: cost.scaled_bytes(self.plan.fetch_bytes(i)),
-            rows: indices.len() as u64,
-        }
+        self.costs.gather(i)
     }
 
     fn staged(&mut self, timeline: &mut Timeline, i: usize) {
@@ -646,15 +552,8 @@ impl CostSource for BatchRun<'_> {
                 // boundary) — exhaustion costs schedule time, never staging
                 // content.
                 self.run.staging().note_denied();
-                timeline.push_traced(
-                    OpKind::Other,
-                    Lane::CpuScheduler,
-                    fp.retry().backoff_base,
-                    0,
-                    0,
-                    None,
-                    &[],
-                );
+                let stall = OpCost::compute(fp.retry().backoff_base, 0);
+                push_host_op(timeline, OpKind::Other, stall, &[]);
             }
         }
         self.run.staged(timeline, i);
@@ -662,44 +561,25 @@ impl CostSource for BatchRun<'_> {
 
     fn forward(&mut self, i: usize) -> OpCost {
         self.run.forward(i);
-        self.render_cost(i, DeviceProfile::forward_time)
+        self.costs.forward(i)
     }
 
     fn backward(&mut self, i: usize) -> OpCost {
         self.run.backward(i);
-        self.render_cost(i, DeviceProfile::backward_time)
+        self.costs.backward(i)
     }
 
     fn store(&mut self, i: usize) -> OpCost {
-        let bytes = self.cost.scaled_bytes(self.plan.store_bytes(i));
-        let rows = self.plan.stored[i].len();
-        self.cost.device.transfer(bytes, rows as u64)
+        self.costs.store(i)
     }
 
     fn allreduce(&mut self, group: AdamGroup) -> OpCost {
-        // Ring all-reduce: every device sends and receives (D-1)/D of the
-        // group's gradient bytes.
-        let rows = self
-            .plan
-            .adam_group(group)
-            .map_or(self.model_len, VisibilitySet::len);
-        let total = self.cost.scaled_bytes((rows * GRADIENT_BYTES) as u64);
-        let devices = self.devices as f64;
-        let share = (total as f64 * (devices - 1.0) / devices).round() as u64;
-        self.cost.device.transfer(share, rows as u64)
+        self.costs.allreduce(group)
     }
 
     fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
         self.run.adam(group);
-        // Each owner device updates its shard of the group.
-        let counts = match self.plan.adam_group(group) {
-            Some(set) => self.partition.split_counts(set.indices()),
-            None => self.partition.device_counts().to_vec(),
-        };
-        counts
-            .into_iter()
-            .map(|n| self.cost.adam(n, DeviceProfile::cpu_adam_time))
-            .collect()
+        self.costs.adam(group)
     }
 }
 

@@ -78,7 +78,7 @@ pub mod workers;
 
 pub use autotune::{derive_knobs, tuned, Autotune, Calibration, TunedKnobs};
 pub use backend::ExecutionBackend;
-pub use engine::{PipelinedEngine, PrefetchPolicy, RuntimeConfig, PEER_HOP_FACTOR};
+pub use engine::{PipelinedEngine, PrefetchPolicy, RuntimeConfig};
 pub use pool::{PinnedBufferPool, PoolStats, StagingBuffer};
 pub use report::{ExecutionReport, LaneBusy, LaneReport};
 pub use sim_device::PrefetchWindow;

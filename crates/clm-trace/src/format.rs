@@ -24,7 +24,8 @@
 //! per-batch, so dependency indices reset at every batch boundary.
 
 use crate::varint;
-use sim_device::{Lane, OpKind, Timeline};
+use clm_core::PriceList;
+use sim_device::{DeviceProfile, Lane, OpKind, Timeline};
 
 /// File magic of a `.clmtrace`.
 pub const MAGIC: [u8; 8] = *b"CLMTRACE";
@@ -67,17 +68,17 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// The cost-model constants a replay needs to re-cost communication when
-/// the device count is changed (all-reduce chains, peer-hop gathers).
-/// Zeroed when unknown — replays that need them then refuse rather than
-/// guess.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The transfer half of the recorded run's [`PriceList`]: what a replay
+/// needs to re-cost communication when the device count is changed
+/// (all-reduce chains, peer-hop gathers).  Zeroed when unknown — replays
+/// that need it then refuse rather than guess.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostParams {
     /// Fixed per-transfer PCIe latency in seconds.
     pub pcie_latency_s: f64,
     /// PCIe bandwidth in bytes per second (one direction).
     pub pcie_bandwidth: f64,
-    /// The run's `RuntimeConfig::cost_scale` (row/byte multiplier).
+    /// The run's row/byte cost multiplier.
     pub cost_scale: f64,
     /// Extra-hop multiplier for cross-shard gathers.
     pub peer_hop_factor: f64,
@@ -85,31 +86,43 @@ pub struct CostParams {
     pub gradient_bytes: u64,
 }
 
-impl Default for CostParams {
-    fn default() -> Self {
+impl From<&PriceList> for CostParams {
+    fn from(price: &PriceList) -> Self {
         CostParams {
-            pcie_latency_s: 0.0,
-            pcie_bandwidth: 0.0,
-            cost_scale: 0.0,
-            peer_hop_factor: 0.0,
-            gradient_bytes: 0,
+            pcie_latency_s: price.device.pcie_latency,
+            pcie_bandwidth: price.device.pcie_bandwidth,
+            cost_scale: price.cost_scale,
+            peer_hop_factor: price.peer_hop_factor,
+            gradient_bytes: price.gradient_bytes,
         }
     }
 }
 
 impl CostParams {
-    /// Whether the parameters are populated enough to re-cost transfers.
+    /// Whether every field is populated enough to re-cost transfers:
+    /// bandwidth, cost scale and peer hop finite and positive, latency
+    /// finite and non-negative, gradient rows non-empty.
     pub fn usable(&self) -> bool {
-        self.pcie_bandwidth > 0.0 && self.cost_scale > 0.0
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        positive(self.pcie_bandwidth)
+            && positive(self.cost_scale)
+            && positive(self.peer_hop_factor)
+            && (0.0..f64::INFINITY).contains(&self.pcie_latency_s)
+            && self.gradient_bytes > 0
     }
 
-    /// PCIe transfer time for `bytes` — mirrors
-    /// `DeviceProfile::transfer_time`.
-    pub fn transfer_time(&self, bytes: u64) -> f64 {
-        if bytes == 0 {
-            0.0
-        } else {
-            self.pcie_latency_s + bytes as f64 / self.pcie_bandwidth
+    /// The price list these parameters spell: the transfer rules the header
+    /// records, over the RTX 4090's other rates, which a replay never reads.
+    pub fn price_list(&self) -> PriceList {
+        let device = DeviceProfile {
+            pcie_bandwidth: self.pcie_bandwidth,
+            pcie_latency: self.pcie_latency_s,
+            ..DeviceProfile::rtx4090()
+        };
+        PriceList {
+            peer_hop_factor: self.peer_hop_factor,
+            gradient_bytes: self.gradient_bytes,
+            ..PriceList::new(device, self.cost_scale, 1.0)
         }
     }
 }

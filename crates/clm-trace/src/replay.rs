@@ -26,7 +26,8 @@
 //! times — so they support reporting but not replay; both entry points
 //! reject them with [`ReplayError::MeasuredTrace`].
 
-use crate::format::{CostParams, Trace, TraceEvent};
+use crate::format::{Trace, TraceEvent};
+use clm_core::PriceList;
 use sim_device::pipeline::{self, AdamGroup, ClmShape, CostSource, OpCost};
 use sim_device::{Lane, OpId, OpKind, Timeline};
 
@@ -210,10 +211,10 @@ pub fn replay_with_knobs(
         return Err(ReplayError::MeasuredTrace);
     }
     let window = knobs.window.unwrap_or(trace.meta.prefetch_window as usize);
+    let price = trace.meta.cost.price_list();
     let mut out = Vec::new();
     for (epoch, batch, events) in trace.batches() {
-        let timeline =
-            ClmBatch::parse(events)?.rebuild(window, devices, &trace.meta.cost, &knobs.scale);
+        let timeline = ClmBatch::parse(events)?.rebuild(window, devices, &price, &knobs.scale);
         out.push(BatchReplay {
             epoch,
             batch,
@@ -394,13 +395,13 @@ impl ClmBatch {
         &self,
         window: usize,
         devices: usize,
-        cost: &CostParams,
+        price: &PriceList,
         scale: &KindScale,
     ) -> Timeline {
         let mut costs = RecordedCosts {
             batch: self,
             devices,
-            cost,
+            price,
             scale,
         };
         let mut t = Timeline::new();
@@ -430,13 +431,13 @@ impl ClmBatch {
 /// recorded window reproduces the recording exactly.  Re-sharding a
 /// single-device recording has no ownership partition to consult, so above
 /// one device the costs approximate uniform sharding: `1/D` of every fetch
-/// is local, Adam groups split evenly across owners — the cost-model
-/// constants from the trace header price the peer hops and all-reduce
+/// is local, Adam groups split evenly across owners — and the price list
+/// read back from the trace header prices the peer hops and all-reduce
 /// chains.  [`KindScale`] applies per kind either way.
 struct RecordedCosts<'a> {
     batch: &'a ClmBatch,
     devices: usize,
-    cost: &'a CostParams,
+    price: &'a PriceList,
     scale: &'a KindScale,
 }
 
@@ -472,8 +473,7 @@ impl CostSource for RecordedCosts<'_> {
             // Uniform-ownership approximation: 1/D of the fetch is local.
             let local_bytes = g.bytes / self.devices as u64;
             let remote_bytes = g.bytes - local_bytes;
-            self.cost.transfer_time(local_bytes)
-                + self.cost.peer_hop_factor * self.cost.transfer_time(remote_bytes)
+            self.price.gather_time(local_bytes, remote_bytes, 0)
         };
         self.scaled(OpKind::LoadParams, OpCost { dur, ..g })
     }
@@ -492,12 +492,8 @@ impl CostSource for RecordedCosts<'_> {
 
     fn allreduce(&mut self, group: AdamGroup) -> OpCost {
         let rows = self.recorded_adam(group).rows;
-        let total_bytes =
-            (rows as f64 * self.cost.gradient_bytes as f64 * self.cost.cost_scale).round() as u64;
-        let devices = self.devices as f64;
-        let bytes = (total_bytes as f64 * (devices - 1.0) / devices).round() as u64;
-        let dur = self.cost.transfer_time(bytes);
-        self.scaled(OpKind::AllReduce, OpCost { dur, bytes, rows })
+        let cost = self.price.allreduce(rows, self.devices);
+        self.scaled(OpKind::AllReduce, cost)
     }
 
     /// Splits the recorded update evenly across the owners' Adam lanes,
@@ -611,7 +607,7 @@ pub fn critical_path(timeline: &Timeline) -> CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{TraceMeta, TraceWriter};
+    use crate::format::{CostParams, TraceMeta, TraceWriter};
 
     fn meta(devices: u32, window: u32) -> TraceMeta {
         TraceMeta {
@@ -857,17 +853,33 @@ mod tests {
 
     #[test]
     fn device_replay_without_cost_model_is_refused() {
-        let mut trace = clm_trace();
-        trace.meta.cost = CostParams::default();
-        let err = replay_with_knobs(
-            &trace,
-            &ReplayKnobs {
-                devices: Some(2),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, ReplayError::MissingCostModel);
+        // The zeroed header, then a good header with one field missing or
+        // poisoned at a time: each would price some transfer as free (or
+        // NaN), so each is refused.
+        let good = clm_trace().meta.cost;
+        let broken: [fn(&mut CostParams); 10] = [
+            |c| *c = CostParams::default(),
+            |c| c.pcie_bandwidth = 0.0,
+            |c| c.pcie_bandwidth = f64::INFINITY,
+            |c| c.pcie_latency_s = f64::NAN,
+            |c| c.pcie_latency_s = -1.0e-6,
+            |c| c.cost_scale = 0.0,
+            |c| c.cost_scale = f64::NAN,
+            |c| c.peer_hop_factor = 0.0,
+            |c| c.peer_hop_factor = f64::NAN,
+            |c| c.gradient_bytes = 0,
+        ];
+        let knobs = ReplayKnobs {
+            devices: Some(2),
+            ..Default::default()
+        };
+        for (k, breaks) in broken.iter().enumerate() {
+            let mut trace = clm_trace();
+            breaks(&mut trace.meta.cost);
+            assert!(good.usable() && !trace.meta.cost.usable(), "header {k}");
+            let err = replay_with_knobs(&trace, &knobs).unwrap_err();
+            assert_eq!(err, ReplayError::MissingCostModel, "header {k}");
+        }
     }
 
     #[test]

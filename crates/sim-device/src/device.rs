@@ -11,8 +11,6 @@
 //! [`scaled`](DeviceProfile::scale_capacity) so that out-of-memory
 //! crossovers land at the same *relative* model sizes as in the paper.
 
-use crate::pipeline::OpCost;
-
 /// Capacities and rates of one simulated GPU + host testbed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
@@ -113,15 +111,6 @@ impl DeviceProfile {
             0.0
         } else {
             self.pcie_latency + bytes as f64 / self.pcie_bandwidth
-        }
-    }
-
-    /// A PCIe transfer of `bytes` covering `rows` Gaussians, as an op cost.
-    pub fn transfer(&self, bytes: u64, rows: u64) -> OpCost {
-        OpCost {
-            dur: self.transfer_time(bytes),
-            bytes,
-            rows,
         }
     }
 

@@ -7,7 +7,8 @@
 //!
 //! * [`DeviceProfile`] — capacities and rates of the two paper testbeds
 //!   (RTX 4090 / PCIe 4.0 and RTX 2080 Ti / PCIe 3.0) and an analytic cost
-//!   model for rendering, transfers and Adam updates;
+//!   model for rendering, transfers and Adam updates (`clm_core::price` is
+//!   the one caller of its rate functions);
 //! * [`Timeline`] — a discrete-event scheduler over CUDA-stream-like lanes
 //!   with cross-lane dependencies, from which makespan, overlap,
 //!   utilisation and idle-rate statistics are derived; [`LaneSpans`] is the
@@ -24,13 +25,13 @@
 //! # Example
 //!
 //! ```
-//! use sim_device::{DeviceProfile, Timeline, Lane, OpKind};
+//! use sim_device::{Timeline, Lane, OpKind};
 //!
-//! let profile = DeviceProfile::rtx4090();
 //! let mut timeline = Timeline::new();
 //! let sched = timeline.push(OpKind::Scheduling, Lane::CpuScheduler, 1.0e-3, &[]);
+//! // One MiB over a 25 GB/s link.
 //! let load = timeline.push_with_bytes(
-//!     OpKind::LoadParams, Lane::GpuComm, profile.transfer_time(1 << 20), 1 << 20, &[sched]);
+//!     OpKind::LoadParams, Lane::GpuComm, 52.0e-6, 1 << 20, &[sched]);
 //! assert_eq!(timeline.end_of(load), timeline.makespan());
 //! assert!(timeline.utilization(Lane::GpuComm) < 1.0);
 //! ```
