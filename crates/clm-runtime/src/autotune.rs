@@ -14,7 +14,7 @@
 //!    startup, fitting per-host throughput the static
 //!    [`PriceList`](clm_core::PriceList) cannot know;
 //! 3. **Derive** — [`derive_knobs`] turns topology + calibration into
-//!    [`TunedKnobs`], every field of which the existing config knobs
+//!    [`TunedKnobs`], whose scheduling fields the existing config knobs
 //!    override (`0`/`None` = autotune, anything else wins).
 //!
 //! The CPU Adam lane is not calibrated: no knob depends on its rate.  Its
@@ -26,10 +26,9 @@
 //! installed as `gs_render`'s default compute width so the documented
 //! `compute_threads = 0` "inherit" sentinel resolves to the tuned value
 //! everywhere.  None of this touches numerics: thread counts, windows
-//! and chunk sizes are pure scheduling, and the tuned `band_height` (which
-//! *is* part of the numeric contract) is a pure function of the host, so
-//! every backend in one process tunes to the same value and stays
-//! bit-comparable.
+//! and chunk sizes are pure scheduling, and the derived `band_height`
+//! (which *is* part of the numeric contract) is reported but never applied
+//! — the band height comes from `TrainConfig` alone.
 
 use gs_core::{Camera, GaussianModel, NON_CRITICAL_FLOATS};
 use gs_optim::WORK_ITEM_BYTES;
@@ -178,9 +177,10 @@ pub struct TunedKnobs {
     /// lane fans a group out only as far as this target requires).
     pub adam_chunk_rows: usize,
     /// Accumulation band height fitted to the L2 size at a reference image
-    /// width (`RenderOptions`/`TrainConfig::band_height` override).  Part
-    /// of the numeric contract, so it is a pure function of the host — all
-    /// backends in one process tune to the same value.
+    /// width.  Nothing applies it: the band height is part of the numeric
+    /// contract, so it comes from `TrainConfig::band_height` and no
+    /// `autotuned()` config copies this one.  The frozen benchmark harness
+    /// still prints it; it is deleted with ROADMAP item 16's benchmark half.
     pub band_height: u32,
     /// Prefetch window from the measured fetch/compute ratio
     /// (`prefetch_window` configs override).

@@ -29,19 +29,18 @@
 //! timeline is the costed schedule in simulated device seconds; for the
 //! threaded backend it is the measured spans of its threads.
 //!
-//! Beyond executing batches the trait carries what every caller above the
-//! runtime needs from *any* backend, so the service, the conformance suite
-//! and the trace recorder hold a `dyn ExecutionBackend` instead of matching
-//! on concrete types: the pinned staging pool's statistics and capacity cap
-//! (the per-tenant memory budget seam) and fault-plan installation.
+//! The trait is what the callers that loop over *every* backend hold: the
+//! conformance suite and the trace recorder drive a `dyn ExecutionBackend`.
+//! Everything backend-specific — the staging pool's statistics, fault-plan
+//! installation — is an inherent method of the concrete type, because every
+//! caller that needs it already holds one (the service's sessions own a
+//! [`PipelinedEngine`](crate::PipelinedEngine)).
 
-use crate::pool::PoolStats;
 use crate::report::ExecutionReport;
 use clm_core::Trainer;
 use gs_core::camera::Camera;
 use gs_render::Image;
 use gs_scene::Dataset;
-use sim_device::FaultPlan;
 
 /// A trainer execution strategy: how one batch's staged gathers, render
 /// compute and optimiser updates are laid out on the host.
@@ -78,17 +77,4 @@ pub trait ExecutionBackend: std::fmt::Debug {
     fn evaluate_psnr(&self, cameras: &[Camera], targets: &[Image]) -> f32 {
         self.trainer().evaluate_psnr(cameras, targets)
     }
-
-    /// Pinned staging-pool statistics accumulated so far.
-    fn pool_stats(&self) -> PoolStats;
-
-    /// Caps the pinned staging pool at `limit` simultaneously checked-out
-    /// buffers (`None` removes the cap) — the per-tenant pinned-memory
-    /// budget seam used by the serving layer.
-    fn set_staging_capacity(&mut self, limit: Option<usize>);
-
-    /// Installs a fault-injection plan that takes effect from the next
-    /// batch on.  Faults cost schedule (or wall-clock) time and are
-    /// recovered from; they never change the numerics.
-    fn install_fault_plan(&mut self, plan: FaultPlan);
 }

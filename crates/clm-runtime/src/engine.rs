@@ -81,7 +81,7 @@ use sim_device::{DeviceProfile, FaultPlan, Lane, OpId, OpKind, Timeline};
 ///
 /// Placeholder with one inhabitant: the frozen benchmark harness spells
 /// `policy: PrefetchPolicy::Fixed` in exhaustive config literals.  Leaves
-/// with ROADMAP item 4(a).
+/// with ROADMAP item 5(a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrefetchPolicy {
     /// Always use the configured `prefetch_window`.
@@ -123,7 +123,7 @@ pub struct RuntimeConfig {
     pub num_devices: usize,
     /// Placeholder, always `None` (the payload type is uninhabited): the
     /// frozen benchmark harness spells `warm_start_ratio: None` in
-    /// exhaustive config literals.  Leaves with ROADMAP item 4(a).
+    /// exhaustive config literals.  Leaves with ROADMAP item 5(a).
     pub warm_start_ratio: Option<std::convert::Infallible>,
 }
 
@@ -145,15 +145,16 @@ impl Default for RuntimeConfig {
 
 impl RuntimeConfig {
     /// A config whose scheduling knobs come from the startup autotuner
-    /// ([`crate::autotune::tuned`]): quota-aware compute width, the
-    /// calibrated prefetch window and the host-derived band height.
-    /// Set any field afterwards to override a derived value.
+    /// ([`crate::autotune::tuned`]): quota-aware compute width and the
+    /// calibrated prefetch window.  Only scheduling: the band height stays
+    /// the trainer's (`TrainConfig::band_height`), so an autotuned engine
+    /// trains the bits a plain [`Trainer`] does.  Set any field afterwards
+    /// to override a derived value.
     pub fn autotuned() -> Self {
         let knobs = crate::autotune::tuned().knobs;
         RuntimeConfig {
             prefetch_window: knobs.prefetch_window,
             compute_threads: knobs.compute_threads,
-            band_height: knobs.band_height,
             ..Default::default()
         }
     }
@@ -336,14 +337,12 @@ impl PipelinedEngine {
         self.pool.stats()
     }
 
-    /// Caps the pinned staging pool at `limit` simultaneously checked-out
-    /// buffers (`None` removes the cap).  A multi-tenant host enforces
-    /// per-session pinned-memory budgets through this seam: the serving
-    /// layer clamps the prefetch window so the cap is never reached, and the
-    /// pool's high-water/`denied` accounting proves it.
-    pub fn set_staging_capacity(&mut self, limit: Option<usize>) {
-        self.pool.set_capacity_limit(limit);
-    }
+    /// Placeholder that does nothing: the frozen benchmark harness still
+    /// calls it.  A staging budget holds by the prefetch window alone — the
+    /// pool never leases more than `window + 1` buffers per device — which
+    /// is how `clm-serve` clamps and audits it.  Leaves with ROADMAP item
+    /// 5(a).
+    pub fn set_staging_capacity(&mut self, _limit: Option<usize>) {}
 
     /// Staged rows served from the fetching device's own shard so far.
     pub fn local_rows(&self) -> u64 {
@@ -472,7 +471,6 @@ impl PipelinedEngine {
             ),
             band_height: self.trainer.resolved_band_height(),
             lanes: LaneBusy::of(&timeline, self.config.num_devices),
-            sim_makespan: Some(timeline.makespan()),
             timeline,
             resize: plan.resize.as_ref().map(|e| e.report()),
             faults,
@@ -598,19 +596,5 @@ impl ExecutionBackend for PipelinedEngine {
 
     fn execute_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> ExecutionReport {
         self.run_batch(cameras, targets)
-    }
-
-    // The inherent methods of the same names hold the definitions (callers
-    // with a concrete engine need no trait import).
-    fn pool_stats(&self) -> PoolStats {
-        PipelinedEngine::pool_stats(self)
-    }
-
-    fn set_staging_capacity(&mut self, limit: Option<usize>) {
-        PipelinedEngine::set_staging_capacity(self, limit);
-    }
-
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        PipelinedEngine::install_fault_plan(self, plan);
     }
 }

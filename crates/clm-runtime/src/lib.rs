@@ -24,9 +24,8 @@
 //! * [`ThreadedBackend`] / [`ThreadedConfig`] — the threaded backend: the
 //!   gather and CPU Adam lanes run on dedicated worker threads
 //!   ([`workers`]), so the overlap is real and wall-clock measurable;
-//! * [`ExecutionBackend`] — the common abstraction the service, the
-//!   benchmarks, the trace recorder and the conformance suite's chaos leg
-//!   drive every backend through;
+//! * [`ExecutionBackend`] — the common abstraction the trace recorder and
+//!   the conformance suite loop over every backend through;
 //! * [`ExecutionReport`] — the one batch report every backend returns: the
 //!   numeric outcome plus the batch's timeline (costed or measured), from
 //!   which makespan, per-lane busy/idle time and communication volume are
@@ -131,8 +130,14 @@ mod tests {
             band_height: knobs.band_height,
             ..Default::default()
         };
-        let mut threaded =
-            ThreadedBackend::new(init.clone(), train.clone(), ThreadedConfig::autotuned());
+        let threaded_config = ThreadedConfig {
+            prefetch_window: knobs.prefetch_window,
+            adam_threads: knobs.adam_threads,
+            adam_chunk_rows: knobs.adam_chunk_rows,
+            compute_threads: knobs.compute_threads,
+            ..Default::default()
+        };
+        let mut threaded = ThreadedBackend::new(init.clone(), train.clone(), threaded_config);
         let mut piped =
             PipelinedEngine::new(init.clone(), train.clone(), RuntimeConfig::autotuned());
         let mut sync = Trainer::new(init, train);
@@ -151,6 +156,25 @@ mod tests {
         }
         assert_eq!(threaded.trainer().model(), sync.model());
         assert_eq!(piped.trainer().model(), sync.model());
+    }
+
+    #[test]
+    fn autotuned_backends_train_the_default_trainers_bits() {
+        // Autotuning is scheduling only: an engine built from
+        // `RuntimeConfig::autotuned()` keeps the trainer's band height, so
+        // it trains the bits a default trainer does on every host — also
+        // one whose L2 tunes the band away from `DEFAULT_BAND_HEIGHT`.
+        let (dataset, targets, init) = tiny_setup();
+        let train = TrainConfig::default();
+        let config = RuntimeConfig::autotuned();
+        let mut engine = PipelinedEngine::new(init.clone(), train.clone(), config);
+        let mut sync = Trainer::new(init, train);
+        for range in [0..4, 4..8] {
+            let (cams, tgts) = (&dataset.cameras[range.clone()], &targets[range]);
+            let report = engine.run_batch(cams, tgts);
+            assert_eq!(report.batch, sync.train_batch(cams, tgts));
+        }
+        assert_eq!(engine.trainer().model(), sync.model());
     }
 
     #[test]
@@ -517,13 +541,6 @@ mod tests {
             for r in &reports {
                 assert!(r.wall_seconds > 0.0);
                 assert!(r.lanes.compute > 0.0, "{}", backend.backend_name());
-            }
-            // The simulated backend reports a device-time makespan; the
-            // threaded backend measures instead.
-            match backend.backend_name() {
-                "simulated" => assert!(reports[0].sim_makespan.is_some()),
-                "threaded" => assert!(reports[0].sim_makespan.is_none()),
-                other => panic!("unexpected backend {other}"),
             }
             models.push(backend.trainer().model().clone());
         }

@@ -36,8 +36,7 @@ pub struct PoolStats {
     /// Times the pool was re-leased for a model resize
     /// ([`PinnedBufferPool::reprovision`]).
     pub reprovisions: u64,
-    /// Acquires denied — by the capacity limit
-    /// ([`PinnedBufferPool::try_acquire`]) or by injected exhaustion
+    /// Acquires denied by injected exhaustion
     /// ([`PinnedBufferPool::note_denied`]).
     pub denied: u64,
 }
@@ -61,7 +60,6 @@ pub struct PinnedBufferPool {
     outstanding: usize,
     outstanding_bytes: u64,
     free_bytes: u64,
-    capacity_limit: Option<usize>,
     stats: PoolStats,
 }
 
@@ -69,32 +67,6 @@ impl PinnedBufferPool {
     /// Creates an empty pool.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Caps the number of simultaneously checked-out buffers.  `None`
-    /// (the default) removes the cap.  Pinned host memory is a hard budget
-    /// on real machines; the limit models hitting it, and
-    /// [`try_acquire`](Self::try_acquire) is how callers observe it.
-    pub fn set_capacity_limit(&mut self, limit: Option<usize>) {
-        self.capacity_limit = limit;
-    }
-
-    /// The configured checkout cap, if any.
-    pub fn capacity_limit(&self) -> Option<usize> {
-        self.capacity_limit
-    }
-
-    /// Like [`acquire`](Self::acquire) but refuses (returning `None` and
-    /// counting a denial) when the capacity limit is reached — the
-    /// backpressure path a lane takes under pinned-memory exhaustion.
-    pub fn try_acquire(&mut self, min_rows: usize) -> Option<StagingBuffer> {
-        if let Some(limit) = self.capacity_limit {
-            if self.outstanding >= limit {
-                self.stats.denied += 1;
-                return None;
-            }
-        }
-        Some(self.acquire(min_rows))
     }
 
     /// Counts one denied acquisition injected from outside the pool (a
@@ -309,37 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn try_acquire_denies_past_the_capacity_limit_and_recovers() {
-        let mut pool = PinnedBufferPool::new();
-        pool.set_capacity_limit(Some(2));
-        assert_eq!(pool.capacity_limit(), Some(2));
-        let a = pool.try_acquire(8).expect("under the limit");
-        let b = pool.try_acquire(8).expect("at the limit");
-        // Exhausted: the third acquire is denied, repeatedly, without
-        // panicking or allocating.
-        assert!(pool.try_acquire(8).is_none());
-        assert!(pool.try_acquire(8).is_none());
-        let stats = pool.stats();
-        assert_eq!(stats.denied, 2);
-        assert_eq!(stats.outstanding, 2);
-        assert_eq!(stats.acquires, 2, "denied acquires are not acquires");
-        // Releasing frees a slot: the pool recovers and recycles.
-        pool.release(a);
-        let c = pool.try_acquire(4).expect("slot freed");
-        assert_eq!(pool.stats().recycled, 1);
-        pool.release(b);
-        pool.release(c);
-        assert_eq!(pool.stats().outstanding, 0);
-        // Lifting the limit ends denial entirely.
-        pool.set_capacity_limit(None);
-        let extra: Vec<_> = (0..8).map(|_| pool.try_acquire(1).unwrap()).collect();
-        for buf in extra {
-            pool.release(buf);
-        }
-        assert_eq!(pool.stats().denied, 2, "no further denials");
-    }
-
-    #[test]
     fn injected_denials_count_without_consuming_capacity() {
         let mut pool = PinnedBufferPool::new();
         pool.note_denied();
@@ -352,54 +293,6 @@ mod tests {
         let buf = pool.acquire(16);
         pool.release(buf);
         assert_eq!(pool.stats().acquires, 1);
-    }
-
-    #[test]
-    fn exhaustion_under_contention_denies_exactly_the_overflow() {
-        // Two lanes contending for a pool capped below their combined
-        // frontier: every over-limit try_acquire must be denied, none may
-        // panic, and the high-water mark must respect the cap.
-        use std::sync::Mutex;
-        let pool = Mutex::new(PinnedBufferPool::new());
-        pool.lock().unwrap().set_capacity_limit(Some(3));
-        let denied = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let pool = &pool;
-                let denied = &denied;
-                scope.spawn(move || {
-                    for _ in 0..20 {
-                        let got = pool.lock().unwrap().try_acquire(4);
-                        match got {
-                            Some(buf) => {
-                                std::thread::yield_now();
-                                pool.lock().unwrap().release(buf);
-                            }
-                            None => {
-                                denied.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        let pool = pool.into_inner().unwrap();
-        let stats = pool.stats();
-        assert_eq!(stats.outstanding, 0);
-        assert!(stats.high_water_buffers <= 3, "cap respected: {stats:?}");
-        // Zero extra copies: fresh allocations only ever extend the live
-        // frontier, so their count can never exceed the high-water mark.
-        assert!(
-            stats.allocated <= stats.high_water_buffers as u64,
-            "an acquire allocated when a recycled buffer existed: {stats:?}"
-        );
-        assert_eq!(stats.recycled, stats.acquires - stats.allocated);
-        assert_eq!(
-            stats.denied,
-            denied.load(std::sync::atomic::Ordering::Relaxed),
-            "every denial was observed by exactly one caller"
-        );
-        assert_eq!(stats.acquires + stats.denied, 40);
     }
 
     #[test]

@@ -84,8 +84,6 @@ pub struct ExecutionReport {
     /// and Adam summed over the device lane groups in device order (per
     /// device, see [`device_lane_group`](Self::device_lane_group)).
     pub lanes: LaneBusy,
-    /// Simulated makespan in device seconds (simulated backend only).
-    pub sim_makespan: Option<f64>,
     /// The densification resize applied at this batch's boundary, if one
     /// was due (`None` for the fixed-size batches in between).
     pub resize: Option<DensifyReport>,
@@ -183,7 +181,6 @@ mod tests {
             compute_threads: 1,
             band_height: 16,
             wall_seconds: 0.0,
-            sim_makespan: None,
             resize: None,
             faults: FaultStats::default(),
             adam_rows_shipped: 0,

@@ -173,25 +173,6 @@ impl Default for ThreadedConfig {
     }
 }
 
-impl ThreadedConfig {
-    /// A config whose scheduling knobs come from the startup autotuner
-    /// ([`crate::autotune::tuned`]): quota-aware thread counts, an
-    /// L2-fitted Adam chunk target, the calibrated prefetch window and
-    /// the host-derived band height.  Set any field afterwards to override
-    /// a derived value.
-    pub fn autotuned() -> Self {
-        let knobs = crate::autotune::tuned().knobs;
-        ThreadedConfig {
-            prefetch_window: knobs.prefetch_window,
-            adam_threads: knobs.adam_threads,
-            adam_chunk_rows: knobs.adam_chunk_rows,
-            compute_threads: knobs.compute_threads,
-            band_height: knobs.band_height,
-            ..Default::default()
-        }
-    }
-}
-
 /// A trainer executing with real worker threads for the communication and
 /// CPU Adam lanes.
 #[derive(Debug)]
@@ -289,13 +270,6 @@ impl ThreadedBackend {
     /// Pinned staging-pool statistics accumulated so far.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// Caps the pinned staging pool at `limit` simultaneously checked-out
-    /// buffers (`None` removes the cap) — the per-tenant pinned-memory
-    /// budget seam used by the serving layer.
-    pub fn set_staging_capacity(&mut self, limit: Option<usize>) {
-        self.pool.set_capacity_limit(limit);
     }
 
     /// Rows the CPU Adam lane's recycled buffers hold: `(back-model rows,
@@ -556,7 +530,6 @@ impl ThreadedBackend {
             ),
             band_height: self.trainer.resolved_band_height(),
             wall_seconds,
-            sim_makespan: None,
             resize: plan.resize.as_ref().map(|e| e.report()),
             faults,
             adam_rows_shipped: shipped_rows,
@@ -798,20 +771,6 @@ impl ExecutionBackend for ThreadedBackend {
 
     fn execute_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> ExecutionReport {
         self.run_batch(cameras, targets)
-    }
-
-    // The inherent methods of the same names hold the definitions (callers
-    // with a concrete backend need no trait import).
-    fn pool_stats(&self) -> PoolStats {
-        ThreadedBackend::pool_stats(self)
-    }
-
-    fn set_staging_capacity(&mut self, limit: Option<usize>) {
-        ThreadedBackend::set_staging_capacity(self, limit);
-    }
-
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        ThreadedBackend::install_fault_plan(self, plan);
     }
 }
 

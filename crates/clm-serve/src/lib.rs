@@ -2,8 +2,9 @@
 //! runtime.
 //!
 //! One service instance owns a fleet of scenes behind a [`SceneRegistry`]
-//! and multiplexes per-tenant training [`Session`]s over the shared device
-//! timeline: each [`ClmServe::step`] call runs one batch of whichever
+//! and multiplexes per-tenant training [`Session`]s, each running the
+//! simulated engine ([`clm_runtime::PipelinedEngine`]), over the shared
+//! device timeline: each [`ClmServe::step`] call runs one batch of whichever
 //! session the weighted deficit-round-robin [`DeficitScheduler`] picks, so
 //! under contention every tenant receives virtual device time proportional
 //! to its weight (within one maximum batch cost — the classic DRR bound).
@@ -16,17 +17,15 @@
 //!   own latency histogram.
 //! * **Memory bounds** — a tenant's pinned staging budget becomes a cap on
 //!   simultaneously leased staging buffers: the granted prefetch window is
-//!   clamped under the cap (the budget holds by construction), the pool's
-//!   `capacity_limit` backstops it, and the high-water mark is audited
-//!   after every batch.
+//!   clamped under the cap (the budget holds by construction), and the
+//!   pool's high-water mark is audited against the cap after every batch.
 //! * **Evict/resume** — cold sessions are captured into the `.clmckpt`
 //!   container and later restored **bit-identically**; batch boundaries are
-//!   drain points in every backend, so eviction never loses in-flight work.
+//!   drain points of the engine, so eviction never loses in-flight work.
 //!
 //! Latency is measured on a service-level virtual clock advanced by each
 //! batch's simulated makespan, which makes the whole schedule — and the
-//! fairness and starvation tests built on it — deterministic with the
-//! simulated backend.
+//! fairness and starvation tests built on it — deterministic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,6 +45,4 @@ pub use scheduler::{DeficitScheduler, FairnessConfig};
 pub use service::{
     Admission, AdmitError, ClmServe, ServeConfig, ServeError, ServeStats, StepOutcome,
 };
-pub use session::{
-    BackendChoice, EvictedState, Session, SessionId, SessionState, SessionStats, TenantSpec,
-};
+pub use session::{EvictedState, Session, SessionId, SessionState, SessionStats, TenantSpec};

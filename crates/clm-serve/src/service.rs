@@ -7,18 +7,18 @@
 //! of whichever session the scheduler picks; [`ClmServe::run`] steps until
 //! every admitted session completes.
 //!
-//! Time: the service keeps a **virtual clock** advanced by each batch's
-//! simulated makespan (falling back to wall-clock for backends without a
-//! simulated timeline).  Per-batch latency is `completion − ready`, so a
-//! session that waits behind other tenants sees its queue delay in its own
-//! histogram — that is the quantity the fairness bound constrains.
+//! Time: every session trains on the simulated engine, and the service
+//! keeps a **virtual clock** advanced by each batch's simulated makespan.
+//! Per-batch latency is `completion − ready`, so a session that waits
+//! behind other tenants sees its queue delay in its own histogram — that is
+//! the quantity the fairness bound constrains.
 //!
 //! Memory: admission converts a tenant's pinned staging budget into a cap
 //! on simultaneously leased staging buffers (worst-case buffer size ×
-//! count), clamps the granted prefetch window below the cap so the budget
-//! holds **by construction**, installs the cap as the pool's
-//! `capacity_limit` backstop, and audits the pool's high-water mark after
-//! every batch.
+//! count) and clamps the granted prefetch window below the cap, so the
+//! budget holds **by construction**: the engine leases at most
+//! `window + 1` buffers.  The pool's high-water mark is audited against
+//! the cap after every batch ([`SessionStats::budget_violations`]).
 
 use crate::registry::SceneRegistry;
 use crate::scheduler::{DeficitScheduler, FairnessConfig};
@@ -286,7 +286,7 @@ impl ClmServe {
         }
     }
 
-    /// Gives a session a backend (fresh, or restored from its checkpoint)
+    /// Gives a session an engine (fresh, or restored from its checkpoint)
     /// and puts it in the scheduler ring.
     fn activate(&mut self, session: &mut Session, restored: Option<clm_core::Trainer>) {
         session.backend = Some(session.build_backend(restored));
@@ -319,8 +319,9 @@ impl ClmServe {
             .backend
             .as_mut()
             .expect("active session has backend");
-        let report = backend.execute_batch(cameras, targets);
-        let cost = report.sim_makespan.unwrap_or(report.wall_seconds).max(0.0);
+        let report = backend.run_batch(cameras, targets);
+        let high_water = backend.pool_stats().high_water_buffers;
+        let cost = report.makespan();
 
         self.virtual_now += cost;
         session.stats.batches += 1;
@@ -332,11 +333,8 @@ impl ClmServe {
             .record(self.virtual_now - session.ready_at);
         session.stats.wall_latency.record(report.wall_seconds);
         session.ready_at = self.virtual_now;
-        if session.max_staging_buffers != usize::MAX {
-            let stats = session.backend.as_ref().expect("still active").pool_stats();
-            if stats.high_water_buffers > session.max_staging_buffers {
-                session.stats.budget_violations += 1;
-            }
+        if high_water > session.max_staging_buffers {
+            session.stats.budget_violations += 1;
         }
         self.stats.batches += 1;
         self.scheduler.charge(id, cost);
@@ -373,8 +371,8 @@ impl ClmServe {
     }
 
     /// Evicts an active session: captures its trainer into `.clmckpt`
-    /// bytes, drops the backend (batch boundaries are drain points in every
-    /// backend, so there is no in-flight state to lose), frees the slot and
+    /// bytes, drops the engine (batch boundaries are its drain points, so
+    /// there is no in-flight state to lose), frees the slot and
     /// promotes the longest-waiting queued session.
     pub fn evict(&mut self, id: SessionId) -> Result<(), ServeError> {
         let session = self
@@ -506,8 +504,9 @@ mod tests {
     use clm_core::TrainConfig;
     use gs_scene::{DatasetConfig, InitConfig, SceneKind};
 
-    #[test]
-    fn a_failed_resume_leaves_the_session_evicted_with_its_bytes() {
+    /// A service holding one active tenant with two batches to train, on
+    /// 3-view batches of a small Bicycle scene at the default window 2.
+    fn one_tenant() -> (ClmServe, SessionId) {
         let mut registry = SceneRegistry::new();
         let scene = DatasetConfig {
             num_gaussians: 60,
@@ -531,6 +530,24 @@ mod tests {
         let mut spec = TenantSpec::new("tenant", "scene", train, init);
         spec.target_batches = 2;
         let id = serve.admit(spec).unwrap().id();
+        (serve, id)
+    }
+
+    #[test]
+    fn a_window_above_the_buffer_cap_counts_a_budget_violation() {
+        // Window 2 leases 3 buffers over a 3-view batch; a cap of 2 is the
+        // clamp-math error the per-batch audit exists to catch.
+        let (mut serve, id) = one_tenant();
+        let session = serve.sessions.get_mut(&id).unwrap();
+        assert_eq!(session.granted_window, 2);
+        session.max_staging_buffers = 2;
+        serve.step();
+        assert!(serve.session(id).unwrap().stats.budget_violations > 0);
+    }
+
+    #[test]
+    fn a_failed_resume_leaves_the_session_evicted_with_its_bytes() {
+        let (mut serve, id) = one_tenant();
         serve.step();
         serve.evict(id).unwrap();
 

@@ -1,9 +1,10 @@
 //! Tenant sessions: one per-tenant training job and its lifecycle.
 //!
 //! A session moves through `Queued → Active → (Evicted ⇄ Active) →
-//! Completed | Cancelled`.  While active it owns an execution backend
-//! (simulated or threaded) built over the registry's shared scene data;
-//! while evicted only its `.clmckpt` bytes survive,
+//! Completed | Cancelled`.  While active it owns a simulated engine
+//! ([`PipelinedEngine`]) built over the registry's shared scene data, whose
+//! deterministic device time is what the fairness scheduler charges; while
+//! evicted only its `.clmckpt` bytes survive,
 //! so a resumed session continues **bit-identically** — the same invariant
 //! the conformance chaos leg proves for kill/restore, applied as a capacity
 //! policy.
@@ -12,9 +13,7 @@ use crate::metrics::LatencyHistogram;
 use crate::registry::SceneEntry;
 use clm_core::TrainConfig;
 use clm_runtime::pool::ROW_BYTES;
-use clm_runtime::{
-    ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
-};
+use clm_runtime::{PipelinedEngine, RuntimeConfig};
 use clm_trace::Checkpoint;
 use gs_scene::{init_from_point_cloud, InitConfig};
 use std::sync::Arc;
@@ -29,18 +28,6 @@ impl std::fmt::Display for SessionId {
     }
 }
 
-/// Which execution backend a session trains on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendChoice {
-    /// [`PipelinedEngine`]: deterministic simulated device time — the
-    /// default, and the only choice whose batch costs (and therefore the
-    /// fairness scheduler's virtual timeline) are bit-reproducible.
-    #[default]
-    Simulated,
-    /// [`ThreadedBackend`]: real worker threads, measured wall-clock costs.
-    Threaded,
-}
-
 /// Everything a tenant declares when asking for a session.
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
@@ -51,8 +38,6 @@ pub struct TenantSpec {
     /// Fair-share weight (> 0): a weight-2 tenant receives twice the
     /// virtual device time of a weight-1 tenant under contention.
     pub weight: f64,
-    /// Execution backend for the session.
-    pub backend: BackendChoice,
     /// Training configuration (seed, batch size, system, densify schedule).
     pub train: TrainConfig,
     /// Point-cloud initialisation of the session's model.
@@ -63,26 +48,24 @@ pub struct TenantSpec {
     /// budget).
     pub prefetch_window: usize,
     /// Pinned staging-memory budget in bytes (`None` = the service
-    /// default).  Enforced as a cap on simultaneously leased staging
-    /// buffers via [`PinnedBufferPool`](clm_runtime::PinnedBufferPool)
-    /// accounting.
+    /// default).  Admission turns it into a cap on simultaneously leased
+    /// staging buffers, clamps the granted window under that cap and audits
+    /// the pool's high-water mark after every batch.
     pub staging_budget_bytes: Option<u64>,
-    /// Multiplier on the simulated backend's timeline costs (reduced-scale
-    /// scenes are latency-dominated; this recovers the paper-scale,
-    /// bandwidth-bound regime per tenant).  Ignored by the threaded
-    /// backend, whose costs are measured wall-clock.
+    /// Multiplier on the engine's timeline costs (reduced-scale scenes are
+    /// latency-dominated; this recovers the paper-scale, bandwidth-bound
+    /// regime per tenant).
     pub cost_scale: f64,
 }
 
 impl TenantSpec {
-    /// A minimal spec with defaults: weight 1, simulated backend, window 2,
-    /// no explicit budget.
+    /// A minimal spec with defaults: weight 1, window 2, no explicit
+    /// budget.
     pub fn new(tenant: &str, scene: &str, train: TrainConfig, init: InitConfig) -> Self {
         TenantSpec {
             tenant: tenant.to_string(),
             scene: scene.to_string(),
             weight: 1.0,
-            backend: BackendChoice::Simulated,
             train,
             init,
             target_batches: 1,
@@ -115,9 +98,9 @@ impl TenantSpec {
 pub enum SessionState {
     /// Admitted but waiting for an active slot.
     Queued,
-    /// Owns a backend and is schedulable.
+    /// Owns an engine and is schedulable.
     Active,
-    /// Checkpointed to `.clmckpt` bytes; backend released.
+    /// Checkpointed to `.clmckpt` bytes; engine released.
     Evicted,
     /// Reached its target batch count.
     Completed,
@@ -167,8 +150,8 @@ pub struct Session {
     pub scene: Arc<SceneEntry>,
     /// Lifecycle state.
     pub state: SessionState,
-    /// The backend, when [`SessionState::Active`].
-    pub backend: Option<Box<dyn ExecutionBackend>>,
+    /// The engine, when [`SessionState::Active`].
+    pub backend: Option<PipelinedEngine>,
     /// Checkpoint bytes, when [`SessionState::Evicted`] (or queued for
     /// resume).
     pub evicted: Option<EvictedState>,
@@ -206,49 +189,36 @@ impl Session {
         start..(start + batch).min(views)
     }
 
-    /// Builds the session's backend from scratch (fresh model) or from a
-    /// restored trainer, applying the granted window and the budget cap.
+    /// Builds the session's engine from scratch (fresh model) or from a
+    /// restored trainer, at the granted window.
     ///
-    /// Both backends adopt the host's autotuned *scheduling* knobs (lane
-    /// fan-outs, Adam chunk size) as their base configuration.  The
-    /// prefetch window stays the service's granted one — it is an admission
-    /// decision, not a host property — and `band_height` stays whatever the
-    /// tenant's `TrainConfig` declares (`band_height: 0` below): it is part
-    /// of the numeric contract, and a restored trainer must continue
-    /// bit-identically to its pre-eviction trajectory.
-    pub fn build_backend(&self, restored: Option<clm_core::Trainer>) -> Box<dyn ExecutionBackend> {
+    /// The engine adopts the host's autotuned *scheduling* knobs (compute
+    /// width) as its base configuration.  The prefetch window stays the
+    /// service's granted one — it is an admission decision, not a host
+    /// property, and the budget holds because the pool never leases more
+    /// than `window + 1` buffers.  The band height is the tenant's
+    /// `TrainConfig`'s (autotuning never touches it), so a restored trainer
+    /// continues bit-identically to its pre-eviction trajectory.
+    pub fn build_backend(&self, restored: Option<clm_core::Trainer>) -> PipelinedEngine {
         let trainer = restored.unwrap_or_else(|| {
             let init = init_from_point_cloud(&self.scene.dataset.ground_truth, &self.spec.init);
             clm_core::Trainer::new(init, self.spec.train.clone())
         });
-        let mut backend: Box<dyn ExecutionBackend> = match self.spec.backend {
-            BackendChoice::Simulated => Box::new(PipelinedEngine::with_trainer(
-                trainer,
-                RuntimeConfig {
-                    prefetch_window: self.granted_window,
-                    cost_scale: self.spec.cost_scale,
-                    pixel_cost_scale: self.spec.cost_scale,
-                    band_height: 0,
-                    ..RuntimeConfig::autotuned()
-                },
-            )),
-            BackendChoice::Threaded => Box::new(ThreadedBackend::with_trainer(
-                trainer,
-                ThreadedConfig {
-                    prefetch_window: self.granted_window,
-                    band_height: 0,
-                    ..ThreadedConfig::autotuned()
-                },
-            )),
-        };
-        backend.set_staging_capacity(Some(self.max_staging_buffers));
-        backend
+        PipelinedEngine::with_trainer(
+            trainer,
+            RuntimeConfig {
+                prefetch_window: self.granted_window,
+                cost_scale: self.spec.cost_scale,
+                pixel_cost_scale: self.spec.cost_scale,
+                ..RuntimeConfig::autotuned()
+            },
+        )
     }
 
-    /// Captures the active backend into an [`EvictedState`].
+    /// Captures the active engine into an [`EvictedState`].
     ///
     /// # Panics
-    /// Panics if the session has no backend.
+    /// Panics if the session has no engine.
     pub fn capture(&self) -> EvictedState {
         let backend = self.backend.as_ref().expect("capture needs a backend");
         EvictedState {

@@ -7,8 +7,8 @@
 
 use clm_core::{DensifyConfig, DensifySchedule, SystemKind, TrainConfig};
 use clm_serve::{
-    Admission, AdmitError, BackendChoice, ClmServe, FairnessConfig, SceneRegistry, ServeConfig,
-    SessionState, StepOutcome, TenantSpec,
+    Admission, AdmitError, ClmServe, FairnessConfig, SceneRegistry, ServeConfig, SessionState,
+    StepOutcome, TenantSpec,
 };
 use gs_scene::{DatasetConfig, InitConfig, SceneKind};
 
@@ -387,9 +387,10 @@ fn four_concurrent_tenants_progress() {
     let ids: Vec<_> = (0..4)
         .map(|i| {
             let scene = if i % 2 == 0 { "a" } else { "b" };
-            let mut s = spec(&format!("t{i}"), scene, 80 + i as u64, 5);
-            s.backend = BackendChoice::Simulated;
-            serve.admit(s).unwrap().id()
+            serve
+                .admit(spec(&format!("t{i}"), scene, 80 + i as u64, 5))
+                .unwrap()
+                .id()
         })
         .collect();
     assert_eq!(serve.active_ids().len(), 4);

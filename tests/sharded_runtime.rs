@@ -179,7 +179,6 @@ fn sharded_schedule_uses_every_device_lane_group() {
         .map(|dev| report.device_lane_group(dev)[0].busy)
         .sum();
     assert!((report.lanes.compute - total).abs() < 1e-12);
-    assert!(report.sim_makespan.is_some());
     assert_eq!(report.views, 8);
 }
 

@@ -52,10 +52,6 @@ fn threaded_backend_is_bit_identical_across_seeds_and_windows() {
                      synchronous trainer"
                 );
                 assert_eq!(t.prefetch_window, window);
-                assert!(
-                    t.sim_makespan.is_none(),
-                    "the threaded backend measures; it has no simulated makespan"
-                );
             }
             assert_eq!(
                 threaded.trainer().model(),
