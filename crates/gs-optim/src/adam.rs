@@ -50,7 +50,7 @@
 //! * `1 − β^t` is a pure function of `(β, t)`: reusing it for the next row
 //!   of the same step count is computing it again.
 //! * A row that received no gradient steps with the all-`+0.0` row, which
-//!   is exactly what its accumulator row holds; a retry (`commit = false`)
+//!   is exactly what the accumulator reads for it; a retry (`commit = false`)
 //!   steps copies of the same moment rows.  No driver pads anything.
 //! * A cold row is skipped only where its step is the identity (below), so
 //!   skipping it leaves the bits a step would have written.
@@ -201,7 +201,7 @@ fn bias_is_positive((bias1, bias2): (f32, f32)) -> bool {
 pub type ParamRow = [f32; PARAMS_PER_GAUSSIAN];
 
 /// `+0.0` in every slot: fresh moments, and the gradient a row that
-/// received none steps with (what its accumulator row holds).
+/// received none steps with (what the accumulator reads for it).
 const ZERO_ROW: ParamRow = [0.0; PARAMS_PER_GAUSSIAN];
 
 /// Whether every column of `row` holds the bits of `+0.0` — one OR over

@@ -6,6 +6,14 @@
 //! finalised, §4.2.2/§5.4) — together with the [`GradientBuffer`] used to
 //! accumulate micro-batch gradients over a batch.
 //!
+//! The buffer stores gradient only for the Gaussians that received it: a
+//! 4 B row→slot index over the model points each receiver at one compact
+//! 59-float row, so it costs 4 B per Gaussian plus one batch's receivers,
+//! not a model-shaped 236 B per Gaussian.  It is exact by construction: a
+//! receiver's row starts at `+0.0` and takes the same `+=` per element in
+//! the same order a dense store would, and every other row reads `+0.0`
+//! ([`gradients`] has the argument).
+//!
 //! # Example
 //!
 //! ```

@@ -1076,14 +1076,25 @@ pub fn shade_backward(
     RenderGradients { entries: merged }
 }
 
+/// Per-slot scratch of [`backward_band`]: the dense accumulator and a
+/// first-touch flag per slot.
+struct BandScratch {
+    dense: Vec<ScreenGradients>,
+    seen: Vec<bool>,
+}
+
 std::thread_local! {
-    /// Per-worker dense accumulator for [`backward_band`], reused across
-    /// every band the worker drains (and across calls, on the calling
-    /// thread).  Invariant: all entries are zero between bands — each band
-    /// resets exactly the slots it touched — so reuse costs O(touched)
-    /// instead of re-zeroing O(projected) once per band.
-    static BAND_SCRATCH: std::cell::RefCell<Vec<ScreenGradients>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    /// Per-worker scratch for [`backward_band`], reused across every band
+    /// the worker drains (and across calls, on the calling thread).
+    /// Invariant: every accumulator is zero and every flag clear between
+    /// bands — each band resets exactly the slots it touched — so reuse
+    /// costs O(touched) instead of re-zeroing O(projected) once per band.
+    static BAND_SCRATCH: std::cell::RefCell<BandScratch> = const {
+        std::cell::RefCell::new(BandScratch {
+            dense: Vec::new(),
+            seen: Vec::new(),
+        })
+    };
 }
 
 /// Accumulates the screen-space gradients of every pixel of band `b`,
@@ -1097,23 +1108,33 @@ fn backward_band(
     b: usize,
 ) -> Vec<(u32, ScreenGradients)> {
     BAND_SCRATCH.with(|cell| {
-        let mut dense = cell.borrow_mut();
-        if dense.len() < coverage.splats.len() {
-            dense.resize(coverage.splats.len(), ScreenGradients::default());
+        let scratch = &mut *cell.borrow_mut();
+        let slots = coverage.splats.len();
+        if scratch.dense.len() < slots {
+            scratch.dense.resize(slots, ScreenGradients::default());
+            scratch.seen.resize(slots, false);
         }
-        backward_band_with_scratch(coverage, shading, d_image, b, &mut dense)
+        backward_band_with_scratch(
+            coverage,
+            shading,
+            d_image,
+            b,
+            &mut scratch.dense,
+            &mut scratch.seen,
+        )
     })
 }
 
 /// The body of [`backward_band`] over a caller-provided dense accumulator
-/// whose first `coverage.splats.len()` entries are all zero; restores that
-/// invariant before returning.
+/// and first-touch flags whose first `coverage.splats.len()` entries are
+/// all zero and all clear; restores that invariant before returning.
 fn backward_band_with_scratch(
     coverage: &Coverage,
     shading: &Shading,
     d_image: &[[f32; 3]],
     b: usize,
     dense: &mut [ScreenGradients],
+    seen: &mut [bool],
 ) -> Vec<(u32, ScreenGradients)> {
     let band = &coverage.bands[b];
     let width = coverage.width;
@@ -1124,8 +1145,7 @@ fn backward_band_with_scratch(
         coverage.band_height,
         b as u32 * coverage.band_height,
     );
-    // Slots this band wrote to, pushed on first touch (a touched entry that
-    // cancels back to exact zero may be pushed again — dedup below).
+    // Slots this band wrote to, each pushed once, on first touch.
     let mut touched: Vec<u32> = Vec::new();
     let mut pixel = 0;
     for_each_band_pixel(geometry, |_, px, py| {
@@ -1150,7 +1170,8 @@ fn backward_band_with_scratch(
             let alpha = clamped_alpha(p.opacity, r.gauss);
             // Transmittance in front of this splat.
             t /= 1.0 - alpha;
-            if dense[slot].is_zero() {
+            if !seen[slot] {
+                seen[slot] = true;
                 touched.push(r.slot);
             }
             let g = &mut dense[slot];
@@ -1193,9 +1214,9 @@ fn backward_band_with_scratch(
     // merge step visits contributing splats in a fixed order) while
     // resetting exactly those scratch entries for the next band.
     touched.sort_unstable();
-    touched.dedup();
     let mut out: Vec<(u32, ScreenGradients)> = Vec::with_capacity(touched.len());
     for &slot in &touched {
+        seen[slot as usize] = false;
         let g = std::mem::take(&mut dense[slot as usize]);
         if !g.is_zero() {
             out.push((slot, g));
