@@ -32,6 +32,7 @@ use clm_core::{
     simulate_batch, synthetic_microbatch_stats, OrderingStrategy, SceneProfile, SystemKind,
     TrainConfig, Trainer,
 };
+use clm_runtime::ExecutionBackend;
 use gs_scene::{
     generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
 };
@@ -244,8 +245,8 @@ pub fn report_figure9_quality_scaling() -> String {
         );
         let mut last_loss = 0.0;
         for _ in 0..8 {
-            let reports = trainer.train_epoch(&dataset, &targets);
-            last_loss = reports.iter().map(|r| r.loss).sum::<f32>() / reports.len() as f32;
+            let reports = trainer.execute_epoch(&dataset, &targets);
+            last_loss = reports.iter().map(|r| r.batch.loss).sum::<f32>() / reports.len() as f32;
         }
         let psnr = trainer.evaluate_psnr(&dataset.cameras, &targets);
         rows.push(vec![

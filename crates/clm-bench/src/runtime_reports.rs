@@ -107,7 +107,7 @@ fn run_system(
 
 /// Images per simulated second over a set of batch reports.
 fn throughput(reports: &[ExecutionReport]) -> f64 {
-    let views: usize = reports.iter().map(|r| r.views).sum();
+    let views: usize = reports.iter().map(|r| r.batch.order.len()).sum();
     let time: f64 = reports.iter().map(ExecutionReport::makespan).sum();
     if time <= 0.0 {
         0.0

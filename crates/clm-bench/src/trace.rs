@@ -13,9 +13,8 @@
 //!   exact scheduled durations.  These replay deterministically offline
 //!   (`clm_trace::verify_exact`) and support what-if knob replays (prefetch
 //!   window, device count, cost scaling).
-//! * **Measured spans** (`threaded`, and the `synchronous` trainer, which
-//!   is the numerics oracle rather than a backend and records its own
-//!   spans) — wall-clock intervals bracketing the real phases (gathers,
+//! * **Measured spans** (`threaded`, and `synchronous`, the numerics
+//!   oracle) — wall-clock intervals bracketing the real phases (gathers,
 //!   render, CPU Adam), with no dependency structure.  These feed the
 //!   report/Chrome-trace pipeline but refuse exact replay (there is no
 //!   schedule to re-simulate).
@@ -38,7 +37,7 @@ use gs_scene::{
     generate_dataset, init_from_point_cloud, Dataset, DatasetConfig, InitConfig, SceneKind,
     SceneSpec,
 };
-use sim_device::{HostTopology, Timeline};
+use sim_device::HostTopology;
 
 /// Seed of the generated dataset, recorded in every trace header.
 pub const DATASET_SEED: u64 = 29;
@@ -185,7 +184,8 @@ pub const TRACE_BACKENDS: [&str; 4] = ["synchronous", "simulated", "threaded", "
 /// Records one full training run of `backend` at `scale` into a trace.
 ///
 /// `backend` must be one of [`TRACE_BACKENDS`]; the sharded entry honours
-/// `scale.devices`, everything else runs single-device.
+/// `scale.devices`, everything else runs single-device.  The synchronous
+/// trainer runs at window 0, the others at `scale.prefetch_window`.
 pub fn record_trace(backend: &str, scale: &TraceScale) -> Result<Trace, String> {
     let (dataset, targets, init) = scale.scene();
     let devices = if backend == "sharded" {
@@ -196,44 +196,42 @@ pub fn record_trace(backend: &str, scale: &TraceScale) -> Result<Trace, String> 
     // The engine's config, whose price list the header records whichever
     // backend runs.
     let config = scale.runtime_config(init.len(), devices);
-    let mut writer = TraceWriter::new(trace_meta(backend, scale, &config));
+    let cost = CostParams::from(&config.price_list());
     let train = scale.train_config();
-    match backend {
-        "synchronous" => record_synchronous(&mut writer, scale, &dataset, &targets, init),
-        "simulated" | "sharded" => {
-            let mut engine =
-                PipelinedEngine::new(init, train, config).partition_over(&dataset.cameras);
-            record_backend(&mut writer, scale, &dataset, &targets, &mut engine);
-        }
+    let (window, mut executor): (usize, Box<dyn ExecutionBackend>) = match backend {
+        "synchronous" => (0, Box::new(Trainer::new(init, train))),
+        "simulated" | "sharded" => (
+            config.prefetch_window,
+            Box::new(PipelinedEngine::new(init, train, config).partition_over(&dataset.cameras)),
+        ),
         "threaded" => {
             let config = ThreadedConfig {
                 prefetch_window: scale.prefetch_window,
                 ..Default::default()
             };
-            let mut threaded = ThreadedBackend::new(init, train, config);
-            record_backend(&mut writer, scale, &dataset, &targets, &mut threaded);
+            (
+                config.prefetch_window,
+                Box::new(ThreadedBackend::new(init, train, config)),
+            )
         }
         other => {
             return Err(format!(
                 "unknown backend {other:?} (expected one of {TRACE_BACKENDS:?})"
             ))
         }
-    }
-    Ok(writer.finish())
-}
-
-/// The trace header for one recorded run: workload identity plus the
-/// transfer half of the engine's price list, which device-count replays
-/// re-price communication with.
-fn trace_meta(backend: &str, scale: &TraceScale, config: &RuntimeConfig) -> TraceMeta {
-    TraceMeta {
+    };
+    let mut writer = TraceWriter::new(TraceMeta {
         backend: backend.to_string(),
         scene: format!("rubble-{}", scale.label),
-        devices: config.num_devices as u32,
-        prefetch_window: scale.prefetch_window as u32,
+        devices: devices as u32,
+        prefetch_window: window as u32,
         seed: DATASET_SEED,
-        cost: CostParams::from(&config.price_list()),
-    }
+        // The transfer half of the engine's price list, which device-count
+        // replays re-price communication with.
+        cost,
+    });
+    record_backend(&mut writer, scale, &dataset, &targets, executor.as_mut());
+    Ok(writer.finish())
 }
 
 /// Iterates the run's batches in the order every backend trains them:
@@ -252,21 +250,6 @@ fn batch_ranges(scale: &TraceScale, views: usize) -> Vec<(u64, u64, usize, usize
         }
     }
     out
-}
-
-fn record_synchronous(
-    writer: &mut TraceWriter,
-    scale: &TraceScale,
-    dataset: &Dataset,
-    targets: &[Image],
-    init: GaussianModel,
-) {
-    let mut trainer = Trainer::new(init, scale.train_config());
-    for (epoch, b, lo, hi) in batch_ranges(scale, dataset.cameras.len()) {
-        let mut timeline = Timeline::new();
-        trainer.train_batch_spanned(&dataset.cameras[lo..hi], &targets[lo..hi], &mut timeline);
-        writer.record_timeline(epoch, b, &timeline);
-    }
 }
 
 fn record_backend(
@@ -332,6 +315,12 @@ mod tests {
                 expected_batches,
                 "{backend}: missing batches"
             );
+            // Each header records the window its executor ran at.
+            let window = match backend {
+                "synchronous" => 0,
+                _ => scale.prefetch_window as u32,
+            };
+            assert_eq!(trace.meta.prefetch_window, window, "{backend}");
             let decoded = Trace::decode(&trace.encode()).unwrap();
             assert_eq!(decoded, trace, "{backend}: decode diverged");
             assert_eq!(

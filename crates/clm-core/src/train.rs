@@ -154,6 +154,9 @@ pub struct BatchReport {
     /// only their step counters advanced (`gs_optim::adam`, "Cold rows cost
     /// nothing").
     pub adam_rows_skipped: usize,
+    /// The densification resize applied at this batch's boundary, if one
+    /// was due (`None` for the fixed-size batches in between).
+    pub resize: Option<DensifyReport>,
 }
 
 /// Everything a trainer decides **before** executing a batch: micro-batch
@@ -840,7 +843,8 @@ impl Trainer {
 
     /// Closes a batch: runs the batch-end optimiser step for strategies
     /// without overlap, feeds the densification criterion and returns the
-    /// batch report.
+    /// batch report, which carries the resize the plan applied at this
+    /// boundary.
     pub fn finish_batch(
         &mut self,
         plan: &BatchPlan,
@@ -881,6 +885,7 @@ impl Trainer {
             },
             order: plan.order.clone(),
             adam_rows_skipped: self.optimizer.take_rows_skipped(),
+            resize: plan.resize.as_ref().map(ResizeEvent::report),
         }
     }
 
@@ -987,21 +992,6 @@ impl Trainer {
         };
         self.return_gradients(grads);
         report
-    }
-
-    /// Trains over the whole dataset once (views grouped into batches in
-    /// trajectory order), returning the per-batch reports.
-    pub fn train_epoch(&mut self, dataset: &Dataset, targets: &[Image]) -> Vec<BatchReport> {
-        assert_eq!(dataset.cameras.len(), targets.len());
-        let batch = self.config.batch_size.max(1);
-        let mut reports = Vec::new();
-        let mut start = 0;
-        while start < dataset.cameras.len() {
-            let end = (start + batch).min(dataset.cameras.len());
-            reports.push(self.train_batch(&dataset.cameras[start..end], &targets[start..end]));
-            start = end;
-        }
-        reports
     }
 
     /// Mean PSNR of the current model over a set of posed images.
@@ -1463,8 +1453,11 @@ mod tests {
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..6 {
-            let reports = trainer.train_epoch(&dataset, &targets);
-            let mean: f32 = reports.iter().map(|r| r.loss).sum::<f32>() / reports.len() as f32;
+            let mut losses = Vec::new();
+            for (cams, tgts) in dataset.cameras.chunks(6).zip(targets.chunks(6)) {
+                losses.push(trainer.train_batch(cams, tgts).loss);
+            }
+            let mean = losses.iter().sum::<f32>() / losses.len() as f32;
             first_loss.get_or_insert(mean);
             last_loss = mean;
         }

@@ -1,20 +1,21 @@
 //! The execution-backend abstraction.
 //!
-//! Three ways to run a batch walk the op graph [`clm_core::emit_system`]
-//! emits, doing the trainer's stepwise calls inside its hooks, and
-//! therefore produce identical numerics; they differ in what their
-//! schedules *are*:
+//! Three executors walk the op graph [`clm_core::emit_system`] emits,
+//! doing the trainer's stepwise calls inside its hooks, and therefore
+//! produce identical numerics; they differ in what their schedules *are*.
+//! All three implement [`ExecutionBackend`]:
 //!
-//! * [`clm_core::Trainer::train_batch`] — the **synchronous** reference: a
-//!   [`clm_core::SerialRun`] at prefetch window 0, every step on the
-//!   calling thread.  It is the numerics oracle and not (yet) an
-//!   [`ExecutionBackend`].
+//! * [`clm_core::Trainer`] — the **synchronous** executor and the numerics
+//!   oracle: a [`clm_core::SerialRun`] at prefetch window 0, every step on
+//!   the calling thread.  Its [`backend_name`](ExecutionBackend::backend_name)
+//!   is `"synchronous"`, and its report's timeline is the measured span of
+//!   every hook ([`Trainer::train_batch_spanned`]).
 //! * [`PipelinedEngine`](crate::PipelinedEngine) — the **simulated**
 //!   backend, at any device count: the same `SerialRun` at the configured
 //!   window, executing inline on the calling thread while a discrete-event
-//!   [`Timeline`](sim_device::Timeline) models when each operation would
-//!   have run on each simulated device's lane group.  It is the source of
-//!   the paper-scale schedule metrics (Figures 11–15); its
+//!   [`Timeline`] models when each operation would have run on each
+//!   simulated device's lane group.  It is the source of the paper-scale
+//!   schedule metrics (Figures 11–15); its
 //!   [`backend_name`](ExecutionBackend::backend_name) is `"simulated"` at
 //!   one device and `"sharded"` above.
 //! * [`ThreadedBackend`](crate::ThreadedBackend) — the **threaded**
@@ -22,31 +23,34 @@
 //!   threads, so communication and optimiser work genuinely overlap the
 //!   render compute and the speedup is measurable in wall-clock time.
 //!
-//! [`ExecutionReport`] is the one report every backend returns: the numeric
-//! batch outcome, the measured wall-clock time and the batch's
-//! [`Timeline`](sim_device::Timeline), with the per-lane busy seconds,
-//! makespan and traffic read off it.  For the simulated backend the
-//! timeline is the costed schedule in simulated device seconds; for the
-//! threaded backend it is the measured spans of its threads.
+//! [`ExecutionReport`] is the one report every executor returns: the
+//! numeric batch outcome, the measured wall-clock time and the batch's
+//! [`Timeline`], with the per-lane busy seconds, makespan and traffic read
+//! off it.  For the simulated backend the timeline is the costed schedule
+//! in simulated device seconds; for the other two it is measured spans.
 //!
-//! The trait is what the callers that loop over *every* backend hold: the
-//! conformance suite and the trace recorder drive a `dyn ExecutionBackend`.
-//! Everything backend-specific — the staging pool's statistics, fault-plan
-//! installation — is an inherent method of the concrete type, because every
-//! caller that needs it already holds one (the service's sessions own a
+//! The trait is what the callers that loop over *every* executor hold: the
+//! conformance suite and the trace recorder drive one list of
+//! `Box<dyn ExecutionBackend>`.  Everything executor-specific — the
+//! configuration, the staging pool's statistics, fault-plan installation —
+//! is an inherent method of the concrete type, because every caller that
+//! needs it already holds one (the service's sessions own a
 //! [`PipelinedEngine`](crate::PipelinedEngine)).
 
-use crate::report::ExecutionReport;
+use crate::report::{ExecutionReport, LaneBusy};
 use clm_core::Trainer;
 use gs_core::camera::Camera;
 use gs_render::Image;
 use gs_scene::Dataset;
+use sim_device::Timeline;
+use std::time::Instant;
 
 /// A trainer execution strategy: how one batch's staged gathers, render
 /// compute and optimiser updates are laid out on the host.
 pub trait ExecutionBackend: std::fmt::Debug {
-    /// Short stable identifier (`"simulated"`, `"sharded"`, `"threaded"`)
-    /// used in benchmark output and trace headers.
+    /// Short stable identifier (`"synchronous"`, `"simulated"`,
+    /// `"sharded"`, `"threaded"`) used in benchmark output and trace
+    /// headers.
     fn backend_name(&self) -> &'static str;
 
     /// The wrapped trainer (model, config, counters).
@@ -72,9 +76,30 @@ pub trait ExecutionBackend: std::fmt::Debug {
         }
         reports
     }
+}
 
-    /// Mean PSNR of the current model over a set of posed images.
-    fn evaluate_psnr(&self, cameras: &[Camera], targets: &[Image]) -> f32 {
-        self.trainer().evaluate_psnr(cameras, targets)
+impl ExecutionBackend for Trainer {
+    fn backend_name(&self) -> &'static str {
+        "synchronous"
+    }
+
+    fn trainer(&self) -> &Trainer {
+        self
+    }
+
+    /// [`Trainer::train_batch_spanned`] plus the wall clock: the lanes are
+    /// read off the measured spans, and nothing faults or ships to a lane.
+    fn execute_batch(&mut self, cameras: &[Camera], targets: &[Image]) -> ExecutionReport {
+        let wall_start = Instant::now();
+        let mut timeline = Timeline::new();
+        let batch = self.train_batch_spanned(cameras, targets, &mut timeline);
+        ExecutionReport {
+            batch,
+            lanes: LaneBusy::of(&timeline, self.config().num_devices),
+            timeline,
+            wall_seconds: wall_start.elapsed().as_secs_f64(),
+            faults: Default::default(),
+            adam_rows_shipped: 0,
+        }
     }
 }

@@ -464,19 +464,11 @@ impl PipelinedEngine {
         };
         ExecutionReport {
             batch,
-            views: cameras.len(),
-            prefetch_window: window,
-            compute_threads: gs_render::parallel::resolve_compute_threads(
-                self.trainer.config().compute_threads,
-            ),
-            band_height: self.trainer.resolved_band_height(),
             lanes: LaneBusy::of(&timeline, self.config.num_devices),
             timeline,
-            resize: plan.resize.as_ref().map(|e| e.report()),
             faults,
             // The optimiser steps inline: nothing is shipped to a lane.
             adam_rows_shipped: 0,
-            adam_bytes_shipped: 0,
             wall_seconds: wall_start.elapsed().as_secs_f64(),
         }
     }

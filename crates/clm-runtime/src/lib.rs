@@ -25,11 +25,13 @@
 //!   gather and CPU Adam lanes run on dedicated worker threads
 //!   ([`workers`]), so the overlap is real and wall-clock measurable;
 //! * [`ExecutionBackend`] — the common abstraction the trace recorder and
-//!   the conformance suite loop over every backend through;
-//! * [`ExecutionReport`] — the one batch report every backend returns: the
-//!   numeric outcome plus the batch's timeline (costed or measured), from
-//!   which makespan, per-lane busy/idle time and communication volume are
-//!   read (Figures 11–15, Table 7);
+//!   the conformance suite loop over every executor through; the engine,
+//!   the threaded backend and the synchronous `clm_core::Trainer` (the
+//!   numerics oracle) implement it;
+//! * [`ExecutionReport`] — the one batch report every executor returns:
+//!   the numeric outcome plus the batch's timeline (costed or measured),
+//!   from which makespan, per-lane busy/idle time and communication volume
+//!   are read (Figures 11–15, Table 7);
 //! * [`autotune`] — host-topology probe + startup calibration that derives
 //!   per-host defaults for every scheduling knob ([`tuned`]), all
 //!   overridable through the config structs above.
@@ -89,6 +91,7 @@ mod tests {
     use super::*;
     use clm_core::{SystemKind, TrainConfig, Trainer};
     use gs_core::gaussian::GaussianModel;
+    use gs_render::parallel::resolve_compute_threads;
     use gs_render::Image;
     use gs_scene::{
         generate_dataset, init_from_point_cloud, Dataset, DatasetConfig, InitConfig, SceneKind,
@@ -149,11 +152,12 @@ mod tests {
             let reference = sync.train_batch(cams, tgts);
             assert_eq!(thr_report.batch, reference);
             assert_eq!(pipe_report.batch, reference);
-            // The reports record the knobs the run actually used.
-            assert_eq!(thr_report.compute_threads, knobs.compute_threads);
-            assert_eq!(thr_report.band_height, knobs.band_height);
-            assert_eq!(pipe_report.band_height, knobs.band_height);
         }
+        // The trainers run the knobs the runs adopted.
+        let threads = threaded.trainer().config().compute_threads;
+        assert_eq!(resolve_compute_threads(threads), knobs.compute_threads);
+        assert_eq!(threaded.trainer().resolved_band_height(), knobs.band_height);
+        assert_eq!(piped.trainer().resolved_band_height(), knobs.band_height);
         assert_eq!(threaded.trainer().model(), sync.model());
         assert_eq!(piped.trainer().model(), sync.model());
     }
@@ -302,13 +306,18 @@ mod tests {
                 system,
                 ..Default::default()
             };
-            let mut engine =
-                PipelinedEngine::new(init.clone(), train.clone(), RuntimeConfig::default());
-            let mut sync = Trainer::new(init.clone(), train);
-            let piped = engine.run_batch(cams, tgts);
+            let mut sync = Trainer::new(init.clone(), train.clone());
             let reference = sync.train_batch(cams, tgts);
-            assert_eq!(piped.batch, reference, "{system}");
-            assert_eq!(engine.trainer().model(), sync.model(), "{system}");
+            let engine =
+                PipelinedEngine::new(init.clone(), train.clone(), RuntimeConfig::default());
+            let threaded = ThreadedBackend::new(init.clone(), train, ThreadedConfig::default());
+            let backends: [Box<dyn ExecutionBackend>; 2] = [Box::new(engine), Box::new(threaded)];
+            for mut backend in backends {
+                let report = backend.execute_batch(cams, tgts);
+                let label = format!("{system} {}", backend.backend_name());
+                assert_eq!(report.batch, reference, "{label}");
+                assert_eq!(backend.trainer().model(), sync.model(), "{label}");
+            }
         }
     }
 
@@ -361,7 +370,7 @@ mod tests {
             RuntimeConfig::default(),
         );
         let reports = engine.execute_epoch(&dataset, &targets);
-        let views: usize = reports.iter().map(|r| r.views).sum();
+        let views: usize = reports.iter().map(|r| r.batch.order.len()).sum();
         assert_eq!(views, dataset.cameras.len());
         assert!(reports.iter().all(|r| r.makespan() > 0.0));
     }
@@ -389,7 +398,6 @@ mod tests {
             let t = threaded.run_batch(cams, tgts);
             let s = engine.run_batch(cams, tgts);
             assert_eq!(t.batch, s.batch);
-            assert_eq!(t.prefetch_window, 2);
             assert!(t.wall_seconds > 0.0);
         }
         assert_eq!(threaded.trainer().model(), engine.trainer().model());
@@ -398,26 +406,6 @@ mod tests {
             threaded.trainer().offloaded().bytes_gathered(),
             engine.trainer().offloaded().bytes_gathered()
         );
-    }
-
-    #[test]
-    fn threaded_backend_runs_all_four_systems() {
-        let (dataset, targets, init) = tiny_setup();
-        let cams = &dataset.cameras[..4];
-        let tgts = &targets[..4];
-        for system in SystemKind::ALL {
-            let train = TrainConfig {
-                system,
-                ..Default::default()
-            };
-            let mut threaded =
-                ThreadedBackend::new(init.clone(), train.clone(), ThreadedConfig::default());
-            let mut sync = Trainer::new(init.clone(), train);
-            let report = threaded.run_batch(cams, tgts);
-            let reference = sync.train_batch(cams, tgts);
-            assert_eq!(report.batch, reference, "{system}");
-            assert_eq!(threaded.trainer().model(), sync.model(), "{system}");
-        }
     }
 
     #[test]
@@ -519,13 +507,14 @@ mod tests {
     }
 
     #[test]
-    fn execution_backend_trait_drives_both_backends() {
+    fn execution_backend_trait_drives_every_executor() {
         let (dataset, targets, init) = tiny_setup();
         let train = TrainConfig {
             batch_size: 4,
             ..Default::default()
         };
         let mut backends: Vec<Box<dyn ExecutionBackend>> = vec![
+            Box::new(Trainer::new(init.clone(), train.clone())),
             Box::new(PipelinedEngine::new(
                 init.clone(),
                 train.clone(),
@@ -536,7 +525,7 @@ mod tests {
         let mut models = Vec::new();
         for backend in &mut backends {
             let reports = backend.execute_epoch(&dataset, &targets);
-            let views: usize = reports.iter().map(|r| r.views).sum();
+            let views: usize = reports.iter().map(|r| r.batch.order.len()).sum();
             assert_eq!(views, dataset.cameras.len(), "{}", backend.backend_name());
             for r in &reports {
                 assert!(r.wall_seconds > 0.0);
@@ -544,7 +533,10 @@ mod tests {
             }
             models.push(backend.trainer().model().clone());
         }
-        assert_eq!(models[0], models[1], "backends agree on the numerics");
+        assert_eq!(models[0], models[1], "executors agree on the numerics");
+        assert_eq!(models[0], models[2], "executors agree on the numerics");
+        let names: Vec<_> = backends.iter().map(|b| b.backend_name()).collect();
+        assert_eq!(names, ["synchronous", "simulated", "threaded"]);
     }
 
     /// Two batches' [`Timeline::fingerprint`](sim_device::Timeline::fingerprint)
@@ -561,7 +553,7 @@ mod tests {
         for range in [0..6, 4..10] {
             let report = engine.run_batch(&dataset.cameras[range.clone()], &targets[range]);
             fold = fold.rotate_left(7) ^ report.timeline.fingerprint();
-            resizes += usize::from(report.resize.is_some());
+            resizes += usize::from(report.batch.resize.is_some());
         }
         let p = engine.pool_stats();
         let fold = [
@@ -809,9 +801,10 @@ mod tests {
             threaded,
         )));
         for backend in &mut backends {
+            let name = backend.backend_name();
+            assert_eq!(backend.trainer().resolved_band_height(), band, "{name}");
             for _ in 0..2 {
-                let report = backend.execute_batch(cams, tgts);
-                assert_eq!(report.band_height, band, "{}", backend.backend_name());
+                backend.execute_batch(cams, tgts);
             }
             assert_eq!(
                 backend.trainer().model(),
@@ -871,8 +864,6 @@ mod tests {
             let a = serial.run_batch(cams, tgts);
             let b = sharded.run_batch(cams, tgts);
             assert_eq!(a.batch, b.batch);
-            // Every device gets the configured window to itself.
-            assert_eq!(b.prefetch_window, 2);
         }
         assert_eq!(serial.trainer().model(), sharded.trainer().model());
     }

@@ -1,20 +1,21 @@
-//! The batch report every execution backend returns.
+//! The batch report every executor returns.
 //!
 //! An [`ExecutionReport`] pairs the numeric outcome of one training batch
-//! (loss, traffic, order — identical to the synchronous trainer's
-//! [`BatchReport`]) with the schedule it ran on: the batch's [`Timeline`].
-//! For the simulated engine that is the costed discrete-event schedule; for
-//! the threaded backend it is the measured spans of its threads.  The
-//! makespan, per-lane busy/idle time and communication volume the paper's
-//! Figures 11–15 and Table 7 are derived from are read off it.
+//! (loss, traffic, order, resize — the same [`BatchReport`] on every
+//! executor) with the schedule it ran on: the batch's [`Timeline`].  For the
+//! simulated engine that is the costed discrete-event schedule; for the
+//! threaded backend and the synchronous trainer it is the measured spans of
+//! their threads.  The makespan, per-lane busy/idle time and communication
+//! volume the paper's Figures 11–15 and Table 7 are derived from are read
+//! off it.
 
-use clm_core::{BatchReport, DensifyReport};
+use clm_core::BatchReport;
 use sim_device::{FaultStats, Lane, OpKind, Timeline};
 
 /// Busy seconds of each pipeline lane over one batch.
 ///
 /// Simulated device seconds for the simulated backend, measured thread busy
-/// seconds for the threaded backend.
+/// seconds for the threaded backend and the synchronous trainer.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LaneBusy {
     /// Forward/backward render compute (the would-be GPU lane).
@@ -57,48 +58,34 @@ pub struct LaneReport {
     pub utilization: f64,
 }
 
-/// What one executed batch did, numerically and in time.
+/// What one executed batch did, numerically and in time: only what the
+/// executor measured.  Its configuration (window, thread counts, band
+/// height) lives on the executor; the boundary's resize is a numeric fact,
+/// so it is [`BatchReport::resize`].
 #[derive(Debug, Clone)]
 pub struct ExecutionReport {
-    /// The numeric batch outcome (identical across backends by
+    /// The numeric batch outcome (identical across executors by
     /// construction).
     pub batch: BatchReport,
     /// The schedule the batch ran on: costed ops for the simulated backend,
-    /// measured spans for the threaded backend.
+    /// measured spans for the threaded backend and the synchronous trainer.
     pub timeline: Timeline,
-    /// Number of views trained by the batch.
-    pub views: usize,
-    /// Prefetch lookahead window the batch ran with (the configured
-    /// `prefetch_window`).
-    pub prefetch_window: usize,
-    /// Banded-render worker count the batch actually ran with — the
-    /// resolved value, never the `0` "inherit/autotune" sentinel a config
-    /// may carry.
-    pub compute_threads: usize,
-    /// Accumulation band height the batch rendered with (resolved, part of
-    /// the numeric contract).
-    pub band_height: u32,
     /// Measured wall-clock seconds the batch took on the host.
     pub wall_seconds: f64,
     /// Per-lane busy seconds of [`timeline`](Self::timeline): compute, comm
     /// and Adam summed over the device lane groups in device order (per
     /// device, see [`device_lane_group`](Self::device_lane_group)).
     pub lanes: LaneBusy,
-    /// The densification resize applied at this batch's boundary, if one
-    /// was due (`None` for the fixed-size batches in between).
-    pub resize: Option<DensifyReport>,
     /// Faults injected (and recovered from) while executing this batch.
     /// All-zero when no fault plan is installed.
     pub faults: FaultStats,
     /// Gaussian rows whose final gradients were shipped to the CPU Adam
-    /// lane (threaded backend; 0 for backends that step the optimiser
+    /// lane (threaded backend; 0 for executors that step the optimiser
     /// inline).  One row per Gaussian that **received** gradient
     /// (`batch.received`) — a touched Gaussian the renderer never reached
-    /// ships nothing, and neither does `F_0`.
+    /// ships nothing, and neither does `F_0`.  Each row is a flat 59-float
+    /// gradient row with its `u32` index.
     pub adam_rows_shipped: u64,
-    /// Bytes shipped to the CPU Adam lane: `adam_rows_shipped` flat
-    /// 59-float gradient rows, each with its `u32` index.
-    pub adam_bytes_shipped: u64,
 }
 
 impl ExecutionReport {
@@ -173,18 +160,13 @@ mod tests {
                 bytes_stored: 40,
                 order: vec![0, 1],
                 adam_rows_skipped: 0,
+                resize: None,
             },
             lanes: LaneBusy::of(&t, 2),
             timeline: t,
-            views: 2,
-            prefetch_window: 1,
-            compute_threads: 1,
-            band_height: 16,
             wall_seconds: 0.0,
-            resize: None,
             faults: FaultStats::default(),
             adam_rows_shipped: 0,
-            adam_bytes_shipped: 0,
         };
         assert_eq!(r.makespan(), 4.0);
         let compute = r.lane(Lane::GpuCompute);

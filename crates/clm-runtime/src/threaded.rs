@@ -280,12 +280,6 @@ impl ThreadedBackend {
         (self.back.len(), grads)
     }
 
-    /// Mean PSNR of the current model over a set of posed images (delegates
-    /// to the trainer).
-    pub fn evaluate_psnr(&self, cameras: &[Camera], targets: &[Image]) -> f32 {
-        self.trainer.evaluate_psnr(cameras, targets)
-    }
-
     /// Executes one training batch with threaded lanes.  The report's
     /// timeline is the batch's measured spans — every interval a lane
     /// thread timed — so the threaded backend's real overlap feeds the same
@@ -523,17 +517,9 @@ impl ThreadedBackend {
             batch,
             lanes: LaneBusy::of(&timeline, shape.devices),
             timeline,
-            views,
-            prefetch_window: window,
-            compute_threads: gs_render::parallel::resolve_compute_threads(
-                self.trainer.config().compute_threads,
-            ),
-            band_height: self.trainer.resolved_band_height(),
             wall_seconds,
-            resize: plan.resize.as_ref().map(|e| e.report()),
             faults,
             adam_rows_shipped: shipped_rows,
-            adam_bytes_shipped: shipped_rows * std::mem::size_of::<GradRow>() as u64,
         }
     }
 }
@@ -909,6 +895,8 @@ mod tests {
         let rows = init.len();
         let mut threaded =
             ThreadedBackend::new(init, TrainConfig::default(), ThreadedConfig::default());
+        // A shipped row is the Gaussian's 59 gradient floats and its index.
+        assert_eq!(std::mem::size_of::<GradRow>(), PARAMS_PER_GAUSSIAN * 4 + 4);
         let mut most_shipped = 0;
         for batch in 0..8 {
             // Rotate through the views so group sizes differ batch to batch.
@@ -923,10 +911,6 @@ mod tests {
             // (reached) rows ship nothing.
             assert!(report.batch.received > 0 && report.batch.received <= report.batch.touched);
             assert_eq!(report.adam_rows_shipped, report.batch.received as u64);
-            assert_eq!(
-                report.adam_bytes_shipped,
-                (report.batch.received * (PARAMS_PER_GAUSSIAN * 4 + 4)) as u64
-            );
             most_shipped = most_shipped.max(report.batch.received);
             // One parameter row per Gaussian — fixed by the model — and
             // gradient lists that follow what was shipped (a list at most
@@ -1007,7 +991,7 @@ mod tests {
                 "batch {batch}: the parameter buffer follows the model across a boundary"
             );
             cold_rows += assert_cold_rows_agree(&threaded, &format!("batch {batch}"));
-            resizes.extend(report.resize);
+            resizes.extend(report.batch.resize);
         }
         assert!(resizes.len() >= 2, "the run must cross two boundaries");
         assert!(

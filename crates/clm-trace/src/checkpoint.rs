@@ -264,6 +264,11 @@ impl Checkpoint {
         let bytes_gathered = varint::read_u64(payload, &mut pos)?;
         let bytes_scattered = varint::read_u64(payload, &mut pos)?;
         let n = varint::read_u64(payload, &mut pos)? as usize;
+        // Each model row is its parameters plus its gradient norm: refuse a
+        // count the bytes left cannot hold before building the model.
+        if n > (payload.len() - pos) / ((PARAMS_PER_GAUSSIAN + 1) * 4) {
+            return Err(CkptError::Truncated);
+        }
 
         let mut model: GaussianModel = (0..n)
             .map(|_| Gaussian::isotropic(Vec3::ZERO, 0.1, [0.5; 3], 0.5))
@@ -437,6 +442,21 @@ mod tests {
         let bytes = sample_checkpoint().encode();
         assert!(Checkpoint::decode(&bytes[..4]).is_err());
         assert!(Checkpoint::decode(&bytes[..bytes.len() - 5]).is_err());
+    }
+
+    #[test]
+    fn a_row_count_the_bytes_cannot_hold_fails_truncated() {
+        // A checksummed payload that claims 2^40 model rows and holds none
+        // is refused before the model is built: seed, counters, warm-start
+        // flag and traffic are zero, then the row count.
+        let mut payload = vec![0u8; 7];
+        varint::write_u64(&mut payload, 1 << 40);
+        let mut bytes = CKPT_MAGIC.to_vec();
+        bytes.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        assert_eq!(bytes.len(), 33);
+        assert_eq!(Checkpoint::decode(&bytes), Err(CkptError::Truncated));
     }
 
     #[test]

@@ -309,7 +309,9 @@ impl Trace {
             return Err(TraceError::ChecksumMismatch);
         }
 
-        let mut events = Vec::with_capacity(count);
+        // The count is outside the checksum: every event takes at least one
+        // payload byte, so a false count fails `Truncated`, not allocates.
+        let mut events = Vec::with_capacity(count.min(payload.len()));
         let mut pos = 0usize;
         let mut last_start_bits = 0u64;
         let mut last_dur_bits = [0u64; OpKind::ALL.len()];
@@ -342,7 +344,7 @@ impl Trace {
             let (dur, db) = varint::read_f64_xor(payload, &mut pos, last_dur_bits[slot])?;
             last_dur_bits[slot] = db;
             let dep_count = varint::read_u64(payload, &mut pos)? as usize;
-            let mut deps = Vec::with_capacity(dep_count);
+            let mut deps = Vec::with_capacity(dep_count.min(payload.len() - pos));
             for _ in 0..dep_count {
                 let back = varint::read_u64(payload, &mut pos)?;
                 if back == 0 || back > index_in_batch {
@@ -596,6 +598,19 @@ mod tests {
         assert!(Trace::decode(&bytes[..4]).is_err());
         // A cut anywhere in the payload breaks the checksum (or truncates).
         assert!(Trace::decode(&bytes[..bytes.len() - 3]).is_err());
+    }
+
+    #[test]
+    fn a_false_event_count_fails_truncated_without_allocating_it() {
+        // The count sits outside the payload checksum: an empty trace whose
+        // header claims 2^40 events must fail at the first missing byte.
+        let bytes = TraceWriter::new(sample_meta()).finish().encode();
+        let count_at = bytes.len() - 9; // then the empty payload's checksum
+        assert_eq!(bytes[count_at], 0);
+        let mut forged = bytes[..count_at].to_vec();
+        varint::write_u64(&mut forged, 1 << 40);
+        forged.extend_from_slice(&bytes[count_at + 1..]);
+        assert_eq!(Trace::decode(&forged), Err(TraceError::Truncated));
     }
 
     #[test]

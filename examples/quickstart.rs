@@ -4,6 +4,7 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use clm_repro::clm_core::{ground_truth_images, SystemKind, TrainConfig, Trainer};
+use clm_repro::clm_runtime::ExecutionBackend;
 use clm_repro::gs_scene::{
     generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
 };
@@ -55,9 +56,9 @@ fn main() {
     println!("initial PSNR: {initial_psnr:.2} dB");
 
     for epoch in 0..8 {
-        let reports = trainer.train_epoch(&dataset, &targets);
-        let loss: f32 = reports.iter().map(|r| r.loss).sum::<f32>() / reports.len() as f32;
-        let loaded: u64 = reports.iter().map(|r| r.bytes_loaded).sum();
+        let reports = trainer.execute_epoch(&dataset, &targets);
+        let loss: f32 = reports.iter().map(|r| r.batch.loss).sum::<f32>() / reports.len() as f32;
+        let loaded: u64 = reports.iter().map(|r| r.batch.bytes_loaded).sum();
         println!(
             "epoch {epoch}: mean L1 loss {loss:.4}, parameters fetched over PCIe {:.2} MB",
             loaded as f64 / 1e6

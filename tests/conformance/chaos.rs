@@ -127,7 +127,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn injected_faults_never_change_the_trajectory() {
     let scenario = densifying_scenario();
-    let reference = run_reference(&scenario, EPOCHS);
+    let reference = run_backend(&mut scenario.trainer(), &scenario, EPOCHS);
     assert_densification_exercised(&reference);
 
     let plan = FaultPlan::new(chaos_spec());
@@ -172,7 +172,6 @@ fn run_slice_range(
             &scenario.dataset.cameras[range.clone()],
             &scenario.targets[range.clone()],
         );
-        trajectory.resizes.push(report.resize);
         trajectory.reports.push(report.batch);
         trajectory.model_sizes.push(backend.trainer().model().len());
     }
@@ -191,7 +190,7 @@ fn all_slices(scenario: &Scenario) -> Vec<std::ops::Range<usize>> {
 #[test]
 fn kill_and_restore_from_checkpoint_is_bit_identical() {
     let scenario = densifying_scenario();
-    let reference = run_reference(&scenario, EPOCHS);
+    let reference = run_backend(&mut scenario.trainer(), &scenario, EPOCHS);
     assert_densification_exercised(&reference);
     let slices = all_slices(&scenario);
     // Kill past the first densify boundary so the snapshot carries a
@@ -216,20 +215,20 @@ fn kill_and_restore_from_checkpoint_is_bit_identical() {
             Box::new(engine.partition_over(cameras))
         })
     };
+    let synchronous: Build<'_> = Box::new(|trainer| Box::new(trainer));
     let threaded: Build<'_> =
         Box::new(|trainer| Box::new(ThreadedBackend::with_trainer(trainer, threaded_config())));
     for (label, build, legacy_ratio) in [
+        ("synchronous", synchronous, None),
         ("simulated@1", simulated(1), None),
         ("threaded", threaded, None),
         ("simulated@2", simulated(2), None),
         ("simulated@1 legacy warm flag", simulated(1), Some(0.125)),
     ] {
-        let fresh = Trainer::new(scenario.init.clone(), scenario.train.clone());
-        let mut first = build(fresh);
+        let mut first = build(scenario.trainer());
         let mut trajectory = Trajectory {
             reports: Vec::new(),
             model_sizes: Vec::new(),
-            resizes: Vec::new(),
             final_model: clm_repro::gs_core::GaussianModel::new(),
         };
         run_slice_range(
@@ -270,7 +269,7 @@ fn kill_and_restore_from_checkpoint_is_bit_identical() {
 #[test]
 fn device_loss_mid_run_finishes_bit_identically() {
     let scenario = densifying_scenario();
-    let reference = run_reference(&scenario, EPOCHS);
+    let reference = run_backend(&mut scenario.trainer(), &scenario, EPOCHS);
     assert_densification_exercised(&reference);
 
     // Lose half the devices after the second batch; the survivors must

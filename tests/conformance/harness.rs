@@ -71,6 +71,14 @@ pub struct Scenario {
     pub train: TrainConfig,
 }
 
+impl Scenario {
+    /// A fresh synchronous trainer at the scenario's start: the reference
+    /// executor, and the trainer every other executor wraps.
+    pub fn trainer(&self) -> Trainer {
+        Trainer::new(self.init.clone(), self.train.clone())
+    }
+}
+
 /// The acceptance scenario: a Rubble-like scene whose run densifies at two
 /// mid-epoch boundaries.  The first boundary is a **net prune**: the splats
 /// no view has touched yet sit at their initial opacity, just under the
@@ -150,22 +158,21 @@ pub const GRAD_THRESHOLD: f32 = 1.0e-5;
 pub const PRUNE_OPACITY: f32 = 0.305;
 
 /// Everything a densifying run commits to, captured batch by batch.  Two
-/// backends executed the same trajectory iff their captures are equal —
-/// `BatchReport` carries the exact loss, order and traffic, `model_sizes`
-/// the resize dynamics, `resizes` the boundary reports, and `final_model`
-/// every trained parameter bit.
+/// executors ran the same trajectory iff their captures are equal —
+/// `BatchReport` carries the exact loss, order, traffic and boundary resize,
+/// `model_sizes` the resize dynamics, and `final_model` every trained
+/// parameter bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     pub reports: Vec<BatchReport>,
     pub model_sizes: Vec<usize>,
-    pub resizes: Vec<Option<DensifyReport>>,
     pub final_model: GaussianModel,
 }
 
 impl Trajectory {
     /// Number of applied resize boundaries.
     pub fn resize_events(&self) -> usize {
-        self.resizes.iter().flatten().count()
+        self.reports.iter().filter(|r| r.resize.is_some()).count()
     }
 }
 
@@ -182,33 +189,9 @@ pub fn batch_slices(num_views: usize, batch_size: usize) -> Vec<std::ops::Range<
     slices
 }
 
-/// Replays the scenario through the synchronous reference trainer.
-pub fn run_reference(scenario: &Scenario, epochs: usize) -> Trajectory {
-    let mut trainer = Trainer::new(scenario.init.clone(), scenario.train.clone());
-    let mut trajectory = Trajectory {
-        reports: Vec::new(),
-        model_sizes: Vec::new(),
-        resizes: Vec::new(),
-        final_model: GaussianModel::new(),
-    };
-    for _ in 0..epochs {
-        for range in batch_slices(scenario.dataset.cameras.len(), scenario.train.batch_size) {
-            let resize = trainer.pending_resize().map(|e| e.report());
-            let report = trainer.train_batch(
-                &scenario.dataset.cameras[range.clone()],
-                &scenario.targets[range],
-            );
-            trajectory.resizes.push(resize);
-            trajectory.reports.push(report);
-            trajectory.model_sizes.push(trainer.model().len());
-        }
-    }
-    trajectory.final_model = trainer.model().clone();
-    trajectory
-}
-
-/// Replays the scenario through an execution backend, batch by batch (so the
-/// model size can be captured at every boundary).
+/// Replays the scenario through an executor, batch by batch (so the model
+/// size can be captured at every boundary).  The reference trajectory is
+/// this run on [`Scenario::trainer`].
 pub fn run_backend(
     backend: &mut dyn ExecutionBackend,
     scenario: &Scenario,
@@ -217,7 +200,6 @@ pub fn run_backend(
     let mut trajectory = Trajectory {
         reports: Vec::new(),
         model_sizes: Vec::new(),
-        resizes: Vec::new(),
         final_model: GaussianModel::new(),
     };
     for _ in 0..epochs {
@@ -226,7 +208,6 @@ pub fn run_backend(
                 &scenario.dataset.cameras[range.clone()],
                 &scenario.targets[range],
             );
-            trajectory.resizes.push(report.resize);
             trajectory.reports.push(report.batch);
             trajectory.model_sizes.push(backend.trainer().model().len());
         }
@@ -236,8 +217,8 @@ pub fn run_backend(
 }
 
 /// Asserts two trajectories are **bit-identical**: same per-batch losses,
-/// orders and traffic, same model sizes after every batch, same resize
-/// boundaries, same final parameters.
+/// orders, traffic and resize boundaries, same model sizes after every
+/// batch, same final parameters.
 pub fn assert_trajectories_match(reference: &Trajectory, other: &Trajectory, label: &str) {
     assert_eq!(
         reference.reports, other.reports,
@@ -246,10 +227,6 @@ pub fn assert_trajectories_match(reference: &Trajectory, other: &Trajectory, lab
     assert_eq!(
         reference.model_sizes, other.model_sizes,
         "{label}: model-size trajectory diverged"
-    );
-    assert_eq!(
-        reference.resizes, other.resizes,
-        "{label}: resize boundaries diverged"
     );
     assert_eq!(
         &reference.final_model, &other.final_model,
@@ -261,7 +238,11 @@ pub fn assert_trajectories_match(reference: &Trajectory, other: &Trajectory, lab
 /// suite exists for: at least two boundaries, with net growth and net prune
 /// both represented.
 pub fn assert_densification_exercised(trajectory: &Trajectory) {
-    let applied: Vec<&DensifyReport> = trajectory.resizes.iter().flatten().collect();
+    let applied: Vec<&DensifyReport> = trajectory
+        .reports
+        .iter()
+        .filter_map(|r| r.resize.as_ref())
+        .collect();
     assert!(
         applied.len() >= 2,
         "need at least two densify boundaries, got {}: {applied:?}",
@@ -278,14 +259,14 @@ pub fn assert_densification_exercised(trajectory: &Trajectory) {
     // Model sizes must reflect the boundaries (a resize before batch i shows
     // up as a size change relative to batch i-1).
     let mut size = trajectory.model_sizes[0];
-    for (i, (&after, resize)) in trajectory
+    for (i, (&after, report)) in trajectory
         .model_sizes
         .iter()
-        .zip(&trajectory.resizes)
+        .zip(&trajectory.reports)
         .enumerate()
         .skip(1)
     {
-        if let Some(report) = resize {
+        if let Some(report) = &report.resize {
             assert_eq!(
                 after as isize,
                 size as isize + report.net_growth(),

@@ -47,7 +47,7 @@ fn scenario_exercises_growth_and_prune_at_two_boundaries() {
     // actually cross two densification boundaries, one net-growing and one
     // net-pruning, or every bit-identity assertion below is vacuous.
     let scenario = densifying_scenario();
-    let reference = run_reference(&scenario, EPOCHS);
+    let reference = run_backend(&mut scenario.trainer(), &scenario, EPOCHS);
     assert_densification_exercised(&reference);
     assert_eq!(reference.resize_events(), 2);
 }
@@ -59,7 +59,7 @@ fn densifying_run_is_bit_identical_across_all_backends_and_device_counts() {
     // bit — losses, orders, traffic, model sizes at every boundary and the
     // final parameters.
     let scenario = densifying_scenario();
-    let reference = run_reference(&scenario, EPOCHS);
+    let reference = run_backend(&mut scenario.trainer(), &scenario, EPOCHS);
     assert_densification_exercised(&reference);
 
     let mut threaded = ThreadedBackend::new(
@@ -156,7 +156,7 @@ fn report_invariants_hold_across_resizes() {
             assert_eq!(report.comm_bytes_h2d(), report.batch.bytes_loaded);
             assert_eq!(report.comm_bytes_d2h(), report.batch.bytes_stored);
             let resize_time = report.timeline.time_by_kind(OpKind::Resize);
-            match report.resize {
+            match report.batch.resize {
                 Some(r) => {
                     assert!(
                         resize_time > 0.0,
@@ -181,7 +181,8 @@ fn every_backend_reports_the_lane_sums_of_its_own_timeline() {
     let scenario = densifying_scenario();
     let (init, train) = (&scenario.init, &scenario.train);
     let threaded = ThreadedBackend::new(init.clone(), train.clone(), threaded_config());
-    let mut backends: Vec<(Box<dyn ExecutionBackend>, usize)> = vec![(Box::new(threaded), 1)];
+    let mut backends: Vec<(Box<dyn ExecutionBackend>, usize)> =
+        vec![(Box::new(scenario.trainer()), 1), (Box::new(threaded), 1)];
     for devices in [1, 2] {
         let engine = PipelinedEngine::new(init.clone(), train.clone(), runtime_config(devices))
             .partition_over(&scenario.dataset.cameras);
@@ -346,14 +347,11 @@ fn every_executor_sends_the_recounted_store_payloads() {
     // `bytes_stored`, the same receivers and the same count of cold rows the
     // optimiser skipped, and all of it must equal the independent recount.
     let scenario = densifying_scenario();
-    let (init, train) = (&scenario.init, &scenario.train);
-    let mut recounter = Trainer::new(init.clone(), train.clone());
-    let mut synchronous = Trainer::new(init.clone(), train.clone());
-    let mut threaded = ThreadedBackend::new(init.clone(), train.clone(), threaded_config());
-    let mut engines = conformance_engines(&scenario);
+    let mut recounter = scenario.trainer();
+    let mut executors = conformance_executors(&scenario);
     let (mut frustum_rows, mut stored_rows, mut skipped_rows) = (0, 0, 0);
     for _ in 0..EPOCHS {
-        for range in batch_slices(scenario.dataset.cameras.len(), train.batch_size) {
+        for range in batch_slices(scenario.dataset.cameras.len(), scenario.train.batch_size) {
             let cameras = &scenario.dataset.cameras[range.clone()];
             let targets = &scenario.targets[range];
             let Recount {
@@ -364,30 +362,28 @@ fn every_executor_sends_the_recounted_store_payloads() {
                 ..
             } = recount(&mut recounter, cameras, targets);
             let bytes_stored: u64 = expected.iter().map(|(_, _, bytes)| bytes).sum();
-
-            let mut timeline = Timeline::new();
-            let batch = synchronous.train_batch_spanned(cameras, targets, &mut timeline);
-            assert_eq!(gradient_stores(&timeline), expected, "synchronous");
-            assert_eq!(batch.bytes_stored, bytes_stored, "synchronous");
-            assert_eq!(batch.received, received, "synchronous");
-            // The threaded and simulated reports equal this one whole.
-            assert_eq!(batch.adam_rows_skipped, cold, "synchronous");
-            skipped_rows += cold;
-
-            let report = threaded.run_batch(cameras, targets);
-            assert_eq!(gradient_stores(&report.timeline), expected, "threaded");
-            assert_eq!(report.batch, batch, "threaded");
-            // Each receiver is finalised once and ships to the Adam lane then.
-            assert_eq!(report.adam_rows_shipped, received as u64, "threaded");
-
-            for engine in &mut engines {
-                let label = format!("simulated@{}", engine.config().num_devices);
-                let report = engine.run_batch(cameras, targets);
+            let mut first = None;
+            for executor in &mut executors {
+                let label = label(executor.as_ref());
+                let report = executor.execute_batch(cameras, targets);
                 assert_eq!(gradient_stores(&report.timeline), expected, "{label}");
-                assert_eq!(report.batch, batch, "{label}");
                 assert_eq!(report.comm_bytes_d2h(), bytes_stored, "{label}");
+                assert_eq!(report.batch.bytes_stored, bytes_stored, "{label}");
+                assert_eq!(report.batch.received, received, "{label}");
+                assert_eq!(report.batch.adam_rows_skipped, cold, "{label}");
+                // Each receiver is finalised once and ships to the threaded
+                // Adam lane then; the other executors step inline.
+                let shipped = if label.starts_with("threaded") {
+                    received
+                } else {
+                    0
+                };
+                assert_eq!(report.adam_rows_shipped, shipped as u64, "{label}");
+                // Every executor's report equals the first one whole.
+                let batch = first.get_or_insert_with(|| report.batch.clone());
+                assert_eq!(&report.batch, batch, "{label}");
             }
-
+            skipped_rows += cold;
             frustum_rows += frustum;
             stored_rows += expected
                 .iter()
@@ -395,7 +391,9 @@ fn every_executor_sends_the_recounted_store_payloads() {
                 .sum::<usize>();
         }
     }
-    assert_eq!(synchronous.model(), recounter.model());
+    for executor in &executors {
+        assert_eq!(executor.trainer().model(), recounter.model());
+    }
     // Vacuous otherwise: the stores must skip frustum rows no pixel reaches
     // (retiring every frustum row stores each row of a batch's frustum
     // union at least once).
@@ -406,17 +404,28 @@ fn every_executor_sends_the_recounted_store_payloads() {
     assert!(skipped_rows > 0, "no batch skipped a cold row");
 }
 
-/// One simulated engine per conformance device count, partitioned over the
-/// scenario's views.
-fn conformance_engines(scenario: &Scenario) -> Vec<PipelinedEngine> {
-    conformance_devices()
-        .into_iter()
-        .map(|devices| {
-            let (init, train) = (scenario.init.clone(), scenario.train.clone());
-            PipelinedEngine::new(init, train, runtime_config(devices))
-                .partition_over(&scenario.dataset.cameras)
-        })
-        .collect()
+/// Every executor on the scenario: the synchronous trainer, the threaded
+/// backend and one simulated engine per conformance device count,
+/// partitioned over the scenario's views.
+fn conformance_executors(scenario: &Scenario) -> Vec<Box<dyn ExecutionBackend>> {
+    let mut executors: Vec<Box<dyn ExecutionBackend>> = vec![
+        Box::new(scenario.trainer()),
+        Box::new(ThreadedBackend::with_trainer(
+            scenario.trainer(),
+            threaded_config(),
+        )),
+    ];
+    for devices in conformance_devices() {
+        let engine = PipelinedEngine::with_trainer(scenario.trainer(), runtime_config(devices));
+        executors.push(Box::new(engine.partition_over(&scenario.dataset.cameras)));
+    }
+    executors
+}
+
+/// `name@devices` of an executor, for assertion messages.
+fn label(executor: &dyn ExecutionBackend) -> String {
+    let devices = executor.trainer().config().num_devices;
+    format!("{}@{devices}", executor.backend_name())
 }
 
 #[test]
@@ -427,31 +436,18 @@ fn every_executor_loads_the_recounted_reached_rows() {
     // micro-batch and report their sum as `bytes_loaded`, and all of it must
     // equal the recount from each view's reached set and the cache planner.
     let scenario = densifying_scenario();
-    let (init, train) = (&scenario.init, &scenario.train);
-    let mut recounter = Trainer::new(init.clone(), train.clone());
-    let mut synchronous = Trainer::new(init.clone(), train.clone());
-    let mut threaded = ThreadedBackend::new(init.clone(), train.clone(), threaded_config());
-    let mut engines = conformance_engines(&scenario);
+    let mut recounter = scenario.trainer();
+    let mut executors = conformance_executors(&scenario);
     let (mut frustum_rows, mut fetched_rows) = (0, 0);
     for _ in 0..EPOCHS {
-        for range in batch_slices(scenario.dataset.cameras.len(), train.batch_size) {
+        for range in batch_slices(scenario.dataset.cameras.len(), scenario.train.batch_size) {
             let cameras = &scenario.dataset.cameras[range.clone()];
             let targets = &scenario.targets[range];
             let Recount { loads, frustum, .. } = recount(&mut recounter, cameras, targets);
             let bytes_loaded: u64 = loads.iter().map(|(_, _, bytes)| bytes).sum();
-
-            let mut timeline = Timeline::new();
-            let batch = synchronous.train_batch_spanned(cameras, targets, &mut timeline);
-            assert_eq!(parameter_loads(&timeline), loads, "synchronous");
-            assert_eq!(batch.bytes_loaded, bytes_loaded, "synchronous");
-
-            let report = threaded.run_batch(cameras, targets);
-            assert_eq!(parameter_loads(&report.timeline), loads, "threaded");
-            assert_eq!(report.batch.bytes_loaded, bytes_loaded, "threaded");
-
-            for engine in &mut engines {
-                let label = format!("simulated@{}", engine.config().num_devices);
-                let report = engine.run_batch(cameras, targets);
+            for executor in &mut executors {
+                let label = label(executor.as_ref());
+                let report = executor.execute_batch(cameras, targets);
                 assert_eq!(parameter_loads(&report.timeline), loads, "{label}");
                 assert_eq!(report.batch.bytes_loaded, bytes_loaded, "{label}");
                 assert_eq!(report.comm_bytes_h2d(), bytes_loaded, "{label}");
@@ -463,7 +459,9 @@ fn every_executor_loads_the_recounted_reached_rows() {
                 .sum::<usize>();
         }
     }
-    assert_eq!(synchronous.model(), recounter.model());
+    for executor in &executors {
+        assert_eq!(executor.trainer().model(), recounter.model());
+    }
     // Vacuous otherwise: the fetch must skip frustum rows no pixel reaches
     // (fetching every frustum row moves each row of a batch's frustum union
     // at least once).
@@ -514,11 +512,10 @@ fn every_executor_walks_one_op_sequence() {
         for range in batch_slices(scenario.dataset.cameras.len(), scenario.train.batch_size) {
             let cameras = &scenario.dataset.cameras[range.clone()];
             let targets = &scenario.targets[range];
-            let mut timeline = Timeline::new();
-            let batch = synchronous.train_batch_spanned(cameras, targets, &mut timeline);
+            let walk = synchronous.execute_batch(cameras, targets);
             let report = engine.run_batch(cameras, targets);
-            assert_eq!(report.batch, batch, "{devices} devices");
-            let walked = hook_sequence(&timeline);
+            assert_eq!(report.batch, walk.batch, "{devices} devices");
+            let walked = hook_sequence(&walk.timeline);
             assert_eq!(walked, hook_sequence(&report.timeline), "{devices} devices");
             assert!(walked.len() > 5 * cameras.len(), "{walked:?}");
         }
@@ -544,7 +541,7 @@ fn non_clm_systems_densify_identically_too() {
             init: scenario.init.clone(),
             train,
         };
-        let reference = run_reference(&sys_scenario, 1);
+        let reference = run_backend(&mut sys_scenario.trainer(), &sys_scenario, 1);
         let mut engine = PipelinedEngine::new(
             sys_scenario.init.clone(),
             sys_scenario.train.clone(),
@@ -569,7 +566,7 @@ fn execute_epoch_reports_carry_the_resize_boundaries() {
     let mut boundaries = 0;
     for _ in 0..EPOCHS {
         let reports = threaded.execute_epoch(&scenario.dataset, &scenario.targets);
-        boundaries += reports.iter().filter(|r| r.resize.is_some()).count();
+        boundaries += reports.iter().filter(|r| r.batch.resize.is_some()).count();
         for r in &reports {
             assert!(r.wall_seconds > 0.0);
             assert!(r.lanes.compute > 0.0);

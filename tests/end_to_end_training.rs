@@ -5,6 +5,7 @@
 use clm_repro::clm_core::{
     ground_truth_images, OrderingStrategy, SystemKind, TrainConfig, Trainer,
 };
+use clm_repro::clm_runtime::ExecutionBackend;
 use clm_repro::gs_render::psnr;
 use clm_repro::gs_scene::{
     densify_and_prune, generate_dataset, init_from_point_cloud, DatasetConfig, DensifyConfig,
@@ -46,7 +47,7 @@ fn clm_training_improves_reconstruction_quality() {
     );
     let before = trainer.evaluate_psnr(&dataset.cameras, &targets);
     for _ in 0..6 {
-        trainer.train_epoch(&dataset, &targets);
+        trainer.execute_epoch(&dataset, &targets);
     }
     let after = trainer.evaluate_psnr(&dataset.cameras, &targets);
     assert!(
@@ -123,7 +124,7 @@ fn densification_grows_the_model_and_training_continues() {
             ..Default::default()
         },
     );
-    trainer.train_epoch(&dataset, &targets);
+    trainer.execute_epoch(&dataset, &targets);
 
     // Densify the trained model using a uniform pseudo-gradient signal,
     // then keep training on the larger model via a fresh trainer.
@@ -150,8 +151,8 @@ fn densification_grows_the_model_and_training_continues() {
             ..Default::default()
         },
     );
-    let reports = grown.train_epoch(&dataset, &targets);
-    assert!(reports.iter().all(|r| r.loss.is_finite()));
+    let reports = grown.execute_epoch(&dataset, &targets);
+    assert!(reports.iter().all(|r| r.batch.loss.is_finite()));
 }
 
 #[test]
@@ -183,10 +184,12 @@ fn every_scene_kind_supports_the_full_pipeline() {
                 ..Default::default()
             },
         );
-        let reports = trainer.train_epoch(&dataset, &targets);
+        let reports = trainer.execute_epoch(&dataset, &targets);
         assert!(!reports.is_empty(), "{kind}: no batches trained");
         assert!(
-            reports.iter().all(|r| r.loss.is_finite() && r.touched > 0),
+            reports
+                .iter()
+                .all(|r| r.batch.loss.is_finite() && r.batch.touched > 0),
             "{kind}: degenerate training batch"
         );
     }

@@ -14,6 +14,7 @@
 use clm_repro::clm_core::{
     ground_truth_images, DensifySchedule, OrderingStrategy, SystemKind, TrainConfig, Trainer,
 };
+use clm_repro::clm_runtime::ExecutionBackend;
 use clm_repro::gs_core::GaussianModel;
 use clm_repro::gs_optim::AdamRowState;
 use clm_repro::gs_render::Image;
@@ -98,7 +99,7 @@ fn train_three_batches() -> Trainer {
             ..Default::default()
         },
     );
-    let reports = trainer.train_epoch(&dataset, &targets);
+    let reports = trainer.execute_epoch(&dataset, &targets);
     assert_eq!(reports.len(), 3, "12 views in batches of 4");
     trainer
 }
@@ -197,7 +198,7 @@ fn street_drive(num_views: usize) -> (Dataset, Vec<Image>, Trainer) {
 #[test]
 fn optimizer_state_after_three_street_batches_matches_the_parent_commit() {
     let (dataset, targets, mut trainer) = street_drive(12);
-    let reports = trainer.train_epoch(&dataset, &targets);
+    let reports = trainer.execute_epoch(&dataset, &targets);
     assert_eq!(reports.len(), 3, "12 views in batches of 4");
     let rows = trainer.optimizer().export_rows();
     assert_eq!(rows.len(), trainer.model().len());

@@ -5,7 +5,7 @@
 //! the trainers and execution backends without perturbing a single bit.
 
 use clm_repro::clm_core::{ground_truth_images, SystemKind, TrainConfig, Trainer};
-use clm_repro::clm_runtime::{ExecutionBackend, ThreadedBackend, ThreadedConfig};
+use clm_repro::clm_runtime::{ExecutionBackend, ExecutionReport, ThreadedBackend, ThreadedConfig};
 use clm_repro::gs_render::{l1_loss, render, render_backward, RenderOptions};
 use clm_repro::gs_scene::{
     generate_dataset, init_from_point_cloud, DatasetConfig, InitConfig, SceneKind, SceneSpec,
@@ -143,13 +143,14 @@ fn training_trajectories_bit_identical_across_compute_threads() {
         };
 
         let mut reference = Trainer::new(init.clone(), train(1));
-        let ref_reports = reference.train_epoch(&dataset, &targets);
+        let batches = |r: Vec<ExecutionReport>| r.into_iter().map(|r| r.batch).collect::<Vec<_>>();
+        let ref_reports = batches(reference.execute_epoch(&dataset, &targets));
         let ref_psnr = reference.evaluate_psnr(&dataset.cameras, &targets);
 
         for threads in THREADS {
             let mut banded = Trainer::new(init.clone(), train(threads));
             assert_eq!(
-                banded.train_epoch(&dataset, &targets),
+                batches(banded.execute_epoch(&dataset, &targets)),
                 ref_reports,
                 "seed {seed}, threads {threads}: banded reports"
             );

@@ -60,12 +60,12 @@ fn pipelined_runtime_reproduces_synchronous_loss_trajectory_exactly() {
     );
 
     for epoch in 0..3 {
-        let reference = sync.train_epoch(&dataset, &targets);
+        let reference = sync.execute_epoch(&dataset, &targets);
         let piped = engine.execute_epoch(&dataset, &targets);
         assert_eq!(reference.len(), piped.len());
         for (r, p) in reference.iter().zip(&piped) {
             assert_eq!(
-                r, &p.batch,
+                r.batch, p.batch,
                 "epoch {epoch}: pipelined batch must match the synchronous trainer"
             );
         }
@@ -218,7 +218,7 @@ fn analytic_model_and_engine_emit_the_same_clm_graph() {
 #[test]
 fn pipelined_engine_passes_the_densifying_conformance_run() {
     let scenario = harness::densifying_scenario();
-    let reference = harness::run_reference(&scenario, harness::EPOCHS);
+    let reference = harness::run_backend(&mut scenario.trainer(), &scenario, harness::EPOCHS);
     harness::assert_densification_exercised(&reference);
     let mut engine = PipelinedEngine::new(
         scenario.init.clone(),

@@ -38,7 +38,7 @@ fn sharded_engine_is_bit_identical_across_device_counts_and_seeds() {
         let mut sync = Trainer::new(init.clone(), train.clone());
         let mut reference = Vec::new();
         for _ in 0..2 {
-            reference.extend(sync.train_epoch(&dataset, &targets));
+            reference.extend(sync.execute_epoch(&dataset, &targets));
         }
 
         for devices in DEVICE_COUNTS {
@@ -58,7 +58,7 @@ fn sharded_engine_is_bit_identical_across_device_counts_and_seeds() {
             assert_eq!(reference.len(), reports.len());
             for (r, s) in reference.iter().zip(&reports) {
                 assert_eq!(
-                    r, &s.batch,
+                    r.batch, s.batch,
                     "seed {seed}, {devices} devices: sharded batch must match the \
                      synchronous trainer"
                 );
@@ -83,7 +83,7 @@ fn threaded_device_rounds_are_bit_identical_across_device_counts() {
         let (dataset, targets, init) = harness::rubble_scene(seed);
         let train = train_config(seed);
         let mut sync = Trainer::new(init.clone(), train.clone());
-        let reference = sync.train_epoch(&dataset, &targets);
+        let reference = sync.execute_epoch(&dataset, &targets);
         for devices in DEVICE_COUNTS {
             let mut threaded = ThreadedBackend::new(
                 init.clone(),
@@ -95,7 +95,7 @@ fn threaded_device_rounds_are_bit_identical_across_device_counts() {
             );
             let reports = threaded.execute_epoch(&dataset, &targets);
             for (r, t) in reference.iter().zip(&reports) {
-                assert_eq!(r, &t.batch, "seed {seed}, {devices} devices");
+                assert_eq!(r.batch, t.batch, "seed {seed}, {devices} devices");
             }
             assert_eq!(
                 threaded.trainer().model(),
@@ -110,7 +110,7 @@ fn threaded_device_rounds_are_bit_identical_across_device_counts() {
 fn trainer_num_devices_waves_are_bit_identical() {
     let (dataset, targets, init) = harness::rubble_scene(7);
     let mut serial = Trainer::new(init.clone(), train_config(7));
-    let reference = serial.train_epoch(&dataset, &targets);
+    let reference = serial.execute_epoch(&dataset, &targets);
     // 8 devices leave half of them without a micro-batch.
     for devices in [2usize, 3, 4, 8] {
         let mut sharded = Trainer::new(
@@ -120,8 +120,10 @@ fn trainer_num_devices_waves_are_bit_identical() {
                 ..train_config(7)
             },
         );
-        let reports = sharded.train_epoch(&dataset, &targets);
-        assert_eq!(reference, reports, "{devices} devices");
+        let reports = sharded.execute_epoch(&dataset, &targets);
+        for (r, s) in reference.iter().zip(&reports) {
+            assert_eq!(r.batch, s.batch, "{devices} devices");
+        }
         assert_eq!(serial.model(), sharded.model(), "{devices} devices");
     }
 }
@@ -179,7 +181,7 @@ fn sharded_schedule_uses_every_device_lane_group() {
         .map(|dev| report.device_lane_group(dev)[0].busy)
         .sum();
     assert!((report.lanes.compute - total).abs() < 1e-12);
-    assert_eq!(report.views, 8);
+    assert_eq!(report.batch.order.len(), 8);
 }
 
 #[test]
@@ -295,7 +297,7 @@ fn sharded_engine_passes_the_densifying_conformance_run_at_every_device_count() 
     // Every boundary re-runs the footprint partition over the resized
     // population before the next batch's lanes are laid out.
     let scenario = harness::densifying_scenario();
-    let reference = harness::run_reference(&scenario, harness::EPOCHS);
+    let reference = harness::run_backend(&mut scenario.trainer(), &scenario, harness::EPOCHS);
     harness::assert_densification_exercised(&reference);
     for devices in DEVICE_COUNTS {
         let mut sharded = PipelinedEngine::new(

@@ -28,7 +28,7 @@ fn threaded_backend_is_bit_identical_across_seeds_and_windows() {
         let mut sync = Trainer::new(init.clone(), train.clone());
         let mut reference = Vec::new();
         for _ in 0..2 {
-            reference.extend(sync.train_epoch(&dataset, &targets));
+            reference.extend(sync.execute_epoch(&dataset, &targets));
         }
 
         for window in [0usize, 1, 2] {
@@ -47,11 +47,10 @@ fn threaded_backend_is_bit_identical_across_seeds_and_windows() {
             assert_eq!(reference.len(), reports.len());
             for (r, t) in reference.iter().zip(&reports) {
                 assert_eq!(
-                    r, &t.batch,
+                    r.batch, t.batch,
                     "seed {seed}, window {window}: threaded batch must match the \
                      synchronous trainer"
                 );
-                assert_eq!(t.prefetch_window, window);
             }
             assert_eq!(
                 threaded.trainer().model(),
@@ -59,7 +58,7 @@ fn threaded_backend_is_bit_identical_across_seeds_and_windows() {
                 "seed {seed}, window {window}: final parameters must be identical"
             );
             assert_eq!(
-                threaded.evaluate_psnr(&dataset.cameras, &targets),
+                threaded.trainer().evaluate_psnr(&dataset.cameras, &targets),
                 sync.evaluate_psnr(&dataset.cameras, &targets),
                 "seed {seed}, window {window}: PSNR trajectory must be identical"
             );
@@ -93,10 +92,10 @@ fn threaded_backend_survives_single_slot_backpressure() {
         },
     );
     for _ in 0..2 {
-        let reference = sync.train_epoch(&dataset, &targets);
+        let reference = sync.execute_epoch(&dataset, &targets);
         let reports = stressed.execute_epoch(&dataset, &targets);
         for (r, t) in reference.iter().zip(&reports) {
-            assert_eq!(r, &t.batch, "backpressure must not change numerics");
+            assert_eq!(r.batch, t.batch, "backpressure must not change numerics");
         }
     }
     assert_eq!(stressed.trainer().model(), sync.model());
@@ -201,7 +200,7 @@ mod harness;
 fn threaded_backend_passes_the_densifying_conformance_run() {
     // The worker lanes respawn against the resized store every batch.
     let scenario = harness::densifying_scenario();
-    let reference = harness::run_reference(&scenario, harness::EPOCHS);
+    let reference = harness::run_backend(&mut scenario.trainer(), &scenario, harness::EPOCHS);
     harness::assert_densification_exercised(&reference);
     let mut backend = ThreadedBackend::new(
         scenario.init.clone(),
