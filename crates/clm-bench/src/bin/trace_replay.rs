@@ -18,7 +18,7 @@
 
 use clm_bench::Args;
 use clm_trace::{
-    critical_path, replay_with_knobs, verify_exact, BatchReplay, KindScale, ReplayKnobs, Trace,
+    critical_path, replay_with_knobs, verify_exact, BatchTimeline, KindScale, ReplayKnobs, Trace,
 };
 use std::process::ExitCode;
 
@@ -87,16 +87,6 @@ fn main() -> ExitCode {
     };
 
     let altered = knobs.window.is_some() || knobs.devices.is_some() || !knobs.scale.is_identity();
-    let recorded_makespan: f64 = trace
-        .batches()
-        .iter()
-        .map(|(_, _, events)| {
-            events
-                .iter()
-                .map(clm_trace::TraceEvent::end)
-                .fold(0.0f64, f64::max)
-        })
-        .sum();
 
     let (mode, replays) = if altered {
         match replay_with_knobs(&trace, &knobs) {
@@ -118,20 +108,14 @@ fn main() -> ExitCode {
         }
     };
 
-    println!(
-        "{}",
-        summary_json(&trace, mode, recorded_makespan, &replays)
-    );
+    println!("{}", summary_json(&trace, mode, &replays));
     ExitCode::SUCCESS
 }
 
-fn summary_json(
-    trace: &Trace,
-    mode: &str,
-    recorded_makespan: f64,
-    replays: &[BatchReplay],
-) -> String {
-    let replayed_makespan: f64 = replays.iter().map(|b| b.timeline.makespan()).sum();
+fn summary_json(trace: &Trace, mode: &str, replays: &[BatchTimeline]) -> String {
+    let makespan =
+        |batches: &[BatchTimeline]| -> f64 { batches.iter().map(|b| b.timeline.makespan()).sum() };
+    let (recorded_makespan, replayed_makespan) = (makespan(&trace.batches), makespan(replays));
     let (critical_s, critical_ops) = replays
         .iter()
         .map(|b| critical_path(&b.timeline))
@@ -145,7 +129,7 @@ fn summary_json(
          \"critical_path_s\":{critical_s:.9},\"critical_path_ops\":{critical_ops}}}",
         trace.meta.backend,
         replays.len(),
-        trace.events.len(),
+        trace.ops().count(),
         if replayed_makespan > 0.0 {
             recorded_makespan / replayed_makespan
         } else {

@@ -5,7 +5,7 @@
 //! `trace_replay` and `trace_report` binaries are thin wrappers.  Every
 //! [`ExecutionBackend`] is recorded the same way: each batch's
 //! [`ExecutionReport::timeline`](clm_runtime::ExecutionReport::timeline) is
-//! flushed into the trace.  Two kinds of trace come out depending on what
+//! moved into the trace.  Two kinds of trace come out depending on what
 //! that timeline is:
 //!
 //! * **Simulated schedules** (`simulated`, `sharded`) — the discrete-event
@@ -30,7 +30,7 @@ use clm_core::{
 use clm_runtime::{
     ExecutionBackend, PipelinedEngine, RuntimeConfig, ThreadedBackend, ThreadedConfig,
 };
-use clm_trace::{CostParams, Trace, TraceMeta, TraceWriter};
+use clm_trace::{CostParams, Trace, TraceMeta};
 use gs_core::gaussian::GaussianModel;
 use gs_render::Image;
 use gs_scene::{
@@ -220,7 +220,7 @@ pub fn record_trace(backend: &str, scale: &TraceScale) -> Result<Trace, String> 
             ))
         }
     };
-    let mut writer = TraceWriter::new(TraceMeta {
+    let mut trace = Trace::new(TraceMeta {
         backend: backend.to_string(),
         scene: format!("rubble-{}", scale.label),
         devices: devices as u32,
@@ -230,8 +230,11 @@ pub fn record_trace(backend: &str, scale: &TraceScale) -> Result<Trace, String> 
         // replays re-price communication with.
         cost,
     });
-    record_backend(&mut writer, scale, &dataset, &targets, executor.as_mut());
-    Ok(writer.finish())
+    for (epoch, b, lo, hi) in batch_ranges(scale, dataset.cameras.len()) {
+        let report = executor.execute_batch(&dataset.cameras[lo..hi], &targets[lo..hi]);
+        trace.record(epoch, b, report.timeline);
+    }
+    Ok(trace)
 }
 
 /// Iterates the run's batches in the order every backend trains them:
@@ -252,19 +255,6 @@ fn batch_ranges(scale: &TraceScale, views: usize) -> Vec<(u64, u64, usize, usize
     out
 }
 
-fn record_backend(
-    writer: &mut TraceWriter,
-    scale: &TraceScale,
-    dataset: &Dataset,
-    targets: &[Image],
-    backend: &mut dyn ExecutionBackend,
-) {
-    for (epoch, b, lo, hi) in batch_ranges(scale, dataset.cameras.len()) {
-        let report = backend.execute_batch(&dataset.cameras[lo..hi], &targets[lo..hi]);
-        writer.record_timeline(epoch, b, &report.timeline);
-    }
-}
-
 /// One line of run context for the binaries' stderr chatter.
 pub fn describe(trace: &Trace) -> String {
     format!(
@@ -273,8 +263,8 @@ pub fn describe(trace: &Trace) -> String {
         trace.meta.scene,
         trace.meta.devices,
         trace.meta.prefetch_window,
-        trace.events.len(),
-        trace.batches().len(),
+        trace.ops().count(),
+        trace.batches.len(),
         if trace.has_deps() {
             "scheduled"
         } else {
@@ -309,9 +299,9 @@ mod tests {
         for backend in TRACE_BACKENDS {
             let trace = record_trace(backend, &scale).unwrap();
             assert_eq!(trace.meta.backend, backend);
-            assert!(!trace.events.is_empty(), "{backend}: empty trace");
+            assert!(trace.ops().next().is_some(), "{backend}: empty trace");
             assert_eq!(
-                trace.batches().len(),
+                trace.batches.len(),
                 expected_batches,
                 "{backend}: missing batches"
             );
@@ -347,11 +337,30 @@ mod tests {
         let scale = TraceScale::test();
         let trace = record_trace("simulated", &scale).unwrap();
         let replays = verify_exact(&trace).unwrap();
-        assert_eq!(replays.len(), trace.batches().len());
-        for (replay, (_, _, events)) in replays.iter().zip(trace.batches()) {
-            let recorded_end = events.iter().map(|e| e.end().to_bits()).max();
-            let replayed_end = replay.timeline.ops().iter().map(|o| o.end.to_bits()).max();
-            assert_eq!(recorded_end, replayed_end);
+        assert_eq!(replays.len(), trace.batches.len());
+        for (replay, recorded) in replays.iter().zip(&trace.batches) {
+            assert_eq!(
+                replay.timeline.makespan().to_bits(),
+                recorded.timeline.makespan().to_bits()
+            );
+        }
+    }
+
+    /// The report reads the recorded timelines; a scheduled recording's
+    /// report is the report of its exact replay, to the byte.
+    #[test]
+    fn a_scheduled_recording_reports_like_its_replay() {
+        for backend in ["simulated", "sharded"] {
+            let trace = record_trace(backend, &TraceScale::test()).unwrap();
+            let replayed = Trace {
+                batches: verify_exact(&trace).unwrap(),
+                ..trace.clone()
+            };
+            assert_eq!(
+                TraceReport::build(&trace).to_json(),
+                TraceReport::build(&replayed).to_json(),
+                "{backend}"
+            );
         }
     }
 
@@ -414,12 +423,7 @@ mod tests {
         let scale = TraceScale::test();
         let trace = record_trace("sharded", &scale).unwrap();
         assert_eq!(trace.meta.devices, scale.devices as u32);
-        let max_device = trace
-            .events
-            .iter()
-            .filter_map(|e| e.lane.device())
-            .max()
-            .unwrap();
+        let max_device = trace.ops().filter_map(|op| op.lane.device()).max().unwrap();
         assert_eq!(max_device, scale.devices - 1);
         let replays = replay_exact(&trace).unwrap();
         assert!(!replays.is_empty());

@@ -1,5 +1,6 @@
 //! The `.clmtrace` container: a versioned header, a run-level metadata
-//! block, and a delta/varint-packed stream of [`TraceEvent`]s.
+//! block, and a varint-packed stream of every recorded batch's ops.  A
+//! decoded [`Trace`] is the recorded batches' [`Timeline`]s themselves.
 //!
 //! # Layout
 //!
@@ -10,22 +11,24 @@
 //!            seed, and the cost-model constants replay-under-altered-
 //!            device-counts needs (PCIe latency/bandwidth, cost scale,
 //!            peer-hop factor, gradient bytes)
-//! count      varint   number of events
-//! checksum   8  bytes  FNV-1a 64 of the event payload, LE
-//! events     packed    see below
+//! count      varint   number of ops, across every batch
+//! checksum   8  bytes  FNV-1a 64 of the op payload, LE
+//! ops        packed    see below
 //! ```
 //!
-//! Each event packs, in order: epoch, batch, lane code, op-kind code,
-//! micro-batch (+1, 0 = none), rows, bytes — all varints — then the start
-//! time XOR-predicted against the previous event's start and the duration
-//! XOR-predicted against the previous duration *of the same kind* (exact
-//! f64 bit patterns either way; see [`crate::varint`]), and finally the
-//! dependency list as backward distances within the batch.  Timelines are
-//! per-batch, so dependency indices reset at every batch boundary.
+//! Each op packs, in order: epoch, batch, lane code, op-kind code,
+//! micro-batch (+1, 0 = none), rows, bytes — all plain varints — then the
+//! start time XOR-predicted against the previous op's start and the
+//! duration XOR-predicted against the previous duration *of the same kind*
+//! (exact f64 bit patterns either way; see [`crate::varint`]), and finally
+//! the dependency list as backward distances within the batch.  A batch
+//! ends where the (epoch, batch) pair changes; its ops rebuild one
+//! [`Timeline`] through [`Timeline::push_recorded`], which keeps every
+//! recorded start, duration and edge.
 
 use crate::varint;
 use clm_core::PriceList;
-use sim_device::{DeviceProfile, Lane, OpKind, Timeline};
+use sim_device::{DeviceProfile, Lane, OpKind, ScheduledOp, Timeline};
 
 /// File magic of a `.clmtrace`.
 pub const MAGIC: [u8; 8] = *b"CLMTRACE";
@@ -42,7 +45,7 @@ pub enum TraceError {
     UnsupportedVersion(u32),
     /// The buffer ended mid-field.
     Truncated,
-    /// The event payload does not match the header checksum.
+    /// The op payload does not match the header checksum.
     ChecksumMismatch,
     /// A structurally invalid field (unknown lane/kind code, forward
     /// dependency, non-UTF-8 string, …).
@@ -60,7 +63,7 @@ impl std::fmt::Display for TraceError {
                 )
             }
             TraceError::Truncated => write!(f, "trace truncated mid-field"),
-            TraceError::ChecksumMismatch => write!(f, "event payload checksum mismatch"),
+            TraceError::ChecksumMismatch => write!(f, "op payload checksum mismatch"),
             TraceError::Malformed(what) => write!(f, "malformed trace: {what}"),
         }
     }
@@ -145,107 +148,96 @@ pub struct TraceMeta {
     pub cost: CostParams,
 }
 
-/// One recorded operation.
+/// One batch's schedule as its executor reported it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Epoch of the batch the op belongs to.
+pub struct BatchTimeline {
+    /// Epoch of the batch.
     pub epoch: u64,
-    /// Batch (within the run) the op belongs to.
+    /// Batch (within the run).
     pub batch: u64,
-    /// Lane the op ran on.
-    pub lane: Lane,
-    /// Work classification.
-    pub kind: OpKind,
-    /// Micro-batch within the batch, when the op belongs to one.
-    pub microbatch: Option<u32>,
-    /// Gaussian rows touched.
-    pub rows: u64,
-    /// Bytes moved.
-    pub bytes: u64,
-    /// Start time in seconds (batch-relative for simulated schedules,
-    /// wall-clock offsets for measured spans).
-    pub start: f64,
-    /// Duration in seconds, exactly as scheduled/measured.
-    pub dur: f64,
-    /// Within-batch indices of the ops this one waited on (empty for
-    /// measured spans).
-    pub deps: Vec<u32>,
+    /// Every op of the batch in submission order: start times are
+    /// batch-relative for simulated schedules and wall-clock offsets for
+    /// measured spans, and dependency edges index within the batch (none
+    /// for measured spans).
+    pub timeline: Timeline,
 }
 
-impl TraceEvent {
-    /// End time, rounded exactly as the scheduler rounds it.
-    pub fn end(&self) -> f64 {
-        self.start + self.dur
-    }
-}
-
-/// A decoded trace: run metadata plus the full event stream in recorded
-/// order.
+/// A trace: run metadata plus every recorded batch's schedule, in
+/// recording order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Run-level metadata.
     pub meta: TraceMeta,
-    /// Every recorded op, grouped by batch in recording order.
-    pub events: Vec<TraceEvent>,
+    /// The recorded batches, none of them empty.
+    pub batches: Vec<BatchTimeline>,
 }
 
 impl Trace {
-    /// Consecutive per-batch runs of the event stream, as
-    /// `(epoch, batch, events)`.
-    pub fn batches(&self) -> Vec<(u64, u64, &[TraceEvent])> {
-        let mut out = Vec::new();
-        let mut start = 0;
-        for i in 1..=self.events.len() {
-            let boundary = i == self.events.len() || {
-                let (a, b) = (&self.events[i - 1], &self.events[i]);
-                (a.epoch, a.batch) != (b.epoch, b.batch)
-            };
-            if boundary && i > start {
-                let e = &self.events[start];
-                out.push((e.epoch, e.batch, &self.events[start..i]));
-                start = i;
-            }
+    /// An empty trace of the run `meta` describes.
+    pub fn new(meta: TraceMeta) -> Self {
+        Trace {
+            meta,
+            batches: Vec::new(),
         }
-        out
+    }
+
+    /// Records one batch's timeline, attributed to `(epoch, batch)`; a
+    /// timeline with no ops records nothing.
+    ///
+    /// # Panics
+    /// Panics if `(epoch, batch)` is the previous recorded batch's: the
+    /// encoding tells batches apart by that pair changing.
+    pub fn record(&mut self, epoch: u64, batch: u64, timeline: Timeline) {
+        if timeline.ops().is_empty() {
+            return;
+        }
+        assert!(
+            self.batches
+                .last()
+                .is_none_or(|b| (b.epoch, b.batch) != (epoch, batch)),
+            "batch ({epoch}, {batch}) recorded twice in a row"
+        );
+        self.batches.push(BatchTimeline {
+            epoch,
+            batch,
+            timeline,
+        });
+    }
+
+    /// Every recorded op, batch after batch.
+    pub fn ops(&self) -> impl Iterator<Item = &ScheduledOp> {
+        self.batches.iter().flat_map(|b| b.timeline.ops())
     }
 
     /// Whether the trace carries dependency structure (simulated
     /// schedules do; measured wall-clock spans do not).
     pub fn has_deps(&self) -> bool {
-        self.events.iter().any(|e| !e.deps.is_empty())
+        self.ops().any(|op| !op.deps.is_empty())
     }
 
     /// Serialises the trace to the `.clmtrace` byte format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(self.events.len() * 12);
+        let mut payload = Vec::new();
         let mut last_start_bits = 0u64;
         let mut last_dur_bits = [0u64; OpKind::ALL.len()];
-        let mut batch_key: Option<(u64, u64)> = None;
-        let mut index_in_batch: u64 = 0;
-        for e in &self.events {
-            if batch_key != Some((e.epoch, e.batch)) {
-                batch_key = Some((e.epoch, e.batch));
-                index_in_batch = 0;
+        for b in &self.batches {
+            for op in b.timeline.ops() {
+                varint::write_u64(&mut payload, b.epoch);
+                varint::write_u64(&mut payload, b.batch);
+                varint::write_u64(&mut payload, u64::from(op.lane.code()));
+                varint::write_u64(&mut payload, u64::from(op.kind.code()));
+                varint::write_u64(&mut payload, op.microbatch.map_or(0, |m| u64::from(m) + 1));
+                varint::write_u64(&mut payload, op.rows);
+                varint::write_u64(&mut payload, op.bytes);
+                last_start_bits = varint::write_f64_xor(&mut payload, op.start, last_start_bits);
+                let slot = op.kind.code() as usize;
+                last_dur_bits[slot] =
+                    varint::write_f64_xor(&mut payload, op.dur, last_dur_bits[slot]);
+                varint::write_u64(&mut payload, op.deps.len() as u64);
+                for d in &op.deps {
+                    varint::write_u64(&mut payload, (op.id.index() - d.index()) as u64);
+                }
             }
-            varint::write_u64(&mut payload, e.epoch);
-            varint::write_u64(&mut payload, e.batch);
-            varint::write_u64(&mut payload, u64::from(e.lane.code()));
-            varint::write_u64(&mut payload, u64::from(e.kind.code()));
-            varint::write_u64(
-                &mut payload,
-                e.microbatch.map(|m| u64::from(m) + 1).unwrap_or(0),
-            );
-            varint::write_u64(&mut payload, e.rows);
-            varint::write_u64(&mut payload, e.bytes);
-            last_start_bits = varint::write_f64_xor(&mut payload, e.start, last_start_bits);
-            let slot = e.kind.code() as usize;
-            last_dur_bits[slot] = varint::write_f64_xor(&mut payload, e.dur, last_dur_bits[slot]);
-            varint::write_u64(&mut payload, e.deps.len() as u64);
-            for &d in &e.deps {
-                debug_assert!(u64::from(d) < index_in_batch, "forward dependency");
-                varint::write_u64(&mut payload, index_in_batch - u64::from(d));
-            }
-            index_in_batch += 1;
         }
 
         let mut out = Vec::with_capacity(payload.len() + 64);
@@ -261,7 +253,7 @@ impl Trace {
         out.extend_from_slice(&self.meta.cost.cost_scale.to_le_bytes());
         out.extend_from_slice(&self.meta.cost.peer_hop_factor.to_le_bytes());
         varint::write_u64(&mut out, self.meta.cost.gradient_bytes);
-        varint::write_u64(&mut out, self.events.len() as u64);
+        varint::write_u64(&mut out, self.ops().count() as u64);
         out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
         out
@@ -296,7 +288,7 @@ impl Trace {
         let cost_scale = read_f64_le(data, &mut pos)?;
         let peer_hop_factor = read_f64_le(data, &mut pos)?;
         let gradient_bytes = varint::read_u64(data, &mut pos)?;
-        let count = varint::read_u64(data, &mut pos)? as usize;
+        let count = varint::read_u64(data, &mut pos)?;
         let checksum = u64::from_le_bytes(
             data.get(pos..pos + 8)
                 .ok_or(TraceError::Truncated)?
@@ -309,21 +301,41 @@ impl Trace {
             return Err(TraceError::ChecksumMismatch);
         }
 
-        // The count is outside the checksum: every event takes at least one
+        // The count is outside the checksum: every op takes at least one
         // payload byte, so a false count fails `Truncated`, not allocates.
-        let mut events = Vec::with_capacity(count.min(payload.len()));
+        let mut trace = Trace::new(TraceMeta {
+            backend,
+            scene,
+            devices,
+            prefetch_window,
+            seed,
+            cost: CostParams {
+                pcie_latency_s,
+                pcie_bandwidth,
+                cost_scale,
+                peer_hop_factor,
+                gradient_bytes,
+            },
+        });
         let mut pos = 0usize;
         let mut last_start_bits = 0u64;
         let mut last_dur_bits = [0u64; OpKind::ALL.len()];
-        let mut batch_key: Option<(u64, u64)> = None;
-        let mut index_in_batch: u64 = 0;
+        let mut deps = Vec::new();
         for _ in 0..count {
             let epoch = varint::read_u64(payload, &mut pos)?;
             let batch = varint::read_u64(payload, &mut pos)?;
-            if batch_key != Some((epoch, batch)) {
-                batch_key = Some((epoch, batch));
-                index_in_batch = 0;
+            if trace
+                .batches
+                .last()
+                .is_none_or(|b| (b.epoch, b.batch) != (epoch, batch))
+            {
+                trace.batches.push(BatchTimeline {
+                    epoch,
+                    batch,
+                    timeline: Timeline::new(),
+                });
             }
+            let timeline = &mut trace.batches.last_mut().expect("pushed above").timeline;
             let lane_code = narrow_u32(varint::read_u64(payload, &mut pos)?, "lane code")?;
             let lane =
                 Lane::from_code(lane_code).ok_or(TraceError::Malformed("unknown lane code"))?;
@@ -343,103 +355,26 @@ impl Trace {
             let slot = kind.code() as usize;
             let (dur, db) = varint::read_f64_xor(payload, &mut pos, last_dur_bits[slot])?;
             last_dur_bits[slot] = db;
-            let dep_count = varint::read_u64(payload, &mut pos)? as usize;
-            let mut deps = Vec::with_capacity(dep_count.min(payload.len() - pos));
+            // `!(x >= 0)` also refuses NaN.
+            if !(start >= 0.0 && dur >= 0.0) {
+                return Err(TraceError::Malformed("negative or NaN time"));
+            }
+            let index_in_batch = timeline.ops().len() as u64;
+            let dep_count = varint::read_u64(payload, &mut pos)?;
+            deps.clear();
             for _ in 0..dep_count {
                 let back = varint::read_u64(payload, &mut pos)?;
                 if back == 0 || back > index_in_batch {
                     return Err(TraceError::Malformed("dependency outside the batch prefix"));
                 }
-                deps.push(narrow_u32(index_in_batch - back, "dependency index")?);
+                deps.push(timeline.ops()[(index_in_batch - back) as usize].id);
             }
-            events.push(TraceEvent {
-                epoch,
-                batch,
-                lane,
-                kind,
-                microbatch,
-                rows,
-                bytes,
-                start,
-                dur,
-                deps,
-            });
-            index_in_batch += 1;
+            timeline.push_recorded(kind, lane, start, dur, bytes, rows, microbatch, &deps);
         }
         if pos != payload.len() {
-            return Err(TraceError::Malformed("trailing bytes after last event"));
+            return Err(TraceError::Malformed("trailing bytes after last op"));
         }
-        Ok(Trace {
-            meta: TraceMeta {
-                backend,
-                scene,
-                devices,
-                prefetch_window,
-                seed,
-                cost: CostParams {
-                    pcie_latency_s,
-                    pcie_bandwidth,
-                    cost_scale,
-                    peer_hop_factor,
-                    gradient_bytes,
-                },
-            },
-            events,
-        })
-    }
-}
-
-/// Collects scheduled ops into a [`Trace`], one batch-scoped timeline at a
-/// time; every backend records through it.
-#[derive(Debug)]
-pub struct TraceWriter {
-    meta: TraceMeta,
-    events: Vec<TraceEvent>,
-}
-
-impl TraceWriter {
-    /// Creates a writer for a run described by `meta`.
-    pub fn new(meta: TraceMeta) -> Self {
-        TraceWriter {
-            meta,
-            events: Vec::new(),
-        }
-    }
-
-    /// Appends every op of a batch-scoped timeline, in submission order, to
-    /// the trace, attributed to `(epoch, batch)`.
-    pub fn record_timeline(&mut self, epoch: u64, batch: u64, timeline: &Timeline) {
-        self.events
-            .extend(timeline.ops().iter().map(|op| TraceEvent {
-                epoch,
-                batch,
-                lane: op.lane,
-                kind: op.kind,
-                microbatch: op.microbatch,
-                rows: op.rows,
-                bytes: op.bytes,
-                start: op.start,
-                dur: op.dur,
-                deps: op.deps.iter().map(|d| d.index() as u32).collect(),
-            }));
-    }
-
-    /// Events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Finalises the writer into a [`Trace`].
-    pub fn finish(self) -> Trace {
-        Trace {
-            meta: self.meta,
-            events: self.events,
-        }
+        Ok(trace)
     }
 }
 
@@ -450,8 +385,9 @@ fn write_str(buf: &mut Vec<u8>, s: &str) {
 
 fn read_str(data: &[u8], pos: &mut usize) -> Result<String, TraceError> {
     let len = varint::read_u64(data, pos)? as usize;
-    let bytes = data.get(*pos..*pos + len).ok_or(TraceError::Truncated)?;
-    *pos += len;
+    let end = pos.checked_add(len).ok_or(TraceError::Truncated)?;
+    let bytes = data.get(*pos..end).ok_or(TraceError::Truncated)?;
+    *pos = end;
     String::from_utf8(bytes.to_vec()).map_err(|_| TraceError::Malformed("non-UTF-8 string"))
 }
 
@@ -530,8 +466,8 @@ mod tests {
             Some(0),
             &[fwd],
         );
-        let mut w = TraceWriter::new(sample_meta());
-        w.record_timeline(0, 0, &t);
+        let mut trace = Trace::new(sample_meta());
+        trace.record(0, 0, t);
         let mut t2 = Timeline::new();
         t2.push_traced(
             OpKind::Scheduling,
@@ -542,8 +478,9 @@ mod tests {
             None,
             &[],
         );
-        w.record_timeline(0, 1, &t2);
-        w.finish()
+        trace.record(0, 1, t2);
+        trace.record(0, 2, Timeline::new());
+        trace
     }
 
     #[test]
@@ -557,14 +494,17 @@ mod tests {
     }
 
     #[test]
-    fn batches_groups_consecutive_runs() {
-        let trace = sample_trace();
-        let batches = trace.batches();
-        assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0].2.len(), 3);
-        assert_eq!(batches[1].2.len(), 1);
-        assert_eq!((batches[1].0, batches[1].1), (0, 1));
-        assert!(trace.has_deps());
+    fn decode_splits_the_ops_into_their_batches() {
+        let decoded = Trace::decode(&sample_trace().encode()).unwrap();
+        // The empty third timeline recorded nothing.
+        let batches: Vec<_> = decoded
+            .batches
+            .iter()
+            .map(|b| (b.epoch, b.batch, b.timeline.ops().len()))
+            .collect();
+        assert_eq!(batches, [(0, 0, 3), (0, 1, 1)]);
+        assert_eq!(decoded.ops().count(), 4);
+        assert!(decoded.has_deps());
     }
 
     #[test]
@@ -600,30 +540,68 @@ mod tests {
         assert!(Trace::decode(&bytes[..bytes.len() - 3]).is_err());
     }
 
-    #[test]
-    fn a_false_event_count_fails_truncated_without_allocating_it() {
-        // The count sits outside the payload checksum: an empty trace whose
-        // header claims 2^40 events must fail at the first missing byte.
-        let bytes = TraceWriter::new(sample_meta()).finish().encode();
+    /// An empty trace's header with the op count and payload replaced.
+    fn forge(count: u64, payload: &[u8]) -> Vec<u8> {
+        let bytes = Trace::new(sample_meta()).encode();
         let count_at = bytes.len() - 9; // then the empty payload's checksum
         assert_eq!(bytes[count_at], 0);
         let mut forged = bytes[..count_at].to_vec();
-        varint::write_u64(&mut forged, 1 << 40);
-        forged.extend_from_slice(&bytes[count_at + 1..]);
-        assert_eq!(Trace::decode(&forged), Err(TraceError::Truncated));
+        varint::write_u64(&mut forged, count);
+        forged.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        forged.extend_from_slice(payload);
+        forged
+    }
+
+    #[test]
+    fn a_false_event_count_fails_truncated_without_allocating_it() {
+        // The count sits outside the payload checksum: an empty trace whose
+        // header claims 2^40 ops must fail at the first missing byte.
+        assert_eq!(
+            Trace::decode(&forge(1 << 40, &[])),
+            Err(TraceError::Truncated)
+        );
+    }
+
+    #[test]
+    fn an_overflowing_string_length_fails_truncated() {
+        // The header sits outside the checksum: a backend-name length of
+        // u64::MAX must not overflow the read position.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        varint::write_u64(&mut bytes, u64::MAX);
+        assert_eq!(Trace::decode(&bytes), Err(TraceError::Truncated));
+    }
+
+    #[test]
+    fn negative_or_nan_times_are_malformed() {
+        for (start, dur) in [(-1.0, 0.5), (0.5, -1.0), (f64::NAN, 0.5), (0.5, f64::NAN)] {
+            let mut op = Vec::new();
+            // epoch, batch, lane, kind, micro-batch, rows, bytes
+            let (lane, kind) = (Lane::GpuCompute.code(), OpKind::Forward.code());
+            for field in [0, 0, u64::from(lane), u64::from(kind), 0, 0, 0] {
+                varint::write_u64(&mut op, field);
+            }
+            varint::write_f64_xor(&mut op, start, 0);
+            varint::write_f64_xor(&mut op, dur, 0);
+            varint::write_u64(&mut op, 0); // no dependencies
+            assert_eq!(
+                Trace::decode(&forge(1, &op)),
+                Err(TraceError::Malformed("negative or NaN time")),
+                "start {start}, dur {dur}"
+            );
+        }
     }
 
     #[test]
     fn measured_spans_round_trip_without_deps() {
         let mut t = Timeline::new();
         t.push_span(OpKind::Forward, Lane::GpuCompute, 0.25, 0.5, 0, 42, Some(0));
-        let mut w = TraceWriter::new(sample_meta());
-        w.record_timeline(0, 0, &t);
-        let trace = w.finish();
+        let mut trace = Trace::new(sample_meta());
+        trace.record(0, 0, t);
         assert!(!trace.has_deps());
         let decoded = Trace::decode(&trace.encode()).unwrap();
-        assert_eq!(decoded.events[0].start, 0.25);
-        assert_eq!(decoded.events[0].dur, 0.25);
-        assert_eq!(decoded.events[0].rows, 42);
+        assert_eq!(decoded, trace);
+        let op = &decoded.batches[0].timeline.ops()[0];
+        assert_eq!((op.start, op.dur, op.end, op.rows), (0.25, 0.25, 0.5, 42));
     }
 }

@@ -6,11 +6,11 @@
 //! portable artefact and back:
 //!
 //! * [`mod@format`] — the `.clmtrace` container: a versioned header carrying
-//!   run metadata and the cost-model constants, followed by
-//!   delta/varint-encoded events whose f64 times are stored as exact bit
-//!   patterns (replay determinism forbids quantisation).  [`TraceWriter`]
-//!   copies a batch's [`sim_device::Timeline`] ops, so recording is one
-//!   call per batch on any backend.
+//!   run metadata and the cost-model constants, followed by varint-encoded
+//!   ops whose f64 times are stored as exact bit patterns (replay
+//!   determinism forbids quantisation).  A [`Trace`] is its batches'
+//!   [`sim_device::Timeline`]s: [`Trace::record`] moves in the timeline an
+//!   executor reported, so recording is one call per batch on any backend.
 //! * [`replay`] — reconstructs schedules offline.  Exact replay re-pushes
 //!   the recorded graph and reproduces every start/end, per-lane busy
 //!   total and the critical path bit for bit; knob replay rebuilds the CLM
@@ -37,11 +37,9 @@ pub mod report;
 pub mod varint;
 
 pub use checkpoint::{Checkpoint, CkptError, CKPT_MAGIC, CKPT_VERSION};
-pub use format::{
-    CostParams, Trace, TraceError, TraceEvent, TraceMeta, TraceWriter, FORMAT_VERSION,
-};
+pub use format::{BatchTimeline, CostParams, Trace, TraceError, TraceMeta, FORMAT_VERSION};
 pub use replay::{
-    critical_path, replay_exact, replay_with_knobs, verify_exact, BatchReplay, CriticalPath,
-    KindScale, ReplayError, ReplayKnobs,
+    critical_path, replay_exact, replay_with_knobs, verify_exact, CriticalPath, KindScale,
+    ReplayError, ReplayKnobs,
 };
 pub use report::{chrome_trace_json, lane_label, looks_like_report_json, TraceReport};

@@ -26,10 +26,10 @@
 //! times — so they support reporting but not replay; both entry points
 //! reject them with [`ReplayError::MeasuredTrace`].
 
-use crate::format::{Trace, TraceEvent};
+use crate::format::{BatchTimeline, Trace};
 use clm_core::PriceList;
 use sim_device::pipeline::{self, AdamGroup, ClmShape, CostSource, OpCost};
-use sim_device::{Lane, OpId, OpKind, Timeline};
+use sim_device::{Lane, OpId, OpKind, ScheduledOp, Timeline};
 
 /// Why a trace could not be replayed.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,17 +66,6 @@ impl std::fmt::Display for ReplayError {
 }
 
 impl std::error::Error for ReplayError {}
-
-/// One batch's reconstructed schedule.
-#[derive(Debug, Clone)]
-pub struct BatchReplay {
-    /// Epoch of the recorded batch.
-    pub epoch: u64,
-    /// Batch index of the recorded batch.
-    pub batch: u64,
-    /// The reconstructed timeline.
-    pub timeline: Timeline,
-}
 
 /// Per-kind duration multipliers for what-if cost scaling.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,7 +137,7 @@ pub struct ReplayKnobs {
 /// Re-pushes every batch through a fresh timeline with recorded durations,
 /// lanes and dependencies — the bit-exact reconstruction (the structural
 /// replay at the identity scale, which never touches a duration).
-pub fn replay_exact(trace: &Trace) -> Result<Vec<BatchReplay>, ReplayError> {
+pub fn replay_exact(trace: &Trace) -> Result<Vec<BatchTimeline>, ReplayError> {
     replay_scaled(trace, &KindScale::default())
 }
 
@@ -156,21 +145,11 @@ pub fn replay_exact(trace: &Trace) -> Result<Vec<BatchReplay>, ReplayError> {
 /// reconstructed start and end matches the recording bit for bit — and
 /// therefore that makespans, per-lane busy totals and the critical path do
 /// too.
-pub fn verify_exact(trace: &Trace) -> Result<Vec<BatchReplay>, ReplayError> {
+pub fn verify_exact(trace: &Trace) -> Result<Vec<BatchTimeline>, ReplayError> {
     let replays = replay_exact(trace)?;
-    let batches = trace.batches();
-    for (replay, (_, _, events)) in replays.iter().zip(&batches) {
-        let ops = replay.timeline.ops();
-        if ops.len() != events.len() {
-            return Err(ReplayError::Mismatch(format!(
-                "batch {}: {} replayed ops vs {} recorded",
-                replay.batch,
-                ops.len(),
-                events.len()
-            )));
-        }
-        for (op, e) in ops.iter().zip(events.iter()) {
-            if op.start.to_bits() != e.start.to_bits() || op.end.to_bits() != e.end().to_bits() {
+    for (replay, recorded) in replays.iter().zip(&trace.batches) {
+        for (op, r) in replay.timeline.ops().iter().zip(recorded.timeline.ops()) {
+            if op.start.to_bits() != r.start.to_bits() || op.end.to_bits() != r.end.to_bits() {
                 return Err(ReplayError::Mismatch(format!(
                     "batch {} op {} ({:?} on {:?}): replayed [{}, {}] vs recorded [{}, {}]",
                     replay.batch,
@@ -179,8 +158,8 @@ pub fn verify_exact(trace: &Trace) -> Result<Vec<BatchReplay>, ReplayError> {
                     op.lane,
                     op.start,
                     op.end,
-                    e.start,
-                    e.end(),
+                    r.start,
+                    r.end,
                 )));
             }
         }
@@ -194,7 +173,7 @@ pub fn verify_exact(trace: &Trace) -> Result<Vec<BatchReplay>, ReplayError> {
 pub fn replay_with_knobs(
     trace: &Trace,
     knobs: &ReplayKnobs,
-) -> Result<Vec<BatchReplay>, ReplayError> {
+) -> Result<Vec<BatchTimeline>, ReplayError> {
     if knobs.window.is_none() && knobs.devices.is_none() {
         return replay_scaled(trace, &knobs.scale);
     }
@@ -212,54 +191,59 @@ pub fn replay_with_knobs(
     }
     let window = knobs.window.unwrap_or(trace.meta.prefetch_window as usize);
     let price = trace.meta.cost.price_list();
-    let mut out = Vec::new();
-    for (epoch, batch, events) in trace.batches() {
-        let timeline = ClmBatch::parse(events)?.rebuild(window, devices, &price, &knobs.scale);
-        out.push(BatchReplay {
-            epoch,
-            batch,
-            timeline,
-        });
-    }
-    Ok(out)
+    each_batch(trace, |recorded| {
+        Ok(ClmBatch::parse(recorded.ops())?.rebuild(window, devices, &price, &knobs.scale))
+    })
 }
 
 /// Structural replay: recorded graph, per-kind scaled durations.
-fn replay_scaled(trace: &Trace, scale: &KindScale) -> Result<Vec<BatchReplay>, ReplayError> {
+fn replay_scaled(trace: &Trace, scale: &KindScale) -> Result<Vec<BatchTimeline>, ReplayError> {
     if !trace.has_deps() {
         return Err(ReplayError::MeasuredTrace);
     }
-    let mut out = Vec::new();
-    for (epoch, batch, events) in trace.batches() {
+    each_batch(trace, |recorded| {
         let mut timeline = Timeline::new();
-        let mut ids: Vec<OpId> = Vec::with_capacity(events.len());
-        for e in events {
-            let deps: Vec<OpId> = e.deps.iter().map(|&d| ids[d as usize]).collect();
-            ids.push(timeline.push_traced(
-                e.kind,
-                e.lane,
-                scale.apply(e.kind, e.dur),
-                e.bytes,
-                e.rows,
-                e.microbatch,
-                &deps,
-            ));
+        // Re-pushed in submission order, every op keeps its id, so the
+        // recorded edges name the same ops.
+        for op in recorded.ops() {
+            timeline.push_traced(
+                op.kind,
+                op.lane,
+                scale.apply(op.kind, op.dur),
+                op.bytes,
+                op.rows,
+                op.microbatch,
+                &op.deps,
+            );
         }
-        out.push(BatchReplay {
-            epoch,
-            batch,
-            timeline,
-        });
-    }
-    Ok(out)
+        Ok(timeline)
+    })
+}
+
+/// Maps every recorded batch's timeline to its replay.
+fn each_batch(
+    trace: &Trace,
+    mut replay: impl FnMut(&Timeline) -> Result<Timeline, ReplayError>,
+) -> Result<Vec<BatchTimeline>, ReplayError> {
+    trace
+        .batches
+        .iter()
+        .map(|b| {
+            Ok(BatchTimeline {
+                epoch: b.epoch,
+                batch: b.batch,
+                timeline: replay(&b.timeline)?,
+            })
+        })
+        .collect()
 }
 
 /// The recorded cost of one op.
-fn cost_of(e: &TraceEvent) -> OpCost {
+fn cost_of(op: &ScheduledOp) -> OpCost {
     OpCost {
-        dur: e.dur,
-        bytes: e.bytes,
-        rows: e.rows,
+        dur: op.dur,
+        bytes: op.bytes,
+        rows: op.rows,
     }
 }
 
@@ -290,21 +274,21 @@ struct ClmBatch {
 }
 
 impl ClmBatch {
-    fn parse(events: &[TraceEvent]) -> Result<ClmBatch, ReplayError> {
-        for e in events {
+    fn parse(ops: &[ScheduledOp]) -> Result<ClmBatch, ReplayError> {
+        for e in ops {
             if matches!(e.kind, OpKind::AllReduce | OpKind::GpuAdamUpdate) {
                 return Err(ReplayError::BadStructure(
                     "contains all-reduce/GPU-Adam ops (not a single-device CLM batch)",
                 ));
             }
         }
-        let m = events
+        let m = ops
             .iter()
             .filter_map(|e| e.microbatch)
             .max()
             .map(|mb| mb as usize + 1)
             .ok_or(ReplayError::BadStructure("no per-micro-batch ops"))?;
-        let overlapped = events
+        let overlapped = ops
             .iter()
             .any(|e| e.kind == OpKind::CpuAdamUpdate && e.microbatch.is_some());
 
@@ -318,7 +302,7 @@ impl ClmBatch {
         };
         let mut seen_sched = false;
         let mut seen = vec![[false; 5]; m];
-        for e in events {
+        for e in ops {
             match (e.kind, e.microbatch) {
                 (OpKind::Resize, None) => parsed.resize = Some(cost_of(e)),
                 (OpKind::Scheduling, None) => {
@@ -607,7 +591,7 @@ pub fn critical_path(timeline: &Timeline) -> CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{CostParams, TraceMeta, TraceWriter};
+    use crate::format::{CostParams, TraceMeta};
 
     fn meta(devices: u32, window: u32) -> TraceMeta {
         TraceMeta {
@@ -720,9 +704,9 @@ mod tests {
     }
 
     fn clm_trace() -> Trace {
-        let mut w = TraceWriter::new(meta(1, 1));
-        w.record_timeline(0, 0, &clm_timeline());
-        w.finish()
+        let mut trace = Trace::new(meta(1, 1));
+        trace.record(0, 0, clm_timeline());
+        trace
     }
 
     #[test]
@@ -914,9 +898,8 @@ mod tests {
     fn measured_traces_are_rejected() {
         let mut t = Timeline::new();
         t.push_span(OpKind::Forward, Lane::GpuCompute, 0.0, 1.0, 0, 1, Some(0));
-        let mut w = TraceWriter::new(meta(1, 0));
-        w.record_timeline(0, 0, &t);
-        let trace = w.finish();
+        let mut trace = Trace::new(meta(1, 0));
+        trace.record(0, 0, t);
         assert_eq!(
             replay_exact(&trace).unwrap_err(),
             ReplayError::MeasuredTrace

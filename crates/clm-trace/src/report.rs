@@ -9,8 +9,8 @@
 //! exports to Chrome-trace JSON loadable in Perfetto / `chrome://tracing`.
 
 use crate::format::Trace;
-use crate::replay::{critical_path, replay_exact};
-use sim_device::{Lane, OpKind, Timeline};
+use crate::replay::critical_path;
+use sim_device::{Lane, OpKind};
 
 /// Busy/utilisation summary for one lane.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,7 +85,7 @@ pub struct TraceReport {
     pub prefetch_window: u32,
     /// Batches in the trace.
     pub batches: usize,
-    /// Events in the trace.
+    /// Ops in the trace.
     pub events: usize,
     /// Sum of per-batch makespans — the report's utilisation denominator.
     pub total_makespan_s: f64,
@@ -102,49 +102,23 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Builds the report.  Replayable traces are reconstructed through the
-    /// scheduler (so makespans and the critical path are the schedule's,
-    /// bit for bit); measured traces are laid out from their recorded
-    /// spans.
+    /// Builds the report from the recorded timelines: a scheduled
+    /// trace's are the schedule itself ([`crate::verify_exact`] proves a
+    /// replay reproduces them bit for bit), a measured trace's are its spans.
     pub fn build(trace: &Trace) -> TraceReport {
-        let timelines: Vec<(u64, u64, Timeline)> = match replay_exact(trace) {
-            Ok(replays) => replays
-                .into_iter()
-                .map(|r| (r.epoch, r.batch, r.timeline))
-                .collect(),
-            Err(_) => trace
-                .batches()
-                .into_iter()
-                .map(|(epoch, batch, events)| {
-                    let mut t = Timeline::new();
-                    for e in events {
-                        t.push_span(
-                            e.kind,
-                            e.lane,
-                            e.start,
-                            e.end(),
-                            e.bytes,
-                            e.rows,
-                            e.microbatch,
-                        );
-                    }
-                    (epoch, batch, t)
-                })
-                .collect(),
-        };
-        let replayable = trace.has_deps() && !trace.events.is_empty();
-        let total_makespan_s: f64 = timelines.iter().map(|(_, _, t)| t.makespan()).sum();
+        let timelines = || trace.batches.iter().map(|b| &b.timeline);
+        let total_makespan_s: f64 = timelines().map(|t| t.makespan()).sum();
 
         // Every lane that carries at least one op, in wire-code order.
-        let mut lane_codes: Vec<u32> = trace.events.iter().map(|e| e.lane.code()).collect();
+        let mut lane_codes: Vec<u32> = trace.ops().map(|op| op.lane.code()).collect();
         lane_codes.sort_unstable();
         lane_codes.dedup();
         let lanes: Vec<LaneStat> = lane_codes
             .iter()
             .map(|&code| {
                 let lane = Lane::from_code(code).expect("recorded lanes decode");
-                let busy_s: f64 = timelines.iter().map(|(_, _, t)| t.busy_time(lane)).sum();
-                let ops = trace.events.iter().filter(|e| e.lane == lane).count();
+                let busy_s: f64 = timelines().map(|t| t.busy_time(lane)).sum();
+                let ops = trace.ops().filter(|op| op.lane == lane).count();
                 LaneStat {
                     lane,
                     ops,
@@ -182,20 +156,18 @@ impl TraceReport {
             .iter()
             .filter_map(|&kind| {
                 let mut durs: Vec<f64> = trace
-                    .events
-                    .iter()
-                    .filter(|e| e.kind == kind)
-                    .map(|e| e.dur)
+                    .ops()
+                    .filter(|op| op.kind == kind)
+                    .map(|op| op.dur)
                     .collect();
                 if durs.is_empty() {
                     return None;
                 }
                 durs.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 let bytes = trace
-                    .events
-                    .iter()
-                    .filter(|e| e.kind == kind)
-                    .map(|e| e.bytes)
+                    .ops()
+                    .filter(|op| op.kind == kind)
+                    .map(|op| op.bytes)
                     .sum();
                 Some(KindStat {
                     kind,
@@ -208,11 +180,11 @@ impl TraceReport {
             })
             .collect();
 
-        let critical = replayable.then(|| {
+        let critical = trace.has_deps().then(|| {
             let mut length_s = 0.0;
             let mut ops = 0usize;
             let mut by_kind = [0.0f64; OpKind::ALL.len()];
-            for (_, _, t) in &timelines {
+            for t in timelines() {
                 let cp = critical_path(t);
                 length_s += cp.length_s;
                 ops += cp.ops;
@@ -236,8 +208,8 @@ impl TraceReport {
             scene: trace.meta.scene.clone(),
             devices: trace.meta.devices,
             prefetch_window: trace.meta.prefetch_window,
-            batches: timelines.len(),
-            events: trace.events.len(),
+            batches: trace.batches.len(),
+            events: trace.ops().count(),
             total_makespan_s,
             lanes,
             device_stats,
@@ -346,9 +318,8 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut offset_s = 0.0f64;
     let mut first = true;
-    for (epoch, batch, events) in trace.batches() {
-        let makespan = events.iter().map(|e| e.end()).fold(0.0f64, f64::max);
-        for e in events {
+    for b in &trace.batches {
+        for e in b.timeline.ops() {
             if !first {
                 out.push(',');
             }
@@ -363,14 +334,14 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
                 e.lane.code(),
                 (offset_s + e.start) * 1e6,
                 e.dur * 1e6,
-                epoch,
-                batch,
+                b.epoch,
+                b.batch,
                 mb,
                 e.rows,
                 e.bytes
             ));
         }
-        offset_s += makespan;
+        offset_s += b.timeline.makespan();
     }
     out.push_str("]}");
     out
@@ -409,7 +380,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{CostParams, TraceMeta, TraceWriter};
+    use crate::format::{CostParams, TraceMeta};
     use sim_device::Timeline;
 
     fn meta() -> TraceMeta {
@@ -424,7 +395,7 @@ mod tests {
     }
 
     fn two_batch_trace() -> Trace {
-        let mut w = TraceWriter::new(meta());
+        let mut trace = Trace::new(meta());
         for batch in 0..2u64 {
             let mut t = Timeline::new();
             let load = t.push_traced(
@@ -454,9 +425,9 @@ mod tests {
                 Some(0),
                 &[fwd],
             );
-            w.record_timeline(0, batch, &t);
+            trace.record(0, batch, t);
         }
-        w.finish()
+        trace
     }
 
     #[test]
@@ -519,9 +490,9 @@ mod tests {
         let mut t = Timeline::new();
         t.push_span(OpKind::Forward, Lane::GpuCompute, 0.0, 2.0, 0, 10, Some(0));
         t.push_span(OpKind::CpuAdamUpdate, Lane::CpuAdam, 0.5, 1.5, 0, 10, None);
-        let mut w = TraceWriter::new(meta());
-        w.record_timeline(0, 0, &t);
-        let report = TraceReport::build(&w.finish());
+        let mut trace = Trace::new(meta());
+        trace.record(0, 0, t);
+        let report = TraceReport::build(&trace);
         assert!(report.critical.is_none());
         assert_eq!(report.total_makespan_s, 2.0);
         let adam = report

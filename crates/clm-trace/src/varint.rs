@@ -1,12 +1,12 @@
 //! LEB128 variable-length integers and the f64 packing the trace format
 //! is built on.
 //!
-//! Integer fields (counts, codes, byte volumes, dependency distances) are
-//! plain unsigned varints; monotone fields (epoch, batch) are stored as
-//! deltas before encoding.  Times are exact f64 **bit patterns** — never
-//! quantised ticks, since deterministic replay requires re-pushing the very
-//! same durations — XORed against a running predictor so repeated values
-//! (identical per-micro-batch costs, zero-length ops) collapse to one byte.
+//! Integer fields (epoch, batch, counts, codes, byte volumes, dependency
+//! distances) are plain unsigned varints.  Times are exact f64 **bit
+//! patterns** — never quantised ticks, since deterministic replay requires
+//! re-pushing the very same durations — XORed against a running predictor
+//! so repeated values (identical per-micro-batch costs, zero-length ops)
+//! collapse to one byte.
 //! The XOR residue is byte-swapped before the varint so the frequently-zero
 //! low mantissa bytes land in the varint's high positions and drop off.
 
@@ -32,7 +32,9 @@ pub fn read_u64(data: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
     loop {
         let byte = *data.get(*pos).ok_or(TraceError::Truncated)?;
         *pos += 1;
-        if shift >= 64 {
+        // The tenth byte holds bit 63 alone: anything above 1 would shift
+        // out of the u64.
+        if shift >= 64 || (shift == 63 && byte > 1) {
             return Err(TraceError::Malformed("varint longer than 64 bits"));
         }
         v |= u64::from(byte & 0x7f) << shift;
@@ -109,12 +111,15 @@ mod tests {
 
     #[test]
     fn overlong_varint_errors() {
-        let mut pos = 0;
-        let data = [0x80u8; 11];
-        assert!(matches!(
-            read_u64(&data, &mut pos),
-            Err(TraceError::Malformed(_))
-        ));
+        let mut over_wide = [0xffu8; 10];
+        over_wide[9] = 0x02;
+        for data in [&[0x80u8; 11][..], &over_wide] {
+            let mut pos = 0;
+            assert!(matches!(
+                read_u64(data, &mut pos),
+                Err(TraceError::Malformed(_))
+            ));
+        }
     }
 
     #[test]

@@ -282,6 +282,15 @@ pub struct Timeline {
     fault: Option<FaultPlan>,
 }
 
+/// Two timelines are equal when they hold the same schedule: the same ops
+/// in the same submission order.  Lane clocks and an installed fault plan
+/// are how a schedule was made, not part of it.
+impl PartialEq for Timeline {
+    fn eq(&self, other: &Self) -> bool {
+        self.ops == other.ops
+    }
+}
+
 impl Timeline {
     /// Creates an empty timeline.
     pub fn new() -> Self {
@@ -339,10 +348,6 @@ impl Timeline {
         microbatch: Option<u32>,
         deps: &[OpId],
     ) -> OpId {
-        assert!(
-            duration >= 0.0,
-            "duration must be non-negative, got {duration}"
-        );
         let duration = match &self.fault {
             Some(plan) => plan.on_op(kind, lane, duration).apply(duration),
             None => duration,
@@ -358,31 +363,16 @@ impl Timeline {
             })
             .fold(0.0f64, f64::max);
         let start = lane_ready.max(deps_ready);
-        let end = start + duration;
-        let id = OpId(self.ops.len());
-        self.ops.push(ScheduledOp {
-            id,
-            kind,
-            lane,
-            start,
-            end,
-            dur: duration,
-            bytes,
-            rows,
-            microbatch,
-            deps: deps.to_vec(),
-        });
-        self.lane_available.insert(lane, end);
-        id
+        self.push_recorded(kind, lane, start, duration, bytes, rows, microbatch, deps)
     }
 
     /// Records a *measured* span with an explicit `[start, end]` interval —
     /// the form wall-clock backends (the synchronous trainer and the
     /// threaded backend) use to capture what actually ran, as opposed to
-    /// simulated ops whose start the scheduler derives.  The lane's
-    /// availability advances to at least `end` so simulated and measured ops
-    /// can share a timeline without travelling back in time; no dependency
-    /// edges are recorded (ordering is implicit in the measured starts).
+    /// simulated ops whose start the scheduler derives.  It is
+    /// [`push_recorded`](Self::push_recorded) of `end - start` with no
+    /// dependency edges (ordering is implicit in the measured starts), so
+    /// the op's `end` is `start + dur` rounded once, like every other op's.
     ///
     /// # Panics
     /// Panics if `start` is negative or `end < start`.
@@ -396,11 +386,41 @@ impl Timeline {
         rows: u64,
         microbatch: Option<u32>,
     ) -> OpId {
-        assert!(start >= 0.0, "span start must be non-negative, got {start}");
         assert!(
             end >= start,
             "span must not end before it starts ({end} < {start})"
         );
+        self.push_recorded(kind, lane, start, end - start, bytes, rows, microbatch, &[])
+    }
+
+    /// Appends an op whose schedule is already known — a recorded or
+    /// measured one — at `start` for `dur` seconds, keeping its `deps`
+    /// edges without rescheduling it.  The lane's availability advances to
+    /// at least the op's end, so simulated ops pushed after it never travel
+    /// back in time.  Fault plans are not consulted.
+    ///
+    /// # Panics
+    /// Panics if `start` or `dur` is negative or NaN, or a dependency id is
+    /// unknown.
+    #[allow(clippy::too_many_arguments)]
+    pub fn push_recorded(
+        &mut self,
+        kind: OpKind,
+        lane: Lane,
+        start: f64,
+        dur: f64,
+        bytes: u64,
+        rows: u64,
+        microbatch: Option<u32>,
+        deps: &[OpId],
+    ) -> OpId {
+        assert!(start >= 0.0, "span start must be non-negative, got {start}");
+        assert!(dur >= 0.0, "duration must be non-negative, got {dur}");
+        assert!(
+            deps.iter().all(|d| d.0 < self.ops.len()),
+            "unknown dependency in {deps:?}"
+        );
+        let end = start + dur;
         let id = OpId(self.ops.len());
         self.ops.push(ScheduledOp {
             id,
@@ -408,11 +428,11 @@ impl Timeline {
             lane,
             start,
             end,
-            dur: end - start,
+            dur,
             bytes,
             rows,
             microbatch,
-            deps: Vec::new(),
+            deps: deps.to_vec(),
         });
         let lane_ready = *self.lane_available.get(&lane).unwrap_or(&0.0);
         self.lane_available.insert(lane, lane_ready.max(end));
@@ -633,14 +653,15 @@ impl LaneSpans {
         let mut spans: Vec<_> = lists.iter().flat_map(|l| l.spans.ops()).collect();
         spans.sort_by(|a, b| a.start.total_cmp(&b.start).then(a.end.total_cmp(&b.end)));
         for s in spans {
-            timeline.push_span(
+            timeline.push_recorded(
                 s.kind,
                 s.lane,
                 s.start,
-                s.end,
+                s.dur,
                 s.bytes,
                 s.rows,
                 s.microbatch,
+                &[],
             );
         }
     }
