@@ -73,7 +73,8 @@ pub struct TrainConfig {
     /// default).  Unlike `compute_threads` this is **part of the numeric
     /// contract**: it fixes the grouping of floating-point accumulation, so
     /// runs compared bit-for-bit must use the same value on every backend.
-    /// Autotuners derive it purely from host properties, never per run.
+    /// This is the one place it is set: no executor config and no host
+    /// property overrides it.
     pub band_height: u32,
     /// Placeholder, never read by the trainer: the frozen benchmark harness
     /// spells `view_parallel` in exhaustive config literals.  Leaves with
@@ -469,13 +470,6 @@ impl Trainer {
     /// re-adopted by a runtime that pins its own thread count).
     pub fn set_compute_threads(&mut self, compute_threads: usize) {
         self.config.compute_threads = compute_threads;
-    }
-
-    /// Overrides the accumulation band height (the runtime adoption path for
-    /// an autotuned value).  Part of the numeric contract — change it only
-    /// between runs that are compared bit-for-bit.
-    pub fn set_band_height(&mut self, band_height: u32) {
-        self.config.band_height = band_height;
     }
 
     /// The band height renders actually use: the configured value, or the

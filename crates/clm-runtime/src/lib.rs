@@ -32,9 +32,9 @@
 //!   the numeric outcome plus the batch's timeline (costed or measured),
 //!   from which makespan, per-lane busy/idle time and communication volume
 //!   are read (Figures 11–15, Table 7);
-//! * [`autotune`] — host-topology probe + startup calibration that derives
-//!   per-host defaults for every scheduling knob ([`tuned`]), all
-//!   overridable through the config structs above.
+//! * [`autotune`] — the scheduling knobs as a pure function of the probed
+//!   host topology ([`tuned`]); `RuntimeConfig::autotuned` adopts its
+//!   compute width.
 //!
 //! # Numerical equivalence
 //!
@@ -91,7 +91,6 @@ mod tests {
     use super::*;
     use clm_core::{SystemKind, TrainConfig, Trainer};
     use gs_core::gaussian::GaussianModel;
-    use gs_render::parallel::resolve_compute_threads;
     use gs_render::Image;
     use gs_scene::{
         generate_dataset, init_from_point_cloud, Dataset, DatasetConfig, InitConfig, SceneKind,
@@ -122,17 +121,12 @@ mod tests {
     #[test]
     fn autotuned_run_matches_the_serial_oracle() {
         // The autotuning acceptance gate: a fresh run that adopts every
-        // derived knob (thread counts, Adam chunk size, window, band
-        // height) still trains bit-identically to the synchronous trainer.
-        // All tuned knobs are pure scheduling except `band_height`, which
-        // is part of the numeric contract — the oracle shares it through
-        // `TrainConfig`, exactly as a caller opting into autotuning would.
+        // derived knob (thread counts, Adam chunk size, window) still
+        // trains the default trainer's bits — all of them are pure
+        // scheduling, and none is a band height.
         let (dataset, targets, init) = tiny_setup();
         let knobs = tuned().knobs;
-        let train = TrainConfig {
-            band_height: knobs.band_height,
-            ..Default::default()
-        };
+        let train = TrainConfig::default();
         let threaded_config = ThreadedConfig {
             prefetch_window: knobs.prefetch_window,
             adam_threads: knobs.adam_threads,
@@ -153,32 +147,12 @@ mod tests {
             assert_eq!(thr_report.batch, reference);
             assert_eq!(pipe_report.batch, reference);
         }
-        // The trainers run the knobs the runs adopted.
-        let threads = threaded.trainer().config().compute_threads;
-        assert_eq!(resolve_compute_threads(threads), knobs.compute_threads);
-        assert_eq!(threaded.trainer().resolved_band_height(), knobs.band_height);
-        assert_eq!(piped.trainer().resolved_band_height(), knobs.band_height);
+        // The trainers run the compute width the runs adopted.
+        for trainer in [threaded.trainer(), piped.trainer()] {
+            assert_eq!(trainer.config().compute_threads, knobs.compute_threads);
+        }
         assert_eq!(threaded.trainer().model(), sync.model());
         assert_eq!(piped.trainer().model(), sync.model());
-    }
-
-    #[test]
-    fn autotuned_backends_train_the_default_trainers_bits() {
-        // Autotuning is scheduling only: an engine built from
-        // `RuntimeConfig::autotuned()` keeps the trainer's band height, so
-        // it trains the bits a default trainer does on every host — also
-        // one whose L2 tunes the band away from `DEFAULT_BAND_HEIGHT`.
-        let (dataset, targets, init) = tiny_setup();
-        let train = TrainConfig::default();
-        let config = RuntimeConfig::autotuned();
-        let mut engine = PipelinedEngine::new(init.clone(), train.clone(), config);
-        let mut sync = Trainer::new(init, train);
-        for range in [0..4, 4..8] {
-            let (cams, tgts) = (&dataset.cameras[range.clone()], &targets[range]);
-            let report = engine.run_batch(cams, tgts);
-            assert_eq!(report.batch, sync.train_batch(cams, tgts));
-        }
-        assert_eq!(engine.trainer().model(), sync.model());
     }
 
     #[test]
@@ -742,33 +716,34 @@ mod tests {
     }
 
     #[test]
-    fn band_height_override_reaches_the_trainer_on_every_backend() {
-        // `band_height` is part of the numeric contract, so the runtime
-        // override must land identically at every device count, on the
-        // fresh-model and the restored-trainer path, and on the threaded
-        // backend — and equal a plain trainer configured with that height.
+    fn executor_band_heights_never_reach_the_trainer() {
+        // `band_height` is part of the numeric contract and lives in
+        // `TrainConfig` alone: the executor configs' fields are unread
+        // placeholders, so every executor (at every device count, on the
+        // fresh-model and the restored-trainer path, simulated and
+        // threaded) trains the default trainer's bits whatever they hold.
         let (dataset, targets, init) = tiny_setup();
         let cams = &dataset.cameras[..6];
         let tgts = &targets[..6];
         let train = TrainConfig::default();
         let band = 4;
         assert_ne!(train.band_height, band);
-        let mut oracle = Trainer::new(
+        let mut oracle = Trainer::new(init.clone(), train.clone());
+        let mut other_band = Trainer::new(
             init.clone(),
             TrainConfig {
                 band_height: band,
                 ..train.clone()
             },
         );
-        let mut default_band = Trainer::new(init.clone(), train.clone());
         for _ in 0..2 {
             oracle.train_batch(cams, tgts);
-            default_band.train_batch(cams, tgts);
+            other_band.train_batch(cams, tgts);
         }
         assert_ne!(
             oracle.model(),
-            default_band.model(),
-            "the override must matter on this scene"
+            other_band.model(),
+            "the band height must matter on this scene"
         );
 
         let mut backends: Vec<Box<dyn ExecutionBackend>> = Vec::new();
@@ -797,21 +772,17 @@ mod tests {
             threaded.clone(),
         )));
         backends.push(Box::new(ThreadedBackend::with_trainer(
-            Trainer::new(init.clone(), train),
+            Trainer::new(init.clone(), train.clone()),
             threaded,
         )));
         for backend in &mut backends {
             let name = backend.backend_name();
-            assert_eq!(backend.trainer().resolved_band_height(), band, "{name}");
+            let resolved = backend.trainer().resolved_band_height();
+            assert_eq!(resolved, train.band_height, "{name}");
             for _ in 0..2 {
                 backend.execute_batch(cams, tgts);
             }
-            assert_eq!(
-                backend.trainer().model(),
-                oracle.model(),
-                "{}",
-                backend.backend_name()
-            );
+            assert_eq!(backend.trainer().model(), oracle.model(), "{name}");
         }
     }
 

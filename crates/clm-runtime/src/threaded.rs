@@ -140,9 +140,7 @@ pub struct ThreadedConfig {
     /// This is the knob that lets the compute lane itself scale with cores;
     /// it never changes the numerics.
     pub compute_threads: usize,
-    /// Accumulation band height override (0 = inherit the trainer's
-    /// `TrainConfig::band_height`).  Part of the numeric contract — see
-    /// `TrainConfig::band_height`.
+    /// Placeholder, never read — see `RuntimeConfig::band_height`.
     pub band_height: u32,
     /// Data-parallel device stand-ins (1 = single device).  With `D > 1`
     /// the batch is processed in rounds of `D` micro-batches whose views
@@ -209,8 +207,8 @@ impl ThreadedBackend {
     /// Creates a threaded backend around an already-built trainer — the
     /// checkpoint-restore path: the trainer carries its restored model,
     /// optimiser moments and counters, and training continues from there.
-    /// The trainer adopts the backend's `compute_threads` / `band_height`
-    /// overrides and its device count.
+    /// The trainer adopts the backend's `compute_threads` override and its
+    /// device count; its band height stays its own.
     ///
     /// # Panics
     /// Panics if `config.adam_threads`, `config.channel_capacity` or
@@ -226,9 +224,6 @@ impl ThreadedBackend {
         assert!(devices > 0, "num_devices must be at least 1");
         if config.compute_threads > 0 {
             trainer.set_compute_threads(config.compute_threads);
-        }
-        if config.band_height > 0 {
-            trainer.set_band_height(config.band_height);
         }
         // Mirrored for introspection; the backend drives the stepwise API
         // and shards the rounds itself.

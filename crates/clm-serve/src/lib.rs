@@ -41,7 +41,7 @@ pub use metrics::{
     HISTOGRAM_BUCKETS,
 };
 pub use registry::{SceneEntry, SceneRegistry};
-pub use scheduler::{DeficitScheduler, FairnessConfig};
+pub use scheduler::DeficitScheduler;
 pub use service::{
     Admission, AdmitError, ClmServe, ServeConfig, ServeError, ServeStats, StepOutcome,
 };

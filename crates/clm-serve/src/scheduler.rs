@@ -15,26 +15,9 @@
 use crate::session::SessionId;
 use std::collections::BTreeMap;
 
-/// Tuning knobs for the fairness scheduler.
-#[derive(Debug, Clone)]
-pub struct FairnessConfig {
-    /// Deficit replenished per visit for a weight-1.0 session, in virtual
-    /// device seconds.  `0.0` selects an adaptive quantum equal to the
-    /// largest batch cost seen so far, which guarantees progress without
-    /// knowing batch costs up front.
-    pub quantum: f64,
-}
-
-impl Default for FairnessConfig {
-    fn default() -> Self {
-        FairnessConfig { quantum: 0.0 }
-    }
-}
-
 /// Deficit-round-robin scheduler over the set of active sessions.
 #[derive(Debug, Default)]
 pub struct DeficitScheduler {
-    config: FairnessConfig,
     /// Round-robin ring of `(session, weight)` in admission order.
     ring: Vec<(SessionId, f64)>,
     /// Next ring position to visit.
@@ -48,12 +31,9 @@ pub struct DeficitScheduler {
 }
 
 impl DeficitScheduler {
-    /// A scheduler with the given fairness configuration.
-    pub fn new(config: FairnessConfig) -> Self {
-        DeficitScheduler {
-            config,
-            ..Default::default()
-        }
+    /// An empty scheduler.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of sessions in the ring.
@@ -66,11 +46,12 @@ impl DeficitScheduler {
         self.ring.is_empty()
     }
 
-    /// The quantum currently in effect for a weight-1.0 session.
+    /// The quantum currently in effect for a weight-1.0 session, in virtual
+    /// device seconds: the largest batch cost seen so far (1.0 before the
+    /// first charge), which guarantees progress without knowing batch costs
+    /// up front.
     pub fn effective_quantum(&self) -> f64 {
-        if self.config.quantum > 0.0 {
-            self.config.quantum
-        } else if self.max_cost_seen > 0.0 {
+        if self.max_cost_seen > 0.0 {
             self.max_cost_seen
         } else {
             1.0
@@ -176,7 +157,7 @@ mod tests {
     fn equal_weights_share_equally() {
         let a = SessionId(1);
         let b = SessionId(2);
-        let mut sched = DeficitScheduler::new(FairnessConfig::default());
+        let mut sched = DeficitScheduler::new();
         sched.add(a, 1.0);
         sched.add(b, 1.0);
         let costs = BTreeMap::from([(a, 2.0), (b, 2.0)]);
@@ -188,7 +169,7 @@ mod tests {
     fn weights_bias_service_proportionally() {
         let heavy = SessionId(1);
         let light = SessionId(2);
-        let mut sched = DeficitScheduler::new(FairnessConfig { quantum: 1.0 });
+        let mut sched = DeficitScheduler::new();
         sched.add(heavy, 3.0);
         sched.add(light, 1.0);
         let costs = BTreeMap::from([(heavy, 1.0), (light, 1.0)]);
@@ -201,7 +182,7 @@ mod tests {
     fn expensive_tenant_cannot_starve_a_cheap_one() {
         let expensive = SessionId(1);
         let cheap = SessionId(2);
-        let mut sched = DeficitScheduler::new(FairnessConfig::default());
+        let mut sched = DeficitScheduler::new();
         sched.add(expensive, 1.0);
         sched.add(cheap, 1.0);
         let costs = BTreeMap::from([(expensive, 8.0), (cheap, 1.0)]);
@@ -218,7 +199,7 @@ mod tests {
     #[test]
     fn removal_keeps_the_ring_consistent() {
         let ids: Vec<SessionId> = (0..4).map(SessionId).collect();
-        let mut sched = DeficitScheduler::new(FairnessConfig::default());
+        let mut sched = DeficitScheduler::new();
         for &id in &ids {
             sched.add(id, 1.0);
         }

@@ -21,7 +21,7 @@
 //! the cap after every batch ([`SessionStats::budget_violations`]).
 
 use crate::registry::SceneRegistry;
-use crate::scheduler::{DeficitScheduler, FairnessConfig};
+use crate::scheduler::DeficitScheduler;
 use crate::session::{Session, SessionId, SessionState, SessionStats, TenantSpec};
 use clm_trace::Checkpoint;
 use std::collections::{BTreeMap, VecDeque};
@@ -34,11 +34,6 @@ pub struct ServeConfig {
     /// Maximum sessions waiting in the admission queue (`0` = reject when
     /// all active slots are taken).
     pub max_queued: usize,
-    /// Fairness scheduler knobs.
-    pub fairness: FairnessConfig,
-    /// Pinned staging budget applied to tenants that do not declare one,
-    /// in bytes.  `None` leaves such tenants uncapped.
-    pub default_staging_budget: Option<u64>,
 }
 
 impl Default for ServeConfig {
@@ -46,8 +41,6 @@ impl Default for ServeConfig {
         ServeConfig {
             max_active: 4,
             max_queued: 16,
-            fairness: FairnessConfig::default(),
-            default_staging_budget: None,
         }
     }
 }
@@ -161,7 +154,7 @@ impl ClmServe {
     /// A service over the given registry.
     pub fn new(registry: SceneRegistry, config: ServeConfig) -> Self {
         ClmServe {
-            scheduler: DeficitScheduler::new(config.fairness.clone()),
+            scheduler: DeficitScheduler::new(),
             config,
             registry,
             sessions: BTreeMap::new(),
@@ -233,10 +226,7 @@ impl ClmServe {
             self.stats.rejected += 1;
             return Err(AdmitError::EmptyJob);
         }
-        let budget = spec
-            .staging_budget_bytes
-            .or(self.config.default_staging_budget);
-        let (max_buffers, granted_window) = match budget {
+        let (max_buffers, granted_window) = match spec.staging_budget_bytes {
             Some(bytes) => {
                 let per = spec.buffer_bytes().max(1);
                 let max_buffers = (bytes / per) as usize;

@@ -7,8 +7,8 @@
 
 use clm_core::{DensifyConfig, DensifySchedule, SystemKind, TrainConfig};
 use clm_serve::{
-    Admission, AdmitError, ClmServe, FairnessConfig, SceneRegistry, ServeConfig, SessionState,
-    StepOutcome, TenantSpec,
+    Admission, AdmitError, ClmServe, SceneRegistry, ServeConfig, SessionState, StepOutcome,
+    TenantSpec,
 };
 use gs_scene::{DatasetConfig, InitConfig, SceneKind};
 
@@ -67,7 +67,6 @@ fn two_tenant_starvation_bound() {
         registry,
         ServeConfig {
             max_active: 2,
-            fairness: FairnessConfig::default(),
             ..Default::default()
         },
     );
@@ -148,7 +147,6 @@ fn weighted_shares_hold() {
         registry,
         ServeConfig {
             max_active: 2,
-            fairness: FairnessConfig { quantum: 0.0 },
             ..Default::default()
         },
     );
@@ -181,7 +179,6 @@ fn admission_queue_and_saturation() {
         ServeConfig {
             max_active: 2,
             max_queued: 1,
-            ..Default::default()
         },
     );
     let a = serve.admit(spec("a", "shared", 41, 4)).unwrap();
@@ -320,7 +317,6 @@ fn cancellation_and_churn() {
         ServeConfig {
             max_active: 1,
             max_queued: 4,
-            ..Default::default()
         },
     );
     let doomed = serve.admit(spec("doomed", "shared", 71, 50)).unwrap().id();

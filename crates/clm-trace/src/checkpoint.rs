@@ -232,13 +232,11 @@ impl Checkpoint {
             return Err(CkptError::BadMagic);
         }
         let mut pos = CKPT_MAGIC.len();
-        let version = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap());
-        pos += 4;
+        let version = u32::from_le_bytes(varint::read_array(data, &mut pos)?);
         if version != CKPT_VERSION {
             return Err(CkptError::UnsupportedVersion(version));
         }
-        let checksum = u64::from_le_bytes(data[pos..pos + 8].try_into().unwrap());
-        pos += 8;
+        let checksum = u64::from_le_bytes(varint::read_array(data, &mut pos)?);
         let payload = &data[pos..];
         if fnv1a(payload) != checksum {
             return Err(CkptError::ChecksumMismatch);
@@ -254,11 +252,7 @@ impl Checkpoint {
         pos += 1;
         let warm_start_ratio = match warm_flag {
             0 => None,
-            1 => {
-                let bytes = payload.get(pos..pos + 8).ok_or(CkptError::Truncated)?;
-                pos += 8;
-                Some(f64::from_le_bytes(bytes.try_into().unwrap()))
-            }
+            1 => Some(f64::from_le_bytes(varint::read_array(payload, &mut pos)?)),
             _ => return Err(CkptError::Malformed("bad warm-start flag")),
         };
         let bytes_gathered = varint::read_u64(payload, &mut pos)?;
@@ -320,9 +314,7 @@ impl Checkpoint {
 }
 
 fn read_f32_le(data: &[u8], pos: &mut usize) -> Result<f32, CkptError> {
-    let bytes = data.get(*pos..*pos + 4).ok_or(CkptError::Truncated)?;
-    *pos += 4;
-    Ok(f32::from_le_bytes(bytes.try_into().unwrap()))
+    Ok(f32::from_le_bytes(varint::read_array(data, pos)?))
 }
 
 #[cfg(test)]
@@ -439,9 +431,19 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
+        // Every proper prefix is refused without a panic: a cut header
+        // fails `Truncated`, a cut payload its checksum.
         let bytes = sample_checkpoint().encode();
-        assert!(Checkpoint::decode(&bytes[..4]).is_err());
-        assert!(Checkpoint::decode(&bytes[..bytes.len() - 5]).is_err());
+        for len in 0..bytes.len() {
+            assert!(
+                matches!(
+                    Checkpoint::decode(&bytes[..len]),
+                    Err(CkptError::Truncated | CkptError::ChecksumMismatch)
+                ),
+                "prefix {len} of {}",
+                bytes.len()
+            );
+        }
     }
 
     #[test]

@@ -269,12 +269,7 @@ impl Trace {
             return Err(TraceError::BadMagic);
         }
         let mut pos = MAGIC.len();
-        let version = u32::from_le_bytes(
-            data[pos..pos + 4]
-                .try_into()
-                .map_err(|_| TraceError::Truncated)?,
-        );
-        pos += 4;
+        let version = u32::from_le_bytes(varint::read_array(data, &mut pos)?);
         if version != FORMAT_VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
@@ -289,13 +284,7 @@ impl Trace {
         let peer_hop_factor = read_f64_le(data, &mut pos)?;
         let gradient_bytes = varint::read_u64(data, &mut pos)?;
         let count = varint::read_u64(data, &mut pos)?;
-        let checksum = u64::from_le_bytes(
-            data.get(pos..pos + 8)
-                .ok_or(TraceError::Truncated)?
-                .try_into()
-                .map_err(|_| TraceError::Truncated)?,
-        );
-        pos += 8;
+        let checksum = u64::from_le_bytes(varint::read_array(data, &mut pos)?);
         let payload = &data[pos..];
         if fnv1a(payload) != checksum {
             return Err(TraceError::ChecksumMismatch);
@@ -392,9 +381,7 @@ fn read_str(data: &[u8], pos: &mut usize) -> Result<String, TraceError> {
 }
 
 fn read_f64_le(data: &[u8], pos: &mut usize) -> Result<f64, TraceError> {
-    let bytes = data.get(*pos..*pos + 8).ok_or(TraceError::Truncated)?;
-    *pos += 8;
-    Ok(f64::from_le_bytes(bytes.try_into().unwrap()))
+    Ok(f64::from_le_bytes(varint::read_array(data, pos)?))
 }
 
 fn narrow_u32(v: u64, what: &'static str) -> Result<u32, TraceError> {
@@ -534,10 +521,19 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
+        // Every proper prefix is refused without a panic: a cut header
+        // fails `Truncated`, a cut payload its checksum.
         let bytes = sample_trace().encode();
-        assert!(Trace::decode(&bytes[..4]).is_err());
-        // A cut anywhere in the payload breaks the checksum (or truncates).
-        assert!(Trace::decode(&bytes[..bytes.len() - 3]).is_err());
+        for len in 0..bytes.len() {
+            assert!(
+                matches!(
+                    Trace::decode(&bytes[..len]),
+                    Err(TraceError::Truncated | TraceError::ChecksumMismatch)
+                ),
+                "prefix {len} of {}",
+                bytes.len()
+            );
+        }
     }
 
     /// An empty trace's header with the op count and payload replaced.

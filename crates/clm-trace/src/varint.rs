@@ -1,5 +1,5 @@
-//! LEB128 variable-length integers and the f64 packing the trace format
-//! is built on.
+//! LEB128 variable-length integers, the f64 packing and the fixed-width
+//! field reader the trace and checkpoint formats are built on.
 //!
 //! Integer fields (epoch, batch, counts, codes, byte volumes, dependency
 //! distances) are plain unsigned varints.  Times are exact f64 **bit
@@ -63,6 +63,17 @@ pub fn read_f64_xor(
     let residue = read_u64(data, pos)?.swap_bytes();
     let bits = residue ^ prev_bits;
     Ok((f64::from_bits(bits), bits))
+}
+
+/// Reads the `N` bytes at `*pos` (a fixed-width little-endian field),
+/// advancing past them; fails `Truncated` when fewer remain.
+pub fn read_array<const N: usize>(data: &[u8], pos: &mut usize) -> Result<[u8; N], TraceError> {
+    let end = pos.checked_add(N).ok_or(TraceError::Truncated)?;
+    let bytes = data.get(*pos..end).ok_or(TraceError::Truncated)?;
+    *pos = end;
+    let mut field = [0u8; N];
+    field.copy_from_slice(bytes);
+    Ok(field)
 }
 
 #[cfg(test)]

@@ -42,55 +42,11 @@
 //! band granularity nested splitting has nothing left to win.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Upper bound on the workers one region spawns, whatever width the caller
 /// asks for (the calling thread always participates too).
 const MAX_WORKERS: usize = 64;
-
-/// Process-wide default compute width used when a caller passes the
-/// `compute_threads = 0` "inherit" sentinel.  0 = not configured yet, in
-/// which case [`default_compute_threads`] falls back to the host's
-/// available parallelism.
-static DEFAULT_COMPUTE_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default compute width that
-/// `compute_threads = 0` resolves to.  The runtime's autotuner calls this
-/// once with the host's effective (cgroup-quota-aware) core count; callers
-/// that pass an explicit thread count are unaffected.  `threads = 0`
-/// clears the default back to the `available_parallelism` fallback.
-///
-/// Pure scheduling: the resolved width decides how many threads share the
-/// banded kernels, never what they compute.
-pub fn set_default_compute_threads(threads: usize) {
-    DEFAULT_COMPUTE_THREADS.store(threads.min(MAX_WORKERS + 1), Ordering::Relaxed);
-}
-
-/// The width `compute_threads = 0` currently resolves to: the value set by
-/// [`set_default_compute_threads`], or the host's available parallelism
-/// when none was set.  Always at least 1.
-pub fn default_compute_threads() -> usize {
-    match DEFAULT_COMPUTE_THREADS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-    .max(1)
-}
-
-/// Resolves a requested compute width: explicit counts pass through, the
-/// `0` "inherit" sentinel becomes [`default_compute_threads`].  Callers
-/// that report their thread count must report this resolved value, never
-/// the sentinel.
-pub fn resolve_compute_threads(requested: usize) -> usize {
-    if requested == 0 {
-        default_compute_threads()
-    } else {
-        requested
-    }
-}
 
 thread_local! {
     /// Set while this thread is inside a parallel region: for the lifetime
@@ -190,6 +146,7 @@ where
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Condvar;
     use std::thread::ThreadId;
     use std::time::Duration;

@@ -121,7 +121,7 @@
 //! order exactly.
 
 use crate::image::Image;
-use crate::parallel::{parallel_for_each, parallel_map, resolve_compute_threads};
+use crate::parallel::{parallel_for_each, parallel_map};
 use crate::projection::{
     project_gaussian_backward, GaussianGradients, ProjectedGaussian, ProjectionContext,
     ProjectionSetup, ScreenGradients, MAX_ALPHA, MIN_ALPHA,
@@ -155,14 +155,10 @@ pub struct RenderOptions {
     /// "pre-rendering frustum culling" path, §5.1).  When `None`, every
     /// Gaussian in the model is considered (the fused-culling baseline).
     pub visible: Option<Vec<u32>>,
-    /// Worker threads for the banded forward/backward kernels.  `0` means
-    /// *inherit*: resolve through the process-wide default width
-    /// ([`crate::parallel::default_compute_threads`], which the runtime's
-    /// autotuner sizes to the host's effective cores) rather than silently
-    /// running serial; `1` runs everything on the calling thread.  Pure
+    /// Worker threads for the banded forward/backward kernels (clamped to at
+    /// least 1; `1` runs everything on the calling thread).  Pure
     /// scheduling: the rendered image and the gradients are bit-identical
-    /// for every value, and [`RenderAux`] reports the resolved count, not
-    /// the sentinel.
+    /// for every value, and [`RenderAux`] reports the clamped count.
     pub compute_threads: usize,
     /// Height in pixels of the horizontal accumulation bands (clamped to at
     /// least 1).  This **is** part of the numeric contract: it fixes the
@@ -303,8 +299,7 @@ impl RenderAux {
         self.coverage.band_height
     }
 
-    /// The compute width the forward pass actually ran with — the resolved
-    /// value, never the `compute_threads = 0` "inherit" sentinel.
+    /// The compute width the forward pass actually ran with (at least 1).
     pub fn compute_threads(&self) -> usize {
         self.coverage.compute_threads
     }
@@ -365,7 +360,7 @@ fn coverage_in_slabs(
 ) -> Coverage {
     let width = camera.intrinsics.width;
     let height = camera.intrinsics.height;
-    let compute_threads = resolve_compute_threads(options.compute_threads);
+    let compute_threads = options.compute_threads.max(1);
 
     // 1. Validate the candidates up front (deterministic panics) and key
     //    each by its depth, dropping those outside the clip range.
@@ -1605,53 +1600,26 @@ mod tests {
     }
 
     #[test]
-    fn zero_compute_threads_inherits_the_pool_default_and_reports_it() {
-        // The documented "0 = inherit" contract: the sentinel resolves
-        // through the process-wide default width instead of silently
-        // serialising, the aux reports the resolved value, and the output
-        // stays bit-identical to the serial render.
+    fn zero_compute_threads_renders_serially_bit_identical_to_one() {
+        // `compute_threads = 0` clamps to 1: the aux reports the clamped
+        // value and the output is the serial render's.
         let model = single_gaussian_scene();
         let cam = camera(32);
-        let serial = render(
-            &model,
-            &cam,
-            &RenderOptions {
-                compute_threads: 1,
-                ..RenderOptions::default()
-            },
-        );
-        let inherited = render(
-            &model,
-            &cam,
-            &RenderOptions {
-                compute_threads: 0,
-                ..RenderOptions::default()
-            },
-        );
-        let expected = crate::parallel::default_compute_threads();
-        assert!(expected >= 1);
-        assert_eq!(
-            inherited.aux.compute_threads(),
-            expected,
-            "aux must report the resolved width, not the 0 sentinel"
-        );
-        assert_eq!(inherited.image, serial.image);
+        let render_with = |compute_threads| {
+            render(
+                &model,
+                &cam,
+                &RenderOptions {
+                    compute_threads,
+                    ..RenderOptions::default()
+                },
+            )
+        };
+        let (serial, zero) = (render_with(1), render_with(0));
+        assert_eq!(zero.aux.compute_threads(), 1);
         assert_eq!(serial.aux.compute_threads(), 1);
+        assert_eq!(zero.image, serial.image);
         assert_eq!(serial.aux.band_height(), DEFAULT_BAND_HEIGHT);
-        // An explicitly-set default is what 0 resolves to from then on.
-        crate::parallel::set_default_compute_threads(3);
-        let tuned = render(
-            &model,
-            &cam,
-            &RenderOptions {
-                compute_threads: 0,
-                ..RenderOptions::default()
-            },
-        );
-        assert_eq!(tuned.aux.compute_threads(), 3);
-        assert_eq!(tuned.image, serial.image);
-        crate::parallel::set_default_compute_threads(0);
-        assert_eq!(crate::parallel::default_compute_threads(), expected);
     }
 
     #[test]

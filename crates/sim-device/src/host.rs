@@ -1,14 +1,13 @@
-//! Host CPU topology probe: the `host-topo` half of hardware-aware
-//! autotuning.
+//! Host CPU topology probe.
 //!
-//! Every execution knob that decides CLM's overlap quality
-//! (`compute_threads`, `band_height`, the prefetch window, the Adam
-//! chunk size) depends on what the *host* actually offers: how many cores
-//! the scheduler may really use (which is **not**
+//! The host sizes worker fan-out and nothing else: the band height and
+//! the prefetch window come from config, so host identity lands in
+//! provenance and never in the trajectory.  What the fan-out needs is what the *host* actually offers:
+//! how many cores the scheduler may really use (which is **not**
 //! `available_parallelism()` inside a cgroup-throttled container), how big
-//! the caches the banded kernels block for are, and whether "16 CPUs" means
-//! 16 physical cores or 8 cores with SMT.  This module answers those
-//! questions once per process:
+//! the L2 an Adam shard blocks for is, and whether "16 CPUs" means 16
+//! physical cores or 8 cores with SMT.  This module answers those questions
+//! once per process:
 //!
 //! * [`CpuVendor`] — CPUID-style vendor classification via a match table
 //!   over `/proc/cpuinfo`'s `vendor_id` / `CPU implementer` fields;
@@ -18,8 +17,8 @@
 //!   understood);
 //! * [`HostTopology::effective_cores`] — the core count schedulers should
 //!   size worker lanes by: logical CPUs capped by the cgroup quota;
-//! * [`HostTopology::fingerprint`] — a stable key for per-(host, scene)
-//!   tuning records.
+//! * [`HostTopology::fingerprint`] — a stable host key for provenance
+//!   records.
 //!
 //! Everything is probed through **pure string parsers** over file contents
 //! (`/proc/cpuinfo`, `/sys/devices/system/cpu/.../cache`, the cgroup
@@ -185,9 +184,9 @@ impl HostTopology {
         self.logical_cpus.min(quota_cores).max(1)
     }
 
-    /// A stable identity for per-(host, scene) tuning records: vendor, core
+    /// A stable host identity for provenance records: vendor, core
     /// topology, cache sizes and the effective core count (so a quota
-    /// change re-tunes rather than replaying knobs sized for more cores).
+    /// change shows as a different host).
     pub fn fingerprint(&self) -> String {
         format!(
             "{}-{}c{}t-l2:{}k-l3:{}k-e{}",

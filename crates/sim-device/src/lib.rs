@@ -19,8 +19,8 @@
 //! * [`metrics`] — the Nsight-style utilisation numbers reported in the
 //!   paper's Table 7 and Figure 15;
 //! * [`HostTopology`] — the probe of the *real* host the simulation runs
-//!   on (cores, caches, cgroup CPU quota), feeding the runtime's
-//!   hardware-aware autotuning.
+//!   on (cores, caches, cgroup CPU quota), which sizes the runtime's
+//!   worker fan-out.
 //!
 //! # Example
 //!
