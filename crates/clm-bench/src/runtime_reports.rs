@@ -222,11 +222,11 @@ pub fn runtime_summary_figure13() -> String {
                 TrainConfig {
                     system: SystemKind::Clm,
                     batch_size: BATCH,
+                    compute_threads: threads,
                     ..Default::default()
                 },
                 ThreadedConfig {
                     prefetch_window: 2,
-                    compute_threads: threads,
                     ..Default::default()
                 },
             );

@@ -230,29 +230,13 @@ pub fn record_trace(backend: &str, scale: &TraceScale) -> Result<Trace, String> 
         // replays re-price communication with.
         cost,
     });
-    for (epoch, b, lo, hi) in batch_ranges(scale, dataset.cameras.len()) {
-        let report = executor.execute_batch(&dataset.cameras[lo..hi], &targets[lo..hi]);
-        trace.record(epoch, b, report.timeline);
-    }
-    Ok(trace)
-}
-
-/// Iterates the run's batches in the order every backend trains them:
-/// `(epoch, batch-within-epoch, view range)`.
-fn batch_ranges(scale: &TraceScale, views: usize) -> Vec<(u64, u64, usize, usize)> {
-    let batch = scale.batch_size.max(1);
-    let mut out = Vec::new();
-    for epoch in 0..scale.epochs {
-        let mut view = 0;
-        let mut b = 0u64;
-        while view < views {
-            let end = (view + batch).min(views);
-            out.push((epoch as u64, b, view, end));
-            view = end;
-            b += 1;
+    for epoch in 0..scale.epochs as u64 {
+        let reports = executor.execute_epoch(&dataset, &targets);
+        for (b, report) in reports.into_iter().enumerate() {
+            trace.record(epoch, b as u64, report.timeline);
         }
     }
-    out
+    Ok(trace)
 }
 
 /// One line of run context for the binaries' stderr chatter.
@@ -295,7 +279,7 @@ mod tests {
     #[test]
     fn all_four_backends_record_and_round_trip() {
         let scale = TraceScale::test();
-        let expected_batches = batch_ranges(&scale, scale.views).len();
+        let expected_batches = scale.epochs * scale.views.div_ceil(scale.batch_size);
         for backend in TRACE_BACKENDS {
             let trace = record_trace(backend, &scale).unwrap();
             assert_eq!(trace.meta.backend, backend);

@@ -68,26 +68,30 @@ pub struct TrainConfig {
     /// Worker threads for the banded render forward/backward (clamped to at
     /// least 1).  Pure scheduling: the training trajectory is bit-identical
     /// for every value (`gs_render`'s band geometry never depends on it).
+    /// This is the one place the render width is set: every executor renders
+    /// at it, and no executor config and no host property overrides it.
     pub compute_threads: usize,
-    /// Accumulation band height for the banded renderer (0 = the renderer's
-    /// default).  Unlike `compute_threads` this is **part of the numeric
-    /// contract**: it fixes the grouping of floating-point accumulation, so
-    /// runs compared bit-for-bit must use the same value on every backend.
-    /// This is the one place it is set: no executor config and no host
-    /// property overrides it.
+    /// Accumulation band height for the banded renderer (clamped to at least
+    /// 1, like every count knob).  Unlike `compute_threads` this is **part of
+    /// the numeric contract**: it fixes the grouping of floating-point
+    /// accumulation, so runs compared bit-for-bit must use the same value on
+    /// every backend.  This is the one place it is set: no executor config
+    /// and no host property overrides it.
     pub band_height: u32,
     /// Placeholder, never read by the trainer: the frozen benchmark harness
     /// spells `view_parallel` in exhaustive config literals.  Leaves with
     /// ROADMAP item 5(a).
     pub view_parallel: bool,
-    /// Data-parallel device count the batch's micro-batches are sharded
-    /// across (1 = single device).  Micro-batch `i` runs on device `i mod
+    /// The synchronous executor's data-parallel device count (1 = single
+    /// device): the device lane groups [`Trainer::train_batch`] spreads a
+    /// batch's micro-batches across.  Micro-batch `i` runs on device `i mod
     /// num_devices`, each device with its own prefetch window (so up to one
     /// staged micro-batch per device); losses, gradient accumulations and
     /// finalised Adam steps run in the serial micro-batch order — the
     /// fixed-order reduction that keeps the trajectory bit-identical to the
     /// 1-device trainer for every shard count.  Pure scheduling, like
-    /// `compute_threads`.
+    /// `compute_threads`.  The other executors shard by their own configs'
+    /// device counts and never read this one.
     pub num_devices: usize,
     /// Mid-training densification cadence (`None` = fixed-size model, the
     /// previous behaviour).  Resizes happen at batch boundaries, planned
@@ -115,18 +119,6 @@ impl Default for TrainConfig {
             num_devices: 1,
             densify: None,
             seed: 0,
-        }
-    }
-}
-
-impl TrainConfig {
-    /// The band height renders actually use: the configured value, or the
-    /// renderer's default when the config holds the 0 sentinel.
-    pub fn resolved_band_height(&self) -> u32 {
-        if self.band_height == 0 {
-            DEFAULT_BAND_HEIGHT
-        } else {
-            self.band_height
         }
     }
 }
@@ -454,30 +446,6 @@ impl Trainer {
         self.last_resize_batch
     }
 
-    /// Changes the device count mid-run — the elastic-recovery path a
-    /// sharded runtime takes after permanent device loss.  Only the config
-    /// changes; batch plans from the next boundary on shard across the new
-    /// count.
-    ///
-    /// # Panics
-    /// Panics if `num_devices` is zero.
-    pub fn set_num_devices(&mut self, num_devices: usize) {
-        assert!(num_devices >= 1, "need at least one device");
-        self.config.num_devices = num_devices;
-    }
-
-    /// Overrides the compute-thread knob (used when a restored config is
-    /// re-adopted by a runtime that pins its own thread count).
-    pub fn set_compute_threads(&mut self, compute_threads: usize) {
-        self.config.compute_threads = compute_threads;
-    }
-
-    /// The band height renders actually use: the configured value, or the
-    /// renderer's default when the config holds the 0 sentinel.
-    pub fn resolved_band_height(&self) -> u32 {
-        self.config.resolved_band_height()
-    }
-
     /// The densification resize due **before** the next batch, if any.
     ///
     /// Pure: planning reads the model and the accumulated gradient norms but
@@ -602,7 +570,7 @@ impl Trainer {
                     background: self.config.background,
                     visible,
                     compute_threads: self.config.compute_threads,
-                    band_height: self.config.resolved_band_height(),
+                    band_height: self.config.band_height,
                 };
                 gs_render::coverage(&self.model, &cameras[view], &options)
             })
@@ -1000,7 +968,7 @@ impl Trainer {
                     background: self.config.background,
                     visible: None,
                     compute_threads: self.config.compute_threads,
-                    band_height: self.resolved_band_height(),
+                    band_height: self.config.band_height,
                 },
             );
             total += psnr(&out.image, target).min(60.0);

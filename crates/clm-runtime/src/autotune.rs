@@ -10,11 +10,14 @@
 //!   kernel streams [`WORK_ITEM_BYTES`]-sized rows (parameters, gradient and
 //!   both moments) one after another.
 //!
-//! [`RuntimeConfig::autotuned`](crate::RuntimeConfig::autotuned) adopts the
-//! compute width; every other knob comes from the config structs.  None of
-//! this touches numerics: thread counts and chunk sizes are pure
-//! scheduling, and the band height (which *is* part of the numeric
-//! contract) comes from `TrainConfig` alone.
+//! This module is the one place a host default is chosen:
+//! `ThreadedConfig::default()` takes its CPU Adam lane's `adam_threads` and
+//! `adam_chunk_rows` from [`tuned`], and no other product code reads the
+//! topology to choose a value.  The render width and the band height are
+//! not host defaults: both come from `TrainConfig` alone.  None of this
+//! touches numerics: thread counts and chunk sizes are pure scheduling, and
+//! the band height (which *is* part of the numeric contract) is configured,
+//! never derived.
 
 use gs_optim::WORK_ITEM_BYTES;
 use gs_render::DEFAULT_BAND_HEIGHT;
@@ -37,13 +40,15 @@ impl Calibration {
 /// The knob values derived for this host.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TunedKnobs {
-    /// Banded-render workers: the host's effective core count, capped at 64.
-    /// [`RuntimeConfig::autotuned`](crate::RuntimeConfig::autotuned) adopts it.
+    /// The host's effective core count, capped at 64: a width a caller may
+    /// put in `TrainConfig::compute_threads`.  No config default reads it;
+    /// the frozen benchmark harness prints it.
     pub compute_threads: usize,
     /// CPU Adam lane fan-out: the same effective core count.
+    /// `ThreadedConfig::default()` adopts it.
     pub adam_threads: usize,
     /// Target rows per Adam shard so one shard's working set stays
-    /// L2-resident.
+    /// L2-resident.  `ThreadedConfig::default()` adopts it.
     pub adam_chunk_rows: usize,
     /// Placeholder, always [`DEFAULT_BAND_HEIGHT`]: the band height is part
     /// of the numeric contract and comes from `TrainConfig` alone.  The

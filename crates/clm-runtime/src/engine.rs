@@ -107,10 +107,10 @@ pub struct RuntimeConfig {
     pub cost_scale: f64,
     /// Multiplier applied to pixel counts when costing render operations.
     pub pixel_cost_scale: f64,
-    /// Worker threads for the banded render compute (0 = inherit the
-    /// trainer's `TrainConfig::compute_threads`).  Pure host scheduling:
-    /// the simulated timeline costs and the numerics are unaffected; only
-    /// the wall-clock time of executing the lanes inline shrinks.
+    /// Placeholder, never read: the render width comes from
+    /// `TrainConfig::compute_threads` alone.  The frozen benchmark harness
+    /// spells it in exhaustive config literals.  Leaves with ROADMAP item
+    /// 5(a).
     pub compute_threads: usize,
     /// Placeholder, never read: the band height is part of the numeric
     /// contract and comes from `TrainConfig::band_height` alone.  The frozen
@@ -145,17 +145,6 @@ impl Default for RuntimeConfig {
 }
 
 impl RuntimeConfig {
-    /// The default config with the host's compute width
-    /// ([`crate::autotune::tuned`]: the quota-aware core count).  Only
-    /// scheduling, so an autotuned engine trains the bits a plain
-    /// [`Trainer`] does.  Set any field afterwards to override it.
-    pub fn autotuned() -> Self {
-        RuntimeConfig {
-            compute_threads: crate::autotune::tuned().knobs.compute_threads,
-            ..Default::default()
-        }
-    }
-
     /// The price list the engine costs its schedule with.
     pub fn price_list(&self) -> PriceList {
         PriceList::new(self.device.clone(), self.cost_scale, self.pixel_cost_scale)
@@ -210,13 +199,13 @@ impl PipelinedEngine {
     /// Creates an engine around an already-built trainer — the
     /// checkpoint-restore path: the trainer carries its restored model,
     /// optimiser moments and counters, and training continues from there.
-    /// The trainer adopts the runtime's `compute_threads` override and its
-    /// device count; its band height stays its own.
+    /// The trainer's config stays its own: it renders at its own width and
+    /// band height, and the engine shards by `config.num_devices`.
     ///
     /// # Panics
     /// Panics if `config.num_devices` is 0 or exceeds the timeline's device
     /// range, or if a cost scale is not strictly positive.
-    pub fn with_trainer(mut trainer: Trainer, config: RuntimeConfig) -> Self {
+    pub fn with_trainer(trainer: Trainer, config: RuntimeConfig) -> Self {
         assert!(config.num_devices >= 1, "num_devices must be at least 1");
         assert!(
             config.num_devices <= Lane::MAX_DEVICE + 1,
@@ -227,13 +216,6 @@ impl PipelinedEngine {
             config.pixel_cost_scale > 0.0,
             "pixel_cost_scale must be positive"
         );
-        if config.compute_threads > 0 {
-            trainer.set_compute_threads(config.compute_threads);
-        }
-        // The trainer's config mirrors the engine's device count so reports
-        // and introspection agree; the engine drives the stepwise API
-        // itself, so this never re-shards the numeric path.
-        trainer.set_num_devices(config.num_devices);
         PipelinedEngine {
             partition: GaussianPartition::single_device(trainer.model().len()),
             partition_cameras: Vec::new(),
@@ -290,7 +272,6 @@ impl PipelinedEngine {
             self.config.num_devices
         );
         self.config.num_devices = survivors;
-        self.trainer.set_num_devices(survivors);
         self.repartition();
     }
 

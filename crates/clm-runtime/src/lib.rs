@@ -33,8 +33,8 @@
 //!   from which makespan, per-lane busy/idle time and communication volume
 //!   are read (Figures 11–15, Table 7);
 //! * [`autotune`] — the scheduling knobs as a pure function of the probed
-//!   host topology ([`tuned`]); `RuntimeConfig::autotuned` adopts its
-//!   compute width.
+//!   host topology ([`tuned`]); `ThreadedConfig::default()` adopts its CPU
+//!   Adam lane fan-out and chunk size.
 //!
 //! # Numerical equivalence
 //!
@@ -116,43 +116,6 @@ mod tests {
             prefetch_window: window,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn autotuned_run_matches_the_serial_oracle() {
-        // The autotuning acceptance gate: a fresh run that adopts every
-        // derived knob (thread counts, Adam chunk size, window) still
-        // trains the default trainer's bits — all of them are pure
-        // scheduling, and none is a band height.
-        let (dataset, targets, init) = tiny_setup();
-        let knobs = tuned().knobs;
-        let train = TrainConfig::default();
-        let threaded_config = ThreadedConfig {
-            prefetch_window: knobs.prefetch_window,
-            adam_threads: knobs.adam_threads,
-            adam_chunk_rows: knobs.adam_chunk_rows,
-            compute_threads: knobs.compute_threads,
-            ..Default::default()
-        };
-        let mut threaded = ThreadedBackend::new(init.clone(), train.clone(), threaded_config);
-        let mut piped =
-            PipelinedEngine::new(init.clone(), train.clone(), RuntimeConfig::autotuned());
-        let mut sync = Trainer::new(init, train);
-        for start in [0usize, 4] {
-            let cams = &dataset.cameras[start..start + 4];
-            let tgts = &targets[start..start + 4];
-            let thr_report = threaded.run_batch(cams, tgts);
-            let pipe_report = piped.run_batch(cams, tgts);
-            let reference = sync.train_batch(cams, tgts);
-            assert_eq!(thr_report.batch, reference);
-            assert_eq!(pipe_report.batch, reference);
-        }
-        // The trainers run the compute width the runs adopted.
-        for trainer in [threaded.trainer(), piped.trainer()] {
-            assert_eq!(trainer.config().compute_threads, knobs.compute_threads);
-        }
-        assert_eq!(threaded.trainer().model(), sync.model());
-        assert_eq!(piped.trainer().model(), sync.model());
     }
 
     #[test]
@@ -434,12 +397,15 @@ mod tests {
                 ..Default::default()
             },
         );
+        let width = |compute_threads| TrainConfig {
+            compute_threads,
+            ..train.clone()
+        };
         let mut parallel = ThreadedBackend::new(
             init.clone(),
-            train.clone(),
+            width(4),
             ThreadedConfig {
                 prefetch_window: 2,
-                compute_threads: 4,
                 ..Default::default()
             },
         );
@@ -447,25 +413,16 @@ mod tests {
         // region while the Adam lane fans each group out in another.
         let mut all_wide = ThreadedBackend::new(
             init.clone(),
-            train.clone(),
+            width(2),
             ThreadedConfig {
                 prefetch_window: 2,
                 adam_threads: 2,
                 adam_chunk_rows: 0,
-                compute_threads: 2,
                 num_devices: 2,
                 ..Default::default()
             },
         );
-        let mut sim_parallel = PipelinedEngine::new(
-            init,
-            train,
-            RuntimeConfig {
-                compute_threads: 3,
-                ..runtime_config(2)
-            },
-        );
-        assert_eq!(parallel.trainer().config().compute_threads, 4);
+        let mut sim_parallel = PipelinedEngine::new(init, width(3), runtime_config(2));
         for _ in 0..2 {
             let a = serial.run_batch(cams, tgts);
             let b = parallel.run_batch(cams, tgts);
@@ -716,17 +673,20 @@ mod tests {
     }
 
     #[test]
-    fn executor_band_heights_never_reach_the_trainer() {
-        // `band_height` is part of the numeric contract and lives in
-        // `TrainConfig` alone: the executor configs' fields are unread
-        // placeholders, so every executor (at every device count, on the
-        // fresh-model and the restored-trainer path, simulated and
-        // threaded) trains the default trainer's bits whatever they hold.
+    fn executor_configs_never_reach_the_trainer() {
+        // Every knob has one home.  The render width and the band height
+        // live in `TrainConfig` (the executor configs' fields are unread
+        // placeholders), and an executor's device count lives in its own
+        // config, never mirrored into the trainer's.  So every executor (at
+        // every device count, on the fresh-model and the restored-trainer
+        // path, simulated and threaded) keeps the trainer's config whole and
+        // trains the default trainer's bits whatever its own config holds.
         let (dataset, targets, init) = tiny_setup();
         let cams = &dataset.cameras[..6];
         let tgts = &targets[..6];
         let train = TrainConfig::default();
-        let band = 4;
+        let (threads, band) = (3, 4);
+        assert_ne!(train.compute_threads, threads);
         assert_ne!(train.band_height, band);
         let mut oracle = Trainer::new(init.clone(), train.clone());
         let mut other_band = Trainer::new(
@@ -749,6 +709,7 @@ mod tests {
         let mut backends: Vec<Box<dyn ExecutionBackend>> = Vec::new();
         for devices in [1usize, 2] {
             let config = RuntimeConfig {
+                compute_threads: threads,
                 band_height: band,
                 num_devices: devices,
                 ..runtime_config(2)
@@ -763,6 +724,7 @@ mod tests {
             ));
         }
         let threaded = ThreadedConfig {
+            compute_threads: threads,
             band_height: band,
             ..Default::default()
         };
@@ -777,11 +739,13 @@ mod tests {
         )));
         for backend in &mut backends {
             let name = backend.backend_name();
-            let resolved = backend.trainer().resolved_band_height();
-            assert_eq!(resolved, train.band_height, "{name}");
             for _ in 0..2 {
                 backend.execute_batch(cams, tgts);
             }
+            let config = backend.trainer().config();
+            assert_eq!(config.compute_threads, train.compute_threads, "{name}");
+            assert_eq!(config.band_height, train.band_height, "{name}");
+            assert_eq!(config.num_devices, train.num_devices, "{name}");
             assert_eq!(backend.trainer().model(), oracle.model(), "{name}");
         }
     }
@@ -830,7 +794,6 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(sharded.trainer().config().num_devices, 3);
         for _ in 0..2 {
             let a = serial.run_batch(cams, tgts);
             let b = sharded.run_batch(cams, tgts);
@@ -968,7 +931,6 @@ mod tests {
         }
         assert_eq!(losses, 1, "the loss fires exactly once");
         assert_eq!(doomed.config().num_devices, 2, "survivors only");
-        assert_eq!(doomed.trainer().config().num_devices, 2);
         assert_eq!(doomed.trainer().model(), survivor.trainer().model());
         assert_eq!(
             doomed.partition().device_counts().len(),

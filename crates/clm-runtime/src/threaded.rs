@@ -120,25 +120,24 @@ pub struct ThreadedConfig {
     pub policy: PrefetchPolicy,
     /// Threads the CPU Adam lane may chunk one group's update math across
     /// (1 = the lane's own worker thread does everything).  The default is
-    /// the host's *effective* core count — cgroup CPU quotas included — not
-    /// the raw logical CPU count, which oversubscribes the lane by an order
-    /// of magnitude on a quota-limited container.
+    /// [`tuned`](crate::tuned)'s: the host's *effective* core count —
+    /// cgroup CPU quotas included — not the raw logical CPU count, which
+    /// oversubscribes the lane by an order of magnitude on a quota-limited
+    /// container.
     pub adam_threads: usize,
-    /// Target rows per Adam chunk: groups smaller than
-    /// `adam_threads × adam_chunk_rows` fan out across fewer threads, so a
+    /// Target rows per Adam chunk: a group fans out across
+    /// `ceil(rows / adam_chunk_rows)` threads, at most `adam_threads`, so a
     /// small group is not split 64 ways into shards whose hand-off costs
-    /// more than their rows (0 = no target, always fan out to
-    /// `adam_threads`).  Pure scheduling — the detached step is
-    /// bit-identical for every thread count.
+    /// more than their rows (0 counts as 1: one thread per row, up to
+    /// `adam_threads`).  The default is [`tuned`](crate::tuned)'s, sized to
+    /// the L2.  Pure scheduling — the detached step is bit-identical for
+    /// every thread count.
     pub adam_chunk_rows: usize,
     /// Capacity of the bounded request queues (≥ 1).  Capacity 1 gives the
     /// tightest backpressure; larger values let lanes run further ahead of
     /// their consumers.
     pub channel_capacity: usize,
-    /// Worker threads for the banded render compute on the main thread's
-    /// lane (0 = inherit the trainer's `TrainConfig::compute_threads`).
-    /// This is the knob that lets the compute lane itself scale with cores;
-    /// it never changes the numerics.
+    /// Placeholder, never read — see `RuntimeConfig::compute_threads`.
     pub compute_threads: usize,
     /// Placeholder, never read — see `RuntimeConfig::band_height`.
     pub band_height: u32,
@@ -157,11 +156,12 @@ pub struct ThreadedConfig {
 
 impl Default for ThreadedConfig {
     fn default() -> Self {
+        let knobs = crate::tuned().knobs;
         ThreadedConfig {
             prefetch_window: 2,
             policy: PrefetchPolicy::Fixed,
-            adam_threads: sim_device::HostTopology::cached().effective_cores(),
-            adam_chunk_rows: 0,
+            adam_threads: knobs.adam_threads,
+            adam_chunk_rows: knobs.adam_chunk_rows,
             channel_capacity: 2,
             compute_threads: 0,
             band_height: 0,
@@ -207,13 +207,13 @@ impl ThreadedBackend {
     /// Creates a threaded backend around an already-built trainer — the
     /// checkpoint-restore path: the trainer carries its restored model,
     /// optimiser moments and counters, and training continues from there.
-    /// The trainer adopts the backend's `compute_threads` override and its
-    /// device count; its band height stays its own.
+    /// The trainer's config stays its own: it renders at its own width and
+    /// band height, and the backend shards by `config.num_devices`.
     ///
     /// # Panics
     /// Panics if `config.adam_threads`, `config.channel_capacity` or
     /// `config.num_devices` is 0.
-    pub fn with_trainer(mut trainer: Trainer, config: ThreadedConfig) -> Self {
+    pub fn with_trainer(trainer: Trainer, config: ThreadedConfig) -> Self {
         let (threads, capacity, devices) = (
             config.adam_threads,
             config.channel_capacity,
@@ -222,12 +222,6 @@ impl ThreadedBackend {
         assert!(threads > 0, "adam_threads must be at least 1");
         assert!(capacity > 0, "channel_capacity must be at least 1");
         assert!(devices > 0, "num_devices must be at least 1");
-        if config.compute_threads > 0 {
-            trainer.set_compute_threads(config.compute_threads);
-        }
-        // Mirrored for introspection; the backend drives the stepwise API
-        // and shards the rounds itself.
-        trainer.set_num_devices(config.num_devices);
         ThreadedBackend {
             trainer,
             config,
@@ -424,10 +418,11 @@ impl ThreadedBackend {
                 // Chunk-target cap: small groups fan out across fewer
                 // threads.  Identical numerics for any fan-out (the
                 // detached step guarantees it).
-                let fan_out = match config.adam_chunk_rows {
-                    0 => config.adam_threads,
-                    target => threads_for_chunk_rows(indices.len(), target, config.adam_threads),
-                };
+                let fan_out = threads_for_chunk_rows(
+                    indices.len(),
+                    config.adam_chunk_rows,
+                    config.adam_threads,
+                );
                 let step = || {
                     if let Some(fp) = fault {
                         if let Some(attempts) = fp.transient_attempts(OpKind::CpuAdamUpdate) {

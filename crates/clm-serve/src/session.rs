@@ -192,13 +192,13 @@ impl Session {
     /// Builds the session's engine from scratch (fresh model) or from a
     /// restored trainer, at the granted window.
     ///
-    /// The engine adopts the host's autotuned *scheduling* knobs (compute
-    /// width) as its base configuration.  The prefetch window stays the
-    /// service's granted one — it is an admission decision, not a host
-    /// property, and the budget holds because the pool never leases more
-    /// than `window + 1` buffers.  The band height is the tenant's
-    /// `TrainConfig`'s (autotuning never touches it), so a restored trainer
-    /// continues bit-identically to its pre-eviction trajectory.
+    /// Every other field is the `RuntimeConfig` default.  The prefetch
+    /// window is the service's granted one — it is an admission decision,
+    /// not a host property, and the budget holds because the pool never
+    /// leases more than `window + 1` buffers.  The render width and the band
+    /// height are the tenant's own `TrainConfig`'s (the engine overrides
+    /// neither), so a restored trainer continues bit-identically to its
+    /// pre-eviction trajectory.
     pub fn build_backend(&self, restored: Option<clm_core::Trainer>) -> PipelinedEngine {
         let trainer = restored.unwrap_or_else(|| {
             let init = init_from_point_cloud(&self.scene.dataset.ground_truth, &self.spec.init);
@@ -210,7 +210,7 @@ impl Session {
                 prefetch_window: self.granted_window,
                 cost_scale: self.spec.cost_scale,
                 pixel_cost_scale: self.spec.cost_scale,
-                ..RuntimeConfig::autotuned()
+                ..RuntimeConfig::default()
             },
         )
     }

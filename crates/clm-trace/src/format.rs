@@ -275,8 +275,14 @@ impl Trace {
         }
         let backend = read_str(data, &mut pos)?;
         let scene = read_str(data, &mut pos)?;
-        let devices = narrow_u32(varint::read_u64(data, &mut pos)?, "devices")?;
-        let prefetch_window = narrow_u32(varint::read_u64(data, &mut pos)?, "prefetch window")?;
+        let devices = narrow_u32(
+            varint::read_u64(data, &mut pos)?,
+            "devices exceeds u32 range",
+        )?;
+        let prefetch_window = narrow_u32(
+            varint::read_u64(data, &mut pos)?,
+            "prefetch window exceeds u32 range",
+        )?;
         let seed = varint::read_u64(data, &mut pos)?;
         let pcie_latency_s = read_f64_le(data, &mut pos)?;
         let pcie_bandwidth = read_f64_le(data, &mut pos)?;
@@ -325,17 +331,23 @@ impl Trace {
                 });
             }
             let timeline = &mut trace.batches.last_mut().expect("pushed above").timeline;
-            let lane_code = narrow_u32(varint::read_u64(payload, &mut pos)?, "lane code")?;
+            let lane_code = narrow_u32(
+                varint::read_u64(payload, &mut pos)?,
+                "lane code exceeds u32 range",
+            )?;
             let lane =
                 Lane::from_code(lane_code).ok_or(TraceError::Malformed("unknown lane code"))?;
-            let kind_code = narrow_u32(varint::read_u64(payload, &mut pos)?, "op-kind code")?;
+            let kind_code = narrow_u32(
+                varint::read_u64(payload, &mut pos)?,
+                "op-kind code exceeds u32 range",
+            )?;
             let kind = OpKind::from_code(kind_code)
                 .ok_or(TraceError::Malformed("unknown op-kind code"))?;
             let mb_raw = varint::read_u64(payload, &mut pos)?;
             let microbatch = if mb_raw == 0 {
                 None
             } else {
-                Some(narrow_u32(mb_raw - 1, "microbatch")?)
+                Some(narrow_u32(mb_raw - 1, "microbatch exceeds u32 range")?)
             };
             let rows = varint::read_u64(payload, &mut pos)?;
             let bytes = varint::read_u64(payload, &mut pos)?;
@@ -384,13 +396,9 @@ fn read_f64_le(data: &[u8], pos: &mut usize) -> Result<f64, TraceError> {
     Ok(f64::from_le_bytes(varint::read_array(data, pos)?))
 }
 
+/// `v` as a `u32`, or `Malformed(what)`: `what` names the field.
 fn narrow_u32(v: u64, what: &'static str) -> Result<u32, TraceError> {
-    u32::try_from(v).map_err(|_| {
-        // The field name is reported through the generic message — keeping
-        // TraceError allocation-free matters more than per-field detail.
-        let _ = what;
-        TraceError::Malformed("field exceeds u32 range")
-    })
+    u32::try_from(v).map_err(|_| TraceError::Malformed(what))
 }
 
 /// FNV-1a 64-bit hash.

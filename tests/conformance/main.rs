@@ -289,7 +289,7 @@ fn recount(trainer: &mut Trainer, cameras: &[Camera], targets: &[Image]) -> Reco
         .map(|(&view, set)| {
             let options = RenderOptions {
                 visible: Some(set.indices().to_vec()),
-                band_height: trainer.resolved_band_height(),
+                band_height: trainer.config().band_height,
                 ..RenderOptions::default()
             };
             let out = render(trainer.model(), &cameras[view], &options);
@@ -363,8 +363,7 @@ fn every_executor_sends_the_recounted_store_payloads() {
             } = recount(&mut recounter, cameras, targets);
             let bytes_stored: u64 = expected.iter().map(|(_, _, bytes)| bytes).sum();
             let mut first = None;
-            for executor in &mut executors {
-                let label = label(executor.as_ref());
+            for (label, executor) in &mut executors {
                 let report = executor.execute_batch(cameras, targets);
                 assert_eq!(gradient_stores(&report.timeline), expected, "{label}");
                 assert_eq!(report.comm_bytes_d2h(), bytes_stored, "{label}");
@@ -391,7 +390,7 @@ fn every_executor_sends_the_recounted_store_payloads() {
                 .sum::<usize>();
         }
     }
-    for executor in &executors {
+    for (_, executor) in &executors {
         assert_eq!(executor.trainer().model(), recounter.model());
     }
     // Vacuous otherwise: the stores must skip frustum rows no pixel reaches
@@ -404,28 +403,35 @@ fn every_executor_sends_the_recounted_store_payloads() {
     assert!(skipped_rows > 0, "no batch skipped a cold row");
 }
 
-/// Every executor on the scenario: the synchronous trainer, the threaded
-/// backend and one simulated engine per conformance device count,
-/// partitioned over the scenario's views.
-fn conformance_executors(scenario: &Scenario) -> Vec<Box<dyn ExecutionBackend>> {
-    let mut executors: Vec<Box<dyn ExecutionBackend>> = vec![
-        Box::new(scenario.trainer()),
-        Box::new(ThreadedBackend::with_trainer(
-            scenario.trainer(),
-            threaded_config(),
-        )),
+/// Every executor on the scenario, each with its `name@devices` label for
+/// assertion messages: the synchronous trainer, the threaded backend and
+/// one simulated engine per conformance device count, partitioned over the
+/// scenario's views.
+fn conformance_executors(scenario: &Scenario) -> Vec<(String, Box<dyn ExecutionBackend>)> {
+    let mut executors = vec![
+        labelled(Box::new(scenario.trainer()), scenario.train.num_devices),
+        labelled(
+            Box::new(ThreadedBackend::with_trainer(
+                scenario.trainer(),
+                threaded_config(),
+            )),
+            threaded_config().num_devices,
+        ),
     ];
     for devices in conformance_devices() {
         let engine = PipelinedEngine::with_trainer(scenario.trainer(), runtime_config(devices));
-        executors.push(Box::new(engine.partition_over(&scenario.dataset.cameras)));
+        let engine = engine.partition_over(&scenario.dataset.cameras);
+        executors.push(labelled(Box::new(engine), devices));
     }
     executors
 }
 
-/// `name@devices` of an executor, for assertion messages.
-fn label(executor: &dyn ExecutionBackend) -> String {
-    let devices = executor.trainer().config().num_devices;
-    format!("{}@{devices}", executor.backend_name())
+/// An executor with its `name@devices` label.
+fn labelled(
+    executor: Box<dyn ExecutionBackend>,
+    devices: usize,
+) -> (String, Box<dyn ExecutionBackend>) {
+    (format!("{}@{devices}", executor.backend_name()), executor)
 }
 
 #[test]
@@ -445,8 +451,7 @@ fn every_executor_loads_the_recounted_reached_rows() {
             let targets = &scenario.targets[range];
             let Recount { loads, frustum, .. } = recount(&mut recounter, cameras, targets);
             let bytes_loaded: u64 = loads.iter().map(|(_, _, bytes)| bytes).sum();
-            for executor in &mut executors {
-                let label = label(executor.as_ref());
+            for (label, executor) in &mut executors {
                 let report = executor.execute_batch(cameras, targets);
                 assert_eq!(parameter_loads(&report.timeline), loads, "{label}");
                 assert_eq!(report.batch.bytes_loaded, bytes_loaded, "{label}");
@@ -459,7 +464,7 @@ fn every_executor_loads_the_recounted_reached_rows() {
                 .sum::<usize>();
         }
     }
-    for executor in &executors {
+    for (_, executor) in &executors {
         assert_eq!(executor.trainer().model(), recounter.model());
     }
     // Vacuous otherwise: the fetch must skip frustum rows no pixel reaches

@@ -167,10 +167,9 @@ fn training_trajectories_bit_identical_across_compute_threads() {
 
             let mut threaded = ThreadedBackend::new(
                 init.clone(),
-                train(1),
+                train(threads),
                 ThreadedConfig {
                     prefetch_window: 2,
-                    compute_threads: threads,
                     ..Default::default()
                 },
             );

@@ -87,7 +87,6 @@ fn threaded_backend_survives_single_slot_backpressure() {
             prefetch_window: 4,
             adam_threads: 1,
             channel_capacity: 1,
-            compute_threads: 0,
             ..Default::default()
         },
     );
