@@ -18,7 +18,8 @@
 
 use clm_bench::Args;
 use clm_trace::{
-    critical_path, replay_with_knobs, verify_exact, BatchTimeline, KindScale, ReplayKnobs, Trace,
+    critical_path, json_escape, replay_with_knobs, verify_exact, BatchTimeline, KindScale,
+    ReplayKnobs, Trace,
 };
 use std::process::ExitCode;
 
@@ -127,7 +128,7 @@ fn summary_json(trace: &Trace, mode: &str, replays: &[BatchTimeline]) -> String 
          \"replayed_makespan_s\":{replayed_makespan:.9},\
          \"speedup_vs_recorded\":{:.4},\
          \"critical_path_s\":{critical_s:.9},\"critical_path_ops\":{critical_ops}}}",
-        trace.meta.backend,
+        json_escape(&trace.meta.backend),
         replays.len(),
         trace.ops().count(),
         if replayed_makespan > 0.0 {

@@ -8,7 +8,7 @@
 //! round-tripping them through host memory.  [`CachePlan`] captures exactly
 //! that decision for one micro-batch transition.
 
-use crate::offload::{GRADIENT_BYTES, NON_CRITICAL_BYTES};
+use crate::offload::NON_CRITICAL_BYTES;
 use gs_core::visibility::VisibilitySet;
 
 /// The data-movement plan for loading one micro-batch's parameters and
@@ -50,12 +50,6 @@ impl CachePlan {
     /// (non-critical attributes only; selection-critical never move).
     pub fn fetch_bytes(&self) -> u64 {
         (self.fetched.len() * NON_CRITICAL_BYTES) as u64
-    }
-
-    /// Bytes of gradients stored to host memory for this transition: one
-    /// dense row per retiring Gaussian (`BatchPlan::store_bytes`).
-    pub fn store_bytes(&self) -> u64 {
-        (self.grads_to_store.len() * GRADIENT_BYTES) as u64
     }
 
     /// Fraction of the current working set served from the cache
@@ -108,12 +102,6 @@ pub fn batch_fetch_bytes_no_cache(sets: &[VisibilitySet]) -> u64 {
     sets.iter()
         .map(|s| (s.len() * NON_CRITICAL_BYTES) as u64)
         .sum()
-}
-
-/// Total GPU→CPU gradient bytes for an ordered batch with caching — the
-/// dense bound, see [`CachePlan::store_bytes`].
-pub fn batch_store_bytes(sets: &[VisibilitySet]) -> u64 {
-    plan_batch(sets).iter().map(CachePlan::store_bytes).sum()
 }
 
 #[cfg(test)]

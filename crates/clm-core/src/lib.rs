@@ -57,7 +57,7 @@ pub mod schedule;
 pub mod train;
 pub mod tsp;
 
-pub use cache::{batch_fetch_bytes, batch_fetch_bytes_no_cache, batch_store_bytes, CachePlan};
+pub use cache::{batch_fetch_bytes, batch_fetch_bytes_no_cache, CachePlan};
 pub use offload::{
     gather_rows_into, OffloadAccounting, OffloadedModel, GRADIENT_BYTES, NON_CRITICAL_BYTES,
     SELECTION_CRITICAL_BYTES,

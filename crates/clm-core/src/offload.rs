@@ -44,7 +44,6 @@ pub const GRADIENT_BYTES: usize = gs_optim::GRADIENT_ROW_BYTES;
 pub struct OffloadAccounting {
     pub(crate) rows: usize,
     pub(crate) bytes_gathered: u64,
-    pub(crate) bytes_scattered: u64,
 }
 
 impl OffloadAccounting {
@@ -62,11 +61,6 @@ impl OffloadAccounting {
     /// Cumulative CPU→GPU parameter traffic generated by gathers.
     pub fn bytes_gathered(&self) -> u64 {
         self.bytes_gathered
-    }
-
-    /// Cumulative GPU→CPU traffic generated by scatters.
-    pub fn bytes_scattered(&self) -> u64 {
-        self.bytes_scattered
     }
 }
 

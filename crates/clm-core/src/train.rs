@@ -330,10 +330,9 @@ pub struct Trainer {
     /// batches, lent out by [`take_gradients`](Self::take_gradients).
     /// Empty until the first batch that asks for it.
     grads: GradientBuffer,
-    /// Cumulative bytes gathered from (scattered to) pinned host memory —
-    /// the offload's traffic counters ([`offloaded`](Self::offloaded)).
+    /// Cumulative bytes gathered from pinned host memory — the offload's
+    /// traffic counter ([`offloaded`](Self::offloaded)).
     bytes_gathered: u64,
-    bytes_scattered: u64,
 }
 
 impl Trainer {
@@ -351,14 +350,13 @@ impl Trainer {
             last_resize_batch: None,
             grads: GradientBuffer::default(),
             bytes_gathered: 0,
-            bytes_scattered: 0,
         }
     }
 
     /// Rebuilds a trainer from checkpointed state so training continues
     /// bit-identically to the uninterrupted run.  The model's SH column is
     /// the pinned host store, so the model carries it; the offload's traffic
-    /// counters are restored to `bytes_gathered` / `bytes_scattered`.
+    /// counter is restored to `bytes_gathered`.
     ///
     /// # Panics
     /// Panics if the accumulator length does not match the model or the
@@ -373,7 +371,6 @@ impl Trainer {
         resize_events: usize,
         last_resize_batch: Option<usize>,
         bytes_gathered: u64,
-        bytes_scattered: u64,
     ) -> Self {
         assert_eq!(
             grad_norm_accum.len(),
@@ -394,7 +391,6 @@ impl Trainer {
             last_resize_batch,
             grads: GradientBuffer::default(),
             bytes_gathered,
-            bytes_scattered,
         }
     }
 
@@ -409,7 +405,6 @@ impl Trainer {
         OffloadAccounting {
             rows: self.model.len(),
             bytes_gathered: self.bytes_gathered,
-            bytes_scattered: self.bytes_scattered,
         }
     }
 

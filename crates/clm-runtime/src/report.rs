@@ -117,15 +117,9 @@ impl ExecutionReport {
 
     /// Fraction of the makespan the GPU compute lane sat idle — the paper's
     /// headline overlap metric (Figure 15).  For a multi-device report this
-    /// is **device 0's** compute lane; see
-    /// [`device_idle_fraction`](Self::device_idle_fraction) for the others.
+    /// is **device 0's** compute lane.
     pub fn gpu_idle_fraction(&self) -> f64 {
         self.timeline.idle_fraction(Lane::GpuCompute)
-    }
-
-    /// Fraction of the makespan `device`'s compute lane sat idle.
-    pub fn device_idle_fraction(&self, device: usize) -> f64 {
-        self.timeline.idle_fraction(Lane::compute_of(device))
     }
 
     /// CPU→GPU bytes moved on the timeline.
@@ -183,7 +177,10 @@ mod tests {
             (group[0].busy, group[1].busy, group[2].busy),
             (3.0, 1.0, 0.0)
         );
-        assert!(r.device_idle_fraction(1) < r.device_idle_fraction(0));
+        assert!(
+            r.timeline.idle_fraction(Lane::compute_of(1))
+                < r.timeline.idle_fraction(Lane::compute_of(0))
+        );
         let expected = LaneBusy {
             compute: 5.0,
             comm: 3.0,

@@ -1045,7 +1045,6 @@ mod tests {
             t.resize_events(),
             t.last_resize_batch(),
             0,
-            0,
         );
         let (cams, tgts) = (&dataset.cameras[4..8], &targets[4..8]);
         let report = threaded.run_batch(cams, tgts);

@@ -13,8 +13,8 @@
 //!   resize_events      varint
 //!   last_resize_batch  varint   0 = none, else value + 1
 //!   warm flag          1 byte   0/1; if 1: an f64 LE follows (legacy, unread)
-//!   bytes_gathered     varint   offload traffic counters
-//!   bytes_scattered    varint
+//!   bytes_gathered     varint   offload traffic counter
+//!   (legacy)           varint   written as 0, read and dropped
 //!   n                  varint   model length
 //!   model rows         n × 59 f32 LE (param_row layout)
 //!   grad norms         n × f32 LE
@@ -118,8 +118,6 @@ pub struct Checkpoint {
     pub warm_start_ratio: Option<f64>,
     /// Cumulative CPU→GPU gather traffic of the offload.
     pub bytes_gathered: u64,
-    /// Cumulative GPU→CPU scatter traffic.
-    pub bytes_scattered: u64,
     /// The model at the boundary.
     pub model: GaussianModel,
     /// Per-Gaussian positional-gradient norms accumulated since the last
@@ -140,7 +138,6 @@ impl Checkpoint {
             last_resize_batch: trainer.last_resize_batch().map(|b| b as u64),
             warm_start_ratio,
             bytes_gathered: trainer.offloaded().bytes_gathered(),
-            bytes_scattered: trainer.offloaded().bytes_scattered(),
             model: trainer.model().clone(),
             grad_norms: trainer.grad_norm_accum().to_vec(),
             adam: trainer.optimizer().export_rows(),
@@ -170,7 +167,6 @@ impl Checkpoint {
             self.resize_events as usize,
             self.last_resize_batch.map(|b| b as usize),
             self.bytes_gathered,
-            self.bytes_scattered,
         ))
     }
 
@@ -193,7 +189,7 @@ impl Checkpoint {
             None => payload.push(0),
         }
         varint::write_u64(&mut payload, self.bytes_gathered);
-        varint::write_u64(&mut payload, self.bytes_scattered);
+        varint::write_u64(&mut payload, 0);
         varint::write_u64(&mut payload, n as u64);
         for i in 0..n {
             for x in self.model.param_row(i) {
@@ -256,7 +252,7 @@ impl Checkpoint {
             _ => return Err(CkptError::Malformed("bad warm-start flag")),
         };
         let bytes_gathered = varint::read_u64(payload, &mut pos)?;
-        let bytes_scattered = varint::read_u64(payload, &mut pos)?;
+        varint::read_u64(payload, &mut pos)?;
         let n = varint::read_u64(payload, &mut pos)? as usize;
         // Each model row is its parameters plus its gradient norm: refuse a
         // count the bytes left cannot hold before building the model.
@@ -305,7 +301,6 @@ impl Checkpoint {
             last_resize_batch,
             warm_start_ratio,
             bytes_gathered,
-            bytes_scattered,
             model,
             grad_norms,
             adam,
@@ -348,7 +343,6 @@ mod tests {
         ckpt.resize_events = 2;
         ckpt.last_resize_batch = Some(40);
         ckpt.bytes_gathered = 1 << 33;
-        ckpt.bytes_scattered = 12345;
         for (i, g) in ckpt.grad_norms.iter_mut().enumerate() {
             *g = i as f32 * 0.125;
         }

@@ -42,4 +42,4 @@ pub use replay::{
     critical_path, replay_exact, replay_with_knobs, verify_exact, CriticalPath, KindScale,
     ReplayError, ReplayKnobs,
 };
-pub use report::{chrome_trace_json, lane_label, looks_like_report_json, TraceReport};
+pub use report::{chrome_trace_json, json_escape, lane_label, looks_like_report_json, TraceReport};

@@ -9,7 +9,7 @@
 //! exports to Chrome-trace JSON loadable in Perfetto / `chrome://tracing`.
 
 use crate::format::Trace;
-use crate::replay::critical_path;
+use crate::replay::{critical_path, CriticalPath};
 use sim_device::{Lane, OpKind};
 
 /// Busy/utilisation summary for one lane.
@@ -60,18 +60,6 @@ pub struct KindStat {
     pub bytes: u64,
 }
 
-/// Critical-path summary of a replayable trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CriticalSummary {
-    /// Summed critical-path length across batches (equals the summed
-    /// makespans by construction).
-    pub length_s: f64,
-    /// Ops on the path across all batches.
-    pub ops: usize,
-    /// Path seconds attributed to each op kind (zero entries omitted).
-    pub time_by_kind: Vec<(OpKind, f64)>,
-}
-
 /// Aggregated performance report over one trace.
 #[derive(Debug, Clone)]
 pub struct TraceReport {
@@ -96,9 +84,10 @@ pub struct TraceReport {
     pub device_stats: Vec<DeviceStat>,
     /// Per-kind histograms, wire-code order, kinds with zero ops omitted.
     pub kinds: Vec<KindStat>,
-    /// Critical-path decomposition; `None` for measured traces (no
+    /// The batches' critical paths summed (the length is the summed
+    /// makespans by construction); `None` for measured traces (no
     /// dependency edges to walk).
-    pub critical: Option<CriticalSummary>,
+    pub critical: Option<CriticalPath>,
 }
 
 impl TraceReport {
@@ -192,7 +181,7 @@ impl TraceReport {
                     by_kind[kind.code() as usize] += s;
                 }
             }
-            CriticalSummary {
+            CriticalPath {
                 length_s,
                 ops,
                 time_by_kind: OpKind::ALL
@@ -279,8 +268,8 @@ impl TraceReport {
         };
         format!(
             "{{\"schema\":\"clm_trace_report_v1\",\"backend\":\"{}\",\"scene\":\"{}\",\"devices\":{},\"prefetch_window\":{},\"batches\":{},\"events\":{},\"total_makespan_s\":{:.9},\"lanes\":[{}],\"device_stats\":[{}],\"kinds\":[{}],\"critical_path\":{}}}",
-            self.backend,
-            self.scene,
+            json_escape(&self.backend),
+            json_escape(&self.scene),
             self.devices,
             self.prefetch_window,
             self.batches,
@@ -307,6 +296,24 @@ pub fn looks_like_report_json(s: &str) -> bool {
         && s.contains("\"device_stats\":[")
         && s.contains("\"kinds\":[")
         && s.contains("\"critical_path\":")
+}
+
+/// Escapes `s` for use inside a JSON string literal: the quote, the
+/// backslash and every control character.  Trace metadata is decoded from
+/// whatever file a tool is given, so any string of it may hold these.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' | '\\' => {
+                out.push('\\');
+                out.push(c);
+            }
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Exports the raw schedule as Chrome-trace JSON (the `traceEvents` array
@@ -509,6 +516,15 @@ mod tests {
         assert!(looks_like_report_json(&json), "{json}");
         assert!(!looks_like_report_json("{}"));
         assert!(!looks_like_report_json(&json[1..]));
+    }
+
+    #[test]
+    fn report_json_escapes_the_recorded_strings() {
+        let mut trace = two_batch_trace();
+        trace.meta.scene = "a\"b\\c".into();
+        let json = TraceReport::build(&trace).to_json();
+        assert!(json.contains(r#""scene":"a\"b\\c","#), "{json}");
+        assert_eq!(json_escape("x\ny\u{1}"), r"x\u000ay\u0001");
     }
 
     #[test]

@@ -54,7 +54,6 @@ fn checkpoint_from(
         last_resize_batch: if batches > 0 { Some(batches - 1) } else { None },
         warm_start_ratio: warm,
         bytes_gathered: batches.wrapping_mul(59 * 4),
-        bytes_scattered: batches.wrapping_mul(31),
         model,
         grad_norms,
         adam,

@@ -138,11 +138,6 @@ impl CameraExtrinsics {
     pub fn camera_center(&self) -> Vec3 {
         -(self.rotation.transpose() * self.translation)
     }
-
-    /// The world-space viewing direction (camera +Z axis).
-    pub fn view_direction(&self) -> Vec3 {
-        self.rotation.transpose() * Vec3::Z
-    }
 }
 
 /// A plane in Hessian normal form: points `p` with `n·p + d >= 0` are on the
@@ -184,9 +179,6 @@ pub struct Frustum {
 }
 
 impl Frustum {
-    /// Number of planes.
-    pub const PLANE_COUNT: usize = 6;
-
     /// Creates a frustum from explicit planes.
     pub fn from_planes(planes: [Plane; 6]) -> Self {
         Frustum { planes }
@@ -401,16 +393,6 @@ mod tests {
             test_intrinsics(),
         );
         assert!(cam.project(Vec3::new(0.0, 0.0, -10.0)).is_none());
-    }
-
-    #[test]
-    fn view_direction_points_at_target() {
-        let eye = Vec3::new(1.0, 2.0, 3.0);
-        let target = Vec3::new(-4.0, 0.0, 8.0);
-        let ext = CameraExtrinsics::look_at(eye, target, Vec3::Y);
-        let dir = ext.view_direction();
-        let expected = (target - eye).normalized();
-        assert!((dir - expected).length() < 1e-4);
     }
 
     #[test]

@@ -32,26 +32,6 @@ pub const CULL_FOV_MARGIN: f32 = 1.15;
 /// with respect to the renderer.
 pub const CULL_SIGMA_SLACK: f32 = 0.5;
 
-/// Summary statistics of one culling pass.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CullStats {
-    /// Total Gaussians tested.
-    pub total: usize,
-    /// Gaussians found in-frustum.
-    pub in_frustum: usize,
-}
-
-impl CullStats {
-    /// Sparsity ρ = in_frustum / total (0 when the model is empty).
-    pub fn sparsity(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.in_frustum as f64 / self.total as f64
-        }
-    }
-}
-
 /// Computes the set of in-frustum Gaussians for `camera`: [`cull_batch`] of
 /// the one view.
 ///
@@ -70,7 +50,8 @@ impl CullStats {
 /// assert_eq!(cull_frustum(&model, &cam).len(), 1);
 /// ```
 pub fn cull_frustum(model: &GaussianModel, camera: &Camera) -> VisibilitySet {
-    VisibilitySet::from_sorted(cull_frustum_indices(model, camera))
+    let mut views = cull_rows(model, std::slice::from_ref(camera));
+    VisibilitySet::from_sorted(views.pop().expect("one view in, one index list out"))
 }
 
 /// Radius of the bounding sphere the culling test puts around a Gaussian
@@ -80,23 +61,9 @@ fn cull_radius(log_scale: Vec3) -> f32 {
     (CULL_SIGMA + CULL_SIGMA_SLACK) * log_scale.map(f32::exp).max_component()
 }
 
-/// Like [`cull_frustum`] but returns the raw sorted index vector.
-pub fn cull_frustum_indices(model: &GaussianModel, camera: &Camera) -> Vec<u32> {
-    let mut views = cull_rows(model, std::slice::from_ref(camera));
-    views.pop().expect("one view in, one index list out")
-}
-
-/// Computes [`CullStats`] (total vs. in-frustum counts) for one view.
-pub fn cull_stats(model: &GaussianModel, camera: &Camera) -> CullStats {
-    CullStats {
-        total: model.len(),
-        in_frustum: cull_frustum_indices(model, camera).len(),
-    }
-}
-
 /// Sparsity ρ_i = |S_i| / N for one view, the quantity plotted in Figure 5.
 pub fn sparsity(model: &GaussianModel, camera: &Camera) -> f64 {
-    cull_stats(model, camera).sparsity()
+    cull_frustum(model, camera).sparsity(model.len())
 }
 
 /// Computes visibility sets for a whole batch of views in **one pass** over
@@ -327,24 +294,6 @@ mod tests {
             "dense scene should be almost fully visible, rho={dense}"
         );
         assert!(sparse < 0.05, "huge scene should be sparse, rho={sparse}");
-    }
-
-    #[test]
-    fn cull_stats_consistency() {
-        let mut model = GaussianModel::new();
-        for i in 0..10 {
-            model.push(Gaussian::isotropic(
-                Vec3::new(0.0, 0.0, 5.0 + i as f32),
-                0.1,
-                [0.5; 3],
-                0.9,
-            ));
-        }
-        let cam = forward_camera();
-        let stats = cull_stats(&model, &cam);
-        assert_eq!(stats.total, 10);
-        assert_eq!(stats.in_frustum, cull_frustum(&model, &cam).len());
-        assert!((stats.sparsity() - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -29,8 +29,6 @@ pub const PARAMS_PER_GAUSSIAN: usize = 59;
 pub const SELECTION_CRITICAL_FLOATS: usize = 11;
 /// Floats offloadable to CPU memory: the SH coefficients (48).
 pub const NON_CRITICAL_FLOATS: usize = PARAMS_PER_GAUSSIAN - SELECTION_CRITICAL_FLOATS;
-/// SH coefficients per colour channel (degree 3).
-pub const SH_COEFFS_PER_CHANNEL: usize = NUM_SH_COEFFS;
 /// Total SH floats per Gaussian (3 channels × 16 coefficients).
 pub const SH_FLOATS: usize = 3 * NUM_SH_COEFFS;
 /// Copies of each parameter kept during training: the parameter itself, its
@@ -135,12 +133,6 @@ impl Gaussian {
         sigmoid(self.opacity_logit)
     }
 
-    /// Radius of the bounding sphere at `k` standard deviations
-    /// (`k = 3` is the culling convention used by 3DGS).
-    pub fn bounding_radius(&self, k: f32) -> f32 {
-        k * self.scale().max_component()
-    }
-
     /// 3D covariance matrix `Σ = R S Sᵀ Rᵀ`.
     pub fn covariance(&self) -> Mat3 {
         covariance(self.log_scale, self.rotation)
@@ -212,17 +204,6 @@ impl GaussianModel {
     /// Total number of learnable parameters (`len() × 59`).
     pub fn parameter_count(&self) -> usize {
         self.len() * PARAMS_PER_GAUSSIAN
-    }
-
-    /// Bytes of raw parameters (no gradients / optimizer state).
-    pub fn parameter_bytes(&self) -> usize {
-        self.parameter_count() * crate::BYTES_PER_PARAM
-    }
-
-    /// Bytes of full training state (parameters, gradients, two Adam
-    /// moments), as used for the paper's memory-demand estimates.
-    pub fn training_state_bytes(&self) -> usize {
-        self.len() * crate::training_bytes_per_gaussian()
     }
 
     /// Appends one Gaussian, returning its index.
@@ -575,7 +556,6 @@ mod tests {
         let s = g.scale();
         assert!((s.x - 0.5).abs() < 1e-6);
         assert!((g.opacity() - 0.75).abs() < 1e-5);
-        assert!((g.bounding_radius(3.0) - 1.5).abs() < 1e-6);
     }
 
     #[test]
@@ -721,8 +701,6 @@ mod tests {
             model.push(Gaussian::default());
         }
         assert_eq!(model.parameter_count(), 5900);
-        assert_eq!(model.parameter_bytes(), 5900 * 4);
-        assert_eq!(model.training_state_bytes(), 100 * 944);
     }
 
     #[test]

@@ -37,18 +37,16 @@
 
 pub mod camera;
 pub mod culling;
-pub mod error;
 pub mod gaussian;
 pub mod math;
 pub mod sh;
 pub mod visibility;
 
 pub use camera::{Camera, CameraExtrinsics, CameraIntrinsics, Frustum, Plane};
-pub use culling::{cull_batch, cull_frustum, cull_frustum_indices, sparsity, CullStats};
-pub use error::GsError;
+pub use culling::{cull_batch, cull_frustum, sparsity};
 pub use gaussian::{
     AttributeKind, Gaussian, GaussianModel, ModelRowsMut, NON_CRITICAL_FLOATS, PARAMS_PER_GAUSSIAN,
-    SELECTION_CRITICAL_FLOATS, SH_COEFFS_PER_CHANNEL, SH_FLOATS, TRAINING_STATE_COPIES,
+    SELECTION_CRITICAL_FLOATS, SH_FLOATS, TRAINING_STATE_COPIES,
 };
 pub use visibility::VisibilitySet;
 

@@ -31,12 +31,6 @@ impl Vec3 {
         y: 0.0,
         z: 0.0,
     };
-    /// The all-ones vector.
-    pub const ONE: Vec3 = Vec3 {
-        x: 1.0,
-        y: 1.0,
-        z: 1.0,
-    };
     /// Unit X axis.
     pub const X: Vec3 = Vec3 {
         x: 1.0,
@@ -83,11 +77,6 @@ impl Vec3 {
     /// Euclidean length.
     pub fn length(self) -> f32 {
         self.dot(self).sqrt()
-    }
-
-    /// Squared Euclidean length (avoids the square root).
-    pub fn length_squared(self) -> f32 {
-        self.dot(self)
     }
 
     /// Returns the vector scaled to unit length.
@@ -473,11 +462,6 @@ impl Sym2 {
         let disc = (mid * mid - self.determinant()).max(0.0).sqrt();
         mid + disc
     }
-
-    /// Evaluates the quadratic form `dᵀ M d` for an offset `d = (dx, dy)`.
-    pub fn quadratic_form(self, dx: f32, dy: f32) -> f32 {
-        self.a * dx * dx + 2.0 * self.b * dx * dy + self.c * dy * dy
-    }
 }
 
 /// A unit quaternion representing a 3D rotation, stored as `(w, x, y, z)`.
@@ -575,16 +559,6 @@ impl Quat {
     /// Returns the components as `[w, x, y, z]`.
     pub fn to_array(self) -> [f32; 4] {
         [self.w, self.x, self.y, self.z]
-    }
-
-    /// Hamilton product `self · rhs`.
-    pub fn mul_quat(self, rhs: Quat) -> Quat {
-        Quat::new(
-            self.w * rhs.w - self.x * rhs.x - self.y * rhs.y - self.z * rhs.z,
-            self.w * rhs.x + self.x * rhs.w + self.y * rhs.z - self.z * rhs.y,
-            self.w * rhs.y - self.x * rhs.z + self.y * rhs.w + self.z * rhs.x,
-            self.w * rhs.z + self.x * rhs.y - self.y * rhs.x + self.z * rhs.w,
-        )
     }
 }
 
@@ -706,19 +680,6 @@ mod tests {
     fn quat_zero_normalizes_to_identity() {
         let q = Quat::new(0.0, 0.0, 0.0, 0.0).normalized();
         assert_eq!(q, Quat::IDENTITY);
-    }
-
-    #[test]
-    fn quat_product_composes_rotations() {
-        let a = Quat::from_axis_angle(Vec3::Z, 0.3);
-        let b = Quat::from_axis_angle(Vec3::Z, 0.5);
-        let composed = a.mul_quat(b).to_rotation_matrix();
-        let expected = Quat::from_axis_angle(Vec3::Z, 0.8).to_rotation_matrix();
-        for r in 0..3 {
-            for c in 0..3 {
-                assert_close(composed.m[r][c], expected.m[r][c], 1e-5);
-            }
-        }
     }
 
     #[test]

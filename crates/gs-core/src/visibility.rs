@@ -143,17 +143,6 @@ impl VisibilitySet {
         VisibilitySet { indices: out }
     }
 
-    /// Jaccard similarity `|A ∩ B| / |A ∪ B|`, a normalised measure of the
-    /// spatial locality between two views (1 = identical working sets).
-    pub fn jaccard(&self, other: &VisibilitySet) -> f64 {
-        let union = self.union_len(other);
-        if union == 0 {
-            1.0
-        } else {
-            self.intersection_len(other) as f64 / union as f64
-        }
-    }
-
     /// Iterator over the contained indices.
     pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
         self.indices.iter().copied()
@@ -257,14 +246,6 @@ mod tests {
         assert_eq!(a.difference(&b).indices(), &[1, 2]);
         assert_eq!(b.difference(&a).indices(), &[5]);
         assert_eq!(a.union(&b).indices(), &[1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn jaccard_of_identical_sets_is_one() {
-        let a = VisibilitySet::from_unsorted(vec![7, 8, 9]);
-        assert_eq!(a.jaccard(&a.clone()), 1.0);
-        let empty = VisibilitySet::new();
-        assert_eq!(empty.jaccard(&empty.clone()), 1.0);
     }
 
     #[test]

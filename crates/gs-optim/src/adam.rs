@@ -494,12 +494,6 @@ impl GaussianAdam {
         self.steps.is_empty()
     }
 
-    /// Bytes of optimiser state (two moments per parameter), matching the
-    /// paper's accounting.
-    pub fn state_bytes(&self) -> usize {
-        self.steps.len() * PARAMS_PER_GAUSSIAN * 2 * 4
-    }
-
     /// Ensures state exists for `len` Gaussians (used after densification).
     pub fn resize(&mut self, len: usize) {
         self.m.resize(len, ZERO_ROW);
@@ -1125,13 +1119,6 @@ mod tests {
         assert_eq!(opt.len(), 5);
         assert_eq!(opt.step_count(0), 1, "existing state preserved");
         assert_eq!(opt.step_count(4), 0);
-    }
-
-    #[test]
-    fn state_bytes_accounting() {
-        let opt = GaussianAdam::new(100, AdamConfig::default());
-        // Two moments per parameter: 59 * 2 * 4 bytes per Gaussian.
-        assert_eq!(opt.state_bytes(), 100 * 472);
     }
 
     #[test]

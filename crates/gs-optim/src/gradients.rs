@@ -243,17 +243,6 @@ impl GradientBuffer {
         self.received.clear();
         self.rows.clear();
     }
-
-    /// Sum of the L2 norms of every touched Gaussian's gradient (a cheap
-    /// global magnitude measure used in tests and densification heuristics).
-    pub fn total_norm(&self) -> f32 {
-        self.touched_set()
-            .indices()
-            .iter()
-            .map(|&i| self.row(i).norm().powi(2))
-            .sum::<f32>()
-            .sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -315,7 +304,6 @@ mod tests {
         buf.clear();
         assert_eq!(buf.row(2).d_position, Vec3::ZERO);
         assert_eq!(buf.touched_count(), 0);
-        assert_eq!(buf.total_norm(), 0.0);
         assert_eq!(buf, GradientBuffer::new(4));
     }
 
@@ -639,13 +627,5 @@ mod tests {
             prop_assert!(buf.is_touched(index));
             prop_assert_eq!(buf.touched_count(), 1);
         }
-    }
-
-    #[test]
-    fn total_norm_of_known_gradients() {
-        let mut buf = GradientBuffer::new(2);
-        buf.add(0, &grad(3.0, 0.0));
-        buf.add(1, &grad(0.0, 4.0));
-        assert!((buf.total_norm() - 5.0).abs() < 1e-6);
     }
 }

@@ -1,4 +1,4 @@
-//! RGB float images and image-quality metrics (PSNR, SSIM, L1/L2 error).
+//! RGB float images and the image-quality metrics MSE and PSNR.
 
 /// A dense RGB image with `f32` channels in `[0, 1]` (values outside the
 /// range are permitted but clipped by the metrics where appropriate).
@@ -28,24 +28,6 @@ impl Image {
             width,
             height,
             pixels: vec![color; width as usize * height as usize],
-        }
-    }
-
-    /// Creates an image from raw pixel data in row-major order.
-    ///
-    /// # Panics
-    /// Panics if `pixels.len() != width * height`.
-    pub fn from_pixels(width: u32, height: u32, pixels: Vec<[f32; 3]>) -> Self {
-        assert_eq!(
-            pixels.len(),
-            width as usize * height as usize,
-            "pixel buffer size must match dimensions"
-        );
-        assert!(width > 0 && height > 0, "image dimensions must be non-zero");
-        Image {
-            width,
-            height,
-            pixels,
         }
     }
 
@@ -85,53 +67,6 @@ impl Image {
         );
         self.pixels[(y * self.width + x) as usize]
     }
-
-    /// Sets the pixel at `(x, y)`.
-    ///
-    /// # Panics
-    /// Panics if the coordinates are out of bounds.
-    pub fn set_pixel(&mut self, x: u32, y: u32, value: [f32; 3]) {
-        assert!(
-            x < self.width && y < self.height,
-            "pixel ({x},{y}) out of bounds"
-        );
-        self.pixels[(y * self.width + x) as usize] = value;
-    }
-
-    /// Mean value of every channel of every pixel.
-    pub fn mean(&self) -> f32 {
-        if self.pixels.is_empty() {
-            return 0.0;
-        }
-        let sum: f32 = self.pixels.iter().map(|p| p[0] + p[1] + p[2]).sum();
-        sum / (self.pixels.len() as f32 * 3.0)
-    }
-
-    /// Per-channel luminance (simple average of R, G, B) at pixel index `i`.
-    fn luma(&self, i: usize) -> f32 {
-        let p = self.pixels[i];
-        (p[0] + p[1] + p[2]) / 3.0
-    }
-
-    /// Approximate memory footprint of the pixel buffer in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.pixels.len() * 3 * std::mem::size_of::<f32>()
-    }
-}
-
-/// Mean absolute error between two images.
-///
-/// # Panics
-/// Panics if the images have different dimensions.
-pub fn l1_error(a: &Image, b: &Image) -> f32 {
-    assert_same_size(a, b);
-    let mut sum = 0.0;
-    for (pa, pb) in a.pixels().iter().zip(b.pixels()) {
-        for c in 0..3 {
-            sum += (pa[c] - pb[c]).abs();
-        }
-    }
-    sum / (a.pixel_count() as f32 * 3.0)
 }
 
 /// Mean squared error between two images.
@@ -165,69 +100,6 @@ pub fn psnr(rendered: &Image, ground_truth: &Image) -> f32 {
     }
 }
 
-/// Structural similarity (SSIM) between two images, computed on the
-/// per-pixel luminance with an 8×8 box window (a light-weight variant of the
-/// standard 11×11 Gaussian-window SSIM; adequate as a *metric*).
-///
-/// Returns a value in `[-1, 1]` where 1 means identical.
-///
-/// # Panics
-/// Panics if the images have different dimensions.
-pub fn ssim(a: &Image, b: &Image) -> f32 {
-    assert_same_size(a, b);
-    const C1: f32 = 0.01 * 0.01;
-    const C2: f32 = 0.03 * 0.03;
-    let window: u32 = 8;
-    let w = a.width();
-    let h = a.height();
-    let mut total = 0.0;
-    let mut windows = 0usize;
-    let mut by = 0;
-    while by < h {
-        let mut bx = 0;
-        while bx < w {
-            let x_end = (bx + window).min(w);
-            let y_end = (by + window).min(h);
-            let n = ((x_end - bx) * (y_end - by)) as f32;
-            let (mut ma, mut mb) = (0.0f32, 0.0f32);
-            for y in by..y_end {
-                for x in bx..x_end {
-                    let idx = (y * w + x) as usize;
-                    ma += a.luma(idx);
-                    mb += b.luma(idx);
-                }
-            }
-            ma /= n;
-            mb /= n;
-            let (mut va, mut vb, mut cov) = (0.0f32, 0.0f32, 0.0f32);
-            for y in by..y_end {
-                for x in bx..x_end {
-                    let idx = (y * w + x) as usize;
-                    let da = a.luma(idx) - ma;
-                    let db = b.luma(idx) - mb;
-                    va += da * da;
-                    vb += db * db;
-                    cov += da * db;
-                }
-            }
-            va /= n;
-            vb /= n;
-            cov /= n;
-            let s = ((2.0 * ma * mb + C1) * (2.0 * cov + C2))
-                / ((ma * ma + mb * mb + C1) * (va + vb + C2));
-            total += s;
-            windows += 1;
-            bx += window;
-        }
-        by += window;
-    }
-    if windows == 0 {
-        1.0
-    } else {
-        total / windows as f32
-    }
-}
-
 fn assert_same_size(a: &Image, b: &Image) {
     assert!(
         a.width() == b.width() && a.height() == b.height(),
@@ -245,14 +117,11 @@ mod tests {
 
     #[test]
     fn construction_and_accessors() {
-        let mut img = Image::new(4, 3);
+        let img = Image::new(4, 3);
         assert_eq!(img.width(), 4);
         assert_eq!(img.height(), 3);
         assert_eq!(img.pixel_count(), 12);
         assert_eq!(img.pixel(0, 0), [0.0; 3]);
-        img.set_pixel(2, 1, [0.5, 0.25, 1.0]);
-        assert_eq!(img.pixel(2, 1), [0.5, 0.25, 1.0]);
-        assert_eq!(img.byte_size(), 12 * 12);
     }
 
     #[test]
@@ -263,18 +132,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must match dimensions")]
-    fn from_pixels_checks_length() {
-        let _ = Image::from_pixels(2, 2, vec![[0.0; 3]; 3]);
-    }
-
-    #[test]
     fn identical_images_have_zero_error_and_infinite_psnr() {
         let img = Image::filled(8, 8, [0.3, 0.6, 0.9]);
-        assert_eq!(l1_error(&img, &img), 0.0);
         assert_eq!(mse(&img, &img), 0.0);
         assert_eq!(psnr(&img, &img), f32::INFINITY);
-        assert!((ssim(&img, &img) - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -283,7 +144,6 @@ mod tests {
         let b = Image::filled(8, 8, [0.1; 3]);
         // MSE = 0.01, PSNR = -10 log10(0.01) = 20 dB.
         assert!((psnr(&a, &b) - 20.0).abs() < 1e-3);
-        assert!((l1_error(&a, &b) - 0.1).abs() < 1e-6);
     }
 
     #[test]
@@ -295,35 +155,10 @@ mod tests {
     }
 
     #[test]
-    fn ssim_detects_structural_differences() {
-        let mut a = Image::new(16, 16);
-        let mut b = Image::new(16, 16);
-        for y in 0..16 {
-            for x in 0..16 {
-                let v = if (x + y) % 2 == 0 { 1.0 } else { 0.0 };
-                a.set_pixel(x, y, [v; 3]);
-                // b is the inverted checkerboard.
-                b.set_pixel(x, y, [1.0 - v; 3]);
-            }
-        }
-        assert!(
-            ssim(&a, &b) < 0.1,
-            "inverted structure should have low SSIM"
-        );
-        assert!(ssim(&a, &a) > 0.99);
-    }
-
-    #[test]
     #[should_panic(expected = "size mismatch")]
     fn metrics_reject_size_mismatch() {
         let a = Image::new(4, 4);
         let b = Image::new(5, 4);
         let _ = psnr(&a, &b);
-    }
-
-    #[test]
-    fn mean_of_filled_image() {
-        let img = Image::filled(3, 3, [0.2, 0.4, 0.6]);
-        assert!((img.mean() - 0.4).abs() < 1e-6);
     }
 }

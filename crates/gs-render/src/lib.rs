@@ -50,8 +50,8 @@ pub mod parallel;
 pub mod projection;
 pub mod rasterize;
 
-pub use image::{l1_error, mse, psnr, ssim, Image};
-pub use loss::{l1_loss, l2_loss, LossOutput};
+pub use image::{mse, psnr, Image};
+pub use loss::{l1_loss, LossOutput};
 pub use parallel::{parallel_for_each, parallel_map};
 pub use projection::{
     project_gaussian, project_gaussian_backward, GaussianGradients, ProjectedGaussian,

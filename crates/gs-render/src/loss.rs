@@ -2,10 +2,10 @@
 //!
 //! The reference 3DGS recipe uses `0.8·L1 + 0.2·(1 − SSIM)`.  In this
 //! reproduction the differentiable part of the loss is L1 (whose gradient is
-//! trivial and exact); SSIM and PSNR are exposed as evaluation metrics in
-//! [`crate::image`].  The training dynamics relevant to CLM (which Gaussians
-//! receive gradients, and how large those gradients are) are unaffected by
-//! this simplification because the gradient *sparsity pattern* is identical.
+//! trivial and exact); PSNR, in [`crate::image`], is the evaluation metric.
+//! The training dynamics relevant to CLM (which Gaussians receive gradients,
+//! and how large those gradients are) are unaffected by this simplification
+//! because the gradient *sparsity pattern* is identical.
 
 use crate::image::Image;
 
@@ -55,36 +55,6 @@ pub fn l1_loss(rendered: &Image, ground_truth: &Image) -> LossOutput {
     }
 }
 
-/// Mean squared error loss with its gradient.
-///
-/// # Panics
-/// Panics if the images have different dimensions.
-pub fn l2_loss(rendered: &Image, ground_truth: &Image) -> LossOutput {
-    assert!(
-        rendered.width() == ground_truth.width() && rendered.height() == ground_truth.height(),
-        "image size mismatch"
-    );
-    let n = (rendered.pixel_count() * 3) as f32;
-    let mut value = 0.0;
-    let mut d_image = vec![[0.0f32; 3]; rendered.pixel_count()];
-    for (i, (pr, pg)) in rendered
-        .pixels()
-        .iter()
-        .zip(ground_truth.pixels())
-        .enumerate()
-    {
-        for c in 0..3 {
-            let diff = pr[c] - pg[c];
-            value += diff * diff;
-            d_image[i][c] = 2.0 * diff / n;
-        }
-    }
-    LossOutput {
-        value: value / n,
-        d_image,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,32 +78,6 @@ mod tests {
             for c in 0..3 {
                 assert!((p[c] - 1.0 / 12.0).abs() < 1e-7);
             }
-        }
-    }
-
-    #[test]
-    fn l2_loss_gradient_matches_finite_difference() {
-        let mut a = Image::new(3, 2);
-        let mut b = Image::new(3, 2);
-        for (i, p) in a.pixels_mut().iter_mut().enumerate() {
-            *p = [(i as f32) * 0.1, 0.3, 0.9 - i as f32 * 0.05];
-        }
-        for (i, p) in b.pixels_mut().iter_mut().enumerate() {
-            *p = [0.5, (i as f32) * 0.07, 0.2];
-        }
-        let out = l2_loss(&a, &b);
-        let eps = 1e-3;
-        for (pix, chan) in [(0usize, 0usize), (3, 1), (5, 2)] {
-            let mut plus = a.clone();
-            plus.pixels_mut()[pix][chan] += eps;
-            let mut minus = a.clone();
-            minus.pixels_mut()[pix][chan] -= eps;
-            let fd = (l2_loss(&plus, &b).value - l2_loss(&minus, &b).value) / (2.0 * eps);
-            assert!(
-                (fd - out.d_image[pix][chan]).abs() < 1e-4,
-                "pixel {pix} chan {chan}: {fd} vs {}",
-                out.d_image[pix][chan]
-            );
         }
     }
 

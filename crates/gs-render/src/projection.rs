@@ -165,21 +165,6 @@ impl GaussianGradients {
         }
         self.d_opacity_logit += other.d_opacity_logit;
     }
-
-    /// L2 norm over all 59 components (useful for densification heuristics
-    /// and tests).
-    pub fn norm(&self) -> f32 {
-        let mut acc = self.d_position.length_squared()
-            + self.d_log_scale.length_squared()
-            + self.d_opacity_logit * self.d_opacity_logit;
-        for v in self.d_rotation {
-            acc += v * v;
-        }
-        for v in self.d_sh {
-            acc += v * v;
-        }
-        acc.sqrt()
-    }
 }
 
 /// Everything the projection derives from the camera alone, evaluated once
@@ -1019,8 +1004,6 @@ mod tests {
         b.d_position = Vec3::new(0.0, 4.0, 0.0);
         a.accumulate(&b);
         assert_eq!(a.d_position, Vec3::new(3.0, 4.0, 0.0));
-        assert!((a.norm() - 5.0).abs() < 1e-6);
-        assert!(GaussianGradients::default().norm() == 0.0);
     }
 
     #[test]

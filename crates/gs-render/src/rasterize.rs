@@ -790,7 +790,8 @@ impl TileSoa {
 
     /// Evaluates the alpha and the Gaussian factor `exp(power)` of the
     /// [`LANES`] splats starting at `base` at pixel centre `(cx, cy)`, with
-    /// `power = -0.5 * conic.quadratic_form(dx, dy)` and `dx = cx - mean_x`.
+    /// `power = -0.5 * (a·dx² + 2b·dx·dy + c·dy²)` over the conic `(a, b, c)`
+    /// and `dx = cx - mean_x`.
     /// The exponents come from a branch-free loop over array slices (the
     /// SIMD-friendly shape; keep it apart from the `exp` calls, which stop
     /// it vectorising); `alphas[l] < MIN_ALPHA` encodes "skipped" (outside

@@ -94,12 +94,6 @@ impl Dataset {
             .map(|cam| gs_core::culling::sparsity(&self.ground_truth, cam))
             .collect()
     }
-
-    /// The scale factor between this synthetic dataset and the paper's
-    /// full-size scene (in Gaussian count).
-    pub fn gaussian_scale_factor(&self) -> f64 {
-        self.config.num_gaussians as f64 / self.spec.full_gaussians as f64
-    }
 }
 
 /// Generates a synthetic dataset for `spec` at the size given by `config`.
@@ -291,7 +285,6 @@ mod tests {
         assert_eq!(ds.ground_truth.len(), 500);
         assert_eq!(ds.num_views(), 20);
         assert_eq!(ds.cameras[0].intrinsics.width, 40);
-        assert!(ds.gaussian_scale_factor() < 1e-4);
     }
 
     #[test]

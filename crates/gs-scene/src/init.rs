@@ -80,36 +80,6 @@ pub fn init_from_point_cloud(reference: &GaussianModel, config: &InitConfig) -> 
     model
 }
 
-/// Builds an initial model of uniformly random Gaussians inside the bounding
-/// box of `reference` (the "random initialisation" fallback mentioned in
-/// §2.1).
-///
-/// # Panics
-/// Panics if `reference` is empty or `config.num_gaussians` is zero.
-pub fn init_random(reference: &GaussianModel, config: &InitConfig) -> GaussianModel {
-    assert!(!reference.is_empty(), "reference model must not be empty");
-    assert!(config.num_gaussians > 0, "need at least one gaussian");
-    let (min, max) = reference
-        .bounding_box()
-        .expect("non-empty model has a bounding box");
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut model = GaussianModel::with_capacity(config.num_gaussians);
-    for _ in 0..config.num_gaussians {
-        let position = Vec3::new(
-            rng.gen_range(min.x..=max.x),
-            rng.gen_range(min.y..=max.y),
-            rng.gen_range(min.z..=max.z),
-        );
-        model.push(Gaussian::isotropic(
-            position,
-            config.initial_sigma,
-            [0.5, 0.5, 0.5],
-            config.initial_opacity,
-        ));
-    }
-    model
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,22 +123,6 @@ mod tests {
             init_from_point_cloud(&reference, &cfg),
             init_from_point_cloud(&reference, &other)
         );
-    }
-
-    #[test]
-    fn random_init_fills_bounding_box() {
-        let reference = reference();
-        let init = init_random(
-            &reference,
-            &InitConfig {
-                num_gaussians: 300,
-                ..Default::default()
-            },
-        );
-        assert_eq!(init.len(), 300);
-        let (rmin, rmax) = reference.bounding_box().unwrap();
-        let (imin, imax) = init.bounding_box().unwrap();
-        assert!(imin.x >= rmin.x - 1e-3 && imax.x <= rmax.x + 1e-3);
     }
 
     #[test]

@@ -35,6 +35,6 @@ pub use densify::{
     ResizeEvent,
 };
 pub use generate::{generate_dataset, Dataset, DatasetConfig};
-pub use init::{init_from_point_cloud, init_random, InitConfig};
+pub use init::{init_from_point_cloud, InitConfig};
 pub use partition::{partition_by_footprint, projected_footprints, GaussianPartition};
 pub use spec::{SceneKind, SceneSpec, Trajectory};

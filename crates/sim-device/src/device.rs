@@ -6,10 +6,6 @@
 //! capacity, host (pinned) memory capacity, PCIe bandwidth/latency, relative
 //! GPU compute rate and CPU Adam throughput — plus the coefficients of a
 //! simple analytic cost model for rendering work.
-//!
-//! Because this reproduction runs scenes at a reduced scale, profiles can be
-//! [`scaled`](DeviceProfile::scale_capacity) so that out-of-memory
-//! crossovers land at the same *relative* model sizes as in the paper.
 
 /// Capacities and rates of one simulated GPU + host testbed.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,21 +79,6 @@ impl DeviceProfile {
             backward_multiplier: 2.0,
             fragmentation_overhead: 0.06,
         }
-    }
-
-    /// Returns a copy with GPU and host memory capacities multiplied by
-    /// `factor`, used to run the paper's experiments at reduced scene scale
-    /// while preserving where OOM crossovers fall.
-    ///
-    /// # Panics
-    /// Panics if `factor` is not strictly positive.
-    pub fn scale_capacity(&self, factor: f64) -> Self {
-        assert!(factor > 0.0, "scale factor must be positive, got {factor}");
-        let mut out = self.clone();
-        out.gpu_memory_bytes = (self.gpu_memory_bytes as f64 * factor).round() as u64;
-        out.host_memory_bytes = (self.host_memory_bytes as f64 * factor).round() as u64;
-        out.name = format!("{} (x{factor:.4} capacity)", self.name);
-        out
     }
 
     /// GPU memory usable after subtracting the fragmentation overhead.
@@ -185,22 +166,5 @@ mod tests {
     fn gpu_adam_is_much_faster_than_cpu_adam() {
         let p = DeviceProfile::rtx4090();
         assert!(p.gpu_adam_time(1_000_000) < p.cpu_adam_time(1_000_000) / 10.0);
-    }
-
-    #[test]
-    fn scaled_capacity_preserves_rates() {
-        let p = DeviceProfile::rtx4090().scale_capacity(0.001);
-        assert_eq!(
-            p.gpu_memory_bytes,
-            (24.0 * GIB as f64 * 0.001).round() as u64
-        );
-        assert_eq!(p.pcie_bandwidth, DeviceProfile::rtx4090().pcie_bandwidth);
-        assert!(p.usable_gpu_memory() < p.gpu_memory_bytes);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_scale_panics() {
-        let _ = DeviceProfile::rtx4090().scale_capacity(0.0);
     }
 }
