@@ -373,17 +373,18 @@ mod tests {
         let resharded = [fingerprint(&trace, 0, 2), fingerprint(&trace, 2, 2)];
         trace.meta.cost = CostParams::default();
         let single = [0, 2, 3].map(|window| fingerprint(&trace, window, 1));
-        // Re-pinned twice since, with the engine's schedule goldens: the
-        // recording's `StoreGrads` ops carry only the rows that received
+        // Re-pinned three times since, with the engine's schedule goldens:
+        // the recording's `StoreGrads` ops carry only the rows that received
         // gradient, then its fetches, stores and Adam groups follow the
-        // reached sets (old and new values in CHANGES.md).
-        assert_eq!(resharded, [0xa04d_477c_5246_1a5e, 0xf776_29dc_db5a_4c54]);
+        // reached sets, then its CPU Adam ops carry and are priced on the
+        // rows their kernel stepped (old and new values in CHANGES.md).
+        assert_eq!(resharded, [0x4d83_b8a6_2bda_f321, 0x731f_0908_26a0_8f4d]);
         assert_eq!(
             single,
             [
-                0xd090_0c21_521a_887c,
-                0xcef4_059a_aa28_c438,
-                0x9735_154d_2cfb_0219
+                0xc5ad_257f_24f6_4040,
+                0xbbaf_78c7_2d38_e3aa,
+                0xcf7b_8785_8784_a28f
             ]
         );
     }

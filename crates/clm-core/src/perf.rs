@@ -519,12 +519,10 @@ pub fn simulate_batch(
         finalized: vec![s.finalized],
     };
     let microbatches = stats.iter().map(count).collect();
-    let (untouched, model) = (vec![0], vec![n_gaussians]);
     let mut costs = BatchCounts {
         price: &price,
         microbatches,
-        untouched,
-        model,
+        model: vec![n_gaussians],
     };
     let whole = price.whole_model(n_gaussians);
     emit_system(&mut timeline, &after, system, &shape, &whole, &mut costs);

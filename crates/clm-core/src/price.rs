@@ -16,7 +16,10 @@
 //!   ([`PriceList::host_planning`]), vs a GPU cull at 0.05 × a forward pass
 //!   over the model plus a 1 ms TSP (`PriceList::gpu_planning`);
 //! * the cache copy — the engine counts 0 copied rows;
-//! * `F₀` — the analytic model counts 0 rows (the paper's sparse Adam);
+//! * `F₀` — the engine counts its live rows, the analytic model 0 rows (the
+//!   paper's sparse Adam).  The engine prices every CLM Adam op on the rows
+//!   its kernel stepped: the group less its cold rows, whose step is the
+//!   identity (`gs_optim::adam`, "Cold rows cost nothing");
 //! * coverage — neither prices it.
 
 use crate::offload::{GRADIENT_BYTES, NON_CRITICAL_BYTES};
@@ -136,7 +139,7 @@ impl PriceList {
     }
 
     /// The CPU Adam update of `rows` Gaussians.
-    pub(crate) fn cpu_adam(&self, rows: u64) -> OpCost {
+    pub fn cpu_adam(&self, rows: u64) -> OpCost {
         self.adam(rows, DeviceProfile::cpu_adam_time)
     }
 
@@ -200,26 +203,25 @@ pub struct MicrobatchCounts {
 }
 
 /// One batch in counts, priced by a [`PriceList`]: the cost source of the
-/// simulated engine and the analytic model.
+/// analytic model, and of every op but CPU Adam in the simulated engine,
+/// which prices the rows its run stepped instead.
 #[derive(Debug)]
 pub struct BatchCounts<'a> {
     /// The rules.
     pub price: &'a PriceList,
     /// Per micro-batch, in processing order.
     pub microbatches: Vec<MicrobatchCounts>,
-    /// Rows of `F₀`, per owner device.
-    pub untouched: Vec<u64>,
     /// Rows of the whole model (the dense group), per owner device.
     pub model: Vec<u64>,
 }
 
 impl BatchCounts<'_> {
-    /// Rows of Adam group `group`, per owner device.
-    fn group(&self, group: AdamGroup) -> &[u64] {
+    /// Rows of Adam group `group` each owner device updates: `F₀` none.
+    fn group(&self, group: AdamGroup) -> Vec<u64> {
         match group {
-            AdamGroup::Untouched => &self.untouched,
-            AdamGroup::FinalizedBy(i) => &self.microbatches[i].finalized,
-            AdamGroup::Dense => &self.model,
+            AdamGroup::Untouched => vec![0; self.model.len()],
+            AdamGroup::FinalizedBy(i) => self.microbatches[i].finalized.clone(),
+            AdamGroup::Dense => self.model.clone(),
         }
     }
 }
@@ -252,10 +254,10 @@ impl CostSource for BatchCounts<'_> {
 
     /// Each owner updates its share of the group.
     fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
-        let price = self.price;
-        self.group(group)
+        let owners = self.group(group);
+        owners
             .iter()
-            .map(|&rows| price.cpu_adam(rows))
+            .map(|&rows| self.price.cpu_adam(rows))
             .collect()
     }
 }

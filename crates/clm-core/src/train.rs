@@ -23,7 +23,7 @@ use gs_render::{
     l1_loss, psnr, render, shade, shade_backward, Coverage, Image, RenderGradients, RenderOptions,
     DEFAULT_BAND_HEIGHT,
 };
-use gs_scene::{Dataset, DensifyConfig, DensifyReport, ResizeEvent};
+use gs_scene::{Dataset, DensifyConfig, DensifyReport, GaussianPartition, ResizeEvent};
 use sim_device::pipeline::{AdamGroup, ClmShape, CostSource, OpCost};
 use sim_device::{Lane, LaneSpans, OpKind, Timeline};
 use std::time::Instant;
@@ -650,9 +650,17 @@ impl Trainer {
     /// ([`BatchReport::adam_rows_skipped`]).
     pub fn begin_batch(&mut self, plan: &BatchPlan, grads: &GradientBuffer) {
         if self.overlapped() {
-            self.optimizer
-                .step_subset(&mut self.model, grads, plan.untouched.indices());
+            self.step_rows(grads, plan.untouched.indices());
         }
+    }
+
+    /// One CPU Adam step over `indices`, in place; returns the rows it
+    /// updated: `indices` less the cold rows the kernel skipped, by the
+    /// kernel's own count.
+    fn step_rows(&mut self, grads: &GradientBuffer, indices: &[u32]) -> u64 {
+        let skipped = self.optimizer.rows_skipped();
+        self.optimizer.step_subset(&mut self.model, grads, indices);
+        (indices.len() - (self.optimizer.rows_skipped() - skipped)) as u64
     }
 
     /// Lends out the trainer's gradient accumulator for one batch: sized
@@ -735,9 +743,7 @@ impl Trainer {
     /// `micro_idx` (overlapped CPU Adam only; no-op otherwise).
     pub fn apply_finalized(&mut self, plan: &BatchPlan, micro_idx: usize, grads: &GradientBuffer) {
         if self.overlapped() {
-            let group = plan.finalization.finalized_by(micro_idx);
-            self.optimizer
-                .step_subset(&mut self.model, grads, group.indices());
+            self.step_rows(grads, plan.finalization.finalized_by(micro_idx).indices());
         }
     }
 
@@ -808,7 +814,20 @@ impl Trainer {
         grads: &GradientBuffer,
         total_loss: f32,
     ) -> BatchReport {
-        if !self.overlapped() {
+        self.close_batch(plan, grads, total_loss, !self.overlapped())
+    }
+
+    /// [`finish_batch`](Self::finish_batch), with the batch-end dense step
+    /// only if `step_dense`: a [`SerialRun`] of non-overlapped CLM has
+    /// already taken it in its `adam(Dense)` hook.
+    fn close_batch(
+        &mut self,
+        plan: &BatchPlan,
+        grads: &GradientBuffer,
+        total_loss: f32,
+        step_dense: bool,
+    ) -> BatchReport {
+        if step_dense {
             // CPU Adam (offloading systems) and GPU Adam (the baselines)
             // have identical dense semantics.
             self.optimizer.step_dense(&mut self.model, grads);
@@ -908,12 +927,12 @@ impl Trainer {
         if let Some(spans) = spans.as_deref_mut() {
             spans.record(OpKind::Scheduling, Lane::CpuScheduler, None, 0, rows, 0.0);
         }
-        let (system, overlapped) = (self.config.system, self.overlapped());
+        let system = self.config.system;
         let shape = ClmShape {
             microbatches: plan.num_microbatches(),
             window: 0,
             devices: self.config.num_devices,
-            overlapped,
+            overlapped: self.overlapped(),
         };
         let mut grads = self.take_gradients();
         let mut free = Vec::new();
@@ -938,10 +957,11 @@ impl Trainer {
             }
             None => emit_system(&mut scratch, &[], system, &shape, &whole, &mut run),
         }
-        let total_loss = run.total_loss();
-        let mut finish = || self.finish_batch(&plan, &grads, total_loss);
+        // CLM's hooks took every Adam step; the other systems' dense step is
+        // the batch close.
+        let finish = || run.finish();
         let report = match spans {
-            Some(spans) if overlapped => {
+            Some(spans) if system == SystemKind::Clm => {
                 spans.time(OpKind::Other, Lane::CpuScheduler, None, 0, 0, finish)
             }
             Some(spans) => spans.time(OpKind::CpuAdamUpdate, Lane::CpuAdam, None, 0, rows, finish),
@@ -1004,16 +1024,22 @@ impl StagingSource for Vec<StagingBuffer> {
 /// * `forward(i)` renders micro-batch `i`, keeping its loss and gradients in
 ///   the micro-batch's slot;
 /// * `backward(i)` accumulates them and hands the staging buffer back;
-/// * `adam(Untouched)` opens the batch ([`Trainer::begin_batch`]: `F_0`) and
-///   `adam(FinalizedBy(i))` steps micro-batch `i`'s finalisation group;
-///   `adam(Dense)` does nothing — the dense step is
-///   [`Trainer::finish_batch`]'s.
+/// * `adam(group)` steps the group's CPU Adam in place: `F_0` first
+///   ([`Trainer::begin_batch`]), then micro-batch `i`'s finalisation group
+///   as it retires ([`Trainer::apply_finalized`]), or the whole model at
+///   the end of a non-overlapped CLM batch;
+/// * [`finish`](Self::finish) closes the batch ([`Trainer::finish_batch`]).
 ///
-/// Every hook returns the plan's unscaled bytes and rows at zero duration
-/// (`adam` one share per device, the whole group as device 0's), so an
-/// executor that prices ops wraps the run and sets the durations.
+/// Every hook returns the plan's unscaled bytes and rows at zero duration,
+/// so an executor that prices ops wraps the run and sets the durations.
+/// `adam` returns one share per device, each the rows its kernel stepped —
+/// the group less the cold rows it skipped (`gs_optim::adam`, "Cold rows
+/// cost nothing"): each owner's own share under
+/// [`owned_by`](Self::owned_by), the whole group as device 0's otherwise.
 pub struct SerialRun<'a, S> {
     trainer: &'a mut Trainer,
+    /// Gaussian ownership, when each owner steps its share of a group.
+    owners: Option<&'a GaussianPartition>,
     plan: &'a BatchPlan,
     cameras: &'a [Camera],
     targets: &'a [Image],
@@ -1040,6 +1066,7 @@ impl<'a, S: StagingSource> SerialRun<'a, S> {
         let m = plan.num_microbatches();
         SerialRun {
             trainer,
+            owners: None,
             plan,
             cameras,
             targets,
@@ -1051,9 +1078,28 @@ impl<'a, S: StagingSource> SerialRun<'a, S> {
         }
     }
 
+    /// The run with each Adam group stepped owner by owner, in device
+    /// order, so `adam` returns each owner's stepped rows.  Each row's
+    /// update is independent of the others', so the split changes no bit.
+    pub fn owned_by(self, owners: &'a GaussianPartition) -> Self {
+        SerialRun {
+            owners: Some(owners),
+            ..self
+        }
+    }
+
     /// The staging source.
     pub fn staging(&mut self) -> &mut S {
         self.staging
+    }
+
+    /// Closes the batch ([`Trainer::finish_batch`]) after the emitter has
+    /// walked it.  Under CLM the `adam` hooks have taken every step; the
+    /// other systems take their dense step here.
+    pub fn finish(self) -> BatchReport {
+        let dense_left = self.trainer.config.system != SystemKind::Clm;
+        let (plan, loss) = (self.plan, self.total_loss);
+        self.trainer.close_batch(plan, self.grads, loss, dense_left)
     }
 
     /// The summed loss of the micro-batches accumulated so far.
@@ -1122,17 +1168,27 @@ impl<S: StagingSource> CostSource for SerialRun<'_, S> {
     }
 
     fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
-        let (plan, grads) = (self.plan, &*self.grads);
-        match group {
-            AdamGroup::Untouched => self.trainer.begin_batch(plan, grads),
-            AdamGroup::FinalizedBy(i) => self.trainer.apply_finalized(plan, i, grads),
-            AdamGroup::Dense => {}
+        let (trainer, grads) = (&mut *self.trainer, &*self.grads);
+        let every_row: Vec<u32>;
+        let indices = match self.plan.adam_group(group) {
+            Some(set) => set.indices(),
+            None => {
+                every_row = (0..trainer.model.len() as u32).collect();
+                &every_row
+            }
+        };
+        let stepped = |rows| OpCost::compute(0.0, rows);
+        match self.owners {
+            Some(owners) if owners.num_devices() > 1 => (owners.split_indices(indices).iter())
+                .map(|share| stepped(trainer.step_rows(grads, share)))
+                .collect(),
+            owners => {
+                let devices = owners.map_or(trainer.config.num_devices, |o| o.num_devices());
+                let mut shares = vec![OpCost::default(); devices];
+                shares[0] = stepped(trainer.step_rows(grads, indices));
+                shares
+            }
         }
-        let whole = self.trainer.model.len();
-        let rows = plan.adam_group(group).map_or(whole, VisibilitySet::len);
-        let mut shares = vec![OpCost::default(); self.trainer.config.num_devices];
-        shares[0] = OpCost::compute(0.0, rows as u64);
-        shares
     }
 }
 

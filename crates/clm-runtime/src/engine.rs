@@ -424,14 +424,13 @@ impl PipelinedEngine {
                 targets,
                 &mut grads,
                 &mut self.pool,
-            ),
+            )
+            .owned_by(&self.partition),
             costs,
             fault_plan: self.fault_plan.as_ref(),
         };
         emit_system(&mut timeline, &[sched], system, &shape, &whole, &mut run);
-        let total_loss = run.run.total_loss();
-
-        let batch = self.trainer.finish_batch(&plan, &grads, total_loss);
+        let batch = run.run.finish();
         self.trainer.return_gradients(grads);
         let faults = match (&self.fault_plan, fault_before) {
             (Some(p), Some(before)) => p.stats().since(&before),
@@ -459,7 +458,8 @@ fn push_host_op(timeline: &mut Timeline, kind: OpKind, cost: OpCost, deps: &[OpI
 /// `i mod D` of the partition's `D` and renders its frustum set (the plain
 /// baseline's fused culling: the whole model, `baseline`), a fetched row is
 /// local when that device owns it, no row is copied between buffers, and
-/// each Adam group splits across its owners.
+/// each group all-reduces its rows across their owners.  The Adam updates
+/// are priced from what the run stepped (`BatchRun`), not from here.
 fn batch_counts<'a>(
     price: &'a PriceList,
     plan: &BatchPlan,
@@ -484,12 +484,10 @@ fn batch_counts<'a>(
         }
     };
     let microbatches = (0..plan.num_microbatches()).map(count).collect();
-    let untouched = owners(&plan.untouched);
     let model = partition.device_counts().iter().map(|&n| n as u64);
     BatchCounts {
         price,
         microbatches,
-        untouched,
         model: model.collect(),
     }
 }
@@ -497,7 +495,10 @@ fn batch_counts<'a>(
 /// One batch of the engine as the emitter's cost source: the trainer's
 /// [`SerialRun`] does the batch's work inside the hooks — so the numerics
 /// and the pinned pool's `window + 1` high-water follow the emitter's
-/// schedule order — and the batch's [`BatchCounts`] price every op.
+/// schedule order — and the batch's [`BatchCounts`] price every op but the
+/// CPU Adam updates, which are priced on the rows each owner's kernel
+/// stepped: a cold row's step is the identity and costs nothing on any
+/// executor, so it costs nothing on the virtual clock either.
 struct BatchRun<'a> {
     run: SerialRun<'a, PinnedBufferPool>,
     costs: BatchCounts<'a>,
@@ -543,8 +544,9 @@ impl CostSource for BatchRun<'_> {
     }
 
     fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
-        self.run.adam(group);
-        self.costs.adam(group)
+        let price = self.costs.price;
+        let stepped = self.run.adam(group).into_iter();
+        stepped.map(|share| price.cpu_adam(share.rows)).collect()
     }
 }
 

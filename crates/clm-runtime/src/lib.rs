@@ -551,26 +551,28 @@ mod tests {
         // merged engine must emit exactly that at D = 1, with no partition
         // views supplied.
         //
-        // The CLM rows were re-pinned twice since, each time captured at the
-        // parent (equal to the old pins), then at the change, both recorded
-        // in CHANGES.md: when gradient stores started to carry only the rows
-        // that received gradient (the fingerprint folds each `StoreGrads`
-        // op's bytes, rows and duration), and when fetches, stores and Adam
-        // groups moved from the frustum sets to the reached sets (fewer,
-        // 192-byte `LoadParams` rows; smaller staging buffers in the pool
-        // accounting; stores dense again, as every retiring reached row
-        // received gradient here).  The NaiveOffload rows (whole-model
-        // transfers) did not move either time.
+        // The CLM rows were re-pinned three times since, each time captured
+        // at the parent (equal to the old pins), then at the change, all
+        // recorded in CHANGES.md: when gradient stores started to carry only
+        // the rows that received gradient (the fingerprint folds each
+        // `StoreGrads` op's bytes, rows and duration), when fetches, stores
+        // and Adam groups moved from the frustum sets to the reached sets
+        // (fewer, 192-byte `LoadParams` rows; smaller staging buffers in the
+        // pool accounting; stores dense again, as every retiring reached row
+        // received gradient here), and when CPU Adam ops started to carry
+        // and be priced on the rows their kernel stepped (a cold row costs
+        // nothing).  The NaiveOffload rows (whole-model transfers and a
+        // dense Adam) did not move any time.
         assert_eq!(
             single_device_schedule_fingerprints(),
             [
-                0x37fe_5b69_64c8_42dd,
-                0xac0f_70d1_b01e_bab3,
+                0xb84b_2e18_82e8_0f95,
+                0xb21b_9626_580d_1cbd,
                 0xd77f_c7d6_be32_762a,
-                0x922e_5890_9ee2_7b58,
-                0x1ac4_fa31_ba24_a13a,
+                0x3d02_807b_fa3b_3a9c,
+                0x57eb_aae2_f3d8_02f4,
                 0xd77f_c7d6_be32_762a,
-                0xebed_7a14_a63f_bf63,
+                0x1f01_4bfc_ce4d_9a25,
             ]
         );
     }
@@ -581,12 +583,13 @@ mod tests {
         // itself (before `sim_device::pipeline`), same recipe as the D = 1
         // golden above: the schedules the shared emitter must reproduce bit
         // for bit beyond one device and beyond CLM.  Re-pinned with it,
-        // twice: the CLM rows moved with the sparse gradient stores (and,
-        // above one device, the all-reduce of received rows only), then with
-        // the reached-set fetches, stores and Adam groups — when stores and
-        // the all-reduce went back to dense rows, which also moved the
-        // non-overlapped rows' whole-model all-reduce; the Baseline and
-        // EnhancedBaseline rows moved neither time.
+        // three times: the CLM rows moved with the sparse gradient stores
+        // (and, above one device, the all-reduce of received rows only),
+        // then with the reached-set fetches, stores and Adam groups — when
+        // stores and the all-reduce went back to dense rows, which also
+        // moved the non-overlapped rows' whole-model all-reduce — then with
+        // CPU Adam priced on each owner's stepped rows; the Baseline and
+        // EnhancedBaseline rows moved no time.
         use clm_core::{DensifyConfig, DensifySchedule};
         use sim_device::{FaultPlan, FaultSpec};
         let (dataset, targets, init) = tiny_setup();
@@ -645,16 +648,16 @@ mod tests {
         assert_eq!(
             fingerprints,
             [
-                0x7ef6_4b2b_4ffd_1e43,
-                0x8a17_7e41_2320_7b96,
-                0xe76d_8cd4_7e61_d1ca,
-                0x28ca_ad4c_e262_78a0,
+                0x81f0_4d92_37bb_397c,
+                0x1589_8085_2e4f_2e9f,
+                0x14d9_12c5_d33a_dcf8,
+                0x3b20_2399_691d_e2f7,
                 0x860e_878f_056f_f9bf,
                 0xa2ce_8b0e_5869_1fa2,
-                0x67e5_adac_da9b_4d57,
-                0x7816_90d6_d22a_4891,
-                0x138e_cf79_1081_371d,
-                0xbfd1_0129_f85b_d6f7,
+                0x0722_0127_744a_79c7,
+                0xd07e_6aef_37f7_c8d4,
+                0x9666_f459_9f10_fcee,
+                0x8850_f9ab_f05f_1a51,
             ]
         );
     }

@@ -423,22 +423,26 @@ impl ThreadedBackend {
                     config.adam_chunk_rows,
                     config.adam_threads,
                 );
-                let step = || {
-                    if let Some(fp) = fault {
-                        if let Some(attempts) = fp.transient_attempts(OpKind::CpuAdamUpdate) {
-                            // Failed attempts run the update math for real
-                            // but commit nothing, then back off.
-                            for _ in 0..attempts {
-                                optimizer
-                                    .step_detached(model, indices, grad_rows, back, fan_out, false);
-                            }
-                            sleep_seconds(fp.retry().total_backoff(attempts));
+                let start = adam_spans.now();
+                if let Some(fp) = fault {
+                    if let Some(attempts) = fp.transient_attempts(OpKind::CpuAdamUpdate) {
+                        // Failed attempts run the update math for real but
+                        // commit nothing, then back off.
+                        for _ in 0..attempts {
+                            optimizer
+                                .step_detached(model, indices, grad_rows, back, fan_out, false);
                         }
+                        sleep_seconds(fp.retry().total_backoff(attempts));
                     }
-                    optimizer.step_detached(model, indices, grad_rows, back, fan_out, true)
-                };
-                let (mb, rows) = (group.microbatch(), indices.len() as u64);
-                adam_spans.time(OpKind::CpuAdamUpdate, Lane::CpuAdam, mb, 0, rows, step);
+                }
+                let skipped = optimizer.rows_skipped();
+                optimizer.step_detached(model, indices, grad_rows, back, fan_out, true);
+                // The span carries the rows the kernel stepped: the group
+                // less its cold rows.
+                let skipped = optimizer.rows_skipped() - skipped;
+                let rows = (indices.len() - skipped) as u64;
+                let mb = group.microbatch();
+                adam_spans.record(OpKind::CpuAdamUpdate, Lane::CpuAdam, mb, 0, rows, start);
             }
         };
 
@@ -491,7 +495,21 @@ impl ThreadedBackend {
             self.trainer.note_gathered_rows(staged_rows);
         }
 
+        // Without overlap, CLM's dense step is the batch close, the one
+        // step of the batch: it updated every row but the skipped ones.
+        let start = spans.now();
         let batch = self.trainer.finish_batch(&plan, &grads, total_loss);
+        if is_clm && !overlapped {
+            let stepped = rows - batch.adam_rows_skipped as u64;
+            spans.record(
+                OpKind::CpuAdamUpdate,
+                Lane::CpuAdam,
+                None,
+                0,
+                stepped,
+                start,
+            );
+        }
         self.trainer.return_gradients(grads);
         let wall_seconds = wall_start.elapsed().as_secs_f64();
 
@@ -819,9 +837,13 @@ mod tests {
         // hooks that thread served, in the order it served them: they must
         // be the engine's ops of the same kinds in emission order.  At one
         // device the gather lane's order is Figure 6's window rule for
-        // m = 6, window = 2, spelled out (x = the buffer handed back).
+        // m = 6, window = 2, spelled out (x = the buffer handed back).  The
+        // compared batch is the second: a fresh model's F0 is all cold, so
+        // its step updates no row, and only after a first batch has it live
+        // rows to step.
         let (dataset, targets, init) = tiny_setup();
         let (cams, tgts) = (&dataset.cameras[..6], &targets[..6]);
+        let (first_cams, first_tgts) = (&dataset.cameras[6..12], &targets[6..12]);
         for devices in [1usize, 2] {
             let mut engine = crate::PipelinedEngine::new(
                 init.clone(),
@@ -842,6 +864,8 @@ mod tests {
                     ..Default::default()
                 },
             );
+            engine.run_batch(first_cams, first_tgts);
+            threaded.run_batch(first_cams, first_tgts);
             let simulated = engine.run_batch(cams, tgts).timeline;
             let executed = threaded.run_batch(cams, tgts).timeline;
 
@@ -866,7 +890,7 @@ mod tests {
                 gathers_and_backwards.replace('b', "x"),
                 "{devices} devices"
             );
-            // Adam lane: F0 first, empty groups skipped.
+            // Adam lane: F0 first; a group that stepped no row is left out.
             let steps =
                 |op: &sim_device::ScheduledOp| op.kind == OpKind::CpuAdamUpdate && op.rows > 0;
             let adam_lane = order(&executed, steps);

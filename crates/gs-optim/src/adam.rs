@@ -722,6 +722,14 @@ impl GaussianAdam {
         std::mem::take(&mut self.rows_skipped)
     }
 
+    /// The count [`take_rows_skipped`](Self::take_rows_skipped) drains, left
+    /// as it is.  Its change across one step call is the rows that call
+    /// skipped, so a caller learns the rows a group's step actually updated
+    /// — the group less its cold rows — from the kernel's own count.
+    pub fn rows_skipped(&self) -> usize {
+        self.rows_skipped
+    }
+
     /// Packs the Adam work of `indices` into self-contained
     /// [`AdamWorkItem`]s without touching the model or the optimiser state —
     /// each field is copied **directly** into the item (model row, gradient

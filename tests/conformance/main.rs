@@ -214,6 +214,178 @@ fn every_backend_reports_the_lane_sums_of_its_own_timeline() {
     }
 }
 
+/// One CPU Adam group of a batch, recounted by [`recount_adam_groups`].
+struct AdamGroupCount {
+    /// The micro-batch tag its ops carry: `None` for `F₀` under overlap and
+    /// for the dense group without.
+    key: Option<u32>,
+    /// The group's rows.
+    rows: Vec<u32>,
+    /// Its rows the kernel must update: all but the cold ones — no gradient
+    /// received, every moment bit zero at batch start.
+    stepped: Vec<u32>,
+}
+
+/// Trains one batch through the stepwise API and recounts its CPU Adam
+/// groups from first principles: the groups from the plan (every row for
+/// non-overlapped CLM), the cold rows from the optimiser's exported state at
+/// batch start and the rows that received gradient.  A finalised row's
+/// gradient is final when its group steps, and `F₀` receives none, so the
+/// batch's receivers decide every group.
+fn recount_adam_groups(
+    trainer: &mut Trainer,
+    cameras: &[Camera],
+    targets: &[Image],
+) -> Vec<AdamGroupCount> {
+    let plan = trainer.resize_and_plan(cameras);
+    let state = trainer.optimizer().export_rows();
+    let zero = |row: &[f32]| row.iter().all(|x| x.to_bits() == 0);
+    let cold = |i: u32| {
+        state
+            .get(i as usize)
+            .is_none_or(|r| zero(&r.m) && zero(&r.v))
+    };
+    let mut grads = GradientBuffer::for_model(trainer.model());
+    let (mut staging, mut total_loss) = (Vec::new(), 0.0);
+    trainer.begin_batch(&plan, &grads);
+    for i in 0..plan.num_microbatches() {
+        trainer.stage_microbatch(&plan, i, &mut staging);
+        let (loss, render_grads) = trainer.render_microbatch(&plan, i, cameras, targets, &staging);
+        total_loss += loss;
+        grads.accumulate_render(&render_grads);
+        trainer.apply_finalized(&plan, i, &grads);
+    }
+    let every_row: Vec<u32> = (0..trainer.model().len() as u32).collect();
+    trainer.finish_batch(&plan, &grads, total_loss);
+    let group = |key: Option<u32>, rows: &[u32]| AdamGroupCount {
+        key,
+        rows: rows.to_vec(),
+        stepped: (rows.iter().copied())
+            .filter(|&i| grads.is_touched(i) || !cold(i))
+            .collect(),
+    };
+    if !trainer.overlapped() {
+        return vec![group(None, &every_row)];
+    }
+    let finalized = (0..plan.num_microbatches())
+        .map(|i| group(Some(i as u32), plan.finalization.finalized_by(i).indices()));
+    std::iter::once(group(None, plan.untouched.indices()))
+        .chain(finalized)
+        .collect()
+}
+
+/// Rows of a timeline's CPU Adam ops tagged `key`, summed over owners.
+fn adam_rows(timeline: &Timeline, key: Option<u32>) -> u64 {
+    let ops = timeline.ops().iter();
+    ops.filter(|op| op.kind == OpKind::CpuAdamUpdate && op.microbatch == key)
+        .map(|op| op.rows)
+        .sum()
+}
+
+#[test]
+fn every_clm_adam_op_carries_the_rows_its_kernel_stepped() {
+    // A CLM CPU Adam op — `F₀`, each finalisation group, non-overlapped
+    // CLM's dense group — records the rows its kernel stepped: the group
+    // less its cold rows, whose step is the identity.  The engine prices
+    // them (split per owner above one device), and the synchronous and
+    // threaded timelines record the same rows, so the executed and the
+    // priced schedules agree op for op.  Over a batch the rows left out are
+    // the report's skipped rows.
+    let scenario = densifying_scenario();
+    let (cams, tgts) = (&scenario.dataset.cameras, &scenario.targets);
+    for overlapped in [true, false] {
+        for devices in conformance_devices() {
+            let train = TrainConfig {
+                overlapped_adam: overlapped,
+                num_devices: devices,
+                ..scenario.train.clone()
+            };
+            let trainer = || Trainer::new(scenario.init.clone(), train.clone());
+            let mut recounter = trainer();
+            let mut synchronous = trainer();
+            let threaded = ThreadedConfig {
+                num_devices: devices,
+                ..threaded_config()
+            };
+            let mut threaded = ThreadedBackend::with_trainer(trainer(), threaded);
+            let engine = PipelinedEngine::with_trainer(trainer(), runtime_config(devices));
+            let mut engine = engine.partition_over(cams);
+            let (mut batches, mut skipped_rows, mut live_f0) = (0, 0, 0);
+            for _ in 0..EPOCHS {
+                for range in batch_slices(cams.len(), scenario.train.batch_size) {
+                    let (cameras, targets) = (&cams[range.clone()], &tgts[range]);
+                    let label = format!("overlapped {overlapped}, {devices} devices");
+                    let groups = recount_adam_groups(&mut recounter, cameras, targets);
+                    let group_rows: usize = groups.iter().map(|g| g.rows.len()).sum();
+                    let stepped: usize = groups.iter().map(|g| g.stepped.len()).sum();
+                    let reports = [
+                        synchronous.execute_batch(cameras, targets),
+                        threaded.execute_batch(cameras, targets),
+                        engine.run_batch(cameras, targets),
+                    ];
+                    for (name, report) in ["synchronous", "threaded", "simulated"]
+                        .iter()
+                        .zip(&reports)
+                    {
+                        let label = format!("{name}, {label}");
+                        for g in &groups {
+                            let rows = adam_rows(&report.timeline, g.key);
+                            assert_eq!(rows, g.stepped.len() as u64, "{label}: {:?}", g.key);
+                        }
+                        let recorded: u64 = (report.timeline.ops().iter())
+                            .filter(|op| op.kind == OpKind::CpuAdamUpdate)
+                            .map(|op| op.rows)
+                            .sum();
+                        assert_eq!(recorded, stepped as u64, "{label}: ops of no group");
+                        assert_eq!(
+                            group_rows - stepped,
+                            report.batch.adam_rows_skipped,
+                            "{label}"
+                        );
+                    }
+                    // Each owner's op carries the rows of its own shard.
+                    let (simulated, partition) = (&reports[2].timeline, engine.partition());
+                    for g in &groups {
+                        for device in 0..devices {
+                            let owned = g
+                                .stepped
+                                .iter()
+                                .filter(|&&i| partition.owner_of(i) == device);
+                            let op = (simulated.ops().iter())
+                                .find(|op| {
+                                    op.kind == OpKind::CpuAdamUpdate
+                                        && op.microbatch == g.key
+                                        && op.lane == Lane::adam_of(device)
+                                })
+                                .expect("one Adam op per group and owner");
+                            assert_eq!(op.rows, owned.count() as u64, "{label}: device {device}");
+                        }
+                    }
+                    // Cold start: a fresh model's F₀ holds rows, but none is
+                    // live, so the engine prices its update at nothing.
+                    if overlapped && batches == 0 {
+                        let f0 = &groups[0];
+                        assert!(!f0.rows.is_empty() && f0.stepped.is_empty(), "{label}");
+                        let f0_ops = simulated.ops().iter().filter(|op| {
+                            op.kind == OpKind::CpuAdamUpdate && op.microbatch.is_none()
+                        });
+                        for op in f0_ops {
+                            assert_eq!((op.rows, op.dur), (0, 0.0), "{label}: cold F₀");
+                        }
+                    }
+                    batches += 1;
+                    skipped_rows += group_rows - stepped;
+                    live_f0 += usize::from(overlapped) * groups[0].stepped.len();
+                }
+            }
+            // Vacuous otherwise: some rows must be skipped, and under
+            // overlap some F₀ rows must be live.
+            assert!(skipped_rows > 0, "no batch skipped a cold row");
+            assert!(live_f0 > 0 || !overlapped, "no F₀ row was ever live");
+        }
+    }
+}
+
 /// `(micro-batch, rows, bytes)` of a timeline's ops of one kind.
 fn payloads(timeline: &Timeline, kind: OpKind) -> Vec<(u32, u64, u64)> {
     let mut ops: Vec<_> = timeline
