@@ -65,12 +65,12 @@ fn chaos_spec() -> FaultSpec {
 const FAULT_GOLDEN: [(&str, FaultStats); 4] = [
     (
         "simulated@1",
-        injected(17, 39, 0x3f802de00d1b7176, 0x3f25030c9be50e66),
+        injected(16, 36, 0x3f7d7dbf487fcb94, 0x3f25030c9be50e66),
     ),
     ("threaded", injected(22, 47, 0x3f82d77318fc5047, 0x0)),
     (
         "simulated@2",
-        injected(35, 74, 0x3f8ce075f6fd21fe, 0x3f27a292a058e0fa),
+        injected(34, 73, 0x3f8cac083126e978, 0x3f27a292a058e0fa),
     ),
     (
         "simulated@4",
