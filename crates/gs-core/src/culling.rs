@@ -61,11 +61,6 @@ fn cull_radius(log_scale: Vec3) -> f32 {
     (CULL_SIGMA + CULL_SIGMA_SLACK) * log_scale.map(f32::exp).max_component()
 }
 
-/// Sparsity ρ_i = |S_i| / N for one view, the quantity plotted in Figure 5.
-pub fn sparsity(model: &GaussianModel, camera: &Camera) -> f64 {
-    cull_frustum(model, camera).sparsity(model.len())
-}
-
 /// Computes visibility sets for a whole batch of views in **one pass** over
 /// the model.  `cull_batch(model, cameras)[k]` holds exactly the rows whose
 /// bounding sphere intersects view `k`'s widened frustum by
@@ -287,8 +282,9 @@ mod tests {
             }
             model
         };
-        let dense = sparsity(&make_scene(5.0), &cam);
-        let sparse = sparsity(&make_scene(500.0), &cam);
+        let sparsity = |model: &GaussianModel| cull_frustum(model, &cam).sparsity(model.len());
+        let dense = sparsity(&make_scene(5.0));
+        let sparse = sparsity(&make_scene(500.0));
         assert!(
             dense > 0.9,
             "dense scene should be almost fully visible, rho={dense}"
@@ -531,7 +527,7 @@ mod tests {
     fn empty_model_has_zero_sparsity() {
         let model = GaussianModel::new();
         let cam = forward_camera();
-        assert_eq!(sparsity(&model, &cam), 0.0);
+        assert_eq!(cull_frustum(&model, &cam).sparsity(model.len()), 0.0);
         assert!(cull_frustum(&model, &cam).is_empty());
         assert_eq!(
             cull_batch(&model, &[cam.clone(), cam]),

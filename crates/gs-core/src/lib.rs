@@ -43,7 +43,7 @@ pub mod sh;
 pub mod visibility;
 
 pub use camera::{Camera, CameraExtrinsics, CameraIntrinsics, Frustum, Plane};
-pub use culling::{cull_batch, cull_frustum, sparsity};
+pub use culling::{cull_batch, cull_frustum};
 pub use gaussian::{
     AttributeKind, Gaussian, GaussianModel, ModelRowsMut, NON_CRITICAL_FLOATS, PARAMS_PER_GAUSSIAN,
     SELECTION_CRITICAL_FLOATS, SH_FLOATS, TRAINING_STATE_COPIES,

@@ -79,20 +79,16 @@ impl Dataset {
         self.cameras.len()
     }
 
-    /// Computes the visibility set of every view against `model`.
+    /// Computes the visibility set of every view against `model`, in one
+    /// pass over the model ([`gs_core::cull_batch`]).
     pub fn visibility_sets(&self, model: &GaussianModel) -> Vec<VisibilitySet> {
-        self.cameras
-            .iter()
-            .map(|cam| gs_core::cull_frustum(model, cam))
-            .collect()
+        gs_core::cull_batch(model, &self.cameras)
     }
 
     /// Per-view sparsity ρ_i against the ground-truth model (Figure 5).
     pub fn sparsity_profile(&self) -> Vec<f64> {
-        self.cameras
-            .iter()
-            .map(|cam| gs_core::culling::sparsity(&self.ground_truth, cam))
-            .collect()
+        let (model, sets) = (&self.ground_truth, self.visibility_sets(&self.ground_truth));
+        sets.iter().map(|set| set.sparsity(model.len())).collect()
     }
 }
 
