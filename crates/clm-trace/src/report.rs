@@ -284,7 +284,9 @@ impl TraceReport {
 }
 
 /// Cheap structural check for report JSON: `trace_report` validates the
-/// artefact's shape without a JSON parser in the dependency tree.
+/// artefact's shape without a JSON parser in the dependency tree — the
+/// report's keys, on a document that is lexically well-formed
+/// ([`is_well_formed_json`]).
 pub fn looks_like_report_json(s: &str) -> bool {
     let s = s.trim();
     s.starts_with('{')
@@ -296,6 +298,40 @@ pub fn looks_like_report_json(s: &str) -> bool {
         && s.contains("\"device_stats\":[")
         && s.contains("\"kinds\":[")
         && s.contains("\"critical_path\":")
+        && is_well_formed_json(s)
+}
+
+/// Whether `s` is lexically well-formed JSON: every string closed, every
+/// escape one JSON allows and inside a string, no raw control character in
+/// a string, and `{}`/`[]` nested and balanced outside strings.  A scan,
+/// not a parser: it builds no value and checks no grammar beyond that.
+fn is_well_formed_json(s: &str) -> bool {
+    let mut open = Vec::new();
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => loop {
+                match chars.next() {
+                    Some('"') => break,
+                    Some('\\') => match chars.next() {
+                        Some('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') => {}
+                        Some('u')
+                            if (0..4)
+                                .all(|_| chars.next().is_some_and(|h| h.is_ascii_hexdigit())) => {}
+                        _ => return false,
+                    },
+                    Some(c) if c >= ' ' => {}
+                    _ => return false,
+                }
+            },
+            '{' | '[' => open.push(c),
+            '}' if open.pop() != Some('{') => return false,
+            ']' if open.pop() != Some('[') => return false,
+            '\\' => return false,
+            _ => {}
+        }
+    }
+    open.is_empty()
 }
 
 /// Escapes `s` for use inside a JSON string literal: the quote, the
@@ -524,7 +560,36 @@ mod tests {
         trace.meta.scene = "a\"b\\c".into();
         let json = TraceReport::build(&trace).to_json();
         assert!(json.contains(r#""scene":"a\"b\\c","#), "{json}");
+        assert!(looks_like_report_json(&json), "{json}");
         assert_eq!(json_escape("x\ny\u{1}"), r"x\u000ay\u0001");
+        // The same report with the scene left unescaped is no JSON.
+        let unescaped = json.replace(r#""scene":"a\"b\\c","#, r#""scene":"a"b\c","#);
+        assert!(unescaped.contains(r#""scene":"a"b\c","#), "{unescaped}");
+        assert!(!looks_like_report_json(&unescaped), "{unescaped}");
+    }
+
+    #[test]
+    fn well_formed_json_is_told_from_malformed() {
+        let good = [
+            r#"{}"#,
+            r#"{"a":[1,{"b":"x\"\\\/\b\f\n\r\t\u00e9"}],"c":"]}["}"#,
+        ];
+        for s in good {
+            assert!(is_well_formed_json(s), "{s}");
+        }
+        let bad = [
+            r#"{"a":"unclosed}"#,
+            r#"{"a":"bad \x escape"}"#,
+            r#"{"a":"short \u12"}"#,
+            "{\"a\":\"raw\ncontrol\"}",
+            r#"{"a":[1,2}"#,
+            r#"{"a":1}}"#,
+            r#"{"a":[1]"#,
+            r#"{"a":1,\"b":2}"#,
+        ];
+        for s in bad {
+            assert!(!is_well_formed_json(s), "{s}");
+        }
     }
 
     #[test]
