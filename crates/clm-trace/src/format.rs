@@ -316,21 +316,25 @@ impl Trace {
         let mut last_start_bits = 0u64;
         let mut last_dur_bits = [0u64; OpKind::ALL.len()];
         let mut deps = Vec::new();
+        // The batch the ops read so far belong to; it joins the trace when
+        // an op of another batch, or the end of the payload, closes it.
+        let mut open: Option<BatchTimeline> = None;
         for _ in 0..count {
             let epoch = varint::read_u64(payload, &mut pos)?;
             let batch = varint::read_u64(payload, &mut pos)?;
-            if trace
-                .batches
-                .last()
-                .is_none_or(|b| (b.epoch, b.batch) != (epoch, batch))
-            {
-                trace.batches.push(BatchTimeline {
-                    epoch,
-                    batch,
-                    timeline: Timeline::new(),
-                });
-            }
-            let timeline = &mut trace.batches.last_mut().expect("pushed above").timeline;
+            let current = match open.take() {
+                Some(b) if (b.epoch, b.batch) == (epoch, batch) => b,
+                closed => {
+                    trace.batches.extend(closed);
+                    let timeline = Timeline::new();
+                    BatchTimeline {
+                        epoch,
+                        batch,
+                        timeline,
+                    }
+                }
+            };
+            let timeline = &mut open.insert(current).timeline;
             let lane_code = narrow_u32(
                 varint::read_u64(payload, &mut pos)?,
                 "lane code exceeds u32 range",
@@ -372,6 +376,7 @@ impl Trace {
             }
             timeline.push_recorded(kind, lane, start, dur, bytes, rows, microbatch, &deps);
         }
+        trace.batches.extend(open);
         if pos != payload.len() {
             return Err(TraceError::Malformed("trailing bytes after last op"));
         }
