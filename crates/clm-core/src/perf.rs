@@ -36,10 +36,13 @@
 //! floats ([`NON_CRITICAL_BYTES`]); only the split is this
 //! reproduction's, with 11 resident floats per Gaussian
 //! ([`gpu_model_state_bytes_per_gaussian`]).  The
-//! simulated engine prices forward and backward on `|S_i|` too — on
-//! purpose: its schedule is CPU-Adam-bound, so cheaper priced compute would
-//! only raise the GPU idle fraction, and re-pricing waits for the virtual
-//! machine to be anchored to the paper's (ROADMAP items 1(a)/(c)).
+//! simulated engine prices forward and backward on `|S_i|` too.  Since it
+//! prices CPU Adam on the rows each kernel stepped (a cold row is free), its
+//! `offload_bound` schedule waits on that compute, not on CPU Adam
+//! (`sim-device.compute_busy_frac` ≈ 0.94, `adam_busy_frac` ≈ 0.08), so
+//! pricing compute on `|R_i|` would move its throughput directly; that waits
+//! for the virtual machine to be anchored to the paper's (ROADMAP
+//! item 1(a)).
 
 use crate::cache::plan_batch;
 use crate::offload::{GRADIENT_BYTES, NON_CRITICAL_BYTES};
@@ -505,9 +508,9 @@ pub fn simulate_batch(
     // the cached rows between the double buffers (the forward pass needs
     // both).  The plain baseline's fused culling renders every Gaussian, the
     // other systems (naive offloading included, §6.1) their working set.
-    // `F₀` updates zero rows: the paper's CPU Adam is sparse and skips rows
-    // without gradient (the functional trainer steps them, which is why the
-    // shared graph has the op).
+    // `BatchCounts` prices `F₀` at zero rows: the paper's CPU Adam is sparse
+    // and skips rows without gradient (the functional trainer steps the live
+    // ones, which is why the shared graph has the op).
     let baseline = (system == SystemKind::Baseline).then_some(n_gaussians);
     let count = |s: &MicrobatchStats| MicrobatchCounts {
         rendered: baseline.unwrap_or(s.working_set),

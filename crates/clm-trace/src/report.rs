@@ -285,8 +285,8 @@ impl TraceReport {
 
 /// Cheap structural check for report JSON: `trace_report` validates the
 /// artefact's shape without a JSON parser in the dependency tree — the
-/// report's keys, on a document that is lexically well-formed
-/// ([`is_well_formed_json`]).
+/// report's keys, on a document that is lexically well-formed: strings
+/// closed, escapes valid, brackets balanced outside strings.
 pub fn looks_like_report_json(s: &str) -> bool {
     let s = s.trim();
     s.starts_with('{')
