@@ -474,8 +474,14 @@ impl CostSource for RecordedCosts<'_> {
         self.scaled(OpKind::StoreGrads, self.batch.mbs[i].store)
     }
 
+    /// Over the group's gradient rows: a recorded Adam op carries only the
+    /// rows its kernel stepped, so the dense group reduces the whole model,
+    /// the rows the scheduling op records.
     fn allreduce(&mut self, group: AdamGroup) -> OpCost {
-        let rows = self.recorded_adam(group).rows;
+        let rows = match group {
+            AdamGroup::Dense => self.batch.sched.rows,
+            _ => self.recorded_adam(group).rows,
+        };
         let cost = self.price.allreduce(rows, self.devices);
         self.scaled(OpKind::AllReduce, cost)
     }
@@ -798,6 +804,51 @@ mod tests {
         assert_eq!(fingerprint(None, 2), 0x3471_84bc_1ab7_dd49);
         assert_eq!(fingerprint(Some(0), 2), 0x2cf9_c542_a7fb_2b32);
         assert_eq!(fingerprint(None, 3), 0xf7da_0a90_3601_e55d);
+    }
+
+    #[test]
+    fn device_replay_reduces_the_whole_model_for_a_dense_batch() {
+        // The fixture without overlap, its ops chained (a scheduled trace
+        // has edges): its one Adam op, at batch end, stepped 3 rows, but
+        // the all-reduce before it moves all 100.
+        let mut t = Timeline::new();
+        let mut last = Vec::new();
+        for op in clm_timeline().ops() {
+            if op.kind != OpKind::CpuAdamUpdate {
+                let dur = op.end - op.start;
+                let id = t.push_traced(
+                    op.kind,
+                    op.lane,
+                    dur,
+                    op.bytes,
+                    op.rows,
+                    op.microbatch,
+                    &last,
+                );
+                last = vec![id];
+            }
+        }
+        t.push_traced(
+            OpKind::CpuAdamUpdate,
+            Lane::CpuAdam,
+            2e-4,
+            0,
+            3,
+            None,
+            &last,
+        );
+        let mut trace = Trace::new(meta(1, 1));
+        trace.record(0, 0, t);
+        let knobs = ReplayKnobs {
+            devices: Some(2),
+            ..Default::default()
+        };
+        let replayed = replay_with_knobs(&trace, &knobs).unwrap();
+        let ops = replayed[0].timeline.ops().iter();
+        let reduced: Vec<u64> = (ops.filter(|op| op.kind == OpKind::AllReduce))
+            .map(|op| op.rows)
+            .collect();
+        assert_eq!(reduced, [100, 100]);
     }
 
     #[test]
