@@ -1024,10 +1024,10 @@ impl StagingSource for Vec<StagingBuffer> {
 /// * `forward(i)` renders micro-batch `i`, keeping its loss and gradients in
 ///   the micro-batch's slot;
 /// * `backward(i)` accumulates them and hands the staging buffer back;
-/// * `adam(group)` steps the group's CPU Adam in place: `F_0` first
-///   ([`Trainer::begin_batch`]), then micro-batch `i`'s finalisation group
-///   as it retires ([`Trainer::apply_finalized`]), or the whole model at
-///   the end of a non-overlapped CLM batch;
+/// * `adam(group)` steps the group's CPU Adam in place, as
+///   [`Trainer::begin_batch`] (`F_0`) and [`Trainer::apply_finalized`]
+///   (micro-batch `i`'s finalisation group) do, or the whole model at the
+///   end of a non-overlapped CLM batch;
 /// * [`finish`](Self::finish) closes the batch ([`Trainer::finish_batch`]).
 ///
 /// Every hook returns the plan's unscaled bytes and rows at zero duration,
@@ -1100,11 +1100,6 @@ impl<'a, S: StagingSource> SerialRun<'a, S> {
         let dense_left = self.trainer.config.system != SystemKind::Clm;
         let (plan, loss) = (self.plan, self.total_loss);
         self.trainer.close_batch(plan, self.grads, loss, dense_left)
-    }
-
-    /// The summed loss of the micro-batches accumulated so far.
-    pub fn total_loss(&self) -> f32 {
-        self.total_loss
     }
 
     fn compute(&self, i: usize) -> OpCost {

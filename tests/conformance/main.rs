@@ -219,8 +219,8 @@ struct AdamGroupCount {
     /// The micro-batch tag its ops carry: `None` for `F₀` under overlap and
     /// for the dense group without.
     key: Option<u32>,
-    /// The group's rows.
-    rows: Vec<u32>,
+    /// The group's size.
+    rows: usize,
     /// Its rows the kernel must update: all but the cold ones — no gradient
     /// received, every moment bit zero at batch start.
     stepped: Vec<u32>,
@@ -259,7 +259,7 @@ fn recount_adam_groups(
     trainer.finish_batch(&plan, &grads, total_loss);
     let group = |key: Option<u32>, rows: &[u32]| AdamGroupCount {
         key,
-        rows: rows.to_vec(),
+        rows: rows.len(),
         stepped: (rows.iter().copied())
             .filter(|&i| grads.is_touched(i) || !cold(i))
             .collect(),
@@ -316,7 +316,7 @@ fn every_clm_adam_op_carries_the_rows_its_kernel_stepped() {
                     let (cameras, targets) = (&cams[range.clone()], &tgts[range]);
                     let label = format!("overlapped {overlapped}, {devices} devices");
                     let groups = recount_adam_groups(&mut recounter, cameras, targets);
-                    let group_rows: usize = groups.iter().map(|g| g.rows.len()).sum();
+                    let group_rows: usize = groups.iter().map(|g| g.rows).sum();
                     let stepped: usize = groups.iter().map(|g| g.stepped.len()).sum();
                     let reports = [
                         synchronous.execute_batch(cameras, targets),
@@ -365,7 +365,7 @@ fn every_clm_adam_op_carries_the_rows_its_kernel_stepped() {
                     // live, so the engine prices its update at nothing.
                     if overlapped && batches == 0 {
                         let f0 = &groups[0];
-                        assert!(!f0.rows.is_empty() && f0.stepped.is_empty(), "{label}");
+                        assert!(f0.rows > 0 && f0.stepped.is_empty(), "{label}");
                         let f0_ops = simulated.ops().iter().filter(|op| {
                             op.kind == OpKind::CpuAdamUpdate && op.microbatch.is_none()
                         });
