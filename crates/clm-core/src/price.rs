@@ -254,10 +254,7 @@ impl CostSource for BatchCounts<'_> {
 
     /// Each owner updates its share of the group.
     fn adam(&mut self, group: AdamGroup) -> Vec<OpCost> {
-        let owners = self.group(group);
-        owners
-            .iter()
-            .map(|&rows| self.price.cpu_adam(rows))
-            .collect()
+        let owners = self.group(group).into_iter();
+        owners.map(|rows| self.price.cpu_adam(rows)).collect()
     }
 }

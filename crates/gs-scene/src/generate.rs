@@ -87,8 +87,9 @@ impl Dataset {
 
     /// Per-view sparsity ρ_i against the ground-truth model (Figure 5).
     pub fn sparsity_profile(&self) -> Vec<f64> {
-        let (model, sets) = (&self.ground_truth, self.visibility_sets(&self.ground_truth));
-        sets.iter().map(|set| set.sparsity(model.len())).collect()
+        let rows = self.ground_truth.len();
+        let sets = self.visibility_sets(&self.ground_truth);
+        sets.iter().map(|set| set.sparsity(rows)).collect()
     }
 }
 
