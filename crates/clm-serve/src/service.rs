@@ -23,7 +23,7 @@
 use crate::registry::SceneRegistry;
 use crate::scheduler::DeficitScheduler;
 use crate::session::{Session, SessionId, SessionState, SessionStats, TenantSpec};
-use clm_trace::Checkpoint;
+use clm_trace::{Checkpoint, DecodeError};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Service-level configuration.
@@ -401,7 +401,7 @@ impl ClmServe {
         }
         let trainer = Checkpoint::decode(&evicted.checkpoint)
             .and_then(|ckpt| ckpt.restore(session.spec.train.clone()))
-            .map_err(|e| ServeError::RestoreFailed(id, format!("{e:?}")))?;
+            .map_err(|e| ServeError::RestoreFailed(id, e))?;
         let mut session = self.sessions.remove(&id).expect("looked up above");
         self.activate(&mut session, Some(trainer));
         session.evicted = None;
@@ -471,7 +471,7 @@ pub enum ServeError {
     /// All active slots are occupied.
     NoFreeSlot,
     /// Checkpoint decode/restore failed.
-    RestoreFailed(SessionId, String),
+    RestoreFailed(SessionId, DecodeError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -541,7 +541,7 @@ mod tests {
         serve.step();
         serve.evict(id).unwrap();
 
-        // One flipped payload byte fails the container's checksum.
+        // One flipped body byte fails the frame's checksum.
         let evicted = serve.sessions.get_mut(&id).unwrap().evicted.as_mut();
         let checkpoint = &mut evicted.unwrap().checkpoint;
         *checkpoint.last_mut().unwrap() ^= 1;
@@ -550,7 +550,7 @@ mod tests {
 
         let err = serve.resume(id).unwrap_err();
         assert!(
-            matches!(err, ServeError::RestoreFailed(s, _) if s == id),
+            err == ServeError::RestoreFailed(id, DecodeError::ChecksumMismatch),
             "{err}"
         );
         let session = serve

@@ -1,19 +1,21 @@
-//! The `.clmtrace` container: a versioned header, a run-level metadata
-//! block, and a varint-packed stream of every recorded batch's ops.  A
-//! decoded [`Trace`] is the recorded batches' [`Timeline`]s themselves.
+//! The `.clmtrace` container: a run-level metadata block and a
+//! varint-packed stream of every recorded batch's ops, as the body of a
+//! [`crate::frame`] under [`MAGIC`] and [`FORMAT_VERSION`].  A decoded
+//! [`Trace`] is the recorded batches' [`Timeline`]s themselves.
 //!
-//! # Layout
+//! # Body layout
 //!
 //! ```text
-//! magic      8  bytes  b"CLMTRACE"
-//! version    4  bytes  u32 LE (currently 1)
-//! meta       varint-packed: backend, scene, devices, prefetch window,
-//!            seed, and the cost-model constants replay-under-altered-
-//!            device-counts needs (PCIe latency/bandwidth, cost scale,
-//!            peer-hop factor, gradient bytes)
+//! backend    varint length + UTF-8 bytes
+//! scene      varint length + UTF-8 bytes
+//! devices    varint
+//! window     varint   prefetch window
+//! seed       varint
+//! cost       4 × f64 LE: PCIe latency, PCIe bandwidth, cost scale,
+//!            peer-hop factor — then gradient bytes as a varint; what a
+//!            replay under an altered device count re-prices with
 //! count      varint   number of ops, across every batch
-//! checksum   8  bytes  FNV-1a 64 of the op payload, LE
-//! ops        packed    see below
+//! ops        packed   see below
 //! ```
 //!
 //! Each op packs, in order: epoch, batch, lane code, op-kind code,
@@ -26,6 +28,7 @@
 //! [`Timeline`] through [`Timeline::push_recorded`], which keeps every
 //! recorded start, duration and edge.
 
+use crate::frame::{self, DecodeError};
 use crate::varint;
 use clm_core::PriceList;
 use sim_device::{DeviceProfile, Lane, OpKind, ScheduledOp, Timeline};
@@ -34,42 +37,7 @@ use sim_device::{DeviceProfile, Lane, OpKind, ScheduledOp, Timeline};
 pub const MAGIC: [u8; 8] = *b"CLMTRACE";
 
 /// Current format version; decoding rejects anything else.
-pub const FORMAT_VERSION: u32 = 1;
-
-/// Errors decoding (or structurally validating) a trace.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceError {
-    /// The buffer does not start with [`MAGIC`].
-    BadMagic,
-    /// The header's version is not [`FORMAT_VERSION`].
-    UnsupportedVersion(u32),
-    /// The buffer ended mid-field.
-    Truncated,
-    /// The op payload does not match the header checksum.
-    ChecksumMismatch,
-    /// A structurally invalid field (unknown lane/kind code, forward
-    /// dependency, non-UTF-8 string, …).
-    Malformed(&'static str),
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::BadMagic => write!(f, "not a .clmtrace file (bad magic)"),
-            TraceError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported trace format version {v} (expected {FORMAT_VERSION})"
-                )
-            }
-            TraceError::Truncated => write!(f, "trace truncated mid-field"),
-            TraceError::ChecksumMismatch => write!(f, "op payload checksum mismatch"),
-            TraceError::Malformed(what) => write!(f, "malformed trace: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The transfer half of the recorded run's [`PriceList`]: what a replay
 /// needs to re-cost communication when the device count is changed
@@ -130,7 +98,7 @@ impl CostParams {
     }
 }
 
-/// Run-level metadata stored in the trace header.
+/// Run-level metadata: the trace's header, at the head of its body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceMeta {
     /// Backend that produced the trace (`synchronous` / `simulated` /
@@ -217,87 +185,66 @@ impl Trace {
 
     /// Serialises the trace to the `.clmtrace` byte format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
+        let mut body = Vec::new();
+        write_str(&mut body, &self.meta.backend);
+        write_str(&mut body, &self.meta.scene);
+        varint::write_u64(&mut body, u64::from(self.meta.devices));
+        varint::write_u64(&mut body, u64::from(self.meta.prefetch_window));
+        varint::write_u64(&mut body, self.meta.seed);
+        body.extend_from_slice(&self.meta.cost.pcie_latency_s.to_le_bytes());
+        body.extend_from_slice(&self.meta.cost.pcie_bandwidth.to_le_bytes());
+        body.extend_from_slice(&self.meta.cost.cost_scale.to_le_bytes());
+        body.extend_from_slice(&self.meta.cost.peer_hop_factor.to_le_bytes());
+        varint::write_u64(&mut body, self.meta.cost.gradient_bytes);
+        varint::write_u64(&mut body, self.ops().count() as u64);
         let mut last_start_bits = 0u64;
         let mut last_dur_bits = [0u64; OpKind::ALL.len()];
         for b in &self.batches {
             for op in b.timeline.ops() {
-                varint::write_u64(&mut payload, b.epoch);
-                varint::write_u64(&mut payload, b.batch);
-                varint::write_u64(&mut payload, u64::from(op.lane.code()));
-                varint::write_u64(&mut payload, u64::from(op.kind.code()));
-                varint::write_u64(&mut payload, op.microbatch.map_or(0, |m| u64::from(m) + 1));
-                varint::write_u64(&mut payload, op.rows);
-                varint::write_u64(&mut payload, op.bytes);
-                last_start_bits = varint::write_f64_xor(&mut payload, op.start, last_start_bits);
+                varint::write_u64(&mut body, b.epoch);
+                varint::write_u64(&mut body, b.batch);
+                varint::write_u64(&mut body, u64::from(op.lane.code()));
+                varint::write_u64(&mut body, u64::from(op.kind.code()));
+                varint::write_u64(&mut body, op.microbatch.map_or(0, |m| u64::from(m) + 1));
+                varint::write_u64(&mut body, op.rows);
+                varint::write_u64(&mut body, op.bytes);
+                last_start_bits = varint::write_f64_xor(&mut body, op.start, last_start_bits);
                 let slot = op.kind.code() as usize;
-                last_dur_bits[slot] =
-                    varint::write_f64_xor(&mut payload, op.dur, last_dur_bits[slot]);
-                varint::write_u64(&mut payload, op.deps.len() as u64);
+                last_dur_bits[slot] = varint::write_f64_xor(&mut body, op.dur, last_dur_bits[slot]);
+                varint::write_u64(&mut body, op.deps.len() as u64);
                 for d in &op.deps {
-                    varint::write_u64(&mut payload, (op.id.index() - d.index()) as u64);
+                    varint::write_u64(&mut body, (op.id.index() - d.index()) as u64);
                 }
             }
         }
-
-        let mut out = Vec::with_capacity(payload.len() + 64);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        write_str(&mut out, &self.meta.backend);
-        write_str(&mut out, &self.meta.scene);
-        varint::write_u64(&mut out, u64::from(self.meta.devices));
-        varint::write_u64(&mut out, u64::from(self.meta.prefetch_window));
-        varint::write_u64(&mut out, self.meta.seed);
-        out.extend_from_slice(&self.meta.cost.pcie_latency_s.to_le_bytes());
-        out.extend_from_slice(&self.meta.cost.pcie_bandwidth.to_le_bytes());
-        out.extend_from_slice(&self.meta.cost.cost_scale.to_le_bytes());
-        out.extend_from_slice(&self.meta.cost.peer_hop_factor.to_le_bytes());
-        varint::write_u64(&mut out, self.meta.cost.gradient_bytes);
-        varint::write_u64(&mut out, self.ops().count() as u64);
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        frame::encode(&MAGIC, FORMAT_VERSION, &body)
     }
 
-    /// Decodes a `.clmtrace` byte buffer, validating magic, version and
-    /// payload checksum.
-    pub fn decode(data: &[u8]) -> Result<Trace, TraceError> {
-        if data.len() < MAGIC.len() + 4 {
-            return Err(TraceError::Truncated);
-        }
-        if data[..MAGIC.len()] != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let mut pos = MAGIC.len();
-        let version = u32::from_le_bytes(varint::read_array(data, &mut pos)?);
-        if version != FORMAT_VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let backend = read_str(data, &mut pos)?;
-        let scene = read_str(data, &mut pos)?;
+    /// Decodes a `.clmtrace` byte buffer: the frame's checks first, then
+    /// the body's.
+    pub fn decode(data: &[u8]) -> Result<Trace, DecodeError> {
+        let body = frame::decode(&MAGIC, FORMAT_VERSION, data)?;
+        let mut pos = 0;
+        let backend = read_str(body, &mut pos)?;
+        let scene = read_str(body, &mut pos)?;
         let devices = narrow_u32(
-            varint::read_u64(data, &mut pos)?,
+            varint::read_u64(body, &mut pos)?,
             "devices exceeds u32 range",
         )?;
         let prefetch_window = narrow_u32(
-            varint::read_u64(data, &mut pos)?,
+            varint::read_u64(body, &mut pos)?,
             "prefetch window exceeds u32 range",
         )?;
-        let seed = varint::read_u64(data, &mut pos)?;
-        let pcie_latency_s = read_f64_le(data, &mut pos)?;
-        let pcie_bandwidth = read_f64_le(data, &mut pos)?;
-        let cost_scale = read_f64_le(data, &mut pos)?;
-        let peer_hop_factor = read_f64_le(data, &mut pos)?;
-        let gradient_bytes = varint::read_u64(data, &mut pos)?;
-        let count = varint::read_u64(data, &mut pos)?;
-        let checksum = u64::from_le_bytes(varint::read_array(data, &mut pos)?);
-        let payload = &data[pos..];
-        if fnv1a(payload) != checksum {
-            return Err(TraceError::ChecksumMismatch);
-        }
+        let seed = varint::read_u64(body, &mut pos)?;
+        let pcie_latency_s = read_f64_le(body, &mut pos)?;
+        let pcie_bandwidth = read_f64_le(body, &mut pos)?;
+        let cost_scale = read_f64_le(body, &mut pos)?;
+        let peer_hop_factor = read_f64_le(body, &mut pos)?;
+        let gradient_bytes = varint::read_u64(body, &mut pos)?;
+        let count = varint::read_u64(body, &mut pos)?;
 
-        // The count is outside the checksum: every op takes at least one
-        // payload byte, so a false count fails `Truncated`, not allocates.
+        // Every op takes at least one body byte, so a false count fails
+        // `Truncated` rather than allocating.
         let mut trace = Trace::new(TraceMeta {
             backend,
             scene,
@@ -312,16 +259,15 @@ impl Trace {
                 gradient_bytes,
             },
         });
-        let mut pos = 0usize;
         let mut last_start_bits = 0u64;
         let mut last_dur_bits = [0u64; OpKind::ALL.len()];
         let mut deps = Vec::new();
         // The batch the ops read so far belong to; it joins the trace when
-        // an op of another batch, or the end of the payload, closes it.
+        // an op of another batch, or the end of the body, closes it.
         let mut open: Option<BatchTimeline> = None;
         for _ in 0..count {
-            let epoch = varint::read_u64(payload, &mut pos)?;
-            let batch = varint::read_u64(payload, &mut pos)?;
+            let epoch = varint::read_u64(body, &mut pos)?;
+            let batch = varint::read_u64(body, &mut pos)?;
             let current = match open.take() {
                 Some(b) if (b.epoch, b.batch) == (epoch, batch) => b,
                 closed => {
@@ -336,49 +282,51 @@ impl Trace {
             };
             let timeline = &mut open.insert(current).timeline;
             let lane_code = narrow_u32(
-                varint::read_u64(payload, &mut pos)?,
+                varint::read_u64(body, &mut pos)?,
                 "lane code exceeds u32 range",
             )?;
             let lane =
-                Lane::from_code(lane_code).ok_or(TraceError::Malformed("unknown lane code"))?;
+                Lane::from_code(lane_code).ok_or(DecodeError::Malformed("unknown lane code"))?;
             let kind_code = narrow_u32(
-                varint::read_u64(payload, &mut pos)?,
+                varint::read_u64(body, &mut pos)?,
                 "op-kind code exceeds u32 range",
             )?;
             let kind = OpKind::from_code(kind_code)
-                .ok_or(TraceError::Malformed("unknown op-kind code"))?;
-            let mb_raw = varint::read_u64(payload, &mut pos)?;
+                .ok_or(DecodeError::Malformed("unknown op-kind code"))?;
+            let mb_raw = varint::read_u64(body, &mut pos)?;
             let microbatch = if mb_raw == 0 {
                 None
             } else {
                 Some(narrow_u32(mb_raw - 1, "microbatch exceeds u32 range")?)
             };
-            let rows = varint::read_u64(payload, &mut pos)?;
-            let bytes = varint::read_u64(payload, &mut pos)?;
-            let (start, sb) = varint::read_f64_xor(payload, &mut pos, last_start_bits)?;
+            let rows = varint::read_u64(body, &mut pos)?;
+            let bytes = varint::read_u64(body, &mut pos)?;
+            let (start, sb) = varint::read_f64_xor(body, &mut pos, last_start_bits)?;
             last_start_bits = sb;
             let slot = kind.code() as usize;
-            let (dur, db) = varint::read_f64_xor(payload, &mut pos, last_dur_bits[slot])?;
+            let (dur, db) = varint::read_f64_xor(body, &mut pos, last_dur_bits[slot])?;
             last_dur_bits[slot] = db;
             // `!(x >= 0)` also refuses NaN.
             if !(start >= 0.0 && dur >= 0.0) {
-                return Err(TraceError::Malformed("negative or NaN time"));
+                return Err(DecodeError::Malformed("negative or NaN time"));
             }
             let index_in_batch = timeline.ops().len() as u64;
-            let dep_count = varint::read_u64(payload, &mut pos)?;
+            let dep_count = varint::read_u64(body, &mut pos)?;
             deps.clear();
             for _ in 0..dep_count {
-                let back = varint::read_u64(payload, &mut pos)?;
+                let back = varint::read_u64(body, &mut pos)?;
                 if back == 0 || back > index_in_batch {
-                    return Err(TraceError::Malformed("dependency outside the batch prefix"));
+                    return Err(DecodeError::Malformed(
+                        "dependency outside the batch prefix",
+                    ));
                 }
                 deps.push(timeline.ops()[(index_in_batch - back) as usize].id);
             }
             timeline.push_recorded(kind, lane, start, dur, bytes, rows, microbatch, &deps);
         }
         trace.batches.extend(open);
-        if pos != payload.len() {
-            return Err(TraceError::Malformed("trailing bytes after last op"));
+        if pos != body.len() {
+            return Err(DecodeError::Malformed("trailing bytes after last op"));
         }
         Ok(trace)
     }
@@ -389,31 +337,21 @@ fn write_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-fn read_str(data: &[u8], pos: &mut usize) -> Result<String, TraceError> {
+fn read_str(data: &[u8], pos: &mut usize) -> Result<String, DecodeError> {
     let len = varint::read_u64(data, pos)? as usize;
-    let end = pos.checked_add(len).ok_or(TraceError::Truncated)?;
-    let bytes = data.get(*pos..end).ok_or(TraceError::Truncated)?;
+    let end = pos.checked_add(len).ok_or(DecodeError::Truncated)?;
+    let bytes = data.get(*pos..end).ok_or(DecodeError::Truncated)?;
     *pos = end;
-    String::from_utf8(bytes.to_vec()).map_err(|_| TraceError::Malformed("non-UTF-8 string"))
+    String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Malformed("non-UTF-8 string"))
 }
 
-fn read_f64_le(data: &[u8], pos: &mut usize) -> Result<f64, TraceError> {
+fn read_f64_le(data: &[u8], pos: &mut usize) -> Result<f64, DecodeError> {
     Ok(f64::from_le_bytes(varint::read_array(data, pos)?))
 }
 
 /// `v` as a `u32`, or `Malformed(what)`: `what` names the field.
-fn narrow_u32(v: u64, what: &'static str) -> Result<u32, TraceError> {
-    u32::try_from(v).map_err(|_| TraceError::Malformed(what))
-}
-
-/// FNV-1a 64-bit hash.
-pub(crate) fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+fn narrow_u32(v: u64, what: &'static str) -> Result<u32, DecodeError> {
+    u32::try_from(v).map_err(|_| DecodeError::Malformed(what))
 }
 
 #[cfg(test)]
@@ -508,77 +446,57 @@ mod tests {
     }
 
     #[test]
-    fn bad_magic_is_rejected() {
-        let mut bytes = sample_trace().encode();
-        bytes[0] ^= 0xff;
-        assert_eq!(Trace::decode(&bytes), Err(TraceError::BadMagic));
-    }
-
-    #[test]
-    fn future_version_is_rejected() {
-        let mut bytes = sample_trace().encode();
-        bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        assert_eq!(
-            Trace::decode(&bytes),
-            Err(TraceError::UnsupportedVersion(FORMAT_VERSION + 1))
-        );
-    }
-
-    #[test]
-    fn corrupted_payload_fails_the_checksum() {
-        let mut bytes = sample_trace().encode();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        assert_eq!(Trace::decode(&bytes), Err(TraceError::ChecksumMismatch));
-    }
-
-    #[test]
-    fn truncation_is_detected() {
-        // Every proper prefix is refused without a panic: a cut header
-        // fails `Truncated`, a cut payload its checksum.
-        let bytes = sample_trace().encode();
-        for len in 0..bytes.len() {
-            assert!(
-                matches!(
-                    Trace::decode(&bytes[..len]),
-                    Err(TraceError::Truncated | TraceError::ChecksumMismatch)
-                ),
-                "prefix {len} of {}",
-                bytes.len()
-            );
+    fn a_flipped_header_field_is_refused() {
+        // The seed and the cost scale sit in the body, inside the frame's
+        // checksum: a flip there must not decode into another run.
+        let trace = sample_trace();
+        let bytes = trace.encode();
+        let mut seed = trace.clone();
+        seed.meta.seed += 1;
+        let mut scale = trace.clone();
+        scale.meta.cost.cost_scale *= 2.0;
+        for other in [seed, scale] {
+            let other = other.encode();
+            let at = (frame::HEADER_BYTES..bytes.len())
+                .find(|&i| bytes[i] != other[i])
+                .unwrap();
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x01;
+            assert_eq!(Trace::decode(&flipped), Err(DecodeError::ChecksumMismatch));
         }
     }
 
-    /// An empty trace's header with the op count and payload replaced.
-    fn forge(count: u64, payload: &[u8]) -> Vec<u8> {
+    /// A frame whose body is an empty trace's metadata, then `count` and
+    /// `ops`.
+    fn forge(count: u64, ops: &[u8]) -> Vec<u8> {
         let bytes = Trace::new(sample_meta()).encode();
-        let count_at = bytes.len() - 9; // then the empty payload's checksum
-        assert_eq!(bytes[count_at], 0);
-        let mut forged = bytes[..count_at].to_vec();
-        varint::write_u64(&mut forged, count);
-        forged.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        forged.extend_from_slice(payload);
-        forged
+        let mut body = frame::decode(&MAGIC, FORMAT_VERSION, &bytes)
+            .unwrap()
+            .to_vec();
+        assert_eq!(body.pop(), Some(0), "the empty trace's op count");
+        varint::write_u64(&mut body, count);
+        body.extend_from_slice(ops);
+        frame::encode(&MAGIC, FORMAT_VERSION, &body)
     }
 
     #[test]
     fn a_false_event_count_fails_truncated_without_allocating_it() {
-        // The count sits outside the payload checksum: an empty trace whose
-        // header claims 2^40 ops must fail at the first missing byte.
+        // An empty trace whose body claims 2^40 ops must fail at the first
+        // missing byte.
         assert_eq!(
             Trace::decode(&forge(1 << 40, &[])),
-            Err(TraceError::Truncated)
+            Err(DecodeError::Truncated)
         );
     }
 
     #[test]
     fn an_overflowing_string_length_fails_truncated() {
-        // The header sits outside the checksum: a backend-name length of
-        // u64::MAX must not overflow the read position.
-        let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        varint::write_u64(&mut bytes, u64::MAX);
-        assert_eq!(Trace::decode(&bytes), Err(TraceError::Truncated));
+        // A backend-name length of u64::MAX must not overflow the read
+        // position.
+        let mut body = Vec::new();
+        varint::write_u64(&mut body, u64::MAX);
+        let bytes = frame::encode(&MAGIC, FORMAT_VERSION, &body);
+        assert_eq!(Trace::decode(&bytes), Err(DecodeError::Truncated));
     }
 
     #[test]
@@ -595,7 +513,7 @@ mod tests {
             varint::write_u64(&mut op, 0); // no dependencies
             assert_eq!(
                 Trace::decode(&forge(1, &op)),
-                Err(TraceError::Malformed("negative or NaN time")),
+                Err(DecodeError::Malformed("negative or NaN time")),
                 "start {start}, dur {dur}"
             );
         }

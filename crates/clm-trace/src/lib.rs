@@ -5,8 +5,11 @@
 //! [`sim_device::Timeline`]; this crate turns those schedules into a
 //! portable artefact and back:
 //!
-//! * [`mod@format`] — the `.clmtrace` container: a versioned header carrying
-//!   run metadata and the cost-model constants, followed by varint-encoded
+//! * [`frame`] — the envelope both containers share: magic, version, body
+//!   length and one checksum over everything after the magic, and the one
+//!   [`DecodeError`] of the crate's decoders.
+//! * [`mod@format`] — the `.clmtrace` container: a body carrying run
+//!   metadata and the cost-model constants, followed by varint-encoded
 //!   ops whose f64 times are stored as exact bit patterns (replay
 //!   determinism forbids quantisation).  A [`Trace`] is its batches'
 //!   [`sim_device::Timeline`]s: [`Trace::record`] moves in the timeline an
@@ -19,7 +22,7 @@
 //! * [`report`] — aggregates a trace into per-lane utilisation, per-device
 //!   rollups, per-kind duration histograms and a critical-path summary;
 //!   exports Chrome-trace JSON for Perfetto.
-//! * [`mod@checkpoint`] — the `.clmckpt` container: a versioned, checksummed
+//! * [`mod@checkpoint`] — the `.clmckpt` container: a framed
 //!   batch-boundary snapshot of training state (model rows, full Adam
 //!   moments, offload counters and the batch cursor)
 //!   whose restore continues training bit-identically to the uninterrupted
@@ -32,12 +35,14 @@
 
 pub mod checkpoint;
 pub mod format;
+pub mod frame;
 pub mod replay;
 pub mod report;
 pub mod varint;
 
-pub use checkpoint::{Checkpoint, CkptError, CKPT_MAGIC, CKPT_VERSION};
-pub use format::{BatchTimeline, CostParams, Trace, TraceError, TraceMeta, FORMAT_VERSION};
+pub use checkpoint::{Checkpoint, CKPT_MAGIC, CKPT_VERSION};
+pub use format::{BatchTimeline, CostParams, Trace, TraceMeta, FORMAT_VERSION};
+pub use frame::DecodeError;
 pub use replay::{
     critical_path, replay_exact, replay_with_knobs, verify_exact, CriticalPath, KindScale,
     ReplayError, ReplayKnobs,

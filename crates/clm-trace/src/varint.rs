@@ -10,7 +10,7 @@
 //! The XOR residue is byte-swapped before the varint so the frequently-zero
 //! low mantissa bytes land in the varint's high positions and drop off.
 
-use crate::format::TraceError;
+use crate::frame::DecodeError;
 
 /// Appends `v` to `buf` as an unsigned LEB128 varint.
 pub fn write_u64(buf: &mut Vec<u8>, mut v: u64) {
@@ -26,16 +26,16 @@ pub fn write_u64(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads an unsigned LEB128 varint from `data` at `*pos`, advancing it.
-pub fn read_u64(data: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
+pub fn read_u64(data: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        let byte = *data.get(*pos).ok_or(TraceError::Truncated)?;
+        let byte = *data.get(*pos).ok_or(DecodeError::Truncated)?;
         *pos += 1;
         // The tenth byte holds bit 63 alone: anything above 1 would shift
         // out of the u64.
         if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(TraceError::Malformed("varint longer than 64 bits"));
+            return Err(DecodeError::Malformed("varint longer than 64 bits"));
         }
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
@@ -59,7 +59,7 @@ pub fn read_f64_xor(
     data: &[u8],
     pos: &mut usize,
     prev_bits: u64,
-) -> Result<(f64, u64), TraceError> {
+) -> Result<(f64, u64), DecodeError> {
     let residue = read_u64(data, pos)?.swap_bytes();
     let bits = residue ^ prev_bits;
     Ok((f64::from_bits(bits), bits))
@@ -67,9 +67,9 @@ pub fn read_f64_xor(
 
 /// Reads the `N` bytes at `*pos` (a fixed-width little-endian field),
 /// advancing past them; fails `Truncated` when fewer remain.
-pub fn read_array<const N: usize>(data: &[u8], pos: &mut usize) -> Result<[u8; N], TraceError> {
-    let end = pos.checked_add(N).ok_or(TraceError::Truncated)?;
-    let bytes = data.get(*pos..end).ok_or(TraceError::Truncated)?;
+pub fn read_array<const N: usize>(data: &[u8], pos: &mut usize) -> Result<[u8; N], DecodeError> {
+    let end = pos.checked_add(N).ok_or(DecodeError::Truncated)?;
+    let bytes = data.get(*pos..end).ok_or(DecodeError::Truncated)?;
     *pos = end;
     let mut field = [0u8; N];
     field.copy_from_slice(bytes);
@@ -116,7 +116,7 @@ mod tests {
         let mut pos = 0;
         assert!(matches!(
             read_u64(&[0x80], &mut pos),
-            Err(TraceError::Truncated)
+            Err(DecodeError::Truncated)
         ));
     }
 
@@ -124,12 +124,14 @@ mod tests {
     fn overlong_varint_errors() {
         let mut over_wide = [0xffu8; 10];
         over_wide[9] = 0x02;
+        let too_long = DecodeError::Malformed("varint longer than 64 bits");
         for data in [&[0x80u8; 11][..], &over_wide] {
             let mut pos = 0;
-            assert!(matches!(
-                read_u64(data, &mut pos),
-                Err(TraceError::Malformed(_))
-            ));
+            assert_eq!(read_u64(data, &mut pos), Err(too_long.clone()));
+            // Framed, as a checkpoint's leading seed: the body parser
+            // meets it behind a valid envelope.
+            let bytes = crate::frame::encode(&crate::CKPT_MAGIC, crate::CKPT_VERSION, data);
+            assert_eq!(crate::Checkpoint::decode(&bytes), Err(too_long.clone()));
         }
     }
 

@@ -204,9 +204,7 @@ fn kill_and_restore_from_checkpoint_is_bit_identical() {
     // One protocol for every backend kind (the checkpoint is
     // backend-agnostic trainer state): train to the kill point, snapshot
     // through the full byte round-trip, restore into a fresh backend of the
-    // same kind and finish.  The last row writes the snapshot with the
-    // legacy warm-start flag set, which no current writer does: such a file
-    // must decode, restore and train on to the same bits as one without.
+    // same kind and finish.
     type Build<'a> = Box<dyn Fn(Trainer) -> Box<dyn ExecutionBackend> + 'a>;
     let simulated = |devices: usize| -> Build<'_> {
         let cameras = &scenario.dataset.cameras;
@@ -218,12 +216,11 @@ fn kill_and_restore_from_checkpoint_is_bit_identical() {
     let synchronous: Build<'_> = Box::new(|trainer| Box::new(trainer));
     let threaded: Build<'_> =
         Box::new(|trainer| Box::new(ThreadedBackend::with_trainer(trainer, threaded_config())));
-    for (label, build, legacy_ratio) in [
-        ("synchronous", synchronous, None),
-        ("simulated@1", simulated(1), None),
-        ("threaded", threaded, None),
-        ("simulated@2", simulated(2), None),
-        ("simulated@1 legacy warm flag", simulated(1), Some(0.125)),
+    for (label, build) in [
+        ("synchronous", synchronous),
+        ("simulated@1", simulated(1)),
+        ("threaded", threaded),
+        ("simulated@2", simulated(2)),
     ] {
         let mut first = build(scenario.trainer());
         let mut trajectory = Trajectory {
@@ -239,16 +236,13 @@ fn kill_and_restore_from_checkpoint_is_bit_identical() {
             kill_at,
             &mut trajectory,
         );
-        let bytes = Checkpoint::capture(first.trainer(), legacy_ratio).encode();
+        let bytes = Checkpoint::capture(first.trainer(), None).encode();
         drop(first); // the "kill": nothing survives but the checkpoint bytes
-        if legacy_ratio.is_none() {
-            assert_eq!(bytes.len(), CHECKPOINT_BYTES, "{label}");
-            assert_eq!(fnv1a(&bytes), CHECKPOINT_FNV1A, "{label}");
-        }
+        assert_eq!(bytes.len(), CHECKPOINT_BYTES, "{label}");
+        assert_eq!(fnv1a(&bytes), CHECKPOINT_FNV1A, "{label}");
 
         let decoded = Checkpoint::decode(&bytes).expect("checkpoint bytes round-trip");
         assert_eq!(decoded.batches_trained, kill_at as u64, "{label}");
-        assert_eq!(decoded.warm_start_ratio, legacy_ratio, "{label}");
         let trainer = decoded
             .restore(scenario.train.clone())
             .expect("checkpoint restores against the run's config");
