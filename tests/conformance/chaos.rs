@@ -112,11 +112,11 @@ fn assert_faults(leg: &str, stats: FaultStats) {
 }
 
 /// Length of the `.clmckpt` snapshot the kill/restore legs take.
-const CHECKPOINT_BYTES: usize = 31_402;
+const CHECKPOINT_BYTES: usize = 31_408;
 
 /// FNV-1a 64 of that snapshot: the trainer state is backend-agnostic, so
 /// every backend writes the same bytes.
-const CHECKPOINT_FNV1A: u64 = 0xf51ee40c0f8a2159;
+const CHECKPOINT_FNV1A: u64 = 0x69482337a05a2286;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
