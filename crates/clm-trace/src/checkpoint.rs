@@ -163,9 +163,12 @@ impl Checkpoint {
             return Err(DecodeError::Truncated);
         }
 
-        let mut model: GaussianModel = (0..n)
-            .map(|_| Gaussian::isotropic(Vec3::ZERO, 0.1, [0.5; 3], 0.5))
-            .collect();
+        // Exactly `n` rows of capacity: `restore` moves these columns into
+        // the trainer, so they must be sized like a clone's, not grown by
+        // doubling (slack that also tips a column over malloc's mmap
+        // threshold and makes each resume's layout differ).
+        let mut model = GaussianModel::with_capacity(n);
+        model.extend((0..n).map(|_| Gaussian::isotropic(Vec3::ZERO, 0.1, [0.5; 3], 0.5)));
         for i in 0..n {
             let mut row = [0.0f32; PARAMS_PER_GAUSSIAN];
             for x in row.iter_mut() {
