@@ -183,6 +183,12 @@ pub struct BatchPlan {
     /// compositing walk reaches, computed against the model the batch
     /// starts from.  [`Trainer::render_microbatch`] shades from it.
     ///
+    /// Computing it is the batch's largest kernel: groups of up to 32
+    /// pixels of a tile walk the tile's depth-ordered list together, and
+    /// each pixel evaluates every entry up to the one that ends its walk —
+    /// ≈ 252 k pixel × entry evaluations per view on `offload_bound`'s
+    /// shape ([`gs_render::Coverage::entry_evaluations`]).
+    ///
     /// Every view's coverage stays alive for the whole batch, so the plan
     /// holds `batch_size × pixels × walk depth` records of 8 B each, plus
     /// the splats each view projected — only the depth slabs its walks

@@ -50,10 +50,9 @@ pub use gaussian::{
 };
 pub use visibility::VisibilitySet;
 
-/// Rows per lane block of the fixed-width kernels: the batch cull and the
-/// rasteriser's alpha walk.  Fixed at 8 rather than derived from the host
-/// SIMD width, so every machine runs the same kernel shape; 8 `f32` lanes
-/// are one AVX2 register or two NEON/SSE registers.
+/// Rows per lane block of the batch cull.  Fixed at 8 rather than derived
+/// from the host SIMD width, so every machine runs the same kernel shape;
+/// 8 `f32` lanes are one AVX2 register or two NEON/SSE registers.
 pub const LANE_WIDTH: usize = 8;
 
 /// Bytes occupied by one `f32` parameter.

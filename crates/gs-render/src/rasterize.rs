@@ -41,12 +41,10 @@
 //! as there).  Then, slab by slab — the nearest `FIRST_SLAB` keys, then
 //! twice as many, and so on — it selects the slab's keys
 //! (`select_nth_unstable`), sorts only those, projects them, appends the
-//! survivors to the lists of the tiles that still have an open pixel and
-//! stages them, and walks each open pixel on from where it stopped, at the
-//! transmittance it had.  It stops once no pixel is open or the candidates
-//! run out.  No walk is ever repeated.  Before the last slab a walk stops in
-//! front of a lane block the slab only partly filled; that block is
-//! evaluated, whole, when a later slab fills it or the candidates end.
+//! survivors to the lists of the tiles that still have an open pixel, and
+//! walks each open pixel on from where it stopped, at the transmittance it
+//! had, through every entry the slab gave its tile.  It stops once no pixel
+//! is open or the candidates run out.  No walk is ever repeated.
 //!
 //! Each slab appends its records to every band in a part of their own, so a
 //! pixel's walk is its parts read in slab order — nothing is copied
@@ -66,12 +64,12 @@
 //!    so a tile's list is a prefix of its list over every candidate — for
 //!    every tile a pixel still walks, since a tile with an open pixel had
 //!    one in every earlier slab too.
-//! 3. *Each pixel walks it the same way.*  It evaluates the same lane blocks
-//!    of that list, in order (each whole, as above; a lane's alpha depends
-//!    on its own splat only), from the same transmittance, and stops at the
-//!    same entry.  A walk that never terminates reaches the end of the
-//!    candidates either way.  So [`Coverage::lane_blocks`] equals the one
-//!    slab's count too.
+//! 3. *Each pixel walks it the same way.*  It evaluates the entries of that
+//!    list one after another (an entry's alpha at a pixel depends on that
+//!    splat and that pixel only), from the same transmittance, and stops at
+//!    the same entry.  A walk that never terminates reaches the end of the
+//!    candidates either way.  So [`Coverage::entry_evaluations`] equals the
+//!    one slab's count too.
 //!
 //! The coverage's splats simply end at its last slab
 //! ([`Coverage::projected_count`]): every walk ended before the next one.
@@ -100,25 +98,28 @@
 //! `compute_threads = 1` runs exactly the same banded code path, so "the
 //! serial path" and "the parallel path at width 1" are one and the same.
 //!
-//! # Lane-staged tiles (SoA inner loops)
+//! # Pixel groups (splat-major inner loop)
 //!
-//! After binning, each tile's splats are staged into a `TileSoa` (private):
-//! one `f32` array per screen-space attribute the alpha walk reads (means,
-//! conic, opacity, and the opacity's exponent floor), padded to a multiple
-//! of [`LANES`].  The per-pixel alpha evaluation then runs over fixed-width
-//! lane blocks (`TileSoa::lane_alphas`) whose exponent loop the
-//! autovectoriser lowers to SIMD — only `exp` stays a scalar libm call per
-//! lane, and it is skipped for every lane whose exponent is positive or
-//! below the splat's floor `ln(MIN_ALPHA / opacity)` less a margin (such a
-//! lane's alpha is under [`MIN_ALPHA`] whatever `expf` returns), and for a
-//! whole block when every lane is.  Padding is inert by construction: a
-//! padded lane has opacity 0 and floor `+inf`.
+//! A band's pixels walk in **groups**: up to 32 consecutive pixels of one
+//! tile in the band's pixel order (two 16-px rows of a full tile), with one
+//! `u32` bit per pixel whose walk is open.  A group walks its tile's list
+//! once, from one resume point its open pixels share, as the reference 3DGS
+//! rasteriser advances a tile's pixels through the list together: per entry
+//! it evaluates the Gaussian exponent at every pixel of the group in one
+//! branch-free loop the autovectoriser lowers to SIMD, and then, only at the
+//! open pixels whose exponent is neither positive nor below the splat's
+//! floor `ln(MIN_ALPHA / opacity)` less a margin (below it the alpha is
+//! under [`MIN_ALPHA`] whatever `expf` returns), the `exp` and the alpha.
+//! Each kept entry goes to its pixel's buffer, and the buffers are copied
+//! into the band's records in pixel order, so every pixel evaluates the same
+//! entries, in the same order, with the same bits as a walk of that pixel
+//! alone.  A tile's list holds each entry's slot and the screen-space
+//! attributes the walk reads, copied at binning.
 //!
-//! Each slab's prologue (projection, tile binning, SoA staging) is also
-//! parallel in the same way.  Projection keeps slab order via an
-//! index-ordered map; binning assigns each *tile row* to one job that scans
-//! the slab's splats in slot order, reproducing the serial per-tile list
-//! order exactly.
+//! Each slab's prologue (projection, tile binning) is also parallel in the
+//! same way.  Projection keeps slab order via an index-ordered map; binning
+//! assigns each *tile row* to one job that scans the slab's splats in slot
+//! order, reproducing the serial per-tile list order exactly.
 
 use crate::image::Image;
 use crate::parallel::{parallel_for_each, parallel_map};
@@ -130,7 +131,6 @@ use gs_core::camera::Camera;
 use gs_core::gaussian::GaussianModel;
 use gs_core::math::Sym2;
 use gs_core::visibility::VisibilitySet;
-use gs_core::LANE_WIDTH as LANES;
 
 /// Tile edge length in pixels.
 pub const TILE_SIZE: u32 = 16;
@@ -234,7 +234,7 @@ pub struct Coverage {
     band_height: u32,
     compute_threads: usize,
     open_pixels: usize,
-    lane_blocks: u64,
+    entry_evaluations: u64,
 }
 
 impl Coverage {
@@ -247,7 +247,9 @@ impl Coverage {
 
     /// Number of splats projected: the candidates that survive projection,
     /// in depth order, through the slab in which the last walk ended —
-    /// every survivor only when some walk runs out of candidates.
+    /// every survivor only when some walk runs out of candidates.  A walk
+    /// walks every entry a slab gave its tile, so one that ends among a
+    /// slab's last entries projects no further slab.
     pub fn projected_count(&self) -> usize {
         self.splats.len()
     }
@@ -258,11 +260,12 @@ impl Coverage {
         self.open_pixels
     }
 
-    /// Lane blocks the walk evaluated ([`LANES`] tile entries at one pixel
-    /// each): its work count.  Exactly what one walk over every candidate at
-    /// once evaluates (see the module docs).
-    pub fn lane_blocks(&self) -> u64 {
-        self.lane_blocks
+    /// Tile entries the walk evaluated, one per pixel still open at each
+    /// (the entry that ends a walk included): its work count.  Exactly what
+    /// one walk over every candidate at once evaluates, whatever the thread
+    /// count, band height or slab sizes (see the module docs).
+    pub fn entry_evaluations(&self) -> u64 {
+        self.entry_evaluations
     }
 }
 
@@ -347,16 +350,21 @@ const FIRST_SLAB: usize = 1024;
 /// # Panics
 /// Panics if `options.visible` contains an index outside the model.
 pub fn coverage(model: &GaussianModel, camera: &Camera, options: &RenderOptions) -> Coverage {
-    coverage_in_slabs(model, camera, options, FIRST_SLAB)
+    coverage_in_slabs(model, camera, options, FIRST_SLAB, |band, tiles, _| {
+        band.walk(tiles)
+    })
 }
 
-/// [`coverage`] with a first slab of `first_slab` candidates (at least one);
-/// `usize::MAX` covers every candidate in one slab.
+/// [`coverage`] with a first slab of `first_slab` candidates (at least one;
+/// `usize::MAX` covers every candidate in one slab), walking each band with
+/// an open pixel through each slab's tile lists by `walk` — passed whether
+/// the slab is the last, which [`BandWalk::walk`] does not need.
 fn coverage_in_slabs(
     model: &GaussianModel,
     camera: &Camera,
     options: &RenderOptions,
     first_slab: usize,
+    walk: impl Fn(&mut BandWalk, &[Vec<TileEntry>], bool) + Sync,
 ) -> Coverage {
     let width = camera.intrinsics.width;
     let height = camera.intrinsics.height;
@@ -384,16 +392,14 @@ fn coverage_in_slabs(
     let mut keys = depth_keys(model, camera, candidates);
 
     // 2. The walk state: every pixel open at full transmittance, and per
-    //    tile its list of depth-ordered slots and their staged SoA, both
-    //    grown slab by slab.
+    //    tile its depth-ordered entries, grown slab by slab.
     let band_height = options.band_height.max(1);
     let mut bands: Vec<BandWalk> = (0..height.div_ceil(band_height))
         .map(|b| BandWalk::new((width, height, band_height, b * band_height)))
         .collect();
     let (tiles_x, tiles_y) = (width.div_ceil(TILE_SIZE), height.div_ceil(TILE_SIZE));
     let tile_count = (tiles_x * tiles_y) as usize;
-    let mut tile_lists: Vec<Vec<u32>> = vec![Vec::new(); tile_count];
-    let mut tile_soas: Vec<TileSoa> = vec![TileSoa::default(); tile_count];
+    let mut tiles: Vec<Vec<TileEntry>> = vec![Vec::new(); tile_count];
     let mut tile_open = vec![true; tile_count];
     let setup = ProjectionSetup::new(camera);
     let mut splats: Vec<ProjectedGaussian> = Vec::new();
@@ -435,10 +441,10 @@ fn coverage_in_slabs(
 
         // 5. Append the new slots to the lists of the tiles that still have
         //    an open pixel — one job per tile row, scanning them in slot
-        //    order — and stage what each list gained.
+        //    order.
         {
             let new = &splats[first_slot..];
-            let jobs: Vec<(u32, &mut [Vec<u32>], &[bool])> = tile_lists
+            let jobs: Vec<(u32, &mut [Vec<TileEntry>], &[bool])> = tiles
                 .chunks_mut(tiles_x as usize)
                 .zip(tile_open.chunks(tiles_x as usize))
                 .enumerate()
@@ -449,33 +455,22 @@ fn coverage_in_slabs(
                 jobs,
                 |(ty, row, open)| bin_tile_row(new, first_slot, (width, height), ty, row, open),
             );
-            let jobs: Vec<(&mut TileSoa, &Vec<u32>)> = tile_soas
-                .iter_mut()
-                .zip(&tile_lists)
-                .filter(|(soa, list)| soa.len < list.len())
-                .collect();
-            let splats = &splats;
-            parallel_for_each(compute_threads, jobs, |(soa, list)| {
-                soa.extend(list, splats)
-            });
         }
 
         // 6. Walk every open pixel on from where it stopped, one job per
         //    band with an open pixel.
         {
             let jobs: Vec<&mut BandWalk> = bands.iter_mut().filter(|b| b.open > 0).collect();
-            let (tile_soas, tile_lists) = (&tile_soas, &tile_lists);
-            parallel_for_each(compute_threads, jobs, |band| {
-                band.walk(tile_soas, tile_lists, last)
-            });
+            let tiles = &tiles;
+            parallel_for_each(compute_threads, jobs, |band| walk(band, tiles, last));
         }
         if last || bands.iter().all(|b| b.open == 0) {
             break;
         }
         tile_open.fill(false);
         for band in &bands {
-            for pixel in band.pixels.iter().filter(|p| p.open) {
-                tile_open[pixel.tile as usize] = true;
+            for group in band.groups.iter().filter(|g| g.open != 0) {
+                tile_open[group.tile as usize] = true;
             }
         }
         slab_len = slab_len.saturating_mul(2);
@@ -483,7 +478,7 @@ fn coverage_in_slabs(
 
     // 7. The reached slots, and the projection contexts of those only.
     let open_pixels = bands.iter().map(|b| b.open).sum();
-    let lane_blocks = bands.iter().map(|b| b.lane_blocks).sum();
+    let entry_evaluations = bands.iter().map(|b| b.entry_evaluations).sum();
     let bands: Vec<BandCoverage> = bands.into_iter().map(BandWalk::finish).collect();
     let mut is_reached = vec![false; splats.len()];
     for record in (bands.iter().flat_map(|band| &band.slabs)).flat_map(|slab| &slab.records) {
@@ -513,7 +508,7 @@ fn coverage_in_slabs(
         band_height,
         compute_threads,
         open_pixels,
-        lane_blocks,
+        entry_evaluations,
     }
 }
 
@@ -552,7 +547,7 @@ fn total_order_bits(x: f32) -> u32 {
     (bits ^ (((bits >> 31) as u32) >> 1) as i32) as u32 ^ 0x8000_0000
 }
 
-/// Appends the slots of `new` (the splats from slot `first_slot` on) that
+/// Appends the entries of `new` (the splats from slot `first_slot` on) that
 /// overlap tile row `ty` to that row's lists of the tiles marked `open`,
 /// with the serial binning expressions (including the offscreen skip).
 /// Scanning in slot order keeps every list in slot order.
@@ -561,7 +556,7 @@ fn bin_tile_row(
     first_slot: usize,
     (width, height): (u32, u32),
     ty: u32,
-    row: &mut [Vec<u32>],
+    row: &mut [Vec<TileEntry>],
     open: &[bool],
 ) {
     for (k, p) in new.iter().enumerate() {
@@ -579,10 +574,19 @@ fn bin_tile_row(
         if ty < min_y / TILE_SIZE || ty > max_y / TILE_SIZE {
             continue;
         }
-        let slot = (first_slot + k) as u32;
+        let entry = TileEntry {
+            slot: (first_slot + k) as u32,
+            mean_x: p.mean2d.x,
+            mean_y: p.mean2d.y,
+            conic_a: p.conic.a,
+            conic_b: p.conic.b,
+            conic_c: p.conic.c,
+            opacity: p.opacity,
+            floor: alpha_power_floor(p.opacity),
+        };
         for tx in min_x / TILE_SIZE..=max_x / TILE_SIZE {
             if open[tx as usize] {
-                row[tx as usize].push(slot);
+                row[tx as usize].push(entry);
             }
         }
     }
@@ -613,19 +617,112 @@ fn for_each_band_pixel(
     }
 }
 
-/// Where one pixel's front-to-back walk stands between slabs.
+/// One entry of a tile's depth-ordered list: a splat's slot and the
+/// screen-space attributes the walk reads, copied from its projection.
+#[derive(Debug, Clone, Copy)]
+struct TileEntry {
+    slot: u32,
+    mean_x: f32,
+    mean_y: f32,
+    conic_a: f32,
+    conic_b: f32,
+    conic_c: f32,
+    opacity: f32,
+    /// [`alpha_power_floor`] of the opacity.
+    floor: f32,
+}
+
+/// Pixels per [`PixelGroup`]: one bit each of its open mask.
+const GROUP: usize = 32;
+
+/// Up to [`GROUP`] consecutive pixels of one tile within one band, in
+/// [`for_each_band_pixel`] order, and where their walks stand between slabs.
 #[derive(Debug)]
-struct PixelWalk {
+struct PixelGroup {
     tile: u32,
-    /// The pixel centre.
-    cx: f32,
-    cy: f32,
-    /// Transmittance in front of the next entry — once the walk has ended,
-    /// in front of the entry that ended it.
-    t: f32,
-    /// Start of the next lane block of the tile list to walk.
+    /// Pixels in the group; the lanes past them are never open.
+    len: usize,
+    /// Per pixel: its centre.
+    cx: [f32; GROUP],
+    cy: [f32; GROUP],
+    /// Per pixel: the transmittance in front of the next entry — once its
+    /// walk has ended, in front of the entry that ended it.
+    t: [f32; GROUP],
+    /// Bit `l` is set while pixel `l`'s walk has not ended.
+    open: u32,
+    /// The next entry of the tile's list, where every open pixel resumes.
     next: usize,
-    open: bool,
+}
+
+impl PixelGroup {
+    /// The pixels `(tile, cx, cy)` (one tile's, at most [`GROUP`]), open at
+    /// transmittance 1.
+    fn new(pixels: &[(u32, f32, f32)]) -> Self {
+        let mut group = PixelGroup {
+            tile: pixels[0].0,
+            len: pixels.len(),
+            cx: [0.0; GROUP],
+            cy: [0.0; GROUP],
+            t: [1.0; GROUP],
+            open: u32::MAX >> (GROUP - pixels.len()),
+            next: 0,
+        };
+        for (l, &(_, cx, cy)) in pixels.iter().enumerate() {
+            (group.cx[l], group.cy[l]) = (cx, cy);
+        }
+        group
+    }
+
+    /// Walks the open pixels on through the rest of `entries` (their tile's
+    /// list) together, appending what each composites to its `kept` buffer,
+    /// and returns the entry evaluations.  Per entry, the Gaussian exponent
+    /// `power = -0.5 * (a·dx² + 2b·dx·dy + c·dy²)` over the conic `(a, b, c)`,
+    /// with `dx = cx - mean_x`, is evaluated at every pixel in a branch-free
+    /// loop (the SIMD-friendly shape; keep it apart from the `exp` calls,
+    /// which stop it vectorising); then each open pixel whose exponent
+    /// [`skips_exp`] does not skip gets its [`lane_alpha`], and composites
+    /// the entry if the alpha is at least [`MIN_ALPHA`].
+    fn walk(&mut self, entries: &[TileEntry], kept: &mut [Vec<Contribution>; GROUP]) -> u64 {
+        let mut evaluations = 0;
+        for e in &entries[self.next..] {
+            if self.open == 0 {
+                break;
+            }
+            evaluations += u64::from(self.open.count_ones());
+            let mut powers = [0.0f32; GROUP];
+            for l in 0..GROUP {
+                let dx = self.cx[l] - e.mean_x;
+                let dy = self.cy[l] - e.mean_y;
+                powers[l] =
+                    -0.5 * (e.conic_a * dx * dx + 2.0 * e.conic_b * dx * dy + e.conic_c * dy * dy);
+            }
+            let mut evaluate = 0u32;
+            for l in 0..GROUP {
+                evaluate |= u32::from(!skips_exp(powers[l], e.floor)) << l;
+            }
+            evaluate &= self.open;
+            while evaluate != 0 {
+                let l = evaluate.trailing_zeros() as usize;
+                evaluate &= evaluate - 1;
+                let (alpha, gauss) = lane_alpha(e.opacity, e.floor, powers[l]);
+                if alpha < MIN_ALPHA {
+                    continue;
+                }
+                kept[l].push(Contribution {
+                    slot: e.slot,
+                    gauss,
+                });
+                let next_t = self.t[l] * (1.0 - alpha);
+                if next_t < TRANSMITTANCE_EPS {
+                    self.open &= !(1 << l);
+                } else {
+                    self.t[l] = next_t;
+                }
+            }
+        }
+        self.next = entries.len();
+        evaluations
+    }
 }
 
 /// What one slab's walk recorded for each pixel of a band.
@@ -639,195 +736,68 @@ struct SlabRecords {
 /// One band's pixels across the slabs of a [`coverage`].
 #[derive(Debug)]
 struct BandWalk {
-    pixels: Vec<PixelWalk>,
+    groups: Vec<PixelGroup>,
     /// Pixels whose walk has not ended.
     open: usize,
     /// One entry per slab in which the band had an open pixel.
     slabs: Vec<SlabRecords>,
-    lane_blocks: u64,
+    entry_evaluations: u64,
+    /// Per pixel of the group being walked: what it composited, until the
+    /// group's records are copied into the slab's in pixel order.
+    kept: [Vec<Contribution>; GROUP],
 }
 
 impl BandWalk {
-    /// Every pixel of the band `geometry` describes, open at transmittance 1.
+    /// Every pixel of the band `geometry` describes, open at transmittance
+    /// 1, in groups.
     fn new(geometry: (u32, u32, u32, u32)) -> Self {
         let mut pixels = Vec::new();
         for_each_band_pixel(geometry, |tile, px, py| {
-            pixels.push(PixelWalk {
-                tile: tile as u32,
-                cx: px as f32 + 0.5,
-                cy: py as f32 + 0.5,
-                t: 1.0,
-                next: 0,
-                open: true,
-            })
+            pixels.push((tile as u32, px as f32 + 0.5, py as f32 + 0.5))
         });
+        let groups = (pixels.chunk_by(|a, b| a.0 == b.0))
+            .flat_map(|tile| tile.chunks(GROUP))
+            .map(PixelGroup::new)
+            .collect();
         BandWalk {
+            groups,
             open: pixels.len(),
-            pixels,
             slabs: Vec::new(),
-            lane_blocks: 0,
+            entry_evaluations: 0,
+            kept: std::array::from_fn(|_| Vec::new()),
         }
     }
 
-    /// Walks every open pixel on through its tile's list and records what it
-    /// composites.  Pure per pixel: identical output regardless of which
-    /// thread runs it.
-    ///
-    /// The walk processes each tile list in [`LANES`]-wide blocks: alphas
-    /// for a block are evaluated by the lane kernel, then walked serially in
-    /// list order — termination mid-block wastes at most `LANES - 1` lane
-    /// evaluations.  Before the `last` slab a walk stops in front of a
-    /// partly filled block, which a later slab may still fill, so each block
-    /// a pixel evaluates is the one a walk over every candidate evaluates.
-    fn walk(&mut self, tile_soas: &[TileSoa], tile_lists: &[Vec<u32>], last: bool) {
+    /// Walks every open group on through its tile's list in `tiles` and
+    /// records what each pixel composites.  Pure per pixel: identical output
+    /// regardless of which thread runs it.
+    fn walk(&mut self, tiles: &[Vec<TileEntry>]) {
         let mut slab = SlabRecords::default();
-        let (mut alphas, mut gauss) = ([0.0f32; LANES], [0.0f32; LANES]);
-        let mut lane_blocks = 0;
-        for pixel in &mut self.pixels {
-            if pixel.open {
-                let tile = pixel.tile as usize;
-                let (soa, list) = (&tile_soas[tile], &tile_lists[tile]);
-                let walkable = if last {
-                    soa.len
-                } else {
-                    soa.len - soa.len % LANES
-                };
-                let (cx, cy) = (pixel.cx, pixel.cy);
-                let mut t = pixel.t;
-                let mut base = pixel.next;
-                'blocks: while base < walkable {
-                    lane_blocks += 1;
-                    if soa.lane_alphas(base, cx, cy, &mut alphas, &mut gauss) {
-                        for pos in base..(base + LANES).min(soa.len) {
-                            let alpha = alphas[pos - base];
-                            if alpha < MIN_ALPHA {
-                                continue;
-                            }
-                            slab.records.push(Contribution {
-                                slot: list[pos],
-                                gauss: gauss[pos - base],
-                            });
-                            let next_t = t * (1.0 - alpha);
-                            if next_t < TRANSMITTANCE_EPS {
-                                pixel.open = false;
-                                self.open -= 1;
-                                break 'blocks;
-                            }
-                            t = next_t;
-                        }
-                    }
-                    base += LANES;
-                }
-                (pixel.t, pixel.next) = (t, base);
+        for group in &mut self.groups {
+            if group.open != 0 {
+                let was_open = group.open.count_ones();
+                let entries = &tiles[group.tile as usize];
+                self.entry_evaluations += group.walk(entries, &mut self.kept);
+                self.open -= (was_open - group.open.count_ones()) as usize;
             }
-            slab.ends.push(slab.records.len() as u32);
+            for kept in &mut self.kept[..group.len] {
+                slab.records.extend_from_slice(kept);
+                kept.clear();
+                slab.ends.push(slab.records.len() as u32);
+            }
         }
-        self.lane_blocks += lane_blocks;
         self.slabs.push(slab);
     }
 
     /// The band's records and final transmittances.
     fn finish(self) -> BandCoverage {
         BandCoverage {
-            final_t: self.pixels.iter().map(|p| p.t).collect(),
+            final_t: (self.groups.iter())
+                .flat_map(|g| &g.t[..g.len])
+                .copied()
+                .collect(),
             slabs: self.slabs,
         }
-    }
-}
-
-/// One tile's splats in structure-of-arrays form: one `f32` array per
-/// screen-space attribute the alpha walk reads, **zero-padded** to a
-/// multiple of [`LANES`] so the lane kernel always processes full
-/// fixed-width blocks.  Entry `pos` corresponds to `tile_lists[tile][pos]`.
-///
-/// Padding is inert through the alpha kernel: a padded lane has opacity 0
-/// and exponent floor `+inf`, so it is `(0, 0)` without an `exp`, and
-/// `0 < MIN_ALPHA` means the walk skips it — the same sentinel used for
-/// "splat does not cover this pixel".
-#[derive(Debug, Clone, Default)]
-struct TileSoa {
-    /// Real (unpadded) entry count — equals the tile list's length.
-    len: usize,
-    mean_x: Vec<f32>,
-    mean_y: Vec<f32>,
-    conic_a: Vec<f32>,
-    conic_b: Vec<f32>,
-    conic_c: Vec<f32>,
-    opacity: Vec<f32>,
-    /// Per entry: [`alpha_power_floor`] of its opacity (`+inf` in the
-    /// padding, whose opacity is zero).
-    floor: Vec<f32>,
-}
-
-impl TileSoa {
-    /// Stages the entries of the tile's `list` from [`len`](Self::len) on
-    /// (pure copies of the projected attributes, in list order) and re-pads.
-    fn extend(&mut self, list: &[u32], projected: &[ProjectedGaussian]) {
-        let padded = list.len().next_multiple_of(LANES);
-        for array in [
-            &mut self.mean_x,
-            &mut self.mean_y,
-            &mut self.conic_a,
-            &mut self.conic_b,
-            &mut self.conic_c,
-            &mut self.opacity,
-        ] {
-            array.resize(padded, 0.0);
-        }
-        self.floor.resize(padded, f32::INFINITY);
-        for (pos, &slot) in list.iter().enumerate().skip(self.len) {
-            let p = &projected[slot as usize];
-            self.mean_x[pos] = p.mean2d.x;
-            self.mean_y[pos] = p.mean2d.y;
-            self.conic_a[pos] = p.conic.a;
-            self.conic_b[pos] = p.conic.b;
-            self.conic_c[pos] = p.conic.c;
-            self.opacity[pos] = p.opacity;
-            self.floor[pos] = alpha_power_floor(p.opacity);
-        }
-        self.len = list.len();
-    }
-
-    /// Evaluates the alpha and the Gaussian factor `exp(power)` of the
-    /// [`LANES`] splats starting at `base` at pixel centre `(cx, cy)`, with
-    /// `power = -0.5 * (a·dx² + 2b·dx·dy + c·dy²)` over the conic `(a, b, c)`
-    /// and `dx = cx - mean_x`.
-    /// The exponents come from a branch-free loop over array slices (the
-    /// SIMD-friendly shape; keep it apart from the `exp` calls, which stop
-    /// it vectorising); `alphas[l] < MIN_ALPHA` encodes "skipped" (outside
-    /// the effective footprint or transparent).  Returns `false`, leaving
-    /// both arrays untouched, when every lane is skipped by its exponent
-    /// alone — the common case, since most of a tile's splats miss a given
-    /// pixel.
-    #[inline]
-    fn lane_alphas(
-        &self,
-        base: usize,
-        cx: f32,
-        cy: f32,
-        alphas: &mut [f32; LANES],
-        gauss: &mut [f32; LANES],
-    ) -> bool {
-        let mx: &[f32; LANES] = self.mean_x[base..base + LANES].try_into().unwrap();
-        let my: &[f32; LANES] = self.mean_y[base..base + LANES].try_into().unwrap();
-        let ca: &[f32; LANES] = self.conic_a[base..base + LANES].try_into().unwrap();
-        let cb: &[f32; LANES] = self.conic_b[base..base + LANES].try_into().unwrap();
-        let cc: &[f32; LANES] = self.conic_c[base..base + LANES].try_into().unwrap();
-        let mut powers = [0.0f32; LANES];
-        for l in 0..LANES {
-            let dx = cx - mx[l];
-            let dy = cy - my[l];
-            powers[l] = -0.5 * (ca[l] * dx * dx + 2.0 * cb[l] * dx * dy + cc[l] * dy * dy);
-        }
-        let floor: &[f32; LANES] = self.floor[base..base + LANES].try_into().unwrap();
-        if (0..LANES).all(|l| skips_exp(powers[l], floor[l])) {
-            return false;
-        }
-        let op: &[f32; LANES] = self.opacity[base..base + LANES].try_into().unwrap();
-        for l in 0..LANES {
-            (alphas[l], gauss[l]) = lane_alpha(op[l], floor[l], powers[l]);
-        }
-        true
     }
 }
 
@@ -850,11 +820,11 @@ fn skips_exp(power: f32, floor: f32) -> bool {
     power > 0.0 || power < floor
 }
 
-/// One lane of the alpha kernel: `(alpha, exp(power))` of a splat of the
-/// given opacity (at most 1) and exponent floor whose Gaussian exponent at
-/// the pixel is `power`.  An alpha under [`MIN_ALPHA`] means "skipped", and
-/// the walk tests that before it reads anything else, so the lanes
-/// [`skips_exp`] names are `(0, 0)` without an `exp`.
+/// One pixel of the alpha evaluation: `(alpha, exp(power))` of a splat of
+/// the given opacity (at most 1) and exponent floor whose Gaussian exponent
+/// at the pixel is `power`.  An alpha under [`MIN_ALPHA`] means "skipped",
+/// and the walk tests that before it reads anything else, so the exponents
+/// [`skips_exp`] names give `(0, 0)` without an `exp`.
 #[inline]
 fn lane_alpha(opacity: f32, floor: f32, power: f32) -> (f32, f32) {
     if skips_exp(power, floor) {
@@ -1344,11 +1314,15 @@ mod tests {
     }
 
     fn camera(px: u32) -> Camera {
+        camera_sized(px, px)
+    }
+
+    fn camera_sized(width: u32, height: u32) -> Camera {
         Camera::look_at(
             Vec3::ZERO,
             Vec3::Z,
             Vec3::Y,
-            CameraIntrinsics::simple(px, px, 60.0_f32.to_radians()),
+            CameraIntrinsics::simple(width, height, 60.0_f32.to_radians()),
         )
         .with_clip(0.1, 100.0)
     }
@@ -1887,6 +1861,18 @@ mod tests {
             .collect()
     }
 
+    /// [`coverage`] with a first slab of `first_slab` candidates.
+    fn group_coverage(
+        model: &GaussianModel,
+        cam: &Camera,
+        options: &RenderOptions,
+        first_slab: usize,
+    ) -> Coverage {
+        coverage_in_slabs(model, cam, options, first_slab, |band, tiles, _| {
+            band.walk(tiles)
+        })
+    }
+
     /// Asserts that `slabs` is byte-identical to `oracle`, the same
     /// coverage in one slab of every candidate: each pixel's records and
     /// final transmittance, the reached set, both counters, a prefix of the
@@ -1902,7 +1888,7 @@ mod tests {
         assert_eq!(slabs.reached(), oracle.reached());
         assert_eq!(slabs.reached_slots, oracle.reached_slots);
         assert_eq!(slabs.open_pixels(), oracle.open_pixels());
-        assert_eq!(slabs.lane_blocks(), oracle.lane_blocks());
+        assert_eq!(slabs.entry_evaluations(), oracle.entry_evaluations());
         let prefix = slabs.projected_count();
         assert!(prefix <= oracle.projected_count());
         if oracle.open_pixels() > 0 {
@@ -1938,8 +1924,9 @@ mod tests {
     /// `random_scene` plus rows the depth keys must order or drop exactly:
     /// a NaN depth, ±inf depths, depths before the near and beyond the far
     /// plane (`camera` clips at 0.1 and 100), and exact copies of earlier
-    /// rows (equal-depth ties).
-    fn scene_with_edge_depths(
+    /// rows (equal-depth ties); and rows of zero, NaN and full opacity (a
+    /// logit of -inf, NaN, +inf) and of NaN `x` or `y`.
+    fn scene_with_edge_rows(
         splats: &[((f32, f32, f32), (f32, f32, f32), (f32, f32))],
         edges: &[(u32, usize)],
     ) -> GaussianModel {
@@ -1952,6 +1939,11 @@ mod tests {
                 2 => g.position.z = f32::NEG_INFINITY,
                 3 => g.position.z = 0.05,
                 4 => g.position.z = 150.0,
+                8 => g.opacity_logit = f32::NEG_INFINITY,
+                9 => g.opacity_logit = f32::NAN,
+                10 => g.opacity_logit = f32::INFINITY,
+                11 => g.position.x = f32::NAN,
+                12 => g.position.y = f32::NAN,
                 _ => {}
             }
             model.push(g);
@@ -1978,7 +1970,7 @@ mod tests {
             // band height, the walk, its counters and everything shaded from
             // it equal one slab of every candidate.
             let (px, band_height, visible) = view;
-            let model = scene_with_edge_depths(&splats, &edges);
+            let model = scene_with_edge_rows(&splats, &edges);
             let cam = camera(px);
             let n = model.len() as u32;
             let visible = match visible {
@@ -1992,10 +1984,10 @@ mod tests {
                 compute_threads: threads,
                 band_height,
             };
-            let oracle = coverage_in_slabs(&model, &cam, &options(1), usize::MAX);
+            let oracle = group_coverage(&model, &cam, &options(1), usize::MAX);
             for threads in [1usize, 2, 3] {
                 for first_slab in [1usize, 3, 8, 21] {
-                    let slabs = coverage_in_slabs(&model, &cam, &options(threads), first_slab);
+                    let slabs = group_coverage(&model, &cam, &options(threads), first_slab);
                     assert_same_coverage(&model, &cam, &slabs, &oracle);
                 }
             }
@@ -2040,19 +2032,134 @@ mod tests {
             (&wall, 0..=0),
         ] {
             let model = random_scene(splats);
-            let oracle = coverage_in_slabs(&model, &cam, &RenderOptions::default(), usize::MAX);
+            let oracle = group_coverage(&model, &cam, &RenderOptions::default(), usize::MAX);
             assert!(
                 open.contains(&oracle.open_pixels()),
                 "{} open",
                 oracle.open_pixels()
             );
             for first_slab in [1usize, 2, 5, 16] {
-                let slabs = coverage_in_slabs(&model, &cam, &RenderOptions::default(), first_slab);
+                let slabs = group_coverage(&model, &cam, &RenderOptions::default(), first_slab);
                 assert_same_coverage(&model, &cam, &slabs, &oracle);
                 if oracle.open_pixels() == 0 && first_slab == 2 {
                     // More than one slab ran, and the walks ended early.
                     let projected = slabs.projected_count();
                     assert!(first_slab < projected && projected < oracle.projected_count());
+                }
+            }
+        }
+    }
+
+    /// A per-pixel walk in lane blocks, the oracle of [`BandWalk::walk`]:
+    /// pixel by pixel, each open pixel evaluates its tile's list from the
+    /// group's resume point in blocks of [`gs_core::LANE_WIDTH`] entries
+    /// (every alpha of a block, then the block's entries in order) and,
+    /// before the `last` slab, stops in front of a block the slab only
+    /// partly filled.  Counts one evaluation per entry a pixel walks, the
+    /// one that ends it included.
+    fn lane_block_walk(band: &mut BandWalk, tiles: &[Vec<TileEntry>], last: bool) {
+        const LANES: usize = gs_core::LANE_WIDTH;
+        let mut slab = SlabRecords::default();
+        for group in &mut band.groups {
+            let list = &tiles[group.tile as usize];
+            let walkable = if last {
+                list.len()
+            } else {
+                list.len() - list.len() % LANES
+            };
+            let mut next = group.next;
+            for l in 0..group.len {
+                if group.open & 1 << l != 0 {
+                    let (cx, cy) = (group.cx[l], group.cy[l]);
+                    let mut t = group.t[l];
+                    let mut base = group.next;
+                    'blocks: while base < walkable {
+                        let block = &list[base..(base + LANES).min(list.len())];
+                        let mut lanes = [(0.0f32, 0.0f32); LANES];
+                        for (lane, e) in lanes.iter_mut().zip(block) {
+                            let dx = cx - e.mean_x;
+                            let dy = cy - e.mean_y;
+                            let power = -0.5
+                                * (e.conic_a * dx * dx
+                                    + 2.0 * e.conic_b * dx * dy
+                                    + e.conic_c * dy * dy);
+                            *lane = lane_alpha(e.opacity, e.floor, power);
+                        }
+                        for (e, &(alpha, gauss)) in block.iter().zip(&lanes) {
+                            band.entry_evaluations += 1;
+                            if alpha < MIN_ALPHA {
+                                continue;
+                            }
+                            slab.records.push(Contribution {
+                                slot: e.slot,
+                                gauss,
+                            });
+                            let next_t = t * (1.0 - alpha);
+                            if next_t < TRANSMITTANCE_EPS {
+                                group.open &= !(1 << l);
+                                band.open -= 1;
+                                break 'blocks;
+                            }
+                            t = next_t;
+                        }
+                        base += LANES;
+                    }
+                    group.t[l] = t;
+                    if group.open & 1 << l != 0 {
+                        next = base;
+                    }
+                }
+                slab.ends.push(slab.records.len() as u32);
+            }
+            group.next = next;
+        }
+        band.slabs.push(slab);
+    }
+
+    proptest! {
+        #[test]
+        fn the_group_walk_matches_the_per_pixel_lane_block_walk(
+            splats in proptest::collection::vec(
+                (
+                    (-1.2f32..0.6, -1.2f32..0.6, 2.5f32..6.0),
+                    (0.02f32..0.6, 0.0f32..1.0, 0.0f32..1.0),
+                    (0.05f32..0.9995, -0.8f32..0.8),
+                ),
+                1..60,
+            ),
+            edges in proptest::collection::vec((0u32..14, 0usize..60), 0..10),
+            size in 0usize..2,
+        ) {
+            // Every pixel evaluates the same entries with the same bits and
+            // stops at the same one, at any band height, thread count and
+            // slab split; the work count does not depend on any of them.
+            // Only the projected prefix may be shorter: the oracle waits in
+            // front of a slab's last, partly filled lane block for the next
+            // slab even when that block ends the walk.
+            let (width, height) = [(23, 17), (48, 36)][size];
+            let model = scene_with_edge_rows(&splats, &edges);
+            let cam = camera_sized(width, height);
+            let mut evaluations = None;
+            for band_height in [1u32, 5, 16, 33] {
+                for compute_threads in [1usize, 3] {
+                    let options = RenderOptions {
+                        background: [0.0; 3],
+                        visible: None,
+                        compute_threads,
+                        band_height,
+                    };
+                    for first_slab in [1usize, 7, FIRST_SLAB, usize::MAX] {
+                        let groups = group_coverage(&model, &cam, &options, first_slab);
+                        let oracle =
+                            coverage_in_slabs(&model, &cam, &options, first_slab, lane_block_walk);
+                        prop_assert_eq!(walk_bits(&groups), walk_bits(&oracle));
+                        prop_assert_eq!(groups.reached(), oracle.reached());
+                        prop_assert_eq!(groups.open_pixels(), oracle.open_pixels());
+                        prop_assert!(groups.projected_count() <= oracle.projected_count());
+                        prop_assert_eq!(groups.entry_evaluations(), oracle.entry_evaluations());
+                        let first = *evaluations.get_or_insert(groups.entry_evaluations());
+                        prop_assert_eq!(groups.entry_evaluations(), first);
+                    }
                 }
             }
         }
