@@ -30,8 +30,7 @@
 use crate::frame::{self, DecodeError};
 use crate::varint;
 use clm_core::{TrainConfig, Trainer};
-use gs_core::math::Vec3;
-use gs_core::{Gaussian, GaussianModel, PARAMS_PER_GAUSSIAN};
+use gs_core::{GaussianModel, PARAMS_PER_GAUSSIAN};
 use gs_optim::{AdamRowState, GaussianAdam};
 
 /// File magic of a `.clmckpt`.
@@ -168,13 +167,8 @@ impl Checkpoint {
         // doubling (slack that also tips a column over malloc's mmap
         // threshold and makes each resume's layout differ).
         let mut model = GaussianModel::with_capacity(n);
-        model.extend((0..n).map(|_| Gaussian::isotropic(Vec3::ZERO, 0.1, [0.5; 3], 0.5)));
-        for i in 0..n {
-            let mut row = [0.0f32; PARAMS_PER_GAUSSIAN];
-            for x in row.iter_mut() {
-                *x = read_f32_le(body, &mut pos)?;
-            }
-            model.set_param_row(i, &row);
+        for _ in 0..n {
+            model.push_param_row(&read_row(body, &mut pos)?);
         }
         let mut grad_norms = Vec::with_capacity(n);
         for _ in 0..n {
@@ -188,14 +182,8 @@ impl Checkpoint {
         }
         let mut adam = Vec::with_capacity(rows);
         for _ in 0..rows {
-            let mut m = [0.0f32; PARAMS_PER_GAUSSIAN];
-            let mut v = [0.0f32; PARAMS_PER_GAUSSIAN];
-            for x in m.iter_mut() {
-                *x = read_f32_le(body, &mut pos)?;
-            }
-            for x in v.iter_mut() {
-                *x = read_f32_le(body, &mut pos)?;
-            }
+            let m = read_row(body, &mut pos)?;
+            let v = read_row(body, &mut pos)?;
             let step = varint::read_u64(body, &mut pos)?;
             adam.push(AdamRowState { m, v, step });
         }
@@ -221,10 +209,25 @@ fn read_f32_le(data: &[u8], pos: &mut usize) -> Result<f32, DecodeError> {
     Ok(f32::from_le_bytes(varint::read_array(data, pos)?))
 }
 
+/// Reads one row of [`PARAMS_PER_GAUSSIAN`] little-endian `f32`s in one
+/// bounds-checked read.
+fn read_row(data: &[u8], pos: &mut usize) -> Result<[f32; PARAMS_PER_GAUSSIAN], DecodeError> {
+    let bytes: [u8; PARAMS_PER_GAUSSIAN * 4] = varint::read_array(data, pos)?;
+    Ok(std::array::from_fn(|k| {
+        f32::from_le_bytes([
+            bytes[4 * k],
+            bytes[4 * k + 1],
+            bytes[4 * k + 2],
+            bytes[4 * k + 3],
+        ])
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use gs_core::math::Vec3;
+    use gs_core::Gaussian;
 
     fn sample_trainer() -> Trainer {
         let model: GaussianModel = (0..7)

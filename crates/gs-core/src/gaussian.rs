@@ -217,6 +217,19 @@ impl GaussianModel {
         idx
     }
 
+    /// Appends one Gaussian from a flat 59-float parameter row (the
+    /// [`param_row`](Self::param_row) layout), returning its index.
+    pub fn push_param_row(&mut self, row: &[f32; PARAMS_PER_GAUSSIAN]) -> usize {
+        let idx = self.len();
+        self.positions.push(Vec3::new(row[0], row[1], row[2]));
+        self.log_scales.push(Vec3::new(row[3], row[4], row[5]));
+        self.rotations
+            .push(Quat::from([row[6], row[7], row[8], row[9]]));
+        self.sh.extend_from_slice(&row[10..10 + SH_FLOATS]);
+        self.opacity_logits.push(row[PARAMS_PER_GAUSSIAN - 1]);
+        idx
+    }
+
     /// Reads Gaussian `i` back into array-of-structs form.
     ///
     /// # Panics
@@ -663,6 +676,8 @@ mod tests {
 
         model.set_param_row(1, &row);
         assert_eq!(model.get(1), model.get(0));
+        assert_eq!(model.push_param_row(&row), 2);
+        assert_eq!(model.get(2), model.get(0));
     }
 
     #[test]
